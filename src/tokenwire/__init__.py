@@ -24,7 +24,7 @@ from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
 from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
                    TokenState, TokenStateGrid, build_slice_grid,
                    default_layer_bounds, load_token_grid, periodic_slicing,
-                   save_token_grid, streaming_slicing)
+                   save_token_grid)
 from .metrics import mfcc, mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import (ReceiverReport, SenderReport, receive, receive_tokens,
                        send, send_tokens)

@@ -8,6 +8,7 @@ drive Monte Carlo experiments. Every artifact is a file, every run seeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -17,17 +18,16 @@ import numpy as np
 
 from . import __version__
 from .audio import CodecConfig, analyze, read_audio, write_audio
-from .context import (TrainSchedule, load_count_model, model_digest,
-                      save_count_model, train_count_model)
+from .context import load_count_model, model_digest, save_count_model
 from .errors import ConfigError, DecodeError
 from .experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
-                         load_config, run_experiment, summarize)
+                         load_config, run_experiment, summarize, train_codec,
+                         train_context, training_corpus)
 from .grid import GosConfig, StreamConfig, default_layer_bounds
 from .metrics import si_snr
 from .pipeline import receive, send
-from .rvq import load_codec, quantize, save_codec, train_codebooks
+from .rvq import load_codec, quantize, save_codec
 from .streaming import StreamReceiver, StreamSender
-from .synthetic import synth_audio
 from .transport import (BernoulliChannel, channel_from_spec, load_channel,
                         read_packets, read_trace, write_packets, write_trace)
 
@@ -49,16 +49,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _train_cfg(args) -> ExperimentConfig:
+    """The config the training commands run, seeded by ``--seed``."""
+    return dataclasses.replace(_load_cfg(args.config), base_seed=args.seed)
+
+
 def cmd_train_codebooks(args) -> int:
-    cfg = _load_cfg(args.config)
-    clip_len = cfg.clip_frames * cfg.frame_len
-    codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=cfg.dim)
-    feats = [analyze(synth_audio(clip_len, args.seed + i, cfg.sample_rate),
-                     codec_cfg)
-             for i in range(cfg.train_clips)]
-    codec = train_codebooks(np.concatenate(feats), cfg.n_layers, cfg.vocab,
-                            cfg.n_coarse, epochs=cfg.train_epochs,
-                            seed=args.seed)
+    cfg = _train_cfg(args)
+    codec = train_codec(cfg, training_corpus(cfg))
     save_codec(args.out, codec)
     print(f"wrote {args.out}: {codec.n_layers} layers, vocab {codec.vocab}, "
           f"dim {codec.dim}")
@@ -66,19 +64,8 @@ def cmd_train_codebooks(args) -> int:
 
 
 def cmd_train_context(args) -> int:
-    cfg = _load_cfg(args.config)
-    codec = load_codec(args.codec)
-    codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
-    clip_len = cfg.clip_frames * cfg.frame_len
-    grids = []
-    for i in range(cfg.train_clips):
-        clip = synth_audio(clip_len, args.seed + i, cfg.sample_rate)
-        grids.append(quantize(analyze(clip, codec_cfg), codec,
-                              codec.n_layers))
-    schedule = TrainSchedule(epochs=cfg.schedule_epochs, seed=args.seed,
-                             fixed_tau=cfg.fixed_tau)
-    model = train_count_model(grids, codec.vocab, codec.n_layers,
-                              codec.n_coarse, schedule)
+    cfg = _train_cfg(args)
+    model = train_context(cfg, load_codec(args.codec), training_corpus(cfg))
     save_count_model(args.out, model)
     print(f"wrote {args.out}: {len(model.tables)} contexts, "
           f"{model.n_observed} observations")

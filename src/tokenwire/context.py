@@ -118,8 +118,6 @@ class MaskedQuery:
     tokens: (T, n_layers) token values; only cells below ``visible`` are read.
     visible: per-frame count of visible layers (prefix).
     targets: (n, 2) int array of 0-based (frame, layer) cells to predict.
-    lookahead: if set, a target at frame t may only draw context from frames
-        <= t + lookahead (streaming causality clamp).
     frame_range: optional (lo, hi) half-open frame window bounding all
         context scans, e.g. a group-of-slices or concealment window.
     """
@@ -127,7 +125,6 @@ class MaskedQuery:
     tokens: np.ndarray
     visible: np.ndarray
     targets: np.ndarray
-    lookahead: int | None = None
     frame_range: tuple | None = None
 
     def __post_init__(self):
@@ -183,8 +180,7 @@ def context_key_parts(query: MaskedQuery, t: int, k: int) -> tuple:
     left = _scan(query.tokens, query.visible, t, k, lo, hi, -1)
     below = int(query.tokens[t, k - 1]) if k >= 1 and query.visible[t] >= k \
         else SENTINEL
-    r_hi = hi if query.lookahead is None else min(hi, t + query.lookahead + 1)
-    right = _scan(query.tokens, query.visible, t, k, lo, r_hi, +1)
+    right = _scan(query.tokens, query.visible, t, k, lo, hi, +1)
     return k, left, below, right
 
 

@@ -1,19 +1,23 @@
 """Dependency structure between slices, loss classification, concealment masks.
 
-The coding dependency decides which slices must be recovered bit-exactly
-before a slice can be entropy-decoded. The concealing dependency is looser:
-it reads any received token at or below the damaged layer, both earlier and
-later in time, because prediction does not need bit-exact context.
+The coding dependency decides which cells must be recovered bit-exactly
+before a fine slice can be entropy-decoded. Both layouts express it as a
+per-cell lookup of ``Conditions``: the periodic batch layout derives it
+from its slice grid, the streaming layout in closed form from
+``stream_geometry``. The concealing dependency is looser: it reads any
+received token at or below the damaged layer, both earlier and later in
+time, because prediction does not need bit-exact context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GosConfig, SliceGrid, SliceId, StreamConfig, TokenState
+from .grid import SliceGrid, SliceId, StreamConfig, TokenState
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -49,8 +53,23 @@ class ConcealmentWindow:
         return self.start <= t < self.stop
 
 
-def _stream_frame(sg: SliceGrid, sid: SliceId) -> int:
-    return sid.gos * sg.gos.gos_len + sid.unit - 1
+class Conditions(NamedTuple):
+    """What one fine slice was entropy-coded against.
+
+    ``coarse`` and ``fine`` are (n, 2) arrays of 0-based (frame, layer)
+    cells; the slice decodes only once all of them are RECEIVED.
+    """
+
+    key: bool            # a key slice anchors the periodic dependency
+    coarse: np.ndarray
+    fine: np.ndarray
+
+
+def decodable(states: np.ndarray, cond: Conditions) -> bool:
+    """Whether every cell ``cond`` names has been recovered bit-exactly."""
+    c, f = cond.coarse, cond.fine
+    return bool((states[c[:, 0], c[:, 1]] == R).all()
+                and (states[f[:, 0], f[:, 1]] == R).all())
 
 
 def stream_geometry(t: int, cfg: StreamConfig, n_frames: int) -> tuple:
@@ -67,86 +86,120 @@ def stream_geometry(t: int, cfg: StreamConfig, n_frames: int) -> tuple:
     return w_start, t_hi
 
 
-def build_coding_dependency(sg: SliceGrid,
-                            stream: StreamConfig | None = None) -> dict:
+def stream_conditions(frames: range, cfg: StreamConfig, n_frames: int,
+                      n_coarse: int, level: int) -> dict:
+    """Per fine cell (t, k) of ``frames``, its Conditions in a stream of
+    ``n_frames``.
+
+    Frame t's fine slices were coded against the coarse cells of every
+    frame in its context window and the fine cells of the window's frames
+    before t; streaming has no key slices.
+    """
+    if not frames or level <= n_coarse:
+        return {}
+    # window starts and ends never decrease with t
+    lo = stream_geometry(frames.start, cfg, n_frames)[0]
+    hi = stream_geometry(frames.stop - 1, cfg, n_frames)[1]
+    # one block of cells per kind, frame-major; each frame's share is a view
+    coarse = _block(range(lo, hi + 1), range(n_coarse))
+    fine = _block(range(lo, frames.stop), range(n_coarse, level))
+    nc, nf = n_coarse, level - n_coarse
+    lookup: dict = {}
+    for t in frames:
+        w, t_hi = stream_geometry(t, cfg, n_frames)
+        # a context shorter than stride + lookahead can start after t
+        cond = Conditions(False, coarse[(w - lo) * nc:(t_hi + 1 - lo) * nc],
+                          fine[(w - lo) * nf:(max(w, t) - lo) * nf])
+        for k in range(n_coarse, level):
+            lookup[(t, k)] = cond
+    return lookup
+
+
+def _block(frames: range, layers: range) -> np.ndarray:
+    """(frame, layer) cells of a rectangle, frame-major."""
+    m = len(layers)
+    f, k = np.divmod(np.arange(frames.start * m, frames.stop * m), m)
+    return np.array((f, k + layers.start)).T
+
+
+def stream_visibility(t: int, n_rows: int, cfg: StreamConfig, n_frames: int,
+                      n_coarse: int, level: int) -> tuple:
+    """(visible depths over ``n_rows`` buffered frames, frame_range) for
+    coding frame t's fine slices in a stream of ``n_frames``.
+
+    Sender and receiver both build their queries from it so their PMFs
+    agree bit for bit: full depth before t inside the context window,
+    coarse only from t up to the lookahead.
+    """
+    w_start, t_hi = stream_geometry(t, cfg, n_frames)
+    visible = np.zeros(n_rows, dtype=np.int64)
+    visible[w_start:t] = level
+    visible[t:t_hi + 1] = n_coarse
+    return visible, (w_start, t_hi + 1)
+
+
+def build_coding_dependency(sg: SliceGrid) -> dict:
     """Map each slice to the slices whose exact recovery it requires.
 
-    Periodic mode: coarse slices are unconditioned; the key unit's fine
-    slices condition only on the coarse slices of their group-of-slices;
-    every other fine slice additionally conditions on the key unit's fine
-    slices up to its own layer group. Streaming mode: a frame's fine slices
-    condition on the coarse slices inside its clamped context window and on
-    all fine slices of earlier frames inside that window.
+    Coarse slices are unconditioned; the key unit's fine slices condition
+    only on the coarse slices of their group-of-slices; every other fine
+    slice additionally conditions on the key unit's fine slices up to its
+    own layer group.
     """
     phi: dict = {}
-    if sg.mode == "periodic":
-        for gos_id in sg.gos_ids():
-            coarse = sg.coarse_slices(gos_id)
-            key = {}
-            for sid in sg.fine_slices(gos_id):
-                if sg.is_key(sid):
-                    key[sid.group] = sid
-            for sid in sg.coarse_slices(gos_id):
-                phi[sid] = []
-            for sid in sg.fine_slices(gos_id):
-                if sg.is_key(sid):
-                    phi[sid] = list(coarse)
-                else:
-                    keys = [key[j] for j in sorted(key) if j <= sid.group]
-                    phi[sid] = list(coarse) + keys
-    else:
-        if stream is None:
-            raise ValueError("streaming dependency requires a StreamConfig")
-        frame_of = {sid: _stream_frame(sg, sid) for sid in sg.slices}
-        coarse_of = {frame_of[sid]: sid for sid in sg.slices if sid.group == 0}
-        fine_by_frame: dict = {}
-        for sid in sg.slices:
-            if sid.group > 0:
-                fine_by_frame.setdefault(frame_of[sid], []).append(sid)
-        for sid in sg.slices:
-            if sid.group == 0:
-                phi[sid] = []
-                continue
-            t = frame_of[sid]
-            w_start, t_hi = stream_geometry(t, stream, sg.n_frames)
-            conds = [coarse_of[f] for f in range(w_start, t_hi + 1)
-                     if f in coarse_of]
-            for f in range(w_start, t):
-                conds.extend(fine_by_frame.get(f, []))
-            phi[sid] = conds
+    for gos_id in sg.gos_ids():
+        coarse = sg.coarse_slices(gos_id)
+        key = {}
+        for sid in sg.fine_slices(gos_id):
+            if sg.is_key(sid):
+                key[sid.group] = sid
+        for sid in sg.coarse_slices(gos_id):
+            phi[sid] = []
+        for sid in sg.fine_slices(gos_id):
+            if sg.is_key(sid):
+                phi[sid] = list(coarse)
+            else:
+                keys = [key[j] for j in sorted(key) if j <= sid.group]
+                phi[sid] = list(coarse) + keys
     return phi
 
 
-def coding_visibility(sg: SliceGrid, sid: SliceId,
-                      stream: StreamConfig | None = None) -> tuple:
+def slice_conditions(sg: SliceGrid) -> dict:
+    """Per fine cell (t, k) of a periodic layout, its slice's Conditions."""
+    phi = build_coding_dependency(sg)
+    none = [np.zeros((0, 2), dtype=np.int64)]
+    lookup: dict = {}
+    for sid in sg.fine_slices():
+        coarse = [sg.slices[c] for c in phi[sid] if c.group == 0]
+        keys = [sg.slices[c] for c in phi[sid] if c.group > 0]
+        cond = Conditions(sg.is_key(sid), np.concatenate(none + coarse),
+                          np.concatenate(none + keys))
+        for t, k in sg.slices[sid].tolist():
+            lookup[(t, k)] = cond
+    return lookup
+
+
+def coding_visibility(sg: SliceGrid, sid: SliceId) -> tuple:
     """(visible depths over all frames, frame_range) for coding slice ``sid``.
 
-    This is the single source of truth for what an entropy-coding query may
-    read; sender and receiver both build their queries from it so their
-    PMFs agree bit for bit.
+    This is the single source of truth for what a periodic entropy-coding
+    query may read; sender and receiver both build their queries from it so
+    their PMFs agree bit for bit.
     """
     if sid.group == 0:
         raise ValueError("coarse slices are sent uncoded")
     visible = np.zeros(sg.n_frames, dtype=np.int64)
     n_coarse = sg.gos.n_coarse
-    if sg.mode == "periodic":
-        frames = sg.gos_frames(sid.gos)
-        visible[frames.start:frames.stop] = n_coarse
-        if not sg.is_key(sid):
-            key_depth = min(sg.gos.layer_bounds[sid.group + 1], sg.level)
-            for k_sid in sg.fine_slices(sid.gos):
-                if sg.is_key(k_sid) and k_sid.group <= sid.group:
-                    cells = sg.slices[k_sid]
-                    for t in np.unique(cells[:, 0]):
-                        visible[t] = key_depth
-        return visible, (frames.start, frames.stop)
-    if stream is None:
-        raise ValueError("streaming visibility requires a StreamConfig")
-    t = _stream_frame(sg, sid)
-    w_start, t_hi = stream_geometry(t, stream, sg.n_frames)
-    visible[w_start:t] = sg.level
-    visible[t:t_hi + 1] = n_coarse
-    return visible, (w_start, t_hi + 1)
+    frames = sg.gos_frames(sid.gos)
+    visible[frames.start:frames.stop] = n_coarse
+    if not sg.is_key(sid):
+        key_depth = min(sg.gos.layer_bounds[sid.group + 1], sg.level)
+        for k_sid in sg.fine_slices(sid.gos):
+            if sg.is_key(k_sid) and k_sid.group <= sid.group:
+                cells = sg.slices[k_sid]
+                for t in np.unique(cells[:, 0]):
+                    visible[t] = key_depth
+    return visible, (frames.start, frames.stop)
 
 
 def propagate_invalid(states: np.ndarray, level) -> None:
@@ -210,22 +263,23 @@ def build_windows(states: np.ndarray, level, max_len: int) -> list:
 
 
 def classify_loss(states: np.ndarray, window: ConcealmentWindow,
-                  sg: SliceGrid, phi: dict,
+                  conditions: dict, n_coarse: int, level: int,
                   conceal_fine_layers: int = 2) -> list:
     """List (frame, layer, LossCase) concealment targets inside a window.
 
-    Lost coarse cells are targets outright. For frames whose in-window
-    coarse survived, the lowest non-received fine cell decides: a lost cell
-    in a non-key slice is concealed alone; cells invalidated by a coarse
-    slice lost outside the window or by a lost key slice are concealed up
-    to the configured number of leading fine layers. Cells above a target
-    stay invalid and are not concealed.
+    ``conditions`` maps a fine cell (t, k) to its slice's Conditions; a
+    frame without an entry gets no fine targets. Lost coarse cells are
+    targets outright. For frames whose coarse survived, the lowest
+    non-received fine cell decides: a lost cell in a non-key slice is
+    concealed alone; cells invalidated by a coarse slice lost outside the
+    window or by a lost key slice are concealed up to the configured number
+    of leading fine layers. Cells above a target stay invalid and are not
+    concealed.
     """
-    n_coarse = sg.gos.n_coarse
-    lvl = sg.level
+    coarse_hi = min(n_coarse, level)
+    cfl_hi = min(n_coarse + conceal_fine_layers, level)
     targets = []
     for t in range(window.start, window.stop):
-        coarse_hi = min(n_coarse, lvl)
         col = states[t]
         lost_coarse = [k for k in range(coarse_hi) if col[k] == L]
         if lost_coarse:
@@ -233,35 +287,29 @@ def classify_loss(states: np.ndarray, window: ConcealmentWindow,
             continue
         if any(col[k] != R for k in range(coarse_hi)):
             continue  # coarse concealed earlier or otherwise unusable
-        fine_bad = [k for k in range(n_coarse, lvl) if col[k] != R]
+        fine_bad = [k for k in range(n_coarse, level) if col[k] != R]
         if not fine_bad:
             continue
         k0 = fine_bad[0]
-        cfl_hi = min(n_coarse + conceal_fine_layers, lvl)
-        sid = sg.slice_of(t, k0)
-        if sid is None:
+        cond = conditions.get((t, k0))
+        if cond is None:
             continue
         if col[k0] == L:
-            if sg.is_key(sid):
+            if cond.key:
                 continue  # the lost key cells themselves stay lost
             targets.append((t, k0, LossCase.FINE))
             continue
-        # INVALID: walk this slice's conditions for the root cause
-        lost_coarse_cells = []
-        key_broken = False
-        for cond in phi.get(sid, []):
-            cells = sg.slices[cond]
-            if cond.group == 0:
-                for ct, ck in cells:
-                    if states[ct, ck] == L:
-                        lost_coarse_cells.append((int(ct), int(ck)))
-            elif np.any(states[cells[:, 0], cells[:, 1]] != R):
-                key_broken = True
-        if lost_coarse_cells:
-            if all(not window.contains(ct) for ct, _ in lost_coarse_cells):
+        # INVALID: look through this slice's conditions for the root cause
+        cc = cond.coarse
+        lost = cc[states[cc[:, 0], cc[:, 1]] == L]
+        if len(lost):
+            if not np.any((lost[:, 0] >= window.start) &
+                          (lost[:, 0] < window.stop)):
                 targets.extend(
                     (t, k, LossCase.COARSE_CONTEXT) for k in range(k0, cfl_hi))
             continue
+        fc = cond.fine
+        key_broken = bool(np.any(states[fc[:, 0], fc[:, 1]] != R))
         if key_broken and k0 < cfl_hi:
             targets.extend((t, k, LossCase.KEY_CONTEXT) for k in range(k0, cfl_hi))
     return targets

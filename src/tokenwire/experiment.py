@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .grid import GosConfig, TokenGrid, build_slice_grid, default_layer_bounds
 from .metrics import mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import receive_tokens, send_tokens
-from .rvq import dequantize, quantize, train_codebooks
+from .rvq import RvqCodec, dequantize, quantize, train_codebooks
 from .synthetic import synth_audio
 from .transport import BernoulliChannel, MarkovChannel
 
@@ -192,7 +192,8 @@ class TrainedStack:
     uniform_model: UniformModel
 
 
-def train_stack(cfg: ExperimentConfig) -> TrainedStack:
+def training_corpus(cfg: ExperimentConfig) -> list:
+    """Feature arrays of the ``train_clips`` seeded synthetic clips."""
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=cfg.dim)
     clip_len = cfg.clip_frames * cfg.frame_len
     feats = []
@@ -201,14 +202,31 @@ def train_stack(cfg: ExperimentConfig) -> TrainedStack:
         clip = synth_audio(clip_len, seed, cfg.sample_rate,
                            n_tones=cfg.n_tones, noise=cfg.noise)
         feats.append(analyze(clip, codec_cfg))
-    corpus = np.concatenate(feats)
-    codec = train_codebooks(corpus, cfg.n_layers, cfg.vocab, cfg.n_coarse,
-                            epochs=cfg.train_epochs, seed=cfg.base_seed)
-    grids = [quantize(f, codec, cfg.n_layers) for f in feats]
+    return feats
+
+
+def train_codec(cfg: ExperimentConfig, feats: list) -> RvqCodec:
+    """RVQ codebooks fitted to the training corpus."""
+    return train_codebooks(np.concatenate(feats), cfg.n_layers, cfg.vocab,
+                           cfg.n_coarse, epochs=cfg.train_epochs,
+                           seed=cfg.base_seed)
+
+
+def train_context(cfg: ExperimentConfig, codec: RvqCodec,
+                  feats: list) -> CountModel:
+    """Count model fitted to the corpus as ``codec`` quantizes it."""
+    grids = [quantize(f, codec, codec.n_layers) for f in feats]
     schedule = TrainSchedule(epochs=cfg.schedule_epochs, seed=cfg.base_seed,
                              fixed_tau=cfg.fixed_tau)
-    count_model = train_count_model(grids, cfg.vocab, cfg.n_layers,
-                                    cfg.n_coarse, schedule)
+    return train_count_model(grids, codec.vocab, codec.n_layers,
+                             codec.n_coarse, schedule)
+
+
+def train_stack(cfg: ExperimentConfig) -> TrainedStack:
+    codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=cfg.dim)
+    feats = training_corpus(cfg)
+    codec = train_codec(cfg, feats)
+    count_model = train_context(cfg, codec, feats)
     bounds = default_layer_bounds(cfg.n_layers, cfg.n_coarse,
                                   cfg.n_fine_groups)
     gos = GosConfig(gos_len=cfg.gos_len, n_units=cfg.n_units,

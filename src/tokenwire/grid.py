@@ -197,13 +197,6 @@ def periodic_slicing(gos_len: int, n_units: int) -> dict[int, list[int]]:
     return {u: list(range(u, gos_len + 1, n_units)) for u in range(1, n_units + 1)}
 
 
-def streaming_slicing(n_frames: int) -> dict[int, list[int]]:
-    """Each frame forms its own unit: unit u holds frame u."""
-    if n_frames < 1:
-        raise ValueError("n_frames must be at least 1")
-    return {u: [u] for u in range(1, n_frames + 1)}
-
-
 class SliceId(NamedTuple):
     gos: int
     unit: int
@@ -224,21 +217,7 @@ class SliceGrid:
     n_layers: int
     level: int
     gos: GosConfig
-    mode: str
     slices: dict[SliceId, np.ndarray] = field(default_factory=dict)
-
-    def slice_of(self, t: int, k: int) -> SliceId | None:
-        return self._cell_index.get((t, k))
-
-    @property
-    def _cell_index(self) -> dict:
-        if not hasattr(self, "_cell_index_cache"):
-            idx = {}
-            for sid, cells in self.slices.items():
-                for t, k in cells:
-                    idx[(int(t), int(k))] = sid
-            self._cell_index_cache = idx
-        return self._cell_index_cache
 
     def gos_ids(self) -> list[int]:
         return sorted({sid.gos for sid in self.slices})
@@ -256,8 +235,6 @@ class SliceGrid:
                 if s.group > 0 and (gos_id is None or s.gos == gos_id)]
 
     def is_key(self, sid: SliceId) -> bool:
-        if self.mode != "periodic":
-            return False
         return sid.group > 0 and sid.unit == self.gos.key_unit
 
     def validate_partition(self) -> None:
@@ -278,15 +255,12 @@ class SliceGrid:
             raise ValueError("slices do not partition the encoded cells")
 
 
-def build_slice_grid(n_frames: int, gos: GosConfig, level: int,
-                     mode: str = "periodic") -> SliceGrid:
-    """Partition cells (t, k < level) of a T-frame grid into slices.
+def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:
+    """Partition cells (t, k < level) of a T-frame grid into periodic slices.
 
     Layer groups above ``level`` are dropped; the group containing ``level``
     is truncated. Frames past the last full group form a shorter final group.
     """
-    if mode not in ("periodic", "streaming"):
-        raise ValueError(f"unknown slicing mode: {mode}")
     if n_frames < 1:
         raise ValueError("need at least one frame")
     if level < gos.n_coarse:
@@ -294,8 +268,10 @@ def build_slice_grid(n_frames: int, gos: GosConfig, level: int,
     if level > gos.n_layers:
         raise ValueError(f"encode level {level} exceeds the layer bounds {gos.layer_bounds}")
 
-    sg = SliceGrid(n_frames, gos.n_layers, level, gos, mode)
+    sg = SliceGrid(n_frames, gos.n_layers, level, gos)
     n_groups = len(gos.layer_bounds) - 1
+    units = periodic_slicing(gos.gos_len, gos.n_units)
+    order = [gos.key_unit] + [u for u in units if u != gos.key_unit]
 
     def add(sid: SliceId, frames: list[int], group: int) -> None:
         layers = gos.group_layers(group, level)
@@ -307,22 +283,13 @@ def build_slice_grid(n_frames: int, gos: GosConfig, level: int,
     for g in range(0, -(-n_frames // gos.gos_len)):
         start = g * gos.gos_len
         span = min(gos.gos_len, n_frames - start)
-        if mode == "periodic":
-            units = periodic_slicing(gos.gos_len, gos.n_units)
-            frames_of = {u: [start + t1 - 1 for t1 in ts if t1 <= span]
-                         for u, ts in units.items()}
-            order = [gos.key_unit] + [u for u in frames_of if u != gos.key_unit]
-            for u in frames_of:
-                add(SliceId(g, u, 0), frames_of[u], 0)
-            for u in order:
-                for j in range(1, n_groups):
-                    add(SliceId(g, u, j), frames_of[u], j)
-        else:
-            for off in range(span):
-                add(SliceId(g, off + 1, 0), [start + off], 0)
-            for off in range(span):
-                for j in range(1, n_groups):
-                    add(SliceId(g, off + 1, j), [start + off], j)
+        frames_of = {u: [start + t1 - 1 for t1 in ts if t1 <= span]
+                     for u, ts in units.items()}
+        for u in frames_of:
+            add(SliceId(g, u, 0), frames_of[u], 0)
+        for u in order:
+            for j in range(1, n_groups):
+                add(SliceId(g, u, j), frames_of[u], j)
     return sg
 
 

@@ -1,10 +1,13 @@
-"""Batch sender and receiver paths over a lossy packet transport.
+"""The transceiver core, and the batch sender and receiver built on it.
 
-The sender turns a token grid into packets: coarse slices bit-packed with
-chained repair copies, fine slices entropy-coded against model PMFs built
-from already-sent context. The receiver mirrors that in dependency order,
-marks what it could not decode, then conceals inside bounded windows with
-a single model prediction per window.
+The core is shared with the streaming transceiver: ``SliceSender`` turns
+coarse slices into bit-packed packets with chained repair copies and fine
+slices into range-coded packets priced by model PMFs, keeping the sender's
+bit accounting; ``decode_fine`` decodes a fine slice once everything it was
+coded against is bit-exact; ``conceal_in_window`` holds the last usable frame
+through a coarse blackout and otherwise predicts the damaged cells with a
+single model query. The batch path lays a clip out in periodic slices,
+decodes in dependency order, then conceals inside bounded windows.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import numpy as np
 
 from .audio import CodecConfig, synthesize
 from .context import MaskedQuery
-from .dependency import (ConcealmentWindow, LossCase, build_coding_dependency,
-                         build_conceal_mask, build_windows, classify_loss,
-                         coding_visibility, propagate_invalid)
+from .dependency import (ConcealmentWindow, Conditions, build_conceal_mask,
+                         build_windows, classify_loss, coding_visibility,
+                         decodable, propagate_invalid, slice_conditions)
 from .errors import DecodeError
-from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
-                   TokenState, TokenStateGrid, build_slice_grid)
+from .grid import (GosConfig, SliceGrid, SliceId, TokenGrid, TokenState,
+                   TokenStateGrid, build_slice_grid)
 from .rangecoder import CodedSlice, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
 from .transport import HEADER_BYTES, Packet, pack_bits, token_bits, unpack_bits
@@ -32,7 +35,7 @@ _I = int(TokenState.INVALID)
 
 @dataclass
 class SenderReport:
-    """Bit accounting for one batch send."""
+    """Bit accounting for one batch send or one whole stream."""
 
     n_packets: int = 0
     n_coarse_packets: int = 0
@@ -74,93 +77,144 @@ class ReceiverReport:
 
 
 def _packet_extent(cells: np.ndarray) -> tuple:
-    frames = np.unique(cells[:, 0])
-    return int(frames[0]), int(frames.size)
+    """(first frame, number of frames) of cells sorted by frame."""
+    frames = cells[:, 0].tolist()
+    return frames[0], len(set(frames))
 
 
-def send_tokens(grid: TokenGrid, sg: SliceGrid, model, fec: bool = True,
-                stream: StreamConfig | None = None) -> tuple:
-    """Encode a uniformly quantized grid into packets.
+class SliceSender:
+    """Transmit half of the transceiver core.
 
-    Packets come out in dependency order: within each group-of-slices the
-    coarse slices, then the key unit's fine slices, then the rest. Every
-    coarse packet after the first carries a packed copy of its predecessor
-    when ``fec`` is on.
+    Turns slices into packets in the order it is handed them, chains each
+    coarse packet's repair copy to its predecessor when ``fec`` is on, and
+    keeps the ``SenderReport``. A packet's ``head`` is its
+    (gos_id, unit, group, first_frame, n_frames).
     """
-    if grid.n_frames != sg.n_frames or grid.n_layers != sg.n_layers:
-        raise ValueError("grid shape does not match the slice layout")
-    if np.any(grid.level != sg.level):
-        raise ValueError("grid must be uniformly encoded at the layout level")
-    if model.vocab != grid.vocab:
-        raise ValueError("model and grid vocabularies differ")
 
-    width = token_bits(grid.vocab)
-    packets = []
-    rep = SenderReport()
-    prev_coarse: bytes | None = None
-    for sid in sg.slices:
-        cells = sg.slices[sid]
-        first_frame, n_frames = _packet_extent(cells)
-        if sid.group == 0:
-            vals = grid.tokens[cells[:, 0], cells[:, 1]]
-            payload = pack_bits(vals, width)
-            fec_field = prev_coarse if (fec and prev_coarse is not None) else b""
-            prev_coarse = payload
-            rep.n_coarse_packets += 1
-            rep.coarse_bits += len(payload) * 8
-            rep.fec_bits += len(fec_field) * 8
-            rep.n_coarse_tokens += len(vals)
-        else:
-            visible, frange = coding_visibility(sg, sid, stream)
-            query = MaskedQuery(grid.tokens, visible, cells,
-                                frame_range=frange)
-            pmfs, fallbacks = model.pmf(query)
-            symbols = grid.tokens[cells[:, 0], cells[:, 1]]
-            coded = encode_symbols(symbols.tolist(), pmfs)
-            payload, fec_field = coded.payload, b""
-            rep.n_fine_packets += 1
-            rep.fine_bits += len(payload) * 8
-            rep.n_fine_tokens += len(symbols)
-            for (t, k), pmf, sym in zip(cells, pmfs, symbols):
-                b = pmf.bits(int(sym))
-                rep.ideal_fine_bits += b
-                layer = int(k)
-                rep.per_layer_ideal_bits[layer] = (
-                    rep.per_layer_ideal_bits.get(layer, 0.0) + b)
-            for fb in fallbacks:
-                rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + 1
-        packets.append(Packet(sid.gos, sid.unit, sid.group,
-                              first_frame, n_frames, payload, fec_field))
-    rep.n_packets = len(packets)
-    rep.header_bits = rep.n_packets * HEADER_BYTES * 8
-    return packets, rep
+    def __init__(self, model, fec: bool = True):
+        self.model = model
+        self.fec = fec
+        self.width = token_bits(model.vocab)
+        self.report = SenderReport()
+        self._prev_coarse: bytes | None = None
+
+    def _packet(self, head: tuple, payload: bytes,
+                fec_field: bytes = b"") -> Packet:
+        self.report.n_packets += 1
+        self.report.header_bits += HEADER_BYTES * 8
+        return Packet(*head, payload, fec_field)
+
+    def coarse(self, head: tuple, vals: np.ndarray) -> Packet:
+        """Bit-pack a coarse slice's tokens; carries the previous coarse
+        slice as repair."""
+        rep = self.report
+        payload = pack_bits(vals, self.width)
+        fec_field = (self._prev_coarse
+                     if (self.fec and self._prev_coarse is not None) else b"")
+        self._prev_coarse = payload
+        rep.n_coarse_packets += 1
+        rep.coarse_bits += len(payload) * 8
+        rep.fec_bits += len(fec_field) * 8
+        rep.n_coarse_tokens += len(vals)
+        return self._packet(head, payload, fec_field)
+
+    def fine(self, head: tuple, tokens: np.ndarray, cells: np.ndarray,
+             visible: np.ndarray, frame_range: tuple) -> Packet:
+        """Range-code a fine slice against the context ``visible`` exposes."""
+        rep = self.report
+        query = MaskedQuery(tokens, visible, cells, frame_range=frame_range)
+        pmfs, fallbacks = self.model.pmf(query)
+        symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
+        coded = encode_symbols(symbols, pmfs)
+        rep.n_fine_packets += 1
+        rep.fine_bits += len(coded.payload) * 8
+        rep.n_fine_tokens += len(symbols)
+        for k, pmf, sym in zip(cells[:, 1].tolist(), pmfs, symbols):
+            b = pmf.bits(sym)
+            rep.ideal_fine_bits += b
+            rep.per_layer_ideal_bits[k] = rep.per_layer_ideal_bits.get(k, 0.0) + b
+        for fb in fallbacks:
+            rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + 1
+        return self._packet(head, coded.payload)
 
 
-def _recover_coarse(by_sid: dict, sg: SliceGrid, tokens: np.ndarray,
-                    states: np.ndarray, vocab: int) -> int:
-    """Place delivered coarse tokens, then repair holes from successor
-    packets. Returns how many slices the repair copies saved."""
-    width = token_bits(vocab)
-    coarse = [sid for sid in sg.slices if sid.group == 0]
-    recovered = 0
-    for i, sid in enumerate(coarse):
-        cells = sg.slices[sid]
-        payload = None
-        if sid in by_sid:
-            payload = by_sid[sid].payload
-        else:
-            nxt = coarse[i + 1] if i + 1 < len(coarse) else None
-            if nxt is not None and nxt in by_sid and by_sid[nxt].fec:
-                payload = by_sid[nxt].fec
-                recovered += 1
+def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
+                cond: Conditions, slices: list, view) -> None:
+    """Decode, in place, fine slices coded against ``cond`` and one view.
+
+    ``slices`` holds (cells, payload or None) pairs. Unless every cell
+    ``cond`` names is RECEIVED, their cells become INVALID. A missing
+    payload, or one that does not decode, leaves its cells LOST, like a
+    drop. ``view()`` gives the (visible, frame_range) they were coded with.
+    """
+    if not decodable(states, cond):
+        for cells, _ in slices:
+            states[cells[:, 0], cells[:, 1]] = _I
+        return
+    shown = None
+    for cells, payload in slices:
         if payload is None:
             continue
-        vals = unpack_bits(payload, width, len(cells))
-        if vals.size and int(vals.max()) >= vocab:
-            raise DecodeError("coarse token outside vocabulary")
-        tokens[cells[:, 0], cells[:, 1]] = vals
+        shown = view() if shown is None else shown
+        pmfs, _ = model.pmf(MaskedQuery(tokens, shown[0], cells,
+                                        frame_range=shown[1]))
+        try:
+            syms = decode_symbols(CodedSlice(payload, len(cells)), pmfs)
+        except DecodeError:
+            continue
+        tokens[cells[:, 0], cells[:, 1]] = syms
         states[cells[:, 0], cells[:, 1]] = _R
-    return recovered
+
+
+def unpack_coarse(payload: bytes, vocab: int, count: int) -> np.ndarray:
+    """Coarse tokens of one packet; raises on a token outside ``vocab``."""
+    vals = unpack_bits(payload, token_bits(vocab), count)
+    if vals.size and int(vals.max()) >= vocab:
+        raise DecodeError("coarse token outside vocabulary")
+    return vals
+
+
+def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
+                      win: ConcealmentWindow, fill: range, conditions: dict,
+                      n_coarse: int, level: int, conceal_fine_layers: int,
+                      case_counts: dict) -> int:
+    """Conceal the damaged cells of frames ``fill`` inside ``win`` in place.
+
+    With no coarse cell received anywhere in the window there is nothing to
+    condition on: every non-received cell of ``fill`` repeats the last
+    fully usable frame before it (zeros without one). Otherwise the
+    classified targets are predicted from the window in one model query.
+    Returns 1 on such a blackout, else 0.
+    """
+    if not np.any(states[fill.start:fill.stop, :level] != _R):
+        return 0
+    if not np.any(states[win.start:win.stop, :n_coarse] == _R):
+        src = None
+        for t in range(fill.start - 1, -1, -1):
+            col = states[t, :level]
+            if np.all((col == _R) | (col == _C)):
+                src = t
+                break
+        for t in fill:
+            for k in range(level):
+                if states[t, k] != _R:
+                    tokens[t, k] = tokens[src, k] if src is not None else 0
+                    states[t, k] = _C
+        return 1
+    targets = [trip for trip in classify_loss(
+        states, win, conditions, n_coarse, level, conceal_fine_layers)
+        if trip[0] in fill]
+    if targets:
+        depth = np.full(len(states), level, dtype=np.int16)
+        visible, frange = build_conceal_mask(targets, states, win, depth)
+        cells = np.array([(t, k) for t, k, _ in targets], dtype=np.int64)
+        query = MaskedQuery(tokens, visible, cells, frame_range=frange)
+        preds = model.predict(query)
+        for (t, k, case), z in zip(targets, preds):
+            tokens[t, k] = int(z)
+            states[t, k] = _C
+            case_counts[int(case)] = case_counts.get(int(case), 0) + 1
+    return 0
 
 
 def _valid_depth(states: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -176,42 +230,60 @@ def _valid_depth(states: np.ndarray, level: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conceal_window(tokens: np.ndarray, states: np.ndarray,
-                    win: ConcealmentWindow, sg: SliceGrid, phi: dict,
-                    model, conceal_fine_layers: int, level: np.ndarray,
-                    case_counts: dict) -> int:
-    """Conceal one window in place. Returns 1 on a coarse blackout."""
-    coarse_hi = min(sg.gos.n_coarse, sg.level)
-    if not np.any(states[win.start:win.stop, :coarse_hi] == _R):
-        # nothing to condition on: hold the last fully usable frame
-        src = None
-        for t in range(win.start - 1, -1, -1):
-            col = states[t, : int(level[t])]
-            if col.size and np.all((col == _R) | (col == _C)):
-                src = t
-                break
-        for t in range(win.start, win.stop):
-            for k in range(int(level[t])):
-                if states[t, k] != _R:
-                    tokens[t, k] = tokens[src, k] if src is not None else 0
-                    states[t, k] = _C
-        return 1
-    targets = classify_loss(states, win, sg, phi, conceal_fine_layers)
-    if targets:
-        visible, frange = build_conceal_mask(targets, states, win, level)
-        cells = np.array([(t, k) for t, k, _ in targets], dtype=np.int64)
-        query = MaskedQuery(tokens, visible, cells, frame_range=frange)
-        preds = model.predict(query)
-        for (t, k, case), z in zip(targets, preds):
-            tokens[t, k] = int(z)
-            states[t, k] = _C
-            case_counts[int(case)] = case_counts.get(int(case), 0) + 1
-    return 0
+def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
+                fec: bool = True) -> tuple:
+    """Encode a uniformly quantized grid into packets.
+
+    Packets come out in dependency order: within each group-of-slices the
+    coarse slices, then the key unit's fine slices, then the rest. Every
+    coarse packet after the first carries a packed copy of its predecessor
+    when ``fec`` is on.
+    """
+    if grid.n_frames != sg.n_frames or grid.n_layers != sg.n_layers:
+        raise ValueError("grid shape does not match the slice layout")
+    if np.any(grid.level != sg.level):
+        raise ValueError("grid must be uniformly encoded at the layout level")
+    if model.vocab != grid.vocab:
+        raise ValueError("model and grid vocabularies differ")
+
+    tx = SliceSender(model, fec)
+    packets = []
+    for sid, cells in sg.slices.items():
+        head = (*sid, *_packet_extent(cells))
+        if sid.group == 0:
+            vals = grid.tokens[cells[:, 0], cells[:, 1]]
+            packets.append(tx.coarse(head, vals))
+        else:
+            visible, frange = coding_visibility(sg, sid)
+            packets.append(tx.fine(head, grid.tokens, cells, visible, frange))
+    return packets, tx.report
 
 
-def receive_tokens(packets, sg: SliceGrid, model,
-                   stream: StreamConfig | None = None,
-                   conceal_window: int = 12,
+def _recover_coarse(by_sid: dict, sg: SliceGrid, tokens: np.ndarray,
+                    states: np.ndarray, vocab: int) -> int:
+    """Place delivered coarse tokens, then repair holes from successor
+    packets. Returns how many slices the repair copies saved."""
+    coarse = [sid for sid in sg.slices if sid.group == 0]
+    recovered = 0
+    for i, sid in enumerate(coarse):
+        cells = sg.slices[sid]
+        payload = None
+        if sid in by_sid:
+            payload = by_sid[sid].payload
+        else:
+            nxt = coarse[i + 1] if i + 1 < len(coarse) else None
+            if nxt is not None and nxt in by_sid and by_sid[nxt].fec:
+                payload = by_sid[nxt].fec
+                recovered += 1
+        if payload is None:
+            continue
+        tokens[cells[:, 0], cells[:, 1]] = unpack_coarse(payload, vocab,
+                                                         len(cells))
+        states[cells[:, 0], cells[:, 1]] = _R
+    return recovered
+
+
+def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
                    conceal_fine_layers: int = 2) -> tuple:
     """Decode surviving packets back into a (grid, states, report) triple.
 
@@ -241,38 +313,15 @@ def receive_tokens(packets, sg: SliceGrid, model,
 
     fec_recovered = _recover_coarse(by_sid, sg, tokens, states, vocab)
 
-    phi = build_coding_dependency(sg, stream)
-    decoded: set = set()
-    for sid in sg.slices:
+    conditions = slice_conditions(sg)
+    for sid, cells in sg.slices.items():
         if sid.group == 0:
             continue
-        cells = sg.slices[sid]
-        ok = True
-        for cond in phi[sid]:
-            if cond.group == 0:
-                cc = sg.slices[cond]
-                if np.any(states[cc[:, 0], cc[:, 1]] != _R):
-                    ok = False
-                    break
-            elif cond not in decoded:
-                ok = False
-                break
-        if not ok:
-            states[cells[:, 0], cells[:, 1]] = _I
-            continue
-        if sid not in by_sid:
-            continue  # stays LOST
-        visible, frange = coding_visibility(sg, sid, stream)
-        query = MaskedQuery(tokens, visible, cells, frame_range=frange)
-        pmfs, _ = model.pmf(query)
-        try:
-            syms = decode_symbols(CodedSlice(by_sid[sid].payload, len(cells)),
-                                  pmfs)
-        except DecodeError:
-            continue  # mangled payload: the slice stays LOST, like a drop
-        tokens[cells[:, 0], cells[:, 1]] = syms
-        states[cells[:, 0], cells[:, 1]] = _R
-        decoded.add(sid)
+        p = by_sid.get(sid)
+        decode_fine(model, tokens, states,
+                    conditions[(int(cells[0, 0]), int(cells[0, 1]))],
+                    [(cells, None if p is None else p.payload)],
+                    lambda: coding_visibility(sg, sid))
 
     propagate_invalid(states, level)
 
@@ -280,8 +329,10 @@ def receive_tokens(packets, sg: SliceGrid, model,
     case_counts: dict = {}
     n_blackouts = 0
     for win in windows:
-        n_blackouts += _conceal_window(tokens, states, win, sg, phi, model,
-                                       conceal_fine_layers, level, case_counts)
+        n_blackouts += conceal_in_window(
+            model, tokens, states, win, range(win.start, win.stop),
+            conditions, sg.gos.n_coarse, sg.level, conceal_fine_layers,
+            case_counts)
 
     depth = _valid_depth(states, level)
     grid = TokenGrid(tokens, depth, vocab)

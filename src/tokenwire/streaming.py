@@ -4,34 +4,52 @@ Frames arrive continuously. Every ``stride`` frames the sender emits one
 step: coarse tokens for all frames up to the lookahead horizon, then
 entropy-coded fine tokens for the frames now due. A frame's fine tokens
 are on the wire once the horizon frame has been captured, so end-to-end
-latency never exceeds stride + lookahead frames. The receiver finalizes
-each step's due frames immediately: decode what arrived, conceal the rest
-inside a window ending at the horizon, release. Released frames are never
-revisited, and concealed cells never serve as coding context.
+latency never exceeds stride + lookahead frames. Each frame is its own
+slice: packet (gos_id, unit) names frame gos_id * gos_len + unit - 1.
+
+Both ends run on the transceiver core in ``pipeline``. The coding
+dependency of a frame is closed-form (``stream_conditions`` and
+``stream_visibility``), so a step only ever looks at its own due frames.
+The receiver finalizes each step's due frames immediately: decode what
+arrived, conceal the rest inside a window ending at the horizon, release.
+Released frames are never revisited, and concealed cells never serve as
+coding context.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .context import MaskedQuery
-from .dependency import (ConcealmentWindow, build_coding_dependency,
-                         build_conceal_mask, classify_loss, propagate_invalid,
-                         stream_geometry)
+from .dependency import (ConcealmentWindow, propagate_invalid,
+                         stream_conditions, stream_visibility)
 from .errors import DecodeError
-from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
-                   TokenState, TokenStateGrid, build_slice_grid)
-from .pipeline import SenderReport, _valid_depth
-from .rangecoder import CodedSlice, decode_symbols, encode_symbols
-from .transport import HEADER_BYTES, Packet, pack_bits, token_bits, unpack_bits
+# build_slice_grid is not used here; the benchmark's span tracer
+# (perfbench/tracing.py, install_layers) hooks it on this module.
+from .grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
+                   TokenStateGrid, build_slice_grid)  # noqa: F401
+from .pipeline import (SliceSender, _valid_depth, conceal_in_window,
+                       decode_fine, unpack_coarse)
 
 _R = int(TokenState.RECEIVED)
-_L = int(TokenState.LOST)
-_I = int(TokenState.INVALID)
-_C = int(TokenState.CONCEALED)
+
+
+def _frame_head(gos: GosConfig, f: int, group: int) -> tuple:
+    """Packet head of frame f's slice of ``group``."""
+    return f // gos.gos_len, f % gos.gos_len + 1, group, f, 1
+
+
+def _fine_slices(gos: GosConfig, f: int, level: int) -> list:
+    """(group, cells) of frame f's fine slices below ``level``."""
+    out = []
+    for j in range(1, gos.n_fine_groups + 1):
+        layers = gos.group_layers(j, level)
+        if len(layers):
+            out.append((j, np.array([(f, k - 1) for k in layers],
+                                    dtype=np.int64)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,11 +86,11 @@ class StreamSender:
         self.level = level
         self.fec = fec
         self.vocab = model.vocab
-        self.report = SenderReport()
+        self._tx = SliceSender(model, fec)
+        self.report = self._tx.report  # SenderReport over all emissions
         self._buf = np.zeros((0, gos.n_layers), dtype=np.int32)
         self._next_step = 0
         self._coarse_sent = 0
-        self._prev_coarse: bytes | None = None
         self._latency: list = []
         self._done = False
 
@@ -116,52 +134,13 @@ class StreamSender:
             self._next_step += 1
         return out, total
 
-    def _coarse_packet(self, f: int) -> Packet:
-        n_coarse = self.gos.n_coarse
-        width = token_bits(self.vocab)
-        payload = pack_bits(self._buf[f, :n_coarse], width)
-        fec_field = (self._prev_coarse
-                     if (self.fec and self._prev_coarse is not None) else b"")
-        self._prev_coarse = payload
-        gl = self.gos.gos_len
-        self.report.n_coarse_packets += 1
-        self.report.coarse_bits += len(payload) * 8
-        self.report.fec_bits += len(fec_field) * 8
-        self.report.n_coarse_tokens += n_coarse
-        return Packet(f // gl, f % gl + 1, 0, f, 1, payload, fec_field)
-
     def _fine_packets(self, f: int, n_known: int) -> list:
-        S, F = self.stream.stride, self.stream.lookahead
-        w_start, t_hi = stream_geometry(f, self.stream, n_known)
-        visible = np.zeros(len(self._buf), dtype=np.int64)
-        visible[w_start:f] = self.level
-        visible[f:t_hi + 1] = self.gos.n_coarse
-        gl = self.gos.gos_len
-        packets = []
-        for j in range(1, self.gos.n_fine_groups + 1):
-            layers = self.gos.group_layers(j, self.level)
-            if len(layers) == 0:
-                continue
-            cells = np.array([(f, k - 1) for k in layers], dtype=np.int64)
-            query = MaskedQuery(self._buf, visible, cells,
-                                frame_range=(w_start, t_hi + 1))
-            pmfs, fallbacks = self.model.pmf(query)
-            symbols = [int(self._buf[f, k - 1]) for k in layers]
-            coded = encode_symbols(symbols, pmfs)
-            packets.append(Packet(f // gl, f % gl + 1, j, f, 1,
-                                  coded.payload))
-            self.report.n_fine_packets += 1
-            self.report.fine_bits += len(coded.payload) * 8
-            self.report.n_fine_tokens += len(symbols)
-            for pmf, sym, (_, k) in zip(pmfs, symbols, cells):
-                b = pmf.bits(sym)
-                self.report.ideal_fine_bits += b
-                self.report.per_layer_ideal_bits[int(k)] = (
-                    self.report.per_layer_ideal_bits.get(int(k), 0.0) + b)
-            for fb in fallbacks:
-                self.report.fallback_counts[fb] = (
-                    self.report.fallback_counts.get(fb, 0) + 1)
-        return packets
+        gos, level = self.gos, self.level
+        visible, frange = stream_visibility(f, len(self._buf), self.stream,
+                                            n_known, gos.n_coarse, level)
+        return [self._tx.fine(_frame_head(gos, f, j), self._buf, cells,
+                              visible, frange)
+                for j, cells in _fine_slices(gos, f, level)]
 
     def _emit(self, i: int, total: int | None) -> StepEmission:
         S, F = self.stream.stride, self.stream.lookahead
@@ -170,13 +149,12 @@ class StreamSender:
         due_stop = min((i + 1) * S, n_known)
         packets = []
         for f in range(self._coarse_sent, horizon + 1):
-            packets.append(self._coarse_packet(f))
+            packets.append(self._tx.coarse(_frame_head(self.gos, f, 0),
+                                           self._buf[f, :self.gos.n_coarse]))
         self._coarse_sent = max(self._coarse_sent, horizon + 1)
         for f in range(i * S, due_stop):
             packets.extend(self._fine_packets(f, n_known))
             self._latency.append(horizon + 1 - f)
-        self.report.n_packets += len(packets)
-        self.report.header_bits += len(packets) * HEADER_BYTES * 8
         return StepEmission(i, tuple(packets), (i * S, due_stop), horizon)
 
 
@@ -214,133 +192,78 @@ class StreamReceiver:
             [self._tokens, np.zeros((n - cur, K), dtype=np.int32)])
         self._states = np.concatenate([self._states, fresh_states])
 
-    def _place_coarse(self, p: Packet) -> None:
+    def _place_coarse(self, f: int, payload: bytes) -> None:
+        if f < self._released:
+            return  # that frame is already final
         n_coarse = self.gos.n_coarse
-        width = token_bits(self.vocab)
-        f = p.gos_id * self.gos.gos_len + p.unit - 1
-        self._grow(f + 1)
-
-        def place(frame: int, payload: bytes) -> None:
-            if frame < self._released:
-                return  # that frame is already final
-            vals = unpack_bits(payload, width, n_coarse)
-            if int(vals.max()) >= self.vocab:
-                raise DecodeError("coarse token outside vocabulary")
-            self._tokens[frame, :n_coarse] = vals
-            self._states[frame, :n_coarse] = _R
-
-        place(f, p.payload)
-        if p.fec and f > 0 and np.any(self._states[f - 1, :n_coarse] != _R):
-            if f - 1 >= self._released:
-                self.fec_recovered += 1
-            place(f - 1, p.fec)
+        self._tokens[f, :n_coarse] = unpack_coarse(payload, self.vocab,
+                                                   n_coarse)
+        self._states[f, :n_coarse] = _R
 
     def step(self, packets, total: int | None = None) -> StreamRelease:
-        """Process one step's surviving packets and finalize its due frames."""
+        """Process one step's surviving packets and finalize its due frames.
+
+        Raises DecodeError, leaving the receiver as it was, on a packet
+        that names no frame of its group-of-slices, a coarse packet beyond
+        the step's horizon, or a fine packet outside the due batch.
+        """
         if self._finished:
             raise RuntimeError("receiver already finished")
         i = self._next_step
-        self._next_step += 1
         S, F = self.stream.stride, self.stream.lookahead
         n_known = (i + 1) * S + F if total is None else total
         horizon = min((i + 1) * S - 1 + F, n_known - 1)
-        due = (i * S, min((i + 1) * S, n_known))
+        due = range(i * S, min((i + 1) * S, n_known))
+
+        gl = self.gos.gos_len
+        coarse, fine = [], {}
+        for p in packets:
+            f = p.gos_id * gl + p.unit - 1
+            if not 1 <= p.unit <= gl:
+                raise DecodeError("packet unit outside the group-of-slices")
+            if p.group == 0:
+                if f > horizon:
+                    raise DecodeError("coarse packet beyond the step horizon")
+                coarse.append((f, p))
+            elif f not in due:
+                raise DecodeError("fine packet outside the due batch")
+            else:
+                fine[(f, p.group)] = p.payload
+        self._next_step += 1
         self._grow(horizon + 1)
 
-        fine: dict = {}
-        for p in packets:
-            f = p.gos_id * self.gos.gos_len + p.unit - 1
-            if p.group == 0:
-                self._place_coarse(p)
-            else:
-                if not due[0] <= f < due[1]:
-                    raise DecodeError("fine packet outside the due batch")
-                fine[(f, p.group)] = p
+        n_coarse = self.gos.n_coarse
+        for f, p in coarse:
+            self._place_coarse(f, p.payload)
+            if p.fec and f > 0 and np.any(self._states[f - 1, :n_coarse] != _R):
+                if f - 1 >= self._released:
+                    self.fec_recovered += 1
+                self._place_coarse(f - 1, p.fec)
 
+        gos, level, cfg = self.gos, self.level, self.stream
         n_buf = len(self._tokens)
-        n_coarse = self.gos.n_coarse
-        for f in range(*due):
-            w_start, t_hi = stream_geometry(f, self.stream, n_known)
-            cond_ok = not np.any(
-                self._states[w_start:t_hi + 1, :n_coarse] != _R)
-            prior_fine_ok = not np.any(
-                (self._states[w_start:f, n_coarse:self.level] != _R))
-            visible = np.zeros(n_buf, dtype=np.int64)
-            visible[w_start:f] = self.level
-            visible[f:t_hi + 1] = n_coarse
-            for j in range(1, self.gos.n_fine_groups + 1):
-                layers = self.gos.group_layers(j, self.level)
-                if len(layers) == 0:
-                    continue
-                cells = np.array([(f, k - 1) for k in layers], dtype=np.int64)
-                if not (cond_ok and prior_fine_ok):
-                    self._states[f, cells[:, 1]] = _I
-                    continue
-                p = fine.get((f, j))
-                if p is None:
-                    continue  # stays LOST
-                query = MaskedQuery(self._tokens, visible, cells,
-                                    frame_range=(w_start, t_hi + 1))
-                pmfs, _ = self.model.pmf(query)
-                try:
-                    syms = decode_symbols(CodedSlice(p.payload, len(cells)),
-                                          pmfs)
-                except DecodeError:
-                    self._states[f, cells[:, 1]] = _I
-                    continue
-                self._tokens[f, cells[:, 1]] = syms
-                self._states[f, cells[:, 1]] = _R
+        conditions = stream_conditions(due, cfg, n_known, n_coarse, level)
+        for f in due:
+            slices = [(cells, fine.get((f, j)))
+                      for j, cells in _fine_slices(gos, f, level)]
+            if slices:
+                decode_fine(self.model, self._tokens, self._states,
+                            conditions[(f, n_coarse)], slices,
+                            lambda: stream_visibility(f, n_buf, cfg, n_known,
+                                                      n_coarse, level))
 
-        level = np.full(n_buf, self.level, dtype=np.int16)
-        propagate_invalid(self._states[due[0]:due[1]], level[due[0]:due[1]])
-        self._conceal(due, horizon, n_known)
-        self._released = due[1]
-        sl = slice(*due)
+        sl = slice(due.start, due.stop)
+        depth = np.full(len(due), level, dtype=np.int16)
+        propagate_invalid(self._states[sl], depth)
+        win = ConcealmentWindow(max(0, horizon + 1 - cfg.conceal_context),
+                                horizon + 1)
+        self.n_blackouts += conceal_in_window(
+            self.model, self._tokens, self._states, win, due, conditions,
+            n_coarse, level, self.conceal_fine_layers, self.case_counts)
+        self._released = due.stop
         return StreamRelease(
-            due, self._tokens[sl].copy(), self._states[sl].copy(),
-            _valid_depth(self._states[sl], level[sl]))
-
-    def _conceal(self, due: tuple, horizon: int, n_known: int) -> None:
-        win = ConcealmentWindow(
-            max(0, horizon + 1 - self.stream.conceal_context), horizon + 1)
-        lvl = self.level
-        n_coarse = self.gos.n_coarse
-        damaged = np.any(
-            self._states[due[0]:due[1], :lvl] != _R)
-        if not damaged:
-            return
-        if not np.any(self._states[win.start:win.stop, :n_coarse] == _R):
-            # blackout across the whole window: hold the last usable frame
-            src = None
-            for t in range(due[0] - 1, -1, -1):
-                col = self._states[t, :lvl]
-                if np.all((col == _R) | (col == _C)):
-                    src = t
-                    break
-            for t in range(*due):
-                for k in range(lvl):
-                    if self._states[t, k] != _R:
-                        self._tokens[t, k] = (self._tokens[src, k]
-                                              if src is not None else 0)
-                        self._states[t, k] = _C
-            self.n_blackouts += 1
-            return
-        sg = build_slice_grid(len(self._tokens), self.gos, lvl, "streaming")
-        phi = build_coding_dependency(sg, self.stream)
-        targets = [trip for trip in classify_loss(
-            self._states, win, sg, phi, self.conceal_fine_layers)
-            if due[0] <= trip[0] < due[1]]
-        if not targets:
-            return
-        level = np.full(len(self._tokens), lvl, dtype=np.int16)
-        visible, frange = build_conceal_mask(targets, self._states, win, level)
-        cells = np.array([(t, k) for t, k, _ in targets], dtype=np.int64)
-        query = MaskedQuery(self._tokens, visible, cells, frame_range=frange)
-        preds = self.model.predict(query)
-        for (t, k, case), z in zip(targets, preds):
-            self._tokens[t, k] = int(z)
-            self._states[t, k] = _C
-            self.case_counts[int(case)] = self.case_counts.get(int(case), 0) + 1
+            (due.start, due.stop), self._tokens[sl].copy(),
+            self._states[sl].copy(), _valid_depth(self._states[sl], depth))
 
     def finish(self, emissions, total: int) -> list:
         """Process the sender's flush emissions; returns their releases."""

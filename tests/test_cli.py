@@ -9,8 +9,9 @@ import pytest
 from tokenwire import __version__
 from tokenwire.audio import read_audio, write_audio
 from tokenwire.cli import build_parser, main
-from tokenwire.context import load_count_model
-from tokenwire.rvq import load_codec
+from tokenwire.context import load_count_model, save_count_model
+from tokenwire.experiment import config_from_dict, train_stack
+from tokenwire.rvq import load_codec, save_codec
 from tokenwire.synthetic import synth_audio
 from tokenwire.transport import read_packets, read_trace
 
@@ -71,6 +72,23 @@ def test_trained_artifacts_load(ws):
     model = load_count_model(ws["model"])
     assert model.vocab == 8 and model.n_layers == 3
     assert model.n_observed > 0
+
+
+def test_training_commands_match_train_stack(tmp_path):
+    """The CLI writes the very artifacts the experiment runner trains."""
+    cfg = dict(CFG, noise=0.2, n_tones=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    codec, model = tmp_path / "codec.rvq", tmp_path / "model.ctx"
+    assert main(["train-codebooks", "--config", str(cfg_path), "--seed", "4",
+                 "--out", str(codec)]) == 0
+    assert main(["train-context", "--config", str(cfg_path), "--seed", "4",
+                 "--codec", str(codec), "--out", str(model)]) == 0
+    stack = train_stack(config_from_dict(dict(cfg, base_seed=4)))
+    save_codec(tmp_path / "want.rvq", stack.codec)
+    save_count_model(tmp_path / "want.ctx", stack.count_model)
+    assert codec.read_bytes() == (tmp_path / "want.rvq").read_bytes()
+    assert model.read_bytes() == (tmp_path / "want.ctx").read_bytes()
 
 
 def test_encode_outputs(ws):

@@ -149,17 +149,6 @@ def test_context_key_below_needs_visible_prefix():
     assert context_key_parts(q, 0, 1)[2] == SENTINEL
 
 
-def test_context_key_lookahead_clamps_right_only():
-    tokens = np.array([[1, 0], [0, 0], [0, 0], [2, 0]])
-    visible = np.array([1, 0, 0, 1])
-    q = MaskedQuery(tokens, visible, [(1, 0)], lookahead=1)
-    _, left, _, right = context_key_parts(q, 1, 0)
-    assert left == 1
-    assert right == SENTINEL  # frame 3 lies beyond t + lookahead
-    q = MaskedQuery(tokens, visible, [(1, 0)], lookahead=2)
-    assert context_key_parts(q, 1, 0)[3] == 2
-
-
 def test_context_key_frame_range_bounds_both_sides():
     tokens = np.array([[1, 0], [0, 0], [2, 0]])
     visible = np.array([1, 0, 1])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenwire.context import UniformModel
 from tokenwire.dependency import (
     ConcealmentWindow,
     LossCase,
@@ -13,7 +14,10 @@ from tokenwire.dependency import (
     build_windows,
     classify_loss,
     coding_visibility,
+    slice_conditions,
+    stream_conditions,
     stream_geometry,
+    stream_visibility,
 )
 from tokenwire.grid import (
     GosConfig,
@@ -22,6 +26,7 @@ from tokenwire.grid import (
     TokenState,
     build_slice_grid,
 )
+from tokenwire.streaming import StreamSender
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -32,7 +37,12 @@ C = int(TokenState.CONCEALED)
 def small_layout(level=3, n_frames=6):
     gos = GosConfig(6, 3, (0, 1, 2, 3), key_unit=1)
     sg = build_slice_grid(n_frames, gos, level)
-    return sg, build_coding_dependency(sg)
+    return sg, slice_conditions(sg)
+
+
+def classify(states, window, sg, conds, conceal_fine_layers=2):
+    return classify_loss(states, window, conds, sg.gos.n_coarse, sg.level,
+                         conceal_fine_layers)
 
 
 def test_window_validation():
@@ -55,7 +65,8 @@ def test_stream_geometry_hand_cases():
 
 
 def test_periodic_dependency_structure():
-    sg, phi = small_layout()
+    sg, conds = small_layout()
+    phi = build_coding_dependency(sg)
     coarse = {SliceId(0, u, 0) for u in (1, 2, 3)}
     for sid in coarse:
         assert phi[sid] == []
@@ -66,6 +77,15 @@ def test_periodic_dependency_structure():
     assert set(phi[SliceId(0, 2, 1)]) == coarse | {SliceId(0, 1, 1)}
     assert set(phi[SliceId(0, 3, 2)]) == \
         coarse | {SliceId(0, 1, 1), SliceId(0, 1, 2)}
+    # The per-cell lookup names the cells of those slices.
+    all_coarse = [[t, 0] for t in range(6)]
+    key = conds[(3, 2)]
+    assert key.key and sorted(key.coarse.tolist()) == all_coarse
+    assert key.fine.shape == (0, 2)
+    other = conds[(5, 2)]
+    assert not other.key and sorted(other.coarse.tolist()) == all_coarse
+    assert sorted(other.fine.tolist()) == [[0, 1], [0, 2], [3, 1], [3, 2]]
+    assert (0, 0) not in conds
 
 
 def gos_strategy():
@@ -79,29 +99,12 @@ def gos_strategy():
         st.integers(0, 3))
 
 
-def stream_emission_order(sg, cfg):
-    """Slice order as the streaming sender actually emits: per step, the
-    newly reachable coarse frames first, then the due frames' fine slices."""
-    frame_of = {sid: sid.gos * sg.gos.gos_len + sid.unit - 1
-                for sid in sg.slices}
-    by_frame_coarse = {frame_of[s]: s for s in sg.slices if s.group == 0}
-    fine_by_frame = {}
-    for s in sg.slices:
-        if s.group > 0:
-            fine_by_frame.setdefault(frame_of[s], []).append(s)
-    T = sg.n_frames
-    order = []
-    prev_horizon = -1
-    for i in range(-(-T // cfg.stride)):
-        horizon = min((i + 1) * cfg.stride - 1 + cfg.lookahead, T - 1)
-        for f in range(prev_horizon + 1, horizon + 1):
-            if f in by_frame_coarse:
-                order.append(by_frame_coarse[f])
-        for f in range(i * cfg.stride, min((i + 1) * cfg.stride, T)):
-            order.extend(sorted(fine_by_frame.get(f, []),
-                                key=lambda s: s.group))
-        prev_horizon = horizon
-    return order
+def stream_emission_order(gos, cfg, n_frames, level):
+    """(frame, group) of every packet in the order a StreamSender emits."""
+    tx = StreamSender(gos, cfg, UniformModel(2), level=level)
+    ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
+    tail, _ = tx.flush()
+    return [(p.first_frame, p.group) for em in ems + tail for p in em.packets]
 
 
 @given(gos_strategy(), st.integers(1, 20), st.data())
@@ -110,35 +113,54 @@ def test_dependency_is_topological(gos, n_frames, data):
     """Every condition precedes its dependent in emission order, which also
     proves the relation is acyclic and never self-referential."""
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
-    mode = data.draw(st.sampled_from(["periodic", "streaming"]))
+    if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
+        sg = build_slice_grid(n_frames, gos, level)
+        phi = build_coding_dependency(sg)
+        pos = {sid: i for i, sid in enumerate(sg.slices)}
+        assert set(phi) == set(sg.slices)
+        for sid, conds in phi.items():
+            for cond in conds:
+                assert pos[cond] < pos[sid]
+                assert cond != sid
+        return
     stream = StreamConfig(stride=2, lookahead=1, coding_context=6,
-                          conceal_context=6) if mode == "streaming" else None
-    sg = build_slice_grid(n_frames, gos, level, mode)
-    phi = build_coding_dependency(sg, stream)
-    ordered = list(sg.slices) if mode == "periodic" \
-        else stream_emission_order(sg, stream)
-    pos = {sid: i for i, sid in enumerate(ordered)}
-    assert set(phi) == set(sg.slices)
-    assert len(ordered) == len(sg.slices)
-    for sid, conds in phi.items():
-        for cond in conds:
-            assert pos[cond] < pos[sid]
-            assert cond != sid
+                          conceal_context=6)
+    ordered = stream_emission_order(gos, stream, n_frames, level)
+    pos = {fg: i for i, fg in enumerate(ordered)}
+    assert len(pos) == len(ordered)
+    group_of = {k - 1: j for j in range(gos.n_fine_groups + 1)
+                for k in gos.group_layers(j, level)}
+    conds = stream_conditions(range(n_frames), stream, n_frames,
+                              gos.n_coarse, level)
+    assert set(conds) == {(t, k) for t in range(n_frames)
+                          for k in range(gos.n_coarse, level)}
+    for t, j in ordered:
+        if j == 0:
+            continue
+        cond = conds[(t, gos.group_layers(j, level)[0] - 1)]
+        assert not cond.key
+        for f, k in np.concatenate([cond.coarse, cond.fine]).tolist():
+            assert pos[(f, group_of[k])] < pos[(t, j)]
+            assert (f, group_of[k]) != (t, j)
 
 
 def test_streaming_dependency_window():
-    gos = GosConfig(6, 1, (0, 1, 2))
-    sg = build_slice_grid(12, gos, 2, mode="streaming")
     stream = StreamConfig(stride=2, lookahead=1, coding_context=4,
                           conceal_context=4)
-    phi = build_coding_dependency(sg, stream)
     # Frame 7: step 3, horizon 8, context [5, 8], fine history [5, 7).
-    sid = sg.slice_of(7, 1)
-    conds = phi[sid]
-    coarse = [c for c in conds if c.group == 0]
-    fine = [c for c in conds if c.group > 0]
-    assert sorted(sg.slices[c][0, 0] for c in coarse) == [5, 6, 7, 8]
-    assert sorted(sg.slices[c][0, 0] for c in fine) == [5, 6]
+    cond = stream_conditions(range(6, 8), stream, 12, n_coarse=1,
+                             level=2)[(7, 1)]
+    assert sorted(cond.coarse.tolist()) == [[5, 0], [6, 0], [7, 0], [8, 0]]
+    assert sorted(cond.fine.tolist()) == [[5, 1], [6, 1]]
+    assert not cond.key
+    # A context shorter than stride + lookahead can start after the frame:
+    # frame 0's window is [1, 4], so it has no fine history at all.
+    short = StreamConfig(stride=4, lookahead=1, coding_context=4,
+                         conceal_context=6)
+    conds = stream_conditions(range(4), short, 17, n_coarse=1, level=2)
+    assert conds[(0, 1)].coarse.tolist() == [[1, 0]]
+    assert conds[(0, 1)].fine.shape == (0, 2)
+    assert conds[(3, 1)].fine.tolist() == [[1, 1], [2, 1]]
 
 
 def test_coding_visibility_periodic():
@@ -160,17 +182,17 @@ def test_coding_visibility_periodic():
 
 
 def test_coding_visibility_streaming():
-    gos = GosConfig(6, 1, (0, 1, 3))
-    sg = build_slice_grid(20, gos, 3, mode="streaming")
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
-    sid = sg.slice_of(4, 1)
-    vis, rng = coding_visibility(sg, sid, stream)
+    vis, rng = stream_visibility(4, 20, stream, 20, n_coarse=1, level=3)
     # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 is the
     # target so frames 2-3 show full depth and 4-6 only coarse.
     assert rng == (2, 7)
     np.testing.assert_array_equal(vis[2:7], [3, 3, 1, 1, 1])
     assert vis[:2].sum() == 0 and vis[7:].sum() == 0
+    # A shorter buffer is exposed only over the rows it holds.
+    vis, _ = stream_visibility(4, 8, stream, 20, n_coarse=1, level=3)
+    np.testing.assert_array_equal(vis, [0, 0, 3, 3, 1, 1, 1, 0])
 
 
 def test_propagate_invalid():
@@ -239,27 +261,27 @@ def fresh_states(sg):
 
 
 def test_classify_lost_coarse():
-    sg, phi = small_layout()
+    sg, conds = small_layout()
     states = fresh_states(sg)
     states[2, 0] = L
     states[2, 1:3] = I
-    targets = classify_loss(states, ConcealmentWindow(0, 6), sg, phi)
+    targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
     assert targets == [(2, 0, LossCase.COARSE)]
 
 
 def test_classify_lost_fine_non_key():
-    sg, phi = small_layout()
+    sg, conds = small_layout()
     states = fresh_states(sg)
     # Non-key unit 2 group 1 lost: frames 1 and 4, layer 1.
     for t in (1, 4):
         states[t, 1] = L
         states[t, 2] = I
-    targets = classify_loss(states, ConcealmentWindow(0, 6), sg, phi)
+    targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
     assert targets == [(1, 1, LossCase.FINE), (4, 1, LossCase.FINE)]
 
 
 def test_classify_lost_key_slice():
-    sg, phi = small_layout()
+    sg, conds = small_layout()
     states = fresh_states(sg)
     # Key unit 1 group 1 lost (frames 0 and 3); every dependent fine slice
     # becomes undecodable.
@@ -269,7 +291,7 @@ def test_classify_lost_key_slice():
     for t in (1, 2, 4, 5):
         states[t, 1] = I
         states[t, 2] = I
-    targets = classify_loss(states, ConcealmentWindow(0, 6), sg, phi)
+    targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
     want = [(t, k, LossCase.KEY_CONTEXT) for t in (1, 2, 4, 5) for k in (1, 2)]
     assert sorted(targets) == sorted(want)
     # The lost key cells themselves never become targets.
@@ -277,7 +299,7 @@ def test_classify_lost_key_slice():
 
 
 def test_classify_coarse_lost_outside_window():
-    sg, phi = small_layout()
+    sg, conds = small_layout()
     states = fresh_states(sg)
     # Unit 1 coarse lost -> frames 0 and 3; all fine in the GoS undecodable.
     for t in (0, 3):
@@ -287,23 +309,23 @@ def test_classify_coarse_lost_outside_window():
         states[t, 1:3] = I
     # A window that excludes the lost coarse frames conceals fine layers
     # from local context.
-    targets = classify_loss(states, ConcealmentWindow(1, 3), sg, phi)
+    targets = classify(states, ConcealmentWindow(1, 3), sg, conds)
     want = [(t, k, LossCase.COARSE_CONTEXT) for t in (1, 2) for k in (1, 2)]
     assert sorted(targets) == sorted(want)
     # A window that contains a lost coarse frame defers those fine cells.
-    targets = classify_loss(states, ConcealmentWindow(0, 3), sg, phi)
+    targets = classify(states, ConcealmentWindow(0, 3), sg, conds)
     assert targets == [(0, 0, LossCase.COARSE)]
 
 
 def test_classify_respects_conceal_fine_layers():
-    sg, phi = small_layout()
+    sg, conds = small_layout()
     states = fresh_states(sg)
     for t in (0, 3):
         states[t, 1] = L
         states[t, 2] = I
     for t in (1, 2, 4, 5):
         states[t, 1:3] = I
-    targets = classify_loss(states, ConcealmentWindow(0, 6), sg, phi,
+    targets = classify(states, ConcealmentWindow(0, 6), sg, conds,
                             conceal_fine_layers=1)
     # Cap 1 fine layer: only layer 1 is concealed, layer 2 stays invalid.
     assert {k for _, k, _ in targets} == {1}

@@ -17,8 +17,10 @@ from tokenwire.grid import (
     load_token_grid,
     periodic_slicing,
     save_token_grid,
-    streaming_slicing,
 )
+from tokenwire.context import UniformModel
+from tokenwire.dependency import stream_conditions
+from tokenwire.streaming import StreamSender
 from conftest import random_grid
 
 
@@ -98,10 +100,6 @@ def test_periodic_slicing_partitions(gos_len, data):
         assert all(b - a == n_units for a, b in zip(fs, fs[1:]))
 
 
-def test_streaming_slicing():
-    assert streaming_slicing(3) == {1: [1], 2: [2], 3: [3]}
-
-
 def gos_configs():
     return st.builds(
         lambda gos_len, units, bounds, key: GosConfig(
@@ -118,9 +116,32 @@ def gos_configs():
 @settings(max_examples=80, deadline=None)
 def test_slice_grid_is_a_partition(gos, n_frames, data):
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
-    mode = data.draw(st.sampled_from(["periodic", "streaming"]))
-    sg = build_slice_grid(n_frames, gos, level, mode)
-    sg.validate_partition()
+    if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
+        build_slice_grid(n_frames, gos, level).validate_partition()
+        return
+    # A stream's packets cover every encoded cell exactly once: one frame
+    # per packet, the coarse group or one truncated fine group of layers.
+    packets = stream_packets(gos, StreamConfig(stride=2, lookahead=1,
+                                               coding_context=4,
+                                               conceal_context=4),
+                             n_frames, level)
+    seen = np.zeros((n_frames, gos.n_layers), dtype=np.int32)
+    for p in packets:
+        assert p.n_frames == 1
+        assert p.first_frame == p.gos_id * gos.gos_len + p.unit - 1
+        layers = gos.group_layers(p.group, level)
+        assert len(layers) > 0
+        seen[p.first_frame, [k - 1 for k in layers]] += 1
+    expect = np.zeros_like(seen)
+    expect[:, :level] = 1
+    np.testing.assert_array_equal(seen, expect)
+
+
+def stream_packets(gos, cfg, n_frames, level):
+    tx = StreamSender(gos, cfg, UniformModel(2), level=level)
+    ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
+    tail, _ = tx.flush()
+    return [p for em in ems + tail for p in em.packets]
 
 
 def test_emission_order_periodic():
@@ -140,13 +161,18 @@ def test_emission_order_periodic():
 
 def test_emission_order_streaming():
     gos = GosConfig(3, 1, (0, 1, 3))
-    sg = build_slice_grid(5, gos, 3, mode="streaming")
-    sids = list(sg.slices)
-    gos0 = [s for s in sids if s.gos == 0]
-    # Per GoS: one coarse slice per frame, then one fine slice per frame.
-    assert [s.group for s in gos0] == [0, 0, 0, 1, 1, 1]
-    assert [s.unit for s in gos0] == [1, 2, 3, 1, 2, 3]
-    assert not sg.is_key(SliceId(0, 1, 1))
+    cfg = StreamConfig(stride=3, lookahead=3, coding_context=12,
+                       conceal_context=12)
+    packets = stream_packets(gos, cfg, 5, 3)
+    # Step 0 sends the coarse of every frame up to its horizon, then the
+    # fine slice of each due frame; step 1 the remaining fine slices.
+    assert [(p.first_frame, p.group) for p in packets] == \
+        [(f, 0) for f in range(5)] + [(f, 1) for f in range(5)]
+    assert [(p.gos_id, p.unit) for p in packets[:5]] == \
+        [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
+    # Each frame is its own slice and none of them is a key slice.
+    assert not any(c.key for c in stream_conditions(range(5), cfg, 5, 1,
+                                                    3).values())
 
 
 def test_level_truncation_drops_upper_groups():
@@ -174,9 +200,9 @@ def test_tail_gos_is_shorter():
 def test_slice_of_and_key_lookup():
     gos = GosConfig(6, 3, (0, 1, 3), key_unit=1)
     sg = build_slice_grid(6, gos, 3)
-    assert sg.slice_of(0, 0) == SliceId(0, 1, 0)
-    assert sg.slice_of(1, 2) == SliceId(0, 2, 1)
-    assert sg.slice_of(0, 5) is None
+    assert sg.slices[SliceId(0, 1, 0)].tolist() == [[0, 0], [3, 0]]
+    assert sg.slices[SliceId(0, 2, 1)].tolist() == [[1, 1], [1, 2],
+                                                    [4, 1], [4, 2]]
     assert sg.is_key(SliceId(0, 1, 1))
     assert not sg.is_key(SliceId(0, 2, 1))
     assert not sg.is_key(SliceId(0, 1, 0))
@@ -190,8 +216,6 @@ def test_build_slice_grid_validation():
         build_slice_grid(4, gos, 1)  # below coarse depth
     with pytest.raises(ValueError):
         build_slice_grid(4, gos, 5)
-    with pytest.raises(ValueError):
-        build_slice_grid(4, gos, 4, mode="nope")
 
 
 def test_stream_config_validation():

@@ -7,6 +7,7 @@ from tokenwire.context import CountModel, UniformModel
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenState
 from tokenwire.streaming import StreamReceiver, StreamSender
+from tokenwire.transport import Packet
 
 GOS = GosConfig(6, 3, (0, 1, 2, 3), key_unit=1)
 STREAM = StreamConfig(stride=3, lookahead=3, coding_context=12,
@@ -172,6 +173,61 @@ def test_fine_loss_concealed_at_release_then_context_stays_dirty():
     assert np.all(states[2:, 1:] == C)
     assert rx.case_counts == {3: 1, 4: 2 * (T - 2)}
     assert rx.n_blackouts == 0
+
+
+def test_mangled_fine_payload_is_concealed_like_a_drop():
+    # The streaming twin of the batch truncated-payload test: a fine packet
+    # whose payload does not decode leaves its cells LOST, exactly as if
+    # the packet had been dropped.
+    tokens = make_tokens(47, 18)
+
+    def hit(p):
+        return p.group == 1 and p.first_frame == 1
+
+    dropped = drive(tokens, keep=lambda em, p: not hit(p))
+    model = UniformModel(16)
+    tx = StreamSender(GOS, STREAM, model)
+    rx = StreamReceiver(GOS, STREAM, model)
+
+    def carry(em):
+        return [Packet(p.gos_id, p.unit, p.group, p.first_frame, p.n_frames,
+                       b"") if hit(p) else p for p in em.packets]
+
+    releases = [rx.step(carry(em)) for t in range(len(tokens))
+                for em in tx.push(tokens[t:t + 1])]
+    tail, total = tx.flush()
+    releases += rx.finish([carry(em) for em in tail], total)
+    grid, states = rx.result()
+    assert releases[0].states[1].tolist() == [R, C, I]
+    np.testing.assert_array_equal(states, dropped[1])
+    np.testing.assert_array_equal(grid.tokens, dropped[0].tokens)
+    assert rx.case_counts == dropped[4].case_counts
+
+
+def test_foreign_packets_are_rejected_without_growing_the_buffer():
+    tokens = make_tokens(55, 12)
+    model = UniformModel(16)
+    tx = StreamSender(GOS, STREAM, model)
+    ems = list(tx.push(tokens))
+    tail, total = tx.flush()
+    rx = StreamReceiver(GOS, STREAM, model)
+    rx.step(ems[0].packets)
+    rows = len(rx._tokens)
+    coarse = next(p for p in ems[1].packets if p.group == 0)
+    far = Packet(20000, coarse.unit, 0, coarse.first_frame, 1, coarse.payload)
+    with pytest.raises(DecodeError, match="horizon"):
+        rx.step(list(ems[1].packets) + [far])
+    bad_unit = Packet(0, GOS.gos_len + 1, 0, 6, 1, coarse.payload)
+    with pytest.raises(DecodeError, match="unit"):
+        rx.step(list(ems[1].packets) + [bad_unit])
+    assert len(rx._tokens) == rows
+    # A rejected step changes nothing: the stream carries on losslessly.
+    for em in ems[1:]:
+        rx.step(em.packets)
+    rx.finish([e.packets for e in tail], total)
+    grid, states = rx.result()
+    np.testing.assert_array_equal(grid.tokens, tokens)
+    assert np.all(states == R)
 
 
 def test_single_coarse_loss_repaired_in_batch():
