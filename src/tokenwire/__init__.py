@@ -14,9 +14,8 @@ from .audio import (AudioSignal, CodecConfig, analyze, pad_to_frames,
 from .context import (PMF_TOTAL, CountModel, MaskedQuery, Pmf, TrainSchedule,
                       UniformModel, beta, load_count_model, quantize_weights,
                       save_count_model, train_count_model, uniform_pmf)
-from .dependency import (ConcealmentWindow, LossCase, build_coding_dependency,
-                         build_conceal_mask, build_windows, classify_loss,
-                         coding_visibility, propagate_invalid)
+from .dependency import (ConcealmentWindow, LossCase, build_conceal_mask,
+                         build_windows, classify_loss, propagate_invalid)
 from .errors import ConfigError, DecodeError
 from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,

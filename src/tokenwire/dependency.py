@@ -1,9 +1,12 @@
 """Dependency structure between slices, loss classification, concealment masks.
 
 The coding dependency decides which cells must be recovered bit-exactly
-before a fine slice can be entropy-decoded. Both layouts express it as a
-per-cell lookup of ``Conditions``: the periodic batch layout derives it
-from its slice grid, the streaming layout in closed form from
+before a fine slice can be entropy-decoded. It is stated once per slice,
+as ``Conditions``: a visible-prefix depth per frame over a frame range.
+The coder's query shows exactly those cells, and the receiver decodes the
+slice only once all of them are RECEIVED, so sender, receiver and decode
+gate cannot disagree. The periodic batch layout derives its Conditions
+from the layout, the streaming layout in closed form from
 ``stream_geometry``. The concealing dependency is looser: it reads any
 received token at or below the damaged layer, both earlier and later in
 time, because prediction does not need bit-exact context.
@@ -17,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SliceGrid, SliceId, StreamConfig, TokenState
+from .context import MaskedQuery
+from .grid import SliceGrid, StreamConfig, TokenState
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -56,20 +60,35 @@ class ConcealmentWindow:
 class Conditions(NamedTuple):
     """What one fine slice was entropy-coded against.
 
-    ``coarse`` and ``fine`` are (n, 2) arrays of 0-based (frame, layer)
-    cells; the slice decodes only once all of them are RECEIVED.
+    The first ``depth[i]`` layers of frame ``lo + i``, for the frames
+    ``[lo, lo + len(depth))``: the coding query shows exactly these cells,
+    and the slice decodes only once all of them are RECEIVED.
     """
 
     key: bool            # a key slice anchors the periodic dependency
-    coarse: np.ndarray
-    fine: np.ndarray
+    lo: int
+    depth: np.ndarray
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.depth)
+
+    def mask(self, n_layers: int) -> np.ndarray:
+        """(len(depth), n_layers) boolean mask of the condition cells."""
+        return np.arange(n_layers) < self.depth[:, None]
+
+    def query(self, tokens: np.ndarray, targets: np.ndarray) -> MaskedQuery:
+        """The coding query for ``targets``, showing the condition cells."""
+        visible = np.zeros(len(tokens), dtype=np.int64)
+        visible[self.lo:self.hi] = self.depth
+        return MaskedQuery(tokens, visible, targets,
+                           frame_range=(self.lo, self.hi))
 
 
 def decodable(states: np.ndarray, cond: Conditions) -> bool:
     """Whether every cell ``cond`` names has been recovered bit-exactly."""
-    c, f = cond.coarse, cond.fine
-    return bool((states[c[:, 0], c[:, 1]] == R).all()
-                and (states[f[:, 0], f[:, 1]] == R).all())
+    block = states[cond.lo:cond.hi]
+    return bool((block[cond.mask(block.shape[1])] == R).all())
 
 
 def stream_geometry(t: int, cfg: StreamConfig, n_frames: int) -> tuple:
@@ -91,115 +110,45 @@ def stream_conditions(frames: range, cfg: StreamConfig, n_frames: int,
     """Per fine cell (t, k) of ``frames``, its Conditions in a stream of
     ``n_frames``.
 
-    Frame t's fine slices were coded against the coarse cells of every
-    frame in its context window and the fine cells of the window's frames
-    before t; streaming has no key slices.
+    Frame t's fine slices were coded against every layer of the context
+    window's frames before t and the coarse layers from t up to its
+    lookahead; streaming has no key slices. ``StreamConfig`` makes the
+    window cover stride + lookahead frames, so it starts at or before t.
     """
-    if not frames or level <= n_coarse:
-        return {}
-    # window starts and ends never decrease with t
-    lo = stream_geometry(frames.start, cfg, n_frames)[0]
-    hi = stream_geometry(frames.stop - 1, cfg, n_frames)[1]
-    # one block of cells per kind, frame-major; each frame's share is a view
-    coarse = _block(range(lo, hi + 1), range(n_coarse))
-    fine = _block(range(lo, frames.stop), range(n_coarse, level))
-    nc, nf = n_coarse, level - n_coarse
     lookup: dict = {}
     for t in frames:
         w, t_hi = stream_geometry(t, cfg, n_frames)
-        # a context shorter than stride + lookahead can start after t
-        cond = Conditions(False, coarse[(w - lo) * nc:(t_hi + 1 - lo) * nc],
-                          fine[(w - lo) * nf:(max(w, t) - lo) * nf])
+        depth = np.full(t_hi + 1 - w, n_coarse, dtype=np.int64)
+        depth[:t - w] = level
+        cond = Conditions(False, w, depth)
         for k in range(n_coarse, level):
             lookup[(t, k)] = cond
     return lookup
 
 
-def _block(frames: range, layers: range) -> np.ndarray:
-    """(frame, layer) cells of a rectangle, frame-major."""
-    m = len(layers)
-    f, k = np.divmod(np.arange(frames.start * m, frames.stop * m), m)
-    return np.array((f, k + layers.start)).T
-
-
-def stream_visibility(t: int, n_rows: int, cfg: StreamConfig, n_frames: int,
-                      n_coarse: int, level: int) -> tuple:
-    """(visible depths over ``n_rows`` buffered frames, frame_range) for
-    coding frame t's fine slices in a stream of ``n_frames``.
-
-    Sender and receiver both build their queries from it so their PMFs
-    agree bit for bit: full depth before t inside the context window,
-    coarse only from t up to the lookahead.
-    """
-    w_start, t_hi = stream_geometry(t, cfg, n_frames)
-    visible = np.zeros(n_rows, dtype=np.int64)
-    visible[w_start:t] = level
-    visible[t:t_hi + 1] = n_coarse
-    return visible, (w_start, t_hi + 1)
-
-
-def build_coding_dependency(sg: SliceGrid) -> dict:
-    """Map each slice to the slices whose exact recovery it requires.
-
-    Coarse slices are unconditioned; the key unit's fine slices condition
-    only on the coarse slices of their group-of-slices; every other fine
-    slice additionally conditions on the key unit's fine slices up to its
-    own layer group.
-    """
-    phi: dict = {}
-    for gos_id in sg.gos_ids():
-        coarse = sg.coarse_slices(gos_id)
-        key = {}
-        for sid in sg.fine_slices(gos_id):
-            if sg.is_key(sid):
-                key[sid.group] = sid
-        for sid in sg.coarse_slices(gos_id):
-            phi[sid] = []
-        for sid in sg.fine_slices(gos_id):
-            if sg.is_key(sid):
-                phi[sid] = list(coarse)
-            else:
-                keys = [key[j] for j in sorted(key) if j <= sid.group]
-                phi[sid] = list(coarse) + keys
-    return phi
-
-
 def slice_conditions(sg: SliceGrid) -> dict:
-    """Per fine cell (t, k) of a periodic layout, its slice's Conditions."""
-    phi = build_coding_dependency(sg)
-    none = [np.zeros((0, 2), dtype=np.int64)]
+    """Per fine cell (t, k) of a periodic layout, its slice's Conditions.
+
+    A fine slice was coded against the coarse layers of its
+    group-of-slices; a non-key slice also against the key unit's frames
+    up to the top of its own layer group.
+    """
+    gos = sg.gos
     lookup: dict = {}
-    for sid in sg.fine_slices():
-        coarse = [sg.slices[c] for c in phi[sid] if c.group == 0]
-        keys = [sg.slices[c] for c in phi[sid] if c.group > 0]
-        cond = Conditions(sg.is_key(sid), np.concatenate(none + coarse),
-                          np.concatenate(none + keys))
-        for t, k in sg.slices[sid].tolist():
+    for sid, cells in sg.slices.items():
+        if sid.group == 0:
+            continue
+        lo = sid.gos * gos.gos_len
+        depth = np.full(min(gos.gos_len, sg.n_frames - lo), gos.n_coarse,
+                        dtype=np.int64)
+        key = sid.unit == gos.key_unit
+        if not key:
+            depth[gos.key_unit - 1::gos.n_units] = min(
+                gos.layer_bounds[sid.group + 1], sg.level)
+        cond = Conditions(key, lo, depth)
+        for t, k in cells.tolist():
             lookup[(t, k)] = cond
     return lookup
-
-
-def coding_visibility(sg: SliceGrid, sid: SliceId) -> tuple:
-    """(visible depths over all frames, frame_range) for coding slice ``sid``.
-
-    This is the single source of truth for what a periodic entropy-coding
-    query may read; sender and receiver both build their queries from it so
-    their PMFs agree bit for bit.
-    """
-    if sid.group == 0:
-        raise ValueError("coarse slices are sent uncoded")
-    visible = np.zeros(sg.n_frames, dtype=np.int64)
-    n_coarse = sg.gos.n_coarse
-    frames = sg.gos_frames(sid.gos)
-    visible[frames.start:frames.stop] = n_coarse
-    if not sg.is_key(sid):
-        key_depth = min(sg.gos.layer_bounds[sid.group + 1], sg.level)
-        for k_sid in sg.fine_slices(sid.gos):
-            if sg.is_key(k_sid) and k_sid.group <= sid.group:
-                cells = sg.slices[k_sid]
-                for t in np.unique(cells[:, 0]):
-                    visible[t] = key_depth
-    return visible, (frames.start, frames.stop)
 
 
 def propagate_invalid(states: np.ndarray, level) -> None:
@@ -300,16 +249,16 @@ def classify_loss(states: np.ndarray, window: ConcealmentWindow,
             targets.append((t, k0, LossCase.FINE))
             continue
         # INVALID: look through this slice's conditions for the root cause
-        cc = cond.coarse
-        lost = cc[states[cc[:, 0], cc[:, 1]] == L]
+        block = states[cond.lo:cond.hi]
+        shown = cond.mask(block.shape[1])
+        lost = cond.lo + np.flatnonzero(
+            (shown & (block == L))[:, :n_coarse].any(axis=1))
         if len(lost):
-            if not np.any((lost[:, 0] >= window.start) &
-                          (lost[:, 0] < window.stop)):
+            if not np.any((lost >= window.start) & (lost < window.stop)):
                 targets.extend(
                     (t, k, LossCase.COARSE_CONTEXT) for k in range(k0, cfl_hi))
             continue
-        fc = cond.fine
-        key_broken = bool(np.any(states[fc[:, 0], fc[:, 1]] != R))
+        key_broken = bool((shown & (block != R))[:, n_coarse:].any())
         if key_broken and k0 < cfl_hi:
             targets.extend((t, k, LossCase.KEY_CONTEXT) for k in range(k0, cfl_hi))
     return targets

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class TokenState(IntEnum):
     """Per-cell receiver state."""
@@ -164,7 +166,13 @@ def default_layer_bounds(n_layers: int, n_coarse: int, n_fine_groups: int) -> tu
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Streaming cadence: stride, lookahead, and context lengths in frames."""
+    """Streaming cadence: stride, lookahead, and context lengths in frames.
+
+    Both context windows end at a step's lookahead horizon and must reach
+    back over every frame the step finalizes, so each covers at least
+    stride + lookahead frames: a due frame's coding context then starts at
+    or before the frame itself. A violation raises ``ConfigError``.
+    """
 
     stride: int = 3
     lookahead: int = 3
@@ -173,16 +181,15 @@ class StreamConfig:
 
     def __post_init__(self):
         if self.stride < 1:
-            raise ValueError("stride must be at least 1")
+            raise ConfigError("stride", "must be at least 1")
         if self.lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
-        if self.coding_context < self.stride:
-            raise ValueError("coding_context must be at least the stride")
-        # the release-time window ends at the lookahead horizon and must
-        # still reach back over every frame being released
-        if self.conceal_context < self.stride + self.lookahead:
-            raise ValueError(
-                "conceal_context must cover stride + lookahead frames")
+            raise ConfigError("lookahead", "must be non-negative")
+        span = self.stride + self.lookahead
+        for name in ("coding_context", "conceal_context"):
+            if getattr(self, name) < span:
+                raise ConfigError(name, (
+                    f"{getattr(self, name)} frames do not cover stride "
+                    f"{self.stride} + lookahead {self.lookahead}"))
 
 
 def periodic_slicing(gos_len: int, n_units: int) -> dict[int, list[int]]:
@@ -218,41 +225,6 @@ class SliceGrid:
     level: int
     gos: GosConfig
     slices: dict[SliceId, np.ndarray] = field(default_factory=dict)
-
-    def gos_ids(self) -> list[int]:
-        return sorted({sid.gos for sid in self.slices})
-
-    def gos_frames(self, gos_id: int) -> range:
-        start = gos_id * self.gos.gos_len
-        return range(start, min(start + self.gos.gos_len, self.n_frames))
-
-    def coarse_slices(self, gos_id: int | None = None) -> list[SliceId]:
-        return [s for s in self.slices
-                if s.group == 0 and (gos_id is None or s.gos == gos_id)]
-
-    def fine_slices(self, gos_id: int | None = None) -> list[SliceId]:
-        return [s for s in self.slices
-                if s.group > 0 and (gos_id is None or s.gos == gos_id)]
-
-    def is_key(self, sid: SliceId) -> bool:
-        return sid.group > 0 and sid.unit == self.gos.key_unit
-
-    def validate_partition(self) -> None:
-        """Every cell below the encode level belongs to exactly one slice."""
-        seen = np.zeros((self.n_frames, self.n_layers), dtype=np.int32)
-        for sid, cells in self.slices.items():
-            if cells.shape[0] == 0:
-                raise ValueError(f"empty slice {sid} should have been dropped")
-            for t, k in cells:
-                if k >= self.level:
-                    raise ValueError(f"cell ({t},{k}) above encode level in {sid}")
-                if (k < self.gos.n_coarse) != (sid.group == 0):
-                    raise ValueError(f"coarse/fine mix in slice {sid}")
-                seen[t, k] += 1
-        expect = np.zeros_like(seen)
-        expect[:, : self.level] = 1
-        if not np.array_equal(seen, expect):
-            raise ValueError("slices do not partition the encoded cells")
 
 
 def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:

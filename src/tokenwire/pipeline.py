@@ -6,8 +6,10 @@ slices into range-coded packets priced by model PMFs, keeping the sender's
 bit accounting; ``decode_fine`` decodes a fine slice once everything it was
 coded against is bit-exact; ``conceal_in_window`` holds the last usable frame
 through a coarse blackout and otherwise predicts the damaged cells with a
-single model query. The batch path lays a clip out in periodic slices,
-decodes in dependency order, then conceals inside bounded windows.
+single model query. Both ends of a fine slice take its ``Conditions``: the
+sender's coding query and the receiver's decoding query and decode gate
+all derive from that one value. The batch path lays a clip out in periodic
+slices, decodes in dependency order, then conceals inside bounded windows.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .audio import CodecConfig, synthesize
 from .context import MaskedQuery
 from .dependency import (ConcealmentWindow, Conditions, build_conceal_mask,
-                         build_windows, classify_loss, coding_visibility,
-                         decodable, propagate_invalid, slice_conditions)
+                         build_windows, classify_loss, decodable,
+                         propagate_invalid, slice_conditions)
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, SliceId, TokenGrid, TokenState,
                    TokenStateGrid, build_slice_grid)
@@ -119,11 +121,10 @@ class SliceSender:
         return self._packet(head, payload, fec_field)
 
     def fine(self, head: tuple, tokens: np.ndarray, cells: np.ndarray,
-             visible: np.ndarray, frame_range: tuple) -> Packet:
-        """Range-code a fine slice against the context ``visible`` exposes."""
+             cond: Conditions) -> Packet:
+        """Range-code a fine slice against the cells ``cond`` names."""
         rep = self.report
-        query = MaskedQuery(tokens, visible, cells, frame_range=frame_range)
-        pmfs, fallbacks = self.model.pmf(query)
+        pmfs, fallbacks = self.model.pmf(cond.query(tokens, cells))
         symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
         coded = encode_symbols(symbols, pmfs)
         rep.n_fine_packets += 1
@@ -139,25 +140,22 @@ class SliceSender:
 
 
 def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
-                cond: Conditions, slices: list, view) -> None:
-    """Decode, in place, fine slices coded against ``cond`` and one view.
+                cond: Conditions, slices: list) -> None:
+    """Decode, in place, fine slices all coded against ``cond``.
 
     ``slices`` holds (cells, payload or None) pairs. Unless every cell
     ``cond`` names is RECEIVED, their cells become INVALID. A missing
     payload, or one that does not decode, leaves its cells LOST, like a
-    drop. ``view()`` gives the (visible, frame_range) they were coded with.
+    drop.
     """
     if not decodable(states, cond):
         for cells, _ in slices:
             states[cells[:, 0], cells[:, 1]] = _I
         return
-    shown = None
     for cells, payload in slices:
         if payload is None:
             continue
-        shown = view() if shown is None else shown
-        pmfs, _ = model.pmf(MaskedQuery(tokens, shown[0], cells,
-                                        frame_range=shown[1]))
+        pmfs, _ = model.pmf(cond.query(tokens, cells))
         try:
             syms = decode_symbols(CodedSlice(payload, len(cells)), pmfs)
         except DecodeError:
@@ -247,6 +245,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
         raise ValueError("model and grid vocabularies differ")
 
     tx = SliceSender(model, fec)
+    conditions = slice_conditions(sg)
     packets = []
     for sid, cells in sg.slices.items():
         head = (*sid, *_packet_extent(cells))
@@ -254,8 +253,8 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
             vals = grid.tokens[cells[:, 0], cells[:, 1]]
             packets.append(tx.coarse(head, vals))
         else:
-            visible, frange = coding_visibility(sg, sid)
-            packets.append(tx.fine(head, grid.tokens, cells, visible, frange))
+            cond = conditions[(int(cells[0, 0]), int(cells[0, 1]))]
+            packets.append(tx.fine(head, grid.tokens, cells, cond))
     return packets, tx.report
 
 
@@ -320,8 +319,7 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
         p = by_sid.get(sid)
         decode_fine(model, tokens, states,
                     conditions[(int(cells[0, 0]), int(cells[0, 1]))],
-                    [(cells, None if p is None else p.payload)],
-                    lambda: coding_visibility(sg, sid))
+                    [(cells, None if p is None else p.payload)])
 
     propagate_invalid(states, level)
 

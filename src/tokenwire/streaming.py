@@ -8,12 +8,14 @@ latency never exceeds stride + lookahead frames. Each frame is its own
 slice: packet (gos_id, unit) names frame gos_id * gos_len + unit - 1.
 
 Both ends run on the transceiver core in ``pipeline``. The coding
-dependency of a frame is closed-form (``stream_conditions`` and
-``stream_visibility``), so a step only ever looks at its own due frames.
-The receiver finalizes each step's due frames immediately: decode what
-arrived, conceal the rest inside a window ending at the horizon, release.
-Released frames are never revisited, and concealed cells never serve as
-coding context.
+dependency of a frame is closed-form: each step, sender and receiver alike
+derive the ``Conditions`` of its due frames with ``stream_conditions``, and
+the coding query, the decoding query and the decode gate all come from
+them. A step never looks beyond its own due frames. The receiver checks
+and unpacks every packet of a step before it changes any state, then
+finalizes the due frames: decode what arrived, conceal the rest inside a
+window ending at the horizon, release. Released frames are never
+revisited, and concealed cells never serve as coding context.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependency import (ConcealmentWindow, propagate_invalid,
-                         stream_conditions, stream_visibility)
+                         stream_conditions)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
@@ -134,14 +136,6 @@ class StreamSender:
             self._next_step += 1
         return out, total
 
-    def _fine_packets(self, f: int, n_known: int) -> list:
-        gos, level = self.gos, self.level
-        visible, frange = stream_visibility(f, len(self._buf), self.stream,
-                                            n_known, gos.n_coarse, level)
-        return [self._tx.fine(_frame_head(gos, f, j), self._buf, cells,
-                              visible, frange)
-                for j, cells in _fine_slices(gos, f, level)]
-
     def _emit(self, i: int, total: int | None) -> StepEmission:
         S, F = self.stream.stride, self.stream.lookahead
         n_known = len(self._buf) if total is None else total
@@ -152,8 +146,15 @@ class StreamSender:
             packets.append(self._tx.coarse(_frame_head(self.gos, f, 0),
                                            self._buf[f, :self.gos.n_coarse]))
         self._coarse_sent = max(self._coarse_sent, horizon + 1)
-        for f in range(i * S, due_stop):
-            packets.extend(self._fine_packets(f, n_known))
+        due = range(i * S, due_stop)
+        n_coarse, level = self.gos.n_coarse, self.level
+        conditions = stream_conditions(due, self.stream, n_known, n_coarse,
+                                       level)
+        for f in due:
+            for j, cells in _fine_slices(self.gos, f, level):
+                packets.append(self._tx.fine(
+                    _frame_head(self.gos, f, j), self._buf, cells,
+                    conditions[(f, n_coarse)]))
             self._latency.append(horizon + 1 - f)
         return StepEmission(i, tuple(packets), (i * S, due_stop), horizon)
 
@@ -192,20 +193,15 @@ class StreamReceiver:
             [self._tokens, np.zeros((n - cur, K), dtype=np.int32)])
         self._states = np.concatenate([self._states, fresh_states])
 
-    def _place_coarse(self, f: int, payload: bytes) -> None:
-        if f < self._released:
-            return  # that frame is already final
-        n_coarse = self.gos.n_coarse
-        self._tokens[f, :n_coarse] = unpack_coarse(payload, self.vocab,
-                                                   n_coarse)
-        self._states[f, :n_coarse] = _R
-
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's surviving packets and finalize its due frames.
 
         Raises DecodeError, leaving the receiver as it was, on a packet
         that names no frame of its group-of-slices, a coarse packet beyond
-        the step's horizon, or a fine packet outside the due batch.
+        the step's horizon, a coarse payload or needed repair copy that
+        does not unpack into the vocabulary, or a fine packet outside the
+        due batch. A repair copy is needed when its frame is not yet
+        released and its coarse tokens have not arrived before it.
         """
         if self._finished:
             raise RuntimeError("receiver already finished")
@@ -215,8 +211,8 @@ class StreamReceiver:
         horizon = min((i + 1) * S - 1 + F, n_known - 1)
         due = range(i * S, min((i + 1) * S, n_known))
 
-        gl = self.gos.gos_len
-        coarse, fine = [], {}
+        gl, n_coarse = self.gos.gos_len, self.gos.n_coarse
+        coarse, fine, repaired = {}, {}, 0  # coarse: frame -> its tokens
         for p in packets:
             f = p.gos_id * gl + p.unit - 1
             if not 1 <= p.unit <= gl:
@@ -224,7 +220,15 @@ class StreamReceiver:
             if p.group == 0:
                 if f > horizon:
                     raise DecodeError("coarse packet beyond the step horizon")
-                coarse.append((f, p))
+                vals = unpack_coarse(p.payload, self.vocab, n_coarse)
+                if f >= self._released:  # released frames are final
+                    coarse[f] = vals
+                g = f - 1
+                if (p.fec and g >= self._released and g not in coarse
+                        and not (g < len(self._states) and np.all(
+                            self._states[g, :n_coarse] == _R))):
+                    coarse[g] = unpack_coarse(p.fec, self.vocab, n_coarse)
+                    repaired += 1
             elif f not in due:
                 raise DecodeError("fine packet outside the due batch")
             else:
@@ -232,25 +236,19 @@ class StreamReceiver:
         self._next_step += 1
         self._grow(horizon + 1)
 
-        n_coarse = self.gos.n_coarse
-        for f, p in coarse:
-            self._place_coarse(f, p.payload)
-            if p.fec and f > 0 and np.any(self._states[f - 1, :n_coarse] != _R):
-                if f - 1 >= self._released:
-                    self.fec_recovered += 1
-                self._place_coarse(f - 1, p.fec)
+        for f, vals in coarse.items():
+            self._tokens[f, :n_coarse] = vals
+            self._states[f, :n_coarse] = _R
+        self.fec_recovered += repaired
 
         gos, level, cfg = self.gos, self.level, self.stream
-        n_buf = len(self._tokens)
         conditions = stream_conditions(due, cfg, n_known, n_coarse, level)
         for f in due:
             slices = [(cells, fine.get((f, j)))
                       for j, cells in _fine_slices(gos, f, level)]
             if slices:
                 decode_fine(self.model, self._tokens, self._states,
-                            conditions[(f, n_coarse)], slices,
-                            lambda: stream_visibility(f, n_buf, cfg, n_known,
-                                                      n_coarse, level))
+                            conditions[(f, n_coarse)], slices)
 
         sl = slice(due.start, due.stop)
         depth = np.full(len(due), level, dtype=np.int16)

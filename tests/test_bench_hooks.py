@@ -4,7 +4,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from tokenwire import pipeline, streaming
+from tokenwire.grid import TokenGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +35,36 @@ def test_install_layers_then_uninstall():
     assert not tracer._installed
     assert (pipeline.encode_symbols, streaming.build_slice_grid,
             streaming.StreamReceiver.step) == before
+
+
+def test_hooks_record_the_coding_work():
+    """With the tracer active, a batch round trip and one stream step
+    leave non-zero work under every name the benchmark reports on."""
+    from tokenwire.context import TrainSchedule, train_count_model
+    from tokenwire.grid import GosConfig, StreamConfig, build_slice_grid
+
+    rng = np.random.default_rng(3)
+    tokens = rng.integers(0, 8, size=(12, 3)).astype(np.int32)
+    grid = TokenGrid(tokens, np.full(12, 3), 8)
+    model = train_count_model([grid], 8, 3, 1, TrainSchedule(seed=1))
+    gos = GosConfig(6, 2, (0, 1, 2, 3))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layers(tracer)
+        tracer.active = True
+        with tracer.span("bench"):
+            sg = build_slice_grid(12, gos, 3)
+            packets, _ = pipeline.send_tokens(grid, sg, model)
+            pipeline.receive_tokens(packets, sg, model)
+            cfg = StreamConfig()
+            tx = streaming.StreamSender(gos, cfg, model)
+            rx = streaming.StreamReceiver(gos, cfg, model)
+            rx.step(tx.push(tokens)[0].packets)
+    finally:
+        tracer.uninstall()
+    stats = tracing.summarize(tracer.take())
+    for name in ("rangecoder.encode", "rangecoder.decode", "context.pmf",
+                 "pipeline.send", "pipeline.receive",
+                 "streaming.receiver.step"):
+        assert name in stats and stats[name].count > 0, name

@@ -210,6 +210,20 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
     assert stream_out.read_bytes() == decode_out.read_bytes()
 
 
+def test_stream_rejects_a_cadence_the_windows_cannot_cover(ws, tmp_path,
+                                                          capsys):
+    out = tmp_path / "stream.wav"
+    # gos_len and conceal_window are 6: too short for 4 + 3 frames
+    assert main(["stream", "--config", str(ws["cfg"]), "--codec",
+                 str(ws["codec"]), "--model", str(ws["model"]),
+                 "--audio", str(ws["audio"]), "--out", str(out),
+                 "--stride", "4", "--lookahead", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "stride 4" in err and "lookahead 3" in err
+    assert not out.exists()
+
+
 def test_simulate_and_report(ws, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(ws["cfg"]),

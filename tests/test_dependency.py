@@ -1,4 +1,4 @@
-"""Coding dependency, visibility, damage windows, loss classification."""
+"""Coding conditions and views, damage windows, loss classification."""
 
 import numpy as np
 import pytest
@@ -9,24 +9,24 @@ from tokenwire.context import UniformModel
 from tokenwire.dependency import (
     ConcealmentWindow,
     LossCase,
-    build_coding_dependency,
     build_conceal_mask,
     build_windows,
     classify_loss,
-    coding_visibility,
+    decodable,
     slice_conditions,
     stream_conditions,
     stream_geometry,
-    stream_visibility,
 )
 from tokenwire.grid import (
     GosConfig,
     SliceId,
     StreamConfig,
+    TokenGrid,
     TokenState,
     build_slice_grid,
 )
-from tokenwire.streaming import StreamSender
+from tokenwire.pipeline import receive_tokens, send_tokens
+from tokenwire.streaming import StreamReceiver, StreamSender
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -43,6 +43,32 @@ def small_layout(level=3, n_frames=6):
 def classify(states, window, sg, conds, conceal_fine_layers=2):
     return classify_loss(states, window, conds, sg.gos.n_coarse, sg.level,
                          conceal_fine_layers)
+
+
+def cells_of(cond, n_layers):
+    """The (frame, layer) cells a Conditions names, frame-major."""
+    return (np.argwhere(cond.mask(n_layers)) + [cond.lo, 0]).tolist()
+
+
+def conditioned_slices(sg, cond):
+    """The slices whose cells ``cond`` names; each is named whole or not
+    at all, and no named cell lies outside them."""
+    named = set(map(tuple, cells_of(cond, sg.n_layers)))
+    out = set()
+    for sid, cells in sg.slices.items():
+        hit = [tuple(c) in named for c in cells.tolist()]
+        assert all(hit) or not any(hit)
+        if all(hit):
+            out.add(sid)
+            named -= set(map(tuple, cells.tolist()))
+    assert not named
+    return out
+
+
+def fine_slice_conditions(sg):
+    conds = slice_conditions(sg)
+    return {sid: conds[(int(cells[0, 0]), int(cells[0, 1]))]
+            for sid, cells in sg.slices.items() if sid.group > 0}
 
 
 def test_window_validation():
@@ -66,25 +92,26 @@ def test_stream_geometry_hand_cases():
 
 def test_periodic_dependency_structure():
     sg, conds = small_layout()
-    phi = build_coding_dependency(sg)
+    phi = fine_slice_conditions(sg)
     coarse = {SliceId(0, u, 0) for u in (1, 2, 3)}
-    for sid in coarse:
-        assert phi[sid] == []
+    # Coarse slices are sent uncoded and condition on nothing.
+    assert set(phi) == set(sg.slices) - coarse
     # Key-unit fine slices condition on exactly the coarse slices.
-    assert set(phi[SliceId(0, 1, 1)]) == coarse
-    assert set(phi[SliceId(0, 1, 2)]) == coarse
+    assert conditioned_slices(sg, phi[SliceId(0, 1, 1)]) == coarse
+    assert conditioned_slices(sg, phi[SliceId(0, 1, 2)]) == coarse
     # Non-key fine adds key groups up to its own group.
-    assert set(phi[SliceId(0, 2, 1)]) == coarse | {SliceId(0, 1, 1)}
-    assert set(phi[SliceId(0, 3, 2)]) == \
+    assert conditioned_slices(sg, phi[SliceId(0, 2, 1)]) == \
+        coarse | {SliceId(0, 1, 1)}
+    assert conditioned_slices(sg, phi[SliceId(0, 3, 2)]) == \
         coarse | {SliceId(0, 1, 1), SliceId(0, 1, 2)}
     # The per-cell lookup names the cells of those slices.
     all_coarse = [[t, 0] for t in range(6)]
     key = conds[(3, 2)]
-    assert key.key and sorted(key.coarse.tolist()) == all_coarse
-    assert key.fine.shape == (0, 2)
+    assert key.key and cells_of(key, 4) == all_coarse
     other = conds[(5, 2)]
-    assert not other.key and sorted(other.coarse.tolist()) == all_coarse
-    assert sorted(other.fine.tolist()) == [[0, 1], [0, 2], [3, 1], [3, 2]]
+    assert not other.key
+    assert cells_of(other, 4) == [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0],
+                                  [3, 0], [3, 1], [3, 2], [4, 0], [5, 0]]
     assert (0, 0) not in conds
 
 
@@ -115,13 +142,11 @@ def test_dependency_is_topological(gos, n_frames, data):
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
         sg = build_slice_grid(n_frames, gos, level)
-        phi = build_coding_dependency(sg)
         pos = {sid: i for i, sid in enumerate(sg.slices)}
-        assert set(phi) == set(sg.slices)
-        for sid, conds in phi.items():
-            for cond in conds:
-                assert pos[cond] < pos[sid]
-                assert cond != sid
+        for sid, cond in fine_slice_conditions(sg).items():
+            for dep in conditioned_slices(sg, cond):
+                assert pos[dep] < pos[sid]
+                assert dep != sid
         return
     stream = StreamConfig(stride=2, lookahead=1, coding_context=6,
                           conceal_context=6)
@@ -139,7 +164,7 @@ def test_dependency_is_topological(gos, n_frames, data):
             continue
         cond = conds[(t, gos.group_layers(j, level)[0] - 1)]
         assert not cond.key
-        for f, k in np.concatenate([cond.coarse, cond.fine]).tolist():
+        for f, k in cells_of(cond, gos.n_layers):
             assert pos[(f, group_of[k])] < pos[(t, j)]
             assert (f, group_of[k]) != (t, j)
 
@@ -150,49 +175,118 @@ def test_streaming_dependency_window():
     # Frame 7: step 3, horizon 8, context [5, 8], fine history [5, 7).
     cond = stream_conditions(range(6, 8), stream, 12, n_coarse=1,
                              level=2)[(7, 1)]
-    assert sorted(cond.coarse.tolist()) == [[5, 0], [6, 0], [7, 0], [8, 0]]
-    assert sorted(cond.fine.tolist()) == [[5, 1], [6, 1]]
+    assert cells_of(cond, 2) == [[5, 0], [5, 1], [6, 0], [6, 1], [7, 0],
+                                 [8, 0]]
     assert not cond.key
-    # A context shorter than stride + lookahead can start after the frame:
-    # frame 0's window is [1, 4], so it has no fine history at all.
-    short = StreamConfig(stride=4, lookahead=1, coding_context=4,
-                         conceal_context=6)
-    conds = stream_conditions(range(4), short, 17, n_coarse=1, level=2)
-    assert conds[(0, 1)].coarse.tolist() == [[1, 0]]
-    assert conds[(0, 1)].fine.shape == (0, 2)
-    assert conds[(3, 1)].fine.tolist() == [[1, 1], [2, 1]]
+
+
+def coding_view(cond, n_rows, n_layers, cells):
+    """(visible, frame_range) of the query coding ``cells`` against cond."""
+    q = cond.query(np.zeros((n_rows, n_layers), dtype=np.int32), cells)
+    return q.visible, q.frame_range
 
 
 def test_coding_visibility_periodic():
     gos = GosConfig(6, 3, (0, 2, 4, 6), key_unit=1)
     sg = build_slice_grid(12, gos, 5)
+    phi = fine_slice_conditions(sg)
+
+    def view(sid):
+        return coding_view(phi[sid], 12, 6, sg.slices[sid])
+
     # Key slice: the whole group-of-slices shows its coarse prefix.
-    vis, rng = coding_visibility(sg, SliceId(1, 1, 1))
+    vis, rng = view(SliceId(1, 1, 1))
     assert rng == (6, 12)
     np.testing.assert_array_equal(vis[6:12], [2] * 6)
     np.testing.assert_array_equal(vis[:6], [0] * 6)
     # Non-key group 1: key frames (unit 1 -> frames 6 and 9) deepen to 4.
-    vis, _ = coding_visibility(sg, SliceId(1, 2, 1))
+    vis, _ = view(SliceId(1, 2, 1))
     np.testing.assert_array_equal(vis[6:12], [4, 2, 2, 4, 2, 2])
     # Non-key group 2: key depth is capped by the encode level 5.
-    vis, _ = coding_visibility(sg, SliceId(1, 3, 2))
+    vis, _ = view(SliceId(1, 3, 2))
     np.testing.assert_array_equal(vis[6:12], [5, 2, 2, 5, 2, 2])
-    with pytest.raises(ValueError):
-        coding_visibility(sg, SliceId(1, 1, 0))
+    # Coarse slices are sent uncoded: they have no coding conditions.
+    assert SliceId(1, 1, 0) not in phi
 
 
 def test_coding_visibility_streaming():
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
-    vis, rng = stream_visibility(4, 20, stream, 20, n_coarse=1, level=3)
+    cond = stream_conditions(range(3, 6), stream, 20, n_coarse=1,
+                             level=3)[(4, 1)]
+    target = np.array([[4, 1]])
+    vis, rng = coding_view(cond, 20, 3, target)
     # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 is the
     # target so frames 2-3 show full depth and 4-6 only coarse.
     assert rng == (2, 7)
     np.testing.assert_array_equal(vis[2:7], [3, 3, 1, 1, 1])
     assert vis[:2].sum() == 0 and vis[7:].sum() == 0
     # A shorter buffer is exposed only over the rows it holds.
-    vis, _ = stream_visibility(4, 8, stream, 20, n_coarse=1, level=3)
+    vis, _ = coding_view(cond, 8, 3, target)
     np.testing.assert_array_equal(vis, [0, 0, 3, 3, 1, 1, 1, 0])
+
+
+class RecordingModel(UniformModel):
+    """A uniform model that keeps every query it prices."""
+
+    def __init__(self, vocab):
+        super().__init__(vocab)
+        self.queries = []
+
+    def pmf(self, query):
+        self.queries.append(query)
+        return super().pmf(query)
+
+
+def assert_query_shows_the_gated_cells(query, cond):
+    """The decode gate checks exactly the cells the coding query shows."""
+    lo, hi = query.bounds()
+    shown = np.zeros(query.tokens.shape, dtype=bool)
+    shown[lo:hi] = np.arange(shown.shape[1]) < query.visible[lo:hi, None]
+    states = np.where(shown, R, L).astype(np.int8)
+    assert decodable(states, cond)
+    for t, k in np.argwhere(shown):
+        states[t, k] = L
+        assert not decodable(states, cond)
+        states[t, k] = R
+
+
+@given(gos_strategy(), st.integers(1, 16), st.data())
+@settings(max_examples=50, deadline=None)
+def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
+    """Every query the sender or the receiver codes a fine slice with
+    shows the cells its Conditions gate on, no more and no fewer."""
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
+    tokens = np.zeros((n_frames, gos.n_layers), dtype=np.int32)
+    model = RecordingModel(2)
+    if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
+        sg = build_slice_grid(n_frames, gos, level)
+        packets, _ = send_tokens(
+            TokenGrid(tokens, np.full(n_frames, level), 2), sg, model)
+        receive_tokens(packets, sg, model)
+        conds = slice_conditions(sg)
+        n_slices = sum(1 for sid in sg.slices if sid.group > 0)
+    else:
+        stride = data.draw(st.integers(1, 4))
+        lookahead = data.draw(st.integers(0, 3))
+        context = stride + lookahead + data.draw(st.integers(0, 4))
+        cfg = StreamConfig(stride, lookahead, context, context)
+        tx = StreamSender(gos, cfg, model, level=level)
+        rx = StreamReceiver(gos, cfg, model, level=level)
+        for em in tx.push(tokens):
+            rx.step(em.packets)
+        tail, total = tx.flush()
+        rx.finish([em.packets for em in tail], total)
+        conds = stream_conditions(range(n_frames), cfg, n_frames,
+                                  gos.n_coarse, level)
+        n_slices = n_frames * sum(1 for j in range(1, gos.n_fine_groups + 1)
+                                  if len(gos.group_layers(j, level)))
+    # lossless: the sender and the receiver each code every fine slice once
+    assert len(model.queries) == 2 * n_slices
+    for q in model.queries:
+        cond = conds[tuple(q.targets[0].tolist())]
+        assert all(conds[tuple(c)] is cond for c in q.targets.tolist())
+        assert_query_shows_the_gated_cells(q, cond)
 
 
 def test_propagate_invalid():

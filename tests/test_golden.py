@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tokenwire.context import TrainSchedule, train_count_model
-from tokenwire.grid import GosConfig, StreamConfig, build_slice_grid
+from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, build_slice_grid
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender
 from tokenwire.synthetic import TokenSource, random_transition, sample_tokens
@@ -25,7 +25,17 @@ from tokenwire.transport import BernoulliChannel, MarkovChannel, Packet
 VOCAB = 16
 N_LAYERS = 8
 GOS = GosConfig(12, 3, (0, 2, 4, 6, 8), key_unit=1)
+GOS_KEY3 = GosConfig(12, 3, (0, 2, 4, 6, 8), key_unit=3)
 N_FRAMES = 60
+
+# batch layouts: (group-of-slices layout, encode level, frames)
+BATCH = {
+    "8": (GOS, 8, N_FRAMES),
+    "5": (GOS, 5, N_FRAMES),
+    "key3": (GOS_KEY3, 8, N_FRAMES),
+    # the tail group-of-slices holds frames 60-61, units 1-2: no key frame
+    "tail": (GOS_KEY3, 8, N_FRAMES + 2),
+}
 
 
 def make_corpus() -> tuple:
@@ -77,11 +87,12 @@ def _keep(channel: str, n: int, rng) -> np.ndarray:
     return BernoulliChannel(float(channel)).sample(n, rng)
 
 
-def run_batch(model, grid, level: int, channel: str) -> dict:
-    sent = grid.copy()
-    sent.tokens[:, level:] = 0
-    sent.level[:] = level
-    sg = build_slice_grid(N_FRAMES, GOS, level)
+def run_batch(model, grid, layout: str, channel: str) -> dict:
+    gos, level, n_frames = BATCH[layout]
+    tokens = np.concatenate([grid.tokens, grid.tokens])[:n_frames]
+    tokens[:, level:] = 0
+    sent = TokenGrid(tokens, np.full(n_frames, level), grid.vocab)
+    sg = build_slice_grid(n_frames, gos, level)
     packets, srep = send_tokens(sent, sg, model)
     wire = [p.to_bytes() for p in packets]
     if channel == "blackout":
@@ -111,6 +122,9 @@ STREAMS = {
     # coding context reaches past the concealment window
     "wide": StreamConfig(stride=2, lookahead=1, coding_context=12,
                          conceal_context=4),
+    # the shortest coding context: exactly stride + lookahead frames
+    "tight": StreamConfig(stride=2, lookahead=2, coding_context=4,
+                          conceal_context=4),
 }
 
 
@@ -301,6 +315,96 @@ GOLDEN = {
         "received": "9b85b3f5cadd994aac7a9ec61f686c77bc39f2dcbcacf6061280cfd174c3dc89",
         "receiver": "7305817e3ba119227cde5df048de05608eee5eb9c1797b7f5ab8a78ec6115ceb",
     },
+    "batch/key3/lossless": {
+        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
+        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
+        "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
+        "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
+    },
+    "batch/key3/0.1": {
+        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
+        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
+        "received": "10be46652a9e5ef118a276b0f8be7bc917cd9a85ef8d8bfd9ef8c8d4381ea5d0",
+        "receiver": "3d2f7de3e6b9a806f51664af3850a0b2095cc5f3dc23188c36450881c62921ae",
+    },
+    "batch/key3/0.3": {
+        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
+        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
+        "received": "280d7f7afc0c39b720f3e0ad8777e8fc9b38567e312f3d2cab5596357563adb4",
+        "receiver": "a28efe1ae72268fceb7e86748af7ea2ed77ef2250215d82efb778233481acb1b",
+    },
+    "batch/key3/blackout": {
+        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
+        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
+        "received": "d11e573e0f150436b79f12f2c5cc7ea42b78c76c3973a278cd46766ab2a42090",
+        "receiver": "a129e53383e6244faf210e27dfac0d2608a59f7b4ef9a597a04235cc70255225",
+    },
+    "batch/key3/markov": {
+        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
+        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
+        "received": "eb3fa95e53f7352fb2c7ee1a201729c27eb5c297afa9a274ec997ed514bbddc1",
+        "receiver": "44cafa5395c42fa0b9fdf237c64969e61990ab05ff7e6f313e76ea224adcb3db",
+    },
+    "batch/tail/lossless": {
+        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
+        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "received": "f26e2fdfebc72e840a83417b5f84ba8ebb7e350c10fcc722456fe96e0afad58a",
+        "receiver": "1d9dc9765a312b9cc731f798a851eee7df261563bf99a9fff49b0cd6cc51084e",
+    },
+    "batch/tail/0.1": {
+        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
+        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "received": "a915a5fab6c8f765f5c62d7cdc09e2590427c8046f77bef0b32ed93dbfcaab08",
+        "receiver": "a4c6364037a38af87ffcd2b403396e1d260dbfbc4bb1e4a921df523c047223a1",
+    },
+    "batch/tail/0.3": {
+        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
+        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "received": "1a27d615bb939e8c3c0d3a2755e2e2ea19c974d9c48997bada7700d58c538139",
+        "receiver": "8d6e6f2d7647e8141d9e4be9d3fdcaea049d065904196199816c06264acd1740",
+    },
+    "batch/tail/blackout": {
+        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
+        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "received": "b537629a43338c0bf554b55844901c4be91350659e83f02f7b855bb1b7f9312f",
+        "receiver": "b13d85a990a56658b507121ee3c65b67672b57d72f4d4a20fabd897a8369355e",
+    },
+    "batch/tail/markov": {
+        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
+        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "received": "dd5d00bb965451d46818d1a569a57a182f75ad6272d76738b9fa9c5fe20ec520",
+        "receiver": "5e79260d941620932ee632669dab40d4c62e8d6f43eb2ccfe02ab36ed815549b",
+    },
+    "stream/tight/lossless": {
+        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
+        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
+        "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
+    },
+    "stream/tight/0.1": {
+        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
+        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "received": "99c9ae44d42aceff73327ffef9f4cebef4629d876e5b55e2cd09d739c34b0082",
+        "receiver": "39da4f9422bd01b883e0ed12400491c72cd7ea086878e8dd0e21e7f429265c30",
+    },
+    "stream/tight/0.3": {
+        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
+        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "received": "136ed2ce9ac1c32ae37e3a632397dd5d8be9bb41151dbbe59575f7069c29b217",
+        "receiver": "8a9c0624890507dbf11899d01d9b59b0569be1e18a40801ddd3ad562dcb77672",
+    },
+    "stream/tight/blackout": {
+        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
+        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "received": "be7ee9647f80004a5cbc2cb9217ea0ae063e8d4e0bdfb655be972470e9e01f15",
+        "receiver": "bd802bbcd9db309317140abb0d6839d67fc235a933f75f0c8289c0ad99fe16c6",
+    },
+    "stream/tight/markov": {
+        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
+        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "received": "c1559a0d2c2e83a6c49cebf940a3e377d234de72ca4708102ae6385375d16f0a",
+        "receiver": "923a6685ef0efe4e9945f285324a8fb3343275decf912fbb9cbc90c59dd586b1",
+    },
 }
 
 
@@ -309,7 +413,7 @@ def test_golden_digests(corpus, name):
     model, grid = corpus
     kind, mode, channel = name.split("/")
     if kind == "batch":
-        got = run_batch(model, grid, int(mode), channel)
+        got = run_batch(model, grid, mode, channel)
     else:
         got = run_stream(model, grid, mode, channel)
     assert got == GOLDEN[name]

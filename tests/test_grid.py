@@ -19,9 +19,24 @@ from tokenwire.grid import (
     save_token_grid,
 )
 from tokenwire.context import UniformModel
-from tokenwire.dependency import stream_conditions
+from tokenwire.dependency import slice_conditions, stream_conditions
+from tokenwire.errors import ConfigError
 from tokenwire.streaming import StreamSender
 from conftest import random_grid
+
+
+def assert_partition(sg):
+    """Every cell below the encode level belongs to exactly one non-empty
+    slice, and no slice mixes coarse and fine layers."""
+    seen = np.zeros((sg.n_frames, sg.n_layers), dtype=np.int32)
+    for sid, cells in sg.slices.items():
+        assert cells.shape[0] > 0, sid
+        assert np.all(cells[:, 1] < sg.level), sid
+        assert np.all((cells[:, 1] < sg.gos.n_coarse) == (sid.group == 0)), sid
+        np.add.at(seen, (cells[:, 0], cells[:, 1]), 1)
+    expect = np.zeros_like(seen)
+    expect[:, :sg.level] = 1
+    np.testing.assert_array_equal(seen, expect)
 
 
 def test_token_grid_validation():
@@ -117,7 +132,7 @@ def gos_configs():
 def test_slice_grid_is_a_partition(gos, n_frames, data):
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
-        build_slice_grid(n_frames, gos, level).validate_partition()
+        assert_partition(build_slice_grid(n_frames, gos, level))
         return
     # A stream's packets cover every encoded cell exactly once: one frame
     # per packet, the coarse group or one truncated fine group of layers.
@@ -183,18 +198,19 @@ def test_level_truncation_drops_upper_groups():
     # Group 1 holds layers 3..4 but level 3 truncates it to layer 3 only.
     cells = sg.slices[SliceId(0, 1, 1)]
     assert set(cells[:, 1].tolist()) == {2}
-    sg.validate_partition()
+    assert_partition(sg)
 
 
 def test_tail_gos_is_shorter():
     gos = GosConfig(4, 2, (0, 1, 2))
     sg = build_slice_grid(6, gos, 2)
-    assert sg.gos_ids() == [0, 1]
-    assert list(sg.gos_frames(1)) == [4, 5]
+    assert {s.gos for s in sg.slices} == {0, 1}
+    tail = [s for s in sg.slices if s.gos == 1]
+    assert sorted({t for s in tail for t in sg.slices[s][:, 0]}) == [4, 5]
     # Tail GoS has 2 frames: units 1 and 2 cover one frame each.
-    tail_coarse = [s for s in sg.coarse_slices(1)]
+    tail_coarse = [s for s in tail if s.group == 0]
     assert len(tail_coarse) == 2
-    sg.validate_partition()
+    assert_partition(sg)
 
 
 def test_slice_of_and_key_lookup():
@@ -203,9 +219,10 @@ def test_slice_of_and_key_lookup():
     assert sg.slices[SliceId(0, 1, 0)].tolist() == [[0, 0], [3, 0]]
     assert sg.slices[SliceId(0, 2, 1)].tolist() == [[1, 1], [1, 2],
                                                     [4, 1], [4, 2]]
-    assert sg.is_key(SliceId(0, 1, 1))
-    assert not sg.is_key(SliceId(0, 2, 1))
-    assert not sg.is_key(SliceId(0, 1, 0))
+    conds = slice_conditions(sg)
+    assert conds[(0, 1)].key  # SliceId(0, 1, 1)
+    assert not conds[(1, 1)].key  # SliceId(0, 2, 1)
+    assert (0, 0) not in conds  # coarse SliceId(0, 1, 0) is not coded
 
 
 def test_build_slice_grid_validation():
@@ -228,6 +245,10 @@ def test_stream_config_validation():
         StreamConfig(stride=5, lookahead=0, coding_context=4)
     with pytest.raises(ValueError):
         StreamConfig(stride=3, lookahead=3, coding_context=12, conceal_context=5)
+    # Both contexts must cover stride + lookahead frames; exactly is enough.
+    StreamConfig(stride=3, lookahead=3, coding_context=6, conceal_context=6)
+    with pytest.raises(ConfigError, match="stride 3 \\+ lookahead 3"):
+        StreamConfig(stride=3, lookahead=3, coding_context=5)
 
 
 def test_token_grid_file_round_trip(tmp_path, rng):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tokenwire.context import CountModel, MaskedQuery, UniformModel
+from tokenwire.context import CountModel, UniformModel
+from tokenwire.dependency import slice_conditions
 from tokenwire.errors import DecodeError
 from tokenwire.grid import (
     GosConfig,
@@ -241,12 +242,12 @@ def test_trained_model_beats_uniform_on_structured_tokens():
     sg = build_slice_grid(T, GOS, 3)
 
     model = CountModel(vocab=16, n_layers=3)
-    from tokenwire.dependency import coding_visibility
-    for sid in sg.fine_slices():
-        visible, frange = coding_visibility(sg, sid)
-        cells = sg.slices[sid]
-        q = MaskedQuery(grid.tokens, visible, cells, frame_range=frange)
-        model.observe(q, grid.tokens[cells[:, 0], cells[:, 1]])
+    conds = slice_conditions(sg)
+    for sid, cells in sg.slices.items():
+        if sid.group > 0:
+            q = conds[(int(cells[0, 0]), int(cells[0, 1]))].query(grid.tokens,
+                                                                  cells)
+            model.observe(q, grid.tokens[cells[:, 0], cells[:, 1]])
 
     _, rep_count = send_tokens(grid, sg, model)
     _, rep_uni = send_tokens(grid, sg, UniformModel(16))

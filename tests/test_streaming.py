@@ -7,7 +7,7 @@ from tokenwire.context import CountModel, UniformModel
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenState
 from tokenwire.streaming import StreamReceiver, StreamSender
-from tokenwire.transport import Packet
+from tokenwire.transport import Packet, pack_bits
 
 GOS = GosConfig(6, 3, (0, 1, 2, 3), key_unit=1)
 STREAM = StreamConfig(stride=3, lookahead=3, coding_context=12,
@@ -222,6 +222,40 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
         rx.step(list(ems[1].packets) + [bad_unit])
     assert len(rx._tokens) == rows
     # A rejected step changes nothing: the stream carries on losslessly.
+    for em in ems[1:]:
+        rx.step(em.packets)
+    rx.finish([e.packets for e in tail], total)
+    grid, states = rx.result()
+    np.testing.assert_array_equal(grid.tokens, tokens)
+    assert np.all(states == R)
+
+
+def test_out_of_vocabulary_coarse_leaves_the_step_unapplied():
+    tokens = make_tokens(56, 12, vocab=10)
+    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    tx = StreamSender(GOS, STREAM, model)
+    ems = list(tx.push(tokens))
+    tail, total = tx.flush()
+    rx = StreamReceiver(GOS, STREAM, model)
+    first = list(ems[0].packets)
+    i3 = next(i for i, p in enumerate(first)
+              if p.group == 0 and p.first_frame == 3)
+    p3, p4 = first[i3], first[i3 + 1]
+    bad = pack_bits(np.array([15]), 4)
+    # a bad payload; then, with frame 3's packet lost, a bad repair copy
+    for damaged in (
+            [Packet(p3.gos_id, p3.unit, 0, 3, 1, bad, p3.fec), p4],
+            [Packet(p4.gos_id, p4.unit, 0, 4, 1, p4.payload, bad)]):
+        before = (rx._next_step, rx._tokens.copy(), rx._states.copy())
+        with pytest.raises(DecodeError, match="vocabulary"):
+            rx.step(first[:i3] + damaged + first[i3 + 2:])
+        assert rx._next_step == before[0]
+        np.testing.assert_array_equal(rx._tokens, before[1])
+        np.testing.assert_array_equal(rx._states, before[2])
+    # The same step without the bad packet goes through; frame 3's coarse
+    # comes back from frame 4's repair copy.
+    rx.step(first[:i3] + first[i3 + 1:])
+    assert rx.fec_recovered == 1
     for em in ems[1:]:
         rx.step(em.packets)
     rx.finish([e.packets for e in tail], total)
