@@ -9,8 +9,8 @@ channels, in batch or bounded-latency streaming mode.
 
 __version__ = "0.1.0"
 
-from .audio import (AudioSignal, CodecConfig, analyze, pad_to_frames,
-                    read_audio, synthesize, write_audio)
+from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
+                    write_audio)
 from .context import (PMF_TOTAL, CountModel, MaskedQuery, Pmf, TrainSchedule,
                       UniformModel, beta, load_count_model, quantize_weights,
                       save_count_model, train_count_model, uniform_pmf)
@@ -21,9 +21,8 @@ from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,
                          run_trial, summarize, train_stack)
 from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
-                   TokenState, TokenStateGrid, build_slice_grid,
-                   default_layer_bounds, load_token_grid, periodic_slicing,
-                   save_token_grid)
+                   TokenState, build_slice_grid, default_layer_bounds,
+                   periodic_slicing)
 from .metrics import mfcc, mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import (ReceiverReport, SenderReport, receive, receive_tokens,
                        send, send_tokens)
@@ -37,6 +36,5 @@ from .synthetic import (TokenSource, bayes_accuracy, bayes_predict,
                         random_transition, sample_tokens, stationary,
                         sticky_transition, synth_audio)
 from .transport import (BernoulliChannel, MarkovChannel, Packet,
-                        channel_from_spec, channel_to_spec, load_channel,
-                        read_packets, read_trace, save_channel, write_packets,
-                        write_trace)
+                        channel_from_spec, load_channel, read_packets,
+                        read_trace, write_packets, write_trace)

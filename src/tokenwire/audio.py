@@ -90,17 +90,6 @@ def synthesize(features: np.ndarray, config: CodecConfig,
     return AudioSignal(samples, sample_rate)
 
 
-def pad_to_frames(samples: np.ndarray, frame_len: int) -> np.ndarray:
-    """Zero-pad to the next positive multiple of frame_len."""
-    n = len(samples)
-    target = max(1, -(-n // frame_len)) * frame_len
-    if target == n:
-        return np.asarray(samples, dtype=np.float64)
-    out = np.zeros(target)
-    out[:n] = samples
-    return out
-
-
 # File I/O. WAV is 16-bit PCM mono; .f32 is raw little-endian float32.
 
 def write_wav(path: str | Path, signal: AudioSignal) -> None:

@@ -21,9 +21,9 @@ from .audio import CodecConfig, analyze, read_audio, write_audio
 from .context import load_count_model, model_digest, save_count_model
 from .errors import ConfigError, DecodeError
 from .experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
-                         load_config, run_experiment, summarize, train_codec,
-                         train_context, training_corpus)
-from .grid import GosConfig, StreamConfig, default_layer_bounds
+                         gos_config, load_config, run_experiment, summarize,
+                         train_codec, train_context, training_corpus)
+from .grid import GosConfig, StreamConfig
 from .metrics import si_snr
 from .pipeline import receive, send
 from .rvq import load_codec, quantize, save_codec
@@ -36,13 +36,6 @@ def _load_cfg(path) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     return load_config(path)
-
-
-def _gos_of(cfg: ExperimentConfig) -> GosConfig:
-    bounds = default_layer_bounds(cfg.n_layers, cfg.n_coarse,
-                                  cfg.n_fine_groups)
-    return GosConfig(gos_len=cfg.gos_len, n_units=cfg.n_units,
-                     layer_bounds=bounds, key_unit=cfg.key_unit)
 
 
 def _sha256(path) -> str:
@@ -76,7 +69,7 @@ def cmd_encode(args) -> int:
     cfg = _load_cfg(args.config)
     codec = load_codec(args.codec)
     model = load_count_model(args.model)
-    gos = _gos_of(cfg)
+    gos = gos_config(cfg)
     signal = read_audio(args.audio)
     if signal.samples.size % cfg.frame_len:
         raise SystemExit("audio length must be a multiple of frame_len; "
@@ -176,7 +169,7 @@ def cmd_stream(args) -> int:
     cfg = _load_cfg(args.config)
     codec = load_codec(args.codec)
     model = load_count_model(args.model)
-    gos = _gos_of(cfg)
+    gos = gos_config(cfg)
     stream = StreamConfig(stride=args.stride, lookahead=args.lookahead,
                           coding_context=cfg.gos_len,
                           conceal_context=cfg.conceal_window)

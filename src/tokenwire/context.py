@@ -134,9 +134,10 @@ class MaskedQuery:
         if self.visible.shape != (self.visible.size,) or \
                 self.tokens.shape[0] != self.visible.size:
             raise ValueError("visible must have one entry per frame")
-        for t, k in self.targets:
-            if self.visible[t] > k:
-                raise ValueError(f"target cell ({t},{k}) is visible")
+        shown = self.visible[self.targets[:, 0]] > self.targets[:, 1]
+        if shown.any():
+            t, k = self.targets[int(shown.argmax())]
+            raise ValueError(f"target cell ({t},{k}) is visible")
 
     def bounds(self) -> tuple:
         if self.frame_range is None:
@@ -300,15 +301,14 @@ class TrainSchedule:
     """Masking curriculum for count-model training.
 
     Each sample draws tau (mask ratio via ``beta``), an encode depth, and
-    the lowest masked layer; fixing any of them pins that draw, which the
-    tests use to carve out degenerate schedules.
+    the lowest masked layer; ``fixed_tau`` pins the mask ratio, which the
+    experiment config exposes and the tests use to carve out degenerate
+    schedules.
     """
 
     epochs: int = 1
     seed: int = 0
     fixed_tau: float | None = None
-    fixed_level: int | None = None
-    fixed_layer: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -348,12 +348,8 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
             depth_cap = int(g.level[0])
             tau = schedule.fixed_tau if schedule.fixed_tau is not None \
                 else float(rng.random())
-            K = schedule.fixed_level if schedule.fixed_level is not None \
-                else int(rng.integers(n_coarse, n_layers + 1))
-            K = min(K, depth_cap)
-            k_low = schedule.fixed_layer if schedule.fixed_layer is not None \
-                else int(rng.integers(1, K + 1))
-            k_low = min(k_low, K)
+            K = min(int(rng.integers(n_coarse, n_layers + 1)), depth_cap)
+            k_low = int(rng.integers(1, K + 1))
             n_masked = int(T * beta(tau))
             if n_masked == 0:
                 continue

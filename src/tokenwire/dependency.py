@@ -6,10 +6,17 @@ as ``Conditions``: a visible-prefix depth per frame over a frame range.
 The coder's query shows exactly those cells, and the receiver decodes the
 slice only once all of them are RECEIVED, so sender, receiver and decode
 gate cannot disagree. The periodic batch layout derives its Conditions
-from the layout, the streaming layout in closed form from
-``stream_geometry``. The concealing dependency is looser: it reads any
+from the layout, the streaming layout in closed form from the step
+geometry ``stream_step``. The concealing dependency is looser: it reads any
 received token at or below the damaged layer, both earlier and later in
 time, because prediction does not need bit-exact context.
+
+Which cells the receiver can trust is one prefix rule, ``prefix_depth``: a
+layer refines the residual left by those below it, so a frame is usable up
+to its first failing cell. The receiver's states start INVALID at and
+above the encode level, so no depth read from them passes the level:
+invalidation, damage windows, the concealment context, the usable depth
+and the blackout source need no per-frame level.
 """
 
 from __future__ import annotations
@@ -91,33 +98,36 @@ def decodable(states: np.ndarray, cond: Conditions) -> bool:
     return bool((block[cond.mask(block.shape[1])] == R).all())
 
 
-def stream_geometry(t: int, cfg: StreamConfig, n_frames: int) -> tuple:
-    """(window_start, last_context_frame) for encoding frame t's fine tokens.
+def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
+    """(due frames, horizon) of stream step ``i``.
 
-    The frame is encoded in the step covering it; context runs over up to
-    ``coding_context`` frames ending at the step's lookahead horizon, and a
-    target at frame t never draws on frames beyond t + lookahead.
+    Step i finalizes frames [i * stride, (i + 1) * stride) and carries the
+    coarse tokens of every frame up to its lookahead horizon. Once the
+    stream's ``total`` length is known, both clamp at its last frame.
     """
-    step = t // cfg.stride
-    horizon = min((step + 1) * cfg.stride - 1 + cfg.lookahead, n_frames - 1)
-    w_start = max(0, horizon - cfg.coding_context + 1)
-    t_hi = min(t + cfg.lookahead, n_frames - 1)
-    return w_start, t_hi
+    stop = (i + 1) * cfg.stride
+    horizon = stop - 1 + cfg.lookahead
+    if total is not None:
+        stop, horizon = min(stop, total), min(horizon, total - 1)
+    return range(i * cfg.stride, stop), horizon
 
 
-def stream_conditions(frames: range, cfg: StreamConfig, n_frames: int,
+def stream_conditions(frames: range, cfg: StreamConfig, horizon: int,
                       n_coarse: int, level: int) -> dict:
-    """Per fine cell (t, k) of ``frames``, its Conditions in a stream of
-    ``n_frames``.
+    """Per fine cell (t, k) of one step's due ``frames``, its Conditions,
+    given the step's ``horizon``.
 
     Frame t's fine slices were coded against every layer of the context
     window's frames before t and the coarse layers from t up to its
-    lookahead; streaming has no key slices. ``StreamConfig`` makes the
-    window cover stride + lookahead frames, so it starts at or before t.
+    lookahead, clamped at the horizon; the window holds up to
+    ``coding_context`` frames ending at the horizon, and streaming has no
+    key slices. ``StreamConfig`` makes the window cover stride + lookahead
+    frames, so it starts at or before t.
     """
+    w = max(0, horizon - cfg.coding_context + 1)
     lookup: dict = {}
     for t in frames:
-        w, t_hi = stream_geometry(t, cfg, n_frames)
+        t_hi = min(t + cfg.lookahead, horizon)
         depth = np.full(t_hi + 1 - w, n_coarse, dtype=np.int64)
         depth[:t - w] = level
         cond = Conditions(False, w, depth)
@@ -151,35 +161,39 @@ def slice_conditions(sg: SliceGrid) -> dict:
     return lookup
 
 
-def propagate_invalid(states: np.ndarray, level) -> None:
+def prefix_depth(ok: np.ndarray) -> np.ndarray:
+    """Per frame (row), the length of its leading run of cells where ``ok``
+    holds: the index of its first failing cell, or the row length."""
+    return np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+
+
+def usable_depth(states: np.ndarray) -> np.ndarray:
+    """Per frame, its usable prefix of received or concealed cells."""
+    return prefix_depth((states == R) | (states == C)).astype(np.int16)
+
+
+def propagate_invalid(states: np.ndarray) -> None:
     """Mark every cell above a frame's lowest non-received cell as INVALID.
 
     Later layers refine the residual left by earlier ones, so once a layer
     is missing nothing above it can be applied, delivered or not.
     """
-    level = np.asarray(level)
-    for t in range(states.shape[0]):
-        lvl = int(level[t])
-        col = states[t, :lvl]
-        bad = np.flatnonzero(col != R)
-        if len(bad):
-            col[bad[0] + 1:] = I
+    depth = prefix_depth(states == R)
+    states[np.arange(states.shape[1]) > depth[:, None]] = I
 
 
-def build_windows(states: np.ndarray, level, max_len: int) -> list:
+def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
     """Group damaged frames into concealment windows of at most max_len.
 
+    A frame is damaged when its received prefix stops below ``level``.
     Each maximal run of damaged frames is chunked to the length cap, then
     padded as symmetrically as the neighboring clean frames allow. Windows
     never share frames.
     """
     if max_len < 1:
         raise ValueError("window length cap must be at least 1")
-    level = np.asarray(level)
     T = states.shape[0]
-    damaged = np.array([
-        bool((states[t, : int(level[t])] != R).any()) for t in range(T)
-    ])
+    damaged = (prefix_depth(states == R) < level).tolist()
     runs = []
     t = 0
     while t < T:
@@ -265,7 +279,7 @@ def classify_loss(states: np.ndarray, window: ConcealmentWindow,
 
 
 def build_conceal_mask(targets: list, states: np.ndarray,
-                       window: ConcealmentWindow, level) -> tuple:
+                       window: ConcealmentWindow) -> tuple:
     """(visible depths, frame_range) for a concealment query.
 
     Conditions are received cells inside the window, bi-directional in time
@@ -275,18 +289,12 @@ def build_conceal_mask(targets: list, states: np.ndarray,
     """
     if not targets:
         raise ValueError("no targets to conceal")
-    level = np.asarray(level)
-    cap = max(k for _, k, _ in targets) + 1
-    lowest: dict = {}
+    limit = np.full(len(window), max(k for _, k, _ in targets) + 1)
     for t, k, _ in targets:
         if not window.contains(t):
             raise ValueError(f"target frame {t} outside the window")
-        lowest[t] = min(lowest.get(t, k), k)
+        limit[t - window.start] = min(limit[t - window.start], k)
     visible = np.zeros(states.shape[0], dtype=np.int64)
-    for t in range(window.start, window.stop):
-        limit = min(cap, int(level[t]), lowest.get(t, cap))
-        d = 0
-        while d < limit and states[t, d] == R:
-            d += 1
-        visible[t] = d
+    visible[window.start:window.stop] = np.minimum(
+        prefix_depth(states[window.start:window.stop] == R), limit)
     return visible, (window.start, window.stop)

@@ -222,16 +222,20 @@ def train_context(cfg: ExperimentConfig, codec: RvqCodec,
                              codec.n_coarse, schedule)
 
 
+def gos_config(cfg: ExperimentConfig) -> GosConfig:
+    """The group-of-slices layout a config describes."""
+    bounds = default_layer_bounds(cfg.n_layers, cfg.n_coarse,
+                                  cfg.n_fine_groups)
+    return GosConfig(gos_len=cfg.gos_len, n_units=cfg.n_units,
+                     layer_bounds=bounds, key_unit=cfg.key_unit)
+
+
 def train_stack(cfg: ExperimentConfig) -> TrainedStack:
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=cfg.dim)
     feats = training_corpus(cfg)
     codec = train_codec(cfg, feats)
     count_model = train_context(cfg, codec, feats)
-    bounds = default_layer_bounds(cfg.n_layers, cfg.n_coarse,
-                                  cfg.n_fine_groups)
-    gos = GosConfig(gos_len=cfg.gos_len, n_units=cfg.n_units,
-                    layer_bounds=bounds, key_unit=cfg.key_unit)
-    return TrainedStack(codec_cfg, codec, gos, count_model,
+    return TrainedStack(codec_cfg, codec, gos_config(cfg), count_model,
                         UniformModel(cfg.vocab))
 
 

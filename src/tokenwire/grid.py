@@ -8,10 +8,8 @@ to array coordinates.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -68,28 +66,16 @@ class TokenGrid:
         return TokenGrid(self.tokens.copy(), self.level.copy(), self.vocab)
 
 
-@dataclass
-class TokenStateGrid:
-    """Receiver-side state per token cell, aligned with a TokenGrid."""
+def initial_states(n_frames: int, n_layers: int, level: int) -> np.ndarray:
+    """Receiver states before any packet arrives: LOST below the encode
+    level, INVALID at and above it.
 
-    states: np.ndarray
-
-    def __post_init__(self):
-        self.states = np.ascontiguousarray(self.states, dtype=np.int8)
-        if self.states.ndim != 2:
-            raise ValueError("states must be 2-d (frames by layers)")
-
-    @classmethod
-    def initial(cls, level: np.ndarray, n_layers: int,
-                fill: TokenState = TokenState.LOST) -> "TokenStateGrid":
-        # cells beyond a frame's encoded level are INVALID from the start
-        states = np.full((len(level), n_layers), int(fill), dtype=np.int8)
-        beyond = np.arange(n_layers)[None, :] >= np.asarray(level)[:, None]
-        states[beyond] = int(TokenState.INVALID)
-        return cls(states)
-
-    def copy(self) -> "TokenStateGrid":
-        return TokenStateGrid(self.states.copy())
+    The encode level is stated only here; every prefix rule downstream
+    reads it back from the INVALID cells.
+    """
+    states = np.full((n_frames, n_layers), int(TokenState.LOST), dtype=np.int8)
+    states[:, level:] = int(TokenState.INVALID)
+    return states
 
 
 @dataclass(frozen=True)
@@ -263,40 +249,3 @@ def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:
             for j in range(1, n_groups):
                 add(SliceId(g, u, j), frames_of[u], j)
     return sg
-
-
-# Token grid file format: magic "TOKG", then little-endian
-# u32 n_frames, u16 n_layers, u16 vocab, n_frames u8 levels,
-# n_frames*n_layers u16 tokens row-major.
-
-_TOKG_MAGIC = b"TOKG"
-
-
-def save_token_grid(path: str | Path, grid: TokenGrid) -> None:
-    if grid.vocab > 65536 or grid.n_layers > 255:
-        raise ValueError("grid does not fit the file format")
-    out = bytearray(_TOKG_MAGIC)
-    out += struct.pack("<IHH", grid.n_frames, grid.n_layers, grid.vocab % 65536)
-    out += grid.level.astype(np.uint8).tobytes()
-    tokens = grid.tokens.copy()
-    dead = np.arange(grid.n_layers)[None, :] >= grid.level[:, None]
-    tokens[dead] = 0
-    out += tokens.astype("<u2").tobytes()
-    Path(path).write_bytes(bytes(out))
-
-
-def load_token_grid(path: str | Path) -> TokenGrid:
-    data = Path(path).read_bytes()
-    if data[:4] != _TOKG_MAGIC:
-        raise ValueError("not a token grid file")
-    n_frames, n_layers, vocab_raw = struct.unpack_from("<IHH", data, 4)
-    vocab = vocab_raw if vocab_raw != 0 else 65536
-    off = 4 + 8
-    level = np.frombuffer(data, dtype=np.uint8, count=n_frames, offset=off)
-    off += n_frames
-    count = n_frames * n_layers
-    tokens = np.frombuffer(data, dtype="<u2", count=count, offset=off)
-    if len(data) != off + 2 * count:
-        raise ValueError("token grid file has trailing or missing bytes")
-    return TokenGrid(tokens.reshape(n_frames, n_layers).astype(np.int32),
-                     level.astype(np.int16), vocab)

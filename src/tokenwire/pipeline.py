@@ -8,8 +8,11 @@ coded against is bit-exact; ``conceal_in_window`` holds the last usable frame
 through a coarse blackout and otherwise predicts the damaged cells with a
 single model query. Both ends of a fine slice take its ``Conditions``: the
 sender's coding query and the receiver's decoding query and decode gate
-all derive from that one value. The batch path lays a clip out in periodic
-slices, decodes in dependency order, then conceals inside bounded windows.
+all derive from that one value. The encode level is stated once, in the
+receiver's initial states (INVALID from the level up); which cells can be
+trusted then follows from the states by the one prefix rule in
+``dependency``. The batch path lays a clip out in periodic slices, decodes
+in dependency order, then conceals inside bounded windows.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from .audio import CodecConfig, synthesize
 from .context import MaskedQuery
 from .dependency import (ConcealmentWindow, Conditions, build_conceal_mask,
                          build_windows, classify_loss, decodable,
-                         propagate_invalid, slice_conditions)
+                         propagate_invalid, slice_conditions, usable_depth)
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, SliceId, TokenGrid, TokenState,
-                   TokenStateGrid, build_slice_grid)
+                   build_slice_grid, initial_states)
 from .rangecoder import CodedSlice, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
 from .transport import HEADER_BYTES, Packet, pack_bits, token_bits, unpack_bits
@@ -187,12 +190,8 @@ def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
     if not np.any(states[fill.start:fill.stop, :level] != _R):
         return 0
     if not np.any(states[win.start:win.stop, :n_coarse] == _R):
-        src = None
-        for t in range(fill.start - 1, -1, -1):
-            col = states[t, :level]
-            if np.all((col == _R) | (col == _C)):
-                src = t
-                break
+        usable = np.flatnonzero(usable_depth(states[:fill.start]) == level)
+        src = int(usable[-1]) if len(usable) else None
         for t in fill:
             for k in range(level):
                 if states[t, k] != _R:
@@ -203,8 +202,7 @@ def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
         states, win, conditions, n_coarse, level, conceal_fine_layers)
         if trip[0] in fill]
     if targets:
-        depth = np.full(len(states), level, dtype=np.int16)
-        visible, frange = build_conceal_mask(targets, states, win, depth)
+        visible, frange = build_conceal_mask(targets, states, win)
         cells = np.array([(t, k) for t, k, _ in targets], dtype=np.int64)
         query = MaskedQuery(tokens, visible, cells, frame_range=frange)
         preds = model.predict(query)
@@ -213,19 +211,6 @@ def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
             states[t, k] = _C
             case_counts[int(case)] = case_counts.get(int(case), 0) + 1
     return 0
-
-
-def _valid_depth(states: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Longest usable prefix per frame: received or concealed cells."""
-    T = states.shape[0]
-    out = np.zeros(T, dtype=np.int16)
-    for t in range(T):
-        d = 0
-        lvl = int(level[t])
-        while d < lvl and states[t, d] in (_R, _C):
-            d += 1
-        out[t] = d
-    return out
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -293,9 +278,8 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
-    level = np.full(T, sg.level, dtype=np.int16)
     tokens = np.zeros((T, K), dtype=np.int32)
-    states = TokenStateGrid.initial(level, K).states
+    states = initial_states(T, K, sg.level)
 
     by_sid: dict = {}
     for p in packets:
@@ -321,9 +305,9 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
                     conditions[(int(cells[0, 0]), int(cells[0, 1]))],
                     [(cells, None if p is None else p.payload)])
 
-    propagate_invalid(states, level)
+    propagate_invalid(states)
 
-    windows = build_windows(states, level, conceal_window)
+    windows = build_windows(states, sg.level, conceal_window)
     case_counts: dict = {}
     n_blackouts = 0
     for win in windows:
@@ -332,7 +316,7 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
             conditions, sg.gos.n_coarse, sg.level, conceal_fine_layers,
             case_counts)
 
-    depth = _valid_depth(states, level)
+    depth = usable_depth(states)
     grid = TokenGrid(tokens, depth, vocab)
     names = {_R: "received", int(TokenState.LOST): "lost",
              _I: "invalid", _C: "concealed"}

@@ -7,15 +7,18 @@ are on the wire once the horizon frame has been captured, so end-to-end
 latency never exceeds stride + lookahead frames. Each frame is its own
 slice: packet (gos_id, unit) names frame gos_id * gos_len + unit - 1.
 
-Both ends run on the transceiver core in ``pipeline``. The coding
-dependency of a frame is closed-form: each step, sender and receiver alike
-derive the ``Conditions`` of its due frames with ``stream_conditions``, and
-the coding query, the decoding query and the decode gate all come from
-them. A step never looks beyond its own due frames. The receiver checks
-and unpacks every packet of a step before it changes any state, then
-finalizes the due frames: decode what arrived, conceal the rest inside a
-window ending at the horizon, release. Released frames are never
-revisited, and concealed cells never serve as coding context.
+Both ends run on the transceiver core in ``pipeline``. A step's geometry,
+its due frames and its horizon, comes from ``stream_step`` on both ends.
+The coding dependency of a frame is closed-form: each step, sender and
+receiver alike derive the ``Conditions`` of its due frames from that
+horizon with ``stream_conditions``, and the coding query, the decoding
+query and the decode gate all come from them. A step never looks beyond
+its own due frames. The receiver's buffered states start INVALID from the
+encode level up, so the prefix rules read the level from them. The
+receiver checks and unpacks every packet of a step before it changes any
+state, then finalizes the due frames: decode what arrived, conceal the
+rest inside a window ending at the horizon, release. Released frames are
+never revisited, and concealed cells never serve as coding context.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependency import (ConcealmentWindow, propagate_invalid,
-                         stream_conditions)
+                         stream_conditions, stream_step, usable_depth)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
-                   TokenStateGrid, build_slice_grid)  # noqa: F401
-from .pipeline import (SliceSender, _valid_depth, conceal_in_window,
-                       decode_fine, unpack_coarse)
+                   build_slice_grid, initial_states)  # noqa: F401
+from .pipeline import (SliceSender, conceal_in_window, decode_fine,
+                       unpack_coarse)
 
 _R = int(TokenState.RECEIVED)
 
@@ -113,9 +116,8 @@ class StreamSender:
                             int(tokens[:, :self.level].max()) >= self.vocab):
             raise ValueError("token outside vocabulary")
         self._buf = np.concatenate([self._buf, tokens])
-        S, F = self.stream.stride, self.stream.lookahead
         out = []
-        while len(self._buf) >= (self._next_step + 1) * S + F:
+        while stream_step(self._next_step, self.stream)[1] < len(self._buf):
             out.append(self._emit(self._next_step, total=None))
             self._next_step += 1
         return out
@@ -137,18 +139,14 @@ class StreamSender:
         return out, total
 
     def _emit(self, i: int, total: int | None) -> StepEmission:
-        S, F = self.stream.stride, self.stream.lookahead
-        n_known = len(self._buf) if total is None else total
-        horizon = min((i + 1) * S - 1 + F, n_known - 1)
-        due_stop = min((i + 1) * S, n_known)
+        due, horizon = stream_step(i, self.stream, total)
         packets = []
         for f in range(self._coarse_sent, horizon + 1):
             packets.append(self._tx.coarse(_frame_head(self.gos, f, 0),
                                            self._buf[f, :self.gos.n_coarse]))
         self._coarse_sent = max(self._coarse_sent, horizon + 1)
-        due = range(i * S, due_stop)
         n_coarse, level = self.gos.n_coarse, self.level
-        conditions = stream_conditions(due, self.stream, n_known, n_coarse,
+        conditions = stream_conditions(due, self.stream, horizon, n_coarse,
                                        level)
         for f in due:
             for j, cells in _fine_slices(self.gos, f, level):
@@ -156,7 +154,7 @@ class StreamSender:
                     _frame_head(self.gos, f, j), self._buf, cells,
                     conditions[(f, n_coarse)]))
             self._latency.append(horizon + 1 - f)
-        return StepEmission(i, tuple(packets), (i * S, due_stop), horizon)
+        return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
 
 class StreamReceiver:
@@ -187,11 +185,10 @@ class StreamReceiver:
         if n <= cur:
             return
         K = self.gos.n_layers
-        fresh_states = TokenStateGrid.initial(
-            np.full(n - cur, self.level, dtype=np.int16), K).states
         self._tokens = np.concatenate(
             [self._tokens, np.zeros((n - cur, K), dtype=np.int32)])
-        self._states = np.concatenate([self._states, fresh_states])
+        self._states = np.concatenate(
+            [self._states, initial_states(n - cur, K, self.level)])
 
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's surviving packets and finalize its due frames.
@@ -205,11 +202,7 @@ class StreamReceiver:
         """
         if self._finished:
             raise RuntimeError("receiver already finished")
-        i = self._next_step
-        S, F = self.stream.stride, self.stream.lookahead
-        n_known = (i + 1) * S + F if total is None else total
-        horizon = min((i + 1) * S - 1 + F, n_known - 1)
-        due = range(i * S, min((i + 1) * S, n_known))
+        due, horizon = stream_step(self._next_step, self.stream, total)
 
         gl, n_coarse = self.gos.gos_len, self.gos.n_coarse
         coarse, fine, repaired = {}, {}, 0  # coarse: frame -> its tokens
@@ -242,7 +235,7 @@ class StreamReceiver:
         self.fec_recovered += repaired
 
         gos, level, cfg = self.gos, self.level, self.stream
-        conditions = stream_conditions(due, cfg, n_known, n_coarse, level)
+        conditions = stream_conditions(due, cfg, horizon, n_coarse, level)
         for f in due:
             slices = [(cells, fine.get((f, j)))
                       for j, cells in _fine_slices(gos, f, level)]
@@ -251,8 +244,7 @@ class StreamReceiver:
                             conditions[(f, n_coarse)], slices)
 
         sl = slice(due.start, due.stop)
-        depth = np.full(len(due), level, dtype=np.int16)
-        propagate_invalid(self._states[sl], depth)
+        propagate_invalid(self._states[sl])
         win = ConcealmentWindow(max(0, horizon + 1 - cfg.conceal_context),
                                 horizon + 1)
         self.n_blackouts += conceal_in_window(
@@ -261,7 +253,7 @@ class StreamReceiver:
         self._released = due.stop
         return StreamRelease(
             (due.start, due.stop), self._tokens[sl].copy(),
-            self._states[sl].copy(), _valid_depth(self._states[sl], depth))
+            self._states[sl].copy(), usable_depth(self._states[sl]))
 
     def finish(self, emissions, total: int) -> list:
         """Process the sender's flush emissions; returns their releases."""
@@ -277,7 +269,5 @@ class StreamReceiver:
         """(grid, states) after finish; grid.level is the usable depth."""
         if not self._finished:
             raise RuntimeError("stream not finished")
-        level = np.full(len(self._tokens), self.level, dtype=np.int16)
-        depth = _valid_depth(self._states, level)
-        return TokenGrid(self._tokens.copy(), depth, self.vocab), \
-            self._states.copy()
+        return TokenGrid(self._tokens.copy(), usable_depth(self._states),
+                         self.vocab), self._states.copy()

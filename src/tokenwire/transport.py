@@ -269,22 +269,7 @@ def channel_from_spec(spec: dict):
     raise ValueError(f"unknown channel type {kind!r}")
 
 
-def channel_to_spec(channel) -> dict:
-    if isinstance(channel, BernoulliChannel):
-        return {"type": "bernoulli", "loss_prob": channel.loss_prob}
-    if isinstance(channel, MarkovChannel):
-        return {"type": "markov",
-                "transition": [list(r) for r in channel.transition],
-                "loss_probs": list(channel.loss_probs)}
-    raise TypeError("not a channel")
-
-
 def load_channel(path):
     with open(path, "r", encoding="utf-8") as fh:
         return channel_from_spec(json.load(fh))
 
-
-def save_channel(path, channel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_spec(channel), fh, indent=2)
-        fh.write("\n")

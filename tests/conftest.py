@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tokenwire as tw
+from tokenwire.dependency import stream_conditions, stream_step
 
 # Mid-size stack shared by pipeline, streaming, and acceptance tests.
 # Big enough that reconstruction quality responds to packet loss, small
@@ -87,3 +88,13 @@ def random_grid(rng, n_frames, n_layers, vocab, level=None):
     tokens[:, level:] = 0
     levels = np.full(n_frames, level, dtype=np.int64)
     return tw.TokenGrid(tokens, levels, vocab)
+
+
+def stream_conditions_of(cfg, n_frames, n_coarse, level):
+    """The Conditions of every fine cell of an ``n_frames`` stream, merged
+    over its steps as both ends derive them."""
+    conds = {}
+    for i in range(-(-n_frames // cfg.stride)):
+        due, horizon = stream_step(i, cfg, n_frames)
+        conds.update(stream_conditions(due, cfg, horizon, n_coarse, level))
+    return conds

@@ -11,7 +11,6 @@ from tokenwire.audio import (
     AudioSignal,
     CodecConfig,
     analyze,
-    pad_to_frames,
     read_audio,
     read_f32,
     read_wav,
@@ -75,14 +74,6 @@ def test_codec_config_validation():
         CodecConfig(frame_len=8, dim=9)
     with pytest.raises(ValueError):
         CodecConfig(frame_len=8, dim=0)
-
-
-def test_pad_to_frames():
-    assert pad_to_frames(np.zeros(0), 160).shape == (160,)
-    assert pad_to_frames(np.zeros(160), 160).shape == (160,)
-    padded = pad_to_frames(np.ones(161), 160)
-    assert padded.shape == (320,)
-    assert padded[161:].sum() == 0.0
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))

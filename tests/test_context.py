@@ -109,6 +109,11 @@ def test_masked_query_rejects_visible_targets():
     MaskedQuery(tokens, np.array([2, 0, 2]), [(1, 0)])
     with pytest.raises(ValueError):
         MaskedQuery(tokens, np.array([2, 1, 2]), [(1, 0)])
+    # Several targets: the error names the first visible one.
+    MaskedQuery(tokens, np.array([0, 1, 1]), [(0, 0), (1, 1), (2, 1)])
+    with pytest.raises(ValueError, match=r"\(2,0\) is visible"):
+        MaskedQuery(tokens, np.array([0, 1, 1]),
+                    [(0, 0), (1, 1), (2, 0), (1, 0)])
 
 
 def test_masked_query_bounds_clamp():

@@ -13,9 +13,11 @@ from tokenwire.dependency import (
     build_windows,
     classify_loss,
     decodable,
+    propagate_invalid,
     slice_conditions,
     stream_conditions,
-    stream_geometry,
+    stream_step,
+    usable_depth,
 )
 from tokenwire.grid import (
     GosConfig,
@@ -27,6 +29,7 @@ from tokenwire.grid import (
 )
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender
+from conftest import stream_conditions_of
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -80,14 +83,25 @@ def test_window_validation():
     assert len(w) == 3 and w.contains(4) and not w.contains(5)
 
 
-def test_stream_geometry_hand_cases():
+def test_stream_step_hand_cases():
     cfg = StreamConfig(stride=3, lookahead=3, coding_context=12)
-    assert stream_geometry(0, cfg, 20) == (0, 3)
-    assert stream_geometry(7, cfg, 20) == (0, 10)
+
+    def context(i, t, total=None):
+        """First and last frame that frame t's fine tokens are coded
+        against, in step i of a stream of ``total`` frames."""
+        due, horizon = stream_step(i, cfg, total)
+        cond = stream_conditions(due, cfg, horizon, 1, 2)[(t, 1)]
+        return cond.lo, cond.hi - 1
+
+    assert stream_step(0, cfg) == (range(0, 3), 5)
+    assert context(0, 0) == (0, 3)
+    assert context(2, 7) == (0, 10)
     # Step of frame 13 ends at 14, horizon 17, context reaches back to 6.
-    assert stream_geometry(13, cfg, 20) == (6, 16)
-    # Horizon and lookahead clamp at the last frame.
-    assert stream_geometry(9, cfg, 10) == (0, 9)
+    assert stream_step(4, cfg) == (range(12, 15), 17)
+    assert context(4, 13) == (6, 16)
+    # Due frames, horizon and lookahead clamp at the last frame.
+    assert stream_step(3, cfg, 10) == (range(9, 10), 9)
+    assert context(3, 9, 10) == (0, 9)
 
 
 def test_periodic_dependency_structure():
@@ -155,8 +169,7 @@ def test_dependency_is_topological(gos, n_frames, data):
     assert len(pos) == len(ordered)
     group_of = {k - 1: j for j in range(gos.n_fine_groups + 1)
                 for k in gos.group_layers(j, level)}
-    conds = stream_conditions(range(n_frames), stream, n_frames,
-                              gos.n_coarse, level)
+    conds = stream_conditions_of(stream, n_frames, gos.n_coarse, level)
     assert set(conds) == {(t, k) for t in range(n_frames)
                           for k in range(gos.n_coarse, level)}
     for t, j in ordered:
@@ -173,7 +186,9 @@ def test_streaming_dependency_window():
     stream = StreamConfig(stride=2, lookahead=1, coding_context=4,
                           conceal_context=4)
     # Frame 7: step 3, horizon 8, context [5, 8], fine history [5, 7).
-    cond = stream_conditions(range(6, 8), stream, 12, n_coarse=1,
+    due, horizon = stream_step(3, stream)
+    assert (due, horizon) == (range(6, 8), 8)
+    cond = stream_conditions(due, stream, horizon, n_coarse=1,
                              level=2)[(7, 1)]
     assert cells_of(cond, 2) == [[5, 0], [5, 1], [6, 0], [6, 1], [7, 0],
                                  [8, 0]]
@@ -212,7 +227,8 @@ def test_coding_visibility_periodic():
 def test_coding_visibility_streaming():
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
-    cond = stream_conditions(range(3, 6), stream, 20, n_coarse=1,
+    due, horizon = stream_step(1, stream, 20)
+    cond = stream_conditions(due, stream, horizon, n_coarse=1,
                              level=3)[(4, 1)]
     target = np.array([[4, 1]])
     vis, rng = coding_view(cond, 20, 3, target)
@@ -277,8 +293,7 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
             rx.step(em.packets)
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
-        conds = stream_conditions(range(n_frames), cfg, n_frames,
-                                  gos.n_coarse, level)
+        conds = stream_conditions_of(cfg, n_frames, gos.n_coarse, level)
         n_slices = n_frames * sum(1 for j in range(1, gos.n_fine_groups + 1)
                                   if len(gos.group_layers(j, level)))
     # lossless: the sender and the receiver each code every fine slice once
@@ -290,13 +305,55 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
 
 
 def test_propagate_invalid():
-    from tokenwire.dependency import propagate_invalid
     states = np.array([[R, L, R, R], [R, R, R, R], [L, R, C, R]], dtype=np.int8)
-    propagate_invalid(states, np.array([4, 4, 3]))
+    propagate_invalid(states)
     np.testing.assert_array_equal(states[0], [R, L, I, I])
     np.testing.assert_array_equal(states[1], [R, R, R, R])
-    # Level 3: the last layer is beyond the frame's depth and left alone.
-    np.testing.assert_array_equal(states[2], [L, I, I, R])
+    np.testing.assert_array_equal(states[2], [L, I, I, I])
+    # Encoded at level 3: the receiver's layer 3 starts out INVALID and
+    # stays so above a received prefix.
+    states = np.array([[R, R, R, I], [R, L, R, I]], dtype=np.int8)
+    propagate_invalid(states)
+    np.testing.assert_array_equal(states, [[R, R, R, I], [R, L, I, I]])
+
+
+def plain_prefix(row, level, ok):
+    """Length of a row's leading run of ``ok`` states below ``level``."""
+    d = 0
+    while d < level and row[d] in ok:
+        d += 1
+    return d
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_prefix_rule_matches_a_per_row_reading(seed, n_frames, n_layers,
+                                               data):
+    """Invalidation, the usable depth and the damaged frames, read from
+    states that are INVALID from the encode level up, agree with reading
+    each row below an explicitly given level."""
+    level = data.draw(st.integers(1, n_layers))
+    rng = np.random.default_rng(seed)
+    states = rng.choice([R, L, I, C], size=(n_frames, n_layers),
+                        p=[0.7, 0.1, 0.1, 0.1]).astype(np.int8)
+    states[:, level:] = I
+    rows = states.tolist()
+
+    depth = usable_depth(states)
+    assert depth.dtype == np.int16
+    assert depth.tolist() == [plain_prefix(r, level, (R, C)) for r in rows]
+
+    damaged = [t for t, r in enumerate(rows)
+               if any(c != R for c in r[:level])]
+    windows = build_windows(states, level, 1)  # no padding at length 1
+    assert [w.start for w in windows] == damaged
+
+    want = states.copy()
+    for r in want:
+        r[plain_prefix(r.tolist(), level, (R,)) + 1:level] = I
+    propagate_invalid(states)
+    np.testing.assert_array_equal(states, want)
 
 
 def window_spans(windows):
@@ -304,28 +361,26 @@ def window_spans(windows):
 
 
 def test_build_windows_hand_cases():
-    lvl = np.full(20, 2)
     states = np.full((20, 2), R, dtype=np.int8)
-    assert build_windows(states, lvl, 5) == []
+    assert build_windows(states, 2, 5) == []
 
     states[5, 1] = L
-    assert window_spans(build_windows(states, lvl, 5)) == [(3, 8)]
+    assert window_spans(build_windows(states, 2, 5)) == [(3, 8)]
 
     # Two nearby single-frame runs with a tight cap stay centered.
     states = np.full((6, 2), R, dtype=np.int8)
     states[1, 0] = L
     states[4, 1] = L
-    assert window_spans(build_windows(states, np.full(6, 2), 3)) == \
+    assert window_spans(build_windows(states, 2, 3)) == \
         [(0, 3), (3, 6)]
 
 
 def test_build_windows_chunks_long_runs():
     states = np.full((30, 1), L, dtype=np.int8)
-    lvl = np.ones(30)
-    assert window_spans(build_windows(states, lvl, 12)) == \
+    assert window_spans(build_windows(states, 1, 12)) == \
         [(0, 12), (12, 24), (24, 30)]
     with pytest.raises(ValueError):
-        build_windows(states, lvl, 0)
+        build_windows(states, 1, 0)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8))
@@ -333,8 +388,7 @@ def test_build_windows_chunks_long_runs():
 def test_build_windows_properties(seed, n_frames, max_len):
     rng = np.random.default_rng(seed)
     states = rng.choice([R, L], size=(n_frames, 2), p=[0.7, 0.3]).astype(np.int8)
-    lvl = np.full(n_frames, 2)
-    windows = build_windows(states, lvl, max_len)
+    windows = build_windows(states, 2, max_len)
     damaged = {t for t in range(n_frames) if (states[t] != R).any()}
     covered = set()
     prev_stop = 0
@@ -432,14 +486,13 @@ def test_conceal_mask_shapes_and_errors():
     states[2, 2] = I
     win = ConcealmentWindow(0, 6)
     targets = [(2, 1, LossCase.FINE)]
-    visible, frame_range = build_conceal_mask(targets, states, win, np.full(6, sg.level))
+    visible, frame_range = build_conceal_mask(targets, states, win)
     assert frame_range == (0, 6)
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])
     with pytest.raises(ValueError):
-        build_conceal_mask([], states, win, np.full(6, sg.level))
+        build_conceal_mask([], states, win)
     with pytest.raises(ValueError):
-        build_conceal_mask([(9, 1, LossCase.FINE)], states, win,
-                           np.full(6, sg.level))
+        build_conceal_mask([(9, 1, LossCase.FINE)], states, win)
 
 
 def test_conceal_mask_excludes_concealed_cells():
@@ -449,8 +502,7 @@ def test_conceal_mask_excludes_concealed_cells():
     states[2, 1] = L
     states[2, 2] = I
     visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
-                                    ConcealmentWindow(0, 6),
-                                    np.full(6, sg.level))
+                                    ConcealmentWindow(0, 6))
     assert visible[1] == 1
 
 
@@ -459,6 +511,5 @@ def test_conceal_mask_level_cap():
     states = fresh_states(sg)
     states[2, 1] = L
     visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
-                                    ConcealmentWindow(0, 6),
-                                    np.full(6, sg.level))
+                                    ConcealmentWindow(0, 6))
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])

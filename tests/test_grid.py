@@ -11,18 +11,16 @@ from tokenwire.grid import (
     StreamConfig,
     TokenGrid,
     TokenState,
-    TokenStateGrid,
     build_slice_grid,
     default_layer_bounds,
-    load_token_grid,
+    initial_states,
     periodic_slicing,
-    save_token_grid,
 )
 from tokenwire.context import UniformModel
-from tokenwire.dependency import slice_conditions, stream_conditions
+from tokenwire.dependency import slice_conditions
 from tokenwire.errors import ConfigError
 from tokenwire.streaming import StreamSender
-from conftest import random_grid
+from conftest import stream_conditions_of
 
 
 def assert_partition(sg):
@@ -54,10 +52,12 @@ def test_token_grid_validation():
 
 
 def test_state_grid_initial_marks_dead_cells():
-    sg = TokenStateGrid.initial(np.array([2, 0, 3]), 3)
-    assert (sg.states[0] == [TokenState.LOST, TokenState.LOST, TokenState.INVALID]).all()
-    assert (sg.states[1] == TokenState.INVALID).all()
-    assert (sg.states[2] == TokenState.LOST).all()
+    states = initial_states(3, 4, 2)
+    assert states.dtype == np.int8 and states.shape == (3, 4)
+    assert (states[:, :2] == TokenState.LOST).all()
+    assert (states[:, 2:] == TokenState.INVALID).all()
+    # Encoded at full depth, nothing starts out INVALID.
+    assert (initial_states(2, 3, 3) == TokenState.LOST).all()
 
 
 def test_gos_config_validation():
@@ -186,8 +186,8 @@ def test_emission_order_streaming():
     assert [(p.gos_id, p.unit) for p in packets[:5]] == \
         [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
     # Each frame is its own slice and none of them is a key slice.
-    assert not any(c.key for c in stream_conditions(range(5), cfg, 5, 1,
-                                                    3).values())
+    assert not any(c.key for c in stream_conditions_of(cfg, 5, 1,
+                                                       3).values())
 
 
 def test_level_truncation_drops_upper_groups():
@@ -249,37 +249,3 @@ def test_stream_config_validation():
     StreamConfig(stride=3, lookahead=3, coding_context=6, conceal_context=6)
     with pytest.raises(ConfigError, match="stride 3 \\+ lookahead 3"):
         StreamConfig(stride=3, lookahead=3, coding_context=5)
-
-
-def test_token_grid_file_round_trip(tmp_path, rng):
-    grid = random_grid(rng, 17, 5, 300)
-    grid.level[3] = 2
-    grid.tokens[3, 2:] = 77  # dead cells; the file zeroes them
-    path = tmp_path / "g.tok"
-    save_token_grid(path, grid)
-    back = load_token_grid(path)
-    assert back.vocab == 300
-    np.testing.assert_array_equal(back.level, grid.level)
-    live = np.arange(5)[None, :] < grid.level[:, None]
-    np.testing.assert_array_equal(back.tokens[live], grid.tokens[live])
-    assert np.all(back.tokens[~live] == 0)
-
-
-def test_token_grid_file_vocab_65536(tmp_path, rng):
-    grid = random_grid(rng, 3, 2, 65536)
-    path = tmp_path / "wide.tok"
-    save_token_grid(path, grid)
-    assert load_token_grid(path).vocab == 65536
-
-
-def test_token_grid_file_rejects_garbage(tmp_path, rng):
-    path = tmp_path / "bad.tok"
-    path.write_bytes(b"WHAT")
-    with pytest.raises(ValueError):
-        load_token_grid(path)
-    grid = random_grid(rng, 4, 2, 16)
-    good = tmp_path / "good.tok"
-    save_token_grid(good, grid)
-    good.write_bytes(good.read_bytes()[:-1])
-    with pytest.raises(ValueError):
-        load_token_grid(good)

@@ -12,12 +12,10 @@ from tokenwire.transport import (
     MarkovChannel,
     Packet,
     channel_from_spec,
-    channel_to_spec,
     load_channel,
     pack_bits,
     read_packets,
     read_trace,
-    save_channel,
     token_bits,
     unpack_bits,
     write_packets,
@@ -199,13 +197,16 @@ def test_markov_sample_loss_rate():
 
 
 def test_channel_spec_round_trip(tmp_path):
-    for ch in (BernoulliChannel(0.25), MarkovChannel()):
-        spec = channel_to_spec(ch)
-        assert channel_from_spec(spec) == ch
-        path = tmp_path / "chan.json"
-        save_channel(path, ch)
-        assert load_channel(path) == ch
+    path = tmp_path / "chan.json"
+    path.write_text('{"type": "bernoulli", "loss_prob": 0.25}\n')
+    assert load_channel(path) == BernoulliChannel(0.25)
+    path.write_text('{"type": "markov",\n'
+                    ' "transition": [[0.9, 0.1, 0.0], [0.2, 0.7, 0.1],'
+                    ' [0.0, 0.5, 0.5]],\n'
+                    ' "loss_probs": [0.0, 0.5, 1.0]}\n')
+    assert load_channel(path) == MarkovChannel(
+        ((0.9, 0.1, 0.0), (0.2, 0.7, 0.1), (0.0, 0.5, 0.5)), (0.0, 0.5, 1.0))
+    # Omitted Markov parameters take the defaults.
+    assert channel_from_spec({"type": "markov"}) == MarkovChannel()
     with pytest.raises(ValueError):
         channel_from_spec({"type": "laplace"})
-    with pytest.raises(TypeError):
-        channel_to_spec("not a channel")
