@@ -11,9 +11,10 @@ __version__ = "0.1.0"
 
 from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
                     write_audio)
-from .context import (PMF_TOTAL, CountModel, MaskedQuery, Pmf, TrainSchedule,
-                      UniformModel, beta, load_count_model, quantize_weights,
-                      save_count_model, train_count_model, uniform_pmf)
+from .context import (PMF_TOTAL, CountModel, MaskedQuery, TrainSchedule,
+                      UniformModel, View, beta, load_count_model,
+                      quantize_weights, save_count_model, train_count_model,
+                      uniform_pmf)
 from .dependency import (ConcealmentWindow, LossCase, build_conceal_mask,
                          build_windows, classify_loss, propagate_invalid)
 from .errors import ConfigError, DecodeError
@@ -26,7 +27,7 @@ from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
 from .metrics import mfcc, mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import (ReceiverReport, SenderReport, receive, receive_tokens,
                        send, send_tokens)
-from .rangecoder import CodedSlice, decode_symbols, encode_symbols, ideal_bits
+from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import (Codebook, RvqCodec, dequantize, load_codec, quantize,
                   save_codec, train_codebooks)
 from .streaming import StreamReceiver, StreamSender

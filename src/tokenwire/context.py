@@ -1,8 +1,9 @@
 """Context models that turn masked token grids into per-cell PMFs.
 
-A query exposes a token grid where every frame is visible only up to some
-prefix depth; the model returns, for each requested cell, a probability
-mass function quantized to a fixed 16-bit total so that encoder and
+A query exposes a token grid through views: each view shows the first
+``visible[i]`` layers of the frames of one window and names the target
+cells it prices there. The model returns, for every target, a row of
+cumulative frequencies over a fixed 16-bit total, so that encoder and
 decoder arithmetic is integer-only and bit-identical.
 
 The count model keys each cell on at most three neighbors: the nearest
@@ -11,15 +12,27 @@ the token directly below in the same frame, and the symmetric right
 neighbor. Neighbor selection prefers the deepest usable frame and breaks
 ties toward the nearest one, so a far frame that is visible at the cell's
 own layer beats an adjacent frame that only shows shallow layers.
+
+Which cells the neighbors are depends on the visibility alone, never on
+token values, so a query computes them once per distinct view shape (a
+fixed-size cache; a periodic layout or a stream cadence has a handful)
+and reads a whole query's context with one gather. The count model
+compiles its counts, when first priced after a change, into one dense
+table: sorted conditional keys with their cumulative rows, plus one
+marginal-or-uniform fallback row per layer. It prices a query with one
+key search. Callers put every slice they can price together into one
+query.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,130 +50,106 @@ def beta(tau: float) -> float:
     return 0.5 * (1.0 + math.sin((0.5 - tau) * math.pi))
 
 
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """Per row, each entry's position in a stable ascending sort of ``key``."""
+    order = np.argsort(key, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order,
+                      np.broadcast_to(np.arange(key.shape[1]), key.shape),
+                      axis=1)
+    return ranks
+
+
 def quantize_weights(weights: np.ndarray, total: int = PMF_TOTAL) -> np.ndarray:
     """Round positive weights to integer frequencies summing to ``total``.
 
-    Largest-remainder rounding; every frequency is forced to at least 1 and
-    the deficit is taken from the largest entries.
+    ``weights`` is one vector, or a (rows, symbols) array quantized row by
+    row. Largest-remainder rounding, ties to the lower index; every
+    frequency is forced to at least 1 and the deficit is taken from the
+    largest entry, the lowest-indexed one on ties.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or len(w) < 2:
+    if w.ndim not in (1, 2) or w.shape[-1] < 2:
         raise ValueError("weights must be a vector of at least two entries")
-    if len(w) > total:
+    if w.shape[-1] > total:
         raise ValueError("more symbols than frequency budget")
-    s = float(w.sum())
-    if not np.isfinite(s) or s <= 0 or np.any(w < 0):
+    rows = w.reshape(-1, w.shape[-1])
+    s = rows.sum(axis=1)
+    if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(rows < 0):
         raise ValueError("weights must be non-negative with a positive sum")
     # divide before scaling: total/s overflows when s is subnormal
-    target = (w / s) * total
+    target = (rows / s[:, None]) * total
     freq = np.floor(target).astype(np.int64)
-    rem = total - int(freq.sum())
-    if rem > 0:
-        frac = target - freq
-        order = np.lexsort((np.arange(len(w)), -frac))
-        freq[order[:rem]] += 1
-    elif rem < 0:
-        order = np.argsort(-freq, kind="stable")
-        for i in order[: -rem]:
-            freq[i] -= 1
-    short = np.flatnonzero(freq == 0)
-    if len(short):
-        freq[short] = 1
-        deficit = len(short)
-        while deficit > 0:
-            top = int(np.argmax(freq))
-            take = min(deficit, int(freq[top]) - 1)
-            if take <= 0:
-                raise ValueError("cannot satisfy the minimum-frequency floor")
-            freq[top] -= take
-            deficit -= take
-    return freq.astype(np.uint32)
+    rem = total - freq.sum(axis=1)
+    if np.any(rem > 0):  # largest remainders take the spare units
+        freq += _ranks(freq - target) < rem[:, None]
+    if np.any(rem < 0):  # largest frequencies give up the excess
+        freq -= _ranks(-freq) < -rem[:, None]
+    short = freq == 0
+    deficit = short.sum(axis=1)
+    freq[short] = 1
+    while np.any(deficit > 0):
+        r = np.flatnonzero(deficit > 0)
+        top = freq[r].argmax(axis=1)
+        take = np.minimum(deficit[r], freq[r, top] - 1)
+        if np.any(take <= 0):
+            raise ValueError("cannot satisfy the minimum-frequency floor")
+        freq[r, top] -= take
+        deficit[r] -= take
+    return freq.astype(np.uint32).reshape(w.shape)
 
 
-@dataclass
-class Pmf:
-    """Integer PMF over the vocabulary; frequencies sum to PMF_TOTAL."""
-
-    freq: np.ndarray
-
-    def __post_init__(self):
-        self.freq = np.ascontiguousarray(self.freq, dtype=np.uint32)
-        if self.freq.ndim != 1:
-            raise ValueError("freq must be a vector")
-        if int(self.freq.sum()) != PMF_TOTAL:
-            raise ValueError("frequencies must sum to the fixed total")
-        if int(self.freq.min()) < 1:
-            raise ValueError("every symbol needs a nonzero frequency")
-        self._cum = None
-
-    @property
-    def cum(self) -> np.ndarray:
-        """Inclusive cumulative frequencies, cached."""
-        if self._cum is None:
-            self._cum = np.cumsum(self.freq, dtype=np.uint32)
-        return self._cum
-
-    def bits(self, symbol: int) -> float:
-        return -math.log2(self.freq[symbol] / PMF_TOTAL)
-
-
-def uniform_pmf(vocab: int) -> Pmf:
+def uniform_pmf(vocab: int) -> np.ndarray:
+    """Near-uniform frequencies over ``vocab`` symbols summing to
+    PMF_TOTAL; the first ``PMF_TOTAL % vocab`` symbols get one unit more."""
     base, rem = divmod(PMF_TOTAL, vocab)
     freq = np.full(vocab, base, dtype=np.uint32)
     freq[:rem] += 1
-    return Pmf(freq)
+    return freq
 
 
-@dataclass
-class MaskedQuery:
-    """A grid with per-frame visible prefix depths plus target cells.
+def cumulative(freq: np.ndarray) -> np.ndarray:
+    """(rows, symbols + 1) uint32 cumulative rows of (rows, symbols)
+    frequencies: symbol s owns ``[row[s], row[s + 1])``."""
+    cum = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.uint32)
+    np.cumsum(freq, axis=1, dtype=np.uint32, out=cum[:, 1:])
+    return cum
 
-    tokens: (T, n_layers) token values; only cells below ``visible`` are read.
-    visible: per-frame count of visible layers (prefix).
-    targets: (n, 2) int array of 0-based (frame, layer) cells to predict.
-    frame_range: optional (lo, hi) half-open frame window bounding all
-        context scans, e.g. a group-of-slices or concealment window.
+
+def _mode(cum: np.ndarray) -> np.ndarray:
+    """Most probable symbol of each cumulative row, lowest index on ties."""
+    return np.diff(cum, axis=1).argmax(axis=1).astype(np.int64)
+
+
+class View(NamedTuple):
+    """Target cells seen through one window of visible prefixes.
+
+    The first ``visible[i]`` layers of frame ``lo + i`` are visible, for
+    the frames ``[lo, lo + len(visible))``. Every target lies in the window
+    and is itself hidden; context scans never leave the window.
     """
 
-    tokens: np.ndarray
+    lo: int
     visible: np.ndarray
     targets: np.ndarray
-    frame_range: tuple | None = None
-
-    def __post_init__(self):
-        self.tokens = np.asarray(self.tokens)
-        self.visible = np.asarray(self.visible, dtype=np.int64)
-        self.targets = np.asarray(self.targets, dtype=np.int64).reshape(-1, 2)
-        if self.visible.shape != (self.visible.size,) or \
-                self.tokens.shape[0] != self.visible.size:
-            raise ValueError("visible must have one entry per frame")
-        shown = self.visible[self.targets[:, 0]] > self.targets[:, 1]
-        if shown.any():
-            t, k = self.targets[int(shown.argmax())]
-            raise ValueError(f"target cell ({t},{k}) is visible")
-
-    def bounds(self) -> tuple:
-        if self.frame_range is None:
-            return 0, self.tokens.shape[0]
-        lo, hi = self.frame_range
-        return max(0, int(lo)), min(self.tokens.shape[0], int(hi))
 
 
-SENTINEL = -1  # encoded as `vocab` in context keys
+SENTINEL = -1  # a missing neighbor; encoded as `vocab` in context keys
+_NONE = (-1, 0)  # the source cell of a missing neighbor
 
 
-def _scan(tokens, visible, t, k, lo, hi, step) -> int:
-    """Nearest-deepest neighbor token on one side of frame t for layer k.
+def _nearest_deepest(visible: list, t: int, k: int, step: int) -> tuple:
+    """(frame, layer) of the neighbor of frame t for layer k on one side.
 
     Candidate frames are scanned outward from t; a frame with visible depth
-    d contributes its token at layer min(k+1, d). Deeper wins, nearest
-    breaks ties. Returns SENTINEL when no frame shows anything.
+    d offers its cell at layer min(k+1, d) - 1. Deeper wins, nearest
+    breaks ties. Returns (-1, 0) when no frame shows anything.
     """
     want = k + 1
     best_d = 0
     best_t = -1
     t2 = t + step
-    while lo <= t2 < hi:
+    while 0 <= t2 < len(visible):
         d = visible[t2]
         if d > want:
             d = want
@@ -170,27 +159,101 @@ def _scan(tokens, visible, t, k, lo, hi, step) -> int:
             if best_d == want:
                 break
         t2 += step
-    if best_t < 0:
-        return SENTINEL
-    return int(tokens[best_t, best_d - 1])
+    return (best_t, best_d - 1) if best_t >= 0 else _NONE
 
 
-def context_key_parts(query: MaskedQuery, t: int, k: int) -> tuple:
-    """(layer, left, below, right) for one target cell."""
-    lo, hi = query.bounds()
-    left = _scan(query.tokens, query.visible, t, k, lo, hi, -1)
-    below = int(query.tokens[t, k - 1]) if k >= 1 and query.visible[t] >= k \
-        else SENTINEL
-    right = _scan(query.tokens, query.visible, t, k, lo, hi, +1)
-    return k, left, below, right
+@functools.lru_cache(maxsize=4096)
+def _plan(visible: bytes, targets: bytes) -> np.ndarray:
+    """Neighbor plan of one view shape, relative to its window.
+
+    ``visible`` and ``targets`` are the int64 bytes of the window's depths
+    and of the targets with frames counted from the window start. Returns
+    (n, 3, 2): per target the (frame, layer) of its left, below and right
+    neighbor, frame -1 where there is none. Read-only, as it is shared.
+    Raises ``ValueError(index, reason)`` for a target it cannot plan.
+    """
+    vis = np.frombuffer(visible, dtype=np.int64).tolist()
+    out = []
+    for i, (t, k) in enumerate(
+            np.frombuffer(targets, dtype=np.int64).reshape(-1, 2).tolist()):
+        if not (0 <= t < len(vis) and k >= 0):
+            raise ValueError(i, "lies outside its window")
+        if vis[t] > k:
+            raise ValueError(i, "is visible")
+        below = (t, k - 1) if k >= 1 and vis[t] >= k else _NONE
+        out.append((_nearest_deepest(vis, t, k, -1), below,
+                    _nearest_deepest(vis, t, k, +1)))
+    plan = np.array(out, dtype=np.int64).reshape(-1, 3, 2)
+    plan.flags.writeable = False
+    return plan
 
 
-def encode_key(vocab: int, layer: int, left: int, below: int, right: int) -> int:
+class MaskedQuery:
+    """Target cells of one token grid, each priced through its view.
+
+    tokens: (T, n_layers) token values; only visible cells are read.
+    views: ``View``s over frames of ``tokens``.
+    targets: (n, 2) int64 (frame, layer) of every view's targets, in order.
+    sources: (n, 3, 2) int64, per target the (frame, layer) of its left,
+        below and right neighbor; frame -1 where there is none.
+
+    Raises ``ValueError`` for a view outside the grid, or a target outside
+    its window or visible in it.
+    """
+
+    def __init__(self, tokens: np.ndarray, views):
+        self.tokens = np.asarray(tokens)
+        self.views = list(views)
+        if self.tokens.ndim != 2:
+            raise ValueError("tokens must be 2-d (frames by layers)")
+        if not self.views:
+            raise ValueError("a query needs at least one view")
+        tg = [np.asarray(v.targets).reshape(-1, 2) for v in self.views]
+        counts = [len(t) for t in tg]
+        widths = [len(v.visible) for v in self.views]
+        self.targets = np.concatenate(tg).astype(np.int64, copy=False)
+        lo = np.repeat(np.array([v.lo for v in self.views], dtype=np.int64),
+                       counts)
+        rel = self.targets.copy()
+        rel[:, 0] -= lo
+        vis = np.concatenate([v.visible for v in self.views]).astype(
+            np.int64, copy=False).tobytes()
+        rel = rel.tobytes()
+        plans = []
+        a = b = 0
+        for v, n, w in zip(self.views, counts, widths):
+            if not 0 <= v.lo <= len(self.tokens) - w:
+                raise ValueError(f"window [{v.lo}, {v.lo + w}) lies outside "
+                                 f"the {len(self.tokens)}-frame grid")
+            try:
+                plans.append(_plan(vis[8 * a:8 * (a + w)],
+                                   rel[16 * b:16 * (b + n)]))
+            except ValueError as bad:
+                i, reason = bad.args
+                t, k = self.targets[b + i].tolist()
+                raise ValueError(f"target cell ({t},{k}) {reason}") from None
+            a += w
+            b += n
+        self.sources = np.concatenate(plans)
+        frames = self.sources[..., 0]
+        frames += np.where(frames >= 0, lo[:, None], 0)
+
+    def context(self) -> tuple:
+        """(layer, left, below, right) per target, as int64 arrays; a
+        missing neighbor reads SENTINEL. Tokens are read now, so cells
+        decoded after the query was built count."""
+        frames = self.sources[..., 0]
+        near = self.tokens[np.maximum(frames, 0),
+                           self.sources[..., 1]].astype(np.int64)
+        near[frames < 0] = SENTINEL
+        return self.targets[:, 1], near[:, 0], near[:, 1], near[:, 2]
+
+
+def encode_key(vocab: int, layer, left, below, right):
+    """Integer key of a context, elementwise on arrays; SENTINEL (-1)
+    codes as ``vocab`` (``-1 % (vocab + 1)``)."""
     m = vocab + 1
-    l = vocab if left == SENTINEL else left
-    b = vocab if below == SENTINEL else below
-    r = vocab if right == SENTINEL else right
-    return ((layer * m + l) * m + b) * m + r
+    return ((layer * m + left % m) * m + below % m) * m + right % m
 
 
 @dataclass
@@ -202,15 +265,31 @@ class UniformModel:
     def __post_init__(self):
         if self.vocab < 2:
             raise ValueError("vocab must be at least 2")
-        self._pmf = uniform_pmf(self.vocab)
+        self._cum = cumulative(uniform_pmf(self.vocab)[None])
 
-    def pmf(self, query: MaskedQuery):
+    def pmf(self, query: MaskedQuery) -> tuple:
+        """(cumulative rows, fallback names), one per target."""
         n = len(query.targets)
-        return [self._pmf] * n, ["uniform"] * n
+        return np.broadcast_to(self._cum, (n, self.vocab + 1)), ["uniform"] * n
 
     def predict(self, query: MaskedQuery) -> np.ndarray:
-        pmfs, _ = self.pmf(query)
-        return np.array([int(np.argmax(p.freq)) for p in pmfs], dtype=np.int64)
+        return _mode(self.pmf(query)[0])
+
+
+FALLBACKS = ("conditional", "marginal", "uniform")
+
+
+class _Table(NamedTuple):
+    """A count model compiled for pricing.
+
+    ``keys`` holds the sorted conditional keys and one key above them all;
+    ``cum`` their cumulative rows, then one fallback row per layer; and
+    ``kind`` each row's index into FALLBACKS.
+    """
+
+    keys: np.ndarray
+    cum: np.ndarray
+    kind: np.ndarray
 
 
 @dataclass
@@ -218,7 +297,9 @@ class CountModel:
     """Neighbor-context count table with Laplace smoothing.
 
     Falls back from the exact context to the per-layer marginal, then to
-    uniform, when a key was never observed in training.
+    uniform, when a key was never observed in training. The counts are
+    compiled into one dense table when first priced; ``observe`` discards
+    it.
     """
 
     vocab: int
@@ -237,39 +318,41 @@ class CountModel:
             raise ValueError("alpha must be positive")
         if self.marginals is None:
             self.marginals = np.zeros((self.n_layers, self.vocab), dtype=np.int64)
-        self._uniform = uniform_pmf(self.vocab)
-        self._pmf_cache: dict = {}
+        self._table: _Table | None = None
 
-    def _pmf_for_key(self, key: int, layer: int):
-        hit = self._pmf_cache.get(key)
-        if hit is not None:
-            return hit
-        counts = self.tables.get(key)
-        if counts is not None:
-            out = (Pmf(quantize_weights(counts + self.alpha)), "conditional")
-        elif int(self.marginals[layer].sum()) > 0:
-            out = (Pmf(quantize_weights(self.marginals[layer] + self.alpha)),
-                   "marginal")
-        else:
-            out = (self._uniform, "uniform")
-        self._pmf_cache[key] = out
-        return out
+    def _compiled(self) -> _Table:
+        if self._table is None:
+            keys = sorted(self.tables)
+            counts = np.array([self.tables[k] for k in keys],
+                              dtype=np.float64).reshape(-1, self.vocab)
+            seen = self.marginals.sum(axis=1) > 0
+            freq = quantize_weights(np.concatenate([counts, self.marginals])
+                                    + self.alpha)
+            freq[len(keys) + np.flatnonzero(~seen)] = uniform_pmf(self.vocab)
+            kind = np.concatenate([np.zeros(len(keys), dtype=np.int64),
+                                   np.where(seen, 1, 2)])
+            self._table = _Table(
+                np.array(keys + [np.iinfo(np.int64).max], dtype=np.int64),
+                cumulative(freq), kind)
+        return self._table
 
-    def pmf(self, query: MaskedQuery):
-        pmfs = []
-        fallbacks = []
-        for t, k in query.targets:
-            layer, left, below, right = context_key_parts(query, int(t), int(k))
-            key = encode_key(self.vocab, layer, left, below, right)
-            p, fb = self._pmf_for_key(key, layer)
-            pmfs.append(p)
-            fallbacks.append(fb)
-        return pmfs, fallbacks
+    def pmf(self, query: MaskedQuery) -> tuple:
+        """(cumulative rows, fallback names), one per target.
+
+        Row i is an (vocab + 1) uint32 row: target i's symbol s owns
+        ``[row[s], row[s + 1])`` of PMF_TOTAL.
+        """
+        layer, left, below, right = query.context()
+        keys = encode_key(self.vocab, layer, left, below, right)
+        table = self._compiled()
+        pos = np.searchsorted(table.keys, keys)
+        rows = np.where(table.keys[pos] == keys, pos,
+                        len(table.keys) - 1 + layer)
+        return table.cum[rows], [FALLBACKS[c] for c in table.kind[rows].tolist()]
 
     def predict(self, query: MaskedQuery) -> np.ndarray:
         """Maximum-likelihood token per target cell."""
-        pmfs, _ = self.pmf(query)
-        return np.array([int(np.argmax(p.freq)) for p in pmfs], dtype=np.int64)
+        return _mode(self.pmf(query)[0])
 
     def observe(self, query: MaskedQuery, symbols) -> None:
         """Accumulate (context, token) pairs from one query.
@@ -283,17 +366,17 @@ class CountModel:
             raise ValueError("one symbol per target required")
         if symbols.size and (symbols.min() < 0 or symbols.max() >= self.vocab):
             raise ValueError("symbol outside vocabulary")
-        for (t, k), sym in zip(query.targets, symbols):
-            layer, left, below, right = context_key_parts(query, int(t), int(k))
-            key = encode_key(self.vocab, layer, left, below, right)
+        layer, left, below, right = query.context()
+        keys = encode_key(self.vocab, layer, left, below, right)
+        for key, k, sym in zip(keys.tolist(), layer.tolist(), symbols.tolist()):
             counts = self.tables.get(key)
             if counts is None:
                 counts = np.zeros(self.vocab, dtype=np.int64)
                 self.tables[key] = counts
-            counts[int(sym)] += 1
-            self.marginals[layer, int(sym)] += 1
+            counts[sym] += 1
+            self.marginals[k, sym] += 1
             self.n_observed += 1
-        self._pmf_cache.clear()
+        self._table = None
 
 
 @dataclass
@@ -355,7 +438,6 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
                 continue
             masked = np.sort(rng.choice(T, size=n_masked, replace=False))
             _accumulate_sample(model, g.tokens, masked, K, k_low, m1)
-    model._pmf_cache = {}
     return model
 
 

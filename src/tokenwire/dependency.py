@@ -3,7 +3,7 @@
 The coding dependency decides which cells must be recovered bit-exactly
 before a fine slice can be entropy-decoded. It is stated once per slice,
 as ``Conditions``: a visible-prefix depth per frame over a frame range.
-The coder's query shows exactly those cells, and the receiver decodes the
+The coder's view shows exactly those cells, and the receiver decodes the
 slice only once all of them are RECEIVED, so sender, receiver and decode
 gate cannot disagree. The periodic batch layout derives its Conditions
 from the layout, the streaming layout in closed form from the step
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .context import MaskedQuery
+from .context import View
 from .grid import SliceGrid, StreamConfig, TokenState
 
 R = int(TokenState.RECEIVED)
@@ -84,12 +85,9 @@ class Conditions(NamedTuple):
         """(len(depth), n_layers) boolean mask of the condition cells."""
         return np.arange(n_layers) < self.depth[:, None]
 
-    def query(self, tokens: np.ndarray, targets: np.ndarray) -> MaskedQuery:
-        """The coding query for ``targets``, showing the condition cells."""
-        visible = np.zeros(len(tokens), dtype=np.int64)
-        visible[self.lo:self.hi] = self.depth
-        return MaskedQuery(tokens, visible, targets,
-                           frame_range=(self.lo, self.hi))
+    def view(self, targets: np.ndarray) -> View:
+        """The coding view of ``targets``, showing the condition cells."""
+        return View(self.lo, self.depth, targets)
 
 
 def decodable(states: np.ndarray, cond: Conditions) -> bool:
@@ -141,24 +139,32 @@ def slice_conditions(sg: SliceGrid) -> dict:
 
     A fine slice was coded against the coarse layers of its
     group-of-slices; a non-key slice also against the key unit's frames
-    up to the top of its own layer group.
+    up to the top of its own layer group. Slices of one group-of-slices
+    coded against the same cells share one Conditions.
     """
     gos = sg.gos
-    lookup: dict = {}
+    shared: dict = {}
+    fine, conds = [], []
     for sid, cells in sg.slices.items():
         if sid.group == 0:
             continue
-        lo = sid.gos * gos.gos_len
-        depth = np.full(min(gos.gos_len, sg.n_frames - lo), gos.n_coarse,
-                        dtype=np.int64)
         key = sid.unit == gos.key_unit
-        if not key:
-            depth[gos.key_unit - 1::gos.n_units] = min(
-                gos.layer_bounds[sid.group + 1], sg.level)
-        cond = Conditions(key, lo, depth)
-        for t, k in cells.tolist():
-            lookup[(t, k)] = cond
-    return lookup
+        share = (sid.gos, 0 if key else sid.group)
+        cond = shared.get(share)
+        if cond is None:
+            lo = sid.gos * gos.gos_len
+            depth = np.full(min(gos.gos_len, sg.n_frames - lo), gos.n_coarse,
+                            dtype=np.int64)
+            if not key:
+                depth[gos.key_unit - 1::gos.n_units] = min(
+                    gos.layer_bounds[sid.group + 1], sg.level)
+            cond = shared[share] = Conditions(key, lo, depth)
+        fine.append(cells)
+        conds.append(repeat(cond, len(cells)))
+    if not fine:
+        return {}
+    return dict(zip(map(tuple, np.concatenate(fine).tolist()),
+                    chain.from_iterable(conds)))
 
 
 def prefix_depth(ok: np.ndarray) -> np.ndarray:
@@ -279,8 +285,8 @@ def classify_loss(states: np.ndarray, window: ConcealmentWindow,
 
 
 def build_conceal_mask(targets: list, states: np.ndarray,
-                       window: ConcealmentWindow) -> tuple:
-    """(visible depths, frame_range) for a concealment query.
+                       window: ConcealmentWindow) -> View:
+    """The concealment view of ``targets`` over the window.
 
     Conditions are received cells inside the window, bi-directional in time
     but capped at the highest target layer; within a frame that has targets
@@ -294,7 +300,7 @@ def build_conceal_mask(targets: list, states: np.ndarray,
         if not window.contains(t):
             raise ValueError(f"target frame {t} outside the window")
         limit[t - window.start] = min(limit[t - window.start], k)
-    visible = np.zeros(states.shape[0], dtype=np.int64)
-    visible[window.start:window.stop] = np.minimum(
+    visible = np.minimum(
         prefix_depth(states[window.start:window.stop] == R), limit)
-    return visible, (window.start, window.stop)
+    return View(window.start, visible,
+                np.array([(t, k) for t, k, _ in targets], dtype=np.int64))

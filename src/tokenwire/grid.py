@@ -8,6 +8,7 @@ to array coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -227,25 +228,39 @@ def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:
         raise ValueError(f"encode level {level} exceeds the layer bounds {gos.layer_bounds}")
 
     sg = SliceGrid(n_frames, gos.n_layers, level, gos)
-    n_groups = len(gos.layer_bounds) - 1
-    units = periodic_slicing(gos.gos_len, gos.n_units)
-    order = [gos.key_unit] + [u for u in units if u != gos.key_unit]
-
-    def add(sid: SliceId, frames: list[int], group: int) -> None:
-        layers = gos.group_layers(group, level)
-        if len(layers) == 0 or not frames:
-            return
-        cells = np.array([(t, k - 1) for t in frames for k in layers], dtype=np.int32)
-        sg.slices[sid] = cells
-
-    for g in range(0, -(-n_frames // gos.gos_len)):
-        start = g * gos.gos_len
-        span = min(gos.gos_len, n_frames - start)
-        frames_of = {u: [start + t1 - 1 for t1 in ts if t1 <= span]
-                     for u, ts in units.items()}
-        for u in frames_of:
-            add(SliceId(g, u, 0), frames_of[u], 0)
-        for u in order:
-            for j in range(1, n_groups):
-                add(SliceId(g, u, j), frames_of[u], j)
+    n_full, tail = divmod(n_frames, gos.gos_len)
+    # every full group-of-slices is the first one shifted in time
+    shift = np.zeros((n_full, 1, 2), dtype=np.int32)
+    shift[:, 0, 0] = np.arange(n_full) * gos.gos_len
+    full = [(u, j, cells + shift)
+            for u, j, cells in _gos_cells(gos, gos.gos_len, level)]
+    for g in range(n_full):
+        for u, j, cells in full:
+            sg.slices[SliceId(g, u, j)] = cells[g]
+    if tail:
+        start = np.array([n_full * gos.gos_len, 0], dtype=np.int32)
+        for u, j, cells in _gos_cells(gos, tail, level):
+            sg.slices[SliceId(n_full, u, j)] = cells + start
     return sg
+
+
+@functools.lru_cache(maxsize=64)
+def _gos_cells(gos: GosConfig, span: int, level: int) -> tuple:
+    """(unit, group, cells) of a ``span``-frame group-of-slices starting at
+    frame 0, in emission order, empty slices left out. Shared: callers
+    shift copies."""
+    units = periodic_slicing(gos.gos_len, gos.n_units)
+    order = [(u, 0) for u in units] + [
+        (u, j) for u in [gos.key_unit] + [u for u in units if u != gos.key_unit]
+        for j in range(1, len(gos.layer_bounds) - 1)]
+    out = []
+    for u, j in order:
+        frames = np.array([t1 - 1 for t1 in units[u] if t1 <= span],
+                          dtype=np.int32)
+        layers = np.array(gos.group_layers(j, level), dtype=np.int32) - 1
+        if len(frames) and len(layers):
+            cells = np.stack([np.repeat(frames, len(layers)),
+                              np.tile(layers, len(frames))], axis=1)
+            cells.flags.writeable = False
+            out.append((u, j, cells))
+    return tuple(out)

@@ -7,29 +7,34 @@ bit accounting; ``decode_fine`` decodes a fine slice once everything it was
 coded against is bit-exact; ``conceal_in_window`` holds the last usable frame
 through a coarse blackout and otherwise predicts the damaged cells with a
 single model query. Both ends of a fine slice take its ``Conditions``: the
-sender's coding query and the receiver's decoding query and decode gate
-all derive from that one value. The encode level is stated once, in the
-receiver's initial states (INVALID from the level up); which cells can be
-trusted then follows from the states by the one prefix rule in
-``dependency``. The batch path lays a clip out in periodic slices, decodes
-in dependency order, then conceals inside bounded windows.
+sender's coding view and the receiver's decoding view and decode gate all
+derive from that one value. Both ends price a wave of fine slices, every
+slice whose conditions are known, in one model query: the sender all
+the fine slices it emits at once, the receiver all that the cells decoded
+so far let it decode. The encode level is stated once, in the receiver's
+initial states (INVALID from the level up); which cells can be trusted
+then follows from the states by the one prefix rule in ``dependency``. The
+batch path lays a clip out in periodic slices and decodes in two waves,
+the key slices, coded against coarse cells only, then the rest; it then
+conceals inside bounded windows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import CodecConfig, synthesize
-from .context import MaskedQuery
-from .dependency import (ConcealmentWindow, Conditions, build_conceal_mask,
+from .context import PMF_TOTAL, MaskedQuery
+from .dependency import (ConcealmentWindow, build_conceal_mask,
                          build_windows, classify_loss, decodable,
                          propagate_invalid, slice_conditions, usable_depth)
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, SliceId, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
-from .rangecoder import CodedSlice, decode_symbols, encode_symbols
+from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
 from .transport import HEADER_BYTES, Packet, pack_bits, token_bits, unpack_bits
 
@@ -123,46 +128,76 @@ class SliceSender:
         rep.n_coarse_tokens += len(vals)
         return self._packet(head, payload, fec_field)
 
-    def fine(self, head: tuple, tokens: np.ndarray, cells: np.ndarray,
-             cond: Conditions) -> Packet:
-        """Range-code a fine slice against the cells ``cond`` names."""
+    def fine(self, tokens: np.ndarray, slices: list) -> list:
+        """Range-code fine slices, given as (head, cells, Conditions)
+        triples, priced in one model query; returns their packets."""
+        if not slices:
+            return []
         rep = self.report
-        pmfs, fallbacks = self.model.pmf(cond.query(tokens, cells))
-        symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
-        coded = encode_symbols(symbols, pmfs)
-        rep.n_fine_packets += 1
-        rep.fine_bits += len(coded.payload) * 8
-        rep.n_fine_tokens += len(symbols)
-        for k, pmf, sym in zip(cells[:, 1].tolist(), pmfs, symbols):
-            b = pmf.bits(sym)
+        query = MaskedQuery(tokens, [cond.view(cells)
+                                     for _, cells, cond in slices])
+        cum, fallbacks = self.model.pmf(query)
+        targets = query.targets
+        cum_lo, freq = code_ranges(
+            cum, tokens[targets[:, 0], targets[:, 1]])
+        per_layer = rep.per_layer_ideal_bits
+        for k, f in zip(targets[:, 1].tolist(), freq):
+            b = -math.log2(f / PMF_TOTAL)
             rep.ideal_fine_bits += b
-            rep.per_layer_ideal_bits[k] = rep.per_layer_ideal_bits.get(k, 0.0) + b
+            per_layer[k] = per_layer.get(k, 0.0) + b
         for fb in fallbacks:
             rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + 1
-        return self._packet(head, coded.payload)
+        packets = []
+        a = 0
+        for head, cells, _ in slices:
+            coded = encode_symbols(cum_lo[a:a + len(cells)],
+                                   freq[a:a + len(cells)])
+            a += len(cells)
+            rep.n_fine_packets += 1
+            rep.fine_bits += len(coded.payload) * 8
+            rep.n_fine_tokens += len(cells)
+            packets.append(self._packet(head, coded.payload))
+        return packets
 
 
 def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
-                cond: Conditions, slices: list) -> None:
-    """Decode, in place, fine slices all coded against ``cond``.
+                slices: list) -> None:
+    """Decode, in place, fine slices given as (cells, payload or None,
+    Conditions) triples, priced in one model query.
 
-    ``slices`` holds (cells, payload or None) pairs. Unless every cell
-    ``cond`` names is RECEIVED, their cells become INVALID. A missing
-    payload, or one that does not decode, leaves its cells LOST, like a
-    drop.
+    No slice may be coded against another's cells. A slice whose
+    conditions are not all RECEIVED becomes INVALID. A missing payload, or
+    one that does not decode, leaves its cells LOST, like a drop.
     """
-    if not decodable(states, cond):
-        for cells, _ in slices:
-            states[cells[:, 0], cells[:, 1]] = _I
+    ready, invalid = [], []
+    gate: dict = {}  # per Conditions; the wave changes no condition cell
+    for cells, payload, cond in slices:
+        ok = gate.get(id(cond))
+        if ok is None:
+            ok = gate[id(cond)] = decodable(states, cond)
+        if not ok:
+            invalid.append(cells)
+        elif payload is not None:
+            ready.append((cells, payload, cond))
+    if invalid:
+        cells = np.concatenate(invalid)
+        states[cells[:, 0], cells[:, 1]] = _I
+    if not ready:
         return
-    for cells, payload in slices:
-        if payload is None:
-            continue
-        pmfs, _ = model.pmf(cond.query(tokens, cells))
+    cum, _ = model.pmf(MaskedQuery(tokens, [cond.view(cells)
+                                            for cells, _, cond in ready]))
+    done, syms = [], []
+    a = 0
+    for cells, payload, _ in ready:
+        rows = cum[a:a + len(cells)]
+        a += len(cells)
         try:
-            syms = decode_symbols(CodedSlice(payload, len(cells)), pmfs)
+            syms += decode_symbols(CodedSlice(payload, len(cells)), rows)
         except DecodeError:
             continue
+        done.append(cells)
+    if done:
+        cells = np.concatenate(done)
         tokens[cells[:, 0], cells[:, 1]] = syms
         states[cells[:, 0], cells[:, 1]] = _R
 
@@ -202,10 +237,8 @@ def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
         states, win, conditions, n_coarse, level, conceal_fine_layers)
         if trip[0] in fill]
     if targets:
-        visible, frange = build_conceal_mask(targets, states, win)
-        cells = np.array([(t, k) for t, k, _ in targets], dtype=np.int64)
-        query = MaskedQuery(tokens, visible, cells, frame_range=frange)
-        preds = model.predict(query)
+        preds = model.predict(MaskedQuery(
+            tokens, [build_conceal_mask(targets, states, win)]))
         for (t, k, case), z in zip(targets, preds):
             tokens[t, k] = int(z)
             states[t, k] = _C
@@ -231,15 +264,17 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
 
     tx = SliceSender(model, fec)
     conditions = slice_conditions(sg)
+    fine = iter(tx.fine(grid.tokens, [
+        ((*sid, *_packet_extent(cells)), cells,
+         conditions[(int(cells[0, 0]), int(cells[0, 1]))])
+        for sid, cells in sg.slices.items() if sid.group > 0]))
     packets = []
     for sid, cells in sg.slices.items():
-        head = (*sid, *_packet_extent(cells))
         if sid.group == 0:
             vals = grid.tokens[cells[:, 0], cells[:, 1]]
-            packets.append(tx.coarse(head, vals))
+            packets.append(tx.coarse((*sid, *_packet_extent(cells)), vals))
         else:
-            cond = conditions[(int(cells[0, 0]), int(cells[0, 1]))]
-            packets.append(tx.fine(head, grid.tokens, cells, cond))
+            packets.append(next(fine))
     return packets, tx.report
 
 
@@ -297,13 +332,16 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
     fec_recovered = _recover_coarse(by_sid, sg, tokens, states, vocab)
 
     conditions = slice_conditions(sg)
+    waves = ([], [])  # key slices, then the slices coded against them
     for sid, cells in sg.slices.items():
         if sid.group == 0:
             continue
         p = by_sid.get(sid)
-        decode_fine(model, tokens, states,
-                    conditions[(int(cells[0, 0]), int(cells[0, 1]))],
-                    [(cells, None if p is None else p.payload)])
+        cond = conditions[(int(cells[0, 0]), int(cells[0, 1]))]
+        waves[not cond.key].append(
+            (cells, None if p is None else p.payload, cond))
+    for wave in waves:
+        decode_fine(model, tokens, states, wave)
 
     propagate_invalid(states)
 

@@ -11,14 +11,17 @@ Both ends run on the transceiver core in ``pipeline``. A step's geometry,
 its due frames and its horizon, comes from ``stream_step`` on both ends.
 The coding dependency of a frame is closed-form: each step, sender and
 receiver alike derive the ``Conditions`` of its due frames from that
-horizon with ``stream_conditions``, and the coding query, the decoding
-query and the decode gate all come from them. A step never looks beyond
-its own due frames. The receiver's buffered states start INVALID from the
-encode level up, so the prefix rules read the level from them. The
-receiver checks and unpacks every packet of a step before it changes any
-state, then finalizes the due frames: decode what arrived, conceal the
-rest inside a window ending at the horizon, release. Released frames are
-never revisited, and concealed cells never serve as coding context.
+horizon with ``stream_conditions``, and the coding view, the decoding
+view and the decode gate all come from them. The sender prices a whole
+step's fine slices in one model query; the receiver prices one due frame
+at a time, as each frame is coded against the fine cells of the one
+before. A step never looks beyond its own due frames. The receiver's
+buffered states start INVALID from the encode level up, so the prefix
+rules read the level from them. The receiver checks and unpacks every
+packet of a step before it changes any state, then finalizes the due
+frames: decode what arrived, conceal the rest inside a window ending at
+the horizon, release. Released frames are never revisited, and concealed
+cells never serve as coding context.
 """
 
 from __future__ import annotations
@@ -148,12 +151,10 @@ class StreamSender:
         n_coarse, level = self.gos.n_coarse, self.level
         conditions = stream_conditions(due, self.stream, horizon, n_coarse,
                                        level)
-        for f in due:
-            for j, cells in _fine_slices(self.gos, f, level):
-                packets.append(self._tx.fine(
-                    _frame_head(self.gos, f, j), self._buf, cells,
-                    conditions[(f, n_coarse)]))
-            self._latency.append(horizon + 1 - f)
+        packets += self._tx.fine(self._buf, [
+            (_frame_head(self.gos, f, j), cells, conditions[(f, n_coarse)])
+            for f in due for j, cells in _fine_slices(self.gos, f, level)])
+        self._latency.extend(horizon + 1 - f for f in due)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
 
@@ -236,12 +237,10 @@ class StreamReceiver:
 
         gos, level, cfg = self.gos, self.level, self.stream
         conditions = stream_conditions(due, cfg, horizon, n_coarse, level)
-        for f in due:
-            slices = [(cells, fine.get((f, j)))
-                      for j, cells in _fine_slices(gos, f, level)]
-            if slices:
-                decode_fine(self.model, self._tokens, self._states,
-                            conditions[(f, n_coarse)], slices)
+        for f in due:  # frame f + 1 is coded against frame f's fine cells
+            decode_fine(self.model, self._tokens, self._states,
+                        [(cells, fine.get((f, j)), conditions[(f, n_coarse)])
+                         for j, cells in _fine_slices(gos, f, level)])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])

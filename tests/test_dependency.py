@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.context import UniformModel
+from tokenwire.context import MaskedQuery, UniformModel
 from tokenwire.dependency import (
     ConcealmentWindow,
     LossCase,
@@ -196,9 +196,14 @@ def test_streaming_dependency_window():
 
 
 def coding_view(cond, n_rows, n_layers, cells):
-    """(visible, frame_range) of the query coding ``cells`` against cond."""
-    q = cond.query(np.zeros((n_rows, n_layers), dtype=np.int32), cells)
-    return q.visible, q.frame_range
+    """(full-length visible row, frame range) of the query coding
+    ``cells`` against cond."""
+    q = MaskedQuery(np.zeros((n_rows, n_layers), dtype=np.int32),
+                    [cond.view(cells)])
+    lo, visible, _ = q.views[0]
+    full = np.zeros(n_rows, dtype=np.int64)
+    full[lo:lo + len(visible)] = visible
+    return full, (lo, lo + len(visible))
 
 
 def test_coding_visibility_periodic():
@@ -254,24 +259,31 @@ class RecordingModel(UniformModel):
         return super().pmf(query)
 
 
-def assert_query_shows_the_gated_cells(query, cond):
-    """The decode gate checks exactly the cells the coding query shows."""
-    lo, hi = query.bounds()
+def assert_view_shows_the_gated_cells(query, index, cond):
+    """The decode gate checks exactly the cells one view of the coding
+    query shows, and every neighbor that prices its targets is one of
+    them."""
+    lo, visible, targets = query.views[index]
     shown = np.zeros(query.tokens.shape, dtype=bool)
-    shown[lo:hi] = np.arange(shown.shape[1]) < query.visible[lo:hi, None]
+    shown[lo:lo + len(visible)] = (np.arange(shown.shape[1])
+                                   < np.asarray(visible)[:, None])
     states = np.where(shown, R, L).astype(np.int8)
     assert decodable(states, cond)
     for t, k in np.argwhere(shown):
         states[t, k] = L
         assert not decodable(states, cond)
         states[t, k] = R
+    first = sum(len(v.targets) for v in query.views[:index])
+    for f, k in query.sources[first:first + len(targets)].reshape(-1, 2):
+        assert f < 0 or shown[f, k]
 
 
 @given(gos_strategy(), st.integers(1, 16), st.data())
 @settings(max_examples=50, deadline=None)
 def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
-    """Every query the sender or the receiver codes a fine slice with
-    shows the cells its Conditions gate on, no more and no fewer."""
+    """Every view the sender or the receiver codes a fine slice with shows
+    the cells its Conditions gate on, no more and no fewer, and its
+    targets' neighbors read only those cells."""
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     tokens = np.zeros((n_frames, gos.n_layers), dtype=np.int32)
     model = RecordingModel(2)
@@ -282,6 +294,9 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         receive_tokens(packets, sg, model)
         conds = slice_conditions(sg)
         n_slices = sum(1 for sid in sg.slices if sid.group > 0)
+        # one wave at the sender; key slices, then the rest, at the receiver
+        n_waves = 1 + len({conds[tuple(c[0].tolist())].key
+                           for sid, c in sg.slices.items() if sid.group > 0})
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
@@ -294,14 +309,21 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
         conds = stream_conditions_of(cfg, n_frames, gos.n_coarse, level)
-        n_slices = n_frames * sum(1 for j in range(1, gos.n_fine_groups + 1)
-                                  if len(gos.group_layers(j, level)))
+        per_frame = sum(1 for j in range(1, gos.n_fine_groups + 1)
+                        if len(gos.group_layers(j, level)))
+        n_slices = n_frames * per_frame
+        # one wave per sender step, one per frame at the receiver
+        n_waves = (-(-n_frames // stride) + n_frames) if per_frame else 0
+    if not n_slices:
+        n_waves = 0
     # lossless: the sender and the receiver each code every fine slice once
-    assert len(model.queries) == 2 * n_slices
+    assert len(model.queries) == n_waves
+    assert sum(len(q.views) for q in model.queries) == 2 * n_slices
     for q in model.queries:
-        cond = conds[tuple(q.targets[0].tolist())]
-        assert all(conds[tuple(c)] is cond for c in q.targets.tolist())
-        assert_query_shows_the_gated_cells(q, cond)
+        for i, view in enumerate(q.views):
+            cond = conds[tuple(view.targets[0].tolist())]
+            assert all(conds[tuple(c)] is cond for c in view.targets.tolist())
+            assert_view_shows_the_gated_cells(q, i, cond)
 
 
 def test_propagate_invalid():
@@ -486,9 +508,10 @@ def test_conceal_mask_shapes_and_errors():
     states[2, 2] = I
     win = ConcealmentWindow(0, 6)
     targets = [(2, 1, LossCase.FINE)]
-    visible, frame_range = build_conceal_mask(targets, states, win)
-    assert frame_range == (0, 6)
+    lo, visible, cells = build_conceal_mask(targets, states, win)
+    assert lo == 0
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])
+    np.testing.assert_array_equal(cells, [[2, 1]])
     with pytest.raises(ValueError):
         build_conceal_mask([], states, win)
     with pytest.raises(ValueError):
@@ -501,8 +524,8 @@ def test_conceal_mask_excludes_concealed_cells():
     states[1, 1] = C  # previously concealed: usable output, not context
     states[2, 1] = L
     states[2, 2] = I
-    visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
-                                    ConcealmentWindow(0, 6))
+    _, visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
+                                       ConcealmentWindow(0, 6))
     assert visible[1] == 1
 
 
@@ -510,6 +533,6 @@ def test_conceal_mask_level_cap():
     sg, _ = small_layout(level=2)
     states = fresh_states(sg)
     states[2, 1] = L
-    visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
-                                    ConcealmentWindow(0, 6))
+    _, visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
+                                       ConcealmentWindow(0, 6))
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])

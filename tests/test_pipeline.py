@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tokenwire.context import CountModel, UniformModel
+from tokenwire.context import CountModel, MaskedQuery, UniformModel
 from tokenwire.dependency import slice_conditions
 from tokenwire.errors import DecodeError
 from tokenwire.grid import (
@@ -245,8 +245,8 @@ def test_trained_model_beats_uniform_on_structured_tokens():
     conds = slice_conditions(sg)
     for sid, cells in sg.slices.items():
         if sid.group > 0:
-            q = conds[(int(cells[0, 0]), int(cells[0, 1]))].query(grid.tokens,
-                                                                  cells)
+            q = MaskedQuery(grid.tokens, [
+                conds[(int(cells[0, 0]), int(cells[0, 1]))].view(cells)])
             model.observe(q, grid.tokens[cells[:, 0], cells[:, 1]])
 
     _, rep_count = send_tokens(grid, sg, model)

@@ -402,13 +402,13 @@ def test_stream_with_trained_model_decodes_bit_exactly():
     tokens[:, 2] = 3
     model = CountModel(vocab=16, n_layers=3)
     fit = np.concatenate([tokens, tokens])
-    from tokenwire.context import MaskedQuery
+    from tokenwire.context import MaskedQuery, View
     for t in range(len(fit)):
-        vis = np.full(len(fit), 3, dtype=np.int64)
-        vis[t] = 1
+        lo, hi = max(0, t - 6), min(len(fit), t + 4)
+        vis = np.full(hi - lo, 3, dtype=np.int64)
+        vis[t - lo] = 1
         cells = np.array([(t, 1), (t, 2)], dtype=np.int64)
-        q = MaskedQuery(fit, vis, cells,
-                        frame_range=(max(0, t - 6), min(len(fit), t + 4)))
+        q = MaskedQuery(fit, [View(lo, vis, cells)])
         model.observe(q, fit[cells[:, 0], cells[:, 1]])
     grid, states, _, tx, _ = drive(tokens, model=model)
     np.testing.assert_array_equal(grid.tokens, tokens)
