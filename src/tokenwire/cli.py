@@ -91,8 +91,7 @@ def cmd_encode(args) -> int:
         "level": level,
         "fec": not args.no_fec,
         "gos": {"gos_len": gos.gos_len, "n_units": gos.n_units,
-                "layer_bounds": list(gos.layer_bounds),
-                "key_unit": gos.key_unit},
+                "layer_bounds": list(gos.layer_bounds)},
         "conceal_window": cfg.conceal_window,
         "conceal_fine_layers": cfg.conceal_fine_layers,
         "codec_sha256": _sha256(args.codec),
@@ -140,8 +139,7 @@ def cmd_decode(args) -> int:
         trace = np.ones(len(packets), dtype=bool)
     g = manifest["gos"]
     gos = GosConfig(gos_len=g["gos_len"], n_units=g["n_units"],
-                    layer_bounds=tuple(g["layer_bounds"]),
-                    key_unit=g["key_unit"])
+                    layer_bounds=tuple(g["layer_bounds"]))
     codec_cfg = CodecConfig(frame_len=manifest["frame_len"], dim=codec.dim)
     audio, grid, rep = receive(
         packets, trace, codec, codec_cfg, model, gos,

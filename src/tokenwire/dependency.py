@@ -1,15 +1,19 @@
 """Dependency structure between slices, loss classification, concealment masks.
 
 The coding dependency decides which cells must be recovered bit-exactly
-before a fine slice can be entropy-decoded. It is stated once per slice,
-as ``Conditions``: a visible-prefix depth per frame over a frame range.
-The coder's view shows exactly those cells, and the receiver decodes the
-slice only once all of them are RECEIVED, so sender, receiver and decode
-gate cannot disagree. The periodic batch layout derives its Conditions
-from the layout, the streaming layout in closed form from the step
-geometry ``stream_step``. The concealing dependency is looser: it reads any
-received token at or below the damaged layer, both earlier and later in
-time, because prediction does not need bit-exact context.
+before a fine slice can be entropy-decoded. It is one rule for batch and
+streaming: a fine slice is coded against the coarse layers of a frame
+range, and only those. In batch the range is the slice's group-of-slices
+(``slice_conditions``); in streaming it is the frame's coding window up to
+its lookahead, in closed form from the step geometry ``stream_step``
+(``stream_conditions``). The rule is stated once per frame, as
+``Conditions``: the coder's view shows exactly its cells, and the receiver
+decodes the frame's fine slices only once all of them are RECEIVED, so
+sender, receiver and decode gate cannot disagree. No fine cell is ever a
+condition, so a lost fine packet costs only its own cells. The concealing
+dependency is looser: it reads any received token at or below the damaged
+layer, both earlier and later in time, because prediction does not need
+bit-exact context.
 
 Which cells the receiver can trust is one prefix rule, ``prefix_depth``: a
 layer refines the residual left by those below it, so a frame is usable up
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +46,7 @@ class LossCase(IntEnum):
     COARSE = 1          # coarse cells carried by a lost packet
     COARSE_CONTEXT = 2  # fine undecodable: a condition coarse slice was lost
                         # outside this window
-    FINE = 3            # lost fine cells in a non-key slice
-    KEY_CONTEXT = 4     # fine invalidated by a lost key slice
+    FINE = 3            # fine cells carried by a lost packet
 
 
 @dataclass(frozen=True)
@@ -66,34 +68,26 @@ class ConcealmentWindow:
 
 
 class Conditions(NamedTuple):
-    """What one fine slice was entropy-coded against.
+    """What the fine slices of one frame were entropy-coded against: the
+    first ``n_coarse`` layers of the frames ``[lo, hi)``.
 
-    The first ``depth[i]`` layers of frame ``lo + i``, for the frames
-    ``[lo, lo + len(depth))``: the coding query shows exactly these cells,
-    and the slice decodes only once all of them are RECEIVED.
+    The coding query shows exactly these cells, and the slices decode only
+    once all of them are RECEIVED.
     """
 
-    key: bool            # a key slice anchors the periodic dependency
     lo: int
-    depth: np.ndarray
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.depth)
-
-    def mask(self, n_layers: int) -> np.ndarray:
-        """(len(depth), n_layers) boolean mask of the condition cells."""
-        return np.arange(n_layers) < self.depth[:, None]
+    hi: int
+    n_coarse: int
 
     def view(self, targets: np.ndarray) -> View:
         """The coding view of ``targets``, showing the condition cells."""
-        return View(self.lo, self.depth, targets)
+        return View(self.lo, np.full(self.hi - self.lo, self.n_coarse),
+                    targets)
 
 
 def decodable(states: np.ndarray, cond: Conditions) -> bool:
     """Whether every cell ``cond`` names has been recovered bit-exactly."""
-    block = states[cond.lo:cond.hi]
-    return bool((block[cond.mask(block.shape[1])] == R).all())
+    return bool((states[cond.lo:cond.hi, :cond.n_coarse] == R).all())
 
 
 def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
@@ -111,60 +105,31 @@ def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
 
 
 def stream_conditions(frames: range, cfg: StreamConfig, horizon: int,
-                      n_coarse: int, level: int) -> dict:
-    """Per fine cell (t, k) of one step's due ``frames``, its Conditions,
-    given the step's ``horizon``.
+                      n_coarse: int) -> dict:
+    """Per due frame t of one step, its Conditions, given the step's
+    ``horizon``.
 
-    Frame t's fine slices were coded against every layer of the context
-    window's frames before t and the coarse layers from t up to its
-    lookahead, clamped at the horizon; the window holds up to
-    ``coding_context`` frames ending at the horizon, and streaming has no
-    key slices. ``StreamConfig`` makes the window cover stride + lookahead
-    frames, so it starts at or before t.
+    Frame t's fine slices are coded against the coarse layers of its
+    coding window up to its lookahead, clamped at the horizon; the window
+    holds up to ``coding_context`` frames ending at the horizon.
+    ``StreamConfig`` makes it cover stride + lookahead frames, so it starts
+    at or before t.
     """
     w = max(0, horizon - cfg.coding_context + 1)
-    lookup: dict = {}
-    for t in frames:
-        t_hi = min(t + cfg.lookahead, horizon)
-        depth = np.full(t_hi + 1 - w, n_coarse, dtype=np.int64)
-        depth[:t - w] = level
-        cond = Conditions(False, w, depth)
-        for k in range(n_coarse, level):
-            lookup[(t, k)] = cond
-    return lookup
+    return {t: Conditions(w, min(t + cfg.lookahead, horizon) + 1, n_coarse)
+            for t in frames}
 
 
 def slice_conditions(sg: SliceGrid) -> dict:
-    """Per fine cell (t, k) of a periodic layout, its slice's Conditions.
-
-    A fine slice was coded against the coarse layers of its
-    group-of-slices; a non-key slice also against the key unit's frames
-    up to the top of its own layer group. Slices of one group-of-slices
-    coded against the same cells share one Conditions.
-    """
-    gos = sg.gos
-    shared: dict = {}
-    fine, conds = [], []
-    for sid, cells in sg.slices.items():
-        if sid.group == 0:
-            continue
-        key = sid.unit == gos.key_unit
-        share = (sid.gos, 0 if key else sid.group)
-        cond = shared.get(share)
-        if cond is None:
-            lo = sid.gos * gos.gos_len
-            depth = np.full(min(gos.gos_len, sg.n_frames - lo), gos.n_coarse,
-                            dtype=np.int64)
-            if not key:
-                depth[gos.key_unit - 1::gos.n_units] = min(
-                    gos.layer_bounds[sid.group + 1], sg.level)
-            cond = shared[share] = Conditions(key, lo, depth)
-        fine.append(cells)
-        conds.append(repeat(cond, len(cells)))
-    if not fine:
-        return {}
-    return dict(zip(map(tuple, np.concatenate(fine).tolist()),
-                    chain.from_iterable(conds)))
+    """Per frame t of a periodic layout, the Conditions of its fine slices:
+    the coarse layers of its group-of-slices, shared by all its frames."""
+    gl = sg.gos.gos_len
+    out: dict = {}
+    for lo in range(0, sg.n_frames, gl):
+        hi = min(lo + gl, sg.n_frames)
+        out.update(dict.fromkeys(range(lo, hi),
+                                 Conditions(lo, hi, sg.gos.n_coarse)))
+    return out
 
 
 def prefix_depth(ok: np.ndarray) -> np.ndarray:
@@ -236,14 +201,13 @@ def classify_loss(states: np.ndarray, window: ConcealmentWindow,
                   conceal_fine_layers: int = 2) -> list:
     """List (frame, layer, LossCase) concealment targets inside a window.
 
-    ``conditions`` maps a fine cell (t, k) to its slice's Conditions; a
+    ``conditions`` maps a frame to the Conditions of its fine slices; a
     frame without an entry gets no fine targets. Lost coarse cells are
     targets outright. For frames whose coarse survived, the lowest
-    non-received fine cell decides: a lost cell in a non-key slice is
-    concealed alone; cells invalidated by a coarse slice lost outside the
-    window or by a lost key slice are concealed up to the configured number
-    of leading fine layers. Cells above a target stay invalid and are not
-    concealed.
+    non-received fine cell decides: a lost cell is concealed alone; cells
+    left undecodable by a coarse condition cell lost outside the window are
+    concealed up to the configured number of leading fine layers. Cells
+    above a target stay invalid and are not concealed.
     """
     coarse_hi = min(n_coarse, level)
     cfl_hi = min(n_coarse + conceal_fine_layers, level)
@@ -260,27 +224,20 @@ def classify_loss(states: np.ndarray, window: ConcealmentWindow,
         if not fine_bad:
             continue
         k0 = fine_bad[0]
-        cond = conditions.get((t, k0))
+        cond = conditions.get(t)
         if cond is None:
             continue
         if col[k0] == L:
-            if cond.key:
-                continue  # the lost key cells themselves stay lost
             targets.append((t, k0, LossCase.FINE))
             continue
-        # INVALID: look through this slice's conditions for the root cause
-        block = states[cond.lo:cond.hi]
-        shown = cond.mask(block.shape[1])
+        # INVALID: a coarse condition cell was lost; conceal from the
+        # window unless the window holds that cell itself
         lost = cond.lo + np.flatnonzero(
-            (shown & (block == L))[:, :n_coarse].any(axis=1))
-        if len(lost):
-            if not np.any((lost >= window.start) & (lost < window.stop)):
-                targets.extend(
-                    (t, k, LossCase.COARSE_CONTEXT) for k in range(k0, cfl_hi))
-            continue
-        key_broken = bool((shown & (block != R))[:, n_coarse:].any())
-        if key_broken and k0 < cfl_hi:
-            targets.extend((t, k, LossCase.KEY_CONTEXT) for k in range(k0, cfl_hi))
+            (states[cond.lo:cond.hi, :n_coarse] == L).any(axis=1))
+        if len(lost) and not np.any((lost >= window.start)
+                                    & (lost < window.stop)):
+            targets.extend(
+                (t, k, LossCase.COARSE_CONTEXT) for k in range(k0, cfl_hi))
     return targets
 
 

@@ -69,7 +69,6 @@ class ExperimentConfig:
     n_fine_groups: int = 3
     gos_len: int = 12
     n_units: int = 3
-    key_unit: int = 1
     levels: tuple = (8,)
     fec_modes: tuple = (True,)
     models: tuple = ("count",)
@@ -89,10 +88,10 @@ class ExperimentConfig:
 
 
 _INT_FIELDS = {"sample_rate", "frame_len", "dim", "vocab", "n_layers",
-               "n_coarse", "n_fine_groups", "gos_len", "n_units", "key_unit",
-               "n_trials", "base_seed", "clip_frames", "n_tones",
-               "conceal_window", "conceal_fine_layers", "train_clips",
-               "train_epochs", "schedule_epochs"}
+               "n_coarse", "n_fine_groups", "gos_len", "n_units", "n_trials",
+               "base_seed", "clip_frames", "n_tones", "conceal_window",
+               "conceal_fine_layers", "train_clips", "train_epochs",
+               "schedule_epochs"}
 _POSITIVE = _INT_FIELDS - {"base_seed", "conceal_fine_layers", "n_tones"}
 
 
@@ -163,8 +162,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("n_coarse", "must be below n_layers")
     if merged["n_units"] > merged["gos_len"]:
         raise ConfigError("n_units", "cannot exceed gos_len")
-    if not 1 <= merged["key_unit"] <= merged["n_units"]:
-        raise ConfigError("key_unit", "must be in [1, n_units]")
     if merged["vocab"] < 2:
         raise ConfigError("vocab", "must be at least 2")
     if merged["train_clips"] * merged["clip_frames"] < merged["vocab"] - 1:
@@ -227,7 +224,7 @@ def gos_config(cfg: ExperimentConfig) -> GosConfig:
     bounds = default_layer_bounds(cfg.n_layers, cfg.n_coarse,
                                   cfg.n_fine_groups)
     return GosConfig(gos_len=cfg.gos_len, n_units=cfg.n_units,
-                     layer_bounds=bounds, key_unit=cfg.key_unit)
+                     layer_bounds=bounds)
 
 
 def train_stack(cfg: ExperimentConfig) -> TrainedStack:

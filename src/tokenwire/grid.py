@@ -88,13 +88,11 @@ class GosConfig:
     layer_bounds: group boundaries (N_0 .. N_{J+1}); group 0 spans layers
         1..layer_bounds[1] and is the coarse group, group j spans
         layer_bounds[j]+1 .. layer_bounds[j+1].
-    key_unit: the unit whose fine slices anchor the coding dependency.
     """
 
     gos_len: int
     n_units: int
     layer_bounds: tuple
-    key_unit: int = 1
 
     def __post_init__(self):
         if self.gos_len < 1:
@@ -107,8 +105,6 @@ class GosConfig:
             raise ValueError("layer_bounds must start at 0 and define at least one group")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise ValueError("layer_bounds must be strictly increasing")
-        if not 1 <= self.key_unit <= self.n_units:
-            raise ValueError("key_unit must be in [1, n_units]")
 
     @property
     def n_coarse(self) -> int:
@@ -202,8 +198,8 @@ class SliceGrid:
     """Partition of all encoded cells (t, k) into slices.
 
     ``slices`` is keyed in canonical emission order: per group-of-slices,
-    coarse slices first, then the key unit's fine slices by layer group,
-    then the remaining fine slices. ``cells`` arrays are (n, 2) int32 of
+    the coarse slices by unit, then the fine slices by unit and layer
+    group. ``cells`` arrays are (n, 2) int32 of
     0-based (frame, layer), sorted by frame then layer.
     """
 
@@ -251,8 +247,7 @@ def _gos_cells(gos: GosConfig, span: int, level: int) -> tuple:
     shift copies."""
     units = periodic_slicing(gos.gos_len, gos.n_units)
     order = [(u, 0) for u in units] + [
-        (u, j) for u in [gos.key_unit] + [u for u in units if u != gos.key_unit]
-        for j in range(1, len(gos.layer_bounds) - 1)]
+        (u, j) for u in units for j in range(1, len(gos.layer_bounds) - 1)]
     out = []
     for u, j in order:
         frames = np.array([t1 - 1 for t1 in units[u] if t1 <= span],

@@ -3,20 +3,19 @@
 The core is shared with the streaming transceiver: ``SliceSender`` turns
 coarse slices into bit-packed packets with chained repair copies and fine
 slices into range-coded packets priced by model PMFs, keeping the sender's
-bit accounting; ``decode_fine`` decodes a fine slice once everything it was
-coded against is bit-exact; ``conceal_in_window`` holds the last usable frame
-through a coarse blackout and otherwise predicts the damaged cells with a
-single model query. Both ends of a fine slice take its ``Conditions``: the
-sender's coding view and the receiver's decoding view and decode gate all
-derive from that one value. Both ends price a wave of fine slices, every
-slice whose conditions are known, in one model query: the sender all
-the fine slices it emits at once, the receiver all that the cells decoded
-so far let it decode. The encode level is stated once, in the receiver's
-initial states (INVALID from the level up); which cells can be trusted
-then follows from the states by the one prefix rule in ``dependency``. The
-batch path lays a clip out in periodic slices and decodes in two waves,
-the key slices, coded against coarse cells only, then the rest; it then
-conceals inside bounded windows.
+bit accounting; ``decode_fine`` decodes a fine slice once the coarse cells
+it was coded against are bit-exact; ``conceal_in_window`` holds the last
+usable frame through a coarse blackout and otherwise predicts the damaged
+cells with a single model query. Both ends of a fine slice take its
+``Conditions``: the sender's coding view and the receiver's decoding view
+and decode gate all derive from that one value. A fine slice is coded
+against coarse cells only, so no fine slice waits on another: each end
+prices all the fine slices it handles at once in one model query, the
+batch sender and receiver every fine slice of a clip. The encode level is
+stated once, in the receiver's initial states (INVALID from the level up);
+which cells can be trusted then follows from the states by the one prefix
+rule in ``dependency``. The batch path lays a clip out in periodic slices,
+decodes its fine slices in one call, and conceals inside bounded windows.
 """
 
 from __future__ import annotations
@@ -165,16 +164,17 @@ def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
     """Decode, in place, fine slices given as (cells, payload or None,
     Conditions) triples, priced in one model query.
 
-    No slice may be coded against another's cells. A slice whose
-    conditions are not all RECEIVED becomes INVALID. A missing payload, or
-    one that does not decode, leaves its cells LOST, like a drop.
+    Conditions name coarse cells only, which decoding never changes. A
+    slice whose conditions are not all RECEIVED becomes INVALID. A missing
+    payload, or one that does not decode, leaves its cells LOST, like a
+    drop.
     """
     ready, invalid = [], []
-    gate: dict = {}  # per Conditions; the wave changes no condition cell
+    gate: dict = {}  # one check per distinct Conditions
     for cells, payload, cond in slices:
-        ok = gate.get(id(cond))
+        ok = gate.get(cond)
         if ok is None:
-            ok = gate[id(cond)] = decodable(states, cond)
+            ok = gate[cond] = decodable(states, cond)
         if not ok:
             invalid.append(cells)
         elif payload is not None:
@@ -250,10 +250,11 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
                 fec: bool = True) -> tuple:
     """Encode a uniformly quantized grid into packets.
 
-    Packets come out in dependency order: within each group-of-slices the
-    coarse slices, then the key unit's fine slices, then the rest. Every
-    coarse packet after the first carries a packed copy of its predecessor
-    when ``fec`` is on.
+    Packets come out in the layout's slice order: within each
+    group-of-slices the coarse slices, then the fine slices, each coded
+    against the coarse layers of its group-of-slices. Every coarse packet
+    after the first carries a packed copy of its predecessor when ``fec``
+    is on.
     """
     if grid.n_frames != sg.n_frames or grid.n_layers != sg.n_layers:
         raise ValueError("grid shape does not match the slice layout")
@@ -265,8 +266,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     tx = SliceSender(model, fec)
     conditions = slice_conditions(sg)
     fine = iter(tx.fine(grid.tokens, [
-        ((*sid, *_packet_extent(cells)), cells,
-         conditions[(int(cells[0, 0]), int(cells[0, 1]))])
+        ((*sid, *_packet_extent(cells)), cells, conditions[int(cells[0, 0])])
         for sid, cells in sg.slices.items() if sid.group > 0]))
     packets = []
     for sid, cells in sg.slices.items():
@@ -306,10 +306,11 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
                    conceal_fine_layers: int = 2) -> tuple:
     """Decode surviving packets back into a (grid, states, report) triple.
 
-    Fine slices decode only once everything they were coded against is
-    bit-exact at the receiver; anything else is marked lost or invalid and
-    handed to windowed concealment. The returned grid's level is the
-    per-frame usable depth (received or concealed prefix).
+    Fine slices decode, all in one call, only once the coarse cells they
+    were coded against are bit-exact at the receiver; anything else is
+    marked lost or invalid and handed to windowed concealment. The
+    returned grid's level is the per-frame usable depth (received or
+    concealed prefix).
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
@@ -332,16 +333,10 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
     fec_recovered = _recover_coarse(by_sid, sg, tokens, states, vocab)
 
     conditions = slice_conditions(sg)
-    waves = ([], [])  # key slices, then the slices coded against them
-    for sid, cells in sg.slices.items():
-        if sid.group == 0:
-            continue
-        p = by_sid.get(sid)
-        cond = conditions[(int(cells[0, 0]), int(cells[0, 1]))]
-        waves[not cond.key].append(
-            (cells, None if p is None else p.payload, cond))
-    for wave in waves:
-        decode_fine(model, tokens, states, wave)
+    decode_fine(model, tokens, states, [
+        (cells, by_sid[sid].payload if sid in by_sid else None,
+         conditions[int(cells[0, 0])])
+        for sid, cells in sg.slices.items() if sid.group > 0])
 
     propagate_invalid(states)
 

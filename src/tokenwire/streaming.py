@@ -9,19 +9,19 @@ slice: packet (gos_id, unit) names frame gos_id * gos_len + unit - 1.
 
 Both ends run on the transceiver core in ``pipeline``. A step's geometry,
 its due frames and its horizon, comes from ``stream_step`` on both ends.
-The coding dependency of a frame is closed-form: each step, sender and
+A frame's fine slices are coded against the coarse layers of its coding
+window up to its lookahead and nothing else: each step, sender and
 receiver alike derive the ``Conditions`` of its due frames from that
 horizon with ``stream_conditions``, and the coding view, the decoding
-view and the decode gate all come from them. The sender prices a whole
-step's fine slices in one model query; the receiver prices one due frame
-at a time, as each frame is coded against the fine cells of the one
-before. A step never looks beyond its own due frames. The receiver's
-buffered states start INVALID from the encode level up, so the prefix
-rules read the level from them. The receiver checks and unpacks every
-packet of a step before it changes any state, then finalizes the due
-frames: decode what arrived, conceal the rest inside a window ending at
-the horizon, release. Released frames are never revisited, and concealed
-cells never serve as coding context.
+view and the decode gate all come from them. No fine cell is a condition,
+so a lost fine packet costs its own frame only, and each end prices a
+whole step's fine slices in one model query. A step never looks beyond
+its own due frames. The receiver's buffered states start INVALID from the
+encode level up, so the prefix rules read the level from them. The
+receiver checks and unpacks every packet of a step before it changes any
+state, then finalizes the due frames: decode what arrived, conceal the
+rest inside a window ending at the horizon, release. Released frames are
+never revisited, and concealed cells never serve as coding context.
 """
 
 from __future__ import annotations
@@ -148,12 +148,12 @@ class StreamSender:
             packets.append(self._tx.coarse(_frame_head(self.gos, f, 0),
                                            self._buf[f, :self.gos.n_coarse]))
         self._coarse_sent = max(self._coarse_sent, horizon + 1)
-        n_coarse, level = self.gos.n_coarse, self.level
-        conditions = stream_conditions(due, self.stream, horizon, n_coarse,
-                                       level)
+        gos = self.gos
+        conditions = stream_conditions(due, self.stream, horizon,
+                                       gos.n_coarse)
         packets += self._tx.fine(self._buf, [
-            (_frame_head(self.gos, f, j), cells, conditions[(f, n_coarse)])
-            for f in due for j, cells in _fine_slices(self.gos, f, level)])
+            (_frame_head(gos, f, j), cells, conditions[f])
+            for f in due for j, cells in _fine_slices(gos, f, self.level)])
         self._latency.extend(horizon + 1 - f for f in due)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
@@ -236,11 +236,10 @@ class StreamReceiver:
         self.fec_recovered += repaired
 
         gos, level, cfg = self.gos, self.level, self.stream
-        conditions = stream_conditions(due, cfg, horizon, n_coarse, level)
-        for f in due:  # frame f + 1 is coded against frame f's fine cells
-            decode_fine(self.model, self._tokens, self._states,
-                        [(cells, fine.get((f, j)), conditions[(f, n_coarse)])
-                         for j, cells in _fine_slices(gos, f, level)])
+        conditions = stream_conditions(due, cfg, horizon, n_coarse)
+        decode_fine(self.model, self._tokens, self._states, [
+            (cells, fine.get((f, j)), conditions[f])
+            for f in due for j, cells in _fine_slices(gos, f, level)])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])

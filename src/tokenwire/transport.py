@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DecodeError
 
 _MAGIC = b"SP"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<2sBBIBBIHHHI")
 HEADER_BYTES = _HEADER.size  # 24
 _FLAG_FEC = 0x01

@@ -20,7 +20,6 @@ STACK_CFG = tw.ExperimentConfig(
     n_fine_groups=3,
     gos_len=12,
     n_units=3,
-    key_unit=1,
     levels=(6,),
     clip_frames=24,
     train_clips=512,
@@ -42,7 +41,6 @@ MINI_CFG = tw.ExperimentConfig(
     n_fine_groups=2,
     gos_len=6,
     n_units=2,
-    key_unit=1,
     levels=(3,),
     clip_frames=12,
     train_clips=4,
@@ -90,11 +88,11 @@ def random_grid(rng, n_frames, n_layers, vocab, level=None):
     return tw.TokenGrid(tokens, levels, vocab)
 
 
-def stream_conditions_of(cfg, n_frames, n_coarse, level):
-    """The Conditions of every fine cell of an ``n_frames`` stream, merged
-    over its steps as both ends derive them."""
+def stream_conditions_of(cfg, n_frames, n_coarse):
+    """The Conditions of every frame of an ``n_frames`` stream, merged over
+    its steps as both ends derive them."""
     conds = {}
     for i in range(-(-n_frames // cfg.stride)):
         due, horizon = stream_step(i, cfg, n_frames)
-        conds.update(stream_conditions(due, cfg, horizon, n_coarse, level))
+        conds.update(stream_conditions(due, cfg, horizon, n_coarse))
     return conds

@@ -17,7 +17,7 @@ from tokenwire.transport import read_packets, read_trace
 
 CFG = {
     "frame_len": 160, "dim": 16, "vocab": 8, "n_layers": 3, "n_coarse": 1,
-    "n_fine_groups": 2, "gos_len": 6, "n_units": 2, "key_unit": 1,
+    "n_fine_groups": 2, "gos_len": 6, "n_units": 2,
     "levels": [3], "clip_frames": 12, "train_clips": 4, "train_epochs": 2,
     "schedule_epochs": 4, "conceal_window": 6, "n_trials": 2,
     "losses": [0.0, 0.2], "models": ["count"],
@@ -222,6 +222,19 @@ def test_stream_rejects_a_cadence_the_windows_cannot_cover(ws, tmp_path,
     assert err.startswith("error: ")
     assert "stride 4" in err and "lookahead 3" in err
     assert not out.exists()
+
+
+def test_config_with_key_unit_is_refused(ws, tmp_path, capsys):
+    # Every fine slice is coded against coarse cells only; a config that
+    # still names a key unit is refused as naming an unknown field.
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({**CFG, "key_unit": 1}))
+    assert main(["encode", "--config", str(cfg), "--codec",
+                 str(ws["codec"]), "--model", str(ws["model"]),
+                 "--audio", str(ws["audio"]),
+                 "--out-dir", str(tmp_path / "enc")]) == 2
+    assert capsys.readouterr().err == "error: key_unit: unknown field\n"
+    assert not (tmp_path / "enc").exists()
 
 
 def test_simulate_and_report(ws, tmp_path, capsys):

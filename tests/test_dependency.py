@@ -38,7 +38,7 @@ C = int(TokenState.CONCEALED)
 
 
 def small_layout(level=3, n_frames=6):
-    gos = GosConfig(6, 3, (0, 1, 2, 3), key_unit=1)
+    gos = GosConfig(6, 3, (0, 1, 2, 3))
     sg = build_slice_grid(n_frames, gos, level)
     return sg, slice_conditions(sg)
 
@@ -48,15 +48,16 @@ def classify(states, window, sg, conds, conceal_fine_layers=2):
                          conceal_fine_layers)
 
 
-def cells_of(cond, n_layers):
+def cells_of(cond):
     """The (frame, layer) cells a Conditions names, frame-major."""
-    return (np.argwhere(cond.mask(n_layers)) + [cond.lo, 0]).tolist()
+    return [[t, k] for t in range(cond.lo, cond.hi)
+            for k in range(cond.n_coarse)]
 
 
 def conditioned_slices(sg, cond):
     """The slices whose cells ``cond`` names; each is named whole or not
     at all, and no named cell lies outside them."""
-    named = set(map(tuple, cells_of(cond, sg.n_layers)))
+    named = set(map(tuple, cells_of(cond)))
     out = set()
     for sid, cells in sg.slices.items():
         hit = [tuple(c) in named for c in cells.tolist()]
@@ -70,7 +71,7 @@ def conditioned_slices(sg, cond):
 
 def fine_slice_conditions(sg):
     conds = slice_conditions(sg)
-    return {sid: conds[(int(cells[0, 0]), int(cells[0, 1]))]
+    return {sid: conds[int(cells[0, 0])]
             for sid, cells in sg.slices.items() if sid.group > 0}
 
 
@@ -90,7 +91,7 @@ def test_stream_step_hand_cases():
         """First and last frame that frame t's fine tokens are coded
         against, in step i of a stream of ``total`` frames."""
         due, horizon = stream_step(i, cfg, total)
-        cond = stream_conditions(due, cfg, horizon, 1, 2)[(t, 1)]
+        cond = stream_conditions(due, cfg, horizon, 1)[t]
         return cond.lo, cond.hi - 1
 
     assert stream_step(0, cfg) == (range(0, 3), 5)
@@ -105,39 +106,29 @@ def test_stream_step_hand_cases():
 
 
 def test_periodic_dependency_structure():
-    sg, conds = small_layout()
+    sg, conds = small_layout(n_frames=9)
     phi = fine_slice_conditions(sg)
-    coarse = {SliceId(0, u, 0) for u in (1, 2, 3)}
+    coarse = {g: {sid for sid in sg.slices if sid.gos == g and sid.group == 0}
+              for g in (0, 1)}
     # Coarse slices are sent uncoded and condition on nothing.
-    assert set(phi) == set(sg.slices) - coarse
-    # Key-unit fine slices condition on exactly the coarse slices.
-    assert conditioned_slices(sg, phi[SliceId(0, 1, 1)]) == coarse
-    assert conditioned_slices(sg, phi[SliceId(0, 1, 2)]) == coarse
-    # Non-key fine adds key groups up to its own group.
-    assert conditioned_slices(sg, phi[SliceId(0, 2, 1)]) == \
-        coarse | {SliceId(0, 1, 1)}
-    assert conditioned_slices(sg, phi[SliceId(0, 3, 2)]) == \
-        coarse | {SliceId(0, 1, 1), SliceId(0, 1, 2)}
-    # The per-cell lookup names the cells of those slices.
-    all_coarse = [[t, 0] for t in range(6)]
-    key = conds[(3, 2)]
-    assert key.key and cells_of(key, 4) == all_coarse
-    other = conds[(5, 2)]
-    assert not other.key
-    assert cells_of(other, 4) == [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0],
-                                  [3, 0], [3, 1], [3, 2], [4, 0], [5, 0]]
-    assert (0, 0) not in conds
+    assert set(phi) == set(sg.slices) - coarse[0] - coarse[1]
+    # Every fine slice conditions on exactly the coarse slices of its
+    # group-of-slices, whatever its unit and layer group.
+    for sid, cond in phi.items():
+        assert conditioned_slices(sg, cond) == coarse[sid.gos]
+    # The per-frame lookup names the coarse cells of those slices.
+    assert cells_of(conds[5]) == [[t, 0] for t in range(6)]
+    assert cells_of(conds[6]) == [[t, 0] for t in range(6, 9)]
+    assert sorted(conds) == list(range(9))
 
 
 def gos_strategy():
     return st.builds(
-        lambda gos_len, units, steps, key: GosConfig(
+        lambda gos_len, units, steps: GosConfig(
             gos_len, min(units, gos_len),
-            tuple(np.cumsum([0] + steps).tolist()),
-            1 + key % min(units, gos_len)),
+            tuple(np.cumsum([0] + steps).tolist())),
         st.integers(1, 8), st.integers(1, 4),
-        st.lists(st.integers(1, 2), min_size=1, max_size=4),
-        st.integers(0, 3))
+        st.lists(st.integers(1, 2), min_size=1, max_size=4))
 
 
 def stream_emission_order(gos, cfg, n_frames, level):
@@ -167,32 +158,27 @@ def test_dependency_is_topological(gos, n_frames, data):
     ordered = stream_emission_order(gos, stream, n_frames, level)
     pos = {fg: i for i, fg in enumerate(ordered)}
     assert len(pos) == len(ordered)
-    group_of = {k - 1: j for j in range(gos.n_fine_groups + 1)
-                for k in gos.group_layers(j, level)}
-    conds = stream_conditions_of(stream, n_frames, gos.n_coarse, level)
-    assert set(conds) == {(t, k) for t in range(n_frames)
-                          for k in range(gos.n_coarse, level)}
+    conds = stream_conditions_of(stream, n_frames, gos.n_coarse)
+    assert set(conds) == set(range(n_frames))
     for t, j in ordered:
         if j == 0:
             continue
-        cond = conds[(t, gos.group_layers(j, level)[0] - 1)]
-        assert not cond.key
-        for f, k in cells_of(cond, gos.n_layers):
-            assert pos[(f, group_of[k])] < pos[(t, j)]
-            assert (f, group_of[k]) != (t, j)
+        # a fine slice conditions on coarse cells only
+        for f, _ in cells_of(conds[t]):
+            assert pos[(f, 0)] < pos[(t, j)]
 
 
 def test_streaming_dependency_window():
     stream = StreamConfig(stride=2, lookahead=1, coding_context=4,
                           conceal_context=4)
-    # Frame 7: step 3, horizon 8, context [5, 8], fine history [5, 7).
+    # Frame 7: step 3, horizon 8, context [5, 8], coarse cells only: the
+    # fine cells of frames 5 and 6 are no conditions.
     due, horizon = stream_step(3, stream)
     assert (due, horizon) == (range(6, 8), 8)
-    cond = stream_conditions(due, stream, horizon, n_coarse=1,
-                             level=2)[(7, 1)]
-    assert cells_of(cond, 2) == [[5, 0], [5, 1], [6, 0], [6, 1], [7, 0],
-                                 [8, 0]]
-    assert not cond.key
+    conds = stream_conditions(due, stream, horizon, n_coarse=1)
+    assert cells_of(conds[7]) == [[5, 0], [6, 0], [7, 0], [8, 0]]
+    # Frame 6 looks ahead only to frame 7.
+    assert cells_of(conds[6]) == [[5, 0], [6, 0], [7, 0]]
 
 
 def coding_view(cond, n_rows, n_layers, cells):
@@ -207,24 +193,16 @@ def coding_view(cond, n_rows, n_layers, cells):
 
 
 def test_coding_visibility_periodic():
-    gos = GosConfig(6, 3, (0, 2, 4, 6), key_unit=1)
+    gos = GosConfig(6, 3, (0, 2, 4, 6))
     sg = build_slice_grid(12, gos, 5)
     phi = fine_slice_conditions(sg)
 
-    def view(sid):
-        return coding_view(phi[sid], 12, 6, sg.slices[sid])
-
-    # Key slice: the whole group-of-slices shows its coarse prefix.
-    vis, rng = view(SliceId(1, 1, 1))
-    assert rng == (6, 12)
-    np.testing.assert_array_equal(vis[6:12], [2] * 6)
-    np.testing.assert_array_equal(vis[:6], [0] * 6)
-    # Non-key group 1: key frames (unit 1 -> frames 6 and 9) deepen to 4.
-    vis, _ = view(SliceId(1, 2, 1))
-    np.testing.assert_array_equal(vis[6:12], [4, 2, 2, 4, 2, 2])
-    # Non-key group 2: key depth is capped by the encode level 5.
-    vis, _ = view(SliceId(1, 3, 2))
-    np.testing.assert_array_equal(vis[6:12], [5, 2, 2, 5, 2, 2])
+    # Every fine slice, of any unit and layer group: the whole
+    # group-of-slices shows its coarse prefix, and nothing else shows.
+    for sid in (SliceId(1, 1, 1), SliceId(1, 2, 1), SliceId(1, 3, 2)):
+        vis, rng = coding_view(phi[sid], 12, 6, sg.slices[sid])
+        assert rng == (6, 12)
+        np.testing.assert_array_equal(vis, [0] * 6 + [2] * 6)
     # Coarse slices are sent uncoded: they have no coding conditions.
     assert SliceId(1, 1, 0) not in phi
 
@@ -233,18 +211,17 @@ def test_coding_visibility_streaming():
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
     due, horizon = stream_step(1, stream, 20)
-    cond = stream_conditions(due, stream, horizon, n_coarse=1,
-                             level=3)[(4, 1)]
+    cond = stream_conditions(due, stream, horizon, n_coarse=1)[4]
     target = np.array([[4, 1]])
     vis, rng = coding_view(cond, 20, 3, target)
-    # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 is the
-    # target so frames 2-3 show full depth and 4-6 only coarse.
+    # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 looks
+    # ahead to frame 6, and every frame shows only its coarse layer.
     assert rng == (2, 7)
-    np.testing.assert_array_equal(vis[2:7], [3, 3, 1, 1, 1])
+    np.testing.assert_array_equal(vis[2:7], [1, 1, 1, 1, 1])
     assert vis[:2].sum() == 0 and vis[7:].sum() == 0
     # A shorter buffer is exposed only over the rows it holds.
     vis, _ = coding_view(cond, 8, 3, target)
-    np.testing.assert_array_equal(vis, [0, 0, 3, 3, 1, 1, 1, 0])
+    np.testing.assert_array_equal(vis, [0, 0, 1, 1, 1, 1, 1, 0])
 
 
 class RecordingModel(UniformModel):
@@ -294,9 +271,8 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         receive_tokens(packets, sg, model)
         conds = slice_conditions(sg)
         n_slices = sum(1 for sid in sg.slices if sid.group > 0)
-        # one wave at the sender; key slices, then the rest, at the receiver
-        n_waves = 1 + len({conds[tuple(c[0].tolist())].key
-                           for sid, c in sg.slices.items() if sid.group > 0})
+        # one query per send and one per receive
+        n_queries = 2
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
@@ -308,22 +284,72 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
             rx.step(em.packets)
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
-        conds = stream_conditions_of(cfg, n_frames, gos.n_coarse, level)
+        conds = stream_conditions_of(cfg, n_frames, gos.n_coarse)
         per_frame = sum(1 for j in range(1, gos.n_fine_groups + 1)
                         if len(gos.group_layers(j, level)))
         n_slices = n_frames * per_frame
-        # one wave per sender step, one per frame at the receiver
-        n_waves = (-(-n_frames // stride) + n_frames) if per_frame else 0
+        # one query per step at each end
+        n_queries = 2 * -(-n_frames // stride)
     if not n_slices:
-        n_waves = 0
+        n_queries = 0
     # lossless: the sender and the receiver each code every fine slice once
-    assert len(model.queries) == n_waves
+    assert len(model.queries) == n_queries
     assert sum(len(q.views) for q in model.queries) == 2 * n_slices
     for q in model.queries:
         for i, view in enumerate(q.views):
-            cond = conds[tuple(view.targets[0].tolist())]
-            assert all(conds[tuple(c)] is cond for c in view.targets.tolist())
+            cond = conds[int(view.targets[0, 0])]
+            assert all(conds[t] == cond for t in view.targets[:, 0].tolist())
             assert_view_shows_the_gated_cells(q, i, cond)
+
+
+@given(gos_strategy(), st.integers(1, 16), st.data())
+@settings(max_examples=80, deadline=None)
+def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
+    """With every coarse packet delivered and any fine packets dropped, a
+    fine cell is RECEIVED whenever the packets of its own frame's layer
+    groups up to its own arrived: no other fine packet is a condition."""
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tokens = rng.integers(0, 4, size=(n_frames, gos.n_layers))
+    tokens[:, level:] = 0
+    model = UniformModel(4)
+
+    def keep(p):
+        return p.group == 0 or data.draw(st.booleans())
+
+    arrived = set()  # (frame, layer group) pairs delivered
+    if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
+        sg = build_slice_grid(n_frames, gos, level)
+        packets, _ = send_tokens(
+            TokenGrid(tokens, np.full(n_frames, level), 4), sg, model)
+        kept = [p for p in packets if keep(p)]
+        _, states, _ = receive_tokens(kept, sg, model)
+        for p in kept:
+            cells = sg.slices[SliceId(p.gos_id, p.unit, p.group)]
+            arrived |= {(t, p.group) for t in cells[:, 0].tolist()}
+    else:
+        stride = data.draw(st.integers(1, 4))
+        lookahead = data.draw(st.integers(0, 3))
+        context = stride + lookahead + data.draw(st.integers(0, 4))
+        cfg = StreamConfig(stride, lookahead, context, context)
+        tx = StreamSender(gos, cfg, model, level=level)
+        rx = StreamReceiver(gos, cfg, model, level=level)
+
+        def carry(em):
+            kept = [p for p in em.packets if keep(p)]
+            arrived.update((p.first_frame, p.group) for p in kept)
+            return kept
+
+        for em in tx.push(tokens):
+            rx.step(carry(em))
+        tail, total = tx.flush()
+        rx.finish([carry(em) for em in tail], total)
+        states = rx.result()[1]
+    for j in range(1, gos.n_fine_groups + 1):
+        for k in gos.group_layers(j, level):
+            for t in range(n_frames):
+                if all((t, i) in arrived for i in range(1, j + 1)):
+                    assert states[t, k - 1] == R, (t, k - 1)
 
 
 def test_propagate_invalid():
@@ -442,30 +468,12 @@ def test_classify_lost_coarse():
 def test_classify_lost_fine_non_key():
     sg, conds = small_layout()
     states = fresh_states(sg)
-    # Non-key unit 2 group 1 lost: frames 1 and 4, layer 1.
+    # Unit 2 group 1 lost: frames 1 and 4, layer 1; nothing else is hit.
     for t in (1, 4):
         states[t, 1] = L
         states[t, 2] = I
     targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
     assert targets == [(1, 1, LossCase.FINE), (4, 1, LossCase.FINE)]
-
-
-def test_classify_lost_key_slice():
-    sg, conds = small_layout()
-    states = fresh_states(sg)
-    # Key unit 1 group 1 lost (frames 0 and 3); every dependent fine slice
-    # becomes undecodable.
-    for t in (0, 3):
-        states[t, 1] = L
-        states[t, 2] = I
-    for t in (1, 2, 4, 5):
-        states[t, 1] = I
-        states[t, 2] = I
-    targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
-    want = [(t, k, LossCase.KEY_CONTEXT) for t in (1, 2, 4, 5) for k in (1, 2)]
-    assert sorted(targets) == sorted(want)
-    # The lost key cells themselves never become targets.
-    assert not [tg for tg in targets if tg[0] in (0, 3)]
 
 
 def test_classify_coarse_lost_outside_window():
@@ -490,15 +498,18 @@ def test_classify_coarse_lost_outside_window():
 def test_classify_respects_conceal_fine_layers():
     sg, conds = small_layout()
     states = fresh_states(sg)
+    # Unit 1 coarse lost outside the window: frames 1 and 2 lose their
+    # fine layers to a broken condition.
     for t in (0, 3):
-        states[t, 1] = L
-        states[t, 2] = I
+        states[t, 0] = L
+        states[t, 1:3] = I
     for t in (1, 2, 4, 5):
         states[t, 1:3] = I
-    targets = classify(states, ConcealmentWindow(0, 6), sg, conds,
-                            conceal_fine_layers=1)
+    targets = classify(states, ConcealmentWindow(1, 3), sg, conds,
+                       conceal_fine_layers=1)
     # Cap 1 fine layer: only layer 1 is concealed, layer 2 stays invalid.
-    assert {k for _, k, _ in targets} == {1}
+    assert sorted(targets) == [(t, 1, LossCase.COARSE_CONTEXT)
+                               for t in (1, 2)]
 
 
 def test_conceal_mask_shapes_and_errors():

@@ -42,7 +42,7 @@ def test_config_defaults_round_trip():
     ({"dim": 400}, "dim"),
     ({"n_coarse": 8}, "n_coarse"),
     ({"n_units": 13}, "n_units"),
-    ({"key_unit": 0}, "key_unit"),
+    ({"key_unit": 0}, "key_unit: unknown field"),
     ({"vocab": 1}, "vocab"),
     ({"train_clips": 1, "clip_frames": 1, "vocab": 64}, "train_clips"),
 ])

@@ -24,17 +24,17 @@ from tokenwire.transport import BernoulliChannel, MarkovChannel, Packet
 
 VOCAB = 16
 N_LAYERS = 8
-GOS = GosConfig(12, 3, (0, 2, 4, 6, 8), key_unit=1)
-GOS_KEY3 = GosConfig(12, 3, (0, 2, 4, 6, 8), key_unit=3)
+GOS = GosConfig(12, 3, (0, 2, 4, 6, 8))
+GOS_UNITS4 = GosConfig(12, 4, (0, 2, 4, 6, 8))
 N_FRAMES = 60
 
 # batch layouts: (group-of-slices layout, encode level, frames)
 BATCH = {
     "8": (GOS, 8, N_FRAMES),
     "5": (GOS, 5, N_FRAMES),
-    "key3": (GOS_KEY3, 8, N_FRAMES),
-    # the tail group-of-slices holds frames 60-61, units 1-2: no key frame
-    "tail": (GOS_KEY3, 8, N_FRAMES + 2),
+    "units4": (GOS_UNITS4, 8, N_FRAMES),
+    # the tail group-of-slices holds frames 60-61, units 1-2 of 3
+    "tail": (GOS, 8, N_FRAMES + 2),
 }
 
 
@@ -166,244 +166,244 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
 
 GOLDEN = {
     "batch/8/lossless": {
-        "wire": "2b3fb49be836c7bb95f69909f7d3e625bb00b00fc232aa3669f2da6a394f1ea8",
-        "sender": "2811b2d30b9a3e8c26b40cc42dcb298b7ee100c0aeb79634cb62ccd95961bbb0",
+        "wire": "445ea5c0c5d84957064fbd1e6f32d531afac3ff4bea1b4492e0db142d2fcf7ff",
+        "sender": "a130cee627faa7e78dc267cc87211390c905296dfc36e51c96315764fa9b16b1",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/8/0.1": {
-        "wire": "2b3fb49be836c7bb95f69909f7d3e625bb00b00fc232aa3669f2da6a394f1ea8",
-        "sender": "2811b2d30b9a3e8c26b40cc42dcb298b7ee100c0aeb79634cb62ccd95961bbb0",
-        "received": "c152d078a582a758b8fe81297060490da53eb2c8a2c7133bc4f6df9d7223f730",
-        "receiver": "b0180830eb12f6ca968aa2b256a066002ae3463df90f2a0b245e41616a80afb4",
+        "wire": "445ea5c0c5d84957064fbd1e6f32d531afac3ff4bea1b4492e0db142d2fcf7ff",
+        "sender": "a130cee627faa7e78dc267cc87211390c905296dfc36e51c96315764fa9b16b1",
+        "received": "454115f45698f82397e3947a3b3c8136a19c1dae84963cdc63a0b6f90f20135d",
+        "receiver": "d5930db16b452b226db0e24e4164b48c0e2bd8afc22d06922edbd4e09f85f9cf",
     },
     "batch/8/0.3": {
-        "wire": "2b3fb49be836c7bb95f69909f7d3e625bb00b00fc232aa3669f2da6a394f1ea8",
-        "sender": "2811b2d30b9a3e8c26b40cc42dcb298b7ee100c0aeb79634cb62ccd95961bbb0",
-        "received": "6a29da78229366c53e8d5fb9618a4754de3de3e0d4f33aa7afa4e2d37fe00db9",
-        "receiver": "5f5fcca4d3c8e8116ad79b4f4a306b58fd452d9a675df920b892c8849e9bb208",
+        "wire": "445ea5c0c5d84957064fbd1e6f32d531afac3ff4bea1b4492e0db142d2fcf7ff",
+        "sender": "a130cee627faa7e78dc267cc87211390c905296dfc36e51c96315764fa9b16b1",
+        "received": "db37cd7c9ad183bca9b208bc40790229d443f5ebf9b0e4964ba28763bcd2648d",
+        "receiver": "7adf230c4f3d547faace22d83818a0834fc9efde800db3faa2eeaef07ef152f8",
     },
     "batch/8/blackout": {
-        "wire": "2b3fb49be836c7bb95f69909f7d3e625bb00b00fc232aa3669f2da6a394f1ea8",
-        "sender": "2811b2d30b9a3e8c26b40cc42dcb298b7ee100c0aeb79634cb62ccd95961bbb0",
+        "wire": "445ea5c0c5d84957064fbd1e6f32d531afac3ff4bea1b4492e0db142d2fcf7ff",
+        "sender": "a130cee627faa7e78dc267cc87211390c905296dfc36e51c96315764fa9b16b1",
         "received": "d11e573e0f150436b79f12f2c5cc7ea42b78c76c3973a278cd46766ab2a42090",
         "receiver": "a129e53383e6244faf210e27dfac0d2608a59f7b4ef9a597a04235cc70255225",
     },
     "batch/8/markov": {
-        "wire": "2b3fb49be836c7bb95f69909f7d3e625bb00b00fc232aa3669f2da6a394f1ea8",
-        "sender": "2811b2d30b9a3e8c26b40cc42dcb298b7ee100c0aeb79634cb62ccd95961bbb0",
-        "received": "285c45a813990199e6db7a6f15d601b54d4156cf03f3c6a3d3b336810a37a19a",
-        "receiver": "2d33185f966652456ba516a44ac0948a30f25175ff8a1dab611115fbbc40c188",
+        "wire": "445ea5c0c5d84957064fbd1e6f32d531afac3ff4bea1b4492e0db142d2fcf7ff",
+        "sender": "a130cee627faa7e78dc267cc87211390c905296dfc36e51c96315764fa9b16b1",
+        "received": "3eaeef36c27099e8495cb8d0a7429c825a91c241bc6fb69cbda7947661d34f1d",
+        "receiver": "fffb3b0c4f4f5c4197798309d23e62be270ec1d1e2dfd7e7cac3ac4e537ed02f",
     },
     "batch/5/lossless": {
-        "wire": "2c836b5d8cafacefdd5629554b56000a10f0a325ed584a589a86a68aa7f9e65c",
-        "sender": "f2eb0c8f089014e855024be33f125498352d0c21a811b84d2ed86fb2f1bfb553",
+        "wire": "56df6e9ba4275a5a89c94328dda092d67c9308a0ba4282b100eebe3722874567",
+        "sender": "7ded32ae449eacbc78a0a0c3e5bba5682d24640acc68ad231a5488813c0cc2fa",
         "received": "a8faf11c753db5487f1134f670fcdb5307be9bc63b76b49fc7db23a84dcc136d",
         "receiver": "2c2da278bc7b158602da9e1fda5aead2c21a1faaef864089cb88a1187f4f8fb5",
     },
     "batch/5/0.1": {
-        "wire": "2c836b5d8cafacefdd5629554b56000a10f0a325ed584a589a86a68aa7f9e65c",
-        "sender": "f2eb0c8f089014e855024be33f125498352d0c21a811b84d2ed86fb2f1bfb553",
-        "received": "9d9698dcdc76dc73d5208eeb1402b5b8de18feaeb9578a93623305a7561debd1",
-        "receiver": "19eba8896ffd74cfad73344142df70107dfd45263d91d9d8befb84e797538ec4",
+        "wire": "56df6e9ba4275a5a89c94328dda092d67c9308a0ba4282b100eebe3722874567",
+        "sender": "7ded32ae449eacbc78a0a0c3e5bba5682d24640acc68ad231a5488813c0cc2fa",
+        "received": "a6931947525ead1f1d00dd0021d4a155c303c29f310983b68f3ccac729339500",
+        "receiver": "aff3939a611aa909b470f397e6828e6016bea41c212c08684b6462903e47e756",
     },
     "batch/5/0.3": {
-        "wire": "2c836b5d8cafacefdd5629554b56000a10f0a325ed584a589a86a68aa7f9e65c",
-        "sender": "f2eb0c8f089014e855024be33f125498352d0c21a811b84d2ed86fb2f1bfb553",
-        "received": "6a89734c324a8bbf5c9ba2196f037b10dda9021699e09eb1cdc3dcbf4ab97248",
-        "receiver": "7e5d52887cb45163b2e1ea4f3bed8f6a98603ce5872fe5cd21d9c7cf5ac57504",
+        "wire": "56df6e9ba4275a5a89c94328dda092d67c9308a0ba4282b100eebe3722874567",
+        "sender": "7ded32ae449eacbc78a0a0c3e5bba5682d24640acc68ad231a5488813c0cc2fa",
+        "received": "15751b3cc563f3485431629c7c8e5deacc7859957b5d016c958db8444ff6baa7",
+        "receiver": "a687015f4a69b00d52796edbae4a5d81728cb1aa6139fb20883702b3473aed12",
     },
     "batch/5/blackout": {
-        "wire": "2c836b5d8cafacefdd5629554b56000a10f0a325ed584a589a86a68aa7f9e65c",
-        "sender": "f2eb0c8f089014e855024be33f125498352d0c21a811b84d2ed86fb2f1bfb553",
+        "wire": "56df6e9ba4275a5a89c94328dda092d67c9308a0ba4282b100eebe3722874567",
+        "sender": "7ded32ae449eacbc78a0a0c3e5bba5682d24640acc68ad231a5488813c0cc2fa",
         "received": "86246d30f63de7c070d9e2b405e878f0a526e2ac7f50f4281444d0b392215928",
         "receiver": "84d5b703ef1d0245036b38081f5629518e102af46c9c8834d00389549dd0d4f5",
     },
     "batch/5/markov": {
-        "wire": "2c836b5d8cafacefdd5629554b56000a10f0a325ed584a589a86a68aa7f9e65c",
-        "sender": "f2eb0c8f089014e855024be33f125498352d0c21a811b84d2ed86fb2f1bfb553",
+        "wire": "56df6e9ba4275a5a89c94328dda092d67c9308a0ba4282b100eebe3722874567",
+        "sender": "7ded32ae449eacbc78a0a0c3e5bba5682d24640acc68ad231a5488813c0cc2fa",
         "received": "a8faf11c753db5487f1134f670fcdb5307be9bc63b76b49fc7db23a84dcc136d",
         "receiver": "5f16999bfa1591b4343611d7f53048c7f5678db7550edca4f3db9389f588b42d",
     },
     "stream/default/lossless": {
-        "wire": "62f19afea9346cc40e99c1269d7316ce56579aa1ddcb7a599b00a25f4ddd47ad",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
+        "wire": "b4707d744e1ce854352f6fd406c20f21c59b035ffe20db4211d6a6d5aea611a8",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.1": {
-        "wire": "62f19afea9346cc40e99c1269d7316ce56579aa1ddcb7a599b00a25f4ddd47ad",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "bf43ebbd7f0c80c6dca81a1b495afa45311ec4177c36b2f6b9fa3fd9b1fb2370",
-        "receiver": "c162d304476bfd7b0f74fd2ab25fa2ecc8ccf474ef99495fb4750869a8b3ef7c",
+        "wire": "b4707d744e1ce854352f6fd406c20f21c59b035ffe20db4211d6a6d5aea611a8",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "1f5618e2420c3a3b0fd173e1cd23d18f5576355b354f623bbd511645a4eb1ef6",
+        "receiver": "0453c77f2825b36a31865925ebddbbe63cbf7e07c9a376efeb591d5b8dd631ef",
     },
     "stream/default/0.3": {
-        "wire": "62f19afea9346cc40e99c1269d7316ce56579aa1ddcb7a599b00a25f4ddd47ad",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "d33ad94384b049c9b0f2072cc2319f7f6c7e20f7e72c9d138f69e02e26f127e6",
-        "receiver": "0f8fa0f409f02b7570a0e7419e0109899b8410abec389cf2e2959af4587beb36",
+        "wire": "b4707d744e1ce854352f6fd406c20f21c59b035ffe20db4211d6a6d5aea611a8",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "5a696f6133571c503550ec77894ef2c621069bfb43df5f0bff8fc696b412ce50",
+        "receiver": "7eb744b012239f5a7a6a57c9d911e3ca23e94eebc1bbc1adf8e469af8929b53f",
     },
     "stream/default/blackout": {
-        "wire": "62f19afea9346cc40e99c1269d7316ce56579aa1ddcb7a599b00a25f4ddd47ad",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "3b8c34c9c427261379793b188452b68ab0155ec6f727681b3858dd12be7d13d1",
-        "receiver": "0e7906ba8bba8403c66d941cf6bfa9239716f25fe3177a98a1933a4448b91348",
+        "wire": "b4707d744e1ce854352f6fd406c20f21c59b035ffe20db4211d6a6d5aea611a8",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "508c5dcb24c84b3e009edf4be47f7c5db5a39ae592e0d6fa8e263cdf51647a4f",
+        "receiver": "1427c1e3083ba2aab14c57af6f5622f8cbc92ba6ace06420624ef5497be49957",
     },
     "stream/default/markov": {
-        "wire": "62f19afea9346cc40e99c1269d7316ce56579aa1ddcb7a599b00a25f4ddd47ad",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "4fa0edce5729b133c616ab6be9a90d98fc3f97cdef944876e8bd001b9180bfbf",
-        "receiver": "afec520fb09c2e0650074c49bafe9d28dcce95131bf848ecfe8b8505987c82b4",
+        "wire": "b4707d744e1ce854352f6fd406c20f21c59b035ffe20db4211d6a6d5aea611a8",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "f27f928515e33e4c73f75394fe60848ba7538595ed112a0f5a73d2bca18a3a7a",
+        "receiver": "8af0d5c0111355f46bcc4be20dd6c3fb0b6662f89396e7a79e818e31834d7a14",
     },
     "stream/stride1/lossless": {
-        "wire": "17a804688d30903805c61d0e1046e5834730fdda266ca275d1f874e5983dd0d4",
-        "sender": "b09476ff3f53fa040a20d908446b23ba9157c8d8fc8d90e2289db23f46c09cf8",
+        "wire": "8a32bee5c446212cc5e66c0a6bb4d1b3f8f6928a260c9e33ff39260543dec544",
+        "sender": "c78ddd3fb2e31b55abf54ef5240f1dc3754f2ffafdf6c8db31c1c9ea603b4eb4",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "a86118c02a088cb8ae750eac7c310e69807b6d8fa7341f3a45d4478941bd946e",
     },
     "stream/stride1/0.1": {
-        "wire": "17a804688d30903805c61d0e1046e5834730fdda266ca275d1f874e5983dd0d4",
-        "sender": "b09476ff3f53fa040a20d908446b23ba9157c8d8fc8d90e2289db23f46c09cf8",
-        "received": "7ac1ade032b110c55f3729e00abcb56c443935a110edee3808640cceb5c0b943",
-        "receiver": "5a0ef60bb8d2ae7e35ec8b30fc77fc24201eb5b6dc12c8f59b557198def08842",
+        "wire": "8a32bee5c446212cc5e66c0a6bb4d1b3f8f6928a260c9e33ff39260543dec544",
+        "sender": "c78ddd3fb2e31b55abf54ef5240f1dc3754f2ffafdf6c8db31c1c9ea603b4eb4",
+        "received": "b6a559a09eb9b7fbe7adee050afb81126bea126b0c081a09aa3c43bfdba28608",
+        "receiver": "a8f2db97b14c51929d36c54b54600268d852412ad5d0b146f30374683d7d6b90",
     },
     "stream/stride1/0.3": {
-        "wire": "17a804688d30903805c61d0e1046e5834730fdda266ca275d1f874e5983dd0d4",
-        "sender": "b09476ff3f53fa040a20d908446b23ba9157c8d8fc8d90e2289db23f46c09cf8",
-        "received": "83bfd02994c5f954748c1302e5ae711bf2a94df46d9f99b39e2405d6de690c37",
-        "receiver": "70c281f0c9b4c5bd0ff2902be14694e7d66ae21ef22f611bc67e2d1910804913",
+        "wire": "8a32bee5c446212cc5e66c0a6bb4d1b3f8f6928a260c9e33ff39260543dec544",
+        "sender": "c78ddd3fb2e31b55abf54ef5240f1dc3754f2ffafdf6c8db31c1c9ea603b4eb4",
+        "received": "f4369f0f159bd19fc0e239b13e2d2dacc428f054b9d38c2712a49a0623c63422",
+        "receiver": "0951ac5f99c571d1c7b18f6ec3c89dcc69b0d11f37efc2497ecb3fcb9c0c1a3f",
     },
     "stream/stride1/blackout": {
-        "wire": "17a804688d30903805c61d0e1046e5834730fdda266ca275d1f874e5983dd0d4",
-        "sender": "b09476ff3f53fa040a20d908446b23ba9157c8d8fc8d90e2289db23f46c09cf8",
-        "received": "3ed2956ecff010aa83ecd3fb80ff46666f2e5494ffa11f6ad031b64c0bd4d233",
-        "receiver": "b176c5be387cd6ea0ac13864980d1cf6633518ae1b7b27c3570ddea27bda7f4d",
+        "wire": "8a32bee5c446212cc5e66c0a6bb4d1b3f8f6928a260c9e33ff39260543dec544",
+        "sender": "c78ddd3fb2e31b55abf54ef5240f1dc3754f2ffafdf6c8db31c1c9ea603b4eb4",
+        "received": "f54f3aad7c8572afab68741c35687080611b60fb0b6c21e1dde525894feace35",
+        "receiver": "bf17abbb02f3a473c84dadbc9e4f45b35b5f05772b4aaa1df2f2b6080db2ab25",
     },
     "stream/stride1/markov": {
-        "wire": "17a804688d30903805c61d0e1046e5834730fdda266ca275d1f874e5983dd0d4",
-        "sender": "b09476ff3f53fa040a20d908446b23ba9157c8d8fc8d90e2289db23f46c09cf8",
-        "received": "851eb15ab8ad2a87438a5701fabee4afaa9977a0dbd63120ce949bdabd00157f",
-        "receiver": "02cb472336dfe80ea3711134f2ac2f2da4ce293f1d6d7d8fb89200006fecbc85",
+        "wire": "8a32bee5c446212cc5e66c0a6bb4d1b3f8f6928a260c9e33ff39260543dec544",
+        "sender": "c78ddd3fb2e31b55abf54ef5240f1dc3754f2ffafdf6c8db31c1c9ea603b4eb4",
+        "received": "9f24b44ed636069da98f0c5bbbd64d782318c15ef73e79775be9fb1fd0999d8a",
+        "receiver": "b3f7843ced25435765876692c3b31c90d9eb6a8397d39bfd4a8afee469b501bc",
     },
     "stream/wide/lossless": {
-        "wire": "41851f2a79b97d29d44c7f868ed8882fa2af674d151198bdbe4774ebc7367082",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
+        "wire": "1a699c42cd03e00869d6046d44279b0172db14b31dbc2be314035c9f7fae67c0",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "5edc1bf03ce1428c1d60900fc2eef7a702944ef957c9dbdd789829c26dd375b7",
     },
     "stream/wide/0.1": {
-        "wire": "41851f2a79b97d29d44c7f868ed8882fa2af674d151198bdbe4774ebc7367082",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "2d7f8170053fcac39edc4abfaecf0548d8c4cea83b11f5083e8d308847529a8f",
-        "receiver": "0a1a31c6409e2937f5c5e127c2e972ce9f87d9194e4033f8d5d003b2ad2f0ae7",
+        "wire": "1a699c42cd03e00869d6046d44279b0172db14b31dbc2be314035c9f7fae67c0",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "b4f20e9e9716a5b4b19373d017939bd13561064c931085f1fd58aa52e193e0f1",
+        "receiver": "009ec3b06f79542693185a2af4a3f7029f6651228e070a19a46393dadc2971fb",
     },
     "stream/wide/0.3": {
-        "wire": "41851f2a79b97d29d44c7f868ed8882fa2af674d151198bdbe4774ebc7367082",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "7fba1ac1216872d10f876a6e50fe5e8f2d604b41826a9ff834e3efac146a99b3",
-        "receiver": "3e35b08b3cf7db91bdaec375edf74a9bb65f80efde1debc35b614db9347d27ac",
+        "wire": "1a699c42cd03e00869d6046d44279b0172db14b31dbc2be314035c9f7fae67c0",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "83ab524e3c344da16d068fdfad975bf42415158bd89c3a1cbd9b71836dfdc001",
+        "receiver": "d987740bf14b9dafe06191edc9d0d58c57402eede4d49c5d203c7b84916d9977",
     },
     "stream/wide/blackout": {
-        "wire": "41851f2a79b97d29d44c7f868ed8882fa2af674d151198bdbe4774ebc7367082",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "12aa4ec82392b8c313d70a4f92173cab39c9dc064e007bf948736d31b9395cd2",
-        "receiver": "5606d14d4d7495d8a9e53d9a62fff17cacc454a7451e8361e00d5b46b213a99d",
+        "wire": "1a699c42cd03e00869d6046d44279b0172db14b31dbc2be314035c9f7fae67c0",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "0e5d7e79e6d4ad3a19febe177f1588ed392d52592f0a540c72d82ff0b21b2f2b",
+        "receiver": "703681f00143d5c1383ef84e4fd691ed41d06a7d38caea2363f97a227bf5ddce",
     },
     "stream/wide/markov": {
-        "wire": "41851f2a79b97d29d44c7f868ed8882fa2af674d151198bdbe4774ebc7367082",
-        "sender": "3c378295edafe629bc423af43b1b09ec02a7c383d36eca0a8b7e321994470cf5",
-        "received": "9b85b3f5cadd994aac7a9ec61f686c77bc39f2dcbcacf6061280cfd174c3dc89",
-        "receiver": "7305817e3ba119227cde5df048de05608eee5eb9c1797b7f5ab8a78ec6115ceb",
+        "wire": "1a699c42cd03e00869d6046d44279b0172db14b31dbc2be314035c9f7fae67c0",
+        "sender": "7a968f22445ab0ead18f8ef746de031e0a4723bbaeee0ea6bf94295dd4483b4f",
+        "received": "4006f1f033cf8b5c140c8a232b0ac1ec479c86aef15e497d0554db7890b6e927",
+        "receiver": "e861e8f014f0902235af76ff5af4a2104479f835dcd837610a4daa36c5025261",
     },
-    "batch/key3/lossless": {
-        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
-        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
+    "batch/units4/lossless": {
+        "wire": "a55367dfc6f2cf57d6f898cee3047b5362cf5e2503a12a4a31ae1b2182f5e85b",
+        "sender": "9861bb69eed68297ca0269929115eec2113454c6175d82af09946be6600e1f8e",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
-    "batch/key3/0.1": {
-        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
-        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
-        "received": "10be46652a9e5ef118a276b0f8be7bc917cd9a85ef8d8bfd9ef8c8d4381ea5d0",
-        "receiver": "3d2f7de3e6b9a806f51664af3850a0b2095cc5f3dc23188c36450881c62921ae",
+    "batch/units4/0.1": {
+        "wire": "a55367dfc6f2cf57d6f898cee3047b5362cf5e2503a12a4a31ae1b2182f5e85b",
+        "sender": "9861bb69eed68297ca0269929115eec2113454c6175d82af09946be6600e1f8e",
+        "received": "7a9b205d6af43e22abc0d5b277295aba8fa7e654676b88ce64eb244ac091ff25",
+        "receiver": "82d88df22629a16e690e76f47fd877a7eae8461bb5afb7eedcbe33812c9a1a15",
     },
-    "batch/key3/0.3": {
-        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
-        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
-        "received": "280d7f7afc0c39b720f3e0ad8777e8fc9b38567e312f3d2cab5596357563adb4",
-        "receiver": "a28efe1ae72268fceb7e86748af7ea2ed77ef2250215d82efb778233481acb1b",
+    "batch/units4/0.3": {
+        "wire": "a55367dfc6f2cf57d6f898cee3047b5362cf5e2503a12a4a31ae1b2182f5e85b",
+        "sender": "9861bb69eed68297ca0269929115eec2113454c6175d82af09946be6600e1f8e",
+        "received": "1fce97adcdfc2b0f1403f7065ab9416b15f7ca08e0e120da018d5aa55677732b",
+        "receiver": "13b20bbdeb14e0b9d3ae64ac19640b88313f71a49a44c6f34bb2970d516e772b",
     },
-    "batch/key3/blackout": {
-        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
-        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
-        "received": "d11e573e0f150436b79f12f2c5cc7ea42b78c76c3973a278cd46766ab2a42090",
-        "receiver": "a129e53383e6244faf210e27dfac0d2608a59f7b4ef9a597a04235cc70255225",
+    "batch/units4/blackout": {
+        "wire": "a55367dfc6f2cf57d6f898cee3047b5362cf5e2503a12a4a31ae1b2182f5e85b",
+        "sender": "9861bb69eed68297ca0269929115eec2113454c6175d82af09946be6600e1f8e",
+        "received": "fca451dcfc750e974c9fcaee002473bab9e001217fcc4580f8c357c328a5e73b",
+        "receiver": "e9f47829083b080adb87c675bc96fff350e9d3353c4420eb4e316f0a4170fc39",
     },
-    "batch/key3/markov": {
-        "wire": "d3233a40f2bb7af4e1fdfd2889f1865373e7d380d009c636b786e06beb34589c",
-        "sender": "93bd4d5ade599c4d0344416ed0b909fd5607b8d8526c69badb06d82dff7bdbbf",
-        "received": "eb3fa95e53f7352fb2c7ee1a201729c27eb5c297afa9a274ec997ed514bbddc1",
-        "receiver": "44cafa5395c42fa0b9fdf237c64969e61990ab05ff7e6f313e76ea224adcb3db",
+    "batch/units4/markov": {
+        "wire": "a55367dfc6f2cf57d6f898cee3047b5362cf5e2503a12a4a31ae1b2182f5e85b",
+        "sender": "9861bb69eed68297ca0269929115eec2113454c6175d82af09946be6600e1f8e",
+        "received": "e77371d25cdb303e54a3c1e2466748c11a1e46ca6329f09aaceadfedf2829780",
+        "receiver": "7ae84846453e7a55c1a147343ed146fa64bc2ffe3852926d982179e1663c5b98",
     },
     "batch/tail/lossless": {
-        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
-        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "wire": "9a0ccbaa5da9bf8f035945f4fcb0bb1e753a9f3a30f1a040ee08192d42060f3f",
+        "sender": "66127b17001aee04b762e1314353c7363df315f646e5078221a67d9d386b92f1",
         "received": "f26e2fdfebc72e840a83417b5f84ba8ebb7e350c10fcc722456fe96e0afad58a",
         "receiver": "1d9dc9765a312b9cc731f798a851eee7df261563bf99a9fff49b0cd6cc51084e",
     },
     "batch/tail/0.1": {
-        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
-        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
-        "received": "a915a5fab6c8f765f5c62d7cdc09e2590427c8046f77bef0b32ed93dbfcaab08",
-        "receiver": "a4c6364037a38af87ffcd2b403396e1d260dbfbc4bb1e4a921df523c047223a1",
+        "wire": "9a0ccbaa5da9bf8f035945f4fcb0bb1e753a9f3a30f1a040ee08192d42060f3f",
+        "sender": "66127b17001aee04b762e1314353c7363df315f646e5078221a67d9d386b92f1",
+        "received": "61aef9b4700e3e2ab0baf1d970a30bffa156a7ef17d1f3e9e36a06b2b205ac40",
+        "receiver": "8a5c2d0b47a7af61341f40d9aeb91bc2f65d768a6652ca703f9b9e327768b980",
     },
     "batch/tail/0.3": {
-        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
-        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
-        "received": "1a27d615bb939e8c3c0d3a2755e2e2ea19c974d9c48997bada7700d58c538139",
-        "receiver": "8d6e6f2d7647e8141d9e4be9d3fdcaea049d065904196199816c06264acd1740",
+        "wire": "9a0ccbaa5da9bf8f035945f4fcb0bb1e753a9f3a30f1a040ee08192d42060f3f",
+        "sender": "66127b17001aee04b762e1314353c7363df315f646e5078221a67d9d386b92f1",
+        "received": "1dc3cf322643f6e1b4099c501504c9abbac657c8b16113624cd7fab9a3d615f4",
+        "receiver": "98d0514ac6c48de79ccd161c984abe53ab99d6a4e2171f067ad187785cffde9d",
     },
     "batch/tail/blackout": {
-        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
-        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
+        "wire": "9a0ccbaa5da9bf8f035945f4fcb0bb1e753a9f3a30f1a040ee08192d42060f3f",
+        "sender": "66127b17001aee04b762e1314353c7363df315f646e5078221a67d9d386b92f1",
         "received": "b537629a43338c0bf554b55844901c4be91350659e83f02f7b855bb1b7f9312f",
         "receiver": "b13d85a990a56658b507121ee3c65b67672b57d72f4d4a20fabd897a8369355e",
     },
     "batch/tail/markov": {
-        "wire": "310dd08a2dfa1bad2cf1cf5f18d5b07f2d69d14737a75d328f5af141b3f04bc3",
-        "sender": "9f8427098ceef13484e5acde80b46c8f520a90504ad41c870cea8ca188278368",
-        "received": "dd5d00bb965451d46818d1a569a57a182f75ad6272d76738b9fa9c5fe20ec520",
-        "receiver": "5e79260d941620932ee632669dab40d4c62e8d6f43eb2ccfe02ab36ed815549b",
+        "wire": "9a0ccbaa5da9bf8f035945f4fcb0bb1e753a9f3a30f1a040ee08192d42060f3f",
+        "sender": "66127b17001aee04b762e1314353c7363df315f646e5078221a67d9d386b92f1",
+        "received": "6e12d9d06143f542f01200b50b505f4ce1ff34e759d8b19b7502b3ae0f149f25",
+        "receiver": "1adf7eaad067d5d7a0610b3f9e88676394cdec3bb2574956b8f820cbfeb6401c",
     },
     "stream/tight/lossless": {
-        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
-        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "wire": "92b8c086c777c23e58d74eedc0adef2ec448c3c1e80cce9f41dbe9bb131d9ca3",
+        "sender": "1c1db5d6463e91f204dcc67e3165f89cd17afef08efa8b8e903a2033e4904382",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
     },
     "stream/tight/0.1": {
-        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
-        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
-        "received": "99c9ae44d42aceff73327ffef9f4cebef4629d876e5b55e2cd09d739c34b0082",
-        "receiver": "39da4f9422bd01b883e0ed12400491c72cd7ea086878e8dd0e21e7f429265c30",
+        "wire": "92b8c086c777c23e58d74eedc0adef2ec448c3c1e80cce9f41dbe9bb131d9ca3",
+        "sender": "1c1db5d6463e91f204dcc67e3165f89cd17afef08efa8b8e903a2033e4904382",
+        "received": "6185181e370b97c5e59a9ac5aff9e22770ba09f08baca29249fb9df990572020",
+        "receiver": "19ed31000d9b3d8ddb0561f880aeda1ff87728077eaf8864f013f3cd4e6694a0",
     },
     "stream/tight/0.3": {
-        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
-        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
-        "received": "136ed2ce9ac1c32ae37e3a632397dd5d8be9bb41151dbbe59575f7069c29b217",
-        "receiver": "8a9c0624890507dbf11899d01d9b59b0569be1e18a40801ddd3ad562dcb77672",
+        "wire": "92b8c086c777c23e58d74eedc0adef2ec448c3c1e80cce9f41dbe9bb131d9ca3",
+        "sender": "1c1db5d6463e91f204dcc67e3165f89cd17afef08efa8b8e903a2033e4904382",
+        "received": "b4bc40d5140537073aeebb5b22ee9e7cf398656eff9ccf708ee9cc089b9e7c90",
+        "receiver": "f10c88d338db70bb71838fd72e5139190e61c1fe6691444ed28c3b12b3568bf0",
     },
     "stream/tight/blackout": {
-        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
-        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
+        "wire": "92b8c086c777c23e58d74eedc0adef2ec448c3c1e80cce9f41dbe9bb131d9ca3",
+        "sender": "1c1db5d6463e91f204dcc67e3165f89cd17afef08efa8b8e903a2033e4904382",
         "received": "be7ee9647f80004a5cbc2cb9217ea0ae063e8d4e0bdfb655be972470e9e01f15",
         "receiver": "bd802bbcd9db309317140abb0d6839d67fc235a933f75f0c8289c0ad99fe16c6",
     },
     "stream/tight/markov": {
-        "wire": "d01f9a3646283a8d192df79ac8e5357104e773e9d22bcdbab73a46eb9369456d",
-        "sender": "182973e0fa839957c21aa4b54c6adf1bfa7b9eccb47526be016fb4a509f42375",
-        "received": "c1559a0d2c2e83a6c49cebf940a3e377d234de72ca4708102ae6385375d16f0a",
-        "receiver": "923a6685ef0efe4e9945f285324a8fb3343275decf912fbb9cbc90c59dd586b1",
+        "wire": "92b8c086c777c23e58d74eedc0adef2ec448c3c1e80cce9f41dbe9bb131d9ca3",
+        "sender": "1c1db5d6463e91f204dcc67e3165f89cd17afef08efa8b8e903a2033e4904382",
+        "received": "8149e3fab38766ab41f668fd823404e2a8fa34eb439bc989f8a91902b486b8ce",
+        "receiver": "b2c88dafd74981575d6e300880194f7ad8c65f46b51127883ca8e60b207deea2",
     },
 }
 

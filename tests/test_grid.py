@@ -69,8 +69,6 @@ def test_gos_config_validation():
         GosConfig(4, 2, (1, 2))
     with pytest.raises(ValueError):
         GosConfig(4, 2, (0, 2, 2))
-    with pytest.raises(ValueError):
-        GosConfig(4, 2, (0, 2), key_unit=3)
     # A coarse-only layout is legal.
     cfg = GosConfig(4, 2, (0, 1))
     assert cfg.n_fine_groups == 0 and cfg.n_coarse == 1 and cfg.n_layers == 1
@@ -117,13 +115,12 @@ def test_periodic_slicing_partitions(gos_len, data):
 
 def gos_configs():
     return st.builds(
-        lambda gos_len, units, bounds, key: GosConfig(
-            gos_len, min(units, gos_len), bounds, 1 + key % min(units, gos_len)),
+        lambda gos_len, units, bounds: GosConfig(
+            gos_len, min(units, gos_len), bounds),
         st.integers(1, 8),
         st.integers(1, 4),
         st.lists(st.integers(1, 2), min_size=1, max_size=4).map(
             lambda steps: tuple(np.cumsum([0] + steps).tolist())),
-        st.integers(0, 3),
     )
 
 
@@ -160,18 +157,15 @@ def stream_packets(gos, cfg, n_frames, level):
 
 
 def test_emission_order_periodic():
-    gos = GosConfig(4, 2, (0, 1, 2, 3), key_unit=2)
+    gos = GosConfig(4, 2, (0, 1, 2, 3))
     sg = build_slice_grid(8, gos, 3)
     sids = list(sg.slices)
     # GoS 0 precedes GoS 1 entirely.
     assert sids[: len(sids) // 2] == [s for s in sids if s.gos == 0]
     gos0 = [s for s in sids if s.gos == 0]
-    # Coarse slices first, then all key-unit fine, then the rest.
-    assert all(s.group == 0 for s in gos0[:2])
-    n_key = sum(1 for s in gos0 if s.group > 0 and s.unit == 2)
-    fine = gos0[2:]
-    assert all(s.unit == 2 for s in fine[:n_key])
-    assert all(s.unit != 2 for s in fine[n_key:])
+    # Coarse slices first, then the fine slices by unit and layer group.
+    assert [(s.unit, s.group) for s in gos0] == [
+        (1, 0), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_emission_order_streaming():
@@ -185,9 +179,9 @@ def test_emission_order_streaming():
         [(f, 0) for f in range(5)] + [(f, 1) for f in range(5)]
     assert [(p.gos_id, p.unit) for p in packets[:5]] == \
         [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
-    # Each frame is its own slice and none of them is a key slice.
-    assert not any(c.key for c in stream_conditions_of(cfg, 5, 1,
-                                                       3).values())
+    # Each frame is its own slice, coded against coarse layers only.
+    assert {c.n_coarse for c in stream_conditions_of(cfg, 5, 1).values()} \
+        == {1}
 
 
 def test_level_truncation_drops_upper_groups():
@@ -214,15 +208,18 @@ def test_tail_gos_is_shorter():
 
 
 def test_slice_of_and_key_lookup():
-    gos = GosConfig(6, 3, (0, 1, 3), key_unit=1)
-    sg = build_slice_grid(6, gos, 3)
+    """A slice's cells, and its Conditions looked up by frame."""
+    gos = GosConfig(6, 3, (0, 1, 3))
+    sg = build_slice_grid(9, gos, 3)
     assert sg.slices[SliceId(0, 1, 0)].tolist() == [[0, 0], [3, 0]]
     assert sg.slices[SliceId(0, 2, 1)].tolist() == [[1, 1], [1, 2],
                                                     [4, 1], [4, 2]]
     conds = slice_conditions(sg)
-    assert conds[(0, 1)].key  # SliceId(0, 1, 1)
-    assert not conds[(1, 1)].key  # SliceId(0, 2, 1)
-    assert (0, 0) not in conds  # coarse SliceId(0, 1, 0) is not coded
+    # Every frame's fine slices are coded against the coarse layer of its
+    # group-of-slices, the tail one included; one group shares one value.
+    assert sorted(conds) == list(range(9))
+    assert {conds[t] for t in range(6)} == {(0, 6, 1)}
+    assert {conds[t] for t in range(6, 9)} == {(6, 9, 1)}
 
 
 def test_build_slice_grid_validation():
