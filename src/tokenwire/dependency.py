@@ -157,9 +157,12 @@ def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
     """Group damaged frames into concealment windows of at most max_len.
 
     A frame is damaged when its received prefix stops below ``level``.
-    Each maximal run of damaged frames is chunked to the length cap, then
-    padded as symmetrically as the neighboring clean frames allow. Windows
-    never share frames.
+    Each maximal run of damaged frames is cut into the fewest chunks that
+    fit the length cap, with lengths differing by at most one (earlier
+    chunks take the extra frame), so no chunk is a short remainder. The
+    run's first chunk is padded into the clean frames before it and its
+    last chunk into those after it, as symmetrically as they allow.
+    Windows never share frames.
     """
     if max_len < 1:
         raise ValueError("window length cap must be at least 1")
@@ -180,9 +183,11 @@ def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
     next_free = 0
     for ri, (rs, re) in enumerate(runs):
         next_damage = runs[ri + 1][0] if ri + 1 < len(runs) else T
+        n_chunks = -(-(re - rs) // max_len)
+        base, extra = divmod(re - rs, n_chunks)
         chunk = rs
-        while chunk < re:
-            chunk_end = min(chunk + max_len, re)
+        for i in range(n_chunks):
+            chunk_end = chunk + base + (i < extra)
             spare = max_len - (chunk_end - chunk)
             left_avail = chunk - next_free if chunk == rs else 0
             right_avail = next_damage - re if chunk_end == re else 0

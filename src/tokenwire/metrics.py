@@ -2,12 +2,26 @@
 
 Ratios are reported in dB and clamped to [-100, +100] so downstream CSVs
 stay finite and comparisons stay total.
+
+The cepstral metrics share one front end: ``_power`` frames and
+transforms a signal once, and ``_cepstra`` turns that power spectrum into
+the full DCT-II of its log-mel energies through a memoised filterbank.
+``mfcc`` keeps a prefix of one cepstrum; ``mfcc_distance`` computes one
+power spectrum per signal and one cepstrum per filterbank size, and
+every scale with that size reads a prefix of it.
+
+A metric taking two signals refuses two ``AudioSignal``s whose sample
+rates differ, and otherwise takes the rate from whichever argument
+carries one.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioSignal
 from .grid import TokenGrid, TokenState
@@ -27,13 +41,18 @@ def _samples(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _pair(ref, est) -> tuple:
+def _pair(ref, est, sample_rate: int | None = None) -> tuple:
+    """(ref samples, est samples, rate); the rate is that of whichever
+    argument is an AudioSignal, else ``sample_rate``."""
+    rates = {x.sample_rate for x in (ref, est) if isinstance(x, AudioSignal)}
+    if len(rates) > 1:
+        raise ValueError("signals must share one sample rate")
     r, e = _samples(ref), _samples(est)
     if r.shape != e.shape:
         raise ValueError("signals must have equal length")
     if not np.any(r):
         raise ValueError("reference signal has zero energy")
-    return r, e
+    return r, e, (rates.pop() if rates else sample_rate)
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -48,7 +67,7 @@ def _ratio_db(num: float, den: float) -> float:
 def si_snr(ref, est) -> float:
     """Scale-invariant SNR: est is compared against its own projection of
     ref, so si_snr(x, c*x) hits the cap for every c > 0."""
-    r, e = _pair(ref, est)
+    r, e, _ = _pair(ref, est)
     alpha = float(np.dot(e, r) / np.dot(r, r))
     target = alpha * r
     residual = target - e
@@ -57,7 +76,7 @@ def si_snr(ref, est) -> float:
 
 
 def sdr(ref, est) -> float:
-    r, e = _pair(ref, est)
+    r, e, _ = _pair(ref, est)
     residual = r - e
     return _ratio_db(float(np.dot(r, r)),
                      float(np.dot(residual, residual)))
@@ -71,7 +90,9 @@ def _mel_inv(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=64)
 def _filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """(n_mels, n_fft // 2 + 1) triangular mel filters; shared and read-only."""
     freqs = np.linspace(0.0, sample_rate / 2.0, n_fft // 2 + 1)
     pts = _mel_inv(np.linspace(_mel(0.0), _mel(sample_rate / 2.0), n_mels + 2))
     fb = np.zeros((n_mels, freqs.size))
@@ -80,46 +101,67 @@ def _filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         up = (freqs - lo) / (mid - lo)
         down = (hi - freqs) / (hi - mid)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.flags.writeable = False
     return fb
+
+
+def _power(x: np.ndarray, sample_rate: int) -> tuple:
+    """(|rfft|² of every Hann-windowed 25 ms frame at a 10 ms hop, n_fft)."""
+    win_len = int(round(_WIN_SEC * sample_rate))
+    hop = int(round(_HOP_SEC * sample_rate))
+    if x.size < win_len:
+        raise ValueError("signal shorter than one analysis window")
+    n_fft = 1
+    while n_fft < win_len:
+        n_fft *= 2
+    frames = sliding_window_view(x, win_len)[::hop] * np.hanning(win_len)
+    return np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2, n_fft
+
+
+def _cepstra(power: np.ndarray, n_fft: int, sample_rate: int,
+             n_mels: int) -> np.ndarray:
+    """(frames, n_mels) ortho DCT-II of the log-mel energies. Coefficient j
+    does not depend on how many are kept, so any scale up to n_mels is a
+    column prefix of this one array."""
+    fb = _filterbank(n_mels, n_fft, sample_rate)
+    logmel = np.log(power @ fb.T + 1e-10)
+    return scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)
 
 
 def mfcc(signal, sample_rate: int = 16000, n_coef: int = 16,
          n_mels: int | None = None) -> np.ndarray:
     """(frames, n_coef) cepstra: Hann window, mel filterbank, log, DCT-II."""
-    x = _samples(signal)
     if isinstance(signal, AudioSignal):
         sample_rate = signal.sample_rate
-    win_len = int(round(_WIN_SEC * sample_rate))
-    hop = int(round(_HOP_SEC * sample_rate))
-    if x.size < win_len:
-        raise ValueError("signal shorter than one analysis window")
+    power, n_fft = _power(_samples(signal), sample_rate)
     if n_mels is None:
         n_mels = max(40, n_coef)
     if n_coef > n_mels:
         raise ValueError("n_coef cannot exceed n_mels")
-    n_fft = 1
-    while n_fft < win_len:
-        n_fft *= 2
-    window = np.hanning(win_len)
-    starts = range(0, x.size - win_len + 1, hop)
-    frames = np.stack([x[s:s + win_len] * window for s in starts])
-    power = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
-    fb = _filterbank(n_mels, n_fft, sample_rate)
-    logmel = np.log(power @ fb.T + 1e-10)
-    return scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :n_coef]
+    return _cepstra(power, n_fft, sample_rate, n_mels)[:, :n_coef]
 
 
 def mfcc_distance(ref, est, sample_rate: int = 16000) -> float:
     """Mean over four coefficient scales of the squared cepstral difference
-    summed over frames and coefficients."""
-    r, e = _pair(ref, est)
-    if isinstance(ref, AudioSignal):
-        sample_rate = ref.sample_rate
+    summed over frames and coefficients.
+
+    Each signal is framed and transformed once. A scale of n_coef uses
+    n_mels = max(40, n_coef) bands, and scales with the same n_mels are
+    column prefixes of one cepstrum, so 8, 16 and 32 share the 40-band
+    cepstrum and 64 has its own: two cepstra per signal, not four.
+    """
+    r, e, sample_rate = _pair(ref, est, sample_rate)
+    pr, n_fft = _power(r, sample_rate)
+    pe, _ = _power(e, sample_rate)
+    cepstra: dict = {}
     total = 0.0
     for n_coef in MFCC_SCALES:
-        a = mfcc(r, sample_rate, n_coef)
-        b = mfcc(e, sample_rate, n_coef)
-        total += float(np.sum((a - b) ** 2))
+        n_mels = max(40, n_coef)
+        if n_mels not in cepstra:
+            cepstra[n_mels] = (_cepstra(pr, n_fft, sample_rate, n_mels),
+                               _cepstra(pe, n_fft, sample_rate, n_mels))
+        a, b = cepstra[n_mels]
+        total += float(np.sum((a[:, :n_coef] - b[:, :n_coef]) ** 2))
     return total / len(MFCC_SCALES)
 
 

@@ -1,14 +1,24 @@
 """Shared fixtures: trained stacks are expensive, so they are session scoped.
 
 Every fixture here is deterministic; nothing reads the wall clock or an
-unseeded RNG, so a failing test reproduces byte for byte.
+unseeded RNG, so a failing test reproduces byte for byte. Hypothesis
+draws fresh examples on each run unless ``HYPOTHESIS_PROFILE=ci`` is set:
+that profile derandomizes every ``@given`` test, so a CI run draws the same
+examples every time, and prints the blob that replays a failure.
 """
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import tokenwire as tw
 from tokenwire.dependency import stream_conditions, stream_step
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 # Mid-size stack shared by pipeline, streaming, and acceptance tests.
 # Big enough that reconstruction quality responds to packet loss, small

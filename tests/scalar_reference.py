@@ -1,12 +1,18 @@
-"""Scalar reference for the context model's vectorised pricing path.
+"""Scalar references for the library's vectorised paths.
 
-These are the per-cell definitions the planned, table-driven path must
-reproduce: the nearest-deepest neighbor scan over a full-length
-visibility row bounded by a frame range, the per-key fallback chain, and
-the one-vector largest-remainder quantizer.
+For the context model's pricing path: the per-cell definitions the
+planned, table-driven path must reproduce: the nearest-deepest neighbor
+scan over a full-length visibility row bounded by a frame range, the
+per-key fallback chain, and the one-vector largest-remainder quantizer.
+
+For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
+transforms and builds its filterbank on every call, and the
+``mfcc_distance`` that calls it once per scale and signal. The shared
+front end in ``tokenwire.metrics`` must equal them exactly.
 """
 
 import numpy as np
+import scipy.fft
 
 from tokenwire.context import (PMF_TOTAL, SENTINEL, MaskedQuery, View,
                                encode_key, uniform_pmf)
@@ -97,3 +103,57 @@ def reference_key(model, tokens, visible, t, k, lo, hi) -> tuple:
     parts = context_key_parts(tokens, visible, t, k, lo, hi)
     key = encode_key(model.vocab, *parts)
     return (key, *reference_pmf(model, key, k))
+
+
+def reference_filterbank(n_mels: int, n_fft: int,
+                         sample_rate: int) -> np.ndarray:
+    """Triangular mel filters, one per row, built fresh on every call."""
+    def mel(f):
+        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+    def mel_inv(m):
+        return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0)
+                        - 1.0)
+
+    freqs = np.linspace(0.0, sample_rate / 2.0, n_fft // 2 + 1)
+    pts = mel_inv(np.linspace(mel(0.0), mel(sample_rate / 2.0), n_mels + 2))
+    fb = np.zeros((n_mels, freqs.size))
+    for m in range(n_mels):
+        lo, mid, hi = pts[m], pts[m + 1], pts[m + 2]
+        up = (freqs - lo) / (mid - lo)
+        down = (hi - freqs) / (hi - mid)
+        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    return fb
+
+
+def reference_mfcc(x, sample_rate: int, n_coef: int,
+                   n_mels: int | None = None) -> np.ndarray:
+    """(frames, n_coef) cepstra of one sample array, one scale per call:
+    25 ms Hann frames at a 10 ms hop, mel filterbank, log, DCT-II."""
+    x = np.asarray(x, dtype=np.float64)
+    win_len = int(round(0.025 * sample_rate))
+    hop = int(round(0.010 * sample_rate))
+    if n_mels is None:
+        n_mels = max(40, n_coef)
+    n_fft = 1
+    while n_fft < win_len:
+        n_fft *= 2
+    window = np.hanning(win_len)
+    starts = range(0, x.size - win_len + 1, hop)
+    frames = np.stack([x[s:s + win_len] * window for s in starts])
+    power = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
+    fb = reference_filterbank(n_mels, n_fft, sample_rate)
+    logmel = np.log(power @ fb.T + 1e-10)
+    return scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :n_coef]
+
+
+def reference_mfcc_distance(ref, est, sample_rate: int) -> float:
+    """Mean over the scales of the squared cepstral difference, with each
+    scale computed from scratch for each signal."""
+    scales = (8, 16, 32, 64)
+    total = 0.0
+    for n_coef in scales:
+        a = reference_mfcc(ref, sample_rate, n_coef)
+        b = reference_mfcc(est, sample_rate, n_coef)
+        total += float(np.sum((a - b) ** 2))
+    return total / len(scales)

@@ -422,11 +422,26 @@ def test_build_windows_hand_cases():
     assert window_spans(build_windows(states, 2, 3)) == \
         [(0, 3), (3, 6)]
 
+    # A 24-frame clip, three units per 12-frame group-of-slices: frame 11
+    # lost a fine cell, and of frames 12-23 only the coarse of 12, 15, 18
+    # and 21 arrived. Cut from its start, the 13-frame run [11, 24) left
+    # [23, 24) as a window with no received coarse, held as a blackout.
+    states = np.full((24, 2), R, dtype=np.int8)
+    states[11, 1] = L
+    states[12:, :] = L
+    states[12::3, 0] = R
+    windows = build_windows(states, 2, 12)
+    assert window_spans(windows) == [(6, 18), (18, 24)]
+    for w in windows:
+        assert (states[w.start:w.stop, 0] == R).any()
+
 
 def test_build_windows_chunks_long_runs():
     states = np.full((30, 1), L, dtype=np.int8)
     assert window_spans(build_windows(states, 1, 12)) == \
-        [(0, 12), (12, 24), (24, 30)]
+        [(0, 10), (10, 20), (20, 30)]
+    assert window_spans(build_windows(states, 1, 8)) == \
+        [(0, 8), (8, 16), (16, 23), (23, 30)]
     with pytest.raises(ValueError):
         build_windows(states, 1, 0)
 

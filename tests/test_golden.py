@@ -342,7 +342,7 @@ GOLDEN = {
     "batch/units4/markov": {
         "wire": "a55367dfc6f2cf57d6f898cee3047b5362cf5e2503a12a4a31ae1b2182f5e85b",
         "sender": "9861bb69eed68297ca0269929115eec2113454c6175d82af09946be6600e1f8e",
-        "received": "e77371d25cdb303e54a3c1e2466748c11a1e46ca6329f09aaceadfedf2829780",
+        "received": "79cb1630be0c22a94b962f2a2f0af0cd6532e1d7ca5ad9d5669fc86f7d8c4424",
         "receiver": "7ae84846453e7a55c1a147343ed146fa64bc2ffe3852926d982179e1663c5b98",
     },
     "batch/tail/lossless": {

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_reference import reference_mfcc, reference_mfcc_distance
 
+from tokenwire import experiment
 from tokenwire.audio import AudioSignal
 from tokenwire.grid import TokenGrid, TokenState
-from tokenwire.metrics import mfcc, mfcc_distance, sdr, si_snr, token_accuracy
+from tokenwire.metrics import (_filterbank, mfcc, mfcc_distance, sdr, si_snr,
+                               token_accuracy)
 
 R = int(TokenState.RECEIVED)
 C = int(TokenState.CONCEALED)
@@ -56,6 +61,27 @@ def test_metrics_accept_audio_signals():
                                                                 abs=1e-3)
 
 
+def test_metrics_refuse_mismatched_sample_rates():
+    x = noise(6)
+    a, b = AudioSignal(x, 16000), AudioSignal(x, 8000)
+    for metric in (si_snr, sdr, mfcc_distance):
+        with pytest.raises(ValueError, match="sample rate"):
+            metric(a, b)
+        with pytest.raises(ValueError, match="sample rate"):
+            metric(b, a)
+    assert si_snr(a, AudioSignal(x, 16000)) == 100.0
+
+
+def test_mfcc_distance_takes_the_rate_of_either_signal():
+    x, y = noise(7), noise(8)
+    at_8k = mfcc_distance(x, y, 8000)
+    assert at_8k != mfcc_distance(x, y, 16000)
+    assert mfcc_distance(AudioSignal(x, 8000), y) == at_8k
+    assert mfcc_distance(x, AudioSignal(y, 8000)) == at_8k
+    # a carried rate wins over the keyword, as in mfcc
+    assert mfcc_distance(x, AudioSignal(y, 8000), 16000) == at_8k
+
+
 def test_mfcc_shape_and_validation():
     x = noise(5)  # half a second at 16 kHz
     cep = mfcc(x, 16000, n_coef=16)
@@ -77,6 +103,62 @@ def test_mfcc_distance_separates_signals():
     assert d_silence > d_other
     # regression anchor for the whole cepstral front end
     assert d_silence == pytest.approx(1497020.0966, rel=1e-6)
+
+
+@st.composite
+def signal_pairs(draw):
+    """(ref, est, sample_rate): at least one analysis window, hop-misaligned
+    lengths included, with a scaled, noisy or silent estimate."""
+    sample_rate = draw(st.sampled_from((8000, 16000, 22050)))
+    win_len = int(round(0.025 * sample_rate))
+    hop = int(round(0.010 * sample_rate))
+    n = win_len + draw(st.integers(0, 12)) * hop + draw(st.integers(0, hop - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = rng.normal(0.0, 0.2, n)
+    kind = draw(st.sampled_from(("scaled", "noisy", "silent")))
+    if kind == "scaled":
+        est = draw(st.floats(0.01, 10.0)) * ref
+    elif kind == "noisy":
+        est = ref + rng.normal(0.0, draw(st.floats(1e-3, 1.0)), n)
+    else:
+        est = np.zeros(n)
+    return ref, est, sample_rate
+
+
+@given(signal_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mfcc_front_end_equals_reference(pair, data):
+    ref, est, sample_rate = pair
+    assert mfcc_distance(ref, est, sample_rate) == \
+        reference_mfcc_distance(ref, est, sample_rate)
+    n_mels = data.draw(st.integers(1, 80))
+    n_coef = data.draw(st.integers(1, n_mels))
+    assert np.array_equal(mfcc(ref, sample_rate, n_coef, n_mels),
+                          reference_mfcc(ref, sample_rate, n_coef, n_mels))
+    assert np.array_equal(mfcc(est, sample_rate, n_coef),
+                          reference_mfcc(est, sample_rate, n_coef))
+
+
+def test_cached_filterbank_is_read_only():
+    fb = _filterbank(40, 512, 16000)
+    assert fb is _filterbank(40, 512, 16000)
+    with pytest.raises(ValueError, match="read-only"):
+        fb[0, 0] = 1.0
+
+
+def test_sweep_mfcc_dist_equals_reference(mini_cfg, monkeypatch):
+    seen = []
+
+    def recording(ref, est, *args):
+        seen.append((ref, est))
+        return mfcc_distance(ref, est, *args)
+
+    monkeypatch.setattr(experiment, "mfcc_distance", recording)
+    rows, _ = experiment.run_experiment(mini_cfg)
+    assert len(seen) == len(rows) > 0
+    for row, (clip, est) in zip(rows, seen):
+        assert row.mfcc_dist == reference_mfcc_distance(
+            clip.samples, est.samples, mini_cfg.sample_rate)
 
 
 def test_token_accuracy_counts_only_concealed_cells():
