@@ -42,6 +42,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _artifact(loader, path):
+    """``loader(path)``; a file the loader refuses is reported as a
+    ``ConfigError`` that names the file."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise ConfigError(str(path), str(exc)) from None
+
+
 def _train_cfg(args) -> ExperimentConfig:
     """The config the training commands run, seeded by ``--seed``."""
     return dataclasses.replace(_load_cfg(args.config), base_seed=args.seed)
@@ -58,7 +67,8 @@ def cmd_train_codebooks(args) -> int:
 
 def cmd_train_context(args) -> int:
     cfg = _train_cfg(args)
-    model = train_context(cfg, load_codec(args.codec), training_corpus(cfg))
+    codec = _artifact(load_codec, args.codec)
+    model = train_context(cfg, codec, training_corpus(cfg))
     save_count_model(args.out, model)
     print(f"wrote {args.out}: {len(model.tables)} contexts, "
           f"{model.n_observed} observations")
@@ -67,8 +77,8 @@ def cmd_train_context(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = _load_cfg(args.config)
-    codec = load_codec(args.codec)
-    model = load_count_model(args.model)
+    codec = _artifact(load_codec, args.codec)
+    model = _artifact(load_count_model, args.model)
     gos = gos_config(cfg)
     signal = read_audio(args.audio)
     if signal.samples.size % cfg.frame_len:
@@ -126,12 +136,12 @@ def cmd_decode(args) -> int:
     out_dir = Path(args.dir)
     with open(out_dir / "manifest.json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    codec = load_codec(args.codec)
+    codec = _artifact(load_codec, args.codec)
     if _sha256(args.codec) != manifest["codec_sha256"]:
         raise SystemExit("codec file does not match the manifest")
     if model_digest(args.model) != manifest["model_sha256"]:
         raise SystemExit("model file does not match the manifest")
-    model = load_count_model(args.model)
+    model = _artifact(load_count_model, args.model)
     packets = read_packets(out_dir / "packets.bin")
     if args.trace:
         trace = read_trace(args.trace)
@@ -165,8 +175,8 @@ def cmd_decode(args) -> int:
 
 def cmd_stream(args) -> int:
     cfg = _load_cfg(args.config)
-    codec = load_codec(args.codec)
-    model = load_count_model(args.model)
+    codec = _artifact(load_codec, args.codec)
+    model = _artifact(load_count_model, args.model)
     gos = gos_config(cfg)
     stream = StreamConfig(stride=args.stride, lookahead=args.lookahead,
                           coding_context=cfg.gos_len,

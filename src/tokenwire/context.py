@@ -22,6 +22,11 @@ table: sorted conditional keys with their cumulative rows, plus one
 marginal-or-uniform fallback row per layer. It prices a query with one
 key search. Callers put every slice they can price together into one
 query.
+
+Training reads contexts the same way: each masking sample is one query
+counted through ``observe``. So ``encode_key`` over ``MaskedQuery.context``
+is the one place a visibility pattern becomes a context key, for training,
+pricing and concealment alike.
 """
 
 from __future__ import annotations
@@ -314,8 +319,8 @@ class CountModel:
             raise ValueError("vocab must be at least 2")
         if self.n_layers < 1:
             raise ValueError("n_layers must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
         if self.marginals is None:
             self.marginals = np.zeros((self.n_layers, self.vocab), dtype=np.int64)
         self._table: _Table | None = None
@@ -357,9 +362,9 @@ class CountModel:
     def observe(self, query: MaskedQuery, symbols) -> None:
         """Accumulate (context, token) pairs from one query.
 
-        Uses the same key computation as pmf, so a model can be fitted on
-        whatever visibility pattern it will later be queried with, e.g.
-        causal streaming contexts that the masking curriculum rarely hits.
+        Uses the same key computation as pmf; ``train_count_model`` counts
+        every masking sample through here, and a model can be fitted the
+        same way on any other visibility pattern it will be queried with.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         if symbols.shape != (len(query.targets),):
@@ -407,7 +412,9 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
     Per sample: draw tau and mask floor(T * beta(tau)) frames; draw an
     encode depth K uniformly from [n_coarse, n_layers] and a lowest masked
     layer uniformly from [1, K]; hide layers k..K of the masked frames and
-    count (context -> token) over every hidden cell.
+    count (context -> token) over every hidden cell. A sample is one
+    ``observe`` of a one-view query, unmasked frames visible through K and
+    masked ones through k - 1, so training reads the views pricing reads.
     """
     schedule = schedule or TrainSchedule()
     if not 1 <= n_coarse < n_layers:
@@ -423,7 +430,6 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
 
     rng = np.random.default_rng(schedule.seed)
     model = CountModel(vocab=vocab, n_layers=n_layers)
-    m1 = vocab + 1
 
     for _ in range(schedule.epochs):
         for g in grids:
@@ -437,75 +443,14 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
             if n_masked == 0:
                 continue
             masked = np.sort(rng.choice(T, size=n_masked, replace=False))
-            _accumulate_sample(model, g.tokens, masked, K, k_low, m1)
+            visible = np.full(T, K, dtype=np.int64)
+            visible[masked] = k_low - 1
+            layers = np.arange(k_low - 1, K)
+            targets = np.column_stack([np.repeat(masked, len(layers)),
+                                       np.tile(layers, n_masked)])
+            model.observe(MaskedQuery(g.tokens, [View(0, visible, targets)]),
+                          g.tokens[targets[:, 0], targets[:, 1]])
     return model
-
-
-def _accumulate_sample(model: CountModel, tokens: np.ndarray,
-                       masked: np.ndarray, K: int, k_low: int, m1: int) -> None:
-    """Count (context -> token) pairs for one masking sample.
-
-    Unmasked frames are visible through layer K, masked frames through
-    k_low - 1, so the nearest unmasked frame always wins the deepest-first
-    neighbor scan; the adjacent masked frame is the fallback when a side
-    has no unmasked frame at all.
-    """
-    T = tokens.shape[0]
-    is_masked = np.zeros(T, dtype=bool)
-    is_masked[masked] = True
-    unmasked = np.flatnonzero(~is_masked)
-    vocab = model.vocab
-
-    if len(unmasked):
-        li = np.searchsorted(unmasked, masked) - 1
-        ri = np.searchsorted(unmasked, masked, side="right")
-        has_l = li >= 0
-        has_r = ri < len(unmasked)
-        lf = np.where(has_l, unmasked[np.clip(li, 0, None)], 0)
-        rf = np.where(has_r, unmasked[np.clip(ri, None, len(unmasked) - 1)], 0)
-    else:
-        # every frame masked: both sides fall back to the adjacent frame
-        has_l = has_r = np.zeros(len(masked), dtype=bool)
-        lf = rf = np.zeros(len(masked), dtype=np.int64)
-
-    # fallback side neighbors: adjacent frames are masked with prefix k_low-1
-    fall_ok_l = (masked - 1 >= 0) & (k_low >= 2)
-    fall_ok_r = (masked + 1 < T) & (k_low >= 2)
-
-    all_keys = []
-    all_tokens = []
-    for kc in range(k_low, K + 1):
-        k0 = kc - 1  # 0-based target layer
-        left = np.where(
-            has_l, tokens[lf, k0],
-            np.where(fall_ok_l, tokens[np.clip(masked - 1, 0, None), k_low - 2],
-                     vocab))
-        right = np.where(
-            has_r, tokens[rf, k0],
-            np.where(fall_ok_r, tokens[np.clip(masked + 1, None, T - 1), k_low - 2],
-                     vocab))
-        if kc == k_low and k0 >= 1:
-            below = tokens[masked, k0 - 1]
-        else:
-            below = np.full(len(masked), vocab)
-        keys = ((k0 * m1 + left) * m1 + below) * m1 + right
-        truth = tokens[masked, k0]
-        all_keys.append(keys)
-        all_tokens.append(truth)
-        np.add.at(model.marginals[k0], truth, 1)
-
-    keys = np.concatenate(all_keys)
-    truth = np.concatenate(all_tokens)
-    combo, counts = np.unique(keys * vocab + truth, return_counts=True)
-    model.n_observed += len(keys)
-    tables = model.tables
-    for c, n in zip(combo.tolist(), counts.tolist()):
-        key, tok = divmod(c, vocab)
-        row = tables.get(key)
-        if row is None:
-            row = np.zeros(vocab, dtype=np.int64)
-            tables[key] = row
-        row[tok] += n
 
 
 # Model file format: magic "CTX1", u8 version, 32-byte SHA-256 of the body,
@@ -539,12 +484,18 @@ def load_count_model(path: str | Path) -> CountModel:
     digest, body = data[5:37], data[37:]
     if hashlib.sha256(body).digest() != digest:
         raise ValueError("context model file failed its integrity check")
-    vocab, n_layers, alpha, n_observed = struct.unpack_from("<HHdQ", body, 0)
     off = struct.calcsize("<HHdQ")
+    if len(body) < off:
+        raise ValueError("context model file is truncated")
+    vocab, n_layers, alpha, n_observed = struct.unpack_from("<HHdQ", body, 0)
+    if len(body) < off + 8 * n_layers * vocab + 4:
+        raise ValueError("context model file is truncated")
     marg = np.frombuffer(body, dtype="<u8", count=n_layers * vocab, offset=off)
     off += 8 * n_layers * vocab
     (n_rec,) = struct.unpack_from("<I", body, off)
     off += 4
+    if len(body) < off + n_rec * 8 * (1 + vocab):
+        raise ValueError("context model file is truncated")
     tables = {}
     for _ in range(n_rec):
         (key,) = struct.unpack_from("<q", body, off)

@@ -196,7 +196,7 @@ def save_codec(path: str | Path, codec: RvqCodec) -> None:
 
 def load_codec(path: str | Path) -> RvqCodec:
     data = Path(path).read_bytes()
-    if data[:4] != _RVQ_MAGIC:
+    if data[:4] != _RVQ_MAGIC or len(data) < 12:
         raise ValueError("not a codebook file")
     vocab, dim, n_layers, n_coarse = struct.unpack_from("<HHHH", data, 4)
     need = 12 + 4 * vocab * dim * n_layers

@@ -106,15 +106,17 @@ class Packet:
         end = HEADER_BYTES + payload_len + fec_len
         if len(data) < end:
             raise DecodeError("packet truncated")
+        if len(data) > end:
+            raise DecodeError("trailing bytes after packet")
         body = data[HEADER_BYTES:end]
         zeroed = data[:HEADER_BYTES - 4] + b"\x00\x00\x00\x00"
         if zlib.crc32(zeroed + body) & 0xFFFFFFFF != crc:
             raise DecodeError("packet checksum mismatch")
-        fec = body[payload_len:] if flags & _FLAG_FEC else b""
-        if (flags & _FLAG_FEC) and fec_len == 0:
-            raise DecodeError("fec flag set on empty fec field")
+        if flags != (_FLAG_FEC if fec_len else 0):
+            raise DecodeError(f"packet flags {flags:#04x} do not match its "
+                              f"{fec_len}-byte fec field")
         return cls(gos_id, unit, group, first_frame, n_frames,
-                   body[:payload_len], fec)
+                   body[:payload_len], body[payload_len:])
 
     @property
     def wire_bytes(self) -> int:

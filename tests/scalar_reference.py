@@ -5,6 +5,11 @@ planned, table-driven path must reproduce: the nearest-deepest neighbor
 scan over a full-length visibility row bounded by a frame range, the
 per-key fallback chain, and the one-vector largest-remainder quantizer.
 
+For count-model training: the masking curriculum with the neighbor rule of
+a masking sample written out by hand from its masked and unmasked frames,
+which ``train_count_model``, counting through ``CountModel.observe``, must
+reproduce count for count.
+
 For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
 transforms and builds its filterbank on every call, and the
 ``mfcc_distance`` that calls it once per scale and signal. The shared
@@ -14,8 +19,9 @@ front end in ``tokenwire.metrics`` must equal them exactly.
 import numpy as np
 import scipy.fft
 
-from tokenwire.context import (PMF_TOTAL, SENTINEL, MaskedQuery, View,
-                               encode_key, uniform_pmf)
+from tokenwire.context import (PMF_TOTAL, SENTINEL, CountModel, MaskedQuery,
+                               TrainSchedule, View, beta, encode_key,
+                               uniform_pmf)
 
 
 def scan(tokens, visible, t, k, lo, hi, step) -> int:
@@ -103,6 +109,81 @@ def reference_key(model, tokens, visible, t, k, lo, hi) -> tuple:
     parts = context_key_parts(tokens, visible, t, k, lo, hi)
     key = encode_key(model.vocab, *parts)
     return (key, *reference_pmf(model, key, k))
+
+
+def reference_train_count_model(corpus, vocab: int, n_layers: int,
+                                n_coarse: int,
+                                schedule: TrainSchedule | None = None
+                                ) -> CountModel:
+    """The masking curriculum, counted sample by sample by hand.
+
+    Draws tau, the encode depth K, the lowest masked layer and the masked
+    frames in the same order as ``train_count_model``. Unmasked frames are
+    visible through layer K and masked frames through k_low - 1, so the
+    nearest unmasked frame on a side wins the neighbor scan, and the
+    adjacent masked frame, at layer k_low - 2, is the fallback when that
+    side has no unmasked frame. Tokens are cast to int64 on entry, so the
+    key arithmetic cannot wrap at any vocab.
+    """
+    schedule = schedule or TrainSchedule()
+    grids = list(corpus)
+    rng = np.random.default_rng(schedule.seed)
+    model = CountModel(vocab=vocab, n_layers=n_layers)
+    for _ in range(schedule.epochs):
+        for g in grids:
+            T = g.n_frames
+            tau = schedule.fixed_tau if schedule.fixed_tau is not None \
+                else float(rng.random())
+            K = min(int(rng.integers(n_coarse, n_layers + 1)), int(g.level[0]))
+            k_low = int(rng.integers(1, K + 1))
+            n_masked = int(T * beta(tau))
+            if n_masked == 0:
+                continue
+            masked = np.sort(rng.choice(T, size=n_masked, replace=False))
+            _count_sample(model, g.tokens.astype(np.int64), masked, K, k_low)
+    return model
+
+
+def _count_sample(model, tokens, masked, K, k_low) -> None:
+    """Count (context -> token) over the hidden cells of one sample."""
+    T = tokens.shape[0]
+    vocab = model.vocab
+    m1 = vocab + 1
+    is_masked = np.zeros(T, dtype=bool)
+    is_masked[masked] = True
+    unmasked = np.flatnonzero(~is_masked)
+    if len(unmasked):
+        li = np.searchsorted(unmasked, masked) - 1
+        ri = np.searchsorted(unmasked, masked, side="right")
+        has_l = li >= 0
+        has_r = ri < len(unmasked)
+        lf = np.where(has_l, unmasked[np.clip(li, 0, None)], 0)
+        rf = np.where(has_r, unmasked[np.clip(ri, None, len(unmasked) - 1)], 0)
+    else:
+        has_l = has_r = np.zeros(len(masked), dtype=bool)
+        lf = rf = np.zeros(len(masked), dtype=np.int64)
+    fall_ok_l = (masked - 1 >= 0) & (k_low >= 2)
+    fall_ok_r = (masked + 1 < T) & (k_low >= 2)
+    for k0 in range(k_low - 1, K):
+        left = np.where(
+            has_l, tokens[lf, k0],
+            np.where(fall_ok_l, tokens[np.clip(masked - 1, 0, None), k_low - 2],
+                     vocab))
+        right = np.where(
+            has_r, tokens[rf, k0],
+            np.where(fall_ok_r,
+                     tokens[np.clip(masked + 1, None, T - 1), k_low - 2],
+                     vocab))
+        if k0 == k_low - 1 and k0 >= 1:
+            below = tokens[masked, k0 - 1]
+        else:
+            below = np.full(len(masked), vocab)
+        keys = ((k0 * m1 + left) * m1 + below) * m1 + right
+        for key, tok in zip(keys.tolist(), tokens[masked, k0].tolist()):
+            row = model.tables.setdefault(key, np.zeros(vocab, dtype=np.int64))
+            row[tok] += 1
+            model.marginals[k0, tok] += 1
+            model.n_observed += 1
 
 
 def reference_filterbank(n_mels: int, n_fft: int,

@@ -237,6 +237,21 @@ def test_config_with_key_unit_is_refused(ws, tmp_path, capsys):
     assert not (tmp_path / "enc").exists()
 
 
+def test_refused_model_or_codec_file_is_an_error(ws, tmp_path, capsys):
+    junk = tmp_path / "junk.ctx"
+    junk.write_bytes(b"junk")
+    for flag, reason in (("--model", "not a context model file"),
+                         ("--codec", "not a codebook file")):
+        files = {"--codec": str(ws["codec"]), "--model": str(ws["model"]),
+                 flag: str(junk)}
+        assert main(["encode", "--config", str(ws["cfg"]),
+                     "--codec", files["--codec"], "--model", files["--model"],
+                     "--audio", str(ws["audio"]),
+                     "--out-dir", str(tmp_path / "enc")]) == 2
+        assert capsys.readouterr().err == f"error: {junk}: {reason}\n"
+        assert not (tmp_path / "enc").exists()
+
+
 def test_simulate_and_report(ws, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(ws["cfg"]),

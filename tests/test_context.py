@@ -1,5 +1,6 @@
 """Context keys, PMF quantization, count model, masking curriculum."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from tokenwire.context import (
     TrainSchedule,
     UniformModel,
     View,
-    _accumulate_sample,
     beta,
     cumulative,
     encode_key,
@@ -29,7 +29,7 @@ from tokenwire.context import (
 )
 from tokenwire.grid import TokenGrid
 from scalar_reference import (context_key_parts, full_query, quantize_vector,
-                              reference_key)
+                              reference_key, reference_train_count_model)
 
 
 def planned_parts(query) -> list:
@@ -440,34 +440,56 @@ def test_degenerate_schedule_masks_nothing():
     assert model.n_observed == 0 and not model.tables
 
 
-@given(st.integers(0, 2**31 - 1), st.integers(4, 14), st.integers(2, 4))
-@settings(max_examples=40, deadline=None)
-def test_vectorized_counting_matches_observe(seed, T, n_layers):
-    """The fast path in the curriculum must count exactly what observe()
-    counts for the equivalent visibility pattern."""
-    rng = np.random.default_rng(seed)
-    vocab = 6
-    tokens = rng.integers(0, vocab, size=(T, n_layers))
-    K = int(rng.integers(1, n_layers + 1))
-    k_low = int(rng.integers(1, K + 1))
-    n_masked = int(rng.integers(1, T + 1))
-    masked = np.sort(rng.choice(T, size=n_masked, replace=False))
+def assert_same_counts(a: CountModel, b: CountModel) -> None:
+    assert a.n_observed == b.n_observed
+    np.testing.assert_array_equal(a.marginals, b.marginals)
+    assert sorted(a.tables) == sorted(b.tables)
+    for key in a.tables:
+        np.testing.assert_array_equal(a.tables[key], b.tables[key])
 
-    fast = CountModel(vocab=vocab, n_layers=n_layers)
-    _accumulate_sample(fast, tokens, masked, K, k_low, vocab + 1)
 
-    slow = CountModel(vocab=vocab, n_layers=n_layers)
-    visible = np.full(T, K)
-    visible[masked] = k_low - 1
-    targets = [(t, k) for t in masked for k in range(k_low - 1, K)]
-    q = full_query(tokens, visible, targets)
-    slow.observe(q, [tokens[t, k] for t, k in targets])
+@st.composite
+def training_setups(draw):
+    """(corpus, vocab, n_layers, n_coarse, schedule): ragged grid lengths,
+    each grid uniformly encoded at its own level."""
+    vocab = draw(st.one_of(st.integers(2, 8), st.just(256)))
+    n_layers = draw(st.integers(2, 6))
+    n_coarse = draw(st.integers(1, n_layers - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    corpus = [make_grid(rng, T, n_layers, vocab, level)
+              for T, level in draw(st.lists(
+                  st.tuples(st.integers(1, 16), st.integers(1, n_layers)),
+                  min_size=1, max_size=4))]
+    schedule = TrainSchedule(epochs=draw(st.integers(1, 3)),
+                             seed=draw(st.integers(0, 2**31 - 1)),
+                             fixed_tau=draw(st.sampled_from([None, 0.0, 1.0])))
+    return corpus, vocab, n_layers, n_coarse, schedule
 
-    assert fast.n_observed == slow.n_observed
-    np.testing.assert_array_equal(fast.marginals, slow.marginals)
-    assert sorted(fast.tables) == sorted(slow.tables)
-    for key in fast.tables:
-        np.testing.assert_array_equal(fast.tables[key], slow.tables[key])
+
+@given(training_setups())
+@settings(max_examples=60, deadline=None)
+def test_train_count_model_matches_reference(setup):
+    """Counting each sample through observe() gives exactly the counts of
+    the hand-written neighbor rule, at every vocab."""
+    assert_same_counts(train_count_model(*setup),
+                       reference_train_count_model(*setup))
+
+
+def test_trained_keys_stay_in_range_at_vocab_256():
+    """At vocab 256, samples that mask one layer above layer 1
+    (K == k_low >= 2) train keys inside the key range, as pricing reads
+    them."""
+    vocab, n_layers = 256, 3
+    rng = np.random.default_rng(17)
+    grids = [make_grid(rng, 24, n_layers, vocab, level=2) for _ in range(8)]
+    sched = TrainSchedule(epochs=4, seed=3)
+    model = train_count_model(grids, vocab, n_layers, 2, sched)
+    assert model.n_observed > 0
+    keys = np.array(sorted(model.tables), dtype=np.int64)
+    assert keys.min() >= 0 and keys.max() < n_layers * (vocab + 1) ** 3
+    assert_same_counts(model,
+                       reference_train_count_model(grids, vocab, n_layers, 2,
+                                                   sched))
 
 
 # --- serialization -----------------------------------------------------------
@@ -512,3 +534,23 @@ def test_model_file_version_and_magic(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         load_count_model(path)
+
+
+def test_model_file_truncated_body_is_refused(tmp_path):
+    """A body shorter than its declared sizes is refused even when the
+    digest covers exactly that body."""
+    model = CountModel(vocab=4, n_layers=2, tables={7: np.arange(4)})
+    path = tmp_path / "m.ctx"
+    save_count_model(path, model)
+    body = path.read_bytes()[37:]
+    for cut in (10, 40, len(body) - 8):
+        short = body[:cut]
+        path.write_bytes(b"CTX1\x01" + hashlib.sha256(short).digest() + short)
+        with pytest.raises(ValueError, match="truncated"):
+            load_count_model(path)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_count_model_alpha_must_be_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        CountModel(vocab=4, n_layers=2, alpha=alpha)

@@ -179,6 +179,10 @@ def test_load_rejects_garbage(tmp_path):
                             n_coarse=1, epochs=1)
     good = tmp_path / "good.rvq"
     save_codec(good, codec)
-    good.write_bytes(good.read_bytes() + b"\x00")
+    raw = good.read_bytes()
+    good.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
+        load_codec(good)
+    good.write_bytes(raw[:8])  # magic, then a header cut short
+    with pytest.raises(ValueError, match="not a codebook file"):
         load_codec(good)

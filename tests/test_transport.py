@@ -1,5 +1,7 @@
 """Packet framing, bit packing, loss traces, and channel models."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,35 @@ def test_packet_error_messages():
     bad[2] = 9  # version byte
     with pytest.raises(DecodeError, match="version"):
         Packet.from_bytes(bytes(bad))
+
+
+def forge(pkt: Packet, flags: int) -> bytes:
+    """``pkt``'s wire bytes with the flags byte replaced and the checksum
+    recomputed."""
+    raw = bytearray(pkt.to_bytes())
+    raw[3] = flags
+    raw[HEADER_BYTES - 4:HEADER_BYTES] = b"\x00" * 4
+    crc = zlib.crc32(bytes(raw)) & 0xFFFFFFFF
+    raw[HEADER_BYTES - 4:HEADER_BYTES] = crc.to_bytes(4, "little")
+    return bytes(raw)
+
+
+def test_packet_rejects_trailing_bytes():
+    pkt = Packet(1, 2, 1, 6, 2, b"abc", b"de")
+    assert Packet.from_bytes(forge(pkt, pkt.flags)) == pkt
+    with pytest.raises(DecodeError, match="trailing"):
+        Packet.from_bytes(pkt.to_bytes() + b"\x00")
+
+
+def test_packet_rejects_fec_field_with_flag_clear():
+    """A non-empty fec field must set the fec flag, and no other flag bit
+    is ever written."""
+    with pytest.raises(DecodeError, match="flags"):
+        Packet.from_bytes(forge(Packet(1, 2, 1, 6, 2, b"abc", b"de"), 0))
+    with pytest.raises(DecodeError, match="flags"):
+        Packet.from_bytes(forge(Packet(1, 2, 1, 6, 2, b"abc"), 0x01))
+    with pytest.raises(DecodeError, match="flags"):
+        Packet.from_bytes(forge(Packet(1, 2, 1, 6, 2, b"abc"), 0x02))
 
 
 def test_packets_file_round_trip(tmp_path):
