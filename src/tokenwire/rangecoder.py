@@ -5,6 +5,17 @@ cache byte, so encoder and decoder agree bit-for-bit on any platform. The
 coder itself is stateless across slices: each payload is self-contained
 and the symbol count travels out of band.
 
+A payload carries no lead byte: the first byte the cache would emit is
+always 0, because the coded interval never leaves [0, 2**32) of the
+initial range, so no carry can reach it. The flush picks the value in the
+final interval with the most trailing zero bytes, a multiple of 2**32 if
+one lies in it and else a multiple of 2**24 (the range is at least 2**24),
+and the payload ends at its last non-zero byte; the decoder reads zeros
+past the end. Every payload is canonical: the decoder refuses one that
+ends in a zero byte or holds bytes it never reads. A payload cut short
+can still decode to wrong symbols, so truncation on the wire is left to
+the packet's length fields and checksum.
+
 PMFs come as cumulative rows, as the context models price them: symbol s
 of row ``cum`` owns ``[cum[s], cum[s + 1])`` of PMF_TOTAL. The sender
 looks up every symbol's interval for a whole batch of slices at once
@@ -76,9 +87,15 @@ def encode_symbols(cum_lo, freq) -> CodedSlice:
         while rng < _TOP:
             rng <<= 8
             low, cache, pending = _shift_low(low, cache, pending, out)
+    # the value in [low, low + rng) with the most trailing zero bytes
+    v = -(-low >> 32) << 32
+    if v >= low + rng:
+        v = -(-low >> 24) << 24
+    low = v
     for _ in range(5):
         low, cache, pending = _shift_low(low, cache, pending, out)
-    return CodedSlice(bytes(out), len(freq))
+    # out[0] is the initial cache byte, always 0
+    return CodedSlice(bytes(out[1:]).rstrip(b"\0"), len(freq))
 
 
 def decode_symbols(coded: CodedSlice, cum) -> list:
@@ -87,13 +104,12 @@ def decode_symbols(coded: CodedSlice, cum) -> list:
     rows = np.asarray(cum).tolist()
     if len(rows) != coded.n_symbols:
         raise DecodeError("PMF count does not match the symbol count")
-    if not rows:
-        return []
     data = coded.payload
-    if len(data) < 5:
-        raise DecodeError("payload truncated")
-    code = int.from_bytes(data[1:5], "big")  # after the carry-absorbing lead
-    pos = 5
+    n = len(data)
+    if n and data[-1] == 0:
+        raise DecodeError("payload ends in a zero byte")
+    code = int.from_bytes(data[:4].ljust(4, b"\0"), "big")
+    pos = 4
     rng = _MASK32
     out = []
     for row in rows:
@@ -106,10 +122,10 @@ def decode_symbols(coded: CodedSlice, cum) -> list:
         code -= r * c
         rng = r * (row[s + 1] - c)
         while rng < _TOP:
-            if pos >= len(data):
-                raise DecodeError("payload truncated")
-            code = (code << 8) | data[pos]
+            code = (code << 8) | (data[pos] if pos < n else 0)
             pos += 1
             rng <<= 8
         out.append(s)
+    if n > (pos if rows else 0):
+        raise DecodeError("payload holds bytes past its last symbol")
     return out

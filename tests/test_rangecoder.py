@@ -59,7 +59,7 @@ def test_size_close_to_ideal(seed, vocab, n):
 
 def test_empty_slice():
     coded = encode_symbols([], [])
-    assert coded.n_symbols == 0
+    assert coded.n_symbols == 0 and coded.payload == b""
     assert decode_symbols(coded, np.zeros((0, 5), dtype=np.uint32)) == []
 
 
@@ -92,15 +92,67 @@ def test_encode_validation():
         encode_symbols([0, 16384], [16384])
 
 
-def test_truncated_payload_raises():
+def test_non_canonical_payload_raises():
+    # A payload cut short may still decode, so the coder cannot refuse
+    # every truncation (the packet checksum does). It refuses every payload
+    # it would never emit: one ending in a zero byte, and one holding bytes
+    # past what its symbols read. 200 uniform 8-bit symbols read exactly
+    # 4 + 200 bytes, one per renormalization after the first four.
     cum = uniform_rows(256, 200)
     symbols = list(range(200))
     coded = encode(symbols, cum)
-    clipped = CodedSlice(coded.payload[: len(coded.payload) // 2], 200)
-    with pytest.raises(DecodeError, match="truncated"):
-        decode_symbols(clipped, cum)
-    with pytest.raises(DecodeError, match="truncated"):
-        decode_symbols(CodedSlice(coded.payload[:4], 200), cum)
+    assert len(coded.payload) <= 204
+    for tail in (b"\x00", b"\x01\x00"):
+        with pytest.raises(DecodeError, match="zero byte"):
+            decode_symbols(CodedSlice(coded.payload + tail, 200), cum)
+    with pytest.raises(DecodeError, match="past its last symbol"):
+        decode_symbols(CodedSlice(coded.payload.ljust(205, b"\x01"), 200),
+                       cum)
+    with pytest.raises(DecodeError, match="past its last symbol"):
+        decode_symbols(CodedSlice(b"\x01", 0), cum[:0])
+
+
+def test_all_low_interval_is_the_empty_payload():
+    cum = uniform_rows(10, 3)
+    coded = encode([0, 0, 0], cum)
+    assert coded.payload == b""
+    assert decode_symbols(coded, cum) == [0, 0, 0]
+
+
+# Per symbol the coder narrows its range to r * freq with r = rng >> 16,
+# dropping rng mod 2**16 < 2**16 of a range that is at least 2**24 after
+# renormalization: at most a 2**-8 share, so -log2(1 - 2**-8) bits.
+TRUNCATION_SLACK = -math.log2(1 - 2**-8)
+
+
+@st.composite
+def coded_rows(draw):
+    """(cumulative rows, symbols): one random row per symbol."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    vocab = draw(st.integers(2, 300))
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, size=(n, vocab)) ** draw(
+        st.sampled_from([1, 4, 16])) + 1e-9
+    cum = cumulative(quantize_weights(w)).reshape(n, vocab + 1)
+    p = np.diff(cum, axis=1) / PMF_TOTAL
+    symbols = [int(rng.choice(vocab, p=row)) if draw(st.booleans())
+               else int(rng.integers(0, vocab)) for row in p]
+    return cum, symbols
+
+
+@given(coded_rows())
+@settings(max_examples=200, deadline=None)
+def test_canonical_payload_round_trips_within_the_bound(case):
+    cum, symbols = case
+    coded = encode(symbols, cum)
+    assert decode_symbols(coded, cum) == symbols
+    assert not coded.payload.endswith(b"\x00")
+    # The flush ends within 8 bits of the final interval's width; the
+    # initial range of 2**32 - 1 costs under 1e-9 bit.
+    bound = (ideal_bits(symbols, cum) + 8
+             + len(symbols) * TRUNCATION_SLACK + 1e-9)
+    assert len(coded.payload) * 8 <= bound
 
 
 def test_pmf_count_mismatch_raises():

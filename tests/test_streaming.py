@@ -176,9 +176,10 @@ def test_fine_loss_concealed_at_release_then_context_stays_clean():
 
 
 def test_mangled_fine_payload_is_concealed_like_a_drop():
-    # The streaming twin of the batch truncated-payload test: a fine packet
+    # The streaming twin of the batch refused-payload test: a fine packet
     # whose payload does not decode leaves its cells LOST, exactly as if
-    # the packet had been dropped.
+    # the packet had been dropped. No canonical payload ends in a zero
+    # byte.
     tokens = make_tokens(47, 18)
 
     def hit(p):
@@ -191,7 +192,8 @@ def test_mangled_fine_payload_is_concealed_like_a_drop():
 
     def carry(em):
         return [Packet(p.gos_id, p.unit, p.group, p.first_frame, p.n_frames,
-                       b"") if hit(p) else p for p in em.packets]
+                       p.payload + b"\x00") if hit(p) else p
+                for p in em.packets]
 
     releases = [rx.step(carry(em)) for t in range(len(tokens))
                 for em in tx.push(tokens[t:t + 1])]
