@@ -211,6 +211,12 @@ def cmd_stream(args) -> int:
     print(f"wrote {args.out}; max sender latency {tx.max_latency} frames "
           f"(bound {stream.stride + stream.lookahead}); "
           f"si_snr {si_snr(signal, est):.2f} dB")
+    rep = tx.report
+    seconds = signal.samples.size / signal.sample_rate
+    fine = rep.fine_bits_per_token
+    print(f"wire {rep.total_bits / seconds / 1000:.2f} kbit/s; "
+          f"{rep.n_packets / total:.2f} packets/frame; fine "
+          + ("none" if fine is None else f"{fine:.2f} bits/token"))
     return 0
 
 

@@ -4,12 +4,12 @@ The coding dependency decides which cells must be recovered bit-exactly
 before a fine slice can be entropy-decoded. It is one rule for batch and
 streaming: a fine slice is coded against the coarse layers of a frame
 range, and only those. In batch the range is the slice's group-of-slices
-(``slice_conditions``); in streaming it is the frame's coding window up to
-its lookahead, in closed form from the step geometry ``stream_step``
-(``stream_conditions``). The rule is stated once per frame, as
-``Conditions``: the coder's view shows exactly its cells, and the receiver
-decodes the frame's fine slices only once all of them are RECEIVED, so
-sender, receiver and decode gate cannot disagree. No fine cell is ever a
+(``slice_conditions``); in streaming it is the step's coding window, which
+ends at the step's horizon, in closed form from the step geometry
+``stream_step`` (``stream_conditions``). The rule is stated once per frame
+or once per stream step, as ``Conditions``: the coder's view shows exactly
+its cells, and the receiver decodes the fine slices only once all of them
+are RECEIVED, so sender, receiver and decode gate cannot disagree. No fine cell is ever a
 condition, so a lost fine packet costs only its own cells. The concealing
 dependency is looser: it reads any received token at or below the damaged
 layer, both earlier and later in time, because prediction does not need
@@ -104,20 +104,31 @@ def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
     return range(i * cfg.stride, stop), horizon
 
 
-def stream_conditions(frames: range, cfg: StreamConfig, horizon: int,
-                      n_coarse: int) -> dict:
-    """Per due frame t of one step, its Conditions, given the step's
-    ``horizon``.
+def stream_coarse(i: int, cfg: StreamConfig, total: int | None = None) -> range:
+    """Frames whose coarse layers stream step ``i`` newly carries.
 
-    Frame t's fine slices are coded against the coarse layers of its
-    coding window up to its lookahead, clamped at the horizon; the window
-    holds up to ``coding_context`` frames ending at the horizon.
-    ``StreamConfig`` makes it cover stride + lookahead frames, so it starts
-    at or before t.
+    Step i's coarse packet holds the frames its horizon h_i newly reaches:
+    (h_{i-1}, h_i], or [0, h_0] for the first step. The ranges tile the
+    stream once each, in step order. Once the stream's ``total`` length is
+    known the horizons clamp at its last frame, so the steps after the one
+    that reaches it carry no coarse frames.
     """
-    w = max(0, horizon - cfg.coding_context + 1)
-    return {t: Conditions(w, min(t + cfg.lookahead, horizon) + 1, n_coarse)
-            for t in frames}
+    lo = stream_step(i - 1, cfg, total)[1] + 1 if i else 0
+    return range(lo, stream_step(i, cfg, total)[1] + 1)
+
+
+def stream_conditions(cfg: StreamConfig, horizon: int,
+                      n_coarse: int) -> Conditions:
+    """The Conditions of every fine slice of the stream step with this
+    ``horizon``: the coarse layers of the step's coding window, the up to
+    ``coding_context`` frames that end at the horizon.
+
+    Every due frame waits on the step's one coarse packet anyway, so all
+    of them share the window. ``StreamConfig`` makes it cover stride +
+    lookahead frames, so it starts at or before the step's first due frame.
+    """
+    return Conditions(max(0, horizon - cfg.coding_context + 1), horizon + 1,
+                      n_coarse)
 
 
 def slice_conditions(sg: SliceGrid) -> dict:

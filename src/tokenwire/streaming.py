@@ -1,27 +1,35 @@
 """Streaming transceiver: fixed stride, bounded lookahead, bounded latency.
 
 Frames arrive continuously. Every ``stride`` frames the sender emits one
-step: coarse tokens for all frames up to the lookahead horizon, then
-entropy-coded fine tokens for the frames now due. A frame's fine tokens
-are on the wire once the horizon frame has been captured, so end-to-end
-latency never exceeds stride + lookahead frames. Each frame is its own
-slice: packet (gos_id, unit) names frame gos_id * gos_len + unit - 1.
+step: the coarse tokens of the frames its lookahead horizon newly reaches,
+then the entropy-coded fine tokens of the frames now due. A frame's fine
+tokens are on the wire once the horizon frame has been captured, so
+end-to-end latency never exceeds stride + lookahead frames. A step, not a
+frame, is the unit that travels: it sends at most one coarse packet,
+carrying the coarse layers of its new frames and, as repair, the previous
+coarse packet's payload, and at most one packet per fine layer group,
+carrying that group's layers of every due frame in frame-then-layer
+order. Each packet's (gos_id, unit) names its first frame, gos_id *
+gos_len + unit - 1, and (first_frame, n_frames) its extent. At stride 1
+every packet after the first coarse one holds one frame.
 
 Both ends run on the transceiver core in ``pipeline``. A step's geometry,
-its due frames and its horizon, comes from ``stream_step`` on both ends.
-A frame's fine slices are coded against the coarse layers of its coding
-window up to its lookahead and nothing else: each step, sender and
-receiver alike derive the ``Conditions`` of its due frames from that
-horizon with ``stream_conditions``, and the coding view, the decoding
-view and the decode gate all come from them. No fine cell is a condition,
-so a lost fine packet costs its own frame only, and each end prices a
-whole step's fine slices in one model query. A step never looks beyond
-its own due frames. The receiver's buffered states start INVALID from the
-encode level up, so the prefix rules read the level from them. The
-receiver checks and unpacks every packet of a step before it changes any
-state, then finalizes the due frames: decode what arrived, conceal the
-rest inside a window ending at the horizon, release. Released frames are
-never revisited, and concealed cells never serve as coding context.
+its due frames, its horizon and its coarse frames, comes from
+``stream_step`` and ``stream_coarse`` on both ends. Every fine slice of a
+step is coded against the coarse layers of the step's coding window,
+which ends at its horizon, and nothing else: sender and receiver alike
+derive that one ``Conditions`` from the horizon with
+``stream_conditions``, and the coding view, the decoding view and the
+decode gate all come from it. No fine cell is a condition, so a lost fine
+packet costs its own cells only, and each end prices a whole step's fine
+slices in one model query. A step never looks beyond its own due frames.
+The receiver's buffered states start INVALID from the encode level up, so
+the prefix rules read the level from them. The receiver checks every
+packet's extent against the step geometry and unpacks every payload of a
+step before it changes any state, then finalizes the due frames: decode
+what arrived, conceal the rest inside a window ending at the horizon,
+release. Released frames are never revisited, and concealed cells never
+serve as coding context.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependency import (ConcealmentWindow, propagate_invalid,
-                         stream_conditions, stream_step, usable_depth)
+                         stream_coarse, stream_conditions, stream_step,
+                         usable_depth)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
@@ -44,19 +53,21 @@ from .pipeline import (SliceSender, conceal_in_window, decode_fine,
 _R = int(TokenState.RECEIVED)
 
 
-def _frame_head(gos: GosConfig, f: int, group: int) -> tuple:
-    """Packet head of frame f's slice of ``group``."""
-    return f // gos.gos_len, f % gos.gos_len + 1, group, f, 1
+def _head(gos: GosConfig, frames: range, group: int) -> tuple:
+    """Packet head of the slice of ``group`` over ``frames``."""
+    f = frames.start
+    return f // gos.gos_len, f % gos.gos_len + 1, group, f, len(frames)
 
 
-def _fine_slices(gos: GosConfig, f: int, level: int) -> list:
-    """(group, cells) of frame f's fine slices below ``level``."""
-    out = []
+def _fine_slices(gos: GosConfig, frames: range, level: int) -> dict:
+    """{group: cells} of the fine slices of ``frames`` below ``level``,
+    each group's cells in frame-then-layer order."""
+    out = {}
     for j in range(1, gos.n_fine_groups + 1):
         layers = gos.group_layers(j, level)
         if len(layers):
-            out.append((j, np.array([(f, k - 1) for k in layers],
-                                    dtype=np.int64)))
+            out[j] = np.array([(f, k - 1) for f in frames for k in layers],
+                              dtype=np.int64)
     return out
 
 
@@ -98,7 +109,6 @@ class StreamSender:
         self.report = self._tx.report  # SenderReport over all emissions
         self._buf = np.zeros((0, gos.n_layers), dtype=np.int32)
         self._next_step = 0
-        self._coarse_sent = 0
         self._latency: list = []
         self._done = False
 
@@ -142,18 +152,18 @@ class StreamSender:
         return out, total
 
     def _emit(self, i: int, total: int | None) -> StepEmission:
-        due, horizon = stream_step(i, self.stream, total)
+        gos, cfg = self.gos, self.stream
+        due, horizon = stream_step(i, cfg, total)
+        coarse = stream_coarse(i, cfg, total)
         packets = []
-        for f in range(self._coarse_sent, horizon + 1):
-            packets.append(self._tx.coarse(_frame_head(self.gos, f, 0),
-                                           self._buf[f, :self.gos.n_coarse]))
-        self._coarse_sent = max(self._coarse_sent, horizon + 1)
-        gos = self.gos
-        conditions = stream_conditions(due, self.stream, horizon,
-                                       gos.n_coarse)
+        if len(coarse):
+            packets.append(self._tx.coarse(
+                _head(gos, coarse, 0),
+                self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
+        cond = stream_conditions(cfg, horizon, gos.n_coarse)
         packets += self._tx.fine(self._buf, [
-            (_frame_head(gos, f, j), cells, conditions[f])
-            for f in due for j, cells in _fine_slices(gos, f, self.level)])
+            (_head(gos, due, j), cells, cond)
+            for j, cells in _fine_slices(gos, due, self.level).items()])
         self._latency.extend(horizon + 1 - f for f in due)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
@@ -194,39 +204,70 @@ class StreamReceiver:
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's surviving packets and finalize its due frames.
 
-        Raises DecodeError, leaving the receiver as it was, on a packet
-        that names no frame of its group-of-slices, a coarse packet beyond
-        the step's horizon, a coarse payload or needed repair copy that
-        does not unpack into the vocabulary, or a fine packet outside the
-        due batch. A repair copy is needed when its frame is not yet
-        released and its coarse tokens have not arrived before it.
+        Every packet's extent must be one the step geometry gives: a coarse
+        packet's that of some step's coarse frames ending at or before this
+        step's horizon (its repair copy then covers the coarse frames of
+        the step before), a fine packet's the due frames, for a layer group
+        the encode level sends. Raises DecodeError, leaving the receiver as
+        it was, on a packet whose (gos_id, unit) does not name its first
+        frame or whose extent breaks these rules, and on a coarse payload
+        or needed repair copy that does not unpack into the vocabulary. A
+        repair copy is needed when a frame it covers is not yet released
+        and its coarse tokens have not arrived.
         """
         if self._finished:
             raise RuntimeError("receiver already finished")
-        due, horizon = stream_step(self._next_step, self.stream, total)
+        cfg, gl, n_coarse = self.stream, self.gos.gos_len, self.gos.n_coarse
+        due, horizon = stream_step(self._next_step, cfg, total)
+        slices = _fine_slices(self.gos, due, self.level)
 
-        gl, n_coarse = self.gos.gos_len, self.gos.n_coarse
-        coarse, fine, repaired = {}, {}, 0  # coarse: frame -> its tokens
+        extents, fine = [], {}  # extents: (step, frames, coarse packet)
         for p in packets:
-            f = p.gos_id * gl + p.unit - 1
             if not 1 <= p.unit <= gl:
                 raise DecodeError("packet unit outside the group-of-slices")
+            if p.gos_id * gl + p.unit - 1 != p.first_frame:
+                raise DecodeError("packet (gos_id, unit) does not name its "
+                                  "first frame")
+            frames = range(p.first_frame, p.first_frame + p.n_frames)
             if p.group == 0:
-                if f > horizon:
+                if frames.stop - 1 > horizon:
                     raise DecodeError("coarse packet beyond the step horizon")
-                vals = unpack_coarse(p.payload, self.vocab, n_coarse)
-                if f >= self._released:  # released frames are final
-                    coarse[f] = vals
-                g = f - 1
-                if (p.fec and g >= self._released and g not in coarse
-                        and not (g < len(self._states) and np.all(
-                            self._states[g, :n_coarse] == _R))):
-                    coarse[g] = unpack_coarse(p.fec, self.vocab, n_coarse)
-                    repaired += 1
-            elif f not in due:
+                j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
+                if frames != stream_coarse(j, cfg, total):
+                    raise DecodeError("coarse packet extent is no step's "
+                                      "coarse frames")
+                if p.fec and j == 0:
+                    raise DecodeError("repair copy on the first coarse packet")
+                extents.append((j, frames, p))
+            elif p.group not in slices:
+                raise DecodeError("fine packet for a layer group the level "
+                                  "does not send")
+            elif frames != due:
                 raise DecodeError("fine packet outside the due batch")
             else:
-                fine[(f, p.group)] = p.payload
+                fine[p.group] = p.payload
+
+        coarse = {}  # frame -> its coarse tokens; released frames are final
+        for _, frames, p in extents:
+            vals = unpack_coarse(p.payload, self.vocab,
+                                 len(frames) * n_coarse)
+            for f, v in zip(frames, vals.reshape(len(frames), n_coarse)):
+                if f >= self._released:
+                    coarse[f] = v
+        repaired = 0
+        for j, _, p in extents:
+            if not p.fec:
+                continue
+            prev = stream_coarse(j - 1, cfg, total)
+            if not any(g >= self._released and g not in coarse
+                       and not np.all(self._states[g, :n_coarse] == _R)
+                       for g in prev):
+                continue
+            vals = unpack_coarse(p.fec, self.vocab, len(prev) * n_coarse)
+            for g, v in zip(prev, vals.reshape(len(prev), n_coarse)):
+                if g >= self._released:
+                    coarse.setdefault(g, v)
+            repaired += 1
         self._next_step += 1
         self._grow(horizon + 1)
 
@@ -235,19 +276,18 @@ class StreamReceiver:
             self._states[f, :n_coarse] = _R
         self.fec_recovered += repaired
 
-        gos, level, cfg = self.gos, self.level, self.stream
-        conditions = stream_conditions(due, cfg, horizon, n_coarse)
+        cond = stream_conditions(cfg, horizon, n_coarse)
         decode_fine(self.model, self._tokens, self._states, [
-            (cells, fine.get((f, j)), conditions[f])
-            for f in due for j, cells in _fine_slices(gos, f, level)])
+            (cells, fine.get(j), cond) for j, cells in slices.items()])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])
         win = ConcealmentWindow(max(0, horizon + 1 - cfg.conceal_context),
                                 horizon + 1)
         self.n_blackouts += conceal_in_window(
-            self.model, self._tokens, self._states, win, due, conditions,
-            n_coarse, level, self.conceal_fine_layers, self.case_counts)
+            self.model, self._tokens, self._states, win, due,
+            dict.fromkeys(due, cond), n_coarse, self.level,
+            self.conceal_fine_layers, self.case_counts)
         self._released = due.stop
         return StreamRelease(
             (due.start, due.stop), self._tokens[sl].copy(),

@@ -99,10 +99,11 @@ def random_grid(rng, n_frames, n_layers, vocab, level=None):
 
 
 def stream_conditions_of(cfg, n_frames, n_coarse):
-    """The Conditions of every frame of an ``n_frames`` stream, merged over
-    its steps as both ends derive them."""
+    """The Conditions of every frame of an ``n_frames`` stream: those of
+    the step that finalizes it, as both ends derive them."""
     conds = {}
     for i in range(-(-n_frames // cfg.stride)):
         due, horizon = stream_step(i, cfg, n_frames)
-        conds.update(stream_conditions(due, cfg, horizon, n_coarse))
+        conds.update(dict.fromkeys(
+            due, stream_conditions(cfg, horizon, n_coarse)))
     return conds

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from tokenwire import __version__
-from tokenwire.audio import read_audio, write_audio
+from tokenwire.audio import CodecConfig, analyze, read_audio, write_audio
 from tokenwire.cli import build_parser, main
 from tokenwire.context import load_count_model, save_count_model
-from tokenwire.experiment import config_from_dict, train_stack
-from tokenwire.rvq import load_codec, save_codec
+from tokenwire.experiment import config_from_dict, gos_config, train_stack
+from tokenwire.grid import StreamConfig
+from tokenwire.rvq import load_codec, quantize, save_codec
+from tokenwire.streaming import StreamSender
 from tokenwire.synthetic import synth_audio
 from tokenwire.transport import read_packets, read_trace
 
@@ -201,6 +203,23 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
                  "--loss", "0.0", "--seed", "3"]) == 0
     text = capsys.readouterr().out
     assert "max sender latency" in text and "(bound 6)" in text
+    # the bit accounting comes from the sender's report: 12 frames in 4
+    # steps send 3 coarse packets and 2 fine-group packets per step
+    cfg = config_from_dict(CFG)
+    codec = load_codec(ws["codec"])
+    model = load_count_model(ws["model"])
+    audio = read_audio(ws["audio"])
+    grid = quantize(analyze(audio, CodecConfig(cfg.frame_len, codec.dim)),
+                    codec, codec.n_layers)
+    tx = StreamSender(gos_config(cfg), StreamConfig(3, 3, 6, 6), model)
+    tx.push(grid.tokens)
+    tx.flush()
+    rep = tx.report
+    assert rep.n_packets == 11
+    kbps = rep.total_bits / (audio.samples.size / audio.sample_rate) / 1000
+    assert (f"wire {kbps:.2f} kbit/s; 0.92 packets/frame; "
+            f"fine {rep.fine_bits / rep.n_fine_tokens:.2f} bits/token"
+            in text)
 
     decode_out = tmp_path / "decode.wav"
     assert main(["decode", "--dir", str(ws["enc"]), "--codec",

@@ -15,6 +15,7 @@ from tokenwire.dependency import (
     decodable,
     propagate_invalid,
     slice_conditions,
+    stream_coarse,
     stream_conditions,
     stream_step,
     usable_depth,
@@ -87,22 +88,28 @@ def test_window_validation():
 def test_stream_step_hand_cases():
     cfg = StreamConfig(stride=3, lookahead=3, coding_context=12)
 
-    def context(i, t, total=None):
-        """First and last frame that frame t's fine tokens are coded
-        against, in step i of a stream of ``total`` frames."""
-        due, horizon = stream_step(i, cfg, total)
-        cond = stream_conditions(due, cfg, horizon, 1)[t]
+    def context(i, total=None):
+        """First and last frame that the fine tokens of step i of a stream
+        of ``total`` frames are coded against."""
+        cond = stream_conditions(cfg, stream_step(i, cfg, total)[1], 1)
         return cond.lo, cond.hi - 1
 
     assert stream_step(0, cfg) == (range(0, 3), 5)
-    assert context(0, 0) == (0, 3)
-    assert context(2, 7) == (0, 10)
-    # Step of frame 13 ends at 14, horizon 17, context reaches back to 6.
+    assert stream_coarse(0, cfg) == range(0, 6)
+    assert context(0) == (0, 5)
+    assert context(2) == (0, 11)
+    assert stream_coarse(2, cfg) == range(9, 12)
+    # Step 4 ends at frame 14, horizon 17, context reaches back to 6; its
+    # coarse packet carries the frames after the previous horizon, 14.
     assert stream_step(4, cfg) == (range(12, 15), 17)
-    assert context(4, 13) == (6, 16)
-    # Due frames, horizon and lookahead clamp at the last frame.
+    assert context(4) == (6, 17)
+    assert stream_coarse(4, cfg) == range(15, 18)
+    # Due frames, horizon and coarse frames clamp at the last frame, and a
+    # step after the horizon reached it carries no coarse frames.
     assert stream_step(3, cfg, 10) == (range(9, 10), 9)
-    assert context(3, 9, 10) == (0, 9)
+    assert context(3, 10) == (0, 9)
+    assert stream_coarse(2, cfg, 10) == range(9, 10)
+    assert len(stream_coarse(3, cfg, 10)) == 0
 
 
 def test_periodic_dependency_structure():
@@ -132,11 +139,14 @@ def gos_strategy():
 
 
 def stream_emission_order(gos, cfg, n_frames, level):
-    """(frame, group) of every packet in the order a StreamSender emits."""
+    """((frame, group), index of its packet in emission order) of every
+    frame each packet of a StreamSender carries."""
     tx = StreamSender(gos, cfg, UniformModel(2), level=level)
     ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
     tail, _ = tx.flush()
-    return [(p.first_frame, p.group) for em in ems + tail for p in em.packets]
+    packets = [p for em in ems + tail for p in em.packets]
+    return [((f, p.group), i) for i, p in enumerate(packets)
+            for f in range(p.first_frame, p.first_frame + p.n_frames)]
 
 
 @given(gos_strategy(), st.integers(1, 20), st.data())
@@ -156,11 +166,11 @@ def test_dependency_is_topological(gos, n_frames, data):
     stream = StreamConfig(stride=2, lookahead=1, coding_context=6,
                           conceal_context=6)
     ordered = stream_emission_order(gos, stream, n_frames, level)
-    pos = {fg: i for i, fg in enumerate(ordered)}
+    pos = dict(ordered)
     assert len(pos) == len(ordered)
     conds = stream_conditions_of(stream, n_frames, gos.n_coarse)
     assert set(conds) == set(range(n_frames))
-    for t, j in ordered:
+    for t, j in pos:
         if j == 0:
             continue
         # a fine slice conditions on coarse cells only
@@ -171,14 +181,14 @@ def test_dependency_is_topological(gos, n_frames, data):
 def test_streaming_dependency_window():
     stream = StreamConfig(stride=2, lookahead=1, coding_context=4,
                           conceal_context=4)
-    # Frame 7: step 3, horizon 8, context [5, 8], coarse cells only: the
-    # fine cells of frames 5 and 6 are no conditions.
+    # Step 3: frames 6 and 7, horizon 8, context [5, 8], coarse cells
+    # only: the fine cells of frames 5 and 6 are no conditions. Both due
+    # frames share the step's one window, which ends at the horizon.
     due, horizon = stream_step(3, stream)
     assert (due, horizon) == (range(6, 8), 8)
-    conds = stream_conditions(due, stream, horizon, n_coarse=1)
-    assert cells_of(conds[7]) == [[5, 0], [6, 0], [7, 0], [8, 0]]
-    # Frame 6 looks ahead only to frame 7.
-    assert cells_of(conds[6]) == [[5, 0], [6, 0], [7, 0]]
+    cond = stream_conditions(stream, horizon, n_coarse=1)
+    assert cells_of(cond) == [[5, 0], [6, 0], [7, 0], [8, 0]]
+    assert stream_conditions_of(stream, 10, 1)[6] == cond
 
 
 def coding_view(cond, n_rows, n_layers, cells):
@@ -211,17 +221,17 @@ def test_coding_visibility_streaming():
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
     due, horizon = stream_step(1, stream, 20)
-    cond = stream_conditions(due, stream, horizon, n_coarse=1)[4]
+    cond = stream_conditions(stream, horizon, n_coarse=1)
     target = np.array([[4, 1]])
     vis, rng = coding_view(cond, 20, 3, target)
-    # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 looks
-    # ahead to frame 6, and every frame shows only its coarse layer.
-    assert rng == (2, 7)
-    np.testing.assert_array_equal(vis[2:7], [1, 1, 1, 1, 1])
-    assert vis[:2].sum() == 0 and vis[7:].sum() == 0
+    # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 sees the
+    # whole window, and every frame shows only its coarse layer.
+    assert rng == (2, 8)
+    np.testing.assert_array_equal(vis[2:8], [1, 1, 1, 1, 1, 1])
+    assert vis[:2].sum() == 0 and vis[8:].sum() == 0
     # A shorter buffer is exposed only over the rows it holds.
-    vis, _ = coding_view(cond, 8, 3, target)
-    np.testing.assert_array_equal(vis, [0, 0, 1, 1, 1, 1, 1, 0])
+    vis, _ = coding_view(cond, 9, 3, target)
+    np.testing.assert_array_equal(vis, [0, 0, 1, 1, 1, 1, 1, 1, 0])
 
 
 class RecordingModel(UniformModel):
@@ -285,11 +295,12 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
         conds = stream_conditions_of(cfg, n_frames, gos.n_coarse)
-        per_frame = sum(1 for j in range(1, gos.n_fine_groups + 1)
-                        if len(gos.group_layers(j, level)))
-        n_slices = n_frames * per_frame
+        per_step = sum(1 for j in range(1, gos.n_fine_groups + 1)
+                       if len(gos.group_layers(j, level)))
+        n_steps = -(-n_frames // stride)
+        n_slices = n_steps * per_step
         # one query per step at each end
-        n_queries = 2 * -(-n_frames // stride)
+        n_queries = 2 * n_steps
     if not n_slices:
         n_queries = 0
     # lossless: the sender and the receiver each code every fine slice once
@@ -337,7 +348,8 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
 
         def carry(em):
             kept = [p for p in em.packets if keep(p)]
-            arrived.update((p.first_frame, p.group) for p in kept)
+            arrived.update((f, p.group) for p in kept for f in
+                           range(p.first_frame, p.first_frame + p.n_frames))
             return kept
 
         for em in tx.push(tokens):

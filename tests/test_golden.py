@@ -226,34 +226,34 @@ GOLDEN = {
         "receiver": "5f16999bfa1591b4343611d7f53048c7f5678db7550edca4f3db9389f588b42d",
     },
     "stream/default/lossless": {
-        "wire": "fb6f0a28616b4adde024c567720d978a9f0f4cd1eb877100cf38657688b8f6ee",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
+        "wire": "5a34e39e1af56b7a61114a9daedc69c65b41d2580e819d62b9835908093631e0",
+        "sender": "c901ca5d3c465e05e2081e74019a5cf397795b91fb6f4e6cd977a4436b2c15fb",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.1": {
-        "wire": "fb6f0a28616b4adde024c567720d978a9f0f4cd1eb877100cf38657688b8f6ee",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "1f5618e2420c3a3b0fd173e1cd23d18f5576355b354f623bbd511645a4eb1ef6",
-        "receiver": "0453c77f2825b36a31865925ebddbbe63cbf7e07c9a376efeb591d5b8dd631ef",
+        "wire": "5a34e39e1af56b7a61114a9daedc69c65b41d2580e819d62b9835908093631e0",
+        "sender": "c901ca5d3c465e05e2081e74019a5cf397795b91fb6f4e6cd977a4436b2c15fb",
+        "received": "82c4c530898d9b4f63dbdc79caf2b05d635e60165bd718542604ae32ca4299f4",
+        "receiver": "a3fd2e1cb035e4fd617746914ac9bf34b377bb1ed66db635b0b4c0b4ff6bf4ca",
     },
     "stream/default/0.3": {
-        "wire": "fb6f0a28616b4adde024c567720d978a9f0f4cd1eb877100cf38657688b8f6ee",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "5a696f6133571c503550ec77894ef2c621069bfb43df5f0bff8fc696b412ce50",
-        "receiver": "7eb744b012239f5a7a6a57c9d911e3ca23e94eebc1bbc1adf8e469af8929b53f",
+        "wire": "5a34e39e1af56b7a61114a9daedc69c65b41d2580e819d62b9835908093631e0",
+        "sender": "c901ca5d3c465e05e2081e74019a5cf397795b91fb6f4e6cd977a4436b2c15fb",
+        "received": "41ab936eddabfe0d5cbb58ce081460a140fea68d59ddb8c05fe72a118db7164b",
+        "receiver": "37b4558e7dd6247f372559b2137a59e19546c3e1b1852b1a3ecd23e33f97fd97",
     },
     "stream/default/blackout": {
-        "wire": "fb6f0a28616b4adde024c567720d978a9f0f4cd1eb877100cf38657688b8f6ee",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "508c5dcb24c84b3e009edf4be47f7c5db5a39ae592e0d6fa8e263cdf51647a4f",
-        "receiver": "1427c1e3083ba2aab14c57af6f5622f8cbc92ba6ace06420624ef5497be49957",
+        "wire": "5a34e39e1af56b7a61114a9daedc69c65b41d2580e819d62b9835908093631e0",
+        "sender": "c901ca5d3c465e05e2081e74019a5cf397795b91fb6f4e6cd977a4436b2c15fb",
+        "received": "ab154196e7c77102586cabbf4b63392d025efe8eb32a9926ba7d686ccf6aa3f2",
+        "receiver": "22d09fadead7e14a136704bc59df57af8230c3ccf792c43f5a4481b231729f54",
     },
     "stream/default/markov": {
-        "wire": "fb6f0a28616b4adde024c567720d978a9f0f4cd1eb877100cf38657688b8f6ee",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "f27f928515e33e4c73f75394fe60848ba7538595ed112a0f5a73d2bca18a3a7a",
-        "receiver": "8af0d5c0111355f46bcc4be20dd6c3fb0b6662f89396e7a79e818e31834d7a14",
+        "wire": "5a34e39e1af56b7a61114a9daedc69c65b41d2580e819d62b9835908093631e0",
+        "sender": "c901ca5d3c465e05e2081e74019a5cf397795b91fb6f4e6cd977a4436b2c15fb",
+        "received": "a6b8f7c82a1788f7703c76ebe85a3a0ef439edd8ddacac4f4afe8199b14cd42b",
+        "receiver": "f8680277972cc8e2aee3cfcc815c6e272ddf607dda4456ecbe9614528311d787",
     },
     "stream/stride1/lossless": {
         "wire": "07b9ab93038d1517593cdc9b366a637b5a308f8af2ee81cd8e90a20745f9bd27",
@@ -286,34 +286,34 @@ GOLDEN = {
         "receiver": "b3f7843ced25435765876692c3b31c90d9eb6a8397d39bfd4a8afee469b501bc",
     },
     "stream/wide/lossless": {
-        "wire": "d3cd77c3577e4392942822e364434317fbd2dbfd9b376fa931c2167a61ba5513",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
+        "wire": "96360b8dfa21f5ee0cc05e1568c8c12a2828deca9d2340d1b18fdd03cf63fa35",
+        "sender": "5f84af7dc1306d12d498964988e7e1d00fbd9e1caa1ad67f5f298fd8a64419c4",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "5edc1bf03ce1428c1d60900fc2eef7a702944ef957c9dbdd789829c26dd375b7",
     },
     "stream/wide/0.1": {
-        "wire": "d3cd77c3577e4392942822e364434317fbd2dbfd9b376fa931c2167a61ba5513",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "b4f20e9e9716a5b4b19373d017939bd13561064c931085f1fd58aa52e193e0f1",
-        "receiver": "009ec3b06f79542693185a2af4a3f7029f6651228e070a19a46393dadc2971fb",
+        "wire": "96360b8dfa21f5ee0cc05e1568c8c12a2828deca9d2340d1b18fdd03cf63fa35",
+        "sender": "5f84af7dc1306d12d498964988e7e1d00fbd9e1caa1ad67f5f298fd8a64419c4",
+        "received": "df23d470ce2ed1939240a2f1d7ceb90a0979c9a67bba2fb2535c0cc9092a339f",
+        "receiver": "8811fa51a96dc41a2651c153ffc2bbf8a23b8c738d1107bc56dd415d336e5511",
     },
     "stream/wide/0.3": {
-        "wire": "d3cd77c3577e4392942822e364434317fbd2dbfd9b376fa931c2167a61ba5513",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "83ab524e3c344da16d068fdfad975bf42415158bd89c3a1cbd9b71836dfdc001",
-        "receiver": "d987740bf14b9dafe06191edc9d0d58c57402eede4d49c5d203c7b84916d9977",
+        "wire": "96360b8dfa21f5ee0cc05e1568c8c12a2828deca9d2340d1b18fdd03cf63fa35",
+        "sender": "5f84af7dc1306d12d498964988e7e1d00fbd9e1caa1ad67f5f298fd8a64419c4",
+        "received": "2a77fd12a588c23343c6383be4badf5f29f1ac36916c4cc177f125dd5efb1821",
+        "receiver": "c6454c016fecf6a570e51c87fcebe4c796941cbb73ec1b26c76144b4285ce21b",
     },
     "stream/wide/blackout": {
-        "wire": "d3cd77c3577e4392942822e364434317fbd2dbfd9b376fa931c2167a61ba5513",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
+        "wire": "96360b8dfa21f5ee0cc05e1568c8c12a2828deca9d2340d1b18fdd03cf63fa35",
+        "sender": "5f84af7dc1306d12d498964988e7e1d00fbd9e1caa1ad67f5f298fd8a64419c4",
         "received": "0e5d7e79e6d4ad3a19febe177f1588ed392d52592f0a540c72d82ff0b21b2f2b",
         "receiver": "703681f00143d5c1383ef84e4fd691ed41d06a7d38caea2363f97a227bf5ddce",
     },
     "stream/wide/markov": {
-        "wire": "d3cd77c3577e4392942822e364434317fbd2dbfd9b376fa931c2167a61ba5513",
-        "sender": "a2eeb0d6fcfd2cd5b3fffe5c2766d20017ba71e06172bf6899fa4b888b41cf12",
-        "received": "4006f1f033cf8b5c140c8a232b0ac1ec479c86aef15e497d0554db7890b6e927",
-        "receiver": "e861e8f014f0902235af76ff5af4a2104479f835dcd837610a4daa36c5025261",
+        "wire": "96360b8dfa21f5ee0cc05e1568c8c12a2828deca9d2340d1b18fdd03cf63fa35",
+        "sender": "5f84af7dc1306d12d498964988e7e1d00fbd9e1caa1ad67f5f298fd8a64419c4",
+        "received": "f853cae08617a417e9459a208dd14897ca546bac2899237c32dee87817940295",
+        "receiver": "d6abcbe6663c8daef3bbe170d453629ab4a9e999b5d1625096c9a128c798c3a4",
     },
     "batch/units4/lossless": {
         "wire": "496f37a08b827d8ac52d1ac5161617c87cd1cf9e27544e67728d9487de497334",
@@ -376,34 +376,34 @@ GOLDEN = {
         "receiver": "1adf7eaad067d5d7a0610b3f9e88676394cdec3bb2574956b8f820cbfeb6401c",
     },
     "stream/tight/lossless": {
-        "wire": "ff108dba978082fe47a5d5f653217913d30815c3d5cd973e00c28a4a7a2d89e3",
-        "sender": "8482a1412eda61d75b546e04a334bc58e6cd8fe026513b3d1ed76f1768a5c863",
+        "wire": "c1d42c90fbfc06064db64aa3b0360babda3f7df92d3ea657866b1fd488322b14",
+        "sender": "10df2cdf070792cf159375237cd584a18f93e6944baf1d2a4187d27bad94c685",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
     },
     "stream/tight/0.1": {
-        "wire": "ff108dba978082fe47a5d5f653217913d30815c3d5cd973e00c28a4a7a2d89e3",
-        "sender": "8482a1412eda61d75b546e04a334bc58e6cd8fe026513b3d1ed76f1768a5c863",
-        "received": "6185181e370b97c5e59a9ac5aff9e22770ba09f08baca29249fb9df990572020",
-        "receiver": "19ed31000d9b3d8ddb0561f880aeda1ff87728077eaf8864f013f3cd4e6694a0",
+        "wire": "c1d42c90fbfc06064db64aa3b0360babda3f7df92d3ea657866b1fd488322b14",
+        "sender": "10df2cdf070792cf159375237cd584a18f93e6944baf1d2a4187d27bad94c685",
+        "received": "c099034cd0f40ebf261c97f618bfda9c7fa351efd295a7944fa919db23068655",
+        "receiver": "0b389c9e79dc28d341bfa5fb4c72a251b42824fbc16dc85ab057b439336de2ba",
     },
     "stream/tight/0.3": {
-        "wire": "ff108dba978082fe47a5d5f653217913d30815c3d5cd973e00c28a4a7a2d89e3",
-        "sender": "8482a1412eda61d75b546e04a334bc58e6cd8fe026513b3d1ed76f1768a5c863",
-        "received": "b4bc40d5140537073aeebb5b22ee9e7cf398656eff9ccf708ee9cc089b9e7c90",
-        "receiver": "f10c88d338db70bb71838fd72e5139190e61c1fe6691444ed28c3b12b3568bf0",
+        "wire": "c1d42c90fbfc06064db64aa3b0360babda3f7df92d3ea657866b1fd488322b14",
+        "sender": "10df2cdf070792cf159375237cd584a18f93e6944baf1d2a4187d27bad94c685",
+        "received": "a3764a5f2f21c6b4e3b6a11310aad12cd2358e338f8cff6fe153cb2193977934",
+        "receiver": "800ff62f9590f0bbe51baf9554d05cddc7dcbee724a6ca4e449b06e204027ef0",
     },
     "stream/tight/blackout": {
-        "wire": "ff108dba978082fe47a5d5f653217913d30815c3d5cd973e00c28a4a7a2d89e3",
-        "sender": "8482a1412eda61d75b546e04a334bc58e6cd8fe026513b3d1ed76f1768a5c863",
-        "received": "be7ee9647f80004a5cbc2cb9217ea0ae063e8d4e0bdfb655be972470e9e01f15",
-        "receiver": "bd802bbcd9db309317140abb0d6839d67fc235a933f75f0c8289c0ad99fe16c6",
+        "wire": "c1d42c90fbfc06064db64aa3b0360babda3f7df92d3ea657866b1fd488322b14",
+        "sender": "10df2cdf070792cf159375237cd584a18f93e6944baf1d2a4187d27bad94c685",
+        "received": "fa5194a866cd0f1dab00a668884e80fdcd18a637d2600fe294bf95ed80374a3e",
+        "receiver": "fa44b88a567a4e3a6351c87a38057d12f23ad046876991031c82e00edf9a400c",
     },
     "stream/tight/markov": {
-        "wire": "ff108dba978082fe47a5d5f653217913d30815c3d5cd973e00c28a4a7a2d89e3",
-        "sender": "8482a1412eda61d75b546e04a334bc58e6cd8fe026513b3d1ed76f1768a5c863",
-        "received": "8149e3fab38766ab41f668fd823404e2a8fa34eb439bc989f8a91902b486b8ce",
-        "receiver": "b2c88dafd74981575d6e300880194f7ad8c65f46b51127883ca8e60b207deea2",
+        "wire": "c1d42c90fbfc06064db64aa3b0360babda3f7df92d3ea657866b1fd488322b14",
+        "sender": "10df2cdf070792cf159375237cd584a18f93e6944baf1d2a4187d27bad94c685",
+        "received": "f62cac4a15d166bb526d1ec44ecbba00eb803b941e3a0bc1e4de57d1d3ee71be",
+        "receiver": "7723c16c2297cdfae7ae5850be6a935c8a5cb75c16f24dfb73822a3514468d06",
     },
 }
 

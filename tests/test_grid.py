@@ -131,19 +131,20 @@ def test_slice_grid_is_a_partition(gos, n_frames, data):
     if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
         assert_partition(build_slice_grid(n_frames, gos, level))
         return
-    # A stream's packets cover every encoded cell exactly once: one frame
-    # per packet, the coarse group or one truncated fine group of layers.
+    # A stream's packets cover every encoded cell exactly once: the frames
+    # of one step per packet, the coarse group or one truncated fine group
+    # of layers.
     packets = stream_packets(gos, StreamConfig(stride=2, lookahead=1,
                                                coding_context=4,
                                                conceal_context=4),
                              n_frames, level)
     seen = np.zeros((n_frames, gos.n_layers), dtype=np.int32)
     for p in packets:
-        assert p.n_frames == 1
         assert p.first_frame == p.gos_id * gos.gos_len + p.unit - 1
         layers = gos.group_layers(p.group, level)
         assert len(layers) > 0
-        seen[p.first_frame, [k - 1 for k in layers]] += 1
+        frames = np.arange(p.first_frame, p.first_frame + p.n_frames)
+        seen[np.ix_(frames, [k - 1 for k in layers])] += 1
     expect = np.zeros_like(seen)
     expect[:, :level] = 1
     np.testing.assert_array_equal(seen, expect)
@@ -173,13 +174,14 @@ def test_emission_order_streaming():
     cfg = StreamConfig(stride=3, lookahead=3, coding_context=12,
                        conceal_context=12)
     packets = stream_packets(gos, cfg, 5, 3)
-    # Step 0 sends the coarse of every frame up to its horizon, then the
-    # fine slice of each due frame; step 1 the remaining fine slices.
-    assert [(p.first_frame, p.group) for p in packets] == \
-        [(f, 0) for f in range(5)] + [(f, 1) for f in range(5)]
-    assert [(p.gos_id, p.unit) for p in packets[:5]] == \
-        [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
-    # Each frame is its own slice, coded against coarse layers only.
+    # Step 0 sends one coarse packet for every frame up to its horizon,
+    # then one fine packet for its due frames; step 1, whose horizon adds
+    # no frame, only the fine packet of the remaining due frames.
+    assert [(p.first_frame, p.n_frames, p.group) for p in packets] == \
+        [(0, 5, 0), (0, 3, 1), (3, 2, 1)]
+    # (gos_id, unit) names a packet's first frame.
+    assert [(p.gos_id, p.unit) for p in packets] == [(0, 1), (0, 1), (1, 1)]
+    # Each step's fine slices are coded against coarse layers only.
     assert {c.n_coarse for c in stream_conditions_of(cfg, 5, 1).values()} \
         == {1}
 

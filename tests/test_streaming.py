@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenwire.context import CountModel, UniformModel
+from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenState
 from tokenwire.streaming import StreamReceiver, StreamSender
@@ -56,17 +59,16 @@ def test_push_buffers_until_lookahead_is_covered():
     assert len(ems) == 1
     em = ems[0]
     assert em.step == 0 and em.due == (0, 3) and em.horizon == 5
-    coarse = [p for p in em.packets if p.group == 0]
-    fine = [p for p in em.packets if p.group > 0]
-    assert [p.first_frame for p in coarse] == [0, 1, 2, 3, 4, 5]
-    # three due frames, two fine groups each
-    assert len(fine) == 6
-    assert sorted({p.first_frame for p in fine}) == [0, 1, 2]
+    # one coarse packet up to the horizon, then one packet per fine group
+    # holding the three due frames
+    assert [(p.group, p.first_frame, p.n_frames) for p in em.packets] == \
+        [(0, 0, 6), (1, 0, 3), (2, 0, 3)]
     assert tx.push(tokens[6:7]) == [] and tx.push(tokens[7:8]) == []
     ems = tx.push(tokens[8:9])
     assert len(ems) == 1 and ems[0].step == 1
     assert ems[0].due == (3, 6) and ems[0].horizon == 8
-    assert [p.first_frame for p in ems[0].packets if p.group == 0] == [6, 7, 8]
+    assert [(p.group, p.first_frame, p.n_frames) for p in ems[0].packets] \
+        == [(0, 6, 3), (1, 3, 3), (2, 3, 3)]
 
 
 def test_block_push_matches_per_frame_push():
@@ -104,12 +106,16 @@ def test_flush_emits_the_clamped_tail():
     assert len(ems) == 4  # ceil(10 / 3) steps in all
     assert [e.due for e in ems] == [(0, 3), (3, 6), (6, 9), (9, 10)]
     assert [e.horizon for e in ems] == [5, 8, 9, 9]
-    # coarse frames are emitted exactly once across the whole stream
-    coarse = [p.first_frame for e in ems for p in e.packets if p.group == 0]
-    assert coarse == list(range(10))
-    fine = [p.first_frame for e in ems for p in e.packets if p.group > 0]
-    assert sorted(set(fine)) == list(range(10))
-    assert all(fine.count(f) == 2 for f in range(10))
+    # coarse frames are emitted exactly once across the whole stream, and
+    # the last step, whose horizon adds no frame, sends no coarse packet
+    coarse = [[(p.first_frame, p.n_frames) for p in e.packets if p.group == 0]
+              for e in ems]
+    assert coarse == [[(0, 6)], [(6, 3)], [(9, 1)], []]
+    # each step sends one packet per fine group over its due frames
+    fine = [[(p.group, p.first_frame, p.n_frames) for p in e.packets
+             if p.group > 0] for e in ems]
+    assert fine == [[(1, lo, hi - lo), (2, lo, hi - lo)]
+                    for lo, hi in (e.due for e in ems)]
 
 
 def test_latency_bounded_by_stride_plus_lookahead():
@@ -154,24 +160,25 @@ def test_coarse_only_stream_has_no_fine_packets():
 
 def test_fine_loss_concealed_at_release_then_context_stays_clean():
     # Fine slices are coded against coarse cells only, so one lost fine
-    # packet costs its own frame's cells and no later frame's.
+    # packet costs its own cells, those of its step's due frames, and no
+    # later frame's.
     T = 18
     tokens = make_tokens(47, T)
 
     def keep(em, p):
-        return not (p.group == 1 and p.first_frame == 1)
+        return not (p.group == 1 and em.step == 1)
 
     grid, states, releases, _, rx = drive(tokens, keep=keep)
-    r0 = releases[0]
-    assert r0.states[0].tolist() == [R, R, R]
-    assert r0.states[1].tolist() == [R, C, I]
-    assert r0.states[2].tolist() == [R, R, R]
-    assert r0.valid_depth.tolist() == [3, 2, 3]
+    r1 = releases[1]
+    assert r1.due == (3, 6)
+    assert r1.states.tolist() == [[R, C, I]] * 3
+    assert r1.valid_depth.tolist() == [2, 2, 2]
     # the released copy is final: the result never rewrites those rows
-    np.testing.assert_array_equal(grid.tokens[0:3], r0.tokens)
-    assert np.all(states[0] == R) and np.all(states[2:] == R)
-    np.testing.assert_array_equal(grid.tokens[2:], tokens[2:])
-    assert rx.case_counts == {3: 1}
+    np.testing.assert_array_equal(grid.tokens[3:6], r1.tokens)
+    assert np.all(states[:3] == R) and np.all(states[6:] == R)
+    np.testing.assert_array_equal(grid.tokens[:3], tokens[:3])
+    np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
+    assert rx.case_counts == {3: 3}
     assert rx.n_blackouts == 0
 
 
@@ -183,7 +190,7 @@ def test_mangled_fine_payload_is_concealed_like_a_drop():
     tokens = make_tokens(47, 18)
 
     def hit(p):
-        return p.group == 1 and p.first_frame == 1
+        return p.group == 1 and p.first_frame == 0
 
     dropped = drive(tokens, keep=lambda em, p: not hit(p))
     model = UniformModel(16)
@@ -200,7 +207,7 @@ def test_mangled_fine_payload_is_concealed_like_a_drop():
     tail, total = tx.flush()
     releases += rx.finish([carry(em) for em in tail], total)
     grid, states = rx.result()
-    assert releases[0].states[1].tolist() == [R, C, I]
+    assert releases[0].states.tolist() == [[R, C, I]] * 3
     np.testing.assert_array_equal(states, dropped[1])
     np.testing.assert_array_equal(grid.tokens, dropped[0].tokens)
     assert rx.case_counts == dropped[4].case_counts
@@ -216,10 +223,11 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     rx.step(ems[0].packets)
     rows = len(rx._tokens)
     coarse = next(p for p in ems[1].packets if p.group == 0)
-    far = Packet(20000, coarse.unit, 0, coarse.first_frame, 1, coarse.payload)
+    far = Packet(20000, coarse.unit, 0, 20000 * GOS.gos_len + coarse.unit - 1,
+                 coarse.n_frames, coarse.payload)
     with pytest.raises(DecodeError, match="horizon"):
         rx.step(list(ems[1].packets) + [far])
-    bad_unit = Packet(0, GOS.gos_len + 1, 0, 6, 1, coarse.payload)
+    bad_unit = Packet(0, GOS.gos_len + 1, 0, 6, 3, coarse.payload)
     with pytest.raises(DecodeError, match="unit"):
         rx.step(list(ems[1].packets) + [bad_unit])
     assert len(rx._tokens) == rows
@@ -232,51 +240,139 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     assert np.all(states == R)
 
 
+def unapplied(rx, step_packets, match):
+    """Assert that stepping ``rx`` with ``step_packets`` raises a
+    DecodeError matching ``match`` and leaves the receiver as it was."""
+    before = (rx._next_step, rx._released, rx.fec_recovered,
+              rx._tokens.copy(), rx._states.copy(), dict(rx.case_counts))
+    with pytest.raises(DecodeError, match=match):
+        rx.step(step_packets)
+    assert (rx._next_step, rx._released, rx.fec_recovered) == before[:3]
+    np.testing.assert_array_equal(rx._tokens, before[3])
+    np.testing.assert_array_equal(rx._states, before[4])
+    assert rx.case_counts == before[5]
+
+
+def split(em):
+    """(the coarse packet, the fine packets) of one emission."""
+    coarse = [p for p in em.packets if p.group == 0]
+    assert len(coarse) == 1
+    return coarse[0], [p for p in em.packets if p.group > 0]
+
+
 def test_out_of_vocabulary_coarse_leaves_the_step_unapplied():
-    tokens = make_tokens(56, 12, vocab=10)
+    tokens = make_tokens(56, 15, vocab=10)
     model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
     tx = StreamSender(GOS, STREAM, model)
     ems = list(tx.push(tokens))
     tail, total = tx.flush()
     rx = StreamReceiver(GOS, STREAM, model)
-    first = list(ems[0].packets)
-    i3 = next(i for i, p in enumerate(first)
-              if p.group == 0 and p.first_frame == 3)
-    p3, p4 = first[i3], first[i3 + 1]
-    bad = pack_bits(np.array([15]), 4)
-    # a bad payload; then, with frame 3's packet lost, a bad repair copy
-    for damaged in (
-            [Packet(p3.gos_id, p3.unit, 0, 3, 1, bad, p3.fec), p4],
-            [Packet(p4.gos_id, p4.unit, 0, 4, 1, p4.payload, bad)]):
-        before = (rx._next_step, rx._tokens.copy(), rx._states.copy())
-        with pytest.raises(DecodeError, match="vocabulary"):
-            rx.step(first[:i3] + damaged + first[i3 + 2:])
-        assert rx._next_step == before[0]
-        np.testing.assert_array_equal(rx._tokens, before[1])
-        np.testing.assert_array_equal(rx._states, before[2])
-    # The same step without the bad packet goes through; frame 3's coarse
-    # comes back from frame 4's repair copy.
-    rx.step(first[:i3] + first[i3 + 1:])
+    c0, fine0 = split(ems[0])
+    bad = pack_bits(np.array([15] * 6), 4)
+    # a bad payload
+    unapplied(rx, [Packet(c0.gos_id, c0.unit, 0, 0, 6, bad)] + fine0,
+              "vocabulary")
+    rx.step(ems[0].packets)
+    # step 1's coarse packet is lost; step 2's packet repairs it, unless
+    # its repair copy is bad
+    rx.step(split(ems[1])[1])
+    c2, fine2 = split(ems[2])
+    unapplied(rx, [Packet(c2.gos_id, c2.unit, 0, 9, 3, c2.payload,
+                          pack_bits(np.array([15] * 3), 4))] + fine2,
+              "vocabulary")
+    # The same step with the good copy goes through; frames 6-8 come back
+    # from step 2's repair copy before they are released.
+    r2 = rx.step(ems[2].packets)
     assert rx.fec_recovered == 1
-    for em in ems[1:]:
+    assert r2.due == (6, 9) and np.all(r2.states == R)
+    for em in ems[3:]:
+        rx.step(em.packets)
+    rx.finish([e.packets for e in tail], total)
+    grid, states = rx.result()
+    np.testing.assert_array_equal(grid.tokens[:, 0], tokens[:, 0])
+    # step 1's fine slices were coded against the lost coarse frames
+    assert states[3:6].tolist() == [[R, I, I]] * 3
+    assert np.all(np.delete(states, range(3, 6), axis=0) == R)
+    np.testing.assert_array_equal(np.delete(grid.tokens, range(3, 6), axis=0),
+                                  np.delete(tokens, range(3, 6), axis=0))
+
+
+def test_single_coarse_loss_repaired_before_release():
+    # At stride 3 and lookahead 3 the next step's repair copy brings a lost
+    # coarse packet's frames back before any of them is due. Only the fine
+    # slices of the step that lost it, coded against those frames, are
+    # lost with it.
+    tokens = make_tokens(48, 15)
+
+    def keep(em, p):
+        return not (p.group == 0 and em.step == 2)
+
+    grid, states, releases, _, rx = drive(tokens, keep=keep)
+    assert releases[3].due == (9, 12) and np.all(releases[3].states == R)
+    np.testing.assert_array_equal(grid.tokens[9:12], tokens[9:12])
+    assert rx.fec_recovered == 1
+    assert rx.case_counts == {}
+    assert states[6:9].tolist() == [[R, I, I]] * 3
+    assert np.all(np.delete(states, range(6, 9), axis=0) == R)
+
+
+def test_stride_one_packets_hold_one_frame():
+    stream = StreamConfig(stride=1, lookahead=0, coding_context=4,
+                          conceal_context=4)
+    tokens = make_tokens(57, 10)
+    grid, states, _, tx, _ = drive(tokens, stream=stream)
+    ems = list(StreamSender(GOS, stream, UniformModel(16)).push(tokens))
+    assert all(p.n_frames == 1 for em in ems for p in em.packets)
+    assert all(len(em.packets) == 1 + GOS.n_fine_groups for em in ems)
+    np.testing.assert_array_equal(grid.tokens, tokens)
+    assert np.all(states == R) and tx.max_latency == 1
+
+
+def test_wrong_extent_is_refused_and_leaves_the_receiver_unchanged():
+    tokens = make_tokens(58, 15)
+    model = UniformModel(16)
+    tx = StreamSender(GOS, STREAM, model)
+    ems = list(tx.push(tokens))
+    tail, total = tx.flush()
+    rx = StreamReceiver(GOS, STREAM, model)
+    rx.step(ems[0].packets)
+    c1, fine1 = split(ems[1])
+    f1 = fine1[0]
+
+    def coarse(first, n, fec=c1.fec):
+        return Packet(first // 6, first % 6 + 1, 0, first, n, c1.payload,
+                      fec)
+
+    def fine(first, n, group=f1.group):
+        return Packet(first // 6, first % 6 + 1, group, first, n, f1.payload)
+
+    for bad, match in (
+            # coarse frames that are no step's: too few, too many, shifted
+            (coarse(6, 2), "coarse frames"),
+            (coarse(5, 4), "coarse frames"),
+            (coarse(7, 2), "coarse frames"),
+            # the next step's coarse frames lie beyond this horizon
+            (coarse(9, 3), "horizon"),
+            # the first coarse packet has no predecessor to repair
+            (Packet(0, 1, 0, 0, 6, ems[0].packets[0].payload, c1.payload),
+             "first coarse packet"),
+            # fine frames other than the due ones
+            (fine(3, 2), "due batch"),
+            (fine(3, 4), "due batch"),
+            (fine(0, 3), "due batch"),
+            # a layer group the level does not send
+            (fine(3, 3, group=3), "layer group"),
+            # (gos_id, unit) naming another frame than first_frame
+            (Packet(0, 5, 0, 6, 3, c1.payload, c1.fec), "first frame")):
+        unapplied(rx, [c1] + fine1[1:] + [bad], match)
+    # an earlier step's coarse packet, replayed, is accepted
+    rx.step(list(ems[1].packets) + [ems[0].packets[0]])
+    for em in ems[2:]:
         rx.step(em.packets)
     rx.finish([e.packets for e in tail], total)
     grid, states = rx.result()
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R)
-
-
-def test_single_coarse_loss_repaired_in_batch():
-    tokens = make_tokens(48, 12)
-
-    def keep(em, p):
-        return not (p.group == 0 and p.first_frame == 2)
-
-    grid, states, _, _, rx = drive(tokens, keep=keep)
-    np.testing.assert_array_equal(grid.tokens, tokens)
-    assert np.all(states == R)
-    assert rx.fec_recovered == 1
-    assert rx.case_counts == {}
 
 
 def test_total_blackout_releases_zeros_then_holds():
@@ -323,25 +419,29 @@ def test_replayed_coarse_never_rewrites_released_frames():
     tail, total = tx.flush()
     ems.extend(tail)
 
-    held = [p for p in ems[0].packets
-            if p.group == 0 and p.first_frame in (1, 2)]
-    assert len(held) == 2
+    held = [p for p in ems[0].packets if p.group == 0]
+    assert [(p.first_frame, p.n_frames) for p in held] == [(0, 6)]
     r0 = rx.step([p for p in ems[0].packets if p not in held])
-    # frame 1 unrepairable (frame 2's packet held back), frame 2 repaired
-    assert r0.states[1, 0] == C and r0.states[2, 0] == R
-    assert rx.fec_recovered == 1
+    # frames 0..2 have no coarse in the window: a blackout, held at zeros
+    assert np.all(r0.states == C) and rx.n_blackouts == 1
+    assert rx.fec_recovered == 0
     guess = int(r0.tokens[1, 0])
     assert guess != 7
+    # step 1's repair copy brings frames 3..5 back before their release
+    r1 = rx.step(ems[1].packets)
+    assert np.all(r1.states[:, 0] == R)
+    assert rx.fec_recovered == 1
 
-    # the held packets arrive one step late, after frames 0..2 were released
-    rx.step(list(held) + list(ems[1].packets))
-    rx.step(ems[2].packets)
+    # the held packet arrives two steps late, with a replay of step 1's
+    # coarse packet, after frames 0..5 were released
+    replay = [p for p in ems[1].packets if p.group == 0]
+    rx.step(list(held) + replay + list(ems[2].packets))
     rx.finish([ems[3].packets], total)
     grid, states = rx.result()
     # released rows are final regardless of what arrives afterwards
     assert grid.tokens[1, 0] == guess
     assert states[1, 0] == C
-    # the late duplicate's repair targeted a released frame: not counted
+    # the late duplicate's repair targeted released frames: not counted
     assert rx.fec_recovered == 1
 
 
@@ -415,3 +515,66 @@ def test_stream_with_trained_model_decodes_bit_exactly():
     grid, states, _, tx, _ = drive(tokens, model=model)
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_step_packing(data):
+    """Whatever the cadence, level and drops: a step sends at most one
+    coarse packet and one packet per fine group, the coarse extents tile
+    the stream once, the fine extents are the due frames, a lossless
+    stream is bit-exact, every RECEIVED cell is the sent token, and the
+    latency bound holds."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, (0, 2, 3, 5)),
+                                     GosConfig(5, 1, (0, 1, 4))]))
+    stride = data.draw(st.integers(1, 4))
+    lookahead = data.draw(st.integers(0, 3))
+    span = stride + lookahead
+    cfg = StreamConfig(stride, lookahead,
+                       data.draw(st.integers(span, span + 6)),
+                       data.draw(st.integers(span, span + 6)))
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
+    n_frames = data.draw(st.integers(1, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tokens = rng.integers(0, 16, size=(n_frames, gos.n_layers))
+    tokens[:, level:] = 0
+    lossless = data.draw(st.booleans())
+
+    def keep(em, p):
+        return lossless or data.draw(st.booleans())
+
+    grid, states, _, tx, _ = drive(tokens, keep=keep, level=level,
+                                   gos=gos, stream=cfg)
+    # drive() hands the packets to the receiver; replay the sender alone
+    # for the emissions themselves
+    replay = StreamSender(gos, cfg, UniformModel(16), level=level)
+    ems = list(replay.push(tokens))
+    ems += replay.flush()[0]
+    groups = [j for j in range(1, gos.n_fine_groups + 1)
+              if len(gos.group_layers(j, level))]
+    covered = []
+    for em in ems:
+        assert len(em.packets) <= 1 + gos.n_fine_groups
+        coarse = [p for p in em.packets if p.group == 0]
+        fine = [p for p in em.packets if p.group > 0]
+        assert len(coarse) <= 1
+        extent = stream_coarse(em.step, cfg, n_frames)
+        assert [range(p.first_frame, p.first_frame + p.n_frames)
+                for p in coarse] == ([extent] if len(extent) else [])
+        covered += list(extent)
+        due = stream_step(em.step, cfg, n_frames)[0]
+        assert (due.start, due.stop) == em.due
+        assert [(p.group, p.first_frame, p.n_frames) for p in fine] == \
+            [(j, due.start, len(due)) for j in groups]
+        for p in em.packets:
+            assert p.first_frame == p.gos_id * gos.gos_len + p.unit - 1
+    assert covered == list(range(n_frames))
+    enc = states[:, :level]
+    rec = enc == R
+    np.testing.assert_array_equal(grid.tokens[:, :level][rec],
+                                  tokens[:, :level][rec])
+    if lossless:
+        assert rec.all()
+        np.testing.assert_array_equal(grid.tokens[:, :level],
+                                      tokens[:, :level])
+    assert tx.max_latency <= stride + lookahead
