@@ -9,11 +9,11 @@ ends at the step's horizon, in closed form from the step geometry
 ``stream_step`` (``stream_conditions``). The rule is stated once per frame
 or once per stream step, as ``Conditions``: the coder's view shows exactly
 its cells, and the receiver decodes the fine slices only once all of them
-are RECEIVED, so sender, receiver and decode gate cannot disagree. No fine cell is ever a
-condition, so a lost fine packet costs only its own cells. The concealing
-dependency is looser: it reads any received token at or below the damaged
-layer, both earlier and later in time, because prediction does not need
-bit-exact context.
+are RECEIVED, so sender, receiver and decode gate cannot disagree. No fine
+cell is ever a condition, so a lost fine packet costs only its own cells.
+The concealing dependency is looser: it reads any received token at or
+below the damaged layer, both earlier and later in time, because
+prediction does not need bit-exact context.
 
 Which cells the receiver can trust is one prefix rule, ``prefix_depth``: a
 layer refines the residual left by those below it, so a frame is usable up
@@ -104,7 +104,8 @@ def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
     return range(i * cfg.stride, stop), horizon
 
 
-def stream_coarse(i: int, cfg: StreamConfig, total: int | None = None) -> range:
+def stream_coarse(i: int, cfg: StreamConfig,
+                  total: int | None = None) -> range:
     """Frames whose coarse layers stream step ``i`` newly carries.
 
     Step i's coarse packet holds the frames its horizon h_i newly reaches:

@@ -87,12 +87,13 @@ def encode_symbols(cum_lo, freq) -> CodedSlice:
         while rng < _TOP:
             rng <<= 8
             low, cache, pending = _shift_low(low, cache, pending, out)
-    # the value in [low, low + rng) with the most trailing zero bytes
+    # the value in [low, low + rng) with the most trailing zero bytes; at
+    # most its top byte is non-zero, so two shifts move out all the rest
     v = -(-low >> 32) << 32
     if v >= low + rng:
         v = -(-low >> 24) << 24
     low = v
-    for _ in range(5):
+    for _ in range(2):
         low, cache, pending = _shift_low(low, cache, pending, out)
     # out[0] is the initial cache byte, always 0
     return CodedSlice(bytes(out[1:]).rstrip(b"\0"), len(freq))
@@ -109,7 +110,7 @@ def decode_symbols(coded: CodedSlice, cum) -> list:
     if n and data[-1] == 0:
         raise DecodeError("payload ends in a zero byte")
     code = int.from_bytes(data[:4].ljust(4, b"\0"), "big")
-    pos = 4
+    pos = 4 if rows else 0  # bytes read, counting zeros past the end
     rng = _MASK32
     out = []
     for row in rows:
@@ -126,6 +127,6 @@ def decode_symbols(coded: CodedSlice, cum) -> list:
             pos += 1
             rng <<= 8
         out.append(s)
-    if n > (pos if rows else 0):
+    if n > pos:
         raise DecodeError("payload holds bytes past its last symbol")
     return out

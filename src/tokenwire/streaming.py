@@ -232,6 +232,8 @@ class StreamReceiver:
             if p.group == 0:
                 if frames.stop - 1 > horizon:
                     raise DecodeError("coarse packet beyond the step horizon")
+                # the one step whose coarse frames can start there: step
+                # j >= 1 starts after h_{j-1} = j * stride - 1 + lookahead
                 j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
                 if frames != stream_coarse(j, cfg, total):
                     raise DecodeError("coarse packet extent is no step's "
