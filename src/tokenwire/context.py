@@ -23,10 +23,11 @@ marginal-or-uniform fallback row per layer. It prices a query with one
 key search. Callers put every slice they can price together into one
 query.
 
-Training reads contexts the same way: each masking sample is one query
-counted through ``observe``. So ``encode_key`` over ``MaskedQuery.context``
-is the one place a visibility pattern becomes a context key, for training,
-pricing and concealment alike.
+Training reads contexts the same way: each masking sample is one view of
+the schedule's one query over the concatenated corpus, counted through one
+``observe``. So ``encode_key`` over ``MaskedQuery.context`` is the one
+place a visibility pattern becomes a context key, for training, pricing
+and concealment alike.
 """
 
 from __future__ import annotations
@@ -363,8 +364,10 @@ class CountModel:
         """Accumulate (context, token) pairs from one query.
 
         Uses the same key computation as pmf; ``train_count_model`` counts
-        every masking sample through here, and a model can be fitted the
-        same way on any other visibility pattern it will be queried with.
+        a whole schedule through here, and a model can be fitted the same
+        way on any other visibility pattern it will be queried with. The
+        query is counted with one bincount over its distinct keys; a new
+        key's row is a view into that count block.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         if symbols.shape != (len(query.targets),):
@@ -372,15 +375,23 @@ class CountModel:
         if symbols.size and (symbols.min() < 0 or symbols.max() >= self.vocab):
             raise ValueError("symbol outside vocabulary")
         layer, left, below, right = query.context()
+        if layer.size and layer.max() >= self.n_layers:
+            raise ValueError("target layer outside the model")
         keys = encode_key(self.vocab, layer, left, below, right)
-        for key, k, sym in zip(keys.tolist(), layer.tolist(), symbols.tolist()):
+        uniq, inv = np.unique(keys, return_inverse=True)
+        rows = np.bincount(inv * self.vocab + symbols,
+                           minlength=len(uniq) * self.vocab)
+        rows = rows.astype(np.int64, copy=False).reshape(-1, self.vocab)
+        for key, row in zip(uniq.tolist(), rows):
             counts = self.tables.get(key)
             if counts is None:
-                counts = np.zeros(self.vocab, dtype=np.int64)
-                self.tables[key] = counts
-            counts[sym] += 1
-            self.marginals[k, sym] += 1
-            self.n_observed += 1
+                self.tables[key] = row
+            else:
+                counts += row
+        self.marginals += np.bincount(
+            layer * self.vocab + symbols,
+            minlength=self.marginals.size).reshape(self.marginals.shape)
+        self.n_observed += len(symbols)
         self._table = None
 
 
@@ -412,9 +423,11 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
     Per sample: draw tau and mask floor(T * beta(tau)) frames; draw an
     encode depth K uniformly from [n_coarse, n_layers] and a lowest masked
     layer uniformly from [1, K]; hide layers k..K of the masked frames and
-    count (context -> token) over every hidden cell. A sample is one
-    ``observe`` of a one-view query, unmasked frames visible through K and
-    masked ones through k - 1, so training reads the views pricing reads.
+    count (context -> token) over every hidden cell. Each sample is one
+    view of the schedule's one query over the concatenated corpus, its
+    grid's window with unmasked frames visible through K and masked ones
+    through k - 1, and that query is counted with one ``observe``, so
+    training reads the views pricing reads.
     """
     schedule = schedule or TrainSchedule()
     if not 1 <= n_coarse < n_layers:
@@ -430,9 +443,11 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
 
     rng = np.random.default_rng(schedule.seed)
     model = CountModel(vocab=vocab, n_layers=n_layers)
-
+    tokens = np.concatenate([g.tokens for g in grids])
+    starts = np.cumsum([0] + [g.n_frames for g in grids]).tolist()
+    views = []
     for _ in range(schedule.epochs):
-        for g in grids:
+        for g, lo in zip(grids, starts):
             T = g.n_frames
             depth_cap = int(g.level[0])
             tau = schedule.fixed_tau if schedule.fixed_tau is not None \
@@ -446,33 +461,43 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
             visible = np.full(T, K, dtype=np.int64)
             visible[masked] = k_low - 1
             layers = np.arange(k_low - 1, K)
-            targets = np.column_stack([np.repeat(masked, len(layers)),
+            targets = np.column_stack([np.repeat(masked + lo, len(layers)),
                                        np.tile(layers, n_masked)])
-            model.observe(MaskedQuery(g.tokens, [View(0, visible, targets)]),
-                          g.tokens[targets[:, 0], targets[:, 1]])
+            views.append(View(lo, visible, targets))
+    if views:
+        query = MaskedQuery(tokens, views)
+        model.observe(query, tokens[query.targets[:, 0], query.targets[:, 1]])
     return model
 
 
 # Model file format: magic "CTX1", u8 version, 32-byte SHA-256 of the body,
 # then body: u16 vocab, u16 n_layers, f64 alpha, u64 observed count,
 # marginals as n_layers*vocab u64, u32 record count, and per record a
-# little-endian i64 key followed by vocab u64 counts, sorted by key.
+# little-endian i64 key followed by vocab u64 counts, in strictly increasing
+# key order.
 
 _CTX_MAGIC = b"CTX1"
 
 
+def _record_dtype(vocab: int) -> np.dtype:
+    """One packed model-file record: the key, then its vocab counts."""
+    return np.dtype([("key", "<i8"), ("counts", "<u8", (vocab,))])
+
+
 def save_count_model(path: str | Path, model: CountModel) -> None:
-    body = bytearray()
-    body += struct.pack("<HHdQ", model.vocab, model.n_layers, model.alpha,
-                        model.n_observed)
-    body += model.marginals.astype("<u8").tobytes()
     keys = sorted(model.tables)
-    body += struct.pack("<I", len(keys))
-    for key in keys:
-        body += struct.pack("<q", key)
-        body += model.tables[key].astype("<u8").tobytes()
-    digest = hashlib.sha256(bytes(body)).digest()
-    Path(path).write_bytes(_CTX_MAGIC + b"\x01" + digest + bytes(body))
+    records = np.empty(len(keys), dtype=_record_dtype(model.vocab))
+    records["key"] = keys
+    records["counts"] = np.array([model.tables[k] for k in keys],
+                                 dtype=np.int64).reshape(-1, model.vocab)
+    body = b"".join([
+        struct.pack("<HHdQ", model.vocab, model.n_layers, model.alpha,
+                    model.n_observed),
+        model.marginals.astype("<u8").tobytes(),
+        struct.pack("<I", len(keys)),
+        records.tobytes()])
+    digest = hashlib.sha256(body).digest()
+    Path(path).write_bytes(_CTX_MAGIC + b"\x01" + digest + body)
 
 
 def load_count_model(path: str | Path) -> CountModel:
@@ -494,17 +519,16 @@ def load_count_model(path: str | Path) -> CountModel:
     off += 8 * n_layers * vocab
     (n_rec,) = struct.unpack_from("<I", body, off)
     off += 4
-    if len(body) < off + n_rec * 8 * (1 + vocab):
+    rec = _record_dtype(vocab)
+    if len(body) < off + n_rec * rec.itemsize:
         raise ValueError("context model file is truncated")
-    tables = {}
-    for _ in range(n_rec):
-        (key,) = struct.unpack_from("<q", body, off)
-        off += 8
-        row = np.frombuffer(body, dtype="<u8", count=vocab, offset=off)
-        off += 8 * vocab
-        tables[key] = row.astype(np.int64)
-    if off != len(body):
+    if len(body) != off + n_rec * rec.itemsize:
         raise ValueError("context model file has trailing bytes")
+    records = np.frombuffer(body, dtype=rec, count=n_rec, offset=off)
+    keys = records["key"]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("context model file keys are not strictly increasing")
+    tables = dict(zip(keys.tolist(), records["counts"].astype(np.int64)))
     return CountModel(vocab=vocab, n_layers=n_layers, alpha=alpha,
                       tables=tables,
                       marginals=marg.reshape(n_layers, vocab).astype(np.int64),

@@ -7,8 +7,10 @@ per-key fallback chain, and the one-vector largest-remainder quantizer.
 
 For count-model training: the masking curriculum with the neighbor rule of
 a masking sample written out by hand from its masked and unmasked frames,
-which ``train_count_model``, counting through ``CountModel.observe``, must
-reproduce count for count.
+which ``train_count_model``, counting every sample as one view of one
+query through ``CountModel.observe``, must reproduce count for count; and
+the per-cell counting loop that the vectorised ``observe`` must equal on
+any query.
 
 For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
 transforms and builds its filterbank on every call, and the
@@ -109,6 +111,22 @@ def reference_key(model, tokens, visible, t, k, lo, hi) -> tuple:
     parts = context_key_parts(tokens, visible, t, k, lo, hi)
     key = encode_key(model.vocab, *parts)
     return (key, *reference_pmf(model, key, k))
+
+
+def reference_observe(model, query, symbols) -> None:
+    """Count one query's (context, token) pairs into ``model``, cell by
+    cell: one table row lookup or insertion per target."""
+    layer, left, below, right = query.context()
+    keys = encode_key(model.vocab, layer, left, below, right)
+    for key, k, sym in zip(keys.tolist(), layer.tolist(),
+                           np.asarray(symbols).tolist()):
+        counts = model.tables.get(key)
+        if counts is None:
+            counts = np.zeros(model.vocab, dtype=np.int64)
+            model.tables[key] = counts
+        counts[sym] += 1
+        model.marginals[k, sym] += 1
+        model.n_observed += 1
 
 
 def reference_train_count_model(corpus, vocab: int, n_layers: int,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tokenwire import pipeline, streaming
+from tokenwire import experiment, pipeline, streaming
 from tokenwire.grid import TokenGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -68,3 +68,20 @@ def test_hooks_record_the_coding_work():
                  "pipeline.send", "pipeline.receive",
                  "streaming.receiver.step"):
         assert name in stats and stats[name].count > 0, name
+
+
+def test_hooks_record_the_training(mini_cfg):
+    """Training a stack leaves spans under both training names, so a
+    rename cannot silently blank ``context.train_s`` or ``rvq.train_s``."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layers(tracer)
+        tracer.active = True
+        with tracer.span("bench.setup"):
+            experiment.train_stack(mini_cfg)
+    finally:
+        tracer.uninstall()
+    stats = tracing.summarize(tracer.take())
+    for name in ("context.train", "rvq.train"):
+        assert name in stats and stats[name].calls >= 1, name

@@ -29,7 +29,8 @@ from tokenwire.context import (
 )
 from tokenwire.grid import TokenGrid
 from scalar_reference import (context_key_parts, full_query, quantize_vector,
-                              reference_key, reference_train_count_model)
+                              reference_key, reference_observe,
+                              reference_train_count_model)
 
 
 def planned_parts(query) -> list:
@@ -386,6 +387,10 @@ def test_observe_validation_and_counts():
     assert int(m.marginals[0, 3]) == 2
     (key,) = m.tables
     np.testing.assert_array_equal(m.tables[key], [0, 0, 0, 2])
+    shallow = CountModel(vocab=4, n_layers=1)
+    with pytest.raises(ValueError, match="layer"):
+        shallow.observe(full_query(tokens, np.array([2, 1]), [(1, 1)]), [0])
+    assert shallow.n_observed == 0 and not shallow.tables
 
 
 def test_predict_is_argmax_lowest_index():
@@ -395,6 +400,66 @@ def test_predict_is_argmax_lowest_index():
     m.observe(q, [2])
     m.observe(q, [3])  # tie between 2 and 3 -> lowest index 2
     assert m.predict(q)[0] == 2
+
+
+@st.composite
+def observe_setups(draw):
+    """(vocab, tokens, prior views, views): random windows with random
+    visible depths, each pricing a random subset of its hidden cells; the
+    first view appears twice, so keys repeat across views."""
+    vocab = draw(st.one_of(st.integers(2, 8), st.just(256)))
+    n_layers = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    tokens = rng.integers(0, vocab, size=(T, n_layers))
+
+    def view():
+        lo = int(rng.integers(0, T))
+        width = int(rng.integers(1, T - lo + 1))
+        visible = rng.integers(0, n_layers + 1, size=width)
+        hidden = np.argwhere(np.arange(n_layers) >= visible[:, None])
+        keep = hidden[rng.random(len(hidden)) < 0.7]
+        return View(lo, visible, keep + [lo, 0])
+
+    views = [view() for _ in range(draw(st.integers(1, 4)))]
+    prior = [views[i] for i in range(len(views)) if draw(st.booleans())]
+    return vocab, tokens, prior, views + views[:1]
+
+
+@given(observe_setups())
+@settings(max_examples=60, deadline=None)
+def test_observe_matches_per_cell_counting(setup):
+    """One bincount over a query's distinct keys counts exactly what the
+    per-cell loop counts, also into a model that already holds some of
+    its keys, and each table row stays its own."""
+    vocab, tokens, prior, views = setup
+    n_layers = tokens.shape[1]
+    fast = CountModel(vocab=vocab, n_layers=n_layers)
+    slow = CountModel(vocab=vocab, n_layers=n_layers)
+    if prior:
+        q = MaskedQuery(tokens, prior)
+        symbols = tokens[q.targets[:, 0], q.targets[:, 1]]
+        fast.observe(q, symbols)
+        reference_observe(slow, q, symbols)
+    query = MaskedQuery(tokens, views)
+    symbols = tokens[query.targets[:, 0], query.targets[:, 1]]
+    fast.observe(query, symbols)
+    reference_observe(slow, query, symbols)
+    assert_same_counts(fast, slow)
+
+    # new rows of one observe may share one count block: adding into one
+    # row must leave every other row as it was
+    if len(query.targets):
+        v = next(v for v in views if len(v.targets))
+        one = MaskedQuery(tokens, [View(v.lo, v.visible, v.targets[:1])])
+        before = {k: row.copy() for k, row in fast.tables.items()}
+        fast.observe(one, [0])
+        reference_observe(slow, one, [0])
+        assert_same_counts(fast, slow)
+        (key,) = encode_key(vocab, *one.context()).tolist()
+        for k, row in fast.tables.items():
+            if k != key:
+                np.testing.assert_array_equal(row, before[k])
 
 
 # --- curriculum training -----------------------------------------------------
@@ -444,8 +509,9 @@ def assert_same_counts(a: CountModel, b: CountModel) -> None:
     assert a.n_observed == b.n_observed
     np.testing.assert_array_equal(a.marginals, b.marginals)
     assert sorted(a.tables) == sorted(b.tables)
-    for key in a.tables:
-        np.testing.assert_array_equal(a.tables[key], b.tables[key])
+    for key, row in a.tables.items():
+        assert row.dtype == np.int64
+        np.testing.assert_array_equal(row, b.tables[key])
 
 
 @st.composite
@@ -503,11 +569,11 @@ def test_model_file_round_trip(tmp_path):
     back = load_count_model(path)
     assert back.vocab == 8 and back.n_layers == 3
     assert back.alpha == model.alpha
-    assert back.n_observed == model.n_observed
-    np.testing.assert_array_equal(back.marginals, model.marginals)
-    assert sorted(back.tables) == sorted(model.tables)
-    for key in model.tables:
-        np.testing.assert_array_equal(back.tables[key], model.tables[key])
+    assert_same_counts(back, model)
+    assert all(row.flags.writeable for row in back.tables.values())
+    again = tmp_path / "again.ctx"
+    save_count_model(again, back)
+    assert again.read_bytes() == path.read_bytes()
     assert len(model_digest(path)) == 64
 
 
@@ -548,6 +614,24 @@ def test_model_file_truncated_body_is_refused(tmp_path):
         path.write_bytes(b"CTX1\x01" + hashlib.sha256(short).digest() + short)
         with pytest.raises(ValueError, match="truncated"):
             load_count_model(path)
+
+
+@pytest.mark.parametrize("second_key", [7, 5])
+def test_model_file_keys_must_increase(tmp_path, second_key):
+    """A record whose key does not exceed the one before it (a duplicate,
+    or out of order) is refused even under a valid digest, rather than
+    dropping counts."""
+    model = CountModel(vocab=4, n_layers=2, n_observed=3,
+                       tables={7: np.array([0, 1, 0, 0]),
+                               9: np.array([0, 0, 2, 0])})
+    path = tmp_path / "m.ctx"
+    save_count_model(path, model)
+    body = bytearray(path.read_bytes()[37:])
+    second = len(body) - 8 * (1 + 4)
+    body[second:second + 8] = second_key.to_bytes(8, "little", signed=True)
+    path.write_bytes(b"CTX1\x01" + hashlib.sha256(body).digest() + body)
+    with pytest.raises(ValueError, match="increasing"):
+        load_count_model(path)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])

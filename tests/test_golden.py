@@ -6,7 +6,8 @@ accounting, the received tokens and states, and the receiver's report (for
 streams: every release plus the receiver's counters). A refactor of the
 transceiver must leave every digest unchanged. The channels only drop
 whole packets, so the outcome never depends on how an undecodable payload
-is classified.
+is classified. The count model the scenarios share is pinned too, by the
+SHA-256 of its model file, so training must count the same contexts.
 """
 
 import hashlib
@@ -15,7 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from tokenwire.context import TrainSchedule, train_count_model
+from tokenwire.context import (TrainSchedule, model_digest, save_count_model,
+                               train_count_model)
 from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, build_slice_grid
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender
@@ -418,3 +420,15 @@ def test_golden_digests(corpus, name):
         got = run_stream(model, grid, mode, channel)
     assert got == GOLDEN[name]
 
+
+
+# The golden corpus's count model file. Only this pure-integer training is
+# pinned: a model trained through the RVQ codec depends on BLAS matmuls,
+# which may round differently between hosts.
+MODEL_DIGEST = "2eb91345b5f25df9af6ebfa747c61b984e560fa519ef956406e970534ea7cc5e"
+
+
+def test_golden_model_file(corpus, tmp_path):
+    path = tmp_path / "golden.ctx"
+    save_count_model(path, corpus[0])
+    assert model_digest(path) == MODEL_DIGEST
