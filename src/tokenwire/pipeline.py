@@ -35,7 +35,7 @@ from .grid import (GosConfig, SliceGrid, SliceId, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
 from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
-from .transport import HEADER_BYTES, Packet, pack_bits, token_bits, unpack_bits
+from .transport import Packet, pack_bits, token_bits, unpack_bits
 
 _R = int(TokenState.RECEIVED)
 _C = int(TokenState.CONCEALED)
@@ -61,7 +61,12 @@ class SenderReport:
 
     @property
     def total_bits(self) -> int:
-        return self.header_bits + self.coarse_bits + self.fec_bits + self.fine_bits
+        return self.header_bits + self.payload_bits
+
+    @property
+    def payload_bits(self) -> int:
+        """Everything but the headers: coarse, FEC and coded fine bits."""
+        return self.coarse_bits + self.fec_bits + self.fine_bits
 
     @property
     def fine_bits_per_token(self) -> float | None:
@@ -97,7 +102,10 @@ class SliceSender:
     Turns slices into packets in the order it is handed them, chains each
     coarse packet's repair copy to its predecessor when ``fec`` is on, and
     keeps the ``SenderReport``. A packet's ``head`` is its
-    (gos_id, unit, group, first_frame, n_frames).
+    (gos_id, unit, group, first_frame, n_frames). The report charges each
+    packet's own ``Packet.header_bytes`` to ``header_bits``, which varies
+    with the header's varint fields, so ``total_bits`` is exactly eight
+    times the packets' serialised length.
     """
 
     def __init__(self, model, fec: bool = True):
@@ -109,9 +117,10 @@ class SliceSender:
 
     def _packet(self, head: tuple, payload: bytes,
                 fec_field: bytes = b"") -> Packet:
+        packet = Packet(*head, payload, fec_field)
         self.report.n_packets += 1
-        self.report.header_bits += HEADER_BYTES * 8
-        return Packet(*head, payload, fec_field)
+        self.report.header_bits += packet.header_bytes * 8
+        return packet
 
     def coarse(self, head: tuple, vals: np.ndarray) -> Packet:
         """Bit-pack a coarse slice's tokens; carries the previous coarse

@@ -5,6 +5,23 @@ they can never suffer error propagation; fine slices carry range-coder
 output. Each coarse packet may additionally carry a bit-packed copy of the
 previous coarse slice, which lets the receiver ride out a single lost
 coarse packet whenever its successor arrives.
+
+A packet's bytes, in order:
+
+- one byte: the format version in the high nibble, the flags in the low
+  one (``_FLAG_FEC`` is the only flag);
+- ``gos_id``, ``unit``, ``group``, ``first_frame`` and ``n_frames``, each
+  an unsigned LEB128 varint: seven value bits per byte, least significant
+  group first, the high bit set on every byte but the last, and no
+  redundant trailing zero group (so 0 is one 0x00 byte);
+- the FEC length as a varint, present only when ``_FLAG_FEC`` is set, and
+  then never 0;
+- the payload, then the FEC bytes. The payload has no length field: it is
+  whatever the datagram holds between the header and the FEC bytes;
+- a CRC-32 (zlib, little-endian) of every byte before it.
+
+Every ``Packet`` has exactly one encoding, and ``Packet.from_bytes``
+refuses anything else with ``DecodeError``.
 """
 
 from __future__ import annotations
@@ -18,11 +35,11 @@ import numpy as np
 
 from .errors import DecodeError
 
-_MAGIC = b"SP"
-_VERSION = 3
-_HEADER = struct.Struct("<2sBBIBBIHHHI")
-HEADER_BYTES = _HEADER.size  # 24
+_VERSION = 4
 _FLAG_FEC = 0x01
+_CRC_BYTES = 4
+# version byte, five one-byte varints, no FEC length, the CRC
+_MIN_BYTES = 1 + 5 + _CRC_BYTES
 
 
 def token_bits(vocab: int) -> int:
@@ -85,42 +102,78 @@ class Packet:
     def flags(self) -> int:
         return _FLAG_FEC if self.fec else 0
 
-    def to_bytes(self) -> bytes:
-        head = _HEADER.pack(_MAGIC, _VERSION, self.flags, self.gos_id,
-                            self.unit, self.group, self.first_frame,
-                            self.n_frames, len(self.payload), len(self.fec), 0)
-        crc = zlib.crc32(head + self.payload + self.fec) & 0xFFFFFFFF
-        head = head[:-4] + struct.pack("<I", crc)
-        return head + self.payload + self.fec
+    def _fields(self) -> tuple:
+        """The header's varint fields, in wire order."""
+        head = (self.gos_id, self.unit, self.group, self.first_frame,
+                self.n_frames)
+        return head + (len(self.fec),) if self.fec else head
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Packet":
-        if len(data) < HEADER_BYTES:
-            raise DecodeError("packet shorter than its header")
-        (magic, version, flags, gos_id, unit, group, first_frame,
-         n_frames, payload_len, fec_len, crc) = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise DecodeError("bad packet magic")
-        if version != _VERSION:
-            raise DecodeError(f"unsupported packet version {version}")
-        end = HEADER_BYTES + payload_len + fec_len
-        if len(data) < end:
-            raise DecodeError("packet truncated")
-        if len(data) > end:
-            raise DecodeError("trailing bytes after packet")
-        body = data[HEADER_BYTES:end]
-        zeroed = data[:HEADER_BYTES - 4] + b"\x00\x00\x00\x00"
-        if zlib.crc32(zeroed + body) & 0xFFFFFFFF != crc:
-            raise DecodeError("packet checksum mismatch")
-        if flags != (_FLAG_FEC if fec_len else 0):
-            raise DecodeError(f"packet flags {flags:#04x} do not match its "
-                              f"{fec_len}-byte fec field")
-        return cls(gos_id, unit, group, first_frame, n_frames,
-                   body[:payload_len], body[payload_len:])
+    @property
+    def header_bytes(self) -> int:
+        """Bytes on the wire besides the payload and FEC: the version
+        byte, the varints and the CRC."""
+        return 1 + _CRC_BYTES + sum((v.bit_length() + 6) // 7 or 1
+                                    for v in self._fields())
 
     @property
     def wire_bytes(self) -> int:
-        return HEADER_BYTES + len(self.payload) + len(self.fec)
+        return self.header_bytes + len(self.payload) + len(self.fec)
+
+    def to_bytes(self) -> bytes:
+        out = bytearray((_VERSION << 4 | self.flags,))
+        for v in self._fields():
+            while v > 0x7F:
+                out.append(v & 0x7F | 0x80)
+                v >>= 7
+            out.append(v)
+        out += self.payload
+        out += self.fec
+        out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
+        return bytes(out)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Packet":
+        """Parse one packet; raises ``DecodeError`` on any byte string that
+        is not some packet's ``to_bytes``."""
+        if len(data) < _MIN_BYTES:
+            raise DecodeError("packet shorter than its header")
+        version, flags = data[0] >> 4, data[0] & 0x0F
+        if version != _VERSION:
+            raise DecodeError(f"unsupported packet version {version}")
+        end = len(data) - _CRC_BYTES
+        if zlib.crc32(data[:end]) != int.from_bytes(data[end:], "little"):
+            raise DecodeError("packet checksum mismatch")
+        if flags & ~_FLAG_FEC:
+            raise DecodeError(f"unknown packet flags {flags:#04x}")
+        fields = []
+        pos = 1
+        for _ in range(6 if flags else 5):
+            value = shift = 0
+            while True:
+                if pos == end:
+                    raise DecodeError("unterminated varint in packet header")
+                byte = data[pos]
+                pos += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+                if shift > 28:
+                    raise DecodeError("varint longer than 5 bytes")
+            if byte == 0 and shift:
+                raise DecodeError("overlong varint in packet header")
+            fields.append(value)
+        fec_len = fields.pop() if flags else 0
+        if flags and not fec_len:
+            raise DecodeError(f"packet flags {flags:#04x} do not match its "
+                              f"0-byte fec field")
+        split = end - fec_len
+        if split < pos:
+            raise DecodeError("fec field longer than the packet")
+        try:
+            return cls(*fields, data[pos:split], data[split:end])
+        except ValueError as exc:
+            raise DecodeError(f"packet field out of range: {exc}") from None
 
 
 def write_packets(path, packets) -> None:

@@ -208,9 +208,10 @@ def test_sender_report_accounting():
     sg = build_slice_grid(12, GOS, 3)
     packets, rep = send_tokens(grid, sg, UniformModel(16))
     assert rep.n_packets == rep.n_coarse_packets + rep.n_fine_packets
-    assert rep.total_bits == (rep.header_bits + rep.coarse_bits +
-                              rep.fec_bits + rep.fine_bits)
-    assert rep.header_bits == 24 * 8 * len(packets)
+    assert rep.payload_bits == rep.coarse_bits + rep.fec_bits + rep.fine_bits
+    assert rep.total_bits == rep.header_bits + rep.payload_bits
+    assert rep.header_bits == 8 * sum(p.header_bytes for p in packets)
+    assert rep.total_bits == 8 * sum(len(p.to_bytes()) for p in packets)
     assert rep.n_coarse_tokens == 12 and rep.n_fine_tokens == 24
     assert rep.fine_bits >= rep.ideal_fine_bits
     assert sum(rep.per_layer_ideal_bits.values()) == \

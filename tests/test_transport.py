@@ -1,5 +1,6 @@
 """Packet framing, bit packing, loss traces, and channel models."""
 
+import struct
 import zlib
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from tokenwire.errors import DecodeError
 from tokenwire.transport import (
-    HEADER_BYTES,
     BernoulliChannel,
     MarkovChannel,
     Packet,
@@ -60,15 +60,65 @@ def test_pack_bits_is_msb_first():
     assert pack_bits([0b101, 0b011], 3) == bytes([0b10101100])
 
 
-@given(st.binary(max_size=64), st.binary(max_size=32), st.integers(0, 2**16 - 2),
-       st.integers(0, 255), st.integers(0, 255))
-@settings(max_examples=80, deadline=None)
-def test_packet_round_trip(payload, fec, nf, unit, group):
-    pkt = Packet(gos_id=3, unit=unit, group=group, first_frame=17,
-                 n_frames=nf + 1, payload=payload, fec=fec)
-    back = Packet.from_bytes(pkt.to_bytes())
+packets = st.builds(
+    Packet,
+    gos_id=st.integers(0, 2**32 - 1),
+    unit=st.integers(0, 255),
+    group=st.integers(0, 255),
+    first_frame=st.integers(0, 2**32 - 1),
+    n_frames=st.integers(1, 2**16 - 1),
+    payload=st.binary(max_size=64),
+    fec=st.one_of(st.just(b""), st.binary(min_size=1, max_size=300)),
+)
+
+
+def seal(body: bytes) -> bytes:
+    """``body`` followed by its CRC-32 trailer."""
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def forge(pkt: Packet, first: int) -> bytes:
+    """``pkt``'s wire bytes with byte 0 (version and flags) replaced and
+    the checksum recomputed."""
+    return seal(bytes([first]) + pkt.to_bytes()[1:-4])
+
+
+@given(packets)
+@settings(max_examples=200, deadline=None)
+def test_packet_round_trip(pkt):
+    raw = pkt.to_bytes()
+    assert pkt.wire_bytes == len(raw)
+    assert pkt.header_bytes == len(raw) - len(pkt.payload) - len(pkt.fec)
+    back = Packet.from_bytes(raw)
     assert back == pkt
-    assert pkt.wire_bytes == HEADER_BYTES + len(payload) + len(fec)
+    assert back.to_bytes() == raw
+
+
+@pytest.mark.parametrize("value, encoded", [
+    (0, b"\x00"), (1, b"\x01"), (127, b"\x7f"), (128, b"\x80\x01"),
+    (300, b"\xac\x02"), (16383, b"\xff\x7f"), (16384, b"\x80\x80\x01"),
+    (2**32 - 1, b"\xff\xff\xff\xff\x0f"),
+])
+def test_varint_fields_are_leb128(value, encoded):
+    raw = Packet(value, 0, 0, 0, 1, b"").to_bytes()
+    assert raw[1:1 + len(encoded)] == encoded
+    assert Packet(value, 0, 0, 0, 1, b"").header_bytes == 9 + len(encoded)
+
+
+def test_packet_layout_is_pinned():
+    pkt = Packet(3, 1, 2, 1234, 3, b"x" * 20, b"y" * 8)
+    raw = pkt.to_bytes()
+    # version 4 and the fec flag; gos_id, unit, group; 1234 as 0xd2 0x09;
+    # n_frames; the fec length
+    assert raw[:8] == bytes([0x41, 3, 1, 2, 0xD2, 0x09, 3, 8])
+    assert raw[8:-4] == b"x" * 20 + b"y" * 8
+    assert raw[-4:] == (zlib.crc32(raw[:-4]) & 0xFFFFFFFF).to_bytes(
+        4, "little")
+    assert pkt.header_bytes == 12 and len(raw) == 40
+    # no fec: flag clear, no fec length
+    assert Packet(3, 1, 2, 1234, 3, b"x" * 20).to_bytes()[:7] == \
+        bytes([0x40, 3, 1, 2, 0xD2, 0x09, 3])
+    assert Packet(3, 1, 2, 1234, 3, b"x" * 20).header_bytes == 11
 
 
 def test_packet_flags_follow_fec():
@@ -87,57 +137,105 @@ def test_packet_validation():
         Packet(0, 0, 0, 0, 1, b"\x00" * (1 << 16))
 
 
-def test_packet_rejects_corruption():
-    raw = bytearray(Packet(1, 2, 1, 6, 2, b"payload", b"fec").to_bytes())
+def test_packet_rejects_every_byte_flip_cut_and_extension():
+    raw = Packet(1, 2, 1, 600, 2, b"payload", b"fec").to_bytes()
     for i in range(len(raw)):
-        bad = bytearray(raw)
-        bad[i] ^= 0x40
+        for mask in range(1, 256):
+            bad = bytearray(raw)
+            bad[i] ^= mask
+            with pytest.raises(DecodeError):
+                Packet.from_bytes(bytes(bad))
+    for cut in range(len(raw)):
         with pytest.raises(DecodeError):
-            Packet.from_bytes(bytes(bad))
+            Packet.from_bytes(raw[:cut])
+    for extra in range(256):
+        with pytest.raises(DecodeError):
+            Packet.from_bytes(raw + bytes([extra]))
+
+
+@given(packets, st.data())
+@settings(max_examples=100, deadline=None)
+def test_damaged_packet_is_refused(pkt, data):
+    raw = pkt.to_bytes()
+    i = data.draw(st.integers(0, len(raw) - 1))
+    bad = bytearray(raw)
+    bad[i] ^= data.draw(st.integers(1, 255))
+    with pytest.raises(DecodeError):
+        Packet.from_bytes(bytes(bad))
+    with pytest.raises(DecodeError):
+        Packet.from_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(DecodeError):
+        Packet.from_bytes(raw + bytes([data.draw(st.integers(0, 255))]))
+
+
+@given(st.binary(max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_bytes_raise_only_decode_error(data):
+    try:
+        Packet.from_bytes(data)
+    except DecodeError:
+        pass
+
+
+@given(st.integers(0, 15), st.binary(max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_sealed_bytes_parse_to_their_one_packet_or_raise(flags, body):
+    """Past the version and the checksum the parser still refuses every
+    byte string that is not some packet's one encoding."""
+    data = seal(bytes([0x40 | flags]) + body)
+    try:
+        pkt = Packet.from_bytes(data)
+    except DecodeError:
+        return
+    assert pkt.to_bytes() == data
 
 
 def test_packet_error_messages():
     pkt = Packet(1, 2, 1, 6, 2, b"abc")
     raw = pkt.to_bytes()
     with pytest.raises(DecodeError, match="header"):
-        Packet.from_bytes(raw[:10])
-    with pytest.raises(DecodeError, match="magic"):
-        Packet.from_bytes(b"XX" + raw[2:])
-    with pytest.raises(DecodeError, match="truncated"):
+        Packet.from_bytes(raw[:9])
+    with pytest.raises(DecodeError, match="unsupported packet version 3"):
+        Packet.from_bytes(forge(pkt, 0x30))
+    with pytest.raises(DecodeError, match="checksum"):
         Packet.from_bytes(raw[:-2])
-    bad = bytearray(raw)
-    bad[2] = 9  # version byte
-    with pytest.raises(DecodeError, match="version"):
-        Packet.from_bytes(bytes(bad))
+    with pytest.raises(DecodeError, match="checksum"):
+        Packet.from_bytes(raw + b"\x00")
+    # gos_id 1 written as 0x81 0x00
+    with pytest.raises(DecodeError, match="overlong"):
+        Packet.from_bytes(seal(b"\x40\x81\x00" + raw[2:-4]))
+    with pytest.raises(DecodeError, match="unterminated"):
+        Packet.from_bytes(seal(b"\x40\x01\x02\x01\x06\x82"))
+    with pytest.raises(DecodeError, match="longer than 5 bytes"):
+        Packet.from_bytes(seal(b"\x40" + b"\xff" * 5 + b"\x01" * 5))
+    # unit 256, first_frame 2**32, n_frames 0
+    for body in (b"\x40\x01\x80\x02\x01\x06\x02",
+                 b"\x40\x01\x02\x01\x80\x80\x80\x80\x10\x02",
+                 b"\x40\x01\x02\x01\x06\x00"):
+        with pytest.raises(DecodeError, match="out of range"):
+            Packet.from_bytes(seal(body + b"abc"))
+    with pytest.raises(DecodeError, match="out of range"):
+        Packet.from_bytes(seal(b"\x40\x01\x02\x01\x06\x02"
+                               + b"\x00" * (1 << 16)))
 
 
-def forge(pkt: Packet, flags: int) -> bytes:
-    """``pkt``'s wire bytes with the flags byte replaced and the checksum
-    recomputed."""
-    raw = bytearray(pkt.to_bytes())
-    raw[3] = flags
-    raw[HEADER_BYTES - 4:HEADER_BYTES] = b"\x00" * 4
-    crc = zlib.crc32(bytes(raw)) & 0xFFFFFFFF
-    raw[HEADER_BYTES - 4:HEADER_BYTES] = crc.to_bytes(4, "little")
-    return bytes(raw)
-
-
-def test_packet_rejects_trailing_bytes():
-    pkt = Packet(1, 2, 1, 6, 2, b"abc", b"de")
-    assert Packet.from_bytes(forge(pkt, pkt.flags)) == pkt
-    with pytest.raises(DecodeError, match="trailing"):
-        Packet.from_bytes(pkt.to_bytes() + b"\x00")
-
-
-def test_packet_rejects_fec_field_with_flag_clear():
-    """A non-empty fec field must set the fec flag, and no other flag bit
+def test_packet_rejects_flags_that_disagree_with_the_fec_field():
+    """The fec flag promises a non-empty fec field, and no other flag bit
     is ever written."""
+    plain = Packet(1, 2, 1, 6, 2, b"abc")
     with pytest.raises(DecodeError, match="flags"):
-        Packet.from_bytes(forge(Packet(1, 2, 1, 6, 2, b"abc", b"de"), 0))
+        Packet.from_bytes(forge(plain, 0x42))
+    # the flag set over a zero fec length
     with pytest.raises(DecodeError, match="flags"):
-        Packet.from_bytes(forge(Packet(1, 2, 1, 6, 2, b"abc"), 0x01))
-    with pytest.raises(DecodeError, match="flags"):
-        Packet.from_bytes(forge(Packet(1, 2, 1, 6, 2, b"abc"), 0x02))
+        Packet.from_bytes(seal(b"\x41\x01\x02\x01\x06\x02\x00abc"))
+    # the flag set over a fec length past the end
+    with pytest.raises(DecodeError, match="longer than the packet"):
+        Packet.from_bytes(seal(b"\x41\x01\x02\x01\x06\x02\x04abc"))
+    # Clearing the flag leaves no fec length to check: the bytes read as
+    # another packet, whose payload absorbs the fec length and field.
+    fec = Packet(1, 2, 1, 6, 2, b"abc", b"de")
+    other = Packet.from_bytes(forge(fec, 0x40))
+    assert other == Packet(1, 2, 1, 6, 2, b"\x02abcde")
 
 
 def test_packets_file_round_trip(tmp_path):
@@ -152,6 +250,18 @@ def test_packets_file_round_trip(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(DecodeError):
+        read_packets(path)
+
+
+def test_version_3_packet_file_is_refused(tmp_path):
+    """Version 3 framed a packet in a fixed 24-byte header that began with
+    the magic b"SP"; byte 0's high nibble reads that 0x53 as version 5."""
+    head = struct.pack("<2sBBIBBIHHHI", b"SP", 3, 0, 0, 1, 1, 0, 1, 2, 0, 0)
+    crc = zlib.crc32(head + b"ab") & 0xFFFFFFFF
+    record = head[:-4] + struct.pack("<I", crc) + b"ab"
+    path = tmp_path / "packets.bin"
+    path.write_bytes(struct.pack("<I", len(record)) + record)
+    with pytest.raises(DecodeError, match="unsupported packet version"):
         read_packets(path)
 
 
