@@ -5,8 +5,9 @@ before a fine slice can be entropy-decoded. It is one rule for batch and
 streaming: a fine slice is coded against the coarse layers of a frame
 range, and only those. In batch the range is the slice's group-of-slices
 (``slice_conditions``); in streaming it is the step's coding window, which
-ends at the step's horizon, in closed form from the step geometry
-``stream_step`` (``stream_conditions``). The rule is stated once per frame
+ends at the later of the previous step's horizon and the step's last due
+frame, in closed form from the step geometry ``stream_step``
+(``stream_conditions``). The rule is stated once per frame
 or once per stream step, as ``Conditions``: the coder's view shows exactly
 its cells, and the receiver decodes the fine slices only once all of them
 are RECEIVED, so sender, receiver and decode gate cannot disagree. No fine
@@ -118,17 +119,25 @@ def stream_coarse(i: int, cfg: StreamConfig,
     return range(lo, stream_step(i, cfg, total)[1] + 1)
 
 
-def stream_conditions(cfg: StreamConfig, horizon: int,
-                      n_coarse: int) -> Conditions:
-    """The Conditions of every fine slice of the stream step with this
-    ``horizon``: the coarse layers of the step's coding window, the up to
-    ``coding_context`` frames that end at the horizon.
+def stream_conditions(i: int, cfg: StreamConfig, n_coarse: int,
+                      total: int | None = None) -> Conditions:
+    """The Conditions of every fine slice of stream step ``i``: the coarse
+    layers of the step's coding window, the up to ``coding_context``
+    frames that end at frame e_i.
 
-    Every due frame waits on the step's one coarse packet anyway, so all
-    of them share the window. ``StreamConfig`` makes it cover stride +
-    lookahead frames, so it starts at or before the step's first due frame.
+    e_0 is the horizon h_0; for i >= 1, e_i = max(h_{i-1}, last due
+    frame), with the horizons and the due frames clamped at ``total`` as
+    ``stream_step`` clamps them. The window then never needs step i's own
+    coarse packet unless a due frame's coarse layers travel in it (when
+    lookahead < stride), and a lost step i-1 coarse packet is repaired by
+    step i's repair copy before step i decodes. ``StreamConfig`` makes the
+    window cover stride + lookahead frames, so it starts at or before the
+    step's first due frame.
     """
-    return Conditions(max(0, horizon - cfg.coding_context + 1), horizon + 1,
+    due, end = stream_step(i, cfg, total)
+    if i:
+        end = max(stream_step(i - 1, cfg, total)[1], due.stop - 1)
+    return Conditions(max(0, end - cfg.coding_context + 1), end + 1,
                       n_coarse)
 
 

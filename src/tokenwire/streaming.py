@@ -16,11 +16,14 @@ every packet after the first coarse one holds one frame.
 Both ends run on the transceiver core in ``pipeline``. A step's geometry,
 its due frames, its horizon and its coarse frames, comes from
 ``stream_step`` and ``stream_coarse`` on both ends. Every fine slice of a
-step is coded against the coarse layers of the step's coding window,
-which ends at its horizon, and nothing else: sender and receiver alike
-derive that one ``Conditions`` from the horizon with
-``stream_conditions``, and the coding view, the decoding view and the
-decode gate all come from it. No fine cell is a condition, so a lost fine
+step is coded against the coarse layers of the step's coding window, and
+nothing else. The window ends at the previous step's horizon or at the
+step's last due frame, whichever is later, so with lookahead >= stride it
+holds only frames whose coarse layers earlier steps carried, and a lost
+coarse packet is repaired by the next step's copy before that step
+decodes. Sender and receiver alike derive that one ``Conditions`` from
+the step index with ``stream_conditions``, and the coding view, the
+decoding view and the decode gate all come from it. No fine cell is a condition, so a lost fine
 packet costs its own cells only, and each end prices a whole step's fine
 slices in one model query. A step never looks beyond its own due frames.
 The receiver's buffered states start INVALID from the encode level up, so
@@ -160,7 +163,7 @@ class StreamSender:
             packets.append(self._tx.coarse(
                 _head(gos, coarse, 0),
                 self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
-        cond = stream_conditions(cfg, horizon, gos.n_coarse)
+        cond = stream_conditions(i, cfg, gos.n_coarse, total)
         packets += self._tx.fine(self._buf, [
             (_head(gos, due, j), cells, cond)
             for j, cells in _fine_slices(gos, due, self.level).items()])
@@ -218,7 +221,8 @@ class StreamReceiver:
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, gl, n_coarse = self.stream, self.gos.gos_len, self.gos.n_coarse
-        due, horizon = stream_step(self._next_step, cfg, total)
+        i = self._next_step
+        due, horizon = stream_step(i, cfg, total)
         slices = _fine_slices(self.gos, due, self.level)
 
         extents, fine = [], {}  # extents: (step, frames, coarse packet)
@@ -278,7 +282,7 @@ class StreamReceiver:
             self._states[f, :n_coarse] = _R
         self.fec_recovered += repaired
 
-        cond = stream_conditions(cfg, horizon, n_coarse)
+        cond = stream_conditions(i, cfg, n_coarse, total)
         decode_fine(self.model, self._tokens, self._states, [
             (cells, fine.get(j), cond) for j, cells in slices.items()])
 

@@ -103,7 +103,7 @@ def stream_conditions_of(cfg, n_frames, n_coarse):
     the step that finalizes it, as both ends derive them."""
     conds = {}
     for i in range(-(-n_frames // cfg.stride)):
-        due, horizon = stream_step(i, cfg, n_frames)
         conds.update(dict.fromkeys(
-            due, stream_conditions(cfg, horizon, n_coarse)))
+            stream_step(i, cfg, n_frames)[0],
+            stream_conditions(i, cfg, n_coarse, n_frames)))
     return conds

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tokenwire.context import MaskedQuery, UniformModel
 from tokenwire.dependency import (
     ConcealmentWindow,
+    Conditions,
     LossCase,
     build_conceal_mask,
     build_windows,
@@ -91,18 +92,21 @@ def test_stream_step_hand_cases():
     def context(i, total=None):
         """First and last frame that the fine tokens of step i of a stream
         of ``total`` frames are coded against."""
-        cond = stream_conditions(cfg, stream_step(i, cfg, total)[1], 1)
+        cond = stream_conditions(i, cfg, 1, total)
         return cond.lo, cond.hi - 1
 
     assert stream_step(0, cfg) == (range(0, 3), 5)
     assert stream_coarse(0, cfg) == range(0, 6)
+    # Step 0 codes against its horizon; step i >= 1 against the later of
+    # the previous horizon and its last due frame, here h_{i-1}.
     assert context(0) == (0, 5)
-    assert context(2) == (0, 11)
+    assert context(1) == (0, 5)
+    assert context(2) == (0, 8)
     assert stream_coarse(2, cfg) == range(9, 12)
-    # Step 4 ends at frame 14, horizon 17, context reaches back to 6; its
-    # coarse packet carries the frames after the previous horizon, 14.
+    # Step 4 ends at frame 14, horizon 17; its window ends at h_3 = 14 and
+    # reaches back to 3; its coarse packet carries the frames after h_3.
     assert stream_step(4, cfg) == (range(12, 15), 17)
-    assert context(4) == (6, 17)
+    assert context(4) == (3, 14)
     assert stream_coarse(4, cfg) == range(15, 18)
     # Due frames, horizon and coarse frames clamp at the last frame, and a
     # step after the horizon reached it carries no coarse frames.
@@ -110,6 +114,11 @@ def test_stream_step_hand_cases():
     assert context(3, 10) == (0, 9)
     assert stream_coarse(2, cfg, 10) == range(9, 10)
     assert len(stream_coarse(3, cfg, 10)) == 0
+    # With lookahead < stride the last due frame is the later end, and the
+    # window still stops short of the horizon.
+    short = StreamConfig(stride=3, lookahead=1, coding_context=6)
+    assert stream_step(2, short) == (range(6, 9), 9)
+    assert stream_conditions(2, short, 1) == Conditions(3, 9, 1)
 
 
 def test_periodic_dependency_structure():
@@ -181,13 +190,14 @@ def test_dependency_is_topological(gos, n_frames, data):
 def test_streaming_dependency_window():
     stream = StreamConfig(stride=2, lookahead=1, coding_context=4,
                           conceal_context=4)
-    # Step 3: frames 6 and 7, horizon 8, context [5, 8], coarse cells
-    # only: the fine cells of frames 5 and 6 are no conditions. Both due
-    # frames share the step's one window, which ends at the horizon.
+    # Step 3: frames 6 and 7, horizon 8; the previous horizon is 6, so the
+    # window ends at the last due frame, 7: context [4, 7], coarse cells
+    # only: the fine cells of frames 4 to 6 are no conditions. Both due
+    # frames share the step's one window.
     due, horizon = stream_step(3, stream)
     assert (due, horizon) == (range(6, 8), 8)
-    cond = stream_conditions(stream, horizon, n_coarse=1)
-    assert cells_of(cond) == [[5, 0], [6, 0], [7, 0], [8, 0]]
+    cond = stream_conditions(3, stream, n_coarse=1)
+    assert cells_of(cond) == [[4, 0], [5, 0], [6, 0], [7, 0]]
     assert stream_conditions_of(stream, 10, 1)[6] == cond
 
 
@@ -220,18 +230,18 @@ def test_coding_visibility_periodic():
 def test_coding_visibility_streaming():
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
-    due, horizon = stream_step(1, stream, 20)
-    cond = stream_conditions(stream, horizon, n_coarse=1)
-    target = np.array([[4, 1]])
+    cond = stream_conditions(2, stream, n_coarse=1, total=20)
+    target = np.array([[7, 1]])
     vis, rng = coding_view(cond, 20, 3, target)
-    # Step 1 ends at frame 5, horizon 7, window [2, 7]; frame 4 sees the
-    # whole window, and every frame shows only its coarse layer.
-    assert rng == (2, 8)
-    np.testing.assert_array_equal(vis[2:8], [1, 1, 1, 1, 1, 1])
-    assert vis[:2].sum() == 0 and vis[8:].sum() == 0
-    # A shorter buffer is exposed only over the rows it holds.
+    # Step 2 ends at frame 8, horizon 10; the previous horizon is 7, so the
+    # window is [3, 8]; frame 7 sees the whole window, and every frame
+    # shows only its coarse layer.
+    assert rng == (3, 9)
+    np.testing.assert_array_equal(vis[3:9], [1, 1, 1, 1, 1, 1])
+    assert vis[:3].sum() == 0 and vis[9:].sum() == 0
+    # A buffer that ends with the window is exposed over the same rows.
     vis, _ = coding_view(cond, 9, 3, target)
-    np.testing.assert_array_equal(vis, [0, 0, 1, 1, 1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(vis, [0, 0, 0, 1, 1, 1, 1, 1, 1])
 
 
 class RecordingModel(UniformModel):

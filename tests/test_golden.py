@@ -228,34 +228,34 @@ GOLDEN = {
         "receiver": "5f16999bfa1591b4343611d7f53048c7f5678db7550edca4f3db9389f588b42d",
     },
     "stream/default/lossless": {
-        "wire": "8ff1932cfe30a380f6558df6b8a4256c352b459d43db9a1b973eb1f9c057e882",
-        "sender": "92dc1bddcbff1080a26f22334b3a833ac1ed0c4f813247120c81264b96e3f3bc",
+        "wire": "6537724bc734b85772657455825ba5bc18e800fd72ffc6897a721027b14f71f5",
+        "sender": "f33577153f327f65a04d937e2a751cf2b57204b553229c78890eed5bb8aaeeb8",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.1": {
-        "wire": "8ff1932cfe30a380f6558df6b8a4256c352b459d43db9a1b973eb1f9c057e882",
-        "sender": "92dc1bddcbff1080a26f22334b3a833ac1ed0c4f813247120c81264b96e3f3bc",
-        "received": "82c4c530898d9b4f63dbdc79caf2b05d635e60165bd718542604ae32ca4299f4",
-        "receiver": "a3fd2e1cb035e4fd617746914ac9bf34b377bb1ed66db635b0b4c0b4ff6bf4ca",
+        "wire": "6537724bc734b85772657455825ba5bc18e800fd72ffc6897a721027b14f71f5",
+        "sender": "f33577153f327f65a04d937e2a751cf2b57204b553229c78890eed5bb8aaeeb8",
+        "received": "050a92d57243235f60998edf11e634cf0862e100c03989c2828e7d08bc91bac0",
+        "receiver": "e584ed92a36895e550d42f72b9c4964e7f508effa84a0137a8e410d48116c99e",
     },
     "stream/default/0.3": {
-        "wire": "8ff1932cfe30a380f6558df6b8a4256c352b459d43db9a1b973eb1f9c057e882",
-        "sender": "92dc1bddcbff1080a26f22334b3a833ac1ed0c4f813247120c81264b96e3f3bc",
-        "received": "41ab936eddabfe0d5cbb58ce081460a140fea68d59ddb8c05fe72a118db7164b",
-        "receiver": "37b4558e7dd6247f372559b2137a59e19546c3e1b1852b1a3ecd23e33f97fd97",
+        "wire": "6537724bc734b85772657455825ba5bc18e800fd72ffc6897a721027b14f71f5",
+        "sender": "f33577153f327f65a04d937e2a751cf2b57204b553229c78890eed5bb8aaeeb8",
+        "received": "a8b46250a20857ee2f1fd3e822547be2a02d4774a5e95597c9798c22d83eb14f",
+        "receiver": "6209eea9c9d7be62852dcecc0ba4fbae7478eaf0da924f204c68c97c43de33be",
     },
     "stream/default/blackout": {
-        "wire": "8ff1932cfe30a380f6558df6b8a4256c352b459d43db9a1b973eb1f9c057e882",
-        "sender": "92dc1bddcbff1080a26f22334b3a833ac1ed0c4f813247120c81264b96e3f3bc",
-        "received": "ab154196e7c77102586cabbf4b63392d025efe8eb32a9926ba7d686ccf6aa3f2",
-        "receiver": "22d09fadead7e14a136704bc59df57af8230c3ccf792c43f5a4481b231729f54",
+        "wire": "6537724bc734b85772657455825ba5bc18e800fd72ffc6897a721027b14f71f5",
+        "sender": "f33577153f327f65a04d937e2a751cf2b57204b553229c78890eed5bb8aaeeb8",
+        "received": "6838f8f88e51ac3aa71476d9b1652566fed0c7089c585d46b665ce35e589f293",
+        "receiver": "6bb45c5e3f7f7098a4dad47d16d6fe93908dc6fc121a8c28ec640bcd00c7d604",
     },
     "stream/default/markov": {
-        "wire": "8ff1932cfe30a380f6558df6b8a4256c352b459d43db9a1b973eb1f9c057e882",
-        "sender": "92dc1bddcbff1080a26f22334b3a833ac1ed0c4f813247120c81264b96e3f3bc",
-        "received": "a6b8f7c82a1788f7703c76ebe85a3a0ef439edd8ddacac4f4afe8199b14cd42b",
-        "receiver": "f8680277972cc8e2aee3cfcc815c6e272ddf607dda4456ecbe9614528311d787",
+        "wire": "6537724bc734b85772657455825ba5bc18e800fd72ffc6897a721027b14f71f5",
+        "sender": "f33577153f327f65a04d937e2a751cf2b57204b553229c78890eed5bb8aaeeb8",
+        "received": "03a310cdc636d3d90803bbb292dad3968bf285bfd20e3b925a22d3fe743d9882",
+        "receiver": "30b0477d60cee31bdd9af865d627b47beab1f29e4657db108b5cc19bbf48aae5",
     },
     "stream/stride1/lossless": {
         "wire": "0b271605118b765d7a929d79468225433fd506f2ced3938ce6a129078fc8143d",
@@ -288,32 +288,32 @@ GOLDEN = {
         "receiver": "b3f7843ced25435765876692c3b31c90d9eb6a8397d39bfd4a8afee469b501bc",
     },
     "stream/wide/lossless": {
-        "wire": "82eb8c2b481e1cb033f41000f4d62305a93af16ab66fe16da2db9ee5df425499",
-        "sender": "34fb1ac11e6a563d4f2ab8d7a0cc57cb813a68820cc0f06ce02ad38d3438a2de",
+        "wire": "e507221c13bfbd41570ceb55dbb272515a252a25144029a2fba8ad0a01d5297c",
+        "sender": "f25524fef0774fdcea420d4086f825b85c38720664a0474b2c1a6bcae90b8666",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "5edc1bf03ce1428c1d60900fc2eef7a702944ef957c9dbdd789829c26dd375b7",
     },
     "stream/wide/0.1": {
-        "wire": "82eb8c2b481e1cb033f41000f4d62305a93af16ab66fe16da2db9ee5df425499",
-        "sender": "34fb1ac11e6a563d4f2ab8d7a0cc57cb813a68820cc0f06ce02ad38d3438a2de",
+        "wire": "e507221c13bfbd41570ceb55dbb272515a252a25144029a2fba8ad0a01d5297c",
+        "sender": "f25524fef0774fdcea420d4086f825b85c38720664a0474b2c1a6bcae90b8666",
         "received": "df23d470ce2ed1939240a2f1d7ceb90a0979c9a67bba2fb2535c0cc9092a339f",
         "receiver": "8811fa51a96dc41a2651c153ffc2bbf8a23b8c738d1107bc56dd415d336e5511",
     },
     "stream/wide/0.3": {
-        "wire": "82eb8c2b481e1cb033f41000f4d62305a93af16ab66fe16da2db9ee5df425499",
-        "sender": "34fb1ac11e6a563d4f2ab8d7a0cc57cb813a68820cc0f06ce02ad38d3438a2de",
+        "wire": "e507221c13bfbd41570ceb55dbb272515a252a25144029a2fba8ad0a01d5297c",
+        "sender": "f25524fef0774fdcea420d4086f825b85c38720664a0474b2c1a6bcae90b8666",
         "received": "2a77fd12a588c23343c6383be4badf5f29f1ac36916c4cc177f125dd5efb1821",
         "receiver": "c6454c016fecf6a570e51c87fcebe4c796941cbb73ec1b26c76144b4285ce21b",
     },
     "stream/wide/blackout": {
-        "wire": "82eb8c2b481e1cb033f41000f4d62305a93af16ab66fe16da2db9ee5df425499",
-        "sender": "34fb1ac11e6a563d4f2ab8d7a0cc57cb813a68820cc0f06ce02ad38d3438a2de",
+        "wire": "e507221c13bfbd41570ceb55dbb272515a252a25144029a2fba8ad0a01d5297c",
+        "sender": "f25524fef0774fdcea420d4086f825b85c38720664a0474b2c1a6bcae90b8666",
         "received": "0e5d7e79e6d4ad3a19febe177f1588ed392d52592f0a540c72d82ff0b21b2f2b",
         "receiver": "703681f00143d5c1383ef84e4fd691ed41d06a7d38caea2363f97a227bf5ddce",
     },
     "stream/wide/markov": {
-        "wire": "82eb8c2b481e1cb033f41000f4d62305a93af16ab66fe16da2db9ee5df425499",
-        "sender": "34fb1ac11e6a563d4f2ab8d7a0cc57cb813a68820cc0f06ce02ad38d3438a2de",
+        "wire": "e507221c13bfbd41570ceb55dbb272515a252a25144029a2fba8ad0a01d5297c",
+        "sender": "f25524fef0774fdcea420d4086f825b85c38720664a0474b2c1a6bcae90b8666",
         "received": "f853cae08617a417e9459a208dd14897ca546bac2899237c32dee87817940295",
         "receiver": "d6abcbe6663c8daef3bbe170d453629ab4a9e999b5d1625096c9a128c798c3a4",
     },
@@ -378,34 +378,34 @@ GOLDEN = {
         "receiver": "1adf7eaad067d5d7a0610b3f9e88676394cdec3bb2574956b8f820cbfeb6401c",
     },
     "stream/tight/lossless": {
-        "wire": "3e71978ee5fb3ebb2ecda85fb19c54ba80e5a3885449762301163d19da56c0a3",
-        "sender": "0ed656d4ac2a8fcaecc0aba7bf61c2dd37e8a568d48624423e923af522cc72de",
+        "wire": "82543f9731c2a8c0feb00d3b77619b4946be2c1452f48cb2d28e8fcb4e90df4a",
+        "sender": "062b16b1f3d85b821276b56a8dfe73c6584d13ffcf914ae60871c131227a5028",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
     },
     "stream/tight/0.1": {
-        "wire": "3e71978ee5fb3ebb2ecda85fb19c54ba80e5a3885449762301163d19da56c0a3",
-        "sender": "0ed656d4ac2a8fcaecc0aba7bf61c2dd37e8a568d48624423e923af522cc72de",
-        "received": "c099034cd0f40ebf261c97f618bfda9c7fa351efd295a7944fa919db23068655",
-        "receiver": "0b389c9e79dc28d341bfa5fb4c72a251b42824fbc16dc85ab057b439336de2ba",
+        "wire": "82543f9731c2a8c0feb00d3b77619b4946be2c1452f48cb2d28e8fcb4e90df4a",
+        "sender": "062b16b1f3d85b821276b56a8dfe73c6584d13ffcf914ae60871c131227a5028",
+        "received": "7f212666586e6944f86eded7be13c0dbec53e9f012124a8db602fa83ba3bd23d",
+        "receiver": "a9fee54d9de9e7d206ebadc151bfa98dec3a967628ec0ae315723c442dafc6ab",
     },
     "stream/tight/0.3": {
-        "wire": "3e71978ee5fb3ebb2ecda85fb19c54ba80e5a3885449762301163d19da56c0a3",
-        "sender": "0ed656d4ac2a8fcaecc0aba7bf61c2dd37e8a568d48624423e923af522cc72de",
-        "received": "a3764a5f2f21c6b4e3b6a11310aad12cd2358e338f8cff6fe153cb2193977934",
-        "receiver": "800ff62f9590f0bbe51baf9554d05cddc7dcbee724a6ca4e449b06e204027ef0",
+        "wire": "82543f9731c2a8c0feb00d3b77619b4946be2c1452f48cb2d28e8fcb4e90df4a",
+        "sender": "062b16b1f3d85b821276b56a8dfe73c6584d13ffcf914ae60871c131227a5028",
+        "received": "9c57e32309de537ea8f4271a09fffe6bf99192bc069a202ca31ab4b182e6982c",
+        "receiver": "13ea3fb13d05d827f4d0e232fece94003345937eb10e62edabf34bbbb4b12e83",
     },
     "stream/tight/blackout": {
-        "wire": "3e71978ee5fb3ebb2ecda85fb19c54ba80e5a3885449762301163d19da56c0a3",
-        "sender": "0ed656d4ac2a8fcaecc0aba7bf61c2dd37e8a568d48624423e923af522cc72de",
-        "received": "fa5194a866cd0f1dab00a668884e80fdcd18a637d2600fe294bf95ed80374a3e",
-        "receiver": "fa44b88a567a4e3a6351c87a38057d12f23ad046876991031c82e00edf9a400c",
+        "wire": "82543f9731c2a8c0feb00d3b77619b4946be2c1452f48cb2d28e8fcb4e90df4a",
+        "sender": "062b16b1f3d85b821276b56a8dfe73c6584d13ffcf914ae60871c131227a5028",
+        "received": "212b7f360ad32371f9f9fa6d2831d87845c0b38b6f413258a5b407113f799259",
+        "receiver": "604f44ad6688e96c314110afde93248743fdfd9db11561db20d9ccc2645301c0",
     },
     "stream/tight/markov": {
-        "wire": "3e71978ee5fb3ebb2ecda85fb19c54ba80e5a3885449762301163d19da56c0a3",
-        "sender": "0ed656d4ac2a8fcaecc0aba7bf61c2dd37e8a568d48624423e923af522cc72de",
-        "received": "f62cac4a15d166bb526d1ec44ecbba00eb803b941e3a0bc1e4de57d1d3ee71be",
-        "receiver": "7723c16c2297cdfae7ae5850be6a935c8a5cb75c16f24dfb73822a3514468d06",
+        "wire": "82543f9731c2a8c0feb00d3b77619b4946be2c1452f48cb2d28e8fcb4e90df4a",
+        "sender": "062b16b1f3d85b821276b56a8dfe73c6584d13ffcf914ae60871c131227a5028",
+        "received": "12e4c74e072a5bfa4123094946430aed46f5f57c4335b4c4059c23f19c74a8ab",
+        "receiver": "1a3a3979e439a8e71eaa0749929433887b2fb280b9f33fb63d73f8225c5508b1",
     },
 }
 
