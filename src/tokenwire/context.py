@@ -528,11 +528,24 @@ def load_count_model(path: str | Path) -> CountModel:
     keys = records["key"]
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("context model file keys are not strictly increasing")
-    tables = dict(zip(keys.tolist(), records["counts"].astype(np.int64)))
+    counts = records["counts"].astype(np.int64)
+    marginals = marg.reshape(n_layers, vocab).astype(np.int64)
+    # the layer is the key's leading digit, as encode_key builds it, so
+    # the increasing keys hold each layer's rows in one run
+    layers = keys // (vocab + 1) ** 3
+    if len(keys) and (keys[0] < 0 or layers[-1] >= n_layers):
+        raise ValueError("context model file has a key outside its layers")
+    runs = np.searchsorted(layers, np.arange(n_layers + 1))
+    if any(not np.array_equal(counts[a:b].sum(axis=0), m)
+           for a, b, m in zip(runs[:-1], runs[1:], marginals)):
+        raise ValueError("context model marginals are not the per-layer "
+                         "sums of its counts")
+    if n_observed != int(marginals.sum()):
+        raise ValueError("context model n_observed is not the total of its "
+                         "counts")
     return CountModel(vocab=vocab, n_layers=n_layers, alpha=alpha,
-                      tables=tables,
-                      marginals=marg.reshape(n_layers, vocab).astype(np.int64),
-                      n_observed=n_observed)
+                      tables=dict(zip(keys.tolist(), counts)),
+                      marginals=marginals, n_observed=n_observed)
 
 
 def model_digest(path: str | Path) -> str:

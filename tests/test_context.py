@@ -634,6 +634,36 @@ def test_model_file_keys_must_increase(tmp_path, second_key):
         load_count_model(path)
 
 
+def test_model_file_counts_must_agree(tmp_path):
+    """Marginals that are not the per-layer sums of the table rows, an
+    n_observed that is not their total, and a key past the model's layers
+    are refused although save_count_model writes them with a valid
+    digest."""
+    path = tmp_path / "m.ctx"
+    key = int(encode_key(4, 1, 0, 2, 3))
+    row = np.array([0, 1, 0, 0])
+    marginals = np.zeros((2, 4), dtype=np.int64)
+    save_count_model(path, CountModel(vocab=4, n_layers=2, n_observed=5,
+                                      tables={key: row}))
+    with pytest.raises(ValueError, match="marginals"):
+        load_count_model(path)
+    marginals[1] = row
+    for n_observed, match in ((5, "n_observed"), (1, None)):
+        save_count_model(path, CountModel(
+            vocab=4, n_layers=2, n_observed=n_observed, tables={key: row},
+            marginals=marginals))
+        if match is None:
+            assert load_count_model(path).n_observed == 1
+        else:
+            with pytest.raises(ValueError, match=match):
+                load_count_model(path)
+    save_count_model(path, CountModel(
+        vocab=4, n_layers=2, n_observed=1, marginals=marginals,
+        tables={int(encode_key(4, 2, 0, 0, 0)): row}))
+    with pytest.raises(ValueError, match="outside its layers"):
+        load_count_model(path)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
 def test_count_model_alpha_must_be_finite_and_positive(alpha):
     with pytest.raises(ValueError, match="alpha"):
