@@ -107,14 +107,16 @@ def cmd_encode(args) -> int:
         "codec_sha256": _sha256(args.codec),
         "model_sha256": model_digest(args.model),
         "n_packets": len(packets),
+        "header_bits": rep.header_bits,
         "total_bits": rep.total_bits,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    kbps = rep.total_bits / (signal.samples.size / signal.sample_rate) / 1000
+    seconds = signal.samples.size / signal.sample_rate
     print(f"wrote {len(packets)} packets, {rep.total_bits} bits "
-          f"({kbps:.2f} kbps) to {out_dir}")
+          f"(wire {rep.total_bits / seconds / 1000:.2f} kbit/s, payload "
+          f"{rep.payload_bits / seconds / 1000:.2f} kbit/s) to {out_dir}")
     return 0
 
 
@@ -215,6 +217,7 @@ def cmd_stream(args) -> int:
     seconds = signal.samples.size / signal.sample_rate
     fine = rep.fine_bits_per_token
     print(f"wire {rep.total_bits / seconds / 1000:.2f} kbit/s; "
+          f"payload {rep.payload_bits / seconds / 1000:.2f} kbit/s; "
           f"{rep.n_packets / total:.2f} packets/frame; fine "
           + ("none" if fine is None else f"{fine:.2f} bits/token"))
     return 0

@@ -102,6 +102,25 @@ def test_encode_outputs(ws):
     assert manifest["n_packets"] == len(packets) == 12
     assert manifest["package_version"] == __version__
     assert manifest["gos"]["layer_bounds"] == [0, 1, 2, 3]
+    assert manifest["total_bits"] == 8 * sum(len(p.to_bytes())
+                                             for p in packets)
+    assert manifest["header_bits"] == 8 * sum(p.header_bytes
+                                              for p in packets)
+
+
+def test_encode_prints_wire_and_payload_rates(ws, tmp_path, capsys):
+    out = tmp_path / "enc"
+    assert main(["encode", "--config", str(ws["cfg"]), "--codec",
+                 str(ws["codec"]), "--model", str(ws["model"]),
+                 "--audio", str(ws["audio"]), "--out-dir", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    total, header = manifest["total_bits"], manifest["header_bits"]
+    seconds = 12 * 160 / 16000
+    assert (f"wrote 12 packets, {total} bits (wire "
+            f"{total / seconds / 1000:.2f} kbit/s, payload "
+            f"{(total - header) / seconds / 1000:.2f} kbit/s) to {out}"
+            in capsys.readouterr().out)
 
 
 def test_encode_rejects_ragged_audio(ws, tmp_path):
@@ -216,8 +235,10 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
     tx.flush()
     rep = tx.report
     assert rep.n_packets == 11
-    kbps = rep.total_bits / (audio.samples.size / audio.sample_rate) / 1000
-    assert (f"wire {kbps:.2f} kbit/s; 0.92 packets/frame; "
+    seconds = audio.samples.size / audio.sample_rate
+    assert (f"wire {rep.total_bits / seconds / 1000:.2f} kbit/s; "
+            f"payload {rep.payload_bits / seconds / 1000:.2f} kbit/s; "
+            f"0.92 packets/frame; "
             f"fine {rep.fine_bits / rep.n_fine_tokens:.2f} bits/token"
             in text)
 
