@@ -151,10 +151,12 @@ def default_layer_bounds(n_layers: int, n_coarse: int, n_fine_groups: int) -> tu
 class StreamConfig:
     """Streaming cadence: stride, lookahead, and context lengths in frames.
 
-    Both context windows end at a step's lookahead horizon and must reach
-    back over every frame the step finalizes, so each covers at least
-    stride + lookahead frames: a due frame's coding context then starts at
-    or before the frame itself. A violation raises ``ConfigError``.
+    Both context windows end at most at a step's lookahead horizon (the
+    coding window ends at the previous horizon or the last due frame,
+    ``dependency.stream_conditions``) and must reach back over every frame
+    the step finalizes, so each covers at least stride + lookahead frames:
+    a due frame's context then starts at or before the frame itself. A
+    violation raises ``ConfigError``.
     """
 
     stride: int = 3
