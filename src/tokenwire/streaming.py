@@ -21,18 +21,18 @@ nothing else. The window ends at the previous step's horizon or at the
 step's last due frame, whichever is later, so with lookahead >= stride it
 holds only frames whose coarse layers earlier steps carried, and a lost
 coarse packet is repaired by the next step's copy before that step
-decodes. Sender and receiver alike derive that one ``Conditions`` from
-the step index with ``stream_conditions``, and the coding view, the
-decoding view and the decode gate all come from it. No fine cell is a condition, so a lost fine
-packet costs its own cells only, and each end prices a whole step's fine
-slices in one model query. A step never looks beyond its own due frames.
-The receiver's buffered states start INVALID from the encode level up, so
-the prefix rules read the level from them. The receiver checks every
-packet's extent against the step geometry and unpacks every payload of a
-step before it changes any state, then finalizes the due frames: decode
-what arrived, conceal the rest inside a window ending at the horizon,
-release. Released frames are never revisited, and concealed cells never
-serve as coding context.
+decodes. Sender and receiver alike derive that one ``Conditions`` from the
+step index with ``stream_conditions``, and the coding view, the decoding
+view and the decode gate all come from it. No fine cell is a condition, so
+a lost fine packet costs its own cells only, and each end prices a whole
+step's fine slices in one model query. A step never looks beyond its own
+due frames. The receiver's buffered states start INVALID from the encode
+level up, so the prefix rules read the level from them. The receiver
+checks every packet's extent against the step geometry and unpacks every
+payload of a step before it changes any state, then finalizes the due
+frames: decode what arrived, conceal the rest inside a window ending at
+the horizon, release. Released frames are never revisited, and concealed
+cells never serve as coding context.
 """
 
 from __future__ import annotations

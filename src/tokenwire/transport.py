@@ -112,24 +112,27 @@ class Packet:
     def header_bytes(self) -> int:
         """Bytes on the wire besides the payload and FEC: the version
         byte, the varints and the CRC."""
-        return 1 + _CRC_BYTES + sum((v.bit_length() + 6) // 7 or 1
-                                    for v in self._fields())
+        n = 1 + _CRC_BYTES
+        for v in self._fields():
+            n += 1
+            while v > 0x7F:
+                n += 1
+                v >>= 7
+        return n
 
     @property
     def wire_bytes(self) -> int:
         return self.header_bytes + len(self.payload) + len(self.fec)
 
     def to_bytes(self) -> bytes:
-        out = bytearray((_VERSION << 4 | self.flags,))
+        head = [_VERSION << 4 | self.flags]
         for v in self._fields():
             while v > 0x7F:
-                out.append(v & 0x7F | 0x80)
+                head.append(v & 0x7F | 0x80)
                 v >>= 7
-            out.append(v)
-        out += self.payload
-        out += self.fec
-        out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
-        return bytes(out)
+            head.append(v)
+        body = bytes(head) + self.payload + self.fec
+        return body + zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Packet":
@@ -148,20 +151,25 @@ class Packet:
         fields = []
         pos = 1
         for _ in range(6 if flags else 5):
-            value = shift = 0
-            while True:
-                if pos == end:
-                    raise DecodeError("unterminated varint in packet header")
-                byte = data[pos]
-                pos += 1
-                value |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-                if shift > 28:
-                    raise DecodeError("varint longer than 5 bytes")
-            if byte == 0 and shift:
-                raise DecodeError("overlong varint in packet header")
+            if pos == end:
+                raise DecodeError("unterminated varint in packet header")
+            value = byte = data[pos]
+            pos += 1
+            if byte > 0x7F:
+                value &= 0x7F
+                shift = 0
+                while byte > 0x7F:
+                    if pos == end:
+                        raise DecodeError("unterminated varint in packet "
+                                          "header")
+                    shift += 7
+                    if shift > 28:
+                        raise DecodeError("varint longer than 5 bytes")
+                    byte = data[pos]
+                    pos += 1
+                    value |= (byte & 0x7F) << shift
+                if not byte:
+                    raise DecodeError("overlong varint in packet header")
             fields.append(value)
         fec_len = fields.pop() if flags else 0
         if flags and not fec_len:
