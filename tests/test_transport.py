@@ -112,8 +112,7 @@ def test_packet_layout_is_pinned():
     # n_frames; the fec length
     assert raw[:8] == bytes([0x41, 3, 1, 2, 0xD2, 0x09, 3, 8])
     assert raw[8:-4] == b"x" * 20 + b"y" * 8
-    assert raw[-4:] == (zlib.crc32(raw[:-4]) & 0xFFFFFFFF).to_bytes(
-        4, "little")
+    assert raw == seal(raw[:-4])
     assert pkt.header_bytes == 12 and len(raw) == 40
     # no fec: flag clear, no fec length
     assert Packet(3, 1, 2, 1234, 3, b"x" * 20).to_bytes()[:7] == \
