@@ -648,15 +648,13 @@ def test_model_file_counts_must_agree(tmp_path):
     with pytest.raises(ValueError, match="marginals"):
         load_count_model(path)
     marginals[1] = row
-    for n_observed, match in ((5, "n_observed"), (1, None)):
-        save_count_model(path, CountModel(
-            vocab=4, n_layers=2, n_observed=n_observed, tables={key: row},
-            marginals=marginals))
-        if match is None:
-            assert load_count_model(path).n_observed == 1
-        else:
-            with pytest.raises(ValueError, match=match):
-                load_count_model(path)
+    save_count_model(path, CountModel(vocab=4, n_layers=2, n_observed=5,
+                                      tables={key: row}, marginals=marginals))
+    with pytest.raises(ValueError, match="n_observed"):
+        load_count_model(path)
+    save_count_model(path, CountModel(vocab=4, n_layers=2, n_observed=1,
+                                      tables={key: row}, marginals=marginals))
+    assert load_count_model(path).n_observed == 1
     save_count_model(path, CountModel(
         vocab=4, n_layers=2, n_observed=1, marginals=marginals,
         tables={int(encode_key(4, 2, 0, 0, 0)): row}))
