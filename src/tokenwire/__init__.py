@@ -31,9 +31,8 @@ from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import (Codebook, RvqCodec, dequantize, load_codec, quantize,
                   save_codec, train_codebooks)
 from .streaming import StreamReceiver, StreamSender
-from .synthetic import (TokenSource, bayes_accuracy, bayes_predict,
-                        conditional_entropy, identity_transition,
-                        marginal_entropy, marginal_mode_accuracy,
+from .synthetic import (TokenSource, conditional_entropy,
+                        identity_transition, marginal_entropy,
                         random_transition, sample_tokens, stationary,
                         sticky_transition, synth_audio)
 from .transport import (BernoulliChannel, MarkovChannel, Packet,

@@ -42,13 +42,20 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _option(name: str, build, *args):
+    """``build(*args)``; input it refuses with a ``ValueError`` is reported
+    as a ``ConfigError`` that names ``name``, the option or file the input
+    came from."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(name, str(exc)) from None
+
+
 def _artifact(loader, path):
     """``loader(path)``; a file the loader refuses is reported as a
     ``ConfigError`` that names the file."""
-    try:
-        return loader(path)
-    except ValueError as exc:
-        raise ConfigError(str(path), str(exc)) from None
+    return _option(str(path), loader, path)
 
 
 def _train_cfg(args) -> ExperimentConfig:
@@ -87,6 +94,9 @@ def cmd_encode(args) -> int:
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
     feats = analyze(signal, codec_cfg)
     level = args.level if args.level is not None else codec.n_layers
+    if args.level is not None and not gos.n_coarse <= level <= gos.n_layers:
+        raise ConfigError("--level", f"must be in [{gos.n_coarse}, "
+                          f"{gos.n_layers}], got {level}")
     packets, rep = send(feats, codec, model, gos, level=level,
                         fec=not args.no_fec)
     out_dir = Path(args.out_dir)
@@ -123,9 +133,11 @@ def cmd_encode(args) -> int:
 def cmd_channel(args) -> int:
     packets = read_packets(args.packets)
     if args.channel_file:
-        channel = load_channel(args.channel_file)
+        channel = _artifact(load_channel, args.channel_file)
     else:
-        channel = channel_from_spec(json.loads(args.channel))
+        channel = _option("--channel",
+                          lambda s: channel_from_spec(json.loads(s)),
+                          args.channel)
     rng = np.random.default_rng(args.seed)
     delivered = channel.sample(len(packets), rng)
     write_trace(args.out, delivered)
@@ -146,7 +158,10 @@ def cmd_decode(args) -> int:
     model = _artifact(load_count_model, args.model)
     packets = read_packets(out_dir / "packets.bin")
     if args.trace:
-        trace = read_trace(args.trace)
+        trace = _artifact(read_trace, args.trace)
+        if len(trace) != len(packets):
+            raise ConfigError(args.trace, f"{len(trace)} entries for "
+                              f"{len(packets)} packets")
     else:
         trace = np.ones(len(packets), dtype=bool)
     g = manifest["gos"]
@@ -189,7 +204,7 @@ def cmd_stream(args) -> int:
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
     feats = analyze(signal, codec_cfg)
     grid = quantize(feats, codec, codec.n_layers)
-    channel = BernoulliChannel(args.loss)
+    channel = _option("--loss", BernoulliChannel, args.loss)
     rng = np.random.default_rng(args.seed)
 
     tx = StreamSender(gos, stream, model)

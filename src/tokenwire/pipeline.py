@@ -31,7 +31,7 @@ from .dependency import (ConcealmentWindow, build_conceal_mask,
                          build_windows, classify_loss, decodable,
                          propagate_invalid, slice_conditions, usable_depth)
 from .errors import DecodeError
-from .grid import (GosConfig, SliceGrid, SliceId, TokenGrid, TokenState,
+from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
 from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
@@ -101,11 +101,11 @@ class SliceSender:
 
     Turns slices into packets in the order it is handed them, chains each
     coarse packet's repair copy to its predecessor when ``fec`` is on, and
-    keeps the ``SenderReport``. A packet's ``head`` is its
-    (gos_id, unit, group, first_frame, n_frames). The report charges each
-    packet's own ``Packet.header_bytes`` to ``header_bits``, which varies
-    with the header's varint fields, so ``total_bits`` is exactly eight
-    times the packets' serialised length.
+    keeps the ``SenderReport``. A packet's ``head`` is its (group,
+    first_frame, n_frames). The report charges each packet's own
+    ``Packet.header_bytes`` to ``header_bits``, which varies with the
+    header's varint fields, so ``total_bits`` is exactly eight times the
+    packets' serialised length.
     """
 
     def __init__(self, model, fec: bool = True):
@@ -275,13 +275,14 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     tx = SliceSender(model, fec)
     conditions = slice_conditions(sg)
     fine = iter(tx.fine(grid.tokens, [
-        ((*sid, *_packet_extent(cells)), cells, conditions[int(cells[0, 0])])
+        ((sid.group, *_packet_extent(cells)), cells,
+         conditions[int(cells[0, 0])])
         for sid, cells in sg.slices.items() if sid.group > 0]))
     packets = []
     for sid, cells in sg.slices.items():
         if sid.group == 0:
             vals = grid.tokens[cells[:, 0], cells[:, 1]]
-            packets.append(tx.coarse((*sid, *_packet_extent(cells)), vals))
+            packets.append(tx.coarse((0, *_packet_extent(cells)), vals))
         else:
             packets.append(next(fine))
     return packets, tx.report
@@ -326,15 +327,20 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
     tokens = np.zeros((T, K), dtype=np.int32)
     states = initial_states(T, K, sg.level)
 
+    # (group, first frame) -> (slice, its frame count), read off the cells
+    extents = {}
+    for sid, cells in sg.slices.items():
+        first_frame, n_frames = _packet_extent(cells)
+        extents[sid.group, first_frame] = sid, n_frames
     by_sid: dict = {}
     for p in packets:
-        sid = SliceId(p.gos_id, p.unit, p.group)
-        if sid not in sg.slices:
-            raise DecodeError(f"packet {tuple(sid)} does not match the layout")
+        if (p.group, p.first_frame) not in extents:
+            raise DecodeError(f"packet (group {p.group}, frame "
+                              f"{p.first_frame}) does not match the layout")
+        sid, n_frames = extents[p.group, p.first_frame]
         if sid in by_sid:
             raise DecodeError(f"duplicate packet for slice {tuple(sid)}")
-        first_frame, n_frames = _packet_extent(sg.slices[sid])
-        if p.first_frame != first_frame or p.n_frames != n_frames:
+        if p.n_frames != n_frames:
             raise DecodeError(f"packet extent disagrees with layout "
                               f"for slice {tuple(sid)}")
         by_sid[sid] = p

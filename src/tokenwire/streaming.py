@@ -9,9 +9,9 @@ frame, is the unit that travels: it sends at most one coarse packet,
 carrying the coarse layers of its new frames and, as repair, the previous
 coarse packet's payload, and at most one packet per fine layer group,
 carrying that group's layers of every due frame in frame-then-layer
-order. Each packet's (gos_id, unit) names its first frame, gos_id *
-gos_len + unit - 1, and (first_frame, n_frames) its extent. At stride 1
-every packet after the first coarse one holds one frame.
+order. A packet names its layer group and its frames, (first_frame,
+n_frames), and nothing else. At stride 1 every packet after the first
+coarse one holds one frame.
 
 Both ends run on the transceiver core in ``pipeline``. A step's geometry,
 its due frames, its horizon and its coarse frames, comes from
@@ -56,10 +56,9 @@ from .pipeline import (SliceSender, conceal_in_window, decode_fine,
 _R = int(TokenState.RECEIVED)
 
 
-def _head(gos: GosConfig, frames: range, group: int) -> tuple:
+def _head(frames: range, group: int) -> tuple:
     """Packet head of the slice of ``group`` over ``frames``."""
-    f = frames.start
-    return f // gos.gos_len, f % gos.gos_len + 1, group, f, len(frames)
+    return group, frames.start, len(frames)
 
 
 def _fine_slices(gos: GosConfig, frames: range, level: int) -> dict:
@@ -161,11 +160,11 @@ class StreamSender:
         packets = []
         if len(coarse):
             packets.append(self._tx.coarse(
-                _head(gos, coarse, 0),
+                _head(coarse, 0),
                 self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
         cond = stream_conditions(i, cfg, gos.n_coarse, total)
         packets += self._tx.fine(self._buf, [
-            (_head(gos, due, j), cells, cond)
+            (_head(due, j), cells, cond)
             for j, cells in _fine_slices(gos, due, self.level).items()])
         self._latency.extend(horizon + 1 - f for f in due)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
@@ -212,26 +211,20 @@ class StreamReceiver:
         step's horizon (its repair copy then covers the coarse frames of
         the step before), a fine packet's the due frames, for a layer group
         the encode level sends. Raises DecodeError, leaving the receiver as
-        it was, on a packet whose (gos_id, unit) does not name its first
-        frame or whose extent breaks these rules, and on a coarse payload
-        or needed repair copy that does not unpack into the vocabulary. A
-        repair copy is needed when a frame it covers is not yet released
-        and its coarse tokens have not arrived.
+        it was, on a packet whose extent breaks these rules, and on a
+        coarse payload or needed repair copy that does not unpack into the
+        vocabulary. A repair copy is needed when a frame it covers is not
+        yet released and its coarse tokens have not arrived.
         """
         if self._finished:
             raise RuntimeError("receiver already finished")
-        cfg, gl, n_coarse = self.stream, self.gos.gos_len, self.gos.n_coarse
+        cfg, n_coarse = self.stream, self.gos.n_coarse
         i = self._next_step
         due, horizon = stream_step(i, cfg, total)
         slices = _fine_slices(self.gos, due, self.level)
 
         extents, fine = [], {}  # extents: (step, frames, coarse packet)
         for p in packets:
-            if not 1 <= p.unit <= gl:
-                raise DecodeError("packet unit outside the group-of-slices")
-            if p.gos_id * gl + p.unit - 1 != p.first_frame:
-                raise DecodeError("packet (gos_id, unit) does not name its "
-                                  "first frame")
             frames = range(p.first_frame, p.first_frame + p.n_frames)
             if p.group == 0:
                 if frames.stop - 1 > horizon:

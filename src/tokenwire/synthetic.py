@@ -1,9 +1,9 @@
 """Synthetic evaluation sources with closed-form oracles.
 
 Token mode: each layer is an independent first-order Markov chain over the
-vocabulary, so the conditional entropy that bounds the coded rate and the
-Bayes-optimal concealment predictor are both exactly computable. Audio
-mode: seeded sinusoid mixtures plus AR(1) noise, bounded to [-1, 1].
+vocabulary, so the conditional entropy that bounds the coded rate is
+exactly computable. Audio mode: seeded sinusoid mixtures plus AR(1)
+noise, bounded to [-1, 1].
 """
 
 from __future__ import annotations
@@ -47,38 +47,6 @@ def marginal_entropy(P: np.ndarray) -> float:
     pi = stationary(P)
     nz = pi > 0
     return float(-(pi[nz] * np.log2(pi[nz])).sum())
-
-
-def bayes_predict(P: np.ndarray, left: int | None, right: int | None) -> int:
-    """Most likely hidden value given the chain values one step away on
-    either side; ties go to the lowest index."""
-    P = np.asarray(P, dtype=np.float64)
-    pi = stationary(P)
-    if left is None and right is None:
-        score = pi
-    elif left is None:
-        score = pi * P[:, right]
-    elif right is None:
-        score = P[left, :]
-    else:
-        score = P[left, :] * P[:, right]
-    return int(np.argmax(score))
-
-
-def bayes_accuracy(P: np.ndarray) -> float:
-    """Expected accuracy of bayes_predict with both neighbors observed."""
-    P = np.asarray(P, dtype=np.float64)
-    pi = stationary(P)
-    acc = 0.0
-    for a in range(P.shape[0]):
-        # sum over right neighbor of the best joint path through z
-        acc += pi[a] * (P[a, :, None] * P).max(axis=0).sum()
-    return float(acc)
-
-
-def marginal_mode_accuracy(P: np.ndarray) -> float:
-    """Accuracy of always predicting the stationary mode."""
-    return float(stationary(np.asarray(P, dtype=np.float64)).max())
 
 
 def sticky_transition(vocab: int, stay: float) -> np.ndarray:

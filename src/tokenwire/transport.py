@@ -10,10 +10,11 @@ A packet's bytes, in order:
 
 - one byte: the format version in the high nibble, the flags in the low
   one (``_FLAG_FEC`` is the only flag);
-- ``gos_id``, ``unit``, ``group``, ``first_frame`` and ``n_frames``, each
-  an unsigned LEB128 varint: seven value bits per byte, least significant
-  group first, the high bit set on every byte but the last, and no
-  redundant trailing zero group (so 0 is one 0x00 byte);
+- ``group``, ``first_frame`` and ``n_frames``, each an unsigned LEB128
+  varint: seven value bits per byte, least significant seven first, the
+  high bit set on every byte but the last, and no redundant trailing zero
+  byte (so 0 is one 0x00 byte). They name the packet's slice by its layer
+  group and its frames alone; the layout maps them to a slice;
 - the FEC length as a varint, present only when ``_FLAG_FEC`` is set, and
   then never 0;
 - the payload, then the FEC bytes. The payload has no length field: it is
@@ -35,11 +36,13 @@ import numpy as np
 
 from .errors import DecodeError
 
-_VERSION = 4
+# 5 is skipped: version 3 packets began with the magic b"SP", and byte
+# 0's high nibble reads that 0x53 as version 5
+_VERSION = 6
 _FLAG_FEC = 0x01
 _CRC_BYTES = 4
-# version byte, five one-byte varints, no FEC length, the CRC
-_MIN_BYTES = 1 + 5 + _CRC_BYTES
+# version byte, three one-byte varints, no FEC length, the CRC
+_MIN_BYTES = 1 + 3 + _CRC_BYTES
 
 
 def token_bits(vocab: int) -> int:
@@ -78,8 +81,6 @@ class Packet:
     """One slice on the wire. fec, when present, repeats the previous
     coarse slice's packed tokens."""
 
-    gos_id: int
-    unit: int
     group: int
     first_frame: int
     n_frames: int
@@ -87,10 +88,8 @@ class Packet:
     fec: bytes = b""
 
     def __post_init__(self):
-        if not 0 <= self.gos_id < 1 << 32:
-            raise ValueError("gos_id out of range")
-        if not 0 <= self.unit < 1 << 8 or not 0 <= self.group < 1 << 8:
-            raise ValueError("unit/group out of range")
+        if not 0 <= self.group < 1 << 8:
+            raise ValueError("group out of range")
         if not 0 <= self.first_frame < 1 << 32:
             raise ValueError("first_frame out of range")
         if not 0 < self.n_frames < 1 << 16:
@@ -104,8 +103,7 @@ class Packet:
 
     def _fields(self) -> tuple:
         """The header's varint fields, in wire order."""
-        head = (self.gos_id, self.unit, self.group, self.first_frame,
-                self.n_frames)
+        head = (self.group, self.first_frame, self.n_frames)
         return head + (len(self.fec),) if self.fec else head
 
     @property
@@ -150,7 +148,7 @@ class Packet:
             raise DecodeError(f"unknown packet flags {flags:#04x}")
         fields = []
         pos = 1
-        for _ in range(6 if flags else 5):
+        for _ in range(4 if flags else 3):
             if pos == end:
                 raise DecodeError("unterminated varint in packet header")
             value = byte = data[pos]
@@ -317,8 +315,12 @@ class MarkovChannel:
 
 def channel_from_spec(spec: dict):
     """Build a channel from a JSON-style dict ({"type": ..., params})."""
+    if not isinstance(spec, dict):
+        raise ValueError("channel spec must be a JSON object")
     kind = spec.get("type")
     if kind == "bernoulli":
+        if "loss_prob" not in spec:
+            raise ValueError("bernoulli channel needs loss_prob")
         return BernoulliChannel(loss_prob=float(spec["loss_prob"]))
     if kind == "markov":
         ch = MarkovChannel(

@@ -98,6 +98,14 @@ def random_grid(rng, n_frames, n_layers, vocab, level=None):
     return tw.TokenGrid(tokens, levels, vocab)
 
 
+def slice_of(sg, packet):
+    """The slice of ``sg`` that ``packet`` carries: the one of its layer
+    group whose first cell is in the packet's first frame."""
+    return next(sid for sid, cells in sg.slices.items()
+                if sid.group == packet.group
+                and cells[0, 0] == packet.first_frame)
+
+
 def stream_conditions_of(cfg, n_frames, n_coarse):
     """The Conditions of every frame of an ``n_frames`` stream: those of
     the step that finalizes it, as both ends derive them."""

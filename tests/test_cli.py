@@ -292,6 +292,60 @@ def test_refused_model_or_codec_file_is_an_error(ws, tmp_path, capsys):
         assert not (tmp_path / "enc").exists()
 
 
+def _encode(ws, tmp_path, *extra):
+    return ["encode", "--config", str(ws["cfg"]), "--codec", str(ws["codec"]),
+            "--model", str(ws["model"]), "--audio", str(ws["audio"]),
+            "--out-dir", str(tmp_path / "enc"), *extra]
+
+
+def _channel(ws, tmp_path, spec):
+    return ["channel", "--packets", str(ws["enc"] / "packets.bin"),
+            "--out", str(tmp_path / "trace.txt"), "--channel", spec]
+
+
+def _decode(ws, tmp_path, trace):
+    (tmp_path / "trace.txt").write_text(trace + "\n")
+    return ["decode", "--dir", str(ws["enc"]), "--codec", str(ws["codec"]),
+            "--model", str(ws["model"]), "--out", str(tmp_path / "out.wav"),
+            "--trace", str(tmp_path / "trace.txt")]
+
+
+def _stream(ws, tmp_path, *extra):
+    return ["stream", "--config", str(ws["cfg"]), "--codec", str(ws["codec"]),
+            "--model", str(ws["model"]), "--audio", str(ws["audio"]),
+            "--out", str(tmp_path / "out.wav"), *extra]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "foo"}'),
+     "--channel: unknown channel type 'foo'"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "bernoulli", '
+                                       '"loss_prob": 1.5}'),
+     "--channel: loss_prob must be a probability"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "bernoulli"}'),
+     "--channel: bernoulli channel needs loss_prob"),
+    (lambda ws, tmp: _channel(ws, tmp, '[0.1]'),
+     "--channel: channel spec must be a JSON object"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 11),
+     "trace.txt: 11 entries for 12 packets"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 11 + "x"),
+     "trace.txt: trace may contain only 0 and 1"),
+    (lambda ws, tmp: _stream(ws, tmp, "--loss", "1.5"),
+     "--loss: loss_prob must be a probability"),
+    (lambda ws, tmp: _encode(ws, tmp, "--level", "99"),
+     "--level: must be in [1, 3], got 99"),
+], ids=["channel-type", "loss-prob", "no-loss-prob", "not-an-object",
+        "trace-length", "trace-characters", "stream-loss", "encode-level"])
+def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
+    """Refused user input prints one error line naming the option or file
+    and exits 2, with no traceback and no output written."""
+    assert main(argv(ws, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert not (tmp_path / "enc").exists()
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_simulate_and_report(ws, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(ws["cfg"]),

@@ -31,7 +31,7 @@ from tokenwire.grid import (
 )
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender
-from conftest import stream_conditions_of
+from conftest import slice_of, stream_conditions_of
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -346,7 +346,7 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
         kept = [p for p in packets if keep(p)]
         _, states, _ = receive_tokens(kept, sg, model)
         for p in kept:
-            cells = sg.slices[SliceId(p.gos_id, p.unit, p.group)]
+            cells = sg.slices[slice_of(sg, p)]
             arrived |= {(t, p.group) for t in cells[:, 0].tolist()}
     else:
         stride = data.draw(st.integers(1, 4))

@@ -140,7 +140,6 @@ def test_slice_grid_is_a_partition(gos, n_frames, data):
                              n_frames, level)
     seen = np.zeros((n_frames, gos.n_layers), dtype=np.int32)
     for p in packets:
-        assert p.first_frame == p.gos_id * gos.gos_len + p.unit - 1
         layers = gos.group_layers(p.group, level)
         assert len(layers) > 0
         frames = np.arange(p.first_frame, p.first_frame + p.n_frames)
@@ -179,8 +178,6 @@ def test_emission_order_streaming():
     # no frame, only the fine packet of the remaining due frames.
     assert [(p.first_frame, p.n_frames, p.group) for p in packets] == \
         [(0, 5, 0), (0, 3, 1), (3, 2, 1)]
-    # (gos_id, unit) names a packet's first frame.
-    assert [(p.gos_id, p.unit) for p in packets] == [(0, 1), (0, 1), (1, 1)]
     # Each step's fine slices are coded against coarse layers only.
     assert {c.n_coarse for c in stream_conditions_of(cfg, 5, 1).values()} \
         == {1}

@@ -15,7 +15,7 @@ from tokenwire.grid import (
 )
 from tokenwire.pipeline import receive, receive_tokens, send, send_tokens
 from tokenwire.transport import Packet
-from conftest import random_grid
+from conftest import random_grid, slice_of
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -30,10 +30,9 @@ def reship(packets):
     return [Packet.from_bytes(p.to_bytes()) for p in packets]
 
 
-def drop(packets, *sids):
+def drop(sg, packets, *sids):
     gone = set(sids)
-    return [p for p in packets
-            if SliceId(p.gos_id, p.unit, p.group) not in gone]
+    return [p for p in packets if slice_of(sg, p) not in gone]
 
 
 def test_lossless_round_trip():
@@ -65,6 +64,19 @@ def test_lossless_with_tail_gos_and_partial_level():
     assert (out.level == 5).all()
 
 
+def test_long_group_of_slices_round_trips():
+    """No header field bounds the unit count: 300 units of one frame
+    each cross the wire and decode bit-exactly."""
+    rng = np.random.default_rng(32)
+    grid = random_grid(rng, 300, 3, 16)
+    sg = build_slice_grid(300, GosConfig(300, 300, (0, 1, 2, 3)), 3)
+    model = UniformModel(16)
+    packets, _ = send_tokens(grid, sg, model)
+    out, states, _ = receive_tokens(reship(packets), sg, model)
+    np.testing.assert_array_equal(out.tokens, grid.tokens)
+    assert (states == R).all()
+
+
 def test_fec_recovers_dropped_coarse():
     rng = np.random.default_rng(22)
     grid = random_grid(rng, 12, 3, 16)
@@ -75,7 +87,7 @@ def test_fec_recovers_dropped_coarse():
     # Drop one coarse packet; its successor's repair copy saves it, even
     # across the group-of-slices boundary.
     for victim in (SliceId(0, 2, 0), SliceId(0, 3, 0)):
-        got, _, rrep = receive_tokens(drop(packets, victim), sg, model)
+        got, _, rrep = receive_tokens(drop(sg, packets, victim), sg, model)
         assert rrep.fec_recovered == 1
         np.testing.assert_array_equal(got.tokens, grid.tokens)
         assert rrep.state_counts["received"] == 36
@@ -87,7 +99,7 @@ def test_last_coarse_has_no_repair():
     sg = build_slice_grid(12, GOS, 3)
     model = UniformModel(16)
     packets, _ = send_tokens(grid, sg, model, fec=True)
-    got, states, rrep = receive_tokens(drop(packets, SliceId(1, 3, 0)),
+    got, states, rrep = receive_tokens(drop(sg, packets, SliceId(1, 3, 0)),
                                        sg, model)
     assert rrep.fec_recovered == 0
     # Unit 3 of the second group covers frames 8 and 11; their coarse is
@@ -104,7 +116,7 @@ def test_fec_off_leaves_coarse_lost():
     packets, rep = send_tokens(grid, sg, model, fec=False)
     assert rep.fec_bits == 0
     assert all(p.fec == b"" for p in packets)
-    got, states, rrep = receive_tokens(drop(packets, SliceId(0, 2, 0)),
+    got, states, rrep = receive_tokens(drop(sg, packets, SliceId(0, 2, 0)),
                                        sg, model)
     assert rrep.fec_recovered == 0
     # Unit 2 covers frames 1 and 4: coarse concealed, fine unusable.
@@ -123,7 +135,7 @@ def test_lost_fine_slice_costs_only_its_own_cells():
     sg = build_slice_grid(6, GOS, 3)
     model = UniformModel(16)
     packets, _ = send_tokens(grid, sg, model)
-    got, states, rrep = receive_tokens(drop(packets, SliceId(0, 1, 1)),
+    got, states, rrep = receive_tokens(drop(sg, packets, SliceId(0, 1, 1)),
                                        sg, model)
     # Unit 1 holds frames 0 and 3: their layer 1 is concealed, and layer 2,
     # delivered but stacked on a concealed cell, stays out of the prefix.
@@ -144,7 +156,7 @@ def test_blackout_repeats_last_good_frame():
     sg = build_slice_grid(12, GOS, 3)
     model = UniformModel(16)
     packets, _ = send_tokens(grid, sg, model)
-    survivors = [p for p in packets if p.gos_id == 0]
+    survivors = [p for p in packets if p.first_frame < GOS.gos_len]
     got, states, rrep = receive_tokens(survivors, sg, model,
                                        conceal_window=6)
     assert rrep.n_blackouts == 1
@@ -172,13 +184,18 @@ def test_receive_rejects_bad_packets():
     sg = build_slice_grid(6, GOS, 3)
     model = UniformModel(16)
     packets, _ = send_tokens(grid, sg, model)
-    with pytest.raises(DecodeError, match="layout"):
-        receive_tokens(packets + [Packet(9, 1, 0, 0, 2, b"")], sg, model)
+    # foreign slices: past the clip, at offset n_units of a
+    # group-of-slices (no unit starts there), a layer group past the level
+    for foreign in (Packet(0, 54, 2, b""), Packet(0, 3, 2, b""),
+                    Packet(1, 4, 1, b""), Packet(3, 0, 2, b"")):
+        with pytest.raises(DecodeError, match="layout"):
+            receive_tokens(packets + [foreign], sg, model)
     with pytest.raises(DecodeError, match="duplicate"):
         receive_tokens(packets + [packets[0]], sg, model)
-    moved = Packet(0, 1, 0, 1, 2, packets[0].payload)
+    # unit 1's coarse slice holds frames 0 and 3, not 0 to 2
+    wide = Packet(0, 0, 3, packets[0].payload)
     with pytest.raises(DecodeError, match="extent"):
-        receive_tokens([moved] + packets[1:], sg, model)
+        receive_tokens([wide] + packets[1:], sg, model)
 
 
 def test_refused_fine_payload_is_concealed():
@@ -189,10 +206,10 @@ def test_refused_fine_payload_is_concealed():
     packets, _ = send_tokens(grid, sg, model)
     out = []
     for p in packets:
-        if SliceId(p.gos_id, p.unit, p.group) == SliceId(0, 2, 1):
+        if slice_of(sg, p) == SliceId(0, 2, 1):
             # no canonical payload ends in a zero byte
-            p = Packet(p.gos_id, p.unit, p.group, p.first_frame,
-                       p.n_frames, p.payload + b"\x00")
+            p = Packet(p.group, p.first_frame, p.n_frames,
+                       p.payload + b"\x00")
         out.append(p)
     got, states, rrep = receive_tokens(out, sg, model)
     # The broken slice's cells end up concealed, not silently wrong, and

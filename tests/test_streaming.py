@@ -198,7 +198,7 @@ def test_mangled_fine_payload_is_concealed_like_a_drop():
     rx = StreamReceiver(GOS, STREAM, model)
 
     def carry(em):
-        return [Packet(p.gos_id, p.unit, p.group, p.first_frame, p.n_frames,
+        return [Packet(p.group, p.first_frame, p.n_frames,
                        p.payload + b"\x00") if hit(p) else p
                 for p in em.packets]
 
@@ -223,18 +223,37 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     rx.step(ems[0].packets)
     rows = len(rx._tokens)
     coarse = next(p for p in ems[1].packets if p.group == 0)
-    far = Packet(20000, coarse.unit, 0, 20000 * GOS.gos_len + coarse.unit - 1,
+    # the same coarse packet 20000 groups-of-slices later
+    far = Packet(0, coarse.first_frame + 20000 * GOS.gos_len,
                  coarse.n_frames, coarse.payload)
     with pytest.raises(DecodeError, match="horizon"):
         rx.step(list(ems[1].packets) + [far])
-    bad_unit = Packet(0, GOS.gos_len + 1, 0, 6, 3, coarse.payload)
-    with pytest.raises(DecodeError, match="unit"):
-        rx.step(list(ems[1].packets) + [bad_unit])
     assert len(rx._tokens) == rows
     # A rejected step changes nothing: the stream carries on losslessly.
     for em in ems[1:]:
         rx.step(em.packets)
     rx.finish([e.packets for e in tail], total)
+    grid, states = rx.result()
+    np.testing.assert_array_equal(grid.tokens, tokens)
+    assert np.all(states == R)
+
+
+def test_long_group_of_slices_streams_past_frame_256():
+    """No header field bounds the frame offset inside a group-of-slices:
+    a 300-frame one streams over the wire bit-exactly."""
+    tokens = make_tokens(59, 270)
+    gos = GosConfig(300, 1, (0, 1, 2, 3))
+    model = UniformModel(16)
+    tx = StreamSender(gos, STREAM, model)
+    rx = StreamReceiver(gos, STREAM, model)
+
+    def wire(em):
+        return [Packet.from_bytes(p.to_bytes()) for p in em.packets]
+
+    for em in tx.push(tokens):
+        rx.step(wire(em))
+    tail, total = tx.flush()
+    rx.finish([wire(em) for em in tail], total)
     grid, states = rx.result()
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R)
@@ -267,17 +286,16 @@ def test_out_of_vocabulary_coarse_leaves_the_step_unapplied():
     ems = list(tx.push(tokens))
     tail, total = tx.flush()
     rx = StreamReceiver(GOS, STREAM, model)
-    c0, fine0 = split(ems[0])
+    fine0 = split(ems[0])[1]
     bad = pack_bits(np.array([15] * 6), 4)
     # a bad payload
-    unapplied(rx, [Packet(c0.gos_id, c0.unit, 0, 0, 6, bad)] + fine0,
-              "vocabulary")
+    unapplied(rx, [Packet(0, 0, 6, bad)] + fine0, "vocabulary")
     rx.step(ems[0].packets)
     # step 1's coarse packet is lost; step 2's packet repairs it, unless
     # its repair copy is bad
     rx.step(split(ems[1])[1])
     c2, fine2 = split(ems[2])
-    unapplied(rx, [Packet(c2.gos_id, c2.unit, 0, 9, 3, c2.payload,
+    unapplied(rx, [Packet(0, 9, 3, c2.payload,
                           pack_bits(np.array([15] * 3), 4))] + fine2,
               "vocabulary")
     # The same step with the good copy goes through; frames 6-8 come back
@@ -338,11 +356,10 @@ def test_wrong_extent_is_refused_and_leaves_the_receiver_unchanged():
     f1 = fine1[0]
 
     def coarse(first, n, fec=c1.fec):
-        return Packet(first // 6, first % 6 + 1, 0, first, n, c1.payload,
-                      fec)
+        return Packet(0, first, n, c1.payload, fec)
 
     def fine(first, n, group=f1.group):
-        return Packet(first // 6, first % 6 + 1, group, first, n, f1.payload)
+        return Packet(group, first, n, f1.payload)
 
     for bad, match in (
             # coarse frames that are no step's: too few, too many, shifted
@@ -352,16 +369,14 @@ def test_wrong_extent_is_refused_and_leaves_the_receiver_unchanged():
             # the next step's coarse frames lie beyond this horizon
             (coarse(9, 3), "horizon"),
             # the first coarse packet has no predecessor to repair
-            (Packet(0, 1, 0, 0, 6, ems[0].packets[0].payload, c1.payload),
+            (Packet(0, 0, 6, ems[0].packets[0].payload, c1.payload),
              "first coarse packet"),
             # fine frames other than the due ones
             (fine(3, 2), "due batch"),
             (fine(3, 4), "due batch"),
             (fine(0, 3), "due batch"),
             # a layer group the level does not send
-            (fine(3, 3, group=3), "layer group"),
-            # (gos_id, unit) naming another frame than first_frame
-            (Packet(0, 5, 0, 6, 3, c1.payload, c1.fec), "first frame")):
+            (fine(3, 3, group=3), "layer group")):
         unapplied(rx, [c1] + fine1[1:] + [bad], match)
     # an earlier step's coarse packet, replayed, is accepted
     rx.step(list(ems[1].packets) + [ems[0].packets[0]])
@@ -567,8 +582,6 @@ def test_step_packing(data):
         assert (due.start, due.stop) == em.due
         assert [(p.group, p.first_frame, p.n_frames) for p in fine] == \
             [(j, due.start, len(due)) for j in groups]
-        for p in em.packets:
-            assert p.first_frame == p.gos_id * gos.gos_len + p.unit - 1
     assert covered == list(range(n_frames))
     enc = states[:, :level]
     rec = enc == R

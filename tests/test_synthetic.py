@@ -1,11 +1,10 @@
-"""Closed-form token sources: stationary laws, entropies, Bayes predictor."""
+"""Closed-form token sources: stationary laws and entropies."""
 
 import numpy as np
 import pytest
 
-from tokenwire.synthetic import (TokenSource, bayes_accuracy, bayes_predict,
-                                 conditional_entropy, identity_transition,
-                                 marginal_entropy, marginal_mode_accuracy,
+from tokenwire.synthetic import (TokenSource, conditional_entropy,
+                                 identity_transition, marginal_entropy,
                                  random_transition, sample_tokens,
                                  stationary, sticky_transition, synth_audio)
 
@@ -65,43 +64,6 @@ def test_marginal_entropy():
     assert marginal_entropy(P2) == pytest.approx(want, abs=1e-12)
     assert marginal_entropy(sticky_transition(8, 0.5)) == \
         pytest.approx(3.0, abs=1e-12)
-
-
-def test_bayes_predict_hand_cases():
-    assert bayes_predict(P2, None, None) == 0    # stationary mode
-    assert bayes_predict(P2, 1, None) == 0       # row (0.5, 0.5) ties low
-    assert bayes_predict(P2, None, 1) == 0       # 1/12 vs 1/12 ties low
-    assert bayes_predict(P2, 1, 1) == 1          # 0.25 beats 0.05
-    S = sticky_transition(16, 0.7)
-    assert bayes_predict(S, 3, 3) == 3
-    assert bayes_predict(S, 3, 5) == 3           # symmetric tie, lowest wins
-    assert bayes_predict(S, None, 7) == 7
-
-
-def test_bayes_accuracy_matches_exhaustive_expectation():
-    def oracle(P):
-        P = np.asarray(P, dtype=np.float64)
-        pi = stationary(P)
-        M = P.shape[0]
-        acc = 0.0
-        for a in range(M):
-            for z in range(M):
-                for b in range(M):
-                    if bayes_predict(P, a, b) == z:
-                        acc += pi[a] * P[a, z] * P[z, b]
-        return acc
-
-    S = sticky_transition(16, 0.7)
-    assert bayes_accuracy(S) == pytest.approx(0.70, abs=1e-12)
-    assert bayes_accuracy(S) == pytest.approx(oracle(S), abs=1e-12)
-    R = random_transition(5, np.random.default_rng(13))
-    assert bayes_accuracy(R) == pytest.approx(oracle(R), abs=1e-12)
-
-
-def test_marginal_mode_accuracy():
-    assert marginal_mode_accuracy(sticky_transition(16, 0.7)) == \
-        pytest.approx(1 / 16, abs=1e-12)
-    assert marginal_mode_accuracy(P2) == pytest.approx(5 / 6, abs=1e-12)
 
 
 def test_transition_builders():
