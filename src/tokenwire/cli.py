@@ -8,6 +8,7 @@ drive Monte Carlo experiments. Every artifact is a file, every run seeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -35,7 +36,7 @@ from .transport import (BernoulliChannel, channel_from_spec, load_channel,
 def _load_cfg(path) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    return load_config(path)
+    return _artifact(load_config, path)
 
 
 def _sha256(path) -> str:
@@ -45,17 +46,28 @@ def _sha256(path) -> str:
 def _option(name: str, build, *args):
     """``build(*args)``; input it refuses with a ``ValueError`` is reported
     as a ``ConfigError`` that names ``name``, the option or file the input
-    came from."""
+    came from. A ``ConfigError`` already names its field and passes as it
+    is."""
     try:
         return build(*args)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(name, str(exc)) from None
 
 
 def _artifact(loader, path):
-    """``loader(path)``; a file the loader refuses is reported as a
-    ``ConfigError`` that names the file."""
-    return _option(str(path), loader, path)
+    """``loader(path)``; a file that cannot be read, or that the loader
+    refuses, is reported as a ``ConfigError`` that names the file."""
+    try:
+        return _option(str(path), loader, path)
+    except OSError as exc:
+        raise ConfigError(str(path), exc.strerror or str(exc)) from None
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _train_cfg(args) -> ExperimentConfig:
@@ -87,7 +99,7 @@ def cmd_encode(args) -> int:
     codec = _artifact(load_codec, args.codec)
     model = _artifact(load_count_model, args.model)
     gos = gos_config(cfg)
-    signal = read_audio(args.audio)
+    signal = _artifact(read_audio, args.audio)
     if signal.samples.size % cfg.frame_len:
         raise SystemExit("audio length must be a multiple of frame_len; "
                          "pad or trim first")
@@ -113,7 +125,6 @@ def cmd_encode(args) -> int:
         "gos": {"gos_len": gos.gos_len, "n_units": gos.n_units,
                 "layer_bounds": list(gos.layer_bounds)},
         "conceal_window": cfg.conceal_window,
-        "conceal_fine_layers": cfg.conceal_fine_layers,
         "codec_sha256": _sha256(args.codec),
         "model_sha256": model_digest(args.model),
         "n_packets": len(packets),
@@ -131,7 +142,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    packets = read_packets(args.packets)
+    packets = _artifact(read_packets, args.packets)
     if args.channel_file:
         channel = _artifact(load_channel, args.channel_file)
     else:
@@ -148,15 +159,14 @@ def cmd_channel(args) -> int:
 
 def cmd_decode(args) -> int:
     out_dir = Path(args.dir)
-    with open(out_dir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _artifact(_read_json, out_dir / "manifest.json")
     codec = _artifact(load_codec, args.codec)
+    model = _artifact(load_count_model, args.model)
     if _sha256(args.codec) != manifest["codec_sha256"]:
         raise SystemExit("codec file does not match the manifest")
     if model_digest(args.model) != manifest["model_sha256"]:
         raise SystemExit("model file does not match the manifest")
-    model = _artifact(load_count_model, args.model)
-    packets = read_packets(out_dir / "packets.bin")
+    packets = _artifact(read_packets, out_dir / "packets.bin")
     if args.trace:
         trace = _artifact(read_trace, args.trace)
         if len(trace) != len(packets):
@@ -172,8 +182,7 @@ def cmd_decode(args) -> int:
         packets, trace, codec, codec_cfg, model, gos,
         level=manifest["level"], n_frames=manifest["n_frames"],
         sample_rate=manifest["sample_rate"],
-        conceal_window=manifest.get("conceal_window", 12),
-        conceal_fine_layers=manifest.get("conceal_fine_layers", 2))
+        conceal_window=manifest.get("conceal_window", 12))
     write_audio(args.out, audio)
     print(f"wrote {args.out}; states {rep.state_counts}; "
           f"cases {rep.case_counts}")
@@ -198,7 +207,7 @@ def cmd_stream(args) -> int:
     stream = StreamConfig(stride=args.stride, lookahead=args.lookahead,
                           coding_context=cfg.gos_len,
                           conceal_context=cfg.conceal_window)
-    signal = read_audio(args.audio)
+    signal = _artifact(read_audio, args.audio)
     if signal.samples.size % cfg.frame_len:
         raise SystemExit("audio length must be a multiple of frame_len")
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
@@ -208,8 +217,7 @@ def cmd_stream(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     tx = StreamSender(gos, stream, model)
-    rx = StreamReceiver(gos, stream, model,
-                        conceal_fine_layers=cfg.conceal_fine_layers)
+    rx = StreamReceiver(gos, stream, model)
     for t in range(grid.n_frames):
         for em in tx.push(grid.tokens[t:t + 1]):
             keep = channel.sample(len(em.packets), rng)
@@ -250,11 +258,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    import csv as _csv
+def _read_rows(path) -> list:
+    """The MetricsRows of a results CSV."""
     rows = []
-    with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise SystemExit("unrecognized CSV schema")
         for rec in reader:
@@ -267,6 +275,11 @@ def cmd_report(args) -> int:
                 token_accuracy=(float(rec["token_accuracy"])
                                 if rec["token_accuracy"] else None),
                 seed=int(rec["seed"])))
+    return rows
+
+
+def cmd_report(args) -> int:
+    rows = _artifact(_read_rows, args.csv)
     summary = summarize(rows)
     text = json.dumps(summary, indent=2)
     if args.out:

@@ -12,9 +12,14 @@ or once per stream step, as ``Conditions``: the coder's view shows exactly
 its cells, and the receiver decodes the fine slices only once all of them
 are RECEIVED, so sender, receiver and decode gate cannot disagree. No fine
 cell is ever a condition, so a lost fine packet costs only its own cells.
-The concealing dependency is looser: it reads any received token at or
-below the damaged layer, both earlier and later in time, because
-prediction does not need bit-exact context.
+
+Concealment predicts lost coarse cells only (``classify_loss``): a lost or
+invalid fine cell ends its frame's usable depth, because a guessed fine
+token does more harm than one left out. A frame's targets depend on its
+own states alone, so concealment windows never read each other's damage.
+The concealing view is looser than the coding one: it reads any received
+token at or below the damaged layer, both earlier and later in time,
+because prediction does not need bit-exact context.
 
 Which cells the receiver can trust is one prefix rule, ``prefix_depth``: a
 layer refines the residual left by those below it, so a frame is usable up
@@ -42,12 +47,9 @@ C = int(TokenState.CONCEALED)
 
 
 class LossCase(IntEnum):
-    """Damage patterns the receiver distinguishes inside a window."""
+    """Damage patterns the receiver conceals by prediction."""
 
-    COARSE = 1          # coarse cells carried by a lost packet
-    COARSE_CONTEXT = 2  # fine undecodable: a condition coarse slice was lost
-                        # outside this window
-    FINE = 3            # fine cells carried by a lost packet
+    COARSE = 1  # coarse cells carried by a lost packet
 
 
 @dataclass(frozen=True)
@@ -222,49 +224,15 @@ def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
     return windows
 
 
-def classify_loss(states: np.ndarray, window: ConcealmentWindow,
-                  conditions: dict, n_coarse: int, level: int,
-                  conceal_fine_layers: int = 2) -> list:
-    """List (frame, layer, LossCase) concealment targets inside a window.
+def classify_loss(states: np.ndarray, frames: range, n_coarse: int) -> list:
+    """List (frame, layer, LossCase) concealment targets: the LOST coarse
+    cells of ``frames``, in frame-then-layer order.
 
-    ``conditions`` maps a frame to the Conditions of its fine slices; a
-    frame without an entry gets no fine targets. Lost coarse cells are
-    targets outright. For frames whose coarse survived, the lowest
-    non-received fine cell decides: a lost cell is concealed alone; cells
-    left undecodable by a coarse condition cell lost outside the window are
-    concealed up to the configured number of leading fine layers. Cells
-    above a target stay invalid and are not concealed.
+    Only coarse cells are predicted. A lost or invalid fine cell ends its
+    frame's usable depth: left out, it costs less than a guess.
     """
-    coarse_hi = min(n_coarse, level)
-    cfl_hi = min(n_coarse + conceal_fine_layers, level)
-    targets = []
-    for t in range(window.start, window.stop):
-        col = states[t]
-        lost_coarse = [k for k in range(coarse_hi) if col[k] == L]
-        if lost_coarse:
-            targets.extend((t, k, LossCase.COARSE) for k in lost_coarse)
-            continue
-        if any(col[k] != R for k in range(coarse_hi)):
-            continue  # coarse concealed earlier or otherwise unusable
-        fine_bad = [k for k in range(n_coarse, level) if col[k] != R]
-        if not fine_bad:
-            continue
-        k0 = fine_bad[0]
-        cond = conditions.get(t)
-        if cond is None:
-            continue
-        if col[k0] == L:
-            targets.append((t, k0, LossCase.FINE))
-            continue
-        # INVALID: a coarse condition cell was lost; conceal from the
-        # window unless the window holds that cell itself
-        lost = cond.lo + np.flatnonzero(
-            (states[cond.lo:cond.hi, :n_coarse] == L).any(axis=1))
-        if len(lost) and not np.any((lost >= window.start)
-                                    & (lost < window.stop)):
-            targets.extend(
-                (t, k, LossCase.COARSE_CONTEXT) for k in range(k0, cfl_hi))
-    return targets
+    lost = np.argwhere(states[frames.start:frames.stop, :n_coarse] == L)
+    return [(frames.start + t, k, LossCase.COARSE) for t, k in lost.tolist()]
 
 
 def build_conceal_mask(targets: list, states: np.ndarray,

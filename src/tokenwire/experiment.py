@@ -58,7 +58,11 @@ class MetricsRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; serializes to the run manifest."""
+    """Everything a run needs; serializes to the run manifest.
+
+    ``conceal_fine_layers`` is accepted and validated, and has no effect:
+    the receiver never predicts fine cells.
+    """
 
     sample_rate: int = 16000
     frame_len: int = 320
@@ -284,8 +288,7 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
         delivered = channel.sample(len(packets), mask_rng)
         survivors = [p for p, d in zip(packets, delivered) if d]
         rx, states, rrep = receive_tokens(
-            survivors, sg, model, conceal_window=cfg.conceal_window,
-            conceal_fine_layers=cfg.conceal_fine_layers)
+            survivors, sg, model, conceal_window=cfg.conceal_window)
         total_bits += srep.total_bits
         tx_chunks.append(grid)
         rx_chunks.append(rx)

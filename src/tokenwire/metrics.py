@@ -169,8 +169,10 @@ def token_accuracy(truth: TokenGrid, recovered: TokenGrid,
                    states: np.ndarray) -> float | None:
     """Fraction of concealed cells that were predicted exactly.
 
-    Returns None when nothing was concealed; 0.0 would misread as
-    "all wrong".
+    Concealed cells are the model's predictions of lost coarse cells plus
+    the cells a blackout hold repeats from the last fully usable frame;
+    lost fine cells are left out, so they never count. Returns None when
+    nothing was concealed; 0.0 would misread as "all wrong".
     """
     states = np.asarray(states)
     if truth.tokens.shape != recovered.tokens.shape or \

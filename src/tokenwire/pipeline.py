@@ -5,17 +5,19 @@ coarse slices into bit-packed packets with chained repair copies and fine
 slices into range-coded packets priced by model PMFs, keeping the sender's
 bit accounting; ``decode_fine`` decodes a fine slice once the coarse cells
 it was coded against are bit-exact; ``conceal_in_window`` holds the last
-usable frame through a coarse blackout and otherwise predicts the damaged
-cells with a single model query. Both ends of a fine slice take its
-``Conditions``: the sender's coding view and the receiver's decoding view
-and decode gate all derive from that one value. A fine slice is coded
-against coarse cells only, so no fine slice waits on another: each end
-prices all the fine slices it handles at once in one model query, the
-batch sender and receiver every fine slice of a clip. The encode level is
-stated once, in the receiver's initial states (INVALID from the level up);
-which cells can be trusted then follows from the states by the one prefix
-rule in ``dependency``. The batch path lays a clip out in periodic slices,
-decodes its fine slices in one call, and conceals inside bounded windows.
+usable frame through a coarse blackout and otherwise predicts the lost
+coarse cells with a single model query; a lost or invalid fine cell is
+never guessed and ends its frame's usable depth. Both ends of a fine
+slice take its ``Conditions``: the sender's coding view and the
+receiver's decoding view and decode gate all derive from that one value.
+A fine slice is coded against coarse cells only, so no fine slice waits
+on another: each end prices all the fine slices it handles at once in one
+model query, the batch sender and receiver every fine slice of a clip.
+The encode level is stated once, in the receiver's initial states
+(INVALID from the level up); which cells can be trusted then follows from
+the states by the one prefix rule in ``dependency``. The batch path lays
+a clip out in periodic slices, decodes its fine slices in one call, and
+conceals inside bounded windows.
 """
 
 from __future__ import annotations
@@ -220,16 +222,16 @@ def unpack_coarse(payload: bytes, vocab: int, count: int) -> np.ndarray:
 
 
 def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
-                      win: ConcealmentWindow, fill: range, conditions: dict,
-                      n_coarse: int, level: int, conceal_fine_layers: int,
-                      case_counts: dict) -> int:
+                      win: ConcealmentWindow, fill: range, n_coarse: int,
+                      level: int, case_counts: dict) -> int:
     """Conceal the damaged cells of frames ``fill`` inside ``win`` in place.
 
     With no coarse cell received anywhere in the window there is nothing to
     condition on: every non-received cell of ``fill`` repeats the last
-    fully usable frame before it (zeros without one). Otherwise the
-    classified targets are predicted from the window in one model query.
-    Returns 1 on such a blackout, else 0.
+    fully usable frame before it (zeros without one). Otherwise the lost
+    coarse cells of ``fill`` are predicted from the window in one model
+    query, and damaged fine cells stay as they are, ending their frame's
+    usable depth. Returns 1 on such a blackout, else 0.
     """
     if not np.any(states[fill.start:fill.stop, :level] != _R):
         return 0
@@ -242,9 +244,7 @@ def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
                     tokens[t, k] = tokens[src, k] if src is not None else 0
                     states[t, k] = _C
         return 1
-    targets = [trip for trip in classify_loss(
-        states, win, conditions, n_coarse, level, conceal_fine_layers)
-        if trip[0] in fill]
+    targets = classify_loss(states, fill, n_coarse)
     if targets:
         preds = model.predict(MaskedQuery(
             tokens, [build_conceal_mask(targets, states, win)]))
@@ -312,15 +312,15 @@ def _recover_coarse(by_sid: dict, sg: SliceGrid, tokens: np.ndarray,
     return recovered
 
 
-def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
-                   conceal_fine_layers: int = 2) -> tuple:
+def receive_tokens(packets, sg: SliceGrid, model,
+                   conceal_window: int = 12) -> tuple:
     """Decode surviving packets back into a (grid, states, report) triple.
 
     Fine slices decode, all in one call, only once the coarse cells they
     were coded against are bit-exact at the receiver; anything else is
-    marked lost or invalid and handed to windowed concealment. The
-    returned grid's level is the per-frame usable depth (received or
-    concealed prefix).
+    marked lost or invalid. Windowed concealment then predicts the lost
+    coarse cells and holds blackouts. The returned grid's level is the
+    per-frame usable depth (received or concealed prefix).
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
@@ -361,8 +361,7 @@ def receive_tokens(packets, sg: SliceGrid, model, conceal_window: int = 12,
     for win in windows:
         n_blackouts += conceal_in_window(
             model, tokens, states, win, range(win.start, win.stop),
-            conditions, sg.gos.n_coarse, sg.level, conceal_fine_layers,
-            case_counts)
+            sg.gos.n_coarse, sg.level, case_counts)
 
     depth = usable_depth(states)
     grid = TokenGrid(tokens, depth, vocab)
@@ -400,7 +399,8 @@ def receive(packets, trace, codec: RvqCodec, codec_cfg: CodecConfig, model,
     """Audio-level convenience: filter by the delivery trace, decode,
     conceal, dequantize the usable prefixes, synthesize.
 
-    Returns (AudioSignal, TokenGrid, ReceiverReport).
+    ``conceal_fine_layers`` is accepted and has no effect: fine cells are
+    never predicted. Returns (AudioSignal, TokenGrid, ReceiverReport).
     """
     packets = list(packets)
     if len(trace) != len(packets):
@@ -408,8 +408,7 @@ def receive(packets, trace, codec: RvqCodec, codec_cfg: CodecConfig, model,
     survivors = [p for p, d in zip(packets, trace) if d]
     sg = build_slice_grid(n_frames, gos, level)
     grid, states, report = receive_tokens(
-        survivors, sg, model, conceal_window=conceal_window,
-        conceal_fine_layers=conceal_fine_layers)
+        survivors, sg, model, conceal_window=conceal_window)
     feats = dequantize(grid, codec, grid.level)
     audio = synthesize(feats, codec_cfg, sample_rate)
     return audio, grid, report

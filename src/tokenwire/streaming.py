@@ -30,9 +30,11 @@ due frames. The receiver's buffered states start INVALID from the encode
 level up, so the prefix rules read the level from them. The receiver
 checks every packet's extent against the step geometry and unpacks every
 payload of a step before it changes any state, then finalizes the due
-frames: decode what arrived, conceal the rest inside a window ending at
-the horizon, release. Released frames are never revisited, and concealed
-cells never serve as coding context.
+frames: decode what arrived, predict the lost coarse cells inside a
+window ending at the horizon (or hold the last fully usable frame when
+the window received no coarse cell), release. A lost or invalid fine cell
+is not guessed; it ends its frame's usable depth. Released frames are
+never revisited, and concealed cells never serve as coding context.
 """
 
 from __future__ import annotations
@@ -171,7 +173,11 @@ class StreamSender:
 
 
 class StreamReceiver:
-    """Mirrors StreamSender step by step; frames come out finalized."""
+    """Mirrors StreamSender step by step; frames come out finalized.
+
+    ``conceal_fine_layers`` is accepted and has no effect: fine cells are
+    never predicted.
+    """
 
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
                  level: int | None = None, conceal_fine_layers: int = 2):
@@ -183,7 +189,6 @@ class StreamReceiver:
         self.model = model
         self.level = level
         self.vocab = model.vocab
-        self.conceal_fine_layers = conceal_fine_layers
         self._tokens = np.zeros((0, gos.n_layers), dtype=np.int32)
         self._states = np.zeros((0, gos.n_layers), dtype=np.int8)
         self._released = 0
@@ -284,9 +289,8 @@ class StreamReceiver:
         win = ConcealmentWindow(max(0, horizon + 1 - cfg.conceal_context),
                                 horizon + 1)
         self.n_blackouts += conceal_in_window(
-            self.model, self._tokens, self._states, win, due,
-            dict.fromkeys(due, cond), n_coarse, self.level,
-            self.conceal_fine_layers, self.case_counts)
+            self.model, self._tokens, self._states, win, due, n_coarse,
+            self.level, self.case_counts)
         self._released = due.stop
         return StreamRelease(
             (due.start, due.stop), self._tokens[sl].copy(),

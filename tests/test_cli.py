@@ -106,6 +106,7 @@ def test_encode_outputs(ws):
                                              for p in packets)
     assert manifest["header_bits"] == 8 * sum(p.header_bytes
                                               for p in packets)
+    assert "conceal_fine_layers" not in manifest
 
 
 def test_encode_prints_wire_and_payload_rates(ws, tmp_path, capsys):
@@ -196,6 +197,30 @@ def test_decode_through_a_lossy_trace(ws, tmp_path):
     assert counts["received"] < 36
     assert counts["concealed"] + counts["invalid"] + counts["lost"] > 0
     assert out.exists()
+
+
+def test_decode_reads_a_manifest_that_names_conceal_fine_layers(ws,
+                                                                tmp_path):
+    # Older manifests carry the knob; it is ignored, so they decode to the
+    # same audio as a manifest without it.
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "packets.bin").write_bytes((ws["enc"] / "packets.bin")
+                                      .read_bytes())
+    with open(ws["enc"] / "manifest.json") as fh:
+        manifest = json.load(fh)
+    (old / "manifest.json").write_text(
+        json.dumps({**manifest, "conceal_fine_layers": 7}))
+    flags = ["0" if p.group > 0 and i % 2 else "1" for i, p in
+             enumerate(read_packets(ws["enc"] / "packets.bin"))]
+    trace = tmp_path / "trace.txt"
+    trace.write_text("".join(flags) + "\n")
+    for d, out in ((ws["enc"], "new.wav"), (old, "old.wav")):
+        assert main(["decode", "--dir", str(d), "--codec", str(ws["codec"]),
+                     "--model", str(ws["model"]), "--trace", str(trace),
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "old.wav").read_bytes() == \
+        (tmp_path / "new.wav").read_bytes()
 
 
 def test_decode_rejects_mismatched_artifacts(ws, tmp_path):
@@ -344,6 +369,55 @@ def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and err.endswith(message + "\n")
     assert not (tmp_path / "enc").exists()
     assert not (tmp_path / "out.wav").exists()
+
+
+def _swap(argv, flag, value):
+    """``argv`` with the value of ``flag`` replaced by ``value``."""
+    i = argv.index(flag) + 1
+    return [*argv[:i], value, *argv[i + 1:]]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (lambda ws, tmp: _channel(ws, tmp, "{}"), "--packets"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 12), "--dir"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 12), "--codec"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 12), "--model"),
+    (lambda ws, tmp: ["train-context", "--codec", "", "--out",
+                      str(tmp / "out.ctx")], "--codec"),
+    (_encode, "--codec"),
+    (_encode, "--model"),
+    (_encode, "--audio"),
+    (_stream, "--codec"),
+    (_stream, "--model"),
+    (_stream, "--audio"),
+    (lambda ws, tmp: ["simulate", "--config", "", "--out-dir",
+                      str(tmp / "run")], "--config"),
+    (lambda ws, tmp: ["report", "--csv", ""], "--csv"),
+], ids=["channel-packets", "decode-dir", "decode-codec", "decode-model",
+        "train-context-codec", "encode-codec", "encode-model", "encode-audio",
+        "stream-codec", "stream-model", "stream-audio", "simulate-config",
+        "report-csv"])
+def test_missing_input_file_is_an_error(ws, tmp_path, capsys, argv, flag):
+    """A missing input file prints one error line naming the file and
+    exits 2, with no traceback and no output written."""
+    missing = tmp_path / ("missing.wav" if flag == "--audio" else "missing")
+    assert main(_swap(argv(ws, tmp_path), flag, str(missing))) == 2
+    named = missing / "manifest.json" if flag == "--dir" else missing
+    assert capsys.readouterr().err == \
+        f"error: {named}: No such file or directory\n"
+    assert not any(tmp_path.glob("out.*"))
+    assert not (tmp_path / "enc").exists() and not (tmp_path / "run").exists()
+
+
+def test_malformed_config_json_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["simulate", "--config", str(bad), "--out-dir",
+                 str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: Expecting property name")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_and_report(ws, tmp_path, capsys):

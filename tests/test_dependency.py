@@ -45,11 +45,6 @@ def small_layout(level=3, n_frames=6):
     return sg, slice_conditions(sg)
 
 
-def classify(states, window, sg, conds, conceal_fine_layers=2):
-    return classify_loss(states, window, conds, sg.gos.n_coarse, sg.level,
-                         conceal_fine_layers)
-
-
 def cells_of(cond):
     """The (frame, layer) cells a Conditions names, frame-major."""
     return [[t, k] for t in range(cond.lo, cond.hi)
@@ -374,6 +369,45 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
                     assert states[t, k - 1] == R, (t, k - 1)
 
 
+@given(gos_strategy(), st.integers(1, 16), st.data())
+@settings(max_examples=80, deadline=None)
+def test_only_a_blackout_hold_conceals_fine_cells(gos, n_frames, data):
+    """Under any drop mask, batch or streaming, a fine cell is CONCEALED
+    only in a frame that received no coarse cell, where the blackout hold
+    repeats a whole frame; lost fine cells are never predicted. Every
+    RECEIVED cell equals the sent token."""
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tokens = rng.integers(0, 4, size=(n_frames, gos.n_layers))
+    tokens[:, level:] = 0
+    model = UniformModel(4)
+
+    def carry(packets):
+        return [p for p in packets if data.draw(st.booleans())]
+
+    if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
+        sg = build_slice_grid(n_frames, gos, level)
+        packets, _ = send_tokens(
+            TokenGrid(tokens, np.full(n_frames, level), 4), sg, model)
+        got, states, _ = receive_tokens(carry(packets), sg, model)
+    else:
+        stride = data.draw(st.integers(1, 4))
+        lookahead = data.draw(st.integers(0, 3))
+        context = stride + lookahead + data.draw(st.integers(0, 4))
+        cfg = StreamConfig(stride, lookahead, context, context)
+        tx = StreamSender(gos, cfg, model, level=level)
+        rx = StreamReceiver(gos, cfg, model, level=level)
+        for em in tx.push(tokens):
+            rx.step(carry(em.packets))
+        tail, total = tx.flush()
+        rx.finish([carry(em.packets) for em in tail], total)
+        got, states = rx.result()
+    held = ~(states[:, :gos.n_coarse] == R).any(axis=1)
+    assert not (states[~held, gos.n_coarse:] == C).any()
+    received = states == R
+    np.testing.assert_array_equal(got.tokens[received], tokens[received])
+
+
 def test_propagate_invalid():
     states = np.array([[R, L, R, R], [R, R, R, R], [L, R, C, R]], dtype=np.int8)
     propagate_invalid(states)
@@ -494,27 +528,27 @@ def fresh_states(sg):
 
 
 def test_classify_lost_coarse():
-    sg, conds = small_layout()
+    sg, _ = small_layout()
     states = fresh_states(sg)
     states[2, 0] = L
     states[2, 1:3] = I
-    targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
+    targets = classify_loss(states, range(0, 6), sg.gos.n_coarse)
     assert targets == [(2, 0, LossCase.COARSE)]
 
 
 def test_classify_lost_fine_non_key():
-    sg, conds = small_layout()
+    sg, _ = small_layout()
     states = fresh_states(sg)
     # Unit 2 group 1 lost: frames 1 and 4, layer 1; nothing else is hit.
+    # Lost fine cells are left out, not predicted.
     for t in (1, 4):
         states[t, 1] = L
         states[t, 2] = I
-    targets = classify(states, ConcealmentWindow(0, 6), sg, conds)
-    assert targets == [(1, 1, LossCase.FINE), (4, 1, LossCase.FINE)]
+    assert classify_loss(states, range(0, 6), sg.gos.n_coarse) == []
 
 
 def test_classify_coarse_lost_outside_window():
-    sg, conds = small_layout()
+    sg, _ = small_layout()
     states = fresh_states(sg)
     # Unit 1 coarse lost -> frames 0 and 3; all fine in the GoS undecodable.
     for t in (0, 3):
@@ -522,31 +556,12 @@ def test_classify_coarse_lost_outside_window():
         states[t, 1:3] = I
     for t in (1, 2, 4, 5):
         states[t, 1:3] = I
-    # A window that excludes the lost coarse frames conceals fine layers
-    # from local context.
-    targets = classify(states, ConcealmentWindow(1, 3), sg, conds)
-    want = [(t, k, LossCase.COARSE_CONTEXT) for t in (1, 2) for k in (1, 2)]
-    assert sorted(targets) == sorted(want)
-    # A window that contains a lost coarse frame defers those fine cells.
-    targets = classify(states, ConcealmentWindow(0, 3), sg, conds)
+    # Frames that exclude the lost coarse frames give no targets: their
+    # invalid fine cells are left out.
+    assert classify_loss(states, range(1, 3), sg.gos.n_coarse) == []
+    # Frames that hold a lost coarse cell give that cell alone.
+    targets = classify_loss(states, range(0, 3), sg.gos.n_coarse)
     assert targets == [(0, 0, LossCase.COARSE)]
-
-
-def test_classify_respects_conceal_fine_layers():
-    sg, conds = small_layout()
-    states = fresh_states(sg)
-    # Unit 1 coarse lost outside the window: frames 1 and 2 lose their
-    # fine layers to a broken condition.
-    for t in (0, 3):
-        states[t, 0] = L
-        states[t, 1:3] = I
-    for t in (1, 2, 4, 5):
-        states[t, 1:3] = I
-    targets = classify(states, ConcealmentWindow(1, 3), sg, conds,
-                       conceal_fine_layers=1)
-    # Cap 1 fine layer: only layer 1 is concealed, layer 2 stays invalid.
-    assert sorted(targets) == [(t, 1, LossCase.COARSE_CONTEXT)
-                               for t in (1, 2)]
 
 
 def test_conceal_mask_shapes_and_errors():
@@ -555,7 +570,7 @@ def test_conceal_mask_shapes_and_errors():
     states[2, 1] = L
     states[2, 2] = I
     win = ConcealmentWindow(0, 6)
-    targets = [(2, 1, LossCase.FINE)]
+    targets = [(2, 1, LossCase.COARSE)]
     lo, visible, cells = build_conceal_mask(targets, states, win)
     assert lo == 0
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])
@@ -563,7 +578,7 @@ def test_conceal_mask_shapes_and_errors():
     with pytest.raises(ValueError):
         build_conceal_mask([], states, win)
     with pytest.raises(ValueError):
-        build_conceal_mask([(9, 1, LossCase.FINE)], states, win)
+        build_conceal_mask([(9, 1, LossCase.COARSE)], states, win)
 
 
 def test_conceal_mask_excludes_concealed_cells():
@@ -572,7 +587,7 @@ def test_conceal_mask_excludes_concealed_cells():
     states[1, 1] = C  # previously concealed: usable output, not context
     states[2, 1] = L
     states[2, 2] = I
-    _, visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
+    _, visible, _ = build_conceal_mask([(2, 1, LossCase.COARSE)], states,
                                        ConcealmentWindow(0, 6))
     assert visible[1] == 1
 
@@ -581,6 +596,6 @@ def test_conceal_mask_level_cap():
     sg, _ = small_layout(level=2)
     states = fresh_states(sg)
     states[2, 1] = L
-    _, visible, _ = build_conceal_mask([(2, 1, LossCase.FINE)], states,
+    _, visible, _ = build_conceal_mask([(2, 1, LossCase.COARSE)], states,
                                        ConcealmentWindow(0, 6))
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])

@@ -177,14 +177,14 @@ GOLDEN = {
     "batch/8/0.1": {
         "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
         "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
-        "received": "454115f45698f82397e3947a3b3c8136a19c1dae84963cdc63a0b6f90f20135d",
-        "receiver": "d5930db16b452b226db0e24e4164b48c0e2bd8afc22d06922edbd4e09f85f9cf",
+        "received": "a9b54e00ab06c7dd5b095974843aca8cdda5c84905ba4c5b8deb0eaa26dfb1da",
+        "receiver": "9c1677f07c1c78cc7d7256906faee546e9fd28ad8f8804ba719c9e3bcf8e1d30",
     },
     "batch/8/0.3": {
         "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
         "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
-        "received": "db37cd7c9ad183bca9b208bc40790229d443f5ebf9b0e4964ba28763bcd2648d",
-        "receiver": "7adf230c4f3d547faace22d83818a0834fc9efde800db3faa2eeaef07ef152f8",
+        "received": "d1e2f02e5fddc8aed53fb208d50038bef6233a79f123bcaf16241a95f8dee7bd",
+        "receiver": "456563d231c24074160dcfcab6502f72ebbb6382a8a4719e9324e581cabd0472",
     },
     "batch/8/blackout": {
         "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
@@ -195,8 +195,8 @@ GOLDEN = {
     "batch/8/markov": {
         "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
         "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
-        "received": "3eaeef36c27099e8495cb8d0a7429c825a91c241bc6fb69cbda7947661d34f1d",
-        "receiver": "fffb3b0c4f4f5c4197798309d23e62be270ec1d1e2dfd7e7cac3ac4e537ed02f",
+        "received": "c144d2b7d212417b0ee330681bb1fb5d97a2460786f618a28c592643b3806ced",
+        "receiver": "6756aa9468dfa553741e9c6d2fafc24ee244d5e27597a17b469a2e2a1ec141a6",
     },
     "batch/5/lossless": {
         "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
@@ -207,14 +207,14 @@ GOLDEN = {
     "batch/5/0.1": {
         "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
         "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
-        "received": "a6931947525ead1f1d00dd0021d4a155c303c29f310983b68f3ccac729339500",
-        "receiver": "aff3939a611aa909b470f397e6828e6016bea41c212c08684b6462903e47e756",
+        "received": "1f3649aedf93ea722857b2b95fcdb54a3b4321f1acda2ad95cc7ef6d9ddfd67b",
+        "receiver": "f4084ea004a82e6cc1cd6be6365d9baa4869b1f280eea5c9d17edde482ca2047",
     },
     "batch/5/0.3": {
         "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
         "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
-        "received": "15751b3cc563f3485431629c7c8e5deacc7859957b5d016c958db8444ff6baa7",
-        "receiver": "a687015f4a69b00d52796edbae4a5d81728cb1aa6139fb20883702b3473aed12",
+        "received": "ac4fdb98ac60be3e11fbcfe0a3ca54a1faff250452e9680e340da361c274c4ac",
+        "receiver": "b58464fc610e565e1ecd20e3d3d71b39ce175946df43f5c1d96ac98c3a9630a3",
     },
     "batch/5/blackout": {
         "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
@@ -237,26 +237,26 @@ GOLDEN = {
     "stream/default/0.1": {
         "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
         "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "050a92d57243235f60998edf11e634cf0862e100c03989c2828e7d08bc91bac0",
-        "receiver": "e584ed92a36895e550d42f72b9c4964e7f508effa84a0137a8e410d48116c99e",
+        "received": "110f05cd7961a49533a2cbe7952d3076b8479a3e7c01c6530b9765e9107b66d6",
+        "receiver": "6bf581d26aa87ad6f6de40358d32db23b4701c45c66ea5ea05aba55a96237c8c",
     },
     "stream/default/0.3": {
         "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
         "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "a8b46250a20857ee2f1fd3e822547be2a02d4774a5e95597c9798c22d83eb14f",
-        "receiver": "6209eea9c9d7be62852dcecc0ba4fbae7478eaf0da924f204c68c97c43de33be",
+        "received": "0eac259c82b7331996af16e13a8080090db79cc7db06395c73218db5eb4b8df7",
+        "receiver": "1985361e6726a704cad26461b440b3bdf570dab92347b217917b346866038308",
     },
     "stream/default/blackout": {
         "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
         "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "6838f8f88e51ac3aa71476d9b1652566fed0c7089c585d46b665ce35e589f293",
-        "receiver": "6bb45c5e3f7f7098a4dad47d16d6fe93908dc6fc121a8c28ec640bcd00c7d604",
+        "received": "020254e5e195240afe82be663396259da01d3d6ab7c4cb5171f386a3cddf19ac",
+        "receiver": "1fd0c2d20607a9130bee99b1795230e12c4739bb7dfc798c638ae1120db83048",
     },
     "stream/default/markov": {
         "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
         "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "03a310cdc636d3d90803bbb292dad3968bf285bfd20e3b925a22d3fe743d9882",
-        "receiver": "30b0477d60cee31bdd9af865d627b47beab1f29e4657db108b5cc19bbf48aae5",
+        "received": "5fee2c7536d0725f9fbaeba7c2a5f52896698830c239854db84b0907452df4b2",
+        "receiver": "12d0246b527f8b383de12712b7ae85757c0d16a02ac5e2bc44cc6ca51bff9328",
     },
     "stream/stride1/lossless": {
         "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
@@ -267,14 +267,14 @@ GOLDEN = {
     "stream/stride1/0.1": {
         "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
         "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
-        "received": "b6a559a09eb9b7fbe7adee050afb81126bea126b0c081a09aa3c43bfdba28608",
-        "receiver": "a8f2db97b14c51929d36c54b54600268d852412ad5d0b146f30374683d7d6b90",
+        "received": "131d6a2f50bb080d7f8d599f3128941f584ca6541d01277e3616981d9f474346",
+        "receiver": "f69a27598a020ad01258359ea58dac49a24a777847fd4fb436125bb2a3fad8ec",
     },
     "stream/stride1/0.3": {
         "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
         "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
-        "received": "f4369f0f159bd19fc0e239b13e2d2dacc428f054b9d38c2712a49a0623c63422",
-        "receiver": "0951ac5f99c571d1c7b18f6ec3c89dcc69b0d11f37efc2497ecb3fcb9c0c1a3f",
+        "received": "ef5b8945f7d694d55a3fcf46167b05bfb38a860accd2179852e9461657150ccf",
+        "receiver": "19ffb3704119adb8e1c6db3c31f2cb25480bae855e46f3909f1697ac08de6bbc",
     },
     "stream/stride1/blackout": {
         "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
@@ -285,8 +285,8 @@ GOLDEN = {
     "stream/stride1/markov": {
         "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
         "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
-        "received": "9f24b44ed636069da98f0c5bbbd64d782318c15ef73e79775be9fb1fd0999d8a",
-        "receiver": "b3f7843ced25435765876692c3b31c90d9eb6a8397d39bfd4a8afee469b501bc",
+        "received": "aca6ca48982abc974fccc1270fa57008545dbe1311dd2f1689af100defdf2e29",
+        "receiver": "618347a07b594bb2f7197b141025e571debb4bb26563a67cb6e588547cb7e024",
     },
     "stream/wide/lossless": {
         "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
@@ -297,14 +297,14 @@ GOLDEN = {
     "stream/wide/0.1": {
         "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
         "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
-        "received": "df23d470ce2ed1939240a2f1d7ceb90a0979c9a67bba2fb2535c0cc9092a339f",
-        "receiver": "8811fa51a96dc41a2651c153ffc2bbf8a23b8c738d1107bc56dd415d336e5511",
+        "received": "41a8e8d30311ee23d70db91fc7028aa20fa05cf55ef8e50e325a01a29bb253a3",
+        "receiver": "836547cda23e057c1b63e20497b001447447064c5d7ca13af3be58636b4a2716",
     },
     "stream/wide/0.3": {
         "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
         "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
-        "received": "2a77fd12a588c23343c6383be4badf5f29f1ac36916c4cc177f125dd5efb1821",
-        "receiver": "c6454c016fecf6a570e51c87fcebe4c796941cbb73ec1b26c76144b4285ce21b",
+        "received": "6185b6b7a99b4a7e8c50674b9e5be36c1132213e3f64cb96406798a8b8763937",
+        "receiver": "0fca21c34b6592daf56139256ae5724f602a2d57ae07c9e29aeea44cbb07a6ee",
     },
     "stream/wide/blackout": {
         "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
@@ -315,8 +315,8 @@ GOLDEN = {
     "stream/wide/markov": {
         "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
         "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
-        "received": "f853cae08617a417e9459a208dd14897ca546bac2899237c32dee87817940295",
-        "receiver": "d6abcbe6663c8daef3bbe170d453629ab4a9e999b5d1625096c9a128c798c3a4",
+        "received": "83e3423f334984477f0c4641bc7b38ed8c1232067dc78dcb7df4a6861090373f",
+        "receiver": "40651062a7f9b9098f2855537ada9efb79fcf2459f453051f5d9ed26585aa2a5",
     },
     "batch/units4/lossless": {
         "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
@@ -327,14 +327,14 @@ GOLDEN = {
     "batch/units4/0.1": {
         "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
         "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
-        "received": "7a9b205d6af43e22abc0d5b277295aba8fa7e654676b88ce64eb244ac091ff25",
-        "receiver": "82d88df22629a16e690e76f47fd877a7eae8461bb5afb7eedcbe33812c9a1a15",
+        "received": "1f0159375c3032232f98662503b30b73d29cf44715f02f67ad427f95a74acf66",
+        "receiver": "78513302a526898314d4dbd329971cdc385e3505a3ce4250770e3d177fadff51",
     },
     "batch/units4/0.3": {
         "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
         "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
-        "received": "1fce97adcdfc2b0f1403f7065ab9416b15f7ca08e0e120da018d5aa55677732b",
-        "receiver": "13b20bbdeb14e0b9d3ae64ac19640b88313f71a49a44c6f34bb2970d516e772b",
+        "received": "4472829e78149ff48e6e34ed98b2a0ea21eda215c167310d0bf4bb694772f1f8",
+        "receiver": "3bc00a8cff58d4aff827a50904d35b1d3c0cf302d081bf46a2fdf231053e1bcf",
     },
     "batch/units4/blackout": {
         "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
@@ -345,8 +345,8 @@ GOLDEN = {
     "batch/units4/markov": {
         "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
         "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
-        "received": "79cb1630be0c22a94b962f2a2f0af0cd6532e1d7ca5ad9d5669fc86f7d8c4424",
-        "receiver": "7ae84846453e7a55c1a147343ed146fa64bc2ffe3852926d982179e1663c5b98",
+        "received": "a4ebf9b984d529cf27d0aab6cbf4d904ce50d4a07a3cebf01e4b79b3e651e741",
+        "receiver": "0922a4eec020af92facd53190bb991cfb10fb6fb0f5f2f34037f403bac5e3c50",
     },
     "batch/tail/lossless": {
         "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
@@ -357,14 +357,14 @@ GOLDEN = {
     "batch/tail/0.1": {
         "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
         "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
-        "received": "61aef9b4700e3e2ab0baf1d970a30bffa156a7ef17d1f3e9e36a06b2b205ac40",
-        "receiver": "8a5c2d0b47a7af61341f40d9aeb91bc2f65d768a6652ca703f9b9e327768b980",
+        "received": "9bd8afe19f891d3afc2206ded0fff327feeaa19278e4aec973cb0f65af60952f",
+        "receiver": "274fe5982e45be43a7a33cae55bba52ace635fecf7290c64c243a891dd20989e",
     },
     "batch/tail/0.3": {
         "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
         "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
-        "received": "1dc3cf322643f6e1b4099c501504c9abbac657c8b16113624cd7fab9a3d615f4",
-        "receiver": "98d0514ac6c48de79ccd161c984abe53ab99d6a4e2171f067ad187785cffde9d",
+        "received": "ad52144b0c9992f6b8b3420837fe18e03554fed31ee964329599358e3c855578",
+        "receiver": "eff2a156266f1539788d33cd5f8b4bf5f38f2d01debb50f56544ca164d450ea4",
     },
     "batch/tail/blackout": {
         "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
@@ -375,8 +375,8 @@ GOLDEN = {
     "batch/tail/markov": {
         "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
         "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
-        "received": "6e12d9d06143f542f01200b50b505f4ce1ff34e759d8b19b7502b3ae0f149f25",
-        "receiver": "1adf7eaad067d5d7a0610b3f9e88676394cdec3bb2574956b8f820cbfeb6401c",
+        "received": "de1b8a5304063d8bddb890aa895e9ace18f090fd933041ae7e3115ab8fdc44eb",
+        "receiver": "fdff68ad98c261a8826cab3bc34deab3d067ee36a492d2746168ada720ddfa1a",
     },
     "stream/tight/lossless": {
         "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
@@ -387,26 +387,26 @@ GOLDEN = {
     "stream/tight/0.1": {
         "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
         "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "7f212666586e6944f86eded7be13c0dbec53e9f012124a8db602fa83ba3bd23d",
-        "receiver": "a9fee54d9de9e7d206ebadc151bfa98dec3a967628ec0ae315723c442dafc6ab",
+        "received": "9011ffee1ce160cb82e56c3321029169ec62bf28de64c69906fce8deca24ea1e",
+        "receiver": "4ee10e13540147a9cfc5f0c5c43e92dee7ec8aaa96f7a4bf1f513fe7626b70b2",
     },
     "stream/tight/0.3": {
         "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
         "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "9c57e32309de537ea8f4271a09fffe6bf99192bc069a202ca31ab4b182e6982c",
-        "receiver": "13ea3fb13d05d827f4d0e232fece94003345937eb10e62edabf34bbbb4b12e83",
+        "received": "6639a3e886a84a81a546feaf87966389fa16660d39dcccb2e02fd4bcb0b0646e",
+        "receiver": "612a5fab2d9edad13223244203f6a05011311f53d2ef063c713375e615dd89a2",
     },
     "stream/tight/blackout": {
         "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
         "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "212b7f360ad32371f9f9fa6d2831d87845c0b38b6f413258a5b407113f799259",
-        "receiver": "604f44ad6688e96c314110afde93248743fdfd9db11561db20d9ccc2645301c0",
+        "received": "1394e79c67cbe42915a0b8c96bdfbfff9877965a9af375f9946bea22d4f31e21",
+        "receiver": "3494aee47243712985e7d3845ff1a3028d745ad76fe71fe6b3f159c4c595b7d1",
     },
     "stream/tight/markov": {
         "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
         "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "12e4c74e072a5bfa4123094946430aed46f5f57c4335b4c4059c23f19c74a8ab",
-        "receiver": "1a3a3979e439a8e71eaa0749929433887b2fb280b9f33fb63d73f8225c5508b1",
+        "received": "4b8f940f0ea55123332cec00ceea970bd0b165f3e120866c4d5049c63406b0ea",
+        "receiver": "c123c328a44f744f843f36eada6e4102903efe95971c649cd34cc2961034eef3",
     },
 }
 

@@ -137,17 +137,18 @@ def test_lost_fine_slice_costs_only_its_own_cells():
     packets, _ = send_tokens(grid, sg, model)
     got, states, rrep = receive_tokens(drop(sg, packets, SliceId(0, 1, 1)),
                                        sg, model)
-    # Unit 1 holds frames 0 and 3: their layer 1 is concealed, and layer 2,
-    # delivered but stacked on a concealed cell, stays out of the prefix.
+    # Unit 1 holds frames 0 and 3: their lost layer 1 is left out, not
+    # guessed, and layer 2, delivered but stacked on the missing cell,
+    # stays out of the prefix.
     for t in (0, 3):
-        assert states[t].tolist() == [R, C, I]
-        assert got.level[t] == 2
+        assert states[t].tolist() == [R, L, I]
+        assert got.level[t] == 1
     # Every other frame decodes in full: no fine slice is coded against
     # another's cells.
     for t in (1, 2, 4, 5):
         assert (states[t] == R).all()
         np.testing.assert_array_equal(got.tokens[t], grid.tokens[t])
-    assert rrep.case_counts == {3: 2}
+    assert rrep.case_counts == {}
 
 
 def test_blackout_repeats_last_good_frame():
@@ -198,7 +199,7 @@ def test_receive_rejects_bad_packets():
         receive_tokens([wide] + packets[1:], sg, model)
 
 
-def test_refused_fine_payload_is_concealed():
+def test_refused_fine_payload_is_left_out():
     rng = np.random.default_rng(29)
     grid = random_grid(rng, 6, 3, 16)
     sg = build_slice_grid(6, GOS, 3)
@@ -212,11 +213,13 @@ def test_refused_fine_payload_is_concealed():
                        p.payload + b"\x00")
         out.append(p)
     got, states, rrep = receive_tokens(out, sg, model)
-    # The broken slice's cells end up concealed, not silently wrong, and
-    # the layers stacked on top of them stay out of the usable prefix.
-    assert states[1, 1] == C and states[4, 1] == C
-    assert rrep.state_counts["concealed"] >= 2
-    assert got.level[1] == 2 and got.level[4] == 2
+    # The broken slice's cells end up lost like a drop, not silently
+    # wrong, and the layers stacked on top of them stay out of the usable
+    # prefix.
+    for t in (1, 4):
+        assert states[t].tolist() == [R, L, I]
+        assert got.level[t] == 1
+    assert 3 not in rrep.case_counts
 
 
 def test_sender_report_accounting():
@@ -248,7 +251,7 @@ def test_state_counts_partition_cells():
     kept = [p for i, p in enumerate(packets) if i % 3 != 1]
     _, _, rrep = receive_tokens(kept, sg, model)
     assert sum(rrep.state_counts.values()) == 12 * 3
-    assert set(rrep.case_counts) <= {1, 2, 3}
+    assert set(rrep.case_counts) <= {1}
 
 
 def test_trained_model_beats_uniform_on_structured_tokens():
@@ -332,6 +335,34 @@ def test_audio_wrappers_lossless(mini_stack, mini_cfg):
                    mini_stack.codec),
         mini_stack.codec_cfg, mini_cfg.sample_rate)
     np.testing.assert_allclose(audio.samples, direct.samples, atol=1e-12)
+
+
+def test_receive_accepts_and_ignores_conceal_fine_layers(mini_stack,
+                                                        mini_cfg):
+    """``conceal_fine_layers``, also passed as the 11th positional
+    argument, is accepted and changes nothing: fine cells are never
+    predicted."""
+    from tokenwire.audio import analyze
+    from tokenwire.synthetic import synth_audio
+    clip = synth_audio(mini_cfg.clip_frames * mini_cfg.frame_len, 98,
+                       mini_cfg.sample_rate)
+    st = mini_stack
+    packets, _ = send(analyze(clip, st.codec_cfg), st.codec, st.count_model,
+                      st.gos)
+    trace = np.arange(len(packets)) % 3 != 1
+    outs = [receive(packets, trace, st.codec, st.codec_cfg, st.count_model,
+                    st.gos, mini_cfg.n_layers, mini_cfg.clip_frames,
+                    mini_cfg.sample_rate, mini_cfg.conceal_window, k)
+            for k in (0, 2, 7)]
+    audio, grid, rrep = outs[0]
+    assert rrep.state_counts["lost"] + rrep.state_counts["invalid"] > 0
+    for other_audio, other_grid, other_rep in outs[1:]:
+        np.testing.assert_array_equal(other_audio.samples, audio.samples)
+        np.testing.assert_array_equal(other_grid.tokens, grid.tokens)
+        np.testing.assert_array_equal(other_grid.level, grid.level)
+        assert other_rep.state_counts == rrep.state_counts
+        assert other_rep.case_counts == rrep.case_counts
+        assert other_rep.n_blackouts == rrep.n_blackouts
 
 
 def test_receive_trace_mismatch(mini_stack, mini_cfg):

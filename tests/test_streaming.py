@@ -27,16 +27,15 @@ def make_tokens(seed: int, n_frames: int, vocab: int = 16) -> np.ndarray:
     return rng.integers(0, vocab, size=(n_frames, 3)).astype(np.int32)
 
 
-def drive(tokens, keep=None, model=None, level=None, cfl=2,
-          gos=GOS, stream=STREAM):
+def drive(tokens, keep=None, model=None, level=None, gos=GOS,
+          stream=STREAM):
     """Push one frame at a time through a sender/receiver pair.
 
     ``keep(emission, packet)`` decides delivery; default keeps everything.
     """
     model = UniformModel(16) if model is None else model
     tx = StreamSender(gos, stream, model, level=level)
-    rx = StreamReceiver(gos, stream, model, level=level,
-                        conceal_fine_layers=cfl)
+    rx = StreamReceiver(gos, stream, model, level=level)
     keep = keep if keep is not None else (lambda em, p: True)
     releases = []
     for t in range(len(tokens)):
@@ -161,7 +160,7 @@ def test_coarse_only_stream_has_no_fine_packets():
 def test_fine_loss_concealed_at_release_then_context_stays_clean():
     # Fine slices are coded against coarse cells only, so one lost fine
     # packet costs its own cells, those of its step's due frames, and no
-    # later frame's.
+    # later frame's. The lost cells are left out, not guessed.
     T = 18
     tokens = make_tokens(47, T)
 
@@ -171,18 +170,18 @@ def test_fine_loss_concealed_at_release_then_context_stays_clean():
     grid, states, releases, _, rx = drive(tokens, keep=keep)
     r1 = releases[1]
     assert r1.due == (3, 6)
-    assert r1.states.tolist() == [[R, C, I]] * 3
-    assert r1.valid_depth.tolist() == [2, 2, 2]
+    assert r1.states.tolist() == [[R, L, I]] * 3
+    assert r1.valid_depth.tolist() == [1, 1, 1]
     # the released copy is final: the result never rewrites those rows
     np.testing.assert_array_equal(grid.tokens[3:6], r1.tokens)
     assert np.all(states[:3] == R) and np.all(states[6:] == R)
     np.testing.assert_array_equal(grid.tokens[:3], tokens[:3])
     np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
-    assert rx.case_counts == {3: 3}
+    assert rx.case_counts == {}
     assert rx.n_blackouts == 0
 
 
-def test_mangled_fine_payload_is_concealed_like_a_drop():
+def test_mangled_fine_payload_is_left_out_like_a_drop():
     # The streaming twin of the batch refused-payload test: a fine packet
     # whose payload does not decode leaves its cells LOST, exactly as if
     # the packet had been dropped. No canonical payload ends in a zero
@@ -207,10 +206,44 @@ def test_mangled_fine_payload_is_concealed_like_a_drop():
     tail, total = tx.flush()
     releases += rx.finish([carry(em) for em in tail], total)
     grid, states = rx.result()
-    assert releases[0].states.tolist() == [[R, C, I]] * 3
+    assert releases[0].states.tolist() == [[R, L, I]] * 3
+    assert 3 not in rx.case_counts
     np.testing.assert_array_equal(states, dropped[1])
     np.testing.assert_array_equal(grid.tokens, dropped[0].tokens)
     assert rx.case_counts == dropped[4].case_counts
+
+
+def test_receiver_accepts_and_ignores_conceal_fine_layers():
+    # The knob is accepted and changes nothing: fine cells are never
+    # predicted, so every setting releases the same frames.
+    tokens = make_tokens(52, 18)
+    model = UniformModel(16)
+
+    def carry(em):
+        return [p for p in em.packets if (em.step + p.group) % 3 != 1]
+
+    runs = []
+    for k in (0, 2, 7):
+        tx = StreamSender(GOS, STREAM, model)
+        rx = StreamReceiver(GOS, STREAM, model, conceal_fine_layers=k)
+        releases = [rx.step(carry(em)) for t in range(len(tokens))
+                    for em in tx.push(tokens[t:t + 1])]
+        tail, total = tx.flush()
+        releases += rx.finish([carry(em) for em in tail], total)
+        grid, states = rx.result()
+        runs.append((grid, states, releases, rx))
+    grid, states, releases, rx = runs[0]
+    assert np.any(states != R)
+    for other_grid, other_states, other_releases, other_rx in runs[1:]:
+        np.testing.assert_array_equal(other_grid.tokens, grid.tokens)
+        np.testing.assert_array_equal(other_grid.level, grid.level)
+        np.testing.assert_array_equal(other_states, states)
+        for a, b in zip(other_releases, releases, strict=True):
+            assert a.due == b.due
+            np.testing.assert_array_equal(a.tokens, b.tokens)
+            np.testing.assert_array_equal(a.states, b.states)
+        assert other_rx.case_counts == rx.case_counts
+        assert other_rx.n_blackouts == rx.n_blackouts
 
 
 def test_foreign_packets_are_rejected_without_growing_the_buffer():
@@ -409,16 +442,16 @@ def test_tail_outage_keeps_received_coarse_and_conceals_the_rest():
     assert np.all(states[0:3] == R)
     # frames 3..5: coarse rode step 0, fine was lost with step 1; step 1's
     # window ends at step 0's horizon, so its fine cells are decodable but
-    # missing: the first fine layer is concealed as Case 3, the one above
-    # it stays invalid
+    # missing: the first fine layer is left out as lost, the one above it
+    # stays invalid
     assert np.all(states[3:6, 0] == R)
-    assert np.all(states[3:6, 1] == C)
+    assert np.all(states[3:6, 1] == L)
     assert np.all(states[3:6, 2] == I)
     # frames 6..8: coarse lost and never repaired, concealed as Case 1
     assert np.all(states[6:9, 0] == C)
     assert np.all(states[6:9, 1:] == I)
-    assert rx.case_counts == {1: 3, 3: 3}
-    assert grid.level.tolist() == [3, 3, 3, 2, 2, 2, 1, 1, 1]
+    assert rx.case_counts == {1: 3}
+    assert grid.level.tolist() == [3, 3, 3, 1, 1, 1, 1, 1, 1]
     np.testing.assert_array_equal(grid.tokens[3:6, 0], tokens[3:6, 0])
 
 
