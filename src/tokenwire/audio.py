@@ -102,13 +102,17 @@ def write_wav(path: str | Path, signal: AudioSignal) -> None:
 
 
 def read_wav(path: str | Path) -> AudioSignal:
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise ValueError("only mono WAV input is supported")
-        if fh.getsampwidth() != 2:
-            raise ValueError("only 16-bit PCM WAV input is supported")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1:
+                raise ValueError("only mono WAV input is supported")
+            if fh.getsampwidth() != 2:
+                raise ValueError("only 16-bit PCM WAV input is supported")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except (EOFError, wave.Error) as exc:
+        reason = str(exc) or "it ends early"
+        raise ValueError(f"not a WAV file: {reason}") from None
     pcm = np.frombuffer(raw, dtype="<i2")
     return AudioSignal(pcm.astype(np.float64) / 32768.0, rate)
 

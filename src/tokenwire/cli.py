@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import CodecConfig, analyze, read_audio, write_audio
+from .audio import CodecConfig, analyze, read_audio, synthesize, write_audio
 from .context import load_count_model, model_digest, save_count_model
 from .errors import ConfigError, DecodeError
 from .experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
@@ -27,7 +27,7 @@ from .experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
 from .grid import GosConfig, StreamConfig
 from .metrics import si_snr
 from .pipeline import receive, send
-from .rvq import load_codec, quantize, save_codec
+from .rvq import dequantize, load_codec, quantize, save_codec
 from .streaming import StreamReceiver, StreamSender
 from .transport import (BernoulliChannel, channel_from_spec, load_channel,
                         read_packets, read_trace, write_packets, write_trace)
@@ -68,6 +68,19 @@ def _artifact(loader, path):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_manifest(path) -> dict:
+    """The manifest ``encode`` wrote, with every field ``decode`` reads."""
+    manifest = _read_json(path)
+    for name in ("codec_sha256", "model_sha256", "gos", "frame_len",
+                 "level", "n_frames", "sample_rate"):
+        if name not in manifest:
+            raise ValueError(f"{name} missing")
+    for name in ("gos_len", "n_units", "layer_bounds"):
+        if name not in manifest["gos"]:
+            raise ValueError(f"gos.{name} missing")
+    return manifest
 
 
 def _train_cfg(args) -> ExperimentConfig:
@@ -159,7 +172,7 @@ def cmd_channel(args) -> int:
 
 def cmd_decode(args) -> int:
     out_dir = Path(args.dir)
-    manifest = _artifact(_read_json, out_dir / "manifest.json")
+    manifest = _artifact(_read_manifest, out_dir / "manifest.json")
     codec = _artifact(load_codec, args.codec)
     model = _artifact(load_count_model, args.model)
     if _sha256(args.codec) != manifest["codec_sha256"]:
@@ -194,6 +207,7 @@ def cmd_decode(args) -> int:
                        "n_windows": rep.n_windows,
                        "n_blackouts": rep.n_blackouts,
                        "fec_recovered": rep.fec_recovered,
+                       "n_dropped": rep.n_dropped,
                        "valid_depth": rep.valid_depth.tolist()}, fh, indent=2)
             fh.write("\n")
     return 0
@@ -228,14 +242,12 @@ def cmd_stream(args) -> int:
                for em in tail], total)
     out_grid, _states = rx.result()
 
-    from .rvq import dequantize
-    from .audio import synthesize
     est = synthesize(dequantize(out_grid, codec, out_grid.level), codec_cfg,
                      signal.sample_rate)
     write_audio(args.out, est)
     print(f"wrote {args.out}; max sender latency {tx.max_latency} frames "
           f"(bound {stream.stride + stream.lookahead}); "
-          f"si_snr {si_snr(signal, est):.2f} dB")
+          f"si_snr {si_snr(signal, est):.2f} dB; n_dropped {rx.n_dropped}")
     rep = tx.report
     seconds = signal.samples.size / signal.sample_rate
     fine = rep.fine_bits_per_token

@@ -3,21 +3,19 @@
 The core is shared with the streaming transceiver: ``SliceSender`` turns
 coarse slices into bit-packed packets with chained repair copies and fine
 slices into range-coded packets priced by model PMFs, keeping the sender's
-bit accounting; ``decode_fine`` decodes a fine slice once the coarse cells
-it was coded against are bit-exact; ``conceal_in_window`` holds the last
-usable frame through a coarse blackout and otherwise predicts the lost
-coarse cells with a single model query; a lost or invalid fine cell is
-never guessed and ends its frame's usable depth. Both ends of a fine
-slice take its ``Conditions``: the sender's coding view and the
-receiver's decoding view and decode gate all derive from that one value.
-A fine slice is coded against coarse cells only, so no fine slice waits
-on another: each end prices all the fine slices it handles at once in one
-model query, the batch sender and receiver every fine slice of a clip.
-The encode level is stated once, in the receiver's initial states
-(INVALID from the level up); which cells can be trusted then follows from
-the states by the one prefix rule in ``dependency``. The batch path lays
-a clip out in periodic slices, decodes its fine slices in one call, and
-conceals inside bounded windows.
+bit accounting; ``place_coarse`` writes coarse packets and their repair
+copies; ``decode_fine`` decodes a fine slice once the coarse cells it was
+coded against are bit-exact; ``conceal`` holds the last usable frame
+through a coarse blackout and otherwise predicts the lost coarse cells; a
+lost or invalid fine cell is never guessed and ends its frame's usable
+depth. A packet the receiver cannot place or read is dropped and counted,
+as if lost. Both ends of a fine slice take its ``Conditions``, from which
+the coding view, the decoding view and the decode gate all derive. No
+fine slice waits on another, so each end prices all the fine slices it
+handles in one model query, and the batch receiver conceals every window
+of a clip in one more. The encode level is stated once, in the receiver's
+initial states (INVALID from the level up); which cells can be trusted
+then follows from the states by the one prefix rule in ``dependency``.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ import numpy as np
 
 from .audio import CodecConfig, synthesize
 from .context import PMF_TOTAL, MaskedQuery
-from .dependency import (ConcealmentWindow, build_conceal_mask,
-                         build_windows, classify_loss, decodable,
-                         propagate_invalid, slice_conditions, usable_depth)
+from .dependency import (build_conceal_mask, build_windows, classify_loss,
+                         decodable, propagate_invalid, slice_conditions,
+                         usable_depth)
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
@@ -84,6 +82,7 @@ class ReceiverReport:
     n_frames: int
     level: int
     n_packets_seen: int
+    n_dropped: int  # packets that arrived but could not be placed or read
     fec_recovered: int
     state_counts: dict
     case_counts: dict
@@ -171,14 +170,14 @@ class SliceSender:
 
 
 def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
-                slices: list) -> None:
+                slices: list) -> int:
     """Decode, in place, fine slices given as (cells, payload or None,
     Conditions) triples, priced in one model query.
 
     Conditions name coarse cells only, which decoding never changes. A
     slice whose conditions are not all RECEIVED becomes INVALID. A missing
     payload, or one that does not decode, leaves its cells LOST, like a
-    drop.
+    drop. Returns how many payloads did not decode.
     """
     ready, invalid = [], []
     gate: dict = {}  # one check per distinct Conditions
@@ -194,7 +193,7 @@ def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
         cells = np.concatenate(invalid)
         states[cells[:, 0], cells[:, 1]] = _I
     if not ready:
-        return
+        return 0
     cum, _ = model.pmf(MaskedQuery(tokens, [cond.view(cells)
                                             for cells, _, cond in ready]))
     done, syms = [], []
@@ -211,48 +210,89 @@ def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
         cells = np.concatenate(done)
         tokens[cells[:, 0], cells[:, 1]] = syms
         states[cells[:, 0], cells[:, 1]] = _R
+    return len(ready) - len(done)
 
 
-def unpack_coarse(payload: bytes, vocab: int, count: int) -> np.ndarray:
-    """Coarse tokens of one packet; raises on a token outside ``vocab``."""
-    vals = unpack_bits(payload, token_bits(vocab), count)
-    if vals.size and int(vals.max()) >= vocab:
-        raise DecodeError("coarse token outside vocabulary")
-    return vals
+def _unpack_coarse(data: bytes, vocab: int, count: int):
+    """``count`` tokens in ``data``, or None unless all are in ``vocab``."""
+    try:
+        vals = unpack_bits(data, token_bits(vocab), count)
+    except DecodeError:
+        return None
+    return vals if int(vals.max(initial=0)) < vocab else None
 
 
-def conceal_in_window(model, tokens: np.ndarray, states: np.ndarray,
-                      win: ConcealmentWindow, fill: range, n_coarse: int,
-                      level: int, case_counts: dict) -> int:
-    """Conceal the damaged cells of frames ``fill`` inside ``win`` in place.
+def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
+                 vocab: int, first_open: int) -> tuple:
+    """Write, in place, coarse packets given as (cells, packet, cells of
+    its predecessor or None) links; frames before ``first_open`` are final.
 
-    With no coarse cell received anywhere in the window there is nothing to
-    condition on: every non-received cell of ``fill`` repeats the last
-    fully usable frame before it (zeros without one). Otherwise the lost
-    coarse cells of ``fill`` are predicted from the window in one model
-    query, and damaged fine cells stay as they are, ending their frame's
-    usable depth. Returns 1 on such a blackout, else 0.
-    """
-    if not np.any(states[fill.start:fill.stop, :level] != _R):
-        return 0
-    if not np.any(states[win.start:win.stop, :n_coarse] == _R):
+    A packet whose payload does not unpack into ``vocab`` is dropped with
+    its repair copy; the rest are written in one scatter. Then an open
+    predecessor cell not RECEIVED takes the repair copy, if it unpacks.
+    Returns (repair copies used, packets dropped)."""
+    placed, cells, vals = [], [], []
+    for c, p, prev in links:
+        v = _unpack_coarse(p.payload, vocab, len(c))
+        if v is not None:
+            placed.append((p.fec, prev))
+            cells.append(c)
+            vals.append(v)
+    if cells:
+        cells, vals = np.concatenate(cells), np.concatenate(vals)
+        keep = cells[:, 0] >= first_open
+        t, k = cells[keep].T
+        tokens[t, k] = vals[keep]
+        states[t, k] = _R
+    repaired = 0
+    for fec, prev in placed:
+        if fec and prev is not None:
+            t, k = prev.T
+            need = (states[t, k] != _R) & (t >= first_open)
+            v = _unpack_coarse(fec, vocab, len(prev)) if need.any() else None
+            if v is not None:
+                tokens[t[need], k[need]] = v[need]
+                states[t[need], k[need]] = _R
+                repaired += 1
+    return repaired, len(links) - len(placed)
+
+
+def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
+            n_coarse: int, level: int, case_counts: dict) -> int:
+    """Conceal in place the damaged cells of the frames ``fill`` of each
+    (ConcealmentWindow, fill) job; returns how many were blackouts.
+
+    In a window with no coarse cell received, every non-received cell of
+    ``fill`` repeats the last fully usable frame before it (zeros without
+    one). Otherwise the lost coarse cells of ``fill`` are predicted from
+    the window, all jobs in one model query; damaged fine cells stay as
+    they are. Predictions see RECEIVED cells only, and a hold reads the
+    frames before it, so holds run last, in job order."""
+    views, holds = [], []
+    for win, fill in jobs:
+        if not np.any(states[fill.start:fill.stop, :level] != _R):
+            continue
+        if not np.any(states[win.start:win.stop, :n_coarse] == _R):
+            holds.append(fill)
+            continue
+        targets = classify_loss(states, fill, n_coarse)
+        if targets:
+            views.append(build_conceal_mask(targets, states, win))
+            for _, _, case in targets:
+                case_counts[int(case)] = case_counts.get(int(case), 0) + 1
+    if views:
+        query = MaskedQuery(tokens, views)
+        cells = query.targets
+        tokens[cells[:, 0], cells[:, 1]] = model.predict(query)
+        states[cells[:, 0], cells[:, 1]] = _C
+    for fill in holds:
         usable = np.flatnonzero(usable_depth(states[:fill.start]) == level)
-        src = int(usable[-1]) if len(usable) else None
-        for t in fill:
-            for k in range(level):
-                if states[t, k] != _R:
-                    tokens[t, k] = tokens[src, k] if src is not None else 0
-                    states[t, k] = _C
-        return 1
-    targets = classify_loss(states, fill, n_coarse)
-    if targets:
-        preds = model.predict(MaskedQuery(
-            tokens, [build_conceal_mask(targets, states, win)]))
-        for (t, k, case), z in zip(targets, preds):
-            tokens[t, k] = int(z)
-            states[t, k] = _C
-            case_counts[int(case)] = case_counts.get(int(case), 0) + 1
-    return 0
+        cut = (slice(fill.start, fill.stop), slice(0, level))
+        hole = states[cut] != _R
+        tokens[cut] = np.where(hole, tokens[usable[-1], :level]
+                               if len(usable) else 0, tokens[cut])
+        states[cut][hole] = _C
+    return len(holds)
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -288,67 +328,42 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     return packets, tx.report
 
 
-def _recover_coarse(by_sid: dict, sg: SliceGrid, tokens: np.ndarray,
-                    states: np.ndarray, vocab: int) -> int:
-    """Place delivered coarse tokens, then repair holes from successor
-    packets. Returns how many slices the repair copies saved."""
-    coarse = [sid for sid in sg.slices if sid.group == 0]
-    recovered = 0
-    for i, sid in enumerate(coarse):
-        cells = sg.slices[sid]
-        payload = None
-        if sid in by_sid:
-            payload = by_sid[sid].payload
-        else:
-            nxt = coarse[i + 1] if i + 1 < len(coarse) else None
-            if nxt is not None and nxt in by_sid and by_sid[nxt].fec:
-                payload = by_sid[nxt].fec
-                recovered += 1
-        if payload is None:
-            continue
-        tokens[cells[:, 0], cells[:, 1]] = unpack_coarse(payload, vocab,
-                                                         len(cells))
-        states[cells[:, 0], cells[:, 1]] = _R
-    return recovered
-
-
 def receive_tokens(packets, sg: SliceGrid, model,
                    conceal_window: int = 12) -> tuple:
-    """Decode surviving packets back into a (grid, states, report) triple.
+    """Decode arrived packets back into a (grid, states, report) triple.
 
-    Fine slices decode, all in one call, only once the coarse cells they
-    were coded against are bit-exact at the receiver; anything else is
-    marked lost or invalid. Windowed concealment then predicts the lost
-    coarse cells and holds blackouts. The returned grid's level is the
-    per-frame usable depth (received or concealed prefix).
+    A packet that names no slice of the layout or one already filled, or
+    whose payload cannot be read, is dropped and counted, as if lost. Fine
+    slices decode, all in one call, only once the coarse cells they were
+    coded against are bit-exact; anything else is marked lost or invalid.
+    Windowed concealment then predicts the lost coarse cells and holds
+    blackouts. The grid's level is the per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
     tokens = np.zeros((T, K), dtype=np.int32)
     states = initial_states(T, K, sg.level)
 
-    # (group, first frame) -> (slice, its frame count), read off the cells
-    extents = {}
+    extents = {}  # (group, first frame) -> (slice, its frame count)
     for sid, cells in sg.slices.items():
         first_frame, n_frames = _packet_extent(cells)
         extents[sid.group, first_frame] = sid, n_frames
     by_sid: dict = {}
+    n_dropped = 0
     for p in packets:
-        if (p.group, p.first_frame) not in extents:
-            raise DecodeError(f"packet (group {p.group}, frame "
-                              f"{p.first_frame}) does not match the layout")
-        sid, n_frames = extents[p.group, p.first_frame]
-        if sid in by_sid:
-            raise DecodeError(f"duplicate packet for slice {tuple(sid)}")
-        if p.n_frames != n_frames:
-            raise DecodeError(f"packet extent disagrees with layout "
-                              f"for slice {tuple(sid)}")
-        by_sid[sid] = p
+        sid, n_frames = extents.get((p.group, p.first_frame), (None, 0))
+        if p.n_frames != n_frames or sid in by_sid:
+            n_dropped += 1
+        else:
+            by_sid[sid] = p
 
-    fec_recovered = _recover_coarse(by_sid, sg, tokens, states, vocab)
+    coarse = [sid for sid in sg.slices if sid.group == 0]
+    fec_recovered, dropped = place_coarse(tokens, states, [
+        (sg.slices[sid], by_sid[sid], sg.slices[coarse[i - 1]] if i else None)
+        for i, sid in enumerate(coarse) if sid in by_sid], vocab, 0)
 
     conditions = slice_conditions(sg)
-    decode_fine(model, tokens, states, [
+    n_dropped += dropped + decode_fine(model, tokens, states, [
         (cells, by_sid[sid].payload if sid in by_sid else None,
          conditions[int(cells[0, 0])])
         for sid, cells in sg.slices.items() if sid.group > 0])
@@ -357,11 +372,9 @@ def receive_tokens(packets, sg: SliceGrid, model,
 
     windows = build_windows(states, sg.level, conceal_window)
     case_counts: dict = {}
-    n_blackouts = 0
-    for win in windows:
-        n_blackouts += conceal_in_window(
-            model, tokens, states, win, range(win.start, win.stop),
-            sg.gos.n_coarse, sg.level, case_counts)
+    n_blackouts = conceal(
+        model, tokens, states, [(w, range(w.start, w.stop)) for w in windows],
+        sg.gos.n_coarse, sg.level, case_counts)
 
     depth = usable_depth(states)
     grid = TokenGrid(tokens, depth, vocab)
@@ -370,13 +383,12 @@ def receive_tokens(packets, sg: SliceGrid, model,
     encoded = states[:, :sg.level]
     state_counts = {name: int(np.count_nonzero(encoded == code))
                     for code, name in names.items()}
-    report = ReceiverReport(
+    return grid, states, ReceiverReport(
         n_frames=T, level=sg.level, n_packets_seen=len(packets),
-        fec_recovered=fec_recovered, state_counts=state_counts,
-        case_counts=case_counts, n_windows=len(windows),
-        n_blackouts=n_blackouts, valid_depth=depth.copy(),
-    )
-    return grid, states, report
+        n_dropped=n_dropped, fec_recovered=fec_recovered,
+        state_counts=state_counts, case_counts=case_counts,
+        n_windows=len(windows), n_blackouts=n_blackouts,
+        valid_depth=depth.copy())
 
 
 def send(features: np.ndarray, codec: RvqCodec, model, gos: GosConfig,

@@ -13,28 +13,23 @@ order. A packet names its layer group and its frames, (first_frame,
 n_frames), and nothing else. At stride 1 every packet after the first
 coarse one holds one frame.
 
-Both ends run on the transceiver core in ``pipeline``. A step's geometry,
-its due frames, its horizon and its coarse frames, comes from
-``stream_step`` and ``stream_coarse`` on both ends. Every fine slice of a
-step is coded against the coarse layers of the step's coding window, and
-nothing else. The window ends at the previous step's horizon or at the
-step's last due frame, whichever is later, so with lookahead >= stride it
-holds only frames whose coarse layers earlier steps carried, and a lost
-coarse packet is repaired by the next step's copy before that step
-decodes. Sender and receiver alike derive that one ``Conditions`` from the
-step index with ``stream_conditions``, and the coding view, the decoding
-view and the decode gate all come from it. No fine cell is a condition, so
-a lost fine packet costs its own cells only, and each end prices a whole
-step's fine slices in one model query. A step never looks beyond its own
-due frames. The receiver's buffered states start INVALID from the encode
-level up, so the prefix rules read the level from them. The receiver
-checks every packet's extent against the step geometry and unpacks every
-payload of a step before it changes any state, then finalizes the due
-frames: decode what arrived, predict the lost coarse cells inside a
-window ending at the horizon (or hold the last fully usable frame when
-the window received no coarse cell), release. A lost or invalid fine cell
-is not guessed; it ends its frame's usable depth. Released frames are
-never revisited, and concealed cells never serve as coding context.
+Both ends run on the transceiver core in ``pipeline`` and take a step's
+geometry, its due frames, its horizon and its coarse frames, from
+``stream_step`` and ``stream_coarse``. Every fine slice of a step is
+coded against the coarse layers of the step's coding window and nothing
+else. The window ends at the later of the previous step's horizon and the
+step's last due frame, so with lookahead >= stride a lost coarse packet
+is repaired by the next step's copy before that step decodes. Both ends
+derive that one ``Conditions`` with ``stream_conditions``. No fine cell
+is a condition, so a lost fine packet costs its own cells only, and each
+end prices a step's fine slices in one model query. The receiver's
+buffered states start INVALID from the encode level up. It drops and
+counts every packet the step geometry does not place or whose payload it
+cannot read, as if lost, then finalizes the due frames: decode what
+arrived, conceal the lost coarse cells inside a window ending at the
+horizon, release. A lost or invalid fine cell is not guessed; it ends its
+frame's usable depth. Released frames are never revisited, and concealed
+cells never serve as coding context.
 """
 
 from __future__ import annotations
@@ -50,17 +45,19 @@ from .dependency import (ConcealmentWindow, propagate_invalid,
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
-from .grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
+from .grid import (GosConfig, StreamConfig, TokenGrid,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import (SliceSender, conceal_in_window, decode_fine,
-                       unpack_coarse)
-
-_R = int(TokenState.RECEIVED)
+from .pipeline import SliceSender, conceal, decode_fine, place_coarse
 
 
 def _head(frames: range, group: int) -> tuple:
     """Packet head of the slice of ``group`` over ``frames``."""
     return group, frames.start, len(frames)
+
+
+def _cells(frames: range, layers: range) -> np.ndarray:
+    """Cells of the 0-based ``layers`` of ``frames``, frame then layer."""
+    return np.array([(f, k) for f in frames for k in layers], dtype=np.int64)
 
 
 def _fine_slices(gos: GosConfig, frames: range, level: int) -> dict:
@@ -70,8 +67,7 @@ def _fine_slices(gos: GosConfig, frames: range, level: int) -> dict:
     for j in range(1, gos.n_fine_groups + 1):
         layers = gos.group_layers(j, level)
         if len(layers):
-            out[j] = np.array([(f, k - 1) for f in frames for k in layers],
-                              dtype=np.int64)
+            out[j] = _cells(frames, range(layers.start - 1, layers.stop - 1))
     return out
 
 
@@ -197,6 +193,7 @@ class StreamReceiver:
         self.case_counts: dict = {}
         self.n_blackouts = 0
         self.fec_recovered = 0
+        self.n_dropped = 0  # packets that arrived but could not be used
 
     def _grow(self, n: int) -> None:
         cur = len(self._tokens)
@@ -209,87 +206,59 @@ class StreamReceiver:
             [self._states, initial_states(n - cur, K, self.level)])
 
     def step(self, packets, total: int | None = None) -> StreamRelease:
-        """Process one step's surviving packets and finalize its due frames.
+        """Process one step's arrived packets and finalize its due frames.
 
-        Every packet's extent must be one the step geometry gives: a coarse
-        packet's that of some step's coarse frames ending at or before this
-        step's horizon (its repair copy then covers the coarse frames of
-        the step before), a fine packet's the due frames, for a layer group
-        the encode level sends. Raises DecodeError, leaving the receiver as
-        it was, on a packet whose extent breaks these rules, and on a
-        coarse payload or needed repair copy that does not unpack into the
-        vocabulary. A repair copy is needed when a frame it covers is not
-        yet released and its coarse tokens have not arrived.
-        """
+        One packet per head is placed: a coarse one over some step's coarse
+        frames up to the horizon, with a repair copy of the step before's
+        (ignored on the first), and a fine one over the due frames of a
+        layer group the level sends. Any other packet, or one whose payload
+        cannot be read, is dropped and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, n_coarse = self.stream, self.gos.n_coarse
         i = self._next_step
         due, horizon = stream_step(i, cfg, total)
         slices = _fine_slices(self.gos, due, self.level)
-
-        extents, fine = [], {}  # extents: (step, frames, coarse packet)
-        for p in packets:
-            frames = range(p.first_frame, p.first_frame + p.n_frames)
-            if p.group == 0:
-                if frames.stop - 1 > horizon:
-                    raise DecodeError("coarse packet beyond the step horizon")
-                # the one step whose coarse frames can start there: step
-                # j >= 1 starts after h_{j-1} = j * stride - 1 + lookahead
-                j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
-                if frames != stream_coarse(j, cfg, total):
-                    raise DecodeError("coarse packet extent is no step's "
-                                      "coarse frames")
-                if p.fec and j == 0:
-                    raise DecodeError("repair copy on the first coarse packet")
-                extents.append((j, frames, p))
-            elif p.group not in slices:
-                raise DecodeError("fine packet for a layer group the level "
-                                  "does not send")
-            elif frames != due:
-                raise DecodeError("fine packet outside the due batch")
-            else:
-                fine[p.group] = p.payload
-
-        coarse = {}  # frame -> its coarse tokens; released frames are final
-        for _, frames, p in extents:
-            vals = unpack_coarse(p.payload, self.vocab,
-                                 len(frames) * n_coarse)
-            for f, v in zip(frames, vals.reshape(len(frames), n_coarse)):
-                if f >= self._released:
-                    coarse[f] = v
-        repaired = 0
-        for j, _, p in extents:
-            if not p.fec:
-                continue
-            prev = stream_coarse(j - 1, cfg, total)
-            if not any(g >= self._released and g not in coarse
-                       and not np.all(self._states[g, :n_coarse] == _R)
-                       for g in prev):
-                continue
-            vals = unpack_coarse(p.fec, self.vocab, len(prev) * n_coarse)
-            for g, v in zip(prev, vals.reshape(len(prev), n_coarse)):
-                if g >= self._released:
-                    coarse.setdefault(g, v)
-            repaired += 1
         self._next_step += 1
         self._grow(horizon + 1)
 
-        for f, vals in coarse.items():
-            self._tokens[f, :n_coarse] = vals
-            self._states[f, :n_coarse] = _R
+        links, fine, seen = [], {}, set()
+        for p in packets:
+            frames = range(p.first_frame, p.first_frame + p.n_frames)
+            if p.group:
+                ok = p.group in slices and frames == due
+            else:
+                # the one step whose coarse frames can start there: step
+                # j >= 1 starts after h_{j-1} = j * stride - 1 + lookahead
+                j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
+                ok = (frames.stop - 1 <= horizon
+                      and frames == stream_coarse(j, cfg, total))
+            if not ok or (p.group, p.first_frame) in seen:
+                self.n_dropped += 1
+                continue
+            seen.add((p.group, p.first_frame))
+            if p.group:
+                fine[p.group] = p.payload
+            else:
+                prev = (_cells(stream_coarse(j - 1, cfg, total),
+                               range(n_coarse)) if j else None)
+                links.append((_cells(frames, range(n_coarse)), p, prev))
+        repaired, dropped = place_coarse(self._tokens, self._states, links,
+                                         self.vocab, self._released)
         self.fec_recovered += repaired
+        self.n_dropped += dropped
 
         cond = stream_conditions(i, cfg, n_coarse, total)
-        decode_fine(self.model, self._tokens, self._states, [
-            (cells, fine.get(j), cond) for j, cells in slices.items()])
+        self.n_dropped += decode_fine(
+            self.model, self._tokens, self._states,
+            [(cells, fine.get(j), cond) for j, cells in slices.items()])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])
         win = ConcealmentWindow(max(0, horizon + 1 - cfg.conceal_context),
                                 horizon + 1)
-        self.n_blackouts += conceal_in_window(
-            self.model, self._tokens, self._states, win, due, n_coarse,
+        self.n_blackouts += conceal(
+            self.model, self._tokens, self._states, [(win, due)], n_coarse,
             self.level, self.case_counts)
         self._released = due.stop
         return StreamRelease(

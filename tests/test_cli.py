@@ -161,6 +161,7 @@ def test_decode_lossless_matches_the_library(ws, tmp_path):
     assert rep["state_counts"] == {"received": 36, "lost": 0,
                                    "invalid": 0, "concealed": 0}
     assert rep["case_counts"] == {}
+    assert rep["n_dropped"] == 0
     assert len(rep["valid_depth"]) == 12
 
     # reproduce the receiver path directly through the library
@@ -247,6 +248,7 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
                  "--loss", "0.0", "--seed", "3"]) == 0
     text = capsys.readouterr().out
     assert "max sender latency" in text and "(bound 6)" in text
+    assert "; n_dropped 0\n" in text
     # the bit accounting comes from the sender's report: 12 frames in 4
     # steps send 3 coarse packets and 2 fine-group packets per step
     cfg = config_from_dict(CFG)
@@ -359,8 +361,13 @@ def _stream(ws, tmp_path, *extra):
      "--loss: loss_prob must be a probability"),
     (lambda ws, tmp: _encode(ws, tmp, "--level", "99"),
      "--level: must be in [1, 3], got 99"),
+    (lambda ws, tmp: _swap(_encode(ws, tmp), "--audio", _bad_wav(tmp)),
+     "bad.wav: not a WAV file: it ends early"),
+    (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio", _bad_wav(tmp)),
+     "bad.wav: not a WAV file: it ends early"),
 ], ids=["channel-type", "loss-prob", "no-loss-prob", "not-an-object",
-        "trace-length", "trace-characters", "stream-loss", "encode-level"])
+        "trace-length", "trace-characters", "stream-loss", "encode-level",
+        "encode-bad-wav", "stream-bad-wav"])
 def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
     """Refused user input prints one error line naming the option or file
     and exits 2, with no traceback and no output written."""
@@ -369,6 +376,31 @@ def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and err.endswith(message + "\n")
     assert not (tmp_path / "enc").exists()
     assert not (tmp_path / "out.wav").exists()
+
+
+def _bad_wav(tmp):
+    """A 4-byte ``.wav`` file that holds no WAV header."""
+    (tmp / "bad.wav").write_bytes(b"RIFF")
+    return str(tmp / "bad.wav")
+
+
+def test_manifest_missing_a_field_is_an_error(ws, tmp_path, capsys):
+    enc = tmp_path / "enc"
+    enc.mkdir()
+    (enc / "packets.bin").write_bytes((ws["enc"] / "packets.bin").read_bytes())
+    full = json.loads((ws["enc"] / "manifest.json").read_text())
+    no_units = {k: v for k, v in full["gos"].items() if k != "n_units"}
+    no_level = {k: v for k, v in full.items() if k != "level"}
+    for manifest, field in (({}, "codec_sha256"),
+                            ({**full, "gos": no_units}, "gos.n_units"),
+                            (no_level, "level")):
+        (enc / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["decode", "--dir", str(enc), "--codec",
+                     str(ws["codec"]), "--model", str(ws["model"]),
+                     "--out", str(tmp_path / "out.wav")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {enc / 'manifest.json'}: {field} missing\n"
+        assert not (tmp_path / "out.wav").exists()
 
 
 def _swap(argv, flag, value):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenwire.context import CountModel, MaskedQuery, UniformModel
 from tokenwire.dependency import slice_conditions
-from tokenwire.errors import DecodeError
 from tokenwire.grid import (
     GosConfig,
     SliceId,
@@ -14,7 +15,7 @@ from tokenwire.grid import (
     build_slice_grid,
 )
 from tokenwire.pipeline import receive, receive_tokens, send, send_tokens
-from tokenwire.transport import Packet
+from tokenwire.transport import Packet, pack_bits
 from conftest import random_grid, slice_of
 
 R = int(TokenState.RECEIVED)
@@ -179,24 +180,106 @@ def test_blackout_with_no_history_holds_silence():
     assert not got.tokens.any()
 
 
+def assert_dropped_like_lost(got, want, n_dropped):
+    """``got`` and ``want`` are receive_tokens results: the same tokens,
+    levels, states and report, except that ``got`` dropped ``n_dropped``
+    more packets (and so saw that many more)."""
+    (grid, states, rep), (want_grid, want_states, want_rep) = got, want
+    np.testing.assert_array_equal(grid.tokens, want_grid.tokens)
+    np.testing.assert_array_equal(grid.level, want_grid.level)
+    np.testing.assert_array_equal(states, want_states)
+    np.testing.assert_array_equal(rep.valid_depth, want_rep.valid_depth)
+    fields = ("n_frames", "level", "fec_recovered", "state_counts",
+              "case_counts", "n_windows", "n_blackouts")
+    assert [getattr(rep, f) for f in fields] == \
+        [getattr(want_rep, f) for f in fields]
+    assert rep.n_dropped == want_rep.n_dropped + n_dropped
+    assert rep.n_packets_seen == want_rep.n_packets_seen + n_dropped
+
+
 def test_receive_rejects_bad_packets():
+    # A packet the layout cannot place, or whose payload does not unpack,
+    # is dropped and counted, and the clip decodes as if it were lost.
     rng = np.random.default_rng(28)
     grid = random_grid(rng, 6, 3, 16)
     sg = build_slice_grid(6, GOS, 3)
     model = UniformModel(16)
     packets, _ = send_tokens(grid, sg, model)
+    clean = receive_tokens(packets, sg, model)
+    assert clean[2].n_dropped == 0
     # foreign slices: past the clip, at offset n_units of a
     # group-of-slices (no unit starts there), a layer group past the level
     for foreign in (Packet(0, 54, 2, b""), Packet(0, 3, 2, b""),
                     Packet(1, 4, 1, b""), Packet(3, 0, 2, b"")):
-        with pytest.raises(DecodeError, match="layout"):
-            receive_tokens(packets + [foreign], sg, model)
-    with pytest.raises(DecodeError, match="duplicate"):
-        receive_tokens(packets + [packets[0]], sg, model)
-    # unit 1's coarse slice holds frames 0 and 3, not 0 to 2
+        assert_dropped_like_lost(
+            receive_tokens(packets + [foreign], sg, model), clean, 1)
+    # a duplicate, before or after its original
+    assert_dropped_like_lost(
+        receive_tokens(packets + [packets[5]], sg, model), clean, 1)
+    assert_dropped_like_lost(
+        receive_tokens(packets[5:6] + packets, sg, model), clean, 1)
+    # unit 1's coarse slice holds frames 0 and 3, not 0 to 2; unit 2's
+    # packet repairs it
     wide = Packet(0, 0, 3, packets[0].payload)
-    with pytest.raises(DecodeError, match="extent"):
-        receive_tokens([wide] + packets[1:], sg, model)
+    without = receive_tokens(packets[1:], sg, model)
+    assert without[2].fec_recovered == 1
+    assert_dropped_like_lost(receive_tokens([wide] + packets[1:], sg, model),
+                             without, 1)
+    # unit 2's coarse payload is too short to unpack, so its packet goes
+    # with the repair copy of unit 1's lost slice, which stays lost; unit
+    # 3's packet repairs unit 2's slice
+    assert packets[1].group == 0 and packets[1].fec
+    short = Packet(0, 1, 2, b"", packets[1].fec)
+    without = receive_tokens(packets[2:], sg, model)
+    assert without[2].case_counts == {1: 2}
+    assert without[2].fec_recovered == 1
+    assert_dropped_like_lost(
+        receive_tokens([short] + packets[2:], sg, model), without, 1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_unusable_packets_are_dropped_like_losses(data):
+    """Whatever the drop mask and the order of arrival: duplicates,
+    foreign heads, wrong extents and out-of-vocabulary coarse payloads
+    added to a delivery never raise, leave the decode as it was without
+    them, and are each counted once in ``n_dropped``."""
+    n_frames = data.draw(st.integers(1, 20), label="n_frames")
+    level = data.draw(st.integers(1, 3), label="level")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    grid = random_grid(rng, n_frames, 3, 10, level=level)
+    sg = build_slice_grid(n_frames, GOS, level)
+    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    packets, _ = send_tokens(grid, sg, model, fec=data.draw(st.booleans()))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(packets),
+                              max_size=len(packets)), label="keep")
+    arrived = [p for p, k in zip(packets, keep) if k]
+    lost_coarse = [p for p, k in zip(packets, keep)
+                   if not k and p.group == 0]
+    junk = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
+                                          "oov")))
+        if kind == "dup" and arrived:
+            junk.append(data.draw(st.sampled_from(arrived)))
+        elif kind == "foreign":
+            junk.append(data.draw(st.sampled_from([
+                Packet(0, n_frames + data.draw(st.integers(0, 50)), 1, b""),
+                Packet(data.draw(st.integers(3, 255)), 0, 1, b"")])))
+        elif kind == "extent":
+            p = data.draw(st.sampled_from(packets))
+            junk.append(Packet(p.group, p.first_frame,
+                               p.n_frames + data.draw(st.integers(1, 3)),
+                               p.payload, p.fec))
+        elif kind == "oov" and lost_coarse:
+            p = data.draw(st.sampled_from(lost_coarse))
+            junk.append(Packet(0, p.first_frame, p.n_frames,
+                               pack_bits([15] * p.n_frames, 4), p.fec))
+    delivery = data.draw(st.permutations(arrived + junk), label="delivery")
+    want = receive_tokens(arrived, sg, model)
+    assert want[2].n_dropped == 0
+    assert_dropped_like_lost(receive_tokens(delivery, sg, model), want,
+                             len(junk))
 
 
 def test_refused_fine_payload_is_left_out():
@@ -220,6 +303,9 @@ def test_refused_fine_payload_is_left_out():
         assert states[t].tolist() == [R, L, I]
         assert got.level[t] == 1
     assert 3 not in rrep.case_counts
+    assert_dropped_like_lost(
+        (got, states, rrep),
+        receive_tokens(drop(sg, packets, SliceId(0, 2, 1)), sg, model), 1)
 
 
 def test_sender_report_accounting():

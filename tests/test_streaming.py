@@ -48,6 +48,46 @@ def drive(tokens, keep=None, model=None, level=None, gos=GOS,
     return grid, states, releases, tx, rx
 
 
+def run_steps(steps, n_live, total, model=None, level=None, gos=GOS,
+              stream=STREAM):
+    """Feed a fresh receiver one packet list per step: the first
+    ``n_live`` steps as live pushes, the rest as the flushed tail of a
+    ``total``-frame stream. Returns (receiver, releases)."""
+    rx = StreamReceiver(gos, stream, model or UniformModel(16), level=level)
+    releases = [rx.step(packets, total=None if i < n_live else total)
+                for i, packets in enumerate(steps)]
+    rx.finish([], total)
+    return rx, releases
+
+
+def assert_dropped_like_lost(got, want, n_dropped):
+    """``got`` and ``want`` are run_steps results: the same releases,
+    result and counters, except that ``got`` dropped ``n_dropped`` more
+    packets."""
+    (rx, releases), (want_rx, want_releases) = got, want
+    for a, b in zip(releases, want_releases, strict=True):
+        assert a.due == b.due
+        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.valid_depth, b.valid_depth)
+    (grid, states), (want_grid, want_states) = rx.result(), want_rx.result()
+    np.testing.assert_array_equal(grid.tokens, want_grid.tokens)
+    np.testing.assert_array_equal(grid.level, want_grid.level)
+    np.testing.assert_array_equal(states, want_states)
+    assert (rx.case_counts, rx.n_blackouts, rx.fec_recovered) == \
+        (want_rx.case_counts, want_rx.n_blackouts, want_rx.fec_recovered)
+    assert rx.n_dropped == want_rx.n_dropped + n_dropped
+
+
+def emissions(tokens, model=None, level=None, gos=GOS, stream=STREAM):
+    """(packet list per step, number of live steps, total frames) of a
+    sender fed ``tokens`` at once and flushed."""
+    tx = StreamSender(gos, stream, model or UniformModel(16), level=level)
+    live = list(tx.push(tokens))
+    tail, total = tx.flush()
+    return [list(em.packets) for em in live + tail], len(live), total
+
+
 def test_push_buffers_until_lookahead_is_covered():
     tokens = make_tokens(40, 12)
     tx = StreamSender(GOS, STREAM, UniformModel(16))
@@ -248,25 +288,22 @@ def test_receiver_accepts_and_ignores_conceal_fine_layers():
 
 def test_foreign_packets_are_rejected_without_growing_the_buffer():
     tokens = make_tokens(55, 12)
-    model = UniformModel(16)
-    tx = StreamSender(GOS, STREAM, model)
-    ems = list(tx.push(tokens))
-    tail, total = tx.flush()
-    rx = StreamReceiver(GOS, STREAM, model)
-    rx.step(ems[0].packets)
-    rows = len(rx._tokens)
-    coarse = next(p for p in ems[1].packets if p.group == 0)
+    steps, n_live, total = emissions(tokens)
+    coarse = next(p for p in steps[1] if p.group == 0)
     # the same coarse packet 20000 groups-of-slices later
     far = Packet(0, coarse.first_frame + 20000 * GOS.gos_len,
                  coarse.n_frames, coarse.payload)
-    with pytest.raises(DecodeError, match="horizon"):
-        rx.step(list(ems[1].packets) + [far])
-    assert len(rx._tokens) == rows
-    # A rejected step changes nothing: the stream carries on losslessly.
-    for em in ems[1:]:
-        rx.step(em.packets)
-    rx.finish([e.packets for e in tail], total)
-    grid, states = rx.result()
+    rx = StreamReceiver(GOS, STREAM, UniformModel(16))
+    rx.step(steps[0])
+    rx.step(steps[1] + [far])
+    # the buffer reaches step 1's horizon, frame 8, and no further
+    assert len(rx._tokens) == 9 and rx.n_dropped == 1
+    # The dropped packet changes nothing: the stream carries on losslessly.
+    dirty = [list(p) for p in steps]
+    dirty[1].append(far)
+    got = run_steps(dirty, n_live, total)
+    assert_dropped_like_lost(got, run_steps(steps, n_live, total), 1)
+    grid, states = got[0].result()
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R)
 
@@ -292,19 +329,6 @@ def test_long_group_of_slices_streams_past_frame_256():
     assert np.all(states == R)
 
 
-def unapplied(rx, step_packets, match):
-    """Assert that stepping ``rx`` with ``step_packets`` raises a
-    DecodeError matching ``match`` and leaves the receiver as it was."""
-    before = (rx._next_step, rx._released, rx.fec_recovered,
-              rx._tokens.copy(), rx._states.copy(), dict(rx.case_counts))
-    with pytest.raises(DecodeError, match=match):
-        rx.step(step_packets)
-    assert (rx._next_step, rx._released, rx.fec_recovered) == before[:3]
-    np.testing.assert_array_equal(rx._tokens, before[3])
-    np.testing.assert_array_equal(rx._states, before[4])
-    assert rx.case_counts == before[5]
-
-
 def split(em):
     """(the coarse packet, the fine packets) of one emission."""
     coarse = [p for p in em.packets if p.group == 0]
@@ -312,33 +336,38 @@ def split(em):
     return coarse[0], [p for p in em.packets if p.group > 0]
 
 
-def test_out_of_vocabulary_coarse_leaves_the_step_unapplied():
+def test_out_of_vocabulary_coarse_is_dropped_like_a_loss():
     tokens = make_tokens(56, 15, vocab=10)
     model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
-    tx = StreamSender(GOS, STREAM, model)
-    ems = list(tx.push(tokens))
-    tail, total = tx.flush()
-    rx = StreamReceiver(GOS, STREAM, model)
-    fine0 = split(ems[0])[1]
-    bad = pack_bits(np.array([15] * 6), 4)
-    # a bad payload
-    unapplied(rx, [Packet(0, 0, 6, bad)] + fine0, "vocabulary")
-    rx.step(ems[0].packets)
-    # step 1's coarse packet is lost; step 2's packet repairs it, unless
-    # its repair copy is bad
-    rx.step(split(ems[1])[1])
-    c2, fine2 = split(ems[2])
-    unapplied(rx, [Packet(0, 9, 3, c2.payload,
-                          pack_bits(np.array([15] * 3), 4))] + fine2,
-              "vocabulary")
-    # The same step with the good copy goes through; frames 6-8 come back
-    # from step 2's repair copy before they are released.
-    r2 = rx.step(ems[2].packets)
-    assert rx.fec_recovered == 1
-    assert r2.due == (6, 9) and np.all(r2.states == R)
-    for em in ems[3:]:
-        rx.step(em.packets)
-    rx.finish([e.packets for e in tail], total)
+    steps, n_live, total = emissions(tokens, model)
+
+    def run(**changes):
+        return run_steps([changes.get(f"s{i}", packets)
+                          for i, packets in enumerate(steps)],
+                         n_live, total, model)
+
+    (c0, *fine0), (c1, *fine1), (c2, *fine2) = steps[:3]
+    assert c0.group == c1.group == c2.group == 0
+    # a bad payload: the packet is dropped, as if lost
+    bad = Packet(0, 0, 6, pack_bits(np.array([15] * 6), 4))
+    assert_dropped_like_lost(run(s0=[bad] + fine0), run(s0=fine0), 1)
+    # step 1's coarse packet is lost; step 2's repairs it, but a bad
+    # payload takes its good repair copy down with it
+    bad = Packet(0, 9, 3, pack_bits(np.array([15] * 3), 4), c2.fec)
+    assert_dropped_like_lost(run(s1=fine1, s2=[bad] + fine2),
+                             run(s1=fine1, s2=fine2), 1)
+    # a bad repair copy is ignored, as if the packet carried none; the
+    # packet itself is placed, so nothing is dropped
+    bad = Packet(0, 9, 3, c2.payload, pack_bits(np.array([15] * 3), 4))
+    got = run(s1=fine1, s2=[bad] + fine2)
+    assert_dropped_like_lost(
+        got, run(s1=fine1, s2=[Packet(0, 9, 3, c2.payload)] + fine2), 0)
+    assert got[0].fec_recovered == 0
+    # With the good copy, frames 6-8 come back from step 2's repair copy
+    # before they are released.
+    rx, releases = run(s1=fine1)
+    assert rx.fec_recovered == 1 and rx.n_dropped == 0
+    assert releases[2].due == (6, 9) and np.all(releases[2].states == R)
     grid, states = rx.result()
     # step 1's fine slices were coded against frames 0-5 only, which step
     # 0 carried, so losing step 1's coarse packet cost nothing
@@ -377,16 +406,10 @@ def test_stride_one_packets_hold_one_frame():
     assert np.all(states == R) and tx.max_latency == 1
 
 
-def test_wrong_extent_is_refused_and_leaves_the_receiver_unchanged():
+def test_wrong_extent_is_dropped_like_a_loss():
     tokens = make_tokens(58, 15)
-    model = UniformModel(16)
-    tx = StreamSender(GOS, STREAM, model)
-    ems = list(tx.push(tokens))
-    tail, total = tx.flush()
-    rx = StreamReceiver(GOS, STREAM, model)
-    rx.step(ems[0].packets)
-    c1, fine1 = split(ems[1])
-    f1 = fine1[0]
+    steps, n_live, total = emissions(tokens)
+    (c0, *_), (c1, f1, *fine1) = steps[:2]
 
     def coarse(first, n, fec=c1.fec):
         return Packet(0, first, n, c1.payload, fec)
@@ -394,31 +417,30 @@ def test_wrong_extent_is_refused_and_leaves_the_receiver_unchanged():
     def fine(first, n, group=f1.group):
         return Packet(group, first, n, f1.payload)
 
-    for bad, match in (
+    def run(*extra):
+        return run_steps([steps[0], [c1] + fine1 + list(extra)] + steps[2:],
+                         n_live, total)
+
+    clean = run()
+    for bad in (
             # coarse frames that are no step's: too few, too many, shifted
-            (coarse(6, 2), "coarse frames"),
-            (coarse(5, 4), "coarse frames"),
-            (coarse(7, 2), "coarse frames"),
+            coarse(6, 2), coarse(5, 4), coarse(7, 2),
             # the next step's coarse frames lie beyond this horizon
-            (coarse(9, 3), "horizon"),
-            # the first coarse packet has no predecessor to repair
-            (Packet(0, 0, 6, ems[0].packets[0].payload, c1.payload),
-             "first coarse packet"),
-            # fine frames other than the due ones
-            (fine(3, 2), "due batch"),
-            (fine(3, 4), "due batch"),
-            (fine(0, 3), "due batch"),
+            coarse(9, 3),
+            # fine frames other than the due ones; (0, 3) arrives late
+            fine(3, 2), fine(3, 4), fine(0, 3),
             # a layer group the level does not send
-            (fine(3, 3, group=3), "layer group")):
-        unapplied(rx, [c1] + fine1[1:] + [bad], match)
-    # an earlier step's coarse packet, replayed, is accepted
-    rx.step(list(ems[1].packets) + [ems[0].packets[0]])
-    for em in ems[2:]:
-        rx.step(em.packets)
-    rx.finish([e.packets for e in tail], total)
-    grid, states = rx.result()
-    np.testing.assert_array_equal(grid.tokens, tokens)
-    assert np.all(states == R)
+            fine(3, 3, group=3),
+            # a second packet for a head the step already has
+            c1, fine1[0]):
+        assert_dropped_like_lost(run(bad), clean, 1)
+    # an earlier step's coarse packet, replayed, is placed; a repair copy
+    # on the first coarse packet has no predecessor and is ignored
+    for late in (c0, Packet(0, 0, 6, c0.payload, c1.payload)):
+        assert_dropped_like_lost(run(late), clean, 0)
+    grid, states = clean[0].result()
+    np.testing.assert_array_equal(grid.tokens[:3], tokens[:3])
+    np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
 
 
 def test_total_blackout_releases_zeros_then_holds():
@@ -528,9 +550,12 @@ def test_receiver_guards():
     rx = StreamReceiver(GOS, STREAM, model)
     with pytest.raises(RuntimeError, match="not finished"):
         rx.result()
+    # a fine packet of step 1 in step 0 is outside the due batch: dropped
     stray = next(p for p in (ems + tail)[1].packets if p.group > 0)
-    with pytest.raises(DecodeError, match="due batch"):
-        rx.step(list(ems[0].packets) + [stray])
+    release = rx.step(list(ems[0].packets) + [stray])
+    assert rx.n_dropped == 1
+    assert np.all(release.states == R)
+    np.testing.assert_array_equal(release.tokens, tokens[:3])
 
     rx2 = StreamReceiver(GOS, STREAM, model)
     all_ems = ems + tail
@@ -625,3 +650,63 @@ def test_step_packing(data):
         np.testing.assert_array_equal(grid.tokens[:, :level],
                                       tokens[:, :level])
     assert tx.max_latency <= stride + lookahead
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_unusable_packets_are_dropped_like_losses(data):
+    """Whatever the cadence, level, drops and order of arrival within a
+    step: duplicates, foreign heads, wrong extents, late fine packets and
+    out-of-vocabulary coarse payloads added to the steps never raise,
+    leave every release and the result as they were without them, and
+    are each counted once in ``n_dropped``."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, (0, 2, 3, 5))]))
+    stride = data.draw(st.integers(1, 4), label="stride")
+    lookahead = data.draw(st.integers(0, 3), label="lookahead")
+    span = stride + lookahead
+    cfg = StreamConfig(stride, lookahead,
+                       data.draw(st.integers(span, span + 6)),
+                       data.draw(st.integers(span, span + 6)))
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tokens = rng.integers(0, 10, size=(data.draw(st.integers(1, 30)),
+                                       gos.n_layers))
+    tokens[:, level:] = 0
+    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    steps, n_live, total = emissions(tokens, model, gos=gos, stream=cfg,
+                                     level=level)
+    clean, dirty, n_junk = [], [], 0
+    for i, packets in enumerate(steps):
+        due, horizon = stream_step(i, cfg, None if i < n_live else total)
+        keep = [p for p in packets if data.draw(st.booleans())]
+        lost_coarse = [p for p in packets if p.group == 0 and p not in keep]
+        late_fine = [p for earlier in steps[:i] for p in earlier if p.group]
+        junk = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
+                                              "late", "oov")))
+            if kind == "dup" and keep:
+                junk.append(data.draw(st.sampled_from(keep)))
+            elif kind == "foreign":
+                junk.append(data.draw(st.sampled_from([
+                    Packet(0, horizon + 1, 1, b""),
+                    Packet(gos.n_fine_groups + 1, due.start, len(due), b"")
+                ])))
+            elif kind == "extent" and packets:
+                p = data.draw(st.sampled_from(packets))
+                junk.append(Packet(p.group, p.first_frame, p.n_frames + 1,
+                                   p.payload, p.fec))
+            elif kind == "late" and late_fine:
+                junk.append(data.draw(st.sampled_from(late_fine)))
+            elif kind == "oov" and lost_coarse:
+                p = lost_coarse[0]
+                junk.append(Packet(0, p.first_frame, p.n_frames, pack_bits(
+                    [15] * (p.n_frames * gos.n_coarse), 4), p.fec))
+        clean.append(keep)
+        dirty.append(data.draw(st.permutations(keep + junk)))
+        n_junk += len(junk)
+    kw = dict(model=model, level=level, gos=gos, stream=cfg)
+    want = run_steps(clean, n_live, total, **kw)
+    assert want[0].n_dropped == 0
+    assert_dropped_like_lost(run_steps(dirty, n_live, total, **kw), want,
+                             n_junk)
