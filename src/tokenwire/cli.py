@@ -44,15 +44,15 @@ def _sha256(path) -> str:
 
 
 def _option(name: str, build, *args):
-    """``build(*args)``; input it refuses with a ``ValueError`` is reported
-    as a ``ConfigError`` that names ``name``, the option or file the input
-    came from. A ``ConfigError`` already names its field and passes as it
-    is."""
+    """``build(*args)``; input it refuses with a ``ValueError`` or a
+    ``DecodeError`` is reported as a ``ConfigError`` that names ``name``,
+    the option or file the input came from. A ``ConfigError`` already
+    names its field and passes as it is."""
     try:
         return build(*args)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, DecodeError) as exc:
         raise ConfigError(name, str(exc)) from None
 
 
@@ -70,16 +70,41 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (test, what a field must be) for each kind of manifest field
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_INT = (_is_int, "an integer")
+_INTS = (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+         "a list of integers")
+_MANIFEST_FIELDS = {"codec_sha256": _STRING, "model_sha256": _STRING,
+                    "gos": _OBJECT, "frame_len": _INT, "level": _INT,
+                    "n_frames": _INT, "sample_rate": _INT}
+_GOS_FIELDS = {"gos_len": _INT, "n_units": _INT, "layer_bounds": _INTS}
+
+
+def _check_fields(record: dict, fields: dict, prefix: str = "") -> None:
+    """Refuse ``record`` unless it holds each of ``fields`` as its kind."""
+    for name, (ok, kind) in fields.items():
+        if name not in record:
+            raise ValueError(f"{prefix}{name} missing")
+        if not ok(record[name]):
+            raise ValueError(f"{prefix}{name} must be {kind}")
+
+
 def _read_manifest(path) -> dict:
-    """The manifest ``encode`` wrote, with every field ``decode`` reads."""
+    """The manifest ``encode`` wrote, with every field ``decode`` reads
+    present and of its type."""
     manifest = _read_json(path)
-    for name in ("codec_sha256", "model_sha256", "gos", "frame_len",
-                 "level", "n_frames", "sample_rate"):
-        if name not in manifest:
-            raise ValueError(f"{name} missing")
-    for name in ("gos_len", "n_units", "layer_bounds"):
-        if name not in manifest["gos"]:
-            raise ValueError(f"gos.{name} missing")
+    if not isinstance(manifest, dict):
+        raise ValueError("not a JSON object")
+    _check_fields(manifest, _MANIFEST_FIELDS)
+    _check_fields(manifest["gos"], _GOS_FIELDS, "gos.")
+    if "conceal_window" in manifest:
+        _check_fields(manifest, {"conceal_window": _INT})
     return manifest
 
 

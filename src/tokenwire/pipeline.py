@@ -230,31 +230,40 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
     A packet whose payload does not unpack into ``vocab`` is dropped with
     its repair copy; the rest are written in one scatter. Then an open
     predecessor cell not RECEIVED takes the repair copy, if it unpacks.
-    Returns (repair copies used, packets dropped)."""
-    placed, cells, vals = [], [], []
+    Links name distinct predecessors, so one read of all their states
+    tells which copies are needed. Returns (repair copies used, packets
+    dropped)."""
+    copies, cells, vals = [], [], []
     for c, p, prev in links:
         v = _unpack_coarse(p.payload, vocab, len(c))
         if v is not None:
-            placed.append((p.fec, prev))
             cells.append(c)
             vals.append(v)
+            if p.fec and prev is not None:
+                copies.append((p.fec, prev))
+    n_dropped = len(links) - len(cells)
     if cells:
         cells, vals = np.concatenate(cells), np.concatenate(vals)
         keep = cells[:, 0] >= first_open
         t, k = cells[keep].T
         tokens[t, k] = vals[keep]
         states[t, k] = _R
+    if not copies:
+        return 0, n_dropped
+    starts = np.cumsum([0] + [len(prev) for _, prev in copies[:-1]])
+    t, k = np.concatenate([prev for _, prev in copies]).T
+    need = (states[t, k] != _R) & (t >= first_open)
     repaired = 0
-    for fec, prev in placed:
-        if fec and prev is not None:
-            t, k = prev.T
-            need = (states[t, k] != _R) & (t >= first_open)
-            v = _unpack_coarse(fec, vocab, len(prev)) if need.any() else None
-            if v is not None:
-                tokens[t[need], k[need]] = v[need]
-                states[t[need], k[need]] = _R
-                repaired += 1
-    return repaired, len(links) - len(placed)
+    for i in np.flatnonzero(np.logical_or.reduceat(need, starts)).tolist():
+        fec, prev = copies[i]
+        v = _unpack_coarse(fec, vocab, len(prev))
+        if v is not None:
+            mask = need[starts[i]:starts[i] + len(prev)]
+            pt, pk = prev[mask].T
+            tokens[pt, pk] = v[mask]
+            states[pt, pk] = _R
+            repaired += 1
+    return repaired, n_dropped
 
 
 def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
@@ -333,7 +342,9 @@ def receive_tokens(packets, sg: SliceGrid, model,
     """Decode arrived packets back into a (grid, states, report) triple.
 
     A packet that names no slice of the layout or one already filled, or
-    whose payload cannot be read, is dropped and counted, as if lost. Fine
+    whose payload cannot be read, is dropped and counted, as if lost, and
+    so is a None in ``packets``, which stands for a packet that arrived
+    but did not parse (see ``transport.read_packets``). Fine
     slices decode, all in one call, only once the coarse cells they were
     coded against are bit-exact; anything else is marked lost or invalid.
     Windowed concealment then predicts the lost coarse cells and holds
@@ -351,6 +362,9 @@ def receive_tokens(packets, sg: SliceGrid, model,
     by_sid: dict = {}
     n_dropped = 0
     for p in packets:
+        if p is None:
+            n_dropped += 1
+            continue
         sid, n_frames = extents.get((p.group, p.first_frame), (None, 0))
         if p.n_frames != n_frames or sid in by_sid:
             n_dropped += 1

@@ -192,6 +192,10 @@ def write_packets(path, packets) -> None:
 
 
 def read_packets(path) -> list:
+    """The packets ``write_packets`` wrote, in order. A complete record
+    that does not parse is None, so a delivery trace stays aligned and a
+    receiver can drop it like a lost packet. A file cut short, or a
+    record of another format version, raises ``DecodeError``."""
     packets = []
     with open(path, "rb") as fh:
         while True:
@@ -204,7 +208,12 @@ def read_packets(path) -> list:
             raw = fh.read(n)
             if len(raw) != n:
                 raise DecodeError("truncated packet record")
-            packets.append(Packet.from_bytes(raw))
+            try:
+                packets.append(Packet.from_bytes(raw))
+            except DecodeError:
+                if raw and raw[0] >> 4 != _VERSION:
+                    raise
+                packets.append(None)
     return packets
 
 

@@ -16,7 +16,14 @@ For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
 transforms and builds its filterbank on every call, and the
 ``mfcc_distance`` that calls it once per scale and signal. The shared
 front end in ``tokenwire.metrics`` must equal them exactly.
+
+For the range coder: the byte-at-a-time coder with a 32-bit ``low``, a
+cache byte and a count of held-back 0xFF bytes that a carry may still
+reach, and the decoder that bisects each row as a Python list. The
+library's coder must write the same payloads and read the same symbols.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 import scipy.fft
@@ -24,6 +31,8 @@ import scipy.fft
 from tokenwire.context import (PMF_TOTAL, SENTINEL, CountModel, MaskedQuery,
                                TrainSchedule, View, beta, encode_key,
                                uniform_pmf)
+from tokenwire.errors import DecodeError
+from tokenwire.rangecoder import CodedSlice
 
 
 def scan(tokens, visible, t, k, lo, hi, step) -> int:
@@ -256,3 +265,85 @@ def reference_mfcc_distance(ref, est, sample_rate: int) -> float:
         b = reference_mfcc(est, sample_rate, n_coef)
         total += float(np.sum((a - b) ** 2))
     return total / len(scales)
+
+
+_TOP = 1 << 24
+_MASK32 = 0xFFFFFFFF
+
+
+def reference_encode_symbols(cum_lo, freq) -> tuple:
+    """(CodedSlice, carries) of the symbols whose intervals are
+    ``[cum_lo[i], cum_lo[i] + freq[i])``, emitted a byte at a time;
+    ``carries`` counts the carries that rippled through held-back 0xFF
+    bytes."""
+    if len(cum_lo) != len(freq):
+        raise ValueError("one frequency per interval start is required")
+    low, rng, cache, pending, carries = 0, _MASK32, 0, 0, 0
+    out = bytearray()
+
+    def shift_low(low):
+        """Move the top byte of ``low`` out, holding back 0xFF bytes a
+        carry may still reach; returns the new ``low``."""
+        nonlocal cache, pending, carries
+        if low < 0xFF000000 or low > _MASK32:
+            carry = low >> 32
+            if carry and pending:
+                carries += 1
+            out.append((cache + carry) & 0xFF)
+            out.extend(bytes(((0xFF + carry) & 0xFF,)) * pending)
+            pending = 0
+            cache = (low >> 24) & 0xFF
+        else:
+            pending += 1
+        return (low << 8) & _MASK32
+
+    for c, f in zip(cum_lo, freq):
+        r = rng >> 16
+        low += r * c
+        rng = r * f
+        while rng < _TOP:
+            rng <<= 8
+            low = shift_low(low)
+    # the value in [low, low + rng) with the most trailing zero bytes; at
+    # most its top byte is non-zero, so two shifts move out all the rest
+    v = -(-low >> 32) << 32
+    if v >= low + rng:
+        v = -(-low >> 24) << 24
+    low = v
+    for _ in range(2):
+        low = shift_low(low)
+    # out[0] is the initial cache byte, always 0
+    return CodedSlice(bytes(out[1:]).rstrip(b"\0"), len(freq)), carries
+
+
+def reference_decode_symbols(coded: CodedSlice, cum) -> list:
+    """Invert ``reference_encode_symbols``, bisecting each cumulative row
+    as a Python list."""
+    rows = np.asarray(cum).tolist()
+    if len(rows) != coded.n_symbols:
+        raise DecodeError("PMF count does not match the symbol count")
+    data = coded.payload
+    n = len(data)
+    if n and data[-1] == 0:
+        raise DecodeError("payload ends in a zero byte")
+    code = int.from_bytes(data[:4].ljust(4, b"\0"), "big")
+    pos = 4 if rows else 0  # bytes read, counting zeros past the end
+    rng = _MASK32
+    out = []
+    for row in rows:
+        r = rng >> 16
+        v = code // r
+        if v >= PMF_TOTAL:
+            v = PMF_TOTAL - 1
+        s = bisect_right(row, v) - 1
+        c = row[s]
+        code -= r * c
+        rng = r * (row[s + 1] - c)
+        while rng < _TOP:
+            code = (code << 8) | (data[pos] if pos < n else 0)
+            pos += 1
+            rng <<= 8
+        out.append(s)
+    if n > pos:
+        raise DecodeError("payload holds bytes past its last symbol")
+    return out

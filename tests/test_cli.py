@@ -337,6 +337,18 @@ def _decode(ws, tmp_path, trace):
             "--trace", str(tmp_path / "trace.txt")]
 
 
+def _cut_packets(ws, tmp_path):
+    """A decode of the encoded clip whose ``packets.bin`` ends mid-record."""
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "manifest.json").write_bytes(
+        (ws["enc"] / "manifest.json").read_bytes())
+    (cut / "packets.bin").write_bytes(
+        (ws["enc"] / "packets.bin").read_bytes()[:-3])
+    return ["decode", "--dir", str(cut), "--codec", str(ws["codec"]),
+            "--model", str(ws["model"]), "--out", str(tmp_path / "out.wav")]
+
+
 def _stream(ws, tmp_path, *extra):
     return ["stream", "--config", str(ws["cfg"]), "--codec", str(ws["codec"]),
             "--model", str(ws["model"]), "--audio", str(ws["audio"]),
@@ -365,9 +377,10 @@ def _stream(ws, tmp_path, *extra):
      "bad.wav: not a WAV file: it ends early"),
     (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio", _bad_wav(tmp)),
      "bad.wav: not a WAV file: it ends early"),
+    (_cut_packets, "packets.bin: truncated packet record"),
 ], ids=["channel-type", "loss-prob", "no-loss-prob", "not-an-object",
         "trace-length", "trace-characters", "stream-loss", "encode-level",
-        "encode-bad-wav", "stream-bad-wav"])
+        "encode-bad-wav", "stream-bad-wav", "decode-cut-packets"])
 def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
     """Refused user input prints one error line naming the option or file
     and exits 2, with no traceback and no output written."""
@@ -401,6 +414,67 @@ def test_manifest_missing_a_field_is_an_error(ws, tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"error: {enc / 'manifest.json'}: {field} missing\n"
         assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda m: {**m, "level": "x"}, "level must be an integer"),
+    (lambda m: {**m, "n_frames": True}, "n_frames must be an integer"),
+    (lambda m: {**m, "conceal_window": 6.0},
+     "conceal_window must be an integer"),
+    (lambda m: {**m, "gos": {**m["gos"], "n_units": "2"}},
+     "gos.n_units must be an integer"),
+    (lambda m: {**m, "gos": {**m["gos"], "layer_bounds": [0, "1", 3]}},
+     "gos.layer_bounds must be a list of integers"),
+    (lambda m: {**m, "gos": {**m["gos"], "layer_bounds": 3}},
+     "gos.layer_bounds must be a list of integers"),
+    (lambda m: {**m, "model_sha256": 7}, "model_sha256 must be a string"),
+    (lambda m: {**m, "gos": [6, 2]}, "gos must be an object"),
+    (lambda m: [m], "not a JSON object"),
+], ids=["int", "bool-for-int", "optional-int", "gos-int", "list-item",
+        "not-a-list", "string", "object", "top-level"])
+def test_manifest_field_of_the_wrong_type_is_an_error(ws, tmp_path, capsys,
+                                                       change, message):
+    enc = tmp_path / "enc"
+    enc.mkdir()
+    (enc / "packets.bin").write_bytes((ws["enc"] / "packets.bin").read_bytes())
+    full = json.loads((ws["enc"] / "manifest.json").read_text())
+    (enc / "manifest.json").write_text(json.dumps(change(full)))
+    assert main(["decode", "--dir", str(enc), "--codec", str(ws["codec"]),
+                 "--model", str(ws["model"]),
+                 "--out", str(tmp_path / "out.wav")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {enc / 'manifest.json'}: {message}\n"
+    assert not (tmp_path / "out.wav").exists()
+
+
+def test_corrupt_record_decodes_as_a_lost_packet(ws, tmp_path):
+    """A record whose checksum fails is dropped and counted; the audio is
+    that of a decode whose trace loses the packet."""
+    raw = (ws["enc"] / "packets.bin").read_bytes()
+    n_first = int.from_bytes(raw[:4], "little")
+    assert 10 < 4 + n_first  # byte 10 lies in the first record
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_bytes(
+        (ws["enc"] / "manifest.json").read_bytes())
+    (bad / "packets.bin").write_bytes(
+        raw[:10] + bytes([raw[10] ^ 0x01]) + raw[11:])
+    assert read_packets(bad / "packets.bin")[0] is None
+    common = ["--codec", str(ws["codec"]), "--model", str(ws["model"])]
+    assert main(["decode", "--dir", str(bad), *common,
+                 "--out", str(tmp_path / "bad.wav"),
+                 "--report", str(tmp_path / "bad.json")]) == 0
+    (tmp_path / "trace.txt").write_text("0" + "1" * 11 + "\n")
+    assert main(["decode", "--dir", str(ws["enc"]), *common,
+                 "--trace", str(tmp_path / "trace.txt"),
+                 "--out", str(tmp_path / "lost.wav"),
+                 "--report", str(tmp_path / "lost.json")]) == 0
+    got = json.loads((tmp_path / "bad.json").read_text())
+    want = json.loads((tmp_path / "lost.json").read_text())
+    assert got["n_dropped"] == 1 and want["n_dropped"] == 0
+    assert {**got, "n_dropped": 0} == want
+    assert (tmp_path / "bad.wav").read_bytes() == \
+        (tmp_path / "lost.wav").read_bytes()
 
 
 def _swap(argv, flag, value):

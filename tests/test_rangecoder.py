@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import reference_decode_symbols, reference_encode_symbols
 
 from tokenwire.context import PMF_TOTAL, cumulative, quantize_weights, uniform_pmf
 from tokenwire.errors import DecodeError
@@ -166,3 +167,70 @@ def test_ideal_bits_uniform_is_log2():
     cum_lo, freq = code_ranges(cum, [5] * 7)
     assert cum_lo == [5 * 64] * 7 and freq == [64] * 7
     assert ideal_bits([5] * 7, cum) == pytest.approx(70.0)
+
+
+@st.composite
+def reference_cases(draw):
+    """(cumulative rows, symbols, an arbitrary payload) over vocab 2-256
+    and 0-400 symbols. Rows are random, or skewed so that all symbols but
+    one have frequency 1; they come as uint32, as int64, or as one uint32
+    row broadcast to every symbol, as ``UniformModel`` prices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = draw(st.integers(2, 256))
+    n = draw(st.integers(0, 400))
+    layout = draw(st.sampled_from(["uint32", "int64", "broadcast"]))
+    m = 1 if layout == "broadcast" else n
+    if draw(st.booleans()):
+        w = np.full((m, vocab), 1e-9)
+        w[np.arange(m), rng.integers(0, vocab, size=m)] = 1.0
+    else:
+        w = rng.uniform(0.0, 1.0, size=(m, vocab)) ** 4 + 1e-9
+    cum = cumulative(quantize_weights(w)).reshape(m, vocab + 1)
+    if layout == "broadcast":
+        cum = np.broadcast_to(cum, (n, vocab + 1))
+    elif layout == "int64":
+        cum = cum.astype(np.int64)
+    p = np.diff(cum, axis=1) / PMF_TOTAL
+    symbols = [int(rng.choice(vocab, p=row)) if draw(st.booleans())
+               else int(rng.integers(0, vocab)) for row in p]
+    # a payload led by 0xFFFF reads a value past PMF_TOTAL, which no
+    # coded payload does and the decoder must clamp
+    junk = draw(st.binary(max_size=12)
+                | st.binary(max_size=8).map(lambda b: b"\xff\xff" + b))
+    return cum, symbols, junk
+
+
+def outcome(decode, coded, cum):
+    """The symbols ``decode`` reads, or the reason it refuses."""
+    try:
+        return decode(coded, cum)
+    except DecodeError as exc:
+        return str(exc)
+
+
+@given(reference_cases())
+@settings(max_examples=150, deadline=None)
+def test_payloads_and_symbols_equal_the_reference_coder(case):
+    cum, symbols, junk = case
+    cum_lo, freq = code_ranges(cum, symbols)
+    want, _ = reference_encode_symbols(cum_lo, freq)
+    coded = encode_symbols(cum_lo, freq)
+    assert coded == want
+    assert decode_symbols(coded, cum) == symbols
+    assert reference_decode_symbols(coded, cum) == symbols
+    # any other payload reads as the same symbols or the same refusal
+    other = CodedSlice(junk, len(symbols))
+    assert outcome(decode_symbols, other, cum) == \
+        outcome(reference_decode_symbols, other, cum)
+
+
+def test_a_carry_through_held_back_bytes_codes_like_the_reference():
+    # The first symbol leaves low at 0xFF55 << 16 with the byte 0xAA still
+    # held; the second shifts out 0xFF, which is held back, and the flush
+    # rounds low up to 2**32, so the carry turns 0xAA 0xFF into 0xAB 0x00.
+    cum = uniform_rows(256, 2)
+    cum_lo, freq = code_ranges(cum, [171, 0])
+    want, carries = reference_encode_symbols(cum_lo, freq)
+    assert carries == 1
+    assert want.payload == encode_symbols(cum_lo, freq).payload == b"\xab"
+    assert decode_symbols(want, cum) == [171, 0]

@@ -254,9 +254,15 @@ def test_packets_file_round_trip(tmp_path):
     write_packets(path, packets)
     assert read_packets(path) == packets
     raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    with pytest.raises(DecodeError):
-        read_packets(path)
+    # a record that does not parse keeps its place as None
+    second = 4 + len(packets[0].to_bytes()) + 4
+    for at in (second + 1, second + 6, second + 12):
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+        assert read_packets(path) == [packets[0], None, packets[2]]
+    for cut in (3, len(raw) - 2):
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(DecodeError, match="truncated packet"):
+            read_packets(path)
 
 
 def test_version_3_packet_file_is_refused(tmp_path):
