@@ -22,8 +22,7 @@ from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,
                          run_trial, summarize, train_stack)
 from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
-                   TokenState, build_slice_grid, default_layer_bounds,
-                   periodic_slicing)
+                   TokenState, build_slice_grid, periodic_slicing)
 from .metrics import mfcc, mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import (ReceiverReport, SenderReport, receive, receive_tokens,
                        send, send_tokens)

@@ -78,12 +78,11 @@ def _is_int(value) -> bool:
 _STRING = (lambda v: isinstance(v, str), "a string")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _INT = (_is_int, "an integer")
-_INTS = (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-         "a list of integers")
 _MANIFEST_FIELDS = {"codec_sha256": _STRING, "model_sha256": _STRING,
                     "gos": _OBJECT, "frame_len": _INT, "level": _INT,
                     "n_frames": _INT, "sample_rate": _INT}
-_GOS_FIELDS = {"gos_len": _INT, "n_units": _INT, "layer_bounds": _INTS}
+_GOS_FIELDS = {"gos_len": _INT, "n_units": _INT, "n_coarse": _INT,
+               "n_layers": _INT}
 
 
 def _check_fields(record: dict, fields: dict, prefix: str = "") -> None:
@@ -95,17 +94,48 @@ def _check_fields(record: dict, fields: dict, prefix: str = "") -> None:
             raise ValueError(f"{prefix}{name} must be {kind}")
 
 
+def _check_range(name: str, value: int, lo: int, hi: int | None = None,
+                 bounds: str = "") -> None:
+    """Refuse ``value`` below ``lo``, or above ``hi`` when one is given;
+    ``bounds`` names the interval [lo, hi] in the message."""
+    if hi is None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {bounds}, got {value}")
+
+
 def _read_manifest(path) -> dict:
     """The manifest ``encode`` wrote, with every field ``decode`` reads
-    present and of its type."""
+    present, of its type and in its range."""
     manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise ValueError("not a JSON object")
     _check_fields(manifest, _MANIFEST_FIELDS)
-    _check_fields(manifest["gos"], _GOS_FIELDS, "gos.")
+    g = manifest["gos"]
+    _check_fields(g, _GOS_FIELDS, "gos.")
     if "conceal_window" in manifest:
         _check_fields(manifest, {"conceal_window": _INT})
+        _check_range("conceal_window", manifest["conceal_window"], 1)
+    for name in ("n_frames", "frame_len", "sample_rate"):
+        _check_range(name, manifest[name], 1)
+    _check_range("gos.gos_len", g["gos_len"], 1)
+    _check_range("gos.n_units", g["n_units"], 1, g["gos_len"],
+                 "[1, gos.gos_len]")
+    _check_range("gos.n_coarse", g["n_coarse"], 1, g["n_layers"],
+                 "[1, gos.n_layers]")
+    _check_range("level", manifest["level"], g["n_coarse"], g["n_layers"],
+                 "[gos.n_coarse, gos.n_layers]")
     return manifest
+
+
+def _read_frames(path, frame_len: int):
+    """The audio at ``path``, refused unless it holds whole frames."""
+    signal = _artifact(read_audio, path)
+    n = signal.samples.size
+    if n % frame_len:
+        raise ConfigError(str(path), f"{n} samples are not a multiple of "
+                          f"frame_len {frame_len}; pad or trim first")
+    return signal
 
 
 def _train_cfg(args) -> ExperimentConfig:
@@ -137,10 +167,7 @@ def cmd_encode(args) -> int:
     codec = _artifact(load_codec, args.codec)
     model = _artifact(load_count_model, args.model)
     gos = gos_config(cfg)
-    signal = _artifact(read_audio, args.audio)
-    if signal.samples.size % cfg.frame_len:
-        raise SystemExit("audio length must be a multiple of frame_len; "
-                         "pad or trim first")
+    signal = _read_frames(args.audio, cfg.frame_len)
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
     feats = analyze(signal, codec_cfg)
     level = args.level if args.level is not None else codec.n_layers
@@ -161,7 +188,7 @@ def cmd_encode(args) -> int:
         "level": level,
         "fec": not args.no_fec,
         "gos": {"gos_len": gos.gos_len, "n_units": gos.n_units,
-                "layer_bounds": list(gos.layer_bounds)},
+                "n_coarse": gos.n_coarse, "n_layers": gos.n_layers},
         "conceal_window": cfg.conceal_window,
         "codec_sha256": _sha256(args.codec),
         "model_sha256": model_digest(args.model),
@@ -197,13 +224,22 @@ def cmd_channel(args) -> int:
 
 def cmd_decode(args) -> int:
     out_dir = Path(args.dir)
-    manifest = _artifact(_read_manifest, out_dir / "manifest.json")
+    where = out_dir / "manifest.json"
+    manifest = _artifact(_read_manifest, where)
     codec = _artifact(load_codec, args.codec)
     model = _artifact(load_count_model, args.model)
     if _sha256(args.codec) != manifest["codec_sha256"]:
         raise SystemExit("codec file does not match the manifest")
     if model_digest(args.model) != manifest["model_sha256"]:
         raise SystemExit("model file does not match the manifest")
+    g = manifest["gos"]
+    if g["n_layers"] != codec.n_layers:
+        raise ConfigError(str(where), f"gos.n_layers must be the codec's "
+                          f"{codec.n_layers}, got {g['n_layers']}")
+    if manifest["frame_len"] < codec.dim:
+        raise ConfigError(str(where), f"frame_len must be at least the "
+                          f"codec's dim {codec.dim}, got "
+                          f"{manifest['frame_len']}")
     packets = _artifact(read_packets, out_dir / "packets.bin")
     if args.trace:
         trace = _artifact(read_trace, args.trace)
@@ -212,9 +248,7 @@ def cmd_decode(args) -> int:
                               f"{len(packets)} packets")
     else:
         trace = np.ones(len(packets), dtype=bool)
-    g = manifest["gos"]
-    gos = GosConfig(gos_len=g["gos_len"], n_units=g["n_units"],
-                    layer_bounds=tuple(g["layer_bounds"]))
+    gos = GosConfig(g["gos_len"], g["n_units"], g["n_coarse"], g["n_layers"])
     codec_cfg = CodecConfig(frame_len=manifest["frame_len"], dim=codec.dim)
     audio, grid, rep = receive(
         packets, trace, codec, codec_cfg, model, gos,
@@ -246,9 +280,7 @@ def cmd_stream(args) -> int:
     stream = StreamConfig(stride=args.stride, lookahead=args.lookahead,
                           coding_context=cfg.gos_len,
                           conceal_context=cfg.conceal_window)
-    signal = _artifact(read_audio, args.audio)
-    if signal.samples.size % cfg.frame_len:
-        raise SystemExit("audio length must be a multiple of frame_len")
+    signal = _read_frames(args.audio, cfg.frame_len)
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
     feats = analyze(signal, codec_cfg)
     grid = quantize(feats, codec, codec.n_layers)

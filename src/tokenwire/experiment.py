@@ -21,7 +21,7 @@ from . import __version__
 from .audio import CodecConfig, analyze, synthesize
 from .context import CountModel, TrainSchedule, UniformModel, train_count_model
 from .errors import ConfigError
-from .grid import GosConfig, TokenGrid, build_slice_grid, default_layer_bounds
+from .grid import GosConfig, TokenGrid, build_slice_grid
 from .metrics import mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import receive_tokens, send_tokens
 from .rvq import RvqCodec, dequantize, quantize, train_codebooks
@@ -70,7 +70,6 @@ class ExperimentConfig:
     vocab: int = 64
     n_layers: int = 8
     n_coarse: int = 2
-    n_fine_groups: int = 3
     gos_len: int = 12
     n_units: int = 3
     levels: tuple = (8,)
@@ -92,8 +91,8 @@ class ExperimentConfig:
 
 
 _INT_FIELDS = {"sample_rate", "frame_len", "dim", "vocab", "n_layers",
-               "n_coarse", "n_fine_groups", "gos_len", "n_units", "n_trials",
-               "base_seed", "clip_frames", "n_tones", "conceal_window",
+               "n_coarse", "gos_len", "n_units", "n_trials", "base_seed",
+               "clip_frames", "n_tones", "conceal_window",
                "conceal_fine_layers", "train_clips", "train_epochs",
                "schedule_epochs"}
 _POSITIVE = _INT_FIELDS - {"base_seed", "conceal_fine_layers", "n_tones"}
@@ -225,10 +224,7 @@ def train_context(cfg: ExperimentConfig, codec: RvqCodec,
 
 def gos_config(cfg: ExperimentConfig) -> GosConfig:
     """The group-of-slices layout a config describes."""
-    bounds = default_layer_bounds(cfg.n_layers, cfg.n_coarse,
-                                  cfg.n_fine_groups)
-    return GosConfig(gos_len=cfg.gos_len, n_units=cfg.n_units,
-                     layer_bounds=bounds)
+    return GosConfig(cfg.gos_len, cfg.n_units, cfg.n_coarse, cfg.n_layers)
 
 
 def train_stack(cfg: ExperimentConfig) -> TrainedStack:

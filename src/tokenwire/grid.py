@@ -85,66 +85,34 @@ class GosConfig:
 
     gos_len: frames per group.
     n_units: number of interleaved frame units per group.
-    layer_bounds: group boundaries (N_0 .. N_{J+1}); group 0 spans layers
-        1..layer_bounds[1] and is the coarse group, group j spans
-        layer_bounds[j]+1 .. layer_bounds[j+1].
+    n_coarse: layers 1..n_coarse form the coarse group, group 0.
+    n_layers: layers n_coarse+1..n_layers form the fine group, group 1,
+        which is empty in a coarse-only layout (n_coarse == n_layers).
     """
 
     gos_len: int
     n_units: int
-    layer_bounds: tuple
+    n_coarse: int
+    n_layers: int
 
     def __post_init__(self):
         if self.gos_len < 1:
             raise ValueError("gos_len must be at least 1")
         if not 1 <= self.n_units <= self.gos_len:
             raise ValueError("n_units must be in [1, gos_len]")
-        b = tuple(int(x) for x in self.layer_bounds)
-        object.__setattr__(self, "layer_bounds", b)
-        if len(b) < 2 or b[0] != 0:
-            raise ValueError("layer_bounds must start at 0 and define at least one group")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise ValueError("layer_bounds must be strictly increasing")
-
-    @property
-    def n_coarse(self) -> int:
-        return self.layer_bounds[1]
-
-    @property
-    def n_layers(self) -> int:
-        return self.layer_bounds[-1]
-
-    @property
-    def n_fine_groups(self) -> int:
-        return len(self.layer_bounds) - 2
+        if not 1 <= self.n_coarse <= self.n_layers:
+            raise ValueError("need 1 <= n_coarse <= n_layers")
 
     def group_layers(self, group: int, level: int | None = None) -> range:
-        """1-based layer range of a group, truncated at ``level`` if given."""
-        lo = self.layer_bounds[group] + 1
-        hi = self.layer_bounds[group + 1]
+        """1-based layer range of group 0 (coarse) or 1 (fine), truncated
+        at ``level`` if given."""
+        if group not in (0, 1):
+            raise ValueError(f"no layer group {group}")
+        lo = 1 if group == 0 else self.n_coarse + 1
+        hi = self.n_coarse if group == 0 else self.n_layers
         if level is not None:
             hi = min(hi, level)
         return range(lo, hi + 1)
-
-
-def default_layer_bounds(n_layers: int, n_coarse: int, n_fine_groups: int) -> tuple:
-    """Split fine layers into near-equal contiguous groups.
-
-    Earlier groups take the extra layer when the split is uneven, so the
-    perceptually more important low layers sit in smaller groups no larger
-    than later ones.
-    """
-    if not 1 <= n_coarse < n_layers:
-        raise ValueError("need 1 <= n_coarse < n_layers")
-    n_fine = n_layers - n_coarse
-    n_fine_groups = min(n_fine_groups, n_fine)
-    if n_fine_groups < 1:
-        raise ValueError("need at least one fine group")
-    base, extra = divmod(n_fine, n_fine_groups)
-    bounds = [0, n_coarse]
-    for j in range(n_fine_groups):
-        bounds.append(bounds[-1] + base + (1 if j < extra else 0))
-    return tuple(bounds)
 
 
 @dataclass(frozen=True)
@@ -192,7 +160,7 @@ def periodic_slicing(gos_len: int, n_units: int) -> dict[int, list[int]]:
 class SliceId(NamedTuple):
     gos: int
     unit: int
-    group: int  # 0 is the coarse group
+    group: int  # 0 coarse, 1 fine
 
 
 @dataclass
@@ -200,9 +168,9 @@ class SliceGrid:
     """Partition of all encoded cells (t, k) into slices.
 
     ``slices`` is keyed in canonical emission order: per group-of-slices,
-    the coarse slices by unit, then the fine slices by unit and layer
-    group. ``cells`` arrays are (n, 2) int32 of
-    0-based (frame, layer), sorted by frame then layer.
+    the coarse slice of each unit, then the fine slice of each unit, which
+    holds the unit's fine layers below the level. ``cells`` arrays are
+    (n, 2) int32 of 0-based (frame, layer), sorted by frame then layer.
     """
 
     n_frames: int
@@ -215,15 +183,16 @@ class SliceGrid:
 def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:
     """Partition cells (t, k < level) of a T-frame grid into periodic slices.
 
-    Layer groups above ``level`` are dropped; the group containing ``level``
-    is truncated. Frames past the last full group form a shorter final group.
+    The fine slices stop at ``level``, and there are none when ``level`` is
+    the coarse depth. Frames past the last full group form a shorter final
+    group.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
     if level < gos.n_coarse:
         raise ValueError(f"encode level {level} is below the coarse depth {gos.n_coarse}")
     if level > gos.n_layers:
-        raise ValueError(f"encode level {level} exceeds the layer bounds {gos.layer_bounds}")
+        raise ValueError(f"encode level {level} exceeds the layer count {gos.n_layers}")
 
     sg = SliceGrid(n_frames, gos.n_layers, level, gos)
     n_full, tail = divmod(n_frames, gos.gos_len)
@@ -248,8 +217,7 @@ def _gos_cells(gos: GosConfig, span: int, level: int) -> tuple:
     frame 0, in emission order, empty slices left out. Shared: callers
     shift copies."""
     units = periodic_slicing(gos.gos_len, gos.n_units)
-    order = [(u, 0) for u in units] + [
-        (u, j) for u in units for j in range(1, len(gos.layer_bounds) - 1)]
+    order = [(u, j) for j in (0, 1) for u in units]
     out = []
     for u, j in order:
         frames = np.array([t1 - 1 for t1 in units[u] if t1 <= span],

@@ -7,26 +7,25 @@ tokens are on the wire once the horizon frame has been captured, so
 end-to-end latency never exceeds stride + lookahead frames. A step, not a
 frame, is the unit that travels: it sends at most one coarse packet,
 carrying the coarse layers of its new frames and, as repair, the previous
-coarse packet's payload, and at most one packet per fine layer group,
-carrying that group's layers of every due frame in frame-then-layer
-order. A packet names its layer group and its frames, (first_frame,
-n_frames), and nothing else. At stride 1 every packet after the first
-coarse one holds one frame.
+coarse packet's payload, and at most one fine packet, carrying the fine
+layers below the encode level of every due frame in frame-then-layer
+order. A packet names whether it is coarse or fine and its frames,
+(first_frame, n_frames), and nothing else. At stride 1 every packet after
+the first coarse one holds one frame.
 
 Both ends run on the transceiver core in ``pipeline`` and take a step's
 geometry, its due frames, its horizon and its coarse frames, from
-``stream_step`` and ``stream_coarse``. Every fine slice of a step is
-coded against the coarse layers of the step's coding window and nothing
-else. The window ends at the later of the previous step's horizon and the
+``stream_step`` and ``stream_coarse``. A step's fine slice is coded
+against the coarse layers of the step's coding window and nothing else.
+The window ends at the later of the previous step's horizon and the
 step's last due frame, so with lookahead >= stride a lost coarse packet
 is repaired by the next step's copy before that step decodes. Both ends
 derive that one ``Conditions`` with ``stream_conditions``. No fine cell
-is a condition, so a lost fine packet costs its own cells only, and each
-end prices a step's fine slices in one model query. The receiver's
-buffered states start INVALID from the encode level up. It drops and
-counts every packet the step geometry does not place or whose payload it
-cannot read, as if lost, then finalizes the due frames: decode what
-arrived, conceal the lost coarse cells inside a window ending at the
+is a condition, so a lost fine packet costs its own cells only. The
+receiver's buffered states start INVALID from the encode level up. It
+drops and counts every packet the step geometry does not place or whose
+payload it cannot read, as if lost, then finalizes the due frames: decode
+what arrived, conceal the lost coarse cells inside a window ending at the
 horizon, release. A lost or invalid fine cell is not guessed; it ends its
 frame's usable depth. Released frames are never revisited, and concealed
 cells never serve as coding context.
@@ -60,15 +59,12 @@ def _cells(frames: range, layers: range) -> np.ndarray:
     return np.array([(f, k) for f in frames for k in layers], dtype=np.int64)
 
 
-def _fine_slices(gos: GosConfig, frames: range, level: int) -> dict:
-    """{group: cells} of the fine slices of ``frames`` below ``level``,
-    each group's cells in frame-then-layer order."""
-    out = {}
-    for j in range(1, gos.n_fine_groups + 1):
-        layers = gos.group_layers(j, level)
-        if len(layers):
-            out[j] = _cells(frames, range(layers.start - 1, layers.stop - 1))
-    return out
+def _fine_cells(gos: GosConfig, frames: range, level: int):
+    """Cells of the fine slice of ``frames``, the fine layers below
+    ``level`` in frame-then-layer order; None when there are none."""
+    if level == gos.n_coarse:
+        return None
+    return _cells(frames, range(gos.n_coarse, level))
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ class StreamSender:
                  level: int | None = None, fec: bool = True):
         level = gos.n_layers if level is None else level
         if not gos.n_coarse <= level <= gos.n_layers:
-            raise ValueError("level out of range for the layer bounds")
+            raise ValueError("level out of range for the layout")
         self.gos = gos
         self.stream = stream
         self.model = model
@@ -160,10 +156,11 @@ class StreamSender:
             packets.append(self._tx.coarse(
                 _head(coarse, 0),
                 self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
-        cond = stream_conditions(i, cfg, gos.n_coarse, total)
-        packets += self._tx.fine(self._buf, [
-            (_head(due, j), cells, cond)
-            for j, cells in _fine_slices(gos, due, self.level).items()])
+        fine = _fine_cells(gos, due, self.level)
+        if fine is not None:
+            cond = stream_conditions(i, cfg, gos.n_coarse, total)
+            packets += self._tx.fine(self._buf,
+                                     [(_head(due, 1), fine, cond)])
         self._latency.extend(horizon + 1 - f for f in due)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
@@ -179,7 +176,7 @@ class StreamReceiver:
                  level: int | None = None, conceal_fine_layers: int = 2):
         level = gos.n_layers if level is None else level
         if not gos.n_coarse <= level <= gos.n_layers:
-            raise ValueError("level out of range for the layer bounds")
+            raise ValueError("level out of range for the layout")
         self.gos = gos
         self.stream = stream
         self.model = model
@@ -210,23 +207,23 @@ class StreamReceiver:
 
         One packet per head is placed: a coarse one over some step's coarse
         frames up to the horizon, with a repair copy of the step before's
-        (ignored on the first), and a fine one over the due frames of a
-        layer group the level sends. Any other packet, or one whose payload
+        (ignored on the first), and a fine one over the due frames when the
+        level sends fine layers. Any other packet, or one whose payload
         cannot be read, is dropped and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, n_coarse = self.stream, self.gos.n_coarse
         i = self._next_step
         due, horizon = stream_step(i, cfg, total)
-        slices = _fine_slices(self.gos, due, self.level)
+        fine = _fine_cells(self.gos, due, self.level)
         self._next_step += 1
         self._grow(horizon + 1)
 
-        links, fine, seen = [], {}, set()
+        links, payload, seen = [], None, set()
         for p in packets:
             frames = range(p.first_frame, p.first_frame + p.n_frames)
             if p.group:
-                ok = p.group in slices and frames == due
+                ok = fine is not None and frames == due
             else:
                 # the one step whose coarse frames can start there: step
                 # j >= 1 starts after h_{j-1} = j * stride - 1 + lookahead
@@ -238,7 +235,7 @@ class StreamReceiver:
                 continue
             seen.add((p.group, p.first_frame))
             if p.group:
-                fine[p.group] = p.payload
+                payload = p.payload
             else:
                 prev = (_cells(stream_coarse(j - 1, cfg, total),
                                range(n_coarse)) if j else None)
@@ -248,10 +245,10 @@ class StreamReceiver:
         self.fec_recovered += repaired
         self.n_dropped += dropped
 
-        cond = stream_conditions(i, cfg, n_coarse, total)
-        self.n_dropped += decode_fine(
-            self.model, self._tokens, self._states,
-            [(cells, fine.get(j), cond) for j, cells in slices.items()])
+        if fine is not None:
+            self.n_dropped += decode_fine(
+                self.model, self._tokens, self._states,
+                [(fine, payload, stream_conditions(i, cfg, n_coarse, total))])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])

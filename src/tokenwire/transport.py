@@ -9,11 +9,12 @@ coarse packet whenever its successor arrives.
 A packet's bytes, in order:
 
 - one byte: the format version in the high nibble, the flags in the low
-  one (``_FLAG_FEC`` is the only flag);
-- ``group``, ``first_frame`` and ``n_frames``, each an unsigned LEB128
-  varint: seven value bits per byte, least significant seven first, the
-  high bit set on every byte but the last, and no redundant trailing zero
-  byte (so 0 is one 0x00 byte). They name the packet's slice by its layer
+  one: ``_FLAG_FEC`` marks a repair copy, and ``_FLAG_FINE`` a fine packet
+  (``group`` 1) rather than a coarse one (``group`` 0);
+- ``first_frame`` and ``n_frames``, each an unsigned LEB128 varint: seven
+  value bits per byte, least significant seven first, the high bit set on
+  every byte but the last, and no redundant trailing zero byte (so 0 is
+  one 0x00 byte). With the fine flag they name the packet's slice by its
   group and its frames alone; the layout maps them to a slice;
 - the FEC length as a varint, present only when ``_FLAG_FEC`` is set, and
   then never 0;
@@ -38,11 +39,12 @@ from .errors import DecodeError
 
 # 5 is skipped: version 3 packets began with the magic b"SP", and byte
 # 0's high nibble reads that 0x53 as version 5
-_VERSION = 6
+_VERSION = 7
 _FLAG_FEC = 0x01
+_FLAG_FINE = 0x02
 _CRC_BYTES = 4
-# version byte, three one-byte varints, no FEC length, the CRC
-_MIN_BYTES = 1 + 3 + _CRC_BYTES
+# version byte, two one-byte varints, no FEC length, the CRC
+_MIN_BYTES = 1 + 2 + _CRC_BYTES
 
 
 def token_bits(vocab: int) -> int:
@@ -78,8 +80,8 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Packet:
-    """One slice on the wire. fec, when present, repeats the previous
-    coarse slice's packed tokens."""
+    """One slice on the wire: ``group`` 0 is coarse, 1 fine. fec, when
+    present, repeats the previous coarse slice's packed tokens."""
 
     group: int
     first_frame: int
@@ -88,8 +90,8 @@ class Packet:
     fec: bytes = b""
 
     def __post_init__(self):
-        if not 0 <= self.group < 1 << 8:
-            raise ValueError("group out of range")
+        if self.group not in (0, 1):
+            raise ValueError("group must be 0 (coarse) or 1 (fine)")
         if not 0 <= self.first_frame < 1 << 32:
             raise ValueError("first_frame out of range")
         if not 0 < self.n_frames < 1 << 16:
@@ -99,11 +101,11 @@ class Packet:
 
     @property
     def flags(self) -> int:
-        return _FLAG_FEC if self.fec else 0
+        return (_FLAG_FEC if self.fec else 0) | _FLAG_FINE * self.group
 
     def _fields(self) -> tuple:
         """The header's varint fields, in wire order."""
-        head = (self.group, self.first_frame, self.n_frames)
+        head = (self.first_frame, self.n_frames)
         return head + (len(self.fec),) if self.fec else head
 
     @property
@@ -144,11 +146,12 @@ class Packet:
         end = len(data) - _CRC_BYTES
         if zlib.crc32(data[:end]) != int.from_bytes(data[end:], "little"):
             raise DecodeError("packet checksum mismatch")
-        if flags & ~_FLAG_FEC:
+        if flags & ~(_FLAG_FEC | _FLAG_FINE):
             raise DecodeError(f"unknown packet flags {flags:#04x}")
-        fields = []
+        has_fec = flags & _FLAG_FEC
+        fields = [1 if flags & _FLAG_FINE else 0]
         pos = 1
-        for _ in range(4 if flags else 3):
+        for _ in range(3 if has_fec else 2):
             if pos == end:
                 raise DecodeError("unterminated varint in packet header")
             value = byte = data[pos]
@@ -169,8 +172,8 @@ class Packet:
                 if not byte:
                     raise DecodeError("overlong varint in packet header")
             fields.append(value)
-        fec_len = fields.pop() if flags else 0
-        if flags and not fec_len:
+        fec_len = fields.pop() if has_fec else 0
+        if has_fec and not fec_len:
             raise DecodeError(f"packet flags {flags:#04x} do not match its "
                               f"0-byte fec field")
         split = end - fec_len

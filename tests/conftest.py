@@ -27,7 +27,6 @@ STACK_CFG = tw.ExperimentConfig(
     vocab=256,
     n_layers=6,
     n_coarse=1,
-    n_fine_groups=3,
     gos_len=12,
     n_units=3,
     levels=(6,),
@@ -48,7 +47,6 @@ MINI_CFG = tw.ExperimentConfig(
     vocab=8,
     n_layers=3,
     n_coarse=1,
-    n_fine_groups=2,
     gos_len=6,
     n_units=2,
     levels=(3,),
@@ -99,8 +97,8 @@ def random_grid(rng, n_frames, n_layers, vocab, level=None):
 
 
 def slice_of(sg, packet):
-    """The slice of ``sg`` that ``packet`` carries: the one of its layer
-    group whose first cell is in the packet's first frame."""
+    """The slice of ``sg`` that ``packet`` carries: the coarse or fine one
+    whose first cell is in the packet's first frame."""
     return next(sid for sid, cells in sg.slices.items()
                 if sid.group == packet.group
                 and cells[0, 0] == packet.first_frame)

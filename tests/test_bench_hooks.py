@@ -47,7 +47,7 @@ def test_hooks_record_the_coding_work():
     tokens = rng.integers(0, 8, size=(12, 3)).astype(np.int32)
     grid = TokenGrid(tokens, np.full(12, 3), 8)
     model = train_count_model([grid], 8, 3, 1, TrainSchedule(seed=1))
-    gos = GosConfig(6, 2, (0, 1, 2, 3))
+    gos = GosConfig(6, 2, 1, 3)
     tracing = load_tracing()
     tracer = tracing.Tracer()
     try:

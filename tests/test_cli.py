@@ -1,6 +1,7 @@
 """End-to-end command line flows in a temporary workspace."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from tokenwire.transport import read_packets, read_trace
 
 CFG = {
     "frame_len": 160, "dim": 16, "vocab": 8, "n_layers": 3, "n_coarse": 1,
-    "n_fine_groups": 2, "gos_len": 6, "n_units": 2,
+    "gos_len": 6, "n_units": 2,
     "levels": [3], "clip_frames": 12, "train_clips": 4, "train_epochs": 2,
     "schedule_epochs": 4, "conceal_window": 6, "n_trials": 2,
     "losses": [0.0, 0.2], "models": ["count"],
@@ -99,9 +100,11 @@ def test_encode_outputs(ws):
         manifest = json.load(fh)
     assert manifest["n_frames"] == 12 and manifest["level"] == 3
     assert manifest["fec"] is True
-    assert manifest["n_packets"] == len(packets) == 12
+    # two groups-of-slices of two units, one coarse and one fine slice each
+    assert manifest["n_packets"] == len(packets) == 8
     assert manifest["package_version"] == __version__
-    assert manifest["gos"]["layer_bounds"] == [0, 1, 2, 3]
+    assert manifest["gos"] == {"gos_len": 6, "n_units": 2, "n_coarse": 1,
+                               "n_layers": 3}
     assert manifest["total_bits"] == 8 * sum(len(p.to_bytes())
                                              for p in packets)
     assert manifest["header_bits"] == 8 * sum(p.header_bytes
@@ -118,19 +121,24 @@ def test_encode_prints_wire_and_payload_rates(ws, tmp_path, capsys):
         manifest = json.load(fh)
     total, header = manifest["total_bits"], manifest["header_bits"]
     seconds = 12 * 160 / 16000
-    assert (f"wrote 12 packets, {total} bits (wire "
+    assert (f"wrote 8 packets, {total} bits (wire "
             f"{total / seconds / 1000:.2f} kbit/s, payload "
             f"{(total - header) / seconds / 1000:.2f} kbit/s) to {out}"
             in capsys.readouterr().out)
 
 
-def test_encode_rejects_ragged_audio(ws, tmp_path):
+def test_encode_rejects_ragged_audio(ws, tmp_path, capsys):
+    """Audio that is not whole frames is an error naming the file, in
+    ``encode`` and in ``stream``, and nothing is written."""
     bad = tmp_path / "ragged.wav"
     write_audio(bad, synth_audio(12 * 160 + 30, seed=6))
-    with pytest.raises(SystemExit, match="multiple of frame_len"):
-        main(["encode", "--config", str(ws["cfg"]), "--codec",
-              str(ws["codec"]), "--model", str(ws["model"]),
-              "--audio", str(bad), "--out-dir", str(tmp_path / "enc")])
+    for argv in (_encode(ws, tmp_path), _stream(ws, tmp_path)):
+        assert main(_swap(argv, "--audio", str(bad))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: 1950 samples are not a multiple of frame_len "
+            f"160; pad or trim first\n")
+        assert not (tmp_path / "enc").exists()
+        assert not (tmp_path / "out.wav").exists()
 
 
 def test_channel_traces(ws, tmp_path):
@@ -140,14 +148,14 @@ def test_channel_traces(ws, tmp_path):
                  "--channel", '{"type": "bernoulli", "loss_prob": 0.0}',
                  "--seed", "1"]) == 0
     trace = read_trace(trace_path)
-    assert trace.shape == (12,) and bool(trace.all())
+    assert trace.shape == (8,) and bool(trace.all())
 
     spec = tmp_path / "chan.json"
     spec.write_text(json.dumps({"type": "markov"}))
     assert main(["channel", "--packets", str(ws["enc"] / "packets.bin"),
                  "--out", str(trace_path), "--channel-file", str(spec),
                  "--seed", "1"]) == 0
-    assert read_trace(trace_path).shape == (12,)
+    assert read_trace(trace_path).shape == (8,)
 
 
 def test_decode_lossless_matches_the_library(ws, tmp_path):
@@ -250,7 +258,7 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
     assert "max sender latency" in text and "(bound 6)" in text
     assert "; n_dropped 0\n" in text
     # the bit accounting comes from the sender's report: 12 frames in 4
-    # steps send 3 coarse packets and 2 fine-group packets per step
+    # steps send 3 coarse packets and one fine packet per step
     cfg = config_from_dict(CFG)
     codec = load_codec(ws["codec"])
     model = load_count_model(ws["model"])
@@ -261,11 +269,11 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
     tx.push(grid.tokens)
     tx.flush()
     rep = tx.report
-    assert rep.n_packets == 11
+    assert rep.n_packets == 7
     seconds = audio.samples.size / audio.sample_rate
     assert (f"wire {rep.total_bits / seconds / 1000:.2f} kbit/s; "
             f"payload {rep.payload_bits / seconds / 1000:.2f} kbit/s; "
-            f"0.92 packets/frame; "
+            f"0.58 packets/frame; "
             f"fine {rep.fine_bits / rep.n_fine_tokens:.2f} bits/token"
             in text)
 
@@ -292,16 +300,19 @@ def test_stream_rejects_a_cadence_the_windows_cannot_cover(ws, tmp_path,
 
 
 def test_config_with_key_unit_is_refused(ws, tmp_path, capsys):
-    # Every fine slice is coded against coarse cells only; a config that
-    # still names a key unit is refused as naming an unknown field.
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({**CFG, "key_unit": 1}))
-    assert main(["encode", "--config", str(cfg), "--codec",
-                 str(ws["codec"]), "--model", str(ws["model"]),
-                 "--audio", str(ws["audio"]),
-                 "--out-dir", str(tmp_path / "enc")]) == 2
-    assert capsys.readouterr().err == "error: key_unit: unknown field\n"
-    assert not (tmp_path / "enc").exists()
+    # Every fine slice is coded against coarse cells only, and every unit
+    # sends its fine layers in one slice; a config that still names a key
+    # unit or a count of fine layer groups is refused as naming an unknown
+    # field.
+    for field in ("key_unit", "n_fine_groups"):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({**CFG, field: 1}))
+        assert main(["encode", "--config", str(cfg), "--codec",
+                     str(ws["codec"]), "--model", str(ws["model"]),
+                     "--audio", str(ws["audio"]),
+                     "--out-dir", str(tmp_path / "enc")]) == 2
+        assert capsys.readouterr().err == f"error: {field}: unknown field\n"
+        assert not (tmp_path / "enc").exists()
 
 
 def test_refused_model_or_codec_file_is_an_error(ws, tmp_path, capsys):
@@ -337,16 +348,31 @@ def _decode(ws, tmp_path, trace):
             "--trace", str(tmp_path / "trace.txt")]
 
 
+def _decode_packets(ws, tmp_path, data: bytes):
+    """A decode of the encoded clip's manifest with ``data`` as its
+    ``packets.bin``."""
+    d = tmp_path / "other"
+    d.mkdir()
+    (d / "manifest.json").write_bytes(
+        (ws["enc"] / "manifest.json").read_bytes())
+    (d / "packets.bin").write_bytes(data)
+    return ["decode", "--dir", str(d), "--codec", str(ws["codec"]),
+            "--model", str(ws["model"]), "--out", str(tmp_path / "out.wav")]
+
+
 def _cut_packets(ws, tmp_path):
     """A decode of the encoded clip whose ``packets.bin`` ends mid-record."""
-    cut = tmp_path / "cut"
-    cut.mkdir()
-    (cut / "manifest.json").write_bytes(
-        (ws["enc"] / "manifest.json").read_bytes())
-    (cut / "packets.bin").write_bytes(
-        (ws["enc"] / "packets.bin").read_bytes()[:-3])
-    return ["decode", "--dir", str(cut), "--codec", str(ws["codec"]),
-            "--model", str(ws["model"]), "--out", str(tmp_path / "out.wav")]
+    return _decode_packets(ws, tmp_path,
+                           (ws["enc"] / "packets.bin").read_bytes()[:-3])
+
+
+def _version_6_packets(ws, tmp_path):
+    """A decode of a ``packets.bin`` in the format before the fine flag,
+    which wrote the group as a varint: a fine packet of frames 0-1."""
+    body = b"\x60\x01\x00\x02ab"
+    record = body + zlib.crc32(body).to_bytes(4, "little")
+    return _decode_packets(ws, tmp_path,
+                           len(record).to_bytes(4, "little") + record)
 
 
 def _stream(ws, tmp_path, *extra):
@@ -365,9 +391,9 @@ def _stream(ws, tmp_path, *extra):
      "--channel: bernoulli channel needs loss_prob"),
     (lambda ws, tmp: _channel(ws, tmp, '[0.1]'),
      "--channel: channel spec must be a JSON object"),
-    (lambda ws, tmp: _decode(ws, tmp, "1" * 11),
-     "trace.txt: 11 entries for 12 packets"),
-    (lambda ws, tmp: _decode(ws, tmp, "1" * 11 + "x"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 7),
+     "trace.txt: 7 entries for 8 packets"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 7 + "x"),
      "trace.txt: trace may contain only 0 and 1"),
     (lambda ws, tmp: _stream(ws, tmp, "--loss", "1.5"),
      "--loss: loss_prob must be a probability"),
@@ -378,9 +404,11 @@ def _stream(ws, tmp_path, *extra):
     (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio", _bad_wav(tmp)),
      "bad.wav: not a WAV file: it ends early"),
     (_cut_packets, "packets.bin: truncated packet record"),
+    (_version_6_packets, "packets.bin: unsupported packet version 6"),
 ], ids=["channel-type", "loss-prob", "no-loss-prob", "not-an-object",
         "trace-length", "trace-characters", "stream-loss", "encode-level",
-        "encode-bad-wav", "stream-bad-wav", "decode-cut-packets"])
+        "encode-bad-wav", "stream-bad-wav", "decode-cut-packets",
+        "decode-version-6-packets"])
 def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
     """Refused user input prints one error line naming the option or file
     and exits 2, with no traceback and no output written."""
@@ -416,24 +444,10 @@ def test_manifest_missing_a_field_is_an_error(ws, tmp_path, capsys):
         assert not (tmp_path / "out.wav").exists()
 
 
-@pytest.mark.parametrize("change, message", [
-    (lambda m: {**m, "level": "x"}, "level must be an integer"),
-    (lambda m: {**m, "n_frames": True}, "n_frames must be an integer"),
-    (lambda m: {**m, "conceal_window": 6.0},
-     "conceal_window must be an integer"),
-    (lambda m: {**m, "gos": {**m["gos"], "n_units": "2"}},
-     "gos.n_units must be an integer"),
-    (lambda m: {**m, "gos": {**m["gos"], "layer_bounds": [0, "1", 3]}},
-     "gos.layer_bounds must be a list of integers"),
-    (lambda m: {**m, "gos": {**m["gos"], "layer_bounds": 3}},
-     "gos.layer_bounds must be a list of integers"),
-    (lambda m: {**m, "model_sha256": 7}, "model_sha256 must be a string"),
-    (lambda m: {**m, "gos": [6, 2]}, "gos must be an object"),
-    (lambda m: [m], "not a JSON object"),
-], ids=["int", "bool-for-int", "optional-int", "gos-int", "list-item",
-        "not-a-list", "string", "object", "top-level"])
-def test_manifest_field_of_the_wrong_type_is_an_error(ws, tmp_path, capsys,
-                                                       change, message):
+def assert_manifest_refused(ws, tmp_path, capsys, change, message):
+    """A decode of the encoded clip under the manifest ``change`` makes of
+    its own prints one error line, ``message`` about the manifest, exits
+    2 and writes no audio."""
     enc = tmp_path / "enc"
     enc.mkdir()
     (enc / "packets.bin").write_bytes((ws["enc"] / "packets.bin").read_bytes())
@@ -445,6 +459,56 @@ def test_manifest_field_of_the_wrong_type_is_an_error(ws, tmp_path, capsys,
     assert capsys.readouterr().err == \
         f"error: {enc / 'manifest.json'}: {message}\n"
     assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda m: {**m, "level": "x"}, "level must be an integer"),
+    (lambda m: {**m, "n_frames": True}, "n_frames must be an integer"),
+    (lambda m: {**m, "conceal_window": 6.0},
+     "conceal_window must be an integer"),
+    (lambda m: {**m, "gos": {**m["gos"], "n_units": "2"}},
+     "gos.n_units must be an integer"),
+    (lambda m: {**m, "gos": {**m["gos"], "n_coarse": [1]}},
+     "gos.n_coarse must be an integer"),
+    (lambda m: {**m, "gos": {**m["gos"], "n_layers": 3.0}},
+     "gos.n_layers must be an integer"),
+    (lambda m: {**m, "model_sha256": 7}, "model_sha256 must be a string"),
+    (lambda m: {**m, "gos": [6, 2]}, "gos must be an object"),
+    (lambda m: [m], "not a JSON object"),
+], ids=["int", "bool-for-int", "optional-int", "gos-int", "gos-n-coarse",
+        "gos-n-layers", "string", "object", "top-level"])
+def test_manifest_field_of_the_wrong_type_is_an_error(ws, tmp_path, capsys,
+                                                       change, message):
+    assert_manifest_refused(ws, tmp_path, capsys, change, message)
+
+
+def _gos(**changes):
+    """A manifest change that sets fields of its ``gos``."""
+    return lambda m: {**m, "gos": {**m["gos"], **changes}}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda m: {**m, "level": 99},
+     "level must be in [gos.n_coarse, gos.n_layers], got 99"),
+    (lambda m: {**m, "n_frames": -3}, "n_frames must be at least 1, got -3"),
+    (lambda m: {**m, "frame_len": 0}, "frame_len must be at least 1, got 0"),
+    (lambda m: {**m, "sample_rate": 0},
+     "sample_rate must be at least 1, got 0"),
+    (lambda m: {**m, "conceal_window": 0},
+     "conceal_window must be at least 1, got 0"),
+    (_gos(gos_len=0), "gos.gos_len must be at least 1, got 0"),
+    (_gos(n_units=7), "gos.n_units must be in [1, gos.gos_len], got 7"),
+    (_gos(n_coarse=3, n_layers=1),
+     "gos.n_coarse must be in [1, gos.n_layers], got 3"),
+    (_gos(n_layers=4), "gos.n_layers must be the codec's 3, got 4"),
+    (lambda m: {**m, "frame_len": 8},
+     "frame_len must be at least the codec's dim 16, got 8"),
+], ids=["level", "n_frames", "frame_len", "sample_rate", "conceal_window",
+        "gos-gos_len", "gos-n_units", "gos-layers-out-of-order",
+        "gos-n_layers-not-the-codec's", "frame_len-below-dim"])
+def test_manifest_value_out_of_range_is_an_error(ws, tmp_path, capsys,
+                                                 change, message):
+    assert_manifest_refused(ws, tmp_path, capsys, change, message)
 
 
 def test_corrupt_record_decodes_as_a_lost_packet(ws, tmp_path):
@@ -464,7 +528,7 @@ def test_corrupt_record_decodes_as_a_lost_packet(ws, tmp_path):
     assert main(["decode", "--dir", str(bad), *common,
                  "--out", str(tmp_path / "bad.wav"),
                  "--report", str(tmp_path / "bad.json")]) == 0
-    (tmp_path / "trace.txt").write_text("0" + "1" * 11 + "\n")
+    (tmp_path / "trace.txt").write_text("0" + "1" * 7 + "\n")
     assert main(["decode", "--dir", str(ws["enc"]), *common,
                  "--trace", str(tmp_path / "trace.txt"),
                  "--out", str(tmp_path / "lost.wav"),
@@ -485,9 +549,9 @@ def _swap(argv, flag, value):
 
 @pytest.mark.parametrize("argv, flag", [
     (lambda ws, tmp: _channel(ws, tmp, "{}"), "--packets"),
-    (lambda ws, tmp: _decode(ws, tmp, "1" * 12), "--dir"),
-    (lambda ws, tmp: _decode(ws, tmp, "1" * 12), "--codec"),
-    (lambda ws, tmp: _decode(ws, tmp, "1" * 12), "--model"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 8), "--dir"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 8), "--codec"),
+    (lambda ws, tmp: _decode(ws, tmp, "1" * 8), "--model"),
     (lambda ws, tmp: ["train-context", "--codec", "", "--out",
                       str(tmp / "out.ctx")], "--codec"),
     (_encode, "--codec"),

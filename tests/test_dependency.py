@@ -40,7 +40,7 @@ C = int(TokenState.CONCEALED)
 
 
 def small_layout(level=3, n_frames=6):
-    gos = GosConfig(6, 3, (0, 1, 2, 3))
+    gos = GosConfig(6, 3, 1, 3)
     sg = build_slice_grid(n_frames, gos, level)
     return sg, slice_conditions(sg)
 
@@ -124,7 +124,7 @@ def test_periodic_dependency_structure():
     # Coarse slices are sent uncoded and condition on nothing.
     assert set(phi) == set(sg.slices) - coarse[0] - coarse[1]
     # Every fine slice conditions on exactly the coarse slices of its
-    # group-of-slices, whatever its unit and layer group.
+    # group-of-slices, whatever its unit.
     for sid, cond in phi.items():
         assert conditioned_slices(sg, cond) == coarse[sid.gos]
     # The per-frame lookup names the coarse cells of those slices.
@@ -135,11 +135,10 @@ def test_periodic_dependency_structure():
 
 def gos_strategy():
     return st.builds(
-        lambda gos_len, units, steps: GosConfig(
-            gos_len, min(units, gos_len),
-            tuple(np.cumsum([0] + steps).tolist())),
-        st.integers(1, 8), st.integers(1, 4),
-        st.lists(st.integers(1, 2), min_size=1, max_size=4))
+        lambda gos_len, units, n_coarse, n_fine: GosConfig(
+            gos_len, min(units, gos_len), n_coarse, n_coarse + n_fine),
+        st.integers(1, 8), st.integers(1, 4), st.integers(1, 2),
+        st.integers(0, 6))
 
 
 def stream_emission_order(gos, cfg, n_frames, level):
@@ -208,13 +207,13 @@ def coding_view(cond, n_rows, n_layers, cells):
 
 
 def test_coding_visibility_periodic():
-    gos = GosConfig(6, 3, (0, 2, 4, 6))
+    gos = GosConfig(6, 3, 2, 6)
     sg = build_slice_grid(12, gos, 5)
     phi = fine_slice_conditions(sg)
 
-    # Every fine slice, of any unit and layer group: the whole
-    # group-of-slices shows its coarse prefix, and nothing else shows.
-    for sid in (SliceId(1, 1, 1), SliceId(1, 2, 1), SliceId(1, 3, 2)):
+    # Every fine slice, of any unit: the whole group-of-slices shows its
+    # coarse prefix, and nothing else shows.
+    for sid in (SliceId(1, 1, 1), SliceId(1, 2, 1), SliceId(1, 3, 1)):
         vis, rng = coding_view(phi[sid], 12, 6, sg.slices[sid])
         assert rng == (6, 12)
         np.testing.assert_array_equal(vis, [0] * 6 + [2] * 6)
@@ -300,10 +299,8 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
         conds = stream_conditions_of(cfg, n_frames, gos.n_coarse)
-        per_step = sum(1 for j in range(1, gos.n_fine_groups + 1)
-                       if len(gos.group_layers(j, level)))
         n_steps = -(-n_frames // stride)
-        n_slices = n_steps * per_step
+        n_slices = n_steps * (level > gos.n_coarse)
         # one query per step at each end
         n_queries = 2 * n_steps
     if not n_slices:
@@ -322,8 +319,8 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
 @settings(max_examples=80, deadline=None)
 def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
     """With every coarse packet delivered and any fine packets dropped, a
-    fine cell is RECEIVED whenever the packets of its own frame's layer
-    groups up to its own arrived: no other fine packet is a condition."""
+    fine cell is RECEIVED whenever the fine packet of its own frame
+    arrived: no other fine packet is a condition."""
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tokens = rng.integers(0, 4, size=(n_frames, gos.n_layers))
@@ -333,7 +330,7 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
     def keep(p):
         return p.group == 0 or data.draw(st.booleans())
 
-    arrived = set()  # (frame, layer group) pairs delivered
+    arrived = set()  # (frame, group) pairs delivered
     if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
         sg = build_slice_grid(n_frames, gos, level)
         packets, _ = send_tokens(
@@ -362,11 +359,10 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
         tail, total = tx.flush()
         rx.finish([carry(em) for em in tail], total)
         states = rx.result()[1]
-    for j in range(1, gos.n_fine_groups + 1):
-        for k in gos.group_layers(j, level):
-            for t in range(n_frames):
-                if all((t, i) in arrived for i in range(1, j + 1)):
-                    assert states[t, k - 1] == R, (t, k - 1)
+    for t in range(n_frames):
+        if (t, 1) in arrived:
+            for k in range(gos.n_coarse, level):
+                assert states[t, k] == R, (t, k)
 
 
 @given(gos_strategy(), st.integers(1, 16), st.data())

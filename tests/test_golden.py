@@ -26,8 +26,8 @@ from tokenwire.transport import BernoulliChannel, MarkovChannel, Packet
 
 VOCAB = 16
 N_LAYERS = 8
-GOS = GosConfig(12, 3, (0, 2, 4, 6, 8))
-GOS_UNITS4 = GosConfig(12, 4, (0, 2, 4, 6, 8))
+GOS = GosConfig(12, 3, 2, 8)
+GOS_UNITS4 = GosConfig(12, 4, 2, 8)
 N_FRAMES = 60
 
 # batch layouts: (group-of-slices layout, encode level, frames)
@@ -169,244 +169,244 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
 
 GOLDEN = {
     "batch/8/lossless": {
-        "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
-        "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
+        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
+        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/8/0.1": {
-        "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
-        "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
-        "received": "a9b54e00ab06c7dd5b095974843aca8cdda5c84905ba4c5b8deb0eaa26dfb1da",
-        "receiver": "9c1677f07c1c78cc7d7256906faee546e9fd28ad8f8804ba719c9e3bcf8e1d30",
+        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
+        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
+        "received": "3cc52b5ca70138e25229331b0f6725786a47440f8fa0441bdbf11f3538c83d85",
+        "receiver": "5b7f282d1b811ac128f6e0c0aa72cc46dc925a4b4cd3b40cca58519fee591245",
     },
     "batch/8/0.3": {
-        "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
-        "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
-        "received": "d1e2f02e5fddc8aed53fb208d50038bef6233a79f123bcaf16241a95f8dee7bd",
-        "receiver": "456563d231c24074160dcfcab6502f72ebbb6382a8a4719e9324e581cabd0472",
+        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
+        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
+        "received": "6b18aae97b03a01a819d93087a8163b0a549b94dd8904386c970a4a758fd6d68",
+        "receiver": "39653907a94f6736005aa023d2cd6d23f5c903568744d4b771d4b079ab63144a",
     },
     "batch/8/blackout": {
-        "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
-        "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
+        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
+        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
         "received": "d11e573e0f150436b79f12f2c5cc7ea42b78c76c3973a278cd46766ab2a42090",
         "receiver": "a129e53383e6244faf210e27dfac0d2608a59f7b4ef9a597a04235cc70255225",
     },
     "batch/8/markov": {
-        "wire": "c8c471a2a0ab91853f95fe5b3cd6cb3b74d8cadf8946f3d15f6ad6e089903ef7",
-        "sender": "7d77df606eedfc834c0aad74b7dee9ac2a97075fd0c1c43d938b757afc5f15b7",
-        "received": "c144d2b7d212417b0ee330681bb1fb5d97a2460786f618a28c592643b3806ced",
-        "receiver": "6756aa9468dfa553741e9c6d2fafc24ee244d5e27597a17b469a2e2a1ec141a6",
+        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
+        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
+        "received": "54928d8594347481d40e6fb60b54386ccf1e201327ec1fba23e8934ee955a252",
+        "receiver": "0cdc00d7009cc7ef2a0ec57d4c8fde6a5e92ba82dcae56728c92dbe84a2b7588",
     },
     "batch/5/lossless": {
-        "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
-        "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
+        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
+        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
         "received": "a8faf11c753db5487f1134f670fcdb5307be9bc63b76b49fc7db23a84dcc136d",
         "receiver": "2c2da278bc7b158602da9e1fda5aead2c21a1faaef864089cb88a1187f4f8fb5",
     },
     "batch/5/0.1": {
-        "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
-        "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
-        "received": "1f3649aedf93ea722857b2b95fcdb54a3b4321f1acda2ad95cc7ef6d9ddfd67b",
-        "receiver": "f4084ea004a82e6cc1cd6be6365d9baa4869b1f280eea5c9d17edde482ca2047",
+        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
+        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
+        "received": "ee6288d4f63176fbf4d8187c53272d13cdebf92cb12e9afdd36f296ba72e93e6",
+        "receiver": "007ab425d9b13e002420ec9258def61285856633f25524e6e9894bd5f816418c",
     },
     "batch/5/0.3": {
-        "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
-        "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
-        "received": "ac4fdb98ac60be3e11fbcfe0a3ca54a1faff250452e9680e340da361c274c4ac",
-        "receiver": "b58464fc610e565e1ecd20e3d3d71b39ce175946df43f5c1d96ac98c3a9630a3",
+        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
+        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
+        "received": "0e3fb45f34bd69981cbcff6f29b0af52b1e03fc1ca95ab6a606796d0aa1b7e7d",
+        "receiver": "9b89090cfbacc08014e453d0891ae3c880666af68545616821fd24fc0960ac65",
     },
     "batch/5/blackout": {
-        "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
-        "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
+        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
+        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
         "received": "86246d30f63de7c070d9e2b405e878f0a526e2ac7f50f4281444d0b392215928",
         "receiver": "84d5b703ef1d0245036b38081f5629518e102af46c9c8834d00389549dd0d4f5",
     },
     "batch/5/markov": {
-        "wire": "047cf016d102a2b995261f5e287b03d67fb59a40851829ab78aee5103a279579",
-        "sender": "2bdaf23cfaeb4df94e6d4edd0b2690b610f5e3acad92a0889995768c9b7ef417",
-        "received": "a8faf11c753db5487f1134f670fcdb5307be9bc63b76b49fc7db23a84dcc136d",
-        "receiver": "5f16999bfa1591b4343611d7f53048c7f5678db7550edca4f3db9389f588b42d",
+        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
+        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
+        "received": "4db5e75f29f36ddb059549831d15fdf3d31c3fb2b0d267b5b4368784e2e996bf",
+        "receiver": "2f19615a31b8b197118408d9d6f0d5cd4cd5430f400daaf803fcada024f7b7f1",
     },
     "stream/default/lossless": {
-        "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
-        "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
+        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
+        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.1": {
-        "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
-        "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "110f05cd7961a49533a2cbe7952d3076b8479a3e7c01c6530b9765e9107b66d6",
-        "receiver": "6bf581d26aa87ad6f6de40358d32db23b4701c45c66ea5ea05aba55a96237c8c",
+        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
+        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
+        "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.3": {
-        "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
-        "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "0eac259c82b7331996af16e13a8080090db79cc7db06395c73218db5eb4b8df7",
-        "receiver": "1985361e6726a704cad26461b440b3bdf570dab92347b217917b346866038308",
+        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
+        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "received": "df55137803d48fef7638403d0a217c76e31b81b8f70a0b44e1b269fdf1227ec7",
+        "receiver": "e291c44ca34de30e9ef2fe11d29cf2382256ea6712db8db7832c88239c276154",
     },
     "stream/default/blackout": {
-        "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
-        "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
+        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
+        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
         "received": "020254e5e195240afe82be663396259da01d3d6ab7c4cb5171f386a3cddf19ac",
         "receiver": "1fd0c2d20607a9130bee99b1795230e12c4739bb7dfc798c638ae1120db83048",
     },
     "stream/default/markov": {
-        "wire": "718508a9d092899a22fac13b4d9cbc0f062521a5cbcd1f874d06fa9ead9ce7ed",
-        "sender": "4b0635bb87c15d1eee1713f0d4d8a957374a11d9901a4e73d0b75abf52dad43c",
-        "received": "5fee2c7536d0725f9fbaeba7c2a5f52896698830c239854db84b0907452df4b2",
-        "receiver": "12d0246b527f8b383de12712b7ae85757c0d16a02ac5e2bc44cc6ca51bff9328",
+        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
+        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "received": "2f4ff130a73f6b8bcd7da5a2751e0aeafe201c938cf20c961476366a542bf7be",
+        "receiver": "27ee822660a68a3b1f0a6e5cabffcb9012abdeaaee0547253539653bd0b5ed0f",
     },
     "stream/stride1/lossless": {
-        "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
-        "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
+        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
+        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "a86118c02a088cb8ae750eac7c310e69807b6d8fa7341f3a45d4478941bd946e",
     },
     "stream/stride1/0.1": {
-        "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
-        "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
-        "received": "131d6a2f50bb080d7f8d599f3128941f584ca6541d01277e3616981d9f474346",
-        "receiver": "f69a27598a020ad01258359ea58dac49a24a777847fd4fb436125bb2a3fad8ec",
+        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
+        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
+        "received": "a79b9697a8a975bd39d0b562a6ec77e524967212935bdcad85ba849ad468d568",
+        "receiver": "837a4aabda03bd6727501e4580d612668bf80840069d82a62ab411af76481d41",
     },
     "stream/stride1/0.3": {
-        "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
-        "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
-        "received": "ef5b8945f7d694d55a3fcf46167b05bfb38a860accd2179852e9461657150ccf",
-        "receiver": "19ffb3704119adb8e1c6db3c31f2cb25480bae855e46f3909f1697ac08de6bbc",
+        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
+        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
+        "received": "5ca6a3d03fd05d6dd40f66416de45857f28be4641f0daf2c2f9f539384535502",
+        "receiver": "0bd3bf417f5f0d5f2ade6f50a7313ddd430182f2e12421031ff64e177b893080",
     },
     "stream/stride1/blackout": {
-        "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
-        "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
+        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
+        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
         "received": "f54f3aad7c8572afab68741c35687080611b60fb0b6c21e1dde525894feace35",
         "receiver": "bf17abbb02f3a473c84dadbc9e4f45b35b5f05772b4aaa1df2f2b6080db2ab25",
     },
     "stream/stride1/markov": {
-        "wire": "c02229c1c1506a958597aa7c3095ebb47b23f0829335d2e2a69b8c0501e0f5fc",
-        "sender": "08018f7ed13405074dba55a96d1cf9394633711c09af87616937c7d6090403ef",
-        "received": "aca6ca48982abc974fccc1270fa57008545dbe1311dd2f1689af100defdf2e29",
-        "receiver": "618347a07b594bb2f7197b141025e571debb4bb26563a67cb6e588547cb7e024",
+        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
+        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
+        "received": "c79e52e857a954e9567c4250a85f1e4108ed4a20fe8a38da642d41bc3ef01d4d",
+        "receiver": "798cbd2710e49b5f2ff1409f918860801fdbe0edef1c39aba96efdfe47c4c867",
     },
     "stream/wide/lossless": {
-        "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
-        "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
+        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
+        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "5edc1bf03ce1428c1d60900fc2eef7a702944ef957c9dbdd789829c26dd375b7",
     },
     "stream/wide/0.1": {
-        "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
-        "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
-        "received": "41a8e8d30311ee23d70db91fc7028aa20fa05cf55ef8e50e325a01a29bb253a3",
-        "receiver": "836547cda23e057c1b63e20497b001447447064c5d7ca13af3be58636b4a2716",
+        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
+        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
+        "received": "64af5901f8521577e68fd9832aacae04b3a22c430dda7be3a6227337651ea94e",
+        "receiver": "9d1bc7e4c5b686b74e39845cbde9f587532fa3dedfd6775efc3acb16abe9bb3a",
     },
     "stream/wide/0.3": {
-        "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
-        "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
-        "received": "6185b6b7a99b4a7e8c50674b9e5be36c1132213e3f64cb96406798a8b8763937",
-        "receiver": "0fca21c34b6592daf56139256ae5724f602a2d57ae07c9e29aeea44cbb07a6ee",
+        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
+        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
+        "received": "6dabe842fecaa893138eb5950800527ab55a4ea9f5207393dc467a9b82c5efff",
+        "receiver": "623728cf5fc42bca7eccb17dc8b7b4bcf234ac84eb8f5b68232c8c0a25ee1fac",
     },
     "stream/wide/blackout": {
-        "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
-        "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
+        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
+        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
         "received": "0e5d7e79e6d4ad3a19febe177f1588ed392d52592f0a540c72d82ff0b21b2f2b",
         "receiver": "703681f00143d5c1383ef84e4fd691ed41d06a7d38caea2363f97a227bf5ddce",
     },
     "stream/wide/markov": {
-        "wire": "a08fb4345c9dd7fe5a7ba591bb8b801629b42fbe62c52134c77ed152aec3e703",
-        "sender": "bd4dbd03c96f0a45772fe12bd73d71b5a30e478c4d0e226b7c9dc1b05a750106",
-        "received": "83e3423f334984477f0c4641bc7b38ed8c1232067dc78dcb7df4a6861090373f",
-        "receiver": "40651062a7f9b9098f2855537ada9efb79fcf2459f453051f5d9ed26585aa2a5",
+        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
+        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
+        "received": "aeebdbda82b4545ffdee23ba097ccb65af2bcb323f550d1757903cb65fde7be7",
+        "receiver": "f9c0fbe4777512151961d13ee2e36f1fed7b55cedbaab9c2a1f49a49adc51e2e",
     },
     "batch/units4/lossless": {
-        "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
-        "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
+        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
+        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/units4/0.1": {
-        "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
-        "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
-        "received": "1f0159375c3032232f98662503b30b73d29cf44715f02f67ad427f95a74acf66",
-        "receiver": "78513302a526898314d4dbd329971cdc385e3505a3ce4250770e3d177fadff51",
+        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
+        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
+        "received": "05ba2b78a71cbd91d26ccf7ea72e42eab53108e12885314bc48f4bdf3ee716b8",
+        "receiver": "2f8fddf5f0f6fc2c63c3ec477130d671dd07a591a14a57d21a37564eeff02835",
     },
     "batch/units4/0.3": {
-        "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
-        "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
-        "received": "4472829e78149ff48e6e34ed98b2a0ea21eda215c167310d0bf4bb694772f1f8",
-        "receiver": "3bc00a8cff58d4aff827a50904d35b1d3c0cf302d081bf46a2fdf231053e1bcf",
+        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
+        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
+        "received": "b06fc3f1de850ec8b001b43a7072f5189cc8718a03ea30581d459bc3926a24d0",
+        "receiver": "0653cf0b9d0dcfcc75019ccb1e43aa5ed0851dc62b5f32a0e07445c0d7c9caa3",
     },
     "batch/units4/blackout": {
-        "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
-        "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
+        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
+        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
         "received": "fca451dcfc750e974c9fcaee002473bab9e001217fcc4580f8c357c328a5e73b",
         "receiver": "e9f47829083b080adb87c675bc96fff350e9d3353c4420eb4e316f0a4170fc39",
     },
     "batch/units4/markov": {
-        "wire": "267a49e7a9a2ce839e94f7e30f66b8bbbc73145d61d54df48baafec67f7b300a",
-        "sender": "0c5dfe1e7b67d37300b9ec603806ea26aabd9fd995765240191174fe5e183330",
-        "received": "a4ebf9b984d529cf27d0aab6cbf4d904ce50d4a07a3cebf01e4b79b3e651e741",
-        "receiver": "0922a4eec020af92facd53190bb991cfb10fb6fb0f5f2f34037f403bac5e3c50",
+        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
+        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
+        "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
+        "receiver": "6537a355c3839fc9fa6834375c492b92fbd7cdac19fdcf40f707d88530255e09",
     },
     "batch/tail/lossless": {
-        "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
-        "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
+        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
+        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
         "received": "f26e2fdfebc72e840a83417b5f84ba8ebb7e350c10fcc722456fe96e0afad58a",
         "receiver": "1d9dc9765a312b9cc731f798a851eee7df261563bf99a9fff49b0cd6cc51084e",
     },
     "batch/tail/0.1": {
-        "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
-        "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
-        "received": "9bd8afe19f891d3afc2206ded0fff327feeaa19278e4aec973cb0f65af60952f",
-        "receiver": "274fe5982e45be43a7a33cae55bba52ace635fecf7290c64c243a891dd20989e",
+        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
+        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
+        "received": "3a515985a109ce5e9c568e09db3a2fd9911de8477c8fd738735dc0337879d1b6",
+        "receiver": "8be663c580af629b4252b468c03e92ac1c73650d0d27c78773c619e108fda4dd",
     },
     "batch/tail/0.3": {
-        "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
-        "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
-        "received": "ad52144b0c9992f6b8b3420837fe18e03554fed31ee964329599358e3c855578",
-        "receiver": "eff2a156266f1539788d33cd5f8b4bf5f38f2d01debb50f56544ca164d450ea4",
+        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
+        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
+        "received": "a58d1880c2e5f1d1bf7d71f00931ba2e24251cda652765c785c85b007cc9819e",
+        "receiver": "c3c8ab63f60a64b1a5f3fb8bb611fbbf279d1b57049d508ce5633bc8e5d34dc7",
     },
     "batch/tail/blackout": {
-        "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
-        "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
+        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
+        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
         "received": "b537629a43338c0bf554b55844901c4be91350659e83f02f7b855bb1b7f9312f",
         "receiver": "b13d85a990a56658b507121ee3c65b67672b57d72f4d4a20fabd897a8369355e",
     },
     "batch/tail/markov": {
-        "wire": "af6dc3b007322a92898badd00b2ec72ff7856c654166fcc86b536c028a01f34f",
-        "sender": "d91cedae216762ad9cbf8621b0c02798ecfb6f2f1e8642e4ca8c80a1522f519e",
-        "received": "de1b8a5304063d8bddb890aa895e9ace18f090fd933041ae7e3115ab8fdc44eb",
-        "receiver": "fdff68ad98c261a8826cab3bc34deab3d067ee36a492d2746168ada720ddfa1a",
+        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
+        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
+        "received": "bf6b1a74c93b413e9c5f0ad037c2d1d2f5e041af5c260836a72b06aa3ff4bfec",
+        "receiver": "aff787a46be789a4e277a3205480c26e807fc4c869c08f5a90d611ab8b613b27",
     },
     "stream/tight/lossless": {
-        "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
-        "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
+        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
+        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
     },
     "stream/tight/0.1": {
-        "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
-        "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "9011ffee1ce160cb82e56c3321029169ec62bf28de64c69906fce8deca24ea1e",
-        "receiver": "4ee10e13540147a9cfc5f0c5c43e92dee7ec8aaa96f7a4bf1f513fe7626b70b2",
+        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
+        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "received": "64af5901f8521577e68fd9832aacae04b3a22c430dda7be3a6227337651ea94e",
+        "receiver": "b30c90b208d386a493affaf839ba307a8015c2addd1216f52c20bbb4b2789944",
     },
     "stream/tight/0.3": {
-        "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
-        "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "6639a3e886a84a81a546feaf87966389fa16660d39dcccb2e02fd4bcb0b0646e",
-        "receiver": "612a5fab2d9edad13223244203f6a05011311f53d2ef063c713375e615dd89a2",
+        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
+        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "received": "720014fb0637d8a8d2aaeeb1602b6c4494f359a0fbf4200fc95f5bbf5f8f33d5",
+        "receiver": "0f95832e8129cd35cdd5c204add4b561f983dc24272da89b9221657a8d4adf64",
     },
     "stream/tight/blackout": {
-        "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
-        "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
+        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
+        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
         "received": "1394e79c67cbe42915a0b8c96bdfbfff9877965a9af375f9946bea22d4f31e21",
         "receiver": "3494aee47243712985e7d3845ff1a3028d745ad76fe71fe6b3f159c4c595b7d1",
     },
     "stream/tight/markov": {
-        "wire": "a556d3a2a6d20147e0b02c9eefb4c39e0b2e98a8a391548d477e15f59b9e44f3",
-        "sender": "08e4f7204d0c4ef9775b0fc21dec902e5fa509555a101199f1a8d0bf55341ba9",
-        "received": "4b8f940f0ea55123332cec00ceea970bd0b165f3e120866c4d5049c63406b0ea",
-        "receiver": "c123c328a44f744f843f36eada6e4102903efe95971c649cd34cc2961034eef3",
+        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
+        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "received": "bbf59a31e892cff5eada7acfc91d03ad604f2e7e8c6d80776daeba7f0e643140",
+        "receiver": "581170c8b807439a015d3ab4ee299ce2ef9b8ee8913cc7d47cca47913d0103e0",
     },
 }
 

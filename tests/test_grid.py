@@ -12,7 +12,6 @@ from tokenwire.grid import (
     TokenGrid,
     TokenState,
     build_slice_grid,
-    default_layer_bounds,
     initial_states,
     periodic_slicing,
 )
@@ -62,35 +61,28 @@ def test_state_grid_initial_marks_dead_cells():
 
 def test_gos_config_validation():
     with pytest.raises(ValueError):
-        GosConfig(0, 1, (0, 1))
+        GosConfig(0, 1, 1, 1)
     with pytest.raises(ValueError):
-        GosConfig(4, 5, (0, 1))
+        GosConfig(4, 5, 1, 1)
     with pytest.raises(ValueError):
-        GosConfig(4, 2, (1, 2))
+        GosConfig(4, 2, 0, 2)
     with pytest.raises(ValueError):
-        GosConfig(4, 2, (0, 2, 2))
-    # A coarse-only layout is legal.
-    cfg = GosConfig(4, 2, (0, 1))
-    assert cfg.n_fine_groups == 0 and cfg.n_coarse == 1 and cfg.n_layers == 1
+        GosConfig(4, 2, 3, 2)
+    # A coarse-only layout is legal, and its fine group is empty.
+    cfg = GosConfig(4, 2, 1, 1)
+    assert cfg.n_coarse == 1 and cfg.n_layers == 1
+    assert list(cfg.group_layers(1)) == []
 
 
 def test_group_layers():
-    cfg = GosConfig(6, 3, (0, 2, 4, 6))
+    cfg = GosConfig(6, 3, 2, 6)
     assert list(cfg.group_layers(0)) == [1, 2]
-    assert list(cfg.group_layers(1)) == [3, 4]
-    assert list(cfg.group_layers(2)) == [5, 6]
-    assert list(cfg.group_layers(2, level=5)) == [5]
-    assert list(cfg.group_layers(2, level=4)) == []
-
-
-def test_default_layer_bounds():
-    assert default_layer_bounds(8, 2, 3) == (0, 2, 4, 6, 8)
-    # Uneven split: earlier fine groups take the extra layer.
-    assert default_layer_bounds(6, 2, 3) == (0, 2, 4, 5, 6)
-    # More groups than fine layers collapses to one layer per group.
-    assert default_layer_bounds(3, 1, 5) == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        default_layer_bounds(2, 2, 1)
+    assert list(cfg.group_layers(1)) == [3, 4, 5, 6]
+    assert list(cfg.group_layers(0, level=1)) == [1]
+    assert list(cfg.group_layers(1, level=4)) == [3, 4]
+    assert list(cfg.group_layers(1, level=2)) == []
+    with pytest.raises(ValueError, match="no layer group 2"):
+        cfg.group_layers(2)
 
 
 def test_periodic_slicing_hand_cases():
@@ -115,12 +107,12 @@ def test_periodic_slicing_partitions(gos_len, data):
 
 def gos_configs():
     return st.builds(
-        lambda gos_len, units, bounds: GosConfig(
-            gos_len, min(units, gos_len), bounds),
+        lambda gos_len, units, n_coarse, n_fine: GosConfig(
+            gos_len, min(units, gos_len), n_coarse, n_coarse + n_fine),
         st.integers(1, 8),
         st.integers(1, 4),
-        st.lists(st.integers(1, 2), min_size=1, max_size=4).map(
-            lambda steps: tuple(np.cumsum([0] + steps).tolist())),
+        st.integers(1, 2),
+        st.integers(0, 6),
     )
 
 
@@ -132,8 +124,8 @@ def test_slice_grid_is_a_partition(gos, n_frames, data):
         assert_partition(build_slice_grid(n_frames, gos, level))
         return
     # A stream's packets cover every encoded cell exactly once: the frames
-    # of one step per packet, the coarse group or one truncated fine group
-    # of layers.
+    # of one step per packet, the coarse layers or the fine layers below the
+    # level.
     packets = stream_packets(gos, StreamConfig(stride=2, lookahead=1,
                                                coding_context=4,
                                                conceal_context=4),
@@ -149,6 +141,37 @@ def test_slice_grid_is_a_partition(gos, n_frames, data):
     np.testing.assert_array_equal(seen, expect)
 
 
+@given(gos_configs(), st.integers(1, 25), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_fine_slice_per_unit_and_per_step(gos, n_frames, data):
+    """Each unit of a group-of-slices and each stream step sends one fine
+    slice when the level is above the coarse depth and none otherwise, and
+    it holds every fine layer below the level of each of its frames."""
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
+    has_fine = level > gos.n_coarse
+    sg = build_slice_grid(n_frames, gos, level)
+    coarse = [s[:2] for s in sg.slices if s.group == 0]
+    fine = [s[:2] for s in sg.slices if s.group == 1]
+    assert fine == (coarse if has_fine else [])
+    for sid, cells in sg.slices.items():
+        if sid.group:
+            layers = np.arange(gos.n_coarse, level)
+            frames = np.unique(cells[:, 0])
+            np.testing.assert_array_equal(
+                cells, np.stack([np.repeat(frames, len(layers)),
+                                 np.tile(layers, len(frames))], axis=1))
+    cfg = StreamConfig(stride=2, lookahead=1, coding_context=4,
+                       conceal_context=4)
+    tx = StreamSender(gos, cfg, UniformModel(2), level=level)
+    ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
+    ems += tx.flush()[0]
+    for em in ems:
+        fine = [(p.first_frame, p.n_frames) for p in em.packets if p.group]
+        assert fine == ([(em.due[0], em.due[1] - em.due[0])] if has_fine
+                        else [])
+    assert tx.report.n_fine_tokens == n_frames * (level - gos.n_coarse)
+
+
 def stream_packets(gos, cfg, n_frames, level):
     tx = StreamSender(gos, cfg, UniformModel(2), level=level)
     ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
@@ -157,19 +180,20 @@ def stream_packets(gos, cfg, n_frames, level):
 
 
 def test_emission_order_periodic():
-    gos = GosConfig(4, 2, (0, 1, 2, 3))
+    gos = GosConfig(4, 2, 1, 3)
     sg = build_slice_grid(8, gos, 3)
     sids = list(sg.slices)
     # GoS 0 precedes GoS 1 entirely.
     assert sids[: len(sids) // 2] == [s for s in sids if s.gos == 0]
     gos0 = [s for s in sids if s.gos == 0]
-    # Coarse slices first, then the fine slices by unit and layer group.
-    assert [(s.unit, s.group) for s in gos0] == [
-        (1, 0), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+    # Coarse slices first, then one fine slice per unit.
+    assert [(s.unit, s.group) for s in gos0] == [(1, 0), (2, 0), (1, 1), (2, 1)]
+    assert sg.slices[SliceId(0, 1, 1)].tolist() == [[0, 1], [0, 2],
+                                                    [2, 1], [2, 2]]
 
 
 def test_emission_order_streaming():
-    gos = GosConfig(3, 1, (0, 1, 3))
+    gos = GosConfig(3, 1, 1, 3)
     cfg = StreamConfig(stride=3, lookahead=3, coding_context=12,
                        conceal_context=12)
     packets = stream_packets(gos, cfg, 5, 3)
@@ -184,18 +208,21 @@ def test_emission_order_streaming():
 
 
 def test_level_truncation_drops_upper_groups():
-    gos = GosConfig(4, 2, (0, 2, 4, 6))
+    gos = GosConfig(4, 2, 2, 6)
     sg = build_slice_grid(4, gos, 3)
-    groups = {s.group for s in sg.slices}
-    assert groups == {0, 1}
-    # Group 1 holds layers 3..4 but level 3 truncates it to layer 3 only.
+    assert {s.group for s in sg.slices} == {0, 1}
+    # The fine group holds layers 3..6 but level 3 truncates it to layer 3.
     cells = sg.slices[SliceId(0, 1, 1)]
     assert set(cells[:, 1].tolist()) == {2}
+    assert_partition(sg)
+    # At the coarse depth the fine group is dropped.
+    sg = build_slice_grid(4, gos, 2)
+    assert {s.group for s in sg.slices} == {0}
     assert_partition(sg)
 
 
 def test_tail_gos_is_shorter():
-    gos = GosConfig(4, 2, (0, 1, 2))
+    gos = GosConfig(4, 2, 1, 2)
     sg = build_slice_grid(6, gos, 2)
     assert {s.gos for s in sg.slices} == {0, 1}
     tail = [s for s in sg.slices if s.gos == 1]
@@ -208,7 +235,7 @@ def test_tail_gos_is_shorter():
 
 def test_slice_of_and_key_lookup():
     """A slice's cells, and its Conditions looked up by frame."""
-    gos = GosConfig(6, 3, (0, 1, 3))
+    gos = GosConfig(6, 3, 1, 3)
     sg = build_slice_grid(9, gos, 3)
     assert sg.slices[SliceId(0, 1, 0)].tolist() == [[0, 0], [3, 0]]
     assert sg.slices[SliceId(0, 2, 1)].tolist() == [[1, 1], [1, 2],
@@ -222,7 +249,7 @@ def test_slice_of_and_key_lookup():
 
 
 def test_build_slice_grid_validation():
-    gos = GosConfig(4, 2, (0, 2, 4))
+    gos = GosConfig(4, 2, 2, 4)
     with pytest.raises(ValueError):
         build_slice_grid(0, gos, 4)
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ L = int(TokenState.LOST)
 I = int(TokenState.INVALID)
 C = int(TokenState.CONCEALED)
 
-GOS = GosConfig(6, 3, (0, 1, 2, 3))
+GOS = GosConfig(6, 3, 1, 3)
 
 
 def reship(packets):
@@ -54,7 +54,7 @@ def test_lossless_round_trip():
 
 def test_lossless_with_tail_gos_and_partial_level():
     rng = np.random.default_rng(21)
-    gos = GosConfig(6, 3, (0, 2, 4, 6))
+    gos = GosConfig(6, 3, 2, 6)
     grid = random_grid(rng, 9, 6, 8, level=5)
     sg = build_slice_grid(9, gos, 5)
     model = UniformModel(8)
@@ -70,7 +70,7 @@ def test_long_group_of_slices_round_trips():
     each cross the wire and decode bit-exactly."""
     rng = np.random.default_rng(32)
     grid = random_grid(rng, 300, 3, 16)
-    sg = build_slice_grid(300, GosConfig(300, 300, (0, 1, 2, 3)), 3)
+    sg = build_slice_grid(300, GosConfig(300, 300, 1, 3), 3)
     model = UniformModel(16)
     packets, _ = send_tokens(grid, sg, model)
     out, states, _ = receive_tokens(reship(packets), sg, model)
@@ -138,9 +138,9 @@ def test_lost_fine_slice_costs_only_its_own_cells():
     packets, _ = send_tokens(grid, sg, model)
     got, states, rrep = receive_tokens(drop(sg, packets, SliceId(0, 1, 1)),
                                        sg, model)
-    # Unit 1 holds frames 0 and 3: their lost layer 1 is left out, not
-    # guessed, and layer 2, delivered but stacked on the missing cell,
-    # stays out of the prefix.
+    # Unit 1 holds frames 0 and 3: their lost fine layers are left out,
+    # not guessed; the first is lost, and the one stacked on it is out of
+    # the prefix.
     for t in (0, 3):
         assert states[t].tolist() == [R, L, I]
         assert got.level[t] == 1
@@ -208,11 +208,18 @@ def test_receive_rejects_bad_packets():
     clean = receive_tokens(packets, sg, model)
     assert clean[2].n_dropped == 0
     # foreign slices: past the clip, at offset n_units of a
-    # group-of-slices (no unit starts there), a layer group past the level
+    # group-of-slices (no unit starts there), in the middle of a unit
     for foreign in (Packet(0, 54, 2, b""), Packet(0, 3, 2, b""),
-                    Packet(1, 4, 1, b""), Packet(3, 0, 2, b"")):
+                    Packet(1, 4, 1, b"")):
         assert_dropped_like_lost(
             receive_tokens(packets + [foreign], sg, model), clean, 1)
+    # a fine packet where the level sends none
+    sg1 = build_slice_grid(6, GOS, 1)
+    packets1, _ = send_tokens(random_grid(rng, 6, 3, 16, level=1), sg1,
+                              model)
+    assert_dropped_like_lost(
+        receive_tokens(packets1 + [Packet(1, 0, 2, b"")], sg1, model),
+        receive_tokens(packets1, sg1, model), 1)
     # a duplicate, before or after its original
     assert_dropped_like_lost(
         receive_tokens(packets + [packets[5]], sg, model), clean, 1)
@@ -263,9 +270,11 @@ def test_unusable_packets_are_dropped_like_losses(data):
         if kind == "dup" and arrived:
             junk.append(data.draw(st.sampled_from(arrived)))
         elif kind == "foreign":
-            junk.append(data.draw(st.sampled_from([
-                Packet(0, n_frames + data.draw(st.integers(0, 50)), 1, b""),
-                Packet(data.draw(st.integers(3, 255)), 0, 1, b"")])))
+            # past the clip; at the coarse depth, any fine packet
+            fine = data.draw(st.booleans())
+            first = 0 if fine and level == 1 else n_frames
+            junk.append(Packet(int(fine), first + data.draw(
+                st.integers(0, 50)), 1, b""))
         elif kind == "extent":
             p = data.draw(st.sampled_from(packets))
             junk.append(Packet(p.group, p.first_frame,
@@ -365,15 +374,14 @@ def test_trained_model_beats_uniform_on_structured_tokens():
     _, rep_count = send_tokens(grid, sg, model)
     _, rep_uni = send_tokens(grid, sg, UniformModel(16))
     # Payloads are whole bytes, so the model's gain shows up cleanly in
-    # ideal bits and only partially in packed bits: each 2-symbol slice
-    # costs the uniform model exactly its 8 ideal bits, one byte, and no
-    # payload this model codes here is empty, so the two tie. With one
-    # unit per group-of-slices, under the same conditions, a slice holds
-    # 6 symbols and the model must save whole bytes.
+    # ideal bits and only partially in packed bits: each 4-symbol slice
+    # costs the uniform model exactly its 16 ideal bits, two bytes, and
+    # the model must save whole bytes. With one unit per group-of-slices,
+    # under the same conditions, a slice holds 12 symbols.
     assert rep_count.ideal_fine_bits < 0.5 * rep_uni.ideal_fine_bits
-    assert rep_count.fine_bits <= rep_uni.fine_bits
+    assert rep_count.fine_bits < rep_uni.fine_bits
     assert rep_count.fallback_counts.get("conditional", 0) > 0
-    sg1 = build_slice_grid(T, GosConfig(6, 1, GOS.layer_bounds), 3)
+    sg1 = build_slice_grid(T, GosConfig(6, 1, 1, 3), 3)
     _, rep_count1 = send_tokens(grid, sg1, model)
     _, rep_uni1 = send_tokens(grid, sg1, UniformModel(16))
     assert rep_count1.fine_bits < rep_uni1.fine_bits

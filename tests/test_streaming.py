@@ -12,7 +12,7 @@ from tokenwire.grid import GosConfig, StreamConfig, TokenState
 from tokenwire.streaming import StreamReceiver, StreamSender
 from tokenwire.transport import Packet, pack_bits
 
-GOS = GosConfig(6, 3, (0, 1, 2, 3))
+GOS = GosConfig(6, 3, 1, 3)
 STREAM = StreamConfig(stride=3, lookahead=3, coding_context=12,
                       conceal_context=12)
 
@@ -98,16 +98,16 @@ def test_push_buffers_until_lookahead_is_covered():
     assert len(ems) == 1
     em = ems[0]
     assert em.step == 0 and em.due == (0, 3) and em.horizon == 5
-    # one coarse packet up to the horizon, then one packet per fine group
-    # holding the three due frames
+    # one coarse packet up to the horizon, then one fine packet holding
+    # the three due frames
     assert [(p.group, p.first_frame, p.n_frames) for p in em.packets] == \
-        [(0, 0, 6), (1, 0, 3), (2, 0, 3)]
+        [(0, 0, 6), (1, 0, 3)]
     assert tx.push(tokens[6:7]) == [] and tx.push(tokens[7:8]) == []
     ems = tx.push(tokens[8:9])
     assert len(ems) == 1 and ems[0].step == 1
     assert ems[0].due == (3, 6) and ems[0].horizon == 8
     assert [(p.group, p.first_frame, p.n_frames) for p in ems[0].packets] \
-        == [(0, 6, 3), (1, 3, 3), (2, 3, 3)]
+        == [(0, 6, 3), (1, 3, 3)]
 
 
 def test_block_push_matches_per_frame_push():
@@ -150,11 +150,10 @@ def test_flush_emits_the_clamped_tail():
     coarse = [[(p.first_frame, p.n_frames) for p in e.packets if p.group == 0]
               for e in ems]
     assert coarse == [[(0, 6)], [(6, 3)], [(9, 1)], []]
-    # each step sends one packet per fine group over its due frames
+    # each step sends one fine packet over its due frames
     fine = [[(p.group, p.first_frame, p.n_frames) for p in e.packets
              if p.group > 0] for e in ems]
-    assert fine == [[(1, lo, hi - lo), (2, lo, hi - lo)]
-                    for lo, hi in (e.due for e in ems)]
+    assert fine == [[(1, lo, hi - lo)] for lo, hi in (e.due for e in ems)]
 
 
 def test_latency_bounded_by_stride_plus_lookahead():
@@ -182,6 +181,7 @@ def test_level_truncation_drops_upper_groups():
     tokens = make_tokens(45, 12)
     grid, states, releases, tx, _ = drive(tokens, level=2)
     assert tx.report.n_fine_tokens == 12  # one fine layer per frame
+    assert tx.report.n_fine_packets == 4  # one per step
     np.testing.assert_array_equal(grid.tokens[:, :2], tokens[:, :2])
     assert np.all(grid.tokens[:, 2] == 0)
     assert np.all(grid.level == 2)
@@ -312,7 +312,7 @@ def test_long_group_of_slices_streams_past_frame_256():
     """No header field bounds the frame offset inside a group-of-slices:
     a 300-frame one streams over the wire bit-exactly."""
     tokens = make_tokens(59, 270)
-    gos = GosConfig(300, 1, (0, 1, 2, 3))
+    gos = GosConfig(300, 1, 1, 3)
     model = UniformModel(16)
     tx = StreamSender(gos, STREAM, model)
     rx = StreamReceiver(gos, STREAM, model)
@@ -401,7 +401,7 @@ def test_stride_one_packets_hold_one_frame():
     grid, states, _, tx, _ = drive(tokens, stream=stream)
     ems = list(StreamSender(GOS, stream, UniformModel(16)).push(tokens))
     assert all(p.n_frames == 1 for em in ems for p in em.packets)
-    assert all(len(em.packets) == 1 + GOS.n_fine_groups for em in ems)
+    assert all(len(em.packets) == 2 for em in ems)
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R) and tx.max_latency == 1
 
@@ -409,16 +409,16 @@ def test_stride_one_packets_hold_one_frame():
 def test_wrong_extent_is_dropped_like_a_loss():
     tokens = make_tokens(58, 15)
     steps, n_live, total = emissions(tokens)
-    (c0, *_), (c1, f1, *fine1) = steps[:2]
+    (c0, _), (c1, f1) = steps[:2]
 
     def coarse(first, n, fec=c1.fec):
         return Packet(0, first, n, c1.payload, fec)
 
-    def fine(first, n, group=f1.group):
-        return Packet(group, first, n, f1.payload)
+    def fine(first, n):
+        return Packet(1, first, n, f1.payload)
 
     def run(*extra):
-        return run_steps([steps[0], [c1] + fine1 + list(extra)] + steps[2:],
+        return run_steps([steps[0], [c1, f1, *extra]] + steps[2:],
                          n_live, total)
 
     clean = run()
@@ -429,11 +429,15 @@ def test_wrong_extent_is_dropped_like_a_loss():
             coarse(9, 3),
             # fine frames other than the due ones; (0, 3) arrives late
             fine(3, 2), fine(3, 4), fine(0, 3),
-            # a layer group the level does not send
-            fine(3, 3, group=3),
             # a second packet for a head the step already has
-            c1, fine1[0]):
+            c1, f1):
         assert_dropped_like_lost(run(bad), clean, 1)
+    # at the coarse depth a step sends no fine packet and places none
+    coarse_only = emissions(tokens, level=1)
+    extra = [list(p) for p in coarse_only[0]]
+    extra[1].append(fine(3, 3))
+    assert_dropped_like_lost(run_steps(extra, *coarse_only[1:], level=1),
+                             run_steps(*coarse_only, level=1), 1)
     # an earlier step's coarse packet, replayed, is placed; a repair copy
     # on the first coarse packet has no predecessor and is ignored
     for late in (c0, Packet(0, 0, 6, c0.payload, c1.payload)):
@@ -465,7 +469,7 @@ def test_tail_outage_keeps_received_coarse_and_conceals_the_rest():
     # frames 3..5: coarse rode step 0, fine was lost with step 1; step 1's
     # window ends at step 0's horizon, so its fine cells are decodable but
     # missing: the first fine layer is left out as lost, the one above it
-    # stays invalid
+    # is invalid
     assert np.all(states[3:6, 0] == R)
     assert np.all(states[3:6, 1] == L)
     assert np.all(states[3:6, 2] == I)
@@ -595,12 +599,12 @@ def test_stream_with_trained_model_decodes_bit_exactly():
 @settings(max_examples=80, deadline=None)
 def test_step_packing(data):
     """Whatever the cadence, level and drops: a step sends at most one
-    coarse packet and one packet per fine group, the coarse extents tile
-    the stream once, the fine extents are the due frames, a lossless
-    stream is bit-exact, every RECEIVED cell is the sent token, and the
-    latency bound holds."""
-    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, (0, 2, 3, 5)),
-                                     GosConfig(5, 1, (0, 1, 4))]))
+    coarse packet and one fine packet, the coarse extents tile the stream
+    once, the fine extent is the due frames whenever the level is above
+    the coarse depth, a lossless stream is bit-exact, every RECEIVED cell
+    is the sent token, and the latency bound holds."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5),
+                                     GosConfig(5, 1, 1, 4)]))
     stride = data.draw(st.integers(1, 4))
     lookahead = data.draw(st.integers(0, 3))
     span = stride + lookahead
@@ -624,11 +628,10 @@ def test_step_packing(data):
     replay = StreamSender(gos, cfg, UniformModel(16), level=level)
     ems = list(replay.push(tokens))
     ems += replay.flush()[0]
-    groups = [j for j in range(1, gos.n_fine_groups + 1)
-              if len(gos.group_layers(j, level))]
+    groups = [1] if level > gos.n_coarse else []
     covered = []
     for em in ems:
-        assert len(em.packets) <= 1 + gos.n_fine_groups
+        assert len(em.packets) <= 2
         coarse = [p for p in em.packets if p.group == 0]
         fine = [p for p in em.packets if p.group > 0]
         assert len(coarse) <= 1
@@ -660,7 +663,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     out-of-vocabulary coarse payloads added to the steps never raise,
     leave every release and the result as they were without them, and
     are each counted once in ``n_dropped``."""
-    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, (0, 2, 3, 5))]))
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5)]))
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
     span = stride + lookahead
@@ -688,9 +691,11 @@ def test_unusable_packets_are_dropped_like_losses(data):
             if kind == "dup" and keep:
                 junk.append(data.draw(st.sampled_from(keep)))
             elif kind == "foreign":
+                # a fine packet is foreign at the coarse depth only
                 junk.append(data.draw(st.sampled_from([
                     Packet(0, horizon + 1, 1, b""),
-                    Packet(gos.n_fine_groups + 1, due.start, len(due), b"")
+                    Packet(int(level == gos.n_coarse), due.start + len(due),
+                           1, b"")
                 ])))
             elif kind == "extent" and packets:
                 p = data.draw(st.sampled_from(packets))

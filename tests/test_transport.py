@@ -62,7 +62,7 @@ def test_pack_bits_is_msb_first():
 
 packets = st.builds(
     Packet,
-    group=st.integers(0, 255),
+    group=st.integers(0, 1),
     first_frame=st.integers(0, 2**32 - 1),
     n_frames=st.integers(1, 2**16 - 1),
     payload=st.binary(max_size=64),
@@ -99,23 +99,26 @@ def test_packet_round_trip(pkt):
 ])
 def test_varint_fields_are_leb128(value, encoded):
     raw = Packet(0, value, 1, b"").to_bytes()
-    assert raw[2:2 + len(encoded)] == encoded
-    assert Packet(0, value, 1, b"").header_bytes == 7 + len(encoded)
+    assert raw[1:1 + len(encoded)] == encoded
+    assert Packet(0, value, 1, b"").header_bytes == 6 + len(encoded)
 
 
 def test_packet_layout_is_pinned():
-    pkt = Packet(2, 1234, 3, b"x" * 20, b"y" * 8)
+    pkt = Packet(1, 1234, 3, b"x" * 20, b"y" * 8)
     raw = pkt.to_bytes()
-    # version 6 and the fec flag; group; 1234 as 0xd2 0x09; n_frames; the
-    # fec length
-    assert raw[:6] == bytes([0x61, 2, 0xD2, 0x09, 3, 8])
-    assert raw[6:-4] == b"x" * 20 + b"y" * 8
+    # version 7 with the fine and fec flags; 1234 as 0xd2 0x09; n_frames;
+    # the fec length
+    assert raw[:5] == bytes([0x73, 0xD2, 0x09, 3, 8])
+    assert raw[5:-4] == b"x" * 20 + b"y" * 8
     assert raw == seal(raw[:-4])
-    assert pkt.header_bytes == 10 and len(raw) == 38
+    assert pkt.header_bytes == 9 and len(raw) == 37
     # no fec: flag clear, no fec length
-    assert Packet(2, 1234, 3, b"x" * 20).to_bytes()[:5] == \
-        bytes([0x60, 2, 0xD2, 0x09, 3])
-    assert Packet(2, 1234, 3, b"x" * 20).header_bytes == 9
+    assert Packet(1, 1234, 3, b"x" * 20).to_bytes()[:4] == \
+        bytes([0x72, 0xD2, 0x09, 3])
+    assert Packet(1, 1234, 3, b"x" * 20).header_bytes == 8
+    # a coarse packet clears the fine flag
+    assert Packet(0, 1234, 3, b"x" * 20).to_bytes()[:4] == \
+        bytes([0x70, 0xD2, 0x09, 3])
 
 
 def test_packet_flags_follow_fec():
@@ -123,15 +126,21 @@ def test_packet_flags_follow_fec():
     assert a.flags == 0
     b = Packet(0, 0, 4, b"xy", fec=b"z")
     assert b.flags == 1
+    assert Packet(1, 0, 4, b"xy").flags == 2
+    assert Packet(1, 0, 4, b"xy", fec=b"z").flags == 3
 
 
 def test_packet_validation():
     with pytest.raises(ValueError):
         Packet(0, 0, 0, b"")  # zero frames
     with pytest.raises(ValueError):
-        Packet(256, 0, 1, b"")
-    with pytest.raises(ValueError):
         Packet(0, 0, 1, b"\x00" * (1 << 16))
+
+
+@pytest.mark.parametrize("group", [-1, 2, 3, 255, 256])
+def test_packet_group_is_coarse_or_fine(group):
+    with pytest.raises(ValueError, match="group must be 0 \\(coarse\\) or 1"):
+        Packet(group, 0, 1, b"")
 
 
 def test_packet_rejects_corruption():
@@ -181,7 +190,7 @@ def test_arbitrary_bytes_raise_only_decode_error(data):
 def test_sealed_bytes_parse_to_their_one_packet_or_raise(flags, body):
     """Past the version and the checksum the parser still refuses every
     byte string that is not some packet's one encoding."""
-    data = seal(bytes([0x60 | flags]) + body)
+    data = seal(bytes([0x70 | flags]) + body)
     try:
         pkt = Packet.from_bytes(data)
     except DecodeError:
@@ -193,55 +202,58 @@ def test_packet_error_messages():
     pkt = Packet(1, 6, 2, b"abc")
     raw = pkt.to_bytes()
     with pytest.raises(DecodeError, match="header"):
-        Packet.from_bytes(raw[:7])
+        Packet.from_bytes(raw[:6])
     with pytest.raises(DecodeError, match="unsupported packet version 3"):
         Packet.from_bytes(forge(pkt, 0x30))
+    with pytest.raises(DecodeError, match="unsupported packet version 6"):
+        Packet.from_bytes(forge(pkt, 0x60))
     with pytest.raises(DecodeError, match="checksum"):
         Packet.from_bytes(raw[:-2])
-    # group 1 written as 0x81 0x00
+    # first_frame 6 written as 0x86 0x00
     with pytest.raises(DecodeError, match="overlong"):
-        Packet.from_bytes(seal(b"\x60\x81\x00" + raw[2:-4]))
+        Packet.from_bytes(seal(b"\x72\x86\x00" + raw[2:-4]))
     with pytest.raises(DecodeError, match="unterminated"):
-        Packet.from_bytes(seal(b"\x60\x01\x06\x82"))
+        Packet.from_bytes(seal(b"\x72\x06\x82"))
     with pytest.raises(DecodeError, match="longer than 5 bytes"):
-        Packet.from_bytes(seal(b"\x60" + b"\xff" * 5 + b"\x01" * 5))
-    # group 256, first_frame 2**32, n_frames 0
-    for body in (b"\x60\x80\x02\x06\x02",
-                 b"\x60\x01\x80\x80\x80\x80\x10\x02",
-                 b"\x60\x01\x06\x00"):
+        Packet.from_bytes(seal(b"\x72" + b"\xff" * 5 + b"\x01" * 5))
+    # first_frame 2**32, n_frames 0
+    for body in (b"\x72\x80\x80\x80\x80\x10\x02", b"\x72\x06\x00"):
         with pytest.raises(DecodeError, match="out of range"):
             Packet.from_bytes(seal(body + b"abc"))
     with pytest.raises(DecodeError, match="out of range"):
-        Packet.from_bytes(seal(b"\x60\x01\x06\x02" + b"\x00" * (1 << 16)))
+        Packet.from_bytes(seal(b"\x72\x06\x02" + b"\x00" * (1 << 16)))
 
 
 def test_packet_rejects_trailing_bytes():
     """With no payload length on the wire, trailing bytes are refused by
     the checksum, which then covers the wrong span."""
     pkt = Packet(1, 6, 2, b"abc", b"de")
-    assert Packet.from_bytes(forge(pkt, 0x61)) == pkt
+    assert Packet.from_bytes(forge(pkt, 0x73)) == pkt
     for extra in (b"\x00", b"\x00" * 4, pkt.to_bytes()[-4:]):
         with pytest.raises(DecodeError, match="checksum"):
             Packet.from_bytes(pkt.to_bytes() + extra)
 
 
 def test_packet_rejects_flags_that_disagree_with_the_fec_field():
-    """The fec flag promises a non-empty fec field, and no other flag bit
-    is ever written."""
+    """The fec flag promises a non-empty fec field, and no flag bit but
+    the fec and fine ones is ever written."""
     plain = Packet(1, 6, 2, b"abc")
-    with pytest.raises(DecodeError, match="flags"):
-        Packet.from_bytes(forge(plain, 0x62))
+    for first in (0x76, 0x7A):
+        with pytest.raises(DecodeError, match="flags"):
+            Packet.from_bytes(forge(plain, first))
     # the flag set over a zero fec length
     with pytest.raises(DecodeError, match="flags"):
-        Packet.from_bytes(seal(b"\x61\x01\x06\x02\x00abc"))
+        Packet.from_bytes(seal(b"\x73\x06\x02\x00abc"))
     # the flag set over a fec length past the end
     with pytest.raises(DecodeError, match="longer than the packet"):
-        Packet.from_bytes(seal(b"\x61\x01\x06\x02\x04abc"))
+        Packet.from_bytes(seal(b"\x73\x06\x02\x04abc"))
     # Clearing the flag leaves no fec length to check: the bytes read as
     # another packet, whose payload absorbs the fec length and field.
     fec = Packet(1, 6, 2, b"abc", b"de")
-    other = Packet.from_bytes(forge(fec, 0x60))
+    other = Packet.from_bytes(forge(fec, 0x72))
     assert other == Packet(1, 6, 2, b"\x02abcde")
+    # Clearing the fine flag reads the same bytes as a coarse packet.
+    assert Packet.from_bytes(forge(plain, 0x70)) == Packet(0, 6, 2, b"abc")
 
 
 def test_packets_file_round_trip(tmp_path):
@@ -268,15 +280,17 @@ def test_packets_file_round_trip(tmp_path):
 def test_version_3_packet_file_is_refused(tmp_path):
     """Version 3 framed a packet in a fixed 24-byte header that began with
     the magic b"SP"; byte 0's high nibble reads that 0x53 as version 5.
-    Version 4 had this layout with two more varints, gos_id and unit,
-    before the group."""
+    Version 4 wrote two more varints, gos_id and unit, before a group
+    varint, which version 6 kept and version 7 folds into a flag."""
     head = struct.pack("<2sBBIBBIHHHI", b"SP", 3, 0, 0, 1, 1, 0, 1, 2, 0, 0)
     crc = zlib.crc32(head + b"ab") & 0xFFFFFFFF
     v3 = head[:-4] + struct.pack("<I", crc) + b"ab"
     # gos_id 0, unit 1, group 0, first_frame 0, n_frames 2, payload b"ab"
     v4 = seal(b"\x40\x00\x01\x00\x00\x02ab")
+    # group 1, first_frame 0, n_frames 2, payload b"ab"
+    v6 = seal(b"\x60\x01\x00\x02ab")
     path = tmp_path / "packets.bin"
-    for record in (v3, v4):
+    for record in (v3, v4, v6):
         path.write_bytes(struct.pack("<I", len(record)) + record)
         with pytest.raises(DecodeError, match="unsupported packet version"):
             read_packets(path)
