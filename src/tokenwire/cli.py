@@ -229,9 +229,11 @@ def cmd_decode(args) -> int:
     codec = _artifact(load_codec, args.codec)
     model = _artifact(load_count_model, args.model)
     if _sha256(args.codec) != manifest["codec_sha256"]:
-        raise SystemExit("codec file does not match the manifest")
+        raise ConfigError(args.codec, "digest differs from the manifest's "
+                          "codec_sha256")
     if model_digest(args.model) != manifest["model_sha256"]:
-        raise SystemExit("model file does not match the manifest")
+        raise ConfigError(args.model, "digest differs from the manifest's "
+                          "model_sha256")
     g = manifest["gos"]
     if g["n_layers"] != codec.n_layers:
         raise ConfigError(str(where), f"gos.n_layers must be the codec's "
@@ -333,7 +335,7 @@ def _read_rows(path) -> list:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise SystemExit("unrecognized CSV schema")
+            raise ValueError("unrecognized CSV schema")
         for rec in reader:
             rows.append(MetricsRow(
                 loss_ratio=float(rec["loss_ratio"]), channel=rec["channel"],

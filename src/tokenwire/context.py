@@ -32,6 +32,7 @@ and concealment alike.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import math
@@ -202,6 +203,10 @@ class MaskedQuery:
     targets: (n, 2) int64 (frame, layer) of every view's targets, in order.
     sources: (n, 3, 2) int64, per target the (frame, layer) of its left,
         below and right neighbor; frame -1 where there is none.
+    bounds: view i's targets are ``targets[bounds[i]:bounds[i + 1]]``.
+
+    The plan depends on the views alone, so one query can be built once
+    and bound to each grid of the same shape with ``over``.
 
     Raises ``ValueError`` for a view outside the grid, or a target outside
     its window or visible in it.
@@ -218,6 +223,7 @@ class MaskedQuery:
         counts = [len(t) for t in tg]
         widths = [len(v.visible) for v in self.views]
         self.targets = np.concatenate(tg).astype(np.int64, copy=False)
+        self.bounds = np.cumsum([0] + counts).tolist()
         lo = np.repeat(np.array([v.lo for v in self.views], dtype=np.int64),
                        counts)
         rel = self.targets.copy()
@@ -243,6 +249,17 @@ class MaskedQuery:
         self.sources = np.concatenate(plans)
         frames = self.sources[..., 0]
         frames += np.where(frames >= 0, lo[:, None], 0)
+
+    def over(self, tokens: np.ndarray) -> "MaskedQuery":
+        """The same views and targets over ``tokens``, a grid of the shape
+        this query was built on."""
+        tokens = np.asarray(tokens)
+        if tokens.shape != self.tokens.shape:
+            raise ValueError(f"a {tokens.shape} grid is not the query's "
+                             f"{self.tokens.shape}")
+        query = copy.copy(self)
+        query.tokens = tokens
+        return query
 
     def context(self) -> tuple:
         """(layer, left, below, right) per target, as int64 arrays; a

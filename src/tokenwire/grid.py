@@ -9,8 +9,10 @@ to array coordinates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import IntEnum
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -163,7 +165,7 @@ class SliceId(NamedTuple):
     group: int  # 0 coarse, 1 fine
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SliceGrid:
     """Partition of all encoded cells (t, k) into slices.
 
@@ -171,21 +173,24 @@ class SliceGrid:
     the coarse slice of each unit, then the fine slice of each unit, which
     holds the unit's fine layers below the level. ``cells`` arrays are
     (n, 2) int32 of 0-based (frame, layer), sorted by frame then layer.
+    Immutable: the mapping and its arrays are read-only, so one layout can
+    serve every clip, and it hashes by identity.
     """
 
     n_frames: int
     n_layers: int
     level: int
     gos: GosConfig
-    slices: dict[SliceId, np.ndarray] = field(default_factory=dict)
+    slices: Mapping[SliceId, np.ndarray]
 
 
+@functools.lru_cache(maxsize=64)
 def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:
     """Partition cells (t, k < level) of a T-frame grid into periodic slices.
 
     The fine slices stop at ``level``, and there are none when ``level`` is
     the coarse depth. Frames past the last full group form a shorter final
-    group.
+    group. Memoized: a layout is built once and shared.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
@@ -194,21 +199,27 @@ def build_slice_grid(n_frames: int, gos: GosConfig, level: int) -> SliceGrid:
     if level > gos.n_layers:
         raise ValueError(f"encode level {level} exceeds the layer count {gos.n_layers}")
 
-    sg = SliceGrid(n_frames, gos.n_layers, level, gos)
+    slices = {}
     n_full, tail = divmod(n_frames, gos.gos_len)
     # every full group-of-slices is the first one shifted in time
     shift = np.zeros((n_full, 1, 2), dtype=np.int32)
     shift[:, 0, 0] = np.arange(n_full) * gos.gos_len
-    full = [(u, j, cells + shift)
+    full = [(u, j, _read_only(cells + shift))
             for u, j, cells in _gos_cells(gos, gos.gos_len, level)]
     for g in range(n_full):
         for u, j, cells in full:
-            sg.slices[SliceId(g, u, j)] = cells[g]
+            slices[SliceId(g, u, j)] = cells[g]
     if tail:
         start = np.array([n_full * gos.gos_len, 0], dtype=np.int32)
         for u, j, cells in _gos_cells(gos, tail, level):
-            sg.slices[SliceId(n_full, u, j)] = cells + start
-    return sg
+            slices[SliceId(n_full, u, j)] = _read_only(cells + start)
+    return SliceGrid(n_frames, gos.n_layers, level, gos,
+                     MappingProxyType(slices))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,8 +235,7 @@ def _gos_cells(gos: GosConfig, span: int, level: int) -> tuple:
                           dtype=np.int32)
         layers = np.array(gos.group_layers(j, level), dtype=np.int32) - 1
         if len(frames) and len(layers):
-            cells = np.stack([np.repeat(frames, len(layers)),
-                              np.tile(layers, len(frames))], axis=1)
-            cells.flags.writeable = False
-            out.append((u, j, cells))
+            out.append((u, j, _read_only(np.stack(
+                [np.repeat(frames, len(layers)),
+                 np.tile(layers, len(frames))], axis=1))))
     return tuple(out)

@@ -3,8 +3,8 @@
 The core is shared with the streaming transceiver: ``SliceSender`` turns
 coarse slices into bit-packed packets with chained repair copies and fine
 slices into range-coded packets priced by model PMFs, keeping the sender's
-bit accounting; ``place_coarse`` writes coarse packets and their repair
-copies; ``decode_fine`` decodes a fine slice once the coarse cells it was
+bit accounting; ``place_coarse`` writes coarse slices, read as they were
+admitted, and their repair copies; ``decode_fine`` decodes a fine slice once the coarse cells it was
 coded against are bit-exact; ``conceal`` holds the last usable frame
 through a coarse blackout and otherwise predicts the lost coarse cells; a
 lost or invalid fine cell is never guessed and ends its frame's usable
@@ -16,12 +16,25 @@ handles in one model query, and the batch receiver conceals every window
 of a clip in one more. The encode level is stated once, in the receiver's
 initial states (INVALID from the level up); which cells can be trusted
 then follows from the states by the one prefix rule in ``dependency``.
+
+Every clip of one layout shares one plan of it, built on the first clip
+and memoized like the layout itself (``build_slice_grid``): each slice's
+packet head, the map from a head back to its slice, the coarse
+predecessor links, each fine slice's ``Conditions``, and one coding
+query over all fine slices. A clip binds that query to its own tokens
+(``MaskedQuery.over``), so neither end rebuilds any of it per clip. The
+receiver admits a coarse packet only once its payload unpacks into the
+vocabulary, so an unreadable copy never claims a slice a readable one
+fills.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,12 +104,6 @@ class ReceiverReport:
     valid_depth: np.ndarray
 
 
-def _packet_extent(cells: np.ndarray) -> tuple:
-    """(first frame, number of frames) of cells sorted by frame."""
-    frames = cells[:, 0].tolist()
-    return frames[0], len(set(frames))
-
-
 class SliceSender:
     """Transmit half of the transceiver core.
 
@@ -137,133 +144,125 @@ class SliceSender:
         rep.n_coarse_tokens += len(vals)
         return self._packet(head, payload, fec_field)
 
-    def fine(self, tokens: np.ndarray, slices: list) -> list:
-        """Range-code fine slices, given as (head, cells, Conditions)
-        triples, priced in one model query; returns their packets."""
-        if not slices:
-            return []
+    def fine(self, query: MaskedQuery, heads) -> list:
+        """Range-code the fine slices of ``query``, one per view, priced
+        in one model query; returns their packets, under ``heads``."""
         rep = self.report
-        query = MaskedQuery(tokens, [cond.view(cells)
-                                     for _, cells, cond in slices])
         cum, fallbacks = self.model.pmf(query)
         targets = query.targets
         cum_lo, freq = code_ranges(
-            cum, tokens[targets[:, 0], targets[:, 1]])
+            cum, query.tokens[targets[:, 0], targets[:, 1]])
         per_layer = rep.per_layer_ideal_bits
         for k, f in zip(targets[:, 1].tolist(), freq):
             b = -math.log2(f / PMF_TOTAL)
             rep.ideal_fine_bits += b
             per_layer[k] = per_layer.get(k, 0.0) + b
-        for fb in fallbacks:
-            rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + 1
+        for fb, n in Counter(fallbacks).items():
+            rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + n
         packets = []
-        a = 0
-        for head, cells, _ in slices:
-            coded = encode_symbols(cum_lo[a:a + len(cells)],
-                                   freq[a:a + len(cells)])
-            a += len(cells)
+        bounds = query.bounds
+        for head, a, b in zip(heads, bounds, bounds[1:]):
+            coded = encode_symbols(cum_lo[a:b], freq[a:b])
             rep.n_fine_packets += 1
             rep.fine_bits += len(coded.payload) * 8
-            rep.n_fine_tokens += len(cells)
+            rep.n_fine_tokens += b - a
             packets.append(self._packet(head, coded.payload))
         return packets
 
 
-def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
+def decode_fine(model, query: MaskedQuery, states: np.ndarray,
                 slices: list) -> int:
-    """Decode, in place, fine slices given as (cells, payload or None,
-    Conditions) triples, priced in one model query.
+    """Decode, in place into ``query.tokens``, the fine slices of
+    ``query``, one per view, given as (payload or None, Conditions) pairs.
 
     Conditions name coarse cells only, which decoding never changes. A
     slice whose conditions are not all RECEIVED becomes INVALID. A missing
     payload, or one that does not decode, leaves its cells LOST, like a
-    drop. Returns how many payloads did not decode.
+    drop. The query is priced once and each ready slice reads its own
+    rows. Returns how many payloads did not decode.
     """
+    bounds, targets = query.bounds, query.targets
     ready, invalid = [], []
     gate: dict = {}  # one check per distinct Conditions
-    for cells, payload, cond in slices:
+    for i, (payload, cond) in enumerate(slices):
         ok = gate.get(cond)
         if ok is None:
             ok = gate[cond] = decodable(states, cond)
         if not ok:
-            invalid.append(cells)
+            invalid.append(targets[bounds[i]:bounds[i + 1]])
         elif payload is not None:
-            ready.append((cells, payload, cond))
+            ready.append((payload, bounds[i], bounds[i + 1]))
     if invalid:
         cells = np.concatenate(invalid)
         states[cells[:, 0], cells[:, 1]] = _I
     if not ready:
         return 0
-    cum, _ = model.pmf(MaskedQuery(tokens, [cond.view(cells)
-                                            for cells, _, cond in ready]))
+    cum, _ = model.pmf(query)
     done, syms = [], []
-    a = 0
-    for cells, payload, _ in ready:
-        rows = cum[a:a + len(cells)]
-        a += len(cells)
+    for payload, a, b in ready:
         try:
-            syms += decode_symbols(CodedSlice(payload, len(cells)), rows)
+            syms += decode_symbols(CodedSlice(payload, b - a), cum[a:b])
         except DecodeError:
             continue
-        done.append(cells)
+        done.append(targets[a:b])
     if done:
         cells = np.concatenate(done)
-        tokens[cells[:, 0], cells[:, 1]] = syms
+        query.tokens[cells[:, 0], cells[:, 1]] = syms
         states[cells[:, 0], cells[:, 1]] = _R
     return len(ready) - len(done)
 
 
-def _unpack_coarse(data: bytes, vocab: int, count: int):
-    """``count`` tokens in ``data``, or None unless all are in ``vocab``."""
+def coarse_values(payload: bytes, vocab: int, count: int):
+    """The ``count`` tokens packed in a coarse payload, or None unless it
+    holds that many and all are in ``vocab``."""
+    width = token_bits(vocab)
     try:
-        vals = unpack_bits(data, token_bits(vocab), count)
+        vals = unpack_bits(payload, width, count)
     except DecodeError:
         return None
-    return vals if int(vals.max(initial=0)) < vocab else None
+    # every width-bit value is a token when vocab is a power of two
+    if vocab == 1 << width or int(vals.max(initial=0)) < vocab:
+        return vals
+    return None
 
 
 def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
-                 vocab: int, first_open: int) -> tuple:
-    """Write, in place, coarse packets given as (cells, packet, cells of
-    its predecessor or None) links; frames before ``first_open`` are final.
+                 vocab: int, first_open: int) -> int:
+    """Write, in place, coarse slices given as (cells, values, repair
+    copy, cells of its predecessor or None) links; frames before
+    ``first_open`` are final.
 
-    A packet whose payload does not unpack into ``vocab`` is dropped with
-    its repair copy; the rest are written in one scatter. Then an open
-    predecessor cell not RECEIVED takes the repair copy, if it unpacks.
-    Links name distinct predecessors, so one read of all their states
-    tells which copies are needed. Returns (repair copies used, packets
-    dropped)."""
-    copies, cells, vals = [], [], []
-    for c, p, prev in links:
-        v = _unpack_coarse(p.payload, vocab, len(c))
-        if v is not None:
-            cells.append(c)
-            vals.append(v)
-            if p.fec and prev is not None:
-                copies.append((p.fec, prev))
-    n_dropped = len(links) - len(cells)
-    if cells:
-        cells, vals = np.concatenate(cells), np.concatenate(vals)
-        keep = cells[:, 0] >= first_open
-        t, k = cells[keep].T
-        tokens[t, k] = vals[keep]
-        states[t, k] = _R
+    The values, read by ``coarse_values``, are written in one scatter.
+    Then an open predecessor cell not RECEIVED takes the repair copy, if
+    it unpacks into ``vocab``. Links name distinct predecessors, so one
+    read of all their states tells which copies are needed. Returns how
+    many repair copies were used."""
+    if not links:
+        return 0
+    cells = np.concatenate([c for c, _, _, _ in links])
+    vals = np.concatenate([v for _, v, _, _ in links])
+    keep = cells[:, 0] >= first_open
+    t, k = cells[keep].T
+    tokens[t, k] = vals[keep]
+    states[t, k] = _R
+    copies = [(fec, prev) for _, _, fec, prev in links
+              if fec and prev is not None]
     if not copies:
-        return 0, n_dropped
+        return 0
     starts = np.cumsum([0] + [len(prev) for _, prev in copies[:-1]])
     t, k = np.concatenate([prev for _, prev in copies]).T
     need = (states[t, k] != _R) & (t >= first_open)
     repaired = 0
     for i in np.flatnonzero(np.logical_or.reduceat(need, starts)).tolist():
         fec, prev = copies[i]
-        v = _unpack_coarse(fec, vocab, len(prev))
+        v = coarse_values(fec, vocab, len(prev))
         if v is not None:
             mask = need[starts[i]:starts[i] + len(prev)]
             pt, pk = prev[mask].T
             tokens[pt, pk] = v[mask]
             states[pt, pk] = _R
             repaired += 1
-    return repaired, n_dropped
+    return repaired
 
 
 def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
@@ -304,6 +303,40 @@ def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
     return len(holds)
 
 
+class _Layout(NamedTuple):
+    """What both batch ends derive from one slice layout, once."""
+
+    slices: tuple   # (packet head, cells) per slice, in emission order
+    by_head: dict   # (group, first frame) -> (slice index, frame count)
+    coarse: tuple   # (slice index, cells, predecessor's cells or None)
+    fine: tuple     # (slice index, Conditions) per view of ``query``
+    query: MaskedQuery | None  # coding query of all fine slices
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(sg: SliceGrid) -> _Layout:
+    """The plan of layout ``sg``; ``query`` is built over read-only zeros
+    and bound to each clip's tokens with ``MaskedQuery.over``."""
+    conditions = slice_conditions(sg)
+    slices, by_head, coarse, fine, views = [], {}, [], [], []
+    prev = None
+    for i, (sid, cells) in enumerate(sg.slices.items()):
+        frames = cells[:, 0].tolist()
+        head = (sid.group, frames[0], len(set(frames)))
+        slices.append((head, cells))
+        by_head[head[:2]] = i, head[2]
+        if sid.group == 0:
+            coarse.append((i, cells, prev))
+            prev = cells
+        else:
+            cond = conditions[frames[0]]
+            fine.append((i, cond))
+            views.append(cond.view(cells))
+    zeros = np.broadcast_to(np.int32(0), (sg.n_frames, sg.n_layers))
+    query = MaskedQuery(zeros, views) if views else None
+    return _Layout(tuple(slices), by_head, tuple(coarse), tuple(fine), query)
+
+
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
                 fec: bool = True) -> tuple:
     """Encode a uniformly quantized grid into packets.
@@ -321,20 +354,15 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     if model.vocab != grid.vocab:
         raise ValueError("model and grid vocabularies differ")
 
+    plan = _layout(sg)
     tx = SliceSender(model, fec)
-    conditions = slice_conditions(sg)
-    fine = iter(tx.fine(grid.tokens, [
-        ((sid.group, *_packet_extent(cells)), cells,
-         conditions[int(cells[0, 0])])
-        for sid, cells in sg.slices.items() if sid.group > 0]))
-    packets = []
-    for sid, cells in sg.slices.items():
-        if sid.group == 0:
-            vals = grid.tokens[cells[:, 0], cells[:, 1]]
-            packets.append(tx.coarse((0, *_packet_extent(cells)), vals))
-        else:
-            packets.append(next(fine))
-    return packets, tx.report
+    tokens = grid.tokens
+    fine = iter(tx.fine(plan.query.over(tokens),
+                        [plan.slices[i][0] for i, _ in plan.fine])
+                if plan.query else ())
+    return [tx.coarse(head, tokens[cells[:, 0], cells[:, 1]])
+            if head[0] == 0 else next(fine)
+            for head, cells in plan.slices], tx.report
 
 
 def receive_tokens(packets, sg: SliceGrid, model,
@@ -344,43 +372,44 @@ def receive_tokens(packets, sg: SliceGrid, model,
     A packet that names no slice of the layout or one already filled, or
     whose payload cannot be read, is dropped and counted, as if lost, and
     so is a None in ``packets``, which stands for a packet that arrived
-    but did not parse (see ``transport.read_packets``). Fine
-    slices decode, all in one call, only once the coarse cells they were
-    coded against are bit-exact; anything else is marked lost or invalid.
-    Windowed concealment then predicts the lost coarse cells and holds
-    blackouts. The grid's level is the per-frame usable depth.
+    but did not parse (see ``transport.read_packets``). A coarse packet
+    fills its slice only once its payload reads, so an unreadable copy
+    never hides a readable one. Fine slices decode, all in one call, only
+    once the coarse cells they were coded against are bit-exact; anything
+    else is marked lost or invalid. Windowed concealment then predicts the
+    lost coarse cells and holds blackouts. The grid's level is the
+    per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
     tokens = np.zeros((T, K), dtype=np.int32)
     states = initial_states(T, K, sg.level)
 
-    extents = {}  # (group, first frame) -> (slice, its frame count)
-    for sid, cells in sg.slices.items():
-        first_frame, n_frames = _packet_extent(cells)
-        extents[sid.group, first_frame] = sid, n_frames
-    by_sid: dict = {}
+    plan = _layout(sg)
+    got: list = [None] * len(plan.slices)  # coarse (values, fec), fine payload
     n_dropped = 0
     for p in packets:
         if p is None:
             n_dropped += 1
             continue
-        sid, n_frames = extents.get((p.group, p.first_frame), (None, 0))
-        if p.n_frames != n_frames or sid in by_sid:
+        i, n_frames = plan.by_head.get((p.group, p.first_frame), (None, 0))
+        if p.n_frames != n_frames or got[i] is not None:
             n_dropped += 1
+        elif p.group:
+            got[i] = p.payload
         else:
-            by_sid[sid] = p
+            vals = coarse_values(p.payload, vocab, len(plan.slices[i][1]))
+            if vals is None:
+                n_dropped += 1
+            else:
+                got[i] = vals, p.fec
 
-    coarse = [sid for sid in sg.slices if sid.group == 0]
-    fec_recovered, dropped = place_coarse(tokens, states, [
-        (sg.slices[sid], by_sid[sid], sg.slices[coarse[i - 1]] if i else None)
-        for i, sid in enumerate(coarse) if sid in by_sid], vocab, 0)
-
-    conditions = slice_conditions(sg)
-    n_dropped += dropped + decode_fine(model, tokens, states, [
-        (cells, by_sid[sid].payload if sid in by_sid else None,
-         conditions[int(cells[0, 0])])
-        for sid, cells in sg.slices.items() if sid.group > 0])
+    fec_recovered = place_coarse(tokens, states, [
+        (cells, *got[i], prev) for i, cells, prev in plan.coarse
+        if got[i] is not None], vocab, 0)
+    if plan.query:
+        n_dropped += decode_fine(model, plan.query.over(tokens), states,
+                                 [(got[i], cond) for i, cond in plan.fine])
 
     propagate_invalid(states)
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .context import MaskedQuery
 from .dependency import (ConcealmentWindow, propagate_invalid,
                          stream_coarse, stream_conditions, stream_step,
                          usable_depth)
@@ -46,7 +47,8 @@ from .errors import DecodeError
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import SliceSender, conceal, decode_fine, place_coarse
+from .pipeline import (SliceSender, coarse_values, conceal, decode_fine,
+                       place_coarse)
 
 
 def _head(frames: range, group: int) -> tuple:
@@ -159,8 +161,8 @@ class StreamSender:
         fine = _fine_cells(gos, due, self.level)
         if fine is not None:
             cond = stream_conditions(i, cfg, gos.n_coarse, total)
-            packets += self._tx.fine(self._buf,
-                                     [(_head(due, 1), fine, cond)])
+            packets += self._tx.fine(MaskedQuery(self._buf, [cond.view(fine)]),
+                                     [_head(due, 1)])
         self._latency.extend(horizon + 1 - f for f in due)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
@@ -208,8 +210,10 @@ class StreamReceiver:
         One packet per head is placed: a coarse one over some step's coarse
         frames up to the horizon, with a repair copy of the step before's
         (ignored on the first), and a fine one over the due frames when the
-        level sends fine layers. Any other packet, or one whose payload
-        cannot be read, is dropped and counted in ``n_dropped``."""
+        level sends fine layers. A coarse packet claims its head only once
+        its payload reads, so an unreadable copy never hides a readable
+        one. Any other packet, or one whose payload cannot be read, is
+        dropped and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, n_coarse = self.stream, self.gos.n_coarse
@@ -230,6 +234,10 @@ class StreamReceiver:
                 j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
                 ok = (frames.stop - 1 <= horizon
                       and frames == stream_coarse(j, cfg, total))
+                # an unreadable payload does not claim the head
+                vals = coarse_values(p.payload, self.vocab,
+                                     len(frames) * n_coarse) if ok else None
+                ok = vals is not None
             if not ok or (p.group, p.first_frame) in seen:
                 self.n_dropped += 1
                 continue
@@ -239,16 +247,16 @@ class StreamReceiver:
             else:
                 prev = (_cells(stream_coarse(j - 1, cfg, total),
                                range(n_coarse)) if j else None)
-                links.append((_cells(frames, range(n_coarse)), p, prev))
-        repaired, dropped = place_coarse(self._tokens, self._states, links,
-                                         self.vocab, self._released)
-        self.fec_recovered += repaired
-        self.n_dropped += dropped
+                links.append((_cells(frames, range(n_coarse)), vals, p.fec,
+                              prev))
+        self.fec_recovered += place_coarse(
+            self._tokens, self._states, links, self.vocab, self._released)
 
         if fine is not None:
+            cond = stream_conditions(i, cfg, n_coarse, total)
             self.n_dropped += decode_fine(
-                self.model, self._tokens, self._states,
-                [(fine, payload, stream_conditions(i, cfg, n_coarse, total))])
+                self.model, MaskedQuery(self._tokens, [cond.view(fine)]),
+                self._states, [(payload, cond)])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])

@@ -55,27 +55,37 @@ def token_bits(vocab: int) -> int:
 
 
 def pack_bits(values, width: int) -> bytes:
-    """Pack integers into a big-endian bitstream, MSB of each value first."""
+    """Pack integers into a big-endian bitstream, MSB of each value first,
+    zero-padded to whole bytes."""
     if not 1 <= width <= 16:
         raise ValueError("width out of range")
-    values = np.asarray(values, dtype=np.uint32).ravel()
-    if values.size and int(values.max()) >> width:
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    else:
+        values = list(map(int, values))
+    if values and (max(values) >> width or min(values) < 0):
         raise ValueError("value does not fit in width")
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    acc = 0
+    for v in values:
+        acc = acc << width | v
+    n_bits = len(values) * width
+    pad = -n_bits % 8
+    return (acc << pad).to_bytes((n_bits + pad) // 8, "big")
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of pack_bits; trailing pad bits are ignored."""
+    """Inverse of pack_bits; trailing pad bits and bytes are ignored."""
     if not 1 <= width <= 16:
         raise ValueError("width out of range")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if bits.size < count * width:
+    n_bits = count * width
+    if len(data) * 8 < n_bits:
         raise DecodeError("bit payload shorter than expected")
-    bits = bits[: count * width].reshape(count, width).astype(np.uint32)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    return (bits << shifts).sum(axis=1).astype(np.int32)
+    n_bytes = -(-n_bits // 8)
+    acc = int.from_bytes(data[:n_bytes], "big") >> (n_bytes * 8 - n_bits)
+    mask = (1 << width) - 1
+    return np.array([acc >> s & mask
+                     for s in range(n_bits - width, -1, -width)],
+                    dtype=np.int32)
 
 
 @dataclass(frozen=True)

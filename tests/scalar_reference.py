@@ -17,6 +17,10 @@ transforms and builds its filterbank on every call, and the
 ``mfcc_distance`` that calls it once per scale and signal. The shared
 front end in ``tokenwire.metrics`` must equal them exactly.
 
+For bit packing: the numpy ``pack_bits`` and ``unpack_bits`` that spread
+each value into a bit array; the integer packers in ``tokenwire.transport``
+must give the same bytes and values and refuse the same input.
+
 For the range coder: the byte-at-a-time coder with a 32-bit ``low``, a
 cache byte and a count of held-back 0xFF bytes that a carry may still
 reach, and the decoder that bisects each row as a Python list. The
@@ -347,3 +351,28 @@ def reference_decode_symbols(coded: CodedSlice, cum) -> list:
     if n > pos:
         raise DecodeError("payload holds bytes past its last symbol")
     return out
+
+
+def reference_pack_bits(values, width: int) -> bytes:
+    """Pack integers into a big-endian bitstream, MSB of each value first,
+    through a numpy bit array."""
+    if not 1 <= width <= 16:
+        raise ValueError("width out of range")
+    values = np.asarray(values, dtype=np.uint32).ravel()
+    if values.size and int(values.max()) >> width:
+        raise ValueError("value does not fit in width")
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel()).tobytes()
+
+
+def reference_unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
+    """Inverse of reference_pack_bits; trailing pad bits are ignored."""
+    if not 1 <= width <= 16:
+        raise ValueError("width out of range")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    if bits.size < count * width:
+        raise DecodeError("bit payload shorter than expected")
+    bits = bits[: count * width].reshape(count, width).astype(np.uint32)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    return (bits << shifts).sum(axis=1).astype(np.int32)

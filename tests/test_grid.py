@@ -258,6 +258,21 @@ def test_build_slice_grid_validation():
         build_slice_grid(4, gos, 5)
 
 
+def test_slice_grid_is_built_once_and_read_only():
+    gos = GosConfig(4, 2, 2, 4)
+    sg = build_slice_grid(10, gos, 3)
+    assert build_slice_grid(10, gos, 3) is sg
+    assert build_slice_grid(10, gos, 4) is not sg
+    cells = sg.slices[SliceId(0, 1, 0)]
+    with pytest.raises(ValueError):
+        cells[0, 0] = 1
+    with pytest.raises(TypeError):
+        sg.slices[SliceId(0, 1, 0)] = cells.copy()
+    with pytest.raises(AttributeError):
+        sg.level = 4
+    assert all(not c.flags.writeable for c in sg.slices.values())
+
+
 def test_stream_config_validation():
     StreamConfig(stride=3, lookahead=3, coding_context=12, conceal_context=6)
     with pytest.raises(ValueError):

@@ -261,8 +261,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(packets),
                               max_size=len(packets)), label="keep")
     arrived = [p for p, k in zip(packets, keep) if k]
-    lost_coarse = [p for p, k in zip(packets, keep)
-                   if not k and p.group == 0]
+    coarse = [p for p in packets if p.group == 0]
     junk = []
     for _ in range(data.draw(st.integers(0, 6))):
         kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
@@ -280,8 +279,9 @@ def test_unusable_packets_are_dropped_like_losses(data):
             junk.append(Packet(p.group, p.first_frame,
                                p.n_frames + data.draw(st.integers(1, 3)),
                                p.payload, p.fec))
-        elif kind == "oov" and lost_coarse:
-            p = data.draw(st.sampled_from(lost_coarse))
+        elif kind == "oov":
+            # a lost coarse packet, or a copy of a delivered one
+            p = data.draw(st.sampled_from(coarse))
             junk.append(Packet(0, p.first_frame, p.n_frames,
                                pack_bits([15] * p.n_frames, 4), p.fec))
     delivery = data.draw(st.permutations(arrived + junk), label="delivery")
@@ -289,6 +289,23 @@ def test_unusable_packets_are_dropped_like_losses(data):
     assert want[2].n_dropped == 0
     assert_dropped_like_lost(receive_tokens(delivery, sg, model), want,
                              len(junk))
+
+
+def test_unreadable_copy_does_not_hide_its_slice():
+    # A coarse packet claims its slice only once its payload reads, so an
+    # unreadable copy that arrives first is dropped and the packet after
+    # it still fills the slice.
+    rng = np.random.default_rng(31)
+    grid = random_grid(rng, 6, 3, 10)
+    sg = build_slice_grid(6, GOS, 3)
+    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    packets, _ = send_tokens(grid, sg, model)
+    clean = receive_tokens(packets, sg, model)
+    last = [p for p in packets if p.group == 0][-1]
+    for payload in (b"", pack_bits([15] * last.n_frames, 4)):
+        copy = Packet(0, last.first_frame, last.n_frames, payload, last.fec)
+        assert_dropped_like_lost(
+            receive_tokens([copy] + packets, sg, model), clean, 1)
 
 
 def test_refused_fine_payload_is_left_out():

@@ -655,6 +655,28 @@ def test_step_packing(data):
     assert tx.max_latency <= stride + lookahead
 
 
+def test_unreadable_copy_does_not_hide_its_coarse_packet():
+    # A coarse packet claims its head only once its payload reads, so an
+    # unreadable copy that arrives first is dropped and the packet after
+    # it is still placed.
+    cfg = StreamConfig(1, 1, 2, 2)
+    tokens = make_tokens(57, 8, vocab=10)
+    tokens[:, 2:] = 0
+    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    steps, n_live, total = emissions(tokens, model, level=2, stream=cfg)
+    kw = dict(model=model, level=2, stream=cfg)
+    clean = run_steps(steps, n_live, total, **kw)
+    # step 1 carries frame 2's coarse layer, which its first due frame's
+    # fine slice is coded against
+    coarse = steps[1][0]
+    assert (coarse.group, coarse.first_frame, coarse.n_frames) == (0, 2, 1)
+    for payload in (b"", pack_bits([15], 4)):
+        dirty = [list(packets) for packets in steps]
+        dirty[1].insert(0, Packet(0, 2, 1, payload, coarse.fec))
+        assert_dropped_like_lost(run_steps(dirty, n_live, total, **kw),
+                                 clean, 1)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_unusable_packets_are_dropped_like_losses(data):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import reference_pack_bits, reference_unpack_bits
 from tokenwire.errors import DecodeError
 from tokenwire.transport import (
     BernoulliChannel,
@@ -53,6 +54,47 @@ def test_pack_bits_validation():
         pack_bits([0], 17)
     with pytest.raises(DecodeError):
         unpack_bits(b"\x00", 7, 1000)
+
+
+def _raised(fn, *args):
+    """``fn(*args)``'s result, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, DecodeError) as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packing_matches_the_bit_array_reference(data):
+    """The integer packers give the numpy reference's bytes and values,
+    ignore trailing bytes, and raise what it raises: ``ValueError`` for a
+    value too wide, ``DecodeError`` for a payload too short."""
+    width = data.draw(st.integers(1, 16), label="width")
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                                max_size=64), label="values")
+    if values and data.draw(st.booleans(), label="too wide"):
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = data.draw(st.integers(1 << width, 1 << 17))
+    arg = np.array(values, dtype=np.int64) if data.draw(st.booleans()) \
+        else values
+    packed = _raised(pack_bits, arg, width)
+    assert packed == _raised(reference_pack_bits, arg, width)
+    if packed is ValueError:
+        return
+    # negative ``extra`` cuts the payload short; positive appends bytes
+    # that unpacking must not read
+    extra = data.draw(st.integers(-2, 3), label="extra")
+    payload = packed[:len(packed) + extra] if extra < 0 else \
+        packed + b"\xff" * extra
+    got = _raised(unpack_bits, payload, width, len(values))
+    want = _raised(reference_unpack_bits, payload, width, len(values))
+    if want is DecodeError:
+        assert got is DecodeError
+    else:
+        assert got.dtype == want.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, values)
 
 
 def test_pack_bits_is_msb_first():
