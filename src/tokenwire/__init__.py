@@ -15,8 +15,8 @@ from .context import (PMF_TOTAL, CountModel, MaskedQuery, TrainSchedule,
                       UniformModel, View, beta, load_count_model,
                       quantize_weights, save_count_model, train_count_model,
                       uniform_pmf)
-from .dependency import (ConcealmentWindow, LossCase, build_conceal_mask,
-                         build_windows, classify_loss, propagate_invalid)
+from .dependency import (build_conceal_mask, build_windows, classify_loss,
+                         propagate_invalid)
 from .errors import ConfigError, DecodeError
 from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,

@@ -259,17 +259,16 @@ def cmd_decode(args) -> int:
         conceal_window=manifest.get("conceal_window", 12))
     write_audio(args.out, audio)
     print(f"wrote {args.out}; states {rep.state_counts}; "
-          f"cases {rep.case_counts}")
+          f"predicted {rep.n_predicted}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump({"state_counts": rep.state_counts,
-                       "case_counts": {str(k): v for k, v
-                                       in rep.case_counts.items()},
+                       "n_predicted": rep.n_predicted,
                        "n_windows": rep.n_windows,
                        "n_blackouts": rep.n_blackouts,
                        "fec_recovered": rep.fec_recovered,
                        "n_dropped": rep.n_dropped,
-                       "valid_depth": rep.valid_depth.tolist()}, fh, indent=2)
+                       "valid_depth": grid.level.tolist()}, fh, indent=2)
             fh.write("\n")
     return 0
 

@@ -16,10 +16,12 @@ cell is ever a condition, so a lost fine packet costs only its own cells.
 Concealment predicts lost coarse cells only (``classify_loss``): a lost or
 invalid fine cell ends its frame's usable depth, because a guessed fine
 token does more harm than one left out. A frame's targets depend on its
-own states alone, so concealment windows never read each other's damage.
-The concealing view is looser than the coding one: it reads any received
-token at or below the damaged layer, both earlier and later in time,
-because prediction does not need bit-exact context.
+own states alone, so concealment windows, plain frame ``range``s, never
+read each other's damage. The concealing view is looser than the coding
+one: it reads any received token at or below the damaged layer, both
+earlier and later in time, because prediction does not need bit-exact
+context. Which arrived packet fills which slice is not decided here but
+in ``pipeline.admit``.
 
 Which cells the receiver can trust is one prefix rule, ``prefix_depth``: a
 layer refines the residual left by those below it, so a frame is usable up
@@ -31,8 +33,6 @@ and the blackout source need no per-frame level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
@@ -44,30 +44,6 @@ R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
 I = int(TokenState.INVALID)
 C = int(TokenState.CONCEALED)
-
-
-class LossCase(IntEnum):
-    """Damage patterns the receiver conceals by prediction."""
-
-    COARSE = 1  # coarse cells carried by a lost packet
-
-
-@dataclass(frozen=True)
-class ConcealmentWindow:
-    """Half-open frame range [start, stop) handled as one unit."""
-
-    start: int
-    stop: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.stop:
-            raise ValueError("window must be a non-empty forward range")
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.stop
 
 
 class Conditions(NamedTuple):
@@ -177,7 +153,8 @@ def propagate_invalid(states: np.ndarray) -> None:
 
 
 def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
-    """Group damaged frames into concealment windows of at most max_len.
+    """Group damaged frames into concealment windows, frame ``range``s of
+    at most max_len.
 
     A frame is damaged when its received prefix stops below ``level``.
     Each maximal run of damaged frames is cut into the fewest chunks that
@@ -217,41 +194,47 @@ def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
             lt = min(left_avail, (spare + 1) // 2)
             rt = min(right_avail, spare - lt)
             lt = min(left_avail, spare - rt)
-            win = ConcealmentWindow(chunk - lt, chunk_end + rt)
+            win = range(chunk - lt, chunk_end + rt)
             windows.append(win)
             next_free = win.stop
             chunk = chunk_end
     return windows
 
 
-def classify_loss(states: np.ndarray, frames: range, n_coarse: int) -> list:
-    """List (frame, layer, LossCase) concealment targets: the LOST coarse
-    cells of ``frames``, in frame-then-layer order.
+def classify_loss(states: np.ndarray, frames: range,
+                  n_coarse: int) -> np.ndarray:
+    """The (frame, layer) concealment targets of ``frames``, an (n, 2)
+    array: their LOST coarse cells, in frame-then-layer order.
 
     Only coarse cells are predicted. A lost or invalid fine cell ends its
     frame's usable depth: left out, it costs less than a guess.
     """
     lost = np.argwhere(states[frames.start:frames.stop, :n_coarse] == L)
-    return [(frames.start + t, k, LossCase.COARSE) for t, k in lost.tolist()]
+    lost[:, 0] += frames.start
+    return lost
 
 
-def build_conceal_mask(targets: list, states: np.ndarray,
-                       window: ConcealmentWindow) -> View:
-    """The concealment view of ``targets`` over the window.
+def build_conceal_mask(targets: np.ndarray, states: np.ndarray,
+                       window: range) -> View:
+    """The concealment view of the (n, 2) ``targets`` over the window.
 
     Conditions are received cells inside the window, bi-directional in time
     but capped at the highest target layer; within a frame that has targets
     nothing at or above its lowest target is exposed. Everything else in
     the window at or below the cap counts as masked.
     """
-    if not targets:
+    if not (window.step == 1 and 0 <= window.start < window.stop
+            <= len(states)):
+        raise ValueError(f"window {window} is not a non-empty forward "
+                         "frame range inside the grid")
+    if not len(targets):
         raise ValueError("no targets to conceal")
-    limit = np.full(len(window), max(k for _, k, _ in targets) + 1)
-    for t, k, _ in targets:
-        if not window.contains(t):
+    cells = targets.tolist()
+    limit = [max(k for _, k in cells) + 1] * len(window)
+    for t, k in cells:
+        if t not in window:
             raise ValueError(f"target frame {t} outside the window")
         limit[t - window.start] = min(limit[t - window.start], k)
     visible = np.minimum(
         prefix_depth(states[window.start:window.stop] == R), limit)
-    return View(window.start, visible,
-                np.array([(t, k) for t, k, _ in targets], dtype=np.int64))
+    return View(window.start, visible, targets)

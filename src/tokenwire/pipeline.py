@@ -3,29 +3,29 @@
 The core is shared with the streaming transceiver: ``SliceSender`` turns
 coarse slices into bit-packed packets with chained repair copies and fine
 slices into range-coded packets priced by model PMFs, keeping the sender's
-bit accounting; ``place_coarse`` writes coarse slices, read as they were
-admitted, and their repair copies; ``decode_fine`` decodes a fine slice once the coarse cells it was
-coded against are bit-exact; ``conceal`` holds the last usable frame
-through a coarse blackout and otherwise predicts the lost coarse cells; a
-lost or invalid fine cell is never guessed and ends its frame's usable
-depth. A packet the receiver cannot place or read is dropped and counted,
-as if lost. Both ends of a fine slice take its ``Conditions``, from which
-the coding view, the decoding view and the decode gate all derive. No
-fine slice waits on another, so each end prices all the fine slices it
-handles in one model query, and the batch receiver conceals every window
-of a clip in one more. The encode level is stated once, in the receiver's
-initial states (INVALID from the level up); which cells can be trusted
-then follows from the states by the one prefix rule in ``dependency``.
+bit accounting; ``admit`` decides which arrived packet fills which slice,
+the one claim rule of both receivers, each of which passes only its own
+geometry; ``place_coarse`` writes the admitted coarse slices and their
+repair copies; ``decode_fine`` decodes a fine slice from its first copy
+that decodes, once the coarse cells it was coded against are bit-exact;
+``conceal`` holds the last usable frame through a coarse blackout and
+otherwise predicts the lost coarse cells; a lost or invalid fine cell is
+never guessed and ends its frame's usable depth. A packet the receiver
+cannot place or read is dropped and counted, as if lost. Both ends of a
+fine slice take its ``Conditions``, from which the coding view, the
+decoding view and the decode gate all derive. No fine slice waits on
+another, so each end prices all the fine slices it handles in one model
+query, and the batch receiver conceals every window of a clip in one
+more. The encode level is stated once, in the receiver's initial states
+(INVALID from the level up); which cells can be trusted then follows
+from the states by the one prefix rule in ``dependency``.
 
 Every clip of one layout shares one plan of it, built on the first clip
 and memoized like the layout itself (``build_slice_grid``): each slice's
-packet head, the map from a head back to its slice, the coarse
-predecessor links, each fine slice's ``Conditions``, and one coding
-query over all fine slices. A clip binds that query to its own tokens
-(``MaskedQuery.over``), so neither end rebuilds any of it per clip. The
-receiver admits a coarse packet only once its payload unpacks into the
-vocabulary, so an unreadable copy never claims a slice a readable one
-fills.
+packet head, the map from a head back to its cells and its coarse
+predecessor's, each fine slice's ``Conditions``, and one coding query
+over all fine slices. A clip binds that query to its own tokens
+(``MaskedQuery.over``), so neither end rebuilds any of it per clip.
 """
 
 from __future__ import annotations
@@ -98,10 +98,9 @@ class ReceiverReport:
     n_dropped: int  # packets that arrived but could not be placed or read
     fec_recovered: int
     state_counts: dict
-    case_counts: dict
+    n_predicted: int  # lost coarse cells predicted by concealment
     n_windows: int
     n_blackouts: int
-    valid_depth: np.ndarray
 
 
 class SliceSender:
@@ -173,43 +172,54 @@ class SliceSender:
 def decode_fine(model, query: MaskedQuery, states: np.ndarray,
                 slices: list) -> int:
     """Decode, in place into ``query.tokens``, the fine slices of
-    ``query``, one per view, given as (payload or None, Conditions) pairs.
+    ``query``, one per view, given as (copies, Conditions) pairs, where
+    ``copies`` holds the slice's arrived payloads in arrival order.
 
     Conditions name coarse cells only, which decoding never changes. A
-    slice whose conditions are not all RECEIVED becomes INVALID. A missing
-    payload, or one that does not decode, leaves its cells LOST, like a
+    slice whose conditions are not all RECEIVED becomes INVALID and reads
+    none of its copies. Otherwise the first copy that decodes fills it,
+    and a slice none of whose copies decodes keeps its cells LOST, like a
     drop. The query is priced once and each ready slice reads its own
-    rows. Returns how many payloads did not decode.
+    rows. Returns how many copies filled nothing: all but one of an
+    INVALID slice's, which count as duplicates, and every other copy that
+    did not fill its slice.
     """
     bounds, targets = query.bounds, query.targets
     ready, invalid = [], []
+    n_dropped = 0
     gate: dict = {}  # one check per distinct Conditions
-    for i, (payload, cond) in enumerate(slices):
+    for i, (copies, cond) in enumerate(slices):
         ok = gate.get(cond)
         if ok is None:
             ok = gate[cond] = decodable(states, cond)
         if not ok:
             invalid.append(targets[bounds[i]:bounds[i + 1]])
-        elif payload is not None:
-            ready.append((payload, bounds[i], bounds[i + 1]))
+            n_dropped += max(len(copies) - 1, 0)
+        elif copies:
+            ready.append((copies, bounds[i], bounds[i + 1]))
     if invalid:
         cells = np.concatenate(invalid)
         states[cells[:, 0], cells[:, 1]] = _I
     if not ready:
-        return 0
+        return n_dropped
     cum, _ = model.pmf(query)
     done, syms = [], []
-    for payload, a, b in ready:
-        try:
-            syms += decode_symbols(CodedSlice(payload, b - a), cum[a:b])
-        except DecodeError:
-            continue
-        done.append(targets[a:b])
+    for copies, a, b in ready:
+        for payload in copies:
+            try:
+                syms += decode_symbols(CodedSlice(payload, b - a), cum[a:b])
+            except DecodeError:
+                continue
+            done.append(targets[a:b])
+            n_dropped += len(copies) - 1
+            break
+        else:
+            n_dropped += len(copies)
     if done:
         cells = np.concatenate(done)
         query.tokens[cells[:, 0], cells[:, 1]] = syms
         states[cells[:, 0], cells[:, 1]] = _R
-    return len(ready) - len(done)
+    return n_dropped
 
 
 def coarse_values(payload: bytes, vocab: int, count: int):
@@ -226,13 +236,50 @@ def coarse_values(payload: bytes, vocab: int, count: int):
     return None
 
 
+def admit(packets, slot_of, vocab: int) -> tuple:
+    """Sort arrived packets into the slices they fill: the one claim rule
+    of both receivers.
+
+    ``slot_of(packet)`` is the receiver's own geometry: the (cells,
+    cells of its coarse predecessor or None) of the slice the packet's
+    head names, or None when no slice has that head. A None in
+    ``packets`` stands for a packet that arrived but did not parse. A
+    coarse packet claims its head only once its payload reads
+    (``coarse_values``), so an unreadable copy never hides a readable
+    one; a fine payload can be read only against its conditions, so every
+    fine copy is kept for ``decode_fine``, which tries them in arrival
+    order. Returns (``place_coarse`` links, {head: fine payloads in
+    arrival order}, how many packets were dropped).
+    """
+    links, fine, claimed = [], {}, set()
+    n_dropped = 0
+    for p in packets:
+        slot = None if p is None else slot_of(p)
+        if slot is None:
+            n_dropped += 1
+            continue
+        head = p.group, p.first_frame, p.n_frames
+        cells, prev = slot
+        if p.group:
+            fine.setdefault(head, []).append(p.payload)
+            continue
+        vals = (None if head in claimed
+                else coarse_values(p.payload, vocab, len(cells)))
+        if vals is None:
+            n_dropped += 1
+        else:
+            claimed.add(head)
+            links.append((cells, vals, p.fec, prev))
+    return links, fine, n_dropped
+
+
 def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
                  vocab: int, first_open: int) -> int:
     """Write, in place, coarse slices given as (cells, values, repair
-    copy, cells of its predecessor or None) links; frames before
-    ``first_open`` are final.
+    copy, cells of its predecessor or None) links, as ``admit`` returns
+    them; frames before ``first_open`` are final.
 
-    The values, read by ``coarse_values``, are written in one scatter.
+    The values are written in one scatter.
     Then an open predecessor cell not RECEIVED takes the repair copy, if
     it unpacks into ``vocab``. Links name distinct predecessors, so one
     read of all their states tells which copies are needed. Returns how
@@ -266,9 +313,10 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
 
 
 def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
-            n_coarse: int, level: int, case_counts: dict) -> int:
+            n_coarse: int, level: int) -> tuple:
     """Conceal in place the damaged cells of the frames ``fill`` of each
-    (ConcealmentWindow, fill) job; returns how many were blackouts.
+    (window, fill) job of frame ranges; returns (how many cells were
+    predicted, how many jobs were blackouts).
 
     In a window with no coarse cell received, every non-received cell of
     ``fill`` repeats the last fully usable frame before it (zeros without
@@ -284,15 +332,15 @@ def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
             holds.append(fill)
             continue
         targets = classify_loss(states, fill, n_coarse)
-        if targets:
+        if len(targets):
             views.append(build_conceal_mask(targets, states, win))
-            for _, _, case in targets:
-                case_counts[int(case)] = case_counts.get(int(case), 0) + 1
+    n_predicted = 0
     if views:
         query = MaskedQuery(tokens, views)
         cells = query.targets
         tokens[cells[:, 0], cells[:, 1]] = model.predict(query)
         states[cells[:, 0], cells[:, 1]] = _C
+        n_predicted = len(cells)
     for fill in holds:
         usable = np.flatnonzero(usable_depth(states[:fill.start]) == level)
         cut = (slice(fill.start, fill.stop), slice(0, level))
@@ -300,16 +348,15 @@ def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
         tokens[cut] = np.where(hole, tokens[usable[-1], :level]
                                if len(usable) else 0, tokens[cut])
         states[cut][hole] = _C
-    return len(holds)
+    return n_predicted, len(holds)
 
 
 class _Layout(NamedTuple):
     """What both batch ends derive from one slice layout, once."""
 
     slices: tuple   # (packet head, cells) per slice, in emission order
-    by_head: dict   # (group, first frame) -> (slice index, frame count)
-    coarse: tuple   # (slice index, cells, predecessor's cells or None)
-    fine: tuple     # (slice index, Conditions) per view of ``query``
+    by_head: dict   # packet head -> (cells, coarse predecessor's or None)
+    fine: tuple     # (packet head, Conditions) per view of ``query``
     query: MaskedQuery | None  # coding query of all fine slices
 
 
@@ -318,23 +365,23 @@ def _layout(sg: SliceGrid) -> _Layout:
     """The plan of layout ``sg``; ``query`` is built over read-only zeros
     and bound to each clip's tokens with ``MaskedQuery.over``."""
     conditions = slice_conditions(sg)
-    slices, by_head, coarse, fine, views = [], {}, [], [], []
+    slices, by_head, fine, views = [], {}, [], []
     prev = None
-    for i, (sid, cells) in enumerate(sg.slices.items()):
+    for sid, cells in sg.slices.items():
         frames = cells[:, 0].tolist()
         head = (sid.group, frames[0], len(set(frames)))
         slices.append((head, cells))
-        by_head[head[:2]] = i, head[2]
         if sid.group == 0:
-            coarse.append((i, cells, prev))
+            by_head[head] = cells, prev
             prev = cells
         else:
+            by_head[head] = cells, None
             cond = conditions[frames[0]]
-            fine.append((i, cond))
+            fine.append((head, cond))
             views.append(cond.view(cells))
     zeros = np.broadcast_to(np.int32(0), (sg.n_frames, sg.n_layers))
     query = MaskedQuery(zeros, views) if views else None
-    return _Layout(tuple(slices), by_head, tuple(coarse), tuple(fine), query)
+    return _Layout(tuple(slices), by_head, tuple(fine), query)
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -358,7 +405,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     tx = SliceSender(model, fec)
     tokens = grid.tokens
     fine = iter(tx.fine(plan.query.over(tokens),
-                        [plan.slices[i][0] for i, _ in plan.fine])
+                        [head for head, _ in plan.fine])
                 if plan.query else ())
     return [tx.coarse(head, tokens[cells[:, 0], cells[:, 1]])
             if head[0] == 0 else next(fine)
@@ -369,16 +416,15 @@ def receive_tokens(packets, sg: SliceGrid, model,
                    conceal_window: int = 12) -> tuple:
     """Decode arrived packets back into a (grid, states, report) triple.
 
-    A packet that names no slice of the layout or one already filled, or
-    whose payload cannot be read, is dropped and counted, as if lost, and
+    ``admit`` places the packets against the layout's heads: one that
+    names no slice of the layout, a copy of one already filled, or one
+    whose payload cannot be read is dropped and counted, as if lost, and
     so is a None in ``packets``, which stands for a packet that arrived
-    but did not parse (see ``transport.read_packets``). A coarse packet
-    fills its slice only once its payload reads, so an unreadable copy
-    never hides a readable one. Fine slices decode, all in one call, only
-    once the coarse cells they were coded against are bit-exact; anything
-    else is marked lost or invalid. Windowed concealment then predicts the
-    lost coarse cells and holds blackouts. The grid's level is the
-    per-frame usable depth.
+    but did not parse (see ``transport.read_packets``). Fine slices
+    decode, all in one call, only once the coarse cells they were coded
+    against are bit-exact; anything else is marked lost or invalid.
+    Windowed concealment then predicts the lost coarse cells and holds
+    blackouts. The grid's level is the per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
@@ -386,41 +432,24 @@ def receive_tokens(packets, sg: SliceGrid, model,
     states = initial_states(T, K, sg.level)
 
     plan = _layout(sg)
-    got: list = [None] * len(plan.slices)  # coarse (values, fec), fine payload
-    n_dropped = 0
-    for p in packets:
-        if p is None:
-            n_dropped += 1
-            continue
-        i, n_frames = plan.by_head.get((p.group, p.first_frame), (None, 0))
-        if p.n_frames != n_frames or got[i] is not None:
-            n_dropped += 1
-        elif p.group:
-            got[i] = p.payload
-        else:
-            vals = coarse_values(p.payload, vocab, len(plan.slices[i][1]))
-            if vals is None:
-                n_dropped += 1
-            else:
-                got[i] = vals, p.fec
-
-    fec_recovered = place_coarse(tokens, states, [
-        (cells, *got[i], prev) for i, cells, prev in plan.coarse
-        if got[i] is not None], vocab, 0)
+    by_head = plan.by_head
+    links, fine, n_dropped = admit(
+        packets, lambda p: by_head.get((p.group, p.first_frame, p.n_frames)),
+        vocab)
+    fec_recovered = place_coarse(tokens, states, links, vocab, 0)
     if plan.query:
-        n_dropped += decode_fine(model, plan.query.over(tokens), states,
-                                 [(got[i], cond) for i, cond in plan.fine])
+        n_dropped += decode_fine(
+            model, plan.query.over(tokens), states,
+            [(fine.get(head, ()), cond) for head, cond in plan.fine])
 
     propagate_invalid(states)
 
     windows = build_windows(states, sg.level, conceal_window)
-    case_counts: dict = {}
-    n_blackouts = conceal(
-        model, tokens, states, [(w, range(w.start, w.stop)) for w in windows],
-        sg.gos.n_coarse, sg.level, case_counts)
+    n_predicted, n_blackouts = conceal(
+        model, tokens, states, [(w, w) for w in windows], sg.gos.n_coarse,
+        sg.level)
 
-    depth = usable_depth(states)
-    grid = TokenGrid(tokens, depth, vocab)
+    grid = TokenGrid(tokens, usable_depth(states), vocab)
     names = {_R: "received", int(TokenState.LOST): "lost",
              _I: "invalid", _C: "concealed"}
     encoded = states[:, :sg.level]
@@ -429,9 +458,8 @@ def receive_tokens(packets, sg: SliceGrid, model,
     return grid, states, ReceiverReport(
         n_frames=T, level=sg.level, n_packets_seen=len(packets),
         n_dropped=n_dropped, fec_recovered=fec_recovered,
-        state_counts=state_counts, case_counts=case_counts,
-        n_windows=len(windows), n_blackouts=n_blackouts,
-        valid_depth=depth.copy())
+        state_counts=state_counts, n_predicted=n_predicted,
+        n_windows=len(windows), n_blackouts=n_blackouts)
 
 
 def send(features: np.ndarray, codec: RvqCodec, model, gos: GosConfig,

@@ -22,10 +22,11 @@ step's last due frame, so with lookahead >= stride a lost coarse packet
 is repaired by the next step's copy before that step decodes. Both ends
 derive that one ``Conditions`` with ``stream_conditions``. No fine cell
 is a condition, so a lost fine packet costs its own cells only. The
-receiver's buffered states start INVALID from the encode level up. It
-drops and counts every packet the step geometry does not place or whose
-payload it cannot read, as if lost, then finalizes the due frames: decode
-what arrived, conceal the lost coarse cells inside a window ending at the
+receiver's buffered states start INVALID from the encode level up. Its
+step geometry names the heads a step can place, and ``pipeline.admit``
+claims them as the batch receiver does, dropping and counting the rest
+as if lost. The receiver then finalizes the due frames: decode what
+arrived, conceal the lost coarse cells inside a window ending at the
 horizon, release. A lost or invalid fine cell is not guessed; it ends its
 frame's usable depth. Released frames are never revisited, and concealed
 cells never serve as coding context.
@@ -39,16 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import MaskedQuery
-from .dependency import (ConcealmentWindow, propagate_invalid,
-                         stream_coarse, stream_conditions, stream_step,
-                         usable_depth)
+from .dependency import (propagate_invalid, stream_coarse,
+                         stream_conditions, stream_step, usable_depth)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import (SliceSender, coarse_values, conceal, decode_fine,
-                       place_coarse)
+from .pipeline import SliceSender, admit, conceal, decode_fine, place_coarse
 
 
 def _head(frames: range, group: int) -> tuple:
@@ -189,7 +188,7 @@ class StreamReceiver:
         self._released = 0
         self._next_step = 0
         self._finished = False
-        self.case_counts: dict = {}
+        self.n_predicted = 0  # lost coarse cells predicted by concealment
         self.n_blackouts = 0
         self.fec_recovered = 0
         self.n_dropped = 0  # packets that arrived but could not be used
@@ -207,13 +206,12 @@ class StreamReceiver:
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's arrived packets and finalize its due frames.
 
-        One packet per head is placed: a coarse one over some step's coarse
-        frames up to the horizon, with a repair copy of the step before's
-        (ignored on the first), and a fine one over the due frames when the
-        level sends fine layers. A coarse packet claims its head only once
-        its payload reads, so an unreadable copy never hides a readable
-        one. Any other packet, or one whose payload cannot be read, is
-        dropped and counted in ``n_dropped``."""
+        A step can place two kinds of head: a coarse one over some step's
+        coarse frames up to the horizon, with a repair copy of the step
+        before's (ignored on the first), and a fine one over the due frames
+        when the level sends fine layers. ``admit`` claims them; any other
+        packet, a copy of a head already filled, or one whose payload
+        cannot be read is dropped and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, n_coarse = self.stream, self.gos.n_coarse
@@ -223,32 +221,23 @@ class StreamReceiver:
         self._next_step += 1
         self._grow(horizon + 1)
 
-        links, payload, seen = [], None, set()
-        for p in packets:
+        def slot_of(p):
             frames = range(p.first_frame, p.first_frame + p.n_frames)
             if p.group:
                 ok = fine is not None and frames == due
-            else:
-                # the one step whose coarse frames can start there: step
-                # j >= 1 starts after h_{j-1} = j * stride - 1 + lookahead
-                j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
-                ok = (frames.stop - 1 <= horizon
-                      and frames == stream_coarse(j, cfg, total))
-                # an unreadable payload does not claim the head
-                vals = coarse_values(p.payload, self.vocab,
-                                     len(frames) * n_coarse) if ok else None
-                ok = vals is not None
-            if not ok or (p.group, p.first_frame) in seen:
-                self.n_dropped += 1
-                continue
-            seen.add((p.group, p.first_frame))
-            if p.group:
-                payload = p.payload
-            else:
-                prev = (_cells(stream_coarse(j - 1, cfg, total),
-                               range(n_coarse)) if j else None)
-                links.append((_cells(frames, range(n_coarse)), vals, p.fec,
-                              prev))
+                return (fine, None) if ok else None
+            # the one step whose coarse frames can start there: step j >= 1
+            # starts after h_{j-1} = j * stride - 1 + lookahead
+            j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
+            if (frames.stop - 1 > horizon
+                    or frames != stream_coarse(j, cfg, total)):
+                return None
+            return (_cells(frames, range(n_coarse)),
+                    _cells(stream_coarse(j - 1, cfg, total), range(n_coarse))
+                    if j else None)
+
+        links, copies, n_dropped = admit(packets, slot_of, self.vocab)
+        self.n_dropped += n_dropped
         self.fec_recovered += place_coarse(
             self._tokens, self._states, links, self.vocab, self._released)
 
@@ -256,15 +245,16 @@ class StreamReceiver:
             cond = stream_conditions(i, cfg, n_coarse, total)
             self.n_dropped += decode_fine(
                 self.model, MaskedQuery(self._tokens, [cond.view(fine)]),
-                self._states, [(payload, cond)])
+                self._states, [(copies.get(_head(due, 1), ()), cond)])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])
-        win = ConcealmentWindow(max(0, horizon + 1 - cfg.conceal_context),
-                                horizon + 1)
-        self.n_blackouts += conceal(
+        win = range(max(0, horizon + 1 - cfg.conceal_context), horizon + 1)
+        n_predicted, n_blackouts = conceal(
             self.model, self._tokens, self._states, [(win, due)], n_coarse,
-            self.level, self.case_counts)
+            self.level)
+        self.n_predicted += n_predicted
+        self.n_blackouts += n_blackouts
         self._released = due.stop
         return StreamRelease(
             (due.start, due.stop), self._tokens[sl].copy(),

@@ -168,7 +168,7 @@ def test_decode_lossless_matches_the_library(ws, tmp_path):
         rep = json.load(fh)
     assert rep["state_counts"] == {"received": 36, "lost": 0,
                                    "invalid": 0, "concealed": 0}
-    assert rep["case_counts"] == {}
+    assert rep["n_predicted"] == 0
     assert rep["n_dropped"] == 0
     assert len(rep["valid_depth"]) == 12
 

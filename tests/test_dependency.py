@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from tokenwire.context import MaskedQuery, UniformModel
 from tokenwire.dependency import (
-    ConcealmentWindow,
     Conditions,
-    LossCase,
     build_conceal_mask,
     build_windows,
     classify_loss,
@@ -73,12 +71,18 @@ def fine_slice_conditions(sg):
 
 
 def test_window_validation():
+    sg, _ = small_layout()
+    states = fresh_states(sg)
+    states[2, 1] = L
+    targets = np.array([[2, 1]])
+    for bad in (range(3, 3), range(-1, 2), range(0, 7), range(0, 6, 2),
+                range(5, 0, -1)):
+        with pytest.raises(ValueError):
+            build_conceal_mask(targets, states, bad)
     with pytest.raises(ValueError):
-        ConcealmentWindow(3, 3)
-    with pytest.raises(ValueError):
-        ConcealmentWindow(-1, 2)
-    w = ConcealmentWindow(2, 5)
-    assert len(w) == 3 and w.contains(4) and not w.contains(5)
+        build_windows(states, 3, 0)
+    w, = build_windows(states, 3, 3)
+    assert len(w) == 3 and 2 in w and w.stop not in w
 
 
 def test_stream_step_hand_cases():
@@ -508,6 +512,9 @@ def test_build_windows_properties(seed, n_frames, max_len):
     covered = set()
     prev_stop = 0
     for w in windows:
+        # a non-empty forward frame range
+        assert isinstance(w, range) and w.step == 1
+        assert 0 <= w.start < w.stop <= n_frames
         assert len(w) <= max_len
         assert w.start >= prev_stop  # disjoint and ordered
         prev_stop = w.stop
@@ -529,7 +536,7 @@ def test_classify_lost_coarse():
     states[2, 0] = L
     states[2, 1:3] = I
     targets = classify_loss(states, range(0, 6), sg.gos.n_coarse)
-    assert targets == [(2, 0, LossCase.COARSE)]
+    assert targets.shape == (1, 2) and targets.tolist() == [[2, 0]]
 
 
 def test_classify_lost_fine_non_key():
@@ -540,7 +547,8 @@ def test_classify_lost_fine_non_key():
     for t in (1, 4):
         states[t, 1] = L
         states[t, 2] = I
-    assert classify_loss(states, range(0, 6), sg.gos.n_coarse) == []
+    assert classify_loss(states, range(0, 6), sg.gos.n_coarse).shape == \
+        (0, 2)
 
 
 def test_classify_coarse_lost_outside_window():
@@ -554,10 +562,14 @@ def test_classify_coarse_lost_outside_window():
         states[t, 1:3] = I
     # Frames that exclude the lost coarse frames give no targets: their
     # invalid fine cells are left out.
-    assert classify_loss(states, range(1, 3), sg.gos.n_coarse) == []
-    # Frames that hold a lost coarse cell give that cell alone.
+    assert classify_loss(states, range(1, 3), sg.gos.n_coarse).shape == \
+        (0, 2)
+    # Frames that hold a lost coarse cell give that cell alone, in
+    # absolute frame numbers.
     targets = classify_loss(states, range(0, 3), sg.gos.n_coarse)
-    assert targets == [(0, 0, LossCase.COARSE)]
+    assert targets.tolist() == [[0, 0]]
+    assert classify_loss(states, range(3, 6), sg.gos.n_coarse).tolist() == \
+        [[3, 0]]
 
 
 def test_conceal_mask_shapes_and_errors():
@@ -565,16 +577,21 @@ def test_conceal_mask_shapes_and_errors():
     states = fresh_states(sg)
     states[2, 1] = L
     states[2, 2] = I
-    win = ConcealmentWindow(0, 6)
-    targets = [(2, 1, LossCase.COARSE)]
+    win = range(0, 6)
+    targets = np.array([[2, 1]])
     lo, visible, cells = build_conceal_mask(targets, states, win)
     assert lo == 0
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])
     np.testing.assert_array_equal(cells, [[2, 1]])
+    # a window that starts later is read from its own first frame
+    lo, visible, _ = build_conceal_mask(targets, states, range(1, 4))
+    assert lo == 1
+    np.testing.assert_array_equal(visible, [2, 1, 2])
     with pytest.raises(ValueError):
-        build_conceal_mask([], states, win)
-    with pytest.raises(ValueError):
-        build_conceal_mask([(9, 1, LossCase.COARSE)], states, win)
+        build_conceal_mask(np.empty((0, 2), dtype=np.int64), states, win)
+    for outside in ([[9, 1]], [[2, 1], [6, 0]], [[0, 0]]):
+        with pytest.raises(ValueError):
+            build_conceal_mask(np.array(outside), states, range(1, 6))
 
 
 def test_conceal_mask_excludes_concealed_cells():
@@ -583,8 +600,8 @@ def test_conceal_mask_excludes_concealed_cells():
     states[1, 1] = C  # previously concealed: usable output, not context
     states[2, 1] = L
     states[2, 2] = I
-    _, visible, _ = build_conceal_mask([(2, 1, LossCase.COARSE)], states,
-                                       ConcealmentWindow(0, 6))
+    _, visible, _ = build_conceal_mask(np.array([[2, 1]]), states,
+                                       range(0, 6))
     assert visible[1] == 1
 
 
@@ -592,6 +609,6 @@ def test_conceal_mask_level_cap():
     sg, _ = small_layout(level=2)
     states = fresh_states(sg)
     states[2, 1] = L
-    _, visible, _ = build_conceal_mask([(2, 1, LossCase.COARSE)], states,
-                                       ConcealmentWindow(0, 6))
+    _, visible, _ = build_conceal_mask(np.array([[2, 1]]), states,
+                                       range(0, 6))
     np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])

@@ -71,6 +71,13 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
+def _predicted(n: int) -> list:
+    """``n_predicted`` in the form the digests were pinned with: the
+    receivers once reported a {case: count} dict, with every prediction
+    under case 1, and the digests hashed its sorted items."""
+    return [(1, n)] if n else []
+
+
 def _sender(rep) -> str:
     return _sha([rep.n_packets, rep.n_coarse_packets, rep.n_fine_packets,
                  rep.header_bits, rep.coarse_bits, rep.fec_bits,
@@ -112,9 +119,11 @@ def run_batch(model, grid, layout: str, channel: str) -> dict:
         "wire": _sha(b"".join(wire)),
         "sender": _sender(srep),
         "received": _sha(got.tokens, got.level, states),
-        "receiver": _sha(rrep.state_counts, sorted(rrep.case_counts.items()),
+        # the report once carried a copy of the usable depth, got.level,
+        # in this place (both int16)
+        "receiver": _sha(rrep.state_counts, _predicted(rrep.n_predicted),
                          rrep.n_windows, rrep.n_blackouts, rrep.fec_recovered,
-                         rrep.valid_depth),
+                         got.level),
     }
 
 
@@ -162,7 +171,7 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
         "receiver": _sha([[list(r.due), _sha(r.tokens, r.states,
                                              r.valid_depth)]
                           for r in releases],
-                         sorted(rx.case_counts.items()), rx.n_blackouts,
+                         _predicted(rx.n_predicted), rx.n_blackouts,
                          rx.fec_recovered, tx.max_latency),
     }
 

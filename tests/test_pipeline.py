@@ -49,7 +49,7 @@ def test_lossless_round_trip():
     assert (states[:, :3] == R).all()
     assert rrep.state_counts == {"received": 36, "lost": 0, "invalid": 0,
                                  "concealed": 0}
-    assert rrep.n_windows == 0 and rrep.case_counts == {}
+    assert rrep.n_windows == 0 and rrep.n_predicted == 0
 
 
 def test_lossless_with_tail_gos_and_partial_level():
@@ -105,7 +105,7 @@ def test_last_coarse_has_no_repair():
     assert rrep.fec_recovered == 0
     # Unit 3 of the second group covers frames 8 and 11; their coarse is
     # gone for good and concealment steps in.
-    assert rrep.case_counts.get(1, 0) == 2
+    assert rrep.n_predicted == 2
     assert states[8, 0] == C and states[11, 0] == C
 
 
@@ -149,7 +149,7 @@ def test_lost_fine_slice_costs_only_its_own_cells():
     for t in (1, 2, 4, 5):
         assert (states[t] == R).all()
         np.testing.assert_array_equal(got.tokens[t], grid.tokens[t])
-    assert rrep.case_counts == {}
+    assert rrep.n_predicted == 0
 
 
 def test_blackout_repeats_last_good_frame():
@@ -188,9 +188,8 @@ def assert_dropped_like_lost(got, want, n_dropped):
     np.testing.assert_array_equal(grid.tokens, want_grid.tokens)
     np.testing.assert_array_equal(grid.level, want_grid.level)
     np.testing.assert_array_equal(states, want_states)
-    np.testing.assert_array_equal(rep.valid_depth, want_rep.valid_depth)
     fields = ("n_frames", "level", "fec_recovered", "state_counts",
-              "case_counts", "n_windows", "n_blackouts")
+              "n_predicted", "n_windows", "n_blackouts")
     assert [getattr(rep, f) for f in fields] == \
         [getattr(want_rep, f) for f in fields]
     assert rep.n_dropped == want_rep.n_dropped + n_dropped
@@ -238,7 +237,7 @@ def test_receive_rejects_bad_packets():
     assert packets[1].group == 0 and packets[1].fec
     short = Packet(0, 1, 2, b"", packets[1].fec)
     without = receive_tokens(packets[2:], sg, model)
-    assert without[2].case_counts == {1: 2}
+    assert without[2].n_predicted == 2
     assert without[2].fec_recovered == 1
     assert_dropped_like_lost(
         receive_tokens([short] + packets[2:], sg, model), without, 1)
@@ -248,9 +247,10 @@ def test_receive_rejects_bad_packets():
 @settings(max_examples=60, deadline=None)
 def test_unusable_packets_are_dropped_like_losses(data):
     """Whatever the drop mask and the order of arrival: duplicates,
-    foreign heads, wrong extents and out-of-vocabulary coarse payloads
-    added to a delivery never raise, leave the decode as it was without
-    them, and are each counted once in ``n_dropped``."""
+    foreign heads, wrong extents, out-of-vocabulary coarse payloads and
+    unreadable copies of delivered fine packets added to a delivery never
+    raise, leave the decode as it was without them, and are each counted
+    once in ``n_dropped``."""
     n_frames = data.draw(st.integers(1, 20), label="n_frames")
     level = data.draw(st.integers(1, 3), label="level")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -262,10 +262,11 @@ def test_unusable_packets_are_dropped_like_losses(data):
                               max_size=len(packets)), label="keep")
     arrived = [p for p, k in zip(packets, keep) if k]
     coarse = [p for p in packets if p.group == 0]
+    arrived_fine = [p for p in arrived if p.group]
     junk = []
     for _ in range(data.draw(st.integers(0, 6))):
         kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
-                                          "oov")))
+                                          "oov", "fine")))
         if kind == "dup" and arrived:
             junk.append(data.draw(st.sampled_from(arrived)))
         elif kind == "foreign":
@@ -284,6 +285,12 @@ def test_unusable_packets_are_dropped_like_losses(data):
             p = data.draw(st.sampled_from(coarse))
             junk.append(Packet(0, p.first_frame, p.n_frames,
                                pack_bits([15] * p.n_frames, 4), p.fec))
+        elif kind == "fine" and arrived_fine:
+            # no canonical payload ends in a zero byte; a copy of a lost
+            # packet would be unreadable only where its slice is decodable
+            p = data.draw(st.sampled_from(arrived_fine))
+            junk.append(Packet(1, p.first_frame, p.n_frames,
+                               p.payload + b"\x00"))
     delivery = data.draw(st.permutations(arrived + junk), label="delivery")
     want = receive_tokens(arrived, sg, model)
     assert want[2].n_dropped == 0
@@ -308,6 +315,27 @@ def test_unreadable_copy_does_not_hide_its_slice():
             receive_tokens([copy] + packets, sg, model), clean, 1)
 
 
+def test_unreadable_fine_copy_does_not_hide_its_slice():
+    # Every fine copy is kept until one decodes, so an unreadable copy
+    # that arrives first is dropped and the packet after it still fills
+    # the slice. No canonical payload ends in a zero byte.
+    rng = np.random.default_rng(31)
+    grid = random_grid(rng, 6, 3, 10)
+    sg = build_slice_grid(6, GOS, 3)
+    model = UniformModel(10)
+    packets, _ = send_tokens(grid, sg, model)
+    clean = receive_tokens(packets, sg, model)
+    first = next(p for p in packets if p.group)
+    copy = Packet(1, first.first_frame, first.n_frames,
+                  first.payload + b"\x00")
+    got = receive_tokens([copy] + packets, sg, model)
+    assert_dropped_like_lost(got, clean, 1)
+    np.testing.assert_array_equal(got[0].tokens, grid.tokens)
+    # after the readable one, the copy is never read, and dropped as well
+    assert_dropped_like_lost(receive_tokens(packets + [copy], sg, model),
+                             clean, 1)
+
+
 def test_refused_fine_payload_is_left_out():
     rng = np.random.default_rng(29)
     grid = random_grid(rng, 6, 3, 16)
@@ -328,7 +356,7 @@ def test_refused_fine_payload_is_left_out():
     for t in (1, 4):
         assert states[t].tolist() == [R, L, I]
         assert got.level[t] == 1
-    assert 3 not in rrep.case_counts
+    assert rrep.n_predicted == 0
     assert_dropped_like_lost(
         (got, states, rrep),
         receive_tokens(drop(sg, packets, SliceId(0, 2, 1)), sg, model), 1)
@@ -363,7 +391,10 @@ def test_state_counts_partition_cells():
     kept = [p for i, p in enumerate(packets) if i % 3 != 1]
     _, _, rrep = receive_tokens(kept, sg, model)
     assert sum(rrep.state_counts.values()) == 12 * 3
-    assert set(rrep.case_counts) <= {1}
+    # every predicted cell is concealed; holds conceal the rest
+    assert 0 <= rrep.n_predicted <= rrep.state_counts["concealed"]
+    if rrep.n_blackouts == 0:
+        assert rrep.n_predicted == rrep.state_counts["concealed"]
 
 
 def test_trained_model_beats_uniform_on_structured_tokens():
@@ -472,7 +503,7 @@ def test_receive_accepts_and_ignores_conceal_fine_layers(mini_stack,
         np.testing.assert_array_equal(other_grid.tokens, grid.tokens)
         np.testing.assert_array_equal(other_grid.level, grid.level)
         assert other_rep.state_counts == rrep.state_counts
-        assert other_rep.case_counts == rrep.case_counts
+        assert other_rep.n_predicted == rrep.n_predicted
         assert other_rep.n_blackouts == rrep.n_blackouts
 
 

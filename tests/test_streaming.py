@@ -74,8 +74,8 @@ def assert_dropped_like_lost(got, want, n_dropped):
     np.testing.assert_array_equal(grid.tokens, want_grid.tokens)
     np.testing.assert_array_equal(grid.level, want_grid.level)
     np.testing.assert_array_equal(states, want_states)
-    assert (rx.case_counts, rx.n_blackouts, rx.fec_recovered) == \
-        (want_rx.case_counts, want_rx.n_blackouts, want_rx.fec_recovered)
+    assert (rx.n_predicted, rx.n_blackouts, rx.fec_recovered) == \
+        (want_rx.n_predicted, want_rx.n_blackouts, want_rx.fec_recovered)
     assert rx.n_dropped == want_rx.n_dropped + n_dropped
 
 
@@ -173,7 +173,7 @@ def test_lossless_stream_reproduces_the_input():
                                          (21, 24)]
     stitched = np.concatenate([r.tokens for r in releases])
     np.testing.assert_array_equal(stitched, tokens)
-    assert rx.case_counts == {} and rx.n_blackouts == 0
+    assert rx.n_predicted == 0 and rx.n_blackouts == 0
     assert rx.fec_recovered == 0
 
 
@@ -217,7 +217,7 @@ def test_fine_loss_concealed_at_release_then_context_stays_clean():
     assert np.all(states[:3] == R) and np.all(states[6:] == R)
     np.testing.assert_array_equal(grid.tokens[:3], tokens[:3])
     np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
-    assert rx.case_counts == {}
+    assert rx.n_predicted == 0
     assert rx.n_blackouts == 0
 
 
@@ -247,10 +247,10 @@ def test_mangled_fine_payload_is_left_out_like_a_drop():
     releases += rx.finish([carry(em) for em in tail], total)
     grid, states = rx.result()
     assert releases[0].states.tolist() == [[R, L, I]] * 3
-    assert 3 not in rx.case_counts
+    assert rx.n_predicted == 0
     np.testing.assert_array_equal(states, dropped[1])
     np.testing.assert_array_equal(grid.tokens, dropped[0].tokens)
-    assert rx.case_counts == dropped[4].case_counts
+    assert rx.n_predicted == dropped[4].n_predicted
 
 
 def test_receiver_accepts_and_ignores_conceal_fine_layers():
@@ -282,7 +282,7 @@ def test_receiver_accepts_and_ignores_conceal_fine_layers():
             assert a.due == b.due
             np.testing.assert_array_equal(a.tokens, b.tokens)
             np.testing.assert_array_equal(a.states, b.states)
-        assert other_rx.case_counts == rx.case_counts
+        assert other_rx.n_predicted == rx.n_predicted
         assert other_rx.n_blackouts == rx.n_blackouts
 
 
@@ -390,7 +390,7 @@ def test_single_coarse_loss_repaired_before_release():
     assert releases[3].due == (9, 12) and np.all(releases[3].states == R)
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert rx.fec_recovered == 1
-    assert rx.case_counts == {}
+    assert rx.n_predicted == 0
     assert np.all(states == R)
 
 
@@ -454,7 +454,7 @@ def test_total_blackout_releases_zeros_then_holds():
     assert np.all(states == C)
     assert np.all(grid.tokens == 0)
     assert np.all(grid.level == 3)
-    assert rx.case_counts == {} and rx.fec_recovered == 0
+    assert rx.n_predicted == 0 and rx.fec_recovered == 0
 
 
 def test_tail_outage_keeps_received_coarse_and_conceals_the_rest():
@@ -473,10 +473,10 @@ def test_tail_outage_keeps_received_coarse_and_conceals_the_rest():
     assert np.all(states[3:6, 0] == R)
     assert np.all(states[3:6, 1] == L)
     assert np.all(states[3:6, 2] == I)
-    # frames 6..8: coarse lost and never repaired, concealed as Case 1
+    # frames 6..8: coarse lost and never repaired, predicted
     assert np.all(states[6:9, 0] == C)
     assert np.all(states[6:9, 1:] == I)
-    assert rx.case_counts == {1: 3}
+    assert rx.n_predicted == 3
     assert grid.level.tolist() == [3, 3, 3, 1, 1, 1, 1, 1, 1]
     np.testing.assert_array_equal(grid.tokens[3:6, 0], tokens[3:6, 0])
 
@@ -677,14 +677,33 @@ def test_unreadable_copy_does_not_hide_its_coarse_packet():
                                  clean, 1)
 
 
+def test_unreadable_fine_copy_does_not_hide_its_fine_packet():
+    # Every fine copy is kept until one decodes, so an unreadable copy
+    # that arrives first is dropped and the packet after it still fills
+    # the step's fine slice. No canonical payload ends in a zero byte.
+    tokens = make_tokens(60, 12)
+    steps, n_live, total = emissions(tokens)
+    clean = run_steps(steps, n_live, total)
+    fine = steps[1][1]
+    assert (fine.group, fine.first_frame, fine.n_frames) == (1, 3, 3)
+    copy = Packet(1, 3, 3, fine.payload + b"\x00")
+    for at in (0, 2):
+        dirty = [list(packets) for packets in steps]
+        dirty[1].insert(at, copy)
+        got = run_steps(dirty, n_live, total)
+        assert_dropped_like_lost(got, clean, 1)
+        np.testing.assert_array_equal(got[0].result()[0].tokens, tokens)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_unusable_packets_are_dropped_like_losses(data):
     """Whatever the cadence, level, drops and order of arrival within a
-    step: duplicates, foreign heads, wrong extents, late fine packets and
-    out-of-vocabulary coarse payloads added to the steps never raise,
-    leave every release and the result as they were without them, and
-    are each counted once in ``n_dropped``."""
+    step: duplicates, foreign heads, wrong extents, late fine packets,
+    out-of-vocabulary coarse payloads and unreadable copies of delivered
+    fine packets added to the steps never raise, leave every release and
+    the result as they were without them, and are each counted once in
+    ``n_dropped``."""
     gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5)]))
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
@@ -709,7 +728,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
         junk = []
         for _ in range(data.draw(st.integers(0, 3))):
             kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
-                                              "late", "oov")))
+                                              "late", "oov", "fine")))
             if kind == "dup" and keep:
                 junk.append(data.draw(st.sampled_from(keep)))
             elif kind == "foreign":
@@ -729,6 +748,11 @@ def test_unusable_packets_are_dropped_like_losses(data):
                 p = lost_coarse[0]
                 junk.append(Packet(0, p.first_frame, p.n_frames, pack_bits(
                     [15] * (p.n_frames * gos.n_coarse), 4), p.fec))
+            elif kind == "fine" and any(p.group for p in keep):
+                # no canonical payload ends in a zero byte
+                p = next(p for p in keep if p.group)
+                junk.append(Packet(1, p.first_frame, p.n_frames,
+                                   p.payload + b"\x00"))
         clean.append(keep)
         dirty.append(data.draw(st.permutations(keep + junk)))
         n_junk += len(junk)
