@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 
 from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
                     write_audio)
-from .context import (PMF_TOTAL, CountModel, MaskedQuery, TrainSchedule,
-                      UniformModel, View, beta, load_count_model,
-                      quantize_weights, save_count_model, train_count_model,
-                      uniform_pmf)
+from .context import (PMF_TOTAL, CountModel, MaskedQuery, UniformModel,
+                      View, beta, load_count_model, quantize_weights,
+                      save_count_model, train_count_model, uniform_pmf)
 from .dependency import (build_conceal_mask, build_windows, classify_loss,
                          propagate_invalid)
 from .errors import ConfigError, DecodeError
@@ -30,10 +29,8 @@ from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import (Codebook, RvqCodec, dequantize, load_codec, quantize,
                   save_codec, train_codebooks)
 from .streaming import StreamReceiver, StreamSender
-from .synthetic import (TokenSource, conditional_entropy,
-                        identity_transition, marginal_entropy,
-                        random_transition, sample_tokens, stationary,
-                        sticky_transition, synth_audio)
+from .synthetic import (TokenSource, random_transition, sample_tokens,
+                        stationary, synth_audio)
 from .transport import (BernoulliChannel, MarkovChannel, Packet,
                         channel_from_spec, load_channel, read_packets,
                         read_trace, write_packets, write_trace)

@@ -157,7 +157,7 @@ def cmd_train_context(args) -> int:
     codec = _artifact(load_codec, args.codec)
     model = train_context(cfg, codec, training_corpus(cfg))
     save_count_model(args.out, model)
-    print(f"wrote {args.out}: {len(model.tables)} contexts, "
+    print(f"wrote {args.out}: {len(model.keys)} contexts, "
           f"{model.n_observed} observations")
     return 0
 

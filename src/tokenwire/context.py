@@ -16,12 +16,13 @@ own layer beats an adjacent frame that only shows shallow layers.
 Which cells the neighbors are depends on the visibility alone, never on
 token values, so a query computes them once per distinct view shape (a
 fixed-size cache; a periodic layout or a stream cadence has a handful)
-and reads a whole query's context with one gather. The count model
-compiles its counts, when first priced after a change, into one dense
-table: sorted conditional keys with their cumulative rows, plus one
-marginal-or-uniform fallback row per layer. It prices a query with one
-key search. Callers put every slice they can price together into one
-query.
+and reads a whole query's context with one gather. The count model keeps
+one count table, its observed keys in increasing order with one row of
+token counts each; the layer marginals and the observed total are read
+from it. When first priced after a change, it compiles that table into
+the keys' cumulative rows plus one marginal-or-uniform fallback row per
+layer, and prices a query with one key search. Callers put every slice
+they can price together into one query.
 
 Training reads contexts the same way: each masking sample is one view of
 the schedule's one query over the concatenated corpus, counted through one
@@ -319,18 +320,21 @@ class _Table(NamedTuple):
 class CountModel:
     """Neighbor-context count table with Laplace smoothing.
 
-    Falls back from the exact context to the per-layer marginal, then to
-    uniform, when a key was never observed in training. The counts are
-    compiled into one dense table when first priced; ``observe`` discards
-    it.
+    ``keys`` holds the observed context keys, strictly increasing, and
+    ``counts`` their (len(keys), vocab) int64 token counts. A key's layer
+    is its leading digit, as ``encode_key`` builds it, so each layer's
+    rows form one run; ``marginals`` and ``n_observed`` are read from that
+    table. Pricing falls back from the exact context to the per-layer
+    marginal, then to uniform, when a key was never observed in training.
+    The table is compiled for pricing when first priced; ``observe``
+    discards the compiled form.
     """
 
     vocab: int
     n_layers: int
     alpha: float = 0.5
-    tables: dict = field(default_factory=dict)
-    marginals: np.ndarray | None = None
-    n_observed: int = 0
+    keys: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.vocab < 2:
@@ -339,23 +343,48 @@ class CountModel:
             raise ValueError("n_layers must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
-        if self.marginals is None:
-            self.marginals = np.zeros((self.n_layers, self.vocab), dtype=np.int64)
+        self.keys = np.asarray(self.keys, dtype=np.int64)
+        if self.counts is None:
+            self.counts = np.zeros((len(self.keys), self.vocab), np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.keys.ndim != 1 or \
+                self.counts.shape != (len(self.keys), self.vocab):
+            raise ValueError("counts must hold one row of vocab counts per key")
+        if np.any(self.keys[1:] <= self.keys[:-1]):
+            raise ValueError("context model keys are not strictly increasing")
+        if len(self.keys) and (self.keys[0] < 0 or
+                               self._layers()[-1] >= self.n_layers):
+            raise ValueError("context model has a key outside its layers")
         self._table: _Table | None = None
+
+    def _layers(self) -> np.ndarray:
+        return self.keys // (self.vocab + 1) ** 3
+
+    @property
+    def marginals(self) -> np.ndarray:
+        """(n_layers, vocab) token counts of each layer: its rows' sums."""
+        runs = np.searchsorted(self._layers(), np.arange(self.n_layers + 1))
+        total = np.zeros((len(self.keys) + 1, self.vocab), dtype=np.int64)
+        np.cumsum(self.counts, axis=0, out=total[1:])
+        return total[runs[1:]] - total[runs[:-1]]
+
+    @property
+    def n_observed(self) -> int:
+        """Number of (context, token) pairs counted."""
+        return int(self.counts.sum())
 
     def _compiled(self) -> _Table:
         if self._table is None:
-            keys = sorted(self.tables)
-            counts = np.array([self.tables[k] for k in keys],
-                              dtype=np.float64).reshape(-1, self.vocab)
-            seen = self.marginals.sum(axis=1) > 0
-            freq = quantize_weights(np.concatenate([counts, self.marginals])
+            marginals = self.marginals
+            seen = marginals.sum(axis=1) > 0
+            freq = quantize_weights(np.concatenate([self.counts, marginals])
                                     + self.alpha)
-            freq[len(keys) + np.flatnonzero(~seen)] = uniform_pmf(self.vocab)
-            kind = np.concatenate([np.zeros(len(keys), dtype=np.int64),
+            freq[len(self.keys) + np.flatnonzero(~seen)] = \
+                uniform_pmf(self.vocab)
+            kind = np.concatenate([np.zeros(len(self.keys), dtype=np.int64),
                                    np.where(seen, 1, 2)])
             self._table = _Table(
-                np.array(keys + [np.iinfo(np.int64).max], dtype=np.int64),
+                np.append(self.keys, np.iinfo(np.int64).max),
                 cumulative(freq), kind)
         return self._table
 
@@ -383,8 +412,9 @@ class CountModel:
         Uses the same key computation as pmf; ``train_count_model`` counts
         a whole schedule through here, and a model can be fitted the same
         way on any other visibility pattern it will be queried with. The
-        query is counted with one bincount over its distinct keys; a new
-        key's row is a view into that count block.
+        table's keys and the query's are merged with one ``np.unique``,
+        the query is counted with one bincount over the merged keys, and
+        the old rows are added at their new positions.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         if symbols.shape != (len(query.targets),):
@@ -395,58 +425,38 @@ class CountModel:
         if layer.size and layer.max() >= self.n_layers:
             raise ValueError("target layer outside the model")
         keys = encode_key(self.vocab, layer, left, below, right)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        rows = np.bincount(inv * self.vocab + symbols,
-                           minlength=len(uniq) * self.vocab)
-        rows = rows.astype(np.int64, copy=False).reshape(-1, self.vocab)
-        for key, row in zip(uniq.tolist(), rows):
-            counts = self.tables.get(key)
-            if counts is None:
-                self.tables[key] = row
-            else:
-                counts += row
-        self.marginals += np.bincount(
-            layer * self.vocab + symbols,
-            minlength=self.marginals.size).reshape(self.marginals.shape)
-        self.n_observed += len(symbols)
+        n_old = len(self.keys)
+        uniq, inv = np.unique(np.concatenate([self.keys, keys]),
+                              return_inverse=True)
+        counts = np.bincount(inv[n_old:] * self.vocab + symbols,
+                             minlength=len(uniq) * self.vocab)
+        counts = counts.astype(np.int64, copy=False).reshape(-1, self.vocab)
+        counts[inv[:n_old]] += self.counts  # old keys are distinct
+        self.keys, self.counts = uniq, counts
         self._table = None
 
 
-@dataclass
-class TrainSchedule:
-    """Masking curriculum for count-model training.
-
-    Each sample draws tau (mask ratio via ``beta``), an encode depth, and
-    the lowest masked layer; ``fixed_tau`` pins the mask ratio, which the
-    experiment config exposes and the tests use to carve out degenerate
-    schedules.
-    """
-
-    epochs: int = 1
-    seed: int = 0
-    fixed_tau: float | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.fixed_tau is not None and not 0.0 <= self.fixed_tau <= 1.0:
-            raise ValueError("fixed_tau must be in [0, 1]")
-
-
-def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
-                      schedule: TrainSchedule | None = None) -> CountModel:
+def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int, *,
+                      epochs: int = 1, seed: int = 0,
+                      fixed_tau: float | None = None) -> CountModel:
     """Fit a CountModel by masking random frame suffixes of layer stacks.
 
     Per sample: draw tau and mask floor(T * beta(tau)) frames; draw an
     encode depth K uniformly from [n_coarse, n_layers] and a lowest masked
     layer uniformly from [1, K]; hide layers k..K of the masked frames and
-    count (context -> token) over every hidden cell. Each sample is one
+    count (context -> token) over every hidden cell. ``epochs`` passes
+    over the corpus draw from one generator seeded with ``seed``;
+    ``fixed_tau`` pins the mask ratio, which the experiment config exposes
+    and the tests use to carve out degenerate schedules. Each sample is one
     view of the schedule's one query over the concatenated corpus, its
     grid's window with unmasked frames visible through K and masked ones
     through k - 1, and that query is counted with one ``observe``, so
     training reads the views pricing reads.
     """
-    schedule = schedule or TrainSchedule()
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if fixed_tau is not None and not 0.0 <= fixed_tau <= 1.0:
+        raise ValueError("fixed_tau must be in [0, 1]")
     if not 1 <= n_coarse < n_layers:
         raise ValueError("need 1 <= n_coarse < n_layers")
     grids = list(corpus)
@@ -458,17 +468,16 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
         if int(g.level.min()) != int(g.level.max()):
             raise ValueError("training corpus grids must be uniformly encoded")
 
-    rng = np.random.default_rng(schedule.seed)
+    rng = np.random.default_rng(seed)
     model = CountModel(vocab=vocab, n_layers=n_layers)
     tokens = np.concatenate([g.tokens for g in grids])
     starts = np.cumsum([0] + [g.n_frames for g in grids]).tolist()
     views = []
-    for _ in range(schedule.epochs):
+    for _ in range(epochs):
         for g, lo in zip(grids, starts):
             T = g.n_frames
             depth_cap = int(g.level[0])
-            tau = schedule.fixed_tau if schedule.fixed_tau is not None \
-                else float(rng.random())
+            tau = fixed_tau if fixed_tau is not None else float(rng.random())
             K = min(int(rng.integers(n_coarse, n_layers + 1)), depth_cap)
             k_low = int(rng.integers(1, K + 1))
             n_masked = int(T * beta(tau))
@@ -487,13 +496,15 @@ def train_count_model(corpus, vocab: int, n_layers: int, n_coarse: int,
     return model
 
 
-# Model file format: magic "CTX1", u8 version, 32-byte SHA-256 of the body,
-# then body: u16 vocab, u16 n_layers, f64 alpha, u64 observed count,
-# marginals as n_layers*vocab u64, u32 record count, and per record a
-# little-endian i64 key followed by vocab u64 counts, in strictly increasing
-# key order.
+# Model file format, version 2: magic "CTX1", u8 version, 32-byte SHA-256
+# of the body, then body: u16 vocab, u16 n_layers, f64 alpha, u32 record
+# count, and per record a little-endian i64 key followed by vocab u64
+# counts, in strictly increasing key order. Version 1 also stored the
+# observed total and the per-layer marginals, which the records determine.
 
 _CTX_MAGIC = b"CTX1"
+_CTX_VERSION = 2
+_CTX_HEAD = "<HHdI"
 
 
 def _record_dtype(vocab: int) -> np.dtype:
@@ -502,67 +513,39 @@ def _record_dtype(vocab: int) -> np.dtype:
 
 
 def save_count_model(path: str | Path, model: CountModel) -> None:
-    keys = sorted(model.tables)
-    records = np.empty(len(keys), dtype=_record_dtype(model.vocab))
-    records["key"] = keys
-    records["counts"] = np.array([model.tables[k] for k in keys],
-                                 dtype=np.int64).reshape(-1, model.vocab)
-    body = b"".join([
-        struct.pack("<HHdQ", model.vocab, model.n_layers, model.alpha,
-                    model.n_observed),
-        model.marginals.astype("<u8").tobytes(),
-        struct.pack("<I", len(keys)),
-        records.tobytes()])
+    records = np.empty(len(model.keys), dtype=_record_dtype(model.vocab))
+    records["key"] = model.keys
+    records["counts"] = model.counts
+    body = struct.pack(_CTX_HEAD, model.vocab, model.n_layers, model.alpha,
+                       len(records)) + records.tobytes()
     digest = hashlib.sha256(body).digest()
-    Path(path).write_bytes(_CTX_MAGIC + b"\x01" + digest + body)
+    Path(path).write_bytes(_CTX_MAGIC + bytes([_CTX_VERSION]) + digest + body)
 
 
 def load_count_model(path: str | Path) -> CountModel:
+    """Read a model file; ``CountModel`` refuses keys that are not strictly
+    increasing or that lie outside the model's layers."""
     data = Path(path).read_bytes()
     if data[:4] != _CTX_MAGIC or len(data) < 37:
         raise ValueError("not a context model file")
-    if data[4] != 1:
+    if data[4] != _CTX_VERSION:
         raise ValueError("unsupported context model version")
     digest, body = data[5:37], data[37:]
     if hashlib.sha256(body).digest() != digest:
         raise ValueError("context model file failed its integrity check")
-    off = struct.calcsize("<HHdQ")
+    off = struct.calcsize(_CTX_HEAD)
     if len(body) < off:
         raise ValueError("context model file is truncated")
-    vocab, n_layers, alpha, n_observed = struct.unpack_from("<HHdQ", body, 0)
-    if len(body) < off + 8 * n_layers * vocab + 4:
-        raise ValueError("context model file is truncated")
-    marg = np.frombuffer(body, dtype="<u8", count=n_layers * vocab, offset=off)
-    off += 8 * n_layers * vocab
-    (n_rec,) = struct.unpack_from("<I", body, off)
-    off += 4
+    vocab, n_layers, alpha, n_rec = struct.unpack_from(_CTX_HEAD, body, 0)
     rec = _record_dtype(vocab)
     if len(body) < off + n_rec * rec.itemsize:
         raise ValueError("context model file is truncated")
     if len(body) != off + n_rec * rec.itemsize:
         raise ValueError("context model file has trailing bytes")
     records = np.frombuffer(body, dtype=rec, count=n_rec, offset=off)
-    keys = records["key"]
-    if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError("context model file keys are not strictly increasing")
-    counts = records["counts"].astype(np.int64)
-    marginals = marg.reshape(n_layers, vocab).astype(np.int64)
-    # the layer is the key's leading digit, as encode_key builds it, so
-    # the increasing keys hold each layer's rows in one run
-    layers = keys // (vocab + 1) ** 3
-    if len(keys) and (keys[0] < 0 or layers[-1] >= n_layers):
-        raise ValueError("context model file has a key outside its layers")
-    runs = np.searchsorted(layers, np.arange(n_layers + 1))
-    if any(not np.array_equal(counts[a:b].sum(axis=0), m)
-           for a, b, m in zip(runs[:-1], runs[1:], marginals)):
-        raise ValueError("context model marginals are not the per-layer "
-                         "sums of its counts")
-    if n_observed != int(marginals.sum()):
-        raise ValueError("context model n_observed is not the total of its "
-                         "counts")
     return CountModel(vocab=vocab, n_layers=n_layers, alpha=alpha,
-                      tables=dict(zip(keys.tolist(), counts)),
-                      marginals=marginals, n_observed=n_observed)
+                      keys=records["key"].astype(np.int64),
+                      counts=records["counts"].astype(np.int64))
 
 
 def model_digest(path: str | Path) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .audio import CodecConfig, analyze, synthesize
-from .context import CountModel, TrainSchedule, UniformModel, train_count_model
+from .context import CountModel, UniformModel, train_count_model
 from .errors import ConfigError
 from .grid import GosConfig, TokenGrid, build_slice_grid
 from .metrics import mfcc_distance, sdr, si_snr, token_accuracy
@@ -216,10 +216,9 @@ def train_context(cfg: ExperimentConfig, codec: RvqCodec,
                   feats: list) -> CountModel:
     """Count model fitted to the corpus as ``codec`` quantizes it."""
     grids = [quantize(f, codec, codec.n_layers) for f in feats]
-    schedule = TrainSchedule(epochs=cfg.schedule_epochs, seed=cfg.base_seed,
-                             fixed_tau=cfg.fixed_tau)
     return train_count_model(grids, codec.vocab, codec.n_layers,
-                             codec.n_coarse, schedule)
+                             codec.n_coarse, epochs=cfg.schedule_epochs,
+                             seed=cfg.base_seed, fixed_tau=cfg.fixed_tau)
 
 
 def gos_config(cfg: ExperimentConfig) -> GosConfig:

@@ -106,14 +106,11 @@ class StreamSender:
         self.report = self._tx.report  # SenderReport over all emissions
         self._buf = np.zeros((0, gos.n_layers), dtype=np.int32)
         self._next_step = 0
-        self._latency: list = []
+        # largest (frames captured when emitted) - (frame index) over all
+        # due frames, None before the first; the protocol bound is
+        # stride + lookahead
+        self.max_latency: int | None = None
         self._done = False
-
-    @property
-    def max_latency(self) -> int | None:
-        """Largest (frames captured when emitted) - (frame index) over all
-        due frames; the protocol bound is stride + lookahead."""
-        return max(self._latency) if self._latency else None
 
     def push(self, tokens: np.ndarray) -> list:
         """Buffer frames; emit every step whose lookahead is now covered."""
@@ -162,7 +159,9 @@ class StreamSender:
             cond = stream_conditions(i, cfg, gos.n_coarse, total)
             packets += self._tx.fine(MaskedQuery(self._buf, [cond.view(fine)]),
                                      [_head(due, 1)])
-        self._latency.extend(horizon + 1 - f for f in due)
+        if len(due):  # the first due frame waited longest, at least 1
+            self.max_latency = max(self.max_latency or 0,
+                                   horizon + 1 - due.start)
         return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
 
 

@@ -1,9 +1,8 @@
-"""Synthetic evaluation sources with closed-form oracles.
+"""Synthetic evaluation sources.
 
 Token mode: each layer is an independent first-order Markov chain over the
-vocabulary, so the conditional entropy that bounds the coded rate is
-exactly computable. Audio mode: seeded sinusoid mixtures plus AR(1)
-noise, bounded to [-1, 1].
+vocabulary. Audio mode: seeded sinusoid mixtures plus AR(1) noise,
+bounded to [-1, 1].
 """
 
 from __future__ import annotations
@@ -32,37 +31,6 @@ def stationary(P: np.ndarray) -> np.ndarray:
     pi = np.linalg.lstsq(A, b, rcond=None)[0]
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
-
-
-def conditional_entropy(P: np.ndarray) -> float:
-    """H(X_t | X_{t-1}) in bits under the stationary law."""
-    P = np.asarray(P, dtype=np.float64)
-    pi = stationary(P)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(P > 0, np.log2(np.where(P > 0, P, 1.0)), 0.0)
-    return float(-(pi[:, None] * P * logs).sum())
-
-
-def marginal_entropy(P: np.ndarray) -> float:
-    pi = stationary(P)
-    nz = pi > 0
-    return float(-(pi[nz] * np.log2(pi[nz])).sum())
-
-
-def sticky_transition(vocab: int, stay: float) -> np.ndarray:
-    """Stay with probability ``stay``, otherwise move uniformly."""
-    if not 0.0 <= stay <= 1.0:
-        raise ValueError("stay must be a probability")
-    if vocab < 2:
-        raise ValueError("vocab must be at least 2")
-    off = (1.0 - stay) / (vocab - 1)
-    P = np.full((vocab, vocab), off)
-    np.fill_diagonal(P, stay)
-    return P
-
-
-def identity_transition(vocab: int) -> np.ndarray:
-    return np.eye(vocab)
 
 
 def random_transition(vocab: int, rng: np.random.Generator,
@@ -96,12 +64,6 @@ class TokenSource:
     @property
     def n_layers(self) -> int:
         return len(self.transitions)
-
-    def fine_entropy(self, n_coarse: int, level: int | None = None) -> float:
-        """Sum of per-layer conditional entropies over the coded fine layers."""
-        level = self.n_layers if level is None else level
-        return float(sum(conditional_entropy(P)
-                         for P in self.transitions[n_coarse:level]))
 
 
 def sample_tokens(source: TokenSource, n_frames: int,

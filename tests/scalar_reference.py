@@ -10,7 +10,8 @@ a masking sample written out by hand from its masked and unmasked frames,
 which ``train_count_model``, counting every sample as one view of one
 query through ``CountModel.observe``, must reproduce count for count; and
 the per-cell counting loop that the vectorised ``observe`` must equal on
-any query.
+any query. Both count into a plain ``{key: row}`` dict of their own, which
+the tests compare with the model's key and count arrays.
 
 For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
 transforms and builds its filterbank on every call, and the
@@ -32,9 +33,8 @@ from bisect import bisect_right
 import numpy as np
 import scipy.fft
 
-from tokenwire.context import (PMF_TOTAL, SENTINEL, CountModel, MaskedQuery,
-                               TrainSchedule, View, beta, encode_key,
-                               uniform_pmf)
+from tokenwire.context import (PMF_TOTAL, SENTINEL, MaskedQuery, View, beta,
+                               encode_key, uniform_pmf)
 from tokenwire.errors import DecodeError
 from tokenwire.rangecoder import CodedSlice
 
@@ -102,12 +102,17 @@ def quantize_vector(weights, total=PMF_TOTAL) -> np.ndarray:
 
 
 def reference_pmf(model, key: int, layer: int) -> tuple:
-    """(frequencies, fallback name) of one context key, per key."""
-    counts = model.tables.get(key)
-    if counts is not None:
-        return quantize_vector(counts + model.alpha), "conditional"
-    if int(model.marginals[layer].sum()) > 0:
-        return quantize_vector(model.marginals[layer] + model.alpha), "marginal"
+    """(frequencies, fallback name) of one context key, per key; the
+    layer marginal is summed here from the rows of the layer's keys."""
+    rows = dict(zip(model.keys.tolist(), model.counts))
+    if key in rows:
+        return quantize_vector(rows[key] + model.alpha), "conditional"
+    marginal = np.zeros(model.vocab, dtype=np.int64)
+    for k, row in rows.items():
+        if k // (model.vocab + 1) ** 3 == layer:
+            marginal += row
+    if int(marginal.sum()) > 0:
+        return quantize_vector(marginal + model.alpha), "marginal"
     return uniform_pmf(model.vocab), "uniform"
 
 
@@ -126,27 +131,21 @@ def reference_key(model, tokens, visible, t, k, lo, hi) -> tuple:
     return (key, *reference_pmf(model, key, k))
 
 
-def reference_observe(model, query, symbols) -> None:
-    """Count one query's (context, token) pairs into ``model``, cell by
-    cell: one table row lookup or insertion per target."""
+def reference_observe(table: dict, vocab: int, query, symbols) -> None:
+    """Count one query's (context, token) pairs into ``table``, a
+    ``{key: row}`` dict, cell by cell: one row lookup or insertion per
+    target."""
     layer, left, below, right = query.context()
-    keys = encode_key(model.vocab, layer, left, below, right)
-    for key, k, sym in zip(keys.tolist(), layer.tolist(),
-                           np.asarray(symbols).tolist()):
-        counts = model.tables.get(key)
-        if counts is None:
-            counts = np.zeros(model.vocab, dtype=np.int64)
-            model.tables[key] = counts
-        counts[sym] += 1
-        model.marginals[k, sym] += 1
-        model.n_observed += 1
+    keys = encode_key(vocab, layer, left, below, right)
+    for key, sym in zip(keys.tolist(), np.asarray(symbols).tolist()):
+        table.setdefault(key, np.zeros(vocab, dtype=np.int64))[sym] += 1
 
 
 def reference_train_count_model(corpus, vocab: int, n_layers: int,
-                                n_coarse: int,
-                                schedule: TrainSchedule | None = None
-                                ) -> CountModel:
-    """The masking curriculum, counted sample by sample by hand.
+                                n_coarse: int, epochs: int = 1, seed: int = 0,
+                                fixed_tau: float | None = None) -> dict:
+    """The masking curriculum, counted sample by sample by hand into a
+    ``{key: row}`` dict.
 
     Draws tau, the encode depth K, the lowest masked layer and the masked
     frames in the same order as ``train_count_model``. Unmasked frames are
@@ -156,29 +155,27 @@ def reference_train_count_model(corpus, vocab: int, n_layers: int,
     side has no unmasked frame. Tokens are cast to int64 on entry, so the
     key arithmetic cannot wrap at any vocab.
     """
-    schedule = schedule or TrainSchedule()
     grids = list(corpus)
-    rng = np.random.default_rng(schedule.seed)
-    model = CountModel(vocab=vocab, n_layers=n_layers)
-    for _ in range(schedule.epochs):
+    rng = np.random.default_rng(seed)
+    table = {}
+    for _ in range(epochs):
         for g in grids:
             T = g.n_frames
-            tau = schedule.fixed_tau if schedule.fixed_tau is not None \
-                else float(rng.random())
+            tau = fixed_tau if fixed_tau is not None else float(rng.random())
             K = min(int(rng.integers(n_coarse, n_layers + 1)), int(g.level[0]))
             k_low = int(rng.integers(1, K + 1))
             n_masked = int(T * beta(tau))
             if n_masked == 0:
                 continue
             masked = np.sort(rng.choice(T, size=n_masked, replace=False))
-            _count_sample(model, g.tokens.astype(np.int64), masked, K, k_low)
-    return model
+            _count_sample(table, vocab, g.tokens.astype(np.int64), masked, K,
+                          k_low)
+    return table
 
 
-def _count_sample(model, tokens, masked, K, k_low) -> None:
+def _count_sample(table, vocab, tokens, masked, K, k_low) -> None:
     """Count (context -> token) over the hidden cells of one sample."""
     T = tokens.shape[0]
-    vocab = model.vocab
     m1 = vocab + 1
     is_masked = np.zeros(T, dtype=bool)
     is_masked[masked] = True
@@ -211,10 +208,7 @@ def _count_sample(model, tokens, masked, K, k_low) -> None:
             below = np.full(len(masked), vocab)
         keys = ((k0 * m1 + left) * m1 + below) * m1 + right
         for key, tok in zip(keys.tolist(), tokens[masked, k0].tolist()):
-            row = model.tables.setdefault(key, np.zeros(vocab, dtype=np.int64))
-            row[tok] += 1
-            model.marginals[k0, tok] += 1
-            model.n_observed += 1
+            table.setdefault(key, np.zeros(vocab, dtype=np.int64))[tok] += 1
 
 
 def reference_filterbank(n_mels: int, n_fft: int,

@@ -40,13 +40,13 @@ def test_install_layers_then_uninstall():
 def test_hooks_record_the_coding_work():
     """With the tracer active, a batch round trip and one stream step
     leave non-zero work under every name the benchmark reports on."""
-    from tokenwire.context import TrainSchedule, train_count_model
+    from tokenwire.context import train_count_model
     from tokenwire.grid import GosConfig, StreamConfig, build_slice_grid
 
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, 8, size=(12, 3)).astype(np.int32)
     grid = TokenGrid(tokens, np.full(12, 3), 8)
-    model = train_count_model([grid], 8, 3, 1, TrainSchedule(seed=1))
+    model = train_count_model([grid], 8, 3, 1, seed=1)
     gos = GosConfig(6, 2, 1, 3)
     tracing = load_tracing()
     tracer = tracing.Tracer()

@@ -14,7 +14,6 @@ from tokenwire.context import (
     SENTINEL,
     CountModel,
     MaskedQuery,
-    TrainSchedule,
     UniformModel,
     View,
     beta,
@@ -385,12 +384,12 @@ def test_observe_validation_and_counts():
     m.observe(q, [3])
     assert m.n_observed == 2
     assert int(m.marginals[0, 3]) == 2
-    (key,) = m.tables
-    np.testing.assert_array_equal(m.tables[key], [0, 0, 0, 2])
+    assert m.keys.shape == (1,)
+    np.testing.assert_array_equal(m.counts, [[0, 0, 0, 2]])
     shallow = CountModel(vocab=4, n_layers=1)
     with pytest.raises(ValueError, match="layer"):
         shallow.observe(full_query(tokens, np.array([2, 1]), [(1, 1)]), [0])
-    assert shallow.n_observed == 0 and not shallow.tables
+    assert shallow.n_observed == 0 and len(shallow.keys) == 0
 
 
 def test_predict_is_argmax_lowest_index():
@@ -429,37 +428,32 @@ def observe_setups(draw):
 @given(observe_setups())
 @settings(max_examples=60, deadline=None)
 def test_observe_matches_per_cell_counting(setup):
-    """One bincount over a query's distinct keys counts exactly what the
-    per-cell loop counts, also into a model that already holds some of
-    its keys, and each table row stays its own."""
+    """Merging a query into the table with one unique and one bincount
+    counts exactly what the per-cell loop counts, also into a model that
+    already holds some of its keys, and the table keeps its invariants:
+    strictly increasing keys, one int64 row of vocab counts per key, and
+    marginals and n_observed that are its per-layer sums and total."""
     vocab, tokens, prior, views = setup
     n_layers = tokens.shape[1]
     fast = CountModel(vocab=vocab, n_layers=n_layers)
-    slow = CountModel(vocab=vocab, n_layers=n_layers)
-    if prior:
-        q = MaskedQuery(tokens, prior)
+    slow = {}
+    for part in ([prior] if prior else []) + [views]:
+        q = MaskedQuery(tokens, part)
         symbols = tokens[q.targets[:, 0], q.targets[:, 1]]
         fast.observe(q, symbols)
-        reference_observe(slow, q, symbols)
-    query = MaskedQuery(tokens, views)
-    symbols = tokens[query.targets[:, 0], query.targets[:, 1]]
-    fast.observe(query, symbols)
-    reference_observe(slow, query, symbols)
-    assert_same_counts(fast, slow)
-
-    # new rows of one observe may share one count block: adding into one
-    # row must leave every other row as it was
-    if len(query.targets):
-        v = next(v for v in views if len(v.targets))
-        one = MaskedQuery(tokens, [View(v.lo, v.visible, v.targets[:1])])
-        before = {k: row.copy() for k, row in fast.tables.items()}
-        fast.observe(one, [0])
-        reference_observe(slow, one, [0])
+        reference_observe(slow, vocab, q, symbols)
         assert_same_counts(fast, slow)
-        (key,) = encode_key(vocab, *one.context()).tolist()
-        for k, row in fast.tables.items():
-            if k != key:
-                np.testing.assert_array_equal(row, before[k])
+
+        assert fast.keys.dtype == np.int64 and fast.keys.ndim == 1
+        assert np.all(np.diff(fast.keys) > 0)
+        assert fast.counts.dtype == np.int64
+        assert fast.counts.shape == (len(fast.keys), vocab)
+        marginals = np.zeros((n_layers, vocab), dtype=np.int64)
+        for key, row in zip(fast.keys.tolist(), fast.counts):
+            marginals[key // (vocab + 1) ** 3] += row
+        np.testing.assert_array_equal(fast.marginals, marginals)
+        assert fast.n_observed == int(fast.counts.sum()) == \
+            sum(int(row.sum()) for row in slow.values())
 
 
 # --- curriculum training -----------------------------------------------------
@@ -474,14 +468,11 @@ def make_grid(rng, T, n_layers, vocab, level=None):
 def test_train_count_model_determinism():
     rng = np.random.default_rng(13)
     grids = [make_grid(rng, 30, 4, 8) for _ in range(3)]
-    sched = TrainSchedule(epochs=4, seed=5)
-    a = train_count_model(grids, 8, 4, 1, sched)
-    b = train_count_model(grids, 8, 4, 1, sched)
+    a = train_count_model(grids, 8, 4, 1, epochs=4, seed=5)
+    b = train_count_model(grids, 8, 4, 1, epochs=4, seed=5)
     assert a.n_observed == b.n_observed > 0
-    assert sorted(a.tables) == sorted(b.tables)
-    for key in a.tables:
-        np.testing.assert_array_equal(a.tables[key], b.tables[key])
-    np.testing.assert_array_equal(a.marginals, b.marginals)
+    np.testing.assert_array_equal(a.keys, b.keys)
+    np.testing.assert_array_equal(a.counts, b.counts)
 
 
 def test_train_count_model_validation():
@@ -496,28 +487,35 @@ def test_train_count_model_validation():
         train_count_model([ragged], 8, 4, 1)
     with pytest.raises(ValueError):
         train_count_model([make_grid(rng, 4, 4, 8)], 8, 4, 4)
+    with pytest.raises(ValueError, match="epochs"):
+        train_count_model([make_grid(rng, 4, 4, 8)], 8, 4, 1, epochs=0)
+    with pytest.raises(ValueError, match="fixed_tau"):
+        train_count_model([make_grid(rng, 4, 4, 8)], 8, 4, 1, fixed_tau=1.5)
 
 
 def test_degenerate_schedule_masks_nothing():
     rng = np.random.default_rng(15)
     model = train_count_model([make_grid(rng, 20, 3, 8)], 8, 3, 1,
-                              TrainSchedule(epochs=2, fixed_tau=1.0))
-    assert model.n_observed == 0 and not model.tables
+                              epochs=2, fixed_tau=1.0)
+    assert model.n_observed == 0 and len(model.keys) == 0
 
 
-def assert_same_counts(a: CountModel, b: CountModel) -> None:
-    assert a.n_observed == b.n_observed
-    np.testing.assert_array_equal(a.marginals, b.marginals)
-    assert sorted(a.tables) == sorted(b.tables)
-    for key, row in a.tables.items():
-        assert row.dtype == np.int64
-        np.testing.assert_array_equal(row, b.tables[key])
+def assert_same_counts(model: CountModel, table: dict) -> None:
+    """The model's count table holds exactly the rows of ``table``, a
+    reference's ``{key: row}`` dict."""
+    keys = sorted(table)
+    assert model.keys.tolist() == keys
+    assert model.counts.dtype == np.int64
+    np.testing.assert_array_equal(
+        model.counts,
+        np.array([table[k] for k in keys], dtype=np.int64).reshape(
+            -1, model.vocab))
 
 
 @st.composite
 def training_setups(draw):
-    """(corpus, vocab, n_layers, n_coarse, schedule): ragged grid lengths,
-    each grid uniformly encoded at its own level."""
+    """((corpus, vocab, n_layers, n_coarse), schedule keywords): ragged
+    grid lengths, each grid uniformly encoded at its own level."""
     vocab = draw(st.one_of(st.integers(2, 8), st.just(256)))
     n_layers = draw(st.integers(2, 6))
     n_coarse = draw(st.integers(1, n_layers - 1))
@@ -526,10 +524,10 @@ def training_setups(draw):
               for T, level in draw(st.lists(
                   st.tuples(st.integers(1, 16), st.integers(1, n_layers)),
                   min_size=1, max_size=4))]
-    schedule = TrainSchedule(epochs=draw(st.integers(1, 3)),
-                             seed=draw(st.integers(0, 2**31 - 1)),
-                             fixed_tau=draw(st.sampled_from([None, 0.0, 1.0])))
-    return corpus, vocab, n_layers, n_coarse, schedule
+    schedule = dict(epochs=draw(st.integers(1, 3)),
+                    seed=draw(st.integers(0, 2**31 - 1)),
+                    fixed_tau=draw(st.sampled_from([None, 0.0, 1.0])))
+    return (corpus, vocab, n_layers, n_coarse), schedule
 
 
 @given(training_setups())
@@ -537,8 +535,9 @@ def training_setups(draw):
 def test_train_count_model_matches_reference(setup):
     """Counting each sample through observe() gives exactly the counts of
     the hand-written neighbor rule, at every vocab."""
-    assert_same_counts(train_count_model(*setup),
-                       reference_train_count_model(*setup))
+    args, schedule = setup
+    assert_same_counts(train_count_model(*args, **schedule),
+                       reference_train_count_model(*args, **schedule))
 
 
 def test_trained_keys_stay_in_range_at_vocab_256():
@@ -548,14 +547,13 @@ def test_trained_keys_stay_in_range_at_vocab_256():
     vocab, n_layers = 256, 3
     rng = np.random.default_rng(17)
     grids = [make_grid(rng, 24, n_layers, vocab, level=2) for _ in range(8)]
-    sched = TrainSchedule(epochs=4, seed=3)
-    model = train_count_model(grids, vocab, n_layers, 2, sched)
+    model = train_count_model(grids, vocab, n_layers, 2, epochs=4, seed=3)
     assert model.n_observed > 0
-    keys = np.array(sorted(model.tables), dtype=np.int64)
+    keys = model.keys
     assert keys.min() >= 0 and keys.max() < n_layers * (vocab + 1) ** 3
     assert_same_counts(model,
                        reference_train_count_model(grids, vocab, n_layers, 2,
-                                                   sched))
+                                                   epochs=4, seed=3))
 
 
 # --- serialization -----------------------------------------------------------
@@ -563,14 +561,16 @@ def test_trained_keys_stay_in_range_at_vocab_256():
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(16)
     grids = [make_grid(rng, 40, 3, 8) for _ in range(2)]
-    model = train_count_model(grids, 8, 3, 1, TrainSchedule(epochs=3, seed=1))
+    model = train_count_model(grids, 8, 3, 1, epochs=3, seed=1)
     path = tmp_path / "model.ctx"
     save_count_model(path, model)
     back = load_count_model(path)
     assert back.vocab == 8 and back.n_layers == 3
     assert back.alpha == model.alpha
-    assert_same_counts(back, model)
-    assert all(row.flags.writeable for row in back.tables.values())
+    assert back.keys.dtype == back.counts.dtype == np.int64
+    np.testing.assert_array_equal(back.keys, model.keys)
+    np.testing.assert_array_equal(back.counts, model.counts)
+    assert back.counts.flags.writeable
     again = tmp_path / "again.ctx"
     save_count_model(again, back)
     assert again.read_bytes() == path.read_bytes()
@@ -596,22 +596,24 @@ def test_model_file_version_and_magic(tmp_path):
     model = CountModel(vocab=4, n_layers=2)
     save_count_model(path, model)
     raw = bytearray(path.read_bytes())
-    raw[4] = 9
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        load_count_model(path)
+    assert raw[4] == 2
+    for version in (9, 1):  # version 1 also stored marginals and a total
+        raw[4] = version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="version"):
+            load_count_model(path)
 
 
 def test_model_file_truncated_body_is_refused(tmp_path):
     """A body shorter than its declared sizes is refused even when the
     digest covers exactly that body."""
-    model = CountModel(vocab=4, n_layers=2, tables={7: np.arange(4)})
+    model = CountModel(vocab=4, n_layers=2, keys=[7], counts=[np.arange(4)])
     path = tmp_path / "m.ctx"
     save_count_model(path, model)
     body = path.read_bytes()[37:]
     for cut in (10, 40, len(body) - 8):
         short = body[:cut]
-        path.write_bytes(b"CTX1\x01" + hashlib.sha256(short).digest() + short)
+        path.write_bytes(b"CTX1\x02" + hashlib.sha256(short).digest() + short)
         with pytest.raises(ValueError, match="truncated"):
             load_count_model(path)
 
@@ -620,46 +622,42 @@ def test_model_file_truncated_body_is_refused(tmp_path):
 def test_model_file_keys_must_increase(tmp_path, second_key):
     """A record whose key does not exceed the one before it (a duplicate,
     or out of order) is refused even under a valid digest, rather than
-    dropping counts."""
-    model = CountModel(vocab=4, n_layers=2, n_observed=3,
-                       tables={7: np.array([0, 1, 0, 0]),
-                               9: np.array([0, 0, 2, 0])})
+    dropping counts, and so is a key past the model's layers."""
+    model = CountModel(vocab=4, n_layers=2, keys=[7, 9],
+                       counts=[[0, 1, 0, 0], [0, 0, 2, 0]])
     path = tmp_path / "m.ctx"
     save_count_model(path, model)
     body = bytearray(path.read_bytes()[37:])
     second = len(body) - 8 * (1 + 4)
-    body[second:second + 8] = second_key.to_bytes(8, "little", signed=True)
-    path.write_bytes(b"CTX1\x01" + hashlib.sha256(body).digest() + body)
+    for key, error in ((second_key, "increasing"),
+                       (int(encode_key(4, 2, 0, 0, 0)), "outside its layers")):
+        body[second:second + 8] = key.to_bytes(8, "little", signed=True)
+        path.write_bytes(b"CTX1\x02" + hashlib.sha256(body).digest() + body)
+        with pytest.raises(ValueError, match=error):
+            load_count_model(path)
+
+
+def test_count_model_table_validation():
+    """The constructor refuses a count table pricing could not search:
+    rows that are not one vocab-wide row per key, keys out of order, and
+    keys outside the model's layers."""
+    with pytest.raises(ValueError, match="one row"):
+        CountModel(vocab=4, n_layers=2, keys=[7], counts=[[0, 1, 0]])
+    with pytest.raises(ValueError, match="one row"):
+        CountModel(vocab=4, n_layers=2, keys=[7, 9], counts=[[0, 1, 0, 0]])
     with pytest.raises(ValueError, match="increasing"):
-        load_count_model(path)
-
-
-def test_model_file_counts_must_agree(tmp_path):
-    """Marginals that are not the per-layer sums of the table rows, an
-    n_observed that is not their total, and a key past the model's layers
-    are refused although save_count_model writes them with a valid
-    digest."""
-    path = tmp_path / "m.ctx"
-    key = int(encode_key(4, 1, 0, 2, 3))
-    row = np.array([0, 1, 0, 0])
-    marginals = np.zeros((2, 4), dtype=np.int64)
-    save_count_model(path, CountModel(vocab=4, n_layers=2, n_observed=5,
-                                      tables={key: row}))
-    with pytest.raises(ValueError, match="marginals"):
-        load_count_model(path)
-    marginals[1] = row
-    save_count_model(path, CountModel(vocab=4, n_layers=2, n_observed=5,
-                                      tables={key: row}, marginals=marginals))
-    with pytest.raises(ValueError, match="n_observed"):
-        load_count_model(path)
-    save_count_model(path, CountModel(vocab=4, n_layers=2, n_observed=1,
-                                      tables={key: row}, marginals=marginals))
-    assert load_count_model(path).n_observed == 1
-    save_count_model(path, CountModel(
-        vocab=4, n_layers=2, n_observed=1, marginals=marginals,
-        tables={int(encode_key(4, 2, 0, 0, 0)): row}))
-    with pytest.raises(ValueError, match="outside its layers"):
-        load_count_model(path)
+        CountModel(vocab=4, n_layers=2, keys=[9, 7], counts=np.ones((2, 4)))
+    for key in (-1, int(encode_key(4, 2, 0, 0, 0))):
+        with pytest.raises(ValueError, match="outside its layers"):
+            CountModel(vocab=4, n_layers=2, keys=[key], counts=np.ones((1, 4)))
+    model = CountModel(vocab=4, n_layers=2, keys=[7, 9],
+                       counts=[[0, 1, 0, 0], [0, 0, 2, 0]])
+    assert model.n_observed == 3
+    np.testing.assert_array_equal(model.marginals, [[0, 1, 2, 0], [0] * 4])
+    with pytest.raises(AttributeError):
+        model.n_observed = 4
+    with pytest.raises(AttributeError):
+        model.marginals = np.zeros((2, 4), dtype=np.int64)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])

@@ -1,14 +1,18 @@
-"""Closed-form token sources: stationary laws and entropies."""
+"""Synthetic token sources and audio: stationary laws, sampled chains."""
 
 import numpy as np
 import pytest
 
-from tokenwire.synthetic import (TokenSource, conditional_entropy,
-                                 identity_transition, marginal_entropy,
-                                 random_transition, sample_tokens,
-                                 stationary, sticky_transition, synth_audio)
+from tokenwire.synthetic import (TokenSource, random_transition,
+                                 sample_tokens, stationary, synth_audio)
 
 P2 = np.array([[0.9, 0.1], [0.5, 0.5]])
+
+
+def sticky(vocab: int, stay: float) -> np.ndarray:
+    """Stay with probability ``stay``, otherwise move uniformly."""
+    return stay * np.eye(vocab) + (1.0 - stay) / (vocab - 1) * (
+        1 - np.eye(vocab))
 
 
 def test_stationary_two_state_hand_case():
@@ -24,56 +28,17 @@ def test_stationary_properties():
         assert np.all(pi >= 0)
         np.testing.assert_allclose(pi @ P, pi, atol=1e-10)
     # sticky chains are doubly stochastic, so the law is uniform
-    np.testing.assert_allclose(stationary(sticky_transition(16, 0.7)),
+    np.testing.assert_allclose(stationary(sticky(16, 0.7)),
                                np.full(16, 1 / 16), atol=1e-12)
     # absorbing state: all mass collapses onto it
     np.testing.assert_allclose(stationary([[1.0, 0.0], [0.5, 0.5]]),
                                [1.0, 0.0], atol=1e-12)
     # identity has no unique law; the solver settles on uniform
-    np.testing.assert_allclose(stationary(identity_transition(4)),
+    np.testing.assert_allclose(stationary(np.eye(4)),
                                np.full(4, 0.25), atol=1e-12)
 
 
-def test_conditional_entropy_against_loop_oracle():
-    def oracle(P):
-        P = np.asarray(P, dtype=np.float64)
-        pi = stationary(P)
-        h = 0.0
-        for a in range(P.shape[0]):
-            for b in range(P.shape[1]):
-                if P[a, b] > 0:
-                    h -= pi[a] * P[a, b] * np.log2(P[a, b])
-        return h
-
-    for P in (P2, sticky_transition(16, 0.7),
-              random_transition(5, np.random.default_rng(9))):
-        assert conditional_entropy(P) == pytest.approx(oracle(P), abs=1e-12)
-    assert conditional_entropy(P2) == pytest.approx(0.5574963280, abs=1e-9)
-    assert conditional_entropy(sticky_transition(16, 0.7)) == \
-        pytest.approx(2.0533580779, abs=1e-9)
-    # a doubly stochastic chain with uniform rows codes at log2 M
-    assert conditional_entropy(sticky_transition(16, 1 / 16)) == \
-        pytest.approx(4.0, abs=1e-12)
-    # zero-probability transitions contribute nothing
-    assert conditional_entropy(identity_transition(4)) == 0.0
-
-
-def test_marginal_entropy():
-    p = 5 / 6
-    want = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
-    assert marginal_entropy(P2) == pytest.approx(want, abs=1e-12)
-    assert marginal_entropy(sticky_transition(8, 0.5)) == \
-        pytest.approx(3.0, abs=1e-12)
-
-
 def test_transition_builders():
-    S = sticky_transition(8, 0.4)
-    np.testing.assert_allclose(S.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(np.diag(S) == 0.4)
-    with pytest.raises(ValueError, match="probability"):
-        sticky_transition(8, 1.2)
-    with pytest.raises(ValueError, match="vocab"):
-        sticky_transition(1, 0.5)
     R = random_transition(6, np.random.default_rng(3))
     np.testing.assert_allclose(R.sum(axis=1), 1.0, atol=1e-12)
     assert R.shape == (6, 6) and np.all(R >= 0)
@@ -81,27 +46,20 @@ def test_transition_builders():
     np.testing.assert_array_equal(R, R2)
 
 
-def test_token_source_validation_and_entropy():
+def test_token_source_validation():
     with pytest.raises(ValueError, match="at least one layer"):
         TokenSource(())
     with pytest.raises(ValueError, match="one vocabulary"):
-        TokenSource((sticky_transition(4, 0.5), sticky_transition(5, 0.5)))
+        TokenSource((sticky(4, 0.5), sticky(5, 0.5)))
     with pytest.raises(ValueError, match="distributions"):
         TokenSource((np.eye(3) * 2.0,))
 
-    layers = (sticky_transition(8, 0.6), sticky_transition(8, 0.9),
-              sticky_transition(8, 1 / 8))
-    src = TokenSource(layers)
+    src = TokenSource((sticky(8, 0.6), sticky(8, 0.9), sticky(8, 1 / 8)))
     assert src.vocab == 8 and src.n_layers == 3
-    want_all = sum(conditional_entropy(P) for P in layers)
-    assert src.fine_entropy(0) == pytest.approx(want_all, abs=1e-12)
-    assert src.fine_entropy(1, level=2) == \
-        pytest.approx(conditional_entropy(layers[1]), abs=1e-12)
-    assert src.fine_entropy(3) == 0.0
 
 
 def test_sample_tokens_reproduces_the_chain():
-    src = TokenSource((sticky_transition(4, 0.8),))
+    src = TokenSource((sticky(4, 0.8),))
     grid = sample_tokens(src, 20000, np.random.default_rng(5))
     assert grid.tokens.shape == (20000, 1) and grid.vocab == 4
     seq = grid.tokens[:, 0]
@@ -110,13 +68,13 @@ def test_sample_tokens_reproduces_the_chain():
     for a, b in zip(seq[:-1], seq[1:]):
         emp[a, b] += 1
     emp /= emp.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(emp, sticky_transition(4, 0.8), atol=0.02)
+    np.testing.assert_allclose(emp, sticky(4, 0.8), atol=0.02)
     counts = np.bincount(seq, minlength=4) / len(seq)
     np.testing.assert_allclose(counts, 0.25, atol=0.02)
 
 
 def test_sample_tokens_determinism_and_validation():
-    src = TokenSource((sticky_transition(4, 0.8), sticky_transition(4, 0.2)))
+    src = TokenSource((sticky(4, 0.8), sticky(4, 0.2)))
     a = sample_tokens(src, 64, np.random.default_rng(6))
     b = sample_tokens(src, 64, np.random.default_rng(6))
     np.testing.assert_array_equal(a.tokens, b.tokens)
