@@ -33,7 +33,6 @@ and concealment alike.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import math
@@ -258,8 +257,9 @@ class MaskedQuery:
         if tokens.shape != self.tokens.shape:
             raise ValueError(f"a {tokens.shape} grid is not the query's "
                              f"{self.tokens.shape}")
-        query = copy.copy(self)
-        query.tokens = tokens
+        # a shallow copy, a few microseconds cheaper than copy.copy
+        query = object.__new__(MaskedQuery)
+        query.__dict__.update(self.__dict__, tokens=tokens)
         return query
 
     def context(self) -> tuple:

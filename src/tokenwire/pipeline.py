@@ -282,8 +282,10 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
     The values are written in one scatter.
     Then an open predecessor cell not RECEIVED takes the repair copy, if
     it unpacks into ``vocab``. Links name distinct predecessors, so one
-    read of all their states tells which copies are needed. Returns how
-    many repair copies were used."""
+    read of all their states tells which copies are needed. A row below
+    ``first_open`` is never read or written, so cells may name rows below
+    0 (frames before a stream receiver's window). Returns how many repair
+    copies were used."""
     if not links:
         return 0
     cells = np.concatenate([c for c, _, _, _ in links])
@@ -298,7 +300,8 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
         return 0
     starts = np.cumsum([0] + [len(prev) for _, prev in copies[:-1]])
     t, k = np.concatenate([prev for _, prev in copies]).T
-    need = (states[t, k] != _R) & (t >= first_open)
+    need = t >= first_open
+    need[need] = states[t[need], k[need]] != _R
     repaired = 0
     for i in np.flatnonzero(np.logical_or.reduceat(need, starts)).tolist():
         fec, prev = copies[i]
@@ -313,17 +316,20 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
 
 
 def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
-            n_coarse: int, level: int) -> tuple:
+            n_coarse: int, level: int, before=None) -> tuple:
     """Conceal in place the damaged cells of the frames ``fill`` of each
-    (window, fill) job of frame ranges; returns (how many cells were
-    predicted, how many jobs were blackouts).
+    (window, fill) job of frame ranges, fills in frame order; returns (how
+    many cells were predicted, how many jobs were blackouts).
 
     In a window with no coarse cell received, every non-received cell of
-    ``fill`` repeats the last fully usable frame before it (zeros without
-    one). Otherwise the lost coarse cells of ``fill`` are predicted from
-    the window, all jobs in one model query; damaged fine cells stay as
-    they are. Predictions see RECEIVED cells only, and a hold reads the
-    frames before it, so holds run last, in job order."""
+    ``fill`` repeats the last fully usable frame before it: a running
+    source, taken from the rows before the fill as the holds advance, or
+    ``before``, the ``level`` tokens of the last fully usable frame before
+    row 0 (zeros when None and no row has one). Otherwise the lost coarse
+    cells of ``fill`` are predicted from the window, all jobs in one model
+    query; damaged fine cells stay as they are. Predictions see RECEIVED
+    cells only, and a hold reads the frames before it, so holds run last,
+    in job order."""
     views, holds = [], []
     for win, fill in jobs:
         if not np.any(states[fill.start:fill.stop, :level] != _R):
@@ -341,12 +347,15 @@ def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
         tokens[cells[:, 0], cells[:, 1]] = model.predict(query)
         states[cells[:, 0], cells[:, 1]] = _C
         n_predicted = len(cells)
+    source, seen = (0 if before is None else before), 0
     for fill in holds:
-        usable = np.flatnonzero(usable_depth(states[:fill.start]) == level)
+        full = np.flatnonzero(usable_depth(states[seen:fill.start]) == level)
+        if len(full):
+            source = tokens[seen + full[-1], :level]
+        seen = fill.start
         cut = (slice(fill.start, fill.stop), slice(0, level))
         hole = states[cut] != _R
-        tokens[cut] = np.where(hole, tokens[usable[-1], :level]
-                               if len(usable) else 0, tokens[cut])
+        tokens[cut] = np.where(hole, source, tokens[cut])
         states[cut][hole] = _C
     return n_predicted, len(holds)
 

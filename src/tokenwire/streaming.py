@@ -30,17 +30,37 @@ arrived, conceal the lost coarse cells inside a window ending at the
 horizon, release. A lost or invalid fine cell is not guessed; it ends its
 frame's usable depth. Released frames are never revisited, and concealed
 cells never serve as coding context.
+
+Neither end keeps the stream's history. A step reads only the frames of
+its window, from the first frame its coding conditions, concealment
+window or due frames name up to its horizon: at most ``window_frames``
+frames, the coding context plus the lag of the coding window behind the
+horizon, or the concealment context if longer. Each end holds that
+window in preallocated rows (``_Frames``), the sender also the frames
+pushed past its last horizon, and forgets every frame before it. Every
+step's geometry relative to its window is one memoized ``_Step`` plan:
+its coarse cells and its predecessor's, its ``Conditions``, its
+concealment window and one coding query over read-only zeros, which each
+end binds to its window rows with ``MaskedQuery.over``, as the batch ends
+bind their layout plan to a clip. Once the window starts past frame 0
+every live step has the same plan, so a stream uses a handful of plans:
+the first steps', the steady one and the flushed tail's. A blackout holds
+the receiver's last fully usable released frame, kept as a running value
+and handed to ``conceal``, so a hold reaches back past the window. The
+releases are the receiver's output; ``result`` joins them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .context import MaskedQuery
-from .dependency import (propagate_invalid, stream_coarse,
+from .dependency import (Conditions, propagate_invalid, stream_coarse,
                          stream_conditions, stream_step, usable_depth)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
@@ -50,22 +70,130 @@ from .grid import (GosConfig, StreamConfig, TokenGrid,
 from .pipeline import SliceSender, admit, conceal, decode_fine, place_coarse
 
 
-def _head(frames: range, group: int) -> tuple:
-    """Packet head of the slice of ``group`` over ``frames``."""
-    return group, frames.start, len(frames)
+def window_frames(cfg: StreamConfig) -> int:
+    """The most frames one step reads: its coding context, which ends
+    up to min(stride, lookahead) frames before the horizon, or its
+    concealment context, which ends at the horizon; either covers the
+    due frames."""
+    return max(cfg.coding_context + min(cfg.stride, cfg.lookahead),
+               cfg.conceal_context)
 
 
-def _cells(frames: range, layers: range) -> np.ndarray:
-    """Cells of the 0-based ``layers`` of ``frames``, frame then layer."""
-    return np.array([(f, k) for f in frames for k in layers], dtype=np.int64)
+def _shift(frames: range, by: int) -> range:
+    return range(frames.start + by, frames.stop + by)
 
 
-def _fine_cells(gos: GosConfig, frames: range, level: int):
-    """Cells of the fine slice of ``frames``, the fine layers below
-    ``level`` in frame-then-layer order; None when there are none."""
-    if level == gos.n_coarse:
-        return None
-    return _cells(frames, range(gos.n_coarse, level))
+def _cells(rows: range, layers: range) -> np.ndarray:
+    """Cells of the 0-based ``layers`` of ``rows``, frame then layer."""
+    return np.stack([np.repeat(np.arange(rows.start, rows.stop), len(layers)),
+                     np.tile(np.arange(layers.start, layers.stop), len(rows))],
+                    axis=1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Step(NamedTuple):
+    """One step's geometry relative to its window, the ``span`` frames
+    that end at its horizon: a row is a frame less the window's start.
+    The step before's coarse rows may lie before the window, below 0."""
+
+    span: int
+    due: range           # rows the step finalizes
+    coarse: range        # rows whose coarse layers the step carries
+    cells: np.ndarray    # their coarse cells
+    prev: np.ndarray | None  # the step before's coarse cells; None first
+    cond: Conditions     # of the fine slice, in rows
+    query: MaskedQuery | None  # coding query of the fine slice over zeros
+    conceal: range       # concealment window
+
+
+@functools.lru_cache(maxsize=256)
+def _step_plan(n_coarse: int, n_layers: int, level: int, span: int,
+               due: range, coarse: range, prev: range | None,
+               cond: Conditions, win: range) -> _Step:
+    """The plan of one relative step geometry, shared by every step and
+    stream that has it. Its own cache, so that nothing else evicts it."""
+    layers = range(n_coarse)
+    cells = _read_only(_cells(coarse, layers))
+    if prev is not None:
+        prev = _read_only(_cells(prev, layers))
+    query = None
+    if level > n_coarse:
+        fine = _cells(due, range(n_coarse, level))
+        zeros = np.broadcast_to(np.int32(0), (span, n_layers))
+        query = MaskedQuery(zeros, [cond.view(fine)])
+    return _Step(span, due, coarse, cells, prev, cond, query, win)
+
+
+class _Steps:
+    """Step plans of one stream end, each with the first frame of its
+    window.
+
+    A step's window starts at the first frame its coding conditions,
+    concealment window or due frames name. From the third step on, once
+    a live step's window starts past frame 0, no frame range is clamped
+    at either end, so every later live step is the same plan ``stride``
+    frames on."""
+
+    def __init__(self, gos: GosConfig, cfg: StreamConfig, level: int):
+        self.gos, self.cfg, self.level = gos, cfg, level
+        self._steady = None  # (step, window start, plan) once steady
+
+    def __call__(self, i: int, total: int | None) -> tuple:
+        """(window start, plan) of step ``i``."""
+        cfg = self.cfg
+        if total is None and self._steady and i >= self._steady[0]:
+            j, base, plan = self._steady
+            return base + (i - j) * cfg.stride, plan
+        due, horizon = stream_step(i, cfg, total)
+        cond = stream_conditions(i, cfg, self.gos.n_coarse, total)
+        win = max(0, horizon + 1 - cfg.conceal_context)
+        base = min(cond.lo, win, due.start)
+        plan = _step_plan(
+            self.gos.n_coarse, self.gos.n_layers, self.level,
+            horizon + 1 - base, _shift(due, -base),
+            _shift(stream_coarse(i, cfg, total), -base),
+            _shift(stream_coarse(i - 1, cfg, total), -base) if i else None,
+            cond._replace(lo=cond.lo - base, hi=cond.hi - base),
+            range(win - base, horizon + 1 - base))
+        if total is None and i >= 2 and base > 0:
+            self._steady = i, base, plan
+        return base, plan
+
+
+class _Frames:
+    """Frames ``[lo, hi)`` of a stream in the first rows of preallocated
+    ``arrays``: frames enter at ``hi``, and those before ``lo`` are
+    forgotten, so holding a window never grows with the stream. There are
+    ``window_frames`` + 2 * stride + lookahead rows: a window, the frames
+    a sender may hold past its horizon, and room to take more in."""
+
+    def __init__(self, cfg: StreamConfig, n_layers: int, *dtypes):
+        cap = window_frames(cfg) + 2 * cfg.stride + cfg.lookahead
+        self.arrays = [np.zeros((cap, n_layers), dtype=d) for d in dtypes]
+        self.lo = self.hi = 0
+
+    def forget(self, lo: int) -> None:
+        """Forget the frames before ``lo``, a held frame or ``hi``."""
+        if lo != self.lo:
+            for a in self.arrays:
+                a[:self.hi - lo] = a[lo - self.lo:self.hi - self.lo]
+            self.lo = lo
+
+    def enter(self, n: int) -> slice:
+        """Take up to ``n`` frames in at ``hi``, as many as there are rows
+        left; returns their rows, ``hi`` moving past them."""
+        first = self.hi - self.lo
+        n = min(n, len(self.arrays[0]) - first)
+        self.hi += n
+        return slice(first, first + n)
+
+    def rows(self, lo: int, hi: int) -> list:
+        """Views of the held frames ``[lo, hi)``, one per array."""
+        return [a[lo - self.lo:hi - self.lo] for a in self.arrays]
 
 
 @dataclass(frozen=True)
@@ -89,7 +217,10 @@ class StreamRelease:
 
 
 class StreamSender:
-    """Incremental encoder; pair each emission with a StreamReceiver step."""
+    """Incremental encoder; pair each emission with a StreamReceiver step.
+
+    Holds the window of its last step and the frames pushed past that
+    step's horizon; a long push is taken in a few frames at a time."""
 
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
                  level: int | None = None, fec: bool = True):
@@ -104,7 +235,8 @@ class StreamSender:
         self.vocab = model.vocab
         self._tx = SliceSender(model, fec)
         self.report = self._tx.report  # SenderReport over all emissions
-        self._buf = np.zeros((0, gos.n_layers), dtype=np.int32)
+        self._steps = _Steps(gos, stream, level)
+        self._frames = _Frames(stream, gos.n_layers, np.int32)
         self._next_step = 0
         # largest (frames captured when emitted) - (frame index) over all
         # due frames, None before the first; the protocol bound is
@@ -113,20 +245,30 @@ class StreamSender:
         self._done = False
 
     def push(self, tokens: np.ndarray) -> list:
-        """Buffer frames; emit every step whose lookahead is now covered."""
+        """Take in frames; emit every step whose lookahead is now covered.
+
+        Only the layers below the level are sent and checked; the values
+        above it are never read."""
         if self._done:
             raise RuntimeError("sender already flushed")
         tokens = np.asarray(tokens, dtype=np.int32)
         if tokens.ndim != 2 or tokens.shape[1] != self.gos.n_layers:
             raise ValueError("frames must be (n, n_layers)")
-        if tokens.size and (tokens.min() < 0 or
-                            int(tokens[:, :self.level].max()) >= self.vocab):
+        sent = tokens[:, :self.level]
+        if sent.size and (sent.min() < 0 or int(sent.max()) >= self.vocab):
             raise ValueError("token outside vocabulary")
-        self._buf = np.concatenate([self._buf, tokens])
+        frames = self._frames
         out = []
-        while stream_step(self._next_step, self.stream)[1] < len(self._buf):
-            out.append(self._emit(self._next_step, total=None))
-            self._next_step += 1
+        while len(tokens):
+            rows = frames.enter(len(tokens))
+            n = rows.stop - rows.start
+            frames.arrays[0][rows] = tokens[:n]
+            tokens = tokens[n:]
+            while True:
+                base, plan = self._steps(self._next_step, None)
+                if base + plan.span > frames.hi:
+                    break
+                out.append(self._emit(base, plan))
         return out
 
     def flush(self) -> tuple:
@@ -137,28 +279,30 @@ class StreamSender:
         if self._done:
             raise RuntimeError("sender already flushed")
         self._done = True
-        total = len(self._buf)
+        total = self._frames.hi
         out = []
         n_steps = math.ceil(total / self.stream.stride)
         while self._next_step < n_steps:
-            out.append(self._emit(self._next_step, total=total))
-            self._next_step += 1
+            out.append(self._emit(*self._steps(self._next_step, total)))
         return out, total
 
-    def _emit(self, i: int, total: int | None) -> StepEmission:
-        gos, cfg = self.gos, self.stream
-        due, horizon = stream_step(i, cfg, total)
-        coarse = stream_coarse(i, cfg, total)
+    def _emit(self, base: int, plan: _Step) -> StepEmission:
+        i = self._next_step
+        self._next_step += 1
+        frames = self._frames
+        frames.forget(base)
+        horizon = base + plan.span - 1
+        tokens, = frames.rows(base, horizon + 1)
         packets = []
-        if len(coarse):
+        if len(plan.coarse):
+            c = plan.coarse
             packets.append(self._tx.coarse(
-                _head(coarse, 0),
-                self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
-        fine = _fine_cells(gos, due, self.level)
-        if fine is not None:
-            cond = stream_conditions(i, cfg, gos.n_coarse, total)
-            packets += self._tx.fine(MaskedQuery(self._buf, [cond.view(fine)]),
-                                     [_head(due, 1)])
+                (0, base + c.start, len(c)),
+                tokens[c.start:c.stop, :self.gos.n_coarse].ravel()))
+        due = range(base + plan.due.start, base + plan.due.stop)
+        if plan.query is not None:
+            packets += self._tx.fine(plan.query.over(tokens),
+                                     [(1, due.start, len(due))])
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)
@@ -168,8 +312,9 @@ class StreamSender:
 class StreamReceiver:
     """Mirrors StreamSender step by step; frames come out finalized.
 
-    ``conceal_fine_layers`` is accepted and has no effect: fine cells are
-    never predicted.
+    Holds the window of its last step, at most ``window_frames`` frames,
+    and the releases, which ``result`` joins. ``conceal_fine_layers`` is
+    accepted and has no effect: fine cells are never predicted.
     """
 
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
@@ -182,8 +327,11 @@ class StreamReceiver:
         self.model = model
         self.level = level
         self.vocab = model.vocab
-        self._tokens = np.zeros((0, gos.n_layers), dtype=np.int32)
-        self._states = np.zeros((0, gos.n_layers), dtype=np.int8)
+        self._steps = _Steps(gos, stream, level)
+        self._frames = _Frames(stream, gos.n_layers, np.int32, np.int8)
+        self._blank = initial_states(1, gos.n_layers, level)
+        self._held = None  # level tokens of the last fully usable release
+        self._releases: list = []
         self._released = 0
         self._next_step = 0
         self._finished = False
@@ -191,16 +339,6 @@ class StreamReceiver:
         self.n_blackouts = 0
         self.fec_recovered = 0
         self.n_dropped = 0  # packets that arrived but could not be used
-
-    def _grow(self, n: int) -> None:
-        cur = len(self._tokens)
-        if n <= cur:
-            return
-        K = self.gos.n_layers
-        self._tokens = np.concatenate(
-            [self._tokens, np.zeros((n - cur, K), dtype=np.int32)])
-        self._states = np.concatenate(
-            [self._states, initial_states(n - cur, K, self.level)])
 
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's arrived packets and finalize its due frames.
@@ -213,51 +351,66 @@ class StreamReceiver:
         cannot be read is dropped and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
+        buf = self._frames
+        if total is not None and total < buf.hi:
+            raise ValueError("total is short of the frames earlier steps "
+                             "carried")
         cfg, n_coarse = self.stream, self.gos.n_coarse
-        i = self._next_step
-        due, horizon = stream_step(i, cfg, total)
-        fine = _fine_cells(self.gos, due, self.level)
+        base, plan = self._steps(self._next_step, total)
         self._next_step += 1
-        self._grow(horizon + 1)
+        horizon = base + plan.span - 1
+        buf.forget(base)
+        new = buf.enter(horizon + 1 - buf.hi)
+        buf.arrays[0][new] = 0
+        buf.arrays[1][new] = self._blank
+        tokens, states = buf.rows(base, horizon + 1)
+        due = range(base + plan.due.start, base + plan.due.stop)
+        own = range(base + plan.coarse.start, base + plan.coarse.stop)
+        fine_head = (1, due.start, len(due))
 
         def slot_of(p):
             frames = range(p.first_frame, p.first_frame + p.n_frames)
             if p.group:
-                ok = fine is not None and frames == due
-                return (fine, None) if ok else None
+                ok = plan.query is not None and frames == due
+                return (plan.query.targets, None) if ok else None
+            if len(own) and frames == own:
+                return plan.cells, plan.prev
             # the one step whose coarse frames can start there: step j >= 1
             # starts after h_{j-1} = j * stride - 1 + lookahead
             j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
             if (frames.stop - 1 > horizon
                     or frames != stream_coarse(j, cfg, total)):
                 return None
-            return (_cells(frames, range(n_coarse)),
-                    _cells(stream_coarse(j - 1, cfg, total), range(n_coarse))
-                    if j else None)
+            return (_cells(_shift(frames, -base), range(n_coarse)),
+                    _cells(_shift(stream_coarse(j - 1, cfg, total), -base),
+                           range(n_coarse)) if j else None)
 
         links, copies, n_dropped = admit(packets, slot_of, self.vocab)
         self.n_dropped += n_dropped
         self.fec_recovered += place_coarse(
-            self._tokens, self._states, links, self.vocab, self._released)
+            tokens, states, links, self.vocab, self._released - base)
 
-        if fine is not None:
-            cond = stream_conditions(i, cfg, n_coarse, total)
+        if plan.query is not None:
             self.n_dropped += decode_fine(
-                self.model, MaskedQuery(self._tokens, [cond.view(fine)]),
-                self._states, [(copies.get(_head(due, 1), ()), cond)])
+                self.model, plan.query.over(tokens), states,
+                [(copies.get(fine_head, ()), plan.cond)])
 
-        sl = slice(due.start, due.stop)
-        propagate_invalid(self._states[sl])
-        win = range(max(0, horizon + 1 - cfg.conceal_context), horizon + 1)
+        sl = slice(plan.due.start, plan.due.stop)
+        propagate_invalid(states[sl])
         n_predicted, n_blackouts = conceal(
-            self.model, self._tokens, self._states, [(win, due)], n_coarse,
-            self.level)
+            self.model, tokens, states, [(plan.conceal, plan.due)], n_coarse,
+            self.level, self._held)
         self.n_predicted += n_predicted
         self.n_blackouts += n_blackouts
+        depth = usable_depth(states[sl])
+        full = np.flatnonzero(depth == self.level)
+        if len(full):
+            self._held = tokens[sl.start + full[-1], :self.level].copy()
         self._released = due.stop
-        return StreamRelease(
-            (due.start, due.stop), self._tokens[sl].copy(),
-            self._states[sl].copy(), usable_depth(self._states[sl]))
+        release = StreamRelease((due.start, due.stop), tokens[sl].copy(),
+                                states[sl].copy(), depth)
+        self._releases.append(release)
+        return release
 
     def finish(self, emissions, total: int) -> list:
         """Process the sender's flush emissions; returns their releases."""
@@ -265,13 +418,19 @@ class StreamReceiver:
         if self._released < total:
             raise DecodeError("stream ended before all frames were released")
         self._finished = True
-        self._tokens = self._tokens[:total]
-        self._states = self._states[:total]
         return releases
 
     def result(self) -> tuple:
-        """(grid, states) after finish; grid.level is the usable depth."""
+        """(grid, states) after finish, the releases joined; grid.level
+        is the usable depth."""
         if not self._finished:
             raise RuntimeError("stream not finished")
-        return TokenGrid(self._tokens.copy(), usable_depth(self._states),
-                         self.vocab), self._states.copy()
+        K = self.gos.n_layers
+        rel = self._releases
+        tokens = np.concatenate([np.zeros((0, K), np.int32)]
+                                + [r.tokens for r in rel])
+        states = np.concatenate([np.zeros((0, K), np.int8)]
+                                + [r.states for r in rel])
+        depth = np.concatenate([np.zeros(0, np.int16)]
+                               + [r.valid_depth for r in rel])
+        return TokenGrid(tokens, depth, self.vocab), states

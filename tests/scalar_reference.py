@@ -26,8 +26,15 @@ For the range coder: the byte-at-a-time coder with a 32-bit ``low``, a
 cache byte and a count of held-back 0xFF bytes that a carry may still
 reach, and the decoder that bisects each row as a Python list. The
 library's coder must write the same payloads and read the same symbols.
+
+For the streaming ends: the sender and receiver that keep the whole
+stream, the sender every frame pushed and the receiver every frame up to
+its last horizon, and build each step's cells and coding query afresh.
+The windowed ends in ``tokenwire.streaming`` must emit the same packets
+and make the same releases, counts and result.
 """
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -35,8 +42,15 @@ import scipy.fft
 
 from tokenwire.context import (PMF_TOTAL, SENTINEL, MaskedQuery, View, beta,
                                encode_key, uniform_pmf)
+from tokenwire.dependency import (propagate_invalid, stream_coarse,
+                                  stream_conditions, stream_step,
+                                  usable_depth)
 from tokenwire.errors import DecodeError
+from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, initial_states
+from tokenwire.pipeline import (SliceSender, admit, conceal, decode_fine,
+                                place_coarse)
 from tokenwire.rangecoder import CodedSlice
+from tokenwire.streaming import StepEmission, StreamRelease
 
 
 def scan(tokens, visible, t, k, lo, hi, step) -> int:
@@ -370,3 +384,203 @@ def reference_unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     bits = bits[: count * width].reshape(count, width).astype(np.uint32)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
     return (bits << shifts).sum(axis=1).astype(np.int32)
+
+
+def _cells(frames: range, layers: range) -> np.ndarray:
+    """Cells of the 0-based ``layers`` of ``frames``, frame then layer."""
+    return np.array([(f, k) for f in frames for k in layers], dtype=np.int64)
+
+
+def _fine_cells(gos: GosConfig, frames: range, level: int):
+    """Cells of the fine slice of ``frames``, the fine layers below
+    ``level`` in frame-then-layer order; None when there are none."""
+    if level == gos.n_coarse:
+        return None
+    return _cells(frames, range(gos.n_coarse, level))
+
+
+class ReferenceStreamSender:
+    """The full-history stream sender: its buffer keeps every frame pushed."""
+
+    def __init__(self, gos: GosConfig, stream: StreamConfig, model,
+                 level: int | None = None, fec: bool = True):
+        level = gos.n_layers if level is None else level
+        if not gos.n_coarse <= level <= gos.n_layers:
+            raise ValueError("level out of range for the layout")
+        self.gos = gos
+        self.stream = stream
+        self.model = model
+        self.level = level
+        self.fec = fec
+        self.vocab = model.vocab
+        self._tx = SliceSender(model, fec)
+        self.report = self._tx.report  # SenderReport over all emissions
+        self._buf = np.zeros((0, gos.n_layers), dtype=np.int32)
+        self._next_step = 0
+        # largest (frames captured when emitted) - (frame index) over all
+        # due frames, None before the first; the protocol bound is
+        # stride + lookahead
+        self.max_latency: int | None = None
+        self._done = False
+
+    def push(self, tokens: np.ndarray) -> list:
+        """Buffer frames; emit every step whose lookahead is now covered."""
+        if self._done:
+            raise RuntimeError("sender already flushed")
+        tokens = np.asarray(tokens, dtype=np.int32)
+        if tokens.ndim != 2 or tokens.shape[1] != self.gos.n_layers:
+            raise ValueError("frames must be (n, n_layers)")
+        if tokens.size and (tokens.min() < 0 or
+                            int(tokens[:, :self.level].max()) >= self.vocab):
+            raise ValueError("token outside vocabulary")
+        self._buf = np.concatenate([self._buf, tokens])
+        out = []
+        while stream_step(self._next_step, self.stream)[1] < len(self._buf):
+            out.append(self._emit(self._next_step, total=None))
+            self._next_step += 1
+        return out
+
+    def flush(self) -> tuple:
+        """Emit the remaining steps with the horizon clamped at the end.
+
+        Returns (emissions, total_frames).
+        """
+        if self._done:
+            raise RuntimeError("sender already flushed")
+        self._done = True
+        total = len(self._buf)
+        out = []
+        n_steps = math.ceil(total / self.stream.stride)
+        while self._next_step < n_steps:
+            out.append(self._emit(self._next_step, total=total))
+            self._next_step += 1
+        return out, total
+
+    def _emit(self, i: int, total: int | None) -> StepEmission:
+        gos, cfg = self.gos, self.stream
+        due, horizon = stream_step(i, cfg, total)
+        coarse = stream_coarse(i, cfg, total)
+        packets = []
+        if len(coarse):
+            packets.append(self._tx.coarse(
+                (0, coarse.start, len(coarse)),
+                self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
+        fine = _fine_cells(gos, due, self.level)
+        if fine is not None:
+            cond = stream_conditions(i, cfg, gos.n_coarse, total)
+            packets += self._tx.fine(MaskedQuery(self._buf, [cond.view(fine)]),
+                                     [(1, due.start, len(due))])
+        if len(due):  # the first due frame waited longest, at least 1
+            self.max_latency = max(self.max_latency or 0,
+                                   horizon + 1 - due.start)
+        return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
+
+
+class ReferenceStreamReceiver:
+    """The full-history stream receiver: its buffer keeps every frame up
+    to the last horizon, and ``result`` reads it."""
+
+    def __init__(self, gos: GosConfig, stream: StreamConfig, model,
+                 level: int | None = None, conceal_fine_layers: int = 2):
+        level = gos.n_layers if level is None else level
+        if not gos.n_coarse <= level <= gos.n_layers:
+            raise ValueError("level out of range for the layout")
+        self.gos = gos
+        self.stream = stream
+        self.model = model
+        self.level = level
+        self.vocab = model.vocab
+        self._tokens = np.zeros((0, gos.n_layers), dtype=np.int32)
+        self._states = np.zeros((0, gos.n_layers), dtype=np.int8)
+        self._released = 0
+        self._next_step = 0
+        self._finished = False
+        self.n_predicted = 0  # lost coarse cells predicted by concealment
+        self.n_blackouts = 0
+        self.fec_recovered = 0
+        self.n_dropped = 0  # packets that arrived but could not be used
+
+    def _grow(self, n: int) -> None:
+        cur = len(self._tokens)
+        if n <= cur:
+            return
+        K = self.gos.n_layers
+        self._tokens = np.concatenate(
+            [self._tokens, np.zeros((n - cur, K), dtype=np.int32)])
+        self._states = np.concatenate(
+            [self._states, initial_states(n - cur, K, self.level)])
+
+    def step(self, packets, total: int | None = None) -> StreamRelease:
+        """Process one step's arrived packets and finalize its due frames.
+
+        A step can place two kinds of head: a coarse one over some step's
+        coarse frames up to the horizon, with a repair copy of the step
+        before's (ignored on the first), and a fine one over the due frames
+        when the level sends fine layers. ``admit`` claims them; any other
+        packet, a copy of a head already filled, or one whose payload
+        cannot be read is dropped and counted in ``n_dropped``."""
+        if self._finished:
+            raise RuntimeError("receiver already finished")
+        cfg, n_coarse = self.stream, self.gos.n_coarse
+        i = self._next_step
+        due, horizon = stream_step(i, cfg, total)
+        fine = _fine_cells(self.gos, due, self.level)
+        self._next_step += 1
+        self._grow(horizon + 1)
+
+        def slot_of(p):
+            frames = range(p.first_frame, p.first_frame + p.n_frames)
+            if p.group:
+                ok = fine is not None and frames == due
+                return (fine, None) if ok else None
+            # the one step whose coarse frames can start there: step j >= 1
+            # starts after h_{j-1} = j * stride - 1 + lookahead
+            j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
+            if (frames.stop - 1 > horizon
+                    or frames != stream_coarse(j, cfg, total)):
+                return None
+            return (_cells(frames, range(n_coarse)),
+                    _cells(stream_coarse(j - 1, cfg, total), range(n_coarse))
+                    if j else None)
+
+        links, copies, n_dropped = admit(packets, slot_of, self.vocab)
+        self.n_dropped += n_dropped
+        self.fec_recovered += place_coarse(
+            self._tokens, self._states, links, self.vocab, self._released)
+
+        if fine is not None:
+            cond = stream_conditions(i, cfg, n_coarse, total)
+            self.n_dropped += decode_fine(
+                self.model, MaskedQuery(self._tokens, [cond.view(fine)]),
+                self._states,
+                [(copies.get((1, due.start, len(due)), ()), cond)])
+
+        sl = slice(due.start, due.stop)
+        propagate_invalid(self._states[sl])
+        win = range(max(0, horizon + 1 - cfg.conceal_context), horizon + 1)
+        n_predicted, n_blackouts = conceal(
+            self.model, self._tokens, self._states, [(win, due)], n_coarse,
+            self.level)
+        self.n_predicted += n_predicted
+        self.n_blackouts += n_blackouts
+        self._released = due.stop
+        return StreamRelease(
+            (due.start, due.stop), self._tokens[sl].copy(),
+            self._states[sl].copy(), usable_depth(self._states[sl]))
+
+    def finish(self, emissions, total: int) -> list:
+        """Process the sender's flush emissions; returns their releases."""
+        releases = [self.step(packets, total=total) for packets in emissions]
+        if self._released < total:
+            raise DecodeError("stream ended before all frames were released")
+        self._finished = True
+        self._tokens = self._tokens[:total]
+        self._states = self._states[:total]
+        return releases
+
+    def result(self) -> tuple:
+        """(grid, states) after finish; grid.level is the usable depth."""
+        if not self._finished:
+            raise RuntimeError("stream not finished")
+        return TokenGrid(self._tokens.copy(), usable_depth(self._states),
+                         self.vocab), self._states.copy()

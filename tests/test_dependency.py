@@ -289,8 +289,9 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         receive_tokens(packets, sg, model)
         conds = slice_conditions(sg)
         n_slices = sum(1 for sid in sg.slices if sid.group > 0)
-        # one query per send and one per receive
+        # one query per send and one per receive, over the whole clip
         n_queries = 2
+        horizons = None
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
@@ -298,25 +299,36 @@ def test_coding_queries_show_exactly_the_gated_cells(gos, n_frames, data):
         cfg = StreamConfig(stride, lookahead, context, context)
         tx = StreamSender(gos, cfg, model, level=level)
         rx = StreamReceiver(gos, cfg, model, level=level)
-        for em in tx.push(tokens):
+        live = tx.push(tokens)
+        for em in live:
             rx.step(em.packets)
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
         conds = stream_conditions_of(cfg, n_frames, gos.n_coarse)
         n_steps = -(-n_frames // stride)
         n_slices = n_steps * (level > gos.n_coarse)
-        # one query per step at each end
+        # one query per step at each end, over the frames of the step's
+        # window, which ends at its horizon; the sender codes the live
+        # steps, the receiver decodes them, and then the same for the tail
         n_queries = 2 * n_steps
+        horizons = [em.horizon for ems in (live, live, tail, tail)
+                    for em in ems]
     if not n_slices:
         n_queries = 0
     # lossless: the sender and the receiver each code every fine slice once
     assert len(model.queries) == n_queries
     assert sum(len(q.views) for q in model.queries) == 2 * n_slices
-    for q in model.queries:
+    for n, q in enumerate(model.queries):
+        # the frame of the query's first row
+        base = 0 if horizons is None else horizons[n] + 1 - len(q.tokens)
+        assert base >= 0
         for i, view in enumerate(q.views):
-            cond = conds[int(view.targets[0, 0])]
-            assert all(conds[t] == cond for t in view.targets[:, 0].tolist())
-            assert_view_shows_the_gated_cells(q, i, cond)
+            frames = (view.targets[:, 0] + base).tolist()
+            cond = conds[frames[0]]
+            assert all(conds[t] == cond for t in frames)
+            rows = cond._replace(lo=cond.lo - base, hi=cond.hi - base)
+            assert rows.lo >= 0
+            assert_view_shows_the_gated_cells(q, i, rows)
 
 
 @given(gos_strategy(), st.integers(1, 16), st.data())

@@ -1,15 +1,20 @@
 """Streaming transceiver: buffering, latency, finality, loss behavior."""
 
+import functools
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 
-from tokenwire.context import CountModel, UniformModel
+from tokenwire import streaming
+from tokenwire.context import CountModel, UniformModel, train_count_model
 from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
-from tokenwire.grid import GosConfig, StreamConfig, TokenState
-from tokenwire.streaming import StreamReceiver, StreamSender
+from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
+from tokenwire.streaming import StreamReceiver, StreamSender, window_frames
 from tokenwire.transport import Packet, pack_bits
 
 GOS = GosConfig(6, 3, 1, 3)
@@ -28,14 +33,14 @@ def make_tokens(seed: int, n_frames: int, vocab: int = 16) -> np.ndarray:
 
 
 def drive(tokens, keep=None, model=None, level=None, gos=GOS,
-          stream=STREAM):
+          stream=STREAM, ends=(StreamSender, StreamReceiver)):
     """Push one frame at a time through a sender/receiver pair.
 
     ``keep(emission, packet)`` decides delivery; default keeps everything.
     """
     model = UniformModel(16) if model is None else model
-    tx = StreamSender(gos, stream, model, level=level)
-    rx = StreamReceiver(gos, stream, model, level=level)
+    tx = ends[0](gos, stream, model, level=level)
+    rx = ends[1](gos, stream, model, level=level)
     keep = keep if keep is not None else (lambda em, p: True)
     releases = []
     for t in range(len(tokens)):
@@ -296,8 +301,11 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     rx = StreamReceiver(GOS, STREAM, UniformModel(16))
     rx.step(steps[0])
     rx.step(steps[1] + [far])
-    # the buffer reaches step 1's horizon, frame 8, and no further
-    assert len(rx._tokens) == 9 and rx.n_dropped == 1
+    # the window reaches step 1's horizon, frame 8, and no further, and
+    # holds no more than one step's window of frames
+    held = rx._frames
+    assert held.hi == 9 and held.hi - held.lo <= window_frames(STREAM)
+    assert rx.n_dropped == 1
     # The dropped packet changes nothing: the stream carries on losslessly.
     dirty = [list(p) for p in steps]
     dirty[1].append(far)
@@ -518,6 +526,22 @@ def test_replayed_coarse_never_rewrites_released_frames():
     assert states[1, 0] == C
     # the late duplicate's repair targeted released frames: not counted
     assert rx.fec_recovered == 1
+    # the late packets are placed, not dropped
+    assert rx.n_dropped == 0
+
+
+def test_replay_from_before_the_window_is_placed_like_a_lost_packet():
+    # Coarse packets of steps 1 and 2, and the repair copies they carry,
+    # name frames released long before step 15's window: replayed there,
+    # they are placed, change nothing and are not dropped.
+    tokens = make_tokens(64, 60)
+    steps, n_live, total = emissions(tokens)
+    dirty = [list(p) for p in steps]
+    dirty[15] += [p for p in steps[1] + steps[2] if p.group == 0]
+    # step 2's coarse frames end at frame 12
+    assert 12 <= stream_step(15, STREAM)[1] + 1 - window_frames(STREAM)
+    assert_dropped_like_lost(run_steps(dirty, n_live, total),
+                             run_steps(steps, n_live, total), 0)
 
 
 def test_sender_guards():
@@ -529,6 +553,25 @@ def test_sender_guards():
     bad[0, 0] = 16
     with pytest.raises(ValueError, match="vocabulary"):
         tx.push(bad)
+    bad[0, 0] = -1
+    with pytest.raises(ValueError, match="vocabulary"):
+        tx.push(bad)
+    # the layers at and above the level are never sent, so a level-limited
+    # sender takes any values there and sends what it sends with zeros
+    junk = tokens.copy()
+    junk[:, 2] = [-1, 16, 99, -7] * 3
+    zeroed = tokens.copy()
+    zeroed[:, 2] = 0
+
+    def sent(frames):
+        limited = StreamSender(GOS, STREAM, UniformModel(16), level=2)
+        return limited.push(frames) + limited.flush()[0]
+
+    assert sent(junk) == sent(zeroed)
+    bad = junk.copy()
+    bad[0, 1] = 16  # layer 1 is below the level
+    with pytest.raises(ValueError, match="vocabulary"):
+        StreamSender(GOS, STREAM, UniformModel(16), level=2).push(bad)
     tx.push(tokens)
     tx.flush()
     with pytest.raises(RuntimeError, match="flushed"):
@@ -560,6 +603,11 @@ def test_receiver_guards():
     assert rx.n_dropped == 1
     assert np.all(release.states == R)
     np.testing.assert_array_equal(release.tokens, tokens[:3])
+
+    # a total short of the frames the live steps carried, up to step 0's
+    # horizon, frame 5
+    with pytest.raises(ValueError, match="total"):
+        rx.step([], total=5)
 
     rx2 = StreamReceiver(GOS, STREAM, model)
     all_ems = ems + tail
@@ -761,3 +809,187 @@ def test_unusable_packets_are_dropped_like_losses(data):
     assert want[0].n_dropped == 0
     assert_dropped_like_lost(run_steps(dirty, n_live, total, **kw), want,
                              n_junk)
+
+
+def test_long_streams_hold_one_window():
+    """Neither end keeps the stream's history: after 5 000 frames, pushed
+    one at a time or in blocks, the sender holds at most one step's
+    window and the frames pushed past its last horizon, the receiver at
+    most one window, and the streams added no step plan after frame 500."""
+    W = window_frames(STREAM)
+    model = UniformModel(16)
+    tokens = make_tokens(61, 5000)
+    streaming._step_plan.cache_clear()
+    for blocks in ([1] * 5000, [7, 500, 1, 1493, 2999]):
+        tx = StreamSender(GOS, STREAM, model)
+        rx = StreamReceiver(GOS, STREAM, model)
+        pushed, horizon, n_plans = 0, -1, None
+        for n in blocks:
+            for em in tx.push(tokens[pushed:pushed + n]):
+                rx.step(em.packets)
+                horizon = em.horizon
+            pushed += n
+            held = tx._frames
+            assert held.hi == pushed
+            assert held.hi - held.lo <= W + pushed - (horizon + 1)
+            held = rx._frames
+            assert held.hi == horizon + 1 and held.hi - held.lo <= W
+            if n_plans is None and pushed >= 500:
+                n_plans = streaming._step_plan.cache_info().currsize
+        assert streaming._step_plan.cache_info().currsize == n_plans
+        for frames in (tx._frames, rx._frames):
+            assert all(len(a) <= W + 2 * STREAM.stride + STREAM.lookahead
+                       for a in frames.arrays)
+        tail, total = tx.flush()
+        rx.finish([em.packets for em in tail], total)
+        grid, states = rx.result()
+        np.testing.assert_array_equal(grid.tokens, tokens)
+        assert np.all(states == R)
+    # a 500-frame stream flushes into the same tail plans
+    n_plans = streaming._step_plan.cache_info().currsize
+    drive(tokens[:500])
+    assert streaming._step_plan.cache_info().currsize == n_plans
+
+
+def test_blackout_holds_the_last_usable_frame_before_the_window():
+    # Fine packets are lost for many steps, so no frame after step 1's is
+    # fully usable; then every packet is lost. The hold repeats frame 5,
+    # released long before the window of the blackout's steps.
+    tokens = make_tokens(62, 60)
+    W = window_frames(STREAM)
+
+    def keep(em, p):
+        return em.step < 2 or (em.step < 12 and p.group == 0)
+
+    grid, states, releases, _, rx = drive(tokens, keep=keep)
+    assert rx.n_blackouts > 0
+    held = [r for r in releases if r.due[0] >= 12 * 3 + W]
+    assert held and all(np.all(r.states == C) for r in held)
+    for r in held:
+        np.testing.assert_array_equal(r.tokens, np.repeat(tokens[5:6], 3, 0))
+    # the full-history ends agree
+    ref = drive(tokens, keep=keep, ends=(ReferenceStreamSender,
+                                         ReferenceStreamReceiver))
+    np.testing.assert_array_equal(grid.tokens, ref[0].tokens)
+    np.testing.assert_array_equal(states, ref[1])
+
+
+@functools.lru_cache(maxsize=None)
+def counted_model(vocab: int, n_layers: int, n_coarse: int) -> CountModel:
+    """A count model trained on tokens whose layers follow the first, so
+    that concealment reads real contexts."""
+    rng = np.random.default_rng(63)
+    grids = []
+    for _ in range(6):
+        tokens = rng.integers(0, vocab, size=(24, n_layers))
+        tokens[:, 1:] = (tokens[:, :1] + np.arange(1, n_layers)) % vocab
+        tokens[rng.random(tokens.shape) < 0.2] = 0
+        grids.append(TokenGrid(tokens, np.full(24, n_layers), vocab))
+    return train_count_model(grids, vocab, n_layers, n_coarse, epochs=2)
+
+
+def flip(packet: Packet, rng) -> Packet | None:
+    """One byte of ``packet`` flipped on the wire; its CRC is recomputed
+    half the time, so that some damage parses. None where it does not."""
+    data = bytearray(packet.to_bytes())
+    data[rng.integers(len(data))] ^= int(rng.integers(1, 256))
+    if rng.random() < 0.5:
+        data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
+    try:
+        return Packet.from_bytes(bytes(data))
+    except DecodeError:
+        return None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_windowed_ends_match_the_full_history_reference(data):
+    """Whatever the cadence, level, pushes and delivery, the windowed ends
+    emit byte-identical packets, make the same releases, counts and
+    result as the full-history reference ends. Deliveries lose packets,
+    duplicate them, hand them over a step late or a step early, replay
+    packets of released steps and flip their bytes."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5),
+                                     GosConfig(5, 1, 1, 4)]))
+    stride = data.draw(st.integers(1, 4), label="stride")
+    lookahead = data.draw(st.integers(0, 3), label="lookahead")
+    span = stride + lookahead
+    cfg = StreamConfig(stride, lookahead,
+                       data.draw(st.integers(span, span + 6)),
+                       data.draw(st.integers(span, span + 6)))
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
+    model = counted_model(10, gos.n_layers, gos.n_coarse)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_frames = data.draw(st.integers(1, 60), label="n_frames")
+    tokens = rng.integers(0, 10, size=(n_frames, gos.n_layers))
+    tokens[:, 1:] = (tokens[:, :1] + np.arange(1, gos.n_layers)) % 10
+    tokens[rng.random(tokens.shape) < 0.3] = 0
+    blocks = data.draw(st.sampled_from(["frame", "random", "all"]))
+    cuts = {"frame": np.arange(1, n_frames),
+            "random": np.cumsum(rng.integers(1, 9, size=n_frames)),
+            "all": []}[blocks]
+
+    ems = []
+    for ends in ((StreamSender, StreamReceiver),
+                 (ReferenceStreamSender, ReferenceStreamReceiver)):
+        tx = ends[0](gos, cfg, model, level=level)
+        live = [em for block in np.split(tokens, cuts)
+                for em in tx.push(block)]
+        tail, total = tx.flush()
+        ems.append((live, tail, tx))
+    (live, tail, tx), (ref_live, ref_tail, ref_tx) = ems
+    assert len(live) == len(ref_live) and len(tail) == len(ref_tail)
+    for a, b in zip(live + tail, ref_live + ref_tail):
+        assert (a.step, a.due, a.horizon) == (b.step, b.due, b.horizon)
+        assert [p.to_bytes() for p in a.packets] == \
+            [p.to_bytes() for p in b.packets]
+    assert tx.report == ref_tx.report
+    assert tx.max_latency == ref_tx.max_latency
+
+    # one delivery, handed to both receivers
+    loss = data.draw(st.sampled_from([0.0, 0.1, 0.4, 0.9]), label="loss")
+    sent = [list(em.packets) for em in live + tail]
+    steps = [[] for _ in sent]
+    for i, packets in enumerate(sent):
+        for p in packets:
+            fate = rng.random()
+            if fate < loss:
+                continue
+            to = i
+            if fate > 0.9 and i + 1 < len(steps):
+                to = i + 1  # a step late
+            elif 0.8 < fate <= 0.85 and i:
+                to = i - 1  # a step early
+            steps[to].append(p)
+            if 0.85 < fate <= 0.9:
+                steps[to].append(p)  # duplicated
+        if i >= 2 and rng.random() < 0.3:  # a replay of a released step
+            old = sent[int(rng.integers(i - 1))]
+            if old:
+                steps[i].append(old[int(rng.integers(len(old)))])
+    for packets in steps:
+        for k, p in enumerate(packets):
+            if rng.random() < 0.1:
+                packets[k] = flip(p, rng)
+        rng.shuffle(packets)
+
+    rxs, releases = [], []
+    for ends in ((StreamSender, StreamReceiver),
+                 (ReferenceStreamSender, ReferenceStreamReceiver)):
+        rx = ends[1](gos, cfg, model, level=level)
+        got = [rx.step(packets) for packets in steps[:len(live)]]
+        got += rx.finish(steps[len(live):], total)
+        rxs.append(rx)
+        releases.append(got)
+    (rx, ref_rx), (got, want) = rxs, releases
+    for a, b in zip(got, want, strict=True):
+        assert a.due == b.due
+        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.valid_depth, b.valid_depth)
+    for name in ("n_dropped", "fec_recovered", "n_predicted", "n_blackouts"):
+        assert getattr(rx, name) == getattr(ref_rx, name), name
+    (grid, states), (ref_grid, ref_states) = rx.result(), ref_rx.result()
+    np.testing.assert_array_equal(grid.tokens, ref_grid.tokens)
+    np.testing.assert_array_equal(grid.level, ref_grid.level)
+    np.testing.assert_array_equal(states, ref_states)
