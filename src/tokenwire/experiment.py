@@ -5,6 +5,13 @@ channel type, loss ratio, FEC, and model mode across paired seeded trials.
 Pairing: the clip for trial i is identical at every sweep point, and the
 channel realization is shared between FEC/model variants, so differences
 between variants are never sampling noise from different inputs.
+
+Because a trial's inputs do not depend on the sweep point, they are made
+once: the trained stack memoizes, per trial of one config, the clip, each
+chunk's sent token grid and slice layout, the whole clip's sent grid and
+the clip's reference cepstra (``TrialInputs``). A trial then computes only
+what its point changes: the channel draw, the send and receive, the
+decoded audio and the metrics against it.
 """
 
 from __future__ import annotations
@@ -12,17 +19,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .audio import CodecConfig, analyze, synthesize
+from .audio import AudioSignal, CodecConfig, analyze, synthesize
 from .context import CountModel, UniformModel, train_count_model
 from .errors import ConfigError
 from .grid import GosConfig, TokenGrid, build_slice_grid
-from .metrics import mfcc_distance, sdr, si_snr, token_accuracy
+from .metrics import (mfcc_distance, mfcc_reference, sdr, si_snr,
+                      token_accuracy)
 from .pipeline import receive_tokens, send_tokens
 from .rvq import RvqCodec, dequantize, quantize, train_codebooks
 from .synthetic import synth_audio
@@ -181,15 +189,41 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+@dataclass(frozen=True, eq=False)
+class TrialInputs:
+    """What every sweep point of one paired trial shares.
+
+    ``chunks`` holds each chunk's sent grid and slice layout, levels
+    drawn; ``truth`` is the whole clip's sent grid, and ``reference`` the
+    clip's cepstra for ``mfcc_distance``. Every array is read-only, so a
+    write raises instead of changing a later sweep point's input.
+    """
+
+    seed: int
+    clip: AudioSignal
+    chunks: tuple  # ((TokenGrid, SliceGrid), ...) in frame order
+    truth: TokenGrid
+    reference: object
+
+
 @dataclass
 class TrainedStack:
-    """Shared artifacts reused by every trial of a run."""
+    """Shared artifacts reused by every trial of a run.
+
+    ``trials`` memoizes each trial's ``TrialInputs``, keyed by (config,
+    trial), so a sweep makes a trial's clip once, not once per point. It
+    holds the trials of one config: a call under another config empties
+    it first, so a run's memo holds at most its ``n_trials`` entries. An
+    entry of the default config is about 103 KB, mostly the clip's
+    samples and its reference cepstra (5.2 MB for 50 trials).
+    """
 
     codec_cfg: CodecConfig
     codec: object
     gos: GosConfig
     count_model: CountModel
     uniform_model: UniformModel
+    trials: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def training_corpus(cfg: ExperimentConfig) -> list:
@@ -252,49 +286,72 @@ def _make_channel(kind: str, loss: float):
     return MarkovChannel()
 
 
-def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
-              loss: float, fec: bool, model_name: str, trial: int) -> MetricsRow:
-    """One paired trial; the clip depends only on the trial index."""
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def trial_inputs(cfg: ExperimentConfig, stack: TrainedStack,
+                 trial: int) -> TrialInputs:
+    """Trial ``trial``'s clip and what it sends, from ``stack.trials``
+    when made before under ``cfg``."""
+    key = (cfg, trial)
+    memo = stack.trials
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if memo and next(iter(memo))[0] != cfg:
+        memo.clear()
     clip_seed = _seed_of(cfg.base_seed, "clip", trial)
     clip = synth_audio(cfg.clip_frames * cfg.frame_len, clip_seed,
                        cfg.sample_rate, n_tones=cfg.n_tones, noise=cfg.noise)
     feats = analyze(clip, stack.codec_cfg)
+    variable = len(cfg.levels) > 1
+    level_rng = np.random.default_rng(_seed_of(cfg.base_seed, "levels", trial))
+    # variable-rate mode re-draws K per group-of-slices and restarts the
+    # FEC chain at each chunk boundary
+    chunk_frames = cfg.gos_len if variable else cfg.clip_frames
+    chunks = []
+    for start in range(0, cfg.clip_frames, chunk_frames):
+        stop = min(start + chunk_frames, cfg.clip_frames)
+        K = (int(level_rng.choice(cfg.levels)) if variable
+             else cfg.levels[0])
+        grid = quantize(feats[start:stop], stack.codec, K)
+        _read_only(grid.tokens, grid.level)
+        chunks.append((grid, build_slice_grid(stop - start, stack.gos, K)))
+    truth = TokenGrid(np.concatenate([g.tokens for g, _ in chunks]),
+                      np.concatenate([g.level for g, _ in chunks]), cfg.vocab)
+    _read_only(clip.samples, truth.tokens, truth.level)
+    memo[key] = inputs = TrialInputs(clip_seed, clip, tuple(chunks), truth,
+                                     mfcc_reference(clip))
+    return inputs
+
+
+def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
+              loss: float, fec: bool, model_name: str, trial: int) -> MetricsRow:
+    """One paired trial; the clip depends only on the trial index."""
+    inputs = trial_inputs(cfg, stack, trial)
+    clip = inputs.clip
     model = stack.count_model if model_name == "count" else stack.uniform_model
     channel = _make_channel(channel_kind, loss)
     mask_seed = _seed_of(cfg.base_seed, "channel", channel_kind, loss, trial)
     mask_rng = np.random.default_rng(mask_seed)
 
-    variable = len(cfg.levels) > 1
-    level_rng = np.random.default_rng(_seed_of(cfg.base_seed, "levels", trial))
-
     total_bits = 0
-    tx_chunks, rx_chunks, state_chunks, feat_chunks = [], [], [], []
-    # variable-rate mode re-draws K per group-of-slices and restarts the
-    # FEC chain at each chunk boundary
-    chunk_frames = cfg.gos_len if variable else cfg.clip_frames
-    start = 0
-    while start < cfg.clip_frames:
-        stop = min(start + chunk_frames, cfg.clip_frames)
-        K = (int(level_rng.choice(cfg.levels)) if variable
-             else cfg.levels[0])
-        grid = quantize(feats[start:stop], stack.codec, K)
-        sg = build_slice_grid(stop - start, stack.gos, K)
+    rx_chunks, state_chunks, feat_chunks = [], [], []
+    for grid, sg in inputs.chunks:
         packets, srep = send_tokens(grid, sg, model, fec=fec)
         delivered = channel.sample(len(packets), mask_rng)
         survivors = [p for p, d in zip(packets, delivered) if d]
         rx, states, rrep = receive_tokens(
             survivors, sg, model, conceal_window=cfg.conceal_window)
         total_bits += srep.total_bits
-        tx_chunks.append(grid)
         rx_chunks.append(rx)
         state_chunks.append(states)
         feat_chunks.append(dequantize(rx, stack.codec, rx.level))
-        start = stop
 
     est = synthesize(np.concatenate(feat_chunks), stack.codec_cfg,
                      cfg.sample_rate)
-    truth = TokenGrid(np.concatenate([g.tokens for g in tx_chunks]),
-                      np.concatenate([g.level for g in tx_chunks]), cfg.vocab)
     rx_all = TokenGrid(np.concatenate([g.tokens for g in rx_chunks]),
                        np.concatenate([g.level for g in rx_chunks]), cfg.vocab)
     states_all = np.concatenate(state_chunks)
@@ -305,12 +362,12 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
     return MetricsRow(
         loss_ratio=loss_ratio, channel=channel_kind, fec=fec,
         model=model_name,
-        level=("variable" if variable else str(cfg.levels[0])),
+        level=("variable" if len(cfg.levels) > 1 else str(cfg.levels[0])),
         bitrate_kbps=total_bits / duration / 1000.0,
         si_snr_db=si_snr(clip, est), sdr_db=sdr(clip, est),
-        mfcc_dist=mfcc_distance(clip, est),
-        token_accuracy=token_accuracy(truth, rx_all, states_all),
-        seed=clip_seed,
+        mfcc_dist=mfcc_distance(clip, est, reference=inputs.reference),
+        token_accuracy=token_accuracy(inputs.truth, rx_all, states_all),
+        seed=inputs.seed,
     )
 
 
@@ -344,7 +401,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple:
 
 
 def summarize(rows) -> dict:
-    """Group rows by sweep point: means plus SI-SNR CDF deciles."""
+    """Group rows by sweep point: means plus SI-SNR CDF deciles.
+
+    The SI-SNR median stands beside its mean: one clip whose start blacks
+    out holds silence and scores the -100 dB floor, which moves a group's
+    mean far more than its median.
+    """
     groups: dict = {}
     for r in rows:
         key = (r.loss_ratio, r.channel, r.fec, r.model, r.level)
@@ -359,6 +421,7 @@ def summarize(rows) -> dict:
             "model": key[3], "level": key[4], "n": len(rs),
             "mean_bitrate_kbps": float(np.mean([r.bitrate_kbps for r in rs])),
             "mean_si_snr_db": float(si.mean()),
+            "median_si_snr_db": float(np.median(si)),
             "mean_sdr_db": float(np.mean([r.sdr_db for r in rs])),
             "mean_mfcc_dist": float(np.mean([r.mfcc_dist for r in rs])),
             "mean_token_accuracy": (float(np.mean(accs)) if accs else None),

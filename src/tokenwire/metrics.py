@@ -6,9 +6,12 @@ stay finite and comparisons stay total.
 The cepstral metrics share one front end: ``_power`` frames and
 transforms a signal once, and ``_cepstra`` turns that power spectrum into
 the full DCT-II of its log-mel energies through a memoised filterbank.
-``mfcc`` keeps a prefix of one cepstrum; ``mfcc_distance`` computes one
-power spectrum per signal and one cepstrum per filterbank size, and
-every scale with that size reads a prefix of it.
+``mfcc`` keeps a prefix of one cepstrum. ``mfcc_distance`` reads one
+cepstrum per filterbank size and signal, and every scale with that size
+reads a prefix of it. ``mfcc_reference`` computes the reference signal's
+cepstra on their own, read-only, so a caller that scores many estimates
+against one reference (the experiment's paired trials) computes them
+once and passes them in; the distance is the same float bit for bit.
 
 A metric taking two signals refuses two ``AudioSignal``s whose sample
 rates differ, and otherwise takes the rate from whichever argument
@@ -18,6 +21,7 @@ carries one.
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 
 import numpy as np
 import scipy.fft
@@ -31,6 +35,8 @@ DB_CAP = 100.0
 # multi-resolution cepstral comparison: four coefficient counts, shared
 # 25 ms window / 10 ms hop front end
 MFCC_SCALES = (8, 16, 32, 64)
+# a scale of n_coef reads the cepstrum of max(40, n_coef) mel bands
+_BANDS = tuple(sorted({max(40, n) for n in MFCC_SCALES}))
 _WIN_SEC = 0.025
 _HOP_SEC = 0.010
 
@@ -141,7 +147,28 @@ def mfcc(signal, sample_rate: int = 16000, n_coef: int = 16,
     return _cepstra(power, n_fft, sample_rate, n_mels)[:, :n_coef]
 
 
-def mfcc_distance(ref, est, sample_rate: int = 16000) -> float:
+def _band_cepstra(x: np.ndarray, sample_rate: int) -> dict:
+    """{n_mels: cepstrum} of ``x`` for each filterbank size in ``_BANDS``,
+    from one power spectrum."""
+    power, n_fft = _power(x, sample_rate)
+    return {n_mels: _cepstra(power, n_fft, sample_rate, n_mels)
+            for n_mels in _BANDS}
+
+
+def mfcc_reference(ref, sample_rate: int = 16000):
+    """The reference half of ``mfcc_distance``: a read-only {n_mels:
+    cepstrum} mapping of ``ref``, to pass as its ``reference``."""
+    r = _samples(ref)
+    if isinstance(ref, AudioSignal):
+        sample_rate = ref.sample_rate
+    cepstra = _band_cepstra(r, sample_rate)
+    for c in cepstra.values():
+        c.flags.writeable = False
+    return MappingProxyType(cepstra)
+
+
+def mfcc_distance(ref, est, sample_rate: int = 16000,
+                  reference=None) -> float:
     """Mean over four coefficient scales of the squared cepstral difference
     summed over frames and coefficients.
 
@@ -149,18 +176,20 @@ def mfcc_distance(ref, est, sample_rate: int = 16000) -> float:
     n_mels = max(40, n_coef) bands, and scales with the same n_mels are
     column prefixes of one cepstrum, so 8, 16 and 32 share the 40-band
     cepstrum and 64 has its own: two cepstra per signal, not four.
+    ``reference``, when given, must be ``mfcc_reference(ref,
+    sample_rate)``; the reference's cepstra are then read from it rather
+    than computed, and the result is the same float.
     """
     r, e, sample_rate = _pair(ref, est, sample_rate)
-    pr, n_fft = _power(r, sample_rate)
-    pe, _ = _power(e, sample_rate)
-    cepstra: dict = {}
+    if reference is None:
+        reference = _band_cepstra(r, sample_rate)
+    estimate = _band_cepstra(e, sample_rate)
     total = 0.0
     for n_coef in MFCC_SCALES:
         n_mels = max(40, n_coef)
-        if n_mels not in cepstra:
-            cepstra[n_mels] = (_cepstra(pr, n_fft, sample_rate, n_mels),
-                               _cepstra(pe, n_fft, sample_rate, n_mels))
-        a, b = cepstra[n_mels]
+        a, b = reference[n_mels], estimate[n_mels]
+        if a.shape != b.shape:
+            raise ValueError("reference cepstra do not match the signals")
         total += float(np.sum((a[:, :n_coef] - b[:, :n_coef]) ** 2))
     return total / len(MFCC_SCALES)
 

@@ -34,6 +34,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -279,38 +280,46 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
     copy, cells of its predecessor or None) links, as ``admit`` returns
     them; frames before ``first_open`` are final.
 
-    The values are written in one scatter.
+    Every link's cells and every repair copy's predecessor cells become
+    flat indices in one pass, and the values are written in one ``put``.
     Then an open predecessor cell not RECEIVED takes the repair copy, if
     it unpacks into ``vocab``. Links name distinct predecessors, so one
     read of all their states tells which copies are needed. A row below
-    ``first_open`` is never read or written, so cells may name rows below
-    0 (frames before a stream receiver's window). Returns how many repair
-    copies were used."""
+    ``first_open`` is never written, and its state read is masked, so
+    cells may name rows below 0 (frames before a stream receiver's
+    window). Returns how many repair copies were used."""
     if not links:
         return 0
-    cells = np.concatenate([c for c, _, _, _ in links])
-    vals = np.concatenate([v for _, v, _, _ in links])
-    keep = cells[:, 0] >= first_open
-    t, k = cells[keep].T
-    tokens[t, k] = vals[keep]
-    states[t, k] = _R
     copies = [(fec, prev) for _, _, fec, prev in links
               if fec and prev is not None]
+    n = sum(len(cells) for cells, _, _, _ in links)
+    t, k = np.concatenate([cells for cells, _, _, _ in links]
+                          + [prev for _, prev in copies]).T
+    flat = t * tokens.shape[1] + k
+    is_open = t >= first_open
+    keep = is_open[:n]
+    cells = flat[:n][keep]
+    tokens.put(cells, np.concatenate([v for _, v, _, _ in links])[keep])
+    states.put(cells, _R)
     if not copies:
         return 0
-    starts = np.cumsum([0] + [len(prev) for _, prev in copies[:-1]])
-    t, k = np.concatenate([prev for _, prev in copies]).T
-    need = t >= first_open
-    need[need] = states[t[need], k[need]] != _R
+    # a row below 0 clips to a real cell, whose state the mask ignores
+    prev_cells = flat[n:]
+    need = is_open[n:] & (states.take(prev_cells, mode="clip") != _R)
+    starts = list(accumulate([len(prev) for _, prev in copies[:-1]],
+                             initial=0))
     repaired = 0
-    for i in np.flatnonzero(np.logical_or.reduceat(need, starts)).tolist():
+    for i, hit in enumerate(np.logical_or.reduceat(need, starts).tolist()):
+        if not hit:
+            continue
         fec, prev = copies[i]
         v = coarse_values(fec, vocab, len(prev))
         if v is not None:
-            mask = need[starts[i]:starts[i] + len(prev)]
-            pt, pk = prev[mask].T
-            tokens[pt, pk] = v[mask]
-            states[pt, pk] = _R
+            span = slice(starts[i], starts[i] + len(prev))
+            mask = need[span]
+            cells = prev_cells[span][mask]
+            tokens.put(cells, v[mask])
+            states.put(cells, _R)
             repaired += 1
     return repaired
 

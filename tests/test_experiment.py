@@ -12,7 +12,7 @@ from tokenwire.errors import ConfigError
 from tokenwire.experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
                                   _seed_of, config_from_dict, load_config,
                                   run_experiment, run_trial, summarize,
-                                  sweep_points)
+                                  sweep_points, trial_inputs)
 
 
 def test_config_defaults_round_trip():
@@ -136,6 +136,63 @@ def test_run_trial_variable_level(mini_cfg, mini_stack):
     assert row.bitrate_kbps > 0.0
 
 
+@pytest.mark.parametrize("levels", [(3,), (1, 3)], ids=["fixed", "variable"])
+def test_memoized_trials_give_the_rows_of_fresh_ones(mini_cfg, mini_stack,
+                                                     levels):
+    """A trial's inputs come from the stack's memo at every sweep point
+    after its first; the rows equal those of trials that each make their
+    inputs anew, whichever order the points and trials run in."""
+    cfg = dataclasses.replace(mini_cfg, levels=levels,
+                              channels=("bernoulli", "markov"),
+                              losses=(0.0, 0.2), fec_modes=(True, False),
+                              models=("count", "uniform"))
+    points = [(ch, max(p, 0.0), fec, model)
+              for ch, p, fec, model in sweep_points(cfg)]
+    trials = range(cfg.n_trials)
+
+    def fresh(point, trial):
+        mini_stack.trials.clear()
+        return run_trial(cfg, mini_stack, *point, trial)
+
+    want = {(pt, t): fresh(pt, t) for pt in points for t in trials}
+    point_major = [(pt, t) for pt in points for t in trials]
+    trial_major = [(pt, t) for t in trials for pt in points]
+    for order in (point_major, trial_major):
+        mini_stack.trials.clear()
+        got = {(pt, t): run_trial(cfg, mini_stack, *pt, t) for pt, t in order}
+        assert got == want
+        assert len(mini_stack.trials) == cfg.n_trials
+
+
+def test_trial_memo_holds_one_config(mini_cfg, mini_stack):
+    mini_stack.trials.clear()
+    for t in range(mini_cfg.n_trials):
+        run_trial(mini_cfg, mini_stack, "bernoulli", 0.2, True, "count", t)
+    assert set(mini_stack.trials) == {(mini_cfg, t)
+                                      for t in range(mini_cfg.n_trials)}
+    first = trial_inputs(mini_cfg, mini_stack, 0)
+    assert trial_inputs(mini_cfg, mini_stack, 0) is first
+
+    other = dataclasses.replace(mini_cfg, base_seed=12, n_trials=2)
+    for t in (0, 1, 0, 1):
+        run_trial(other, mini_stack, "markov", 0.0, False, "uniform", t)
+    assert set(mini_stack.trials) == {(other, 0), (other, 1)}
+    assert trial_inputs(other, mini_stack, 0).seed != first.seed
+
+
+def test_cached_trial_inputs_are_read_only(mini_cfg, mini_stack):
+    cfg = dataclasses.replace(mini_cfg, levels=(1, 3))
+    inputs = trial_inputs(cfg, mini_stack, 0)
+    assert len(inputs.chunks) == 2  # one chunk per group-of-slices
+    arrays = [inputs.clip.samples, inputs.truth.tokens, inputs.truth.level,
+              *inputs.reference.values()]
+    for grid, sg in inputs.chunks:
+        arrays += [grid.tokens, grid.level, *sg.slices.values()]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+
+
 def test_run_experiment_outputs(tmp_path, mini_cfg):
     cfg = dataclasses.replace(mini_cfg, n_trials=2, losses=(0.0, 0.2),
                               models=("count",))
@@ -172,11 +229,17 @@ def test_summarize_groups_and_deciles():
 
     rows = [row(float(i), None if i % 2 else 0.5) for i in range(11)]
     rows.append(row(99.0, None, loss=0.3))
+    # a blackout at a clip's start scores the -100 dB floor
+    rows += [row(si, None, loss=0.5) for si in (6.0, 7.0, 8.0, -100.0)]
     summary = summarize(rows)
-    assert [g["loss_ratio"] for g in summary["groups"]] == [0.1, 0.3]
+    assert [g["loss_ratio"] for g in summary["groups"]] == [0.1, 0.3, 0.5]
     g = summary["groups"][0]
     assert g["n"] == 11
     assert g["mean_si_snr_db"] == pytest.approx(5.0)
+    assert g["median_si_snr_db"] == 5.0
     assert g["si_snr_deciles"] == [float(i) for i in range(11)]
     assert g["mean_token_accuracy"] == pytest.approx(0.5)
     assert summary["groups"][1]["mean_token_accuracy"] is None
+    floored = summary["groups"][2]
+    assert floored["mean_si_snr_db"] == pytest.approx(-19.75)
+    assert floored["median_si_snr_db"] == 6.5

@@ -9,8 +9,8 @@ from scalar_reference import reference_mfcc, reference_mfcc_distance
 from tokenwire import experiment
 from tokenwire.audio import AudioSignal
 from tokenwire.grid import TokenGrid, TokenState
-from tokenwire.metrics import (_filterbank, mfcc, mfcc_distance, sdr, si_snr,
-                               token_accuracy)
+from tokenwire.metrics import (_filterbank, mfcc, mfcc_distance,
+                               mfcc_reference, sdr, si_snr, token_accuracy)
 
 R = int(TokenState.RECEIVED)
 C = int(TokenState.CONCEALED)
@@ -139,6 +139,25 @@ def test_mfcc_front_end_equals_reference(pair, data):
                           reference_mfcc(est, sample_rate, n_coef))
 
 
+@given(signal_pairs())
+@settings(max_examples=40, deadline=None)
+def test_precomputed_reference_gives_the_same_distance(pair):
+    ref, est, sample_rate = pair
+    reference = mfcc_reference(ref, sample_rate)
+    assert mfcc_distance(ref, est, sample_rate, reference=reference) == \
+        mfcc_distance(ref, est, sample_rate)
+    # a reference serves many estimates, so none of it can be written
+    for cepstrum in reference.values():
+        with pytest.raises(ValueError, match="read-only"):
+            cepstrum[0, 0] = 1.0
+
+
+def test_reference_of_another_length_is_refused():
+    x = noise(5, 4000)
+    with pytest.raises(ValueError, match="reference cepstra"):
+        mfcc_distance(x, x, 16000, reference=mfcc_reference(noise(6), 16000))
+
+
 def test_cached_filterbank_is_read_only():
     fb = _filterbank(40, 512, 16000)
     assert fb is _filterbank(40, 512, 16000)
@@ -149,9 +168,9 @@ def test_cached_filterbank_is_read_only():
 def test_sweep_mfcc_dist_equals_reference(mini_cfg, monkeypatch):
     seen = []
 
-    def recording(ref, est, *args):
+    def recording(ref, est, *args, **kwargs):
         seen.append((ref, est))
-        return mfcc_distance(ref, est, *args)
+        return mfcc_distance(ref, est, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "mfcc_distance", recording)
     rows, _ = experiment.run_experiment(mini_cfg)
