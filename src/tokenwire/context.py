@@ -2,9 +2,10 @@
 
 A query exposes a token grid through views: each view shows the first
 ``visible[i]`` layers of the frames of one window and names the target
-cells it prices there. The model returns, for every target, a row of
-cumulative frequencies over a fixed 16-bit total, so that encoder and
-decoder arithmetic is integer-only and bit-identical.
+cells it prices there. A model prices a query as one compiled table of
+cumulative frequency rows over a fixed 16-bit total, plus each target's
+row index in it, so that encoder and decoder arithmetic is integer-only
+and bit-identical and no caller copies a row.
 
 The count model keys each cell on at most three neighbors: the nearest
 frame to the left carrying a token at (or deepest below) the cell's layer,
@@ -15,14 +16,18 @@ own layer beats an adjacent frame that only shows shallow layers.
 
 Which cells the neighbors are depends on the visibility alone, never on
 token values, so a query computes them once per distinct view shape (a
-fixed-size cache; a periodic layout or a stream cadence has a handful)
-and reads a whole query's context with one gather. The count model keeps
-one count table, its observed keys in increasing order with one row of
-token counts each; the layer marginals and the observed total are read
-from it. When first priced after a change, it compiles that table into
-the keys' cumulative rows plus one marginal-or-uniform fallback row per
-layer, and prices a query with one key search. Callers put every slice
-they can price together into one query.
+fixed-size cache; a periodic layout or a stream cadence has a handful),
+turns them into flat cell indices once, and reads a whole query's context
+with one ``take``. The count model keeps one count table, its observed
+keys in increasing order with one row of token counts each; the layer
+marginals and the observed total are read from it. When first priced
+after a change, it compiles that table into the keys' cumulative rows
+plus one marginal-or-uniform fallback row per layer, with each row's
+fallback kind and most probable token. Pricing a query is then one key
+search that hands over row indices: the range coder reads two entries of
+a row per coded symbol and bisects it to decode, and concealment reads a
+row's mode. Callers put every slice they can price together into one
+query.
 
 Training reads contexts the same way: each masking sample is one view of
 the schedule's one query over the concatenated corpus, counted through one
@@ -203,10 +208,14 @@ class MaskedQuery:
     targets: (n, 2) int64 (frame, layer) of every view's targets, in order.
     sources: (n, 3, 2) int64, per target the (frame, layer) of its left,
         below and right neighbor; frame -1 where there is none.
+    near_cells: (n, 3) int64 flat index into ``tokens`` of each neighbor,
+        0 where there is none.
+    missing: (n, 3) bool, where there is no neighbor.
     bounds: view i's targets are ``targets[bounds[i]:bounds[i + 1]]``.
 
     The plan depends on the views alone, so one query can be built once
-    and bound to each grid of the same shape with ``over``.
+    and bound to each grid of the same shape with ``over``, which shares
+    every array but ``tokens``.
 
     Raises ``ValueError`` for a view outside the grid, or a target outside
     its window or visible in it.
@@ -249,6 +258,9 @@ class MaskedQuery:
         self.sources = np.concatenate(plans)
         frames = self.sources[..., 0]
         frames += np.where(frames >= 0, lo[:, None], 0)
+        self.missing = frames < 0
+        cells = frames * self.tokens.shape[1] + self.sources[..., 1]
+        self.near_cells = np.where(self.missing, 0, cells)
 
     def over(self, tokens: np.ndarray) -> "MaskedQuery":
         """The same views and targets over ``tokens``, a grid of the shape
@@ -263,57 +275,75 @@ class MaskedQuery:
         return query
 
     def context(self) -> tuple:
-        """(layer, left, below, right) per target, as int64 arrays; a
-        missing neighbor reads SENTINEL. Tokens are read now, so cells
+        """(layer, neighbors) of every target: its (n,) int64 layers and
+        the (n, 3) int64 tokens of its left, below and right neighbor, a
+        missing one read as SENTINEL. Tokens are read now, so cells
         decoded after the query was built count."""
-        frames = self.sources[..., 0]
-        near = self.tokens[np.maximum(frames, 0),
-                           self.sources[..., 1]].astype(np.int64)
-        near[frames < 0] = SENTINEL
-        return self.targets[:, 1], near[:, 0], near[:, 1], near[:, 2]
+        near = np.where(self.missing, np.int64(SENTINEL),
+                        self.tokens.take(self.near_cells))
+        return self.targets[:, 1], near
 
 
-def encode_key(vocab: int, layer, left, below, right):
-    """Integer key of a context, elementwise on arrays; SENTINEL (-1)
-    codes as ``vocab`` (``-1 % (vocab + 1)``)."""
+def encode_key(vocab: int, layer, near):
+    """Integer key of a context: ``layer`` and the (left, below, right)
+    tokens ``near`` along its last axis, elementwise on arrays, as the
+    digits of one base ``vocab + 1`` number. SENTINEL (-1) codes as
+    ``vocab`` (``-1 % (vocab + 1)``)."""
     m = vocab + 1
-    return ((layer * m + left % m) * m + below % m) * m + right % m
+    return layer * m ** 3 + (np.asarray(near) % m) @ (m * m, m, 1)
+
+
+FALLBACKS = ("conditional", "marginal", "uniform")
+_UNIFORM = FALLBACKS.index("uniform")
+
+
+class _Table(NamedTuple):
+    """A model compiled for pricing.
+
+    ``keys`` holds the sorted conditional keys and one key above them all;
+    ``cum`` their read-only cumulative rows, then one fallback row per
+    layer; ``kind`` each row's index into FALLBACKS; and ``mode`` each
+    row's most probable symbol, the lowest-indexed one on ties.
+    """
+
+    keys: np.ndarray
+    cum: np.ndarray
+    kind: np.ndarray
+    mode: np.ndarray
+
+
+def _compile(keys: np.ndarray, freq: np.ndarray, kind: np.ndarray) -> _Table:
+    """The pricing table of ``keys`` and the (rows, vocab) frequencies of
+    their rows and the fallback rows after them."""
+    cum = cumulative(freq)
+    cum.flags.writeable = False
+    return _Table(np.append(keys, np.iinfo(np.int64).max), cum, kind,
+                  _mode(cum))
 
 
 @dataclass
 class UniformModel:
-    """Context-free baseline: every cell gets the uniform PMF."""
+    """Context-free baseline: every cell gets the uniform PMF, the one row
+    of its table."""
 
     vocab: int
 
     def __post_init__(self):
         if self.vocab < 2:
             raise ValueError("vocab must be at least 2")
-        self._cum = cumulative(uniform_pmf(self.vocab)[None])
+        self._table = _compile(np.zeros(0, np.int64),
+                               uniform_pmf(self.vocab)[None],
+                               np.array([_UNIFORM]))
 
     def pmf(self, query: MaskedQuery) -> tuple:
-        """(cumulative rows, fallback names), one per target."""
+        """(cumulative table, row per target, FALLBACKS index per target),
+        as ``CountModel.pmf``; every row index is 0."""
         n = len(query.targets)
-        return np.broadcast_to(self._cum, (n, self.vocab + 1)), ["uniform"] * n
+        return (self._table.cum, np.zeros(n, dtype=np.int64),
+                np.full(n, _UNIFORM))
 
     def predict(self, query: MaskedQuery) -> np.ndarray:
-        return _mode(self.pmf(query)[0])
-
-
-FALLBACKS = ("conditional", "marginal", "uniform")
-
-
-class _Table(NamedTuple):
-    """A count model compiled for pricing.
-
-    ``keys`` holds the sorted conditional keys and one key above them all;
-    ``cum`` their cumulative rows, then one fallback row per layer; and
-    ``kind`` each row's index into FALLBACKS.
-    """
-
-    keys: np.ndarray
-    cum: np.ndarray
-    kind: np.ndarray
+        return self._table.mode[self.pmf(query)[1]]
 
 
 @dataclass
@@ -382,29 +412,30 @@ class CountModel:
             freq[len(self.keys) + np.flatnonzero(~seen)] = \
                 uniform_pmf(self.vocab)
             kind = np.concatenate([np.zeros(len(self.keys), dtype=np.int64),
-                                   np.where(seen, 1, 2)])
-            self._table = _Table(
-                np.append(self.keys, np.iinfo(np.int64).max),
-                cumulative(freq), kind)
+                                   np.where(seen, 1, _UNIFORM)])
+            self._table = _compile(self.keys, freq, kind)
         return self._table
 
     def pmf(self, query: MaskedQuery) -> tuple:
-        """(cumulative rows, fallback names), one per target.
+        """(cum, rows, kinds): the compiled table and, per target, its
+        row and that row's FALLBACKS index.
 
-        Row i is an (vocab + 1) uint32 row: target i's symbol s owns
-        ``[row[s], row[s + 1])`` of PMF_TOTAL.
+        ``cum`` is the read-only (n_rows, vocab + 1) uint32 table, the
+        same array until the next ``observe``: target i's symbol s owns
+        ``[cum[rows[i], s], cum[rows[i], s + 1])`` of PMF_TOTAL. Its row
+        is the key's own when the key was observed, else its layer's
+        fallback row.
         """
-        layer, left, below, right = query.context()
-        keys = encode_key(self.vocab, layer, left, below, right)
         table = self._compiled()
-        pos = np.searchsorted(table.keys, keys)
+        keys = encode_key(self.vocab, *query.context())
+        pos = table.keys.searchsorted(keys)
         rows = np.where(table.keys[pos] == keys, pos,
-                        len(table.keys) - 1 + layer)
-        return table.cum[rows], [FALLBACKS[c] for c in table.kind[rows].tolist()]
+                        len(self.keys) + query.targets[:, 1])
+        return table.cum, rows, table.kind[rows]
 
     def predict(self, query: MaskedQuery) -> np.ndarray:
         """Maximum-likelihood token per target cell."""
-        return _mode(self.pmf(query)[0])
+        return self._compiled().mode[self.pmf(query)[1]]
 
     def observe(self, query: MaskedQuery, symbols) -> None:
         """Accumulate (context, token) pairs from one query.
@@ -421,10 +452,10 @@ class CountModel:
             raise ValueError("one symbol per target required")
         if symbols.size and (symbols.min() < 0 or symbols.max() >= self.vocab):
             raise ValueError("symbol outside vocabulary")
-        layer, left, below, right = query.context()
+        layer, near = query.context()
         if layer.size and layer.max() >= self.n_layers:
             raise ValueError("target layer outside the model")
-        keys = encode_key(self.vocab, layer, left, below, right)
+        keys = encode_key(self.vocab, layer, near)
         n_old = len(self.keys)
         uniq, inv = np.unique(np.concatenate([self.keys, keys]),
                               return_inverse=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .audio import AudioSignal, CodecConfig, analyze, synthesize
-from .context import CountModel, UniformModel, train_count_model
+from .context import PMF_TOTAL, CountModel, UniformModel, train_count_model
 from .errors import ConfigError
 from .grid import GosConfig, TokenGrid, build_slice_grid
 from .metrics import (mfcc_distance, mfcc_reference, sdr, si_snr,
@@ -175,6 +175,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("n_units", "cannot exceed gos_len")
     if merged["vocab"] < 2:
         raise ConfigError("vocab", "must be at least 2")
+    if merged["vocab"] > PMF_TOTAL:
+        # every token needs at least one unit of the coder's total
+        raise ConfigError("vocab", f"must be at most {PMF_TOTAL}")
     if merged["train_clips"] * merged["clip_frames"] < merged["vocab"] - 1:
         raise ConfigError("train_clips",
                           "training corpus smaller than the codebook")

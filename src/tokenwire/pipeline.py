@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -40,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import CodecConfig, synthesize
-from .context import PMF_TOTAL, MaskedQuery
+from .context import FALLBACKS, PMF_TOTAL, MaskedQuery
 from .dependency import (build_conceal_mask, build_windows, classify_loss,
                          decodable, propagate_invalid, slice_conditions,
                          usable_depth)
@@ -148,17 +147,18 @@ class SliceSender:
         """Range-code the fine slices of ``query``, one per view, priced
         in one model query; returns their packets, under ``heads``."""
         rep = self.report
-        cum, fallbacks = self.model.pmf(query)
+        cum, rows, kinds = self.model.pmf(query)
         targets = query.targets
         cum_lo, freq = code_ranges(
-            cum, query.tokens[targets[:, 0], targets[:, 1]])
+            cum, rows, query.tokens[targets[:, 0], targets[:, 1]])
         per_layer = rep.per_layer_ideal_bits
         for k, f in zip(targets[:, 1].tolist(), freq):
             b = -math.log2(f / PMF_TOTAL)
             rep.ideal_fine_bits += b
             per_layer[k] = per_layer.get(k, 0.0) + b
-        for fb, n in Counter(fallbacks).items():
-            rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + n
+        for fb, n in zip(FALLBACKS, np.bincount(kinds).tolist()):
+            if n:
+                rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + n
         packets = []
         bounds = query.bounds
         for head, a, b in zip(heads, bounds, bounds[1:]):
@@ -203,12 +203,13 @@ def decode_fine(model, query: MaskedQuery, states: np.ndarray,
         states[cells[:, 0], cells[:, 1]] = _I
     if not ready:
         return n_dropped
-    cum, _ = model.pmf(query)
+    cum, rows, _ = model.pmf(query)
     done, syms = [], []
     for copies, a, b in ready:
         for payload in copies:
             try:
-                syms += decode_symbols(CodedSlice(payload, b - a), cum[a:b])
+                syms += decode_symbols(CodedSlice(payload, b - a), cum,
+                                       rows[a:b])
             except DecodeError:
                 continue
             done.append(targets[a:b])

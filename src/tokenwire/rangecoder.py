@@ -22,12 +22,14 @@ reads. A payload cut short can still decode to wrong symbols, so
 truncation on the wire is left to the packet's length fields and
 checksum.
 
-PMFs come as cumulative rows, as the context models price them: symbol s
-of row ``cum`` owns ``[cum[s], cum[s + 1])`` of PMF_TOTAL. The sender
-looks up every symbol's interval for a whole batch of slices at once
-(``code_ranges``), and the encoder loop then runs on Python ints; the
-decoder bisects each row where it lies, through a flat ``memoryview`` of
-the rows, reading only the entries the search touches.
+PMFs come as row indices into one table of cumulative rows, as the
+context models price them: symbol s of row r of ``cum`` owns
+``[cum[r, s], cum[r, s + 1])`` of PMF_TOTAL. The sender looks up every
+symbol's interval for a whole batch of slices at once (``code_ranges``),
+reading two entries of the table per symbol, and the encoder loop then
+runs on Python ints; the decoder bisects each symbol's row where it lies
+in the table, through a flat ``memoryview`` of it, reading only the
+entries the search touches. Neither copies a row.
 """
 
 from __future__ import annotations
@@ -52,18 +54,25 @@ class CodedSlice:
     n_symbols: int
 
 
-def code_ranges(cum: np.ndarray, symbols) -> tuple:
-    """(cum_lo, freq) lists: the interval of symbols[i] in row cum[i]."""
+def code_ranges(cum: np.ndarray, rows, symbols) -> tuple:
+    """(cum_lo, freq) lists: the interval of symbols[i] in row rows[i] of
+    the cumulative table ``cum``."""
     symbols = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    if len(symbols) != len(cum):
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if len(symbols) != len(rows):
         raise ValueError("one PMF row per symbol is required")
-    bad = (symbols < 0) | (symbols >= cum.shape[1] - 1)
-    if bad.any():
-        raise ValueError(f"symbol {int(symbols[bad.argmax()])} outside the "
-                         f"PMF alphabet")
-    rows = np.arange(len(symbols))
-    lo = cum[rows, symbols].astype(np.int64)
-    return lo.tolist(), (cum[rows, symbols + 1] - lo).tolist()
+    n_rows, width = cum.shape
+    try:  # rows * width + symbols, bounds checked in the same pass
+        at = np.ravel_multi_index((rows, symbols), (n_rows, width - 1)) + rows
+    except ValueError:
+        bad = (symbols < 0) | (symbols >= width - 1)
+        if bad.any():
+            raise ValueError(f"symbol {int(symbols[bad.argmax()])} outside "
+                             f"the PMF alphabet") from None
+        raise ValueError("PMF row outside the table") from None
+    flat = cum.reshape(-1)
+    lo = flat.take(at)
+    return lo.tolist(), (flat.take(at + 1) - lo).tolist()
 
 
 def encode_symbols(cum_lo, freq) -> CodedSlice:
@@ -87,29 +96,33 @@ def encode_symbols(cum_lo, freq) -> CodedSlice:
     return CodedSlice(v.to_bytes(shifts + 4, "big").rstrip(b"\0"), len(freq))
 
 
-def decode_symbols(coded: CodedSlice, cum) -> list:
-    """Invert `encode_symbols` given the cumulative rows the symbols were
-    coded under, one per symbol, in order."""
-    rows = np.ascontiguousarray(cum)
+def decode_symbols(coded: CodedSlice, cum: np.ndarray, rows) -> list:
+    """Invert `encode_symbols` given the cumulative table ``cum`` and the
+    row of it each symbol was coded under, in order."""
+    rows = np.asarray(rows).tolist()
     if len(rows) != coded.n_symbols:
         raise DecodeError("PMF count does not match the symbol count")
     data = coded.payload
     n = len(data)
     if n and data[-1] == 0:
         raise DecodeError("payload ends in a zero byte")
-    width = rows.shape[-1]
-    flat = memoryview(rows.reshape(-1))
+    table = np.ascontiguousarray(cum)
+    width = table.shape[-1]
+    flat = memoryview(table.reshape(-1))
     code = int.from_bytes(data[:4].ljust(4, b"\0"), "big")
     pos = 4 if coded.n_symbols else 0  # bytes read, counting zeros past end
     rng = _MASK32
     out = []
-    # row i is flat[i * width:(i + 1) * width]; width is 0 only when empty
-    for base in range(0, len(flat), width or 1):
+    for row in rows:
+        base = row * width  # the row is flat[base:base + width]
         r = rng >> 16
         v = code // r
         if v >= PMF_TOTAL:
             v = PMF_TOTAL - 1
-        s = bisect_right(flat, v, base, base + width) - 1
+        try:
+            s = bisect_right(flat, v, base, base + width) - 1
+        except (IndexError, ValueError):  # a search below or past the table
+            raise ValueError("PMF row outside the table") from None
         c = flat[s]
         code -= r * c
         rng = r * (flat[s + 1] - c)

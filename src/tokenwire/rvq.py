@@ -20,17 +20,24 @@ from .grid import TokenGrid
 
 @dataclass
 class Codebook:
-    """One quantizer layer: ``entries`` is (vocab, dim), entry 0 all-zero."""
+    """One quantizer layer: ``entries`` is (vocab, dim), entry 0 all-zero.
+
+    The codebook keeps its own read-only copy of the entries and their
+    squared norms ``norms``, computed once, so the two cannot drift.
+    """
 
     entries: np.ndarray
     layer: int = 0
 
     def __post_init__(self):
-        self.entries = np.ascontiguousarray(self.entries, dtype=np.float64)
+        self.entries = np.array(self.entries, dtype=np.float64, order="C")
         if self.entries.ndim != 2 or self.entries.shape[0] < 2:
             raise ValueError("codebook needs at least two entries")
         if np.any(self.entries[0] != 0.0):
             raise ValueError("entry 0 must be the zero vector")
+        self.entries.flags.writeable = False
+        self.norms = _norms(self.entries)
+        self.norms.flags.writeable = False
 
     @property
     def vocab(self) -> int:
@@ -69,12 +76,21 @@ class RvqCodec:
         return self.codebooks[0].dim
 
 
-def _assign(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Nearest entry per vector in squared L2; ties go to the lowest index."""
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row."""
+    return np.sum(vectors * vectors, axis=1)
+
+
+def _assign(vectors: np.ndarray, entries: np.ndarray,
+            norms: np.ndarray | None = None) -> np.ndarray:
+    """Nearest entry per vector in squared L2; ties go to the lowest index.
+    ``norms`` are the entries' squared norms, computed here when None."""
+    if norms is None:
+        norms = _norms(entries)
     d2 = (
-        np.sum(vectors * vectors, axis=1)[:, None]
+        _norms(vectors)[:, None]
         - 2.0 * vectors @ entries.T
-        + np.sum(entries * entries, axis=1)[None, :]
+        + norms[None, :]
     )
     return np.argmin(d2, axis=1)
 
@@ -94,11 +110,10 @@ def quantize(features: np.ndarray, codec: RvqCodec, level: int) -> TokenGrid:
     n = features.shape[0]
     tokens = np.zeros((n, codec.n_layers), dtype=np.int32)
     residual = features.copy()
-    for k in range(level):
-        entries = codec.codebooks[k].entries
-        z = _assign(residual, entries)
+    for k, cb in enumerate(codec.codebooks[:level]):
+        z = _assign(residual, cb.entries, cb.norms)
         tokens[:, k] = z
-        residual -= entries[z]
+        residual -= cb.entries[z]
     return TokenGrid(tokens, np.full(n, level, dtype=np.int16), codec.vocab)
 
 
@@ -118,12 +133,12 @@ def dequantize(grid: TokenGrid, codec: RvqCodec,
         raise ValueError("valid must have one entry per frame")
     if np.any((depth < 0) | (depth > codec.n_layers)):
         raise ValueError("valid depth out of range")
+    # frames past their depth add entry 0, the zero vector: adding +0.0
+    # or -0.0 leaves every sum as it was, as ``out`` is never -0.0
     out = np.zeros((grid.n_frames, codec.dim))
-    for k in range(codec.n_layers):
-        rows = depth > k
-        if not np.any(rows):
-            break
-        out[rows] += codec.codebooks[k].entries[grid.tokens[rows, k]]
+    for k in range(int(depth.max(initial=0))):
+        out += codec.codebooks[k].entries[
+            np.where(depth > k, grid.tokens[:, k], 0)]
     return out
 
 

@@ -7,7 +7,9 @@ that profile derandomizes every ``@given`` test, so a CI run draws the same
 examples every time, and prints the blob that replays a failure.
 """
 
+import functools
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import settings
 
 import tokenwire as tw
 from tokenwire.dependency import stream_conditions, stream_step
+from tokenwire.errors import DecodeError
+from tokenwire.transport import Packet
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
@@ -113,3 +117,31 @@ def stream_conditions_of(cfg, n_frames, n_coarse):
             stream_step(i, cfg, n_frames)[0],
             stream_conditions(i, cfg, n_coarse, n_frames)))
     return conds
+
+
+@functools.lru_cache(maxsize=None)
+def counted_model(vocab: int, n_layers: int, n_coarse: int) -> tw.CountModel:
+    """A count model trained on tokens whose layers follow the first, so
+    that concealment reads real contexts."""
+    rng = np.random.default_rng(63)
+    grids = []
+    for _ in range(6):
+        tokens = rng.integers(0, vocab, size=(24, n_layers))
+        tokens[:, 1:] = (tokens[:, :1] + np.arange(1, n_layers)) % vocab
+        tokens[rng.random(tokens.shape) < 0.2] = 0
+        grids.append(tw.TokenGrid(tokens, np.full(24, n_layers), vocab))
+    return tw.train_count_model(grids, vocab, n_layers, n_coarse, epochs=2)
+
+
+def flip(packet: Packet, rng, crc: bool | None = None) -> Packet | None:
+    """One byte of ``packet`` flipped on the wire; its CRC is recomputed
+    when ``crc`` is true, so that the damage parses, and half the time
+    when it is None. None where it does not parse."""
+    data = bytearray(packet.to_bytes())
+    data[rng.integers(len(data))] ^= int(rng.integers(1, 256))
+    if rng.random() < 0.5 if crc is None else crc:
+        data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
+    try:
+        return Packet.from_bytes(bytes(data))
+    except DecodeError:
+        return None

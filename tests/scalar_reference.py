@@ -138,10 +138,21 @@ def full_query(tokens, visible, targets, frame_range=None) -> MaskedQuery:
     return MaskedQuery(tokens, [View(lo, visible[lo:hi], targets)])
 
 
+def reference_encode_key(vocab: int, layer: int, left: int, below: int,
+                         right: int) -> int:
+    """Key of one context, digit by digit in base vocab + 1; SENTINEL
+    codes as vocab."""
+    m = vocab + 1
+    key = layer
+    for token in (left, below, right):
+        key = key * m + (vocab if token == SENTINEL else token)
+    return key
+
+
 def reference_key(model, tokens, visible, t, k, lo, hi) -> tuple:
     """(key, frequencies, fallback name) of one target, cell by cell."""
     parts = context_key_parts(tokens, visible, t, k, lo, hi)
-    key = encode_key(model.vocab, *parts)
+    key = reference_encode_key(model.vocab, *parts)
     return (key, *reference_pmf(model, key, k))
 
 
@@ -149,8 +160,8 @@ def reference_observe(table: dict, vocab: int, query, symbols) -> None:
     """Count one query's (context, token) pairs into ``table``, a
     ``{key: row}`` dict, cell by cell: one row lookup or insertion per
     target."""
-    layer, left, below, right = query.context()
-    keys = encode_key(vocab, layer, left, below, right)
+    layer, near = query.context()
+    keys = encode_key(vocab, layer, near)
     for key, sym in zip(keys.tolist(), np.asarray(symbols).tolist()):
         table.setdefault(key, np.zeros(vocab, dtype=np.int64))[sym] += 1
 

@@ -283,6 +283,16 @@ def test_stream_rejects_a_cadence_the_windows_cannot_cover(ws, tmp_path,
     assert not out.exists()
 
 
+def test_vocab_above_the_coder_total_is_refused(tmp_path, capsys):
+    # refused before training, not by the coder once trained
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({**CFG, "vocab": 65537, "train_clips": 2731}))
+    assert main(["train-codebooks", "--config", str(cfg),
+                 "--out", str(tmp_path / "codec.rvq")]) == 2
+    assert capsys.readouterr().err == "error: vocab: must be at most 65536\n"
+    assert not (tmp_path / "codec.rvq").exists()
+
+
 def test_config_with_key_unit_is_refused(ws, tmp_path, capsys):
     # Every fine slice is coded against coarse cells only, and every unit
     # sends its fine layers in one slice; a config that still names a key

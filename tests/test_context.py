@@ -16,6 +16,7 @@ from tokenwire.context import (
     MaskedQuery,
     UniformModel,
     View,
+    _mode,
     beta,
     cumulative,
     encode_key,
@@ -28,13 +29,20 @@ from tokenwire.context import (
 )
 from tokenwire.grid import TokenGrid
 from scalar_reference import (context_key_parts, full_query, quantize_vector,
-                              reference_key, reference_observe,
-                              reference_train_count_model)
+                              reference_encode_key, reference_key,
+                              reference_observe, reference_train_count_model)
 
 
 def planned_parts(query) -> list:
     """(layer, left, below, right) tuples of a query's targets."""
-    return list(zip(*(a.tolist() for a in query.context())))
+    layer, near = query.context()
+    return [(k, *n) for k, n in zip(layer.tolist(), near.tolist())]
+
+
+def priced(model, query) -> tuple:
+    """(each target's cumulative row, each target's fallback name)."""
+    cum, rows, kinds = model.pmf(query)
+    return cum[rows], [FALLBACKS[c] for c in kinds.tolist()]
 
 
 # --- masking ratio -----------------------------------------------------------
@@ -102,11 +110,17 @@ def test_pmf_validation_and_cum():
     q = full_query(tokens, [2, 0, 2], [(1, 0), (1, 1), (1, 2)])
     m.observe(full_query(tokens, [2, 0, 2], [(1, 0)]), [1])
     m.observe(full_query(tokens, [0, 2, 2], [(0, 1)]), [3])
-    rows, fb = m.pmf(q)
+    rows, fb = priced(m, q)
     assert fb == ["conditional", "marginal", "uniform"]
     assert rows.shape == (3, 5)
     assert np.all(rows[:, 0] == 0) and np.all(rows[:, -1] == PMF_TOTAL)
     assert np.all(np.diff(rows.astype(np.int64), axis=1) >= 1)
+    # ... and so is every row of the table, which callers cannot write
+    cum = m.pmf(q)[0]
+    assert cum.shape == (len(m.keys) + m.n_layers, 5)
+    assert np.all(cum[:, 0] == 0) and np.all(cum[:, -1] == PMF_TOTAL)
+    assert np.all(np.diff(cum.astype(np.int64), axis=1) >= 1)
+    assert not cum.flags.writeable
 
 
 def test_uniform_pmf_remainder():
@@ -297,7 +311,7 @@ def test_planned_pricing_matches_the_scalar_scan(seed, vocab, n_layers, T,
         first = MaskedQuery(tokens, views[:1])
         model.observe(first, rng.integers(0, vocab, len(first.targets)))
     query = MaskedQuery(tokens, views)
-    rows, fallbacks = model.pmf(query)
+    rows, fallbacks = priced(model, query)
     want = []
     for lo, visible, targets in views:
         full = np.zeros(T, dtype=np.int64)
@@ -311,9 +325,10 @@ def test_planned_pricing_matches_the_scalar_scan(seed, vocab, n_layers, T,
     assert fallbacks == [w[2] for w in want]
     assert set(fallbacks) <= set(FALLBACKS)
 
-    alone = [model.pmf(MaskedQuery(tokens, [v])) for v in views]
+    alone = [priced(model, MaskedQuery(tokens, [v])) for v in views]
     np.testing.assert_array_equal(rows, np.concatenate([r for r, _ in alone]))
     assert fallbacks == [f for _, fb in alone for f in fb]
+    np.testing.assert_array_equal(model.predict(query), _mode(rows))
     np.testing.assert_array_equal(
         model.predict(query),
         np.concatenate([model.predict(MaskedQuery(tokens, [v]))
@@ -329,9 +344,10 @@ def test_encode_key_is_injective(vocab, data):
                       st.integers(-1, vocab - 1))
     a = data.draw(parts)
     b = data.draw(parts)
-    ka = encode_key(vocab, *a)
-    kb = encode_key(vocab, *b)
+    ka = encode_key(vocab, a[0], a[1:])
+    kb = encode_key(vocab, b[0], b[1:])
     assert (ka == kb) == (a == b)
+    assert ka == reference_encode_key(vocab, *a)
 
 
 # --- models ------------------------------------------------------------------
@@ -339,8 +355,9 @@ def test_encode_key_is_injective(vocab, data):
 def test_uniform_model():
     m = UniformModel(5)
     q = full_query(np.zeros((2, 1)), np.zeros(2, dtype=int), [(0, 0), (1, 0)])
-    rows, fb = m.pmf(q)
+    rows, fb = priced(m, q)
     assert fb == ["uniform", "uniform"]
+    assert m.pmf(q)[0].shape == (1, 6)
     np.testing.assert_array_equal(rows, cumulative(np.stack([uniform_pmf(5)] * 2)))
     np.testing.assert_array_equal(m.predict(q), [0, 0])
     with pytest.raises(ValueError):
@@ -353,23 +370,23 @@ def test_count_model_fallback_chain():
     m = CountModel(vocab=4, n_layers=2)
     tokens = np.array([[1, 2], [3, 0], [1, 1]])
     q = full_query(tokens, np.array([2, 0, 2]), [(1, 0)])
-    _, fb = m.pmf(q)
+    _, fb = priced(m, q)
     assert fb == ["uniform"]
 
     # Another context of the same layer: the key is still unseen, and the
     # layer marginal now has counts.
     other = full_query(tokens, np.array([0, 2, 2]), [(0, 0)])
     m.observe(other, [3])
-    rows, fb = m.pmf(q)
+    rows, fb = priced(m, q)
     assert fb == ["marginal"]
     assert int(np.argmax(np.diff(rows[0]))) == 3
 
     # Exact key observed: conditional wins.
     m.observe(q, [2])
-    rows, fb = m.pmf(q)
+    rows, fb = priced(m, q)
     assert fb == ["conditional"]
     assert int(np.argmax(np.diff(rows[0]))) == 2
-    assert m.pmf(other)[1] == ["conditional"]
+    assert priced(m, other)[1] == ["conditional"]
 
 
 def test_observe_validation_and_counts():
@@ -629,8 +646,9 @@ def test_model_file_keys_must_increase(tmp_path, second_key):
     save_count_model(path, model)
     body = bytearray(path.read_bytes()[37:])
     second = len(body) - 8 * (1 + 4)
+    past_layers = int(encode_key(4, 2, (0, 0, 0)))
     for key, error in ((second_key, "increasing"),
-                       (int(encode_key(4, 2, 0, 0, 0)), "outside its layers")):
+                       (past_layers, "outside its layers")):
         body[second:second + 8] = key.to_bytes(8, "little", signed=True)
         path.write_bytes(b"CTX1\x02" + hashlib.sha256(body).digest() + body)
         with pytest.raises(ValueError, match=error):
@@ -647,7 +665,7 @@ def test_count_model_table_validation():
         CountModel(vocab=4, n_layers=2, keys=[7, 9], counts=[[0, 1, 0, 0]])
     with pytest.raises(ValueError, match="increasing"):
         CountModel(vocab=4, n_layers=2, keys=[9, 7], counts=np.ones((2, 4)))
-    for key in (-1, int(encode_key(4, 2, 0, 0, 0))):
+    for key in (-1, int(encode_key(4, 2, (0, 0, 0)))):
         with pytest.raises(ValueError, match="outside its layers"):
             CountModel(vocab=4, n_layers=2, keys=[key], counts=np.ones((1, 4)))
     model = CountModel(vocab=4, n_layers=2, keys=[7, 9],

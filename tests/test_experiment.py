@@ -45,10 +45,17 @@ def test_config_defaults_round_trip():
     ({"key_unit": 0}, "key_unit: unknown field"),
     ({"vocab": 1}, "vocab"),
     ({"train_clips": 1, "clip_frames": 1, "vocab": 64}, "train_clips"),
+    ({"vocab": 65537, "train_clips": 2731}, "vocab: must be at most 65536"),
 ])
 def test_config_errors_name_the_field(data, path):
     with pytest.raises(ConfigError, match=path):
         config_from_dict(data)
+
+
+def test_vocab_up_to_the_coder_total_is_accepted():
+    # 2731 clips of 24 frames seed the 65535 trainable entries
+    assert config_from_dict({"vocab": 65536, "train_clips": 2731}).vocab \
+        == 65536
 
 
 def test_config_error_carries_the_path():

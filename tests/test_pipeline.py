@@ -16,7 +16,7 @@ from tokenwire.grid import (
 )
 from tokenwire.pipeline import receive, receive_tokens, send, send_tokens
 from tokenwire.transport import Packet, pack_bits
-from conftest import random_grid, slice_of
+from conftest import counted_model, flip, random_grid, slice_of
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -246,17 +246,23 @@ def test_receive_rejects_bad_packets():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_unusable_packets_are_dropped_like_losses(data):
-    """Whatever the drop mask and the order of arrival: duplicates,
-    foreign heads, wrong extents, out-of-vocabulary coarse payloads and
-    unreadable copies of delivered fine packets added to a delivery never
-    raise, leave the decode as it was without them, and are each counted
-    once in ``n_dropped``."""
+    """Whatever the model, the drop mask and the order of arrival:
+    duplicates, foreign heads, wrong extents, out-of-vocabulary coarse
+    payloads, unreadable copies of delivered fine packets and records
+    that do not parse (None) added to a delivery never raise, leave the
+    decode as it was without them, and are each counted once in
+    ``n_dropped``. Records damaged under a recomputed CRC parse and may
+    decode to wrong tokens, but the receiver takes them without raising
+    and its states still partition the encoded cells."""
     n_frames = data.draw(st.integers(1, 20), label="n_frames")
     level = data.draw(st.integers(1, 3), label="level")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = random_grid(rng, n_frames, 3, 10, level=level)
     sg = build_slice_grid(n_frames, GOS, level)
-    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    # 4-bit coarse tokens: 10..15 do not exist
+    model = data.draw(st.sampled_from([UniformModel(10),
+                                       counted_model(10, 3, 1)]),
+                      label="model")
     packets, _ = send_tokens(grid, sg, model, fec=data.draw(st.booleans()))
     keep = data.draw(st.lists(st.booleans(), min_size=len(packets),
                               max_size=len(packets)), label="keep")
@@ -266,7 +272,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     junk = []
     for _ in range(data.draw(st.integers(0, 6))):
         kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
-                                          "oov", "fine")))
+                                          "oov", "fine", "garbled")))
         if kind == "dup" and arrived:
             junk.append(data.draw(st.sampled_from(arrived)))
         elif kind == "foreign":
@@ -291,11 +297,27 @@ def test_unusable_packets_are_dropped_like_losses(data):
             p = data.draw(st.sampled_from(arrived_fine))
             junk.append(Packet(1, p.first_frame, p.n_frames,
                                p.payload + b"\x00"))
+        elif kind == "garbled":
+            # the CRC catches every flipped byte: a record that does not
+            # parse arrives as None
+            garbled = flip(data.draw(st.sampled_from(packets)), rng,
+                           crc=False)
+            assert garbled is None
+            junk.append(garbled)
     delivery = data.draw(st.permutations(arrived + junk), label="delivery")
     want = receive_tokens(arrived, sg, model)
     assert want[2].n_dropped == 0
     assert_dropped_like_lost(receive_tokens(delivery, sg, model), want,
                              len(junk))
+
+    damaged = [flip(p, rng, crc=True)
+               if p is not None and data.draw(st.booleans()) else p
+               for p in delivery]
+    _, states, rep = receive_tokens(damaged, sg, model)
+    encoded = states[:, :level]
+    assert np.isin(encoded, [R, L, I, C]).all()
+    assert sum(rep.state_counts.values()) == encoded.size
+    assert rep.n_packets_seen == len(damaged)
 
 
 def test_unreadable_copy_does_not_hide_its_slice():

@@ -1,4 +1,5 @@
-"""Range coder: lossless round trips and size behavior over cumulative rows."""
+"""Range coder: lossless round trips and size behavior over rows of one
+cumulative table."""
 
 import math
 
@@ -19,16 +20,17 @@ def random_row(rng, vocab):
     return cumulative(quantize_weights(w)[None])[0]
 
 
-def uniform_rows(vocab, n):
-    return np.repeat(cumulative(uniform_pmf(vocab)[None]), n, axis=0)
+def uniform_table(vocab):
+    """The one-row table of the uniform PMF, as ``UniformModel`` prices."""
+    return cumulative(uniform_pmf(vocab)[None])
 
 
-def encode(symbols, cum):
-    return encode_symbols(*code_ranges(cum, symbols))
+def encode(symbols, cum, rows):
+    return encode_symbols(*code_ranges(cum, rows, symbols))
 
 
-def ideal_bits(symbols, cum):
-    _, freq = code_ranges(cum, symbols)
+def ideal_bits(symbols, cum, rows):
+    _, freq = code_ranges(cum, rows, symbols)
     return sum(-math.log2(f / PMF_TOTAL) for f in freq)
 
 
@@ -36,13 +38,13 @@ def ideal_bits(symbols, cum):
 @settings(max_examples=120, deadline=None)
 def test_round_trip_is_lossless(seed, vocab, n):
     rng = np.random.default_rng(seed)
-    rows = [random_row(rng, vocab) for _ in range(min(n, 8))]
-    cum = np.array([rows[i % len(rows)] for i in range(n)]).reshape(
-        n, vocab + 1)
+    cum = np.array([random_row(rng, vocab) for _ in range(min(n, 8))]
+                   ).reshape(-1, vocab + 1)
+    rows = [i % len(cum) for i in range(n)]
     symbols = [int(rng.integers(0, vocab)) for _ in range(n)]
-    coded = encode(symbols, cum)
+    coded = encode(symbols, cum, rows)
     assert coded.n_symbols == n
-    assert decode_symbols(coded, cum) == symbols
+    assert decode_symbols(coded, cum, rows) == symbols
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 32), st.integers(1, 300))
@@ -53,21 +55,23 @@ def test_size_close_to_ideal(seed, vocab, n):
     # Draw symbols from the row itself so the ideal reflects the true cost.
     p = np.diff(row) / PMF_TOTAL
     symbols = rng.choice(vocab, size=n, p=p).tolist()
-    cum = np.repeat(row[None], n, axis=0)
-    coded = encode(symbols, cum)
-    assert len(coded.payload) <= math.ceil(ideal_bits(symbols, cum) / 8) + 8
+    cum, rows = row[None], [0] * n
+    coded = encode(symbols, cum, rows)
+    assert len(coded.payload) <= \
+        math.ceil(ideal_bits(symbols, cum, rows) / 8) + 8
 
 
 def test_empty_slice():
     coded = encode_symbols([], [])
     assert coded.n_symbols == 0 and coded.payload == b""
-    assert decode_symbols(coded, np.zeros((0, 5), dtype=np.uint32)) == []
+    assert decode_symbols(coded, np.zeros((0, 5), dtype=np.uint32), []) == []
+    assert decode_symbols(coded, uniform_table(4), []) == []
 
 
 def test_determinism():
-    cum = uniform_rows(10, 3)
-    a = encode([1, 2, 3], cum)
-    b = encode([1, 2, 3], cum)
+    cum = uniform_table(10)
+    a = encode([1, 2, 3], cum, [0] * 3)
+    b = encode([1, 2, 3], cum, [0] * 3)
     assert a.payload == b.payload
 
 
@@ -75,22 +79,33 @@ def test_skewed_pmf_compresses():
     w = np.full(16, 1e-6)
     w[3] = 1.0
     n = 2000
-    cum = np.repeat(cumulative(quantize_weights(w)[None]), n, axis=0)
-    coded = encode([3] * n, cum)
+    cum = cumulative(quantize_weights(w)[None])
+    coded = encode([3] * n, cum, [0] * n)
     # Near-certain symbols cost well under a bit each.
     assert len(coded.payload) * 8 < 0.1 * n
 
 
 def test_encode_validation():
-    cum = uniform_rows(4, 1)
+    cum = uniform_table(4)
     with pytest.raises(ValueError, match="one PMF row per symbol"):
-        code_ranges(cum, [0, 1])
+        code_ranges(cum, [0], [0, 1])
     with pytest.raises(ValueError, match="symbol 4 outside"):
-        code_ranges(cum, [4])
+        code_ranges(cum, [0], [4])
     with pytest.raises(ValueError, match="symbol -1 outside"):
-        code_ranges(cum, [-1])
+        code_ranges(cum, [0], [-1])
+    for row in (1, -1):
+        with pytest.raises(ValueError, match="row outside the table"):
+            code_ranges(cum, [0, row], [0, 1])
     with pytest.raises(ValueError):
         encode_symbols([0, 16384], [16384])
+
+
+def test_decode_refuses_a_row_outside_the_table():
+    cum = uniform_table(4)
+    coded = encode([1, 2], cum, [0, 0])
+    for row in (1, -1):
+        with pytest.raises(ValueError, match="row outside the table"):
+            decode_symbols(coded, cum, [0, row])
 
 
 def test_non_canonical_payload_raises():
@@ -99,25 +114,25 @@ def test_non_canonical_payload_raises():
     # it would never emit: one ending in a zero byte, and one holding bytes
     # past what its symbols read. 200 uniform 8-bit symbols read exactly
     # 4 + 200 bytes, one per renormalization after the first four.
-    cum = uniform_rows(256, 200)
+    cum, rows = uniform_table(256), [0] * 200
     symbols = list(range(200))
-    coded = encode(symbols, cum)
+    coded = encode(symbols, cum, rows)
     assert len(coded.payload) <= 204
     for tail in (b"\x00", b"\x01\x00"):
         with pytest.raises(DecodeError, match="zero byte"):
-            decode_symbols(CodedSlice(coded.payload + tail, 200), cum)
+            decode_symbols(CodedSlice(coded.payload + tail, 200), cum, rows)
     with pytest.raises(DecodeError, match="past its last symbol"):
         decode_symbols(CodedSlice(coded.payload.ljust(205, b"\x01"), 200),
-                       cum)
+                       cum, rows)
     with pytest.raises(DecodeError, match="past its last symbol"):
-        decode_symbols(CodedSlice(b"\x01", 0), cum[:0])
+        decode_symbols(CodedSlice(b"\x01", 0), cum, [])
 
 
 def test_all_low_interval_is_the_empty_payload():
-    cum = uniform_rows(10, 3)
-    coded = encode([0, 0, 0], cum)
+    cum = uniform_table(10)
+    coded = encode([0, 0, 0], cum, [0] * 3)
     assert coded.payload == b""
-    assert decode_symbols(coded, cum) == [0, 0, 0]
+    assert decode_symbols(coded, cum, [0] * 3) == [0, 0, 0]
 
 
 # Per symbol the coder narrows its range to r * freq with r = rng >> 16,
@@ -128,7 +143,7 @@ TRUNCATION_SLACK = -math.log2(1 - 2**-8)
 
 @st.composite
 def coded_rows(draw):
-    """(cumulative rows, symbols): one random row per symbol."""
+    """(cumulative table, symbols): one random row per symbol."""
     seed = draw(st.integers(0, 2**32 - 1))
     vocab = draw(st.integers(2, 300))
     n = draw(st.integers(0, 60))
@@ -146,40 +161,45 @@ def coded_rows(draw):
 @settings(max_examples=200, deadline=None)
 def test_canonical_payload_round_trips_within_the_bound(case):
     cum, symbols = case
-    coded = encode(symbols, cum)
-    assert decode_symbols(coded, cum) == symbols
+    rows = range(len(symbols))
+    coded = encode(symbols, cum, rows)
+    assert decode_symbols(coded, cum, rows) == symbols
     assert not coded.payload.endswith(b"\x00")
     # The flush ends within 8 bits of the final interval's width; the
     # initial range of 2**32 - 1 costs under 1e-9 bit.
-    bound = (ideal_bits(symbols, cum) + 8
+    bound = (ideal_bits(symbols, cum, rows) + 8
              + len(symbols) * TRUNCATION_SLACK + 1e-9)
     assert len(coded.payload) * 8 <= bound
 
 
 def test_pmf_count_mismatch_raises():
-    coded = encode([1, 2], uniform_rows(4, 2))
+    coded = encode([1, 2], uniform_table(4), [0, 0])
     with pytest.raises(DecodeError):
-        decode_symbols(coded, uniform_rows(4, 3))
+        decode_symbols(coded, uniform_table(4), [0, 0, 0])
 
 
 def test_ideal_bits_uniform_is_log2():
-    cum = uniform_rows(1024, 7)
-    cum_lo, freq = code_ranges(cum, [5] * 7)
+    cum, rows = uniform_table(1024), [0] * 7
+    cum_lo, freq = code_ranges(cum, rows, [5] * 7)
     assert cum_lo == [5 * 64] * 7 and freq == [64] * 7
-    assert ideal_bits([5] * 7, cum) == pytest.approx(70.0)
+    assert ideal_bits([5] * 7, cum, rows) == pytest.approx(70.0)
 
 
 @st.composite
 def reference_cases(draw):
-    """(cumulative rows, symbols, an arbitrary payload) over vocab 2-256
-    and 0-400 symbols. Rows are random, or skewed so that all symbols but
-    one have frequency 1; they come as uint32, as int64, or as one uint32
-    row broadcast to every symbol, as ``UniformModel`` prices."""
+    """(cumulative table, row per symbol, symbols, an arbitrary payload)
+    over vocab 2-256 and 0-400 symbols. Rows are random, or skewed so that
+    all symbols but one have frequency 1. The table holds one row per
+    symbol, as uint32, as int64 or as one uint32 row broadcast to every
+    symbol; or a few uint32 rows that the symbols share in random order;
+    or one row every symbol reads, as ``UniformModel`` prices."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vocab = draw(st.integers(2, 256))
     n = draw(st.integers(0, 400))
-    layout = draw(st.sampled_from(["uint32", "int64", "broadcast"]))
-    m = 1 if layout == "broadcast" else n
+    layout = draw(st.sampled_from(["uint32", "int64", "broadcast",
+                                   "shared", "one"]))
+    m = {"broadcast": 1, "one": 1,
+         "shared": draw(st.integers(1, 8))}.get(layout, n)
     if draw(st.booleans()):
         w = np.full((m, vocab), 1e-9)
         w[np.arange(m), rng.integers(0, vocab, size=m)] = 1.0
@@ -187,23 +207,24 @@ def reference_cases(draw):
         w = rng.uniform(0.0, 1.0, size=(m, vocab)) ** 4 + 1e-9
     cum = cumulative(quantize_weights(w)).reshape(m, vocab + 1)
     if layout == "broadcast":
-        cum = np.broadcast_to(cum, (n, vocab + 1))
+        cum, m = np.broadcast_to(cum, (n, vocab + 1)), n
     elif layout == "int64":
         cum = cum.astype(np.int64)
-    p = np.diff(cum, axis=1) / PMF_TOTAL
+    rows = np.arange(n) if m == n else rng.integers(0, m, size=n)
+    p = np.diff(cum[rows], axis=1) / PMF_TOTAL
     symbols = [int(rng.choice(vocab, p=row)) if draw(st.booleans())
                else int(rng.integers(0, vocab)) for row in p]
     # a payload led by 0xFFFF reads a value past PMF_TOTAL, which no
     # coded payload does and the decoder must clamp
     junk = draw(st.binary(max_size=12)
                 | st.binary(max_size=8).map(lambda b: b"\xff\xff" + b))
-    return cum, symbols, junk
+    return cum, rows, symbols, junk
 
 
-def outcome(decode, coded, cum):
+def outcome(decode, coded, *pmf):
     """The symbols ``decode`` reads, or the reason it refuses."""
     try:
-        return decode(coded, cum)
+        return decode(coded, *pmf)
     except DecodeError as exc:
         return str(exc)
 
@@ -211,26 +232,26 @@ def outcome(decode, coded, cum):
 @given(reference_cases())
 @settings(max_examples=150, deadline=None)
 def test_payloads_and_symbols_equal_the_reference_coder(case):
-    cum, symbols, junk = case
-    cum_lo, freq = code_ranges(cum, symbols)
+    cum, rows, symbols, junk = case
+    cum_lo, freq = code_ranges(cum, rows, symbols)
     want, _ = reference_encode_symbols(cum_lo, freq)
     coded = encode_symbols(cum_lo, freq)
     assert coded == want
-    assert decode_symbols(coded, cum) == symbols
-    assert reference_decode_symbols(coded, cum) == symbols
+    assert decode_symbols(coded, cum, rows) == symbols
+    assert reference_decode_symbols(coded, cum[rows]) == symbols
     # any other payload reads as the same symbols or the same refusal
     other = CodedSlice(junk, len(symbols))
-    assert outcome(decode_symbols, other, cum) == \
-        outcome(reference_decode_symbols, other, cum)
+    assert outcome(decode_symbols, other, cum, rows) == \
+        outcome(reference_decode_symbols, other, cum[rows])
 
 
 def test_a_carry_through_held_back_bytes_codes_like_the_reference():
     # The first symbol leaves low at 0xFF55 << 16 with the byte 0xAA still
     # held; the second shifts out 0xFF, which is held back, and the flush
     # rounds low up to 2**32, so the carry turns 0xAA 0xFF into 0xAB 0x00.
-    cum = uniform_rows(256, 2)
-    cum_lo, freq = code_ranges(cum, [171, 0])
+    cum = uniform_table(256)
+    cum_lo, freq = code_ranges(cum, [0, 0], [171, 0])
     want, carries = reference_encode_symbols(cum_lo, freq)
     assert carries == 1
     assert want.payload == encode_symbols(cum_lo, freq).payload == b"\xab"
-    assert decode_symbols(want, cum) == [171, 0]
+    assert decode_symbols(want, cum, [0, 0]) == [171, 0]

@@ -1,8 +1,13 @@
 """Residual quantizer: assignment, refinement, training, serialization."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tokenwire.grid import TokenGrid
 from tokenwire.rvq import (
     Codebook,
     RvqCodec,
@@ -118,6 +123,59 @@ def test_dequantize_validation():
     # valid=0 frames reconstruct to silence.
     out = dequantize(grid, codec, valid=np.array([0, 1, 2]))
     np.testing.assert_array_equal(out[0], [0.0, 0.0])
+
+
+def test_codebook_keeps_a_read_only_copy_and_its_norms():
+    raw = np.vstack([np.zeros(2), np.eye(2), -np.eye(2)])
+    cb = Codebook(raw)
+    raw[1, 0] = 5.0  # the caller's array is not the codebook's
+    np.testing.assert_array_equal(cb.entries[1], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        cb.entries[1, 0] = 2.0
+    with pytest.raises(ValueError):
+        cb.norms[1] = 0.0
+    np.testing.assert_array_equal(cb.norms, np.sum(cb.entries ** 2, axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def small_codec(signed_zero: bool) -> RvqCodec:
+    """A trained 3-layer codec over 4-d features; with ``signed_zero``,
+    its middle layer's entry 0 is the zero vector written as -0.0."""
+    corpus = np.random.default_rng(4).normal(size=(200, 4))
+    codec = train_codebooks(corpus, n_layers=3, vocab=8, n_coarse=1,
+                            epochs=3, seed=2)
+    if signed_zero:
+        entries = codec.codebooks[1].entries.copy()
+        entries[0] = -0.0
+        codec.codebooks[1] = Codebook(entries, 1)
+    return codec
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_quantize_and_dequantize_match_the_layer_loops(seed, n, signed_zero):
+    """Quantizing with the cached norms picks the tokens that norms
+    computed afresh pick, and dequantizing adds, byte for byte, what a
+    sum over each layer's frames within their depth adds."""
+    codec = small_codec(signed_zero)
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, 4)) * rng.choice([0.1, 1.0, 3.0])
+    level = int(rng.integers(1, 4))
+    residual = feats.copy()
+    want = np.zeros((n, 3), dtype=np.int32)
+    for k, cb in enumerate(codec.codebooks[:level]):
+        want[:, k] = _assign(residual, cb.entries)
+        residual -= cb.entries[want[:, k]]
+    np.testing.assert_array_equal(quantize(feats, codec, level).tokens, want)
+
+    grid = TokenGrid(rng.integers(0, 8, size=(n, 3)),
+                     np.full(n, 3, dtype=np.int16), 8)
+    depth = rng.integers(0, 4, size=n)
+    out = np.zeros((n, 4))
+    for k, cb in enumerate(codec.codebooks):
+        rows = depth > k
+        out[rows] += cb.entries[grid.tokens[rows, k]]
+    assert dequantize(grid, codec, depth).tobytes() == out.tobytes()
 
 
 def test_training_invariants():

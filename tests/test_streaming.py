@@ -1,19 +1,17 @@
 """Streaming transceiver: buffering, latency, finality, loss behavior."""
 
-import functools
-import zlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import counted_model, flip
 from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 
 from tokenwire import streaming
-from tokenwire.context import CountModel, UniformModel, train_count_model
+from tokenwire.context import CountModel, UniformModel
 from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
-from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
+from tokenwire.grid import GosConfig, StreamConfig, TokenState
 from tokenwire.streaming import StreamReceiver, StreamSender, window_frames
 from tokenwire.transport import Packet, pack_bits
 
@@ -872,33 +870,6 @@ def test_blackout_holds_the_last_usable_frame_before_the_window():
                                          ReferenceStreamReceiver))
     np.testing.assert_array_equal(grid.tokens, ref[0].tokens)
     np.testing.assert_array_equal(states, ref[1])
-
-
-@functools.lru_cache(maxsize=None)
-def counted_model(vocab: int, n_layers: int, n_coarse: int) -> CountModel:
-    """A count model trained on tokens whose layers follow the first, so
-    that concealment reads real contexts."""
-    rng = np.random.default_rng(63)
-    grids = []
-    for _ in range(6):
-        tokens = rng.integers(0, vocab, size=(24, n_layers))
-        tokens[:, 1:] = (tokens[:, :1] + np.arange(1, n_layers)) % vocab
-        tokens[rng.random(tokens.shape) < 0.2] = 0
-        grids.append(TokenGrid(tokens, np.full(24, n_layers), vocab))
-    return train_count_model(grids, vocab, n_layers, n_coarse, epochs=2)
-
-
-def flip(packet: Packet, rng) -> Packet | None:
-    """One byte of ``packet`` flipped on the wire; its CRC is recomputed
-    half the time, so that some damage parses. None where it does not."""
-    data = bytearray(packet.to_bytes())
-    data[rng.integers(len(data))] ^= int(rng.integers(1, 256))
-    if rng.random() < 0.5:
-        data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
-    try:
-        return Packet.from_bytes(bytes(data))
-    except DecodeError:
-        return None
 
 
 @given(st.data())
