@@ -1,10 +1,11 @@
 """Loss-resilient token transport for neural-codec style audio streams.
 
 The stack: a DCT toy codec stands in for a neural encoder, an RVQ turns
-features into layered tokens, a neighbor-count context model prices and
-predicts tokens, a range coder packs fine layers, and a packet transport
-with coarse-layer FEC plus windowed concealment carries them across lossy
-channels, in batch or bounded-latency streaming mode.
+features into layered tokens, a count model prices fine tokens by their
+layer and predicts lost coarse tokens from their neighbors, a range coder
+packs fine layers, and a packet transport with coarse-layer FEC plus
+windowed concealment carries them across lossy channels, in batch or
+bounded-latency streaming mode.
 """
 
 __version__ = "0.1.0"

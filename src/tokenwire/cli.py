@@ -279,7 +279,6 @@ def cmd_stream(args) -> int:
     model = _artifact(load_count_model, args.model)
     gos = gos_config(cfg)
     stream = StreamConfig(stride=args.stride, lookahead=args.lookahead,
-                          coding_context=cfg.gos_len,
                           conceal_context=cfg.conceal_window)
     signal = _read_frames(args.audio, cfg.frame_len)
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)

@@ -1,18 +1,24 @@
-"""Context models that turn masked token grids into per-cell PMFs.
+"""Context models that price tokens as rows of one compiled table.
 
-A query exposes a token grid through views: each view shows the first
-``visible[i]`` layers of the frames of one window and names the target
-cells it prices there. A model prices a query as one compiled table of
-cumulative frequency rows over a fixed 16-bit total, plus each target's
-row index in it, so that encoder and decoder arithmetic is integer-only
-and bit-identical and no caller copies a row.
+A model prices cells as one compiled table of cumulative frequency rows
+over a fixed 16-bit total, plus each cell's row index in it, so that
+encoder and decoder arithmetic is integer-only and bit-identical and no
+caller copies a row. It prices a cell in one of two ways. ``layer_pmf``
+reads the cell's layer alone: the fine tokens are range-coded this way,
+so a fine slice reads no other cell and decodes whenever its packet
+arrives. ``pmf`` reads a query: a query exposes a token grid through
+views, each showing the first ``visible[i]`` layers of the frames of one
+window and naming the target cells it prices there. Concealment predicts
+lost coarse cells through ``predict`` over such a query, and training
+counts its contexts through one.
 
-The count model keys each cell on at most three neighbors: the nearest
-frame to the left carrying a token at (or deepest below) the cell's layer,
-the token directly below in the same frame, and the symmetric right
-neighbor. Neighbor selection prefers the deepest usable frame and breaks
-ties toward the nearest one, so a far frame that is visible at the cell's
-own layer beats an adjacent frame that only shows shallow layers.
+The count model keys each query target on at most three neighbors: the
+nearest frame to the left carrying a token at (or deepest below) the
+cell's layer, the token directly below in the same frame, and the
+symmetric right neighbor. Neighbor selection prefers the deepest usable
+frame and breaks ties toward the nearest one, so a far frame that is
+visible at the cell's own layer beats an adjacent frame that only shows
+shallow layers.
 
 Which cells the neighbors are depends on the visibility alone, never on
 token values, so a query computes them once per distinct view shape (a
@@ -22,18 +28,18 @@ with one ``take``. The count model keeps one count table, its observed
 keys in increasing order with one row of token counts each; the layer
 marginals and the observed total are read from it. When first priced
 after a change, it compiles that table into the keys' cumulative rows
-plus one marginal-or-uniform fallback row per layer, with each row's
-fallback kind and most probable token. Pricing a query is then one key
-search that hands over row indices: the range coder reads two entries of
-a row per coded symbol and bisects it to decode, and concealment reads a
-row's mode. Callers put every slice they can price together into one
-query.
+plus one marginal-or-uniform row per layer, with each row's fallback
+kind and most probable token. ``layer_pmf`` hands over those per-layer
+rows; ``pmf`` is one key search that hands over a key's own row, or its
+layer's row for a key never observed. The range coder reads two entries
+of a row per coded symbol and bisects it to decode, and concealment
+reads a row's mode.
 
 Training reads contexts the same way: each masking sample is one view of
 the schedule's one query over the concatenated corpus, counted through one
 ``observe``. So ``encode_key`` over ``MaskedQuery.context`` is the one
-place a visibility pattern becomes a context key, for training, pricing
-and concealment alike.
+place a visibility pattern becomes a context key, for training and
+concealment alike.
 """
 
 from __future__ import annotations
@@ -211,11 +217,6 @@ class MaskedQuery:
     near_cells: (n, 3) int64 flat index into ``tokens`` of each neighbor,
         0 where there is none.
     missing: (n, 3) bool, where there is no neighbor.
-    bounds: view i's targets are ``targets[bounds[i]:bounds[i + 1]]``.
-
-    The plan depends on the views alone, so one query can be built once
-    and bound to each grid of the same shape with ``over``, which shares
-    every array but ``tokens``.
 
     Raises ``ValueError`` for a view outside the grid, or a target outside
     its window or visible in it.
@@ -232,7 +233,6 @@ class MaskedQuery:
         counts = [len(t) for t in tg]
         widths = [len(v.visible) for v in self.views]
         self.targets = np.concatenate(tg).astype(np.int64, copy=False)
-        self.bounds = np.cumsum([0] + counts).tolist()
         lo = np.repeat(np.array([v.lo for v in self.views], dtype=np.int64),
                        counts)
         rel = self.targets.copy()
@@ -261,18 +261,6 @@ class MaskedQuery:
         self.missing = frames < 0
         cells = frames * self.tokens.shape[1] + self.sources[..., 1]
         self.near_cells = np.where(self.missing, 0, cells)
-
-    def over(self, tokens: np.ndarray) -> "MaskedQuery":
-        """The same views and targets over ``tokens``, a grid of the shape
-        this query was built on."""
-        tokens = np.asarray(tokens)
-        if tokens.shape != self.tokens.shape:
-            raise ValueError(f"a {tokens.shape} grid is not the query's "
-                             f"{self.tokens.shape}")
-        # a shallow copy, a few microseconds cheaper than copy.copy
-        query = object.__new__(MaskedQuery)
-        query.__dict__.update(self.__dict__, tokens=tokens)
-        return query
 
     def context(self) -> tuple:
         """(layer, neighbors) of every target: its (n,) int64 layers and
@@ -335,12 +323,18 @@ class UniformModel:
                                uniform_pmf(self.vocab)[None],
                                np.array([_UNIFORM]))
 
+    def layer_pmf(self, layers) -> tuple:
+        """(cumulative table, row per cell, FALLBACKS index per cell) of
+        cells on ``layers``, as ``CountModel.layer_pmf``; every row index
+        is 0."""
+        n = len(layers)
+        return (self._table.cum, np.zeros(n, dtype=np.int64),
+                np.full(n, _UNIFORM))
+
     def pmf(self, query: MaskedQuery) -> tuple:
         """(cumulative table, row per target, FALLBACKS index per target),
         as ``CountModel.pmf``; every row index is 0."""
-        n = len(query.targets)
-        return (self._table.cum, np.zeros(n, dtype=np.int64),
-                np.full(n, _UNIFORM))
+        return self.layer_pmf(query.targets[:, 1])
 
     def predict(self, query: MaskedQuery) -> np.ndarray:
         return self._table.mode[self.pmf(query)[1]]
@@ -416,6 +410,15 @@ class CountModel:
             self._table = _compile(self.keys, freq, kind)
         return self._table
 
+    def layer_pmf(self, layers) -> tuple:
+        """(cum, rows, kinds) of cells priced by their layer alone, one
+        per entry of ``layers``: the table ``pmf`` returns, each cell's
+        layer row, its layer marginal or uniform where the layer was never
+        observed, and that row's FALLBACKS index."""
+        table = self._compiled()
+        rows = len(self.keys) + np.asarray(layers, dtype=np.int64)
+        return table.cum, rows, table.kind[rows]
+
     def pmf(self, query: MaskedQuery) -> tuple:
         """(cum, rows, kinds): the compiled table and, per target, its
         row and that row's FALLBACKS index.
@@ -424,7 +427,7 @@ class CountModel:
         same array until the next ``observe``: target i's symbol s owns
         ``[cum[rows[i], s], cum[rows[i], s + 1])`` of PMF_TOTAL. Its row
         is the key's own when the key was observed, else its layer's
-        fallback row.
+        row, as ``layer_pmf`` gives it.
         """
         table = self._compiled()
         keys = encode_key(self.vocab, *query.context())

@@ -1,72 +1,41 @@
-"""Dependency structure between slices, loss classification, concealment masks.
+"""Stream step geometry, the prefix rule, loss classification, concealment.
 
-The coding dependency decides which cells must be recovered bit-exactly
-before a fine slice can be entropy-decoded. It is one rule for batch and
-streaming: a fine slice is coded against the coarse layers of a frame
-range, and only those. In batch the range is the slice's group-of-slices
-(``slice_conditions``); in streaming it is the step's coding window, which
-ends at the later of the previous step's horizon and the step's last due
-frame, in closed form from the step geometry ``stream_step``
-(``stream_conditions``). The rule is stated once per frame
-or once per stream step, as ``Conditions``: the coder's view shows exactly
-its cells, and the receiver decodes the fine slices only once all of them
-are RECEIVED, so sender, receiver and decode gate cannot disagree. No fine
-cell is ever a condition, so a lost fine packet costs only its own cells.
+No cell is coded against another: a fine slice is priced by its layers
+alone (``context.CountModel.layer_pmf``), so a fine packet decodes
+whenever it arrives, and a lost fine packet costs only its own cells.
+What ties the layers together is the prefix rule, ``prefix_depth``: a
+layer refines the residual left by those below it, so a frame is usable
+up to its first failing cell, and ``propagate_invalid`` cuts every layer
+above a frame's first cell that is not RECEIVED. The receiver's states
+start INVALID at and above the encode level, so no depth read from them
+passes the level: invalidation, damage windows, the concealment context,
+the usable depth and the blackout source need no per-frame level.
+
+A stream step's geometry, its due frames, its horizon and its coarse
+frames, is stated once, by ``stream_step`` and ``stream_coarse``, for
+both stream ends.
 
 Concealment predicts lost coarse cells only (``classify_loss``): a lost or
 invalid fine cell ends its frame's usable depth, because a guessed fine
 token does more harm than one left out. A frame's targets depend on its
 own states alone, so concealment windows, plain frame ``range``s, never
-read each other's damage. The concealing view is looser than the coding
-one: it reads any received token at or below the damaged layer, both
-earlier and later in time, because prediction does not need bit-exact
-context. Which arrived packet fills which slice is not decided here but
-in ``pipeline.admit``.
-
-Which cells the receiver can trust is one prefix rule, ``prefix_depth``: a
-layer refines the residual left by those below it, so a frame is usable up
-to its first failing cell. The receiver's states start INVALID at and
-above the encode level, so no depth read from them passes the level:
-invalidation, damage windows, the concealment context, the usable depth
-and the blackout source need no per-frame level.
+read each other's damage. The concealing view reads any received token
+at or below the damaged layer, both earlier and later in time. Which
+arrived packet fills which slice is not decided here but in
+``pipeline.admit``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .context import View
-from .grid import SliceGrid, StreamConfig, TokenState
+from .grid import StreamConfig, TokenState
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
 I = int(TokenState.INVALID)
 C = int(TokenState.CONCEALED)
-
-
-class Conditions(NamedTuple):
-    """What the fine slices of one frame were entropy-coded against: the
-    first ``n_coarse`` layers of the frames ``[lo, hi)``.
-
-    The coding query shows exactly these cells, and the slices decode only
-    once all of them are RECEIVED.
-    """
-
-    lo: int
-    hi: int
-    n_coarse: int
-
-    def view(self, targets: np.ndarray) -> View:
-        """The coding view of ``targets``, showing the condition cells."""
-        return View(self.lo, np.full(self.hi - self.lo, self.n_coarse),
-                    targets)
-
-
-def decodable(states: np.ndarray, cond: Conditions) -> bool:
-    """Whether every cell ``cond`` names has been recovered bit-exactly."""
-    return bool((states[cond.lo:cond.hi, :cond.n_coarse] == R).all())
 
 
 def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
@@ -95,40 +64,6 @@ def stream_coarse(i: int, cfg: StreamConfig,
     """
     lo = stream_step(i - 1, cfg, total)[1] + 1 if i else 0
     return range(lo, stream_step(i, cfg, total)[1] + 1)
-
-
-def stream_conditions(i: int, cfg: StreamConfig, n_coarse: int,
-                      total: int | None = None) -> Conditions:
-    """The Conditions of every fine slice of stream step ``i``: the coarse
-    layers of the step's coding window, the up to ``coding_context``
-    frames that end at frame e_i.
-
-    e_0 is the horizon h_0; for i >= 1, e_i = max(h_{i-1}, last due
-    frame), with the horizons and the due frames clamped at ``total`` as
-    ``stream_step`` clamps them. The window then never needs step i's own
-    coarse packet unless a due frame's coarse layers travel in it (when
-    lookahead < stride), and a lost step i-1 coarse packet is repaired by
-    step i's repair copy before step i decodes. ``StreamConfig`` makes the
-    window cover stride + lookahead frames, so it starts at or before the
-    step's first due frame.
-    """
-    due, end = stream_step(i, cfg, total)
-    if i:
-        end = max(stream_step(i - 1, cfg, total)[1], due.stop - 1)
-    return Conditions(max(0, end - cfg.coding_context + 1), end + 1,
-                      n_coarse)
-
-
-def slice_conditions(sg: SliceGrid) -> dict:
-    """Per frame t of a periodic layout, the Conditions of its fine slices:
-    the coarse layers of its group-of-slices, shared by all its frames."""
-    gl = sg.gos.gos_len
-    out: dict = {}
-    for lo in range(0, sg.n_frames, gl):
-        hi = min(lo + gl, sg.n_frames)
-        out.update(dict.fromkeys(range(lo, hi),
-                                 Conditions(lo, hi, sg.gos.n_coarse)))
-    return out
 
 
 def prefix_depth(ok: np.ndarray) -> np.ndarray:
@@ -218,10 +153,10 @@ def build_conceal_mask(targets: np.ndarray, states: np.ndarray,
                        window: range) -> View:
     """The concealment view of the (n, 2) ``targets`` over the window.
 
-    Conditions are received cells inside the window, bi-directional in time
-    but capped at the highest target layer; within a frame that has targets
-    nothing at or above its lowest target is exposed. Everything else in
-    the window at or below the cap counts as masked.
+    The context is the received cells inside the window, bi-directional
+    in time but capped at the highest target layer; within a frame that
+    has targets nothing at or above its lowest target is exposed.
+    Everything else in the window at or below the cap counts as masked.
     """
     if not (window.step == 1 and 0 <= window.start < window.stop
             <= len(states)):

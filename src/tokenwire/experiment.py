@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .audio import AudioSignal, CodecConfig, analyze, synthesize
-from .context import PMF_TOTAL, CountModel, UniformModel, train_count_model
+from .context import CountModel, UniformModel, train_count_model
 from .errors import ConfigError
 from .grid import GosConfig, TokenGrid, build_slice_grid
 from .metrics import (mfcc_distance, mfcc_reference, sdr, si_snr,
@@ -104,6 +104,9 @@ _INT_FIELDS = {"sample_rate", "frame_len", "dim", "vocab", "n_layers",
                "conceal_fine_layers", "train_clips", "train_epochs",
                "schedule_epochs"}
 _POSITIVE = _INT_FIELDS - {"base_seed", "conceal_fine_layers", "n_tones"}
+# the codec and model files store vocab in 16 bits; the range coder's
+# 16-bit total, which needs one unit per token, allows one more
+_MAX_VOCAB = 0xFFFF
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -175,9 +178,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("n_units", "cannot exceed gos_len")
     if merged["vocab"] < 2:
         raise ConfigError("vocab", "must be at least 2")
-    if merged["vocab"] > PMF_TOTAL:
-        # every token needs at least one unit of the coder's total
-        raise ConfigError("vocab", f"must be at most {PMF_TOTAL}")
+    if merged["vocab"] > _MAX_VOCAB:
+        raise ConfigError("vocab", f"must be at most {_MAX_VOCAB}")
     if merged["train_clips"] * merged["clip_frames"] < merged["vocab"] - 1:
         raise ConfigError("train_clips",
                           "training corpus smaller than the codebook")

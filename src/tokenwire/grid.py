@@ -121,12 +121,16 @@ class GosConfig:
 class StreamConfig:
     """Streaming cadence: stride, lookahead, and context lengths in frames.
 
-    Both context windows end at most at a step's lookahead horizon (the
-    coding window ends at the previous horizon or the last due frame,
-    ``dependency.stream_conditions``) and must reach back over every frame
-    the step finalizes, so each covers at least stride + lookahead frames:
-    a due frame's context then starts at or before the frame itself. A
-    violation raises ``ConfigError``.
+    ``conceal_context`` is a step's concealment window, which ends at its
+    lookahead horizon and must reach back over every frame the step
+    finalizes, so it covers at least stride + lookahead frames: a due
+    frame's context then starts at or before the frame itself. Both
+    stream ends hold that window.
+
+    ``coding_context`` is accepted, and checked against the same bound,
+    and has no effect: fine tokens are priced by their layers alone, so
+    no cell is coded against a context window. A violation of either
+    bound raises ``ConfigError``.
     """
 
     stride: int = 3

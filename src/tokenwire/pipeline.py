@@ -2,30 +2,27 @@
 
 The core is shared with the streaming transceiver: ``SliceSender`` turns
 coarse slices into bit-packed packets with chained repair copies and fine
-slices into range-coded packets priced by model PMFs, keeping the sender's
-bit accounting; ``admit`` decides which arrived packet fills which slice,
+slices into range-coded packets, each fine token priced by its layer's
+row of the model's table (``layer_pmf``), keeping the sender's bit
+accounting; ``admit`` decides which arrived packet fills which slice,
 the one claim rule of both receivers, each of which passes only its own
 geometry; ``place_coarse`` writes the admitted coarse slices and their
-repair copies; ``decode_fine`` decodes a fine slice from its first copy
-that decodes, once the coarse cells it was coded against are bit-exact;
-``conceal`` holds the last usable frame through a coarse blackout and
-otherwise predicts the lost coarse cells; a lost or invalid fine cell is
-never guessed and ends its frame's usable depth. A packet the receiver
-cannot place or read is dropped and counted, as if lost. Both ends of a
-fine slice take its ``Conditions``, from which the coding view, the
-decoding view and the decode gate all derive. No fine slice waits on
-another, so each end prices all the fine slices it handles in one model
-query, and the batch receiver conceals every window of a clip in one
-more. The encode level is stated once, in the receiver's initial states
-(INVALID from the level up); which cells can be trusted then follows
-from the states by the one prefix rule in ``dependency``.
+repair copies; ``decode_fine`` decodes every fine slice that arrived
+from its first copy that decodes; ``conceal`` holds the last usable
+frame through a coarse blackout and otherwise predicts the lost coarse
+cells; a lost or invalid fine cell is never guessed and ends its frame's
+usable depth. A packet the receiver cannot place or read is dropped and
+counted, as if lost. No slice is coded against another cell, so a fine
+slice waits on nothing: each end prices all the fine slices it handles
+at once, and the batch receiver conceals every window of a clip in one
+model query. The encode level is stated once, in the receiver's initial
+states (INVALID from the level up); which cells can be trusted then
+follows from the states by the one prefix rule in ``dependency``.
 
 Every clip of one layout shares one plan of it, built on the first clip
 and memoized like the layout itself (``build_slice_grid``): each slice's
-packet head, the map from a head back to its cells and its coarse
-predecessor's, each fine slice's ``Conditions``, and one coding query
-over all fine slices. A clip binds that query to its own tokens
-(``MaskedQuery.over``), so neither end rebuilds any of it per clip.
+packet head and cells, and the map from a head back to its cells and its
+coarse predecessor's, so neither end rebuilds any of it per clip.
 """
 
 from __future__ import annotations
@@ -41,8 +38,7 @@ import numpy as np
 from .audio import CodecConfig, synthesize
 from .context import FALLBACKS, PMF_TOTAL, MaskedQuery
 from .dependency import (build_conceal_mask, build_windows, classify_loss,
-                         decodable, propagate_invalid, slice_conditions,
-                         usable_depth)
+                         propagate_invalid, usable_depth)
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
@@ -143,16 +139,19 @@ class SliceSender:
         rep.n_coarse_tokens += len(vals)
         return self._packet(head, payload, fec_field)
 
-    def fine(self, query: MaskedQuery, heads) -> list:
-        """Range-code the fine slices of ``query``, one per view, priced
-        in one model query; returns their packets, under ``heads``."""
+    def fine(self, tokens: np.ndarray, slices) -> list:
+        """Range-code fine slices, given as (head, cells) pairs, of
+        ``tokens``, each token priced by its layer's row; returns their
+        packets, in order."""
+        if not slices:
+            return []
         rep = self.report
-        cum, rows, kinds = self.model.pmf(query)
-        targets = query.targets
-        cum_lo, freq = code_ranges(
-            cum, rows, query.tokens[targets[:, 0], targets[:, 1]])
+        cells = np.concatenate([c for _, c in slices])
+        layers = cells[:, 1]
+        cum, rows, kinds = self.model.layer_pmf(layers)
+        cum_lo, freq = code_ranges(cum, rows, tokens[cells[:, 0], layers])
         per_layer = rep.per_layer_ideal_bits
-        for k, f in zip(targets[:, 1].tolist(), freq):
+        for k, f in zip(layers.tolist(), freq):
             b = -math.log2(f / PMF_TOTAL)
             rep.ideal_fine_bits += b
             per_layer[k] = per_layer.get(k, 0.0) + b
@@ -160,66 +159,55 @@ class SliceSender:
             if n:
                 rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + n
         packets = []
-        bounds = query.bounds
-        for head, a, b in zip(heads, bounds, bounds[1:]):
+        a = 0
+        for head, c in slices:
+            b = a + len(c)
             coded = encode_symbols(cum_lo[a:b], freq[a:b])
             rep.n_fine_packets += 1
             rep.fine_bits += len(coded.payload) * 8
             rep.n_fine_tokens += b - a
             packets.append(self._packet(head, coded.payload))
+            a = b
         return packets
 
 
-def decode_fine(model, query: MaskedQuery, states: np.ndarray,
-                slices: list) -> int:
-    """Decode, in place into ``query.tokens``, the fine slices of
-    ``query``, one per view, given as (copies, Conditions) pairs, where
-    ``copies`` holds the slice's arrived payloads in arrival order.
+def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
+                slices) -> int:
+    """Decode, in place into ``tokens`` and ``states``, fine slices given
+    as (copies, cells) pairs, where ``copies`` holds the slice's arrived
+    payloads in arrival order.
 
-    Conditions name coarse cells only, which decoding never changes. A
-    slice whose conditions are not all RECEIVED becomes INVALID and reads
-    none of its copies. Otherwise the first copy that decodes fills it,
-    and a slice none of whose copies decodes keeps its cells LOST, like a
-    drop. The query is priced once and each ready slice reads its own
-    rows. Returns how many copies filled nothing: all but one of an
-    INVALID slice's, which count as duplicates, and every other copy that
-    did not fill its slice.
+    Each token is priced by its layer's row, as the sender priced it, so
+    a slice reads no other cell and every slice that arrived is read. The
+    first copy that decodes fills its slice, and a slice none of whose
+    copies decodes keeps its cells LOST, like a drop. Returns how many
+    copies filled nothing: every copy but the one that filled its slice.
     """
-    bounds, targets = query.bounds, query.targets
-    ready, invalid = [], []
-    n_dropped = 0
-    gate: dict = {}  # one check per distinct Conditions
-    for i, (copies, cond) in enumerate(slices):
-        ok = gate.get(cond)
-        if ok is None:
-            ok = gate[cond] = decodable(states, cond)
-        if not ok:
-            invalid.append(targets[bounds[i]:bounds[i + 1]])
-            n_dropped += max(len(copies) - 1, 0)
-        elif copies:
-            ready.append((copies, bounds[i], bounds[i + 1]))
-    if invalid:
-        cells = np.concatenate(invalid)
-        states[cells[:, 0], cells[:, 1]] = _I
-    if not ready:
-        return n_dropped
-    cum, rows, _ = model.pmf(query)
+    arrived = [(copies, cells) for copies, cells in slices if copies]
+    if not arrived:
+        return 0
+    cum, rows, _ = model.layer_pmf(
+        np.concatenate([cells for _, cells in arrived])[:, 1])
     done, syms = [], []
-    for copies, a, b in ready:
+    n_dropped = 0
+    a = 0
+    for copies, cells in arrived:
+        b = a + len(cells)
         for payload in copies:
             try:
                 syms += decode_symbols(CodedSlice(payload, b - a), cum,
                                        rows[a:b])
             except DecodeError:
                 continue
-            done.append(targets[a:b])
+            done.append(cells)
             n_dropped += len(copies) - 1
             break
         else:
             n_dropped += len(copies)
+        a = b
     if done:
         cells = np.concatenate(done)
-        query.tokens[cells[:, 0], cells[:, 1]] = syms
+        tokens[cells[:, 0], cells[:, 1]] = syms
         states[cells[:, 0], cells[:, 1]] = _R
     return n_dropped
 
@@ -248,10 +236,10 @@ def admit(packets, slot_of, vocab: int) -> tuple:
     ``packets`` stands for a packet that arrived but did not parse. A
     coarse packet claims its head only once its payload reads
     (``coarse_values``), so an unreadable copy never hides a readable
-    one; a fine payload can be read only against its conditions, so every
-    fine copy is kept for ``decode_fine``, which tries them in arrival
-    order. Returns (``place_coarse`` links, {head: fine payloads in
-    arrival order}, how many packets were dropped).
+    one; a fine payload is read only by decoding it, so every fine copy
+    is kept for ``decode_fine``, which tries them in arrival order.
+    Returns (``place_coarse`` links, {head: fine payloads in arrival
+    order}, how many packets were dropped).
     """
     links, fine, claimed = [], {}, set()
     n_dropped = 0
@@ -375,16 +363,13 @@ class _Layout(NamedTuple):
 
     slices: tuple   # (packet head, cells) per slice, in emission order
     by_head: dict   # packet head -> (cells, coarse predecessor's or None)
-    fine: tuple     # (packet head, Conditions) per view of ``query``
-    query: MaskedQuery | None  # coding query of all fine slices
+    fine: tuple     # (packet head, cells) per fine slice, in emission order
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(sg: SliceGrid) -> _Layout:
-    """The plan of layout ``sg``; ``query`` is built over read-only zeros
-    and bound to each clip's tokens with ``MaskedQuery.over``."""
-    conditions = slice_conditions(sg)
-    slices, by_head, fine, views = [], {}, [], []
+    """The plan of layout ``sg``."""
+    slices, by_head = [], {}
     prev = None
     for sid, cells in sg.slices.items():
         frames = cells[:, 0].tolist()
@@ -395,12 +380,8 @@ def _layout(sg: SliceGrid) -> _Layout:
             prev = cells
         else:
             by_head[head] = cells, None
-            cond = conditions[frames[0]]
-            fine.append((head, cond))
-            views.append(cond.view(cells))
-    zeros = np.broadcast_to(np.int32(0), (sg.n_frames, sg.n_layers))
-    query = MaskedQuery(zeros, views) if views else None
-    return _Layout(tuple(slices), by_head, tuple(fine), query)
+    return _Layout(tuple(slices), by_head,
+                   tuple((head, cells) for head, cells in slices if head[0]))
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -408,10 +389,9 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     """Encode a uniformly quantized grid into packets.
 
     Packets come out in the layout's slice order: within each
-    group-of-slices the coarse slices, then the fine slices, each coded
-    against the coarse layers of its group-of-slices. Every coarse packet
-    after the first carries a packed copy of its predecessor when ``fec``
-    is on.
+    group-of-slices the coarse slices, then the fine slices, each token of
+    which is priced by its layer's row. Every coarse packet after the
+    first carries a packed copy of its predecessor when ``fec`` is on.
     """
     if grid.n_frames != sg.n_frames or grid.n_layers != sg.n_layers:
         raise ValueError("grid shape does not match the slice layout")
@@ -423,9 +403,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     plan = _layout(sg)
     tx = SliceSender(model, fec)
     tokens = grid.tokens
-    fine = iter(tx.fine(plan.query.over(tokens),
-                        [head for head, _ in plan.fine])
-                if plan.query else ())
+    fine = iter(tx.fine(tokens, plan.fine))
     return [tx.coarse(head, tokens[cells[:, 0], cells[:, 1]])
             if head[0] == 0 else next(fine)
             for head, cells in plan.slices], tx.report
@@ -439,11 +417,11 @@ def receive_tokens(packets, sg: SliceGrid, model,
     names no slice of the layout, a copy of one already filled, or one
     whose payload cannot be read is dropped and counted, as if lost, and
     so is a None in ``packets``, which stands for a packet that arrived
-    but did not parse (see ``transport.read_packets``). Fine slices
-    decode, all in one call, only once the coarse cells they were coded
-    against are bit-exact; anything else is marked lost or invalid.
-    Windowed concealment then predicts the lost coarse cells and holds
-    blackouts. The grid's level is the per-frame usable depth.
+    but did not parse (see ``transport.read_packets``). Every fine slice
+    that arrived decodes, all in one call; the prefix rule then marks
+    every cell above a frame's first missing one invalid. Windowed
+    concealment then predicts the lost coarse cells and holds blackouts.
+    The grid's level is the per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
@@ -456,10 +434,9 @@ def receive_tokens(packets, sg: SliceGrid, model,
         packets, lambda p: by_head.get((p.group, p.first_frame, p.n_frames)),
         vocab)
     fec_recovered = place_coarse(tokens, states, links, vocab, 0)
-    if plan.query:
-        n_dropped += decode_fine(
-            model, plan.query.over(tokens), states,
-            [(fine.get(head, ()), cond) for head, cond in plan.fine])
+    n_dropped += decode_fine(
+        model, tokens, states,
+        [(fine.get(head, ()), cells) for head, cells in plan.fine])
 
     propagate_invalid(states)
 

@@ -15,38 +15,30 @@ the first coarse one holds one frame.
 
 Both ends run on the transceiver core in ``pipeline`` and take a step's
 geometry, its due frames, its horizon and its coarse frames, from
-``stream_step`` and ``stream_coarse``. A step's fine slice is coded
-against the coarse layers of the step's coding window and nothing else.
-The window ends at the later of the previous step's horizon and the
-step's last due frame, so with lookahead >= stride a lost coarse packet
-is repaired by the next step's copy before that step decodes. Both ends
-derive that one ``Conditions`` with ``stream_conditions``. No fine cell
-is a condition, so a lost fine packet costs its own cells only. The
-receiver's buffered states start INVALID from the encode level up. Its
-step geometry names the heads a step can place, and ``pipeline.admit``
-claims them as the batch receiver does, dropping and counting the rest
-as if lost. The receiver then finalizes the due frames: decode what
-arrived, conceal the lost coarse cells inside a window ending at the
-horizon, release. A lost or invalid fine cell is not guessed; it ends its
-frame's usable depth. Released frames are never revisited, and concealed
-cells never serve as coding context.
+``stream_step`` and ``stream_coarse``. A step's fine tokens are priced by
+their layers alone, so a step's fine packet decodes whenever it arrives
+and a lost fine packet costs its own cells only. The receiver's buffered
+states start INVALID from the encode level up. Its step geometry names
+the heads a step can place, and ``pipeline.admit`` claims them as the
+batch receiver does, dropping and counting the rest as if lost. The
+receiver then finalizes the due frames: decode what arrived, cut each
+frame's layers above its first missing cell, conceal the lost coarse
+cells inside a window ending at the horizon, release. A lost or invalid
+fine cell is not guessed; it ends its frame's usable depth. Released
+frames are never revisited.
 
 Neither end keeps the stream's history. A step reads only the frames of
-its window, from the first frame its coding conditions, concealment
-window or due frames name up to its horizon: at most ``window_frames``
-frames, the coding context plus the lag of the coding window behind the
-horizon, or the concealment context if longer. Each end holds that
-window in preallocated rows (``_Frames``), the sender also the frames
-pushed past its last horizon, and forgets every frame before it. Every
-step's geometry relative to its window is one memoized ``_Step`` plan:
-its coarse cells and its predecessor's, its ``Conditions``, its
-concealment window and one coding query over read-only zeros, which each
-end binds to its window rows with ``MaskedQuery.over``, as the batch ends
-bind their layout plan to a clip. Once the window starts past frame 0
-every live step has the same plan, so a stream uses a handful of plans:
-the first steps', the steady one and the flushed tail's. A blackout holds
-the receiver's last fully usable released frame, kept as a running value
-and handed to ``conceal``, so a hold reaches back past the window. The
+its concealment window, the ``conceal_context`` frames that end at its
+horizon, which cover its due frames. Each end holds that window in
+preallocated rows (``_Frames``), the sender also the frames pushed past
+its last horizon, and forgets every frame before it. Every step's
+geometry relative to its window is one memoized ``_Step`` plan: its
+coarse cells and its predecessor's, its due frames' fine cells and its
+concealment window. Once the window starts past frame 0 every live step
+has the same plan, so a stream uses a handful of plans: the first
+steps', the steady one and the flushed tail's. A blackout holds the
+receiver's last fully usable released frame, kept as a running value and
+handed to ``conceal``, so a hold reaches back past the window. The
 releases are the receiver's output; ``result`` joins them.
 """
 
@@ -59,24 +51,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .context import MaskedQuery
-from .dependency import (Conditions, propagate_invalid, stream_coarse,
-                         stream_conditions, stream_step, usable_depth)
+from .dependency import (propagate_invalid, stream_coarse, stream_step,
+                         usable_depth)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid,
                    build_slice_grid, initial_states)  # noqa: F401
 from .pipeline import SliceSender, admit, conceal, decode_fine, place_coarse
-
-
-def window_frames(cfg: StreamConfig) -> int:
-    """The most frames one step reads: its coding context, which ends
-    up to min(stride, lookahead) frames before the horizon, or its
-    concealment context, which ends at the horizon; either covers the
-    due frames."""
-    return max(cfg.coding_context + min(cfg.stride, cfg.lookahead),
-               cfg.conceal_context)
 
 
 def _shift(frames: range, by: int) -> range:
@@ -97,45 +79,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class _Step(NamedTuple):
     """One step's geometry relative to its window, the ``span`` frames
-    that end at its horizon: a row is a frame less the window's start.
-    The step before's coarse rows may lie before the window, below 0."""
+    that end at its horizon, which is also its concealment window: a row
+    is a frame less the window's start. The step before's coarse rows may
+    lie before the window, below 0."""
 
     span: int
     due: range           # rows the step finalizes
     coarse: range        # rows whose coarse layers the step carries
     cells: np.ndarray    # their coarse cells
     prev: np.ndarray | None  # the step before's coarse cells; None first
-    cond: Conditions     # of the fine slice, in rows
-    query: MaskedQuery | None  # coding query of the fine slice over zeros
-    conceal: range       # concealment window
+    fine: np.ndarray | None  # the due rows' fine cells; None without any
 
 
 @functools.lru_cache(maxsize=256)
-def _step_plan(n_coarse: int, n_layers: int, level: int, span: int,
-               due: range, coarse: range, prev: range | None,
-               cond: Conditions, win: range) -> _Step:
+def _step_plan(n_coarse: int, level: int, span: int, due: range,
+               coarse: range, prev: range | None) -> _Step:
     """The plan of one relative step geometry, shared by every step and
     stream that has it. Its own cache, so that nothing else evicts it."""
     layers = range(n_coarse)
     cells = _read_only(_cells(coarse, layers))
     if prev is not None:
         prev = _read_only(_cells(prev, layers))
-    query = None
-    if level > n_coarse:
-        fine = _cells(due, range(n_coarse, level))
-        zeros = np.broadcast_to(np.int32(0), (span, n_layers))
-        query = MaskedQuery(zeros, [cond.view(fine)])
-    return _Step(span, due, coarse, cells, prev, cond, query, win)
+    fine = (_read_only(_cells(due, range(n_coarse, level)))
+            if level > n_coarse else None)
+    return _Step(span, due, coarse, cells, prev, fine)
 
 
 class _Steps:
     """Step plans of one stream end, each with the first frame of its
     window.
 
-    A step's window starts at the first frame its coding conditions,
-    concealment window or due frames name. From the third step on, once
-    a live step's window starts past frame 0, no frame range is clamped
-    at either end, so every later live step is the same plan ``stride``
+    A step's window is its concealment window, which starts at or
+    before its first due frame. From the third step on, once a live
+    step's window starts past frame 0, no frame range is clamped at
+    either end, so every later live step is the same plan ``stride``
     frames on."""
 
     def __init__(self, gos: GosConfig, cfg: StreamConfig, level: int):
@@ -149,16 +126,12 @@ class _Steps:
             j, base, plan = self._steady
             return base + (i - j) * cfg.stride, plan
         due, horizon = stream_step(i, cfg, total)
-        cond = stream_conditions(i, cfg, self.gos.n_coarse, total)
-        win = max(0, horizon + 1 - cfg.conceal_context)
-        base = min(cond.lo, win, due.start)
+        base = max(0, horizon + 1 - cfg.conceal_context)
         plan = _step_plan(
-            self.gos.n_coarse, self.gos.n_layers, self.level,
-            horizon + 1 - base, _shift(due, -base),
+            self.gos.n_coarse, self.level, horizon + 1 - base,
+            _shift(due, -base),
             _shift(stream_coarse(i, cfg, total), -base),
-            _shift(stream_coarse(i - 1, cfg, total), -base) if i else None,
-            cond._replace(lo=cond.lo - base, hi=cond.hi - base),
-            range(win - base, horizon + 1 - base))
+            _shift(stream_coarse(i - 1, cfg, total), -base) if i else None)
         if total is None and i >= 2 and base > 0:
             self._steady = i, base, plan
         return base, plan
@@ -168,11 +141,11 @@ class _Frames:
     """Frames ``[lo, hi)`` of a stream in the first rows of preallocated
     ``arrays``: frames enter at ``hi``, and those before ``lo`` are
     forgotten, so holding a window never grows with the stream. There are
-    ``window_frames`` + 2 * stride + lookahead rows: a window, the frames
-    a sender may hold past its horizon, and room to take more in."""
+    ``conceal_context`` + 2 * stride + lookahead rows: a window, the
+    frames a sender may hold past its horizon, and room to take more in."""
 
     def __init__(self, cfg: StreamConfig, n_layers: int, *dtypes):
-        cap = window_frames(cfg) + 2 * cfg.stride + cfg.lookahead
+        cap = cfg.conceal_context + 2 * cfg.stride + cfg.lookahead
         self.arrays = [np.zeros((cap, n_layers), dtype=d) for d in dtypes]
         self.lo = self.hi = 0
 
@@ -300,9 +273,9 @@ class StreamSender:
                 (0, base + c.start, len(c)),
                 tokens[c.start:c.stop, :self.gos.n_coarse].ravel()))
         due = range(base + plan.due.start, base + plan.due.stop)
-        if plan.query is not None:
-            packets += self._tx.fine(plan.query.over(tokens),
-                                     [(1, due.start, len(due))])
+        if plan.fine is not None:
+            packets += self._tx.fine(tokens,
+                                     [((1, due.start, len(due)), plan.fine)])
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)
@@ -312,9 +285,10 @@ class StreamSender:
 class StreamReceiver:
     """Mirrors StreamSender step by step; frames come out finalized.
 
-    Holds the window of its last step, at most ``window_frames`` frames,
-    and the releases, which ``result`` joins. ``conceal_fine_layers`` is
-    accepted and has no effect: fine cells are never predicted.
+    Holds the window of its last step, at most ``conceal_context``
+    frames, and the releases, which ``result`` joins.
+    ``conceal_fine_layers`` is accepted and has no effect: fine cells are
+    never predicted.
     """
 
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
@@ -371,8 +345,8 @@ class StreamReceiver:
         def slot_of(p):
             frames = range(p.first_frame, p.first_frame + p.n_frames)
             if p.group:
-                ok = plan.query is not None and frames == due
-                return (plan.query.targets, None) if ok else None
+                ok = plan.fine is not None and frames == due
+                return (plan.fine, None) if ok else None
             if len(own) and frames == own:
                 return plan.cells, plan.prev
             # the one step whose coarse frames can start there: step j >= 1
@@ -390,16 +364,16 @@ class StreamReceiver:
         self.fec_recovered += place_coarse(
             tokens, states, links, self.vocab, self._released - base)
 
-        if plan.query is not None:
+        if plan.fine is not None:
             self.n_dropped += decode_fine(
-                self.model, plan.query.over(tokens), states,
-                [(copies.get(fine_head, ()), plan.cond)])
+                self.model, tokens, states,
+                [(copies.get(fine_head, ()), plan.fine)])
 
         sl = slice(plan.due.start, plan.due.stop)
         propagate_invalid(states[sl])
         n_predicted, n_blackouts = conceal(
-            self.model, tokens, states, [(plan.conceal, plan.due)], n_coarse,
-            self.level, self._held)
+            self.model, tokens, states, [(range(plan.span), plan.due)],
+            n_coarse, self.level, self._held)
         self.n_predicted += n_predicted
         self.n_blackouts += n_blackouts
         depth = usable_depth(states[sl])

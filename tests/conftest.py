@@ -16,7 +16,6 @@ import pytest
 from hypothesis import settings
 
 import tokenwire as tw
-from tokenwire.dependency import stream_conditions, stream_step
 from tokenwire.errors import DecodeError
 from tokenwire.transport import Packet
 
@@ -106,17 +105,6 @@ def slice_of(sg, packet):
     return next(sid for sid, cells in sg.slices.items()
                 if sid.group == packet.group
                 and cells[0, 0] == packet.first_frame)
-
-
-def stream_conditions_of(cfg, n_frames, n_coarse):
-    """The Conditions of every frame of an ``n_frames`` stream: those of
-    the step that finalizes it, as both ends derive them."""
-    conds = {}
-    for i in range(-(-n_frames // cfg.stride)):
-        conds.update(dict.fromkeys(
-            stream_step(i, cfg, n_frames)[0],
-            stream_conditions(i, cfg, n_coarse, n_frames)))
-    return conds
 
 
 @functools.lru_cache(maxsize=None)

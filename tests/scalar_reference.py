@@ -29,7 +29,7 @@ library's coder must write the same payloads and read the same symbols.
 
 For the streaming ends: the sender and receiver that keep the whole
 stream, the sender every frame pushed and the receiver every frame up to
-its last horizon, and build each step's cells and coding query afresh.
+its last horizon, and build each step's cells afresh.
 The windowed ends in ``tokenwire.streaming`` must emit the same packets
 and make the same releases, counts and result.
 """
@@ -43,8 +43,7 @@ import scipy.fft
 from tokenwire.context import (PMF_TOTAL, SENTINEL, MaskedQuery, View, beta,
                                encode_key, uniform_pmf)
 from tokenwire.dependency import (propagate_invalid, stream_coarse,
-                                  stream_conditions, stream_step,
-                                  usable_depth)
+                                  stream_step, usable_depth)
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, initial_states
 from tokenwire.pipeline import (SliceSender, admit, conceal, decode_fine,
@@ -115,19 +114,26 @@ def quantize_vector(weights, total=PMF_TOTAL) -> np.ndarray:
     return freq.astype(np.uint32)
 
 
-def reference_pmf(model, key: int, layer: int) -> tuple:
-    """(frequencies, fallback name) of one context key, per key; the
-    layer marginal is summed here from the rows of the layer's keys."""
-    rows = dict(zip(model.keys.tolist(), model.counts))
-    if key in rows:
-        return quantize_vector(rows[key] + model.alpha), "conditional"
+def reference_layer_pmf(model, layer: int) -> tuple:
+    """(frequencies, fallback name) of a cell priced by its layer alone:
+    the layer marginal, summed here from the rows of the layer's keys, or
+    uniform where the layer has none."""
     marginal = np.zeros(model.vocab, dtype=np.int64)
-    for k, row in rows.items():
+    for k, row in zip(model.keys.tolist(), model.counts):
         if k // (model.vocab + 1) ** 3 == layer:
             marginal += row
     if int(marginal.sum()) > 0:
         return quantize_vector(marginal + model.alpha), "marginal"
     return uniform_pmf(model.vocab), "uniform"
+
+
+def reference_pmf(model, key: int, layer: int) -> tuple:
+    """(frequencies, fallback name) of one context key, per key: the
+    key's own row when it was observed, else its layer's."""
+    rows = dict(zip(model.keys.tolist(), model.counts))
+    if key in rows:
+        return quantize_vector(rows[key] + model.alpha), "conditional"
+    return reference_layer_pmf(model, layer)
 
 
 def full_query(tokens, visible, targets, frame_range=None) -> MaskedQuery:
@@ -478,9 +484,8 @@ class ReferenceStreamSender:
                 self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
         fine = _fine_cells(gos, due, self.level)
         if fine is not None:
-            cond = stream_conditions(i, cfg, gos.n_coarse, total)
-            packets += self._tx.fine(MaskedQuery(self._buf, [cond.view(fine)]),
-                                     [(1, due.start, len(due))])
+            packets += self._tx.fine(self._buf,
+                                     [((1, due.start, len(due)), fine)])
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)
@@ -560,11 +565,9 @@ class ReferenceStreamReceiver:
             self._tokens, self._states, links, self.vocab, self._released)
 
         if fine is not None:
-            cond = stream_conditions(i, cfg, n_coarse, total)
             self.n_dropped += decode_fine(
-                self.model, MaskedQuery(self._tokens, [cond.view(fine)]),
-                self._states,
-                [(copies.get((1, due.start, len(due)), ()), cond)])
+                self.model, self._tokens, self._states,
+                [(copies.get((1, due.start, len(due)), ()), fine)])
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])

@@ -38,8 +38,10 @@ def test_install_layers_then_uninstall():
 
 
 def test_hooks_record_the_coding_work():
-    """With the tracer active, a batch round trip and one stream step
-    leave non-zero work under every name the benchmark reports on."""
+    """With the tracer active, a batch round trip that loses one coarse
+    packet and one stream step leave non-zero work under every name the
+    benchmark reports on. Only concealment prices through ``pmf``, so the
+    loss is what reaches it."""
     from tokenwire.context import train_count_model
     from tokenwire.grid import GosConfig, StreamConfig, build_slice_grid
 
@@ -55,8 +57,8 @@ def test_hooks_record_the_coding_work():
         tracer.active = True
         with tracer.span("bench"):
             sg = build_slice_grid(12, gos, 3)
-            packets, _ = pipeline.send_tokens(grid, sg, model)
-            pipeline.receive_tokens(packets, sg, model)
+            packets, _ = pipeline.send_tokens(grid, sg, model, fec=False)
+            pipeline.receive_tokens(packets[1:], sg, model)
             cfg = StreamConfig()
             tx = streaming.StreamSender(gos, cfg, model)
             rx = streaming.StreamReceiver(gos, cfg, model)
@@ -65,7 +67,7 @@ def test_hooks_record_the_coding_work():
         tracer.uninstall()
     stats = tracing.summarize(tracer.take())
     for name in ("rangecoder.encode", "rangecoder.decode", "context.pmf",
-                 "pipeline.send", "pipeline.receive",
+                 "context.predict", "pipeline.send", "pipeline.receive",
                  "streaming.receiver.step"):
         assert name in stats and stats[name].count > 0, name
 

@@ -272,7 +272,7 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
 def test_stream_rejects_a_cadence_the_windows_cannot_cover(ws, tmp_path,
                                                           capsys):
     out = tmp_path / "stream.wav"
-    # gos_len and conceal_window are 6: too short for 4 + 3 frames
+    # conceal_window is 6: too short for 4 + 3 frames
     assert main(["stream", "--config", str(ws["cfg"]), "--codec",
                  str(ws["codec"]), "--model", str(ws["model"]),
                  "--audio", str(ws["audio"]), "--out", str(out),
@@ -289,13 +289,28 @@ def test_vocab_above_the_coder_total_is_refused(tmp_path, capsys):
     cfg.write_text(json.dumps({**CFG, "vocab": 65537, "train_clips": 2731}))
     assert main(["train-codebooks", "--config", str(cfg),
                  "--out", str(tmp_path / "codec.rvq")]) == 2
-    assert capsys.readouterr().err == "error: vocab: must be at most 65536\n"
+    assert capsys.readouterr().err == "error: vocab: must be at most 65535\n"
     assert not (tmp_path / "codec.rvq").exists()
 
 
+def test_vocab_the_artifact_files_cannot_hold_is_refused(tmp_path, capsys):
+    # the coder could price 65536 tokens, but the codec and model files
+    # store vocab in 16 bits: refused before training, not when saving
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({**CFG, "vocab": 65536, "train_clips": 2731}))
+    for argv in (["train-codebooks", "--out", str(tmp_path / "codec.rvq")],
+                 ["train-context", "--codec", str(tmp_path / "codec.rvq"),
+                  "--out", str(tmp_path / "model.ctx")]):
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        assert capsys.readouterr().err == \
+            "error: vocab: must be at most 65535\n"
+    assert not (tmp_path / "codec.rvq").exists()
+    assert not (tmp_path / "model.ctx").exists()
+
+
 def test_config_with_key_unit_is_refused(ws, tmp_path, capsys):
-    # Every fine slice is coded against coarse cells only, and every unit
-    # sends its fine layers in one slice; a config that still names a key
+    # No fine slice is coded against another cell, and every unit sends
+    # its fine layers in one slice; a config that still names a key
     # unit or a count of fine layer groups is refused as naming an unknown
     # field.
     for field in ("key_unit", "n_fine_groups"):

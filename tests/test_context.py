@@ -594,6 +594,16 @@ def test_model_file_round_trip(tmp_path):
     assert len(model_digest(path)) == 64
 
 
+def test_model_file_round_trip_at_the_largest_vocab(tmp_path):
+    # vocab is a 16-bit field; a keyless model holds no records
+    model = CountModel(vocab=65535, n_layers=2)
+    path = tmp_path / "big.ctx"
+    save_count_model(path, model)
+    back = load_count_model(path)
+    assert (back.vocab, back.n_layers, back.alpha) == (65535, 2, model.alpha)
+    assert back.keys.shape == (0,) and back.counts.shape == (0, 65535)
+
+
 def test_model_file_integrity_check(tmp_path):
     model = CountModel(vocab=4, n_layers=2)
     path = tmp_path / "m.ctx"

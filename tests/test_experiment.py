@@ -45,7 +45,8 @@ def test_config_defaults_round_trip():
     ({"key_unit": 0}, "key_unit: unknown field"),
     ({"vocab": 1}, "vocab"),
     ({"train_clips": 1, "clip_frames": 1, "vocab": 64}, "train_clips"),
-    ({"vocab": 65537, "train_clips": 2731}, "vocab: must be at most 65536"),
+    ({"vocab": 65537, "train_clips": 2731}, "vocab: must be at most 65535"),
+    ({"vocab": 65536, "train_clips": 2731}, "vocab: must be at most 65535"),
 ])
 def test_config_errors_name_the_field(data, path):
     with pytest.raises(ConfigError, match=path):
@@ -53,9 +54,11 @@ def test_config_errors_name_the_field(data, path):
 
 
 def test_vocab_up_to_the_coder_total_is_accepted():
-    # 2731 clips of 24 frames seed the 65535 trainable entries
-    assert config_from_dict({"vocab": 65536, "train_clips": 2731}).vocab \
-        == 65536
+    # the codec and model files hold vocab in 16 bits, one token short of
+    # the coder's total; 2731 clips of 24 frames seed the 65534 trainable
+    # entries
+    assert config_from_dict({"vocab": 65535, "train_clips": 2731}).vocab \
+        == 65535
 
 
 def test_config_error_carries_the_path():

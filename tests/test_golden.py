@@ -3,8 +3,9 @@
 Each scenario runs a fixed, seeded token grid through a drop-only channel
 and pins the SHA-256 of what it produced: the wire bytes, the sender's bit
 accounting, the received tokens and states, and the receiver's report (for
-streams: every release plus the receiver's counters). A refactor of the
-transceiver must leave every digest unchanged. The channels only drop
+streams: every release plus the receiver's counters). Every RECEIVED cell
+must equal the sent token. A refactor of the transceiver must leave every
+digest unchanged. The channels only drop
 whole packets, so the outcome never depends on how an undecodable payload
 is classified. The count model the scenarios share is pinned too, by the
 SHA-256 of its model file, so training must count the same contexts.
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from tokenwire.context import model_digest, save_count_model, train_count_model
-from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, build_slice_grid
+from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
+                            build_slice_grid)
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender
 from tokenwire.synthetic import TokenSource, random_transition, sample_tokens
@@ -28,6 +30,7 @@ N_LAYERS = 8
 GOS = GosConfig(12, 3, 2, 8)
 GOS_UNITS4 = GosConfig(12, 4, 2, 8)
 N_FRAMES = 60
+R = int(TokenState.RECEIVED)
 
 # batch layouts: (group-of-slices layout, encode level, frames)
 BATCH = {
@@ -114,6 +117,8 @@ def run_batch(model, grid, layout: str, channel: str) -> dict:
     got, states, rrep = receive_tokens(arrived, sg, model)
     if channel == "blackout":
         assert rrep.n_blackouts >= 1
+    received = states == R
+    np.testing.assert_array_equal(got.tokens[received], tokens[received])
     return {
         "wire": _sha(b"".join(wire)),
         "sender": _sender(srep),
@@ -130,10 +135,10 @@ STREAMS = {
     "default": StreamConfig(),
     "stride1": StreamConfig(stride=1, lookahead=0, coding_context=6,
                             conceal_context=6),
-    # coding context reaches past the concealment window
+    # a short concealment window; coding_context has no effect
     "wide": StreamConfig(stride=2, lookahead=1, coding_context=12,
                          conceal_context=4),
-    # the shortest coding context: exactly stride + lookahead frames
+    # the shortest windows: exactly stride + lookahead frames
     "tight": StreamConfig(stride=2, lookahead=2, coding_context=4,
                           conceal_context=4),
 }
@@ -163,6 +168,8 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
     got, states = rx.result()
     if channel == "blackout":
         assert rx.n_blackouts >= 1
+    received = states == R
+    np.testing.assert_array_equal(got.tokens[received], grid.tokens[received])
     return {
         "wire": _sha(b"".join(wire)),
         "sender": _sender(tx.report),
@@ -177,242 +184,242 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
 
 GOLDEN = {
     "batch/8/lossless": {
-        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
-        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
+        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
+        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/8/0.1": {
-        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
-        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
-        "received": "3cc52b5ca70138e25229331b0f6725786a47440f8fa0441bdbf11f3538c83d85",
-        "receiver": "5b7f282d1b811ac128f6e0c0aa72cc46dc925a4b4cd3b40cca58519fee591245",
+        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
+        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
+        "received": "446b1f515304de7e4780407140bd725afb5798c7601e9a0822b4240c941f7532",
+        "receiver": "56b2b26cc3d7f4fe286f881110a1df3f2c325fa4838e2e89097a7ae4d4d96d08",
     },
     "batch/8/0.3": {
-        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
-        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
-        "received": "6b18aae97b03a01a819d93087a8163b0a549b94dd8904386c970a4a758fd6d68",
-        "receiver": "39653907a94f6736005aa023d2cd6d23f5c903568744d4b771d4b079ab63144a",
+        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
+        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
+        "received": "5c741af863e8938f799877e2f33442a5fba00b8abf5218b2a4bbe8bfd05d9a07",
+        "receiver": "2737f518e120936abd599022c83422e0ce877db49aacfa3a40f2b739e1dbc73b",
     },
     "batch/8/blackout": {
-        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
-        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
-        "received": "d11e573e0f150436b79f12f2c5cc7ea42b78c76c3973a278cd46766ab2a42090",
-        "receiver": "a129e53383e6244faf210e27dfac0d2608a59f7b4ef9a597a04235cc70255225",
+        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
+        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
+        "received": "01ff887f597e0dc1d7d88b4a82d5871cdde4873e604f0ab304ed5a4458f84d48",
+        "receiver": "5b5efae07a15d04aa1c1d255ce6adf61e603506d244defe35ad8e3ef56947de4",
     },
     "batch/8/markov": {
-        "wire": "49673194625640fc157b8e10d59a5cd8fef7013064ac34c3c8cbc3f118789bba",
-        "sender": "f1d5f68b1a856bef70543f8730da7a176b6231966828edfae34eca99dbdd86a2",
+        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
+        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
         "received": "54928d8594347481d40e6fb60b54386ccf1e201327ec1fba23e8934ee955a252",
         "receiver": "0cdc00d7009cc7ef2a0ec57d4c8fde6a5e92ba82dcae56728c92dbe84a2b7588",
     },
     "batch/5/lossless": {
-        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
-        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
+        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
+        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
         "received": "a8faf11c753db5487f1134f670fcdb5307be9bc63b76b49fc7db23a84dcc136d",
         "receiver": "2c2da278bc7b158602da9e1fda5aead2c21a1faaef864089cb88a1187f4f8fb5",
     },
     "batch/5/0.1": {
-        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
-        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
-        "received": "ee6288d4f63176fbf4d8187c53272d13cdebf92cb12e9afdd36f296ba72e93e6",
-        "receiver": "007ab425d9b13e002420ec9258def61285856633f25524e6e9894bd5f816418c",
+        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
+        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
+        "received": "59a25f1ccda8e665fa0096c91bc5a140dfd17e0ffe1eded2d7fb95fb59295efc",
+        "receiver": "9bd0491c57ff9d290356e2598ca2aac759804706e31eabb440381f926d616654",
     },
     "batch/5/0.3": {
-        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
-        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
-        "received": "0e3fb45f34bd69981cbcff6f29b0af52b1e03fc1ca95ab6a606796d0aa1b7e7d",
-        "receiver": "9b89090cfbacc08014e453d0891ae3c880666af68545616821fd24fc0960ac65",
+        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
+        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
+        "received": "ebbaee62361fb5549ad86aa216d773d8b3c742350979cb45a9f7b49bc2bad31d",
+        "receiver": "537c0b5a4890c761ce7d376e4f4b6c1e15dee736a6d777218150ac796ff05945",
     },
     "batch/5/blackout": {
-        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
-        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
-        "received": "86246d30f63de7c070d9e2b405e878f0a526e2ac7f50f4281444d0b392215928",
-        "receiver": "84d5b703ef1d0245036b38081f5629518e102af46c9c8834d00389549dd0d4f5",
+        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
+        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
+        "received": "a0290a3ebb019ad960852fc4abf386a8bf4177980f3708e58e41b3e45363cdd4",
+        "receiver": "0a792e34eb4ce16b30ca2e4a63b6211973b5800f5151389b3ea82cbe635d670f",
     },
     "batch/5/markov": {
-        "wire": "81089032eb0ff433f0f59e6c4c21d097caca85fa11098ab80f47f2199e9b1961",
-        "sender": "5eefcad235be76375d95daaaab37a8e7ec4d7c6c933775388f4d35097d54b629",
+        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
+        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
         "received": "4db5e75f29f36ddb059549831d15fdf3d31c3fb2b0d267b5b4368784e2e996bf",
         "receiver": "2f19615a31b8b197118408d9d6f0d5cd4cd5430f400daaf803fcada024f7b7f1",
     },
     "stream/default/lossless": {
-        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
-        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
+        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.1": {
-        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
-        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
+        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.3": {
-        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
-        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
+        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
         "received": "df55137803d48fef7638403d0a217c76e31b81b8f70a0b44e1b269fdf1227ec7",
         "receiver": "e291c44ca34de30e9ef2fe11d29cf2382256ea6712db8db7832c88239c276154",
     },
     "stream/default/blackout": {
-        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
-        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
-        "received": "020254e5e195240afe82be663396259da01d3d6ab7c4cb5171f386a3cddf19ac",
-        "receiver": "1fd0c2d20607a9130bee99b1795230e12c4739bb7dfc798c638ae1120db83048",
+        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
+        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
+        "received": "15b3b50561f1dec1c87651ef2050e305ad900442a6bca5229aa14e76f87c9ad9",
+        "receiver": "5e674b856c665befc1bfea00a28cdf7b3aaef60c514d38aa96d9463d54071b26",
     },
     "stream/default/markov": {
-        "wire": "0bb2da6dfc93a2fbf4e6211300bbec3e3ccb0de0100a314acc1f1324723aa809",
-        "sender": "3fc436279a2680a14874d7eaff2127418a6572672241bcfd08ceb0af13d33117",
+        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
+        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
         "received": "2f4ff130a73f6b8bcd7da5a2751e0aeafe201c938cf20c961476366a542bf7be",
         "receiver": "27ee822660a68a3b1f0a6e5cabffcb9012abdeaaee0547253539653bd0b5ed0f",
     },
     "stream/stride1/lossless": {
-        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
-        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
+        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
+        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "a86118c02a088cb8ae750eac7c310e69807b6d8fa7341f3a45d4478941bd946e",
     },
     "stream/stride1/0.1": {
-        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
-        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
-        "received": "a79b9697a8a975bd39d0b562a6ec77e524967212935bdcad85ba849ad468d568",
-        "receiver": "837a4aabda03bd6727501e4580d612668bf80840069d82a62ab411af76481d41",
+        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
+        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
+        "received": "d4438c4ca00d5b8966560b3442cc19b3bd78f87406f823be3be228eadaa1b6f4",
+        "receiver": "da004989947cefe7ab7a10826e408913573c1eec9b1726538f066780c9bb05a0",
     },
     "stream/stride1/0.3": {
-        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
-        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
-        "received": "5ca6a3d03fd05d6dd40f66416de45857f28be4641f0daf2c2f9f539384535502",
-        "receiver": "0bd3bf417f5f0d5f2ade6f50a7313ddd430182f2e12421031ff64e177b893080",
+        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
+        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
+        "received": "cbba4d09987c79bf433bd732ba684020b2b7fc07fcf5a9af1c4a85c4aa37d580",
+        "receiver": "073c8ea721c2f4f0f4153b1c0242735eae3a507d8bd1baaaf188318fe5143411",
     },
     "stream/stride1/blackout": {
-        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
-        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
-        "received": "f54f3aad7c8572afab68741c35687080611b60fb0b6c21e1dde525894feace35",
-        "receiver": "bf17abbb02f3a473c84dadbc9e4f45b35b5f05772b4aaa1df2f2b6080db2ab25",
+        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
+        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
+        "received": "89a863f2ab20e1b38fbebb3fb53593175786991e9757fcce442f5491b5309ced",
+        "receiver": "6255624bcddb29b2c949438bf11b69c46a270d99b80e3c7d66eb785e69c8e4d8",
     },
     "stream/stride1/markov": {
-        "wire": "4a23f8c2452293f509e582cc82cf227edb44055e05daa7548e3343699ce29333",
-        "sender": "a8220eba656acf451ddc455fe50320b6656d000693c1fc5dd85d6e53217ef402",
-        "received": "c79e52e857a954e9567c4250a85f1e4108ed4a20fe8a38da642d41bc3ef01d4d",
-        "receiver": "798cbd2710e49b5f2ff1409f918860801fdbe0edef1c39aba96efdfe47c4c867",
+        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
+        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
+        "received": "5c5bbd1baf84facdf76ea86443e0c04003839725b00f6015d68793de3f93fd01",
+        "receiver": "27d897698355849ca0178bcbf92cf5faa0a5c85da2632ad89d3d95511a176707",
     },
     "stream/wide/lossless": {
-        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
-        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
+        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
+        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "5edc1bf03ce1428c1d60900fc2eef7a702944ef957c9dbdd789829c26dd375b7",
     },
     "stream/wide/0.1": {
-        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
-        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
+        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
+        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
         "received": "64af5901f8521577e68fd9832aacae04b3a22c430dda7be3a6227337651ea94e",
         "receiver": "9d1bc7e4c5b686b74e39845cbde9f587532fa3dedfd6775efc3acb16abe9bb3a",
     },
     "stream/wide/0.3": {
-        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
-        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
-        "received": "6dabe842fecaa893138eb5950800527ab55a4ea9f5207393dc467a9b82c5efff",
-        "receiver": "623728cf5fc42bca7eccb17dc8b7b4bcf234ac84eb8f5b68232c8c0a25ee1fac",
+        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
+        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
+        "received": "56ff8f9d24a76222c31e3f4c2a7c09990b8f7cc984949c60bb847127f4476ae7",
+        "receiver": "53be5249e49b49a2eae67c4034b9f686811e61521307f2305f2f75b65ad13d54",
     },
     "stream/wide/blackout": {
-        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
-        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
-        "received": "0e5d7e79e6d4ad3a19febe177f1588ed392d52592f0a540c72d82ff0b21b2f2b",
-        "receiver": "703681f00143d5c1383ef84e4fd691ed41d06a7d38caea2363f97a227bf5ddce",
+        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
+        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
+        "received": "76222840a7ec8a998adc8cf33d60169772d95168d68b546703778ccef1da34f2",
+        "receiver": "cde983a3a0763136cd2cc5bd505133796ae4fe0ac0f0b1bda0ca6cca1dedc7cc",
     },
     "stream/wide/markov": {
-        "wire": "693245bb15c7a5cd373253dfcdad0dca70188adfae5f7606ffde886b30633ba2",
-        "sender": "59c33488b16f7a24aca1017f6e0055398f1ebcc7b5aae64b7222f878132ff82e",
-        "received": "aeebdbda82b4545ffdee23ba097ccb65af2bcb323f550d1757903cb65fde7be7",
-        "receiver": "f9c0fbe4777512151961d13ee2e36f1fed7b55cedbaab9c2a1f49a49adc51e2e",
+        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
+        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
+        "received": "0c214676a1a168b168b3116987805c4400dd8511aeb92eb570c15c12346b6b56",
+        "receiver": "f59bd39b69f9d1c200f0eeb61c02cb6463118b166d9ef83972fcb148c954dc7d",
     },
     "batch/units4/lossless": {
-        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
-        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
+        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
+        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/units4/0.1": {
-        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
-        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
+        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
+        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
         "received": "05ba2b78a71cbd91d26ccf7ea72e42eab53108e12885314bc48f4bdf3ee716b8",
         "receiver": "2f8fddf5f0f6fc2c63c3ec477130d671dd07a591a14a57d21a37564eeff02835",
     },
     "batch/units4/0.3": {
-        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
-        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
-        "received": "b06fc3f1de850ec8b001b43a7072f5189cc8718a03ea30581d459bc3926a24d0",
-        "receiver": "0653cf0b9d0dcfcc75019ccb1e43aa5ed0851dc62b5f32a0e07445c0d7c9caa3",
+        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
+        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
+        "received": "c6ff3e33c397a88f10e683e43ca7923f5d19cac05d563d21ea92ce45301faaaf",
+        "receiver": "e25a721a1d0e4ff1e01aa3f890a62a52cee2a1b16961206c154b279aea8a9b30",
     },
     "batch/units4/blackout": {
-        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
-        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
-        "received": "fca451dcfc750e974c9fcaee002473bab9e001217fcc4580f8c357c328a5e73b",
-        "receiver": "e9f47829083b080adb87c675bc96fff350e9d3353c4420eb4e316f0a4170fc39",
+        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
+        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
+        "received": "803a7e1c496046ed1112f3e47aec00cba35f822f24d7c79e9813da32aa52126c",
+        "receiver": "a31da021fbcf8cca422efe238d3ba44f8e42a28876062e0e9b2156baeaf83356",
     },
     "batch/units4/markov": {
-        "wire": "922ae0ae8cd3366d9dad50ebdf7b00c63e5d04abbafd9099fc78185fc95603ad",
-        "sender": "fb7174fa4a1f71ce61cfb5f1111593d5456f23a06a951e734ca560b82a3eacce",
+        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
+        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "6537a355c3839fc9fa6834375c492b92fbd7cdac19fdcf40f707d88530255e09",
     },
     "batch/tail/lossless": {
-        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
-        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
+        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
+        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
         "received": "f26e2fdfebc72e840a83417b5f84ba8ebb7e350c10fcc722456fe96e0afad58a",
         "receiver": "1d9dc9765a312b9cc731f798a851eee7df261563bf99a9fff49b0cd6cc51084e",
     },
     "batch/tail/0.1": {
-        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
-        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
-        "received": "3a515985a109ce5e9c568e09db3a2fd9911de8477c8fd738735dc0337879d1b6",
-        "receiver": "8be663c580af629b4252b468c03e92ac1c73650d0d27c78773c619e108fda4dd",
+        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
+        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
+        "received": "179b8c5ee015a70e22d2936e58f98d8f6b1de554166870460dc358a83849c6e7",
+        "receiver": "c85d5b002c77554cd2efccfb09337942b3d2d60e886b4481c29107cc7c9a603a",
     },
     "batch/tail/0.3": {
-        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
-        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
-        "received": "a58d1880c2e5f1d1bf7d71f00931ba2e24251cda652765c785c85b007cc9819e",
-        "receiver": "c3c8ab63f60a64b1a5f3fb8bb611fbbf279d1b57049d508ce5633bc8e5d34dc7",
+        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
+        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
+        "received": "7ec1e1c518e722d10e4cf41ed1ae98c08549c733e0e6d8545f0b3bea6836bb6a",
+        "receiver": "8f7773c1c659e94fcb76e3532508709ffa7e2b16b9c9eaa082f96e6a3739d601",
     },
     "batch/tail/blackout": {
-        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
-        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
-        "received": "b537629a43338c0bf554b55844901c4be91350659e83f02f7b855bb1b7f9312f",
-        "receiver": "b13d85a990a56658b507121ee3c65b67672b57d72f4d4a20fabd897a8369355e",
+        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
+        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
+        "received": "db8dfcdf921b67aa67ac9ad05d84b628169d1bcba5e4e5c874d48bc95d492d74",
+        "receiver": "a33ade65463b0e3896dc2589bcc6c8dbb938e0bc10712d9562914f3692939935",
     },
     "batch/tail/markov": {
-        "wire": "6fb9e236d2cba100964be4150b3e3bc134ebdf28ec7f1601623ca904c735d1b2",
-        "sender": "3dcf166b77067cd73b0d199f8cbcd729878b1cff494414cf0eae439975613821",
+        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
+        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
         "received": "bf6b1a74c93b413e9c5f0ad037c2d1d2f5e041af5c260836a72b06aa3ff4bfec",
         "receiver": "aff787a46be789a4e277a3205480c26e807fc4c869c08f5a90d611ab8b613b27",
     },
     "stream/tight/lossless": {
-        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
-        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
+        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
     },
     "stream/tight/0.1": {
-        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
-        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
+        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
         "received": "64af5901f8521577e68fd9832aacae04b3a22c430dda7be3a6227337651ea94e",
         "receiver": "b30c90b208d386a493affaf839ba307a8015c2addd1216f52c20bbb4b2789944",
     },
     "stream/tight/0.3": {
-        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
-        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
+        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
         "received": "720014fb0637d8a8d2aaeeb1602b6c4494f359a0fbf4200fc95f5bbf5f8f33d5",
         "receiver": "0f95832e8129cd35cdd5c204add4b561f983dc24272da89b9221657a8d4adf64",
     },
     "stream/tight/blackout": {
-        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
-        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
-        "received": "1394e79c67cbe42915a0b8c96bdfbfff9877965a9af375f9946bea22d4f31e21",
-        "receiver": "3494aee47243712985e7d3845ff1a3028d745ad76fe71fe6b3f159c4c595b7d1",
+        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
+        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
+        "received": "10d388b18e778ae830895b3c42803eb39023e18101ece751bfeec55787b05bb3",
+        "receiver": "500a4e8cfcde3325aca339d9d2bd8bdfa9354c24a33b5c2fe07e9bb7828a0312",
     },
     "stream/tight/markov": {
-        "wire": "bcdf810b9868a18b91b10e57097c2a61ab20ea002f4de16935b7b2c765c82c25",
-        "sender": "210974ee3a10688f509b60c68498b6074287852e090270232390e2bd53e5742a",
+        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
+        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
         "received": "bbf59a31e892cff5eada7acfc91d03ad604f2e7e8c6d80776daeba7f0e643140",
         "receiver": "581170c8b807439a015d3ab4ee299ce2ef9b8ee8913cc7d47cca47913d0103e0",
     },

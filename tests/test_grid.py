@@ -16,10 +16,8 @@ from tokenwire.grid import (
     periodic_slicing,
 )
 from tokenwire.context import UniformModel
-from tokenwire.dependency import slice_conditions
 from tokenwire.errors import ConfigError
 from tokenwire.streaming import StreamSender
-from conftest import stream_conditions_of
 
 
 def assert_partition(sg):
@@ -202,9 +200,6 @@ def test_emission_order_streaming():
     # no frame, only the fine packet of the remaining due frames.
     assert [(p.first_frame, p.n_frames, p.group) for p in packets] == \
         [(0, 5, 0), (0, 3, 1), (3, 2, 1)]
-    # Each step's fine slices are coded against coarse layers only.
-    assert {c.n_coarse for c in stream_conditions_of(cfg, 5, 1).values()} \
-        == {1}
 
 
 def test_level_truncation_drops_upper_groups():
@@ -234,18 +229,14 @@ def test_tail_gos_is_shorter():
 
 
 def test_slice_of_and_key_lookup():
-    """A slice's cells, and its Conditions looked up by frame."""
+    """A slice's cells, looked up by its id."""
     gos = GosConfig(6, 3, 1, 3)
     sg = build_slice_grid(9, gos, 3)
     assert sg.slices[SliceId(0, 1, 0)].tolist() == [[0, 0], [3, 0]]
     assert sg.slices[SliceId(0, 2, 1)].tolist() == [[1, 1], [1, 2],
                                                     [4, 1], [4, 2]]
-    conds = slice_conditions(sg)
-    # Every frame's fine slices are coded against the coarse layer of its
-    # group-of-slices, the tail one included; one group shares one value.
-    assert sorted(conds) == list(range(9))
-    assert {conds[t] for t in range(6)} == {(0, 6, 1)}
-    assert {conds[t] for t in range(6, 9)} == {(6, 9, 1)}
+    # the tail group-of-slices holds frames 6-8, one per unit
+    assert sg.slices[SliceId(1, 3, 1)].tolist() == [[8, 1], [8, 2]]
 
 
 def test_build_slice_grid_validation():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.context import CountModel, MaskedQuery, UniformModel
-from tokenwire.dependency import slice_conditions
+from tokenwire.context import UniformModel, train_count_model
 from tokenwire.grid import (
     GosConfig,
     SliceId,
@@ -104,9 +103,14 @@ def test_last_coarse_has_no_repair():
                                        sg, model)
     assert rrep.fec_recovered == 0
     # Unit 3 of the second group covers frames 8 and 11; their coarse is
-    # gone for good and concealment steps in.
-    assert rrep.n_predicted == 2
+    # gone for good and concealment steps in. Only those two frames are
+    # damaged: frame 8's window takes the clean frames around it, so frame
+    # 11's window is that frame alone, with no coarse cell received, and
+    # is held as a blackout.
+    assert rrep.n_predicted == 1 and rrep.n_blackouts == 1
     assert states[8, 0] == C and states[11, 0] == C
+    assert (states[[8, 11], 1:] != R).all()
+    assert (np.delete(states, [8, 11], axis=0) == R).all()
 
 
 def test_fec_off_leaves_coarse_lost():
@@ -125,9 +129,12 @@ def test_fec_off_leaves_coarse_lost():
         assert states[t, 0] == C
         assert (states[t, 1:] == I).all()
         assert got.level[t] == 1
-    # Remaining frames decoded their coarse but their fine slices were
-    # conditioned on the lost coarse, so they are invalid too.
-    assert got.level[0] == 1
+    # The other frames' slices depend on no cell of unit 2: they decode
+    # in full.
+    for t in (0, 2, 3, 5):
+        assert (states[t] == R).all()
+        assert got.level[t] == 3
+        np.testing.assert_array_equal(got.tokens[t], grid.tokens[t])
 
 
 def test_lost_fine_slice_costs_only_its_own_cells():
@@ -248,10 +255,10 @@ def test_receive_rejects_bad_packets():
 def test_unusable_packets_are_dropped_like_losses(data):
     """Whatever the model, the drop mask and the order of arrival:
     duplicates, foreign heads, wrong extents, out-of-vocabulary coarse
-    payloads, unreadable copies of delivered fine packets and records
-    that do not parse (None) added to a delivery never raise, leave the
-    decode as it was without them, and are each counted once in
-    ``n_dropped``. Records damaged under a recomputed CRC parse and may
+    payloads, unreadable copies of any sent fine packet, delivered or
+    lost, and records that do not parse (None) added to a delivery never
+    raise, leave the decode as it was without them, and are each counted
+    once in ``n_dropped``. Records damaged under a recomputed CRC parse and may
     decode to wrong tokens, but the receiver takes them without raising
     and its states still partition the encoded cells."""
     n_frames = data.draw(st.integers(1, 20), label="n_frames")
@@ -268,7 +275,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
                               max_size=len(packets)), label="keep")
     arrived = [p for p, k in zip(packets, keep) if k]
     coarse = [p for p in packets if p.group == 0]
-    arrived_fine = [p for p in arrived if p.group]
+    sent_fine = [p for p in packets if p.group]
     junk = []
     for _ in range(data.draw(st.integers(0, 6))):
         kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
@@ -291,10 +298,9 @@ def test_unusable_packets_are_dropped_like_losses(data):
             p = data.draw(st.sampled_from(coarse))
             junk.append(Packet(0, p.first_frame, p.n_frames,
                                pack_bits([15] * p.n_frames, 4), p.fec))
-        elif kind == "fine" and arrived_fine:
-            # no canonical payload ends in a zero byte; a copy of a lost
-            # packet would be unreadable only where its slice is decodable
-            p = data.draw(st.sampled_from(arrived_fine))
+        elif kind == "fine" and sent_fine:
+            # no canonical payload ends in a zero byte; every copy is read
+            p = data.draw(st.sampled_from(sent_fine))
             junk.append(Packet(1, p.first_frame, p.n_frames,
                                p.payload + b"\x00"))
         elif kind == "garbled":
@@ -421,36 +427,28 @@ def test_state_counts_partition_cells():
 
 def test_trained_model_beats_uniform_on_structured_tokens():
     """A count model fitted to the token stream should shrink fine payloads
-    well below the uniform baseline on highly regular grids."""
+    well below the uniform baseline when each fine layer keeps to a few
+    tokens, which its layer row prices."""
     rng = np.random.default_rng(32)
     T = 60
     tokens = np.zeros((T, 3), dtype=np.int64)
-    # a periodic coarse motif; the fine layers follow from the coarse cells
-    # the coding view shows
     tokens[:, 0] = rng.integers(0, 16, size=4)[np.arange(T) % 4]
-    tokens[:, 1] = (tokens[:, 0] + 1) % 16
-    tokens[:, 2] = (3 * tokens[:, 0]) % 16
+    tokens[:, 1] = np.where(np.arange(T) % 4 == 0, 6, 5)
+    tokens[:, 2] = np.where(np.arange(T) % 2 == 0, 3, 11)
     grid = TokenGrid(tokens, np.full(T, 3), 16)
     sg = build_slice_grid(T, GOS, 3)
-
-    model = CountModel(vocab=16, n_layers=3)
-    conds = slice_conditions(sg)
-    for sid, cells in sg.slices.items():
-        if sid.group > 0:
-            q = MaskedQuery(grid.tokens,
-                            [conds[int(cells[0, 0])].view(cells)])
-            model.observe(q, grid.tokens[cells[:, 0], cells[:, 1]])
+    model = train_count_model([grid], 16, 3, 1, epochs=4)
 
     _, rep_count = send_tokens(grid, sg, model)
     _, rep_uni = send_tokens(grid, sg, UniformModel(16))
     # Payloads are whole bytes, so the model's gain shows up cleanly in
     # ideal bits and only partially in packed bits: each 4-symbol slice
     # costs the uniform model exactly its 16 ideal bits, two bytes, and
-    # the model must save whole bytes. With one unit per group-of-slices,
-    # under the same conditions, a slice holds 12 symbols.
+    # the model must save whole bytes. With one unit per group-of-slices
+    # a slice holds 12 symbols.
     assert rep_count.ideal_fine_bits < 0.5 * rep_uni.ideal_fine_bits
     assert rep_count.fine_bits < rep_uni.fine_bits
-    assert rep_count.fallback_counts.get("conditional", 0) > 0
+    assert rep_count.fallback_counts == {"marginal": 2 * T}
     sg1 = build_slice_grid(T, GosConfig(6, 1, 1, 3), 3)
     _, rep_count1 = send_tokens(grid, sg1, model)
     _, rep_uni1 = send_tokens(grid, sg1, UniformModel(16))

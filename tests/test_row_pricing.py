@@ -1,7 +1,9 @@
-"""Row pricing: every query the transceiver makes is priced as row indices
-into the model's one compiled table. Those rows and their fallback kinds
-equal the scalar reference's, prediction reads the rows' modes, and the
-range coder codes through the rows without copying them."""
+"""Row pricing: everything the transceiver prices, fine slices by their
+layers and concealment queries by their contexts, is priced as row
+indices into the model's one compiled table. Those rows and their
+fallback kinds equal the scalar reference's, prediction reads the rows'
+modes, and the range coder codes through the rows without copying
+them."""
 
 import functools
 
@@ -9,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import reference_key
+from scalar_reference import reference_key, reference_layer_pmf
 from tokenwire.context import (FALLBACKS, CountModel, MaskedQuery,
                                UniformModel, _mode, cumulative,
                                train_count_model, uniform_pmf)
@@ -45,17 +47,18 @@ def trained(vocab: int, n_layers: int, n_coarse: int, seed: int) -> CountModel:
                              epochs=int(rng.integers(1, 4)), seed=seed)
 
 
-def batch_query(data, gos, rng, vocab):
-    """The coding query of a random batch layout."""
+def batch_slices(data, gos, rng, vocab):
+    """(tokens, fine slices' cells) of a random batch layout."""
     n_frames = data.draw(st.integers(1, 20), label="n_frames")
     level = data.draw(st.integers(gos.n_coarse + 1, gos.n_layers),
                       label="level")
-    query = _layout(build_slice_grid(n_frames, gos, level)).query
-    return query.over(structured(rng, query.tokens.shape, vocab))
+    plan = _layout(build_slice_grid(n_frames, gos, level))
+    return (structured(rng, (n_frames, gos.n_layers), vocab),
+            [cells for _, cells in plan.fine])
 
 
-def stream_query(data, gos, rng, vocab):
-    """The coding query of a random stream step."""
+def stream_slices(data, gos, rng, vocab):
+    """(tokens, the fine slice's cells) of a random stream step."""
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
     span = stride + lookahead
@@ -68,7 +71,7 @@ def stream_query(data, gos, rng, vocab):
     total = data.draw(st.one_of(st.none(),
                                 st.integers(i * stride + 1, 40)))
     _, plan = _Steps(gos, cfg, level)(i, total)
-    return plan.query.over(structured(rng, plan.query.tokens.shape, vocab))
+    return structured(rng, (plan.span, gos.n_layers), vocab), [plan.fine]
 
 
 def conceal_query(data, gos, rng, vocab):
@@ -93,11 +96,12 @@ def conceal_query(data, gos, rng, vocab):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_rows_price_like_the_scalar_reference(data):
-    """Whatever the model, trained, empty or uniform, and whatever query
-    a batch layout, a stream step or concealment makes: ``cum[rows]`` and
-    ``kinds`` equal the per-cell reference, ``predict`` is the mode of
-    each target's row, every query reads the same table, and each view's
-    tokens round-trip through the range coder under its rows."""
+    """Whatever the model, trained, empty or uniform, and whatever a
+    batch layout's or a stream step's fine slices or concealment prices:
+    ``cum[rows]`` and ``kinds`` equal the per-cell reference, a fine
+    token's row is its layer's, ``predict`` is the mode of each target's
+    row, everything reads the same table, and each slice's tokens
+    round-trip through the range coder under its rows."""
     gos = data.draw(st.sampled_from(GOSES), label="gos")
     vocab = data.draw(st.sampled_from([2, 5, 10, 64]), label="vocab")
     kind = data.draw(st.sampled_from(["uniform", "empty", "trained"]),
@@ -110,34 +114,47 @@ def test_rows_price_like_the_scalar_reference(data):
         model = trained(vocab, gos.n_layers, gos.n_coarse,
                         data.draw(st.integers(0, 3), label="model seed"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    source = data.draw(st.sampled_from([batch_query, stream_query,
+    source = data.draw(st.sampled_from([batch_slices, stream_slices,
                                         conceal_query]), label="source")
-    query = source(data, gos, rng, vocab)
-    if query is None:
-        return
-
-    cum, rows, kinds = model.pmf(query)
-    tokens = query.tokens
-    want = []
-    for lo, visible, targets in query.views:
-        full = np.zeros(len(tokens), dtype=np.int64)
-        full[lo:lo + len(visible)] = visible
-        for t, k in targets.tolist():
-            if isinstance(model, UniformModel):
-                want.append((uniform_pmf(vocab), "uniform"))
-            else:
-                want.append(reference_key(model, tokens, full, t, k, lo,
-                                          lo + len(visible))[1:])
+    if source is conceal_query:
+        query = source(data, gos, rng, vocab)
+        if query is None:
+            return
+        tokens = query.tokens
+        cum, rows, kinds = model.pmf(query)
+        want = []
+        for lo, visible, targets in query.views:
+            full = np.zeros(len(tokens), dtype=np.int64)
+            full[lo:lo + len(visible)] = visible
+            for t, k in targets.tolist():
+                if isinstance(model, UniformModel):
+                    want.append((uniform_pmf(vocab), "uniform"))
+                else:
+                    want.append(reference_key(model, tokens, full, t, k, lo,
+                                              lo + len(visible))[1:])
+        np.testing.assert_array_equal(model.predict(query), _mode(cum[rows]))
+        slices = [np.asarray(v.targets) for v in query.views]
+    else:
+        tokens, slices = source(data, gos, rng, vocab)
+        cells = np.concatenate(slices)
+        cum, rows, kinds = model.layer_pmf(cells[:, 1])
+        want = [(uniform_pmf(vocab), "uniform")
+                if isinstance(model, UniformModel)
+                else reference_layer_pmf(model, k)
+                for k in cells[:, 1].tolist()]
+        if isinstance(model, CountModel):
+            np.testing.assert_array_equal(
+                rows, len(model.keys) + cells[:, 1])
     np.testing.assert_array_equal(
         cum[rows], cumulative(np.array([w[0] for w in want])))
     assert [FALLBACKS[c] for c in kinds.tolist()] == [w[1] for w in want]
-    np.testing.assert_array_equal(model.predict(query), _mode(cum[rows]))
-    assert model.pmf(query)[0] is cum
+    assert model.layer_pmf([])[0] is cum
     assert not cum.flags.writeable
 
-    bounds = query.bounds
-    for a, b in zip(bounds, bounds[1:]):
-        cells = query.targets[a:b]
+    a = 0
+    for cells in slices:
+        b = a + len(cells)
         symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
         coded = encode_symbols(*code_ranges(cum, rows[a:b], symbols))
         assert decode_symbols(coded, cum, rows[a:b]) == symbols
+        a = b

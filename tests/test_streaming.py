@@ -12,7 +12,7 @@ from tokenwire.context import CountModel, UniformModel
 from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenState
-from tokenwire.streaming import StreamReceiver, StreamSender, window_frames
+from tokenwire.streaming import StreamReceiver, StreamSender
 from tokenwire.transport import Packet, pack_bits
 
 GOS = GosConfig(6, 3, 1, 3)
@@ -201,7 +201,7 @@ def test_coarse_only_stream_has_no_fine_packets():
 
 
 def test_fine_loss_concealed_at_release_then_context_stays_clean():
-    # Fine slices are coded against coarse cells only, so one lost fine
+    # Fine slices are coded against no other cell, so one lost fine
     # packet costs its own cells, those of its step's due frames, and no
     # later frame's. The lost cells are left out, not guessed.
     T = 18
@@ -302,7 +302,7 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     # the window reaches step 1's horizon, frame 8, and no further, and
     # holds no more than one step's window of frames
     held = rx._frames
-    assert held.hi == 9 and held.hi - held.lo <= window_frames(STREAM)
+    assert held.hi == 9 and held.hi - held.lo <= STREAM.conceal_context
     assert rx.n_dropped == 1
     # The dropped packet changes nothing: the stream carries on losslessly.
     dirty = [list(p) for p in steps]
@@ -375,17 +375,16 @@ def test_out_of_vocabulary_coarse_is_dropped_like_a_loss():
     assert rx.fec_recovered == 1 and rx.n_dropped == 0
     assert releases[2].due == (6, 9) and np.all(releases[2].states == R)
     grid, states = rx.result()
-    # step 1's fine slices were coded against frames 0-5 only, which step
-    # 0 carried, so losing step 1's coarse packet cost nothing
+    # step 1's due frames 3-5 rest on coarse cells step 0 carried, so
+    # losing step 1's coarse packet cost nothing
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R)
 
 
 def test_single_coarse_loss_repaired_before_release():
     # At stride 3 and lookahead 3 the next step's repair copy brings a lost
-    # coarse packet's frames back before any of them is due. The step that
-    # lost it codes its fine slices against the frames up to the previous
-    # horizon, which earlier steps carried, so nothing is lost with it.
+    # coarse packet's frames back before any of them is due, so nothing is
+    # lost with it.
     tokens = make_tokens(48, 15)
 
     def keep(em, p):
@@ -472,10 +471,8 @@ def test_tail_outage_keeps_received_coarse_and_conceals_the_rest():
     grid, states, releases, _, rx = drive(tokens, keep=keep)
     # frames 0..2 arrived intact before the outage
     assert np.all(states[0:3] == R)
-    # frames 3..5: coarse rode step 0, fine was lost with step 1; step 1's
-    # window ends at step 0's horizon, so its fine cells are decodable but
-    # missing: the first fine layer is left out as lost, the one above it
-    # is invalid
+    # frames 3..5: coarse rode step 0, fine was lost with step 1: the
+    # first fine layer is left out as lost, the one above it is invalid
     assert np.all(states[3:6, 0] == R)
     assert np.all(states[3:6, 1] == L)
     assert np.all(states[3:6, 2] == I)
@@ -537,7 +534,7 @@ def test_replay_from_before_the_window_is_placed_like_a_lost_packet():
     dirty = [list(p) for p in steps]
     dirty[15] += [p for p in steps[1] + steps[2] if p.group == 0]
     # step 2's coarse frames end at frame 12
-    assert 12 <= stream_step(15, STREAM)[1] + 1 - window_frames(STREAM)
+    assert 12 <= stream_step(15, STREAM)[1] + 1 - STREAM.conceal_context
     assert_dropped_like_lost(run_steps(dirty, n_live, total),
                              run_steps(steps, n_live, total), 0)
 
@@ -712,8 +709,8 @@ def test_unreadable_copy_does_not_hide_its_coarse_packet():
     steps, n_live, total = emissions(tokens, model, level=2, stream=cfg)
     kw = dict(model=model, level=2, stream=cfg)
     clean = run_steps(steps, n_live, total, **kw)
-    # step 1 carries frame 2's coarse layer, which its first due frame's
-    # fine slice is coded against
+    # step 1 carries frame 2's coarse layer, under its first due frame's
+    # fine layer
     coarse = steps[1][0]
     assert (coarse.group, coarse.first_frame, coarse.n_frames) == (0, 2, 1)
     for payload in (b"", pack_bits([15], 4)):
@@ -746,10 +743,10 @@ def test_unreadable_fine_copy_does_not_hide_its_fine_packet():
 def test_unusable_packets_are_dropped_like_losses(data):
     """Whatever the cadence, level, drops and order of arrival within a
     step: duplicates, foreign heads, wrong extents, late fine packets,
-    out-of-vocabulary coarse payloads and unreadable copies of delivered
-    fine packets added to the steps never raise, leave every release and
-    the result as they were without them, and are each counted once in
-    ``n_dropped``."""
+    out-of-vocabulary coarse payloads and unreadable copies of the step's
+    fine packet, delivered or lost, added to the steps never raise, leave
+    every release and the result as they were without them, and are each
+    counted once in ``n_dropped``."""
     gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5)]))
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
@@ -794,9 +791,10 @@ def test_unusable_packets_are_dropped_like_losses(data):
                 p = lost_coarse[0]
                 junk.append(Packet(0, p.first_frame, p.n_frames, pack_bits(
                     [15] * (p.n_frames * gos.n_coarse), 4), p.fec))
-            elif kind == "fine" and any(p.group for p in keep):
-                # no canonical payload ends in a zero byte
-                p = next(p for p in keep if p.group)
+            elif kind == "fine" and any(p.group for p in packets):
+                # no canonical payload ends in a zero byte; every copy is
+                # read
+                p = next(p for p in packets if p.group)
                 junk.append(Packet(1, p.first_frame, p.n_frames,
                                    p.payload + b"\x00"))
         clean.append(keep)
@@ -814,7 +812,7 @@ def test_long_streams_hold_one_window():
     one at a time or in blocks, the sender holds at most one step's
     window and the frames pushed past its last horizon, the receiver at
     most one window, and the streams added no step plan after frame 500."""
-    W = window_frames(STREAM)
+    W = STREAM.conceal_context
     model = UniformModel(16)
     tokens = make_tokens(61, 5000)
     streaming._step_plan.cache_clear()
@@ -854,7 +852,7 @@ def test_blackout_holds_the_last_usable_frame_before_the_window():
     # fully usable; then every packet is lost. The hold repeats frame 5,
     # released long before the window of the blackout's steps.
     tokens = make_tokens(62, 60)
-    W = window_frames(STREAM)
+    W = STREAM.conceal_context
 
     def keep(em, p):
         return em.step < 2 or (em.step < 12 and p.group == 0)
