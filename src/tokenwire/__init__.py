@@ -1,22 +1,21 @@
 """Loss-resilient token transport for neural-codec style audio streams.
 
 The stack: a DCT toy codec stands in for a neural encoder, an RVQ turns
-features into layered tokens, a count model prices fine tokens by their
-layer and predicts lost coarse tokens from their neighbors, a range coder
-packs fine layers, and a packet transport with coarse-layer FEC plus
-windowed concealment carries them across lossy channels, in batch or
-bounded-latency streaming mode.
+features into layered tokens, a count model holds one row of token counts
+per layer, by which a range coder prices the fine layers and concealment
+fills a lost coarse token with its layer's most probable one, and a
+packet transport with coarse-layer FEC plus windowed concealment carries
+them across lossy channels, in batch or bounded-latency streaming mode.
 """
 
 __version__ = "0.1.0"
 
 from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
                     write_audio)
-from .context import (PMF_TOTAL, CountModel, MaskedQuery, UniformModel,
-                      View, beta, load_count_model, quantize_weights,
-                      save_count_model, train_count_model, uniform_pmf)
-from .dependency import (build_conceal_mask, build_windows, classify_loss,
-                         propagate_invalid)
+from .context import (PMF_TOTAL, CountModel, UniformModel, load_count_model,
+                      quantize_weights, save_count_model, train_count_model,
+                      uniform_pmf)
+from .dependency import build_windows, classify_loss, propagate_invalid
 from .errors import ConfigError, DecodeError
 from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,

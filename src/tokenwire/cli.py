@@ -155,9 +155,9 @@ def cmd_train_codebooks(args) -> int:
 def cmd_train_context(args) -> int:
     cfg = _train_cfg(args)
     codec = _artifact(load_codec, args.codec)
-    model = train_context(cfg, codec, training_corpus(cfg))
+    model = train_context(cfg, codec)
     save_count_model(args.out, model)
-    print(f"wrote {args.out}: {len(model.keys)} contexts, "
+    print(f"wrote {args.out}: {model.n_layers} layers counted, "
           f"{model.n_observed} observations")
     return 0
 

@@ -8,8 +8,8 @@ layer refines the residual left by those below it, so a frame is usable
 up to its first failing cell, and ``propagate_invalid`` cuts every layer
 above a frame's first cell that is not RECEIVED. The receiver's states
 start INVALID at and above the encode level, so no depth read from them
-passes the level: invalidation, damage windows, the concealment context,
-the usable depth and the blackout source need no per-frame level.
+passes the level: invalidation, damage windows, the usable depth and the
+blackout source need no per-frame level.
 
 A stream step's geometry, its due frames, its horizon and its coarse
 frames, is stated once, by ``stream_step`` and ``stream_coarse``, for
@@ -19,17 +19,16 @@ Concealment predicts lost coarse cells only (``classify_loss``): a lost or
 invalid fine cell ends its frame's usable depth, because a guessed fine
 token does more harm than one left out. A frame's targets depend on its
 own states alone, so concealment windows, plain frame ``range``s, never
-read each other's damage. The concealing view reads any received token
-at or below the damaged layer, both earlier and later in time. Which
-arrived packet fills which slice is not decided here but in
-``pipeline.admit``.
+read each other's damage. A window decides only whether its frames are
+held through a blackout or predicted; a predicted cell takes its layer's
+most probable token and reads no other cell. Which arrived packet fills
+which slice is not decided here but in ``pipeline.admit``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .context import View
 from .grid import StreamConfig, TokenState
 
 R = int(TokenState.RECEIVED)
@@ -147,29 +146,3 @@ def classify_loss(states: np.ndarray, frames: range,
     lost = np.argwhere(states[frames.start:frames.stop, :n_coarse] == L)
     lost[:, 0] += frames.start
     return lost
-
-
-def build_conceal_mask(targets: np.ndarray, states: np.ndarray,
-                       window: range) -> View:
-    """The concealment view of the (n, 2) ``targets`` over the window.
-
-    The context is the received cells inside the window, bi-directional
-    in time but capped at the highest target layer; within a frame that
-    has targets nothing at or above its lowest target is exposed.
-    Everything else in the window at or below the cap counts as masked.
-    """
-    if not (window.step == 1 and 0 <= window.start < window.stop
-            <= len(states)):
-        raise ValueError(f"window {window} is not a non-empty forward "
-                         "frame range inside the grid")
-    if not len(targets):
-        raise ValueError("no targets to conceal")
-    cells = targets.tolist()
-    limit = [max(k for _, k in cells) + 1] * len(window)
-    for t, k in cells:
-        if t not in window:
-            raise ValueError(f"target frame {t} outside the window")
-        limit[t - window.start] = min(limit[t - window.start], k)
-    visible = np.minimum(
-        prefix_depth(states[window.start:window.stop] == R), limit)
-    return View(window.start, visible, targets)

@@ -94,15 +94,12 @@ class ExperimentConfig:
     conceal_fine_layers: int = 2
     train_clips: int = 24
     train_epochs: int = 6
-    schedule_epochs: int = 40
-    fixed_tau: float | None = None
 
 
 _INT_FIELDS = {"sample_rate", "frame_len", "dim", "vocab", "n_layers",
                "n_coarse", "gos_len", "n_units", "n_trials", "base_seed",
                "clip_frames", "n_tones", "conceal_window",
-               "conceal_fine_layers", "train_clips", "train_epochs",
-               "schedule_epochs"}
+               "conceal_fine_layers", "train_clips", "train_epochs"}
 _POSITIVE = _INT_FIELDS - {"base_seed", "conceal_fine_layers", "n_tones"}
 # the codec and model files store vocab in 16 bits; the range coder's
 # 16-bit total, which needs one unit per token, allows one more
@@ -159,12 +156,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for i, p in enumerate(merged["losses"]):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"losses[{i}]", "must be in [0, 1]")
-    if merged["fixed_tau"] is not None:
-        ft = merged["fixed_tau"]
-        if not isinstance(ft, (int, float)) or isinstance(ft, bool) \
-                or not 0.0 <= float(ft) <= 1.0:
-            raise ConfigError("fixed_tau", "must be in [0, 1]")
-        merged["fixed_tau"] = float(ft)
     nz = merged["noise"]
     if not isinstance(nz, (int, float)) or isinstance(nz, bool) or nz < 0.0:
         raise ConfigError("noise", "must be non-negative")
@@ -231,13 +222,14 @@ class TrainedStack:
     trials: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def training_corpus(cfg: ExperimentConfig) -> list:
-    """Feature arrays of the ``train_clips`` seeded synthetic clips."""
+def training_corpus(cfg: ExperimentConfig, tag: str = "train-clip") -> list:
+    """Feature arrays of ``train_clips`` synthetic clips, seeded under
+    ``tag``."""
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=cfg.dim)
     clip_len = cfg.clip_frames * cfg.frame_len
     feats = []
     for i in range(cfg.train_clips):
-        seed = _seed_of(cfg.base_seed, "train-clip", i)
+        seed = _seed_of(cfg.base_seed, tag, i)
         clip = synth_audio(clip_len, seed, cfg.sample_rate,
                            n_tones=cfg.n_tones, noise=cfg.noise)
         feats.append(analyze(clip, codec_cfg))
@@ -251,13 +243,14 @@ def train_codec(cfg: ExperimentConfig, feats: list) -> RvqCodec:
                            seed=cfg.base_seed)
 
 
-def train_context(cfg: ExperimentConfig, codec: RvqCodec,
-                  feats: list) -> CountModel:
-    """Count model fitted to the corpus as ``codec`` quantizes it."""
-    grids = [quantize(f, codec, codec.n_layers) for f in feats]
-    return train_count_model(grids, codec.vocab, codec.n_layers,
-                             codec.n_coarse, epochs=cfg.schedule_epochs,
-                             seed=cfg.base_seed, fixed_tau=cfg.fixed_tau)
+def train_context(cfg: ExperimentConfig, codec: RvqCodec) -> CountModel:
+    """Count model fitted to held-out clips, ``train_clips`` clips of
+    their own seed tag, as ``codec`` quantizes them. The codec overfits
+    its own training clips, whose token statistics differ from those of
+    audio it never saw."""
+    grids = [quantize(f, codec, codec.n_layers)
+             for f in training_corpus(cfg, "ctx-clip")]
+    return train_count_model(grids, codec.vocab, codec.n_layers)
 
 
 def gos_config(cfg: ExperimentConfig) -> GosConfig:
@@ -267,9 +260,8 @@ def gos_config(cfg: ExperimentConfig) -> GosConfig:
 
 def train_stack(cfg: ExperimentConfig) -> TrainedStack:
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=cfg.dim)
-    feats = training_corpus(cfg)
-    codec = train_codec(cfg, feats)
-    count_model = train_context(cfg, codec, feats)
+    codec = train_codec(cfg, training_corpus(cfg))
+    count_model = train_context(cfg, codec)
     return TrainedStack(codec_cfg, codec, gos_config(cfg), count_model,
                         UniformModel(cfg.vocab))
 

@@ -9,13 +9,14 @@ the one claim rule of both receivers, each of which passes only its own
 geometry; ``place_coarse`` writes the admitted coarse slices and their
 repair copies; ``decode_fine`` decodes every fine slice that arrived
 from its first copy that decodes; ``conceal`` holds the last usable
-frame through a coarse blackout and otherwise predicts the lost coarse
-cells; a lost or invalid fine cell is never guessed and ends its frame's
-usable depth. A packet the receiver cannot place or read is dropped and
-counted, as if lost. No slice is coded against another cell, so a fine
-slice waits on nothing: each end prices all the fine slices it handles
-at once, and the batch receiver conceals every window of a clip in one
-model query. The encode level is stated once, in the receiver's initial
+frame through a coarse blackout and otherwise fills each lost coarse
+cell with its layer's most probable token; a lost or invalid fine cell
+is never guessed and ends its frame's usable depth. A packet the
+receiver cannot place or read is dropped and counted, as if lost. No
+slice is coded against another cell, so a fine slice waits on nothing:
+each end prices all the fine slices it handles at once, and the batch
+receiver predicts the lost coarse cells of every window of a clip in
+one call. The encode level is stated once, in the receiver's initial
 states (INVALID from the level up); which cells can be trusted then
 follows from the states by the one prefix rule in ``dependency``.
 
@@ -36,9 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import CodecConfig, synthesize
-from .context import FALLBACKS, PMF_TOTAL, MaskedQuery
-from .dependency import (build_conceal_mask, build_windows, classify_loss,
-                         propagate_invalid, usable_depth)
+from .context import FALLBACKS, PMF_TOTAL, Targets
+from .dependency import (build_windows, classify_loss, propagate_invalid,
+                         usable_depth)
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
@@ -323,28 +324,22 @@ def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
     ``fill`` repeats the last fully usable frame before it: a running
     source, taken from the rows before the fill as the holds advance, or
     ``before``, the ``level`` tokens of the last fully usable frame before
-    row 0 (zeros when None and no row has one). Otherwise the lost coarse
-    cells of ``fill`` are predicted from the window, all jobs in one model
-    query; damaged fine cells stay as they are. Predictions see RECEIVED
-    cells only, and a hold reads the frames before it, so holds run last,
-    in job order."""
-    views, holds = [], []
+    row 0 (zeros when None and no row has one). Otherwise each lost coarse
+    cell of ``fill`` takes its layer's most probable token, all jobs in
+    one ``predict``; damaged fine cells stay as they are. A hold reads the
+    frames before it, so holds run last, in job order."""
+    targets, holds = [], []
     for win, fill in jobs:
         if not np.any(states[fill.start:fill.stop, :level] != _R):
             continue
         if not np.any(states[win.start:win.stop, :n_coarse] == _R):
             holds.append(fill)
             continue
-        targets = classify_loss(states, fill, n_coarse)
-        if len(targets):
-            views.append(build_conceal_mask(targets, states, win))
-    n_predicted = 0
-    if views:
-        query = MaskedQuery(tokens, views)
-        cells = query.targets
-        tokens[cells[:, 0], cells[:, 1]] = model.predict(query)
+        targets.append(classify_loss(states, fill, n_coarse))
+    cells = np.concatenate(targets) if targets else np.zeros((0, 2))
+    if len(cells):
+        tokens[cells[:, 0], cells[:, 1]] = model.predict(Targets(cells))
         states[cells[:, 0], cells[:, 1]] = _C
-        n_predicted = len(cells)
     source, seen = (0 if before is None else before), 0
     for fill in holds:
         full = np.flatnonzero(usable_depth(states[seen:fill.start]) == level)
@@ -355,7 +350,7 @@ def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
         hole = states[cut] != _R
         tokens[cut] = np.where(hole, source, tokens[cut])
         states[cut][hole] = _C
-    return n_predicted, len(holds)
+    return len(cells), len(holds)
 
 
 class _Layout(NamedTuple):

@@ -36,7 +36,6 @@ STACK_CFG = tw.ExperimentConfig(
     clip_frames=24,
     train_clips=512,
     train_epochs=16,
-    schedule_epochs=40,
     n_trials=60,
     frame_len=160,
     dim=64,
@@ -56,7 +55,6 @@ MINI_CFG = tw.ExperimentConfig(
     clip_frames=12,
     train_clips=4,
     train_epochs=2,
-    schedule_epochs=6,
     n_trials=3,
     frame_len=160,
     dim=16,
@@ -108,9 +106,9 @@ def slice_of(sg, packet):
 
 
 @functools.lru_cache(maxsize=None)
-def counted_model(vocab: int, n_layers: int, n_coarse: int) -> tw.CountModel:
+def counted_model(vocab: int, n_layers: int) -> tw.CountModel:
     """A count model trained on tokens whose layers follow the first, so
-    that concealment reads real contexts."""
+    that each layer's row, and its mode, is skewed."""
     rng = np.random.default_rng(63)
     grids = []
     for _ in range(6):
@@ -118,7 +116,7 @@ def counted_model(vocab: int, n_layers: int, n_coarse: int) -> tw.CountModel:
         tokens[:, 1:] = (tokens[:, :1] + np.arange(1, n_layers)) % vocab
         tokens[rng.random(tokens.shape) < 0.2] = 0
         grids.append(tw.TokenGrid(tokens, np.full(24, n_layers), vocab))
-    return tw.train_count_model(grids, vocab, n_layers, n_coarse, epochs=2)
+    return tw.train_count_model(grids, vocab, n_layers)
 
 
 def flip(packet: Packet, rng, crc: bool | None = None) -> Packet | None:

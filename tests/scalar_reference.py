@@ -1,17 +1,9 @@
 """Scalar references for the library's vectorised paths.
 
-For the context model's pricing path: the per-cell definitions the
-planned, table-driven path must reproduce: the nearest-deepest neighbor
-scan over a full-length visibility row bounded by a frame range, the
-per-key fallback chain, and the one-vector largest-remainder quantizer.
-
-For count-model training: the masking curriculum with the neighbor rule of
-a masking sample written out by hand from its masked and unmasked frames,
-which ``train_count_model``, counting every sample as one view of one
-query through ``CountModel.observe``, must reproduce count for count; and
-the per-cell counting loop that the vectorised ``observe`` must equal on
-any query. Both count into a plain ``{key: row}`` dict of their own, which
-the tests compare with the model's key and count arrays.
+For the count model's pricing path: a layer's row built by hand, its
+counts summed one token at a time, plus ALPHA, and quantized by the
+one-vector largest-remainder quantizer, or uniform where the layer holds
+no count.
 
 For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
 transforms and builds its filterbank on every call, and the
@@ -40,8 +32,7 @@ from bisect import bisect_right
 import numpy as np
 import scipy.fft
 
-from tokenwire.context import (PMF_TOTAL, SENTINEL, MaskedQuery, View, beta,
-                               encode_key, uniform_pmf)
+from tokenwire.context import ALPHA, PMF_TOTAL, uniform_pmf
 from tokenwire.dependency import (propagate_invalid, stream_coarse,
                                   stream_step, usable_depth)
 from tokenwire.errors import DecodeError
@@ -50,39 +41,6 @@ from tokenwire.pipeline import (SliceSender, admit, conceal, decode_fine,
                                 place_coarse)
 from tokenwire.rangecoder import CodedSlice
 from tokenwire.streaming import StepEmission, StreamRelease
-
-
-def scan(tokens, visible, t, k, lo, hi, step) -> int:
-    """Nearest-deepest neighbor token on one side of frame t for layer k.
-
-    Candidate frames are scanned outward from t; a frame with visible depth
-    d contributes its token at layer min(k+1, d). Deeper wins, nearest
-    breaks ties. Returns SENTINEL when no frame shows anything.
-    """
-    want = k + 1
-    best_d = 0
-    best_t = -1
-    t2 = t + step
-    while lo <= t2 < hi:
-        d = min(int(visible[t2]), want)
-        if d > best_d:
-            best_d = d
-            best_t = t2
-            if best_d == want:
-                break
-        t2 += step
-    if best_t < 0:
-        return SENTINEL
-    return int(tokens[best_t, best_d - 1])
-
-
-def context_key_parts(tokens, visible, t, k, lo=0, hi=None) -> tuple:
-    """(layer, left, below, right) for one target cell."""
-    hi = len(tokens) if hi is None else hi
-    left = scan(tokens, visible, t, k, lo, hi, -1)
-    below = int(tokens[t, k - 1]) if k >= 1 and visible[t] >= k else SENTINEL
-    right = scan(tokens, visible, t, k, lo, hi, +1)
-    return k, left, below, right
 
 
 def quantize_vector(weights, total=PMF_TOTAL) -> np.ndarray:
@@ -115,131 +73,15 @@ def quantize_vector(weights, total=PMF_TOTAL) -> np.ndarray:
 
 
 def reference_layer_pmf(model, layer: int) -> tuple:
-    """(frequencies, fallback name) of a cell priced by its layer alone:
-    the layer marginal, summed here from the rows of the layer's keys, or
-    uniform where the layer has none."""
+    """(frequencies, fallback name) of a cell priced by its layer: the
+    layer's counts, summed here token by token, plus ALPHA, or uniform
+    where the layer has none."""
     marginal = np.zeros(model.vocab, dtype=np.int64)
-    for k, row in zip(model.keys.tolist(), model.counts):
-        if k // (model.vocab + 1) ** 3 == layer:
-            marginal += row
+    for token, n in enumerate(model.counts[layer].tolist()):
+        marginal[token] += n
     if int(marginal.sum()) > 0:
-        return quantize_vector(marginal + model.alpha), "marginal"
+        return quantize_vector(marginal + ALPHA), "marginal"
     return uniform_pmf(model.vocab), "uniform"
-
-
-def reference_pmf(model, key: int, layer: int) -> tuple:
-    """(frequencies, fallback name) of one context key, per key: the
-    key's own row when it was observed, else its layer's."""
-    rows = dict(zip(model.keys.tolist(), model.counts))
-    if key in rows:
-        return quantize_vector(rows[key] + model.alpha), "conditional"
-    return reference_layer_pmf(model, layer)
-
-
-def full_query(tokens, visible, targets, frame_range=None) -> MaskedQuery:
-    """A one-view query from a full-length visibility row and an optional
-    (lo, hi) frame range."""
-    visible = np.asarray(visible)
-    lo, hi = (0, len(visible)) if frame_range is None else frame_range
-    return MaskedQuery(tokens, [View(lo, visible[lo:hi], targets)])
-
-
-def reference_encode_key(vocab: int, layer: int, left: int, below: int,
-                         right: int) -> int:
-    """Key of one context, digit by digit in base vocab + 1; SENTINEL
-    codes as vocab."""
-    m = vocab + 1
-    key = layer
-    for token in (left, below, right):
-        key = key * m + (vocab if token == SENTINEL else token)
-    return key
-
-
-def reference_key(model, tokens, visible, t, k, lo, hi) -> tuple:
-    """(key, frequencies, fallback name) of one target, cell by cell."""
-    parts = context_key_parts(tokens, visible, t, k, lo, hi)
-    key = reference_encode_key(model.vocab, *parts)
-    return (key, *reference_pmf(model, key, k))
-
-
-def reference_observe(table: dict, vocab: int, query, symbols) -> None:
-    """Count one query's (context, token) pairs into ``table``, a
-    ``{key: row}`` dict, cell by cell: one row lookup or insertion per
-    target."""
-    layer, near = query.context()
-    keys = encode_key(vocab, layer, near)
-    for key, sym in zip(keys.tolist(), np.asarray(symbols).tolist()):
-        table.setdefault(key, np.zeros(vocab, dtype=np.int64))[sym] += 1
-
-
-def reference_train_count_model(corpus, vocab: int, n_layers: int,
-                                n_coarse: int, epochs: int = 1, seed: int = 0,
-                                fixed_tau: float | None = None) -> dict:
-    """The masking curriculum, counted sample by sample by hand into a
-    ``{key: row}`` dict.
-
-    Draws tau, the encode depth K, the lowest masked layer and the masked
-    frames in the same order as ``train_count_model``. Unmasked frames are
-    visible through layer K and masked frames through k_low - 1, so the
-    nearest unmasked frame on a side wins the neighbor scan, and the
-    adjacent masked frame, at layer k_low - 2, is the fallback when that
-    side has no unmasked frame. Tokens are cast to int64 on entry, so the
-    key arithmetic cannot wrap at any vocab.
-    """
-    grids = list(corpus)
-    rng = np.random.default_rng(seed)
-    table = {}
-    for _ in range(epochs):
-        for g in grids:
-            T = g.n_frames
-            tau = fixed_tau if fixed_tau is not None else float(rng.random())
-            K = min(int(rng.integers(n_coarse, n_layers + 1)), int(g.level[0]))
-            k_low = int(rng.integers(1, K + 1))
-            n_masked = int(T * beta(tau))
-            if n_masked == 0:
-                continue
-            masked = np.sort(rng.choice(T, size=n_masked, replace=False))
-            _count_sample(table, vocab, g.tokens.astype(np.int64), masked, K,
-                          k_low)
-    return table
-
-
-def _count_sample(table, vocab, tokens, masked, K, k_low) -> None:
-    """Count (context -> token) over the hidden cells of one sample."""
-    T = tokens.shape[0]
-    m1 = vocab + 1
-    is_masked = np.zeros(T, dtype=bool)
-    is_masked[masked] = True
-    unmasked = np.flatnonzero(~is_masked)
-    if len(unmasked):
-        li = np.searchsorted(unmasked, masked) - 1
-        ri = np.searchsorted(unmasked, masked, side="right")
-        has_l = li >= 0
-        has_r = ri < len(unmasked)
-        lf = np.where(has_l, unmasked[np.clip(li, 0, None)], 0)
-        rf = np.where(has_r, unmasked[np.clip(ri, None, len(unmasked) - 1)], 0)
-    else:
-        has_l = has_r = np.zeros(len(masked), dtype=bool)
-        lf = rf = np.zeros(len(masked), dtype=np.int64)
-    fall_ok_l = (masked - 1 >= 0) & (k_low >= 2)
-    fall_ok_r = (masked + 1 < T) & (k_low >= 2)
-    for k0 in range(k_low - 1, K):
-        left = np.where(
-            has_l, tokens[lf, k0],
-            np.where(fall_ok_l, tokens[np.clip(masked - 1, 0, None), k_low - 2],
-                     vocab))
-        right = np.where(
-            has_r, tokens[rf, k0],
-            np.where(fall_ok_r,
-                     tokens[np.clip(masked + 1, None, T - 1), k_low - 2],
-                     vocab))
-        if k0 == k_low - 1 and k0 >= 1:
-            below = tokens[masked, k0 - 1]
-        else:
-            below = np.full(len(masked), vocab)
-        keys = ((k0 * m1 + left) * m1 + below) * m1 + right
-        for key, tok in zip(keys.tolist(), tokens[masked, k0].tolist()):
-            table.setdefault(key, np.zeros(vocab, dtype=np.int64))[tok] += 1
 
 
 def reference_filterbank(n_mels: int, n_fft: int,

@@ -48,7 +48,7 @@ def test_hooks_record_the_coding_work():
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, 8, size=(12, 3)).astype(np.int32)
     grid = TokenGrid(tokens, np.full(12, 3), 8)
-    model = train_count_model([grid], 8, 3, 1, seed=1)
+    model = train_count_model([grid], 8, 3)
     gos = GosConfig(6, 2, 1, 3)
     tracing = load_tracing()
     tracer = tracing.Tracer()

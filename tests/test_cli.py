@@ -22,7 +22,7 @@ CFG = {
     "frame_len": 160, "dim": 16, "vocab": 8, "n_layers": 3, "n_coarse": 1,
     "gos_len": 6, "n_units": 2,
     "levels": [3], "clip_frames": 12, "train_clips": 4, "train_epochs": 2,
-    "schedule_epochs": 4, "conceal_window": 6, "n_trials": 2,
+    "conceal_window": 6, "n_trials": 2,
     "losses": [0.0, 0.2], "models": ["count"],
 }
 

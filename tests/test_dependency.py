@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.context import UniformModel
+from tokenwire.context import CountModel, UniformModel
 from tokenwire.dependency import (
-    build_conceal_mask,
     build_windows,
     classify_loss,
     propagate_invalid,
@@ -42,11 +41,6 @@ def test_window_validation():
     sg = small_layout()
     states = fresh_states(sg)
     states[2, 1] = L
-    targets = np.array([[2, 1]])
-    for bad in (range(3, 3), range(-1, 2), range(0, 7), range(0, 6, 2),
-                range(5, 0, -1)):
-        with pytest.raises(ValueError):
-            build_conceal_mask(targets, states, bad)
     with pytest.raises(ValueError):
         build_windows(states, 3, 0)
     w, = build_windows(states, 3, 3)
@@ -173,7 +167,8 @@ def fine_payloads(packets) -> dict:
 
 def two_grids(seed: int, n_frames: int, n_layers: int) -> np.ndarray:
     """Two token grids of 8 symbols whose layers follow the first, as
-    ``counted_model`` was trained on, so that their contexts were seen."""
+    ``counted_model`` was trained on, so that their layer rows are
+    skewed."""
     rng = np.random.default_rng(seed)
     tokens = rng.integers(0, 8, size=(2, n_frames, 1))
     return (tokens + np.arange(n_layers)) % 8
@@ -185,7 +180,7 @@ def test_coding_visibility_periodic():
     the clip holds."""
     gos = GosConfig(6, 3, 2, 6)
     sg = build_slice_grid(12, gos, 5)
-    model = counted_model(8, 6, 2)
+    model = counted_model(8, 6)
     a, b = two_grids(5, 12, 6)
     a[:, 5:] = b[:, 5:] = 0
     want = fine_payloads(send_tokens(
@@ -207,7 +202,7 @@ def test_coding_visibility_streaming():
     stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
                           conceal_context=6)
     gos = GosConfig(6, 3, 1, 3)
-    model = counted_model(8, 3, 1)
+    model = counted_model(8, 3)
     a, b = two_grids(6, 20, 3)
 
     def fine(tokens):
@@ -368,6 +363,56 @@ def test_only_a_blackout_hold_conceals_fine_cells(gos, n_frames, data):
         got, states = rx.result()
     held = ~(states[:, :gos.n_coarse] == R).any(axis=1)
     assert not (states[~held, gos.n_coarse:] == C).any()
+    received = states == R
+    np.testing.assert_array_equal(got.tokens[received], tokens[received])
+
+
+@given(gos_strategy().filter(lambda g: g.n_coarse < g.n_layers),
+       st.integers(1, 16), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_predicted_cell_takes_its_layers_mode(gos, n_frames, data):
+    """Under any drop mask, batch or streaming, every cell concealment
+    predicts holds its layer row's most probable token, whatever the
+    cells around it hold. A predicted cell is a CONCEALED coarse cell of
+    a frame with no CONCEALED fine cell: a blackout hold fills every
+    damaged layer of its frames, fine ones included, and prediction
+    fills coarse cells only. There are as many as the receiver reports."""
+    level = data.draw(st.integers(gos.n_coarse + 1, gos.n_layers))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vocab = 6
+    counts = rng.integers(0, 3, size=(gos.n_layers, vocab))
+    counts[np.arange(gos.n_layers), (2 * np.arange(gos.n_layers) + 1)
+           % vocab] += 5  # layer k's mode is 2k + 1 (mod vocab)
+    model = CountModel(vocab, gos.n_layers, counts)
+    tokens = rng.integers(0, vocab, size=(n_frames, gos.n_layers))
+    tokens[:, level:] = 0
+
+    def carry(packets):
+        return [p for p in packets if data.draw(st.booleans())]
+
+    if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
+        sg = build_slice_grid(n_frames, gos, level)
+        packets, _ = send_tokens(
+            TokenGrid(tokens, np.full(n_frames, level), vocab), sg, model)
+        got, states, report = receive_tokens(carry(packets), sg, model)
+        n_predicted = report.n_predicted
+    else:
+        stride = data.draw(st.integers(1, 4))
+        lookahead = data.draw(st.integers(0, 3))
+        context = stride + lookahead + data.draw(st.integers(0, 4))
+        cfg = StreamConfig(stride, lookahead, context, context)
+        tx = StreamSender(gos, cfg, model, level=level)
+        rx = StreamReceiver(gos, cfg, model, level=level)
+        for em in tx.push(tokens):
+            rx.step(carry(em.packets))
+        tail, total = tx.flush()
+        rx.finish([carry(em.packets) for em in tail], total)
+        got, states = rx.result()
+        n_predicted = rx.n_predicted
+    held = (states[:, gos.n_coarse:] == C).any(axis=1)
+    t, k = np.nonzero((states[:, :gos.n_coarse] == C) & ~held[:, None])
+    assert len(t) == n_predicted
+    np.testing.assert_array_equal(got.tokens[t, k], (2 * k + 1) % vocab)
     received = states == R
     np.testing.assert_array_equal(got.tokens[received], tokens[received])
 
@@ -536,45 +581,3 @@ def test_classify_coarse_lost_outside_window():
     assert targets.tolist() == [[0, 0]]
     assert classify_loss(states, range(3, 6), sg.gos.n_coarse).tolist() == \
         [[3, 0]]
-
-
-def test_conceal_mask_shapes_and_errors():
-    sg = small_layout()
-    states = fresh_states(sg)
-    states[2, 1] = L
-    states[2, 2] = I
-    win = range(0, 6)
-    targets = np.array([[2, 1]])
-    lo, visible, cells = build_conceal_mask(targets, states, win)
-    assert lo == 0
-    np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])
-    np.testing.assert_array_equal(cells, [[2, 1]])
-    # a window that starts later is read from its own first frame
-    lo, visible, _ = build_conceal_mask(targets, states, range(1, 4))
-    assert lo == 1
-    np.testing.assert_array_equal(visible, [2, 1, 2])
-    with pytest.raises(ValueError):
-        build_conceal_mask(np.empty((0, 2), dtype=np.int64), states, win)
-    for outside in ([[9, 1]], [[2, 1], [6, 0]], [[0, 0]]):
-        with pytest.raises(ValueError):
-            build_conceal_mask(np.array(outside), states, range(1, 6))
-
-
-def test_conceal_mask_excludes_concealed_cells():
-    sg = small_layout()
-    states = fresh_states(sg)
-    states[1, 1] = C  # previously concealed: usable output, not context
-    states[2, 1] = L
-    states[2, 2] = I
-    _, visible, _ = build_conceal_mask(np.array([[2, 1]]), states,
-                                       range(0, 6))
-    assert visible[1] == 1
-
-
-def test_conceal_mask_level_cap():
-    sg = small_layout(level=2)
-    states = fresh_states(sg)
-    states[2, 1] = L
-    _, visible, _ = build_conceal_mask(np.array([[2, 1]]), states,
-                                       range(0, 6))
-    np.testing.assert_array_equal(visible, [2, 2, 1, 2, 2, 2])

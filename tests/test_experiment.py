@@ -37,6 +37,7 @@ def test_config_defaults_round_trip():
     ({"models": ["cnt"]}, r"models\[0\]"),
     ({"channels": ["tcp"]}, r"channels\[0\]"),
     ({"losses": [1.5]}, r"losses\[0\]"),
+    # the masking schedule's knobs are retired: unknown fields
     ({"fixed_tau": 2.0}, "fixed_tau"),
     ({"fixed_tau": True}, "fixed_tau"),
     ({"dim": 400}, "dim"),
@@ -47,6 +48,8 @@ def test_config_defaults_round_trip():
     ({"train_clips": 1, "clip_frames": 1, "vocab": 64}, "train_clips"),
     ({"vocab": 65537, "train_clips": 2731}, "vocab: must be at most 65535"),
     ({"vocab": 65536, "train_clips": 2731}, "vocab: must be at most 65535"),
+    ({"schedule_epochs": 40}, "schedule_epochs: unknown field"),
+    ({"fixed_tau": 0.5}, "fixed_tau: unknown field"),
 ])
 def test_config_errors_name_the_field(data, path):
     with pytest.raises(ConfigError, match=path):
@@ -65,12 +68,6 @@ def test_config_error_carries_the_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"losses": [0.1, -0.2]})
     assert exc.value.path == "losses[1]"
-
-
-def test_fixed_tau_accepted():
-    cfg = config_from_dict({"fixed_tau": 1})
-    assert cfg.fixed_tau == 1.0 and isinstance(cfg.fixed_tau, float)
-    assert config_from_dict({}).fixed_tau is None
 
 
 def test_load_config(tmp_path):

@@ -8,7 +8,7 @@ must equal the sent token. A refactor of the transceiver must leave every
 digest unchanged. The channels only drop
 whole packets, so the outcome never depends on how an undecodable payload
 is classified. The count model the scenarios share is pinned too, by the
-SHA-256 of its model file, so training must count the same contexts.
+SHA-256 of its model file, so training must count the same tokens.
 """
 
 import hashlib
@@ -49,8 +49,7 @@ def make_corpus() -> tuple:
     source = TokenSource(tuple(random_transition(VOCAB, rng, 0.3)
                                for _ in range(N_LAYERS)))
     train = [sample_tokens(source, 48, rng) for _ in range(16)]
-    model = train_count_model(train, VOCAB, N_LAYERS, GOS.n_coarse,
-                              epochs=4, seed=5)
+    model = train_count_model(train, VOCAB, N_LAYERS)
     return model, sample_tokens(source, N_FRAMES, rng)
 
 
@@ -184,242 +183,242 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
 
 GOLDEN = {
     "batch/8/lossless": {
-        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
-        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
+        "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
+        "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/8/0.1": {
-        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
-        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
-        "received": "446b1f515304de7e4780407140bd725afb5798c7601e9a0822b4240c941f7532",
+        "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
+        "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
+        "received": "b3e96face341d6d10629a89efe3d51c679b6cf0485e5ac0577a6aa94a6919827",
         "receiver": "56b2b26cc3d7f4fe286f881110a1df3f2c325fa4838e2e89097a7ae4d4d96d08",
     },
     "batch/8/0.3": {
-        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
-        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
-        "received": "5c741af863e8938f799877e2f33442a5fba00b8abf5218b2a4bbe8bfd05d9a07",
+        "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
+        "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
+        "received": "0a5fa5437f519ccdbbb9b4a3249d0a47d430076f53fc06b63409a3b51cad8fd2",
         "receiver": "2737f518e120936abd599022c83422e0ce877db49aacfa3a40f2b739e1dbc73b",
     },
     "batch/8/blackout": {
-        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
-        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
-        "received": "01ff887f597e0dc1d7d88b4a82d5871cdde4873e604f0ab304ed5a4458f84d48",
+        "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
+        "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
+        "received": "feda6f31703b03e939709f060426e86955d3f27322178bbcd5761b3318b88e9f",
         "receiver": "5b5efae07a15d04aa1c1d255ce6adf61e603506d244defe35ad8e3ef56947de4",
     },
     "batch/8/markov": {
-        "wire": "423a94ded7a57f07fcd9f951b11d14755ac2d7e8c7a02ff6113f4e049eaf8fdd",
-        "sender": "6846360f74a24eea16f7656232e7676f5e3b009be12d678ddb566c2ef88377db",
+        "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
+        "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
         "received": "54928d8594347481d40e6fb60b54386ccf1e201327ec1fba23e8934ee955a252",
         "receiver": "0cdc00d7009cc7ef2a0ec57d4c8fde6a5e92ba82dcae56728c92dbe84a2b7588",
     },
     "batch/5/lossless": {
-        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
-        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
+        "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
+        "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
         "received": "a8faf11c753db5487f1134f670fcdb5307be9bc63b76b49fc7db23a84dcc136d",
         "receiver": "2c2da278bc7b158602da9e1fda5aead2c21a1faaef864089cb88a1187f4f8fb5",
     },
     "batch/5/0.1": {
-        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
-        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
-        "received": "59a25f1ccda8e665fa0096c91bc5a140dfd17e0ffe1eded2d7fb95fb59295efc",
+        "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
+        "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
+        "received": "565c2308b65d12336530f84a7f586ac6bd06b80e54e001955e2349084d1fb118",
         "receiver": "9bd0491c57ff9d290356e2598ca2aac759804706e31eabb440381f926d616654",
     },
     "batch/5/0.3": {
-        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
-        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
-        "received": "ebbaee62361fb5549ad86aa216d773d8b3c742350979cb45a9f7b49bc2bad31d",
+        "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
+        "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
+        "received": "7e37bb84e59573490bfbdc6bac5a2adbebd442d85188e84afbe2eb441507d2a8",
         "receiver": "537c0b5a4890c761ce7d376e4f4b6c1e15dee736a6d777218150ac796ff05945",
     },
     "batch/5/blackout": {
-        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
-        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
-        "received": "a0290a3ebb019ad960852fc4abf386a8bf4177980f3708e58e41b3e45363cdd4",
+        "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
+        "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
+        "received": "e3452995b1e09a2b54250f58551c9e79f9060b746a7be47b395db07ca0d81370",
         "receiver": "0a792e34eb4ce16b30ca2e4a63b6211973b5800f5151389b3ea82cbe635d670f",
     },
     "batch/5/markov": {
-        "wire": "9dd2d904dd4932dfb8929e1f74f74e37c66d45898535e831425cbad81c84c200",
-        "sender": "8f7d9b81c5edaa9978190da6da4c07a3785cae6ed84a11c71d60bafe17e9612a",
+        "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
+        "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
         "received": "4db5e75f29f36ddb059549831d15fdf3d31c3fb2b0d267b5b4368784e2e996bf",
         "receiver": "2f19615a31b8b197118408d9d6f0d5cd4cd5430f400daaf803fcada024f7b7f1",
     },
     "stream/default/lossless": {
-        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
-        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
+        "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
+        "sender": "065c5c59e86c9568fc50975725d4aa34af7c12bda1fe9e23810a1162951107e0",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.1": {
-        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
-        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
+        "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
+        "sender": "065c5c59e86c9568fc50975725d4aa34af7c12bda1fe9e23810a1162951107e0",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "688a6fbb040903aca8698b71ca8cd9fcec2d24ab34235bb476382fcf770b72d8",
     },
     "stream/default/0.3": {
-        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
-        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
+        "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
+        "sender": "065c5c59e86c9568fc50975725d4aa34af7c12bda1fe9e23810a1162951107e0",
         "received": "df55137803d48fef7638403d0a217c76e31b81b8f70a0b44e1b269fdf1227ec7",
         "receiver": "e291c44ca34de30e9ef2fe11d29cf2382256ea6712db8db7832c88239c276154",
     },
     "stream/default/blackout": {
-        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
-        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
+        "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
+        "sender": "065c5c59e86c9568fc50975725d4aa34af7c12bda1fe9e23810a1162951107e0",
         "received": "15b3b50561f1dec1c87651ef2050e305ad900442a6bca5229aa14e76f87c9ad9",
         "receiver": "5e674b856c665befc1bfea00a28cdf7b3aaef60c514d38aa96d9463d54071b26",
     },
     "stream/default/markov": {
-        "wire": "c25d46862cd7008b33ae6aebefd1a051f4b75809b9119e8bdd7b8b0da302baf2",
-        "sender": "0331becd71205983f860db815b81ccd600e620857c82d504fa1395a11596dea1",
+        "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
+        "sender": "065c5c59e86c9568fc50975725d4aa34af7c12bda1fe9e23810a1162951107e0",
         "received": "2f4ff130a73f6b8bcd7da5a2751e0aeafe201c938cf20c961476366a542bf7be",
         "receiver": "27ee822660a68a3b1f0a6e5cabffcb9012abdeaaee0547253539653bd0b5ed0f",
     },
     "stream/stride1/lossless": {
-        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
-        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
+        "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
+        "sender": "fb7beef2a2bf1d29c9ab211a0d597573faa2df81fc4aae65a0cf61867fcb9a6e",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "a86118c02a088cb8ae750eac7c310e69807b6d8fa7341f3a45d4478941bd946e",
     },
     "stream/stride1/0.1": {
-        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
-        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
-        "received": "d4438c4ca00d5b8966560b3442cc19b3bd78f87406f823be3be228eadaa1b6f4",
-        "receiver": "da004989947cefe7ab7a10826e408913573c1eec9b1726538f066780c9bb05a0",
+        "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
+        "sender": "fb7beef2a2bf1d29c9ab211a0d597573faa2df81fc4aae65a0cf61867fcb9a6e",
+        "received": "fa499820ea2587d47265bf062f3beabe9f8397911eee4917e64550c3fba01569",
+        "receiver": "4b0d952b5b47e95ab765815a61f3499dcb9d3c06b358aee4927c0f51fb98b5cd",
     },
     "stream/stride1/0.3": {
-        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
-        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
-        "received": "cbba4d09987c79bf433bd732ba684020b2b7fc07fcf5a9af1c4a85c4aa37d580",
-        "receiver": "073c8ea721c2f4f0f4153b1c0242735eae3a507d8bd1baaaf188318fe5143411",
+        "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
+        "sender": "fb7beef2a2bf1d29c9ab211a0d597573faa2df81fc4aae65a0cf61867fcb9a6e",
+        "received": "ecb0a7ad1b278e9595d664587e0a6b2d8c5d3759ecfdd3b168052e588acce151",
+        "receiver": "f80e31a702c31bab1e8fff4cbcb67056cf5fe87f38ce398995080c905bfa586a",
     },
     "stream/stride1/blackout": {
-        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
-        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
+        "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
+        "sender": "fb7beef2a2bf1d29c9ab211a0d597573faa2df81fc4aae65a0cf61867fcb9a6e",
         "received": "89a863f2ab20e1b38fbebb3fb53593175786991e9757fcce442f5491b5309ced",
         "receiver": "6255624bcddb29b2c949438bf11b69c46a270d99b80e3c7d66eb785e69c8e4d8",
     },
     "stream/stride1/markov": {
-        "wire": "20c385bc6875364f13c2ad9ed829e59f15ecdd32c16df687b843a710837cd7dd",
-        "sender": "9833471a8c6ca40b27fa01a625222e0d057634efd436755687b812f085bbae8c",
-        "received": "5c5bbd1baf84facdf76ea86443e0c04003839725b00f6015d68793de3f93fd01",
-        "receiver": "27d897698355849ca0178bcbf92cf5faa0a5c85da2632ad89d3d95511a176707",
+        "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
+        "sender": "fb7beef2a2bf1d29c9ab211a0d597573faa2df81fc4aae65a0cf61867fcb9a6e",
+        "received": "1264e9b0090746a51c25ebc06205218687ad1d4c583c7f97ca92aa9431df3fcf",
+        "receiver": "77d942f496739cdf21795fe31e505b0e69d1a56d6268c6764c34f6243ef96d40",
     },
     "stream/wide/lossless": {
-        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
-        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
+        "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
+        "sender": "0d50fd7bb3a4599522105309dc0fd75794426288cd2ea3a2b9a9cfd45eb88751",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "5edc1bf03ce1428c1d60900fc2eef7a702944ef957c9dbdd789829c26dd375b7",
     },
     "stream/wide/0.1": {
-        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
-        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
+        "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
+        "sender": "0d50fd7bb3a4599522105309dc0fd75794426288cd2ea3a2b9a9cfd45eb88751",
         "received": "64af5901f8521577e68fd9832aacae04b3a22c430dda7be3a6227337651ea94e",
         "receiver": "9d1bc7e4c5b686b74e39845cbde9f587532fa3dedfd6775efc3acb16abe9bb3a",
     },
     "stream/wide/0.3": {
-        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
-        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
-        "received": "56ff8f9d24a76222c31e3f4c2a7c09990b8f7cc984949c60bb847127f4476ae7",
-        "receiver": "53be5249e49b49a2eae67c4034b9f686811e61521307f2305f2f75b65ad13d54",
+        "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
+        "sender": "0d50fd7bb3a4599522105309dc0fd75794426288cd2ea3a2b9a9cfd45eb88751",
+        "received": "0a378f5e44eace37a5320b061e67d020ed124598473370a0ba809ddc6903bfba",
+        "receiver": "ed36dd377e27eee8f59e2029dc576e0bd03a6003b482639bccd29d5765fad296",
     },
     "stream/wide/blackout": {
-        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
-        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
-        "received": "76222840a7ec8a998adc8cf33d60169772d95168d68b546703778ccef1da34f2",
-        "receiver": "cde983a3a0763136cd2cc5bd505133796ae4fe0ac0f0b1bda0ca6cca1dedc7cc",
+        "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
+        "sender": "0d50fd7bb3a4599522105309dc0fd75794426288cd2ea3a2b9a9cfd45eb88751",
+        "received": "822e396f09d60f2372bbd88de59a846fd2990e6d350928c47fa3ef4a3fe9684f",
+        "receiver": "da062d887cfe7881dff27a06c45b3c806b7a44691cdc3b09e11440a2f8d6f952",
     },
     "stream/wide/markov": {
-        "wire": "72ab6a14a039ba06a5074a67b1c599db48d837dca3bce82edc1f2f5eecfe93cf",
-        "sender": "f1589646abc0c5eca410910f6ac903130d287def90c161c0b051e88f5cd212d7",
+        "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
+        "sender": "0d50fd7bb3a4599522105309dc0fd75794426288cd2ea3a2b9a9cfd45eb88751",
         "received": "0c214676a1a168b168b3116987805c4400dd8511aeb92eb570c15c12346b6b56",
         "receiver": "f59bd39b69f9d1c200f0eeb61c02cb6463118b166d9ef83972fcb148c954dc7d",
     },
     "batch/units4/lossless": {
-        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
-        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
+        "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
+        "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "8239d823908d8ff0a4d4bdbe03b071da8e549e81a9962ea6b46e39f394fedab0",
     },
     "batch/units4/0.1": {
-        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
-        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
+        "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
+        "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
         "received": "05ba2b78a71cbd91d26ccf7ea72e42eab53108e12885314bc48f4bdf3ee716b8",
         "receiver": "2f8fddf5f0f6fc2c63c3ec477130d671dd07a591a14a57d21a37564eeff02835",
     },
     "batch/units4/0.3": {
-        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
-        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
-        "received": "c6ff3e33c397a88f10e683e43ca7923f5d19cac05d563d21ea92ce45301faaaf",
+        "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
+        "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
+        "received": "6e4c1e82330875ff2859fdd79616fd79f243915fca199fa0d2be65d1288457b1",
         "receiver": "e25a721a1d0e4ff1e01aa3f890a62a52cee2a1b16961206c154b279aea8a9b30",
     },
     "batch/units4/blackout": {
-        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
-        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
-        "received": "803a7e1c496046ed1112f3e47aec00cba35f822f24d7c79e9813da32aa52126c",
+        "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
+        "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
+        "received": "afdf8c510311acada9b2a592176c52ba0eb6d8c925eea48b5757b1bea39177a3",
         "receiver": "a31da021fbcf8cca422efe238d3ba44f8e42a28876062e0e9b2156baeaf83356",
     },
     "batch/units4/markov": {
-        "wire": "75290a33549d154e0beb03755c11c98578aa41733b720e92166cf76e8e05ff7b",
-        "sender": "9021c390e1444a4528144fe6d8340ae78ddf690f56c11bf6c50e4072c2631f1c",
+        "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
+        "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "6537a355c3839fc9fa6834375c492b92fbd7cdac19fdcf40f707d88530255e09",
     },
     "batch/tail/lossless": {
-        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
-        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
+        "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
+        "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
         "received": "f26e2fdfebc72e840a83417b5f84ba8ebb7e350c10fcc722456fe96e0afad58a",
         "receiver": "1d9dc9765a312b9cc731f798a851eee7df261563bf99a9fff49b0cd6cc51084e",
     },
     "batch/tail/0.1": {
-        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
-        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
-        "received": "179b8c5ee015a70e22d2936e58f98d8f6b1de554166870460dc358a83849c6e7",
+        "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
+        "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
+        "received": "93dca22429350fe458fdf08d02cc8f3339b3d7bd18fe5165749ed12093e98fba",
         "receiver": "c85d5b002c77554cd2efccfb09337942b3d2d60e886b4481c29107cc7c9a603a",
     },
     "batch/tail/0.3": {
-        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
-        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
-        "received": "7ec1e1c518e722d10e4cf41ed1ae98c08549c733e0e6d8545f0b3bea6836bb6a",
+        "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
+        "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
+        "received": "b58b6b9590a8105504574dc590fe2cd63cc091c3466b2f3baf3516c1664eda6a",
         "receiver": "8f7773c1c659e94fcb76e3532508709ffa7e2b16b9c9eaa082f96e6a3739d601",
     },
     "batch/tail/blackout": {
-        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
-        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
-        "received": "db8dfcdf921b67aa67ac9ad05d84b628169d1bcba5e4e5c874d48bc95d492d74",
+        "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
+        "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
+        "received": "170ba8fbd683ce4903a889775d8c00ac415cf915f8de62d643d6619766e2afb3",
         "receiver": "a33ade65463b0e3896dc2589bcc6c8dbb938e0bc10712d9562914f3692939935",
     },
     "batch/tail/markov": {
-        "wire": "998434d823b926e2ab04a80d72c6141138af6f1763823d518694ad1751b5f9a6",
-        "sender": "5f264d6747814ec3c7ff1f19a0aef83658f6272203dc60d1bda40996722312a6",
+        "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
+        "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
         "received": "bf6b1a74c93b413e9c5f0ad037c2d1d2f5e041af5c260836a72b06aa3ff4bfec",
         "receiver": "aff787a46be789a4e277a3205480c26e807fc4c869c08f5a90d611ab8b613b27",
     },
     "stream/tight/lossless": {
-        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
-        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
+        "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
+        "sender": "cb8df6fc01b7c90b87d319a6e7a6a9778b53523437fa2425f6befb1cb80be465",
         "received": "2878a2a26844fa4ab7faa40e897d9ded188dcead0279c5f58a4526d2c79b4224",
         "receiver": "314c06aee7550820b5e18d27827bfa211f00cca1fdf1355bfbda6043d9d5a2fe",
     },
     "stream/tight/0.1": {
-        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
-        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
+        "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
+        "sender": "cb8df6fc01b7c90b87d319a6e7a6a9778b53523437fa2425f6befb1cb80be465",
         "received": "64af5901f8521577e68fd9832aacae04b3a22c430dda7be3a6227337651ea94e",
         "receiver": "b30c90b208d386a493affaf839ba307a8015c2addd1216f52c20bbb4b2789944",
     },
     "stream/tight/0.3": {
-        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
-        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
+        "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
+        "sender": "cb8df6fc01b7c90b87d319a6e7a6a9778b53523437fa2425f6befb1cb80be465",
         "received": "720014fb0637d8a8d2aaeeb1602b6c4494f359a0fbf4200fc95f5bbf5f8f33d5",
         "receiver": "0f95832e8129cd35cdd5c204add4b561f983dc24272da89b9221657a8d4adf64",
     },
     "stream/tight/blackout": {
-        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
-        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
+        "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
+        "sender": "cb8df6fc01b7c90b87d319a6e7a6a9778b53523437fa2425f6befb1cb80be465",
         "received": "10d388b18e778ae830895b3c42803eb39023e18101ece751bfeec55787b05bb3",
         "receiver": "500a4e8cfcde3325aca339d9d2bd8bdfa9354c24a33b5c2fe07e9bb7828a0312",
     },
     "stream/tight/markov": {
-        "wire": "708190db3c8328f2624b11a344f37839561400ecdbb9728357a14dd111d77506",
-        "sender": "5e4121af52178890dd6168c9d8e653025a23bb8b6414d997f57e33b813b780cd",
+        "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
+        "sender": "cb8df6fc01b7c90b87d319a6e7a6a9778b53523437fa2425f6befb1cb80be465",
         "received": "bbf59a31e892cff5eada7acfc91d03ad604f2e7e8c6d80776daeba7f0e643140",
         "receiver": "581170c8b807439a015d3ab4ee299ce2ef9b8ee8913cc7d47cca47913d0103e0",
     },
@@ -441,10 +440,9 @@ def test_golden_digests(corpus, name):
 # The golden corpus's count model file. Only this pure-integer training is
 # pinned: a model trained through the RVQ codec depends on BLAS matmuls,
 # which may round differently between hosts. Re-pinned for model file
-# version 2, whose header no longer stores the observed total and the
-# per-layer marginals; its records (keys and counts) are byte-identical to
-# those of the version 1 file this digest replaced.
-MODEL_DIGEST = "d673c9c366a80b1c1580e01bec31bd44a956337f6939ad9a352a7b832da71926"
+# version 3, which holds one row of token counts per layer, counted over
+# every encoded cell of the corpus.
+MODEL_DIGEST = "9f7b1342e31f19b265ebbdb4b91d8228111d3e34961a3fb7fb10695209f5f2c5"
 
 
 def test_golden_model_file(corpus, tmp_path):

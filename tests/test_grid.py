@@ -271,10 +271,12 @@ def test_stream_config_validation():
     with pytest.raises(ValueError):
         StreamConfig(stride=3, lookahead=-1)
     with pytest.raises(ValueError):
-        StreamConfig(stride=5, lookahead=0, coding_context=4)
+        StreamConfig(stride=5, lookahead=0, conceal_context=4)
     with pytest.raises(ValueError):
         StreamConfig(stride=3, lookahead=3, coding_context=12, conceal_context=5)
-    # Both contexts must cover stride + lookahead frames; exactly is enough.
+    # The concealment window must cover stride + lookahead frames; exactly
+    # is enough. coding_context has no effect and is not checked.
     StreamConfig(stride=3, lookahead=3, coding_context=6, conceal_context=6)
+    StreamConfig(stride=3, lookahead=3, coding_context=1, conceal_context=6)
     with pytest.raises(ConfigError, match="stride 3 \\+ lookahead 3"):
-        StreamConfig(stride=3, lookahead=3, coding_context=5)
+        StreamConfig(stride=3, lookahead=3, conceal_context=5)

@@ -268,7 +268,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     sg = build_slice_grid(n_frames, GOS, level)
     # 4-bit coarse tokens: 10..15 do not exist
     model = data.draw(st.sampled_from([UniformModel(10),
-                                       counted_model(10, 3, 1)]),
+                                       counted_model(10, 3)]),
                       label="model")
     packets, _ = send_tokens(grid, sg, model, fec=data.draw(st.booleans()))
     keep = data.draw(st.lists(st.booleans(), min_size=len(packets),
@@ -437,7 +437,7 @@ def test_trained_model_beats_uniform_on_structured_tokens():
     tokens[:, 2] = np.where(np.arange(T) % 2 == 0, 3, 11)
     grid = TokenGrid(tokens, np.full(T, 3), 16)
     sg = build_slice_grid(T, GOS, 3)
-    model = train_count_model([grid], 16, 3, 1, epochs=4)
+    model = train_count_model([grid], 16, 3)
 
     _, rep_count = send_tokens(grid, sg, model)
     _, rep_uni = send_tokens(grid, sg, UniformModel(16))

@@ -1,6 +1,6 @@
-"""Row pricing: everything the transceiver prices, fine slices by their
-layers and concealment queries by their contexts, is priced as row
-indices into the model's one compiled table. Those rows and their
+"""Row pricing: everything the transceiver prices, fine slices and the
+lost coarse cells concealment fills, is priced as row indices into the
+model's one compiled table, one row per layer. Those rows and their
 fallback kinds equal the scalar reference's, prediction reads the rows'
 modes, and the range coder codes through the rows without copying
 them."""
@@ -11,12 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import reference_key, reference_layer_pmf
-from tokenwire.context import (FALLBACKS, CountModel, MaskedQuery,
-                               UniformModel, _mode, cumulative,
-                               train_count_model, uniform_pmf)
-from tokenwire.dependency import (build_conceal_mask, build_windows,
-                                  classify_loss)
+from scalar_reference import reference_layer_pmf
+from tokenwire.context import (FALLBACKS, CountModel, Targets, UniformModel,
+                               _mode, cumulative, train_count_model,
+                               uniform_pmf)
+from tokenwire.dependency import build_windows, classify_loss
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid, initial_states)
 from tokenwire.pipeline import _layout
@@ -30,8 +29,7 @@ GOSES = [GosConfig(6, 3, 1, 3), GosConfig(4, 2, 2, 5), GosConfig(5, 1, 1, 4)]
 
 def structured(rng, shape: tuple, vocab: int) -> np.ndarray:
     """Tokens whose layers follow the first, with some cells zeroed, so
-    that a model trained on them meets observed and unobserved contexts
-    in queries over them."""
+    that each layer's row of a model trained on them is skewed."""
     tokens = rng.integers(0, vocab, size=shape)
     tokens[:, 1:] = (tokens[:, :1] + np.arange(1, shape[1])) % vocab
     tokens[rng.random(shape) < 0.3] = 0
@@ -39,12 +37,15 @@ def structured(rng, shape: tuple, vocab: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def trained(vocab: int, n_layers: int, n_coarse: int, seed: int) -> CountModel:
+def trained(vocab: int, n_layers: int, seed: int) -> CountModel:
+    """A model trained on grids encoded to a depth of their seed's, so
+    that some seeds leave the upper layers unobserved, and shifted by it,
+    so that most layers' modes are not token 0."""
     rng = np.random.default_rng(seed)
-    grids = [TokenGrid(structured(rng, (20, n_layers), vocab),
-                       np.full(20, n_layers), vocab) for _ in range(4)]
-    return train_count_model(grids, vocab, n_layers, n_coarse,
-                             epochs=int(rng.integers(1, 4)), seed=seed)
+    level = n_layers - seed % 3
+    grids = [TokenGrid((structured(rng, (20, n_layers), vocab) + seed) % vocab,
+                       np.full(20, max(level, 1)), vocab) for _ in range(4)]
+    return train_count_model(grids, vocab, n_layers)
 
 
 def batch_slices(data, gos, rng, vocab):
@@ -75,22 +76,20 @@ def stream_slices(data, gos, rng, vocab):
 
 
 def conceal_query(data, gos, rng, vocab):
-    """The concealment query of random damage to a clip, or None when no
-    window has a lost coarse cell."""
+    """(tokens, the lost coarse cells of random damage to a clip, window
+    by window), or None when no window has a lost coarse cell."""
     n_frames = data.draw(st.integers(1, 30), label="n_frames")
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
     states = initial_states(n_frames, gos.n_layers, level)
     damage = rng.random((n_frames, level)) < data.draw(
         st.sampled_from([0.1, 0.3, 0.7]))
     states[:, :level][damage] = L
-    views = []
-    for win in build_windows(states, level, data.draw(st.integers(1, 12))):
-        targets = classify_loss(states, win, gos.n_coarse)
-        if len(targets):
-            views.append(build_conceal_mask(targets, states, win))
-    if not views:
+    targets = [t for win in build_windows(states, level,
+                                          data.draw(st.integers(1, 12)))
+               if len(t := classify_loss(states, win, gos.n_coarse))]
+    if not targets:
         return None
-    return MaskedQuery(structured(rng, states.shape, vocab), views)
+    return structured(rng, states.shape, vocab), targets
 
 
 @given(st.data())
@@ -98,10 +97,11 @@ def conceal_query(data, gos, rng, vocab):
 def test_rows_price_like_the_scalar_reference(data):
     """Whatever the model, trained, empty or uniform, and whatever a
     batch layout's or a stream step's fine slices or concealment prices:
-    ``cum[rows]`` and ``kinds`` equal the per-cell reference, a fine
-    token's row is its layer's, ``predict`` is the mode of each target's
-    row, everything reads the same table, and each slice's tokens
-    round-trip through the range coder under its rows."""
+    ``cum[rows]`` and ``kinds`` equal the per-layer reference, a cell's
+    row is its layer's, ``pmf`` prices a query as ``layer_pmf`` prices its
+    layers, ``predict`` is the mode of each target's row, everything
+    reads the same table, and each slice's tokens round-trip through the
+    range coder under its rows."""
     gos = data.draw(st.sampled_from(GOSES), label="gos")
     vocab = data.draw(st.sampled_from([2, 5, 10, 64]), label="vocab")
     kind = data.draw(st.sampled_from(["uniform", "empty", "trained"]),
@@ -111,44 +111,32 @@ def test_rows_price_like_the_scalar_reference(data):
     elif kind == "empty":  # every row a per-layer uniform fallback
         model = CountModel(vocab, gos.n_layers)
     else:
-        model = trained(vocab, gos.n_layers, gos.n_coarse,
+        model = trained(vocab, gos.n_layers,
                         data.draw(st.integers(0, 3), label="model seed"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     source = data.draw(st.sampled_from([batch_slices, stream_slices,
                                         conceal_query]), label="source")
-    if source is conceal_query:
-        query = source(data, gos, rng, vocab)
-        if query is None:
-            return
-        tokens = query.tokens
-        cum, rows, kinds = model.pmf(query)
-        want = []
-        for lo, visible, targets in query.views:
-            full = np.zeros(len(tokens), dtype=np.int64)
-            full[lo:lo + len(visible)] = visible
-            for t, k in targets.tolist():
-                if isinstance(model, UniformModel):
-                    want.append((uniform_pmf(vocab), "uniform"))
-                else:
-                    want.append(reference_key(model, tokens, full, t, k, lo,
-                                              lo + len(visible))[1:])
-        np.testing.assert_array_equal(model.predict(query), _mode(cum[rows]))
-        slices = [np.asarray(v.targets) for v in query.views]
-    else:
-        tokens, slices = source(data, gos, rng, vocab)
-        cells = np.concatenate(slices)
-        cum, rows, kinds = model.layer_pmf(cells[:, 1])
-        want = [(uniform_pmf(vocab), "uniform")
-                if isinstance(model, UniformModel)
-                else reference_layer_pmf(model, k)
-                for k in cells[:, 1].tolist()]
-        if isinstance(model, CountModel):
-            np.testing.assert_array_equal(
-                rows, len(model.keys) + cells[:, 1])
+    drawn = source(data, gos, rng, vocab)
+    if drawn is None:
+        return
+    tokens, slices = drawn
+    cells = np.concatenate(slices)
+    cum, rows, kinds = model.layer_pmf(cells[:, 1])
+    query = Targets(cells)
+    for got, want in zip(model.pmf(query), (cum, rows, kinds)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(model.predict(query), _mode(cum[rows]))
+    want = [(uniform_pmf(vocab), "uniform")
+            if isinstance(model, UniformModel)
+            else reference_layer_pmf(model, k)
+            for k in cells[:, 1].tolist()]
+    if isinstance(model, CountModel):
+        np.testing.assert_array_equal(rows, cells[:, 1])
     np.testing.assert_array_equal(
         cum[rows], cumulative(np.array([w[0] for w in want])))
     assert [FALLBACKS[c] for c in kinds.tolist()] == [w[1] for w in want]
     assert model.layer_pmf([])[0] is cum
+    assert model.pmf(query)[0] is cum
     assert not cum.flags.writeable
 
     a = 0

@@ -8,10 +8,10 @@ from conftest import counted_model, flip
 from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 
 from tokenwire import streaming
-from tokenwire.context import CountModel, UniformModel
+from tokenwire.context import UniformModel, train_count_model
 from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
-from tokenwire.grid import GosConfig, StreamConfig, TokenState
+from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
 from tokenwire.streaming import StreamReceiver, StreamSender
 from tokenwire.transport import Packet, pack_bits
 
@@ -623,19 +623,28 @@ def test_stream_with_trained_model_decodes_bit_exactly():
     tokens[:, 0] = rng.integers(0, 16, size=T)
     tokens[:, 1] = (tokens[:, 0] + 1) % 16
     tokens[:, 2] = 3
-    model = CountModel(vocab=16, n_layers=3)
-    fit = np.concatenate([tokens, tokens])
-    from tokenwire.context import MaskedQuery, View
-    for t in range(len(fit)):
-        lo, hi = max(0, t - 6), min(len(fit), t + 4)
-        vis = np.full(hi - lo, 3, dtype=np.int64)
-        vis[t - lo] = 1
-        cells = np.array([(t, 1), (t, 2)], dtype=np.int64)
-        q = MaskedQuery(fit, [View(lo, vis, cells)])
-        model.observe(q, fit[cells[:, 0], cells[:, 1]])
+    model = train_count_model([TokenGrid(tokens, np.full(T, 3), 16)], 16, 3)
     grid, states, _, tx, _ = drive(tokens, model=model)
     np.testing.assert_array_equal(grid.tokens, tokens)
     assert np.all(states == R)
+
+
+def test_a_cadence_past_the_default_coding_context_streams():
+    """coding_context has no effect, so a cadence whose stride + lookahead
+    passes its default of 12 builds once the concealment window covers
+    it, and streams bit-exactly; a lost step is concealed inside it."""
+    stream = StreamConfig(stride=10, lookahead=5, conceal_context=20)
+    assert stream.coding_context == 12
+    tokens = make_tokens(55, 47)
+    grid, states, releases, tx, _ = drive(tokens, stream=stream)
+    np.testing.assert_array_equal(grid.tokens, tokens)
+    assert np.all(states == R)
+    assert [r.due for r in releases] == [(0, 10), (10, 20), (20, 30),
+                                         (30, 40), (40, 47)]
+    assert tx.max_latency <= 15
+    _, states, _, _, rx = drive(tokens, stream=stream,
+                                keep=lambda em, p: em.step != 2)
+    assert (states == C).any() and rx.n_predicted > 0
 
 
 @given(st.data())
@@ -887,7 +896,7 @@ def test_windowed_ends_match_the_full_history_reference(data):
                        data.draw(st.integers(span, span + 6)),
                        data.draw(st.integers(span, span + 6)))
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
-    model = counted_model(10, gos.n_layers, gos.n_coarse)
+    model = counted_model(10, gos.n_layers)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n_frames = data.draw(st.integers(1, 60), label="n_frames")
     tokens = rng.integers(0, 10, size=(n_frames, gos.n_layers))
