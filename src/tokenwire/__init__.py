@@ -3,9 +3,9 @@
 The stack: a DCT toy codec stands in for a neural encoder, an RVQ turns
 features into layered tokens, a count model holds one row of token counts
 per layer, by which a range coder prices the fine layers and concealment
-fills a lost coarse token with its layer's most probable one, and a
-packet transport with coarse-layer FEC plus windowed concealment carries
-them across lossy channels, in batch or bounded-latency streaming mode.
+fills each lost coarse token with its layer's most probable one, and a
+packet transport with coarse-layer FEC carries them across lossy
+channels, in batch or bounded-latency streaming mode.
 """
 
 __version__ = "0.1.0"
@@ -15,7 +15,7 @@ from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
 from .context import (PMF_TOTAL, CountModel, UniformModel, load_count_model,
                       quantize_weights, save_count_model, train_count_model,
                       uniform_pmf)
-from .dependency import build_windows, classify_loss, propagate_invalid
+from .dependency import classify_loss, propagate_invalid
 from .errors import ConfigError, DecodeError
 from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,
@@ -29,8 +29,7 @@ from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import (Codebook, RvqCodec, dequantize, load_codec, quantize,
                   save_codec, train_codebooks)
 from .streaming import StreamReceiver, StreamSender
-from .synthetic import (TokenSource, random_transition, sample_tokens,
-                        stationary, synth_audio)
+from .synthetic import synth_audio
 from .transport import (BernoulliChannel, MarkovChannel, Packet,
                         channel_from_spec, load_channel, read_packets,
                         read_trace, write_packets, write_trace)

@@ -113,6 +113,8 @@ def _read_manifest(path) -> dict:
     _check_fields(manifest, _MANIFEST_FIELDS)
     g = manifest["gos"]
     _check_fields(g, _GOS_FIELDS, "gos.")
+    # older manifests carry a conceal_window that decode ignores; it is
+    # still outside input, so it is refused unless well formed
     if "conceal_window" in manifest:
         _check_fields(manifest, {"conceal_window": _INT})
         _check_range("conceal_window", manifest["conceal_window"], 1)
@@ -189,7 +191,6 @@ def cmd_encode(args) -> int:
         "fec": not args.no_fec,
         "gos": {"gos_len": gos.gos_len, "n_units": gos.n_units,
                 "n_coarse": gos.n_coarse, "n_layers": gos.n_layers},
-        "conceal_window": cfg.conceal_window,
         "codec_sha256": _sha256(args.codec),
         "model_sha256": model_digest(args.model),
         "n_packets": len(packets),
@@ -255,8 +256,7 @@ def cmd_decode(args) -> int:
     audio, grid, rep = receive(
         packets, trace, codec, codec_cfg, model, gos,
         level=manifest["level"], n_frames=manifest["n_frames"],
-        sample_rate=manifest["sample_rate"],
-        conceal_window=manifest.get("conceal_window", 12))
+        sample_rate=manifest["sample_rate"])
     write_audio(args.out, audio)
     print(f"wrote {args.out}; states {rep.state_counts}; "
           f"predicted {rep.n_predicted}")
@@ -264,8 +264,6 @@ def cmd_decode(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump({"state_counts": rep.state_counts,
                        "n_predicted": rep.n_predicted,
-                       "n_windows": rep.n_windows,
-                       "n_blackouts": rep.n_blackouts,
                        "fec_recovered": rep.fec_recovered,
                        "n_dropped": rep.n_dropped,
                        "valid_depth": grid.level.tolist()}, fh, indent=2)
@@ -278,8 +276,7 @@ def cmd_stream(args) -> int:
     codec = _artifact(load_codec, args.codec)
     model = _artifact(load_count_model, args.model)
     gos = gos_config(cfg)
-    stream = StreamConfig(stride=args.stride, lookahead=args.lookahead,
-                          conceal_context=cfg.conceal_window)
+    stream = StreamConfig(stride=args.stride, lookahead=args.lookahead)
     signal = _read_frames(args.audio, cfg.frame_len)
     codec_cfg = CodecConfig(frame_len=cfg.frame_len, dim=codec.dim)
     feats = analyze(signal, codec_cfg)

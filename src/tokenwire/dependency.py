@@ -1,4 +1,4 @@
-"""Stream step geometry, the prefix rule, loss classification, concealment.
+"""Stream step geometry, the prefix rule, loss classification.
 
 No cell is coded against another: a fine slice is priced by its layers
 alone (``context.CountModel.layer_pmf``), so a fine packet decodes
@@ -8,8 +8,8 @@ layer refines the residual left by those below it, so a frame is usable
 up to its first failing cell, and ``propagate_invalid`` cuts every layer
 above a frame's first cell that is not RECEIVED. The receiver's states
 start INVALID at and above the encode level, so no depth read from them
-passes the level: invalidation, damage windows, the usable depth and the
-blackout source need no per-frame level.
+passes the level: invalidation and the usable depth need no per-frame
+level.
 
 A stream step's geometry, its due frames, its horizon and its coarse
 frames, is stated once, by ``stream_step`` and ``stream_coarse``, for
@@ -17,12 +17,11 @@ both stream ends.
 
 Concealment predicts lost coarse cells only (``classify_loss``): a lost or
 invalid fine cell ends its frame's usable depth, because a guessed fine
-token does more harm than one left out. A frame's targets depend on its
-own states alone, so concealment windows, plain frame ``range``s, never
-read each other's damage. A window decides only whether its frames are
-held through a blackout or predicted; a predicted cell takes its layer's
-most probable token and reads no other cell. Which arrived packet fills
-which slice is not decided here but in ``pipeline.admit``.
+token does more harm than one left out. After the prefix rule a frame has
+at most one LOST cell, its first failing one, so a frame's targets depend
+on its own states alone and concealment reads no other frame. Which
+arrived packet fills which slice is not decided here but in
+``pipeline.admit``.
 """
 
 from __future__ import annotations
@@ -84,55 +83,6 @@ def propagate_invalid(states: np.ndarray) -> None:
     """
     depth = prefix_depth(states == R)
     states[np.arange(states.shape[1]) > depth[:, None]] = I
-
-
-def build_windows(states: np.ndarray, level: int, max_len: int) -> list:
-    """Group damaged frames into concealment windows, frame ``range``s of
-    at most max_len.
-
-    A frame is damaged when its received prefix stops below ``level``.
-    Each maximal run of damaged frames is cut into the fewest chunks that
-    fit the length cap, with lengths differing by at most one (earlier
-    chunks take the extra frame), so no chunk is a short remainder. The
-    run's first chunk is padded into the clean frames before it and its
-    last chunk into those after it, as symmetrically as they allow.
-    Windows never share frames.
-    """
-    if max_len < 1:
-        raise ValueError("window length cap must be at least 1")
-    T = states.shape[0]
-    damaged = (prefix_depth(states == R) < level).tolist()
-    runs = []
-    t = 0
-    while t < T:
-        if damaged[t]:
-            s = t
-            while t < T and damaged[t]:
-                t += 1
-            runs.append((s, t))
-        else:
-            t += 1
-
-    windows = []
-    next_free = 0
-    for ri, (rs, re) in enumerate(runs):
-        next_damage = runs[ri + 1][0] if ri + 1 < len(runs) else T
-        n_chunks = -(-(re - rs) // max_len)
-        base, extra = divmod(re - rs, n_chunks)
-        chunk = rs
-        for i in range(n_chunks):
-            chunk_end = chunk + base + (i < extra)
-            spare = max_len - (chunk_end - chunk)
-            left_avail = chunk - next_free if chunk == rs else 0
-            right_avail = next_damage - re if chunk_end == re else 0
-            lt = min(left_avail, (spare + 1) // 2)
-            rt = min(right_avail, spare - lt)
-            lt = min(left_avail, spare - rt)
-            win = range(chunk - lt, chunk_end + rt)
-            windows.append(win)
-            next_free = win.stop
-            chunk = chunk_end
-    return windows
 
 
 def classify_loss(states: np.ndarray, frames: range,

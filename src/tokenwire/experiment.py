@@ -69,7 +69,10 @@ class ExperimentConfig:
     """Everything a run needs; serializes to the run manifest.
 
     ``conceal_fine_layers`` is accepted and validated, and has no effect:
-    the receiver never predicts fine cells.
+    the receiver never predicts fine cells. ``conceal_window`` is
+    accepted and validated, and has no effect: concealment reads only the
+    frames it fills. It is kept only because the benchmark's workloads
+    still read it; the benchmark change of ROADMAP item 1 deletes it.
     """
 
     sample_rate: int = 16000
@@ -340,8 +343,7 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
         packets, srep = send_tokens(grid, sg, model, fec=fec)
         delivered = channel.sample(len(packets), mask_rng)
         survivors = [p for p, d in zip(packets, delivered) if d]
-        rx, states, rrep = receive_tokens(
-            survivors, sg, model, conceal_window=cfg.conceal_window)
+        rx, states, _ = receive_tokens(survivors, sg, model)
         total_bits += srep.total_bits
         rx_chunks.append(rx)
         state_chunks.append(states)
@@ -400,9 +402,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple:
 def summarize(rows) -> dict:
     """Group rows by sweep point: means plus SI-SNR CDF deciles.
 
-    The SI-SNR median stands beside its mean: one clip whose start blacks
-    out holds silence and scores the -100 dB floor, which moves a group's
-    mean far more than its median.
+    The SI-SNR median stands beside its mean: one badly damaged clip, or a
+    silent estimate at the -100 dB floor, moves a group's mean far more
+    than its median.
     """
     groups: dict = {}
     for r in rows:

@@ -119,19 +119,18 @@ class GosConfig:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Streaming cadence: stride, lookahead, and context lengths in frames.
+    """Streaming cadence: stride and lookahead in frames.
 
-    ``conceal_context`` is a step's concealment window, which ends at its
-    lookahead horizon and must reach back over every frame the step
-    finalizes, so it covers at least stride + lookahead frames: a due
-    frame's context then starts at or before the frame itself. Both
-    stream ends hold that window.
+    A step finalizes ``stride`` frames and carries coarse tokens
+    ``lookahead`` frames past them; both stream ends hold the step's
+    window, its due frames through its horizon.
 
-    ``coding_context`` is accepted and has no effect: fine tokens are
-    priced by their layers alone, so no cell is coded against a context
-    window. It is kept only because the benchmark's workloads
-    (``perfbench/workloads.py``) still pass it. A window that does not
-    cover stride + lookahead raises ``ConfigError``.
+    ``coding_context`` and ``conceal_context`` are accepted and have no
+    effect: fine tokens are priced by their layers alone, and concealment
+    reads only the frames it fills, so no cell is coded or concealed
+    against a context window. Both are kept only because the benchmark's
+    workloads (``perfbench/workloads.py``) still pass them; the benchmark
+    change of ROADMAP item 1 deletes them.
     """
 
     stride: int = 3
@@ -144,10 +143,6 @@ class StreamConfig:
             raise ConfigError("stride", "must be at least 1")
         if self.lookahead < 0:
             raise ConfigError("lookahead", "must be non-negative")
-        if self.conceal_context < self.stride + self.lookahead:
-            raise ConfigError("conceal_context", (
-                f"{self.conceal_context} frames do not cover stride "
-                f"{self.stride} + lookahead {self.lookahead}"))
 
 
 def periodic_slicing(gos_len: int, n_units: int) -> dict[int, list[int]]:

@@ -198,8 +198,7 @@ def token_accuracy(truth: TokenGrid, recovered: TokenGrid,
                    states: np.ndarray) -> float | None:
     """Fraction of concealed cells that were predicted exactly.
 
-    Concealed cells are the model's predictions of lost coarse cells plus
-    the cells a blackout hold repeats from the last fully usable frame;
+    Concealed cells are the model's predictions of lost coarse cells;
     lost fine cells are left out, so they never count. Returns None when
     nothing was concealed; 0.0 would misread as "all wrong".
     """

@@ -8,14 +8,13 @@ accounting; ``admit`` decides which arrived packet fills which slice,
 the one claim rule of both receivers, each of which passes only its own
 geometry; ``place_coarse`` writes the admitted coarse slices and their
 repair copies; ``decode_fine`` decodes every fine slice that arrived
-from its first copy that decodes; ``conceal`` holds the last usable
-frame through a coarse blackout and otherwise fills each lost coarse
+from its first copy that decodes; ``conceal`` fills each lost coarse
 cell with its layer's most probable token; a lost or invalid fine cell
 is never guessed and ends its frame's usable depth. A packet the
 receiver cannot place or read is dropped and counted, as if lost. No
-slice is coded against another cell, so a fine slice waits on nothing:
-each end prices all the fine slices it handles at once, and the batch
-receiver predicts the lost coarse cells of every window of a clip in
+slice is coded against another cell, and no concealed cell reads
+another, so neither waits on anything: each end prices all the fine
+slices it handles at once, and conceals all the frames it finalizes in
 one call. The encode level is stated once, in the receiver's initial
 states (INVALID from the level up); which cells can be trusted then
 follows from the states by the one prefix rule in ``dependency``.
@@ -38,8 +37,7 @@ import numpy as np
 
 from .audio import CodecConfig, synthesize
 from .context import FALLBACKS, PMF_TOTAL, Targets
-from .dependency import (build_windows, classify_loss, propagate_invalid,
-                         usable_depth)
+from .dependency import classify_loss, propagate_invalid, usable_depth
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
@@ -96,8 +94,13 @@ class ReceiverReport:
     fec_recovered: int
     state_counts: dict
     n_predicted: int  # lost coarse cells predicted by concealment
-    n_windows: int
-    n_blackouts: int
+
+    @property
+    def n_blackouts(self) -> int:
+        """Always 0: concealment holds no frame through a blackout. Kept
+        only because the benchmark's workloads still read it; the
+        benchmark change of ROADMAP item 1 deletes it."""
+        return 0
 
 
 class SliceSender:
@@ -314,43 +317,23 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
     return repaired
 
 
-def conceal(model, tokens: np.ndarray, states: np.ndarray, jobs: list,
-            n_coarse: int, level: int, before=None) -> tuple:
-    """Conceal in place the damaged cells of the frames ``fill`` of each
-    (window, fill) job of frame ranges, fills in frame order; returns (how
-    many cells were predicted, how many jobs were blackouts).
+def conceal(model, tokens: np.ndarray, states: np.ndarray, frames: range,
+            n_coarse: int) -> int:
+    """Fill in place each LOST coarse cell of ``frames`` with its layer's
+    most probable token, all in one ``predict``, and mark it CONCEALED;
+    returns how many cells were filled.
 
-    In a window with no coarse cell received, every non-received cell of
-    ``fill`` repeats the last fully usable frame before it: a running
-    source, taken from the rows before the fill as the holds advance, or
-    ``before``, the ``level`` tokens of the last fully usable frame before
-    row 0 (zeros when None and no row has one). Otherwise each lost coarse
-    cell of ``fill`` takes its layer's most probable token, all jobs in
-    one ``predict``; damaged fine cells stay as they are. A hold reads the
-    frames before it, so holds run last, in job order."""
-    targets, holds = [], []
-    for win, fill in jobs:
-        if not np.any(states[fill.start:fill.stop, :level] != _R):
-            continue
-        if not np.any(states[win.start:win.stop, :n_coarse] == _R):
-            holds.append(fill)
-            continue
-        targets.append(classify_loss(states, fill, n_coarse))
-    cells = np.concatenate(targets) if targets else np.zeros((0, 2))
+    Every other cell is left as it is: a lost or invalid fine cell ends
+    its frame's usable depth, and, once ``propagate_invalid`` has cut the
+    states, a coarse cell above a frame's first lost one is INVALID and
+    stays cut. A frame's fill reads nothing but its own states, so
+    concealing frames in one call or in any run of consecutive chunks
+    gives the same cells."""
+    cells = classify_loss(states, frames, n_coarse)
     if len(cells):
         tokens[cells[:, 0], cells[:, 1]] = model.predict(Targets(cells))
         states[cells[:, 0], cells[:, 1]] = _C
-    source, seen = (0 if before is None else before), 0
-    for fill in holds:
-        full = np.flatnonzero(usable_depth(states[seen:fill.start]) == level)
-        if len(full):
-            source = tokens[seen + full[-1], :level]
-        seen = fill.start
-        cut = (slice(fill.start, fill.stop), slice(0, level))
-        hole = states[cut] != _R
-        tokens[cut] = np.where(hole, source, tokens[cut])
-        states[cut][hole] = _C
-    return len(cells), len(holds)
+    return len(cells)
 
 
 class _Layout(NamedTuple):
@@ -404,8 +387,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
             for head, cells in plan.slices], tx.report
 
 
-def receive_tokens(packets, sg: SliceGrid, model,
-                   conceal_window: int = 12) -> tuple:
+def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     """Decode arrived packets back into a (grid, states, report) triple.
 
     ``admit`` places the packets against the layout's heads: one that
@@ -414,9 +396,9 @@ def receive_tokens(packets, sg: SliceGrid, model,
     so is a None in ``packets``, which stands for a packet that arrived
     but did not parse (see ``transport.read_packets``). Every fine slice
     that arrived decodes, all in one call; the prefix rule then marks
-    every cell above a frame's first missing one invalid. Windowed
-    concealment then predicts the lost coarse cells and holds blackouts.
-    The grid's level is the per-frame usable depth.
+    every cell above a frame's first missing one invalid, and
+    concealment fills each lost coarse cell with its layer's mode. The
+    grid's level is the per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
@@ -435,10 +417,7 @@ def receive_tokens(packets, sg: SliceGrid, model,
 
     propagate_invalid(states)
 
-    windows = build_windows(states, sg.level, conceal_window)
-    n_predicted, n_blackouts = conceal(
-        model, tokens, states, [(w, w) for w in windows], sg.gos.n_coarse,
-        sg.level)
+    n_predicted = conceal(model, tokens, states, range(T), sg.gos.n_coarse)
 
     grid = TokenGrid(tokens, usable_depth(states), vocab)
     names = {_R: "received", int(TokenState.LOST): "lost",
@@ -449,8 +428,7 @@ def receive_tokens(packets, sg: SliceGrid, model,
     return grid, states, ReceiverReport(
         n_frames=T, level=sg.level, n_packets_seen=len(packets),
         n_dropped=n_dropped, fec_recovered=fec_recovered,
-        state_counts=state_counts, n_predicted=n_predicted,
-        n_windows=len(windows), n_blackouts=n_blackouts)
+        state_counts=state_counts, n_predicted=n_predicted)
 
 
 def send(features: np.ndarray, codec: RvqCodec, model, gos: GosConfig,
@@ -473,16 +451,18 @@ def receive(packets, trace, codec: RvqCodec, codec_cfg: CodecConfig, model,
     """Audio-level convenience: filter by the delivery trace, decode,
     conceal, dequantize the usable prefixes, synthesize.
 
-    ``conceal_fine_layers`` is accepted and has no effect: fine cells are
-    never predicted. Returns (AudioSignal, TokenGrid, ReceiverReport).
+    ``conceal_window`` and ``conceal_fine_layers`` are accepted and have
+    no effect: concealment reads no window, and fine cells are never
+    predicted. Both are kept only because the benchmark's workloads still
+    pass them; the benchmark change of ROADMAP item 1 deletes them.
+    Returns (AudioSignal, TokenGrid, ReceiverReport).
     """
     packets = list(packets)
     if len(trace) != len(packets):
         raise ValueError("trace length must equal the packet count")
     survivors = [p for p, d in zip(packets, trace) if d]
     sg = build_slice_grid(n_frames, gos, level)
-    grid, states, report = receive_tokens(
-        survivors, sg, model, conceal_window=conceal_window)
+    grid, states, report = receive_tokens(survivors, sg, model)
     feats = dequantize(grid, codec, grid.level)
     audio = synthesize(feats, codec_cfg, sample_rate)
     return audio, grid, report

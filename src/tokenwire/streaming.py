@@ -22,24 +22,21 @@ states start INVALID from the encode level up. Its step geometry names
 the heads a step can place, and ``pipeline.admit`` claims them as the
 batch receiver does, dropping and counting the rest as if lost. The
 receiver then finalizes the due frames: decode what arrived, cut each
-frame's layers above its first missing cell, conceal the lost coarse
-cells inside a window ending at the horizon, release. A lost or invalid
-fine cell is not guessed; it ends its frame's usable depth. Released
-frames are never revisited.
+frame's layers above its first missing cell, fill each lost coarse cell
+with its layer's most probable token, release. A lost or invalid fine
+cell is not guessed; it ends its frame's usable depth. Released frames
+are never revisited.
 
-Neither end keeps the stream's history. A step reads only the frames of
-its concealment window, the ``conceal_context`` frames that end at its
-horizon, which cover its due frames. Each end holds that window in
-preallocated rows (``_Frames``), the sender also the frames pushed past
-its last horizon, and forgets every frame before it. Every step's
-geometry relative to its window is one memoized ``_Step`` plan: its
-coarse cells and its predecessor's, its due frames' fine cells and its
-concealment window. Once the window starts past frame 0 every live step
-has the same plan, so a stream uses a handful of plans: the first
-steps', the steady one and the flushed tail's. A blackout holds the
-receiver's last fully usable released frame, kept as a running value and
-handed to ``conceal``, so a hold reaches back past the window. The
-releases are the receiver's output; ``result`` joins them.
+Neither end keeps the stream's history. Concealment reads only the
+frames it fills, so a step reads only its window: its due frames
+through its horizon. Each end holds that window in preallocated rows
+(``_Frames``), the sender also the frames pushed past its last horizon,
+and forgets every frame before it. Every step's geometry relative to
+its window is one memoized ``_Step`` plan: its coarse cells and its
+predecessor's, and its due frames' fine cells. From the third step on
+every live step has the same plan, so a stream uses a handful of plans:
+the first steps', the steady one and the flushed tail's. The releases
+are the receiver's output; ``result`` joins them.
 """
 
 from __future__ import annotations
@@ -79,9 +76,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class _Step(NamedTuple):
     """One step's geometry relative to its window, the ``span`` frames
-    that end at its horizon, which is also its concealment window: a row
-    is a frame less the window's start. The step before's coarse rows may
-    lie before the window, below 0."""
+    from its first due frame through its horizon: a row is a frame less
+    the window's start. The step before's coarse rows may lie before the
+    window, below 0."""
 
     span: int
     due: range           # rows the step finalizes
@@ -107,13 +104,11 @@ def _step_plan(n_coarse: int, level: int, span: int, due: range,
 
 class _Steps:
     """Step plans of one stream end, each with the first frame of its
-    window.
+    window, its first due frame.
 
-    A step's window is its concealment window, which starts at or
-    before its first due frame. From the third step on, once a live
-    step's window starts past frame 0, no frame range is clamped at
-    either end, so every later live step is the same plan ``stride``
-    frames on."""
+    From the third step on, once the step before's coarse frames are
+    those of a steady step, no frame range is clamped at either end, so
+    every later live step is the same plan ``stride`` frames on."""
 
     def __init__(self, gos: GosConfig, cfg: StreamConfig, level: int):
         self.gos, self.cfg, self.level = gos, cfg, level
@@ -126,13 +121,13 @@ class _Steps:
             j, base, plan = self._steady
             return base + (i - j) * cfg.stride, plan
         due, horizon = stream_step(i, cfg, total)
-        base = max(0, horizon + 1 - cfg.conceal_context)
+        base = due.start
         plan = _step_plan(
             self.gos.n_coarse, self.level, horizon + 1 - base,
             _shift(due, -base),
             _shift(stream_coarse(i, cfg, total), -base),
             _shift(stream_coarse(i - 1, cfg, total), -base) if i else None)
-        if total is None and i >= 2 and base > 0:
+        if total is None and i >= 2:
             self._steady = i, base, plan
         return base, plan
 
@@ -141,11 +136,12 @@ class _Frames:
     """Frames ``[lo, hi)`` of a stream in the first rows of preallocated
     ``arrays``: frames enter at ``hi``, and those before ``lo`` are
     forgotten, so holding a window never grows with the stream. There are
-    ``conceal_context`` + 2 * stride + lookahead rows: a window, the
-    frames a sender may hold past its horizon, and room to take more in."""
+    2 * stride + lookahead rows: a sender holds at most one window, of
+    stride + lookahead frames, and fewer than ``stride`` pushed past its
+    horizon, so one row is left to take the next frame in."""
 
     def __init__(self, cfg: StreamConfig, n_layers: int, *dtypes):
-        cap = cfg.conceal_context + 2 * cfg.stride + cfg.lookahead
+        cap = 2 * cfg.stride + cfg.lookahead
         self.arrays = [np.zeros((cap, n_layers), dtype=d) for d in dtypes]
         self.lo = self.hi = 0
 
@@ -285,7 +281,7 @@ class StreamSender:
 class StreamReceiver:
     """Mirrors StreamSender step by step; frames come out finalized.
 
-    Holds the window of its last step, at most ``conceal_context``
+    Holds the window of its last step, at most stride + lookahead
     frames, and the releases, which ``result`` joins.
     ``conceal_fine_layers`` is accepted and has no effect: fine cells are
     never predicted.
@@ -304,13 +300,11 @@ class StreamReceiver:
         self._steps = _Steps(gos, stream, level)
         self._frames = _Frames(stream, gos.n_layers, np.int32, np.int8)
         self._blank = initial_states(1, gos.n_layers, level)
-        self._held = None  # level tokens of the last fully usable release
         self._releases: list = []
         self._released = 0
         self._next_step = 0
         self._finished = False
         self.n_predicted = 0  # lost coarse cells predicted by concealment
-        self.n_blackouts = 0
         self.fec_recovered = 0
         self.n_dropped = 0  # packets that arrived but could not be used
 
@@ -361,8 +355,10 @@ class StreamReceiver:
 
         links, copies, n_dropped = admit(packets, slot_of, self.vocab)
         self.n_dropped += n_dropped
+        # the window starts at the first due frame, so every row below 0
+        # is a released frame, and final
         self.fec_recovered += place_coarse(
-            tokens, states, links, self.vocab, self._released - base)
+            tokens, states, links, self.vocab, 0)
 
         if plan.fine is not None:
             self.n_dropped += decode_fine(
@@ -371,20 +367,20 @@ class StreamReceiver:
 
         sl = slice(plan.due.start, plan.due.stop)
         propagate_invalid(states[sl])
-        n_predicted, n_blackouts = conceal(
-            self.model, tokens, states, [(range(plan.span), plan.due)],
-            n_coarse, self.level, self._held)
-        self.n_predicted += n_predicted
-        self.n_blackouts += n_blackouts
-        depth = usable_depth(states[sl])
-        full = np.flatnonzero(depth == self.level)
-        if len(full):
-            self._held = tokens[sl.start + full[-1], :self.level].copy()
+        self.n_predicted += conceal(self.model, tokens, states, plan.due,
+                                    n_coarse)
         self._released = due.stop
         release = StreamRelease((due.start, due.stop), tokens[sl].copy(),
-                                states[sl].copy(), depth)
+                                states[sl].copy(), usable_depth(states[sl]))
         self._releases.append(release)
         return release
+
+    @property
+    def n_blackouts(self) -> int:
+        """Always 0: concealment holds no frame through a blackout. Kept
+        only because the benchmark's workloads still read it; the
+        benchmark change of ROADMAP item 1 deletes it."""
+        return 0
 
     def finish(self, emissions, total: int) -> list:
         """Process the sender's flush emissions; returns their releases."""

@@ -354,7 +354,6 @@ class ReferenceStreamReceiver:
         self._next_step = 0
         self._finished = False
         self.n_predicted = 0  # lost coarse cells predicted by concealment
-        self.n_blackouts = 0
         self.fec_recovered = 0
         self.n_dropped = 0  # packets that arrived but could not be used
 
@@ -413,12 +412,8 @@ class ReferenceStreamReceiver:
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])
-        win = range(max(0, horizon + 1 - cfg.conceal_context), horizon + 1)
-        n_predicted, n_blackouts = conceal(
-            self.model, self._tokens, self._states, [(win, due)], n_coarse,
-            self.level)
-        self.n_predicted += n_predicted
-        self.n_blackouts += n_blackouts
+        self.n_predicted += conceal(self.model, self._tokens, self._states,
+                                    due, n_coarse)
         self._released = due.stop
         return StreamRelease(
             (due.start, due.stop), self._tokens[sl].copy(),

@@ -110,6 +110,7 @@ def test_encode_outputs(ws):
     assert manifest["header_bits"] == 8 * sum(p.header_bytes
                                               for p in packets)
     assert "conceal_fine_layers" not in manifest
+    assert "conceal_window" not in manifest
 
 
 def test_encode_prints_wire_and_payload_rates(ws, tmp_path, capsys):
@@ -166,6 +167,8 @@ def test_decode_lossless_matches_the_library(ws, tmp_path):
                  "--out", str(out), "--report", str(report)]) == 0
     with open(report) as fh:
         rep = json.load(fh)
+    assert set(rep) == {"state_counts", "n_predicted", "fec_recovered",
+                        "n_dropped", "valid_depth"}
     assert rep["state_counts"] == {"received": 36, "lost": 0,
                                    "invalid": 0, "concealed": 0}
     assert rep["n_predicted"] == 0
@@ -208,28 +211,48 @@ def test_decode_through_a_lossy_trace(ws, tmp_path):
     assert out.exists()
 
 
-def test_decode_reads_a_manifest_that_names_conceal_fine_layers(ws,
-                                                                tmp_path):
-    # Older manifests carry the knob; it is ignored, so they decode to the
-    # same audio as a manifest without it.
+def decode_old_and_new(ws, tmp_path, extra: dict, coarse_loss: bool):
+    """(audio, report) bytes of decoding the clip through one lossy trace
+    under the manifest ``encode`` wrote and under that manifest with the
+    ``extra`` fields of an older one, in that order."""
     old = tmp_path / "old"
     old.mkdir()
     (old / "packets.bin").write_bytes((ws["enc"] / "packets.bin")
                                       .read_bytes())
     with open(ws["enc"] / "manifest.json") as fh:
         manifest = json.load(fh)
-    (old / "manifest.json").write_text(
-        json.dumps({**manifest, "conceal_fine_layers": 7}))
-    flags = ["0" if p.group > 0 and i % 2 else "1" for i, p in
-             enumerate(read_packets(ws["enc"] / "packets.bin"))]
+    (old / "manifest.json").write_text(json.dumps({**manifest, **extra}))
+    flags = ["0" if (p.group > 0 or coarse_loss) and i % 2 else "1"
+             for i, p in enumerate(read_packets(ws["enc"] / "packets.bin"))]
     trace = tmp_path / "trace.txt"
     trace.write_text("".join(flags) + "\n")
-    for d, out in ((ws["enc"], "new.wav"), (old, "old.wav")):
+    outs = []
+    for d, name in ((ws["enc"], "new"), (old, "old")):
+        out, report = tmp_path / f"{name}.wav", tmp_path / f"{name}.json"
         assert main(["decode", "--dir", str(d), "--codec", str(ws["codec"]),
                      "--model", str(ws["model"]), "--trace", str(trace),
-                     "--out", str(tmp_path / out)]) == 0
-    assert (tmp_path / "old.wav").read_bytes() == \
-        (tmp_path / "new.wav").read_bytes()
+                     "--out", str(out), "--report", str(report)]) == 0
+        outs.append((out.read_bytes(), report.read_bytes()))
+    return outs
+
+
+def test_decode_reads_a_manifest_that_names_conceal_fine_layers(ws,
+                                                                tmp_path):
+    # Older manifests carry the knob; it is ignored, so they decode to the
+    # same audio as a manifest without it.
+    new, old = decode_old_and_new(ws, tmp_path, {"conceal_fine_layers": 7},
+                                  coarse_loss=False)
+    assert old == new
+
+
+def test_decode_reads_a_manifest_that_names_conceal_window(ws, tmp_path):
+    # Older manifests carry the concealment window; concealment reads
+    # none, so they decode to the same audio and report as a manifest
+    # without it, here through a trace that loses coarse packets too.
+    new, old = decode_old_and_new(ws, tmp_path, {"conceal_window": 1},
+                                  coarse_loss=True)
+    assert old == new
+    assert json.loads(new[1])["n_predicted"] > 0
 
 
 def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
@@ -249,7 +272,7 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
     audio = read_audio(ws["audio"])
     grid = quantize(analyze(audio, CodecConfig(cfg.frame_len, codec.dim)),
                     codec, codec.n_layers)
-    tx = StreamSender(gos_config(cfg), StreamConfig(3, 3, 6, 6), model)
+    tx = StreamSender(gos_config(cfg), StreamConfig(3, 3), model)
     tx.push(grid.tokens)
     tx.flush()
     rep = tx.report
@@ -269,18 +292,19 @@ def test_stream_matches_periodic_when_lossless(ws, tmp_path, capsys):
     assert stream_out.read_bytes() == decode_out.read_bytes()
 
 
-def test_stream_rejects_a_cadence_the_windows_cannot_cover(ws, tmp_path,
-                                                          capsys):
+def test_stream_takes_a_cadence_past_the_conceal_window(ws, tmp_path,
+                                                        capsys):
     out = tmp_path / "stream.wav"
-    # conceal_window is 6: too short for 4 + 3 frames
+    # the config's conceal_window, 6, is shorter than 4 + 3 frames, and
+    # has no effect: concealment reads no window
     assert main(["stream", "--config", str(ws["cfg"]), "--codec",
                  str(ws["codec"]), "--model", str(ws["model"]),
                  "--audio", str(ws["audio"]), "--out", str(out),
-                 "--stride", "4", "--lookahead", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "stride 4" in err and "lookahead 3" in err
-    assert not out.exists()
+                 "--stride", "4", "--lookahead", "3", "--loss", "0.3",
+                 "--seed", "1"]) == 0
+    assert "(bound 7)" in capsys.readouterr().out
+    assert read_audio(out).samples.size == \
+        read_audio(ws["audio"]).samples.size
 
 
 def test_vocab_above_the_coder_total_is_refused(tmp_path, capsys):

@@ -1,15 +1,14 @@
-"""Stream step geometry, the prefix rule, damage windows, loss
-classification."""
+"""Stream step geometry, the prefix rule, loss classification,
+concealment."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenwire.context import CountModel, UniformModel
 from tokenwire.dependency import (
-    build_windows,
     classify_loss,
+    prefix_depth,
     propagate_invalid,
     stream_coarse,
     stream_step,
@@ -23,7 +22,7 @@ from tokenwire.grid import (
     TokenState,
     build_slice_grid,
 )
-from tokenwire.pipeline import receive_tokens, send_tokens
+from tokenwire.pipeline import conceal, receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender, _Steps
 from conftest import counted_model, slice_of
 
@@ -35,16 +34,6 @@ C = int(TokenState.CONCEALED)
 
 def small_layout(level=3, n_frames=6):
     return build_slice_grid(n_frames, GosConfig(6, 3, 1, 3), level)
-
-
-def test_window_validation():
-    sg = small_layout()
-    states = fresh_states(sg)
-    states[2, 1] = L
-    with pytest.raises(ValueError):
-        build_windows(states, 3, 0)
-    w, = build_windows(states, 3, 3)
-    assert len(w) == 3 and 2 in w and w.stop not in w
 
 
 def test_stream_step_hand_cases():
@@ -128,8 +117,7 @@ def test_dependency_is_topological(gos, n_frames, data):
             pos.update(dict.fromkeys(
                 ((t, sid.group) for t in cells[:, 0].tolist()), i))
     else:
-        stream = StreamConfig(stride=2, lookahead=1, coding_context=6,
-                              conceal_context=6)
+        stream = StreamConfig(stride=2, lookahead=1, coding_context=6)
         ordered = stream_emission_order(gos, stream, n_frames, level)
         pos = dict(ordered)
         assert len(pos) == len(ordered)
@@ -140,24 +128,27 @@ def test_dependency_is_topological(gos, n_frames, data):
 
 
 def test_streaming_dependency_window():
-    """A step reads one window, its concealment window: the
-    ``conceal_context`` frames that end at its horizon, clamped at frame
-    0, which hold its due frames and the frames its coarse packet
-    carries."""
-    stream = StreamConfig(stride=2, lookahead=1, coding_context=4,
-                          conceal_context=5)
+    """A step reads one window: its due frames through its horizon, which
+    hold the frames its coarse packet carries. The step before's coarse
+    frames may start before the window."""
+    stream = StreamConfig(stride=2, lookahead=1, coding_context=4)
     steps = _Steps(GosConfig(6, 3, 1, 3), stream, 3)
     for i, total in ((0, None), (1, None), (3, None), (4, 10), (6, 13)):
         base, plan = steps(i, total)
         due, horizon = stream_step(i, stream, total)
-        assert base == max(0, horizon + 1 - 5)
+        assert base == due.start
         assert base + plan.span == horizon + 1
         assert range(base + plan.due.start, base + plan.due.stop) == due
         own = stream_coarse(i, stream, total)
         assert range(base + plan.coarse.start, base + plan.coarse.stop) == own
-        assert plan.coarse.start >= 0 and plan.due.start >= 0
-    # Step 3: frames 6 and 7, horizon 8: the window is [4, 8].
-    assert steps(3, None)[0] == 4 and steps(3, None)[1].span == 5
+        assert plan.coarse.start >= 0 and plan.due.start == 0
+    # Step 3: frames 6 and 7, horizon 8: the window is [6, 8]. Its coarse
+    # packet carries frames 7 and 8 and, as repair, step 2's frames 5 and
+    # 6, the first of which lies a row below the window.
+    base, plan = steps(3, None)
+    assert base == 6 and plan.span == 3
+    assert plan.coarse == range(1, 3)
+    assert plan.prev[:, 0].tolist() == [-1, 0]
 
 
 def fine_payloads(packets) -> dict:
@@ -199,8 +190,7 @@ def test_coding_visibility_streaming():
     """The coder of a stream step's fine slice sees no cell but the
     slice's own, the fine layers of the due frames: under a trained
     model, its payload is the same whatever every other cell holds."""
-    stream = StreamConfig(stride=3, lookahead=2, coding_context=6,
-                          conceal_context=6)
+    stream = StreamConfig(stride=3, lookahead=2, coding_context=6)
     gos = GosConfig(6, 3, 1, 3)
     model = counted_model(8, 3)
     a, b = two_grids(6, 20, 3)
@@ -255,8 +245,7 @@ def test_fine_slices_are_priced_by_their_layers_alone(gos, n_frames, data):
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
-        context = stride + lookahead + data.draw(st.integers(0, 4))
-        cfg = StreamConfig(stride, lookahead, context, context)
+        cfg = StreamConfig(stride, lookahead)
         tx = StreamSender(gos, cfg, model, level=level)
         rx = StreamReceiver(gos, cfg, model, level=level)
         live = tx.push(tokens)
@@ -304,8 +293,7 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
-        context = stride + lookahead + data.draw(st.integers(0, 4))
-        cfg = StreamConfig(stride, lookahead, context, context)
+        cfg = StreamConfig(stride, lookahead)
         tx = StreamSender(gos, cfg, model, level=level)
         rx = StreamReceiver(gos, cfg, model, level=level)
 
@@ -330,11 +318,11 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
 
 @given(gos_strategy(), st.integers(1, 16), st.data())
 @settings(max_examples=80, deadline=None)
-def test_only_a_blackout_hold_conceals_fine_cells(gos, n_frames, data):
-    """Under any drop mask, batch or streaming, a fine cell is CONCEALED
-    only in a frame that received no coarse cell, where the blackout hold
-    repeats a whole frame; lost fine cells are never predicted. Every
-    RECEIVED cell equals the sent token."""
+def test_fine_cells_are_never_concealed(gos, n_frames, data):
+    """Under any drop mask, batch or streaming, no fine cell ends
+    CONCEALED, and a CONCEALED coarse cell is its frame's first cell not
+    RECEIVED: every cell above it is INVALID. Every RECEIVED cell equals
+    the sent token."""
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tokens = rng.integers(0, 4, size=(n_frames, gos.n_layers))
@@ -352,8 +340,7 @@ def test_only_a_blackout_hold_conceals_fine_cells(gos, n_frames, data):
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
-        context = stride + lookahead + data.draw(st.integers(0, 4))
-        cfg = StreamConfig(stride, lookahead, context, context)
+        cfg = StreamConfig(stride, lookahead)
         tx = StreamSender(gos, cfg, model, level=level)
         rx = StreamReceiver(gos, cfg, model, level=level)
         for em in tx.push(tokens):
@@ -361,8 +348,11 @@ def test_only_a_blackout_hold_conceals_fine_cells(gos, n_frames, data):
         tail, total = tx.flush()
         rx.finish([carry(em.packets) for em in tail], total)
         got, states = rx.result()
-    held = ~(states[:, :gos.n_coarse] == R).any(axis=1)
-    assert not (states[~held, gos.n_coarse:] == C).any()
+    assert not (states[:, gos.n_coarse:] == C).any()
+    t, k = np.nonzero(states == C)
+    assert (prefix_depth(states[t] == R) == k).all()
+    above = np.arange(gos.n_layers) > k[:, None]
+    assert (states[t][above] == I).all()
     received = states == R
     np.testing.assert_array_equal(got.tokens[received], tokens[received])
 
@@ -372,11 +362,9 @@ def test_only_a_blackout_hold_conceals_fine_cells(gos, n_frames, data):
 @settings(max_examples=80, deadline=None)
 def test_a_predicted_cell_takes_its_layers_mode(gos, n_frames, data):
     """Under any drop mask, batch or streaming, every cell concealment
-    predicts holds its layer row's most probable token, whatever the
-    cells around it hold. A predicted cell is a CONCEALED coarse cell of
-    a frame with no CONCEALED fine cell: a blackout hold fills every
-    damaged layer of its frames, fine ones included, and prediction
-    fills coarse cells only. There are as many as the receiver reports."""
+    predicts, a CONCEALED cell, holds its layer row's most probable
+    token, whatever the cells around it hold. There are as many as the
+    receiver reports."""
     level = data.draw(st.integers(gos.n_coarse + 1, gos.n_layers))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vocab = 6
@@ -399,8 +387,7 @@ def test_a_predicted_cell_takes_its_layers_mode(gos, n_frames, data):
     else:
         stride = data.draw(st.integers(1, 4))
         lookahead = data.draw(st.integers(0, 3))
-        context = stride + lookahead + data.draw(st.integers(0, 4))
-        cfg = StreamConfig(stride, lookahead, context, context)
+        cfg = StreamConfig(stride, lookahead)
         tx = StreamSender(gos, cfg, model, level=level)
         rx = StreamReceiver(gos, cfg, model, level=level)
         for em in tx.push(tokens):
@@ -409,12 +396,52 @@ def test_a_predicted_cell_takes_its_layers_mode(gos, n_frames, data):
         rx.finish([carry(em.packets) for em in tail], total)
         got, states = rx.result()
         n_predicted = rx.n_predicted
-    held = (states[:, gos.n_coarse:] == C).any(axis=1)
-    t, k = np.nonzero((states[:, :gos.n_coarse] == C) & ~held[:, None])
+    t, k = np.nonzero(states == C)
     assert len(t) == n_predicted
     np.testing.assert_array_equal(got.tokens[t, k], (2 * k + 1) % vocab)
     received = states == R
     np.testing.assert_array_equal(got.tokens[received], tokens[received])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_concealment_reads_each_frame_alone(seed, n_frames, n_layers, data):
+    """Over any tokens and any states the prefix rule has cut: concealing
+    every frame in one call fills the same cells with the same tokens as
+    concealing consecutive chunks of any lengths, one call each, as the
+    stream receiver does step by step. Each LOST coarse cell ends
+    CONCEALED, and every other cell is left as it was."""
+    level = data.draw(st.integers(1, n_layers), label="level")
+    n_coarse = data.draw(st.integers(1, level), label="n_coarse")
+    rng = np.random.default_rng(seed)
+    vocab = 6
+    model = CountModel(vocab, n_layers,
+                       rng.integers(0, 4, size=(n_layers, vocab)))
+    tokens = rng.integers(0, vocab, size=(n_frames, n_layers)).astype(np.int32)
+    states = rng.choice([R, L, I, C], size=(n_frames, n_layers),
+                        p=[0.6, 0.25, 0.1, 0.05]).astype(np.int8)
+    states[:, level:] = I
+    propagate_invalid(states)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_frames), max_size=8),
+                            label="cuts"))
+    edges = [0, *cuts, n_frames]
+
+    whole = tokens.copy(), states.copy()
+    n_whole = conceal(model, *whole, range(n_frames), n_coarse)
+    chunked = tokens.copy(), states.copy()
+    n_chunked = sum(conceal(model, *chunked, range(a, b), n_coarse)
+                    for a, b in zip(edges, edges[1:]))
+    assert n_chunked == n_whole
+    np.testing.assert_array_equal(chunked[0], whole[0])
+    np.testing.assert_array_equal(chunked[1], whole[1])
+
+    target = np.zeros(states.shape, dtype=bool)
+    target[:, :n_coarse] = states[:, :n_coarse] == L
+    assert n_whole == target.sum()
+    assert (whole[1][target] == C).all()
+    np.testing.assert_array_equal(whole[0][~target], tokens[~target])
+    np.testing.assert_array_equal(whole[1][~target], states[~target])
 
 
 def test_propagate_invalid():
@@ -443,9 +470,9 @@ def plain_prefix(row, level, ok):
 @settings(max_examples=100, deadline=None)
 def test_prefix_rule_matches_a_per_row_reading(seed, n_frames, n_layers,
                                                data):
-    """Invalidation, the usable depth and the damaged frames, read from
-    states that are INVALID from the encode level up, agree with reading
-    each row below an explicitly given level."""
+    """Invalidation and the usable depth, read from states that are
+    INVALID from the encode level up, agree with reading each row below
+    an explicitly given level."""
     level = data.draw(st.integers(1, n_layers))
     rng = np.random.default_rng(seed)
     states = rng.choice([R, L, I, C], size=(n_frames, n_layers),
@@ -457,80 +484,11 @@ def test_prefix_rule_matches_a_per_row_reading(seed, n_frames, n_layers,
     assert depth.dtype == np.int16
     assert depth.tolist() == [plain_prefix(r, level, (R, C)) for r in rows]
 
-    damaged = [t for t, r in enumerate(rows)
-               if any(c != R for c in r[:level])]
-    windows = build_windows(states, level, 1)  # no padding at length 1
-    assert [w.start for w in windows] == damaged
-
     want = states.copy()
     for r in want:
         r[plain_prefix(r.tolist(), level, (R,)) + 1:level] = I
     propagate_invalid(states)
     np.testing.assert_array_equal(states, want)
-
-
-def window_spans(windows):
-    return [(w.start, w.stop) for w in windows]
-
-
-def test_build_windows_hand_cases():
-    states = np.full((20, 2), R, dtype=np.int8)
-    assert build_windows(states, 2, 5) == []
-
-    states[5, 1] = L
-    assert window_spans(build_windows(states, 2, 5)) == [(3, 8)]
-
-    # Two nearby single-frame runs with a tight cap stay centered.
-    states = np.full((6, 2), R, dtype=np.int8)
-    states[1, 0] = L
-    states[4, 1] = L
-    assert window_spans(build_windows(states, 2, 3)) == \
-        [(0, 3), (3, 6)]
-
-    # A 24-frame clip, three units per 12-frame group-of-slices: frame 11
-    # lost a fine cell, and of frames 12-23 only the coarse of 12, 15, 18
-    # and 21 arrived. Cut from its start, the 13-frame run [11, 24) left
-    # [23, 24) as a window with no received coarse, held as a blackout.
-    states = np.full((24, 2), R, dtype=np.int8)
-    states[11, 1] = L
-    states[12:, :] = L
-    states[12::3, 0] = R
-    windows = build_windows(states, 2, 12)
-    assert window_spans(windows) == [(6, 18), (18, 24)]
-    for w in windows:
-        assert (states[w.start:w.stop, 0] == R).any()
-
-
-def test_build_windows_chunks_long_runs():
-    states = np.full((30, 1), L, dtype=np.int8)
-    assert window_spans(build_windows(states, 1, 12)) == \
-        [(0, 10), (10, 20), (20, 30)]
-    assert window_spans(build_windows(states, 1, 8)) == \
-        [(0, 8), (8, 16), (16, 23), (23, 30)]
-    with pytest.raises(ValueError):
-        build_windows(states, 1, 0)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8))
-@settings(max_examples=80, deadline=None)
-def test_build_windows_properties(seed, n_frames, max_len):
-    rng = np.random.default_rng(seed)
-    states = rng.choice([R, L], size=(n_frames, 2), p=[0.7, 0.3]).astype(np.int8)
-    windows = build_windows(states, 2, max_len)
-    damaged = {t for t in range(n_frames) if (states[t] != R).any()}
-    covered = set()
-    prev_stop = 0
-    for w in windows:
-        # a non-empty forward frame range
-        assert isinstance(w, range) and w.step == 1
-        assert 0 <= w.start < w.stop <= n_frames
-        assert len(w) <= max_len
-        assert w.start >= prev_stop  # disjoint and ordered
-        prev_stop = w.stop
-        span = set(range(w.start, w.stop))
-        assert span & damaged  # no window without damage
-        covered |= span
-    assert damaged <= covered
 
 
 def fresh_states(sg):

@@ -236,7 +236,7 @@ def test_summarize_groups_and_deciles():
 
     rows = [row(float(i), None if i % 2 else 0.5) for i in range(11)]
     rows.append(row(99.0, None, loss=0.3))
-    # a blackout at a clip's start scores the -100 dB floor
+    # a silent estimate scores the -100 dB floor
     rows += [row(si, None, loss=0.5) for si in (6.0, 7.0, 8.0, -100.0)]
     summary = summarize(rows)
     assert [g["loss_ratio"] for g in summary["groups"]] == [0.1, 0.3, 0.5]

@@ -22,8 +22,8 @@ from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid)
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import StreamReceiver, StreamSender
-from tokenwire.synthetic import TokenSource, random_transition, sample_tokens
 from tokenwire.transport import BernoulliChannel, MarkovChannel, Packet
+from synthetic_tokens import TokenSource, random_transition, sample_tokens
 
 VOCAB = 16
 N_LAYERS = 8
@@ -115,7 +115,7 @@ def run_batch(model, grid, layout: str, channel: str) -> dict:
     arrived = [Packet.from_bytes(b) for b, d in zip(wire, keep) if d]
     got, states, rrep = receive_tokens(arrived, sg, model)
     if channel == "blackout":
-        assert rrep.n_blackouts >= 1
+        assert rrep.n_predicted >= 1
     received = states == R
     np.testing.assert_array_equal(got.tokens[received], tokens[received])
     return {
@@ -123,23 +123,22 @@ def run_batch(model, grid, layout: str, channel: str) -> dict:
         "sender": _sender(srep),
         "received": _sha(got.tokens, got.level, states),
         # the report once carried a copy of the usable depth, got.level,
-        # in this place (both int16)
+        # in this place (both int16), and counts of concealment windows and
+        # blackout holds where the two 0s stand
         "receiver": _sha(rrep.state_counts, _predicted(rrep.n_predicted),
-                         rrep.n_windows, rrep.n_blackouts, rrep.fec_recovered,
-                         got.level),
+                         0, 0, rrep.fec_recovered, got.level),
     }
 
 
+# the names "wide" and "tight" recall the concealment windows these
+# cadences once ran with; a step's window is now its due frames through
+# its horizon
 STREAMS = {
     "default": StreamConfig(),
-    "stride1": StreamConfig(stride=1, lookahead=0, coding_context=6,
-                            conceal_context=6),
-    # a short concealment window; coding_context has no effect
-    "wide": StreamConfig(stride=2, lookahead=1, coding_context=12,
-                         conceal_context=4),
-    # the shortest windows: exactly stride + lookahead frames
-    "tight": StreamConfig(stride=2, lookahead=2, coding_context=4,
-                          conceal_context=4),
+    "stride1": StreamConfig(stride=1, lookahead=0),
+    # a lookahead shorter than the stride
+    "wide": StreamConfig(stride=2, lookahead=1),
+    "tight": StreamConfig(stride=2, lookahead=2),
 }
 
 
@@ -166,7 +165,7 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
     releases += rx.finish([carry(em) for em in tail], total)
     got, states = rx.result()
     if channel == "blackout":
-        assert rx.n_blackouts >= 1
+        assert rx.n_predicted >= 1
     received = states == R
     np.testing.assert_array_equal(got.tokens[received], grid.tokens[received])
     return {
@@ -176,7 +175,8 @@ def run_stream(model, grid, stream: str, channel: str) -> dict:
         "receiver": _sha([[list(r.due), _sha(r.tokens, r.states,
                                              r.valid_depth)]
                           for r in releases],
-                         _predicted(rx.n_predicted), rx.n_blackouts,
+                         # once a count of blackout holds
+                         _predicted(rx.n_predicted), 0,
                          rx.fec_recovered, tx.max_latency),
     }
 
@@ -192,25 +192,25 @@ GOLDEN = {
         "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
         "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
         "received": "b3e96face341d6d10629a89efe3d51c679b6cf0485e5ac0577a6aa94a6919827",
-        "receiver": "56b2b26cc3d7f4fe286f881110a1df3f2c325fa4838e2e89097a7ae4d4d96d08",
+        "receiver": "d218bffe633e3e1f0bd524bfa494041023d59d428bab5201b6a9fd34130b68f7",
     },
     "batch/8/0.3": {
         "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
         "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
         "received": "0a5fa5437f519ccdbbb9b4a3249d0a47d430076f53fc06b63409a3b51cad8fd2",
-        "receiver": "2737f518e120936abd599022c83422e0ce877db49aacfa3a40f2b739e1dbc73b",
+        "receiver": "d1bc7a83d627d9dd0ba3cd0d940defa6ce148098ad2a74b15af6b59ea2996d70",
     },
     "batch/8/blackout": {
         "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
         "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
-        "received": "feda6f31703b03e939709f060426e86955d3f27322178bbcd5761b3318b88e9f",
-        "receiver": "5b5efae07a15d04aa1c1d255ce6adf61e603506d244defe35ad8e3ef56947de4",
+        "received": "1e73362bbb1502ae32a31f35fc557de957ae30309031abc5c8e6e546e2b9ddc8",
+        "receiver": "f0f21fbc1c1d05f39bc67fda1e1e56a64590d34ac3eaff228397ed245d3782bb",
     },
     "batch/8/markov": {
         "wire": "47ad5d8069358122e9472a2c34669028476808f07ff9384907ccb71c2d6c49b5",
         "sender": "28b9eeb497e047db07c350f649d7912700a61f53ffd7234981f9059d4f348336",
         "received": "54928d8594347481d40e6fb60b54386ccf1e201327ec1fba23e8934ee955a252",
-        "receiver": "0cdc00d7009cc7ef2a0ec57d4c8fde6a5e92ba82dcae56728c92dbe84a2b7588",
+        "receiver": "3294c3db9f705fb1994903e613f9a2e198f5b2f6712e42aaee698c998abbec4a",
     },
     "batch/5/lossless": {
         "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
@@ -222,25 +222,25 @@ GOLDEN = {
         "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
         "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
         "received": "565c2308b65d12336530f84a7f586ac6bd06b80e54e001955e2349084d1fb118",
-        "receiver": "9bd0491c57ff9d290356e2598ca2aac759804706e31eabb440381f926d616654",
+        "receiver": "d4f49e820371ff8261a8e47ba2bd573b938465f673aee4c729ee1e8aff19b13b",
     },
     "batch/5/0.3": {
         "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
         "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
         "received": "7e37bb84e59573490bfbdc6bac5a2adbebd442d85188e84afbe2eb441507d2a8",
-        "receiver": "537c0b5a4890c761ce7d376e4f4b6c1e15dee736a6d777218150ac796ff05945",
+        "receiver": "4afcea50f4715c0680be9969892705156e5d24e38d5b320f1879ec7eb48be3c2",
     },
     "batch/5/blackout": {
         "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
         "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
-        "received": "e3452995b1e09a2b54250f58551c9e79f9060b746a7be47b395db07ca0d81370",
-        "receiver": "0a792e34eb4ce16b30ca2e4a63b6211973b5800f5151389b3ea82cbe635d670f",
+        "received": "81abdde2386526652aa478385f55dd521155edd87565dda712d455c0b7519c8e",
+        "receiver": "4396e7d2b72d60627f768d8b2f4147eb4862b80d97a88ee5c4dbe360e2b657bc",
     },
     "batch/5/markov": {
         "wire": "37bc2265aa84afd564fbcf3ab5384359aa43cb4f9a1bf1f5aae147506925517c",
         "sender": "651bf2e531805b455208727a469ad52652656dbe545badfa47b284e5b0a466be",
         "received": "4db5e75f29f36ddb059549831d15fdf3d31c3fb2b0d267b5b4368784e2e996bf",
-        "receiver": "2f19615a31b8b197118408d9d6f0d5cd4cd5430f400daaf803fcada024f7b7f1",
+        "receiver": "11b803c16dc4b8223248e33e5b5c71952b65d2d9e6558ebc2d30bd5ed8e169f1",
     },
     "stream/default/lossless": {
         "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
@@ -263,8 +263,8 @@ GOLDEN = {
     "stream/default/blackout": {
         "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
         "sender": "065c5c59e86c9568fc50975725d4aa34af7c12bda1fe9e23810a1162951107e0",
-        "received": "15b3b50561f1dec1c87651ef2050e305ad900442a6bca5229aa14e76f87c9ad9",
-        "receiver": "5e674b856c665befc1bfea00a28cdf7b3aaef60c514d38aa96d9463d54071b26",
+        "received": "291681fd81bb979e236bb2e5e067000568b9ecfb2fccba020ee59c64e4b57d61",
+        "receiver": "afc31c7b804a3780ceeb72412d491a9ebb0695ae38788b88b8a704e897f1d285",
     },
     "stream/default/markov": {
         "wire": "592d4fdd3291042a659b8e374aa372050d3fc71d7ef0fa1e82bb806ef19e8238",
@@ -293,8 +293,8 @@ GOLDEN = {
     "stream/stride1/blackout": {
         "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
         "sender": "fb7beef2a2bf1d29c9ab211a0d597573faa2df81fc4aae65a0cf61867fcb9a6e",
-        "received": "89a863f2ab20e1b38fbebb3fb53593175786991e9757fcce442f5491b5309ced",
-        "receiver": "6255624bcddb29b2c949438bf11b69c46a270d99b80e3c7d66eb785e69c8e4d8",
+        "received": "7a6ce0348944c153edc58a2baf068d9671142a494671f328820a68b4450d7376",
+        "receiver": "122e9b95281f49b90a5fe94051eb35255a79b36f6f2ff852c45f33e044bb3c04",
     },
     "stream/stride1/markov": {
         "wire": "ad3b053b4860ba5be5cce8e0a67704d7b83efddd153c93185b2d4432b2624d4b",
@@ -323,8 +323,8 @@ GOLDEN = {
     "stream/wide/blackout": {
         "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
         "sender": "0d50fd7bb3a4599522105309dc0fd75794426288cd2ea3a2b9a9cfd45eb88751",
-        "received": "822e396f09d60f2372bbd88de59a846fd2990e6d350928c47fa3ef4a3fe9684f",
-        "receiver": "da062d887cfe7881dff27a06c45b3c806b7a44691cdc3b09e11440a2f8d6f952",
+        "received": "cb75930de0b0bb19c834c94cbb8b593d7209c5c4995b0b5b0bf6906897b55a4e",
+        "receiver": "c1b562f482fa86c8384ef3db9d8d82be70af35211e3bc1b560eb30614f612cdd",
     },
     "stream/wide/markov": {
         "wire": "70bbc441fb000faf182ddc667bba63f2d185c5fd8425bfd29c343aa5e9aa7ecf",
@@ -342,19 +342,19 @@ GOLDEN = {
         "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
         "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
         "received": "05ba2b78a71cbd91d26ccf7ea72e42eab53108e12885314bc48f4bdf3ee716b8",
-        "receiver": "2f8fddf5f0f6fc2c63c3ec477130d671dd07a591a14a57d21a37564eeff02835",
+        "receiver": "b59579cef1bba0f8e2d40a54a9453de5cccf8d964768c8e9a2ebb09a587ac7a6",
     },
     "batch/units4/0.3": {
         "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
         "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
-        "received": "6e4c1e82330875ff2859fdd79616fd79f243915fca199fa0d2be65d1288457b1",
-        "receiver": "e25a721a1d0e4ff1e01aa3f890a62a52cee2a1b16961206c154b279aea8a9b30",
+        "received": "9112813becfef0fd6c2bc563b76d5588b2a7def20cbd3c6fab96b6e474c4dea5",
+        "receiver": "c67496c901ef91f5a374795200ac4ac8828433220495bdef14b3ae0e34ecf937",
     },
     "batch/units4/blackout": {
         "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
         "sender": "4655832c081c9b2fce397bcbb4baf6c3ab6765230f9600f595bb5e758c0285a1",
-        "received": "afdf8c510311acada9b2a592176c52ba0eb6d8c925eea48b5757b1bea39177a3",
-        "receiver": "a31da021fbcf8cca422efe238d3ba44f8e42a28876062e0e9b2156baeaf83356",
+        "received": "94a5263abbd1e089d17a569f9ac1bd10e2cd98dfdf08b6d95225b0803d6c0b85",
+        "receiver": "c1128ed676555ee1af8e76c577c26343c4ed203c715cd2319fc2cd906cd39716",
     },
     "batch/units4/markov": {
         "wire": "5b5086d3f76571fcd4a3f8d6f18eca164bf8124a8a1d22d575e3bde19a14dab8",
@@ -372,25 +372,25 @@ GOLDEN = {
         "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
         "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
         "received": "93dca22429350fe458fdf08d02cc8f3339b3d7bd18fe5165749ed12093e98fba",
-        "receiver": "c85d5b002c77554cd2efccfb09337942b3d2d60e886b4481c29107cc7c9a603a",
+        "receiver": "e276c67ff5b857724a059f8155e3abed24397902139669f4c99dbc0f31cc0666",
     },
     "batch/tail/0.3": {
         "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
         "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
         "received": "b58b6b9590a8105504574dc590fe2cd63cc091c3466b2f3baf3516c1664eda6a",
-        "receiver": "8f7773c1c659e94fcb76e3532508709ffa7e2b16b9c9eaa082f96e6a3739d601",
+        "receiver": "5926b11d9366c900904d9b1982a5df94161164bb8bc5b1d633ab2ba4deed29b8",
     },
     "batch/tail/blackout": {
         "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
         "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
-        "received": "170ba8fbd683ce4903a889775d8c00ac415cf915f8de62d643d6619766e2afb3",
-        "receiver": "a33ade65463b0e3896dc2589bcc6c8dbb938e0bc10712d9562914f3692939935",
+        "received": "199c09b7303c0be633fca5946db3af71f8c53f62696cda286e299691b2519309",
+        "receiver": "626f1352cfa933101b8abf0f27e122d49fad38c960d9a7904c9eb0566a9ca456",
     },
     "batch/tail/markov": {
         "wire": "7d5f55e51aa6b98135890ba3563c469559888c964b3dc107d0e266593e5fa6be",
         "sender": "794f7391af9f0b337cdfd0007141f2ae2d7bd0896f929cf2e3a7a4b5c7821464",
         "received": "bf6b1a74c93b413e9c5f0ad037c2d1d2f5e041af5c260836a72b06aa3ff4bfec",
-        "receiver": "aff787a46be789a4e277a3205480c26e807fc4c869c08f5a90d611ab8b613b27",
+        "receiver": "7f137258c3aca7efaa54017e6e3fbfbd9d0c378ba1ee32c5a790069650f7a86e",
     },
     "stream/tight/lossless": {
         "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
@@ -413,8 +413,8 @@ GOLDEN = {
     "stream/tight/blackout": {
         "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",
         "sender": "cb8df6fc01b7c90b87d319a6e7a6a9778b53523437fa2425f6befb1cb80be465",
-        "received": "10d388b18e778ae830895b3c42803eb39023e18101ece751bfeec55787b05bb3",
-        "receiver": "500a4e8cfcde3325aca339d9d2bd8bdfa9354c24a33b5c2fe07e9bb7828a0312",
+        "received": "631c3c36f59b0790cff83975377df4095ac6a35b31eddd1e74f8ee1bbefc8e39",
+        "receiver": "ecf80feaccd681b3f316bfdff1ff7722f47d3947df7aeb7630d04725a450678f",
     },
     "stream/tight/markov": {
         "wire": "d485406c01becbe00faf1dfa65d2e844c6947a7988a6f5e56df2f56de6c4b3a6",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.context import UniformModel, train_count_model
+from tokenwire.context import Targets, UniformModel, train_count_model
 from tokenwire.grid import (
     GosConfig,
     SliceId,
@@ -48,7 +48,7 @@ def test_lossless_round_trip():
     assert (states[:, :3] == R).all()
     assert rrep.state_counts == {"received": 36, "lost": 0, "invalid": 0,
                                  "concealed": 0}
-    assert rrep.n_windows == 0 and rrep.n_predicted == 0
+    assert rrep.n_predicted == 0
 
 
 def test_lossless_with_tail_gos_and_partial_level():
@@ -103,13 +103,11 @@ def test_last_coarse_has_no_repair():
                                        sg, model)
     assert rrep.fec_recovered == 0
     # Unit 3 of the second group covers frames 8 and 11; their coarse is
-    # gone for good and concealment steps in. Only those two frames are
-    # damaged: frame 8's window takes the clean frames around it, so frame
-    # 11's window is that frame alone, with no coarse cell received, and
-    # is held as a blackout.
-    assert rrep.n_predicted == 1 and rrep.n_blackouts == 1
+    # gone for good and concealment predicts it. Only those two frames are
+    # damaged, and their fine layers are cut.
+    assert rrep.n_predicted == 2
     assert states[8, 0] == C and states[11, 0] == C
-    assert (states[[8, 11], 1:] != R).all()
+    assert (states[[8, 11], 1:] == I).all()
     assert (np.delete(states, [8, 11], axis=0) == R).all()
 
 
@@ -159,32 +157,25 @@ def test_lost_fine_slice_costs_only_its_own_cells():
     assert rrep.n_predicted == 0
 
 
-def test_blackout_repeats_last_good_frame():
+def test_coarse_outage_takes_the_layer_modes():
+    """Frames with no packet at all, however many in a row and from the
+    clip's first frame on, take their coarse layer's mode; their fine
+    layers are cut. Nothing is repeated from a frame before them."""
     rng = np.random.default_rng(26)
     grid = random_grid(rng, 12, 3, 16)
     sg = build_slice_grid(12, GOS, 3)
-    model = UniformModel(16)
+    model = counted_model(16, 3)
+    mode = int(model.predict(Targets(np.array([[0, 0]])))[0])
     packets, _ = send_tokens(grid, sg, model)
     survivors = [p for p in packets if p.first_frame < GOS.gos_len]
-    got, states, rrep = receive_tokens(survivors, sg, model,
-                                       conceal_window=6)
-    assert rrep.n_blackouts == 1
-    assert (states[6:12] == C).all()
-    for t in range(6, 12):
-        np.testing.assert_array_equal(got.tokens[t], grid.tokens[5])
-    # Concealed cells count as usable depth.
-    assert (got.level == 3).all()
-
-
-def test_blackout_with_no_history_holds_silence():
-    rng = np.random.default_rng(27)
-    grid = random_grid(rng, 6, 3, 16)
-    sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(16)
-    got, states, rrep = receive_tokens([], sg, model)
-    assert rrep.n_blackouts == rrep.n_windows == 1
-    assert (states[:, :3] == C).all()
-    assert not got.tokens.any()
+    for kept, lost in ((survivors, range(6, 12)), ([], range(12))):
+        got, states, rrep = receive_tokens(kept, sg, model)
+        assert rrep.n_predicted == len(lost)
+        assert (states[lost.start:, 0] == C).all()
+        assert (states[lost.start:, 1:] == I).all()
+        assert (got.tokens[lost.start:, 0] == mode).all()
+        assert (got.level[lost.start:] == 1).all()
+        assert (states[:lost.start] == R).all()
 
 
 def assert_dropped_like_lost(got, want, n_dropped):
@@ -196,7 +187,7 @@ def assert_dropped_like_lost(got, want, n_dropped):
     np.testing.assert_array_equal(grid.level, want_grid.level)
     np.testing.assert_array_equal(states, want_states)
     fields = ("n_frames", "level", "fec_recovered", "state_counts",
-              "n_predicted", "n_windows", "n_blackouts")
+              "n_predicted")
     assert [getattr(rep, f) for f in fields] == \
         [getattr(want_rep, f) for f in fields]
     assert rep.n_dropped == want_rep.n_dropped + n_dropped
@@ -419,10 +410,8 @@ def test_state_counts_partition_cells():
     kept = [p for i, p in enumerate(packets) if i % 3 != 1]
     _, _, rrep = receive_tokens(kept, sg, model)
     assert sum(rrep.state_counts.values()) == 12 * 3
-    # every predicted cell is concealed; holds conceal the rest
-    assert 0 <= rrep.n_predicted <= rrep.state_counts["concealed"]
-    if rrep.n_blackouts == 0:
-        assert rrep.n_predicted == rrep.state_counts["concealed"]
+    # every concealed cell was predicted
+    assert rrep.n_predicted == rrep.state_counts["concealed"]
 
 
 def test_trained_model_beats_uniform_on_structured_tokens():
@@ -501,9 +490,9 @@ def test_audio_wrappers_lossless(mini_stack, mini_cfg):
 
 def test_receive_accepts_and_ignores_conceal_fine_layers(mini_stack,
                                                         mini_cfg):
-    """``conceal_fine_layers``, also passed as the 11th positional
-    argument, is accepted and changes nothing: fine cells are never
-    predicted."""
+    """``conceal_window`` and ``conceal_fine_layers``, passed as the 10th
+    and 11th positional arguments, are accepted and change nothing:
+    concealment reads no window, and fine cells are never predicted."""
     from tokenwire.audio import analyze
     from tokenwire.synthetic import synth_audio
     clip = synth_audio(mini_cfg.clip_frames * mini_cfg.frame_len, 98,
@@ -514,8 +503,8 @@ def test_receive_accepts_and_ignores_conceal_fine_layers(mini_stack,
     trace = np.arange(len(packets)) % 3 != 1
     outs = [receive(packets, trace, st.codec, st.codec_cfg, st.count_model,
                     st.gos, mini_cfg.n_layers, mini_cfg.clip_frames,
-                    mini_cfg.sample_rate, mini_cfg.conceal_window, k)
-            for k in (0, 2, 7)]
+                    mini_cfg.sample_rate, w, k)
+            for w, k in ((12, 0), (1, 2), (99, 7))]
     audio, grid, rrep = outs[0]
     assert rrep.state_counts["lost"] + rrep.state_counts["invalid"] > 0
     for other_audio, other_grid, other_rep in outs[1:]:
@@ -524,7 +513,6 @@ def test_receive_accepts_and_ignores_conceal_fine_layers(mini_stack,
         np.testing.assert_array_equal(other_grid.level, grid.level)
         assert other_rep.state_counts == rrep.state_counts
         assert other_rep.n_predicted == rrep.n_predicted
-        assert other_rep.n_blackouts == rrep.n_blackouts
 
 
 def test_receive_trace_mismatch(mini_stack, mini_cfg):

@@ -15,7 +15,7 @@ from scalar_reference import reference_layer_pmf
 from tokenwire.context import (FALLBACKS, CountModel, Targets, UniformModel,
                                _mode, cumulative, train_count_model,
                                uniform_pmf)
-from tokenwire.dependency import build_windows, classify_loss
+from tokenwire.dependency import classify_loss, propagate_invalid
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid, initial_states)
 from tokenwire.pipeline import _layout
@@ -62,10 +62,7 @@ def stream_slices(data, gos, rng, vocab):
     """(tokens, the fine slice's cells) of a random stream step."""
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
-    span = stride + lookahead
-    cfg = StreamConfig(stride, lookahead,
-                       data.draw(st.integers(span, span + 6)),
-                       data.draw(st.integers(span, span + 6)))
+    cfg = StreamConfig(stride, lookahead)
     level = data.draw(st.integers(gos.n_coarse + 1, gos.n_layers),
                       label="level")
     i = data.draw(st.integers(0, 8), label="step")
@@ -76,20 +73,20 @@ def stream_slices(data, gos, rng, vocab):
 
 
 def conceal_query(data, gos, rng, vocab):
-    """(tokens, the lost coarse cells of random damage to a clip, window
-    by window), or None when no window has a lost coarse cell."""
+    """(tokens, the lost coarse cells of random damage to a clip, cut by
+    the prefix rule, as concealment fills them), or None when it has
+    none."""
     n_frames = data.draw(st.integers(1, 30), label="n_frames")
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
     states = initial_states(n_frames, gos.n_layers, level)
     damage = rng.random((n_frames, level)) < data.draw(
         st.sampled_from([0.1, 0.3, 0.7]))
     states[:, :level][damage] = L
-    targets = [t for win in build_windows(states, level,
-                                          data.draw(st.integers(1, 12)))
-               if len(t := classify_loss(states, win, gos.n_coarse))]
-    if not targets:
+    propagate_invalid(states)
+    targets = classify_loss(states, range(n_frames), gos.n_coarse)
+    if not len(targets):
         return None
-    return structured(rng, states.shape, vocab), targets
+    return structured(rng, states.shape, vocab), [targets]
 
 
 @given(st.data())

@@ -8,7 +8,7 @@ from conftest import counted_model, flip
 from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 
 from tokenwire import streaming
-from tokenwire.context import UniformModel, train_count_model
+from tokenwire.context import Targets, UniformModel, train_count_model
 from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
@@ -16,8 +16,7 @@ from tokenwire.streaming import StreamReceiver, StreamSender
 from tokenwire.transport import Packet, pack_bits
 
 GOS = GosConfig(6, 3, 1, 3)
-STREAM = StreamConfig(stride=3, lookahead=3, coding_context=12,
-                      conceal_context=12)
+STREAM = StreamConfig(stride=3, lookahead=3, coding_context=12)
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -77,8 +76,8 @@ def assert_dropped_like_lost(got, want, n_dropped):
     np.testing.assert_array_equal(grid.tokens, want_grid.tokens)
     np.testing.assert_array_equal(grid.level, want_grid.level)
     np.testing.assert_array_equal(states, want_states)
-    assert (rx.n_predicted, rx.n_blackouts, rx.fec_recovered) == \
-        (want_rx.n_predicted, want_rx.n_blackouts, want_rx.fec_recovered)
+    assert (rx.n_predicted, rx.fec_recovered) == \
+        (want_rx.n_predicted, want_rx.fec_recovered)
     assert rx.n_dropped == want_rx.n_dropped + n_dropped
 
 
@@ -176,8 +175,7 @@ def test_lossless_stream_reproduces_the_input():
                                          (21, 24)]
     stitched = np.concatenate([r.tokens for r in releases])
     np.testing.assert_array_equal(stitched, tokens)
-    assert rx.n_predicted == 0 and rx.n_blackouts == 0
-    assert rx.fec_recovered == 0
+    assert rx.n_predicted == 0 and rx.fec_recovered == 0
 
 
 def test_level_truncation_drops_upper_groups():
@@ -221,7 +219,6 @@ def test_fine_loss_concealed_at_release_then_context_stays_clean():
     np.testing.assert_array_equal(grid.tokens[:3], tokens[:3])
     np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
     assert rx.n_predicted == 0
-    assert rx.n_blackouts == 0
 
 
 def test_mangled_fine_payload_is_left_out_like_a_drop():
@@ -286,7 +283,6 @@ def test_receiver_accepts_and_ignores_conceal_fine_layers():
             np.testing.assert_array_equal(a.tokens, b.tokens)
             np.testing.assert_array_equal(a.states, b.states)
         assert other_rx.n_predicted == rx.n_predicted
-        assert other_rx.n_blackouts == rx.n_blackouts
 
 
 def test_foreign_packets_are_rejected_without_growing_the_buffer():
@@ -300,9 +296,10 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     rx.step(steps[0])
     rx.step(steps[1] + [far])
     # the window reaches step 1's horizon, frame 8, and no further, and
-    # holds no more than one step's window of frames
+    # holds no more than one step's window of frames, its due frames
+    # through its horizon
     held = rx._frames
-    assert held.hi == 9 and held.hi - held.lo <= STREAM.conceal_context
+    assert (held.lo, held.hi) == (3, 9)
     assert rx.n_dropped == 1
     # The dropped packet changes nothing: the stream carries on losslessly.
     dirty = [list(p) for p in steps]
@@ -400,8 +397,7 @@ def test_single_coarse_loss_repaired_before_release():
 
 
 def test_stride_one_packets_hold_one_frame():
-    stream = StreamConfig(stride=1, lookahead=0, coding_context=4,
-                          conceal_context=4)
+    stream = StreamConfig(stride=1, lookahead=0, coding_context=4)
     tokens = make_tokens(57, 10)
     grid, states, _, tx, _ = drive(tokens, stream=stream)
     ems = list(StreamSender(GOS, stream, UniformModel(16)).push(tokens))
@@ -452,14 +448,22 @@ def test_wrong_extent_is_dropped_like_a_loss():
     np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
 
 
-def test_total_blackout_releases_zeros_then_holds():
+def test_total_outage_releases_the_layer_modes():
+    # Every packet is lost: each step releases its coarse cells CONCEALED
+    # at their layer's mode and its fine cells INVALID.
     tokens = make_tokens(49, 9)
-    grid, states, releases, _, rx = drive(tokens, keep=lambda em, p: False)
-    assert rx.n_blackouts == 3
-    assert np.all(states == C)
-    assert np.all(grid.tokens == 0)
-    assert np.all(grid.level == 3)
-    assert rx.n_predicted == 0 and rx.fec_recovered == 0
+    model = counted_model(16, 3)
+    mode = int(model.predict(Targets(np.array([[0, 0]])))[0])
+    grid, states, releases, _, rx = drive(tokens, model=model,
+                                          keep=lambda em, p: False)
+    assert [r.due for r in releases] == [(0, 3), (3, 6), (6, 9)]
+    for r in releases:
+        assert r.states.tolist() == [[C, I, I]] * 3
+        assert r.tokens[:, 0].tolist() == [mode] * 3
+        assert r.valid_depth.tolist() == [1] * 3
+    assert np.all(grid.tokens[:, 0] == mode)
+    assert np.all(grid.level == 1)
+    assert rx.n_predicted == 9 and rx.fec_recovered == 0
 
 
 def test_tail_outage_keeps_received_coarse_and_conceals_the_rest():
@@ -500,9 +504,10 @@ def test_replayed_coarse_never_rewrites_released_frames():
     held = [p for p in ems[0].packets if p.group == 0]
     assert [(p.first_frame, p.n_frames) for p in held] == [(0, 6)]
     r0 = rx.step([p for p in ems[0].packets if p not in held])
-    # frames 0..2 have no coarse in the window: a blackout, held at zeros
-    assert np.all(r0.states == C) and rx.n_blackouts == 1
-    assert rx.fec_recovered == 0
+    # frames 0..2 lost their coarse layer: it is released CONCEALED at the
+    # layer's mode, and the fine layers that arrived are cut
+    assert r0.states.tolist() == [[C, I, I]] * 3
+    assert rx.n_predicted == 3 and rx.fec_recovered == 0
     guess = int(r0.tokens[1, 0])
     assert guess != 7
     # step 1's repair copy brings frames 3..5 back before their release
@@ -533,8 +538,9 @@ def test_replay_from_before_the_window_is_placed_like_a_lost_packet():
     steps, n_live, total = emissions(tokens)
     dirty = [list(p) for p in steps]
     dirty[15] += [p for p in steps[1] + steps[2] if p.group == 0]
-    # step 2's coarse frames end at frame 12
-    assert 12 <= stream_step(15, STREAM)[1] + 1 - STREAM.conceal_context
+    # step 2's coarse frames end at frame 12, and step 15's window starts
+    # at its first due frame
+    assert 12 <= stream_step(15, STREAM)[0].start
     assert_dropped_like_lost(run_steps(dirty, n_live, total),
                              run_steps(steps, n_live, total), 0)
 
@@ -630,11 +636,11 @@ def test_stream_with_trained_model_decodes_bit_exactly():
 
 
 def test_a_cadence_past_the_default_coding_context_streams():
-    """coding_context has no effect, so a cadence whose stride + lookahead
-    passes its default of 12 builds once the concealment window covers
-    it, and streams bit-exactly; a lost step is concealed inside it."""
-    stream = StreamConfig(stride=10, lookahead=5, conceal_context=20)
-    assert stream.coding_context == 12
+    """coding_context and conceal_context have no effect, so a cadence
+    whose stride + lookahead passes their default of 12 builds and streams
+    bit-exactly; a lost step is concealed."""
+    stream = StreamConfig(stride=10, lookahead=5)
+    assert stream.coding_context == stream.conceal_context == 12
     tokens = make_tokens(55, 47)
     grid, states, releases, tx, _ = drive(tokens, stream=stream)
     np.testing.assert_array_equal(grid.tokens, tokens)
@@ -659,10 +665,7 @@ def test_step_packing(data):
                                      GosConfig(5, 1, 1, 4)]))
     stride = data.draw(st.integers(1, 4))
     lookahead = data.draw(st.integers(0, 3))
-    span = stride + lookahead
-    cfg = StreamConfig(stride, lookahead,
-                       data.draw(st.integers(span, span + 6)),
-                       data.draw(st.integers(span, span + 6)))
+    cfg = StreamConfig(stride, lookahead)
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     n_frames = data.draw(st.integers(1, 30))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -711,7 +714,7 @@ def test_unreadable_copy_does_not_hide_its_coarse_packet():
     # A coarse packet claims its head only once its payload reads, so an
     # unreadable copy that arrives first is dropped and the packet after
     # it is still placed.
-    cfg = StreamConfig(1, 1, 2, 2)
+    cfg = StreamConfig(1, 1)
     tokens = make_tokens(57, 8, vocab=10)
     tokens[:, 2:] = 0
     model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
@@ -759,10 +762,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5)]))
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
-    span = stride + lookahead
-    cfg = StreamConfig(stride, lookahead,
-                       data.draw(st.integers(span, span + 6)),
-                       data.draw(st.integers(span, span + 6)))
+    cfg = StreamConfig(stride, lookahead)
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tokens = rng.integers(0, 10, size=(data.draw(st.integers(1, 30)),
@@ -819,9 +819,11 @@ def test_unusable_packets_are_dropped_like_losses(data):
 def test_long_streams_hold_one_window():
     """Neither end keeps the stream's history: after 5 000 frames, pushed
     one at a time or in blocks, the sender holds at most one step's
-    window and the frames pushed past its last horizon, the receiver at
-    most one window, and the streams added no step plan after frame 500."""
-    W = STREAM.conceal_context
+    window, of stride + lookahead frames, and the frames pushed past its
+    last horizon, the receiver at most one window, each in at most
+    2 * stride + lookahead rows, and the streams added no step plan after
+    frame 500."""
+    W = STREAM.stride + STREAM.lookahead
     model = UniformModel(16)
     tokens = make_tokens(61, 5000)
     streaming._step_plan.cache_clear()
@@ -843,8 +845,7 @@ def test_long_streams_hold_one_window():
                 n_plans = streaming._step_plan.cache_info().currsize
         assert streaming._step_plan.cache_info().currsize == n_plans
         for frames in (tx._frames, rx._frames):
-            assert all(len(a) <= W + 2 * STREAM.stride + STREAM.lookahead
-                       for a in frames.arrays)
+            assert all(len(a) <= W + STREAM.stride for a in frames.arrays)
         tail, total = tx.flush()
         rx.finish([em.packets for em in tail], total)
         grid, states = rx.result()
@@ -854,29 +855,6 @@ def test_long_streams_hold_one_window():
     n_plans = streaming._step_plan.cache_info().currsize
     drive(tokens[:500])
     assert streaming._step_plan.cache_info().currsize == n_plans
-
-
-def test_blackout_holds_the_last_usable_frame_before_the_window():
-    # Fine packets are lost for many steps, so no frame after step 1's is
-    # fully usable; then every packet is lost. The hold repeats frame 5,
-    # released long before the window of the blackout's steps.
-    tokens = make_tokens(62, 60)
-    W = STREAM.conceal_context
-
-    def keep(em, p):
-        return em.step < 2 or (em.step < 12 and p.group == 0)
-
-    grid, states, releases, _, rx = drive(tokens, keep=keep)
-    assert rx.n_blackouts > 0
-    held = [r for r in releases if r.due[0] >= 12 * 3 + W]
-    assert held and all(np.all(r.states == C) for r in held)
-    for r in held:
-        np.testing.assert_array_equal(r.tokens, np.repeat(tokens[5:6], 3, 0))
-    # the full-history ends agree
-    ref = drive(tokens, keep=keep, ends=(ReferenceStreamSender,
-                                         ReferenceStreamReceiver))
-    np.testing.assert_array_equal(grid.tokens, ref[0].tokens)
-    np.testing.assert_array_equal(states, ref[1])
 
 
 @given(st.data())
@@ -891,10 +869,7 @@ def test_windowed_ends_match_the_full_history_reference(data):
                                      GosConfig(5, 1, 1, 4)]))
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
-    span = stride + lookahead
-    cfg = StreamConfig(stride, lookahead,
-                       data.draw(st.integers(span, span + 6)),
-                       data.draw(st.integers(span, span + 6)))
+    cfg = StreamConfig(stride, lookahead)
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
     model = counted_model(10, gos.n_layers)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -965,7 +940,7 @@ def test_windowed_ends_match_the_full_history_reference(data):
         np.testing.assert_array_equal(a.tokens, b.tokens)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.valid_depth, b.valid_depth)
-    for name in ("n_dropped", "fec_recovered", "n_predicted", "n_blackouts"):
+    for name in ("n_dropped", "fec_recovered", "n_predicted"):
         assert getattr(rx, name) == getattr(ref_rx, name), name
     (grid, states), (ref_grid, ref_states) = rx.result(), ref_rx.result()
     np.testing.assert_array_equal(grid.tokens, ref_grid.tokens)

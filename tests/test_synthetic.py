@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tokenwire.synthetic import (TokenSource, random_transition,
-                                 sample_tokens, stationary, synth_audio)
+from synthetic_tokens import (TokenSource, random_transition, sample_tokens,
+                              stationary)
+from tokenwire.synthetic import synth_audio
 
 P2 = np.array([[0.9, 0.1], [0.5, 0.5]])
 
