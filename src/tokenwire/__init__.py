@@ -1,18 +1,22 @@
 """Loss-resilient token transport for neural-codec style audio streams.
 
 The stack: a DCT toy codec stands in for a neural encoder, an RVQ turns
-features into layered tokens, a count model holds one row of token counts
-per layer, by which a range coder prices the fine layers and concealment
-fills each lost coarse token with its layer's most probable one, and a
-packet transport with coarse-layer FEC carries them across lossy
-channels, in batch or bounded-latency streaming mode.
+features into layered tokens, and a count model holds one row of token
+counts per layer ("uniform" is the model with no counts). A packet
+transport carries the tokens across lossy channels, in batch or
+bounded-latency streaming mode, with one slice path at each end: the
+sender bit-packs each coarse slice, with its predecessor as a repair
+copy, and range-codes each fine slice by its layers' rows; the receiver
+reads each slice from the first of its arrived copies that reads, takes
+a repair copy only from that copy, and fills each lost coarse token with
+its layer's most probable one.
 """
 
 __version__ = "0.1.0"
 
 from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
                     write_audio)
-from .context import (PMF_TOTAL, CountModel, UniformModel, load_count_model,
+from .context import (PMF_TOTAL, CountModel, load_count_model,
                       quantize_weights, save_count_model, train_count_model,
                       uniform_pmf)
 from .dependency import classify_loss, propagate_invalid

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_codebooks)
 
     p = sub.add_parser("train-context", parents=[common],
-                       help="train the count model with the masking schedule")
+                       help="count each layer's tokens on held-out clips")
     p.add_argument("--codec", required=True)
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_train_context)

@@ -141,36 +141,6 @@ def _compile(freq: np.ndarray, kind: np.ndarray) -> _Table:
 
 
 @dataclass
-class UniformModel:
-    """Context-free baseline: every cell gets the uniform PMF, the one row
-    of its table."""
-
-    vocab: int
-
-    def __post_init__(self):
-        if self.vocab < 2:
-            raise ValueError("vocab must be at least 2")
-        self._table = _compile(uniform_pmf(self.vocab)[None],
-                               np.array([_UNIFORM]))
-
-    def layer_pmf(self, layers) -> tuple:
-        """(cumulative table, row per cell, FALLBACKS index per cell) of
-        cells on ``layers``, as ``CountModel.layer_pmf``; every row index
-        is 0."""
-        n = len(layers)
-        return (self._table.cum, np.zeros(n, dtype=np.int64),
-                np.full(n, _UNIFORM))
-
-    def pmf(self, query: Targets) -> tuple:
-        """``layer_pmf`` of the query's target layers."""
-        return self.layer_pmf(query.targets[:, 1])
-
-    def predict(self, query: Targets) -> np.ndarray:
-        """Most probable token per target: token 0 in every layer."""
-        return self._table.mode[self.pmf(query)[1]]
-
-
-@dataclass
 class CountModel:
     """Per-layer token counts with additive smoothing.
 

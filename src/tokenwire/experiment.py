@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .audio import AudioSignal, CodecConfig, analyze, synthesize
-from .context import CountModel, UniformModel, train_count_model
+from .context import CountModel, train_count_model
 from .errors import ConfigError
 from .grid import GosConfig, TokenGrid, build_slice_grid
 from .metrics import (mfcc_distance, mfcc_reference, sdr, si_snr,
@@ -221,7 +221,7 @@ class TrainedStack:
     codec: object
     gos: GosConfig
     count_model: CountModel
-    uniform_model: UniformModel
+    uniform_model: CountModel  # no counts: every layer's row uniform
     trials: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -266,7 +266,7 @@ def train_stack(cfg: ExperimentConfig) -> TrainedStack:
     codec = train_codec(cfg, training_corpus(cfg))
     count_model = train_context(cfg, codec)
     return TrainedStack(codec_cfg, codec, gos_config(cfg), count_model,
-                        UniformModel(cfg.vocab))
+                        CountModel(cfg.vocab, cfg.n_layers))
 
 
 def _seed_of(base: int, tag: str, *parts) -> int:

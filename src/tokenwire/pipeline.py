@@ -1,23 +1,24 @@
 """The transceiver core, and the batch sender and receiver built on it.
 
-The core is shared with the streaming transceiver: ``SliceSender`` turns
-coarse slices into bit-packed packets with chained repair copies and fine
-slices into range-coded packets, each fine token priced by its layer's
-row of the model's table (``layer_pmf``), keeping the sender's bit
-accounting; ``admit`` decides which arrived packet fills which slice,
-the one claim rule of both receivers, each of which passes only its own
-geometry; ``place_coarse`` writes the admitted coarse slices and their
-repair copies; ``decode_fine`` decodes every fine slice that arrived
-from its first copy that decodes; ``conceal`` fills each lost coarse
-cell with its layer's most probable token; a lost or invalid fine cell
-is never guessed and ends its frame's usable depth. A packet the
-receiver cannot place or read is dropped and counted, as if lost. No
-slice is coded against another cell, and no concealed cell reads
-another, so neither waits on anything: each end prices all the fine
-slices it handles at once, and conceals all the frames it finalizes in
-one call. The encode level is stated once, in the receiver's initial
-states (INVALID from the level up); which cells can be trusted then
-follows from the states by the one prefix rule in ``dependency``.
+The core is shared with the streaming transceiver, one path per end.
+``SliceSender.send`` turns every slice into a packet: a coarse slice is
+bit-packed and carries its predecessor's payload as a repair copy, and a
+fine slice is range-coded, each fine token priced by its layer's row of
+the model's table (``layer_pmf``). ``admit`` sorts arrived packets into
+the slices they name, the one claim rule of both receivers, each of
+which passes only its own geometry. ``decode`` reads every slice from
+the first of its copies that reads, and a repair copy is one more copy
+of its predecessor: only the filling copy's is read, and only where the
+predecessor did not arrive. ``conceal`` fills each lost coarse cell with
+its layer's most probable token; a lost or invalid fine cell is never
+guessed and ends its frame's usable depth. A packet the receiver cannot
+place or read is dropped and counted, as if lost. No slice is coded
+against another cell, and no concealed cell reads another, so neither
+waits on anything: each end prices all the fine slices it handles at
+once, and conceals all the frames it finalizes in one call. The encode
+level is stated once, in the receiver's initial states (INVALID from the
+level up); which cells can be trusted then follows from the states by
+the one prefix rule in ``dependency``.
 
 Every clip of one layout shares one plan of it, built on the first clip
 and memoized like the layout itself (``build_slice_grid``): each slice's
@@ -107,9 +108,10 @@ class SliceSender:
     """Transmit half of the transceiver core.
 
     Turns slices into packets in the order it is handed them, chains each
-    coarse packet's repair copy to its predecessor when ``fec`` is on, and
-    keeps the ``SenderReport``. A packet's ``head`` is its (group,
-    first_frame, n_frames). The report charges each packet's own
+    coarse packet's repair copy to its predecessor when ``fec`` is on
+    (across calls, so a stream's steps chain too), and keeps the
+    ``SenderReport``. A packet's ``head`` is its (group, first_frame,
+    n_frames). The report charges each packet's own
     ``Packet.header_bytes`` to ``header_bits``, which varies with the
     header's varint fields, so ``total_bits`` is exactly eight times the
     packets' serialised length.
@@ -122,98 +124,55 @@ class SliceSender:
         self.report = SenderReport()
         self._prev_coarse: bytes | None = None
 
-    def _packet(self, head: tuple, payload: bytes,
-                fec_field: bytes = b"") -> Packet:
-        packet = Packet(*head, payload, fec_field)
-        self.report.n_packets += 1
-        self.report.header_bits += packet.header_bytes * 8
-        return packet
-
-    def coarse(self, head: tuple, vals: np.ndarray) -> Packet:
-        """Bit-pack a coarse slice's tokens; carries the previous coarse
-        slice as repair."""
+    def send(self, tokens: np.ndarray, slices) -> list:
+        """Packets of the slices of ``tokens`` given as (head, cells)
+        pairs, in their order. A coarse slice (group 0) is bit-packed and
+        carries the previous coarse payload as repair. Every fine token is
+        priced by its layer's row, all in one ``layer_pmf``, and each fine
+        slice is range-coded on its own."""
         rep = self.report
-        payload = pack_bits(vals, self.width)
-        fec_field = (self._prev_coarse
-                     if (self.fec and self._prev_coarse is not None) else b"")
-        self._prev_coarse = payload
-        rep.n_coarse_packets += 1
-        rep.coarse_bits += len(payload) * 8
-        rep.fec_bits += len(fec_field) * 8
-        rep.n_coarse_tokens += len(vals)
-        return self._packet(head, payload, fec_field)
-
-    def fine(self, tokens: np.ndarray, slices) -> list:
-        """Range-code fine slices, given as (head, cells) pairs, of
-        ``tokens``, each token priced by its layer's row; returns their
-        packets, in order."""
-        if not slices:
-            return []
-        rep = self.report
-        cells = np.concatenate([c for _, c in slices])
-        layers = cells[:, 1]
-        cum, rows, kinds = self.model.layer_pmf(layers)
-        cum_lo, freq = code_ranges(cum, rows, tokens[cells[:, 0], layers])
-        per_layer = rep.per_layer_ideal_bits
-        for k, f in zip(layers.tolist(), freq):
-            b = -math.log2(f / PMF_TOTAL)
-            rep.ideal_fine_bits += b
-            per_layer[k] = per_layer.get(k, 0.0) + b
-        for fb, n in zip(FALLBACKS, np.bincount(kinds).tolist()):
-            if n:
-                rep.fallback_counts[fb] = rep.fallback_counts.get(fb, 0) + n
+        fine = [cells for head, cells in slices if head[0]]
+        if fine:
+            cells = np.concatenate(fine)
+            layers = cells[:, 1]
+            cum, rows, kinds = self.model.layer_pmf(layers)
+            cum_lo, freq = code_ranges(cum, rows,
+                                       tokens[cells[:, 0], layers])
+            per_layer = rep.per_layer_ideal_bits
+            for k, f in zip(layers.tolist(), freq):
+                b = -math.log2(f / PMF_TOTAL)
+                rep.ideal_fine_bits += b
+                per_layer[k] = per_layer.get(k, 0.0) + b
+            for fb, n in zip(FALLBACKS, np.bincount(kinds).tolist()):
+                if n:
+                    rep.fallback_counts[fb] = (rep.fallback_counts.get(fb, 0)
+                                               + n)
         packets = []
         a = 0
-        for head, c in slices:
-            b = a + len(c)
-            coded = encode_symbols(cum_lo[a:b], freq[a:b])
-            rep.n_fine_packets += 1
-            rep.fine_bits += len(coded.payload) * 8
-            rep.n_fine_tokens += b - a
-            packets.append(self._packet(head, coded.payload))
-            a = b
+        for head, cells in slices:
+            if head[0]:
+                b = a + len(cells)
+                payload = encode_symbols(cum_lo[a:b], freq[a:b]).payload
+                fec_field = b""
+                rep.n_fine_packets += 1
+                rep.fine_bits += len(payload) * 8
+                rep.n_fine_tokens += b - a
+                a = b
+            else:
+                payload = pack_bits(tokens[cells[:, 0], cells[:, 1]],
+                                    self.width)
+                fec_field = (self._prev_coarse if self.fec
+                             and self._prev_coarse is not None else b"")
+                self._prev_coarse = payload
+                rep.n_coarse_packets += 1
+                rep.coarse_bits += len(payload) * 8
+                rep.fec_bits += len(fec_field) * 8
+                rep.n_coarse_tokens += len(cells)
+            packet = Packet(*head, payload, fec_field)
+            rep.n_packets += 1
+            rep.header_bits += packet.header_bytes * 8
+            packets.append(packet)
         return packets
-
-
-def decode_fine(model, tokens: np.ndarray, states: np.ndarray,
-                slices) -> int:
-    """Decode, in place into ``tokens`` and ``states``, fine slices given
-    as (copies, cells) pairs, where ``copies`` holds the slice's arrived
-    payloads in arrival order.
-
-    Each token is priced by its layer's row, as the sender priced it, so
-    a slice reads no other cell and every slice that arrived is read. The
-    first copy that decodes fills its slice, and a slice none of whose
-    copies decodes keeps its cells LOST, like a drop. Returns how many
-    copies filled nothing: every copy but the one that filled its slice.
-    """
-    arrived = [(copies, cells) for copies, cells in slices if copies]
-    if not arrived:
-        return 0
-    cum, rows, _ = model.layer_pmf(
-        np.concatenate([cells for _, cells in arrived])[:, 1])
-    done, syms = [], []
-    n_dropped = 0
-    a = 0
-    for copies, cells in arrived:
-        b = a + len(cells)
-        for payload in copies:
-            try:
-                syms += decode_symbols(CodedSlice(payload, b - a), cum,
-                                       rows[a:b])
-            except DecodeError:
-                continue
-            done.append(cells)
-            n_dropped += len(copies) - 1
-            break
-        else:
-            n_dropped += len(copies)
-        a = b
-    if done:
-        cells = np.concatenate(done)
-        tokens[cells[:, 0], cells[:, 1]] = syms
-        states[cells[:, 0], cells[:, 1]] = _R
-    return n_dropped
 
 
 def coarse_values(payload: bytes, vocab: int, count: int):
@@ -230,82 +189,102 @@ def coarse_values(payload: bytes, vocab: int, count: int):
     return None
 
 
-def admit(packets, slot_of, vocab: int) -> tuple:
-    """Sort arrived packets into the slices they fill: the one claim rule
+def admit(packets, slot_of) -> tuple:
+    """Sort arrived packets into the slices they name: the one claim rule
     of both receivers.
 
     ``slot_of(packet)`` is the receiver's own geometry: the (cells,
     cells of its coarse predecessor or None) of the slice the packet's
     head names, or None when no slice has that head. A None in
-    ``packets`` stands for a packet that arrived but did not parse. A
-    coarse packet claims its head only once its payload reads
-    (``coarse_values``), so an unreadable copy never hides a readable
-    one; a fine payload is read only by decoding it, so every fine copy
-    is kept for ``decode_fine``, which tries them in arrival order.
-    Returns (``place_coarse`` links, {head: fine payloads in arrival
-    order}, how many packets were dropped).
+    ``packets`` stands for a packet that arrived but did not parse. Each
+    placed packet appends its (payload, repair copy) to its slice's
+    copies, in arrival order, for ``decode`` to read. Returns ([(group,
+    cells, predecessor's cells, copies)] in order of each head's first
+    arrival, how many packets could not be placed).
     """
-    links, fine, claimed = [], {}, set()
-    n_dropped = 0
+    slots, n_dropped = {}, 0
     for p in packets:
         slot = None if p is None else slot_of(p)
         if slot is None:
             n_dropped += 1
             continue
         head = p.group, p.first_frame, p.n_frames
-        cells, prev = slot
-        if p.group:
-            fine.setdefault(head, []).append(p.payload)
-            continue
-        vals = (None if head in claimed
-                else coarse_values(p.payload, vocab, len(cells)))
-        if vals is None:
-            n_dropped += 1
+        if head not in slots:
+            slots[head] = (p.group, *slot, [])
+        slots[head][3].append((p.payload, p.fec))
+    return list(slots.values()), n_dropped
+
+
+def decode(model, tokens: np.ndarray, states: np.ndarray, slots,
+           first_open: int) -> tuple:
+    """Fill, in place, the slices ``admit`` sorted; frames before
+    ``first_open`` are final.
+
+    A slice takes the first of its copies that reads: a coarse payload
+    that unpacks into the vocabulary (``coarse_values``), or a fine one
+    that range-decodes, every fine cell priced by its layer's row in one
+    ``layer_pmf``. Every other copy fills nothing and counts as dropped,
+    and a slice none of whose copies reads keeps its cells LOST. All
+    filled cells are written in one ``put``. Then an open predecessor
+    cell not RECEIVED takes the repair copy of the copy that filled its
+    successor, if it unpacks; no other copy's repair is read. Slices name
+    distinct predecessors, so one read of all their states tells which
+    repair copies are needed. A row below ``first_open`` is never
+    written, and its state read is masked, so cells may name rows below
+    0 (frames before a stream receiver's window). Returns (how many
+    copies were dropped, how many repair copies were used)."""
+    vocab = model.vocab
+    fine = [cells for group, cells, _, _ in slots if group]
+    if fine:
+        cum, rows, _ = model.layer_pmf(np.concatenate(fine)[:, 1])
+    filled, values, repairs = [], [], []
+    n_dropped = 0
+    a = 0
+    for group, cells, prev, copies in slots:
+        n = len(cells)
+        for payload, fec in copies:
+            if group:
+                try:
+                    vals = decode_symbols(CodedSlice(payload, n), cum,
+                                          rows[a:a + n])
+                except DecodeError:
+                    continue
+            else:
+                vals = coarse_values(payload, vocab, n)
+                if vals is None:
+                    continue
+            filled.append(cells)
+            values.append(vals)
+            if fec and prev is not None:
+                repairs.append((fec, prev))
+            n_dropped += len(copies) - 1
+            break
         else:
-            claimed.add(head)
-            links.append((cells, vals, p.fec, prev))
-    return links, fine, n_dropped
-
-
-def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
-                 vocab: int, first_open: int) -> int:
-    """Write, in place, coarse slices given as (cells, values, repair
-    copy, cells of its predecessor or None) links, as ``admit`` returns
-    them; frames before ``first_open`` are final.
-
-    Every link's cells and every repair copy's predecessor cells become
-    flat indices in one pass, and the values are written in one ``put``.
-    Then an open predecessor cell not RECEIVED takes the repair copy, if
-    it unpacks into ``vocab``. Links name distinct predecessors, so one
-    read of all their states tells which copies are needed. A row below
-    ``first_open`` is never written, and its state read is masked, so
-    cells may name rows below 0 (frames before a stream receiver's
-    window). Returns how many repair copies were used."""
-    if not links:
-        return 0
-    copies = [(fec, prev) for _, _, fec, prev in links
-              if fec and prev is not None]
-    n = sum(len(cells) for cells, _, _, _ in links)
-    t, k = np.concatenate([cells for cells, _, _, _ in links]
-                          + [prev for _, prev in copies]).T
+            n_dropped += len(copies)
+        if group:
+            a += n
+    if not filled:
+        return n_dropped, 0
+    n = sum(map(len, filled))
+    t, k = np.concatenate(filled + [prev for _, prev in repairs]).T
     flat = t * tokens.shape[1] + k
     is_open = t >= first_open
     keep = is_open[:n]
     cells = flat[:n][keep]
-    tokens.put(cells, np.concatenate([v for _, v, _, _ in links])[keep])
+    tokens.put(cells, np.concatenate(values)[keep])
     states.put(cells, _R)
-    if not copies:
-        return 0
+    if not repairs:
+        return n_dropped, 0
     # a row below 0 clips to a real cell, whose state the mask ignores
     prev_cells = flat[n:]
     need = is_open[n:] & (states.take(prev_cells, mode="clip") != _R)
-    starts = list(accumulate([len(prev) for _, prev in copies[:-1]],
+    starts = list(accumulate([len(prev) for _, prev in repairs[:-1]],
                              initial=0))
     repaired = 0
     for i, hit in enumerate(np.logical_or.reduceat(need, starts).tolist()):
         if not hit:
             continue
-        fec, prev = copies[i]
+        fec, prev = repairs[i]
         v = coarse_values(fec, vocab, len(prev))
         if v is not None:
             span = slice(starts[i], starts[i] + len(prev))
@@ -314,7 +293,7 @@ def place_coarse(tokens: np.ndarray, states: np.ndarray, links: list,
             tokens.put(cells, v[mask])
             states.put(cells, _R)
             repaired += 1
-    return repaired
+    return n_dropped, repaired
 
 
 def conceal(model, tokens: np.ndarray, states: np.ndarray, frames: range,
@@ -341,7 +320,6 @@ class _Layout(NamedTuple):
 
     slices: tuple   # (packet head, cells) per slice, in emission order
     by_head: dict   # packet head -> (cells, coarse predecessor's or None)
-    fine: tuple     # (packet head, cells) per fine slice, in emission order
 
 
 @functools.lru_cache(maxsize=64)
@@ -358,8 +336,7 @@ def _layout(sg: SliceGrid) -> _Layout:
             prev = cells
         else:
             by_head[head] = cells, None
-    return _Layout(tuple(slices), by_head,
-                   tuple((head, cells) for head, cells in slices if head[0]))
+    return _Layout(tuple(slices), by_head)
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -378,24 +355,20 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     if model.vocab != grid.vocab:
         raise ValueError("model and grid vocabularies differ")
 
-    plan = _layout(sg)
     tx = SliceSender(model, fec)
-    tokens = grid.tokens
-    fine = iter(tx.fine(tokens, plan.fine))
-    return [tx.coarse(head, tokens[cells[:, 0], cells[:, 1]])
-            if head[0] == 0 else next(fine)
-            for head, cells in plan.slices], tx.report
+    return tx.send(grid.tokens, _layout(sg).slices), tx.report
 
 
 def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     """Decode arrived packets back into a (grid, states, report) triple.
 
-    ``admit`` places the packets against the layout's heads: one that
-    names no slice of the layout, a copy of one already filled, or one
-    whose payload cannot be read is dropped and counted, as if lost, and
-    so is a None in ``packets``, which stands for a packet that arrived
-    but did not parse (see ``transport.read_packets``). Every fine slice
-    that arrived decodes, all in one call; the prefix rule then marks
+    ``admit`` sorts the packets by the layout's heads and ``decode``
+    reads them: one that names no slice of the layout, a copy of one
+    already filled, or one whose payload cannot be read is dropped and
+    counted, as if lost, and so is a None in ``packets``, which stands
+    for a packet that arrived but did not parse (see
+    ``transport.read_packets``). Every slice that arrived is read, all
+    its fine cells priced in one call; the prefix rule then marks
     every cell above a frame's first missing one invalid, and
     concealment fills each lost coarse cell with its layer's mode. The
     grid's level is the per-frame usable depth.
@@ -405,15 +378,11 @@ def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     tokens = np.zeros((T, K), dtype=np.int32)
     states = initial_states(T, K, sg.level)
 
-    plan = _layout(sg)
-    by_head = plan.by_head
-    links, fine, n_dropped = admit(
-        packets, lambda p: by_head.get((p.group, p.first_frame, p.n_frames)),
-        vocab)
-    fec_recovered = place_coarse(tokens, states, links, vocab, 0)
-    n_dropped += decode_fine(
-        model, tokens, states,
-        [(fine.get(head, ()), cells) for head, cells in plan.fine])
+    by_head = _layout(sg).by_head
+    slots, n_dropped = admit(
+        packets, lambda p: by_head.get((p.group, p.first_frame, p.n_frames)))
+    dropped, fec_recovered = decode(model, tokens, states, slots, 0)
+    n_dropped += dropped
 
     propagate_invalid(states)
 

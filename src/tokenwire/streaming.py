@@ -13,19 +13,21 @@ order. A packet names whether it is coarse or fine and its frames,
 (first_frame, n_frames), and nothing else. At stride 1 every packet after
 the first coarse one holds one frame.
 
-Both ends run on the transceiver core in ``pipeline`` and take a step's
-geometry, its due frames, its horizon and its coarse frames, from
-``stream_step`` and ``stream_coarse``. A step's fine tokens are priced by
-their layers alone, so a step's fine packet decodes whenever it arrives
-and a lost fine packet costs its own cells only. The receiver's buffered
-states start INVALID from the encode level up. Its step geometry names
-the heads a step can place, and ``pipeline.admit`` claims them as the
-batch receiver does, dropping and counting the rest as if lost. The
-receiver then finalizes the due frames: decode what arrived, cut each
-frame's layers above its first missing cell, fill each lost coarse cell
-with its layer's most probable token, release. A lost or invalid fine
-cell is not guessed; it ends its frame's usable depth. Released frames
-are never revisited.
+Both ends run on the transceiver core in ``pipeline``, as the batch ends
+do, and take a step's geometry, its due frames, its horizon and its
+coarse frames, from ``stream_step`` and ``stream_coarse``. The sender
+hands each step's coarse and fine slice to ``SliceSender.send``. A
+step's fine tokens are priced by their layers alone, so a step's fine
+packet decodes whenever it arrives and a lost fine packet costs its own
+cells only. The receiver's buffered states start INVALID from the encode
+level up. Its step geometry names the heads a step can place;
+``pipeline.admit`` sorts the arrived packets into them and
+``pipeline.decode`` reads them, dropping and counting the rest as if
+lost. The receiver then finalizes the due frames: cut each frame's
+layers above its first missing cell, fill each lost coarse cell with its
+layer's most probable token, release. A lost or invalid fine cell is not
+guessed; it ends its frame's usable depth. Released frames are never
+revisited.
 
 Neither end keeps the stream's history. Concealment reads only the
 frames it fills, so a step reads only its window: its due frames
@@ -53,9 +55,9 @@ from .dependency import (propagate_invalid, stream_coarse, stream_step,
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
-from .grid import (GosConfig, StreamConfig, TokenGrid,
+from .grid import (GosConfig, StreamConfig, TokenGrid, _read_only,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import SliceSender, admit, conceal, decode_fine, place_coarse
+from .pipeline import SliceSender, admit, conceal, decode
 
 
 def _shift(frames: range, by: int) -> range:
@@ -67,11 +69,6 @@ def _cells(rows: range, layers: range) -> np.ndarray:
     return np.stack([np.repeat(np.arange(rows.start, rows.stop), len(layers)),
                      np.tile(np.arange(layers.start, layers.stop), len(rows))],
                     axis=1)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _Step(NamedTuple):
@@ -262,16 +259,14 @@ class StreamSender:
         frames.forget(base)
         horizon = base + plan.span - 1
         tokens, = frames.rows(base, horizon + 1)
-        packets = []
+        due = range(base + plan.due.start, base + plan.due.stop)
+        slices = []
         if len(plan.coarse):
             c = plan.coarse
-            packets.append(self._tx.coarse(
-                (0, base + c.start, len(c)),
-                tokens[c.start:c.stop, :self.gos.n_coarse].ravel()))
-        due = range(base + plan.due.start, base + plan.due.stop)
+            slices.append(((0, base + c.start, len(c)), plan.cells))
         if plan.fine is not None:
-            packets += self._tx.fine(tokens,
-                                     [((1, due.start, len(due)), plan.fine)])
+            slices.append(((1, due.start, len(due)), plan.fine))
+        packets = self._tx.send(tokens, slices)
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)
@@ -314,9 +309,10 @@ class StreamReceiver:
         A step can place two kinds of head: a coarse one over some step's
         coarse frames up to the horizon, with a repair copy of the step
         before's (ignored on the first), and a fine one over the due frames
-        when the level sends fine layers. ``admit`` claims them; any other
-        packet, a copy of a head already filled, or one whose payload
-        cannot be read is dropped and counted in ``n_dropped``."""
+        when the level sends fine layers. ``admit`` sorts them and
+        ``decode`` reads them; any other packet, a copy of a head already
+        filled, or one whose payload cannot be read is dropped and counted
+        in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         buf = self._frames
@@ -334,7 +330,6 @@ class StreamReceiver:
         tokens, states = buf.rows(base, horizon + 1)
         due = range(base + plan.due.start, base + plan.due.stop)
         own = range(base + plan.coarse.start, base + plan.coarse.stop)
-        fine_head = (1, due.start, len(due))
 
         def slot_of(p):
             frames = range(p.first_frame, p.first_frame + p.n_frames)
@@ -353,17 +348,13 @@ class StreamReceiver:
                     _cells(_shift(stream_coarse(j - 1, cfg, total), -base),
                            range(n_coarse)) if j else None)
 
-        links, copies, n_dropped = admit(packets, slot_of, self.vocab)
-        self.n_dropped += n_dropped
+        slots, n_unplaced = admit(packets, slot_of)
         # the window starts at the first due frame, so every row below 0
         # is a released frame, and final
-        self.fec_recovered += place_coarse(
-            tokens, states, links, self.vocab, 0)
-
-        if plan.fine is not None:
-            self.n_dropped += decode_fine(
-                self.model, tokens, states,
-                [(copies.get(fine_head, ()), plan.fine)])
+        n_dropped, fec_recovered = decode(self.model, tokens, states, slots,
+                                          0)
+        self.n_dropped += n_unplaced + n_dropped
+        self.fec_recovered += fec_recovered
 
         sl = slice(plan.due.start, plan.due.stop)
         propagate_invalid(states[sl])

@@ -37,8 +37,7 @@ from tokenwire.dependency import (propagate_invalid, stream_coarse,
                                   stream_step, usable_depth)
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, initial_states
-from tokenwire.pipeline import (SliceSender, admit, conceal, decode_fine,
-                                place_coarse)
+from tokenwire.pipeline import SliceSender, admit, conceal, decode
 from tokenwire.rangecoder import CodedSlice
 from tokenwire.streaming import StepEmission, StreamRelease
 
@@ -319,15 +318,14 @@ class ReferenceStreamSender:
         gos, cfg = self.gos, self.stream
         due, horizon = stream_step(i, cfg, total)
         coarse = stream_coarse(i, cfg, total)
-        packets = []
+        slices = []
         if len(coarse):
-            packets.append(self._tx.coarse(
-                (0, coarse.start, len(coarse)),
-                self._buf[coarse.start:coarse.stop, :gos.n_coarse].ravel()))
+            slices.append(((0, coarse.start, len(coarse)),
+                           _cells(coarse, range(gos.n_coarse))))
         fine = _fine_cells(gos, due, self.level)
         if fine is not None:
-            packets += self._tx.fine(self._buf,
-                                     [((1, due.start, len(due)), fine)])
+            slices.append(((1, due.start, len(due)), fine))
+        packets = self._tx.send(self._buf, slices)
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)
@@ -373,9 +371,10 @@ class ReferenceStreamReceiver:
         A step can place two kinds of head: a coarse one over some step's
         coarse frames up to the horizon, with a repair copy of the step
         before's (ignored on the first), and a fine one over the due frames
-        when the level sends fine layers. ``admit`` claims them; any other
-        packet, a copy of a head already filled, or one whose payload
-        cannot be read is dropped and counted in ``n_dropped``."""
+        when the level sends fine layers. ``admit`` sorts them and
+        ``decode`` reads them; any other packet, a copy of a head already
+        filled, or one whose payload cannot be read is dropped and counted
+        in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, n_coarse = self.stream, self.gos.n_coarse
@@ -400,15 +399,11 @@ class ReferenceStreamReceiver:
                     _cells(stream_coarse(j - 1, cfg, total), range(n_coarse))
                     if j else None)
 
-        links, copies, n_dropped = admit(packets, slot_of, self.vocab)
-        self.n_dropped += n_dropped
-        self.fec_recovered += place_coarse(
-            self._tokens, self._states, links, self.vocab, self._released)
-
-        if fine is not None:
-            self.n_dropped += decode_fine(
-                self.model, self._tokens, self._states,
-                [(copies.get((1, due.start, len(due)), ()), fine)])
+        slots, n_unplaced = admit(packets, slot_of)
+        n_dropped, fec_recovered = decode(self.model, self._tokens,
+                                          self._states, slots, self._released)
+        self.n_dropped += n_unplaced + n_dropped
+        self.fec_recovered += fec_recovered
 
         sl = slice(due.start, due.stop)
         propagate_invalid(self._states[sl])

@@ -13,7 +13,6 @@ from tokenwire.context import (
     PMF_TOTAL,
     CountModel,
     Targets,
-    UniformModel,
     cumulative,
     load_count_model,
     model_digest,
@@ -142,15 +141,17 @@ def test_table_rows_hit_the_floor():
 # --- models ------------------------------------------------------------------
 
 def test_uniform_model():
-    m = UniformModel(5)
+    """With no counts, every layer is priced by the uniform row and
+    predicts token 0: the sweep's "uniform" model."""
+    m = CountModel(5, 4)
     q = cells(0, 3)
     rows, fb = priced(m, q)
     assert fb == ["uniform", "uniform"]
-    assert m.pmf(q)[0].shape == (1, 6)
+    assert m.pmf(q)[0].shape == (4, 6)
     np.testing.assert_array_equal(rows, cumulative(np.stack([uniform_pmf(5)] * 2)))
     np.testing.assert_array_equal(m.predict(q), [0, 0])
     with pytest.raises(ValueError):
-        UniformModel(1)
+        CountModel(1, 4)
 
 
 def test_count_model_fallback_chain():

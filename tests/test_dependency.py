@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.context import CountModel, UniformModel
+from tokenwire.context import CountModel
 from tokenwire.dependency import (
     classify_loss,
     prefix_depth,
@@ -74,7 +74,7 @@ def test_periodic_dependency_structure():
 
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, 4, size=(9, 3))
-    model = UniformModel(4)
+    model = CountModel(4, 3)
     packets, _ = send_tokens(TokenGrid(tokens, np.full(9, 3), 4), sg, model,
                              fec=False)
     lost = SliceId(0, 2, 0)  # frames 1 and 4
@@ -96,7 +96,7 @@ def gos_strategy():
 def stream_emission_order(gos, cfg, n_frames, level):
     """((frame, group), index of its packet in emission order) of every
     frame each packet of a StreamSender carries."""
-    tx = StreamSender(gos, cfg, UniformModel(2), level=level)
+    tx = StreamSender(gos, cfg, CountModel(2, gos.n_layers), level=level)
     ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
     tail, _ = tx.flush()
     packets = [p for em in ems + tail for p in em.packets]
@@ -208,12 +208,12 @@ def test_coding_visibility_streaming():
         assert fine(mixed)[head] == want[head]
 
 
-class RecordingModel(UniformModel):
-    """A uniform model that keeps every query and every list of layers it
-    prices."""
+class RecordingModel(CountModel):
+    """An empty count model that keeps every query and every list of
+    layers it prices."""
 
-    def __init__(self, vocab):
-        super().__init__(vocab)
+    def __init__(self, vocab, n_layers):
+        super().__init__(vocab, n_layers)
         self.queries, self.layers = [], []
 
     def pmf(self, query):
@@ -233,7 +233,7 @@ def test_fine_slices_are_priced_by_their_layers_alone(gos, n_frames, data):
     priced through a query."""
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers))
     tokens = np.zeros((n_frames, gos.n_layers), dtype=np.int32)
-    model = RecordingModel(2)
+    model = RecordingModel(2, gos.n_layers)
     if data.draw(st.sampled_from(["periodic", "streaming"])) == "periodic":
         sg = build_slice_grid(n_frames, gos, level)
         packets, _ = send_tokens(
@@ -273,7 +273,7 @@ def test_fine_cell_decodes_when_its_own_packets_arrive(gos, n_frames, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tokens = rng.integers(0, 4, size=(n_frames, gos.n_layers))
     tokens[:, level:] = 0
-    model = UniformModel(4)
+    model = CountModel(4, gos.n_layers)
     lossy = data.draw(st.booleans(), label="coarse lossy")
 
     def keep(p):
@@ -327,7 +327,7 @@ def test_fine_cells_are_never_concealed(gos, n_frames, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tokens = rng.integers(0, 4, size=(n_frames, gos.n_layers))
     tokens[:, level:] = 0
-    model = UniformModel(4)
+    model = CountModel(4, gos.n_layers)
 
     def carry(packets):
         return [p for p in packets if data.draw(st.booleans())]

@@ -227,6 +227,22 @@ def test_run_experiment_outputs(tmp_path, mini_cfg):
     assert rows2 == rows
 
 
+# results.csv of the mini sweep below, pinned while the "uniform" model
+# was its own class; the empty count model must give the same rows
+UNIFORM_SWEEP_CSV_SHA256 = (
+    "fafaea4471724ea01bb4ce9426cd6e6cb885d860b602731ec97cf3cb9b0ad225")
+
+
+def test_uniform_sweep_is_pinned(tmp_path, mini_cfg):
+    cfg = dataclasses.replace(mini_cfg, n_trials=2,
+                              channels=("bernoulli", "markov"),
+                              losses=(0.0, 0.2), fec_modes=(True, False),
+                              models=("count", "uniform"))
+    run_experiment(cfg, out_dir=tmp_path)
+    csv = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == UNIFORM_SWEEP_CSV_SHA256
+
+
 def test_summarize_groups_and_deciles():
     def row(si, acc, loss=0.1):
         return MetricsRow(loss_ratio=loss, channel="bernoulli", fec=True,

@@ -15,7 +15,7 @@ from tokenwire.grid import (
     initial_states,
     periodic_slicing,
 )
-from tokenwire.context import UniformModel
+from tokenwire.context import CountModel
 from tokenwire.errors import ConfigError
 from tokenwire.streaming import StreamSender
 
@@ -158,7 +158,7 @@ def test_one_fine_slice_per_unit_and_per_step(gos, n_frames, data):
                 cells, np.stack([np.repeat(frames, len(layers)),
                                  np.tile(layers, len(frames))], axis=1))
     cfg = StreamConfig(stride=2, lookahead=1, coding_context=4)
-    tx = StreamSender(gos, cfg, UniformModel(2), level=level)
+    tx = StreamSender(gos, cfg, CountModel(2, gos.n_layers), level=level)
     ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
     ems += tx.flush()[0]
     for em in ems:
@@ -169,7 +169,7 @@ def test_one_fine_slice_per_unit_and_per_step(gos, n_frames, data):
 
 
 def stream_packets(gos, cfg, n_frames, level):
-    tx = StreamSender(gos, cfg, UniformModel(2), level=level)
+    tx = StreamSender(gos, cfg, CountModel(2, gos.n_layers), level=level)
     ems = tx.push(np.zeros((n_frames, gos.n_layers), dtype=np.int32))
     tail, _ = tx.flush()
     return [p for em in ems + tail for p in em.packets]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.context import Targets, UniformModel, train_count_model
+from tokenwire.context import CountModel, Targets, train_count_model
 from tokenwire.grid import (
     GosConfig,
     SliceId,
@@ -39,7 +39,7 @@ def test_lossless_round_trip():
     rng = np.random.default_rng(20)
     grid = random_grid(rng, 12, 3, 16)
     sg = build_slice_grid(12, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, rep = send_tokens(grid, sg, model)
     assert rep.n_packets == len(sg.slices) == len(packets)
     out, states, rrep = receive_tokens(reship(packets), sg, model)
@@ -56,7 +56,7 @@ def test_lossless_with_tail_gos_and_partial_level():
     gos = GosConfig(6, 3, 2, 6)
     grid = random_grid(rng, 9, 6, 8, level=5)
     sg = build_slice_grid(9, gos, 5)
-    model = UniformModel(8)
+    model = CountModel(8, gos.n_layers)
     packets, _ = send_tokens(grid, sg, model)
     out, states, _ = receive_tokens(reship(packets), sg, model)
     live = np.arange(6)[None, :] < grid.level[:, None]
@@ -70,7 +70,7 @@ def test_long_group_of_slices_round_trips():
     rng = np.random.default_rng(32)
     grid = random_grid(rng, 300, 3, 16)
     sg = build_slice_grid(300, GosConfig(300, 300, 1, 3), 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, _ = send_tokens(grid, sg, model)
     out, states, _ = receive_tokens(reship(packets), sg, model)
     np.testing.assert_array_equal(out.tokens, grid.tokens)
@@ -81,7 +81,7 @@ def test_fec_recovers_dropped_coarse():
     rng = np.random.default_rng(22)
     grid = random_grid(rng, 12, 3, 16)
     sg = build_slice_grid(12, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, rep = send_tokens(grid, sg, model, fec=True)
     assert rep.fec_bits > 0
     # Drop one coarse packet; its successor's repair copy saves it, even
@@ -97,7 +97,7 @@ def test_last_coarse_has_no_repair():
     rng = np.random.default_rng(23)
     grid = random_grid(rng, 12, 3, 16)
     sg = build_slice_grid(12, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, _ = send_tokens(grid, sg, model, fec=True)
     got, states, rrep = receive_tokens(drop(sg, packets, SliceId(1, 3, 0)),
                                        sg, model)
@@ -115,7 +115,7 @@ def test_fec_off_leaves_coarse_lost():
     rng = np.random.default_rng(24)
     grid = random_grid(rng, 6, 3, 16)
     sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, rep = send_tokens(grid, sg, model, fec=False)
     assert rep.fec_bits == 0
     assert all(p.fec == b"" for p in packets)
@@ -139,7 +139,7 @@ def test_lost_fine_slice_costs_only_its_own_cells():
     rng = np.random.default_rng(25)
     grid = random_grid(rng, 6, 3, 16)
     sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, _ = send_tokens(grid, sg, model)
     got, states, rrep = receive_tokens(drop(sg, packets, SliceId(0, 1, 1)),
                                        sg, model)
@@ -200,7 +200,7 @@ def test_receive_rejects_bad_packets():
     rng = np.random.default_rng(28)
     grid = random_grid(rng, 6, 3, 16)
     sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, _ = send_tokens(grid, sg, model)
     clean = receive_tokens(packets, sg, model)
     assert clean[2].n_dropped == 0
@@ -258,7 +258,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     grid = random_grid(rng, n_frames, 3, 10, level=level)
     sg = build_slice_grid(n_frames, GOS, level)
     # 4-bit coarse tokens: 10..15 do not exist
-    model = data.draw(st.sampled_from([UniformModel(10),
+    model = data.draw(st.sampled_from([CountModel(10, 3),
                                        counted_model(10, 3)]),
                       label="model")
     packets, _ = send_tokens(grid, sg, model, fec=data.draw(st.booleans()))
@@ -317,14 +317,39 @@ def test_unusable_packets_are_dropped_like_losses(data):
     assert rep.n_packets_seen == len(damaged)
 
 
+def test_only_the_filling_copy_repairs():
+    # A repair copy is read only from the copy that filled its slice: an
+    # unreadable copy's, or a duplicate's, is dropped with its copy, even
+    # when the predecessor it repairs was lost.
+    rng = np.random.default_rng(34)
+    grid = random_grid(rng, 6, 3, 10)
+    sg = build_slice_grid(6, GOS, 3)
+    model = CountModel(10, 3)  # 4-bit coarse tokens: 10..15 do not exist
+    packets, _ = send_tokens(grid, sg, model)
+    first, second = [p for p in packets if p.group == 0][:2]
+    rest = [p for p in packets if p not in (first, second)]
+    assert second.fec == first.payload
+    bare = Packet(0, second.first_frame, second.n_frames, second.payload)
+    oov = Packet(0, second.first_frame, second.n_frames,
+                 pack_bits([15] * second.n_frames, 4), second.fec)
+    assert receive_tokens([second] + rest, sg, model)[2].fec_recovered == 1
+    lost_both = receive_tokens(rest, sg, model)
+    assert_dropped_like_lost(receive_tokens([oov] + rest, sg, model),
+                             lost_both, 1)
+    unrepaired = receive_tokens([bare] + rest, sg, model)
+    assert unrepaired[2].fec_recovered == 0
+    assert_dropped_like_lost(receive_tokens([bare, second] + rest, sg, model),
+                             unrepaired, 1)
+
+
 def test_unreadable_copy_does_not_hide_its_slice():
-    # A coarse packet claims its slice only once its payload reads, so an
+    # A slice takes the first of its copies whose payload reads, so an
     # unreadable copy that arrives first is dropped and the packet after
     # it still fills the slice.
     rng = np.random.default_rng(31)
     grid = random_grid(rng, 6, 3, 10)
     sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    model = CountModel(10, 3)  # 4-bit coarse tokens: 10..15 do not exist
     packets, _ = send_tokens(grid, sg, model)
     clean = receive_tokens(packets, sg, model)
     last = [p for p in packets if p.group == 0][-1]
@@ -341,7 +366,7 @@ def test_unreadable_fine_copy_does_not_hide_its_slice():
     rng = np.random.default_rng(31)
     grid = random_grid(rng, 6, 3, 10)
     sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(10)
+    model = CountModel(10, 3)
     packets, _ = send_tokens(grid, sg, model)
     clean = receive_tokens(packets, sg, model)
     first = next(p for p in packets if p.group)
@@ -359,7 +384,7 @@ def test_refused_fine_payload_is_left_out():
     rng = np.random.default_rng(29)
     grid = random_grid(rng, 6, 3, 16)
     sg = build_slice_grid(6, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, _ = send_tokens(grid, sg, model)
     out = []
     for p in packets:
@@ -385,7 +410,7 @@ def test_sender_report_accounting():
     rng = np.random.default_rng(30)
     grid = random_grid(rng, 12, 3, 16)
     sg = build_slice_grid(12, GOS, 3)
-    packets, rep = send_tokens(grid, sg, UniformModel(16))
+    packets, rep = send_tokens(grid, sg, CountModel(16, 3))
     assert rep.n_packets == rep.n_coarse_packets + rep.n_fine_packets
     assert rep.payload_bits == rep.coarse_bits + rep.fec_bits + rep.fine_bits
     assert rep.total_bits == rep.header_bits + rep.payload_bits
@@ -405,7 +430,7 @@ def test_state_counts_partition_cells():
     rng = np.random.default_rng(31)
     grid = random_grid(rng, 12, 3, 16)
     sg = build_slice_grid(12, GOS, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     packets, _ = send_tokens(grid, sg, model)
     kept = [p for i, p in enumerate(packets) if i % 3 != 1]
     _, _, rrep = receive_tokens(kept, sg, model)
@@ -429,7 +454,7 @@ def test_trained_model_beats_uniform_on_structured_tokens():
     model = train_count_model([grid], 16, 3)
 
     _, rep_count = send_tokens(grid, sg, model)
-    _, rep_uni = send_tokens(grid, sg, UniformModel(16))
+    _, rep_uni = send_tokens(grid, sg, CountModel(16, 3))
     # Payloads are whole bytes, so the model's gain shows up cleanly in
     # ideal bits and only partially in packed bits: each 4-symbol slice
     # costs the uniform model exactly its 16 ideal bits, two bytes, and
@@ -440,7 +465,7 @@ def test_trained_model_beats_uniform_on_structured_tokens():
     assert rep_count.fallback_counts == {"marginal": 2 * T}
     sg1 = build_slice_grid(T, GosConfig(6, 1, 1, 3), 3)
     _, rep_count1 = send_tokens(grid, sg1, model)
-    _, rep_uni1 = send_tokens(grid, sg1, UniformModel(16))
+    _, rep_uni1 = send_tokens(grid, sg1, CountModel(16, 3))
     assert rep_count1.fine_bits < rep_uni1.fine_bits
 
     # The receiver decodes against the same model bit-exactly.
@@ -453,13 +478,13 @@ def test_send_tokens_validation():
     rng = np.random.default_rng(33)
     sg = build_slice_grid(6, GOS, 3)
     with pytest.raises(ValueError, match="shape"):
-        send_tokens(random_grid(rng, 7, 3, 16), sg, UniformModel(16))
+        send_tokens(random_grid(rng, 7, 3, 16), sg, CountModel(16, 3))
     ragged = random_grid(rng, 6, 3, 16)
     ragged.level[2] = 2
     with pytest.raises(ValueError, match="uniformly"):
-        send_tokens(ragged, sg, UniformModel(16))
+        send_tokens(ragged, sg, CountModel(16, 3))
     with pytest.raises(ValueError, match="vocab"):
-        send_tokens(random_grid(rng, 6, 3, 8), sg, UniformModel(16))
+        send_tokens(random_grid(rng, 6, 3, 8), sg, CountModel(16, 3))
 
 
 def test_audio_wrappers_lossless(mini_stack, mini_cfg):

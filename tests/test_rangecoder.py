@@ -21,7 +21,7 @@ def random_row(rng, vocab):
 
 
 def uniform_table(vocab):
-    """The one-row table of the uniform PMF, as ``UniformModel`` prices."""
+    """The one-row table of the uniform PMF."""
     return cumulative(uniform_pmf(vocab)[None])
 
 
@@ -192,7 +192,7 @@ def reference_cases(draw):
     all symbols but one have frequency 1. The table holds one row per
     symbol, as uint32, as int64 or as one uint32 row broadcast to every
     symbol; or a few uint32 rows that the symbols share in random order;
-    or one row every symbol reads, as ``UniformModel`` prices."""
+    or one row every symbol reads."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vocab = draw(st.integers(2, 256))
     n = draw(st.integers(0, 400))

@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import reference_layer_pmf
-from tokenwire.context import (FALLBACKS, CountModel, Targets, UniformModel,
-                               _mode, cumulative, train_count_model,
-                               uniform_pmf)
+from tokenwire.context import (FALLBACKS, CountModel, Targets, _mode,
+                               cumulative, train_count_model)
 from tokenwire.dependency import classify_loss, propagate_invalid
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid, initial_states)
@@ -55,7 +54,7 @@ def batch_slices(data, gos, rng, vocab):
                       label="level")
     plan = _layout(build_slice_grid(n_frames, gos, level))
     return (structured(rng, (n_frames, gos.n_layers), vocab),
-            [cells for _, cells in plan.fine])
+            [cells for head, cells in plan.slices if head[0]])
 
 
 def stream_slices(data, gos, rng, vocab):
@@ -92,7 +91,7 @@ def conceal_query(data, gos, rng, vocab):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_rows_price_like_the_scalar_reference(data):
-    """Whatever the model, trained, empty or uniform, and whatever a
+    """Whatever the model, trained or empty, and whatever a
     batch layout's or a stream step's fine slices or concealment prices:
     ``cum[rows]`` and ``kinds`` equal the per-layer reference, a cell's
     row is its layer's, ``pmf`` prices a query as ``layer_pmf`` prices its
@@ -101,11 +100,8 @@ def test_rows_price_like_the_scalar_reference(data):
     range coder under its rows."""
     gos = data.draw(st.sampled_from(GOSES), label="gos")
     vocab = data.draw(st.sampled_from([2, 5, 10, 64]), label="vocab")
-    kind = data.draw(st.sampled_from(["uniform", "empty", "trained"]),
-                     label="model")
-    if kind == "uniform":
-        model = UniformModel(vocab)
-    elif kind == "empty":  # every row a per-layer uniform fallback
+    kind = data.draw(st.sampled_from(["empty", "trained"]), label="model")
+    if kind == "empty":  # every row a per-layer uniform fallback
         model = CountModel(vocab, gos.n_layers)
     else:
         model = trained(vocab, gos.n_layers,
@@ -123,12 +119,8 @@ def test_rows_price_like_the_scalar_reference(data):
     for got, want in zip(model.pmf(query), (cum, rows, kinds)):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(model.predict(query), _mode(cum[rows]))
-    want = [(uniform_pmf(vocab), "uniform")
-            if isinstance(model, UniformModel)
-            else reference_layer_pmf(model, k)
-            for k in cells[:, 1].tolist()]
-    if isinstance(model, CountModel):
-        np.testing.assert_array_equal(rows, cells[:, 1])
+    want = [reference_layer_pmf(model, k) for k in cells[:, 1].tolist()]
+    np.testing.assert_array_equal(rows, cells[:, 1])
     np.testing.assert_array_equal(
         cum[rows], cumulative(np.array([w[0] for w in want])))
     assert [FALLBACKS[c] for c in kinds.tolist()] == [w[1] for w in want]

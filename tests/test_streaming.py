@@ -8,7 +8,7 @@ from conftest import counted_model, flip
 from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 
 from tokenwire import streaming
-from tokenwire.context import Targets, UniformModel, train_count_model
+from tokenwire.context import CountModel, Targets, train_count_model
 from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
@@ -35,7 +35,7 @@ def drive(tokens, keep=None, model=None, level=None, gos=GOS,
 
     ``keep(emission, packet)`` decides delivery; default keeps everything.
     """
-    model = UniformModel(16) if model is None else model
+    model = CountModel(16, gos.n_layers) if model is None else model
     tx = ends[0](gos, stream, model, level=level)
     rx = ends[1](gos, stream, model, level=level)
     keep = keep if keep is not None else (lambda em, p: True)
@@ -55,7 +55,8 @@ def run_steps(steps, n_live, total, model=None, level=None, gos=GOS,
     """Feed a fresh receiver one packet list per step: the first
     ``n_live`` steps as live pushes, the rest as the flushed tail of a
     ``total``-frame stream. Returns (receiver, releases)."""
-    rx = StreamReceiver(gos, stream, model or UniformModel(16), level=level)
+    rx = StreamReceiver(gos, stream, model or CountModel(16, gos.n_layers),
+                        level=level)
     releases = [rx.step(packets, total=None if i < n_live else total)
                 for i, packets in enumerate(steps)]
     rx.finish([], total)
@@ -84,7 +85,8 @@ def assert_dropped_like_lost(got, want, n_dropped):
 def emissions(tokens, model=None, level=None, gos=GOS, stream=STREAM):
     """(packet list per step, number of live steps, total frames) of a
     sender fed ``tokens`` at once and flushed."""
-    tx = StreamSender(gos, stream, model or UniformModel(16), level=level)
+    tx = StreamSender(gos, stream, model or CountModel(16, gos.n_layers),
+                      level=level)
     live = list(tx.push(tokens))
     tail, total = tx.flush()
     return [list(em.packets) for em in live + tail], len(live), total
@@ -92,7 +94,7 @@ def emissions(tokens, model=None, level=None, gos=GOS, stream=STREAM):
 
 def test_push_buffers_until_lookahead_is_covered():
     tokens = make_tokens(40, 12)
-    tx = StreamSender(GOS, STREAM, UniformModel(16))
+    tx = StreamSender(GOS, STREAM, CountModel(16, 3))
     assert tx.max_latency is None
     for t in range(5):
         assert tx.push(tokens[t:t + 1]) == []
@@ -114,14 +116,14 @@ def test_push_buffers_until_lookahead_is_covered():
 
 def test_block_push_matches_per_frame_push():
     tokens = make_tokens(41, 20)
-    tx_a = StreamSender(GOS, STREAM, UniformModel(16))
+    tx_a = StreamSender(GOS, STREAM, CountModel(16, 3))
     ems_a = []
     for t in range(len(tokens)):
         ems_a.extend(tx_a.push(tokens[t:t + 1]))
     tail_a, total_a = tx_a.flush()
     ems_a.extend(tail_a)
 
-    tx_b = StreamSender(GOS, STREAM, UniformModel(16))
+    tx_b = StreamSender(GOS, STREAM, CountModel(16, 3))
     ems_b = list(tx_b.push(tokens))
     tail_b, total_b = tx_b.flush()
     ems_b.extend(tail_b)
@@ -137,7 +139,7 @@ def test_block_push_matches_per_frame_push():
 
 def test_flush_emits_the_clamped_tail():
     tokens = make_tokens(42, 10)
-    tx = StreamSender(GOS, STREAM, UniformModel(16))
+    tx = StreamSender(GOS, STREAM, CountModel(16, 3))
     live = []
     for t in range(len(tokens)):
         live.extend(tx.push(tokens[t:t + 1]))
@@ -232,7 +234,7 @@ def test_mangled_fine_payload_is_left_out_like_a_drop():
         return p.group == 1 and p.first_frame == 0
 
     dropped = drive(tokens, keep=lambda em, p: not hit(p))
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     tx = StreamSender(GOS, STREAM, model)
     rx = StreamReceiver(GOS, STREAM, model)
 
@@ -257,7 +259,7 @@ def test_receiver_accepts_and_ignores_conceal_fine_layers():
     # The knob is accepted and changes nothing: fine cells are never
     # predicted, so every setting releases the same frames.
     tokens = make_tokens(52, 18)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
 
     def carry(em):
         return [p for p in em.packets if (em.step + p.group) % 3 != 1]
@@ -292,7 +294,7 @@ def test_foreign_packets_are_rejected_without_growing_the_buffer():
     # the same coarse packet 20000 groups-of-slices later
     far = Packet(0, coarse.first_frame + 20000 * GOS.gos_len,
                  coarse.n_frames, coarse.payload)
-    rx = StreamReceiver(GOS, STREAM, UniformModel(16))
+    rx = StreamReceiver(GOS, STREAM, CountModel(16, 3))
     rx.step(steps[0])
     rx.step(steps[1] + [far])
     # the window reaches step 1's horizon, frame 8, and no further, and
@@ -316,7 +318,7 @@ def test_long_group_of_slices_streams_past_frame_256():
     a 300-frame one streams over the wire bit-exactly."""
     tokens = make_tokens(59, 270)
     gos = GosConfig(300, 1, 1, 3)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     tx = StreamSender(gos, STREAM, model)
     rx = StreamReceiver(gos, STREAM, model)
 
@@ -341,7 +343,7 @@ def split(em):
 
 def test_out_of_vocabulary_coarse_is_dropped_like_a_loss():
     tokens = make_tokens(56, 15, vocab=10)
-    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    model = CountModel(10, 3)  # 4-bit coarse tokens: 10..15 do not exist
     steps, n_live, total = emissions(tokens, model)
 
     def run(**changes):
@@ -400,7 +402,7 @@ def test_stride_one_packets_hold_one_frame():
     stream = StreamConfig(stride=1, lookahead=0, coding_context=4)
     tokens = make_tokens(57, 10)
     grid, states, _, tx, _ = drive(tokens, stream=stream)
-    ems = list(StreamSender(GOS, stream, UniformModel(16)).push(tokens))
+    ems = list(StreamSender(GOS, stream, CountModel(16, 3)).push(tokens))
     assert all(p.n_frames == 1 for em in ems for p in em.packets)
     assert all(len(em.packets) == 2 for em in ems)
     np.testing.assert_array_equal(grid.tokens, tokens)
@@ -492,7 +494,7 @@ def test_replayed_coarse_never_rewrites_released_frames():
     T = 12
     tokens = make_tokens(51, T)
     tokens[1, 0] = 7  # distinguishable from the concealed guess
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     tx = StreamSender(GOS, STREAM, model)
     rx = StreamReceiver(GOS, STREAM, model)
     ems = []
@@ -547,7 +549,7 @@ def test_replay_from_before_the_window_is_placed_like_a_lost_packet():
 
 def test_sender_guards():
     tokens = make_tokens(52, 12)
-    tx = StreamSender(GOS, STREAM, UniformModel(16))
+    tx = StreamSender(GOS, STREAM, CountModel(16, 3))
     with pytest.raises(ValueError, match="n_layers"):
         tx.push(tokens[:, :2])
     bad = tokens.copy()
@@ -565,14 +567,14 @@ def test_sender_guards():
     zeroed[:, 2] = 0
 
     def sent(frames):
-        limited = StreamSender(GOS, STREAM, UniformModel(16), level=2)
+        limited = StreamSender(GOS, STREAM, CountModel(16, 3), level=2)
         return limited.push(frames) + limited.flush()[0]
 
     assert sent(junk) == sent(zeroed)
     bad = junk.copy()
     bad[0, 1] = 16  # layer 1 is below the level
     with pytest.raises(ValueError, match="vocabulary"):
-        StreamSender(GOS, STREAM, UniformModel(16), level=2).push(bad)
+        StreamSender(GOS, STREAM, CountModel(16, 3), level=2).push(bad)
     tx.push(tokens)
     tx.flush()
     with pytest.raises(RuntimeError, match="flushed"):
@@ -580,14 +582,14 @@ def test_sender_guards():
     with pytest.raises(RuntimeError, match="flushed"):
         tx.flush()
     with pytest.raises(ValueError, match="level"):
-        StreamSender(GOS, STREAM, UniformModel(16), level=0)
+        StreamSender(GOS, STREAM, CountModel(16, 3), level=0)
     with pytest.raises(ValueError, match="level"):
-        StreamSender(GOS, STREAM, UniformModel(16), level=4)
+        StreamSender(GOS, STREAM, CountModel(16, 3), level=4)
 
 
 def test_receiver_guards():
     tokens = make_tokens(53, 12)
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     tx = StreamSender(GOS, STREAM, model)
     ems = list(tx.push(tokens))
     tail, total = tx.flush()
@@ -680,7 +682,8 @@ def test_step_packing(data):
                                    gos=gos, stream=cfg)
     # drive() hands the packets to the receiver; replay the sender alone
     # for the emissions themselves
-    replay = StreamSender(gos, cfg, UniformModel(16), level=level)
+    replay = StreamSender(gos, cfg, CountModel(16, gos.n_layers),
+                          level=level)
     ems = list(replay.push(tokens))
     ems += replay.flush()[0]
     groups = [1] if level > gos.n_coarse else []
@@ -717,7 +720,7 @@ def test_unreadable_copy_does_not_hide_its_coarse_packet():
     cfg = StreamConfig(1, 1)
     tokens = make_tokens(57, 8, vocab=10)
     tokens[:, 2:] = 0
-    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    model = CountModel(10, 3)  # 4-bit coarse tokens: 10..15 do not exist
     steps, n_live, total = emissions(tokens, model, level=2, stream=cfg)
     kw = dict(model=model, level=2, stream=cfg)
     clean = run_steps(steps, n_live, total, **kw)
@@ -768,7 +771,7 @@ def test_unusable_packets_are_dropped_like_losses(data):
     tokens = rng.integers(0, 10, size=(data.draw(st.integers(1, 30)),
                                        gos.n_layers))
     tokens[:, level:] = 0
-    model = UniformModel(10)  # 4-bit coarse tokens: 10..15 do not exist
+    model = CountModel(10, gos.n_layers)  # 4-bit coarse tokens: 10..15 do not exist
     steps, n_live, total = emissions(tokens, model, gos=gos, stream=cfg,
                                      level=level)
     clean, dirty, n_junk = [], [], 0
@@ -824,7 +827,7 @@ def test_long_streams_hold_one_window():
     2 * stride + lookahead rows, and the streams added no step plan after
     frame 500."""
     W = STREAM.stride + STREAM.lookahead
-    model = UniformModel(16)
+    model = CountModel(16, 3)
     tokens = make_tokens(61, 5000)
     streaming._step_plan.cache_clear()
     for blocks in ([1] * 5000, [7, 500, 1, 1493, 2999]):
