@@ -7,9 +7,11 @@ transport carries the tokens across lossy channels, in batch or
 bounded-latency streaming mode, with one slice path at each end: the
 sender bit-packs each coarse slice, with its predecessor as a repair
 copy, and range-codes each fine slice by its layers' rows; the receiver
-reads each slice from the first of its arrived copies that reads, takes
-a repair copy only from that copy, and fills each lost coarse token with
-its layer's most probable one.
+reads each slice from the first of its arrived copies that reads and
+takes a repair copy only from that copy. It then reads each frame once:
+the frame is usable up to its first cell not received, every cell above
+that one is cut, and that cell takes its layer's most probable token
+when it is a lost coarse one.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +21,6 @@ from .audio import (AudioSignal, CodecConfig, analyze, read_audio, synthesize,
 from .context import (PMF_TOTAL, CountModel, load_count_model,
                       quantize_weights, save_count_model, train_count_model,
                       uniform_pmf)
-from .dependency import classify_loss, propagate_invalid
 from .errors import ConfigError, DecodeError
 from .experiment import (ExperimentConfig, MetricsRow, TrainedStack,
                          config_from_dict, load_config, run_experiment,

@@ -200,7 +200,7 @@ def cmd_encode(args) -> int:
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    seconds = signal.samples.size / signal.sample_rate
+    seconds = signal.duration
     print(f"wrote {len(packets)} packets, {rep.total_bits} bits "
           f"(wire {rep.total_bits / seconds / 1000:.2f} kbit/s, payload "
           f"{rep.payload_bits / seconds / 1000:.2f} kbit/s) to {out_dir}")
@@ -303,7 +303,7 @@ def cmd_stream(args) -> int:
           f"(bound {stream.stride + stream.lookahead}); "
           f"si_snr {si_snr(signal, est):.2f} dB; n_dropped {rx.n_dropped}")
     rep = tx.report
-    seconds = signal.samples.size / signal.sample_rate
+    seconds = signal.duration
     fine = rep.fine_bits_per_token
     print(f"wire {rep.total_bits / seconds / 1000:.2f} kbit/s; "
           f"payload {rep.payload_bits / seconds / 1000:.2f} kbit/s; "

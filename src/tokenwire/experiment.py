@@ -28,7 +28,7 @@ from . import __version__
 from .audio import AudioSignal, CodecConfig, analyze, synthesize
 from .context import CountModel, train_count_model
 from .errors import ConfigError
-from .grid import GosConfig, TokenGrid, build_slice_grid
+from .grid import GosConfig, TokenGrid, _read_only, build_slice_grid
 from .metrics import (mfcc_distance, mfcc_reference, sdr, si_snr,
                       token_accuracy)
 from .pipeline import receive_tokens, send_tokens
@@ -286,11 +286,6 @@ def _make_channel(kind: str, loss: float):
     return MarkovChannel()
 
 
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def trial_inputs(cfg: ExperimentConfig, stack: TrainedStack,
                  trial: int) -> TrialInputs:
     """Trial ``trial``'s clip and what it sends, from ``stack.trials``
@@ -317,11 +312,13 @@ def trial_inputs(cfg: ExperimentConfig, stack: TrainedStack,
         K = (int(level_rng.choice(cfg.levels)) if variable
              else cfg.levels[0])
         grid = quantize(feats[start:stop], stack.codec, K)
-        _read_only(grid.tokens, grid.level)
+        _read_only(grid.tokens)
+        _read_only(grid.level)
         chunks.append((grid, build_slice_grid(stop - start, stack.gos, K)))
     truth = TokenGrid(np.concatenate([g.tokens for g, _ in chunks]),
                       np.concatenate([g.level for g, _ in chunks]), cfg.vocab)
-    _read_only(clip.samples, truth.tokens, truth.level)
+    for a in (clip.samples, truth.tokens, truth.level):
+        _read_only(a)
     memo[key] = inputs = TrialInputs(clip_seed, clip, tuple(chunks), truth,
                                      mfcc_reference(clip))
     return inputs
@@ -357,12 +354,11 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
 
     loss_ratio = (loss if channel_kind == "bernoulli"
                   else MarkovChannel().stationary_loss())
-    duration = clip.samples.size / cfg.sample_rate
     return MetricsRow(
         loss_ratio=loss_ratio, channel=channel_kind, fec=fec,
         model=model_name,
         level=("variable" if len(cfg.levels) > 1 else str(cfg.levels[0])),
-        bitrate_kbps=total_bits / duration / 1000.0,
+        bitrate_kbps=total_bits / clip.duration / 1000.0,
         si_snr_db=si_snr(clip, est), sdr_db=sdr(clip, est),
         mfcc_dist=mfcc_distance(clip, est, reference=inputs.reference),
         token_accuracy=token_accuracy(inputs.truth, rx_all, states_all),

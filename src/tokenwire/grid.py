@@ -65,9 +65,6 @@ class TokenGrid:
     def n_layers(self) -> int:
         return self.tokens.shape[1]
 
-    def copy(self) -> "TokenGrid":
-        return TokenGrid(self.tokens.copy(), self.level.copy(), self.vocab)
-
 
 def initial_states(n_frames: int, n_layers: int, level: int) -> np.ndarray:
     """Receiver states before any packet arrives: LOST below the encode

@@ -9,16 +9,17 @@ the slices they name, the one claim rule of both receivers, each of
 which passes only its own geometry. ``decode`` reads every slice from
 the first of its copies that reads, and a repair copy is one more copy
 of its predecessor: only the filling copy's is read, and only where the
-predecessor did not arrive. ``conceal`` fills each lost coarse cell with
-its layer's most probable token; a lost or invalid fine cell is never
-guessed and ends its frame's usable depth. A packet the receiver cannot
-place or read is dropped and counted, as if lost. No slice is coded
-against another cell, and no concealed cell reads another, so neither
-waits on anything: each end prices all the fine slices it handles at
-once, and conceals all the frames it finalizes in one call. The encode
-level is stated once, in the receiver's initial states (INVALID from the
-level up); which cells can be trusted then follows from the states by
-the one prefix rule in ``dependency``.
+predecessor did not arrive. ``finalize`` applies the prefix rule in one
+pass over each frame: a frame is usable up to its first cell not
+RECEIVED, every cell above that one is cut, and that cell takes its
+layer's most probable token when it is a lost coarse cell; a lost or
+invalid fine cell is never guessed. A packet the receiver cannot place
+or read is dropped and counted, as if lost. No slice is coded against
+another cell, and no concealed cell reads another, so neither waits on
+anything: each end prices all the fine slices it handles at once, and
+finalizes all the frames it releases in one call. The encode level is
+stated once, in the receiver's initial states (INVALID from the level
+up), so no usable depth passes it.
 
 Every clip of one layout shares one plan of it, built on the first clip
 and memoized like the layout itself (``build_slice_grid``): each slice's
@@ -38,7 +39,6 @@ import numpy as np
 
 from .audio import CodecConfig, synthesize
 from .context import FALLBACKS, PMF_TOTAL, Targets
-from .dependency import classify_loss, propagate_invalid, usable_depth
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
                    build_slice_grid, initial_states)
@@ -47,8 +47,9 @@ from .rvq import RvqCodec, dequantize, quantize
 from .transport import Packet, pack_bits, token_bits, unpack_bits
 
 _R = int(TokenState.RECEIVED)
-_C = int(TokenState.CONCEALED)
+_L = int(TokenState.LOST)
 _I = int(TokenState.INVALID)
+_C = int(TokenState.CONCEALED)
 
 
 @dataclass
@@ -296,23 +297,38 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, slots,
     return n_dropped, repaired
 
 
-def conceal(model, tokens: np.ndarray, states: np.ndarray, frames: range,
-            n_coarse: int) -> int:
-    """Fill in place each LOST coarse cell of ``frames`` with its layer's
-    most probable token, all in one ``predict``, and mark it CONCEALED;
-    returns how many cells were filled.
+def finalize(model, tokens: np.ndarray, states: np.ndarray, frames: range,
+             n_coarse: int) -> tuple:
+    """Apply the prefix rule to ``frames``, in place, reading each frame
+    once; returns (how many cells were concealed, each frame's usable
+    depth).
 
-    Every other cell is left as it is: a lost or invalid fine cell ends
-    its frame's usable depth, and, once ``propagate_invalid`` has cut the
-    states, a coarse cell above a frame's first lost one is INVALID and
-    stays cut. A frame's fill reads nothing but its own states, so
-    concealing frames in one call or in any run of consecutive chunks
-    gives the same cells."""
-    cells = classify_loss(states, frames, n_coarse)
-    if len(cells):
-        tokens[cells[:, 0], cells[:, 1]] = model.predict(Targets(cells))
-        states[cells[:, 0], cells[:, 1]] = _C
-    return len(cells)
+    Later layers refine the residual left by earlier ones, so a frame is
+    usable up to its first cell not RECEIVED, and every cell above that
+    one is marked INVALID, delivered or not. Where the first failing cell
+    is a LOST coarse cell, it takes its layer's most probable token, all
+    in one ``predict``, and is marked CONCEALED. A lost or invalid fine
+    cell is never guessed: left out, it costs less than a guess. The
+    usable depth counts the first failing cell too when it ends
+    CONCEALED, now or on arrival. The receiver's states start INVALID
+    from the encode level up, so no depth passes the level. A frame's
+    result reads nothing but its own states, so finalizing frames in one
+    call or in any run of consecutive chunks gives the same cells."""
+    rows = states[frames.start:frames.stop]
+    n_layers = rows.shape[1]
+    depth = np.logical_and.accumulate(rows == _R, axis=1).sum(axis=1)
+    rows[np.arange(n_layers) > depth[:, None]] = _I
+    # a frame received in full has no failing cell; its last cell stands in
+    first = rows[np.arange(len(rows)), np.minimum(depth, n_layers - 1)]
+    lost = (first == _L) & (depth < n_coarse)
+    t = np.flatnonzero(lost)
+    if len(t):
+        k = depth[t]
+        tokens[t + frames.start, k] = model.predict(
+            Targets(np.stack([t + frames.start, k], axis=1)))
+        rows[t, k] = _C
+    usable = depth + (lost | (first == _C))
+    return len(t), usable.astype(np.int16)
 
 
 class _Layout(NamedTuple):
@@ -368,10 +384,10 @@ def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     counted, as if lost, and so is a None in ``packets``, which stands
     for a packet that arrived but did not parse (see
     ``transport.read_packets``). Every slice that arrived is read, all
-    its fine cells priced in one call; the prefix rule then marks
-    every cell above a frame's first missing one invalid, and
-    concealment fills each lost coarse cell with its layer's mode. The
-    grid's level is the per-frame usable depth.
+    its fine cells priced in one call; ``finalize`` then cuts each frame
+    above its first missing cell and fills that cell with its layer's
+    mode when it is a lost coarse cell. The grid's level is the
+    per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
@@ -384,12 +400,11 @@ def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     dropped, fec_recovered = decode(model, tokens, states, slots, 0)
     n_dropped += dropped
 
-    propagate_invalid(states)
+    n_predicted, depth = finalize(model, tokens, states, range(T),
+                                  sg.gos.n_coarse)
 
-    n_predicted = conceal(model, tokens, states, range(T), sg.gos.n_coarse)
-
-    grid = TokenGrid(tokens, usable_depth(states), vocab)
-    names = {_R: "received", int(TokenState.LOST): "lost",
+    grid = TokenGrid(tokens, depth, vocab)
+    names = {_R: "received", _L: "lost",
              _I: "invalid", _C: "concealed"}
     encoded = states[:, :sg.level]
     state_counts = {name: int(np.count_nonzero(encoded == code))
@@ -418,7 +433,7 @@ def receive(packets, trace, codec: RvqCodec, codec_cfg: CodecConfig, model,
             sample_rate: int = 16000, conceal_window: int = 12,
             conceal_fine_layers: int = 2) -> tuple:
     """Audio-level convenience: filter by the delivery trace, decode,
-    conceal, dequantize the usable prefixes, synthesize.
+    finalize, dequantize the usable prefixes, synthesize.
 
     ``conceal_window`` and ``conceal_fine_layers`` are accepted and have
     no effect: concealment reads no window, and fine cells are never

@@ -1,36 +1,39 @@
 """Streaming transceiver: fixed stride, bounded lookahead, bounded latency.
 
 Frames arrive continuously. Every ``stride`` frames the sender emits one
-step: the coarse tokens of the frames its lookahead horizon newly reaches,
-then the entropy-coded fine tokens of the frames now due. A frame's fine
-tokens are on the wire once the horizon frame has been captured, so
-end-to-end latency never exceeds stride + lookahead frames. A step, not a
-frame, is the unit that travels: it sends at most one coarse packet,
-carrying the coarse layers of its new frames and, as repair, the previous
-coarse packet's payload, and at most one fine packet, carrying the fine
-layers below the encode level of every due frame in frame-then-layer
-order. A packet names whether it is coarse or fine and its frames,
-(first_frame, n_frames), and nothing else. At stride 1 every packet after
-the first coarse one holds one frame.
+step. Step i finalizes its due frames [i * stride, (i + 1) * stride) and
+carries the coarse tokens of every frame up to its horizon h_i, lookahead
+frames past its last due frame (``stream_step``). Its coarse packet holds
+the frames its horizon newly reaches, (h_{i-1}, h_i] or [0, h_0] for the
+first step, so the steps' coarse frames tile the stream once each
+(``stream_coarse``). Once the stream's length is known, both clamp at its
+last frame. A frame's fine tokens are on the wire once the horizon frame
+has been captured, so end-to-end latency never exceeds stride +
+lookahead frames. A step, not a frame, is the unit that travels: it
+sends at most one coarse packet, carrying the coarse layers of its new
+frames and, as repair, the previous coarse packet's payload, and at most
+one fine packet, carrying the fine layers below the encode level of
+every due frame in frame-then-layer order. A packet names whether it is
+coarse or fine and its frames, (first_frame, n_frames), and nothing
+else. At stride 1 every packet after the first coarse one holds one
+frame.
 
 Both ends run on the transceiver core in ``pipeline``, as the batch ends
-do, and take a step's geometry, its due frames, its horizon and its
-coarse frames, from ``stream_step`` and ``stream_coarse``. The sender
-hands each step's coarse and fine slice to ``SliceSender.send``. A
-step's fine tokens are priced by their layers alone, so a step's fine
-packet decodes whenever it arrives and a lost fine packet costs its own
-cells only. The receiver's buffered states start INVALID from the encode
-level up. Its step geometry names the heads a step can place;
-``pipeline.admit`` sorts the arrived packets into them and
-``pipeline.decode`` reads them, dropping and counting the rest as if
-lost. The receiver then finalizes the due frames: cut each frame's
-layers above its first missing cell, fill each lost coarse cell with its
-layer's most probable token, release. A lost or invalid fine cell is not
-guessed; it ends its frame's usable depth. Released frames are never
-revisited.
+do. The sender hands each step's coarse and fine slice to
+``SliceSender.send``. A step's fine tokens are priced by their layers
+alone, so a step's fine packet decodes whenever it arrives and a lost
+fine packet costs its own cells only. The receiver's buffered states
+start INVALID from the encode level up. Its step geometry names the
+heads a step can place; ``pipeline.admit`` sorts the arrived packets
+into them and ``pipeline.decode`` reads them, dropping and counting the
+rest as if lost. ``pipeline.finalize`` then cuts each due frame above its
+first missing cell and fills that cell with its layer's most probable
+token when it is a lost coarse cell, and the frames are released. A
+lost or invalid fine cell is not guessed; it ends its frame's usable
+depth. Released frames are never revisited.
 
-Neither end keeps the stream's history. Concealment reads only the
-frames it fills, so a step reads only its window: its due frames
+Neither end keeps the stream's history. Finalizing reads only the
+frames it releases, so a step reads only its window: its due frames
 through its horizon. Each end holds that window in preallocated rows
 (``_Frames``), the sender also the frames pushed past its last horizon,
 and forgets every frame before it. Every step's geometry relative to
@@ -50,14 +53,31 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dependency import (propagate_invalid, stream_coarse, stream_step,
-                         usable_depth)
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid, _read_only,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import SliceSender, admit, conceal, decode
+from .pipeline import SliceSender, admit, decode, finalize
+
+
+def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
+    """(due frames, horizon) of stream step ``i``, clamped at the last
+    frame once the stream's ``total`` length is known."""
+    stop = (i + 1) * cfg.stride
+    horizon = stop - 1 + cfg.lookahead
+    if total is not None:
+        stop, horizon = min(stop, total), min(horizon, total - 1)
+    return range(i * cfg.stride, stop), horizon
+
+
+def stream_coarse(i: int, cfg: StreamConfig,
+                  total: int | None = None) -> range:
+    """Frames whose coarse layers stream step ``i`` newly carries: those
+    after the step before's horizon up to its own. The steps after the
+    one whose horizon reaches the last frame carry none."""
+    lo = stream_step(i - 1, cfg, total)[1] + 1 if i else 0
+    return range(lo, stream_step(i, cfg, total)[1] + 1)
 
 
 def _shift(frames: range, by: int) -> range:
@@ -185,11 +205,13 @@ class StreamRelease:
 class StreamSender:
     """Incremental encoder; pair each emission with a StreamReceiver step.
 
-    Holds the window of its last step and the frames pushed past that
-    step's horizon; a long push is taken in a few frames at a time."""
+    Every coarse packet after the first carries its predecessor's payload
+    as a repair copy. Holds the window of its last step and the frames
+    pushed past that step's horizon; a long push is taken in a few frames
+    at a time."""
 
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
-                 level: int | None = None, fec: bool = True):
+                 level: int | None = None):
         level = gos.n_layers if level is None else level
         if not gos.n_coarse <= level <= gos.n_layers:
             raise ValueError("level out of range for the layout")
@@ -197,9 +219,8 @@ class StreamSender:
         self.stream = stream
         self.model = model
         self.level = level
-        self.fec = fec
         self.vocab = model.vocab
-        self._tx = SliceSender(model, fec)
+        self._tx = SliceSender(model)
         self.report = self._tx.report  # SenderReport over all emissions
         self._steps = _Steps(gos, stream, level)
         self._frames = _Frames(stream, gos.n_layers, np.int32)
@@ -356,13 +377,13 @@ class StreamReceiver:
         self.n_dropped += n_unplaced + n_dropped
         self.fec_recovered += fec_recovered
 
-        sl = slice(plan.due.start, plan.due.stop)
-        propagate_invalid(states[sl])
-        self.n_predicted += conceal(self.model, tokens, states, plan.due,
-                                    n_coarse)
+        n_predicted, depth = finalize(self.model, tokens, states, plan.due,
+                                      n_coarse)
+        self.n_predicted += n_predicted
         self._released = due.stop
+        sl = slice(plan.due.start, plan.due.stop)
         release = StreamRelease((due.start, due.stop), tokens[sl].copy(),
-                                states[sl].copy(), usable_depth(states[sl]))
+                                states[sl].copy(), depth)
         self._releases.append(release)
         return release
 

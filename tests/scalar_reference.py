@@ -19,6 +19,11 @@ cache byte and a count of held-back 0xFF bytes that a carry may still
 reach, and the decoder that bisects each row as a Python list. The
 library's coder must write the same payloads and read the same symbols.
 
+For the prefix rule: ``reference_finalize``, the three passes that
+``tokenwire.pipeline.finalize`` fuses, each of which derives a frame's
+prefix again. ``finalize`` must leave the same tokens and states and
+return the same count and depths.
+
 For the streaming ends: the sender and receiver that keep the whole
 stream, the sender every frame pushed and the receiver every frame up to
 its last horizon, and build each step's cells afresh.
@@ -32,14 +37,19 @@ from bisect import bisect_right
 import numpy as np
 import scipy.fft
 
-from tokenwire.context import ALPHA, PMF_TOTAL, uniform_pmf
-from tokenwire.dependency import (propagate_invalid, stream_coarse,
-                                  stream_step, usable_depth)
+from tokenwire.context import ALPHA, PMF_TOTAL, Targets, uniform_pmf
 from tokenwire.errors import DecodeError
-from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, initial_states
-from tokenwire.pipeline import SliceSender, admit, conceal, decode
+from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
+                            initial_states)
+from tokenwire.pipeline import SliceSender, admit, decode, finalize
 from tokenwire.rangecoder import CodedSlice
-from tokenwire.streaming import StepEmission, StreamRelease
+from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
+                                 stream_step)
+
+R = int(TokenState.RECEIVED)
+L = int(TokenState.LOST)
+I = int(TokenState.INVALID)
+C = int(TokenState.CONCEALED)
 
 
 def quantize_vector(weights, total=PMF_TOTAL) -> np.ndarray:
@@ -244,6 +254,33 @@ def reference_unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     return (bits << shifts).sum(axis=1).astype(np.int32)
 
 
+def prefix_depth(ok: np.ndarray) -> np.ndarray:
+    """Per frame (row), the length of its leading run of cells where ``ok``
+    holds: the index of its first failing cell, or the row length."""
+    return np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+
+
+def reference_finalize(model, tokens: np.ndarray, states: np.ndarray,
+                       frames: range, n_coarse: int) -> tuple:
+    """The prefix rule as three passes over ``frames``, each deriving the
+    prefix again: cut every cell above a frame's first one not RECEIVED,
+    then fill every LOST coarse cell left with its layer's mode, then
+    read each frame's usable prefix of received or concealed cells.
+    Returns (how many cells were filled, the usable depths)."""
+    rows = states[frames.start:frames.stop]
+    # cut every cell above a frame's first one not received
+    depth = prefix_depth(rows == R)
+    rows[np.arange(rows.shape[1]) > depth[:, None]] = I
+    # the LOST coarse cells left, in frame-then-layer order
+    cells = np.argwhere(states[frames.start:frames.stop, :n_coarse] == L)
+    cells[:, 0] += frames.start
+    if len(cells):
+        tokens[cells[:, 0], cells[:, 1]] = model.predict(Targets(cells))
+        states[cells[:, 0], cells[:, 1]] = C
+    return len(cells), prefix_depth((rows == R) | (rows == C)).astype(
+        np.int16)
+
+
 def _cells(frames: range, layers: range) -> np.ndarray:
     """Cells of the 0-based ``layers`` of ``frames``, frame then layer."""
     return np.array([(f, k) for f in frames for k in layers], dtype=np.int64)
@@ -261,7 +298,7 @@ class ReferenceStreamSender:
     """The full-history stream sender: its buffer keeps every frame pushed."""
 
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
-                 level: int | None = None, fec: bool = True):
+                 level: int | None = None):
         level = gos.n_layers if level is None else level
         if not gos.n_coarse <= level <= gos.n_layers:
             raise ValueError("level out of range for the layout")
@@ -269,9 +306,8 @@ class ReferenceStreamSender:
         self.stream = stream
         self.model = model
         self.level = level
-        self.fec = fec
         self.vocab = model.vocab
-        self._tx = SliceSender(model, fec)
+        self._tx = SliceSender(model)
         self.report = self._tx.report  # SenderReport over all emissions
         self._buf = np.zeros((0, gos.n_layers), dtype=np.int32)
         self._next_step = 0
@@ -405,14 +441,13 @@ class ReferenceStreamReceiver:
         self.n_dropped += n_unplaced + n_dropped
         self.fec_recovered += fec_recovered
 
-        sl = slice(due.start, due.stop)
-        propagate_invalid(self._states[sl])
-        self.n_predicted += conceal(self.model, self._tokens, self._states,
-                                    due, n_coarse)
+        n_predicted, depth = finalize(self.model, self._tokens, self._states,
+                                      due, n_coarse)
+        self.n_predicted += n_predicted
         self._released = due.stop
-        return StreamRelease(
-            (due.start, due.stop), self._tokens[sl].copy(),
-            self._states[sl].copy(), usable_depth(self._states[sl]))
+        sl = slice(due.start, due.stop)
+        return StreamRelease((due.start, due.stop), self._tokens[sl].copy(),
+                             self._states[sl].copy(), depth)
 
     def finish(self, emissions, total: int) -> list:
         """Process the sender's flush emissions; returns their releases."""
@@ -428,5 +463,7 @@ class ReferenceStreamReceiver:
         """(grid, states) after finish; grid.level is the usable depth."""
         if not self._finished:
             raise RuntimeError("stream not finished")
-        return TokenGrid(self._tokens.copy(), usable_depth(self._states),
-                         self.vocab), self._states.copy()
+        states = self._states
+        depth = prefix_depth((states == R) | (states == C)).astype(np.int16)
+        return TokenGrid(self._tokens.copy(), depth,
+                         self.vocab), states.copy()

@@ -1,19 +1,12 @@
-"""Stream step geometry, the prefix rule, loss classification,
-concealment."""
+"""Stream step geometry, what each fine slice depends on, and the prefix
+rule with concealment (``pipeline.finalize``)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import prefix_depth, reference_finalize
 from tokenwire.context import CountModel
-from tokenwire.dependency import (
-    classify_loss,
-    prefix_depth,
-    propagate_invalid,
-    stream_coarse,
-    stream_step,
-    usable_depth,
-)
 from tokenwire.grid import (
     GosConfig,
     SliceId,
@@ -22,8 +15,9 @@ from tokenwire.grid import (
     TokenState,
     build_slice_grid,
 )
-from tokenwire.pipeline import conceal, receive_tokens, send_tokens
-from tokenwire.streaming import StreamReceiver, StreamSender, _Steps
+from tokenwire.pipeline import finalize, receive_tokens, send_tokens
+from tokenwire.streaming import (StreamReceiver, StreamSender, _Steps,
+                                 stream_coarse, stream_step)
 from conftest import counted_model, slice_of
 
 R = int(TokenState.RECEIVED)
@@ -403,58 +397,133 @@ def test_a_predicted_cell_takes_its_layers_mode(gos, n_frames, data):
     np.testing.assert_array_equal(got.tokens[received], tokens[received])
 
 
+def random_states(rng, n_frames, n_layers, level, p):
+    """States drawn from {R, L, I, C} with probabilities ``p``, INVALID
+    from ``level`` up, as a receiver's are after decoding."""
+    states = rng.choice([R, L, I, C], size=(n_frames, n_layers),
+                        p=p).astype(np.int8)
+    states[:, level:] = I
+    return states
+
+
+def random_model(rng, vocab, n_layers):
+    """A count model of random counts; some layers may hold none."""
+    return CountModel(vocab, n_layers,
+                      rng.integers(0, 4, size=(n_layers, vocab)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 6),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_finalize_matches_the_three_pass_reference(seed, n_frames, n_layers,
+                                                   data):
+    """Over any states, INVALID from the level up, any frame range and
+    any model, the one pass gives the tokens, states, count and usable
+    depths of the three passes it fuses."""
+    level = data.draw(st.integers(1, n_layers), label="level")
+    n_coarse = data.draw(st.integers(1, level), label="n_coarse")
+    start = data.draw(st.integers(0, n_frames), label="start")
+    frames = range(start, data.draw(st.integers(start, n_frames),
+                                    label="stop"))
+    rng = np.random.default_rng(seed)
+    vocab = data.draw(st.sampled_from([2, 6, 64]), label="vocab")
+    model = (random_model(rng, vocab, n_layers)
+             if data.draw(st.booleans(), label="counted")
+             else CountModel(vocab, n_layers))
+    p = data.draw(st.sampled_from([[0.6, 0.25, 0.1, 0.05],
+                                   [0.9, 0.05, 0.03, 0.02],
+                                   [0.25, 0.25, 0.25, 0.25]]), label="p")
+    tokens = rng.integers(0, vocab, size=(n_frames, n_layers)).astype(np.int32)
+    states = random_states(rng, n_frames, n_layers, level, p)
+
+    want = tokens.copy(), states.copy()
+    n_want, depth_want = reference_finalize(model, *want, frames, n_coarse)
+    got = tokens.copy(), states.copy()
+    n_got, depth_got = finalize(model, *got, frames, n_coarse)
+    assert n_got == n_want
+    assert depth_got.dtype == depth_want.dtype == np.int16
+    np.testing.assert_array_equal(depth_got, depth_want)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_concealment_reads_each_frame_alone(seed, n_frames, n_layers, data):
-    """Over any tokens and any states the prefix rule has cut: concealing
-    every frame in one call fills the same cells with the same tokens as
-    concealing consecutive chunks of any lengths, one call each, as the
-    stream receiver does step by step. Each LOST coarse cell ends
-    CONCEALED, and every other cell is left as it was."""
+    """Over any tokens and any states: finalizing every frame in one call
+    leaves the same cells and depths as finalizing consecutive chunks of
+    any lengths, one call each, as the stream receiver does step by step.
+    A frame's first cell not RECEIVED ends CONCEALED when it was a LOST
+    coarse cell, every cell above it ends INVALID, and every other cell
+    is left as it was."""
     level = data.draw(st.integers(1, n_layers), label="level")
     n_coarse = data.draw(st.integers(1, level), label="n_coarse")
     rng = np.random.default_rng(seed)
     vocab = 6
-    model = CountModel(vocab, n_layers,
-                       rng.integers(0, 4, size=(n_layers, vocab)))
+    model = random_model(rng, vocab, n_layers)
     tokens = rng.integers(0, vocab, size=(n_frames, n_layers)).astype(np.int32)
-    states = rng.choice([R, L, I, C], size=(n_frames, n_layers),
-                        p=[0.6, 0.25, 0.1, 0.05]).astype(np.int8)
-    states[:, level:] = I
-    propagate_invalid(states)
+    states = random_states(rng, n_frames, n_layers, level,
+                           [0.6, 0.25, 0.1, 0.05])
     cuts = sorted(data.draw(st.lists(st.integers(0, n_frames), max_size=8),
                             label="cuts"))
     edges = [0, *cuts, n_frames]
 
     whole = tokens.copy(), states.copy()
-    n_whole = conceal(model, *whole, range(n_frames), n_coarse)
+    n_whole, depth_whole = finalize(model, *whole, range(n_frames), n_coarse)
     chunked = tokens.copy(), states.copy()
-    n_chunked = sum(conceal(model, *chunked, range(a, b), n_coarse)
-                    for a, b in zip(edges, edges[1:]))
-    assert n_chunked == n_whole
+    parts = [finalize(model, *chunked, range(a, b), n_coarse)
+             for a, b in zip(edges, edges[1:])]
+    assert sum(n for n, _ in parts) == n_whole
+    np.testing.assert_array_equal(
+        np.concatenate([d for _, d in parts]), depth_whole)
     np.testing.assert_array_equal(chunked[0], whole[0])
     np.testing.assert_array_equal(chunked[1], whole[1])
 
+    depth = prefix_depth(states == R)
+    rows = np.arange(n_frames)
+    first = np.minimum(depth, n_layers - 1)
     target = np.zeros(states.shape, dtype=bool)
-    target[:, :n_coarse] = states[:, :n_coarse] == L
+    target[rows, first] = (states[rows, first] == L) & (depth < n_coarse)
+    above = np.arange(n_layers) > depth[:, None]
     assert n_whole == target.sum()
     assert (whole[1][target] == C).all()
+    assert (whole[1][above] == I).all()
+    kept = ~target & ~above
     np.testing.assert_array_equal(whole[0][~target], tokens[~target])
-    np.testing.assert_array_equal(whole[1][~target], states[~target])
+    np.testing.assert_array_equal(whole[1][kept], states[kept])
+
+
+def moded_model(n_layers: int, vocab: int = 8) -> CountModel:
+    """A model whose layer k's mode is token k + 1."""
+    counts = np.ones((n_layers, vocab), dtype=np.int64)
+    counts[np.arange(n_layers), np.arange(n_layers) + 1] += 5
+    return CountModel(vocab, n_layers, counts)
 
 
 def test_propagate_invalid():
+    """``finalize`` cuts every cell above a frame's first cell not
+    RECEIVED, fills that cell with its layer's mode when it is a lost
+    coarse cell, and counts it in the usable depth when it ends
+    CONCEALED, now or on arrival."""
+    model = moded_model(4)
+    tokens = np.zeros((3, 4), dtype=np.int32)
     states = np.array([[R, L, R, R], [R, R, R, R], [L, R, C, R]], dtype=np.int8)
-    propagate_invalid(states)
+    n, depth = finalize(model, tokens, states, range(3), 1)
     np.testing.assert_array_equal(states[0], [R, L, I, I])
     np.testing.assert_array_equal(states[1], [R, R, R, R])
-    np.testing.assert_array_equal(states[2], [L, I, I, I])
+    np.testing.assert_array_equal(states[2], [C, I, I, I])
+    assert n == 1 and depth.tolist() == [1, 4, 1]
+    np.testing.assert_array_equal(tokens, [[0] * 4, [0] * 4, [1, 0, 0, 0]])
     # Encoded at level 3: the receiver's layer 3 starts out INVALID and
-    # stays so above a received prefix.
-    states = np.array([[R, R, R, I], [R, L, R, I]], dtype=np.int8)
-    propagate_invalid(states)
-    np.testing.assert_array_equal(states, [[R, R, R, I], [R, L, I, I]])
+    # stays so above a received prefix. A cell that arrived CONCEALED
+    # counts in the depth; a lost fine cell is not guessed.
+    states = np.array([[R, R, R, I], [R, L, R, I], [R, C, R, I]],
+                      dtype=np.int8)
+    n, depth = finalize(model, tokens, states, range(3), 1)
+    np.testing.assert_array_equal(
+        states, [[R, R, R, I], [R, L, I, I], [R, C, I, I]])
+    assert n == 0 and depth.tolist() == [3, 1, 2]
 
 
 def plain_prefix(row, level, ok):
@@ -470,24 +539,27 @@ def plain_prefix(row, level, ok):
 @settings(max_examples=100, deadline=None)
 def test_prefix_rule_matches_a_per_row_reading(seed, n_frames, n_layers,
                                                data):
-    """Invalidation and the usable depth, read from states that are
-    INVALID from the encode level up, agree with reading each row below
-    an explicitly given level."""
+    """The cut, the concealed cells and the usable depth, read from
+    states that are INVALID from the encode level up, agree with reading
+    each row below an explicitly given level."""
     level = data.draw(st.integers(1, n_layers))
+    n_coarse = data.draw(st.integers(1, level))
     rng = np.random.default_rng(seed)
-    states = rng.choice([R, L, I, C], size=(n_frames, n_layers),
-                        p=[0.7, 0.1, 0.1, 0.1]).astype(np.int8)
-    states[:, level:] = I
-    rows = states.tolist()
+    states = random_states(rng, n_frames, n_layers, level,
+                           [0.7, 0.1, 0.1, 0.1])
+    tokens = np.zeros(states.shape, dtype=np.int32)
 
-    depth = usable_depth(states)
-    assert depth.dtype == np.int16
-    assert depth.tolist() == [plain_prefix(r, level, (R, C)) for r in rows]
-
-    want = states.copy()
+    want, want_depth = states.copy(), []
     for r in want:
-        r[plain_prefix(r.tolist(), level, (R,)) + 1:level] = I
-    propagate_invalid(states)
+        d = plain_prefix(r.tolist(), level, (R,))
+        r[d + 1:level] = I
+        if d < n_coarse and r[d] == L:
+            r[d] = C
+        want_depth.append(d + (d < level and r[d] == C))
+    _, depth = finalize(CountModel(4, n_layers), tokens, states,
+                        range(n_frames), n_coarse)
+    assert depth.dtype == np.int16
+    assert depth.tolist() == want_depth
     np.testing.assert_array_equal(states, want)
 
 
@@ -497,13 +569,22 @@ def fresh_states(sg):
     return states
 
 
+def concealed(sg, states, frames) -> list:
+    """The cells ``finalize`` conceals in ``frames``, in absolute frame
+    numbers."""
+    before = states.copy()
+    tokens = np.zeros(states.shape, dtype=np.int32)
+    finalize(moded_model(sg.n_layers), tokens, states, frames,
+             sg.gos.n_coarse)
+    return np.argwhere((states == C) & (before != C)).tolist()
+
+
 def test_classify_lost_coarse():
     sg = small_layout()
     states = fresh_states(sg)
     states[2, 0] = L
     states[2, 1:3] = I
-    targets = classify_loss(states, range(0, 6), sg.gos.n_coarse)
-    assert targets.shape == (1, 2) and targets.tolist() == [[2, 0]]
+    assert concealed(sg, states, range(0, 6)) == [[2, 0]]
 
 
 def test_classify_lost_fine_non_key():
@@ -514,8 +595,9 @@ def test_classify_lost_fine_non_key():
     for t in (1, 4):
         states[t, 1] = L
         states[t, 2] = I
-    assert classify_loss(states, range(0, 6), sg.gos.n_coarse).shape == \
-        (0, 2)
+    before = states.copy()
+    assert concealed(sg, states, range(0, 6)) == []
+    np.testing.assert_array_equal(states, before)
 
 
 def test_classify_coarse_lost_outside_window():
@@ -529,13 +611,10 @@ def test_classify_coarse_lost_outside_window():
     for t in (1, 4):
         states[t, 1] = L
         states[t, 2] = I
-    # Frames that exclude the lost coarse frames give no targets: their
+    # Frames that exclude the lost coarse frames conceal nothing: their
     # lost fine cells are left out.
-    assert classify_loss(states, range(1, 3), sg.gos.n_coarse).shape == \
-        (0, 2)
-    # Frames that hold a lost coarse cell give that cell alone, in
+    assert concealed(sg, states, range(1, 3)) == []
+    # Frames that hold a lost coarse cell conceal that cell alone, in
     # absolute frame numbers.
-    targets = classify_loss(states, range(0, 3), sg.gos.n_coarse)
-    assert targets.tolist() == [[0, 0]]
-    assert classify_loss(states, range(3, 6), sg.gos.n_coarse).tolist() == \
-        [[3, 0]]
+    assert concealed(sg, states, range(0, 3)) == [[0, 0]]
+    assert concealed(sg, states, range(3, 6)) == [[3, 0]]

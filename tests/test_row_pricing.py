@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from scalar_reference import reference_layer_pmf
 from tokenwire.context import (FALLBACKS, CountModel, Targets, _mode,
                                cumulative, train_count_model)
-from tokenwire.dependency import classify_loss, propagate_invalid
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid, initial_states)
-from tokenwire.pipeline import _layout
+from tokenwire.pipeline import _layout, finalize
 from tokenwire.rangecoder import code_ranges, decode_symbols, encode_symbols
 from tokenwire.streaming import _Steps
 
 L = int(TokenState.LOST)
+C = int(TokenState.CONCEALED)
 
 GOSES = [GosConfig(6, 3, 1, 3), GosConfig(4, 2, 2, 5), GosConfig(5, 1, 1, 4)]
 
@@ -72,20 +72,21 @@ def stream_slices(data, gos, rng, vocab):
 
 
 def conceal_query(data, gos, rng, vocab):
-    """(tokens, the lost coarse cells of random damage to a clip, cut by
-    the prefix rule, as concealment fills them), or None when it has
-    none."""
+    """(tokens, the cells ``finalize`` conceals after random damage to a
+    clip, in the order it predicts them), or None when it has none."""
     n_frames = data.draw(st.integers(1, 30), label="n_frames")
     level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
     states = initial_states(n_frames, gos.n_layers, level)
     damage = rng.random((n_frames, level)) < data.draw(
         st.sampled_from([0.1, 0.3, 0.7]))
     states[:, :level][damage] = L
-    propagate_invalid(states)
-    targets = classify_loss(states, range(n_frames), gos.n_coarse)
+    tokens = structured(rng, states.shape, vocab)
+    finalize(CountModel(vocab, gos.n_layers), tokens.copy(), states,
+             range(n_frames), gos.n_coarse)
+    targets = np.argwhere(states == C)
     if not len(targets):
         return None
-    return structured(rng, states.shape, vocab), [targets]
+    return tokens, [targets]
 
 
 @given(st.data())

@@ -9,10 +9,10 @@ from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 
 from tokenwire import streaming
 from tokenwire.context import CountModel, Targets, train_count_model
-from tokenwire.dependency import stream_coarse, stream_step
 from tokenwire.errors import DecodeError
 from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
-from tokenwire.streaming import StreamReceiver, StreamSender
+from tokenwire.streaming import (StreamReceiver, StreamSender, stream_coarse,
+                                 stream_step)
 from tokenwire.transport import Packet, pack_bits
 
 GOS = GosConfig(6, 3, 1, 3)
