@@ -7,11 +7,12 @@ transport carries the tokens across lossy channels, in batch or
 bounded-latency streaming mode, with one slice path at each end: the
 sender bit-packs each coarse slice, with its predecessor as a repair
 copy, and range-codes each fine slice by its layers' rows; the receiver
-reads each slice from the first of its arrived copies that reads and
-takes a repair copy only from that copy. It then reads each frame once:
-the frame is usable up to its first cell not received, every cell above
-that one is cut, and that cell takes its layer's most probable token
-when it is a lost coarse one.
+looks each arrived packet up in its own map of the heads it can place,
+reads each slice from the first of its copies that reads into cells not
+yet received, and takes a repair copy only from that copy. It then
+reads each frame once: the frame is usable up to its first cell not
+received, every cell above that one is cut, and that cell takes its
+layer's most probable token when it is a lost coarse one.
 """
 
 __version__ = "0.1.0"

@@ -4,22 +4,23 @@ The core is shared with the streaming transceiver, one path per end.
 ``SliceSender.send`` turns every slice into a packet: a coarse slice is
 bit-packed and carries its predecessor's payload as a repair copy, and a
 fine slice is range-coded, each fine token priced by its layer's row of
-the model's table (``layer_pmf``). ``admit`` sorts arrived packets into
-the slices they name, the one claim rule of both receivers, each of
-which passes only its own geometry. ``decode`` reads every slice from
-the first of its copies that reads, and a repair copy is one more copy
-of its predecessor: only the filling copy's is read, and only where the
-predecessor did not arrive. ``finalize`` applies the prefix rule in one
-pass over each frame: a frame is usable up to its first cell not
-RECEIVED, every cell above that one is cut, and that cell takes its
-layer's most probable token when it is a lost coarse cell; a lost or
-invalid fine cell is never guessed. A packet the receiver cannot place
-or read is dropped and counted, as if lost. No slice is coded against
-another cell, and no concealed cell reads another, so neither waits on
-anything: each end prices all the fine slices it handles at once, and
-finalizes all the frames it releases in one call. The encode level is
-stated once, in the receiver's initial states (INVALID from the level
-up), so no usable depth passes it.
+the model's table (``layer_pmf``). ``decode`` looks each arrived packet
+up in its receiver's map from packet heads to slices, the one claim rule
+of both receivers, each of which passes only its own geometry. It reads
+every slice from the first of its copies that reads, writing only cells
+not yet received, and a repair copy is one more copy of its predecessor:
+only the filling copy's is read, and only where the predecessor did not
+arrive. ``finalize`` applies the prefix rule in one pass over each
+frame: a frame is usable up to its first cell not RECEIVED, every cell
+above that one is cut, and that cell takes its layer's most probable
+token when it is a lost coarse cell; a lost or invalid fine cell is
+never guessed. A packet the receiver cannot place or read, or that
+fills nothing, is dropped and counted, as if lost. No slice is coded
+against another cell, and no concealed cell reads another, so neither
+waits on anything: each end prices all the fine slices it handles at
+once, and finalizes all the frames it releases in one call. The encode
+level is stated once, in the receiver's initial states (INVALID from
+the level up), so no usable depth passes it.
 
 Every clip of one layout shares one plan of it, built on the first clip
 and memoized like the layout itself (``build_slice_grid``): each slice's
@@ -92,7 +93,7 @@ class ReceiverReport:
     n_frames: int
     level: int
     n_packets_seen: int
-    n_dropped: int  # packets that arrived but could not be placed or read
+    n_dropped: int  # packets that arrived but were not placed, read or used
     fec_recovered: int
     state_counts: dict
     n_predicted: int  # lost coarse cells predicted by concealment
@@ -190,60 +191,67 @@ def coarse_values(payload: bytes, vocab: int, count: int):
     return None
 
 
-def admit(packets, slot_of) -> tuple:
-    """Sort arrived packets into the slices they name: the one claim rule
-    of both receivers.
+def decode(model, tokens: np.ndarray, states: np.ndarray, packets, by_head,
+           base: int = 0) -> tuple:
+    """Fill, in place, the slices that ``packets`` name: the one claim
+    and read rule of both receivers.
 
-    ``slot_of(packet)`` is the receiver's own geometry: the (cells,
-    cells of its coarse predecessor or None) of the slice the packet's
-    head names, or None when no slice has that head. A None in
-    ``packets`` stands for a packet that arrived but did not parse. Each
-    placed packet appends its (payload, repair copy) to its slice's
-    copies, in arrival order, for ``decode`` to read. Returns ([(group,
-    cells, predecessor's cells, copies)] in order of each head's first
-    arrival, how many packets could not be placed).
-    """
+    ``by_head`` is the receiver's own geometry: each head it can place,
+    (group, first frame less ``base``, n_frames), maps to the slice's
+    cells and its coarse predecessor's or None, rows counted from
+    ``base``; a row below 0 is a frame before a stream receiver's window.
+    Any other packet, or a None, which stands for one that arrived but
+    did not parse (``transport.read_packets``), is dropped and counted.
+
+    Only open cells are written: rows from 0 on not yet RECEIVED. Every
+    copy of a slice with none is dropped. Any other slice takes the
+    first of its copies that reads: a coarse payload that unpacks into
+    the vocabulary (``coarse_values``), or a fine one that range-decodes,
+    every fine cell priced by its layer's row in one ``layer_pmf``. Its
+    other copies are dropped. All filled cells are written in one
+    ``put``. Then an open predecessor cell takes the repair copy of the
+    copy that filled its successor, if it unpacks; no other copy's
+    repair is read. Slices name distinct cells and predecessors, so one
+    read of their states tells which cells are open, and one more which
+    repair copies are needed. Returns (how many packets were dropped,
+    how many repair copies were used)."""
     slots, n_dropped = {}, 0
     for p in packets:
-        slot = None if p is None else slot_of(p)
-        if slot is None:
+        head = None if p is None else (p.group, p.first_frame - base,
+                                       p.n_frames)
+        if head not in by_head:
             n_dropped += 1
             continue
-        head = p.group, p.first_frame, p.n_frames
         if head not in slots:
-            slots[head] = (p.group, *slot, [])
+            slots[head] = (p.group, *by_head[head], [])
         slots[head][3].append((p.payload, p.fec))
-    return list(slots.values()), n_dropped
-
-
-def decode(model, tokens: np.ndarray, states: np.ndarray, slots,
-           first_open: int) -> tuple:
-    """Fill, in place, the slices ``admit`` sorted; frames before
-    ``first_open`` are final.
-
-    A slice takes the first of its copies that reads: a coarse payload
-    that unpacks into the vocabulary (``coarse_values``), or a fine one
-    that range-decodes, every fine cell priced by its layer's row in one
-    ``layer_pmf``. Every other copy fills nothing and counts as dropped,
-    and a slice none of whose copies reads keeps its cells LOST. All
-    filled cells are written in one ``put``. Then an open predecessor
-    cell not RECEIVED takes the repair copy of the copy that filled its
-    successor, if it unpacks; no other copy's repair is read. Slices name
-    distinct predecessors, so one read of all their states tells which
-    repair copies are needed. A row below ``first_open`` is never
-    written, and its state read is masked, so cells may name rows below
-    0 (frames before a stream receiver's window). Returns (how many
-    copies were dropped, how many repair copies were used)."""
+    if not slots:
+        return n_dropped, 0
+    slots = list(slots.values())
+    prevs = [prev for _, _, prev, _ in slots if prev is not None]
+    arrays = [s[1] for s in slots] + prevs
+    starts = list(accumulate([len(c) for c in arrays[:-1]], initial=0))
+    t, k = np.concatenate(arrays).T
+    flat = t * states.shape[1] + k
+    # a row below 0 clips to a real cell, whose state the mask ignores
+    is_open = (t >= 0) & (states.take(flat, mode="clip") != _R)
+    prev_spans = iter([slice(a, a + len(prev))
+                       for a, prev in zip(starts[len(slots):], prevs)])
     vocab = model.vocab
     fine = [cells for group, cells, _, _ in slots if group]
     if fine:
         cum, rows, _ = model.layer_pmf(np.concatenate(fine)[:, 1])
-    filled, values, repairs = [], [], []
-    n_dropped = 0
+    filled = np.zeros(len(flat), dtype=bool)
+    values = np.empty(len(flat), dtype=tokens.dtype)
+    repairs = []
     a = 0
-    for group, cells, prev, copies in slots:
+    for (group, cells, prev, copies), start, hit in zip(
+            slots, starts, np.logical_or.reduceat(is_open, starts).tolist()):
         n = len(cells)
-        for payload, fec in copies:
+        if prev is not None:
+            prev = next(prev_spans)
+        # a slice with no open cell reads none of its copies
+        for payload, fec in copies if hit else ():
             if group:
                 try:
                     vals = decode_symbols(CodedSlice(payload, n), cum,
@@ -254,8 +262,8 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, slots,
                 vals = coarse_values(payload, vocab, n)
                 if vals is None:
                     continue
-            filled.append(cells)
-            values.append(vals)
+            filled[start:start + n] = True
+            values[start:start + n] = vals
             if fec and prev is not None:
                 repairs.append((fec, prev))
             n_dropped += len(copies) - 1
@@ -264,36 +272,23 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, slots,
             n_dropped += len(copies)
         if group:
             a += n
-    if not filled:
-        return n_dropped, 0
-    n = sum(map(len, filled))
-    t, k = np.concatenate(filled + [prev for _, prev in repairs]).T
-    flat = t * tokens.shape[1] + k
-    is_open = t >= first_open
-    keep = is_open[:n]
-    cells = flat[:n][keep]
-    tokens.put(cells, np.concatenate(values)[keep])
-    states.put(cells, _R)
+    keep = filled & is_open
+    tokens.put(flat[keep], values[keep])
+    states.put(flat[keep], _R)
     if not repairs:
         return n_dropped, 0
-    # a row below 0 clips to a real cell, whose state the mask ignores
-    prev_cells = flat[n:]
-    need = is_open[n:] & (states.take(prev_cells, mode="clip") != _R)
-    starts = list(accumulate([len(prev) for _, prev in repairs[:-1]],
-                             initial=0))
+    # a predecessor's cell still open once the slices are filled
+    need = is_open & (states.take(flat, mode="clip") != _R)
     repaired = 0
-    for i, hit in enumerate(np.logical_or.reduceat(need, starts).tolist()):
-        if not hit:
-            continue
-        fec, prev = repairs[i]
-        v = coarse_values(fec, vocab, len(prev))
-        if v is not None:
-            span = slice(starts[i], starts[i] + len(prev))
-            mask = need[span]
-            cells = prev_cells[span][mask]
-            tokens.put(cells, v[mask])
-            states.put(cells, _R)
-            repaired += 1
+    for fec, span in repairs:
+        mask = need[span]
+        if mask.any():
+            v = coarse_values(fec, vocab, span.stop - span.start)
+            if v is not None:
+                cells = flat[span][mask]
+                tokens.put(cells, v[mask])
+                states.put(cells, _R)
+                repaired += 1
     return n_dropped, repaired
 
 
@@ -378,27 +373,23 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
 def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     """Decode arrived packets back into a (grid, states, report) triple.
 
-    ``admit`` sorts the packets by the layout's heads and ``decode``
-    reads them: one that names no slice of the layout, a copy of one
-    already filled, or one whose payload cannot be read is dropped and
-    counted, as if lost, and so is a None in ``packets``, which stands
-    for a packet that arrived but did not parse (see
-    ``transport.read_packets``). Every slice that arrived is read, all
-    its fine cells priced in one call; ``finalize`` then cuts each frame
-    above its first missing cell and fills that cell with its layer's
-    mode when it is a lost coarse cell. The grid's level is the
-    per-frame usable depth.
+    ``decode`` reads the packets against the layout's heads: one that
+    names no slice of the layout, a copy of one already filled, or one
+    whose payload cannot be read is dropped and counted, as if lost, and
+    so is a None in ``packets``, which stands for a packet that arrived
+    but did not parse (see ``transport.read_packets``). Every slice that
+    arrived is read, all its fine cells priced in one call; ``finalize``
+    then cuts each frame above its first missing cell and fills that
+    cell with its layer's mode when it is a lost coarse cell. The grid's
+    level is the per-frame usable depth.
     """
     vocab = model.vocab
     T, K = sg.n_frames, sg.n_layers
     tokens = np.zeros((T, K), dtype=np.int32)
     states = initial_states(T, K, sg.level)
 
-    by_head = _layout(sg).by_head
-    slots, n_dropped = admit(
-        packets, lambda p: by_head.get((p.group, p.first_frame, p.n_frames)))
-    dropped, fec_recovered = decode(model, tokens, states, slots, 0)
-    n_dropped += dropped
+    n_dropped, fec_recovered = decode(model, tokens, states, packets,
+                                      _layout(sg).by_head)
 
     n_predicted, depth = finalize(model, tokens, states, range(T),
                                   sg.gos.n_coarse)

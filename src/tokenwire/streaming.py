@@ -23,10 +23,12 @@ do. The sender hands each step's coarse and fine slice to
 ``SliceSender.send``. A step's fine tokens are priced by their layers
 alone, so a step's fine packet decodes whenever it arrives and a lost
 fine packet costs its own cells only. The receiver's buffered states
-start INVALID from the encode level up. Its step geometry names the
-heads a step can place; ``pipeline.admit`` sorts the arrived packets
-into them and ``pipeline.decode`` reads them, dropping and counting the
-rest as if lost. ``pipeline.finalize`` then cuts each due frame above its
+start INVALID from the encode level up. Its step geometry names every
+head a step can place, and ``pipeline.decode`` reads the arrived packets
+against it, as the batch receiver reads them against its layout: a
+packet that names no such head, that arrives after its frames were
+released or received, or that cannot be read is dropped and counted as
+if lost. ``pipeline.finalize`` then cuts each due frame above its
 first missing cell and fills that cell with its layer's most probable
 token when it is a lost coarse cell, and the frames are released. A
 lost or invalid fine cell is not guessed; it ends its frame's usable
@@ -37,8 +39,10 @@ frames it releases, so a step reads only its window: its due frames
 through its horizon. Each end holds that window in preallocated rows
 (``_Frames``), the sender also the frames pushed past its last horizon,
 and forgets every frame before it. Every step's geometry relative to
-its window is one memoized ``_Step`` plan: its coarse cells and its
-predecessor's, and its due frames' fine cells. From the third step on
+its window is one memoized ``_Step`` plan, of the same kind as the
+batch layout's: the slices the step sends, its coarse then its fine,
+and the map from each head it can place to that slice's cells and its
+coarse predecessor's. Once step 0's coarse frames have left the window
 every live step has the same plan, so a stream uses a handful of plans:
 the first steps', the steady one and the flushed tail's. The releases
 are the receiver's output; ``result`` joins them.
@@ -58,7 +62,7 @@ from .errors import DecodeError
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid, _read_only,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import SliceSender, admit, decode, finalize
+from .pipeline import SliceSender, decode, finalize
 
 
 def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
@@ -80,10 +84,6 @@ def stream_coarse(i: int, cfg: StreamConfig,
     return range(lo, stream_step(i, cfg, total)[1] + 1)
 
 
-def _shift(frames: range, by: int) -> range:
-    return range(frames.start + by, frames.stop + by)
-
-
 def _cells(rows: range, layers: range) -> np.ndarray:
     """Cells of the 0-based ``layers`` of ``rows``, frame then layer."""
     return np.stack([np.repeat(np.arange(rows.start, rows.stop), len(layers)),
@@ -94,38 +94,48 @@ def _cells(rows: range, layers: range) -> np.ndarray:
 class _Step(NamedTuple):
     """One step's geometry relative to its window, the ``span`` frames
     from its first due frame through its horizon: a row is a frame less
-    the window's start. The step before's coarse rows may lie before the
-    window, below 0."""
+    the window's start, and so is a head's first frame. An earlier
+    step's coarse rows may lie before the window, below 0."""
 
     span: int
-    due: range           # rows the step finalizes
-    coarse: range        # rows whose coarse layers the step carries
-    cells: np.ndarray    # their coarse cells
-    prev: np.ndarray | None  # the step before's coarse cells; None first
-    fine: np.ndarray | None  # the due rows' fine cells; None without any
+    due: range      # rows the step finalizes
+    slices: tuple   # (head, cells) the step sends: its coarse, then fine
+    by_head: dict   # head the step can place -> (cells, predecessor's)
 
 
 @functools.lru_cache(maxsize=256)
-def _step_plan(n_coarse: int, level: int, span: int, due: range,
-               coarse: range, prev: range | None) -> _Step:
+def _step_plan(n_coarse: int, level: int, span: int, n_due: int,
+               coarse: tuple, own: bool) -> _Step:
     """The plan of one relative step geometry, shared by every step and
-    stream that has it. Its own cache, so that nothing else evicts it."""
+    stream that has it. Its own cache, so that nothing else evicts it.
+
+    ``coarse`` holds the rows of each step's coarse frames that reach
+    the window, in step order, the step's own last when ``own``. Each
+    one's predecessor is the one before it; the first one's lies before
+    the window, where no repair copy can write, so it has none."""
     layers = range(n_coarse)
-    cells = _read_only(_cells(coarse, layers))
-    if prev is not None:
-        prev = _read_only(_cells(prev, layers))
-    fine = (_read_only(_cells(due, range(n_coarse, level)))
-            if level > n_coarse else None)
-    return _Step(span, due, coarse, cells, prev, fine)
+    by_head, prev = {}, None
+    for rows in coarse:
+        head = (0, rows.start, len(rows))
+        cells = _read_only(_cells(rows, layers))
+        by_head[head], prev = (cells, prev), cells
+    slices = [(head, cells)] if own else []
+    if level > n_coarse:
+        head = (1, 0, n_due)
+        cells = _read_only(_cells(range(n_due), range(n_coarse, level)))
+        slices.append((head, cells))
+        by_head[head] = cells, None
+    return _Step(span, range(n_due), tuple(slices), by_head)
 
 
 class _Steps:
     """Step plans of one stream end, each with the first frame of its
     window, its first due frame.
 
-    From the third step on, once the step before's coarse frames are
-    those of a steady step, no frame range is clamped at either end, so
-    every later live step is the same plan ``stride`` frames on."""
+    Once step 0's coarse frames have left the window, no frame range the
+    plan holds is clamped at either end, and step 0, the one step
+    without a predecessor, is not among them, so every later live step
+    is the same plan ``stride`` frames on."""
 
     def __init__(self, gos: GosConfig, cfg: StreamConfig, level: int):
         self.gos, self.cfg, self.level = gos, cfg, level
@@ -139,12 +149,18 @@ class _Steps:
             return base + (i - j) * cfg.stride, plan
         due, horizon = stream_step(i, cfg, total)
         base = due.start
-        plan = _step_plan(
-            self.gos.n_coarse, self.level, horizon + 1 - base,
-            _shift(due, -base),
-            _shift(stream_coarse(i, cfg, total), -base),
-            _shift(stream_coarse(i - 1, cfg, total), -base) if i else None)
-        if total is None and i >= 2:
+        coarse = []
+        for j in range(i, -1, -1):
+            frames = stream_coarse(j, cfg, total)
+            if frames.stop <= base:
+                break
+            if len(frames):
+                coarse.insert(0, range(frames.start - base,
+                                       frames.stop - base))
+        plan = _step_plan(self.gos.n_coarse, self.level, horizon + 1 - base,
+                          len(due), tuple(coarse),
+                          bool(stream_coarse(i, cfg, total)))
+        if total is None and stream_coarse(0, cfg).stop <= base:
             self._steady = i, base, plan
         return base, plan
 
@@ -281,13 +297,9 @@ class StreamSender:
         horizon = base + plan.span - 1
         tokens, = frames.rows(base, horizon + 1)
         due = range(base + plan.due.start, base + plan.due.stop)
-        slices = []
-        if len(plan.coarse):
-            c = plan.coarse
-            slices.append(((0, base + c.start, len(c)), plan.cells))
-        if plan.fine is not None:
-            slices.append(((1, due.start, len(due)), plan.fine))
-        packets = self._tx.send(tokens, slices)
+        packets = self._tx.send(tokens, [((g, base + first, n), cells)
+                                         for (g, first, n), cells
+                                         in plan.slices])
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)
@@ -327,20 +339,19 @@ class StreamReceiver:
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's arrived packets and finalize its due frames.
 
-        A step can place two kinds of head: a coarse one over some step's
-        coarse frames up to the horizon, with a repair copy of the step
-        before's (ignored on the first), and a fine one over the due frames
-        when the level sends fine layers. ``admit`` sorts them and
-        ``decode`` reads them; any other packet, a copy of a head already
-        filled, or one whose payload cannot be read is dropped and counted
-        in ``n_dropped``."""
+        The step's plan names every head it can place: a coarse one for
+        each step up to this one whose coarse frames reach the window,
+        with a repair copy of the one before's, and a fine one over the
+        due frames when the level sends fine layers. ``decode`` reads the
+        packets against it; any other packet, a copy that finds no cell
+        of its slice open, or one whose payload cannot be read is dropped
+        and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         buf = self._frames
         if total is not None and total < buf.hi:
             raise ValueError("total is short of the frames earlier steps "
                              "carried")
-        cfg, n_coarse = self.stream, self.gos.n_coarse
         base, plan = self._steps(self._next_step, total)
         self._next_step += 1
         horizon = base + plan.span - 1
@@ -349,37 +360,17 @@ class StreamReceiver:
         buf.arrays[0][new] = 0
         buf.arrays[1][new] = self._blank
         tokens, states = buf.rows(base, horizon + 1)
-        due = range(base + plan.due.start, base + plan.due.stop)
-        own = range(base + plan.coarse.start, base + plan.coarse.stop)
-
-        def slot_of(p):
-            frames = range(p.first_frame, p.first_frame + p.n_frames)
-            if p.group:
-                ok = plan.fine is not None and frames == due
-                return (plan.fine, None) if ok else None
-            if len(own) and frames == own:
-                return plan.cells, plan.prev
-            # the one step whose coarse frames can start there: step j >= 1
-            # starts after h_{j-1} = j * stride - 1 + lookahead
-            j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
-            if (frames.stop - 1 > horizon
-                    or frames != stream_coarse(j, cfg, total)):
-                return None
-            return (_cells(_shift(frames, -base), range(n_coarse)),
-                    _cells(_shift(stream_coarse(j - 1, cfg, total), -base),
-                           range(n_coarse)) if j else None)
-
-        slots, n_unplaced = admit(packets, slot_of)
         # the window starts at the first due frame, so every row below 0
         # is a released frame, and final
-        n_dropped, fec_recovered = decode(self.model, tokens, states, slots,
-                                          0)
-        self.n_dropped += n_unplaced + n_dropped
+        n_dropped, fec_recovered = decode(self.model, tokens, states,
+                                          packets, plan.by_head, base)
+        self.n_dropped += n_dropped
         self.fec_recovered += fec_recovered
 
         n_predicted, depth = finalize(self.model, tokens, states, plan.due,
-                                      n_coarse)
+                                      self.gos.n_coarse)
         self.n_predicted += n_predicted
+        due = range(base + plan.due.start, base + plan.due.stop)
         self._released = due.stop
         sl = slice(plan.due.start, plan.due.stop)
         release = StreamRelease((due.start, due.stop), tokens[sl].copy(),

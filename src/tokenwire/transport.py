@@ -335,6 +335,20 @@ class MarkovChannel:
         return delivered
 
 
+def _numbers(spec: dict, name: str, default, depth: int):
+    """``spec[name]``, or ``default``, as floats in ``depth`` levels of
+    nested tuples; a value of any other shape is refused."""
+    def build(value, depth):
+        return (float(value) if depth == 0
+                else tuple(build(v, depth - 1) for v in value))
+    try:
+        return build(spec.get(name, default), depth)
+    except TypeError:
+        shape = ("a number", "a list of numbers",
+                 "a list of rows of numbers")[depth]
+        raise ValueError(f"{name} must be {shape}") from None
+
+
 def channel_from_spec(spec: dict):
     """Build a channel from a JSON-style dict ({"type": ..., params})."""
     if not isinstance(spec, dict):
@@ -343,16 +357,11 @@ def channel_from_spec(spec: dict):
     if kind == "bernoulli":
         if "loss_prob" not in spec:
             raise ValueError("bernoulli channel needs loss_prob")
-        return BernoulliChannel(loss_prob=float(spec["loss_prob"]))
+        return BernoulliChannel(_numbers(spec, "loss_prob", None, 0))
     if kind == "markov":
-        ch = MarkovChannel(
-            transition=tuple(tuple(float(x) for x in row)
-                             for row in spec.get("transition",
-                                                 DEFAULT_TRANSITION)),
-            loss_probs=tuple(float(x) for x in spec.get("loss_probs",
-                                                        DEFAULT_LOSS_PROBS)),
-        )
-        return ch
+        return MarkovChannel(
+            _numbers(spec, "transition", DEFAULT_TRANSITION, 2),
+            _numbers(spec, "loss_probs", DEFAULT_LOSS_PROBS, 1))
     raise ValueError(f"unknown channel type {kind!r}")
 
 

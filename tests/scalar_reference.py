@@ -41,7 +41,7 @@ from tokenwire.context import ALPHA, PMF_TOTAL, Targets, uniform_pmf
 from tokenwire.errors import DecodeError
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             initial_states)
-from tokenwire.pipeline import SliceSender, admit, decode, finalize
+from tokenwire.pipeline import SliceSender, decode, finalize
 from tokenwire.rangecoder import CodedSlice
 from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
                                  stream_step)
@@ -404,41 +404,41 @@ class ReferenceStreamReceiver:
     def step(self, packets, total: int | None = None) -> StreamRelease:
         """Process one step's arrived packets and finalize its due frames.
 
-        A step can place two kinds of head: a coarse one over some step's
-        coarse frames up to the horizon, with a repair copy of the step
-        before's (ignored on the first), and a fine one over the due frames
-        when the level sends fine layers. ``admit`` sorts them and
-        ``decode`` reads them; any other packet, a copy of a head already
-        filled, or one whose payload cannot be read is dropped and counted
-        in ``n_dropped``."""
+        A step can place two kinds of head: a coarse one for each step
+        up to this one whose coarse frames reach past its last released
+        frame, with a repair copy of the step before's (none for step 0),
+        and a fine one over the due frames when the level sends fine
+        layers. The step's map of them is built afresh from
+        ``stream_coarse``, and ``decode`` reads the packets against it,
+        handed the rows from the first due frame on; any other packet, a
+        copy that finds no cell of its slice open, or one whose payload
+        cannot be read is dropped and counted in ``n_dropped``."""
         if self._finished:
             raise RuntimeError("receiver already finished")
         cfg, n_coarse = self.stream, self.gos.n_coarse
         i = self._next_step
         due, horizon = stream_step(i, cfg, total)
-        fine = _fine_cells(self.gos, due, self.level)
         self._next_step += 1
         self._grow(horizon + 1)
 
-        def slot_of(p):
-            frames = range(p.first_frame, p.first_frame + p.n_frames)
-            if p.group:
-                ok = fine is not None and frames == due
-                return (fine, None) if ok else None
-            # the one step whose coarse frames can start there: step j >= 1
-            # starts after h_{j-1} = j * stride - 1 + lookahead
-            j = max(0, (frames.start - cfg.lookahead) // cfg.stride)
-            if (frames.stop - 1 > horizon
-                    or frames != stream_coarse(j, cfg, total)):
-                return None
-            return (_cells(frames, range(n_coarse)),
-                    _cells(stream_coarse(j - 1, cfg, total), range(n_coarse))
-                    if j else None)
+        def rows(frames):
+            return _cells(range(frames.start - due.start,
+                                frames.stop - due.start), range(n_coarse))
 
-        slots, n_unplaced = admit(packets, slot_of)
-        n_dropped, fec_recovered = decode(self.model, self._tokens,
-                                          self._states, slots, self._released)
-        self.n_dropped += n_unplaced + n_dropped
+        by_head = {}
+        for j in range(i + 1):
+            frames = stream_coarse(j, cfg, total)
+            if len(frames) and frames.stop > due.start:
+                by_head[0, frames.start - due.start, len(frames)] = (
+                    rows(frames),
+                    rows(stream_coarse(j - 1, cfg, total)) if j else None)
+        fine = _fine_cells(self.gos, range(len(due)), self.level)
+        if fine is not None:
+            by_head[1, 0, len(due)] = fine, None
+        n_dropped, fec_recovered = decode(
+            self.model, self._tokens[due.start:], self._states[due.start:],
+            packets, by_head, due.start)
+        self.n_dropped += n_dropped
         self.fec_recovered += fec_recovered
 
         n_predicted, depth = finalize(self.model, self._tokens, self._states,

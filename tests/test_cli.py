@@ -443,6 +443,15 @@ def _stream(ws, tmp_path, *extra):
      "--channel: loss_prob must be a probability"),
     (lambda ws, tmp: _channel(ws, tmp, '{"type": "bernoulli"}'),
      "--channel: bernoulli channel needs loss_prob"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "bernoulli", '
+                                       '"loss_prob": null}'),
+     "--channel: loss_prob must be a number"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", '
+                                       '"transition": 5}'),
+     "--channel: transition must be a list of rows of numbers"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", '
+                                       '"loss_probs": [null, 1, 2]}'),
+     "--channel: loss_probs must be a list of numbers"),
     (lambda ws, tmp: _channel(ws, tmp, '[0.1]'),
      "--channel: channel spec must be a JSON object"),
     (lambda ws, tmp: _decode(ws, tmp, "1" * 7),
@@ -464,7 +473,8 @@ def _stream(ws, tmp_path, *extra):
     (_other_model, "model2.ctx: digest differs from the manifest's "
                    "model_sha256"),
     (_report_unknown_schema, "bad.csv: unrecognized CSV schema"),
-], ids=["channel-type", "loss-prob", "no-loss-prob", "not-an-object",
+], ids=["channel-type", "loss-prob", "no-loss-prob", "null-loss-prob",
+        "scalar-transition", "null-loss-probs", "not-an-object",
         "trace-length", "trace-characters", "stream-loss", "encode-level",
         "encode-bad-wav", "stream-bad-wav", "decode-cut-packets",
         "decode-version-6-packets", "decode-other-codec",

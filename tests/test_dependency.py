@@ -123,8 +123,10 @@ def test_dependency_is_topological(gos, n_frames, data):
 
 def test_streaming_dependency_window():
     """A step reads one window: its due frames through its horizon, which
-    hold the frames its coarse packet carries. The step before's coarse
-    frames may start before the window."""
+    hold the frames its coarse packet carries. It sends its own coarse
+    slice, then its fine one, and can place those and the coarse slices
+    of the steps before it whose frames reach the window. The step
+    before's coarse frames may start before the window."""
     stream = StreamConfig(stride=2, lookahead=1, coding_context=4)
     steps = _Steps(GosConfig(6, 3, 1, 3), stream, 3)
     for i, total in ((0, None), (1, None), (3, None), (4, 10), (6, 13)):
@@ -134,15 +136,25 @@ def test_streaming_dependency_window():
         assert base + plan.span == horizon + 1
         assert range(base + plan.due.start, base + plan.due.stop) == due
         own = stream_coarse(i, stream, total)
-        assert range(base + plan.coarse.start, base + plan.coarse.stop) == own
-        assert plan.coarse.start >= 0 and plan.due.start == 0
+        assert own.start >= base and plan.due.start == 0
+        fine = (1, 0, len(due))
+        assert [head for head, _ in plan.slices] == \
+            [(0, own.start - base, len(own))] * bool(own) + [fine]
+        for head, cells in plan.slices:
+            assert plan.by_head[head][0] is cells
+        reach = [stream_coarse(j, stream, total) for j in range(i + 1)]
+        assert set(plan.by_head) == {fine} | {
+            (0, frames.start - base, len(frames)) for frames in reach
+            if len(frames) and frames.stop > base}
     # Step 3: frames 6 and 7, horizon 8: the window is [6, 8]. Its coarse
     # packet carries frames 7 and 8 and, as repair, step 2's frames 5 and
-    # 6, the first of which lies a row below the window.
+    # 6, the first of which lies a row below the window. Step 2's own
+    # predecessor, frames 3 and 4, lies wholly before it.
     base, plan = steps(3, None)
     assert base == 6 and plan.span == 3
-    assert plan.coarse == range(1, 3)
-    assert plan.prev[:, 0].tolist() == [-1, 0]
+    assert [head for head, _ in plan.slices] == [(0, 1, 2), (1, 0, 2)]
+    assert plan.by_head[0, 1, 2][1][:, 0].tolist() == [-1, 0]
+    assert plan.by_head[0, -1, 2][1] is None
 
 
 def fine_payloads(packets) -> dict:

@@ -68,7 +68,8 @@ def stream_slices(data, gos, rng, vocab):
     total = data.draw(st.one_of(st.none(),
                                 st.integers(i * stride + 1, 40)))
     _, plan = _Steps(gos, cfg, level)(i, total)
-    return structured(rng, (plan.span, gos.n_layers), vocab), [plan.fine]
+    return (structured(rng, (plan.span, gos.n_layers), vocab),
+            [cells for head, cells in plan.slices if head[0]])
 
 
 def conceal_query(data, gos, rng, vocab):

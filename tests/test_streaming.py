@@ -441,10 +441,20 @@ def test_wrong_extent_is_dropped_like_a_loss():
     extra[1].append(fine(3, 3))
     assert_dropped_like_lost(run_steps(extra, *coarse_only[1:], level=1),
                              run_steps(*coarse_only, level=1), 1)
-    # an earlier step's coarse packet, replayed, is placed; a repair copy
-    # on the first coarse packet has no predecessor and is ignored
+    # an earlier step's coarse packet, replayed, finds the frames it
+    # carries in the window received, fills nothing and is dropped
     for late in (c0, Packet(0, 0, 6, c0.payload, c1.payload)):
-        assert_dropped_like_lost(run(late), clean, 0)
+        assert_dropped_like_lost(run(late), clean, 1)
+    # lost at step 0, it fills the frames still in the window a step
+    # late; a repair copy on the first coarse packet has no predecessor
+    # and is ignored
+    f0 = steps[0][1]
+    late = [run_steps([[f0], [f1, p]] + steps[2:], n_live, total)
+            for p in (c0, Packet(0, 0, 6, c0.payload, c1.payload))]
+    assert_dropped_like_lost(*late, 0)
+    assert late[0][0].n_dropped == 0
+    np.testing.assert_array_equal(late[0][0].result()[0].tokens[3:6],
+                                  tokens[3:6])
     grid, states = clean[0].result()
     np.testing.assert_array_equal(grid.tokens[:3], tokens[:3])
     np.testing.assert_array_equal(grid.tokens[6:], tokens[6:])
@@ -528,14 +538,35 @@ def test_replayed_coarse_never_rewrites_released_frames():
     assert states[1, 0] == C
     # the late duplicate's repair targeted released frames: not counted
     assert rx.fec_recovered == 1
-    # the late packets are placed, not dropped
-    assert rx.n_dropped == 0
+    # the held packet names frames before the window, and the replay
+    # frames already received: each is dropped
+    assert rx.n_dropped == 2
 
 
-def test_replay_from_before_the_window_is_placed_like_a_lost_packet():
+def test_a_later_copy_never_rewrites_received_cells():
+    # Step 2's coarse packet, frames 9..11, arrives at step 2. At step 3,
+    # whose window starts at frame 9, a readable copy of the same head
+    # arrives with other tokens: the cells it names are received, so it
+    # fills nothing, and it is dropped.
+    tokens = make_tokens(65, 24)
+    steps, n_live, total = emissions(tokens)
+    c2 = next(p for p in steps[2] if p.group == 0)
+    assert (c2.first_frame, c2.n_frames) == (9, 3)
+    assert stream_step(3, STREAM)[0].start == 9
+    other = (tokens[9:12, :1] + 1) % 16
+    dirty = [list(p) for p in steps]
+    dirty[3].append(Packet(0, 9, 3, pack_bits(other.ravel(), 4), c2.fec))
+    got = run_steps(dirty, n_live, total)
+    assert_dropped_like_lost(got, run_steps(steps, n_live, total), 1)
+    grid, states = got[0].result()
+    np.testing.assert_array_equal(grid.tokens, tokens)
+    assert np.all(states == R)
+
+
+def test_replay_from_before_the_window_is_dropped_like_a_lost_packet():
     # Coarse packets of steps 1 and 2, and the repair copies they carry,
     # name frames released long before step 15's window: replayed there,
-    # they are placed, change nothing and are not dropped.
+    # they change nothing and each is dropped.
     tokens = make_tokens(64, 60)
     steps, n_live, total = emissions(tokens)
     dirty = [list(p) for p in steps]
@@ -544,7 +575,7 @@ def test_replay_from_before_the_window_is_placed_like_a_lost_packet():
     # at its first due frame
     assert 12 <= stream_step(15, STREAM)[0].start
     assert_dropped_like_lost(run_steps(dirty, n_live, total),
-                             run_steps(steps, n_live, total), 0)
+                             run_steps(steps, n_live, total), 2)
 
 
 def test_sender_guards():
@@ -758,10 +789,11 @@ def test_unreadable_fine_copy_does_not_hide_its_fine_packet():
 def test_unusable_packets_are_dropped_like_losses(data):
     """Whatever the cadence, level, drops and order of arrival within a
     step: duplicates, foreign heads, wrong extents, late fine packets,
-    out-of-vocabulary coarse payloads and unreadable copies of the step's
-    fine packet, delivered or lost, added to the steps never raise, leave
-    every release and the result as they were without them, and are each
-    counted once in ``n_dropped``."""
+    out-of-vocabulary coarse payloads, unreadable copies of the step's
+    fine packet, delivered or lost, and replays of coarse packets
+    delivered at an earlier step, with their own tokens or others, added
+    to the steps never raise, leave every release and the result as they
+    were without them, and are each counted once in ``n_dropped``."""
     gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5)]))
     stride = data.draw(st.integers(1, 4), label="stride")
     lookahead = data.draw(st.integers(0, 3), label="lookahead")
@@ -780,10 +812,12 @@ def test_unusable_packets_are_dropped_like_losses(data):
         keep = [p for p in packets if data.draw(st.booleans())]
         lost_coarse = [p for p in packets if p.group == 0 and p not in keep]
         late_fine = [p for earlier in steps[:i] for p in earlier if p.group]
+        delivered = [p for earlier in clean for p in earlier if p.group == 0]
         junk = []
         for _ in range(data.draw(st.integers(0, 3))):
             kind = data.draw(st.sampled_from(("dup", "foreign", "extent",
-                                              "late", "oov", "fine")))
+                                              "late", "oov", "fine",
+                                              "replay")))
             if kind == "dup" and keep:
                 junk.append(data.draw(st.sampled_from(keep)))
             elif kind == "foreign":
@@ -809,6 +843,15 @@ def test_unusable_packets_are_dropped_like_losses(data):
                 p = next(p for p in packets if p.group)
                 junk.append(Packet(1, p.first_frame, p.n_frames,
                                    p.payload + b"\x00"))
+            elif kind == "replay" and delivered:
+                # delivered at an earlier step, with its own tokens or
+                # other ones in the vocabulary
+                p = data.draw(st.sampled_from(delivered))
+                if data.draw(st.booleans()):
+                    p = Packet(0, p.first_frame, p.n_frames, pack_bits(
+                        rng.integers(0, 10, p.n_frames * gos.n_coarse), 4),
+                        p.fec)
+                junk.append(p)
         clean.append(keep)
         dirty.append(data.draw(st.permutations(keep + junk)))
         n_junk += len(junk)
