@@ -8,7 +8,8 @@ caller copies a row.
 The count model's table is per layer: ``train_count_model`` counts every
 encoded cell of its corpus once, by layer, and the compiled table holds
 one row per layer, the layer's smoothed counts or uniform where the
-layer was never observed, with each row's kind and mode. Both of the
+layer was never observed, with each row's kind and mode and the rows
+compiled for the range decoder (``decoder``). Both of the
 model's jobs read a cell's layer row and nothing else. The range coder
 prices every fine token by it (``layer_pmf``), so a fine slice reads no
 other cell and decodes whenever its packet arrives. Concealment fills a
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-PMF_TOTAL = 1 << 16
+from .rangecoder import PMF_TOTAL, DecoderTable, decoder_table
 
 
 def _ranks(key: np.ndarray) -> np.ndarray:
@@ -124,20 +125,21 @@ class Targets(NamedTuple):
 
 class _Table(NamedTuple):
     """A model compiled for pricing: ``cum`` its read-only cumulative
-    rows, one per layer, ``kind`` each row's index into FALLBACKS, and
+    rows, one per layer, ``kind`` each row's index into FALLBACKS,
     ``mode`` each row's most probable symbol, the lowest-indexed one on
-    ties."""
+    ties, and ``decoder`` the rows compiled for the range decoder."""
 
     cum: np.ndarray
     kind: np.ndarray
     mode: np.ndarray
+    decoder: DecoderTable
 
 
 def _compile(freq: np.ndarray, kind: np.ndarray) -> _Table:
     """The pricing table of (rows, vocab) frequencies."""
     cum = cumulative(freq)
     cum.flags.writeable = False
-    return _Table(cum, kind, _mode(cum))
+    return _Table(cum, kind, _mode(cum), decoder_table(cum))
 
 
 @dataclass
@@ -186,6 +188,12 @@ class CountModel:
         each cell's row, its layer; and that row's FALLBACKS index."""
         rows = np.asarray(layers, dtype=np.int64)
         return self._table.cum, rows, self._table.kind[rows]
+
+    @property
+    def decoder(self) -> DecoderTable:
+        """The table ``layer_pmf`` returns, compiled for
+        ``rangecoder.decode_symbols`` once, with the model."""
+        return self._table.decoder
 
     def pmf(self, query: Targets) -> tuple:
         """``layer_pmf`` of the query's target layers."""

@@ -6,26 +6,32 @@ bit-packed and carries its predecessor's payload as a repair copy, and a
 fine slice is range-coded, each fine token priced by its layer's row of
 the model's table (``layer_pmf``). ``decode`` looks each arrived packet
 up in its receiver's map from packet heads to slices, the one claim rule
-of both receivers, each of which passes only its own geometry. It reads
-every slice from the first of its copies that reads, writing only cells
-not yet received, and a repair copy is one more copy of its predecessor:
-only the filling copy's is read, and only where the predecessor did not
-arrive. ``finalize`` applies the prefix rule in one pass over each
-frame: a frame is usable up to its first cell not RECEIVED, every cell
-above that one is cut, and that cell takes its layer's most probable
-token when it is a lost coarse cell; a lost or invalid fine cell is
-never guessed. A packet the receiver cannot place or read, or that
-fills nothing, is dropped and counted, as if lost. No slice is coded
-against another cell, and no concealed cell reads another, so neither
-waits on anything: each end prices all the fine slices it handles at
-once, and finalizes all the frames it releases in one call. The encode
-level is stated once, in the receiver's initial states (INVALID from
-the level up), so no usable depth passes it.
+of both receivers, each of which passes only its own geometry, compiled
+once per plan (``head_map``). It reads every slice from the first of its
+copies that reads, a fine one through the model's table compiled for the
+range decoder, writing only cells not yet received, and a repair copy is
+one more copy of its predecessor: only the filling copy's is read, and
+only where the predecessor did not arrive. ``finalize`` applies the
+prefix rule in one pass over each frame: a frame is usable up to its
+first cell not RECEIVED, every cell above that one is cut, and that cell
+takes its layer's most probable token when it is a lost coarse cell; a
+lost or invalid fine cell is never guessed. A packet the receiver
+cannot place or read, or that fills nothing, is dropped and counted, as
+if lost. No slice is coded against another cell, and no concealed cell
+reads another, so neither waits on anything: each end prices all the
+fine slices it handles at once, and finalizes all the frames it
+releases in one call. The encode level is stated once, in the
+receiver's initial states (INVALID from the level up), so no usable
+depth passes it.
 
 Every clip of one layout shares one plan of it, built on the first clip
 and memoized like the layout itself (``build_slice_grid``): each slice's
 packet head and cells, and the map from a head back to its cells and its
-coarse predecessor's, so neither end rebuilds any of it per clip.
+coarse predecessor's, compiled into the flat state indices, spans and
+layers that ``decode`` reads, so neither end rebuilds any of it per
+clip. ``decode`` then reads the plan's states once, finds the slices
+with an open cell in one ``reduceat``, and loops over the arrived heads
+only.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from .audio import CodecConfig, synthesize
 from .context import FALLBACKS, PMF_TOTAL, Targets
 from .errors import DecodeError
-from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState,
+from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState, _read_only,
                    build_slice_grid, initial_states)
 from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
@@ -191,101 +197,134 @@ def coarse_values(payload: bytes, vocab: int, count: int):
     return None
 
 
-def decode(model, tokens: np.ndarray, states: np.ndarray, packets, by_head,
-           base: int = 0) -> tuple:
+class HeadMap(NamedTuple):
+    """A receiver's geometry compiled for ``decode`` once per plan
+    (``head_map``). Its cells are every slice's, then every coarse
+    predecessor's, in one run: ``flat`` holds each one's ``t * n_layers +
+    k``, rows counted from the receiver's base, ``live`` whether its row
+    is 0 or above, and ``layers`` its layer; ``starts`` is where each
+    slice, then each predecessor, begins. ``spans`` maps each head to its
+    slice's number in ``starts``, its (start, stop) in the run, and its
+    predecessor's (number, start, stop) or None."""
+
+    spans: dict
+    flat: np.ndarray
+    live: np.ndarray
+    starts: np.ndarray
+    layers: np.ndarray
+
+
+def head_map(by_head: dict, n_layers: int) -> HeadMap:
+    """Compile a receiver's map from each head it can place to its
+    slice's cells and its coarse predecessor's, or None, rows counted from
+    the receiver's base, for ``decode`` on states of ``n_layers``
+    columns. A predecessor's cells come again after every slice's, even
+    where it is a slice of the map too, so that each repair copy reads
+    one span of its own."""
+    prevs = [prev for _, prev in by_head.values() if prev is not None]
+    runs = [cells for cells, _ in by_head.values()] + prevs
+    bounds = list(accumulate(map(len, runs), initial=0))
+    spans, p = {}, len(by_head)
+    for i, (head, (_, prev)) in enumerate(by_head.items()):
+        spans[head] = i, bounds[i], bounds[i + 1], (
+            None if prev is None else (p, bounds[p], bounds[p + 1]))
+        p += prev is not None
+    t, k = np.concatenate(runs or [np.zeros((0, 2), np.int64)]).T
+    return HeadMap(spans, _read_only(t * n_layers + k), _read_only(t >= 0),
+                   _read_only(np.array(bounds[:-1])), _read_only(k))
+
+
+def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
+           heads: HeadMap, base: int = 0) -> tuple:
     """Fill, in place, the slices that ``packets`` name: the one claim
     and read rule of both receivers.
 
-    ``by_head`` is the receiver's own geometry: each head it can place,
-    (group, first frame less ``base``, n_frames), maps to the slice's
-    cells and its coarse predecessor's or None, rows counted from
-    ``base``; a row below 0 is a frame before a stream receiver's window.
-    Any other packet, or a None, which stands for one that arrived but
-    did not parse (``transport.read_packets``), is dropped and counted.
+    ``heads`` is the receiver's own geometry, compiled once per plan
+    (``head_map``): each head it can place, (group, first frame less
+    ``base``, n_frames), names a slice's cells and its coarse
+    predecessor's, rows counted from ``base``; a row below 0 is a frame
+    before a stream receiver's window. Any other packet, or a None, which
+    stands for one that arrived but did not parse
+    (``transport.read_packets``), is dropped and counted.
 
     Only open cells are written: rows from 0 on not yet RECEIVED. Every
     copy of a slice with none is dropped. Any other slice takes the
     first of its copies that reads: a coarse payload that unpacks into
-    the vocabulary (``coarse_values``), or a fine one that range-decodes,
-    every fine cell priced by its layer's row in one ``layer_pmf``. Its
-    other copies are dropped. All filled cells are written in one
-    ``put``. Then an open predecessor cell takes the repair copy of the
-    copy that filled its successor, if it unpacks; no other copy's
-    repair is read. Slices name distinct cells and predecessors, so one
-    read of their states tells which cells are open, and one more which
-    repair copies are needed. Returns (how many packets were dropped,
-    how many repair copies were used)."""
-    slots, n_dropped = {}, 0
+    the vocabulary (``coarse_values``), or a fine one that range-decodes
+    through the model's compiled table, every arrived fine cell priced by
+    its layer's row in one ``layer_pmf``. Its other copies are dropped.
+    All filled cells are written in one ``put``. Then an open
+    predecessor cell takes the repair copy of the copy that filled its
+    successor, if it unpacks; no other copy's repair is read. Slices name
+    distinct cells and predecessors, so one read of the plan's states
+    tells which cells are open, and, where a filling copy's predecessor
+    had one, one more which of them are still open. Returns (how many
+    packets were dropped, how many repair copies were used)."""
+    spans, copies, n_dropped = heads.spans, {}, 0
     for p in packets:
         head = None if p is None else (p.group, p.first_frame - base,
                                        p.n_frames)
-        if head not in by_head:
+        if head in spans:
+            copies.setdefault(head, []).append((p.payload, p.fec))
+        else:
             n_dropped += 1
-            continue
-        if head not in slots:
-            slots[head] = (p.group, *by_head[head], [])
-        slots[head][3].append((p.payload, p.fec))
-    if not slots:
+    if not copies:
         return n_dropped, 0
-    slots = list(slots.values())
-    prevs = [prev for _, _, prev, _ in slots if prev is not None]
-    arrays = [s[1] for s in slots] + prevs
-    starts = list(accumulate([len(c) for c in arrays[:-1]], initial=0))
-    t, k = np.concatenate(arrays).T
-    flat = t * states.shape[1] + k
+    flat = heads.flat
     # a row below 0 clips to a real cell, whose state the mask ignores
-    is_open = (t >= 0) & (states.take(flat, mode="clip") != _R)
-    prev_spans = iter([slice(a, a + len(prev))
-                       for a, prev in zip(starts[len(slots):], prevs)])
-    vocab = model.vocab
-    fine = [cells for group, cells, _, _ in slots if group]
+    is_open = heads.live & (states.take(flat, mode="clip") != _R)
+    hit = np.logical_or.reduceat(is_open, heads.starts).tolist()
+    fine = [spans[head] for head in copies if head[0]]
     if fine:
-        cum, rows, _ = model.layer_pmf(np.concatenate(fine)[:, 1])
+        rows = model.layer_pmf(np.concatenate(
+            [heads.layers[a:b] for _, a, b, _ in fine]))[1].tolist()
+        table = model.decoder
+    vocab = model.vocab
     filled = np.zeros(len(flat), dtype=bool)
     values = np.empty(len(flat), dtype=tokens.dtype)
     repairs = []
-    a = 0
-    for (group, cells, prev, copies), start, hit in zip(
-            slots, starts, np.logical_or.reduceat(is_open, starts).tolist()):
-        n = len(cells)
-        if prev is not None:
-            prev = next(prev_spans)
+    o = 0  # the next arrived fine cell's position in ``rows``
+    for head, found in copies.items():
+        i, a, b, prev = spans[head]
+        n = b - a
         # a slice with no open cell reads none of its copies
-        for payload, fec in copies if hit else ():
-            if group:
+        for payload, fec in found if hit[i] else ():
+            if head[0]:
                 try:
-                    vals = decode_symbols(CodedSlice(payload, n), cum,
-                                          rows[a:a + n])
+                    vals = decode_symbols(CodedSlice(payload, n), table,
+                                          rows[o:o + n])
                 except DecodeError:
                     continue
             else:
                 vals = coarse_values(payload, vocab, n)
                 if vals is None:
                     continue
-            filled[start:start + n] = True
-            values[start:start + n] = vals
-            if fec and prev is not None:
+            filled[a:b] = True
+            values[a:b] = vals
+            # a predecessor with no open cell needs no repair
+            if fec and prev is not None and hit[prev[0]]:
                 repairs.append((fec, prev))
-            n_dropped += len(copies) - 1
+            n_dropped += len(found) - 1
             break
         else:
-            n_dropped += len(copies)
-        if group:
-            a += n
+            n_dropped += len(found)
+        if head[0]:
+            o += n
     keep = filled & is_open
-    tokens.put(flat[keep], values[keep])
-    states.put(flat[keep], _R)
+    cells = flat[keep]
+    tokens.put(cells, values[keep])
+    states.put(cells, _R)
     if not repairs:
         return n_dropped, 0
     # a predecessor's cell still open once the slices are filled
     need = is_open & (states.take(flat, mode="clip") != _R)
     repaired = 0
-    for fec, span in repairs:
-        mask = need[span]
+    for fec, (_, a, b) in repairs:
+        mask = need[a:b]
         if mask.any():
-            v = coarse_values(fec, vocab, span.stop - span.start)
+            v = coarse_values(fec, vocab, b - a)
             if v is not None:
-                cells = flat[span][mask]
+                cells = flat[a:b][mask]
                 tokens.put(cells, v[mask])
                 states.put(cells, _R)
                 repaired += 1
@@ -331,6 +370,7 @@ class _Layout(NamedTuple):
 
     slices: tuple   # (packet head, cells) per slice, in emission order
     by_head: dict   # packet head -> (cells, coarse predecessor's or None)
+    heads: HeadMap  # by_head compiled for decode
 
 
 @functools.lru_cache(maxsize=64)
@@ -347,7 +387,7 @@ def _layout(sg: SliceGrid) -> _Layout:
             prev = cells
         else:
             by_head[head] = cells, None
-    return _Layout(tuple(slices), by_head)
+    return _Layout(tuple(slices), by_head, head_map(by_head, sg.n_layers))
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -389,7 +429,7 @@ def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     states = initial_states(T, K, sg.level)
 
     n_dropped, fec_recovered = decode(model, tokens, states, packets,
-                                      _layout(sg).by_head)
+                                      _layout(sg).heads)
 
     n_predicted, depth = finalize(model, tokens, states, range(T),
                                   sg.gos.n_coarse)

@@ -27,21 +27,26 @@ context models price them: symbol s of row r of ``cum`` owns
 ``[cum[r, s], cum[r, s + 1])`` of PMF_TOTAL. The sender looks up every
 symbol's interval for a whole batch of slices at once (``code_ranges``),
 reading two entries of the table per symbol, and the encoder loop then
-runs on Python ints; the decoder bisects each symbol's row where it lies
-in the table, through a flat ``memoryview`` of it, reading only the
-entries the search touches. Neither copies a row.
+runs on Python ints. The decoder reads a table compiled once, with the
+model that owns it (``decoder_table``): the rows as one flat list of
+ints, and per row a bucket index of 2**8 entries, the symbol whose
+interval holds the first of each run of 2**8 values. A symbol is found
+by its value's bucket and a forward scan over the few intervals that
+start inside it. A full lookup of all 2**16 values per row would save a
+little more per symbol, at 2**16 entries a row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .context import PMF_TOTAL
 from .errors import DecodeError
 
+PMF_TOTAL = 1 << 16
+_BUCKET = 8  # a bucket holds the 2**8 values that share their top byte
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
@@ -96,41 +101,76 @@ def encode_symbols(cum_lo, freq) -> CodedSlice:
     return CodedSlice(v.to_bytes(shifts + 4, "big").rstrip(b"\0"), len(freq))
 
 
-def decode_symbols(coded: CodedSlice, cum: np.ndarray, rows) -> list:
-    """Invert `encode_symbols` given the cumulative table ``cum`` and the
-    row of it each symbol was coded under, in order."""
-    rows = np.asarray(rows).tolist()
+class DecoderTable(NamedTuple):
+    """A cumulative table compiled for ``decode_symbols``: ``cum`` its
+    rows as one flat list of ints, row r at ``[r * width, (r + 1) *
+    width)``; ``start`` its bucket index, entry ``r * 2**8 + b`` the
+    position in ``cum`` of row r's symbol whose interval holds the value
+    ``b * 2**8``; and how many rows it holds."""
+
+    cum: list
+    start: list
+    width: int
+    n_rows: int
+
+
+def decoder_table(cum: np.ndarray) -> DecoderTable:
+    """Compile the (rows, symbols + 1) cumulative table ``cum`` for
+    ``decode_symbols``. Every row must start at 0, never decrease and end
+    at PMF_TOTAL, so that each value lies in exactly one symbol's interval
+    and the search's forward scan ends within its row."""
+    table = np.asarray(cum, dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] < 2:
+        raise ValueError("a cumulative table is a 2-D array of rows of at "
+                         "least two entries")
+    if np.any(table[:, 0] != 0) or np.any(table[:, -1] != PMF_TOTAL) \
+            or np.any(np.diff(table, axis=1) < 0):
+        raise ValueError("every cumulative row must rise from 0 to "
+                         "PMF_TOTAL")
+    n_rows, width = table.shape
+    # offset each row past the one before, so one sorted search of the
+    # flat table finds every row's bucket starts at once
+    offset = np.arange(n_rows)[:, None] * (PMF_TOTAL + 1)
+    values = np.arange(0, PMF_TOTAL, 1 << _BUCKET)
+    start = np.searchsorted((table + offset).reshape(-1),
+                            (values + offset).reshape(-1), side="right") - 1
+    return DecoderTable(table.reshape(-1).tolist(), start.tolist(), width,
+                        n_rows)
+
+
+def decode_symbols(coded: CodedSlice, table: DecoderTable, rows) -> list:
+    """Invert `encode_symbols` given the compiled table (``decoder_table``)
+    and the row of it each symbol was coded under, in order."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     if len(rows) != coded.n_symbols:
         raise DecodeError("PMF count does not match the symbol count")
+    if rows and (min(rows) < 0 or max(rows) >= table.n_rows):
+        raise ValueError("PMF row outside the table")
     data = coded.payload
     n = len(data)
     if n and data[-1] == 0:
         raise DecodeError("payload ends in a zero byte")
-    table = np.ascontiguousarray(cum)
-    width = table.shape[-1]
-    flat = memoryview(table.reshape(-1))
+    cum, start, width = table.cum, table.start, table.width
     code = int.from_bytes(data[:4].ljust(4, b"\0"), "big")
     pos = 4 if coded.n_symbols else 0  # bytes read, counting zeros past end
     rng = _MASK32
     out = []
     for row in rows:
-        base = row * width  # the row is flat[base:base + width]
         r = rng >> 16
         v = code // r
         if v >= PMF_TOTAL:
             v = PMF_TOTAL - 1
-        try:
-            s = bisect_right(flat, v, base, base + width) - 1
-        except (IndexError, ValueError):  # a search below or past the table
-            raise ValueError("PMF row outside the table") from None
-        c = flat[s]
+        s = start[row << _BUCKET | v >> _BUCKET]
+        while cum[s + 1] <= v:
+            s += 1
+        c = cum[s]
         code -= r * c
-        rng = r * (flat[s + 1] - c)
+        rng = r * (cum[s + 1] - c)
         while rng < _TOP:
             code = (code << 8) | (data[pos] if pos < n else 0)
             pos += 1
             rng <<= 8
-        out.append(s - base)
+        out.append(s - row * width)
     if n > pos:
         raise DecodeError("payload holds bytes past its last symbol")
     return out

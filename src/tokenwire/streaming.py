@@ -42,7 +42,8 @@ and forgets every frame before it. Every step's geometry relative to
 its window is one memoized ``_Step`` plan, of the same kind as the
 batch layout's: the slices the step sends, its coarse then its fine,
 and the map from each head it can place to that slice's cells and its
-coarse predecessor's. Once step 0's coarse frames have left the window
+coarse predecessor's, with that map compiled for ``decode``
+(``pipeline.head_map``). Once step 0's coarse frames have left the window
 every live step has the same plan, so a stream uses a handful of plans:
 the first steps', the steady one and the flushed tail's. The releases
 are the receiver's output; ``result`` joins them.
@@ -62,7 +63,7 @@ from .errors import DecodeError
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid, _read_only,
                    build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import SliceSender, decode, finalize
+from .pipeline import HeadMap, SliceSender, decode, finalize, head_map
 
 
 def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
@@ -95,17 +96,20 @@ class _Step(NamedTuple):
     """One step's geometry relative to its window, the ``span`` frames
     from its first due frame through its horizon: a row is a frame less
     the window's start, and so is a head's first frame. An earlier
-    step's coarse rows may lie before the window, below 0."""
+    step's coarse rows may lie before the window, below 0. ``heads`` is
+    ``by_head`` compiled once for ``decode``, its flat indices counted
+    over the window's rows of every layer, so no step assembles them."""
 
     span: int
     due: range      # rows the step finalizes
     slices: tuple   # (head, cells) the step sends: its coarse, then fine
     by_head: dict   # head the step can place -> (cells, predecessor's)
+    heads: HeadMap  # by_head compiled for decode
 
 
 @functools.lru_cache(maxsize=256)
-def _step_plan(n_coarse: int, level: int, span: int, n_due: int,
-               coarse: tuple, own: bool) -> _Step:
+def _step_plan(n_coarse: int, n_layers: int, level: int, span: int,
+               n_due: int, coarse: tuple, own: bool) -> _Step:
     """The plan of one relative step geometry, shared by every step and
     stream that has it. Its own cache, so that nothing else evicts it.
 
@@ -125,7 +129,8 @@ def _step_plan(n_coarse: int, level: int, span: int, n_due: int,
         cells = _read_only(_cells(range(n_due), range(n_coarse, level)))
         slices.append((head, cells))
         by_head[head] = cells, None
-    return _Step(span, range(n_due), tuple(slices), by_head)
+    return _Step(span, range(n_due), tuple(slices), by_head,
+                 head_map(by_head, n_layers))
 
 
 class _Steps:
@@ -157,8 +162,8 @@ class _Steps:
             if len(frames):
                 coarse.insert(0, range(frames.start - base,
                                        frames.stop - base))
-        plan = _step_plan(self.gos.n_coarse, self.level, horizon + 1 - base,
-                          len(due), tuple(coarse),
+        plan = _step_plan(self.gos.n_coarse, self.gos.n_layers, self.level,
+                          horizon + 1 - base, len(due), tuple(coarse),
                           bool(stream_coarse(i, cfg, total)))
         if total is None and stream_coarse(0, cfg).stop <= base:
             self._steady = i, base, plan
@@ -363,7 +368,7 @@ class StreamReceiver:
         # the window starts at the first due frame, so every row below 0
         # is a released frame, and final
         n_dropped, fec_recovered = decode(self.model, tokens, states,
-                                          packets, plan.by_head, base)
+                                          packets, plan.heads, base)
         self.n_dropped += n_dropped
         self.fec_recovered += fec_recovered
 

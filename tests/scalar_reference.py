@@ -19,6 +19,13 @@ cache byte and a count of held-back 0xFF bytes that a carry may still
 reach, and the decoder that bisects each row as a Python list. The
 library's coder must write the same payloads and read the same symbols.
 
+For the receiver's read rule: ``reference_decode``, which assembles its
+cells, their flat indices and the repair spans from the raw map of heads
+to cells on every call, and decodes fine payloads with the scalar
+decoder above. ``tokenwire.pipeline.decode``, which reads a map compiled
+once per plan, must return the same counts and leave the same tokens and
+states.
+
 For the prefix rule: ``reference_finalize``, the three passes that
 ``tokenwire.pipeline.finalize`` fuses, each of which derives a frame's
 prefix again. ``finalize`` must leave the same tokens and states and
@@ -33,6 +40,7 @@ and make the same releases, counts and result.
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import scipy.fft
@@ -41,7 +49,8 @@ from tokenwire.context import ALPHA, PMF_TOTAL, Targets, uniform_pmf
 from tokenwire.errors import DecodeError
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             initial_states)
-from tokenwire.pipeline import SliceSender, decode, finalize
+from tokenwire.pipeline import (SliceSender, coarse_values, decode, finalize,
+                                head_map)
 from tokenwire.rangecoder import CodedSlice
 from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
                                  stream_step)
@@ -227,6 +236,90 @@ def reference_decode_symbols(coded: CodedSlice, cum) -> list:
     if n > pos:
         raise DecodeError("payload holds bytes past its last symbol")
     return out
+
+
+def reference_decode(model, tokens: np.ndarray, states: np.ndarray, packets,
+                     by_head, base: int = 0) -> tuple:
+    """``tokenwire.pipeline.decode`` over the raw map ``by_head``, each
+    head it can place, (group, first frame less ``base``, n_frames), to
+    the slice's cells and its coarse predecessor's or None, rows counted
+    from ``base``. Returns (how many packets were dropped, how many
+    repair copies were used)."""
+    slots, n_dropped = {}, 0
+    for p in packets:
+        head = None if p is None else (p.group, p.first_frame - base,
+                                       p.n_frames)
+        if head not in by_head:
+            n_dropped += 1
+            continue
+        if head not in slots:
+            slots[head] = (p.group, *by_head[head], [])
+        slots[head][3].append((p.payload, p.fec))
+    if not slots:
+        return n_dropped, 0
+    slots = list(slots.values())
+    prevs = [prev for _, _, prev, _ in slots if prev is not None]
+    arrays = [s[1] for s in slots] + prevs
+    starts = list(accumulate([len(c) for c in arrays[:-1]], initial=0))
+    t, k = np.concatenate(arrays).T
+    flat = t * states.shape[1] + k
+    # a row below 0 clips to a real cell, whose state the mask ignores
+    is_open = (t >= 0) & (states.take(flat, mode="clip") != R)
+    prev_spans = iter([slice(a, a + len(prev))
+                       for a, prev in zip(starts[len(slots):], prevs)])
+    vocab = model.vocab
+    fine = [cells for group, cells, _, _ in slots if group]
+    if fine:
+        cum, rows, _ = model.layer_pmf(np.concatenate(fine)[:, 1])
+    filled = np.zeros(len(flat), dtype=bool)
+    values = np.empty(len(flat), dtype=tokens.dtype)
+    repairs = []
+    a = 0
+    for (group, cells, prev, copies), start, hit in zip(
+            slots, starts, np.logical_or.reduceat(is_open, starts).tolist()):
+        n = len(cells)
+        if prev is not None:
+            prev = next(prev_spans)
+        # a slice with no open cell reads none of its copies
+        for payload, fec in copies if hit else ():
+            if group:
+                try:
+                    vals = reference_decode_symbols(CodedSlice(payload, n),
+                                                    cum[rows[a:a + n]])
+                except DecodeError:
+                    continue
+            else:
+                vals = coarse_values(payload, vocab, n)
+                if vals is None:
+                    continue
+            filled[start:start + n] = True
+            values[start:start + n] = vals
+            if fec and prev is not None:
+                repairs.append((fec, prev))
+            n_dropped += len(copies) - 1
+            break
+        else:
+            n_dropped += len(copies)
+        if group:
+            a += n
+    keep = filled & is_open
+    tokens.put(flat[keep], values[keep])
+    states.put(flat[keep], R)
+    if not repairs:
+        return n_dropped, 0
+    # a predecessor's cell still open once the slices are filled
+    need = is_open & (states.take(flat, mode="clip") != R)
+    repaired = 0
+    for fec, span in repairs:
+        mask = need[span]
+        if mask.any():
+            v = coarse_values(fec, vocab, span.stop - span.start)
+            if v is not None:
+                cells = flat[span][mask]
+                tokens.put(cells, v[mask])
+                states.put(cells, R)
+                repaired += 1
+    return n_dropped, repaired
 
 
 def reference_pack_bits(values, width: int) -> bytes:
@@ -437,7 +530,7 @@ class ReferenceStreamReceiver:
             by_head[1, 0, len(due)] = fine, None
         n_dropped, fec_recovered = decode(
             self.model, self._tokens[due.start:], self._states[due.start:],
-            packets, by_head, due.start)
+            packets, head_map(by_head, self.gos.n_layers), due.start)
         self.n_dropped += n_dropped
         self.fec_recovered += fec_recovered
 

@@ -452,6 +452,10 @@ def _stream(ws, tmp_path, *extra):
     (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", '
                                        '"loss_probs": [null, 1, 2]}'),
      "--channel: loss_probs must be a list of numbers"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", "transition": '
+                                       '[[1, 0], [0, 1]], '
+                                       '"loss_probs": [0.1, 0.2]}'),
+     "--channel: transition must have a unique stationary distribution"),
     (lambda ws, tmp: _channel(ws, tmp, '[0.1]'),
      "--channel: channel spec must be a JSON object"),
     (lambda ws, tmp: _decode(ws, tmp, "1" * 7),
@@ -474,11 +478,11 @@ def _stream(ws, tmp_path, *extra):
                    "model_sha256"),
     (_report_unknown_schema, "bad.csv: unrecognized CSV schema"),
 ], ids=["channel-type", "loss-prob", "no-loss-prob", "null-loss-prob",
-        "scalar-transition", "null-loss-probs", "not-an-object",
-        "trace-length", "trace-characters", "stream-loss", "encode-level",
-        "encode-bad-wav", "stream-bad-wav", "decode-cut-packets",
-        "decode-version-6-packets", "decode-other-codec",
-        "decode-other-model", "report-unknown-schema"])
+        "scalar-transition", "null-loss-probs", "two-closed-classes",
+        "not-an-object", "trace-length", "trace-characters", "stream-loss",
+        "encode-level", "encode-bad-wav", "stream-bad-wav",
+        "decode-cut-packets", "decode-version-6-packets",
+        "decode-other-codec", "decode-other-model", "report-unknown-schema"])
 def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):
     """Refused user input prints one error line naming the option or file
     and exits 2, with no traceback and no output written."""

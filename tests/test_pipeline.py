@@ -9,13 +9,18 @@ from tokenwire.context import CountModel, Targets, train_count_model
 from tokenwire.grid import (
     GosConfig,
     SliceId,
+    StreamConfig,
     TokenGrid,
     TokenState,
     build_slice_grid,
+    initial_states,
 )
-from tokenwire.pipeline import receive, receive_tokens, send, send_tokens
+from tokenwire.pipeline import (_layout, decode, receive, receive_tokens,
+                                send, send_tokens)
+from tokenwire.streaming import StreamSender, _Steps
 from tokenwire.transport import Packet, pack_bits
 from conftest import counted_model, flip, random_grid, slice_of
+from scalar_reference import reference_decode
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -315,6 +320,60 @@ def test_unusable_packets_are_dropped_like_losses(data):
     assert np.isin(encoded, [R, L, I, C]).all()
     assert sum(rep.state_counts.values()) == encoded.size
     assert rep.n_packets_seen == len(damaged)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_the_reference_decode(data):
+    """Whatever the plan, a batch layout's or a live stream step's,
+    whatever cells are already received, and whatever arrives, in any
+    order: any of the plan's packets, a stream step's also any from up to
+    three steps earlier, each any number of times, Nones and copies with
+    a flipped byte, ``decode`` through the plan's compiled head map
+    returns the counts of the reference decode over the raw map and
+    leaves the same tokens and states."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5),
+                                     GosConfig(5, 1, 1, 4)]), label="gos")
+    vocab = data.draw(st.sampled_from([10, 16]), label="vocab")
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
+    model = counted_model(vocab, gos.n_layers)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans(), label="stream"):
+        cfg = StreamConfig(data.draw(st.integers(1, 4), label="stride"),
+                           data.draw(st.integers(0, 3), label="lookahead"))
+        n_frames = data.draw(st.integers(cfg.stride + cfg.lookahead, 30))
+        grid = random_grid(rng, n_frames, gos.n_layers, vocab, level)
+        steps = StreamSender(gos, cfg, model, level).push(grid.tokens)
+        # the first steps' plans, and the steady one from the step on
+        # whose window step 0's coarse frames have left
+        i = data.draw(st.integers(0, min(len(steps) - 1, 5)), label="step")
+        base, plan = _Steps(gos, cfg, level)(i, None)
+        sent = [p for em in steps[max(i - 3, 0):i + 1] for p in em.packets]
+        n_rows = plan.span
+    else:
+        n_frames = data.draw(st.integers(1, 20), label="n_frames")
+        grid = random_grid(rng, n_frames, gos.n_layers, vocab, level)
+        sg = build_slice_grid(n_frames, gos, level)
+        sent, _ = send_tokens(grid, sg, model, fec=data.draw(st.booleans()))
+        base, plan, n_rows = 0, _layout(sg), n_frames
+    packets = [p for p in sent if data.draw(st.booleans())]
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["dup", "none", "flip"]))
+        p = data.draw(st.sampled_from(sent))
+        packets.append(p if kind == "dup" else None if kind == "none"
+                       else flip(p, rng, crc=True))
+    packets = data.draw(st.permutations(packets))
+    tokens = rng.integers(0, vocab, size=(n_rows, gos.n_layers))
+    states = initial_states(n_rows, gos.n_layers, level)
+    received = rng.random(states.shape) < data.draw(
+        st.sampled_from([0.0, 0.2, 0.6]))
+    states[received & (np.arange(gos.n_layers) < level)] = R
+    want_tokens, want_states = tokens.copy(), states.copy()
+    want = reference_decode(model, want_tokens, want_states, packets,
+                            plan.by_head, base)
+    assert decode(model, tokens, states, packets, plan.heads, base) == want
+    np.testing.assert_array_equal(tokens, want_tokens)
+    np.testing.assert_array_equal(states, want_states)
 
 
 def test_only_the_filling_copy_repairs():

@@ -12,7 +12,7 @@ from scalar_reference import reference_decode_symbols, reference_encode_symbols
 from tokenwire.context import PMF_TOTAL, cumulative, quantize_weights, uniform_pmf
 from tokenwire.errors import DecodeError
 from tokenwire.rangecoder import (CodedSlice, code_ranges, decode_symbols,
-                                  encode_symbols)
+                                  decoder_table, encode_symbols)
 
 
 def random_row(rng, vocab):
@@ -44,7 +44,7 @@ def test_round_trip_is_lossless(seed, vocab, n):
     symbols = [int(rng.integers(0, vocab)) for _ in range(n)]
     coded = encode(symbols, cum, rows)
     assert coded.n_symbols == n
-    assert decode_symbols(coded, cum, rows) == symbols
+    assert decode_symbols(coded, decoder_table(cum), rows) == symbols
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 32), st.integers(1, 300))
@@ -64,8 +64,9 @@ def test_size_close_to_ideal(seed, vocab, n):
 def test_empty_slice():
     coded = encode_symbols([], [])
     assert coded.n_symbols == 0 and coded.payload == b""
-    assert decode_symbols(coded, np.zeros((0, 5), dtype=np.uint32), []) == []
-    assert decode_symbols(coded, uniform_table(4), []) == []
+    empty = decoder_table(np.zeros((0, 5), dtype=np.uint32))
+    assert decode_symbols(coded, empty, []) == []
+    assert decode_symbols(coded, decoder_table(uniform_table(4)), []) == []
 
 
 def test_determinism():
@@ -105,7 +106,23 @@ def test_decode_refuses_a_row_outside_the_table():
     coded = encode([1, 2], cum, [0, 0])
     for row in (1, -1):
         with pytest.raises(ValueError, match="row outside the table"):
-            decode_symbols(coded, cum, [0, row])
+            decode_symbols(coded, decoder_table(cum), [0, row])
+
+
+def test_decoder_table_refuses_a_row_that_is_not_cumulative():
+    # The search's forward scan stays within a row, and finds the symbol
+    # a bisection would, only over rows that start at 0, never decrease
+    # and end at PMF_TOTAL.
+    good = uniform_table(4).astype(np.int64)  # [0, 16384, ..., 65536]
+    decoder_table(good)
+    for at, value in ((0, 1), (1, 40000), (4, PMF_TOTAL - 1),
+                      (4, PMF_TOTAL + 1)):
+        bad = np.concatenate([good, good])
+        bad[1, at] = value
+        with pytest.raises(ValueError, match="rise from 0 to PMF_TOTAL"):
+            decoder_table(bad)
+    with pytest.raises(ValueError, match="2-D array"):
+        decoder_table(good[0])
 
 
 def test_non_canonical_payload_raises():
@@ -117,22 +134,24 @@ def test_non_canonical_payload_raises():
     cum, rows = uniform_table(256), [0] * 200
     symbols = list(range(200))
     coded = encode(symbols, cum, rows)
+    table = decoder_table(cum)
     assert len(coded.payload) <= 204
     for tail in (b"\x00", b"\x01\x00"):
         with pytest.raises(DecodeError, match="zero byte"):
-            decode_symbols(CodedSlice(coded.payload + tail, 200), cum, rows)
+            decode_symbols(CodedSlice(coded.payload + tail, 200), table,
+                           rows)
     with pytest.raises(DecodeError, match="past its last symbol"):
         decode_symbols(CodedSlice(coded.payload.ljust(205, b"\x01"), 200),
-                       cum, rows)
+                       table, rows)
     with pytest.raises(DecodeError, match="past its last symbol"):
-        decode_symbols(CodedSlice(b"\x01", 0), cum, [])
+        decode_symbols(CodedSlice(b"\x01", 0), table, [])
 
 
 def test_all_low_interval_is_the_empty_payload():
     cum = uniform_table(10)
     coded = encode([0, 0, 0], cum, [0] * 3)
     assert coded.payload == b""
-    assert decode_symbols(coded, cum, [0] * 3) == [0, 0, 0]
+    assert decode_symbols(coded, decoder_table(cum), [0] * 3) == [0, 0, 0]
 
 
 # Per symbol the coder narrows its range to r * freq with r = rng >> 16,
@@ -163,7 +182,7 @@ def test_canonical_payload_round_trips_within_the_bound(case):
     cum, symbols = case
     rows = range(len(symbols))
     coded = encode(symbols, cum, rows)
-    assert decode_symbols(coded, cum, rows) == symbols
+    assert decode_symbols(coded, decoder_table(cum), rows) == symbols
     assert not coded.payload.endswith(b"\x00")
     # The flush ends within 8 bits of the final interval's width; the
     # initial range of 2**32 - 1 costs under 1e-9 bit.
@@ -175,7 +194,7 @@ def test_canonical_payload_round_trips_within_the_bound(case):
 def test_pmf_count_mismatch_raises():
     coded = encode([1, 2], uniform_table(4), [0, 0])
     with pytest.raises(DecodeError):
-        decode_symbols(coded, uniform_table(4), [0, 0, 0])
+        decode_symbols(coded, decoder_table(uniform_table(4)), [0, 0, 0])
 
 
 def test_ideal_bits_uniform_is_log2():
@@ -188,13 +207,13 @@ def test_ideal_bits_uniform_is_log2():
 @st.composite
 def reference_cases(draw):
     """(cumulative table, row per symbol, symbols, an arbitrary payload)
-    over vocab 2-256 and 0-400 symbols. Rows are random, or skewed so that
+    over vocab 2-1024 and 0-400 symbols. Rows are random, or skewed so that
     all symbols but one have frequency 1. The table holds one row per
     symbol, as uint32, as int64 or as one uint32 row broadcast to every
     symbol; or a few uint32 rows that the symbols share in random order;
     or one row every symbol reads."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vocab = draw(st.integers(2, 256))
+    vocab = draw(st.integers(2, 1024))
     n = draw(st.integers(0, 400))
     layout = draw(st.sampled_from(["uint32", "int64", "broadcast",
                                    "shared", "one"]))
@@ -237,11 +256,12 @@ def test_payloads_and_symbols_equal_the_reference_coder(case):
     want, _ = reference_encode_symbols(cum_lo, freq)
     coded = encode_symbols(cum_lo, freq)
     assert coded == want
-    assert decode_symbols(coded, cum, rows) == symbols
+    table = decoder_table(cum)
+    assert decode_symbols(coded, table, rows) == symbols
     assert reference_decode_symbols(coded, cum[rows]) == symbols
     # any other payload reads as the same symbols or the same refusal
     other = CodedSlice(junk, len(symbols))
-    assert outcome(decode_symbols, other, cum, rows) == \
+    assert outcome(decode_symbols, other, table, rows) == \
         outcome(reference_decode_symbols, other, cum[rows])
 
 
@@ -254,4 +274,4 @@ def test_a_carry_through_held_back_bytes_codes_like_the_reference():
     want, carries = reference_encode_symbols(cum_lo, freq)
     assert carries == 1
     assert want.payload == encode_symbols(cum_lo, freq).payload == b"\xab"
-    assert decode_symbols(want, cum, [0, 0]) == [171, 0]
+    assert decode_symbols(want, decoder_table(cum), [0, 0]) == [171, 0]

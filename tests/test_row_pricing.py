@@ -17,7 +17,8 @@ from tokenwire.context import (FALLBACKS, CountModel, Targets, _mode,
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid, initial_states)
 from tokenwire.pipeline import _layout, finalize
-from tokenwire.rangecoder import code_ranges, decode_symbols, encode_symbols
+from tokenwire.rangecoder import (code_ranges, decode_symbols, decoder_table,
+                                  encode_symbols)
 from tokenwire.streaming import _Steps
 
 L = int(TokenState.LOST)
@@ -98,8 +99,8 @@ def test_rows_price_like_the_scalar_reference(data):
     ``cum[rows]`` and ``kinds`` equal the per-layer reference, a cell's
     row is its layer's, ``pmf`` prices a query as ``layer_pmf`` prices its
     layers, ``predict`` is the mode of each target's row, everything
-    reads the same table, and each slice's tokens round-trip through the
-    range coder under its rows."""
+    reads the same table, the range decoder its compiled form, and each
+    slice's tokens round-trip through the range coder under its rows."""
     gos = data.draw(st.sampled_from(GOSES), label="gos")
     vocab = data.draw(st.sampled_from([2, 5, 10, 64]), label="vocab")
     kind = data.draw(st.sampled_from(["empty", "trained"]), label="model")
@@ -129,11 +130,12 @@ def test_rows_price_like_the_scalar_reference(data):
     assert model.layer_pmf([])[0] is cum
     assert model.pmf(query)[0] is cum
     assert not cum.flags.writeable
+    assert model.decoder == decoder_table(cum)
 
     a = 0
     for cells in slices:
         b = a + len(cells)
         symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
         coded = encode_symbols(*code_ranges(cum, rows[a:b], symbols))
-        assert decode_symbols(coded, cum, rows[a:b]) == symbols
+        assert decode_symbols(coded, model.decoder, rows[a:b]) == symbols
         a = b

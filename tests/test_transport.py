@@ -368,6 +368,22 @@ def test_markov_channel_validation():
         MarkovChannel(transition=((1.0, 0.0), (0.0, 1.0)), loss_probs=(0.5, 1.5))
 
 
+def test_markov_channel_refuses_a_chain_without_one_stationary_law():
+    # With two closed classes the start state decides the loss rate for
+    # good, so no stationary distribution is unique and sample has none
+    # to start from. The second matrix's solve does not fail in floating
+    # point: it returns one of the many solutions.
+    for P in (((1, 0), (0, 1)),
+              ((0.9, 0.1, 0.0), (0.3, 0.7, 0.0), (0.0, 0.0, 1.0)),
+              ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0))):
+        with pytest.raises(ValueError, match="unique stationary"):
+            MarkovChannel(P, (0.1,) * len(P))
+    # one closed class and a transient state: the chain settles in it
+    ch = MarkovChannel(((1.0, 0.0), (0.5, 0.5)), (0.1, 0.2))
+    np.testing.assert_allclose(ch.stationary(), [1.0, 0.0])
+    assert len(ch.sample(10, np.random.default_rng(0))) == 10
+
+
 def test_markov_stationary_against_matrix_power():
     ch = MarkovChannel()
     P = np.asarray(ch.transition)
