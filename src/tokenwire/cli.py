@@ -131,9 +131,12 @@ def _read_manifest(path) -> dict:
 
 
 def _read_frames(path, frame_len: int):
-    """The audio at ``path``, refused unless it holds whole frames."""
+    """The audio at ``path``, refused unless it holds whole frames, at
+    least one."""
     signal = _artifact(read_audio, path)
     n = signal.samples.size
+    if not n:
+        raise ConfigError(str(path), "holds no samples")
     if n % frame_len:
         raise ConfigError(str(path), f"{n} samples are not a multiple of "
                           f"frame_len {frame_len}; pad or trim first")

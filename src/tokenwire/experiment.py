@@ -353,7 +353,7 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
     states_all = np.concatenate(state_chunks)
 
     loss_ratio = (loss if channel_kind == "bernoulli"
-                  else MarkovChannel().stationary_loss())
+                  else channel.stationary_loss())
     return MetricsRow(
         loss_ratio=loss_ratio, channel=channel_kind, fec=fec,
         model=model_name,

@@ -217,20 +217,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def cells_of(frames, layers) -> np.ndarray:
+    """Cells (t, k) of ``layers`` of ``frames``, frame then layer, as a
+    read-only (n, 2) int32 array."""
+    frames = np.asarray(frames, dtype=np.int32)
+    layers = np.asarray(layers, dtype=np.int32)
+    return _read_only(np.stack([np.repeat(frames, len(layers)),
+                                np.tile(layers, len(frames))], axis=1))
+
+
 @functools.lru_cache(maxsize=64)
 def _gos_cells(gos: GosConfig, span: int, level: int) -> tuple:
     """(unit, group, cells) of a ``span``-frame group-of-slices starting at
     frame 0, in emission order, empty slices left out. Shared: callers
     shift copies."""
     units = periodic_slicing(gos.gos_len, gos.n_units)
-    order = [(u, j) for j in (0, 1) for u in units]
     out = []
-    for u, j in order:
-        frames = np.array([t1 - 1 for t1 in units[u] if t1 <= span],
-                          dtype=np.int32)
-        layers = np.array(gos.group_layers(j, level), dtype=np.int32) - 1
-        if len(frames) and len(layers):
-            out.append((u, j, _read_only(np.stack(
-                [np.repeat(frames, len(layers)),
-                 np.tile(layers, len(frames))], axis=1))))
+    for j in (0, 1):
+        layers = np.array(gos.group_layers(j, level)) - 1
+        for u in units:
+            frames = [t1 - 1 for t1 in units[u] if t1 <= span]
+            if frames and len(layers):
+                out.append((u, j, cells_of(frames, layers)))
     return tuple(out)

@@ -24,14 +24,17 @@ releases in one call. The encode level is stated once, in the
 receiver's initial states (INVALID from the level up), so no usable
 depth passes it.
 
-Every clip of one layout shares one plan of it, built on the first clip
-and memoized like the layout itself (``build_slice_grid``): each slice's
-packet head and cells, and the map from a head back to its cells and its
-coarse predecessor's, compiled into the flat state indices, spans and
-layers that ``decode`` reads, so neither end rebuilds any of it per
-clip. ``decode`` then reads the plan's states once, finds the slices
-with an open cell in one ``reduceat``, and loops over the arrived heads
-only.
+Both ends of both modes read one kind of plan, ``Plan``, and one
+function builds every plan (``build_plan``): from a batch layout's
+slices, or from a stream step's coarse runs and its fine one, it
+derives each slice's packet head and its coarse predecessor, the slice
+before it in the repair chain, and compiles the map from a head back to
+its cells and its predecessor's into the flat state indices, spans and
+layers that ``decode`` reads. Every clip of one layout shares one plan
+of it, built on the first clip and memoized like the layout itself
+(``build_slice_grid``), so neither end rebuilds any of it per clip.
+``decode`` then reads the plan's states once, finds the slices with an
+open cell in one ``reduceat``, and loops over the arrived heads only.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ _R = int(TokenState.RECEIVED)
 _L = int(TokenState.LOST)
 _I = int(TokenState.INVALID)
 _C = int(TokenState.CONCEALED)
+# the report's name of each state, by its code
+_STATE_NAMES = tuple(state.name.lower() for state in TokenState)
 
 
 @dataclass
@@ -132,12 +137,13 @@ class SliceSender:
         self.report = SenderReport()
         self._prev_coarse: bytes | None = None
 
-    def send(self, tokens: np.ndarray, slices) -> list:
+    def send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
         """Packets of the slices of ``tokens`` given as (head, cells)
-        pairs, in their order. A coarse slice (group 0) is bit-packed and
-        carries the previous coarse payload as repair. Every fine token is
-        priced by its layer's row, all in one ``layer_pmf``, and each fine
-        slice is range-coded on its own."""
+        pairs, in their order, each head's first frame and each cell's
+        row counted from frame ``base``. A coarse slice (group 0) is
+        bit-packed and carries the previous coarse payload as repair.
+        Every fine token is priced by its layer's row, all in one
+        ``layer_pmf``, and each fine slice is range-coded on its own."""
         rep = self.report
         fine = [cells for head, cells in slices if head[0]]
         if fine:
@@ -157,8 +163,8 @@ class SliceSender:
                                                + n)
         packets = []
         a = 0
-        for head, cells in slices:
-            if head[0]:
+        for (group, first, n_frames), cells in slices:
+            if group:
                 b = a + len(cells)
                 payload = encode_symbols(cum_lo[a:b], freq[a:b]).payload
                 fec_field = b""
@@ -176,7 +182,8 @@ class SliceSender:
                 rep.coarse_bits += len(payload) * 8
                 rep.fec_bits += len(fec_field) * 8
                 rep.n_coarse_tokens += len(cells)
-            packet = Packet(*head, payload, fec_field)
+            packet = Packet(group, first + base, n_frames, payload,
+                            fec_field)
             rep.n_packets += 1
             rep.header_bits += packet.header_bytes * 8
             packets.append(packet)
@@ -365,29 +372,47 @@ def finalize(model, tokens: np.ndarray, states: np.ndarray, frames: range,
     return len(t), usable.astype(np.int16)
 
 
-class _Layout(NamedTuple):
-    """What both batch ends derive from one slice layout, once."""
+class Plan(NamedTuple):
+    """One receiver's geometry and one sender's slices, the same kind for
+    a batch layout and a stream step (``build_plan``). Rows count from
+    the plan's first frame, and so does a head's first frame; a stream
+    step's earlier coarse rows may lie before it, below 0. ``heads`` is
+    ``by_head`` compiled once for ``decode``, so no clip or step
+    assembles it."""
 
-    slices: tuple   # (packet head, cells) per slice, in emission order
-    by_head: dict   # packet head -> (cells, coarse predecessor's or None)
+    span: int       # rows the plan covers
+    due: range      # rows it finalizes, from row 0
+    slices: tuple   # (head, cells) it sends, in emission order
+    by_head: dict   # head it can place -> (cells, coarse predecessor's)
     heads: HeadMap  # by_head compiled for decode
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(sg: SliceGrid) -> _Layout:
-    """The plan of layout ``sg``."""
-    slices, by_head = [], {}
-    prev = None
-    for sid, cells in sg.slices.items():
-        frames = cells[:, 0].tolist()
-        head = (sid.group, frames[0], len(set(frames)))
+def build_plan(span: int, n_due: int, runs, n_layers: int,
+               unsent: int = 0) -> Plan:
+    """The plan of ``span`` rows, the first ``n_due`` of them due, whose
+    slices are ``runs``, each (group, cells), in emission order; the
+    first ``unsent`` of them are placed but not sent. A slice's head is
+    (group, first row, number of rows), and a coarse slice's predecessor
+    is the coarse slice before it, none for the first."""
+    slices, by_head, prev = [], {}, None
+    for group, cells in runs:
+        rows = cells[:, 0].tolist()
+        head = (group, rows[0], len(set(rows)))
         slices.append((head, cells))
-        if sid.group == 0:
-            by_head[head] = cells, prev
-            prev = cells
-        else:
+        if group:
             by_head[head] = cells, None
-    return _Layout(tuple(slices), by_head, head_map(by_head, sg.n_layers))
+        else:
+            by_head[head], prev = (cells, prev), cells
+    return Plan(span, range(n_due), tuple(slices[unsent:]), by_head,
+                head_map(by_head, n_layers))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(sg: SliceGrid) -> Plan:
+    """The plan of layout ``sg``: every frame due, every slice sent."""
+    return build_plan(sg.n_frames, sg.n_frames,
+                      [(sid.group, cells) for sid, cells in sg.slices.items()],
+                      sg.n_layers)
 
 
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
@@ -423,27 +448,24 @@ def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     cell with its layer's mode when it is a lost coarse cell. The grid's
     level is the per-frame usable depth.
     """
-    vocab = model.vocab
-    T, K = sg.n_frames, sg.n_layers
-    tokens = np.zeros((T, K), dtype=np.int32)
-    states = initial_states(T, K, sg.level)
+    plan = _layout(sg)
+    tokens = np.zeros((plan.span, sg.n_layers), dtype=np.int32)
+    states = initial_states(plan.span, sg.n_layers, sg.level)
 
     n_dropped, fec_recovered = decode(model, tokens, states, packets,
-                                      _layout(sg).heads)
+                                      plan.heads)
 
-    n_predicted, depth = finalize(model, tokens, states, range(T),
+    n_predicted, depth = finalize(model, tokens, states, plan.due,
                                   sg.gos.n_coarse)
 
-    grid = TokenGrid(tokens, depth, vocab)
-    names = {_R: "received", _L: "lost",
-             _I: "invalid", _C: "concealed"}
-    encoded = states[:, :sg.level]
-    state_counts = {name: int(np.count_nonzero(encoded == code))
-                    for code, name in names.items()}
+    grid = TokenGrid(tokens, depth, model.vocab)
+    counts = np.bincount(states[:, :sg.level].ravel(),
+                         minlength=len(_STATE_NAMES))
     return grid, states, ReceiverReport(
-        n_frames=T, level=sg.level, n_packets_seen=len(packets),
+        n_frames=plan.span, level=sg.level, n_packets_seen=len(packets),
         n_dropped=n_dropped, fec_recovered=fec_recovered,
-        state_counts=state_counts, n_predicted=n_predicted)
+        state_counts=dict(zip(_STATE_NAMES, counts.tolist())),
+        n_predicted=n_predicted)
 
 
 def send(features: np.ndarray, codec: RvqCodec, model, gos: GosConfig,

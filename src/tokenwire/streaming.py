@@ -39,14 +39,13 @@ frames it releases, so a step reads only its window: its due frames
 through its horizon. Each end holds that window in preallocated rows
 (``_Frames``), the sender also the frames pushed past its last horizon,
 and forgets every frame before it. Every step's geometry relative to
-its window is one memoized ``_Step`` plan, of the same kind as the
-batch layout's: the slices the step sends, its coarse then its fine,
-and the map from each head it can place to that slice's cells and its
-coarse predecessor's, with that map compiled for ``decode``
-(``pipeline.head_map``). Once step 0's coarse frames have left the window
-every live step has the same plan, so a stream uses a handful of plans:
-the first steps', the steady one and the flushed tail's. The releases
-are the receiver's output; ``result`` joins them.
+its window is one memoized ``pipeline.Plan``, built by
+``pipeline.build_plan`` as the batch layout's is, from the coarse runs
+the step places and the slices it sends. Once step 0's coarse frames
+have left the window every live step has the same plan, so a stream
+uses a handful of plans: the first steps', the steady one and the
+flushed tail's. The releases are the receiver's output; ``result``
+joins them.
 """
 
 from __future__ import annotations
@@ -54,16 +53,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
-from .grid import (GosConfig, StreamConfig, TokenGrid, _read_only,
-                   build_slice_grid, initial_states)  # noqa: F401
-from .pipeline import HeadMap, SliceSender, decode, finalize, head_map
+from .grid import (GosConfig, StreamConfig, TokenGrid, build_slice_grid,
+                   cells_of, initial_states)  # noqa: F401
+from .pipeline import Plan, SliceSender, build_plan, decode, finalize
 
 
 def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
@@ -85,52 +83,24 @@ def stream_coarse(i: int, cfg: StreamConfig,
     return range(lo, stream_step(i, cfg, total)[1] + 1)
 
 
-def _cells(rows: range, layers: range) -> np.ndarray:
-    """Cells of the 0-based ``layers`` of ``rows``, frame then layer."""
-    return np.stack([np.repeat(np.arange(rows.start, rows.stop), len(layers)),
-                     np.tile(np.arange(layers.start, layers.stop), len(rows))],
-                    axis=1)
-
-
-class _Step(NamedTuple):
-    """One step's geometry relative to its window, the ``span`` frames
-    from its first due frame through its horizon: a row is a frame less
-    the window's start, and so is a head's first frame. An earlier
-    step's coarse rows may lie before the window, below 0. ``heads`` is
-    ``by_head`` compiled once for ``decode``, its flat indices counted
-    over the window's rows of every layer, so no step assembles them."""
-
-    span: int
-    due: range      # rows the step finalizes
-    slices: tuple   # (head, cells) the step sends: its coarse, then fine
-    by_head: dict   # head the step can place -> (cells, predecessor's)
-    heads: HeadMap  # by_head compiled for decode
-
-
 @functools.lru_cache(maxsize=256)
 def _step_plan(n_coarse: int, n_layers: int, level: int, span: int,
-               n_due: int, coarse: tuple, own: bool) -> _Step:
-    """The plan of one relative step geometry, shared by every step and
-    stream that has it. Its own cache, so that nothing else evicts it.
+               n_due: int, coarse: tuple, own: bool) -> Plan:
+    """The plan of one step geometry relative to its window, the ``span``
+    frames from its first due frame through its horizon, shared by every
+    step and stream that has it. Its own cache, so that nothing else
+    evicts it.
 
     ``coarse`` holds the rows of each step's coarse frames that reach
-    the window, in step order, the step's own last when ``own``. Each
-    one's predecessor is the one before it; the first one's lies before
-    the window, where no repair copy can write, so it has none."""
-    layers = range(n_coarse)
-    by_head, prev = {}, None
-    for rows in coarse:
-        head = (0, rows.start, len(rows))
-        cells = _read_only(_cells(rows, layers))
-        by_head[head], prev = (cells, prev), cells
-    slices = [(head, cells)] if own else []
+    the window, in step order, the step's own last when ``own``; the
+    step places them all, and sends its own, then its fine slice over
+    its ``n_due`` due rows when ``level`` sends fine layers. The first
+    one's predecessor lies before the window, where no repair copy can
+    write, so ``build_plan`` gives it none."""
+    runs = [(0, cells_of(rows, range(n_coarse))) for rows in coarse]
     if level > n_coarse:
-        head = (1, 0, n_due)
-        cells = _read_only(_cells(range(n_due), range(n_coarse, level)))
-        slices.append((head, cells))
-        by_head[head] = cells, None
-    return _Step(span, range(n_due), tuple(slices), by_head,
-                 head_map(by_head, n_layers))
+        runs.append((1, cells_of(range(n_due), range(n_coarse, level))))
+    return build_plan(span, n_due, runs, n_layers, len(coarse) - own)
 
 
 class _Steps:
@@ -143,6 +113,8 @@ class _Steps:
     is the same plan ``stride`` frames on."""
 
     def __init__(self, gos: GosConfig, cfg: StreamConfig, level: int):
+        if not gos.n_coarse <= level <= gos.n_layers:
+            raise ValueError("level out of range for the layout")
         self.gos, self.cfg, self.level = gos, cfg, level
         self._steady = None  # (step, window start, plan) once steady
 
@@ -234,8 +206,7 @@ class StreamSender:
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
                  level: int | None = None):
         level = gos.n_layers if level is None else level
-        if not gos.n_coarse <= level <= gos.n_layers:
-            raise ValueError("level out of range for the layout")
+        self._steps = _Steps(gos, stream, level)
         self.gos = gos
         self.stream = stream
         self.model = model
@@ -243,7 +214,6 @@ class StreamSender:
         self.vocab = model.vocab
         self._tx = SliceSender(model)
         self.report = self._tx.report  # SenderReport over all emissions
-        self._steps = _Steps(gos, stream, level)
         self._frames = _Frames(stream, gos.n_layers, np.int32)
         self._next_step = 0
         # largest (frames captured when emitted) - (frame index) over all
@@ -294,21 +264,18 @@ class StreamSender:
             out.append(self._emit(*self._steps(self._next_step, total)))
         return out, total
 
-    def _emit(self, base: int, plan: _Step) -> StepEmission:
+    def _emit(self, base: int, plan: Plan) -> StepEmission:
         i = self._next_step
         self._next_step += 1
         frames = self._frames
         frames.forget(base)
         horizon = base + plan.span - 1
         tokens, = frames.rows(base, horizon + 1)
-        due = range(base + plan.due.start, base + plan.due.stop)
-        packets = self._tx.send(tokens, [((g, base + first, n), cells)
-                                         for (g, first, n), cells
-                                         in plan.slices])
-        if len(due):  # the first due frame waited longest, at least 1
-            self.max_latency = max(self.max_latency or 0,
-                                   horizon + 1 - due.start)
-        return StepEmission(i, tuple(packets), (due.start, due.stop), horizon)
+        n_due = plan.due.stop
+        packets = self._tx.send(tokens, plan.slices, base)
+        if n_due:  # the first due frame waited longest, at least 1
+            self.max_latency = max(self.max_latency or 0, horizon + 1 - base)
+        return StepEmission(i, tuple(packets), (base, base + n_due), horizon)
 
 
 class StreamReceiver:
@@ -323,14 +290,12 @@ class StreamReceiver:
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
                  level: int | None = None, conceal_fine_layers: int = 2):
         level = gos.n_layers if level is None else level
-        if not gos.n_coarse <= level <= gos.n_layers:
-            raise ValueError("level out of range for the layout")
+        self._steps = _Steps(gos, stream, level)
         self.gos = gos
         self.stream = stream
         self.model = model
         self.level = level
         self.vocab = model.vocab
-        self._steps = _Steps(gos, stream, level)
         self._frames = _Frames(stream, gos.n_layers, np.int32, np.int8)
         self._blank = initial_states(1, gos.n_layers, level)
         self._releases: list = []
@@ -375,11 +340,11 @@ class StreamReceiver:
         n_predicted, depth = finalize(self.model, tokens, states, plan.due,
                                       self.gos.n_coarse)
         self.n_predicted += n_predicted
-        due = range(base + plan.due.start, base + plan.due.stop)
-        self._released = due.stop
-        sl = slice(plan.due.start, plan.due.stop)
-        release = StreamRelease((due.start, due.stop), tokens[sl].copy(),
-                                states[sl].copy(), depth)
+        n_due = plan.due.stop
+        self._released = base + n_due
+        release = StreamRelease((base, base + n_due),
+                                tokens[:n_due].copy(),
+                                states[:n_due].copy(), depth)
         self._releases.append(release)
         return release
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tokenwire import __version__
-from tokenwire.audio import CodecConfig, analyze, read_audio, write_audio
+from tokenwire.audio import (AudioSignal, CodecConfig, analyze, read_audio,
+                             write_audio)
 from tokenwire.cli import build_parser, main
 from tokenwire.context import load_count_model, save_count_model
 from tokenwire.experiment import config_from_dict, gos_config, train_stack
@@ -424,6 +425,13 @@ def _other_model(ws, tmp_path):
     return _swap(_decode(ws, tmp_path, "1" * 8), "--model", str(model))
 
 
+def _empty_audio(tmp, name):
+    """An audio file of no samples: a rate header only, or a 0-frame
+    WAV."""
+    write_audio(tmp / name, AudioSignal(np.zeros(0, np.float32), 16000))
+    return str(tmp / name)
+
+
 def _report_unknown_schema(ws, tmp_path):
     (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
     return ["report", "--csv", str(tmp_path / "bad.csv")]
@@ -470,6 +478,12 @@ def _stream(ws, tmp_path, *extra):
      "bad.wav: not a WAV file: it ends early"),
     (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio", _bad_wav(tmp)),
      "bad.wav: not a WAV file: it ends early"),
+    (lambda ws, tmp: _swap(_encode(ws, tmp), "--audio",
+                           _empty_audio(tmp, "empty.f32")),
+     "empty.f32: holds no samples"),
+    (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio",
+                           _empty_audio(tmp, "empty.wav")),
+     "empty.wav: holds no samples"),
     (_cut_packets, "packets.bin: truncated packet record"),
     (_version_6_packets, "packets.bin: unsupported packet version 6"),
     (_other_codec, "codec2.rvq: digest differs from the manifest's "
@@ -481,6 +495,7 @@ def _stream(ws, tmp_path, *extra):
         "scalar-transition", "null-loss-probs", "two-closed-classes",
         "not-an-object", "trace-length", "trace-characters", "stream-loss",
         "encode-level", "encode-bad-wav", "stream-bad-wav",
+        "encode-empty-f32", "stream-empty-wav",
         "decode-cut-packets", "decode-version-6-packets",
         "decode-other-codec", "decode-other-model", "report-unknown-schema"])
 def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):

@@ -13,6 +13,7 @@ from tokenwire.experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
                                   _seed_of, config_from_dict, load_config,
                                   run_experiment, run_trial, summarize,
                                   sweep_points, trial_inputs)
+from tokenwire.transport import MarkovChannel
 
 
 def test_config_defaults_round_trip():
@@ -134,6 +135,19 @@ def test_run_trial_markov_reports_stationary_loss(mini_cfg, mini_stack):
     row = run_trial(mini_cfg, mini_stack, "markov", 0.0, True, "count", 0)
     assert row.loss_ratio == pytest.approx(0.1295, abs=1e-12)
     assert row.channel == "markov"
+
+
+def test_run_trial_builds_one_markov_channel(mini_cfg, mini_stack,
+                                            monkeypatch):
+    # each construction validates and solves the chain; the loss ratio is
+    # read from the channel the trial samples
+    built = []
+    init = MarkovChannel.__post_init__
+    monkeypatch.setattr(MarkovChannel, "__post_init__",
+                        lambda self: built.append(init(self)))
+    for trial in range(2):
+        run_trial(mini_cfg, mini_stack, "markov", 0.0, True, "count", trial)
+    assert len(built) == 2
 
 
 def test_run_trial_variable_level(mini_cfg, mini_stack):

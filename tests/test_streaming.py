@@ -10,7 +10,9 @@ from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
 from tokenwire import streaming
 from tokenwire.context import CountModel, Targets, train_count_model
 from tokenwire.errors import DecodeError
-from tokenwire.grid import GosConfig, StreamConfig, TokenGrid, TokenState
+from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
+                            build_slice_grid)
+from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import (StreamReceiver, StreamSender, stream_coarse,
                                  stream_step)
 from tokenwire.transport import Packet, pack_bits
@@ -992,3 +994,90 @@ def test_windowed_ends_match_the_full_history_reference(data):
     np.testing.assert_array_equal(grid.tokens, ref_grid.tokens)
     np.testing.assert_array_equal(grid.level, ref_grid.level)
     np.testing.assert_array_equal(states, ref_states)
+
+
+def deliver(tokens, mask, model, gos, cfg, level):
+    """Stream ``tokens`` in one push and hand the receiver, step by step,
+    the packets whose entry of ``mask``, one per packet in emission
+    order, is true. Returns (every packet sent, in order, receiver)."""
+    tx = StreamSender(gos, cfg, model, level=level)
+    live = tx.push(tokens)
+    tail, total = tx.flush()
+    keep = iter(mask)
+    steps = [[p for p in em.packets if next(keep)] for em in live + tail]
+    rx = StreamReceiver(gos, cfg, model, level=level)
+    for packets in steps[:len(live)]:
+        rx.step(packets)
+    rx.finish(steps[len(live):], total)
+    return [p for em in live + tail for p in em.packets], rx
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_and_stream_give_the_same_state_for_the_same_damage(data):
+    """At one geometry the two modes carry one protocol: a batch layout
+    of one unit per ``stride`` frames and a stream at that stride with no
+    lookahead send byte-identical packets, and under one loss mask the
+    stream receiver's tokens, states and usable depths equal the batch
+    receiver's once the batch copies' repair fields are stripped. At
+    lookahead 0 a repair copy reaches the stream receiver a step after
+    its frames were released, where the batch receiver still reads it."""
+    stride = data.draw(st.integers(1, 5), label="stride")
+    n_layers = data.draw(st.integers(2, 5), label="n_layers")
+    n_coarse = data.draw(st.integers(1, n_layers), label="n_coarse")
+    level = data.draw(st.integers(n_coarse, n_layers), label="level")
+    gos = GosConfig(stride, 1, n_coarse, n_layers)
+    model = counted_model(10, n_layers)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_frames = data.draw(st.integers(1, 40), label="n_frames")
+    tokens = rng.integers(0, 10, size=(n_frames, n_layers))
+    tokens[:, 1:] = (tokens[:, :1] + np.arange(1, n_layers)) % 10
+    tokens[rng.random(tokens.shape) < 0.3] = 0
+
+    sg = build_slice_grid(n_frames, gos, level)
+    sent, _ = send_tokens(TokenGrid(tokens, np.full(n_frames, level), 10),
+                          sg, model)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(sent),
+                              max_size=len(sent)), label="mask")
+    streamed, rx = deliver(tokens, mask, model, gos, StreamConfig(stride, 0),
+                           level)
+    assert [p.to_bytes() for p in streamed] == [p.to_bytes() for p in sent]
+    want, want_states, _ = receive_tokens(
+        [Packet(p.group, p.first_frame, p.n_frames, p.payload)
+         for p, kept in zip(sent, mask) if kept], sg, model)
+    grid, states = rx.result()
+    np.testing.assert_array_equal(grid.tokens, want.tokens)
+    np.testing.assert_array_equal(states, want_states)
+    np.testing.assert_array_equal(grid.level, want.level)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_coarse_packet_whose_successor_arrives_is_received(data):
+    """At lookahead >= stride a coarse packet's frames are due no earlier
+    than the step after its own, so its successor's repair copy is read
+    before they are released: every coarse packet whose successor
+    arrives ends RECEIVED at release, lost or not. Step 0's own due
+    frames are the exception: they are released at step 0, before any
+    repair copy can arrive."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5),
+                                     GosConfig(5, 1, 1, 4)]))
+    stride = data.draw(st.integers(1, 4), label="stride")
+    cfg = StreamConfig(stride, data.draw(st.integers(stride, stride + 3),
+                                         label="lookahead"))
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_frames = data.draw(st.integers(1, 60), label="n_frames")
+    tokens = rng.integers(0, 10, size=(n_frames, gos.n_layers))
+    loss = data.draw(st.sampled_from([0.1, 0.3, 0.6]), label="loss")
+    mask = rng.random(4 * n_frames) >= loss  # more than the packets sent
+    sent, rx = deliver(tokens, mask, counted_model(10, gos.n_layers), gos,
+                       cfg, level)
+    _, states = rx.result()
+    coarse = [(p, kept) for p, kept in zip(sent, mask) if p.group == 0]
+    for (p, _), (_, successor_kept) in zip(coarse, coarse[1:]):
+        if successor_kept:
+            frames = range(max(p.first_frame, stride),
+                           p.first_frame + p.n_frames)
+            assert np.all(states[frames.start:frames.stop,
+                                 :gos.n_coarse] == R)
