@@ -1,40 +1,46 @@
 """The transceiver core, and the batch sender and receiver built on it.
 
 The core is shared with the streaming transceiver, one path per end.
-``SliceSender.send`` turns every slice into a packet: a coarse slice is
-bit-packed and carries its predecessor's payload as a repair copy, and a
-fine slice is range-coded, each fine token priced by its layer's row of
-the model's table (``layer_pmf``). ``decode`` looks each arrived packet
-up in its receiver's map from packet heads to slices, the one claim rule
-of both receivers, each of which passes only its own geometry, compiled
-once per plan (``head_map``). It reads every slice from the first of its
-copies that reads, a fine one through the model's table compiled for the
-range decoder, writing only cells not yet received, and a repair copy is
-one more copy of its predecessor: only the filling copy's is read, and
-only where the predecessor did not arrive. ``finalize`` applies the
-prefix rule in one pass over each frame: a frame is usable up to its
-first cell not RECEIVED, every cell above that one is cut, and that cell
-takes its layer's most probable token when it is a lost coarse cell; a
-lost or invalid fine cell is never guessed. A packet the receiver
-cannot place or read, or that fills nothing, is dropped and counted, as
-if lost. No slice is coded against another cell, and no concealed cell
-reads another, so neither waits on anything: each end prices all the
-fine slices it handles at once, and finalizes all the frames it
-releases in one call. The encode level is stated once, in the
-receiver's initial states (INVALID from the level up), so no usable
-depth passes it.
+``SliceSender.send`` turns every slice a plan sends into a packet,
+reading the plan's send map, compiled once per plan (``send_map``): a
+coarse slice is bit-packed and carries its predecessor's payload as a
+repair copy, and a fine slice is range-coded, each fine token priced by
+its layer's row of the model's table (``layer_pmf``). ``decode`` looks
+each arrived packet up in its receiver's map from packet heads to
+slices, the one claim rule of both receivers, each of which passes only
+its own geometry, compiled once per plan (``head_map``). It reads every
+slice from the first of its copies that reads, a fine one through the
+model's table compiled for the range decoder, writing only cells not
+yet received, and a repair copy is one more copy of its predecessor:
+only the filling copy's is read, and only where the predecessor did not
+arrive. ``finalize`` applies the prefix rule in one pass over each
+frame: a frame is usable up to its first cell not RECEIVED, every cell
+above that one is cut, and that cell takes its layer's most probable
+token when it is a lost coarse cell; a lost or invalid fine cell is
+never guessed. A packet the receiver cannot place or read, or that
+fills nothing, is dropped and counted, as if lost. No slice is coded
+against another cell, and no concealed cell reads another, so neither
+waits on anything: each end prices all the fine slices it handles at
+once, and finalizes all the frames it releases in one call. The encode
+level is stated once, in the receiver's initial states (INVALID from
+the level up), so no usable depth passes it.
 
 Both ends of both modes read one kind of plan, ``Plan``, and one
 function builds every plan (``build_plan``): from a batch layout's
 slices, or from a stream step's coarse runs and its fine one, it
 derives each slice's packet head and its coarse predecessor, the slice
-before it in the repair chain, and compiles the map from a head back to
-its cells and its predecessor's into the flat state indices, spans and
-layers that ``decode`` reads. Every clip of one layout shares one plan
-of it, built on the first clip and memoized like the layout itself
-(``build_slice_grid``), so neither end rebuilds any of it per clip.
-``decode`` then reads the plan's states once, finds the slices with an
-open cell in one ``reduceat``, and loops over the arrived heads only.
+before it in the repair chain, and compiles both ends' halves of it
+once: the map from a head back to its cells and its predecessor's, as
+the flat state indices, spans and layers that ``decode`` reads, and the
+sent cells in emission order, as the flat token indices, slice spans
+and fine layers that ``send`` reads. Every clip of one layout shares
+one plan of it, built on the first clip and memoized like the layout
+itself (``build_slice_grid``), so neither end rebuilds any of it per
+clip. ``send`` then reads a clip's or step's tokens in one ``take``,
+prices its fine cells in one ``layer_pmf`` and packs each coarse slice
+from a slice of one list. ``decode`` reads the plan's states once,
+finds the slices with an open cell in one ``reduceat``, loops over the
+arrived heads only, and writes the cells it read in one ``put``.
 """
 
 from __future__ import annotations
@@ -120,14 +126,15 @@ class ReceiverReport:
 class SliceSender:
     """Transmit half of the transceiver core.
 
-    Turns slices into packets in the order it is handed them, chains each
-    coarse packet's repair copy to its predecessor when ``fec`` is on
-    (across calls, so a stream's steps chain too), and keeps the
-    ``SenderReport``. A packet's ``head`` is its (group, first_frame,
-    n_frames). The report charges each packet's own
-    ``Packet.header_bytes`` to ``header_bits``, which varies with the
-    header's varint fields, so ``total_bits`` is exactly eight times the
-    packets' serialised length.
+    Turns the slices a plan sends into packets, in emission order, from
+    the plan's send map, compiled with the plan, so no call gathers or
+    concatenates a slice's cells. Chains each coarse packet's repair copy
+    to its predecessor when ``fec`` is on (across calls, so a stream's
+    steps chain too), and keeps the ``SenderReport``. A packet's
+    ``head`` is its (group, first_frame, n_frames). The report charges
+    each packet's own ``Packet.header_bytes`` to ``header_bits``, which
+    varies with the header's varint fields, so ``total_bits`` is exactly
+    eight times the packets' serialised length.
     """
 
     def __init__(self, model, fec: bool = True):
@@ -137,23 +144,23 @@ class SliceSender:
         self.report = SenderReport()
         self._prev_coarse: bytes | None = None
 
-    def send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
-        """Packets of the slices of ``tokens`` given as (head, cells)
-        pairs, in their order, each head's first frame and each cell's
-        row counted from frame ``base``. A coarse slice (group 0) is
-        bit-packed and carries the previous coarse payload as repair.
-        Every fine token is priced by its layer's row, all in one
-        ``layer_pmf``, and each fine slice is range-coded on its own."""
-        rep = self.report
-        fine = [cells for head, cells in slices if head[0]]
-        if fine:
-            cells = np.concatenate(fine)
-            layers = cells[:, 1]
-            cum, rows, kinds = self.model.layer_pmf(layers)
-            cum_lo, freq = code_ranges(cum, rows,
-                                       tokens[cells[:, 0], layers])
+    def send(self, tokens: np.ndarray, plan: Plan, base: int = 0) -> list:
+        """Packets of the slices ``plan`` sends, cut from ``tokens``, in
+        emission order, each head's first frame and each cell's row
+        counted from frame ``base``. The plan's send map (``send_map``)
+        names every sent cell, so the tokens are read in one ``take``. A
+        coarse slice (group 0) is bit-packed and carries the previous
+        coarse payload as repair. Every fine token is priced by its
+        layer's row, all in one ``layer_pmf``, and each fine slice is
+        range-coded on its own."""
+        rep, sends = self.report, plan.sends
+        taken = tokens.take(sends.flat)
+        values = taken.tolist()
+        if len(sends.fine):
+            cum, rows, kinds = self.model.layer_pmf(sends.layers)
+            cum_lo, freq = code_ranges(cum, rows, taken[sends.fine])
             per_layer = rep.per_layer_ideal_bits
-            for k, f in zip(layers.tolist(), freq):
+            for k, f in zip(sends.layers.tolist(), freq):
                 b = -math.log2(f / PMF_TOTAL)
                 rep.ideal_fine_bits += b
                 per_layer[k] = per_layer.get(k, 0.0) + b
@@ -161,27 +168,23 @@ class SliceSender:
                 if n:
                     rep.fallback_counts[fb] = (rep.fallback_counts.get(fb, 0)
                                                + n)
+            rep.n_fine_tokens += len(freq)
+        rep.n_coarse_tokens += len(values) - len(sends.fine)
         packets = []
-        a = 0
-        for (group, first, n_frames), cells in slices:
+        for group, first, n_frames, a, b in sends.slices:
             if group:
-                b = a + len(cells)
                 payload = encode_symbols(cum_lo[a:b], freq[a:b]).payload
                 fec_field = b""
                 rep.n_fine_packets += 1
                 rep.fine_bits += len(payload) * 8
-                rep.n_fine_tokens += b - a
-                a = b
             else:
-                payload = pack_bits(tokens[cells[:, 0], cells[:, 1]],
-                                    self.width)
+                payload = pack_bits(values[a:b], self.width)
                 fec_field = (self._prev_coarse if self.fec
                              and self._prev_coarse is not None else b"")
                 self._prev_coarse = payload
                 rep.n_coarse_packets += 1
                 rep.coarse_bits += len(payload) * 8
                 rep.fec_bits += len(fec_field) * 8
-                rep.n_coarse_tokens += len(cells)
             packet = Packet(group, first + base, n_frames, payload,
                             fec_field)
             rep.n_packets += 1
@@ -191,15 +194,15 @@ class SliceSender:
 
 
 def coarse_values(payload: bytes, vocab: int, count: int):
-    """The ``count`` tokens packed in a coarse payload, or None unless it
-    holds that many and all are in ``vocab``."""
+    """The list of the ``count`` tokens packed in a coarse payload, or
+    None unless it holds that many and all are in ``vocab``."""
     width = token_bits(vocab)
     try:
         vals = unpack_bits(payload, width, count)
     except DecodeError:
         return None
     # every width-bit value is a token when vocab is a power of two
-    if vocab == 1 << width or int(vals.max(initial=0)) < vocab:
+    if vocab == 1 << width or max(vals, default=0) < vocab:
         return vals
     return None
 
@@ -260,7 +263,8 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
     the vocabulary (``coarse_values``), or a fine one that range-decodes
     through the model's compiled table, every arrived fine cell priced by
     its layer's row in one ``layer_pmf``. Its other copies are dropped.
-    All filled cells are written in one ``put``. Then an open
+    The copies read are gathered as lists of positions and values, and
+    their open cells are written in one ``put`` per array. Then an open
     predecessor cell takes the repair copy of the copy that filled its
     successor, if it unpacks; no other copy's repair is read. Slices name
     distinct cells and predecessors, so one read of the plan's states
@@ -287,9 +291,7 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             [heads.layers[a:b] for _, a, b, _ in fine]))[1].tolist()
         table = model.decoder
     vocab = model.vocab
-    filled = np.zeros(len(flat), dtype=bool)
-    values = np.empty(len(flat), dtype=tokens.dtype)
-    repairs = []
+    at, got, repairs = [], [], []  # each read copy's positions and values
     o = 0  # the next arrived fine cell's position in ``rows``
     for head, found in copies.items():
         i, a, b, prev = spans[head]
@@ -306,8 +308,8 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
                 vals = coarse_values(payload, vocab, n)
                 if vals is None:
                     continue
-            filled[a:b] = True
-            values[a:b] = vals
+            at.extend(range(a, b))
+            got.extend(vals)
             # a predecessor with no open cell needs no repair
             if fec and prev is not None and hit[prev[0]]:
                 repairs.append((fec, prev))
@@ -317,9 +319,10 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             n_dropped += len(found)
         if head[0]:
             o += n
-    keep = filled & is_open
-    cells = flat[keep]
-    tokens.put(cells, values[keep])
+    at = np.array(at, dtype=np.intp)
+    keep = is_open[at]
+    cells = flat[at[keep]]
+    tokens.put(cells, np.array(got, dtype=tokens.dtype)[keep])
     states.put(cells, _R)
     if not repairs:
         return n_dropped, 0
@@ -332,7 +335,7 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             v = coarse_values(fec, vocab, b - a)
             if v is not None:
                 cells = flat[a:b][mask]
-                tokens.put(cells, v[mask])
+                tokens.put(cells, np.array(v, dtype=tokens.dtype)[mask])
                 states.put(cells, _R)
                 repaired += 1
     return n_dropped, repaired
@@ -372,19 +375,57 @@ def finalize(model, tokens: np.ndarray, states: np.ndarray, frames: range,
     return len(t), usable.astype(np.int16)
 
 
+class SendMap(NamedTuple):
+    """A sender's slices compiled for ``SliceSender.send`` once per plan
+    (``send_map``). ``flat`` holds every sent cell's ``t * n_layers + k``
+    in emission order, rows counted from the plan's first frame;
+    ``slices`` each sent slice's (group, first row, n_frames, start,
+    stop), where (start, stop) is its span of the sent cells when it is
+    coarse and of the fine cells when it is fine; ``fine`` the fine
+    cells' positions among the sent cells, and ``layers`` their
+    layers."""
+
+    flat: np.ndarray
+    slices: tuple
+    fine: np.ndarray
+    layers: np.ndarray
+
+
+def send_map(slices, n_layers: int) -> SendMap:
+    """Compile the (head, cells) ``slices`` a sender sends, in order, for
+    ``SliceSender.send`` on tokens of ``n_layers`` columns."""
+    spans, fine, n_sent, n_fine = [], [], 0, 0
+    for (group, first, n_frames), cells in slices:
+        n = len(cells)
+        if group:
+            spans.append((group, first, n_frames, n_fine, n_fine + n))
+            fine.append(np.arange(n_sent, n_sent + n))
+            n_fine += n
+        else:
+            spans.append((group, first, n_frames, n_sent, n_sent + n))
+        n_sent += n
+    t, k = np.concatenate([cells for _, cells in slices]
+                          or [np.zeros((0, 2), np.int64)]).T
+    fine = np.concatenate(fine or [np.zeros(0, np.int64)])
+    return SendMap(_read_only(t * n_layers + k), tuple(spans),
+                   _read_only(fine), _read_only(k[fine].astype(np.int64)))
+
+
 class Plan(NamedTuple):
     """One receiver's geometry and one sender's slices, the same kind for
     a batch layout and a stream step (``build_plan``). Rows count from
     the plan's first frame, and so does a head's first frame; a stream
-    step's earlier coarse rows may lie before it, below 0. ``heads`` is
-    ``by_head`` compiled once for ``decode``, so no clip or step
-    assembles it."""
+    step's earlier coarse rows may lie before it, below 0. Both ends'
+    halves are compiled once per plan: ``heads`` is ``by_head`` compiled
+    for ``decode`` and ``sends`` is ``slices`` compiled for
+    ``SliceSender.send``, so no clip or step assembles either."""
 
     span: int       # rows the plan covers
     due: range      # rows it finalizes, from row 0
     slices: tuple   # (head, cells) it sends, in emission order
     by_head: dict   # head it can place -> (cells, coarse predecessor's)
     heads: HeadMap  # by_head compiled for decode
+    sends: SendMap  # slices compiled for SliceSender.send
 
 
 def build_plan(span: int, n_due: int, runs, n_layers: int,
@@ -393,7 +434,9 @@ def build_plan(span: int, n_due: int, runs, n_layers: int,
     slices are ``runs``, each (group, cells), in emission order; the
     first ``unsent`` of them are placed but not sent. A slice's head is
     (group, first row, number of rows), and a coarse slice's predecessor
-    is the coarse slice before it, none for the first."""
+    is the coarse slice before it, none for the first. Both halves are
+    compiled here, once: the receiver's map of heads (``head_map``) and
+    the sender's map of sent cells (``send_map``)."""
     slices, by_head, prev = [], {}, None
     for group, cells in runs:
         rows = cells[:, 0].tolist()
@@ -403,8 +446,9 @@ def build_plan(span: int, n_due: int, runs, n_layers: int,
             by_head[head] = cells, None
         else:
             by_head[head], prev = (cells, prev), cells
-    return Plan(span, range(n_due), tuple(slices[unsent:]), by_head,
-                head_map(by_head, n_layers))
+    sent = tuple(slices[unsent:])
+    return Plan(span, range(n_due), sent, by_head,
+                head_map(by_head, n_layers), send_map(sent, n_layers))
 
 
 @functools.lru_cache(maxsize=64)
@@ -432,7 +476,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
         raise ValueError("model and grid vocabularies differ")
 
     tx = SliceSender(model, fec)
-    return tx.send(grid.tokens, _layout(sg).slices), tx.report
+    return tx.send(grid.tokens, _layout(sg)), tx.report
 
 
 def receive_tokens(packets, sg: SliceGrid, model) -> tuple:

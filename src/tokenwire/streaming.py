@@ -19,20 +19,20 @@ else. At stride 1 every packet after the first coarse one holds one
 frame.
 
 Both ends run on the transceiver core in ``pipeline``, as the batch ends
-do. The sender hands each step's coarse and fine slice to
-``SliceSender.send``. A step's fine tokens are priced by their layers
-alone, so a step's fine packet decodes whenever it arrives and a lost
-fine packet costs its own cells only. The receiver's buffered states
-start INVALID from the encode level up. Its step geometry names every
-head a step can place, and ``pipeline.decode`` reads the arrived packets
-against it, as the batch receiver reads them against its layout: a
-packet that names no such head, that arrives after its frames were
-released or received, or that cannot be read is dropped and counted as
-if lost. ``pipeline.finalize`` then cuts each due frame above its
-first missing cell and fills that cell with its layer's most probable
-token when it is a lost coarse cell, and the frames are released. A
-lost or invalid fine cell is not guessed; it ends its frame's usable
-depth. Released frames are never revisited.
+do. The sender hands each step's plan to ``SliceSender.send``, which
+sends its coarse and fine slice. A step's fine tokens are priced by
+their layers alone, so a step's fine packet decodes whenever it arrives
+and a lost fine packet costs its own cells only. The receiver's
+buffered states start INVALID from the encode level up. Its step
+geometry names every head a step can place, and ``pipeline.decode``
+reads the arrived packets against it, as the batch receiver reads them
+against its layout: a packet that names no such head, that arrives
+after its frames were released or received, or that cannot be read is
+dropped and counted as if lost. ``pipeline.finalize`` then cuts each
+due frame above its first missing cell and fills that cell with its
+layer's most probable token when it is a lost coarse cell, and the
+frames are released. A lost or invalid fine cell is not guessed; it
+ends its frame's usable depth. Released frames are never revisited.
 
 Neither end keeps the stream's history. Finalizing reads only the
 frames it releases, so a step reads only its window: its due frames
@@ -41,7 +41,9 @@ through its horizon. Each end holds that window in preallocated rows
 and forgets every frame before it. Every step's geometry relative to
 its window is one memoized ``pipeline.Plan``, built by
 ``pipeline.build_plan`` as the batch layout's is, from the coarse runs
-the step places and the slices it sends. Once step 0's coarse frames
+the step places and the slices it sends, with both ends' halves
+compiled once per plan: the sender's map of the cells it sends and the
+receiver's map of the heads it can place. Once step 0's coarse frames
 have left the window every live step has the same plan, so a stream
 uses a handful of plans: the first steps', the steady one and the
 flushed tail's. The releases are the receiver's output; ``result``
@@ -272,7 +274,7 @@ class StreamSender:
         horizon = base + plan.span - 1
         tokens, = frames.rows(base, horizon + 1)
         n_due = plan.due.stop
-        packets = self._tx.send(tokens, plan.slices, base)
+        packets = self._tx.send(tokens, plan, base)
         if n_due:  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0, horizon + 1 - base)
         return StepEmission(i, tuple(packets), (base, base + n_due), horizon)

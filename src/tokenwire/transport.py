@@ -24,6 +24,11 @@ A packet's bytes, in order:
 
 Every ``Packet`` has exactly one encoding, and ``Packet.from_bytes``
 refuses anything else with ``DecodeError``.
+
+A ``Packet`` is a validated tuple of its fields: it refuses assignment,
+every way of making one checks its fields, and it compares equal to the
+plain tuple of them. Nothing in the library relies on that equality:
+it reads a packet by field.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +79,9 @@ def pack_bits(values, width: int) -> bytes:
     return (acc << pad).to_bytes((n_bits + pad) // 8, "big")
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of pack_bits; trailing pad bits and bytes are ignored."""
+def unpack_bits(data: bytes, width: int, count: int) -> list:
+    """Inverse of pack_bits, as a list of ints; trailing pad bits and
+    bytes are ignored."""
     if not 1 <= width <= 16:
         raise ValueError("width out of range")
     n_bits = count * width
@@ -83,15 +90,11 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     n_bytes = -(-n_bits // 8)
     acc = int.from_bytes(data[:n_bytes], "big") >> (n_bytes * 8 - n_bits)
     mask = (1 << width) - 1
-    return np.array([acc >> s & mask
-                     for s in range(n_bits - width, -1, -width)],
-                    dtype=np.int32)
+    return [acc >> s & mask for s in range(n_bits - width, -1, -width)]
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One slice on the wire: ``group`` 0 is coarse, 1 fine. fec, when
-    present, repeats the previous coarse slice's packed tokens."""
+class _PacketFields(NamedTuple):
+    """A packet's fields, in order, unchecked; ``Packet`` checks them."""
 
     group: int
     first_frame: int
@@ -99,21 +102,37 @@ class Packet:
     payload: bytes
     fec: bytes = b""
 
-    def __post_init__(self):
-        if self.group not in (0, 1):
+
+class Packet(_PacketFields):
+    """One slice on the wire: ``group`` 0 is coarse, 1 fine. fec, when
+    present, repeats the previous coarse slice's packed tokens. A
+    validated tuple: every way of making one, ``_replace`` too, checks
+    its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: int, first_frame: int, n_frames: int,
+                payload: bytes, fec: bytes = b""):
+        if group not in (0, 1):
             raise ValueError("group must be 0 (coarse) or 1 (fine)")
-        if not 0 <= self.first_frame < 1 << 32:
+        if not 0 <= first_frame < 1 << 32:
             raise ValueError("first_frame out of range")
-        if not 0 < self.n_frames < 1 << 16:
+        if not 0 < n_frames < 1 << 16:
             raise ValueError("n_frames out of range")
-        if len(self.payload) >= 1 << 16 or len(self.fec) >= 1 << 16:
+        if len(payload) >= 1 << 16 or len(fec) >= 1 << 16:
             raise ValueError("payload too large for one packet")
+        return tuple.__new__(cls, (group, first_frame, n_frames, payload,
+                                   fec))
+
+    @classmethod
+    def _make(cls, iterable) -> "Packet":
+        return cls(*iterable)
 
     @property
     def flags(self) -> int:
         return (_FLAG_FEC if self.fec else 0) | _FLAG_FINE * self.group
 
-    def _fields(self) -> tuple:
+    def _varints(self) -> tuple:
         """The header's varint fields, in wire order."""
         head = (self.first_frame, self.n_frames)
         return head + (len(self.fec),) if self.fec else head
@@ -123,7 +142,7 @@ class Packet:
         """Bytes on the wire besides the payload and FEC: the version
         byte, the varints and the CRC."""
         n = 1 + _CRC_BYTES
-        for v in self._fields():
+        for v in self._varints():
             n += 1
             while v > 0x7F:
                 n += 1
@@ -136,7 +155,7 @@ class Packet:
 
     def to_bytes(self) -> bytes:
         head = [_VERSION << 4 | self.flags]
-        for v in self._fields():
+        for v in self._varints():
             while v > 0x7F:
                 head.append(v & 0x7F | 0x80)
                 v >>= 7
@@ -287,7 +306,8 @@ class MarkovChannel:
         if (P < 0).any() or not np.all(abs(P.sum(axis=1) - 1.0)
                                        <= 1e-12 + 1e-5):
             raise ValueError("transition rows must be distributions")
-        if (l < 0).any() or (l > 1).any():
+        # written so that a NaN, which fails every comparison, is refused
+        if not ((l >= 0) & (l <= 1)).all():
             raise ValueError("loss_probs must be probabilities")
         # The stationary distribution is unique exactly when the chain has
         # one closed class, that is when some state is reachable from
@@ -342,7 +362,9 @@ class MarkovChannel:
         if n == 0:
             return np.zeros(0, dtype=bool)
         P = np.asarray(self.transition, dtype=np.float64)
-        cum = np.cumsum(P, axis=1)
+        # each row's boundaries but its last: a draw at or past the row's
+        # sum, which may fall short of 1 by the tolerance, is its last state
+        cum = np.cumsum(P, axis=1)[:, :-1]
         l = np.asarray(self.loss_probs, dtype=np.float64)
         s = int(rng.choice(self.n_states, p=self.stationary()))
         u_loss = rng.random(n)

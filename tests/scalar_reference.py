@@ -31,9 +31,15 @@ For the prefix rule: ``reference_finalize``, the three passes that
 prefix again. ``finalize`` must leave the same tokens and states and
 return the same count and depths.
 
+For the sender: ``reference_send``, which gathers, prices and packs each
+slice's cells from the raw (head, cells) slices on every call.
+``tokenwire.pipeline.SliceSender.send``, which reads a send map compiled
+once per plan, must write the same packets and the same report.
+
 For the streaming ends: the sender and receiver that keep the whole
 stream, the sender every frame pushed and the receiver every frame up to
-its last horizon, and build each step's cells afresh.
+its last horizon, and build each step's cells afresh, the sender
+sending them through ``reference_send``.
 The windowed ends in ``tokenwire.streaming`` must emit the same packets
 and make the same releases, counts and result.
 """
@@ -45,15 +51,17 @@ from itertools import accumulate
 import numpy as np
 import scipy.fft
 
-from tokenwire.context import ALPHA, PMF_TOTAL, Targets, uniform_pmf
+from tokenwire.context import (ALPHA, FALLBACKS, PMF_TOTAL, Targets,
+                               uniform_pmf)
 from tokenwire.errors import DecodeError
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             initial_states)
 from tokenwire.pipeline import (SliceSender, coarse_values, decode, finalize,
                                 head_map)
-from tokenwire.rangecoder import CodedSlice
+from tokenwire.rangecoder import CodedSlice, code_ranges, encode_symbols
 from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
                                  stream_step)
+from tokenwire.transport import Packet, pack_bits
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -316,7 +324,7 @@ def reference_decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             v = coarse_values(fec, vocab, span.stop - span.start)
             if v is not None:
                 cells = flat[span][mask]
-                tokens.put(cells, v[mask])
+                tokens.put(cells, np.asarray(v)[mask])
                 states.put(cells, R)
                 repaired += 1
     return n_dropped, repaired
@@ -387,6 +395,61 @@ def _fine_cells(gos: GosConfig, frames: range, level: int):
     return _cells(frames, range(gos.n_coarse, level))
 
 
+def reference_send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
+    """``SliceSender.send`` on the sender ``self``, from the raw
+    slices: it gathers, prices and packs each slice's cells afresh on
+    every call. Packets of the slices of ``tokens`` given as (head, cells)
+    pairs, in their order, each head's first frame and each cell's row
+    counted from frame ``base``. A coarse slice (group 0) is bit-packed
+    and carries the previous coarse payload as repair. Every fine token
+    is priced by its layer's row, all in one ``layer_pmf``, and each fine
+    slice is range-coded on its own."""
+    rep = self.report
+    fine = [cells for head, cells in slices if head[0]]
+    if fine:
+        cells = np.concatenate(fine)
+        layers = cells[:, 1]
+        cum, rows, kinds = self.model.layer_pmf(layers)
+        cum_lo, freq = code_ranges(cum, rows,
+                                   tokens[cells[:, 0], layers])
+        per_layer = rep.per_layer_ideal_bits
+        for k, f in zip(layers.tolist(), freq):
+            b = -math.log2(f / PMF_TOTAL)
+            rep.ideal_fine_bits += b
+            per_layer[k] = per_layer.get(k, 0.0) + b
+        for fb, n in zip(FALLBACKS, np.bincount(kinds).tolist()):
+            if n:
+                rep.fallback_counts[fb] = (rep.fallback_counts.get(fb, 0)
+                                           + n)
+    packets = []
+    a = 0
+    for (group, first, n_frames), cells in slices:
+        if group:
+            b = a + len(cells)
+            payload = encode_symbols(cum_lo[a:b], freq[a:b]).payload
+            fec_field = b""
+            rep.n_fine_packets += 1
+            rep.fine_bits += len(payload) * 8
+            rep.n_fine_tokens += b - a
+            a = b
+        else:
+            payload = pack_bits(tokens[cells[:, 0], cells[:, 1]],
+                                self.width)
+            fec_field = (self._prev_coarse if self.fec
+                         and self._prev_coarse is not None else b"")
+            self._prev_coarse = payload
+            rep.n_coarse_packets += 1
+            rep.coarse_bits += len(payload) * 8
+            rep.fec_bits += len(fec_field) * 8
+            rep.n_coarse_tokens += len(cells)
+        packet = Packet(group, first + base, n_frames, payload,
+                        fec_field)
+        rep.n_packets += 1
+        rep.header_bits += packet.header_bytes * 8
+        packets.append(packet)
+    return packets
+
+
 class ReferenceStreamSender:
     """The full-history stream sender: its buffer keeps every frame pushed."""
 
@@ -454,7 +517,7 @@ class ReferenceStreamSender:
         fine = _fine_cells(gos, due, self.level)
         if fine is not None:
             slices.append(((1, due.start, len(due)), fine))
-        packets = self._tx.send(self._buf, slices)
+        packets = reference_send(self._tx, self._buf, slices)
         if len(due):  # the first due frame waited longest, at least 1
             self.max_latency = max(self.max_latency or 0,
                                    horizon + 1 - due.start)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tokenwire import experiment, pipeline, streaming
+from tokenwire import experiment, pipeline, streaming, transport
 from tokenwire.grid import TokenGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -39,9 +39,11 @@ def test_install_layers_then_uninstall():
 
 def test_hooks_record_the_coding_work():
     """With the tracer active, a batch round trip that loses one coarse
-    packet and one stream step leave non-zero work under every name the
-    benchmark reports on. Only concealment prices through ``pmf``, so the
-    loss is what reaches it."""
+    packet and one stream step, each packet serialized and parsed as on
+    the wire, leave non-zero work under every name the benchmark reports
+    on, so that none of them, ``transport.packet_us`` included, can
+    silently read 0. Only concealment prices through ``pmf``, so the loss
+    is what reaches it."""
     from tokenwire.context import train_count_model
     from tokenwire.grid import GosConfig, StreamConfig, build_slice_grid
 
@@ -52,23 +54,28 @@ def test_hooks_record_the_coding_work():
     gos = GosConfig(6, 2, 1, 3)
     tracing = load_tracing()
     tracer = tracing.Tracer()
+
+    def wire(packets):
+        return [transport.Packet.from_bytes(p.to_bytes()) for p in packets]
+
     try:
         tracing.install_layers(tracer)
         tracer.active = True
         with tracer.span("bench"):
             sg = build_slice_grid(12, gos, 3)
             packets, _ = pipeline.send_tokens(grid, sg, model, fec=False)
-            pipeline.receive_tokens(packets[1:], sg, model)
+            pipeline.receive_tokens(wire(packets[1:]), sg, model)
             cfg = StreamConfig()
             tx = streaming.StreamSender(gos, cfg, model)
             rx = streaming.StreamReceiver(gos, cfg, model)
-            rx.step(tx.push(tokens)[0].packets)
+            rx.step(wire(tx.push(tokens)[0].packets))
     finally:
         tracer.uninstall()
     stats = tracing.summarize(tracer.take())
     for name in ("rangecoder.encode", "rangecoder.decode", "context.pmf",
                  "context.predict", "pipeline.send", "pipeline.receive",
-                 "streaming.receiver.step"):
+                 "streaming.receiver.step", "transport.to_bytes",
+                 "transport.from_bytes"):
         assert name in stats and stats[name].count > 0, name
 
 

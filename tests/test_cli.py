@@ -460,6 +460,9 @@ def _stream(ws, tmp_path, *extra):
     (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", '
                                        '"loss_probs": [null, 1, 2]}'),
      "--channel: loss_probs must be a list of numbers"),
+    (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", '
+                                       '"loss_probs": [NaN, 0.3, 0.95]}'),
+     "--channel: loss_probs must be probabilities"),
     (lambda ws, tmp: _channel(ws, tmp, '{"type": "markov", "transition": '
                                        '[[1, 0], [0, 1]], '
                                        '"loss_probs": [0.1, 0.2]}'),
@@ -492,7 +495,8 @@ def _stream(ws, tmp_path, *extra):
                    "model_sha256"),
     (_report_unknown_schema, "bad.csv: unrecognized CSV schema"),
 ], ids=["channel-type", "loss-prob", "no-loss-prob", "null-loss-prob",
-        "scalar-transition", "null-loss-probs", "two-closed-classes",
+        "scalar-transition", "null-loss-probs", "nan-loss-probs",
+        "two-closed-classes",
         "not-an-object", "trace-length", "trace-characters", "stream-loss",
         "encode-level", "encode-bad-wav", "stream-bad-wav",
         "encode-empty-f32", "stream-empty-wav",

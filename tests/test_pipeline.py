@@ -1,5 +1,7 @@
 """Batch send/receive: round trips, repair, concealment plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,12 @@ from tokenwire.grid import (
     build_slice_grid,
     initial_states,
 )
-from tokenwire.pipeline import (_layout, decode, receive, receive_tokens,
-                                send, send_tokens)
-from tokenwire.streaming import StreamSender, _Steps
+from tokenwire.pipeline import (SliceSender, _layout, decode, receive,
+                                receive_tokens, send, send_tokens)
+from tokenwire.streaming import StreamSender, _Steps, stream_step
 from tokenwire.transport import Packet, pack_bits
 from conftest import counted_model, flip, random_grid, slice_of
-from scalar_reference import reference_decode
+from scalar_reference import reference_decode, reference_send
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -320,6 +322,70 @@ def test_unusable_packets_are_dropped_like_losses(data):
     assert np.isin(encoded, [R, L, I, C]).all()
     assert sum(rep.state_counts.values()) == encoded.size
     assert rep.n_packets_seen == len(damaged)
+
+
+def report_fields(rep) -> dict:
+    """Every field of a ``SenderReport``, each float as its ``repr``, so
+    that two reports compare equal only when their sums agree to the
+    last bit."""
+    fields = dataclasses.asdict(rep)
+    fields["ideal_fine_bits"] = repr(rep.ideal_fine_bits)
+    fields["per_layer_ideal_bits"] = {
+        k: repr(v) for k, v in rep.per_layer_ideal_bits.items()}
+    return fields
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_send_matches_the_reference_send(data):
+    """Whatever the plans, a clip or two of a batch layout, or a stream's
+    live steps 0-5 with or without its flushed tail, with FEC on or off
+    and any vocabulary from 2 to 1024: ``SliceSender.send`` through each
+    plan's send map writes the bytes the reference send writes from the
+    raw slices, and keeps the same report, floats to the last bit."""
+    gos = data.draw(st.sampled_from([GOS, GosConfig(4, 2, 2, 5),
+                                     GosConfig(5, 1, 1, 4)]), label="gos")
+    vocab = data.draw(st.one_of(st.sampled_from([2, 3, 1000, 1024]),
+                                st.integers(2, 1024)), label="vocab")
+    level = data.draw(st.integers(gos.n_coarse, gos.n_layers), label="level")
+    fec = data.draw(st.booleans(), label="fec")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # layers from the trained depth up stay unobserved, priced uniform
+    trained = data.draw(st.integers(1, gos.n_layers), label="trained")
+    model = train_count_model(
+        [random_grid(rng, 24, gos.n_layers, vocab, trained)], vocab,
+        gos.n_layers)
+    if data.draw(st.booleans(), label="stream"):
+        cfg = StreamConfig(data.draw(st.integers(1, 4), label="stride"),
+                           data.draw(st.integers(0, 3), label="lookahead"))
+        # the stream's length leaves exactly ``n_live`` steps live; a
+        # frame makes step 0 live at stride 1 and lookahead 0
+        n_live = data.draw(st.integers(int(stream_step(0, cfg)[1] < 1), 6),
+                           label="live steps")
+        total = data.draw(st.integers(
+            stream_step(n_live - 1, cfg)[1] + 1 if n_live else 1,
+            stream_step(n_live, cfg)[1]), label="total")
+        flushed = not n_live or data.draw(st.booleans(), label="flushed")
+        stream = rng.integers(0, vocab, size=(total, gos.n_layers))
+        steps = _Steps(gos, cfg, level)
+        plans = [steps(i, None) for i in range(n_live)]
+        if flushed:
+            plans += [steps(i, total) for i in range(
+                n_live, -(-total // cfg.stride))]
+        calls = [(stream[base:base + plan.span].astype(np.int32), plan, base)
+                 for base, plan in plans]
+    else:
+        n_frames = data.draw(st.integers(1, 20), label="n_frames")
+        plan = _layout(build_slice_grid(n_frames, gos, level))
+        calls = [(random_grid(rng, n_frames, gos.n_layers, vocab,
+                              level).tokens, plan, 0)
+                 for _ in range(data.draw(st.integers(1, 2), label="clips"))]
+    tx, ref = SliceSender(model, fec), SliceSender(model, fec)
+    for tokens, plan, base in calls:
+        got = tx.send(tokens, plan, base)
+        want = reference_send(ref, tokens, plan.slices, base)
+        assert [p.to_bytes() for p in got] == [p.to_bytes() for p in want]
+    assert report_fields(tx.report) == report_fields(ref.report)
 
 
 @given(st.data())
