@@ -13,12 +13,14 @@ slice from the first of its copies that reads, a fine one through the
 model's table compiled for the range decoder, writing only cells not
 yet received, and a repair copy is one more copy of its predecessor:
 only the filling copy's is read, and only where the predecessor did not
-arrive. ``finalize`` applies the prefix rule in one pass over each
-frame: a frame is usable up to its first cell not RECEIVED, every cell
-above that one is cut, and that cell takes its layer's most probable
-token when it is a lost coarse cell; a lost or invalid fine cell is
-never guessed. A packet the receiver cannot place or read, or that
-fills nothing, is dropped and counted, as if lost. No slice is coded
+arrive. ``finalize`` applies the prefix rule in one scan of the frames'
+state bytes, one byte a cell and RECEIVED the zero byte: a frame is
+usable up to its first cell not RECEIVED, the end of its run of leading
+zero bytes, every cell above that one is cut, and that cell takes its
+layer's most probable token when it is a lost coarse cell; a lost or
+invalid fine cell is never guessed. Only the frames it changes are
+written back, in one write. A packet the receiver cannot place or read,
+or that fills nothing, is dropped and counted, as if lost. No slice is coded
 against another cell, and no concealed cell reads another, so neither
 waits on anything: each end prices all the fine slices it handles at
 once, and finalizes all the frames it releases in one call. The encode
@@ -66,6 +68,8 @@ _R = int(TokenState.RECEIVED)
 _L = int(TokenState.LOST)
 _I = int(TokenState.INVALID)
 _C = int(TokenState.CONCEALED)
+# one cell's state byte, as ``finalize`` reads and writes it
+_I_BYTE, _C_BYTE = bytes([_I]), bytes([_C])
 # the report's name of each state, by its code
 _STATE_NAMES = tuple(state.name.lower() for state in TokenState)
 
@@ -343,9 +347,9 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
 
 def finalize(model, tokens: np.ndarray, states: np.ndarray, frames: range,
              n_coarse: int) -> tuple:
-    """Apply the prefix rule to ``frames``, in place, reading each frame
-    once; returns (how many cells were concealed, each frame's usable
-    depth).
+    """Apply the prefix rule to ``frames``, in place, in one scan of their
+    state bytes; returns (how many cells were concealed, each frame's
+    usable depth).
 
     Later layers refine the residual left by earlier ones, so a frame is
     usable up to its first cell not RECEIVED, and every cell above that
@@ -357,22 +361,53 @@ def finalize(model, tokens: np.ndarray, states: np.ndarray, frames: range,
     CONCEALED, now or on arrival. The receiver's states start INVALID
     from the encode level up, so no depth passes the level. A frame's
     result reads nothing but its own states, so finalizing frames in one
-    call or in any run of consecutive chunks gives the same cells."""
-    rows = states[frames.start:frames.stop]
-    n_layers = rows.shape[1]
-    depth = np.logical_and.accumulate(rows == _R, axis=1).sum(axis=1)
-    rows[np.arange(n_layers) > depth[:, None]] = _I
-    # a frame received in full has no failing cell; its last cell stands in
-    first = rows[np.arange(len(rows)), np.minimum(depth, n_layers - 1)]
-    lost = (first == _L) & (depth < n_coarse)
-    t = np.flatnonzero(lost)
-    if len(t):
-        k = depth[t]
-        tokens[t + frames.start, k] = model.predict(
-            Targets(np.stack([t + frames.start, k], axis=1)))
-        rows[t, k] = _C
-    usable = depth + (lost | (first == _C))
-    return len(t), usable.astype(np.int16)
+    call or in any run of consecutive chunks gives the same cells.
+
+    ``states`` must be int8, one byte per cell. RECEIVED is 0, so a
+    frame's received prefix is its run of leading zero bytes, and one
+    Python pass over the frames' bytes, ``states[frames].tobytes()`` cut
+    into one bytes object a frame, finds each frame's depth and first
+    failing cell. Frames with the same bytes share one reading, so a
+    clip of mostly whole frames reads few. Only a frame that conceals a
+    cell or holds a cell not INVALID above its first failing one is
+    written back, all such frames in one write. A batch clip and a
+    stream step take this one path: at a step's few frames the pass
+    costs less than the per-call overhead of the dozen or so numpy
+    calls that a vectorized rule makes."""
+    if states.dtype != np.int8:
+        raise TypeError(f"finalize reads one byte per state: states must "
+                        f"be int8, not {states.dtype}")
+    start = frames.start
+    block = states[start:frames.stop]
+    n = block.shape[1]
+    # each frame's state bytes, one bytes object a frame
+    rows = np.frombuffer(block.tobytes(), dtype=f"V{n}").tolist()
+    invalid = _I_BYTE * n
+    depth, fixed, lost = {}, {}, {}
+    for row in set(rows):  # frames with the same states share a result
+        rest = row.lstrip(b"\0")
+        d = n - len(rest)
+        # the first failing cell on, bar the INVALID cells at its top
+        tail = rest.rstrip(_I_BYTE)
+        if not tail:  # received in full, or INVALID from the first failure
+            depth[row] = d
+        elif tail[0] == _L and d < n_coarse:
+            lost[row], depth[row] = d, d + 1
+            fixed[row] = row[:d] + _C_BYTE + invalid[d + 1:]
+        else:
+            depth[row] = d + (tail[0] == _C)
+            if len(tail) > 1:  # a cell not INVALID above the failure
+                fixed[row] = row[:d + 1] + invalid[d + 1:]
+    cells = []
+    if fixed:
+        moved = [t for t, row in enumerate(rows) if row in fixed]
+        new = b"".join([fixed[rows[t]] for t in moved])
+        block[moved] = np.frombuffer(new, dtype=np.int8).reshape(-1, n)
+        cells = [(start + t, lost[rows[t]]) for t in moved if rows[t] in lost]
+    if cells:
+        cells = np.array(cells, dtype=np.int64)
+        tokens[cells[:, 0], cells[:, 1]] = model.predict(Targets(cells))
+    return len(cells), np.array([depth[row] for row in rows], dtype=np.int16)
 
 
 class SendMap(NamedTuple):

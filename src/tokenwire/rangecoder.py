@@ -38,7 +38,6 @@ little more per symbol, at 2**16 entries a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,9 +50,9 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class CodedSlice:
-    """Entropy-coded payload plus the symbol count needed to decode it."""
+class CodedSlice(NamedTuple):
+    """Entropy-coded payload plus the symbol count needed to decode it, as
+    a tuple: the decoder builds one for every fine copy it reads."""
 
     payload: bytes
     n_symbols: int

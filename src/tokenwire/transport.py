@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,6 +94,12 @@ def unpack_bits(data: bytes, width: int, count: int) -> list:
     return [acc >> s & mask for s in range(n_bits - width, -1, -width)]
 
 
+def _varint_bytes(v: int) -> int:
+    """Bytes of ``v`` as an unsigned LEB128 varint: seven bits a byte, and
+    one byte for 0."""
+    return (v.bit_length() + 6) // 7 or 1
+
+
 class _PacketFields(NamedTuple):
     """A packet's fields, in order, unchecked; ``Packet`` checks them."""
 
@@ -130,37 +137,30 @@ class Packet(_PacketFields):
 
     @property
     def flags(self) -> int:
+        """The header's flag nibble; ``to_bytes`` writes the same bits."""
         return (_FLAG_FEC if self.fec else 0) | _FLAG_FINE * self.group
-
-    def _varints(self) -> tuple:
-        """The header's varint fields, in wire order."""
-        head = (self.first_frame, self.n_frames)
-        return head + (len(self.fec),) if self.fec else head
 
     @property
     def header_bytes(self) -> int:
         """Bytes on the wire besides the payload and FEC: the version
         byte, the varints and the CRC."""
-        n = 1 + _CRC_BYTES
-        for v in self._varints():
-            n += 1
-            while v > 0x7F:
-                n += 1
-                v >>= 7
-        return n
+        _, first, n_frames, _, fec = self
+        n = 1 + _CRC_BYTES + _varint_bytes(first) + _varint_bytes(n_frames)
+        return n + _varint_bytes(len(fec)) if fec else n
 
     @property
     def wire_bytes(self) -> int:
         return self.header_bytes + len(self.payload) + len(self.fec)
 
     def to_bytes(self) -> bytes:
-        head = [_VERSION << 4 | self.flags]
-        for v in self._varints():
+        group, first, n_frames, payload, fec = self
+        head = [_VERSION << 4 | (_FLAG_FEC if fec else 0) | _FLAG_FINE * group]
+        for v in (first, n_frames, len(fec)) if fec else (first, n_frames):
             while v > 0x7F:
                 head.append(v & 0x7F | 0x80)
                 v >>= 7
             head.append(v)
-        body = bytes(head) + self.payload + self.fec
+        body = bytes(head) + payload + fec
         return body + zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
 
     @classmethod
@@ -363,17 +363,18 @@ class MarkovChannel:
             return np.zeros(0, dtype=bool)
         P = np.asarray(self.transition, dtype=np.float64)
         # each row's boundaries but its last: a draw at or past the row's
-        # sum, which may fall short of 1 by the tolerance, is its last state
-        cum = np.cumsum(P, axis=1)[:, :-1]
-        l = np.asarray(self.loss_probs, dtype=np.float64)
+        # sum, which may fall short of 1 by the tolerance, is its last
+        # state; the chain is walked on Python floats, one bisect a packet
+        cum = np.cumsum(P, axis=1)[:, :-1].tolist()
+        l = np.asarray(self.loss_probs, dtype=np.float64).tolist()
         s = int(rng.choice(self.n_states, p=self.stationary()))
-        u_loss = rng.random(n)
-        u_step = rng.random(n)
-        delivered = np.empty(n, dtype=bool)
-        for i in range(n):
-            delivered[i] = u_loss[i] >= l[s]
-            s = int(np.searchsorted(cum[s], u_step[i], side="right"))
-        return delivered
+        u_loss = rng.random(n).tolist()
+        u_step = rng.random(n).tolist()
+        delivered = []
+        for u, v in zip(u_loss, u_step):
+            delivered.append(u >= l[s])
+            s = bisect_right(cum[s], v)
+        return np.array(delivered, dtype=bool)
 
 
 def _numbers(spec: dict, name: str, default, depth: int):

@@ -14,6 +14,11 @@ For bit packing: the numpy ``pack_bits`` and ``unpack_bits`` that spread
 each value into a bit array; the integer packers in ``tokenwire.transport``
 must give the same bytes and values and refuse the same input.
 
+For the burst channel: ``reference_markov_sample``, the chain walked on
+numpy floats, one ``searchsorted`` a packet.
+``tokenwire.transport.MarkovChannel.sample``, which walks it on Python
+floats, must draw the same mask from the same generator.
+
 For the range coder: the byte-at-a-time coder with a 32-bit ``low``, a
 cache byte and a count of held-back 0xFF bytes that a carry may still
 reach, and the decoder that bisects each row as a Python list. The
@@ -353,6 +358,27 @@ def reference_unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     bits = bits[: count * width].reshape(count, width).astype(np.uint32)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
     return (bits << shifts).sum(axis=1).astype(np.int32)
+
+
+def reference_markov_sample(channel, n: int, rng) -> np.ndarray:
+    """``MarkovChannel.sample`` on numpy floats: the boolean delivery
+    mask of length n, starting from stationarity, each packet's next
+    state found by one ``searchsorted`` of its row's boundaries but its
+    last, so that a draw past a row that sums short of 1 is its last
+    state."""
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    P = np.asarray(channel.transition, dtype=np.float64)
+    cum = np.cumsum(P, axis=1)[:, :-1]
+    l = np.asarray(channel.loss_probs, dtype=np.float64)
+    s = int(rng.choice(channel.n_states, p=channel.stationary()))
+    u_loss = rng.random(n)
+    u_step = rng.random(n)
+    delivered = np.empty(n, dtype=bool)
+    for i in range(n):
+        delivered[i] = u_loss[i] >= l[s]
+        s = int(np.searchsorted(cum[s], u_step[i], side="right"))
+    return delivered
 
 
 def prefix_depth(ok: np.ndarray) -> np.ndarray:

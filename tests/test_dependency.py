@@ -2,6 +2,7 @@
 rule with concealment (``pipeline.finalize``)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -424,14 +425,17 @@ def random_model(rng, vocab, n_layers):
                       rng.integers(0, 4, size=(n_layers, vocab)))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 6),
+@given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 12),
        st.data())
 @settings(max_examples=200, deadline=None)
 def test_finalize_matches_the_three_pass_reference(seed, n_frames, n_layers,
                                                    data):
     """Over any states, INVALID from the level up, any frame range and
     any model, the one pass gives the tokens, states, count and usable
-    depths of the three passes it fuses."""
+    depths of the three passes it fuses. The states may be mostly
+    received, so that whole frames and failures at the last layer are
+    common, and may be a column slice of a wider array, whose rows are
+    not contiguous; the columns around it are left as they were."""
     level = data.draw(st.integers(1, n_layers), label="level")
     n_coarse = data.draw(st.integers(1, level), label="n_coarse")
     start = data.draw(st.integers(0, n_frames), label="start")
@@ -444,19 +448,44 @@ def test_finalize_matches_the_three_pass_reference(seed, n_frames, n_layers,
              else CountModel(vocab, n_layers))
     p = data.draw(st.sampled_from([[0.6, 0.25, 0.1, 0.05],
                                    [0.9, 0.05, 0.03, 0.02],
+                                   [0.97, 0.01, 0.01, 0.01],
                                    [0.25, 0.25, 0.25, 0.25]]), label="p")
     tokens = rng.integers(0, vocab, size=(n_frames, n_layers)).astype(np.int32)
     states = random_states(rng, n_frames, n_layers, level, p)
+    left, right = data.draw(st.sampled_from([(0, 0), (0, 3), (2, 1)]),
+                            label="columns around")
+    wide = rng.integers(-8, 8, size=(n_frames, left + n_layers + right),
+                        dtype=np.int8)
+    around = wide.copy()
+    wide[:, left:left + n_layers] = states
 
     want = tokens.copy(), states.copy()
     n_want, depth_want = reference_finalize(model, *want, frames, n_coarse)
-    got = tokens.copy(), states.copy()
+    got = tokens.copy(), wide[:, left:left + n_layers]
     n_got, depth_got = finalize(model, *got, frames, n_coarse)
     assert n_got == n_want
     assert depth_got.dtype == depth_want.dtype == np.int16
     np.testing.assert_array_equal(depth_got, depth_want)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(wide[:, :left], around[:, :left])
+    np.testing.assert_array_equal(wide[:, left + n_layers:],
+                                  around[:, left + n_layers:])
+
+
+def test_finalize_refuses_states_that_are_not_int8():
+    """``finalize`` reads one byte per state, so it refuses wider states
+    with ``TypeError`` and leaves them and the tokens as they were."""
+    model = moded_model(4)
+    for dtype in (np.int16, np.int32, np.int64, np.uint8):
+        tokens = np.zeros((3, 4), dtype=np.int32)
+        states = np.array([[R, L, R, R], [R, R, R, R], [L, R, C, R]],
+                          dtype=dtype)
+        before = states.copy()
+        with pytest.raises(TypeError, match="int8"):
+            finalize(model, tokens, states, range(3), 1)
+        np.testing.assert_array_equal(states, before)
+        assert not tokens.any()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),

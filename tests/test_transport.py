@@ -5,10 +5,11 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import reference_pack_bits, reference_unpack_bits
+from scalar_reference import (reference_markov_sample, reference_pack_bits,
+                              reference_unpack_bits)
 from tokenwire.errors import DecodeError
 from tokenwire.transport import (
     BernoulliChannel,
@@ -455,6 +456,68 @@ def test_markov_rows_that_sum_short_of_one_sample_their_last_state():
         assert len(got) == 20000
         np.testing.assert_array_equal(
             got, full.sample(20000, np.random.default_rng(seed)))
+
+
+@st.composite
+def markov_chains(draw):
+    """A valid ``MarkovChannel`` of 1-4 states: rows of small integer
+    weights, normalized, some then scaled short of 1 within the row
+    tolerance, and any loss probabilities, 0 and 1 among them."""
+    n = draw(st.integers(1, 4), label="n_states")
+    rows = []
+    for _ in range(n):
+        w = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)
+                 .filter(any), label="weights")
+        short = draw(st.sampled_from([1.0, 1 - 5e-6, 1 - 1e-5]),
+                     label="row sum")
+        rows.append(tuple(x / sum(w) * short for x in w))
+    loss = st.one_of(st.sampled_from([0.0, 1.0]),
+                     st.floats(0, 1, allow_nan=False))
+    probs = tuple(draw(loss, label="loss") for _ in range(n))
+    try:
+        return MarkovChannel(tuple(rows), probs)
+    except ValueError:  # more than one closed class
+        assume(False)
+
+
+class TiedDraws:
+    """A generator that draws as ``np.random.default_rng(seed)`` does, but
+    sets some of the uniform draws to the chain's own row boundaries,
+    ties that a real generator almost never draws, and to values just
+    short of 1, past a row that sums short of 1."""
+
+    def __init__(self, seed: int, channel: MarkovChannel):
+        self.rng = np.random.default_rng(seed)
+        cum = np.cumsum(np.asarray(channel.transition), axis=1)
+        self.special = np.concatenate([cum.ravel(), [1 - 1e-6, 1 - 1e-12]])
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+    def random(self, n: int) -> np.ndarray:
+        u = self.rng.random(n)
+        tied = self.rng.random(n) < 0.3
+        u[tied] = self.rng.choice(self.special, int(tied.sum()))
+        return u
+
+
+@given(markov_chains(), st.integers(0, 200), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_markov_sample_matches_the_reference(channel, n, seed):
+    """Over valid chains, rows that sum short of 1 included, and any
+    length, the walk on Python floats draws the mask that one
+    ``searchsorted`` a packet draws, from the same generator, and leaves
+    the generator where the reference leaves it. The same holds where
+    draws fall on the row boundaries and past a row's sum."""
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = channel.sample(n, got_rng)
+    want = reference_markov_sample(channel, n, want_rng)
+    assert got.dtype == want.dtype == bool
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+    np.testing.assert_array_equal(
+        channel.sample(n, TiedDraws(seed, channel)),
+        reference_markov_sample(channel, n, TiedDraws(seed, channel)))
 
 
 def test_markov_sample_loss_rate():
