@@ -132,11 +132,13 @@ def _read_manifest(path) -> dict:
 
 def _read_frames(path, frame_len: int):
     """The audio at ``path``, refused unless it holds whole frames, at
-    least one."""
+    least one, of finite samples."""
     signal = _artifact(read_audio, path)
     n = signal.samples.size
     if not n:
         raise ConfigError(str(path), "holds no samples")
+    if not np.all(np.isfinite(signal.samples)):
+        raise ConfigError(str(path), "holds NaN or infinite samples")
     if n % frame_len:
         raise ConfigError(str(path), f"{n} samples are not a multiple of "
                           f"frame_len {frame_len}; pad or trim first")

@@ -250,10 +250,15 @@ def train_context(cfg: ExperimentConfig, codec: RvqCodec) -> CountModel:
     """Count model fitted to held-out clips, ``train_clips`` clips of
     their own seed tag, as ``codec`` quantizes them. The codec overfits
     its own training clips, whose token statistics differ from those of
-    audio it never saw."""
-    grids = [quantize(f, codec, codec.n_layers)
-             for f in training_corpus(cfg, "ctx-clip")]
-    return train_count_model(grids, codec.vocab, codec.n_layers)
+    audio it never saw.
+
+    The clips are quantized in one call on their concatenated features:
+    quantization picks each row's tokens from that row alone, so the
+    grid is the clips' grids stacked, and the counts are their sum.
+    """
+    feats = np.concatenate(training_corpus(cfg, "ctx-clip"))
+    grid = quantize(feats, codec, codec.n_layers)
+    return train_count_model([grid], codec.vocab, codec.n_layers)
 
 
 def gos_config(cfg: ExperimentConfig) -> GosConfig:

@@ -22,8 +22,12 @@ from .grid import TokenGrid
 class Codebook:
     """One quantizer layer: ``entries`` is (vocab, dim), entry 0 all-zero.
 
-    The codebook keeps its own read-only copy of the entries and their
-    squared norms ``norms``, computed once, so the two cannot drift.
+    The codebook keeps its own read-only copy of the entries, their
+    squared norms ``norms`` and the doubled entries ``doubled`` that
+    ``_assign`` multiplies by, each computed once, so they cannot drift.
+    Doubling a float is exact short of overflow, so ``doubled`` is
+    ``2 * entries`` to the bit. Non-finite entries are refused: they
+    would quantize every frame to garbage.
     """
 
     entries: np.ndarray
@@ -33,11 +37,15 @@ class Codebook:
         self.entries = np.array(self.entries, dtype=np.float64, order="C")
         if self.entries.ndim != 2 or self.entries.shape[0] < 2:
             raise ValueError("codebook needs at least two entries")
+        if not np.all(np.isfinite(self.entries)):
+            raise ValueError("codebook entries must be finite")
         if np.any(self.entries[0] != 0.0):
             raise ValueError("entry 0 must be the zero vector")
         self.entries.flags.writeable = False
         self.norms = _norms(self.entries)
+        self.doubled = self.entries + self.entries
         self.norms.flags.writeable = False
+        self.doubled.flags.writeable = False
 
     @property
     def vocab(self) -> int:
@@ -82,16 +90,28 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def _assign(vectors: np.ndarray, entries: np.ndarray,
-            norms: np.ndarray | None = None) -> np.ndarray:
+            norms: np.ndarray | None = None, *,
+            doubled: np.ndarray | None = None,
+            vector_norms: np.ndarray | None = None) -> np.ndarray:
     """Nearest entry per vector in squared L2; ties go to the lowest index.
-    ``norms`` are the entries' squared norms, computed here when None."""
+
+    ``norms`` are the entries' squared norms, ``doubled`` is
+    ``2 * entries`` and ``vector_norms`` the vectors' squared norms; each
+    is computed here when None. The distance is
+    ``|v|^2 - v . (2e) + |e|^2``, evaluated left to right and in place.
+    It equals ``|v|^2 - (2v) . e + |e|^2`` to the bit: doubling is exact,
+    so every product ``v * 2e`` is the float ``2v * e`` is, and the
+    matmul, of the same shape, sums them in the same order.
+    """
     if norms is None:
         norms = _norms(entries)
-    d2 = (
-        _norms(vectors)[:, None]
-        - 2.0 * vectors @ entries.T
-        + norms[None, :]
-    )
+    if doubled is None:
+        doubled = entries + entries
+    if vector_norms is None:
+        vector_norms = _norms(vectors)
+    d2 = vectors @ doubled.T
+    np.subtract(vector_norms[:, None], d2, out=d2)
+    d2 += norms
     return np.argmin(d2, axis=1)
 
 
@@ -111,7 +131,7 @@ def quantize(features: np.ndarray, codec: RvqCodec, level: int) -> TokenGrid:
     tokens = np.zeros((n, codec.n_layers), dtype=np.int32)
     residual = features.copy()
     for k, cb in enumerate(codec.codebooks[:level]):
-        z = _assign(residual, cb.entries, cb.norms)
+        z = _assign(residual, cb.entries, cb.norms, doubled=cb.doubled)
         tokens[:, k] = z
         residual -= cb.entries[z]
     return TokenGrid(tokens, np.full(n, level, dtype=np.int16), codec.vocab)
@@ -151,6 +171,13 @@ def train_codebooks(corpus: np.ndarray, n_layers: int, vocab: int,
     refined by full-batch EMA k-means. Entries that attract nothing for a
     whole epoch are reseeded from the residual with the largest current
     quantization error.
+
+    The residual does not change within a layer, so its squared row norms
+    are taken once per layer. Each epoch's per-entry sums are one
+    ``bincount`` over the flat (entry, coordinate) bins: every bin starts
+    at +0.0 and adds its rows' values in row order, the order in which
+    ``np.add.at(sums, z, residual)`` adds them, so the sums are the same
+    floats. (A sorted ``reduceat`` adds in another order and is not.)
     """
     corpus = np.asarray(corpus, dtype=np.float64)
     if corpus.ndim != 2:
@@ -167,6 +194,7 @@ def train_codebooks(corpus: np.ndarray, n_layers: int, vocab: int,
 
     rng = np.random.default_rng(seed)
     residual = corpus.copy()
+    columns = np.arange(dim)
     books = []
     for layer in range(n_layers):
         entries = np.zeros((vocab, dim))
@@ -174,11 +202,14 @@ def train_codebooks(corpus: np.ndarray, n_layers: int, vocab: int,
         entries[1:] = residual[seed_idx]
         ema_size = np.ones(vocab)
         ema_sum = entries.copy()
+        row_norms = _norms(residual)
+        flat_residual = residual.ravel()
         for _ in range(epochs):
-            z = _assign(residual, entries)
+            z = _assign(residual, entries, vector_norms=row_norms)
             counts = np.bincount(z, minlength=vocab).astype(np.float64)
-            sums = np.zeros((vocab, dim))
-            np.add.at(sums, z, residual)
+            bins = (z[:, None] * dim + columns).ravel()
+            sums = np.bincount(bins, weights=flat_residual,
+                               minlength=vocab * dim).reshape(vocab, dim)
             ema_size = decay * ema_size + (1.0 - decay) * counts
             ema_sum = decay * ema_sum + (1.0 - decay) * sums
             entries[1:] = ema_sum[1:] / ema_size[1:, None]
@@ -190,7 +221,7 @@ def train_codebooks(corpus: np.ndarray, n_layers: int, vocab: int,
                 ema_size[unused] = 1.0
                 ema_sum[unused] = entries[unused]
         books.append(Codebook(entries, layer))
-        z = _assign(residual, entries)
+        z = _assign(residual, entries, vector_norms=row_norms)
         residual = residual - entries[z]
     return RvqCodec(books, n_coarse)
 

@@ -41,6 +41,14 @@ slice's cells from the raw (head, cells) slices on every call.
 ``tokenwire.pipeline.SliceSender.send``, which reads a send map compiled
 once per plan, must write the same packets and the same report.
 
+For the codec trainer: ``reference_assign``, which doubles the vectors
+and evaluates ``|v|^2 - 2v . e + |e|^2`` as one expression, and
+``reference_train_codebooks``, which scatters each epoch's per-entry sums
+with ``np.add.at`` and takes the residual's norms on every assignment.
+``tokenwire.rvq.train_codebooks`` must fit the same entries, byte for
+byte, and ``tokenwire.rvq.quantize`` pick the tokens that
+``reference_assign`` picks.
+
 For the streaming ends: the sender and receiver that keep the whole
 stream, the sender every frame pushed and the receiver every frame up to
 its last horizon, and build each step's cells afresh, the sender
@@ -64,6 +72,7 @@ from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
 from tokenwire.pipeline import (SliceSender, coarse_values, decode, finalize,
                                 head_map)
 from tokenwire.rangecoder import CodedSlice, code_ranges, encode_symbols
+from tokenwire.rvq import Codebook, RvqCodec
 from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
                                  stream_step)
 from tokenwire.transport import Packet, pack_bits
@@ -649,3 +658,49 @@ class ReferenceStreamReceiver:
         depth = prefix_depth((states == R) | (states == C)).astype(np.int16)
         return TokenGrid(self._tokens.copy(), depth,
                          self.vocab), states.copy()
+
+
+def reference_assign(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Nearest entry per vector in squared L2, lowest index on ties."""
+    d2 = (
+        np.sum(vectors * vectors, axis=1)[:, None]
+        - 2.0 * vectors @ entries.T
+        + np.sum(entries * entries, axis=1)[None, :]
+    )
+    return np.argmin(d2, axis=1)
+
+
+def reference_train_codebooks(corpus, n_layers: int, vocab: int,
+                              n_coarse: int, epochs: int, seed: int = 0,
+                              decay: float = 0.99) -> RvqCodec:
+    """EMA k-means, one codebook per layer, summing by ``np.add.at``."""
+    corpus = np.asarray(corpus, dtype=np.float64)
+    n, dim = corpus.shape
+    rng = np.random.default_rng(seed)
+    residual = corpus.copy()
+    books = []
+    for layer in range(n_layers):
+        entries = np.zeros((vocab, dim))
+        seed_idx = rng.choice(n, size=vocab - 1, replace=False)
+        entries[1:] = residual[seed_idx]
+        ema_size = np.ones(vocab)
+        ema_sum = entries.copy()
+        for _ in range(epochs):
+            z = reference_assign(residual, entries)
+            counts = np.bincount(z, minlength=vocab).astype(np.float64)
+            sums = np.zeros((vocab, dim))
+            np.add.at(sums, z, residual)
+            ema_size = decay * ema_size + (1.0 - decay) * counts
+            ema_sum = decay * ema_sum + (1.0 - decay) * sums
+            entries[1:] = ema_sum[1:] / ema_size[1:, None]
+            unused = np.flatnonzero(counts[1:] == 0) + 1
+            if len(unused):
+                err = np.sum((residual - entries[z]) ** 2, axis=1)
+                worst = np.argsort(-err)[: len(unused)]
+                entries[unused] = residual[worst]
+                ema_size[unused] = 1.0
+                ema_sum[unused] = entries[unused]
+        books.append(Codebook(entries, layer))
+        z = reference_assign(residual, entries)
+        residual = residual - entries[z]
+    return RvqCodec(books, n_coarse)

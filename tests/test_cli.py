@@ -432,6 +432,23 @@ def _empty_audio(tmp, name):
     return str(tmp / name)
 
 
+def _non_finite_audio(tmp, name, bad):
+    """A clip of the right length with one sample ``bad`` (NaN or inf)."""
+    samples = np.zeros(4 * 160, np.float32)
+    samples[7] = bad
+    write_audio(tmp / name, AudioSignal(samples, 16000))
+    return str(tmp / name)
+
+
+def _nan_codec(ws, tmp_path):
+    """An encode with the workspace codec file, one float of its last
+    layer overwritten with NaN."""
+    raw = bytearray((ws["codec"]).read_bytes())
+    raw[-4:] = np.array([np.nan], "<f4").tobytes()
+    (tmp_path / "nan.rvq").write_bytes(bytes(raw))
+    return _swap(_encode(ws, tmp_path), "--codec", str(tmp_path / "nan.rvq"))
+
+
 def _report_unknown_schema(ws, tmp_path):
     (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
     return ["report", "--csv", str(tmp_path / "bad.csv")]
@@ -487,6 +504,13 @@ def _stream(ws, tmp_path, *extra):
     (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio",
                            _empty_audio(tmp, "empty.wav")),
      "empty.wav: holds no samples"),
+    (lambda ws, tmp: _swap(_encode(ws, tmp), "--audio",
+                           _non_finite_audio(tmp, "nan.f32", np.nan)),
+     "nan.f32: holds NaN or infinite samples"),
+    (lambda ws, tmp: _swap(_stream(ws, tmp), "--audio",
+                           _non_finite_audio(tmp, "inf.f32", np.inf)),
+     "inf.f32: holds NaN or infinite samples"),
+    (_nan_codec, "nan.rvq: codebook entries must be finite"),
     (_cut_packets, "packets.bin: truncated packet record"),
     (_version_6_packets, "packets.bin: unsupported packet version 6"),
     (_other_codec, "codec2.rvq: digest differs from the manifest's "
@@ -499,7 +523,8 @@ def _stream(ws, tmp_path, *extra):
         "two-closed-classes",
         "not-an-object", "trace-length", "trace-characters", "stream-loss",
         "encode-level", "encode-bad-wav", "stream-bad-wav",
-        "encode-empty-f32", "stream-empty-wav",
+        "encode-empty-f32", "stream-empty-wav", "encode-nan-f32",
+        "stream-inf-f32", "encode-nan-codec",
         "decode-cut-packets", "decode-version-6-packets",
         "decode-other-codec", "decode-other-model", "report-unknown-schema"])
 def test_bad_input_is_an_error(ws, tmp_path, capsys, argv, message):

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from tokenwire import __version__
+from tokenwire.context import save_count_model
 from tokenwire.errors import ConfigError
 from tokenwire.experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
                                   _seed_of, config_from_dict, load_config,
                                   run_experiment, run_trial, summarize,
-                                  sweep_points, trial_inputs)
+                                  sweep_points, train_stack, trial_inputs)
+from tokenwire.rvq import save_codec
 from tokenwire.transport import MarkovChannel
 
 
@@ -255,6 +257,31 @@ def test_uniform_sweep_is_pinned(tmp_path, mini_cfg):
     run_experiment(cfg, out_dir=tmp_path)
     csv = (tmp_path / "results.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == UNIFORM_SWEEP_CSV_SHA256
+
+
+# SHA-256 of the codec file and the count model file that train_stack
+# fits for the mini and the default config, pinned while training summed
+# each cluster with np.add.at, assigned with one distance expression and
+# quantized the held-out clips one at a time. Faster training must fit
+# the same bytes. Like the sweep above, training runs through BLAS
+# matmuls, which another BLAS build may round differently.
+TRAINED_SHA256 = {
+    "mini": ("99e728e1dd71b7294f49a74334305f981f38e5de1b05b01377f8190be7c256ef",
+             "44e5cf81df6990b285c32faca3cc4ecdc28e1a0eacf1021b339cee5ad65ff773"),
+    "default": (
+        "c74d27cb33ee7a4aa37d933304fb7c80e032848434d1eb6d53f3eab35175eaa7",
+        "9344ea75fa84fce57046e86a70d9b15d6c6b4c0078fd90c8bc2c2ebdb2df92a1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED_SHA256))
+def test_trained_artifacts_are_pinned(tmp_path, mini_cfg, name):
+    stack = train_stack(mini_cfg if name == "mini" else ExperimentConfig())
+    save_codec(tmp_path / "codec.rvq", stack.codec)
+    save_count_model(tmp_path / "model.ctx", stack.count_model)
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("codec.rvq", "model.ctx"))
+    assert got == TRAINED_SHA256[name]
 
 
 def test_summarize_groups_and_deciles():

@@ -18,6 +18,7 @@ from tokenwire.rvq import (
     save_codec,
     train_codebooks,
 )
+from scalar_reference import reference_assign, reference_train_codebooks
 
 
 def handmade_codec():
@@ -33,6 +34,25 @@ def test_entry_zero_must_be_zero():
         Codebook(np.array([[0.1, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         Codebook(np.array([[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_refused(tmp_path, bad):
+    """A codebook with a NaN or infinite entry, built or loaded, is
+    refused: it would quantize every frame to garbage."""
+    with pytest.raises(ValueError, match="must be finite"):
+        Codebook([[0.0, 0.0], [bad, 1.0]])
+    codec = RvqCodec([Codebook(np.vstack([np.zeros(2), np.eye(2)]), k)
+                      for k in range(2)], 1)
+    path = tmp_path / "codec.rvq"
+    save_codec(path, codec)
+    raw = bytearray(path.read_bytes())
+    # layer 1, entry 2, coordinate 0: after the 12-byte header and the
+    # 6 float32 values of layer 0 and the 4 of layer 1's first entries
+    raw[12 + 4 * 10:12 + 4 * 11] = np.array([bad], "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="must be finite"):
+        load_codec(path)
 
 
 def test_codec_validation():
@@ -154,9 +174,10 @@ def small_codec(signed_zero: bool) -> RvqCodec:
 @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_quantize_and_dequantize_match_the_layer_loops(seed, n, signed_zero):
-    """Quantizing with the cached norms picks the tokens that norms
-    computed afresh pick, and dequantizing adds, byte for byte, what a
-    sum over each layer's frames within their depth adds."""
+    """Quantizing with the codebooks' cached norms and doubled entries
+    picks the tokens that the one-expression distance of
+    ``reference_assign`` picks, and dequantizing adds, byte for byte, what
+    a sum over each layer's frames within their depth adds."""
     codec = small_codec(signed_zero)
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, 4)) * rng.choice([0.1, 1.0, 3.0])
@@ -164,7 +185,7 @@ def test_quantize_and_dequantize_match_the_layer_loops(seed, n, signed_zero):
     residual = feats.copy()
     want = np.zeros((n, 3), dtype=np.int32)
     for k, cb in enumerate(codec.codebooks[:level]):
-        want[:, k] = _assign(residual, cb.entries)
+        want[:, k] = reference_assign(residual, cb.entries)
         residual -= cb.entries[want[:, k]]
     np.testing.assert_array_equal(quantize(feats, codec, level).tokens, want)
 
@@ -176,6 +197,81 @@ def test_quantize_and_dequantize_match_the_layer_loops(seed, n, signed_zero):
         rows = depth > k
         out[rows] += cb.entries[grid.tokens[rows, k]]
     assert dequantize(grid, codec, depth).tobytes() == out.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def wide_codec() -> RvqCodec:
+    """A trained 3-layer codec of the default config's width: 64 entries
+    of 64 coordinates."""
+    corpus = np.random.default_rng(5).normal(size=(300, 64))
+    return train_codebooks(corpus, n_layers=3, vocab=64, n_coarse=1,
+                           epochs=2, seed=3)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 40), min_size=1, max_size=8),
+       st.sampled_from(["small", "signed-zero", "wide"]))
+@settings(max_examples=100, deadline=None)
+def test_quantizing_concatenated_features_matches_its_chunks(seed, sizes,
+                                                             which):
+    """Quantizing features in one call gives the tokens and levels of
+    quantizing any split of them into consecutive chunks, stacked: each
+    row's tokens depend on that row alone. ``train_context`` quantizes
+    its held-out clips in one call on this."""
+    codec = wide_codec() if which == "wide" else small_codec(
+        which == "signed-zero")
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(sum(sizes), codec.dim)) * rng.choice(
+        [0.1, 1.0, 3.0])
+    level = int(rng.integers(1, codec.n_layers + 1))
+    whole = quantize(feats, codec, level)
+    bounds = np.cumsum([0, *sizes])
+    parts = [quantize(feats[a:b], codec, level)
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    assert whole.tokens.tobytes() == np.concatenate(
+        [g.tokens for g in parts]).tobytes()
+    assert whole.level.tobytes() == np.concatenate(
+        [g.level for g in parts]).tobytes()
+
+
+@st.composite
+def training_problems(draw):
+    """A codec training problem whose corpus repeats rows, so clusters go
+    empty and are reseeded, and holds signed zeros and exact ties."""
+    vocab = draw(st.integers(2, 32))
+    dim = draw(st.integers(1, 8))
+    n_layers = draw(st.integers(2, 4))
+    epochs = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(vocab - 1, 80))
+    n_distinct = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        # coarse steps: many equal distances, so ties decide assignments
+        pool = rng.integers(-3, 4, size=(n_distinct, dim)) * 0.5
+    else:
+        pool = rng.normal(size=(n_distinct, dim)) * rng.choice(
+            [1e-3, 1.0, 1e3])
+    zeros = rng.random(pool.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    pool[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    corpus = pool[rng.integers(0, n_distinct, size=n)]
+    seed = draw(st.integers(0, 2**16))
+    return corpus, n_layers, vocab, epochs, seed
+
+
+@given(training_problems())
+@settings(max_examples=100, deadline=None)
+def test_training_matches_the_reference_trainer(problem):
+    """The trainer, which sums each epoch's clusters by one ``bincount``
+    and assigns with cached norms and doubled entries, fits every layer's
+    entries byte for byte as the trainer that sums by ``np.add.at`` and
+    assigns with one distance expression."""
+    corpus, n_layers, vocab, epochs, seed = problem
+    got = train_codebooks(corpus, n_layers, vocab, 1, epochs=epochs,
+                          seed=seed)
+    want = reference_train_codebooks(corpus, n_layers, vocab, 1, epochs,
+                                     seed=seed)
+    for a, b in zip(got.codebooks, want.codebooks, strict=True):
+        assert a.entries.tobytes() == b.entries.tobytes()
 
 
 def test_training_invariants():
