@@ -31,7 +31,7 @@ from .grid import (GosConfig, SliceGrid, SliceId, StreamConfig, TokenGrid,
 from .metrics import mfcc, mfcc_distance, sdr, si_snr, token_accuracy
 from .pipeline import (ReceiverReport, SenderReport, receive, receive_tokens,
                        send, send_tokens)
-from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
+from .rangecoder import CodedSlice, decode_symbols, encode_symbols
 from .rvq import (Codebook, RvqCodec, dequantize, load_codec, quantize,
                   save_codec, train_codebooks)
 from .streaming import StreamReceiver, StreamSender

@@ -9,11 +9,13 @@ The count model's table is per layer: ``train_count_model`` counts every
 encoded cell of its corpus once, by layer, and the compiled table holds
 one row per layer, the layer's smoothed counts or uniform where the
 layer was never observed, with each row's kind and mode and the rows
-compiled for the range decoder (``decoder``). Both of the
-model's jobs read a cell's layer row and nothing else. The range coder
-prices every fine token by it (``layer_pmf``), so a fine slice reads no
-other cell and decodes whenever its packet arrives. Concealment fills a
-lost coarse cell with its row's mode (``predict``).
+compiled for the range coder (``decoder``): each row's cumulative list
+and bucket index, Python lists from which the sender prices a fine
+token's interval and the decoder finds its symbol. Both of the model's
+jobs read a cell's layer row and nothing else. The range coder prices
+every fine token by it (``layer_pmf``), so a fine slice reads no other
+cell and decodes whenever its packet arrives. Concealment fills a lost
+coarse cell with its row's mode (``predict``).
 
 The model stands in for the paper's masked token model. On this corpus
 a neighbour-context table was measured to be too sparse to carry
@@ -127,7 +129,8 @@ class _Table(NamedTuple):
     """A model compiled for pricing: ``cum`` its read-only cumulative
     rows, one per layer, ``kind`` each row's index into FALLBACKS,
     ``mode`` each row's most probable symbol, the lowest-indexed one on
-    ties, and ``decoder`` the rows compiled for the range decoder."""
+    ties, and ``decoder`` the rows compiled into per-row lists for the
+    range coder's two ends."""
 
     cum: np.ndarray
     kind: np.ndarray
@@ -191,8 +194,11 @@ class CountModel:
 
     @property
     def decoder(self) -> DecoderTable:
-        """The table ``layer_pmf`` returns, compiled for
-        ``rangecoder.decode_symbols`` once, with the model."""
+        """The table ``layer_pmf`` returns, compiled once, with the model,
+        into each row's cumulative list and bucket index
+        (``rangecoder.decoder_table``): the sender prices fine tokens
+        from the row lists and ``rangecoder.decode_symbols`` reads
+        both."""
         return self._table.decoder
 
     def pmf(self, query: Targets) -> tuple:

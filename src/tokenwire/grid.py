@@ -29,6 +29,28 @@ class TokenState(IntEnum):
     CONCEALED = 3  # filled in by the concealment predictor
 
 
+# the unsigned integer dtype of each width, in bytes
+_UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
+
+
+def outside_range(values: np.ndarray, stop: int) -> bool:
+    """Whether any of ``values`` lies outside [0, ``stop``), read as given,
+    before any cast. An integer array takes one reduction: a signed one
+    is read as the unsigned integers of its width, or as int64 first when
+    ``stop`` passes its largest value or its byte order is not the
+    machine's, so that every negative value reads as at least ``stop``."""
+    a = np.asarray(values)
+    if not a.size:
+        return False
+    if a.dtype.kind == "i":
+        if stop > 1 << 8 * a.itemsize - 1 or not a.dtype.isnative:
+            a = a.astype(np.int64)
+        a = a.view(_UNSIGNED[a.itemsize])
+    elif a.dtype.kind != "u":
+        return not ((a >= 0) & (a < stop)).all()
+    return int(a.max()) >= stop
+
+
 @dataclass
 class TokenGrid:
     """Token indices for T frames by n_layers quantizer layers.
@@ -42,20 +64,21 @@ class TokenGrid:
     vocab: int
 
     def __post_init__(self):
-        self.tokens = np.ascontiguousarray(self.tokens, dtype=np.int32)
-        self.level = np.ascontiguousarray(self.level, dtype=np.int16)
-        if self.tokens.ndim != 2:
+        tokens, level = np.asarray(self.tokens), np.asarray(self.level)
+        if tokens.ndim != 2:
             raise ValueError("tokens must be 2-d (frames by layers)")
-        if self.level.shape != (self.tokens.shape[0],):
+        if level.shape != (tokens.shape[0],):
             raise ValueError("level must have one entry per frame")
         if self.vocab < 2:
             raise ValueError("vocab must be at least 2")
-        if np.any((self.level < 0) | (self.level > self.tokens.shape[1])):
+        # both are checked as given: a cast first could wrap a value in
+        if outside_range(level, tokens.shape[1] + 1):
             raise ValueError("level out of range")
-        live = np.arange(self.tokens.shape[1])[None, :] < self.level[:, None]
-        bad = live & ((self.tokens < 0) | (self.tokens >= self.vocab))
-        if np.any(bad):
+        self.level = np.ascontiguousarray(level, dtype=np.int16)
+        live = np.arange(tokens.shape[1]) < self.level[:, None]
+        if outside_range(tokens[live], self.vocab):
             raise ValueError("token value outside vocabulary")
+        self.tokens = np.ascontiguousarray(tokens, dtype=np.int32)
 
     @property
     def n_frames(self) -> int:

@@ -5,12 +5,13 @@ The core is shared with the streaming transceiver, one path per end.
 reading the plan's send map, compiled once per plan (``send_map``): a
 coarse slice is bit-packed and carries its predecessor's payload as a
 repair copy, and a fine slice is range-coded, each fine token priced by
-its layer's row of the model's table (``layer_pmf``). ``decode`` looks
+its layer's row of the model's table (``layer_pmf``), read from the
+row's list in the table's compiled form (``decoder``). ``decode`` looks
 each arrived packet up in its receiver's map from packet heads to
 slices, the one claim rule of both receivers, each of which passes only
 its own geometry, compiled once per plan (``head_map``). It reads every
 slice from the first of its copies that reads, a fine one through the
-model's table compiled for the range decoder, writing only cells not
+coded rows' lists in the model's compiled table, writing only cells not
 yet received, and a repair copy is one more copy of its predecessor:
 only the filling copy's is read, and only where the predecessor did not
 arrive. ``finalize`` applies the prefix rule in one scan of the frames'
@@ -39,10 +40,15 @@ and fine layers that ``send`` reads. Every clip of one layout shares
 one plan of it, built on the first clip and memoized like the layout
 itself (``build_slice_grid``), so neither end rebuilds any of it per
 clip. ``send`` then reads a clip's or step's tokens in one ``take``,
-prices its fine cells in one ``layer_pmf`` and packs each coarse slice
-from a slice of one list. ``decode`` reads the plan's states once,
-finds the slices with an open cell in one ``reduceat``, loops over the
-arrived heads only, and writes the cells it read in one ``put``.
+checks them against the vocabulary in one reduction, prices its fine
+cells in one ``layer_pmf``, reading each one's interval from its row's
+list in the model's compiled table (``decoder``) in the Python pass that
+sums the ideal bits, and packs each coarse slice from a slice of one
+list. ``decode`` reads the plan's states once, finds the slices with an
+open cell in one ``reduceat``, loops over the arrived heads only, and
+writes the cells it read in one ``put``; its repair pass finds the
+predecessors still open in one more ``reduceat`` and reads only their
+repair copies.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +65,8 @@ from .audio import CodecConfig, synthesize
 from .context import FALLBACKS, PMF_TOTAL, Targets
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState, _read_only,
-                   build_slice_grid, initial_states)
-from .rangecoder import CodedSlice, code_ranges, decode_symbols, encode_symbols
+                   build_slice_grid, initial_states, outside_range)
+from .rangecoder import CodedSlice, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
 from .transport import Packet, pack_bits, token_bits, unpack_bits
 
@@ -152,28 +158,42 @@ class SliceSender:
         """Packets of the slices ``plan`` sends, cut from ``tokens``, in
         emission order, each head's first frame and each cell's row
         counted from frame ``base``. The plan's send map (``send_map``)
-        names every sent cell, so the tokens are read in one ``take``. A
-        coarse slice (group 0) is bit-packed and carries the previous
-        coarse payload as repair. Every fine token is priced by its
-        layer's row, all in one ``layer_pmf``, and each fine slice is
-        range-coded on its own."""
-        rep, sends = self.report, plan.sends
+        names every sent cell, so the tokens are read in one ``take``,
+        and one check over them refuses a token outside the model's
+        vocabulary, coarse or fine. A coarse slice (group 0) is
+        bit-packed and carries the previous coarse payload as repair.
+        Every fine token is priced by its layer's row, all rows in one
+        ``layer_pmf``, its interval read from the row's list of the
+        model's compiled table (``decoder``) in the pass that sums its
+        ideal bits, and each fine slice is range-coded on its own."""
+        rep, sends, model = self.report, plan.sends, self.model
         taken = tokens.take(sends.flat)
+        if outside_range(taken, model.vocab):
+            raise ValueError("token outside vocabulary")
         values = taken.tolist()
-        if len(sends.fine):
-            cum, rows, kinds = self.model.layer_pmf(sends.layers)
-            cum_lo, freq = code_ranges(cum, rows, taken[sends.fine])
-            per_layer = rep.per_layer_ideal_bits
-            for k, f in zip(sends.layers.tolist(), freq):
+        n_fine = len(sends.layers)
+        if n_fine:
+            _, rows, kinds = model.layer_pmf(sends.layers)
+            table = model.decoder.cum
+            cum_lo, freq = [], []
+            per_layer, ideal = rep.per_layer_ideal_bits, rep.ideal_fine_bits
+            # the fine tokens lead the sent ones
+            for k, r, v in zip(sends.layers.tolist(), rows.tolist(), values):
+                row = table[r]
+                c = row[v]
+                f = row[v + 1] - c
+                cum_lo.append(c)
+                freq.append(f)
                 b = -math.log2(f / PMF_TOTAL)
-                rep.ideal_fine_bits += b
+                ideal += b
                 per_layer[k] = per_layer.get(k, 0.0) + b
+            rep.ideal_fine_bits = ideal
             for fb, n in zip(FALLBACKS, np.bincount(kinds).tolist()):
                 if n:
                     rep.fallback_counts[fb] = (rep.fallback_counts.get(fb, 0)
                                                + n)
-            rep.n_fine_tokens += len(freq)
-        rep.n_coarse_tokens += len(values) - len(sends.fine)
+            rep.n_fine_tokens += n_fine
+        rep.n_coarse_tokens += len(values) - n_fine
         packets = []
         for group, first, n_frames, a, b in sends.slices:
             if group:
@@ -215,14 +235,16 @@ class HeadMap(NamedTuple):
     """A receiver's geometry compiled for ``decode`` once per plan
     (``head_map``). Its cells are every slice's, then every coarse
     predecessor's, in one run: ``flat`` holds each one's ``t * n_layers +
-    k``, rows counted from the receiver's base, ``live`` whether its row
-    is 0 or above, and ``layers`` its layer; ``starts`` is where each
-    slice, then each predecessor, begins. ``spans`` maps each head to its
-    slice's number in ``starts``, its (start, stop) in the run, and its
-    predecessor's (number, start, stop) or None."""
+    k``, rows counted from the receiver's base, ``cells`` the same as a
+    list, ``live`` whether its row is 0 or above, and ``layers`` its
+    layer; ``starts`` is where each slice, then each predecessor, begins.
+    ``spans`` maps each head to its slice's number in ``starts``, its
+    (start, stop) in the run, and its predecessor's (number, start, stop)
+    or None."""
 
     spans: dict
     flat: np.ndarray
+    cells: list
     live: np.ndarray
     starts: np.ndarray
     layers: np.ndarray
@@ -244,7 +266,8 @@ def head_map(by_head: dict, n_layers: int) -> HeadMap:
             None if prev is None else (p, bounds[p], bounds[p + 1]))
         p += prev is not None
     t, k = np.concatenate(runs or [np.zeros((0, 2), np.int64)]).T
-    return HeadMap(spans, _read_only(t * n_layers + k), _read_only(t >= 0),
+    flat = _read_only(t * n_layers + k)
+    return HeadMap(spans, flat, flat.tolist(), _read_only(t >= 0),
                    _read_only(np.array(bounds[:-1])), _read_only(k))
 
 
@@ -267,14 +290,17 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
     the vocabulary (``coarse_values``), or a fine one that range-decodes
     through the model's compiled table, every arrived fine cell priced by
     its layer's row in one ``layer_pmf``. Its other copies are dropped.
-    The copies read are gathered as lists of positions and values, and
-    their open cells are written in one ``put`` per array. Then an open
-    predecessor cell takes the repair copy of the copy that filled its
-    successor, if it unpacks; no other copy's repair is read. Slices name
-    distinct cells and predecessors, so one read of the plan's states
-    tells which cells are open, and, where a filling copy's predecessor
-    had one, one more which of them are still open. Returns (how many
-    packets were dropped, how many repair copies were used)."""
+    The open cells of the copies read are gathered as lists of cells and
+    values, a whole slice's at once where all its cells are open, and
+    written in one ``put`` per array. Then an open predecessor cell takes
+    the repair copy of the copy that filled its successor, if it unpacks;
+    no other copy's repair is read. Slices name distinct cells and
+    predecessors, so one read of the plan's states tells which cells are
+    open, and how many of each slice's, and, where a filling copy's
+    predecessor had one, one more which of them are still open; only a
+    predecessor still holding one has its repair copy unpacked. Returns
+    (how many packets were dropped, how many repair copies were
+    used)."""
     spans, copies, n_dropped = heads.spans, {}, 0
     for p in packets:
         head = None if p is None else (p.group, p.first_frame - base,
@@ -285,23 +311,24 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             n_dropped += 1
     if not copies:
         return n_dropped, 0
-    flat = heads.flat
+    flat, cell_list = heads.flat, heads.cells
     # a row below 0 clips to a real cell, whose state the mask ignores
     is_open = heads.live & (states.take(flat, mode="clip") != _R)
-    hit = np.logical_or.reduceat(is_open, heads.starts).tolist()
+    n_open = np.add.reduceat(is_open, heads.starts).tolist()
+    open_list = None  # is_open as a list, once a slice is partly open
     fine = [spans[head] for head in copies if head[0]]
     if fine:
         rows = model.layer_pmf(np.concatenate(
             [heads.layers[a:b] for _, a, b, _ in fine]))[1].tolist()
         table = model.decoder
     vocab = model.vocab
-    at, got, repairs = [], [], []  # each read copy's positions and values
+    cells, got, repairs = [], [], []  # the open cells read, their values
     o = 0  # the next arrived fine cell's position in ``rows``
     for head, found in copies.items():
         i, a, b, prev = spans[head]
         n = b - a
         # a slice with no open cell reads none of its copies
-        for payload, fec in found if hit[i] else ():
+        for payload, fec in found if n_open[i] else ():
             if head[0]:
                 try:
                     vals = decode_symbols(CodedSlice(payload, n), table,
@@ -312,10 +339,16 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
                 vals = coarse_values(payload, vocab, n)
                 if vals is None:
                     continue
-            at.extend(range(a, b))
-            got.extend(vals)
+            if n_open[i] == n:
+                cells.extend(cell_list[a:b])
+                got.extend(vals)
+            else:
+                if open_list is None:
+                    open_list = is_open.tolist()
+                cells.extend(compress(cell_list[a:b], open_list[a:b]))
+                got.extend(compress(vals, open_list[a:b]))
             # a predecessor with no open cell needs no repair
-            if fec and prev is not None and hit[prev[0]]:
+            if fec and prev is not None and n_open[prev[0]]:
                 repairs.append((fec, prev))
             n_dropped += len(found) - 1
             break
@@ -323,21 +356,20 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             n_dropped += len(found)
         if head[0]:
             o += n
-    at = np.array(at, dtype=np.intp)
-    keep = is_open[at]
-    cells = flat[at[keep]]
-    tokens.put(cells, np.array(got, dtype=tokens.dtype)[keep])
+    tokens.put(cells, got)
     states.put(cells, _R)
     if not repairs:
         return n_dropped, 0
-    # a predecessor's cell still open once the slices are filled
+    # a predecessor's cell still open once the slices are filled, and
+    # the predecessors that hold one
     need = is_open & (states.take(flat, mode="clip") != _R)
+    still = np.logical_or.reduceat(need, heads.starts).tolist()
     repaired = 0
-    for fec, (_, a, b) in repairs:
-        mask = need[a:b]
-        if mask.any():
+    for fec, (i, a, b) in repairs:
+        if still[i]:
             v = coarse_values(fec, vocab, b - a)
             if v is not None:
+                mask = need[a:b]
                 cells = flat[a:b][mask]
                 tokens.put(cells, np.array(v, dtype=tokens.dtype)[mask])
                 states.put(cells, _R)
@@ -412,38 +444,36 @@ def finalize(model, tokens: np.ndarray, states: np.ndarray, frames: range,
 
 class SendMap(NamedTuple):
     """A sender's slices compiled for ``SliceSender.send`` once per plan
-    (``send_map``). ``flat`` holds every sent cell's ``t * n_layers + k``
-    in emission order, rows counted from the plan's first frame;
-    ``slices`` each sent slice's (group, first row, n_frames, start,
-    stop), where (start, stop) is its span of the sent cells when it is
-    coarse and of the fine cells when it is fine; ``fine`` the fine
-    cells' positions among the sent cells, and ``layers`` their
-    layers."""
+    (``send_map``). ``flat`` holds every sent cell's ``t * n_layers + k``,
+    rows counted from the plan's first frame: the fine cells first, in
+    emission order, then the coarse ones, in emission order; ``slices``
+    each sent slice's (group, first row, n_frames, start, stop), where
+    (start, stop) is its span of ``flat``; and ``layers`` the fine
+    cells' layers."""
 
     flat: np.ndarray
     slices: tuple
-    fine: np.ndarray
     layers: np.ndarray
 
 
 def send_map(slices, n_layers: int) -> SendMap:
     """Compile the (head, cells) ``slices`` a sender sends, in order, for
     ``SliceSender.send`` on tokens of ``n_layers`` columns."""
-    spans, fine, n_sent, n_fine = [], [], 0, 0
+    fine = [cells for (group, _, _), cells in slices if group]
+    coarse = [cells for (group, _, _), cells in slices if not group]
+    n_fine = sum(map(len, fine))
+    spans, fine_at, coarse_at = [], 0, n_fine
     for (group, first, n_frames), cells in slices:
         n = len(cells)
         if group:
-            spans.append((group, first, n_frames, n_fine, n_fine + n))
-            fine.append(np.arange(n_sent, n_sent + n))
-            n_fine += n
+            a, fine_at = fine_at, fine_at + n
         else:
-            spans.append((group, first, n_frames, n_sent, n_sent + n))
-        n_sent += n
-    t, k = np.concatenate([cells for _, cells in slices]
+            a, coarse_at = coarse_at, coarse_at + n
+        spans.append((group, first, n_frames, a, a + n))
+    t, k = np.concatenate(fine + coarse
                           or [np.zeros((0, 2), np.int64)]).T
-    fine = np.concatenate(fine or [np.zeros(0, np.int64)])
     return SendMap(_read_only(t * n_layers + k), tuple(spans),
-                   _read_only(fine), _read_only(k[fine].astype(np.int64)))
+                   _read_only(k[:n_fine].astype(np.int64)))
 
 
 class Plan(NamedTuple):

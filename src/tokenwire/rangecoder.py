@@ -24,16 +24,15 @@ checksum.
 
 PMFs come as row indices into one table of cumulative rows, as the
 context models price them: symbol s of row r of ``cum`` owns
-``[cum[r, s], cum[r, s + 1])`` of PMF_TOTAL. The sender looks up every
-symbol's interval for a whole batch of slices at once (``code_ranges``),
-reading two entries of the table per symbol, and the encoder loop then
-runs on Python ints. The decoder reads a table compiled once, with the
-model that owns it (``decoder_table``): the rows as one flat list of
-ints, and per row a bucket index of 2**8 entries, the symbol whose
-interval holds the first of each run of 2**8 values. A symbol is found
-by its value's bucket and a forward scan over the few intervals that
-start inside it. A full lookup of all 2**16 values per row would save a
-little more per symbol, at 2**16 entries a row.
+``[cum[r, s], cum[r, s + 1])`` of PMF_TOTAL. The table is compiled once,
+with the model that owns it (``decoder_table``), into Python lists per
+row: the row's cumulative list, and its bucket index of 2**8 entries,
+the symbol whose interval holds the first of each run of 2**8 values.
+The sender prices each symbol from its row's list, and the encoder loop
+runs on the resulting Python ints. The decoder finds a symbol by its
+value's bucket in the coded row's index and a forward scan over the few
+intervals that start inside it. A full lookup of all 2**16 values per
+row would save a little more per symbol, at 2**16 entries a row.
 """
 
 from __future__ import annotations
@@ -58,27 +57,6 @@ class CodedSlice(NamedTuple):
     n_symbols: int
 
 
-def code_ranges(cum: np.ndarray, rows, symbols) -> tuple:
-    """(cum_lo, freq) lists: the interval of symbols[i] in row rows[i] of
-    the cumulative table ``cum``."""
-    symbols = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if len(symbols) != len(rows):
-        raise ValueError("one PMF row per symbol is required")
-    n_rows, width = cum.shape
-    try:  # rows * width + symbols, bounds checked in the same pass
-        at = np.ravel_multi_index((rows, symbols), (n_rows, width - 1)) + rows
-    except ValueError:
-        bad = (symbols < 0) | (symbols >= width - 1)
-        if bad.any():
-            raise ValueError(f"symbol {int(symbols[bad.argmax()])} outside "
-                             f"the PMF alphabet") from None
-        raise ValueError("PMF row outside the table") from None
-    flat = cum.reshape(-1)
-    lo = flat.take(at)
-    return lo.tolist(), (flat.take(at + 1) - lo).tolist()
-
-
 def encode_symbols(cum_lo, freq) -> CodedSlice:
     """Encode the symbols whose intervals are ``[cum_lo[i], cum_lo[i] +
     freq[i])`` of PMF_TOTAL, in order; both are sequences of ints."""
@@ -101,23 +79,21 @@ def encode_symbols(cum_lo, freq) -> CodedSlice:
 
 
 class DecoderTable(NamedTuple):
-    """A cumulative table compiled for ``decode_symbols``: ``cum`` its
-    rows as one flat list of ints, row r at ``[r * width, (r + 1) *
-    width)``; ``start`` its bucket index, entry ``r * 2**8 + b`` the
-    position in ``cum`` of row r's symbol whose interval holds the value
-    ``b * 2**8``; and how many rows it holds."""
+    """A cumulative table compiled for pricing and ``decode_symbols``, per
+    row: ``cum[r]`` row r as a list of ints, and ``start[r]`` its bucket
+    index, entry b the symbol of row r whose interval holds the value
+    ``b * 2**8``."""
 
     cum: list
     start: list
-    width: int
-    n_rows: int
 
 
 def decoder_table(cum: np.ndarray) -> DecoderTable:
     """Compile the (rows, symbols + 1) cumulative table ``cum`` for
-    ``decode_symbols``. Every row must start at 0, never decrease and end
-    at PMF_TOTAL, so that each value lies in exactly one symbol's interval
-    and the search's forward scan ends within its row."""
+    pricing and ``decode_symbols``. Every row must start at 0, never
+    decrease and end at PMF_TOTAL, so that each value lies in exactly one
+    symbol's interval and the search's forward scan ends within its
+    row."""
     table = np.asarray(cum, dtype=np.int64)
     if table.ndim != 2 or table.shape[1] < 2:
         raise ValueError("a cumulative table is a 2-D array of rows of at "
@@ -132,9 +108,10 @@ def decoder_table(cum: np.ndarray) -> DecoderTable:
     offset = np.arange(n_rows)[:, None] * (PMF_TOTAL + 1)
     values = np.arange(0, PMF_TOTAL, 1 << _BUCKET)
     start = np.searchsorted((table + offset).reshape(-1),
-                            (values + offset).reshape(-1), side="right") - 1
-    return DecoderTable(table.reshape(-1).tolist(), start.tolist(), width,
-                        n_rows)
+                            (values + offset).reshape(-1), side="right")
+    start = (start.reshape(n_rows, len(values)) - 1
+             - np.arange(n_rows)[:, None] * width)
+    return DecoderTable([row.tolist() for row in table], start.tolist())
 
 
 def decode_symbols(coded: CodedSlice, table: DecoderTable, rows) -> list:
@@ -143,13 +120,13 @@ def decode_symbols(coded: CodedSlice, table: DecoderTable, rows) -> list:
     rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     if len(rows) != coded.n_symbols:
         raise DecodeError("PMF count does not match the symbol count")
-    if rows and (min(rows) < 0 or max(rows) >= table.n_rows):
+    cum, start = table.cum, table.start
+    if rows and (min(rows) < 0 or max(rows) >= len(cum)):
         raise ValueError("PMF row outside the table")
     data = coded.payload
     n = len(data)
     if n and data[-1] == 0:
         raise DecodeError("payload ends in a zero byte")
-    cum, start, width = table.cum, table.start, table.width
     code = int.from_bytes(data[:4].ljust(4, b"\0"), "big")
     pos = 4 if coded.n_symbols else 0  # bytes read, counting zeros past end
     rng = _MASK32
@@ -159,17 +136,18 @@ def decode_symbols(coded: CodedSlice, table: DecoderTable, rows) -> list:
         v = code // r
         if v >= PMF_TOTAL:
             v = PMF_TOTAL - 1
-        s = start[row << _BUCKET | v >> _BUCKET]
-        while cum[s + 1] <= v:
+        c_row = cum[row]
+        s = start[row][v >> _BUCKET]
+        while c_row[s + 1] <= v:
             s += 1
-        c = cum[s]
+        c = c_row[s]
         code -= r * c
-        rng = r * (cum[s + 1] - c)
+        rng = r * (c_row[s + 1] - c)
         while rng < _TOP:
             code = (code << 8) | (data[pos] if pos < n else 0)
             pos += 1
             rng <<= 8
-        out.append(s - row * width)
+        out.append(s)
     if n > pos:
         raise DecodeError("payload holds bytes past its last symbol")
     return out

@@ -120,11 +120,15 @@ def quantize(features: np.ndarray, codec: RvqCodec, level: int) -> TokenGrid:
 
     ``level`` selects how many layers to encode (1..n_layers); transmission
     additionally requires level >= n_coarse, enforced where grids meet the
-    slice layout rather than here.
+    slice layout rather than here. Features holding NaN or an infinity are
+    refused.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != codec.dim:
         raise ValueError(f"features must be (n, {codec.dim})")
+    # a NaN or infinite row has no nearest codeword
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     if not 1 <= level <= codec.n_layers:
         raise ValueError(f"level must be in [1, {codec.n_layers}], got {level}")
     n = features.shape[0]

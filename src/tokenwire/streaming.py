@@ -62,7 +62,7 @@ from .errors import DecodeError
 # build_slice_grid is not used here; the benchmark's span tracer
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid, build_slice_grid,
-                   cells_of, initial_states)  # noqa: F401
+                   cells_of, initial_states, outside_range)  # noqa: F401
 from .pipeline import Plan, SliceSender, build_plan, decode, finalize
 
 
@@ -231,11 +231,11 @@ class StreamSender:
         above it are never read."""
         if self._done:
             raise RuntimeError("sender already flushed")
-        tokens = np.asarray(tokens, dtype=np.int32)
+        tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[1] != self.gos.n_layers:
             raise ValueError("frames must be (n, n_layers)")
-        sent = tokens[:, :self.level]
-        if sent.size and (sent.min() < 0 or int(sent.max()) >= self.vocab):
+        # checked as given, before the frames' int32 rows take them in
+        if outside_range(tokens[:, :self.level], self.vocab):
             raise ValueError("token outside vocabulary")
         frames = self._frames
         out = []

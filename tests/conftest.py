@@ -23,27 +23,6 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
     settings.load_profile("ci")
 
-# Mid-size stack shared by pipeline, streaming, and acceptance tests.
-# Big enough that reconstruction quality responds to packet loss, small
-# enough to train in a few seconds.
-STACK_CFG = tw.ExperimentConfig(
-    vocab=256,
-    n_layers=6,
-    n_coarse=1,
-    gos_len=12,
-    n_units=3,
-    levels=(6,),
-    clip_frames=24,
-    train_clips=512,
-    train_epochs=16,
-    n_trials=60,
-    frame_len=160,
-    dim=64,
-    n_tones=1,
-    noise=0.0,
-    base_seed=7,
-)
-
 # Throwaway stack for tests that only need plumbing, not quality.
 MINI_CFG = tw.ExperimentConfig(
     vocab=8,
@@ -60,16 +39,6 @@ MINI_CFG = tw.ExperimentConfig(
     dim=16,
     base_seed=11,
 )
-
-
-@pytest.fixture(scope="session")
-def stack_cfg():
-    return STACK_CFG
-
-
-@pytest.fixture(scope="session")
-def stack(stack_cfg):
-    return tw.train_stack(stack_cfg)
 
 
 @pytest.fixture(scope="session")

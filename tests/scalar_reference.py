@@ -19,10 +19,13 @@ numpy floats, one ``searchsorted`` a packet.
 ``tokenwire.transport.MarkovChannel.sample``, which walks it on Python
 floats, must draw the same mask from the same generator.
 
-For the range coder: the byte-at-a-time coder with a 32-bit ``low``, a
-cache byte and a count of held-back 0xFF bytes that a carry may still
-reach, and the decoder that bisects each row as a Python list. The
-library's coder must write the same payloads and read the same symbols.
+For the range coder: ``reference_code_ranges``, which reads each
+symbol's interval from the cumulative array itself; the byte-at-a-time
+coder with a 32-bit ``low``, a cache byte and a count of held-back 0xFF
+bytes that a carry may still reach; and the decoder that bisects each
+row as a Python list. The library's coder must write the same payloads
+and read the same symbols, and its sender price the same intervals
+from the per-row lists of the model's compiled table.
 
 For the receiver's read rule: ``reference_decode``, which assembles its
 cells, their flat indices and the repair spans from the raw map of heads
@@ -71,7 +74,7 @@ from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             initial_states)
 from tokenwire.pipeline import (SliceSender, coarse_values, decode, finalize,
                                 head_map)
-from tokenwire.rangecoder import CodedSlice, code_ranges, encode_symbols
+from tokenwire.rangecoder import CodedSlice, encode_symbols
 from tokenwire.rvq import Codebook, RvqCodec
 from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
                                  stream_step)
@@ -180,6 +183,18 @@ def reference_mfcc_distance(ref, est, sample_rate: int) -> float:
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
+
+
+def reference_code_ranges(cum, rows, symbols) -> tuple:
+    """(cum_lo, freq) lists: the interval of symbols[i] in row rows[i] of
+    the cumulative table ``cum``, read from the array one symbol at a
+    time."""
+    rows, symbols = list(rows), list(symbols)
+    if len(rows) != len(symbols):
+        raise ValueError("one PMF row per symbol is required")
+    cum_lo = [int(cum[r, s]) for r, s in zip(rows, symbols)]
+    return cum_lo, [int(cum[r, s + 1]) - c
+                    for r, s, c in zip(rows, symbols, cum_lo)]
 
 
 def reference_encode_symbols(cum_lo, freq) -> tuple:
@@ -445,8 +460,8 @@ def reference_send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
         cells = np.concatenate(fine)
         layers = cells[:, 1]
         cum, rows, kinds = self.model.layer_pmf(layers)
-        cum_lo, freq = code_ranges(cum, rows,
-                                   tokens[cells[:, 0], layers])
+        cum_lo, freq = reference_code_ranges(cum, rows,
+                                             tokens[cells[:, 0], layers])
         per_layer = rep.per_layer_ideal_bits
         for k, f in zip(layers.tolist(), freq):
             b = -math.log2(f / PMF_TOTAL)

@@ -1,5 +1,7 @@
 """Token grids, frame units, and the slice partition."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,107 @@ def test_token_grid_validation():
     TokenGrid(tokens, np.array([1, 3]), 4)
     with pytest.raises(ValueError):
         TokenGrid(tokens, np.array([2, 3]), 4)
+
+
+def test_tokens_that_wrap_in_int32_are_refused():
+    # Both entry points check the caller's values, before the cast to
+    # int32 that would turn 2**32 + 3 into 3, and a level before its cast
+    # to int16.
+    gos = GosConfig(2, 1, 1, 3)
+    model = CountModel(16, 3)
+    for wraps in (2**32 + 3, -(2**32) + 3, 2**63 - 1, -(2**63)):
+        tokens = np.zeros((4, 3), dtype=np.int64)
+        tokens[1, 1] = wraps
+        with pytest.raises(ValueError, match="vocabulary"):
+            TokenGrid(tokens, np.full(4, 3), 16)
+        with pytest.raises(ValueError, match="vocabulary"):
+            StreamSender(gos, StreamConfig(1, 0), model).push(tokens)
+    with pytest.raises(ValueError, match="level out of range"):
+        TokenGrid(np.zeros((4, 3), dtype=np.int32),
+                  np.full(4, 2**16 + 3, dtype=np.int64), 16)
+    wrapped = np.full(4, 2**64 - 1, dtype=np.uint64)
+    with pytest.raises(ValueError, match="vocabulary"):
+        TokenGrid(wrapped.reshape(4, 1), np.ones(4), 16)
+    # values are read in their own byte order: 2**24 stored big-endian
+    # reads as 1 in the other
+    swapped = np.zeros((4, 3), dtype=">i4")
+    swapped[2, 0] = 2**24
+    with pytest.raises(ValueError, match="vocabulary"):
+        TokenGrid(swapped, np.full(4, 3), 16)
+    swapped[2, 0] = 15
+    assert TokenGrid(swapped, np.full(4, 3), 16).tokens[2, 0] == 15
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def typed_tokens(draw):
+    """(tokens, level per frame, vocab): tokens of any integer dtype of 8
+    to 64 bits. Each value is drawn from [0, vocab), from the edges of
+    that range, of the int32 range and of the dtype, among them values
+    that an int32 cast wraps into [0, vocab), or from the dtype's whole
+    range."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES), label="dtype"))
+    info = np.iinfo(dtype)
+    vocab = draw(st.sampled_from([2, 3, 16, 127, 128, 129, 255, 256, 257,
+                                  1000, 32768, 32769, 65536]), label="vocab")
+    n_frames = draw(st.integers(0, 4), label="n_frames")
+    edges = [v for v in (0, vocab - 1, vocab, -1, -vocab, 2**31 - 1,
+                         2**31, 2**32, 2**32 + vocab - 1, -(2**32) + 1,
+                         info.min, info.max) if info.min <= v <= info.max]
+    inside = st.integers(0, min(vocab - 1, int(info.max)))
+    value = st.one_of(inside, inside, inside, st.sampled_from(edges),
+                      st.integers(int(info.min), int(info.max)))
+    tokens = np.array(draw(st.lists(st.lists(value, min_size=3, max_size=3),
+                                    min_size=n_frames, max_size=n_frames)),
+                      dtype=dtype).reshape(n_frames, 3)
+    level = np.array(draw(st.lists(st.integers(0, 3), min_size=n_frames,
+                                   max_size=n_frames)), dtype=np.int64)
+    return tokens, level, vocab
+
+
+@functools.lru_cache(maxsize=None)
+def uniform_model(vocab: int) -> CountModel:
+    return CountModel(vocab, 3)
+
+
+@given(typed_tokens(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_push_and_token_grid_accept_exactly_tokens_in_the_vocabulary(
+        case, level):
+    """``TokenGrid`` accepts exactly the tokens whose live cells, those
+    below each frame's level, lie in [0, vocab); ``StreamSender.push``
+    exactly those whose layers below the sender's level do, whatever the
+    integer dtype, and then sends what it sends from int32 tokens."""
+    tokens, depth, vocab = case
+    values = tokens.astype(object)  # the caller's values, unwrapped
+    live = np.arange(3) < depth[:, None]
+    grid_ok = all(0 <= v < vocab for v in values[live])
+    try:
+        grid = TokenGrid(tokens, depth, vocab)
+    except ValueError as exc:
+        assert not grid_ok and "vocabulary" in str(exc)
+    else:
+        assert grid_ok
+        np.testing.assert_array_equal(grid.tokens[live],
+                                      values[live].astype(np.int64))
+    gos = GosConfig(2, 1, 1, 3)
+    cfg = StreamConfig(1, 1)
+    push_ok = all(0 <= v < vocab for v in values[:, :level].ravel())
+    model = uniform_model(vocab)
+    tx = StreamSender(gos, cfg, model, level=level)
+    try:
+        got = tx.push(tokens) + tx.flush()[0]
+    except ValueError as exc:
+        assert not push_ok and "vocabulary" in str(exc)
+    else:
+        assert push_ok
+        clean = np.zeros(tokens.shape, dtype=np.int32)
+        clean[:, :level] = tokens[:, :level]
+        ref = StreamSender(gos, cfg, model, level=level)
+        assert got == ref.push(clean) + ref.flush()[0]
 
 
 def test_state_grid_initial_marks_dead_cells():

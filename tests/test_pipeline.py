@@ -388,6 +388,36 @@ def test_send_matches_the_reference_send(data):
     assert report_fields(tx.report) == report_fields(ref.report)
 
 
+@pytest.mark.parametrize("group", [0, 1])
+@pytest.mark.parametrize("bad", [-1, 10, 12, 2**31 - 1])
+def test_send_refuses_a_token_outside_the_vocabulary(group, bad):
+    # A coarse token is refused as a fine one is, by one check over the
+    # sent values: 12 at vocab 10 fits the 4 bits a coarse token is packed
+    # in, and would reach the receiver as an unreadable slice. The refused
+    # send leaves the report and the repair chain as they were.
+    rng = np.random.default_rng(35)
+    grid = random_grid(rng, 6, 3, 10)
+    plan = _layout(build_slice_grid(6, GOS, 3))
+    model = CountModel(10, 3)
+    tx, fresh = SliceSender(model), SliceSender(model)
+    first = tx.send(grid.tokens, plan)
+    assert fresh.send(grid.tokens, plan) == first
+    tokens = grid.tokens.copy()
+    sent = [c for head, c in plan.slices if head[0] == group]
+    tokens[tuple(sent[-1][-1])] = bad
+    before = dataclasses.asdict(tx.report)
+    with pytest.raises(ValueError, match="vocabulary"):
+        tx.send(tokens, plan)
+    assert dataclasses.asdict(tx.report) == before
+    assert tx.send(grid.tokens, plan) == fresh.send(grid.tokens, plan)
+    # a value above the level is never sent, so it is never checked
+    level2 = grid.tokens.copy()
+    level2[:, 2] = bad
+    plan2 = _layout(build_slice_grid(6, GOS, 2))
+    assert (SliceSender(model).send(level2, plan2)
+            == SliceSender(model).send(grid.tokens, plan2))
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_decode_matches_the_reference_decode(data):

@@ -11,14 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import reference_layer_pmf
+from scalar_reference import reference_code_ranges, reference_layer_pmf
 from tokenwire.context import (FALLBACKS, CountModel, Targets, _mode,
                                cumulative, train_count_model)
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             build_slice_grid, initial_states)
 from tokenwire.pipeline import _layout, finalize
-from tokenwire.rangecoder import (code_ranges, decode_symbols, decoder_table,
-                                  encode_symbols)
+from tokenwire.rangecoder import decode_symbols, decoder_table, encode_symbols
 from tokenwire.streaming import _Steps
 
 L = int(TokenState.LOST)
@@ -136,6 +135,7 @@ def test_rows_price_like_the_scalar_reference(data):
     for cells in slices:
         b = a + len(cells)
         symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
-        coded = encode_symbols(*code_ranges(cum, rows[a:b], symbols))
+        coded = encode_symbols(*reference_code_ranges(cum, rows[a:b],
+                                                      symbols))
         assert decode_symbols(coded, model.decoder, rows[a:b]) == symbols
         a = b

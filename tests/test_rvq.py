@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenwire.grid import TokenGrid
+from tokenwire.context import CountModel
+from tokenwire.grid import GosConfig, TokenGrid
+from tokenwire.pipeline import send
 from tokenwire.rvq import (
     Codebook,
     RvqCodec,
@@ -53,6 +55,28 @@ def test_non_finite_entries_are_refused(tmp_path, bad):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="must be finite"):
         load_codec(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_refused(bad):
+    """A feature row holding NaN or an infinity has no nearest codeword:
+    ``quantize`` refuses it, and so does ``pipeline.send``, which
+    quantizes through it, rather than send the tokens it would pick."""
+    codec = handmade_codec()
+    feats = np.array([[0.9, 0.1], [0.0, 1.2], [-1.0, 0.2]])
+    good = quantize(feats, codec, 2)
+    gos = GosConfig(3, 1, 1, 2)
+    model = CountModel(codec.vocab, 2)
+    assert len(send(feats, codec, model, gos)[0]) == 2
+    for damaged in ((1, 0), (2, 1), (1, slice(None))):
+        bad_feats = feats.copy()
+        bad_feats[damaged] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            quantize(bad_feats, codec, 2)
+        with pytest.raises(ValueError, match="must be finite"):
+            send(bad_feats, codec, model, gos)
+    np.testing.assert_array_equal(quantize(feats, codec, 2).tokens,
+                                  good.tokens)
 
 
 def test_codec_validation():
