@@ -9,13 +9,11 @@ The count model's table is per layer: ``train_count_model`` counts every
 encoded cell of its corpus once, by layer, and the compiled table holds
 one row per layer, the layer's smoothed counts or uniform where the
 layer was never observed, with each row's kind and mode and the rows
-compiled for the range coder (``decoder``): each row's cumulative list
-and bucket index, Python lists from which the sender prices a fine
-token's interval and the decoder finds its symbol. Both of the model's
-jobs read a cell's layer row and nothing else. The range coder prices
-every fine token by it (``layer_pmf``), so a fine slice reads no other
-cell and decodes whenever its packet arrives. Concealment fills a lost
-coarse cell with its row's mode (``predict``).
+compiled for both ends of the range coder (``decoder``). Both of the
+model's jobs read a cell's layer row and nothing else. The range coder
+prices every fine token by it (``layer_pmf``), so a fine slice reads no
+other cell and decodes whenever its packet arrives. Concealment fills a
+lost coarse cell with its row's mode (``predict``).
 
 The model stands in for the paper's masked token model. On this corpus
 a neighbour-context table was measured to be too sparse to carry
@@ -195,10 +193,8 @@ class CountModel:
     @property
     def decoder(self) -> DecoderTable:
         """The table ``layer_pmf`` returns, compiled once, with the model,
-        into each row's cumulative list and bucket index
-        (``rangecoder.decoder_table``): the sender prices fine tokens
-        from the row lists and ``rangecoder.decode_symbols`` reads
-        both."""
+        for ``rangecoder.encode_symbols``, which prices fine tokens from
+        it, and ``decode_symbols`` (``rangecoder.decoder_table``)."""
         return self._table.decoder
 
     def pmf(self, query: Targets) -> tuple:

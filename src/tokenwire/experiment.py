@@ -9,9 +9,11 @@ between variants are never sampling noise from different inputs.
 Because a trial's inputs do not depend on the sweep point, they are made
 once: the trained stack memoizes, per trial of one config, the clip, each
 chunk's sent token grid and slice layout, the whole clip's sent grid and
-the clip's reference cepstra (``TrialInputs``). A trial then computes only
-what its point changes: the channel draw, the send and receive, the
-decoded audio and the metrics against it.
+the clip's reference cepstra (``TrialInputs``). The Markov point's
+channel is one default chain, validated and solved once, on import, that
+every trial samples. A trial then computes only what its point changes:
+the channel draw, the send and receive, the decoded audio and the
+metrics against it.
 """
 
 from __future__ import annotations
@@ -285,10 +287,9 @@ def _seed_of(base: int, tag: str, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "little") >> 1
 
 
-def _make_channel(kind: str, loss: float):
-    if kind == "bernoulli":
-        return BernoulliChannel(loss)
-    return MarkovChannel()
+# the sweep's burst channel: the default chain, validated and solved once
+# on import and shared, read-only, by every Markov trial
+_MARKOV = MarkovChannel()
 
 
 def trial_inputs(cfg: ExperimentConfig, stack: TrainedStack,
@@ -335,7 +336,8 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
     inputs = trial_inputs(cfg, stack, trial)
     clip = inputs.clip
     model = stack.count_model if model_name == "count" else stack.uniform_model
-    channel = _make_channel(channel_kind, loss)
+    channel = (BernoulliChannel(loss) if channel_kind == "bernoulli"
+               else _MARKOV)
     mask_seed = _seed_of(cfg.base_seed, "channel", channel_kind, loss, trial)
     mask_rng = np.random.default_rng(mask_seed)
 

@@ -67,6 +67,8 @@ class TokenGrid:
         tokens, level = np.asarray(self.tokens), np.asarray(self.level)
         if tokens.ndim != 2:
             raise ValueError("tokens must be 2-d (frames by layers)")
+        if tokens.dtype.kind not in "iu":  # no float, bool or object
+            raise ValueError("tokens must be integers")
         if level.shape != (tokens.shape[0],):
             raise ValueError("level must have one entry per frame")
         if self.vocab < 2:

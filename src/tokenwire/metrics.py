@@ -3,9 +3,11 @@
 Ratios are reported in dB and clamped to [-100, +100] so downstream CSVs
 stay finite and comparisons stay total.
 
-The cepstral metrics share one front end: ``_power`` frames and
-transforms a signal once, and ``_cepstra`` turns that power spectrum into
-the full DCT-II of its log-mel energies through a memoised filterbank.
+The cepstral metrics share one front end, computed in place after each
+new array: ``_power`` frames a signal once, as a strided view windowed
+by a memoised Hann window, and ``_cepstra`` turns that power spectrum
+into the full DCT-II of its log-mel energies through a memoised
+filterbank.
 ``mfcc`` keeps a prefix of one cepstrum. ``mfcc_distance`` reads one
 cepstrum per filterbank size and signal, and every scale with that size
 reads a prefix of it. ``mfcc_reference`` computes the reference signal's
@@ -25,10 +27,10 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .audio import AudioSignal
-from .grid import TokenGrid, TokenState
+from .grid import TokenGrid, TokenState, _read_only
 
 DB_CAP = 100.0
 
@@ -107,21 +109,35 @@ def _filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         up = (freqs - lo) / (mid - lo)
         down = (hi - freqs) / (hi - mid)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
-    fb.flags.writeable = False
-    return fb
+    return _read_only(fb)
+
+
+@functools.lru_cache(maxsize=16)
+def _window(win_len: int) -> np.ndarray:
+    """The Hann window of ``win_len`` samples; shared and read-only."""
+    return _read_only(np.hanning(win_len))
 
 
 def _power(x: np.ndarray, sample_rate: int) -> tuple:
     """(|rfft|² of every Hann-windowed 25 ms frame at a 10 ms hop, n_fft)."""
     win_len = int(round(_WIN_SEC * sample_rate))
     hop = int(round(_HOP_SEC * sample_rate))
+    if hop < 1 or x.ndim != 1:
+        raise ValueError("need one array of samples and a 10 ms hop of "
+                         "at least one sample")
     if x.size < win_len:
         raise ValueError("signal shorter than one analysis window")
     n_fft = 1
     while n_fft < win_len:
         n_fft *= 2
-    frames = sliding_window_view(x, win_len)[::hop] * np.hanning(win_len)
-    return np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2, n_fft
+    step, n_frames = x.strides[0], (x.size - win_len) // hop + 1
+    # frames windowed straight into the transform's zero-padded rows
+    padded = np.zeros((n_frames, n_fft))
+    np.multiply(as_strided(x, (n_frames, win_len), (hop * step, step),
+                           writeable=False),
+                _window(win_len), out=padded[:, :win_len])
+    power = np.abs(np.fft.rfft(padded, axis=1))
+    return np.square(power, out=power), n_fft
 
 
 def _cepstra(power: np.ndarray, n_fft: int, sample_rate: int,
@@ -129,9 +145,11 @@ def _cepstra(power: np.ndarray, n_fft: int, sample_rate: int,
     """(frames, n_mels) ortho DCT-II of the log-mel energies. Coefficient j
     does not depend on how many are kept, so any scale up to n_mels is a
     column prefix of this one array."""
-    fb = _filterbank(n_mels, n_fft, sample_rate)
-    logmel = np.log(power @ fb.T + 1e-10)
-    return scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)
+    logmel = power @ _filterbank(n_mels, n_fft, sample_rate).T
+    logmel += 1e-10
+    np.log(logmel, out=logmel)
+    return scipy.fft.dct(logmel, type=2, norm="ortho", axis=1,
+                         overwrite_x=True)
 
 
 def mfcc(signal, sample_rate: int = 16000, n_coef: int = 16,

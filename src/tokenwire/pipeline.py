@@ -1,27 +1,22 @@
 """The transceiver core, and the batch sender and receiver built on it.
 
 The core is shared with the streaming transceiver, one path per end.
-``SliceSender.send`` turns every slice a plan sends into a packet,
-reading the plan's send map, compiled once per plan (``send_map``): a
+``SliceSender.send`` turns every slice a plan sends into a packet: a
 coarse slice is bit-packed and carries its predecessor's payload as a
-repair copy, and a fine slice is range-coded, each fine token priced by
-its layer's row of the model's table (``layer_pmf``), read from the
-row's list in the table's compiled form (``decoder``). ``decode`` looks
-each arrived packet up in its receiver's map from packet heads to
-slices, the one claim rule of both receivers, each of which passes only
-its own geometry, compiled once per plan (``head_map``). It reads every
-slice from the first of its copies that reads, a fine one through the
-coded rows' lists in the model's compiled table, writing only cells not
-yet received, and a repair copy is one more copy of its predecessor:
-only the filling copy's is read, and only where the predecessor did not
-arrive. ``finalize`` applies the prefix rule in one scan of the frames'
-state bytes, one byte a cell and RECEIVED the zero byte: a frame is
-usable up to its first cell not RECEIVED, the end of its run of leading
-zero bytes, every cell above that one is cut, and that cell takes its
-layer's most probable token when it is a lost coarse cell; a lost or
-invalid fine cell is never guessed. Only the frames it changes are
-written back, in one write. A packet the receiver cannot place or read,
-or that fills nothing, is dropped and counted, as if lost. No slice is coded
+repair copy, and a fine slice is range-coded in one pass that prices
+each token by its layer's row of the model's compiled table
+(``decoder``), sums its ideal bits and codes it. ``decode`` looks each
+arrived packet up in its receiver's map from packet heads to slices,
+the one claim rule of both receivers. It reads every slice from the
+first of its copies that reads, writing only cells not yet received,
+and a repair copy is one more copy of its predecessor: only the filling
+copy's is read, and only where the predecessor did not arrive.
+``finalize`` applies the prefix rule in one scan of the frames' state
+bytes: a frame is usable up to its first cell not RECEIVED, every cell
+above that one is cut, and that cell takes its layer's most probable
+token when it is a lost coarse cell; a lost or invalid fine cell is
+never guessed. A packet the receiver cannot place or read, or that
+fills nothing, is dropped and counted, as if lost. No slice is coded
 against another cell, and no concealed cell reads another, so neither
 waits on anything: each end prices all the fine slices it handles at
 once, and finalizes all the frames it releases in one call. The encode
@@ -31,30 +26,25 @@ the level up), so no usable depth passes it.
 Both ends of both modes read one kind of plan, ``Plan``, and one
 function builds every plan (``build_plan``): from a batch layout's
 slices, or from a stream step's coarse runs and its fine one, it
-derives each slice's packet head and its coarse predecessor, the slice
-before it in the repair chain, and compiles both ends' halves of it
-once: the map from a head back to its cells and its predecessor's, as
-the flat state indices, spans and layers that ``decode`` reads, and the
-sent cells in emission order, as the flat token indices, slice spans
-and fine layers that ``send`` reads. Every clip of one layout shares
-one plan of it, built on the first clip and memoized like the layout
-itself (``build_slice_grid``), so neither end rebuilds any of it per
-clip. ``send`` then reads a clip's or step's tokens in one ``take``,
-checks them against the vocabulary in one reduction, prices its fine
-cells in one ``layer_pmf``, reading each one's interval from its row's
-list in the model's compiled table (``decoder``) in the Python pass that
-sums the ideal bits, and packs each coarse slice from a slice of one
-list. ``decode`` reads the plan's states once, finds the slices with an
-open cell in one ``reduceat``, loops over the arrived heads only, and
-writes the cells it read in one ``put``; its repair pass finds the
+derives each slice's packet head and its coarse predecessor, and
+compiles both ends' halves of it once: the receiver's map from a head to
+its cells and its predecessor's (``head_map``), and the sender's sent
+cells in emission order (``send_map``). Every clip of one layout shares
+one plan of it, memoized like the layout itself (``build_slice_grid``),
+so neither end rebuilds any of it per clip. ``send`` then reads a
+clip's or step's tokens in one ``take``, checks them against the
+vocabulary in one reduction, takes its fine cells' rows in one
+``layer_pmf``, and codes or packs each slice from slices of one list,
+without checking the values again. ``decode`` unpacks each packet tuple
+once, reads the plan's states once, finds the slices with an open cell
+in one ``reduceat``, loops over the arrived heads only, and writes the
+cells it read through one index array; its repair pass finds the
 predecessors still open in one more ``reduceat`` and reads only their
 repair copies.
 """
-
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from typing import NamedTuple
@@ -62,13 +52,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import CodecConfig, synthesize
-from .context import FALLBACKS, PMF_TOTAL, Targets
+from .context import FALLBACKS, Targets
 from .errors import DecodeError
 from .grid import (GosConfig, SliceGrid, TokenGrid, TokenState, _read_only,
                    build_slice_grid, initial_states, outside_range)
 from .rangecoder import CodedSlice, decode_symbols, encode_symbols
 from .rvq import RvqCodec, dequantize, quantize
-from .transport import Packet, pack_bits, token_bits, unpack_bits
+from .transport import Packet, pack_words, token_bits, unpack_words
 
 _R = int(TokenState.RECEIVED)
 _L = int(TokenState.LOST)
@@ -162,10 +152,11 @@ class SliceSender:
         and one check over them refuses a token outside the model's
         vocabulary, coarse or fine. A coarse slice (group 0) is
         bit-packed and carries the previous coarse payload as repair.
-        Every fine token is priced by its layer's row, all rows in one
-        ``layer_pmf``, its interval read from the row's list of the
-        model's compiled table (``decoder``) in the pass that sums its
-        ideal bits, and each fine slice is range-coded on its own."""
+        Each fine slice is range-coded on its own, every token under its
+        layer's row, all rows in one ``layer_pmf``: one pass of
+        ``encode_symbols`` prices each token from the model's compiled
+        table (``decoder``), adds its ideal bits to the report's sums, in
+        the tokens' order, and codes it."""
         rep, sends, model = self.report, plan.sends, self.model
         taken = tokens.take(sends.flat)
         if outside_range(taken, model.vocab):
@@ -174,20 +165,9 @@ class SliceSender:
         n_fine = len(sends.layers)
         if n_fine:
             _, rows, kinds = model.layer_pmf(sends.layers)
-            table = model.decoder.cum
-            cum_lo, freq = [], []
-            per_layer, ideal = rep.per_layer_ideal_bits, rep.ideal_fine_bits
-            # the fine tokens lead the sent ones
-            for k, r, v in zip(sends.layers.tolist(), rows.tolist(), values):
-                row = table[r]
-                c = row[v]
-                f = row[v + 1] - c
-                cum_lo.append(c)
-                freq.append(f)
-                b = -math.log2(f / PMF_TOTAL)
-                ideal += b
-                per_layer[k] = per_layer.get(k, 0.0) + b
-            rep.ideal_fine_bits = ideal
+            # the fine tokens lead the sent ones; a row is its layer
+            rows, table = rows.tolist(), model.decoder
+            sums = [rep.ideal_fine_bits, rep.per_layer_ideal_bits]
             for fb, n in zip(FALLBACKS, np.bincount(kinds).tolist()):
                 if n:
                     rep.fallback_counts[fb] = (rep.fallback_counts.get(fb, 0)
@@ -197,12 +177,13 @@ class SliceSender:
         packets = []
         for group, first, n_frames, a, b in sends.slices:
             if group:
-                payload = encode_symbols(cum_lo[a:b], freq[a:b]).payload
+                payload = encode_symbols(values[a:b], table, rows[a:b],
+                                         sums).payload
                 fec_field = b""
                 rep.n_fine_packets += 1
                 rep.fine_bits += len(payload) * 8
             else:
-                payload = pack_bits(values[a:b], self.width)
+                payload = pack_words(values[a:b], self.width)
                 fec_field = (self._prev_coarse if self.fec
                              and self._prev_coarse is not None else b"")
                 self._prev_coarse = payload
@@ -214,21 +195,21 @@ class SliceSender:
             rep.n_packets += 1
             rep.header_bits += packet.header_bytes * 8
             packets.append(packet)
+        if n_fine:
+            rep.ideal_fine_bits = sums[0]
         return packets
 
 
 def coarse_values(payload: bytes, vocab: int, count: int):
     """The list of the ``count`` tokens packed in a coarse payload, or
     None unless it holds that many and all are in ``vocab``."""
-    width = token_bits(vocab)
-    try:
-        vals = unpack_bits(payload, width, count)
-    except DecodeError:
+    width = (vocab - 1).bit_length()
+    if len(payload) * 8 < count * width:
         return None
+    vals = unpack_words(payload, width, count)
     # every width-bit value is a token when vocab is a power of two
-    if vocab == 1 << width or max(vals, default=0) < vocab:
-        return vals
-    return None
+    return (vals if vocab == 1 << width or max(vals, default=0) < vocab
+            else None)
 
 
 class HeadMap(NamedTuple):
@@ -292,7 +273,7 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
     its layer's row in one ``layer_pmf``. Its other copies are dropped.
     The open cells of the copies read are gathered as lists of cells and
     values, a whole slice's at once where all its cells are open, and
-    written in one ``put`` per array. Then an open predecessor cell takes
+    written through one index array. Then an open predecessor cell takes
     the repair copy of the copy that filled its successor, if it unpacks;
     no other copy's repair is read. Slices name distinct cells and
     predecessors, so one read of the plan's states tells which cells are
@@ -303,12 +284,13 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
     used)."""
     spans, copies, n_dropped = heads.spans, {}, 0
     for p in packets:
-        head = None if p is None else (p.group, p.first_frame - base,
-                                       p.n_frames)
-        if head in spans:
-            copies.setdefault(head, []).append((p.payload, p.fec))
-        else:
-            n_dropped += 1
+        if p is not None:
+            group, first, n, payload, fec = p
+            head = group, first - base, n
+            if head in spans:
+                copies.setdefault(head, []).append((payload, fec))
+                continue
+        n_dropped += 1
     if not copies:
         return n_dropped, 0
     flat, cell_list = heads.flat, heads.cells
@@ -356,6 +338,7 @@ def decode(model, tokens: np.ndarray, states: np.ndarray, packets,
             n_dropped += len(found)
         if head[0]:
             o += n
+    cells = np.array(cells, dtype=np.intp)
     tokens.put(cells, got)
     states.put(cells, _R)
     if not repairs:
@@ -524,6 +507,12 @@ def _layout(sg: SliceGrid) -> Plan:
                       sg.n_layers)
 
 
+def check_layers(model, n_layers: int) -> None:
+    """Refuse a model with fewer layers than a layout's ``n_layers``."""
+    if model.n_layers < n_layers:
+        raise ValueError("model has fewer layers than the layout")
+
+
 def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
                 fec: bool = True) -> tuple:
     """Encode a uniformly quantized grid into packets.
@@ -535,6 +524,7 @@ def send_tokens(grid: TokenGrid, sg: SliceGrid, model,
     """
     if grid.n_frames != sg.n_frames or grid.n_layers != sg.n_layers:
         raise ValueError("grid shape does not match the slice layout")
+    check_layers(model, sg.n_layers)
     if np.any(grid.level != sg.level):
         raise ValueError("grid must be uniformly encoded at the layout level")
     if model.vocab != grid.vocab:
@@ -557,6 +547,7 @@ def receive_tokens(packets, sg: SliceGrid, model) -> tuple:
     cell with its layer's mode when it is a lost coarse cell. The grid's
     level is the per-frame usable depth.
     """
+    check_layers(model, sg.n_layers)
     plan = _layout(sg)
     tokens = np.zeros((plan.span, sg.n_layers), dtype=np.int32)
     states = initial_states(plan.span, sg.n_layers, sg.level)

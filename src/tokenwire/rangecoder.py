@@ -25,18 +25,19 @@ checksum.
 PMFs come as row indices into one table of cumulative rows, as the
 context models price them: symbol s of row r of ``cum`` owns
 ``[cum[r, s], cum[r, s + 1])`` of PMF_TOTAL. The table is compiled once,
-with the model that owns it (``decoder_table``), into Python lists per
-row: the row's cumulative list, and its bucket index of 2**8 entries,
-the symbol whose interval holds the first of each run of 2**8 values.
-The sender prices each symbol from its row's list, and the encoder loop
-runs on the resulting Python ints. The decoder finds a symbol by its
-value's bucket in the coded row's index and a forward scan over the few
-intervals that start inside it. A full lookup of all 2**16 values per
-row would save a little more per symbol, at 2**16 entries a row.
+with the model that owns it (``decoder_table``), into each row's
+cumulative list and bucket index, the symbol whose interval holds the
+first of each run of 2**8 values, and one map from each frequency it
+holds to its ideal bits. The encoder prices, sums the ideal bits of and
+codes each symbol in one pass on Python ints. The decoder finds a symbol
+by its value's bucket in the coded row's index and a forward scan over
+the few intervals that start inside it; a full lookup of all 2**16
+values per row would save a little more, at 2**16 entries a row.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -57,43 +58,63 @@ class CodedSlice(NamedTuple):
     n_symbols: int
 
 
-def encode_symbols(cum_lo, freq) -> CodedSlice:
-    """Encode the symbols whose intervals are ``[cum_lo[i], cum_lo[i] +
-    freq[i])`` of PMF_TOTAL, in order; both are sequences of ints."""
-    if len(cum_lo) != len(freq):
-        raise ValueError("one frequency per interval start is required")
+class DecoderTable(NamedTuple):
+    """A cumulative table compiled for both ends of the coder, per row:
+    ``cum[r]`` row r as a list of ints, and ``start[r]`` its bucket
+    index, entry b the symbol of row r whose interval holds the value
+    ``b * 2**8``; and ``bits``, each non-zero frequency of the table
+    mapped to its ideal bits, ``-math.log2(f / PMF_TOTAL)``."""
+
+    cum: list
+    start: list
+    bits: dict
+
+
+def encode_symbols(symbols, table: DecoderTable, rows,
+                   sums: list | None = None) -> CodedSlice:
+    """Encode ``symbols``, each one of its row's, under their ``rows`` of
+    the compiled table (``decoder_table``), in one pass that prices each
+    from its row's list and adds its ideal bits, read from ``table.bits``,
+    symbol by symbol to ``sums``, a list [total, {row: sum}] of running
+    sums when given. A symbol of frequency 0 is refused."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    if len(symbols) != len(rows):
+        raise ValueError("one row per symbol is required")
+    cum, bits = table.cum, table.bits
+    sums = [0.0, {}] if sums is None else sums
+    total, by_row = sums
     low, rng, shifts = 0, _MASK32, 0
-    for c, f in zip(cum_lo, freq):
-        r = rng >> 16
-        low += r * c
-        rng = r * f
-        while rng < _TOP:
-            rng <<= 8
-            low <<= 8
-            shifts += 1
+    try:
+        for s, row in zip(symbols, rows):
+            c_row = cum[row]
+            c = c_row[s]
+            f = c_row[s + 1] - c
+            b = bits[f]
+            total += b
+            by_row[row] = by_row.get(row, 0.0) + b
+            r = rng >> 16
+            low += r * c
+            rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                low <<= 8
+                shifts += 1
+    except KeyError:
+        raise ValueError("symbol of frequency 0") from None
+    sums[0] = total
     # the value in [low, low + rng) with the most trailing zero bytes
     v = -(-low >> 32) << 32
     if v >= low + rng:
         v = -(-low >> 24) << 24
-    return CodedSlice(v.to_bytes(shifts + 4, "big").rstrip(b"\0"), len(freq))
-
-
-class DecoderTable(NamedTuple):
-    """A cumulative table compiled for pricing and ``decode_symbols``, per
-    row: ``cum[r]`` row r as a list of ints, and ``start[r]`` its bucket
-    index, entry b the symbol of row r whose interval holds the value
-    ``b * 2**8``."""
-
-    cum: list
-    start: list
+    return CodedSlice(v.to_bytes(shifts + 4, "big").rstrip(b"\0"),
+                      len(symbols))
 
 
 def decoder_table(cum: np.ndarray) -> DecoderTable:
-    """Compile the (rows, symbols + 1) cumulative table ``cum`` for
-    pricing and ``decode_symbols``. Every row must start at 0, never
-    decrease and end at PMF_TOTAL, so that each value lies in exactly one
-    symbol's interval and the search's forward scan ends within its
-    row."""
+    """Compile the (rows, symbols + 1) cumulative table ``cum`` for both
+    ends. Every row must start at 0, never decrease and end at
+    PMF_TOTAL, so that each value lies in exactly one symbol's interval
+    and the search's forward scan ends within its row."""
     table = np.asarray(cum, dtype=np.int64)
     if table.ndim != 2 or table.shape[1] < 2:
         raise ValueError("a cumulative table is a 2-D array of rows of at "
@@ -111,7 +132,10 @@ def decoder_table(cum: np.ndarray) -> DecoderTable:
                             (values + offset).reshape(-1), side="right")
     start = (start.reshape(n_rows, len(values)) - 1
              - np.arange(n_rows)[:, None] * width)
-    return DecoderTable([row.tolist() for row in table], start.tolist())
+    # only the frequencies the table holds: a few hundred, not 2**16 + 1
+    freqs = np.unique(np.diff(table, axis=1)).tolist()
+    return DecoderTable([row.tolist() for row in table], start.tolist(),
+                        {f: -math.log2(f / PMF_TOTAL) for f in freqs if f})
 
 
 def decode_symbols(coded: CodedSlice, table: DecoderTable, rows) -> list:

@@ -158,11 +158,13 @@ def dequantize(grid: TokenGrid, codec: RvqCodec,
     if np.any((depth < 0) | (depth > codec.n_layers)):
         raise ValueError("valid depth out of range")
     # frames past their depth add entry 0, the zero vector: adding +0.0
-    # or -0.0 leaves every sum as it was, as ``out`` is never -0.0
+    # or -0.0 leaves every sum as it was, as ``out`` is never -0.0; one
+    # mask picks them for every layer, and each layer adds its column
+    d = int(depth.max(initial=0))
+    tokens = np.where(np.arange(d) < depth[:, None], grid.tokens[:, :d], 0)
     out = np.zeros((grid.n_frames, codec.dim))
-    for k in range(int(depth.max(initial=0))):
-        out += codec.codebooks[k].entries[
-            np.where(depth > k, grid.tokens[:, k], 0)]
+    for cb, column in zip(codec.codebooks, tokens.T):
+        out += cb.entries.take(column, axis=0)
     return out
 
 

@@ -19,20 +19,15 @@ else. At stride 1 every packet after the first coarse one holds one
 frame.
 
 Both ends run on the transceiver core in ``pipeline``, as the batch ends
-do. The sender hands each step's plan to ``SliceSender.send``, which
-sends its coarse and fine slice. A step's fine tokens are priced by
-their layers alone, so a step's fine packet decodes whenever it arrives
-and a lost fine packet costs its own cells only. The receiver's
-buffered states start INVALID from the encode level up. Its step
-geometry names every head a step can place, and ``pipeline.decode``
-reads the arrived packets against it, as the batch receiver reads them
-against its layout: a packet that names no such head, that arrives
-after its frames were released or received, or that cannot be read is
-dropped and counted as if lost. ``pipeline.finalize`` then cuts each
-due frame above its first missing cell and fills that cell with its
-layer's most probable token when it is a lost coarse cell, and the
-frames are released. A lost or invalid fine cell is not guessed; it
-ends its frame's usable depth. Released frames are never revisited.
+do, and check their model's layers once, on construction. The sender
+hands each step's plan to ``SliceSender.send``. A step's fine tokens
+are priced by their layers alone, so its fine packet decodes whenever
+it arrives and a lost one costs its own cells only. The receiver reads
+the arrived packets against its step's heads with ``pipeline.decode``,
+dropping and counting one it cannot place or read, or that arrives
+after its frames were released or received, and ``pipeline.finalize``
+cuts each due frame at its first missing cell before release. Released
+frames are never revisited.
 
 Neither end keeps the stream's history. Finalizing reads only the
 frames it releases, so a step reads only its window: its due frames
@@ -40,13 +35,10 @@ through its horizon. Each end holds that window in preallocated rows
 (``_Frames``), the sender also the frames pushed past its last horizon,
 and forgets every frame before it. Every step's geometry relative to
 its window is one memoized ``pipeline.Plan``, built by
-``pipeline.build_plan`` as the batch layout's is, from the coarse runs
-the step places and the slices it sends, with both ends' halves
-compiled once per plan: the sender's map of the cells it sends and the
-receiver's map of the heads it can place. Once step 0's coarse frames
-have left the window every live step has the same plan, so a stream
-uses a handful of plans: the first steps', the steady one and the
-flushed tail's. The releases are the receiver's output; ``result``
+``pipeline.build_plan`` as the batch layout's is. Once step 0's coarse
+frames have left the window every live step has the same plan, so a
+stream uses a handful of plans: the first steps', the steady one and
+the flushed tail's. The releases are the receiver's output; ``result``
 joins them.
 """
 
@@ -63,7 +55,8 @@ from .errors import DecodeError
 # (perfbench/tracing.py, install_layers) hooks it on this module.
 from .grid import (GosConfig, StreamConfig, TokenGrid, build_slice_grid,
                    cells_of, initial_states, outside_range)  # noqa: F401
-from .pipeline import Plan, SliceSender, build_plan, decode, finalize
+from .pipeline import (Plan, SliceSender, build_plan, check_layers, decode,
+                       finalize)
 
 
 def stream_step(i: int, cfg: StreamConfig, total: int | None = None) -> tuple:
@@ -208,6 +201,7 @@ class StreamSender:
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
                  level: int | None = None):
         level = gos.n_layers if level is None else level
+        check_layers(model, gos.n_layers)
         self._steps = _Steps(gos, stream, level)
         self.gos = gos
         self.stream = stream
@@ -234,6 +228,8 @@ class StreamSender:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[1] != self.gos.n_layers:
             raise ValueError("frames must be (n, n_layers)")
+        if tokens.dtype.kind not in "iu":
+            raise ValueError("tokens must be integers")
         # checked as given, before the frames' int32 rows take them in
         if outside_range(tokens[:, :self.level], self.vocab):
             raise ValueError("token outside vocabulary")
@@ -292,6 +288,7 @@ class StreamReceiver:
     def __init__(self, gos: GosConfig, stream: StreamConfig, model,
                  level: int | None = None, conceal_fine_layers: int = 2):
         level = gos.n_layers if level is None else level
+        check_layers(model, gos.n_layers)
         self._steps = _Steps(gos, stream, level)
         self.gos = gos
         self.stream = stream

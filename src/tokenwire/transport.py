@@ -72,6 +72,11 @@ def pack_bits(values, width: int) -> bytes:
         values = list(map(int, values))
     if values and (max(values) >> width or min(values) < 0):
         raise ValueError("value does not fit in width")
+    return pack_words(values, width)
+
+
+def pack_words(values: list, width: int) -> bytes:
+    """``pack_bits`` of a list of ints already known to fit ``width``."""
     acc = 0
     for v in values:
         acc = acc << width | v
@@ -85,9 +90,15 @@ def unpack_bits(data: bytes, width: int, count: int) -> list:
     bytes are ignored."""
     if not 1 <= width <= 16:
         raise ValueError("width out of range")
-    n_bits = count * width
-    if len(data) * 8 < n_bits:
+    if len(data) * 8 < count * width:
         raise DecodeError("bit payload shorter than expected")
+    return unpack_words(data, width, count)
+
+
+def unpack_words(data: bytes, width: int, count: int) -> list:
+    """``unpack_bits`` of a payload already known to hold ``count`` values
+    of ``width`` bits."""
+    n_bits = count * width
     n_bytes = -(-n_bits // 8)
     acc = int.from_bytes(data[:n_bytes], "big") >> (n_bytes * 8 - n_bits)
     mask = (1 << width) - 1

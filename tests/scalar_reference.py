@@ -7,8 +7,17 @@ no count.
 
 For the cepstral metrics: the per-scale ``mfcc``, which frames, windows,
 transforms and builds its filterbank on every call, and the
-``mfcc_distance`` that calls it once per scale and signal. The shared
-front end in ``tokenwire.metrics`` must equal them exactly.
+``mfcc_distance`` that calls it once per scale and signal; and the
+shared front end as it was before it worked in place,
+``sliding_window_mfcc``, ``sliding_window_mfcc_reference`` and
+``sliding_window_mfcc_distance``, which frame through
+``sliding_window_view``, window with a fresh ``np.hanning`` and allocate
+every step. The front end in ``tokenwire.metrics`` must equal them
+exactly.
+
+For the decoder's codeword sum: ``reference_dequantize``, which masks
+each layer's column on its own with ``np.where``. ``tokenwire.rvq.
+dequantize``, which masks every layer at once, must add the same bytes.
 
 For bit packing: the numpy ``pack_bits`` and ``unpack_bits`` that spread
 each value into a bit array; the integer packers in ``tokenwire.transport``
@@ -23,9 +32,11 @@ For the range coder: ``reference_code_ranges``, which reads each
 symbol's interval from the cumulative array itself; the byte-at-a-time
 coder with a 32-bit ``low``, a cache byte and a count of held-back 0xFF
 bytes that a carry may still reach; and the decoder that bisects each
-row as a Python list. The library's coder must write the same payloads
-and read the same symbols, and its sender price the same intervals
-from the per-row lists of the model's compiled table.
+row as a Python list; and ``reference_ideal_sums``, which sums each
+symbol's ``-log2(f / PMF_TOTAL)`` in order onto running sums. The
+library's coder must write the same payloads and read the same symbols,
+and its one pass, pricing each symbol from the per-row lists of the
+model's compiled table, leave the same sums.
 
 For the receiver's read rule: ``reference_decode``, which assembles its
 cells, their flat indices and the repair spans from the raw map of heads
@@ -66,12 +77,14 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tokenwire.context import (ALPHA, FALLBACKS, PMF_TOTAL, Targets,
                                uniform_pmf)
 from tokenwire.errors import DecodeError
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
                             initial_states)
+from tokenwire.metrics import MFCC_SCALES, _filterbank
 from tokenwire.pipeline import (SliceSender, coarse_values, decode, finalize,
                                 head_map)
 from tokenwire.rangecoder import CodedSlice, encode_symbols
@@ -181,6 +194,73 @@ def reference_mfcc_distance(ref, est, sample_rate: int) -> float:
     return total / len(scales)
 
 
+def _sliding_window_power(x: np.ndarray, sample_rate: int) -> tuple:
+    """(|rfft|² of every Hann-windowed 25 ms frame at a 10 ms hop, n_fft),
+    the frames a ``sliding_window_view``."""
+    win_len = int(round(0.025 * sample_rate))
+    hop = int(round(0.010 * sample_rate))
+    if x.size < win_len:
+        raise ValueError("signal shorter than one analysis window")
+    n_fft = 1
+    while n_fft < win_len:
+        n_fft *= 2
+    frames = sliding_window_view(x, win_len)[::hop] * np.hanning(win_len)
+    return np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2, n_fft
+
+
+def _sliding_window_cepstra(power, n_fft: int, sample_rate: int,
+                            n_mels: int) -> np.ndarray:
+    """(frames, n_mels) ortho DCT-II of the log-mel energies, each step a
+    new array."""
+    fb = _filterbank(n_mels, n_fft, sample_rate)
+    logmel = np.log(power @ fb.T + 1e-10)
+    return scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)
+
+
+def sliding_window_mfcc(x, sample_rate: int, n_coef: int,
+                        n_mels: int | None = None) -> np.ndarray:
+    """``mfcc`` of one sample array through the sliding-window front
+    end."""
+    power, n_fft = _sliding_window_power(np.asarray(x, dtype=np.float64),
+                                         sample_rate)
+    n_mels = max(40, n_coef) if n_mels is None else n_mels
+    return _sliding_window_cepstra(power, n_fft, sample_rate,
+                                   n_mels)[:, :n_coef]
+
+
+def sliding_window_mfcc_reference(x, sample_rate: int) -> dict:
+    """{n_mels: cepstrum} of one sample array for each filterbank size
+    ``mfcc_distance`` reads, through the sliding-window front end."""
+    power, n_fft = _sliding_window_power(np.asarray(x, dtype=np.float64),
+                                         sample_rate)
+    return {n_mels: _sliding_window_cepstra(power, n_fft, sample_rate,
+                                            n_mels)
+            for n_mels in sorted({max(40, n) for n in MFCC_SCALES})}
+
+
+def sliding_window_mfcc_distance(ref, est, sample_rate: int) -> float:
+    """``mfcc_distance`` through the sliding-window front end."""
+    a = sliding_window_mfcc_reference(ref, sample_rate)
+    b = sliding_window_mfcc_reference(est, sample_rate)
+    total = 0.0
+    for n_coef in MFCC_SCALES:
+        n_mels = max(40, n_coef)
+        total += float(np.sum((a[n_mels][:, :n_coef]
+                               - b[n_mels][:, :n_coef]) ** 2))
+    return total / len(MFCC_SCALES)
+
+
+def reference_dequantize(grid: TokenGrid, codec: RvqCodec,
+                         depth: np.ndarray) -> np.ndarray:
+    """Sum each frame's codewords below its depth, each layer's column
+    masked on its own."""
+    out = np.zeros((grid.n_frames, codec.dim))
+    for k in range(int(depth.max(initial=0))):
+        out += codec.codebooks[k].entries[
+            np.where(depth > k, grid.tokens[:, k], 0)]
+    return out
+
+
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
@@ -195,6 +275,17 @@ def reference_code_ranges(cum, rows, symbols) -> tuple:
     cum_lo = [int(cum[r, s]) for r, s in zip(rows, symbols)]
     return cum_lo, [int(cum[r, s + 1]) - c
                     for r, s, c in zip(rows, symbols, cum_lo)]
+
+
+def reference_ideal_sums(total: float, rows, freq) -> list:
+    """[total, {row: sum}]: the ideal bits of each interval's frequency,
+    added in order to ``total`` and to a sum per row."""
+    by_row = {}
+    for r, f in zip([int(r) for r in rows], freq):
+        b = -math.log2(f / PMF_TOTAL)
+        total += b
+        by_row[r] = by_row.get(r, 0.0) + b
+    return [total, by_row]
 
 
 def reference_encode_symbols(cum_lo, freq) -> tuple:
@@ -460,8 +551,8 @@ def reference_send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
         cells = np.concatenate(fine)
         layers = cells[:, 1]
         cum, rows, kinds = self.model.layer_pmf(layers)
-        cum_lo, freq = reference_code_ranges(cum, rows,
-                                             tokens[cells[:, 0], layers])
+        symbols = tokens[cells[:, 0], layers].tolist()
+        _, freq = reference_code_ranges(cum, rows, symbols)
         per_layer = rep.per_layer_ideal_bits
         for k, f in zip(layers.tolist(), freq):
             b = -math.log2(f / PMF_TOTAL)
@@ -476,7 +567,8 @@ def reference_send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
     for (group, first, n_frames), cells in slices:
         if group:
             b = a + len(cells)
-            payload = encode_symbols(cum_lo[a:b], freq[a:b]).payload
+            payload = encode_symbols(symbols[a:b], self.model.decoder,
+                                     rows[a:b]).payload
             fec_field = b""
             rep.n_fine_packets += 1
             rep.fine_bits += len(payload) * 8

@@ -139,17 +139,20 @@ def test_run_trial_markov_reports_stationary_loss(mini_cfg, mini_stack):
     assert row.channel == "markov"
 
 
-def test_run_trial_builds_one_markov_channel(mini_cfg, mini_stack,
+def test_run_trial_builds_no_markov_channel(mini_cfg, mini_stack,
                                             monkeypatch):
-    # each construction validates and solves the chain; the loss ratio is
-    # read from the channel the trial samples
+    # each construction validates and solves the chain; every trial
+    # samples the one default chain built on import, and reads its loss
+    # ratio from it
     built = []
     init = MarkovChannel.__post_init__
     monkeypatch.setattr(MarkovChannel, "__post_init__",
                         lambda self: built.append(init(self)))
-    for trial in range(2):
-        run_trial(mini_cfg, mini_stack, "markov", 0.0, True, "count", trial)
-    assert len(built) == 2
+    rows = [run_trial(mini_cfg, mini_stack, "markov", 0.0, True, "count",
+                      trial) for trial in range(4)]
+    assert len(built) == 0
+    assert {row.loss_ratio for row in rows} == {
+        MarkovChannel().stationary_loss()}
 
 
 def test_run_trial_variable_level(mini_cfg, mini_stack):

@@ -81,6 +81,8 @@ def test_tokens_that_wrap_in_int32_are_refused():
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64]
+# dtypes whose values are not read as tokens, however close to one
+OTHER_DTYPES = [np.float64, np.float32, np.bool_, np.complex128, object]
 
 
 @st.composite
@@ -89,18 +91,27 @@ def typed_tokens(draw):
     to 64 bits. Each value is drawn from [0, vocab), from the edges of
     that range, of the int32 range and of the dtype, among them values
     that an int32 cast wraps into [0, vocab), or from the dtype's whole
-    range."""
-    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES), label="dtype"))
-    info = np.iinfo(dtype)
+    range. Or tokens of a float, bool, complex or object dtype, with
+    values in and around [0, vocab), whole or not."""
     vocab = draw(st.sampled_from([2, 3, 16, 127, 128, 129, 255, 256, 257,
                                   1000, 32768, 32769, 65536]), label="vocab")
     n_frames = draw(st.integers(0, 4), label="n_frames")
-    edges = [v for v in (0, vocab - 1, vocab, -1, -vocab, 2**31 - 1,
-                         2**31, 2**32, 2**32 + vocab - 1, -(2**32) + 1,
-                         info.min, info.max) if info.min <= v <= info.max]
-    inside = st.integers(0, min(vocab - 1, int(info.max)))
-    value = st.one_of(inside, inside, inside, st.sampled_from(edges),
-                      st.integers(int(info.min), int(info.max)))
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES + OTHER_DTYPES),
+                          label="dtype"))
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        edges = [v for v in (0, vocab - 1, vocab, -1, -vocab, 2**31 - 1,
+                             2**31, 2**32, 2**32 + vocab - 1, -(2**32) + 1,
+                             info.min, info.max)
+                 if info.min <= v <= info.max]
+        inside = st.integers(0, min(vocab - 1, int(info.max)))
+        value = st.one_of(inside, inside, inside, st.sampled_from(edges),
+                          st.integers(int(info.min), int(info.max)))
+    elif dtype.kind == "b":
+        value = st.booleans()
+    else:
+        value = st.one_of(st.integers(-1, vocab),
+                          st.integers(0, vocab - 1).map(lambda v: v + 0.5))
     tokens = np.array(draw(st.lists(st.lists(value, min_size=3, max_size=3),
                                     min_size=n_frames, max_size=n_frames)),
                       dtype=dtype).reshape(n_frames, 3)
@@ -118,31 +129,35 @@ def uniform_model(vocab: int) -> CountModel:
 @settings(max_examples=200, deadline=None)
 def test_push_and_token_grid_accept_exactly_tokens_in_the_vocabulary(
         case, level):
-    """``TokenGrid`` accepts exactly the tokens whose live cells, those
-    below each frame's level, lie in [0, vocab); ``StreamSender.push``
+    """``TokenGrid`` accepts exactly the integer tokens whose live cells,
+    those below each frame's level, lie in [0, vocab); ``StreamSender.push``
     exactly those whose layers below the sender's level do, whatever the
-    integer dtype, and then sends what it sends from int32 tokens."""
+    integer dtype, and then sends what it sends from int32 tokens. Both
+    refuse every array of another dtype, by its dtype alone."""
     tokens, depth, vocab = case
     values = tokens.astype(object)  # the caller's values, unwrapped
     live = np.arange(3) < depth[:, None]
-    grid_ok = all(0 <= v < vocab for v in values[live])
+    integer = tokens.dtype.kind in "iu"
+    why = "vocabulary" if integer else "must be integers"
+    grid_ok = integer and all(0 <= v < vocab for v in values[live])
     try:
         grid = TokenGrid(tokens, depth, vocab)
     except ValueError as exc:
-        assert not grid_ok and "vocabulary" in str(exc)
+        assert not grid_ok and why in str(exc)
     else:
         assert grid_ok
         np.testing.assert_array_equal(grid.tokens[live],
                                       values[live].astype(np.int64))
     gos = GosConfig(2, 1, 1, 3)
     cfg = StreamConfig(1, 1)
-    push_ok = all(0 <= v < vocab for v in values[:, :level].ravel())
+    push_ok = integer and all(0 <= v < vocab
+                              for v in values[:, :level].ravel())
     model = uniform_model(vocab)
     tx = StreamSender(gos, cfg, model, level=level)
     try:
         got = tx.push(tokens) + tx.flush()[0]
     except ValueError as exc:
-        assert not push_ok and "vocabulary" in str(exc)
+        assert not push_ok and why in str(exc)
     else:
         assert push_ok
         clean = np.zeros(tokens.shape, dtype=np.int32)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import reference_mfcc, reference_mfcc_distance
+from scalar_reference import (reference_mfcc, reference_mfcc_distance,
+                              sliding_window_mfcc,
+                              sliding_window_mfcc_distance,
+                              sliding_window_mfcc_reference)
 
 from tokenwire import experiment
 from tokenwire.audio import AudioSignal
@@ -137,6 +140,33 @@ def test_mfcc_front_end_equals_reference(pair, data):
                           reference_mfcc(ref, sample_rate, n_coef, n_mels))
     assert np.array_equal(mfcc(est, sample_rate, n_coef),
                           reference_mfcc(est, sample_rate, n_coef))
+
+
+@given(signal_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cepstra_equal_the_sliding_window_front_end(pair, data):
+    """The in-place front end, framing through a strided view with a
+    cached window, gives ``mfcc``, ``mfcc_reference`` and
+    ``mfcc_distance`` the bytes of the sliding-window front end that
+    allocates every step, on contiguous and strided samples alike, and
+    leaves its input unchanged."""
+    ref, est, sample_rate = pair
+    if data.draw(st.booleans(), label="strided"):
+        ref = np.repeat(ref, 2)[::2]
+    kept = ref.copy()
+    n_mels = data.draw(st.integers(1, 80), label="n_mels")
+    n_coef = data.draw(st.integers(1, n_mels), label="n_coef")
+    assert mfcc(ref, sample_rate, n_coef, n_mels).tobytes() == \
+        sliding_window_mfcc(ref, sample_rate, n_coef, n_mels).tobytes()
+    got = mfcc_reference(AudioSignal(ref, sample_rate))
+    want = sliding_window_mfcc_reference(ref, sample_rate)
+    assert got.keys() == want.keys()
+    for n in want:
+        assert got[n].tobytes() == want[n].tobytes()
+    distance = sliding_window_mfcc_distance(ref, est, sample_rate)
+    assert mfcc_distance(ref, est, sample_rate) == distance
+    assert mfcc_distance(ref, est, sample_rate, reference=got) == distance
+    assert ref.tobytes() == kept.tobytes()
 
 
 @given(signal_pairs())

@@ -19,7 +19,8 @@ from tokenwire.grid import (
 )
 from tokenwire.pipeline import (SliceSender, _layout, decode, receive,
                                 receive_tokens, send, send_tokens)
-from tokenwire.streaming import StreamSender, _Steps, stream_step
+from tokenwire.streaming import (StreamReceiver, StreamSender, _Steps,
+                                 stream_step)
 from tokenwire.transport import Packet, pack_bits
 from conftest import counted_model, flip, random_grid, slice_of
 from scalar_reference import reference_decode, reference_send
@@ -416,6 +417,39 @@ def test_send_refuses_a_token_outside_the_vocabulary(group, bad):
     plan2 = _layout(build_slice_grid(6, GOS, 2))
     assert (SliceSender(model).send(level2, plan2)
             == SliceSender(model).send(grid.tokens, plan2))
+
+
+def test_each_end_refuses_a_model_with_fewer_layers_than_its_layout():
+    # A 2-layer model on a 3-layer layout has no row for layer 2: each
+    # end refuses it on entry, the stream ends on construction, so no
+    # step checks it again, and a receiver never reaches its decode.
+    grid = random_grid(np.random.default_rng(37), 6, 3, 10)
+    sg = build_slice_grid(6, GOS, 3)
+    packets, _ = send_tokens(grid, sg, CountModel(10, 3))
+    short = CountModel(10, 2)
+    with pytest.raises(ValueError, match="fewer layers"):
+        send_tokens(grid, sg, short)
+    with pytest.raises(ValueError, match="fewer layers"):
+        receive_tokens(packets, sg, short)
+    for end in (StreamSender, StreamReceiver):
+        with pytest.raises(ValueError, match="fewer layers"):
+            end(GOS, StreamConfig(), short)
+    # a model with more layers than the layout prices the layout's own
+    wide = send_tokens(grid, sg, CountModel(10, 4))[0]
+    assert receive_tokens(wide, sg, CountModel(10, 4))[0].tokens.tobytes() \
+        == grid.tokens.tobytes()
+
+
+def test_non_integer_tokens_are_refused():
+    # a float token was truncated, a bool read as 0 or 1
+    with pytest.raises(ValueError, match="must be integers"):
+        TokenGrid([[2.5, 1.0]], [2], 4)
+    with pytest.raises(ValueError, match="must be integers"):
+        TokenGrid(np.ones((2, 3), dtype=bool), np.full(2, 3), 4)
+    tx = StreamSender(GOS, StreamConfig(), CountModel(10, 3))
+    with pytest.raises(ValueError, match="must be integers"):
+        tx.push(np.array([[2.7, 1.0, 0.0]]))
+    assert tx.push(np.zeros((1, 3), dtype=np.int64)) == []
 
 
 @given(st.data())

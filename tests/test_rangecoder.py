@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_reference import (reference_code_ranges, reference_decode_symbols,
-                              reference_encode_symbols)
+                              reference_encode_symbols, reference_ideal_sums)
 
 from tokenwire.context import PMF_TOTAL, cumulative, quantize_weights, uniform_pmf
 from tokenwire.errors import DecodeError
@@ -27,7 +27,7 @@ def uniform_table(vocab):
 
 
 def encode(symbols, cum, rows):
-    return encode_symbols(*reference_code_ranges(cum, rows, symbols))
+    return encode_symbols(symbols, decoder_table(cum), rows)
 
 
 def ideal_bits(symbols, cum, rows):
@@ -63,9 +63,9 @@ def test_size_close_to_ideal(seed, vocab, n):
 
 
 def test_empty_slice():
-    coded = encode_symbols([], [])
-    assert coded.n_symbols == 0 and coded.payload == b""
     empty = decoder_table(np.zeros((0, 5), dtype=np.uint32))
+    coded = encode_symbols([], empty, [])
+    assert coded.n_symbols == 0 and coded.payload == b""
     assert decode_symbols(coded, empty, []) == []
     assert decode_symbols(coded, decoder_table(uniform_table(4)), []) == []
 
@@ -90,8 +90,12 @@ def test_skewed_pmf_compresses():
 def test_encode_validation():
     # the sender's refusals of a token outside the vocabulary are
     # pinned in test_pipeline.py::test_send_refuses_a_token_outside_the_vocabulary
-    with pytest.raises(ValueError, match="one frequency per interval"):
-        encode_symbols([0, 16384], [16384])
+    table = decoder_table(uniform_table(4))
+    with pytest.raises(ValueError, match="one row per symbol"):
+        encode_symbols([0, 1], table, [0])
+    # a symbol no value codes to is refused, not coded into a range of 0
+    with pytest.raises(ValueError, match="frequency 0"):
+        encode_symbols([0], decoder_table([[0, 0, PMF_TOTAL]]), [0])
 
 
 def test_decode_refuses_a_row_outside_the_table():
@@ -247,9 +251,15 @@ def test_payloads_and_symbols_equal_the_reference_coder(case):
     cum, rows, symbols, junk = case
     cum_lo, freq = reference_code_ranges(cum, rows, symbols)
     want, _ = reference_encode_symbols(cum_lo, freq)
-    coded = encode_symbols(cum_lo, freq)
-    assert coded == want
     table = decoder_table(cum)
+    # the one pass prices as the scalar reference does, and adds each
+    # symbol's ideal bits, in order, onto the caller's running sums,
+    # here from a non-zero start
+    start = float(len(junk))
+    sums = [start, {}]
+    coded = encode_symbols(symbols, table, rows, sums)
+    assert coded == want
+    assert repr(sums) == repr(reference_ideal_sums(start, rows, freq))
     assert decode_symbols(coded, table, rows) == symbols
     assert reference_decode_symbols(coded, cum[rows]) == symbols
     # any other payload reads as the same symbols or the same refusal
@@ -266,5 +276,6 @@ def test_a_carry_through_held_back_bytes_codes_like_the_reference():
     cum_lo, freq = reference_code_ranges(cum, [0, 0], [171, 0])
     want, carries = reference_encode_symbols(cum_lo, freq)
     assert carries == 1
-    assert want.payload == encode_symbols(cum_lo, freq).payload == b"\xab"
+    assert want.payload == encode_symbols(
+        [171, 0], decoder_table(cum), [0, 0]).payload == b"\xab"
     assert decode_symbols(want, decoder_table(cum), [0, 0]) == [171, 0]

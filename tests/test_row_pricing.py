@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import reference_code_ranges, reference_layer_pmf
+from scalar_reference import (reference_code_ranges, reference_encode_symbols,
+                              reference_layer_pmf)
 from tokenwire.context import (FALLBACKS, CountModel, Targets, _mode,
                                cumulative, train_count_model)
 from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
@@ -135,7 +136,8 @@ def test_rows_price_like_the_scalar_reference(data):
     for cells in slices:
         b = a + len(cells)
         symbols = tokens[cells[:, 0], cells[:, 1]].tolist()
-        coded = encode_symbols(*reference_code_ranges(cum, rows[a:b],
-                                                      symbols))
+        coded = encode_symbols(symbols, model.decoder, rows[a:b])
+        assert coded == reference_encode_symbols(
+            *reference_code_ranges(cum, rows[a:b], symbols))[0]
         assert decode_symbols(coded, model.decoder, rows[a:b]) == symbols
         a = b

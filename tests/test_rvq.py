@@ -20,7 +20,8 @@ from tokenwire.rvq import (
     save_codec,
     train_codebooks,
 )
-from scalar_reference import reference_assign, reference_train_codebooks
+from scalar_reference import (reference_assign, reference_dequantize,
+                              reference_train_codebooks)
 
 
 def handmade_codec():
@@ -221,6 +222,26 @@ def test_quantize_and_dequantize_match_the_layer_loops(seed, n, signed_zero):
         rows = depth > k
         out[rows] += cb.entries[grid.tokens[rows, k]]
     assert dequantize(grid, codec, depth).tobytes() == out.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+       st.sampled_from(["small", "signed-zero", "wide"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dequantize_matches_the_per_layer_where_loop(seed, n, which, data):
+    """One depth mask for every layer adds, byte for byte, what masking
+    each layer's column on its own adds, at every depth from 0 (no
+    codeword) to the codec's, and at the grid's own level."""
+    codec = wide_codec() if which == "wide" else small_codec(
+        which == "signed-zero")
+    rng = np.random.default_rng(seed)
+    grid = TokenGrid(rng.integers(0, codec.vocab, size=(n, 3)),
+                     rng.integers(0, 4, size=n), codec.vocab)
+    depth = data.draw(st.sampled_from(["random", "zero", "full", "level"]))
+    valid = {"random": rng.integers(0, 4, size=n), "zero": np.zeros(n, int),
+             "full": np.full(n, 3), "level": None}[depth]
+    want = reference_dequantize(grid, codec,
+                                grid.level if valid is None else valid)
+    assert dequantize(grid, codec, valid).tobytes() == want.tobytes()
 
 
 @functools.lru_cache(maxsize=None)
