@@ -14,6 +14,16 @@ channel is one default chain, validated and solved once, on import, that
 every trial samples. A trial then computes only what its point changes:
 the channel draw, the send and receive, the decoded audio and the
 metrics against it.
+
+A visit that receives exactly the grid that was sent, tokens and
+per-frame levels alike, decodes ``synthesize(dequantize(truth))`` bit for
+bit, whatever its model, FEC mode or channel. Its SI-SNR, SDR and MFCC
+distance are then the trial's own: the first such visit computes them
+into a slot of ``TrialInputs``, and every later one reads them from it
+without decoding. Every visit still sends and receives, and takes its
+token accuracy from its own states: at a level equal to ``n_coarse`` a
+correctly concealed cell leaves the grid equal to the truth, but its
+state is CONCEALED.
 """
 
 from __future__ import annotations
@@ -198,6 +208,11 @@ class TrialInputs:
     drawn; ``truth`` is the whole clip's sent grid, and ``reference`` the
     clip's cepstra for ``mfcc_distance``. Every array is read-only, so a
     write raises instead of changing a later sweep point's input.
+
+    ``lossless`` is the one slot that is written after: empty until a
+    visit receives ``truth`` itself, then the (SI-SNR, SDR, MFCC
+    distance) of that lossless decode, which every later such visit of
+    the trial, at any point, reads instead of decoding again.
     """
 
     seed: int
@@ -205,6 +220,7 @@ class TrialInputs:
     chunks: tuple  # ((TokenGrid, SliceGrid), ...) in frame order
     truth: TokenGrid
     reference: object
+    lossless: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -212,11 +228,14 @@ class TrainedStack:
     """Shared artifacts reused by every trial of a run.
 
     ``trials`` memoizes each trial's ``TrialInputs``, keyed by (config,
-    trial), so a sweep makes a trial's clip once, not once per point. It
-    holds the trials of one config: a call under another config empties
-    it first, so a run's memo holds at most its ``n_trials`` entries. An
-    entry of the default config is about 103 KB, mostly the clip's
-    samples and its reference cepstra (5.2 MB for 50 trials).
+    trial), so a sweep makes a trial's clip once, not once per point,
+    and scores its lossless decode once, not once per visit that
+    receives the grid it sent (``TrialInputs.lossless``). It holds the
+    trials of one config: a call under another config empties it first,
+    slots and all, so a run's memo holds at most its ``n_trials``
+    entries. An entry of the default config is about 103 KB, mostly the
+    clip's samples and its reference cepstra (5.2 MB for 50 trials); a
+    filled slot, one tuple of three floats, adds about 0.2 KB of that.
     """
 
     codec_cfg: CodecConfig
@@ -342,7 +361,7 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
     mask_rng = np.random.default_rng(mask_seed)
 
     total_bits = 0
-    rx_chunks, state_chunks, feat_chunks = [], [], []
+    rx_chunks, state_chunks = [], []
     for grid, sg in inputs.chunks:
         packets, srep = send_tokens(grid, sg, model, fec=fec)
         delivered = channel.sample(len(packets), mask_rng)
@@ -351,13 +370,23 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
         total_bits += srep.total_bits
         rx_chunks.append(rx)
         state_chunks.append(states)
-        feat_chunks.append(dequantize(rx, stack.codec, rx.level))
 
-    est = synthesize(np.concatenate(feat_chunks), stack.codec_cfg,
-                     cfg.sample_rate)
+    truth = inputs.truth
     rx_all = TokenGrid(np.concatenate([g.tokens for g in rx_chunks]),
                        np.concatenate([g.level for g in rx_chunks]), cfg.vocab)
     states_all = np.concatenate(state_chunks)
+    lossless = (np.array_equal(rx_all.tokens, truth.tokens)
+                and np.array_equal(rx_all.level, truth.level))
+    if lossless and inputs.lossless:
+        scores = inputs.lossless[0]
+    else:
+        feats = np.concatenate([dequantize(rx, stack.codec, rx.level)
+                                for rx in rx_chunks])
+        est = synthesize(feats, stack.codec_cfg, cfg.sample_rate)
+        scores = (si_snr(clip, est), sdr(clip, est),
+                  mfcc_distance(clip, est, reference=inputs.reference))
+        if lossless:
+            inputs.lossless.append(scores)
 
     loss_ratio = (loss if channel_kind == "bernoulli"
                   else channel.stationary_loss())
@@ -366,9 +395,8 @@ def run_trial(cfg: ExperimentConfig, stack: TrainedStack, channel_kind: str,
         model=model_name,
         level=("variable" if len(cfg.levels) > 1 else str(cfg.levels[0])),
         bitrate_kbps=total_bits / clip.duration / 1000.0,
-        si_snr_db=si_snr(clip, est), sdr_db=sdr(clip, est),
-        mfcc_dist=mfcc_distance(clip, est, reference=inputs.reference),
-        token_accuracy=token_accuracy(inputs.truth, rx_all, states_all),
+        si_snr_db=scores[0], sdr_db=scores[1], mfcc_dist=scores[2],
+        token_accuracy=token_accuracy(truth, rx_all, states_all),
         seed=inputs.seed,
     )
 

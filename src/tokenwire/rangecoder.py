@@ -76,10 +76,15 @@ def encode_symbols(symbols, table: DecoderTable, rows,
     the compiled table (``decoder_table``), in one pass that prices each
     from its row's list and adds its ideal bits, read from ``table.bits``,
     symbol by symbol to ``sums``, a list [total, {row: sum}] of running
-    sums when given. A symbol of frequency 0 is refused."""
+    sums when given. A row outside the table, a symbol outside its row
+    and a symbol of frequency 0 are refused with ``ValueError``: a
+    negative row or symbol up front, since Python would read it from the
+    end of its list, one past the end where the pass reads it."""
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     if len(symbols) != len(rows):
         raise ValueError("one row per symbol is required")
+    if rows and (min(rows) < 0 or min(symbols) < 0):
+        raise ValueError("symbol or PMF row outside the table")
     cum, bits = table.cum, table.bits
     sums = [0.0, {}] if sums is None else sums
     total, by_row = sums
@@ -101,6 +106,8 @@ def encode_symbols(symbols, table: DecoderTable, rows,
                 shifts += 1
     except KeyError:
         raise ValueError("symbol of frequency 0") from None
+    except IndexError:
+        raise ValueError("symbol or PMF row outside the table") from None
     sums[0] = total
     # the value in [low, low + rng) with the most trailing zero bytes
     v = -(-low >> 32) << 32

@@ -61,22 +61,10 @@ def token_bits(vocab: int) -> int:
     return (vocab - 1).bit_length()
 
 
-def pack_bits(values, width: int) -> bytes:
-    """Pack integers into a big-endian bitstream, MSB of each value first,
-    zero-padded to whole bytes."""
-    if not 1 <= width <= 16:
-        raise ValueError("width out of range")
-    if isinstance(values, np.ndarray):
-        values = values.ravel().tolist()
-    else:
-        values = list(map(int, values))
-    if values and (max(values) >> width or min(values) < 0):
-        raise ValueError("value does not fit in width")
-    return pack_words(values, width)
-
-
 def pack_words(values: list, width: int) -> bytes:
-    """``pack_bits`` of a list of ints already known to fit ``width``."""
+    """Pack a list of ints, each known to fit ``width`` bits, into a
+    big-endian bitstream, MSB of each value first, zero-padded to whole
+    bytes."""
     acc = 0
     for v in values:
         acc = acc << width | v
@@ -85,19 +73,10 @@ def pack_words(values: list, width: int) -> bytes:
     return (acc << pad).to_bytes((n_bits + pad) // 8, "big")
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> list:
-    """Inverse of pack_bits, as a list of ints; trailing pad bits and
-    bytes are ignored."""
-    if not 1 <= width <= 16:
-        raise ValueError("width out of range")
-    if len(data) * 8 < count * width:
-        raise DecodeError("bit payload shorter than expected")
-    return unpack_words(data, width, count)
-
-
 def unpack_words(data: bytes, width: int, count: int) -> list:
-    """``unpack_bits`` of a payload already known to hold ``count`` values
-    of ``width`` bits."""
+    """Inverse of ``pack_words``, as a list of ints, for a payload known
+    to hold ``count`` values of ``width`` bits; trailing pad bits and
+    bytes are ignored."""
     n_bits = count * width
     n_bytes = -(-n_bits // 8)
     acc = int.from_bytes(data[:n_bytes], "big") >> (n_bytes * 8 - n_bits)

@@ -19,9 +19,11 @@ For the decoder's codeword sum: ``reference_dequantize``, which masks
 each layer's column on its own with ``np.where``. ``tokenwire.rvq.
 dequantize``, which masks every layer at once, must add the same bytes.
 
-For bit packing: the numpy ``pack_bits`` and ``unpack_bits`` that spread
-each value into a bit array; the integer packers in ``tokenwire.transport``
-must give the same bytes and values and refuse the same input.
+For bit packing: ``reference_pack_bits`` and ``reference_unpack_bits``,
+which spread each value into a numpy bit array; the integer packers
+``pack_words`` and ``unpack_words`` in ``tokenwire.transport`` must give
+the same bytes and values. The reference send packs its coarse slices,
+and tests pack their junk payloads, with ``reference_pack_bits``.
 
 For the burst channel: ``reference_markov_sample``, the chain walked on
 numpy floats, one ``searchsorted`` a packet.
@@ -91,7 +93,7 @@ from tokenwire.rangecoder import CodedSlice, encode_symbols
 from tokenwire.rvq import Codebook, RvqCodec
 from tokenwire.streaming import (StepEmission, StreamRelease, stream_coarse,
                                  stream_step)
-from tokenwire.transport import Packet, pack_bits
+from tokenwire.transport import Packet
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -575,8 +577,8 @@ def reference_send(self, tokens: np.ndarray, slices, base: int = 0) -> list:
             rep.n_fine_tokens += b - a
             a = b
         else:
-            payload = pack_bits(tokens[cells[:, 0], cells[:, 1]],
-                                self.width)
+            payload = reference_pack_bits(tokens[cells[:, 0], cells[:, 1]],
+                                          self.width)
             fec_field = (self._prev_coarse if self.fec
                          and self._prev_coarse is not None else b"")
             self._prev_coarse = payload

@@ -6,14 +6,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tokenwire import __version__
+from tokenwire import __version__, experiment
 from tokenwire.context import save_count_model
 from tokenwire.errors import ConfigError
 from tokenwire.experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow,
                                   _seed_of, config_from_dict, load_config,
                                   run_experiment, run_trial, summarize,
                                   sweep_points, train_stack, trial_inputs)
+from tokenwire.grid import TokenState
 from tokenwire.rvq import save_codec
 from tokenwire.transport import MarkovChannel
 
@@ -162,32 +165,118 @@ def test_run_trial_variable_level(mini_cfg, mini_stack):
     assert row.bitrate_kbps > 0.0
 
 
-@pytest.mark.parametrize("levels", [(3,), (1, 3)], ids=["fixed", "variable"])
-def test_memoized_trials_give_the_rows_of_fresh_ones(mini_cfg, mini_stack,
-                                                     levels):
-    """A trial's inputs come from the stack's memo at every sweep point
-    after its first; the rows equal those of trials that each make their
-    inputs anew, whichever order the points and trials run in."""
-    cfg = dataclasses.replace(mini_cfg, levels=levels,
+def _mini_sweep(cfg, levels=None):
+    """``cfg`` over both channels, losses 0 and 0.2, FEC on and off and
+    both models, and its visits, each a (point, trial) pair, point-major."""
+    cfg = dataclasses.replace(cfg, levels=levels or cfg.levels,
                               channels=("bernoulli", "markov"),
                               losses=(0.0, 0.2), fec_modes=(True, False),
                               models=("count", "uniform"))
-    points = [(ch, max(p, 0.0), fec, model)
-              for ch, p, fec, model in sweep_points(cfg)]
-    trials = range(cfg.n_trials)
+    return cfg, [((ch, max(p, 0.0), fec, model), t)
+                 for ch, p, fec, model in sweep_points(cfg)
+                 for t in range(cfg.n_trials)]
 
-    def fresh(point, trial):
-        mini_stack.trials.clear()
-        return run_trial(cfg, mini_stack, *point, trial)
 
-    want = {(pt, t): fresh(pt, t) for pt in points for t in trials}
-    point_major = [(pt, t) for pt in points for t in trials]
-    trial_major = [(pt, t) for t in trials for pt in points]
-    for order in (point_major, trial_major):
-        mini_stack.trials.clear()
-        got = {(pt, t): run_trial(cfg, mini_stack, *pt, t) for pt, t in order}
-        assert got == want
-        assert len(mini_stack.trials) == cfg.n_trials
+# rows of the mini sweep's visits, each made with an empty memo, per level
+# mode: the property below compares every visit order against them
+_FRESH_ROWS: dict = {}
+
+
+@pytest.mark.parametrize("levels", [(3,), (1, 3)], ids=["fixed", "variable"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_memoized_trials_give_the_rows_of_fresh_ones(mini_cfg, mini_stack,
+                                                     levels, data):
+    """A trial's inputs, and the scores of its lossless decode, come from
+    the stack's memo at every visit after the first that makes them; the
+    rows equal those of trials that each make their inputs and scores
+    anew, whichever order the points and trials run in."""
+    cfg, visits = _mini_sweep(mini_cfg, levels)
+    if levels not in _FRESH_ROWS:
+        fresh = {}
+        for point, t in visits:
+            mini_stack.trials.clear()
+            fresh[point, t] = run_trial(cfg, mini_stack, *point, t)
+        _FRESH_ROWS[levels] = fresh
+    order = data.draw(st.permutations(visits), label="order")
+    mini_stack.trials.clear()
+    got = {(pt, t): run_trial(cfg, mini_stack, *pt, t) for pt, t in order}
+    assert got == _FRESH_ROWS[levels]
+    assert len(mini_stack.trials) == cfg.n_trials
+
+
+def _count_calls(monkeypatch, *names) -> dict:
+    """Count the calls ``run_trial`` makes to each of ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(experiment, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
+    return calls
+
+
+def test_each_trial_scores_its_lossless_decode_once(mini_cfg, mini_stack,
+                                                    monkeypatch):
+    """A visit that receives every chunk's sent grid, tokens and levels,
+    decodes and scores only if it is its trial's first such visit; every
+    other visit decodes and scores its own estimate."""
+    cfg, visits = _mini_sweep(mini_cfg)
+    calls = _count_calls(monkeypatch, "synthesize", "mfcc_distance")
+    received = []
+    receive = experiment.receive_tokens
+
+    def recording(*args, **kwargs):
+        out = receive(*args, **kwargs)
+        received.append(out[0])
+        return out
+
+    monkeypatch.setattr(experiment, "receive_tokens", recording)
+    mini_stack.trials.clear()
+    lossy, lossless = 0, []
+    for point, t in visits:
+        received.clear()
+        run_trial(cfg, mini_stack, *point, t)
+        chunks = trial_inputs(cfg, mini_stack, t).chunks
+        if all(np.array_equal(rx.tokens, grid.tokens)
+               and np.array_equal(rx.level, grid.level)
+               for rx, (grid, _) in zip(received, chunks, strict=True)):
+            lossless.append(t)
+        else:
+            lossy += 1
+    # every visit at loss 0 is lossless, at four points, and some at 0.2
+    # or in a burst are too
+    assert len(lossless) > 4 * cfg.n_trials and lossy > 0
+    want = lossy + len(set(lossless))
+    assert calls == {"synthesize": want, "mfcc_distance": want}
+
+
+def test_a_concealed_cell_keeps_its_accuracy_and_reads_the_slot(
+        mini_cfg, mini_stack, monkeypatch):
+    """At a level equal to ``n_coarse`` a correctly concealed cell leaves
+    the grid equal to the truth: the visit takes its trial's lossless
+    scores from the slot, and its token accuracy from its own states."""
+    mini_stack.trials.clear()
+    clean = run_trial(mini_cfg, mini_stack, "bernoulli", 0.0, True, "count",
+                      0)
+    receive = experiment.receive_tokens
+
+    def concealing(*args, **kwargs):
+        rx, states, rep = receive(*args, **kwargs)
+        states = states.copy()
+        states[0, 0] = TokenState.CONCEALED
+        return rx, states, rep
+
+    monkeypatch.setattr(experiment, "receive_tokens", concealing)
+    calls = _count_calls(monkeypatch, "synthesize", "si_snr", "sdr",
+                         "mfcc_distance")
+    row = run_trial(mini_cfg, mini_stack, "bernoulli", 0.0, False, "uniform",
+                    0)
+    assert clean.token_accuracy is None and row.token_accuracy == 1.0
+    assert (row.si_snr_db, row.sdr_db, row.mfcc_dist) == (
+        clean.si_snr_db, clean.sdr_db, clean.mfcc_dist)
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_trial_memo_holds_one_config(mini_cfg, mini_stack):

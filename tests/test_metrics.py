@@ -10,10 +10,11 @@ from scalar_reference import (reference_mfcc, reference_mfcc_distance,
                               sliding_window_mfcc_reference)
 
 from tokenwire import experiment
-from tokenwire.audio import AudioSignal
+from tokenwire.audio import AudioSignal, synthesize
 from tokenwire.grid import TokenGrid, TokenState
 from tokenwire.metrics import (_filterbank, mfcc, mfcc_distance,
                                mfcc_reference, sdr, si_snr, token_accuracy)
+from tokenwire.rvq import dequantize
 
 R = int(TokenState.RECEIVED)
 C = int(TokenState.CONCEALED)
@@ -196,15 +197,34 @@ def test_cached_filterbank_is_read_only():
 
 
 def test_sweep_mfcc_dist_equals_reference(mini_cfg, monkeypatch):
-    seen = []
+    """Every row's MFCC distance is the reference's on its own clip and
+    decoded estimate. A row that received its trial's sent grid may read
+    its scores from the trial's slot and make no call; its estimate is
+    then the decode of that grid, the truth."""
+    seen, served = [], []
 
     def recording(ref, est, *args, **kwargs):
         seen.append((ref, est))
         return mfcc_distance(ref, est, *args, **kwargs)
 
+    run_trial = experiment.run_trial
+
+    def trial(cfg, stack, *point):
+        calls = len(seen)
+        row = run_trial(cfg, stack, *point)
+        if len(seen) == calls:
+            inputs = experiment.trial_inputs(cfg, stack, point[-1])
+            feats = np.concatenate([dequantize(grid, stack.codec)
+                                    for grid, _ in inputs.chunks])
+            seen.append((inputs.clip, synthesize(feats, stack.codec_cfg,
+                                                 cfg.sample_rate)))
+            served.append(row)
+        return row
+
     monkeypatch.setattr(experiment, "mfcc_distance", recording)
+    monkeypatch.setattr(experiment, "run_trial", trial)
     rows, _ = experiment.run_experiment(mini_cfg)
-    assert len(seen) == len(rows) > 0
+    assert len(seen) == len(rows) > len(served) > 0
     for row, (clip, est) in zip(rows, seen):
         assert row.mfcc_dist == reference_mfcc_distance(
             clip.samples, est.samples, mini_cfg.sample_rate)

@@ -21,9 +21,10 @@ from tokenwire.pipeline import (SliceSender, _layout, decode, receive,
                                 receive_tokens, send, send_tokens)
 from tokenwire.streaming import (StreamReceiver, StreamSender, _Steps,
                                  stream_step)
-from tokenwire.transport import Packet, pack_bits
+from tokenwire.transport import Packet
 from conftest import counted_model, flip, random_grid, slice_of
-from scalar_reference import reference_decode, reference_send
+from scalar_reference import (reference_decode, reference_pack_bits,
+                              reference_send)
 
 R = int(TokenState.RECEIVED)
 L = int(TokenState.LOST)
@@ -296,7 +297,8 @@ def test_unusable_packets_are_dropped_like_losses(data):
             # a lost coarse packet, or a copy of a delivered one
             p = data.draw(st.sampled_from(coarse))
             junk.append(Packet(0, p.first_frame, p.n_frames,
-                               pack_bits([15] * p.n_frames, 4), p.fec))
+                               reference_pack_bits([15] * p.n_frames, 4),
+                               p.fec))
         elif kind == "fine" and sent_fine:
             # no canonical payload ends in a zero byte; every copy is read
             p = data.draw(st.sampled_from(sent_fine))
@@ -520,7 +522,7 @@ def test_only_the_filling_copy_repairs():
     assert second.fec == first.payload
     bare = Packet(0, second.first_frame, second.n_frames, second.payload)
     oov = Packet(0, second.first_frame, second.n_frames,
-                 pack_bits([15] * second.n_frames, 4), second.fec)
+                 reference_pack_bits([15] * second.n_frames, 4), second.fec)
     assert receive_tokens([second] + rest, sg, model)[2].fec_recovered == 1
     lost_both = receive_tokens(rest, sg, model)
     assert_dropped_like_lost(receive_tokens([oov] + rest, sg, model),
@@ -542,7 +544,7 @@ def test_unreadable_copy_does_not_hide_its_slice():
     packets, _ = send_tokens(grid, sg, model)
     clean = receive_tokens(packets, sg, model)
     last = [p for p in packets if p.group == 0][-1]
-    for payload in (b"", pack_bits([15] * last.n_frames, 4)):
+    for payload in (b"", reference_pack_bits([15] * last.n_frames, 4)):
         copy = Packet(0, last.first_frame, last.n_frames, payload, last.fec)
         assert_dropped_like_lost(
             receive_tokens([copy] + packets, sg, model), clean, 1)

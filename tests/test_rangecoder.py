@@ -96,6 +96,12 @@ def test_encode_validation():
     # a symbol no value codes to is refused, not coded into a range of 0
     with pytest.raises(ValueError, match="frequency 0"):
         encode_symbols([0], decoder_table([[0, 0, PMF_TOTAL]]), [0])
+    # a negative index would read from the end of its row or table: -2
+    # would code symbol 3, and row -1 code under the last row
+    for symbols, rows in (([-2], [0]), ([0, -1], [0, 0]), ([4], [0]),
+                          ([1, 2], [0, 1]), ([1, 2], [0, -1])):
+        with pytest.raises(ValueError, match="outside the table"):
+            encode_symbols(symbols, table, rows)
 
 
 def test_decode_refuses_a_row_outside_the_table():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import counted_model, flip
-from scalar_reference import ReferenceStreamReceiver, ReferenceStreamSender
+from scalar_reference import (ReferenceStreamReceiver, ReferenceStreamSender,
+                              reference_pack_bits)
 
 from tokenwire import streaming
 from tokenwire.context import CountModel, Targets, train_count_model
@@ -15,7 +16,7 @@ from tokenwire.grid import (GosConfig, StreamConfig, TokenGrid, TokenState,
 from tokenwire.pipeline import receive_tokens, send_tokens
 from tokenwire.streaming import (StreamReceiver, StreamSender, stream_coarse,
                                  stream_step)
-from tokenwire.transport import Packet, pack_bits
+from tokenwire.transport import Packet
 
 GOS = GosConfig(6, 3, 1, 3)
 STREAM = StreamConfig(stride=3, lookahead=3, coding_context=12)
@@ -356,16 +357,17 @@ def test_out_of_vocabulary_coarse_is_dropped_like_a_loss():
     (c0, *fine0), (c1, *fine1), (c2, *fine2) = steps[:3]
     assert c0.group == c1.group == c2.group == 0
     # a bad payload: the packet is dropped, as if lost
-    bad = Packet(0, 0, 6, pack_bits(np.array([15] * 6), 4))
+    bad = Packet(0, 0, 6, reference_pack_bits(np.array([15] * 6), 4))
     assert_dropped_like_lost(run(s0=[bad] + fine0), run(s0=fine0), 1)
     # step 1's coarse packet is lost; step 2's repairs it, but a bad
     # payload takes its good repair copy down with it
-    bad = Packet(0, 9, 3, pack_bits(np.array([15] * 3), 4), c2.fec)
+    bad = Packet(0, 9, 3, reference_pack_bits(np.array([15] * 3), 4), c2.fec)
     assert_dropped_like_lost(run(s1=fine1, s2=[bad] + fine2),
                              run(s1=fine1, s2=fine2), 1)
     # a bad repair copy is ignored, as if the packet carried none; the
     # packet itself is placed, so nothing is dropped
-    bad = Packet(0, 9, 3, c2.payload, pack_bits(np.array([15] * 3), 4))
+    bad = Packet(0, 9, 3, c2.payload,
+                 reference_pack_bits(np.array([15] * 3), 4))
     got = run(s1=fine1, s2=[bad] + fine2)
     assert_dropped_like_lost(
         got, run(s1=fine1, s2=[Packet(0, 9, 3, c2.payload)] + fine2), 0)
@@ -557,7 +559,8 @@ def test_a_later_copy_never_rewrites_received_cells():
     assert stream_step(3, STREAM)[0].start == 9
     other = (tokens[9:12, :1] + 1) % 16
     dirty = [list(p) for p in steps]
-    dirty[3].append(Packet(0, 9, 3, pack_bits(other.ravel(), 4), c2.fec))
+    dirty[3].append(Packet(0, 9, 3, reference_pack_bits(other.ravel(), 4),
+                           c2.fec))
     got = run_steps(dirty, n_live, total)
     assert_dropped_like_lost(got, run_steps(steps, n_live, total), 1)
     grid, states = got[0].result()
@@ -761,7 +764,7 @@ def test_unreadable_copy_does_not_hide_its_coarse_packet():
     # fine layer
     coarse = steps[1][0]
     assert (coarse.group, coarse.first_frame, coarse.n_frames) == (0, 2, 1)
-    for payload in (b"", pack_bits([15], 4)):
+    for payload in (b"", reference_pack_bits([15], 4)):
         dirty = [list(packets) for packets in steps]
         dirty[1].insert(0, Packet(0, 2, 1, payload, coarse.fec))
         assert_dropped_like_lost(run_steps(dirty, n_live, total, **kw),
@@ -837,8 +840,10 @@ def test_unusable_packets_are_dropped_like_losses(data):
                 junk.append(data.draw(st.sampled_from(late_fine)))
             elif kind == "oov" and lost_coarse:
                 p = lost_coarse[0]
-                junk.append(Packet(0, p.first_frame, p.n_frames, pack_bits(
-                    [15] * (p.n_frames * gos.n_coarse), 4), p.fec))
+                junk.append(Packet(
+                    0, p.first_frame, p.n_frames,
+                    reference_pack_bits([15] * (p.n_frames * gos.n_coarse),
+                                        4), p.fec))
             elif kind == "fine" and any(p.group for p in packets):
                 # no canonical payload ends in a zero byte; every copy is
                 # read
@@ -850,9 +855,10 @@ def test_unusable_packets_are_dropped_like_losses(data):
                 # other ones in the vocabulary
                 p = data.draw(st.sampled_from(delivered))
                 if data.draw(st.booleans()):
-                    p = Packet(0, p.first_frame, p.n_frames, pack_bits(
-                        rng.integers(0, 10, p.n_frames * gos.n_coarse), 4),
-                        p.fec)
+                    p = Packet(0, p.first_frame, p.n_frames,
+                               reference_pack_bits(rng.integers(
+                                   0, 10, p.n_frames * gos.n_coarse), 4),
+                               p.fec)
                 junk.append(p)
         clean.append(keep)
         dirty.append(data.draw(st.permutations(keep + junk)))
